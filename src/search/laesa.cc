@@ -104,13 +104,16 @@ void Laesa::BuildTable() {
 // abandon any evaluation that provably reaches it, because such a value
 // could at most tie.
 //
-// The per-visit pass — tighten with the visited pivot's contiguous table
-// row, eliminate, compact, pick the next candidate — runs on the shared
-// dispatched sweep kernels (sweep_kernel.h), so the flat, sharded and
-// mapped indexes execute literally the same vector code over their packed
-// candidate slabs. The kernels preserve the classic scan's semantics
-// bit for bit: compaction is stable and min-bound ties resolve to the
-// smallest index.
+// Two phases, both on the shared dispatched sweep kernels
+// (sweep_kernel.h), so the flat, sharded and mapped indexes execute
+// literally the same vector code over their packed candidate slabs:
+//   - approximating: while pivots survive, visit the minimal-bound pivot,
+//     tighten with its contiguous table row, then one flagged
+//     eliminate-and-compact pass picks the next pivot;
+//   - static: once the last live pivot is gone the bounds are final, and
+//     `VisitInBoundOrder` visits the survivors in ascending (bound, index)
+//     order — the sequence the per-visit compaction would pick, tie for
+//     tie.
 std::vector<NeighborResult> Laesa::Sweep(std::string_view query, std::size_t k,
                                          double slack, QueryStats* stats,
                                          const std::uint64_t* tombstones)
@@ -146,60 +149,57 @@ std::vector<NeighborResult> Laesa::Sweep(std::string_view query, std::size_t k,
 
   std::uint64_t computations = 0, abandons = 0, pivot_computations = 0;
 
+  // Pivot distances stay exact: the full value tightens a whole row of
+  // lower bounds (both sides of |d - row[i]|), which an abandoned
+  // evaluation cannot. Non-pivot distances only ever update the incumbents,
+  // so the k-th incumbent bounds their kernel — the search trajectory (and
+  // computation count) is identical to the unbounded sweep, only the
+  // per-evaluation DP work shrinks.
+  auto visit = [&](std::size_t s, bool is_pivot) {
+    const double cap = is_pivot ? inf : kth();
+    const double d = distance_->DistanceBounded(query, protos[s], cap);
+    ++computations;
+    pivot_computations += is_pivot ? 1 : 0;
+    if (d >= cap) {
+      ++abandons;
+    } else {
+      InsertNeighborTopK(best, k, {s, d});
+    }
+    return d;
+  };
+
   std::size_t s = pivots_[0];  // start from the first base prototype
   if (tombstones != nullptr) {
     // Deletes are eliminated inside the compaction before anything is
     // visited: force the masked slots' bounds to +inf, then one flagged
     // pass drops them from the packed slab (lower >= bound is inclusive,
     // so +inf falls even to the infinite starting incumbent) and hands
-    // back the minimal-bound live start — pivots first, as usual.
+    // back the minimal-bound live pivot to start from.
     ApplyTombstoneMask(tombstones, n, lower);
     const SweepCompactResult pre = kern.eliminate_and_compact_flagged(
         idx, lower, pivot_rank_.data(), live, /*skip=*/0xFFFFFFFFu, slack,
         inf);
     live = pre.live;
     live_pivots -= pre.pivots_died;
-    s = live_pivots > 0 ? pre.next_pivot : pre.next;
-    if (s == kSweepNone) live = 0;
+    s = pre.next_pivot;
   }
-  while (live > 0) {
-    const bool s_is_pivot = pivot_rank_[s] >= 0;
-
-    // Pivot distances stay exact: the full value tightens a whole row of
-    // lower bounds (both sides of |d - row[i]|), which an abandoned
-    // evaluation cannot. Non-pivot distances only ever update the
-    // incumbents, so the k-th incumbent bounds their kernel — the search
-    // trajectory (and computation count) is identical to the unbounded
-    // sweep, only the per-evaluation DP work shrinks.
-    const double cap = s_is_pivot ? inf : kth();
-    const double d = distance_->DistanceBounded(query, protos[s], cap);
-    ++computations;
-    pivot_computations += s_is_pivot ? 1 : 0;
-    if (d >= cap) {
-      ++abandons;
-    } else {
-      InsertNeighborTopK(best, k, {s, d});
-    }
-
-    // Tighten with the visited pivot's row (a non-pivot visit leaves the
-    // bounds as they are), then one eliminate-and-compact pass picks the
-    // next candidate — the surviving pivot with minimal lower bound while
-    // pivots remain (the "approximating" step of LAESA), otherwise the
-    // surviving prototype with minimal lower bound.
-    if (s_is_pivot) {
-      QuantUpdateLowerPacked(kern, view,
-                             static_cast<std::size_t>(pivot_rank_[s]), n, d,
-                             idx, 0, lower, live);
-    }
+  // Approximating phase: the surviving pivot with minimal lower bound is
+  // visited next, and its row tightens every survivor's bound.
+  while (live_pivots > 0 && s != kSweepNone) {
+    const double d = visit(s, /*is_pivot=*/true);
+    QuantUpdateLowerPacked(kern, view,
+                           static_cast<std::size_t>(pivot_rank_[s]), n, d,
+                           idx, 0, lower, live);
     const SweepCompactResult pass = kern.eliminate_and_compact_flagged(
         idx, lower, pivot_rank_.data(), live, static_cast<std::uint32_t>(s),
         slack, kth());
     live = pass.live;
     live_pivots -= pass.pivots_died;
-    if (live == 0) break;
-    s = live_pivots > 0 ? pass.next_pivot : pass.next;
-    if (s == kSweepNone) break;  // defensive: accounting can never reach this
+    s = pass.next_pivot;
   }
+  // Static phase: no row left to apply.
+  VisitInBoundOrder(idx, lower, live, slack, kth,
+                    [&](std::size_t c) { visit(c, /*is_pivot=*/false); });
 
   if (stats != nullptr) {
     stats->distance_computations += computations;
@@ -248,38 +248,30 @@ std::vector<NeighborResult> Laesa::SweepWithRow(std::string_view query,
 
   // Tighten every lower bound with every pivot row (no elimination yet:
   // each row pass is the dense streamed-max kernel), then eliminate against
-  // the fully seeded k-th incumbent, compact the surviving non-pivots into
-  // the packed slabs and pick the first minimal-bound survivor — one
-  // compact_seed pass.
+  // the fully seeded k-th incumbent and compact the surviving non-pivots
+  // into the packed slabs — one compact_seed pass.
   const QuantTableView view = table_view();
   for (std::size_t p = 0; p < pivots_.size(); ++p) {
     QuantUpdateLowerDense(kern, view, p, n, row[p], lower);
   }
   const SweepCompactResult seed = kern.compact_seed(
       lower, pivot_rank_.data(), n, 0, kth(), idx, lower);
-  std::size_t live = seed.live;
-  std::size_t s = seed.next;
 
+  // Adaptive non-pivot phase: the bounds are final, so the survivors are
+  // visited in bound order against the improving incumbent.
   std::uint64_t computations = 0, abandons = 0;
-
-  // Adaptive non-pivot phase, identical in structure to `Sweep`'s loop with
-  // no table row left to apply: visit the minimal-lower-bound survivor,
-  // then one eliminate-and-compact pass against the improved incumbent
-  // picks the next visit.
-  while (live > 0 && s != kSweepNone) {
-    const double cap = kth();
-    const double d = distance_->DistanceBounded(query, protos[s], cap);
-    ++computations;
-    if (d >= cap) {
-      ++abandons;
-    } else {
-      InsertNeighborTopK(best, k, {s, d});
-    }
-    const SweepCompactResult pass = kern.eliminate_and_compact(
-        idx, lower, live, static_cast<std::uint32_t>(s), kth());
-    live = pass.live;
-    s = pass.next;
-  }
+  VisitInBoundOrder(idx, lower, seed.live, /*slack=*/1.0, kth,
+                    [&](std::size_t s) {
+                      const double cap = kth();
+                      const double d =
+                          distance_->DistanceBounded(query, protos[s], cap);
+                      ++computations;
+                      if (d >= cap) {
+                        ++abandons;
+                      } else {
+                        InsertNeighborTopK(best, k, {s, d});
+                      }
+                    });
 
   if (stats != nullptr) {
     stats->distance_computations += computations;
@@ -372,7 +364,11 @@ std::vector<NeighborResult> Laesa::RangeSearch(std::string_view query,
     const std::size_t s = pivots_[p];
     const double d = distance_->Distance(query, protos[s]);
     ++computations;
-    if (d <= radius) hits.push_back({s, d});
+    // A pivot listed more than once (ablation constructor, text Load) is
+    // one prototype: report it from its ranked entry only.
+    if (d <= radius && pivot_rank_[s] == static_cast<std::int32_t>(p)) {
+      hits.push_back({s, d});
+    }
     QuantUpdateLowerDense(kern, view, p, n, d, lower);
   }
   // Phase 2: verify every surviving non-pivot (pivots were computed in

@@ -26,12 +26,15 @@ namespace cned {
 /// are visited in increasing lower-bound order, pivots first.
 ///
 /// The hot path is a flat structure-of-arrays sweep: surviving candidates
-/// live in packed index/lower-bound arrays that one pass per visited
-/// candidate tightens (a contiguous row of the pivot table), eliminates and
-/// compacts — no per-candidate pointer chasing, no per-query allocation
-/// (thread-local scratch), and the length-difference lower bound of the
-/// distance acts as a free "zeroth pivot" over the store's flat length
-/// array before any distance is computed.
+/// live in packed index/lower-bound arrays that one pass per visited pivot
+/// tightens (a contiguous row of the pivot table), eliminates and compacts;
+/// once no pivot survives the bounds are final, and the remaining
+/// candidates are visited in bound order from a heap over the same arrays
+/// (`VisitInBoundOrder`, sweep_kernel.h). No per-candidate pointer
+/// chasing, no per-query allocation (thread-local scratch), and the
+/// length-difference lower bound of the distance acts as a free "zeroth
+/// pivot" over the store's flat length array before any distance is
+/// computed.
 ///
 /// With a true metric the returned neighbour is exactly the nearest. The
 /// paper (and this reproduction) also runs LAESA with non-metric
@@ -193,7 +196,7 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
 
   /// Row-consuming sweep behind the *WithPivotRow entry points: seeds the
   /// incumbents with all pivot distances, applies every pivot-table row,
-  /// then eliminates and visits the surviving non-pivots adaptively.
+  /// then eliminates and visits the surviving non-pivots in bound order.
   std::vector<NeighborResult> SweepWithRow(std::string_view query,
                                            std::size_t k, const double* row,
                                            QueryStats* stats) const;

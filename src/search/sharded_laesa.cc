@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -38,6 +39,26 @@ struct ShardedScratch {
 ShardedScratch& TlsShardedScratch() {
   thread_local ShardedScratch scratch;
   return scratch;
+}
+
+// Moves each shard's packed survivors [base, base + live[s]) left into one
+// prefix of the slabs, in shard order, and returns its length. Shard
+// segments hold ascending global ids, so the prefix is ascending too and
+// the heap's smallest-id tie-break equals a strict-'<' merge of per-shard
+// minima in shard order — the flat index's choice.
+std::size_t GatherSurvivors(const ShardedPrototypeStore& st,
+                            const std::size_t* live, std::uint32_t* idx,
+                            double* lower) {
+  std::size_t total = 0;
+  for (std::size_t sh = 0; sh < st.shard_count(); ++sh) {
+    const std::size_t base = st.shard_base(sh);
+    if (base != total) {
+      std::memmove(idx + total, idx + base, live[sh] * sizeof(*idx));
+      std::memmove(lower + total, lower + base, live[sh] * sizeof(*lower));
+    }
+    total += live[sh];
+  }
+  return total;
 }
 
 }  // namespace
@@ -125,13 +146,15 @@ void ShardedLaesa::BuildTables() {
 
 // The flat `Laesa::Sweep` with its per-visit pass partitioned by shard: the
 // visit loop below makes the same decisions on the same values in the same
-// order (incumbents, kernel caps, elimination bound, and the
-// next-candidate merge that resolves ties to the lowest global index, as
-// the flat packed scan does), so neighbours, distances and QueryStats are
-// bit-identical to the single-store index for every distance. Each shard's
+// order (incumbents, kernel caps, elimination bound, and the next-pivot
+// merge that resolves ties to the lowest global index, as the flat packed
+// scan does), so neighbours, distances and QueryStats are bit-identical to
+// the single-store index for every distance. Each shard's
 // tighten/eliminate/compact pass runs on the shared dispatched sweep
 // kernels (sweep_kernel.h) over that shard's slab segment — literally the
-// flat index's vector code, partitioned.
+// flat index's vector code, partitioned. Once the last live pivot is gone
+// the survivors are gathered into one prefix and visited in bound order,
+// as in the flat static phase.
 std::vector<NeighborResult> ShardedLaesa::Sweep(std::string_view query,
                                                 std::size_t k, double slack,
                                                 QueryStats* stats,
@@ -169,38 +192,38 @@ std::vector<NeighborResult> ShardedLaesa::Sweep(std::string_view query,
 
   std::uint64_t computations = 0, abandons = 0, pivot_computations = 0;
 
-  std::size_t s_cand = pivots_[0];  // start from the first base prototype
-  while (total_live > 0) {
-    const std::int32_t rank = pivot_rank_[s_cand];
-    const bool is_pivot = rank >= 0;
+  auto visit = [&](std::size_t s, bool is_pivot) {
     const double cap = is_pivot ? kInf : kth();
-    const double d = distance_->DistanceBounded(query, st.view(s_cand), cap);
+    const double d = distance_->DistanceBounded(query, st.view(s), cap);
     ++computations;
     pivot_computations += is_pivot ? 1 : 0;
     const bool abandoned = d >= cap;
     if (abandoned) {
       ++abandons;
     } else {
-      InsertNeighborTopK(best, k, {s_cand, d});
+      InsertNeighborTopK(best, k, {s, d});
     }
     if (shard_stats != nullptr) {
-      QueryStats& hs = shard_stats[st.ShardOf(s_cand)];
+      QueryStats& hs = shard_stats[st.ShardOf(s)];
       hs.distance_computations += 1;
       hs.bounded_abandons += abandoned ? 1 : 0;
       hs.pivot_computations += is_pivot ? 1 : 0;
     }
+    return d;
+  };
+
+  std::size_t s_cand = pivots_[0];  // start from the first base prototype
+  while (live_pivots > 0 && s_cand != kSweepNone) {
+    const std::size_t rank = static_cast<std::size_t>(pivot_rank_[s_cand]);
+    const double d = visit(s_cand, /*is_pivot=*/true);
 
     const double bound = kth();
     auto pass_fn = [&](std::size_t sh) {
       const std::size_t base = st.shard_base(sh);
       const std::size_t seg_live = scratch.live[sh];
-      if (is_pivot) {
-        QuantUpdateLowerPacked(kern, shard_view(sh),
-                               static_cast<std::size_t>(rank),
-                               st.shard(sh).size(), d, idx + base,
-                               static_cast<std::uint32_t>(base), lower + base,
-                               seg_live);
-      }
+      QuantUpdateLowerPacked(kern, shard_view(sh), rank, st.shard(sh).size(),
+                             d, idx + base, static_cast<std::uint32_t>(base),
+                             lower + base, seg_live);
       scratch.pass[sh] = kern.eliminate_and_compact_flagged(
           idx + base, lower + base, pivot_rank_.data(), seg_live,
           static_cast<std::uint32_t>(s_cand), slack, bound);
@@ -211,31 +234,26 @@ std::vector<NeighborResult> ShardedLaesa::Sweep(std::string_view query,
       for (std::size_t sh = 0; sh < shards; ++sh) pass_fn(sh);
     }
 
-    // Merge per-shard minima in shard order with strict '<': the first
-    // occurrence wins, i.e. the lowest global index among ties — exactly
-    // the flat packed scan's choice.
+    // Merge per-shard pivot minima in shard order with strict '<': the
+    // first occurrence wins, i.e. the lowest global index among ties —
+    // exactly the flat packed scan's choice.
     total_live = 0;
-    std::size_t next = kSweepNone, next_pivot = kSweepNone;
-    double next_key = kInf, next_pivot_key = kInf;
+    s_cand = kSweepNone;
+    double s_key = kInf;
     for (std::size_t sh = 0; sh < shards; ++sh) {
       const SweepCompactResult& out = scratch.pass[sh];
       scratch.live[sh] = out.live;
       total_live += out.live;
       live_pivots -= out.pivots_died;
-      if (out.next != kSweepNone && out.next_key < next_key) {
-        next_key = out.next_key;
-        next = out.next;
-      }
-      if (out.next_pivot != kSweepNone && out.next_pivot_key < next_pivot_key) {
-        next_pivot_key = out.next_pivot_key;
-        next_pivot = out.next_pivot;
+      if (out.next_pivot != kSweepNone && out.next_pivot_key < s_key) {
+        s_key = out.next_pivot_key;
+        s_cand = out.next_pivot;
       }
     }
-    if (total_live == 0) break;
-    s_cand = live_pivots > 0 ? next_pivot : next;
-    // defensive: accounting can never reach this
-    if (s_cand == kSweepNone) break;
   }
+  total_live = GatherSurvivors(st, scratch.live.data(), idx, lower);
+  VisitInBoundOrder(idx, lower, total_live, slack, kth,
+                    [&](std::size_t c) { visit(c, /*is_pivot=*/false); });
 
   if (stats != nullptr) {
     stats->distance_computations += computations;
@@ -248,8 +266,8 @@ std::vector<NeighborResult> ShardedLaesa::Sweep(std::string_view query,
 // Row-consuming counterpart, mirroring `Laesa::SweepWithRow`: seed the
 // incumbents with every pivot distance, apply every table row per shard (a
 // streamed max with no elimination inside), eliminate against the seeded
-// k-th incumbent, then run the same adaptive loop over the surviving
-// non-pivots.
+// k-th incumbent, then visit the surviving non-pivots of every shard in
+// bound order.
 std::vector<NeighborResult> ShardedLaesa::SweepWithRow(
     std::string_view query, std::size_t k, const double* row,
     QueryStats* stats, QueryStats* shard_stats) const {
@@ -266,7 +284,6 @@ std::vector<NeighborResult> ShardedLaesa::SweepWithRow(
   slabs.lower.resize(n);
   ShardedScratch& scratch = TlsShardedScratch();
   scratch.live.assign(shards, 0);
-  scratch.pass.assign(shards, SweepCompactResult{});
   std::uint32_t* idx = slabs.idx.data();
   double* lower = slabs.lower.data();
 
@@ -285,7 +302,7 @@ std::vector<NeighborResult> ShardedLaesa::SweepWithRow(
 
   // Per shard: every pivot row applied with the dense streamed-max kernel,
   // then one compact_seed pass packs the surviving non-pivots of that
-  // shard's segment and tracks its minimal-bound survivor.
+  // shard's segment.
   const double seed_bound = kth();
   auto stage_fn = [&](std::size_t sh) {
     const std::size_t base = st.shard_base(sh);
@@ -295,9 +312,11 @@ std::vector<NeighborResult> ShardedLaesa::SweepWithRow(
     for (std::size_t p = 0; p < p_count; ++p) {
       QuantUpdateLowerDense(kern, view, p, n_sh, row[p], slow);
     }
-    scratch.pass[sh] = kern.compact_seed(
-        slow, pivot_rank_.data() + base, n_sh,
-        static_cast<std::uint32_t>(base), seed_bound, idx + base, slow);
+    scratch.live[sh] =
+        kern.compact_seed(slow, pivot_rank_.data() + base, n_sh,
+                          static_cast<std::uint32_t>(base), seed_bound,
+                          idx + base, slow)
+            .live;
   };
   if (shards > 1 && p_count * n >= kParallelPassWork) {
     ParallelFor(shards, stage_fn);
@@ -305,63 +324,27 @@ std::vector<NeighborResult> ShardedLaesa::SweepWithRow(
     for (std::size_t sh = 0; sh < shards; ++sh) stage_fn(sh);
   }
 
-  std::size_t total_live = 0;
-  std::size_t s_cand = kSweepNone;
-  double s_key = kInf;
-  for (std::size_t sh = 0; sh < shards; ++sh) {
-    const SweepCompactResult& out = scratch.pass[sh];
-    scratch.live[sh] = out.live;
-    total_live += out.live;
-    if (out.next != kSweepNone && out.next_key < s_key) {
-      s_key = out.next_key;
-      s_cand = out.next;
-    }
-  }
-
   std::uint64_t computations = 0, abandons = 0;
-
-  while (total_live > 0 && s_cand != kSweepNone) {
-    const double cap = kth();
-    const double d = distance_->DistanceBounded(query, st.view(s_cand), cap);
-    ++computations;
-    const bool abandoned = d >= cap;
-    if (abandoned) {
-      ++abandons;
-    } else {
-      InsertNeighborTopK(best, k, {s_cand, d});
-    }
-    if (shard_stats != nullptr) {
-      QueryStats& hs = shard_stats[st.ShardOf(s_cand)];
-      hs.distance_computations += 1;
-      hs.bounded_abandons += abandoned ? 1 : 0;
-    }
-
-    const double bound = kth();
-    auto pass_fn = [&](std::size_t sh) {
-      const std::size_t base = st.shard_base(sh);
-      scratch.pass[sh] = kern.eliminate_and_compact(
-          idx + base, lower + base, scratch.live[sh],
-          static_cast<std::uint32_t>(s_cand), bound);
-    };
-    if (shards > 1 && total_live >= kParallelPassWork) {
-      ParallelFor(shards, pass_fn);
-    } else {
-      for (std::size_t sh = 0; sh < shards; ++sh) pass_fn(sh);
-    }
-
-    total_live = 0;
-    s_cand = kSweepNone;
-    s_key = kInf;
-    for (std::size_t sh = 0; sh < shards; ++sh) {
-      const SweepCompactResult& out = scratch.pass[sh];
-      scratch.live[sh] = out.live;
-      total_live += out.live;
-      if (out.next != kSweepNone && out.next_key < s_key) {
-        s_key = out.next_key;
-        s_cand = out.next;
-      }
-    }
-  }
+  const std::size_t total_live =
+      GatherSurvivors(st, scratch.live.data(), idx, lower);
+  VisitInBoundOrder(idx, lower, total_live, /*slack=*/1.0, kth,
+                    [&](std::size_t s) {
+                      const double cap = kth();
+                      const double d =
+                          distance_->DistanceBounded(query, st.view(s), cap);
+                      ++computations;
+                      const bool abandoned = d >= cap;
+                      if (abandoned) {
+                        ++abandons;
+                      } else {
+                        InsertNeighborTopK(best, k, {s, d});
+                      }
+                      if (shard_stats != nullptr) {
+                        QueryStats& hs = shard_stats[st.ShardOf(s)];
+                        hs.distance_computations += 1;
+                        hs.bounded_abandons += abandoned ? 1 : 0;
+                      }
+                    });
 
   if (stats != nullptr) {
     stats->distance_computations += computations;

@@ -14,19 +14,23 @@ namespace cned {
 /// The shared vectorised elimination core of the LAESA family.
 ///
 /// Every LAESA-shaped sweep in the library — `Laesa::Sweep`,
-/// `Laesa::SweepWithRow`, `Laesa::RangeSearch` and `ShardedLaesa`'s
+/// `Laesa::SweepWithRow`, `Laesa::RangeSearch`, `ShardedLaesa`'s
 /// per-shard passes (and through them the batch engine's pivot-stage
-/// pipeline) — is the same three data-parallel operations over packed
-/// candidate slabs:
+/// pipeline) and the serve worker's `ShardReplica` steps — is the same
+/// three data-parallel operations over packed candidate slabs:
 ///
 ///   1. tighten lower bounds with a visited pivot's table row
 ///      (`update_lower_*`: fused abs-diff + running max),
 ///   2. eliminate against the incumbent and compact the survivors
-///      (`eliminate_and_compact*` / `compact_seed`: threshold filter +
-///      in-place index/bound compaction that also tracks the
+///      (`eliminate_and_compact_flagged` / `compact_seed`: threshold
+///      filter + in-place index/bound compaction that also tracks the
 ///      minimal-bound survivor), and
 ///   3. the length-bound "zeroth pivot" fill (`fill_absdiff_bounds`: the
 ///      |Δlen| core of the unit-cost edit-distance family's bound).
+///
+/// Once no table row is left to apply, the bounds are fixed and the
+/// in-process sweeps switch to `VisitInBoundOrder` (below): a heap over the
+/// same packed slabs instead of one compaction pass per visit.
 ///
 /// This header defines those operations once as a dispatch table of
 /// function pointers with scalar, AVX2 and NEON implementations. The
@@ -139,12 +143,14 @@ struct SweepKernels {
   void (*fill_absdiff_bounds)(std::size_t x_len, const std::uint32_t* y_lens,
                               std::size_t n, double* out);
 
-  /// Eliminate + compact without pivot bookkeeping (the adaptive phase of
-  /// the row-consuming sweeps). Keeps idx[r] iff
+  /// Eliminate + compact without pivot bookkeeping. Keeps idx[r] iff
   ///   idx[r] != skip  &&  !(lower[r] >= bound)
   /// compacting idx/lower in place (stable) and tracking the minimal-bound
   /// survivor. `skip` is the just-visited candidate (pass a value absent
-  /// from the slice, e.g. 0xFFFFFFFF, for "none").
+  /// from the slice, e.g. 0xFFFFFFFF, for "none"). The in-process sweeps
+  /// visit their static-bound phase with `VisitInBoundOrder` instead; this
+  /// entry serves the serve worker's `ShardReplica::StepRow`, which reports
+  /// the compacted per-shard live count back to the router every round.
   SweepCompactResult (*eliminate_and_compact)(std::uint32_t* idx,
                                               double* lower, std::size_t live,
                                               std::uint32_t skip,
@@ -213,6 +219,70 @@ SweepScratch& TlsSweepScratch();
 std::size_t FillIotaCountPivots(std::uint32_t* idx,
                                 const std::int32_t* pivot_rank,
                                 std::size_t n);
+
+/// --- Static-bound visit order. ------------------------------------------
+///
+/// Once every pivot row a sweep will apply has been applied — the
+/// row-consuming sweeps after `compact_seed`, the lazy sweeps from the pass
+/// where the last live pivot died — the lower bounds never change again;
+/// only the k-th incumbent moves, and only downwards. The classic adaptive
+/// loop (visit the minimal-bound survivor, eliminate and compact every
+/// survivor against the new incumbent, pick the next minimum) therefore
+/// visits candidates in ascending (lower, id) order: after each pass the
+/// survivors are exactly the unvisited candidates with
+/// lower * slack < bound(), so their minimum is the smallest unvisited key.
+/// It stops at the first key with lower * slack >= bound(), because every
+/// later key is then eliminated too (bound() only falls, and the rounded
+/// multiply by slack >= 1 is monotone). `VisitInBoundOrder` yields exactly
+/// that sequence from a binary min-heap built in place over the packed
+/// idx/lower slabs: O(live + visits * log(live)) instead of one O(live)
+/// compaction per visit, and no memory beyond the slabs.
+///
+/// Contract: [0, live) holds the survivors (any order — ties are broken by
+/// id, not by position) with non-NaN bounds. `bound()` is read before each
+/// pop; `visit(id)` runs the evaluation and may lower it. The slabs'
+/// contents are unspecified afterwards.
+namespace sweep_heap {
+
+/// (lower, id) lexicographic order: the adaptive loop's min-bound choice
+/// with ties going to the smallest id.
+inline bool Before(double la, std::uint32_t ia, double lb, std::uint32_t ib) {
+  return la < lb || (la == lb && ia < ib);
+}
+
+/// Moves the entry at `i` down to its place in the n-entry heap.
+inline void SiftDown(std::uint32_t* idx, double* lower, std::size_t n,
+                     std::size_t i) {
+  const std::uint32_t id = idx[i];
+  const double lb = lower[i];
+  for (std::size_t c = 2 * i + 1; c < n; c = 2 * i + 1) {
+    if (c + 1 < n && Before(lower[c + 1], idx[c + 1], lower[c], idx[c])) ++c;
+    if (!Before(lower[c], idx[c], lb, id)) break;
+    idx[i] = idx[c];
+    lower[i] = lower[c];
+    i = c;
+  }
+  idx[i] = id;
+  lower[i] = lb;
+}
+
+}  // namespace sweep_heap
+
+template <typename Bound, typename Visit>
+void VisitInBoundOrder(std::uint32_t* idx, double* lower, std::size_t live,
+                       double slack, Bound&& bound, Visit&& visit) {
+  for (std::size_t i = live / 2; i-- > 0;) {
+    sweep_heap::SiftDown(idx, lower, live, i);
+  }
+  while (live > 0 && lower[0] * slack < bound()) {
+    const std::uint32_t id = idx[0];
+    --live;
+    idx[0] = idx[live];
+    lower[0] = lower[live];
+    sweep_heap::SiftDown(idx, lower, live, 0);
+    visit(static_cast<std::size_t>(id));
+  }
+}
 
 /// --- Tombstone bitmaps (the mutable tier, search/mutable_laesa.h). -------
 ///

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "datasets/dictionary_gen.h"
 #include "datasets/perturb.h"
@@ -160,6 +162,28 @@ TEST(LaesaTest, DuplicatePivotIndicesAreHandled) {
   for (const char* q : {"aa", "zz", "mn", "qq", "az"}) {
     EXPECT_DOUBLE_EQ(laesa.Nearest(q).distance, exact.Nearest(q).distance)
         << q;
+  }
+}
+
+TEST(LaesaTest, RangeSearchReportsDuplicatePivotOnce) {
+  // A pivot listed twice is still one prototype: its range hit must not
+  // be reported once per pivots_ entry.
+  std::vector<std::string> protos{"aa", "ab", "zz", "zy", "mn"};
+  auto dist = MakeDistance("dE");
+  Laesa laesa(protos, dist, std::vector<std::size_t>{0, 0, 2});
+  for (const char* q : {"aa", "ab", "zz", "az"}) {
+    for (double radius : {0.0, 1.0, 2.0}) {
+      std::vector<std::size_t> expected;
+      for (std::size_t i = 0; i < protos.size(); ++i) {
+        if (dist->Distance(q, protos[i]) <= radius) expected.push_back(i);
+      }
+      std::vector<std::size_t> got;
+      for (const NeighborResult& r : laesa.RangeSearch(q, radius)) {
+        got.push_back(r.index);
+      }
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, expected) << q << " r=" << radius;
+    }
   }
 }
 
