@@ -7,7 +7,7 @@
 
 #include "common/parallel.h"
 #include "search/pivot_stage.h"
-#include "search/sharded_searcher.h"
+#include "search/sharded_laesa.h"
 
 namespace cned {
 namespace {
@@ -116,7 +116,7 @@ std::vector<NeighborResult> BatchQueryEngine::Nearest(
     PrototypeStoreRef queries, QueryStats* stats,
     std::vector<QueryStats>* shard_stats) const {
   if (shard_stats == nullptr) return Nearest(queries, stats);
-  const auto* sharded = dynamic_cast<const ShardStatsSearcher*>(searcher_);
+  const auto* sharded = dynamic_cast<const ShardedLaesa*>(searcher_);
   if (sharded == nullptr) {
     throw std::invalid_argument(
         "BatchQueryEngine::Nearest: per-shard stats need a sharded searcher");
@@ -136,14 +136,14 @@ std::vector<NeighborResult> BatchQueryEngine::Nearest(
     const std::size_t p_count = ps->pivot_count();
     RunBatch(q.size(), options_.threads, stats,
              [&](std::size_t i, QueryStats* s) {
-               results[i] = sharded->NearestWithPivotRowAndShardStats(
+               results[i] = sharded->NearestWithPivotRow(
                    q[i], &rows[row_of[i] * p_count], s,
                    &per_shard[i * shards]);
              });
   } else {
     RunBatch(q.size(), options_.threads, stats,
              [&](std::size_t i, QueryStats* s) {
-               results[i] = sharded->NearestWithShardStats(
+               results[i] = sharded->Nearest(
                    q[i], s, &per_shard[i * shards]);
              });
   }

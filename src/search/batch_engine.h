@@ -62,8 +62,8 @@ class BatchQueryEngine {
 
   /// Sharded-searcher variant: additionally accumulates each visited
   /// candidate's evaluation onto its home shard. `shard_stats` is resized
-  /// to the searcher's shard count; requires a searcher implementing
-  /// `ShardStatsSearcher` (throws std::invalid_argument otherwise).
+  /// to the searcher's shard count; requires a `ShardedLaesa` searcher
+  /// (throws std::invalid_argument otherwise).
   /// Stage-1 pivot evaluations of the pivot pipeline are global, not
   /// per-shard — they appear only in the merged `stats`.
   std::vector<NeighborResult> Nearest(PrototypeStoreRef queries,

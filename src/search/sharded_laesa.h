@@ -10,7 +10,6 @@
 #include "distances/distance.h"
 #include "search/nn_searcher.h"
 #include "search/pivot_stage.h"
-#include "search/sharded_searcher.h"
 #include "search/table_quant.h"
 
 namespace cned {
@@ -46,8 +45,7 @@ namespace cned {
 /// consumes its precomputed row — per-shard row application in parallel,
 /// followed by the same global bound-order phase over the survivors.
 class ShardedLaesa final : public NearestNeighborSearcher,
-                           public PivotStageSearcher,
-                           public ShardStatsSearcher {
+                           public PivotStageSearcher {
  public:
   /// Shared per-query cost counters (see `cned::QueryStats`).
   using QueryStats = ::cned::QueryStats;
@@ -86,22 +84,7 @@ class ShardedLaesa final : public NearestNeighborSearcher,
                                        QueryStats* shard_stats) const;
 
   std::size_t size() const override { return store_->size(); }
-  std::size_t shard_count() const override { return store_->shard_count(); }
-
-  // ShardStatsSearcher: the batch engine's per-shard cost accounting.
-  NeighborResult NearestWithShardStats(std::string_view query,
-                                       QueryStats* stats,
-                                       QueryStats* shard_stats)
-      const override {
-    return Nearest(query, stats, shard_stats);
-  }
-  NeighborResult NearestWithPivotRowAndShardStats(std::string_view query,
-                                                  const double* row,
-                                                  QueryStats* stats,
-                                                  QueryStats* shard_stats)
-      const override {
-    return NearestWithPivotRow(query, row, stats, shard_stats);
-  }
+  std::size_t shard_count() const { return store_->shard_count(); }
 
   /// The sharded prototype set the index searches over.
   const ShardedPrototypeStore& store() const { return *store_; }

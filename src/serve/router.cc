@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <list>
 #include <stdexcept>
 #include <thread>
@@ -18,13 +17,10 @@
 #include "distances/registry.h"
 #include "serve/frame.h"
 #include "serve/shard_snapshot.h"
-#include "serve/wire.h"
 #include "serve/worker.h"
 
 namespace cned {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 using Clock = std::chrono::steady_clock;
 
@@ -101,29 +97,32 @@ ServeRouter::ServeRouter(const std::string& snapshot_dir,
     throw std::runtime_error("ServeRouter: malformed manifest counts");
   }
   reader.RequireArray(shards, sizeof(std::uint64_t));
-  shard_sizes_.resize(shards);
+  std::vector<std::size_t> shard_sizes(shards);
   reader.Align();
   static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
                 "64-bit shard sizes expected");
-  reader.Raw(shard_sizes_.data(), shards * sizeof(std::uint64_t));
-  bases_.resize(shards + 1);
-  bases_[0] = 0;
+  reader.Raw(shard_sizes.data(), shards * sizeof(std::uint64_t));
+  std::vector<std::size_t>& bases = shape_.bases;
+  bases.resize(shards + 1);
+  bases[0] = 0;
   for (std::size_t s = 0; s < shards; ++s) {
-    bases_[s + 1] = bases_[s] + shard_sizes_[s];
+    bases[s + 1] = bases[s] + shard_sizes[s];
   }
-  if (bases_[shards] != n_) {
+  if (bases[shards] != n_) {
     throw std::runtime_error("ServeRouter: shard sizes do not sum to n");
   }
   reader.RequireArray(np, sizeof(std::uint64_t));
-  pivots_.resize(np);
+  std::vector<std::size_t>& pivots = shape_.pivots;
+  std::vector<std::int32_t>& pivot_rank = shape_.pivot_rank;
+  pivots.resize(np);
   reader.Align();
-  reader.Raw(pivots_.data(), np * sizeof(std::uint64_t));
-  pivot_rank_.assign(n_, -1);
+  reader.Raw(pivots.data(), np * sizeof(std::uint64_t));
+  pivot_rank.assign(n_, -1);
   for (std::size_t p = 0; p < np; ++p) {
-    if (pivots_[p] >= n_ || pivot_rank_[pivots_[p]] >= 0) {
+    if (pivots[p] >= n_ || pivot_rank[pivots[p]] >= 0) {
       throw std::runtime_error("ServeRouter: bad manifest pivot ids");
     }
-    pivot_rank_[pivots_[p]] = static_cast<std::int32_t>(p);
+    pivot_rank[pivots[p]] = static_cast<std::int32_t>(p);
   }
   reader.RequireArray(np, sizeof(std::uint64_t));
   std::vector<std::uint64_t> lens(np);
@@ -142,8 +141,8 @@ ServeRouter::ServeRouter(const std::string& snapshot_dir,
   }
 
   next_insert_id_ = n_;
-  shard_dead_.assign(shards, 0);
-  delta_live_.assign(shards, 0);
+  world_.shard_dead.assign(shards, 0);
+  world_.delta_live.assign(shards, 0);
   shard_ops_.resize(shards);
 
   groups_.resize(shards);
@@ -512,14 +511,13 @@ bool ServeRouter::ControlSendRecv(std::size_t s, std::size_t r, FrameType type,
   return false;
 }
 
-void ServeRouter::Broadcast(QueryCtx& ctx, FrameType type,
-                            const std::vector<char>& payload, bool retryable,
-                            int timeout_ms, std::int64_t deadline_ms,
-                            std::vector<ShardView>& views,
-                            std::vector<std::vector<char>>& replies,
-                            std::vector<std::size_t>& missing,
-                            ServeResult* res) {
-  const std::size_t shards = views.size();
+void ServeRouter::Broadcast(QueryCtx& ctx, SweepMachine& m, bool begin,
+                            std::int64_t deadline_ms, ServeResult* res) {
+  const FrameType type = begin ? m.begin_type() : m.step_type();
+  const std::vector<char> payload = begin ? m.BeginPayload() : m.StepPayload();
+  const bool retryable = begin;
+  const int timeout_ms = RemainingMs(deadline_ms);
+  const std::size_t shards = shard_count();
   const std::size_t R = replicas_per_shard_;
   // Per (shard, member) scatter state, flat-indexed s * R + r.
   std::vector<std::uint32_t> sent_seq(shards * R, 0);
@@ -533,19 +531,19 @@ void ServeRouter::Broadcast(QueryCtx& ctx, FrameType type,
   // coalescing merges these frames with other queries' into fewer
   // syscalls.
   for (std::size_t s = 0; s < shards; ++s) {
-    if (!views[s].active) continue;
+    if (!m.active(s)) continue;
     GroupCtx& g = ctx.groups[s];
     for (std::size_t r = 0; r < g.members.size(); ++r) {
-      Participant& m = g.members[r];
-      if (!m.alive) continue;
+      Participant& p = g.members[r];
+      if (!p.alive) continue;
       const std::size_t i = s * R + r;
-      sent_seq[i] = m.conn->NextSeq();
-      m.conn->Expect(sent_seq[i], ctx.qid);
-      if (m.conn->Send(type, sent_seq[i], ctx.qid, payload.data(),
+      sent_seq[i] = p.conn->NextSeq();
+      p.conn->Expect(sent_seq[i], ctx.qid);
+      if (p.conn->Send(type, sent_seq[i], ctx.qid, payload.data(),
                        payload.size())) {
         pending[i] = 1;
       } else {
-        m.conn->Cancel(sent_seq[i]);
+        p.conn->Cancel(sent_seq[i]);
         MarkDead(ctx, s, r);
       }
     }
@@ -557,9 +555,9 @@ void ServeRouter::Broadcast(QueryCtx& ctx, FrameType type,
     for (std::size_t r = 0; r < R; ++r) {
       const std::size_t i = s * R + r;
       if (!pending[i]) continue;
-      Participant& m = ctx.groups[s].members[r];
+      Participant& p = ctx.groups[s].members[r];
       Frame frame;
-      const RecvStatus st = m.conn->Wait(sent_seq[i], timeout_ms, &frame);
+      const RecvStatus st = p.conn->Wait(sent_seq[i], timeout_ms, &frame);
       if (st == RecvStatus::kOk && frame.type == kReplyType) {
         member_reply[i] = std::move(frame.payload);
         good[i] = 1;
@@ -567,7 +565,7 @@ void ServeRouter::Broadcast(QueryCtx& ctx, FrameType type,
         // Deregister — the late reply becomes stale — then retry fresh
         // when the op is idempotent; a mutating op that timed out costs
         // the replica its life on the spot.
-        m.conn->Cancel(sent_seq[i]);
+        p.conn->Cancel(sent_seq[i]);
         if (retryable) {
           if (SendRecv(ctx, s, r, type, payload, &member_reply[i], timeout_ms,
                        /*retryable=*/true, deadline_ms)) {
@@ -590,7 +588,7 @@ void ServeRouter::Broadcast(QueryCtx& ctx, FrameType type,
   // bit-identical by construction) — the failover that keeps the query
   // exact and unflagged.
   for (std::size_t s = 0; s < shards; ++s) {
-    if (!views[s].active) continue;
+    if (!m.active(s)) continue;
     GroupCtx& g = ctx.groups[s];
     std::size_t driver = g.members.size();
     if (good[s * R + g.primary]) {
@@ -609,8 +607,7 @@ void ServeRouter::Broadcast(QueryCtx& ctx, FrameType type,
     }
     if (driver == g.members.size()) {
       // The whole replica group is gone: only now does the shard degrade.
-      views[s].active = false;
-      missing.push_back(s);
+      m.Drop(s);
       continue;
     }
     for (std::size_t r = 0; r < g.members.size(); ++r) {
@@ -620,7 +617,16 @@ void ServeRouter::Broadcast(QueryCtx& ctx, FrameType type,
         if (res != nullptr) ++res->replicas_evicted;
       }
     }
-    replies[s] = std::move(member_reply[s * R + driver]);
+    const std::vector<char>& reply = member_reply[s * R + driver];
+    if (begin ? m.AbsorbBegin(s, reply) : m.AbsorbStep(s, reply)) continue;
+    // The driving reply decoded to garbage (CRC-valid but wrong): with the
+    // primary's stream suspect there is no quorum to promote on, so the
+    // shard sits this query out. After a begin, EnsurePrimary (without
+    // counting a failover — nothing was saved) leaves the group pointing
+    // at a live member for the next query.
+    MarkDead(ctx, s, g.primary);
+    if (begin) EnsurePrimary(ctx, s, nullptr);
+    m.Drop(s);
   }
 }
 
@@ -765,12 +771,6 @@ bool ServeRouter::GroupEval(QueryCtx& ctx, std::size_t s, FrameType type,
   return false;
 }
 
-std::size_t ServeRouter::ShardOf(std::size_t global) const {
-  const auto it =
-      std::upper_bound(bases_.begin() + 1, bases_.end(), global);
-  return static_cast<std::size_t>(it - (bases_.begin() + 1));
-}
-
 int ServeRouter::RemainingMs(std::int64_t deadline_ms) const {
   const std::int64_t left = deadline_ms - NowMs();
   if (left <= 0) return 0;
@@ -837,12 +837,7 @@ ServeResult ServeRouter::KNearest(std::string_view query, std::size_t k) {
   // Shared world lock: N callers sweep concurrently; mutations (which
   // take it exclusive) never interleave with a sweep.
   std::shared_lock<std::shared_mutex> world(world_mu_);
-  MaybeRespawn();
-  QueryCtx ctx;
-  SnapshotCtx(&ctx);
-  ServeResult res = QueryLazy(ctx, query, k, /*slack=*/1.0);
-  EndSweeps(ctx);
-  return res;
+  return RobustQuery(query, k, /*row=*/nullptr);
 }
 
 std::vector<ServeResult> ServeRouter::NearestBatch(
@@ -854,50 +849,36 @@ std::vector<ServeResult> ServeRouter::KNearestBatch(
     const std::vector<std::string>& queries, std::size_t k) {
   std::vector<ServeResult> out;
   out.reserve(queries.size());
-  const std::size_t np = pivots_.size();
+  const std::size_t np = num_pivots();
   std::vector<double> row(np);
   for (const std::string& q : queries) {
+    // The world lock is taken per query: respawn runs between queries, so
+    // one lost group costs one partial answer, and revived replicas
+    // (re-mapped, checksum-verified) rejoin at the next query's begin.
     std::shared_lock<std::shared_mutex> world(world_mu_);
-    // Respawn between queries: one lost group costs one partial answer,
-    // and revived replicas (re-mapped, checksum-verified) rejoin at the
-    // next query's begin.
-    MaybeRespawn();
-    QueryCtx ctx;
-    SnapshotCtx(&ctx);
-    // Pivot stage, router-side (counted inside QueryRow as the batch
-    // engine counts it).
+    // Pivot stage, router-side (charged by the machine as the batch engine
+    // charges it).
     for (std::size_t p = 0; p < np; ++p) {
       row[p] = distance_->Distance(q, pivot_strings_[p]);
     }
-    out.push_back(QueryRow(ctx, q, k, row.data()));
-    EndSweeps(ctx);
+    out.push_back(RobustQuery(q, k, row.data()));
   }
   return out;
 }
 
-ServeResult ServeRouter::RobustRowQuery(std::string_view query, std::size_t k,
-                                        const double* row) {
-  MaybeRespawn();
-  QueryCtx ctx;
-  SnapshotCtx(&ctx);
-  ServeResult res = QueryRow(ctx, query, k, row);
-  EndSweeps(ctx);
-  return res;
-}
-
 ServeResult ServeRouter::KNearestWithRow(std::string_view query, std::size_t k,
                                          const std::vector<double>& row) {
-  if (row.size() != pivots_.size()) {
+  if (row.size() != num_pivots()) {
     throw std::invalid_argument(
         "ServeRouter::KNearestWithRow: row must have num_pivots() entries");
   }
   std::shared_lock<std::shared_mutex> world(world_mu_);
-  return RobustRowQuery(query, k, row.data());
+  return RobustQuery(query, k, row.data());
 }
 
 bool ServeRouter::FastWorldLocked() const {
-  if (base_dead_total_ != 0) return false;
-  for (const std::size_t d : delta_live_) {
+  if (world_.base_dead_total != 0) return false;
+  for (const std::size_t d : world_.delta_live) {
     if (d != 0) return false;
   }
   for (const auto& g : groups_) {
@@ -911,8 +892,7 @@ bool ServeRouter::FastWorldLocked() const {
 
 void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
   const std::size_t wave = max_concurrent == 0 ? 16 : max_concurrent;
-  const std::size_t shards = shard_sizes_.size();
-  const std::size_t np = pivots_.size();
+  const std::size_t shards = shard_count();
 
   /// One outstanding request leg of a sweep's current phase.
   struct Leg {
@@ -924,18 +904,15 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
   };
   enum class St { kBegin, kEval, kStep, kDone, kBail };
   struct Sweep {
+    Sweep(const SweepJob& j, SweepMachine machine)
+        : job(j), m(std::move(machine)) {}
     SweepJob job;
+    SweepMachine m;
     St st = St::kBegin;
-    std::size_t k = 0;
     std::int64_t deadline = 0;
     QueryCtx ctx;
-    std::vector<ShardView> views;
-    std::vector<NeighborResult> best;
     ServeResult res;
     std::vector<Leg> legs;
-    std::uint64_t computations = 0, abandons = 0;
-    std::size_t s_cand = kSweepNone;
-    double cap = 0.0;
     std::int64_t last_progress_ms = 0;
     bool settled = false;  // kDone or kBail, awaiting delivery
   };
@@ -950,7 +927,7 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
   std::unordered_map<Conn*, std::vector<char>> outgoing;
 
   auto enqueue = [&](Sweep& sw, std::size_t s, std::size_t r, FrameType type,
-                     const PayloadWriter& w) {
+                     const std::vector<char>& payload) {
     const Participant& m = sw.ctx.groups[s].members[r];
     Leg leg;
     leg.s = s;
@@ -960,8 +937,18 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
     m.conn->Expect(leg.seq, sw.ctx.qid);
     auto& buf = outgoing[leg.conn];
     if (buf.empty()) flush_order.push_back(leg.conn);
-    EncodeFrame(&buf, type, leg.seq, sw.ctx.qid, w.buf.data(), w.buf.size());
+    EncodeFrame(&buf, type, leg.seq, sw.ctx.qid, payload.data(),
+                payload.size());
     sw.legs.push_back(leg);
+  };
+  auto enqueue_all = [&](Sweep& sw, FrameType type,
+                         const std::vector<char>& payload) {
+    sw.legs.clear();
+    for (std::size_t s = 0; s < shards; ++s) {
+      for (std::size_t r = 0; r < sw.ctx.groups[s].members.size(); ++r) {
+        enqueue(sw, s, r, type, payload);
+      }
+    }
   };
   auto flush = [&] {
     for (Conn* conn : flush_order) {
@@ -970,28 +957,6 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
       buf.clear();
     }
     flush_order.clear();
-  };
-  auto kth = [](const Sweep& sw) {
-    return sw.best.size() < sw.k ? kInf : sw.best.back().distance;
-  };
-  auto total_live = [](const Sweep& sw) {
-    std::size_t live = 0;
-    for (const ShardView& v : sw.views) {
-      if (v.active) live += v.live;
-    }
-    return live;
-  };
-  auto select_next = [](const Sweep& sw) {
-    std::size_t next = kSweepNone;
-    double next_key = kInf;
-    for (const ShardView& v : sw.views) {
-      if (!v.active) continue;
-      if (v.last.next != kSweepNone && v.last.next_key < next_key) {
-        next_key = v.last.next_key;
-        next = v.last.next;
-      }
-    }
-    return next;
   };
   // EndSweeps, but riding the next round's flush instead of paying its
   // own write syscall per connection: the kEndSweep frames are
@@ -1015,7 +980,6 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
     }
     sw.legs.clear();
     end_sweeps_buffered(sw.ctx);
-    sw.res = ServeResult();
     sw.st = St::kBail;
     sw.settled = true;
     // A bail usually means a replica died under us: re-gate admission now
@@ -1023,32 +987,29 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
     fast = FastWorldLocked();
   };
   auto finish = [&](Sweep& sw) {
-    sw.res.stats.distance_computations += sw.computations;
-    sw.res.stats.bounded_abandons += sw.abandons;
-    sw.res.neighbors = std::move(sw.best);
-    std::sort(sw.res.missing_shards.begin(), sw.res.missing_shards.end());
-    sw.res.partial = !sw.res.missing_shards.empty();
-    sw.res.stats.shards_degraded = sw.res.missing_shards.size();
+    sw.m.Finish(&sw.res);
     end_sweeps_buffered(sw.ctx);
     sw.st = St::kDone;
     sw.settled = true;
   };
-  auto issue_eval = [&](Sweep& sw) {
-    sw.cap = kth(sw);
-    PayloadWriter w;
-    w.U64(sw.s_cand);
-    w.F64(sw.cap);
+  // The machine's next candidate goes to its shard's primary as an eval;
+  // none left settles the sweep.
+  auto advance = [&](Sweep& sw) {
     sw.legs.clear();
-    enqueue(sw, ShardOf(sw.s_cand), sw.ctx.groups[ShardOf(sw.s_cand)].primary,
-            FrameType::kEval, w);
+    if (sw.m.Next() == kSweepNone) {
+      finish(sw);
+      return;
+    }
+    const std::size_t owner = sw.m.cand_shard();
+    enqueue(sw, owner, sw.ctx.groups[owner].primary, FrameType::kEval,
+            sw.m.EvalPayload());
     sw.st = St::kEval;
   };
   auto start_sweep = [&](Sweep& sw) {
     sw.st = St::kBegin;
     sw.deadline = NowMs() + options_.query_deadline_ms;
     sw.last_progress_ms = NowMs();
-    sw.k = std::min(sw.job.k, n_);
-    if (sw.k == 0) {
+    if (sw.m.k() == 0) {
       finish(sw);
       return;
     }
@@ -1064,34 +1025,11 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
         }
       }
     }
-    sw.views.assign(shards, ShardView());
-    for (ShardView& v : sw.views) v.active = true;
-    sw.res.stats.distance_computations += np;
-    sw.res.stats.pivot_computations += np;
-    const double* row = sw.job.row;
-    sw.best.reserve(sw.k + 1);
-    for (std::size_t p = 0; p < np; ++p) {
-      if (!base_tombs_.empty() &&
-          TestTombstone(base_tombs_.data(), pivots_[p])) {
-        continue;  // unreachable under the fast gate; kept for parity
-      }
-      InsertNeighborTopK(sw.best, sw.k, {pivots_[p], row[p]},
-                         /*admit_ties=*/true);
-    }
-    PayloadWriter w;
-    w.Str(sw.job.query);
-    w.F64(kth(sw));
-    w.U64(np);
-    w.Raw(row, np * sizeof(double));
-    for (std::size_t s = 0; s < shards; ++s) {
-      for (std::size_t r = 0; r < sw.ctx.groups[s].members.size(); ++r) {
-        enqueue(sw, s, r, FrameType::kBeginRow, w);
-      }
-    }
+    enqueue_all(sw, sw.m.begin_type(), sw.m.BeginPayload());
   };
 
   // Reconciles a completed begin/step round: the primary's reply drives
-  // the shard view, every standby must byte-agree (the state-machine
+  // the machine, every standby must byte-agree (the state-machine
   // replication check). Returns false on any malformed or disagreeing
   // reply — the caller bails to the robust path, which evicts properly.
   auto absorb_compacts = [&](Sweep& sw) {
@@ -1106,11 +1044,10 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
           return false;
         }
       }
-      PayloadReader r(primary->payload);
-      const WireCompact wc = DecodeCompact(r);
-      if (!r.Done()) return false;
-      sw.views[s].last = wc.pass;
-      sw.views[s].live = wc.pass.live;
+      const bool ok = sw.st == St::kBegin
+                          ? sw.m.AbsorbBegin(s, primary->payload)
+                          : sw.m.AbsorbStep(s, primary->payload);
+      if (!ok) return false;
     }
     return true;
   };
@@ -1153,10 +1090,9 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
           feed.Deliver(job.tag, ServeResult(), /*bailed=*/true);
           continue;
         }
-        sweeps.emplace_back();
-        Sweep& sw = sweeps.back();
-        sw.job = job;
-        start_sweep(sw);
+        sweeps.emplace_back(
+            job, SweepMachine(shape_, world_, job.query, job.k, job.row));
+        start_sweep(sweeps.back());
       }
     }
     flush();
@@ -1300,40 +1236,13 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
             bail(sw);
             continue;
           }
-          sw.legs.clear();
-          if (total_live(sw) == 0) {
-            finish(sw);
-            continue;
-          }
-          sw.s_cand = select_next(sw);
-          if (sw.s_cand == kSweepNone) {
-            finish(sw);
-            continue;
-          }
-          issue_eval(sw);
+          advance(sw);
         } else {  // kEval
-          PayloadReader r(sw.legs[0].payload);
-          const double d = r.F64();
-          if (!r.Done()) {
+          if (!sw.m.AbsorbEvalReply(sw.legs[0].payload)) {
             bail(sw);
             continue;
           }
-          ++sw.computations;
-          if (d >= sw.cap) {
-            ++sw.abandons;
-          } else {
-            InsertNeighborTopK(sw.best, sw.k, {sw.s_cand, d});
-          }
-          PayloadWriter w;
-          w.U32(static_cast<std::uint32_t>(sw.s_cand));
-          w.F64(kth(sw));
-          sw.legs.clear();
-          for (std::size_t s = 0; s < shards; ++s) {
-            for (std::size_t r2 = 0; r2 < sw.ctx.groups[s].members.size();
-                 ++r2) {
-              enqueue(sw, s, r2, FrameType::kStepRow, w);
-            }
-          }
+          enqueue_all(sw, sw.m.step_type(), sw.m.StepPayload());
           sw.st = St::kStep;
         }
       }
@@ -1341,68 +1250,6 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
     flush();
     deliver_settled();
   }
-}
-
-namespace {
-
-/// Static feed over parallel vectors — the one-shot batch entry point.
-class VectorSweepFeed : public SweepFeed {
- public:
-  VectorSweepFeed(const std::vector<std::string_view>& queries,
-                  const std::vector<std::size_t>& ks,
-                  const std::vector<const double*>& rows,
-                  std::vector<ServeResult>* out, std::vector<char>* bailed)
-      : queries_(queries), ks_(ks), rows_(rows), out_(out), bailed_(bailed) {}
-
-  bool Next(SweepJob* out) override {
-    if (next_ >= queries_.size()) return false;
-    out->query = queries_[next_];
-    out->k = ks_[next_];
-    out->row = rows_[next_];
-    out->tag = next_;
-    ++next_;
-    return true;
-  }
-  bool Finished() override { return next_ >= queries_.size(); }
-  void Deliver(std::uint64_t tag, ServeResult res, bool bailed) override {
-    (*out_)[tag] = std::move(res);
-    (*bailed_)[tag] = bailed ? 1 : 0;
-  }
-
- private:
-  const std::vector<std::string_view>& queries_;
-  const std::vector<std::size_t>& ks_;
-  const std::vector<const double*>& rows_;
-  std::vector<ServeResult>* out_;
-  std::vector<char>* bailed_;
-  std::size_t next_ = 0;
-};
-
-}  // namespace
-
-std::vector<ServeResult> ServeRouter::KNearestManyWithRows(
-    const std::vector<std::string_view>& queries,
-    const std::vector<std::size_t>& ks, const std::vector<const double*>& rows,
-    std::size_t max_concurrent) {
-  const std::size_t n = queries.size();
-  if (ks.size() != n || rows.size() != n) {
-    throw std::invalid_argument(
-        "ServeRouter::KNearestManyWithRows: queries/ks/rows sizes differ");
-  }
-  std::vector<ServeResult> out(n);
-  if (n == 0) return out;
-  std::vector<char> bailed(n, 0);
-  VectorSweepFeed feed(queries, ks, rows, &out, &bailed);
-  DriveSweeps(feed, max_concurrent);
-
-  // Robust reruns: everything the fast path refused or abandoned. Each
-  // gets a fresh context and query id — the bailed sweep's slots were
-  // already retired — and the full retry/failover/hedging treatment.
-  std::shared_lock<std::shared_mutex> world(world_mu_);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (bailed[i]) out[i] = RobustRowQuery(queries[i], ks[i], rows[i]);
-  }
-  return out;
 }
 
 bool ServeRouter::PingAll() {
@@ -1503,9 +1350,8 @@ std::uint64_t ServeRouter::Insert(std::string_view s) {
   std::lock_guard<std::mutex> rlock(respawn_mu_);
   if (options_.auto_respawn) RespawnDeadLocked(/*limit=*/0);
   const std::uint64_t id = next_insert_id_++;
-  const std::size_t owner =
-      static_cast<std::size_t>((id - n_) % shard_sizes_.size());
-  ++delta_live_[owner];
+  const std::size_t owner = static_cast<std::size_t>((id - n_) % shard_count());
+  ++world_.delta_live[owner];
   MutationOp op;
   op.insert = true;
   op.id = id;
@@ -1526,19 +1372,20 @@ bool ServeRouter::Remove(std::uint64_t id) {
   if (options_.auto_respawn) RespawnDeadLocked(/*limit=*/0);
   std::size_t owner = 0;
   if (id < n_) {
-    if (base_tombs_.empty()) base_tombs_.assign(TombstoneWords(n_), 0);
-    if (TestTombstone(base_tombs_.data(), id)) return false;
-    SetTombstone(base_tombs_.data(), id);
-    owner = ShardOf(id);
-    ++shard_dead_[owner];
-    ++base_dead_total_;
+    std::vector<std::uint64_t>& tombs = world_.base_tombs;
+    if (tombs.empty()) tombs.assign(TombstoneWords(n_), 0);
+    if (TestTombstone(tombs.data(), id)) return false;
+    SetTombstone(tombs.data(), id);
+    owner = shape_.ShardOf(id);
+    ++world_.shard_dead[owner];
+    ++world_.base_dead_total;
   } else if (id < next_insert_id_) {
     const auto it =
         std::lower_bound(dead_delta_ids_.begin(), dead_delta_ids_.end(), id);
     if (it != dead_delta_ids_.end() && *it == id) return false;
     dead_delta_ids_.insert(it, id);
-    owner = static_cast<std::size_t>((id - n_) % shard_sizes_.size());
-    --delta_live_[owner];
+    owner = static_cast<std::size_t>((id - n_) % shard_count());
+    --world_.delta_live[owner];
   } else {
     return false;
   }
@@ -1551,9 +1398,7 @@ bool ServeRouter::Remove(std::uint64_t id) {
 
 std::size_t ServeRouter::live_size() const {
   std::shared_lock<std::shared_mutex> world(world_mu_);
-  std::size_t delta = 0;
-  for (const std::size_t v : delta_live_) delta += v;
-  return n_ - base_dead_total_ + delta;
+  return world_.LiveTotal(n_);
 }
 
 std::uint64_t ServeRouter::next_insert_id() const {
@@ -1653,452 +1498,87 @@ bool ServeRouter::ReplayMutations(std::size_t s, std::size_t r) {
   return true;
 }
 
-// The distributed form of the mutable tier's delta phase: every shard
-// holding live delta entries runs one bounded scan (hedged like Eval —
-// the scan is a pure function of the shard's delta), capped by the base
-// sweep's incumbents. The gathered hits are sorted globally by
-// NeighborLess and strict-merged, which reproduces the (distance, id)
-// tie-break exactly: all base ids < all delta ids, and within the delta
-// the sort puts the lower id first at equal distance.
-void ServeRouter::DeltaPhase(QueryCtx& ctx, std::string_view query,
-                             std::size_t k, std::int64_t deadline,
-                             std::vector<ShardView>& views,
-                             std::vector<NeighborResult>& best,
-                             std::uint64_t* computations,
-                             std::uint64_t* abandons, ServeResult* res) {
-  const std::size_t shards = shard_sizes_.size();
-  const double cap0 = best.size() < k ? kInf : best.back().distance;
-  std::vector<NeighborResult> hits;
-  for (std::size_t s = 0; s < shards; ++s) {
-    if (delta_live_[s] == 0) continue;
-    // A shard already lost to the base sweep is in missing_shards; its
-    // delta is unreachable through the same dead group.
-    if (!views[s].active) continue;
+// The distributed form of the mutable tier's delta phase: everything
+// inserted since the snapshot lives in the workers' in-memory deltas, and
+// every shard holding live delta entries runs one bounded scan, capped by
+// the base sweep's incumbents.
+void ServeRouter::DeltaPhase(QueryCtx& ctx, SweepMachine& m,
+                             std::int64_t deadline, ServeResult* res) {
+  for (std::size_t s = 0; s < shard_count(); ++s) {
+    if (!m.HasDelta(s)) continue;
     if (RemainingMs(deadline) == 0) {
-      res->missing_shards.push_back(s);
+      m.Drop(s);
       continue;
     }
-    PayloadWriter w;
-    w.Str(query);
-    w.F64(cap0);
-    w.U64(k);
     std::vector<char> reply;
-    bool ok = GroupEval(ctx, s, FrameType::kDeltaScan, w.buf, &reply,
-                        deadline, res);
-    if (ok) {
-      PayloadReader r(reply);
-      const std::size_t mark = hits.size();
-      const std::uint64_t count = r.U64();
-      ok = r.ok() && count <= k;  // a worker returns at most k hits
-      for (std::uint64_t i = 0; ok && i < count; ++i) {
-        const std::uint64_t id = r.U64();
-        const double d = r.F64();
-        ok = r.ok();
-        if (ok) hits.push_back({static_cast<std::size_t>(id), d});
-      }
-      const std::uint64_t comps = r.U64();
-      const std::uint64_t ab = r.U64();
-      ok = ok && r.Done();
-      if (ok) {
-        *computations += comps;
-        *abandons += ab;
-      } else {
-        // Partially decoded garbage: drop what it contributed.
-        hits.resize(mark);
-        MarkDead(ctx, s, ctx.groups[s].primary);
-      }
-    }
-    if (!ok) {
-      views[s].active = false;
-      res->missing_shards.push_back(s);
+    if (!GroupEval(ctx, s, FrameType::kDeltaScan, m.DeltaPayload(), &reply,
+                   deadline, res)) {
+      m.Drop(s);
+    } else if (!m.AbsorbDelta(reply)) {
+      MarkDead(ctx, s, ctx.groups[s].primary);
+      m.Drop(s);
     }
   }
-  std::sort(hits.begin(), hits.end(), NeighborLess);
-  for (const NeighborResult& h : hits) InsertNeighborTopK(best, k, h);
 }
 
-// The distributed `ShardedLaesa::Sweep`: identical decisions on identical
-// values in identical order — only the per-shard kernel passes run in the
-// workers (on every live member of each replica group). Read side by side
-// with sharded_laesa.cc.
-ServeResult ServeRouter::QueryLazy(QueryCtx& ctx, std::string_view query,
-                                   std::size_t k, double slack) {
+// The distributed `ShardedLaesa::Sweep` (lazy, `row` null) or
+// `ShardedLaesa::SweepWithRow`: the machine makes identical decisions on
+// identical values in identical order — only the per-shard kernel passes
+// run in the workers (on every live member of each replica group). This
+// executor moves the machine's requests and replies with retries,
+// failover, hedging and partial flagging. Read side by side with
+// sharded_laesa.cc.
+ServeResult ServeRouter::RobustQuery(std::string_view query, std::size_t k,
+                                     const double* row) {
+  MaybeRespawn();
+  QueryCtx ctx;
+  SnapshotCtx(&ctx);
   ServeResult res;
-  std::size_t delta_total = 0;
-  for (const std::size_t v : delta_live_) delta_total += v;
-  k = std::min(k, n_ - base_dead_total_ + delta_total);
-  if (k == 0) return res;
-  const std::int64_t deadline = NowMs() + options_.query_deadline_ms;
-  const std::size_t shards = shard_sizes_.size();
-  // Any base tombstone anywhere switches the begin to its masked form:
-  // every worker compacts the deleted slots out before anything is
-  // visited and reports its surviving minima, so the router can pick a
-  // live start (a dead global pivot 0 must not be visited). Without
-  // tombstones the legacy begin runs — the healthy immutable path stays
-  // bit-identical, stats included.
-  const bool masked = base_dead_total_ > 0;
-
-  std::vector<ShardView> views(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    views[s].active = ctx.groups[s].AnyAlive();
-    if (!views[s].active) res.missing_shards.push_back(s);
-  }
-
-  // Scatter the sweep start to every live replica. Idempotent: a member
-  // that misses the timeout is retried before being declared dead.
-  {
-    PayloadWriter w;
-    w.Str(query);
-    w.U32(masked ? 1u : 0u);
-    std::vector<std::vector<char>> replies(shards);
-    Broadcast(ctx, FrameType::kBeginLazy, w.buf,
-              /*retryable=*/true, RemainingMs(deadline), deadline, views,
-              replies, res.missing_shards, &res);
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (!views[s].active) continue;
-      PayloadReader r(replies[s]);
-      bool ok;
-      if (masked) {
-        const WireCompact wc = DecodeCompact(r);
-        views[s].last = wc.pass;
-        views[s].live = wc.pass.live;
-        views[s].live_pivots = wc.live_pivots;
-        // The mask pass drops exactly the tombstoned slots (every live
-        // slot's length bound is finite), so the survivor count is an
-        // integrity check just like the legacy full count.
-        ok = r.Done() && views[s].live == shard_sizes_[s] - shard_dead_[s];
+  SweepMachine m(shape_, world_, query, k, row);
+  if (m.k() > 0) {
+    const std::int64_t deadline = NowMs() + options_.query_deadline_ms;
+    for (std::size_t s = 0; s < shard_count(); ++s) {
+      if (!ctx.groups[s].AnyAlive()) m.Drop(s);
+    }
+    Broadcast(ctx, m, /*begin=*/true, deadline, &res);
+    while (m.Next() != kSweepNone) {
+      if (RemainingMs(deadline) == 0) {
+        // Deadline: degrade to the incumbents.
+        m.Expire();
+        break;
+      }
+      const std::int32_t rank = m.router_pivot();
+      if (rank >= 0) {
+        // Pivot strings live in the manifest: the visit evaluation runs
+        // router-side, like the pivot stage.
+        m.AbsorbEval(
+            distance_->DistanceBounded(query, pivot_strings_[rank], m.cap()));
       } else {
-        views[s].live = r.U64();
-        views[s].live_pivots = r.U64();
-        ok = r.Done() && views[s].live == shard_sizes_[s];
-      }
-      if (!ok) {
-        // The driving reply decoded to garbage (CRC-valid but wrong):
-        // with the primary's stream suspect there is no quorum to promote
-        // on, so the shard sits this query out. EnsurePrimary (without
-        // counting a failover — nothing was saved) leaves the group
-        // pointing at a live member for the next query.
-        MarkDead(ctx, s, ctx.groups[s].primary);
-        EnsurePrimary(ctx, s, nullptr);
-        views[s].active = false;
-        res.missing_shards.push_back(s);
-      }
-    }
-  }
-
-  std::size_t total_live = 0, live_pivots = 0;
-  auto recount = [&]() {
-    total_live = 0;
-    live_pivots = 0;
-    for (const ShardView& v : views) {
-      if (!v.active) continue;
-      total_live += v.live;
-      live_pivots += v.live_pivots;
-    }
-  };
-  recount();
-
-  // Merge per-shard minima in shard order with strict '<' — the lowest
-  // global index wins ties, exactly as in process.
-  auto select_next = [&]() -> std::size_t {
-    std::size_t next = kSweepNone, next_pivot = kSweepNone;
-    double next_key = kInf, next_pivot_key = kInf;
-    for (const ShardView& v : views) {
-      if (!v.active) continue;
-      if (v.last.next != kSweepNone && v.last.next_key < next_key) {
-        next_key = v.last.next_key;
-        next = v.last.next;
-      }
-      if (v.last.next_pivot != kSweepNone &&
-          v.last.next_pivot_key < next_pivot_key) {
-        next_pivot_key = v.last.next_pivot_key;
-        next_pivot = v.last.next_pivot;
-      }
-    }
-    return live_pivots > 0 ? next_pivot : next;
-  };
-
-  std::vector<NeighborResult> best;
-  best.reserve(k + 1);
-  auto kth = [&]() { return best.size() < k ? kInf : best.back().distance; };
-  std::uint64_t computations = 0, abandons = 0, pivot_computations = 0;
-
-  // Legacy start: the first pivot, as in process. Masked start: the best
-  // survivor of the begin passes — tombstoned slots are already gone.
-  std::size_t s_cand = masked ? select_next() : pivots_[0];
-  while (total_live > 0 && s_cand != kSweepNone) {
-    if (RemainingMs(deadline) == 0) {
-      // Deadline: degrade to the incumbents; every shard still holding
-      // live candidates is missing from the answer.
-      for (std::size_t s = 0; s < shards; ++s) {
-        if (views[s].active && views[s].live > 0) {
-          res.missing_shards.push_back(s);
+        const std::size_t owner = m.cand_shard();
+        std::vector<char> reply;
+        bool ok = GroupEval(ctx, owner, FrameType::kEval, m.EvalPayload(),
+                            &reply, deadline, &res);
+        if (ok && !m.AbsorbEvalReply(reply)) {
+          MarkDead(ctx, owner, ctx.groups[owner].primary);
+          ok = false;
+        }
+        if (!ok) {
+          // The candidate's whole group is gone: drop the shard and pick
+          // the best survivor from the remaining shards' last passes. No
+          // visit happened, so no counters move.
+          m.Drop(owner);
+          continue;
         }
       }
-      break;
+      // Scatter the visit pass to every live replica. Mutating — never
+      // retried: a member that misses the timeout here is dead on the
+      // spot, and only a whole lost group degrades the shard.
+      Broadcast(ctx, m, /*begin=*/false, deadline, &res);
     }
-    const std::int32_t rank = pivot_rank_[s_cand];
-    const bool is_pivot = rank >= 0;
-    const double cap = is_pivot ? kInf : kth();
-    double d;
-    if (is_pivot) {
-      // Pivot strings live in the manifest: the visit evaluation runs
-      // router-side, like the pivot stage.
-      d = distance_->DistanceBounded(query, pivot_strings_[rank], cap);
-    } else {
-      const std::size_t owner = ShardOf(s_cand);
-      PayloadWriter w;
-      w.U64(s_cand);
-      w.F64(cap);
-      std::vector<char> reply;
-      bool ok = views[owner].active &&
-                GroupEval(ctx, owner, FrameType::kEval, w.buf, &reply,
-                          deadline, &res);
-      if (ok) {
-        PayloadReader r(reply);
-        d = r.F64();
-        ok = r.Done();
-        if (!ok) MarkDead(ctx, owner, ctx.groups[owner].primary);
-      }
-      if (!ok) {
-        // The candidate's whole group is gone: drop the shard from the
-        // sweep and pick the best survivor from the remaining shards'
-        // last passes. No visit happened, so no counters move.
-        views[owner].active = false;
-        res.missing_shards.push_back(owner);
-        recount();
-        s_cand = select_next();
-        continue;
-      }
-    }
-    ++computations;
-    pivot_computations += is_pivot ? 1 : 0;
-    const bool abandoned = d >= cap;
-    if (abandoned) {
-      ++abandons;
-    } else {
-      InsertNeighborTopK(best, k, {s_cand, d});
-    }
-
-    // Scatter the visit pass to every live replica; the elimination
-    // radius tightens with the new incumbent. Mutating — never retried: a
-    // member that misses the timeout here is dead on the spot, and only a
-    // whole lost group degrades the shard.
-    const double bound = kth();
-    PayloadWriter w;
-    w.U32(static_cast<std::uint32_t>(s_cand));
-    w.I32(rank);
-    w.F64(d);
-    w.F64(slack);
-    w.F64(bound);
-    std::vector<std::vector<char>> replies(shards);
-    Broadcast(ctx, FrameType::kStep, w.buf,
-              /*retryable=*/false, RemainingMs(deadline), deadline, views,
-              replies, res.missing_shards, &res);
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (!views[s].active) continue;
-      PayloadReader r(replies[s]);
-      const WireCompact wc = DecodeCompact(r);
-      if (!r.Done()) {
-        MarkDead(ctx, s, ctx.groups[s].primary);
-        views[s].active = false;
-        res.missing_shards.push_back(s);
-        continue;
-      }
-      views[s].last = wc.pass;
-      views[s].live = wc.pass.live;
-      views[s].live_pivots = wc.live_pivots;
-    }
-    recount();
-    if (total_live == 0) break;
-    s_cand = select_next();
+    DeltaPhase(ctx, m, deadline, &res);
   }
-
-  // The delta phase: everything inserted since the snapshot lives in the
-  // workers' in-memory deltas, scanned bounded by the base incumbents.
-  DeltaPhase(ctx, query, k, deadline, views, best, &computations, &abandons,
-             &res);
-
-  res.stats.distance_computations += computations;
-  res.stats.bounded_abandons += abandons;
-  res.stats.pivot_computations += pivot_computations;
-  std::sort(res.missing_shards.begin(), res.missing_shards.end());
-  res.missing_shards.erase(
-      std::unique(res.missing_shards.begin(), res.missing_shards.end()),
-      res.missing_shards.end());
-  res.partial = !res.missing_shards.empty();
-  res.stats.shards_degraded = res.missing_shards.size();
-  res.neighbors = std::move(best);
-  return res;
-}
-
-// The distributed `ShardedLaesa::SweepWithRow`: the pivot row (computed
-// by the caller — the batch path router-side, the admission front end for
-// its coalesced batches) seeds the incumbents (ties admitted, as the row
-// is already paid for), then the same adaptive loop runs over the merged
-// survivors. The row evaluations are charged here, once per query, as the
-// in-process batch engine charges them.
-ServeResult ServeRouter::QueryRow(QueryCtx& ctx, std::string_view query,
-                                  std::size_t k, const double* row) {
-  ServeResult res;
-  std::size_t delta_total = 0;
-  for (const std::size_t v : delta_live_) delta_total += v;
-  k = std::min(k, n_ - base_dead_total_ + delta_total);
-  if (k == 0) return res;
-  const std::int64_t deadline = NowMs() + options_.query_deadline_ms;
-  const std::size_t shards = shard_sizes_.size();
-  const std::size_t np = pivots_.size();
-
-  std::vector<ShardView> views(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    views[s].active = ctx.groups[s].AnyAlive();
-    if (!views[s].active) res.missing_shards.push_back(s);
-  }
-
-  res.stats.distance_computations += np;
-  res.stats.pivot_computations += np;
-
-  std::vector<NeighborResult> best;
-  best.reserve(k + 1);
-  auto kth = [&]() { return best.size() < k ? kInf : best.back().distance; };
-  for (std::size_t p = 0; p < np; ++p) {
-    // A tombstoned pivot's evaluation still tightens every worker's bounds
-    // (its row is broadcast below, an admissible use), but it must never
-    // become an incumbent — it is no longer a member of the live set.
-    if (!base_tombs_.empty() && TestTombstone(base_tombs_.data(), pivots_[p])) {
-      continue;
-    }
-    InsertNeighborTopK(best, k, {pivots_[p], row[p]}, /*admit_ties=*/true);
-  }
-  const double seed_bound = kth();
-
-  {
-    PayloadWriter w;
-    w.Str(query);
-    w.F64(seed_bound);
-    w.U64(np);
-    w.Raw(row, np * sizeof(double));
-    std::vector<std::vector<char>> replies(shards);
-    Broadcast(ctx, FrameType::kBeginRow, w.buf,
-              /*retryable=*/true, RemainingMs(deadline), deadline, views,
-              replies, res.missing_shards, &res);
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (!views[s].active) continue;
-      PayloadReader r(replies[s]);
-      const WireCompact wc = DecodeCompact(r);
-      if (!r.Done()) {
-        MarkDead(ctx, s, ctx.groups[s].primary);
-        views[s].active = false;
-        res.missing_shards.push_back(s);
-        continue;
-      }
-      views[s].last = wc.pass;
-      views[s].live = wc.pass.live;
-      views[s].live_pivots = 0;
-    }
-  }
-
-  std::size_t total_live = 0;
-  auto recount = [&]() {
-    total_live = 0;
-    for (const ShardView& v : views) {
-      if (v.active) total_live += v.live;
-    }
-  };
-  auto select_next = [&]() -> std::size_t {
-    std::size_t next = kSweepNone;
-    double next_key = kInf;
-    for (const ShardView& v : views) {
-      if (!v.active) continue;
-      if (v.last.next != kSweepNone && v.last.next_key < next_key) {
-        next_key = v.last.next_key;
-        next = v.last.next;
-      }
-    }
-    return next;
-  };
-  recount();
-  std::size_t s_cand = select_next();
-
-  std::uint64_t computations = 0, abandons = 0;
-  while (total_live > 0 && s_cand != kSweepNone) {
-    if (RemainingMs(deadline) == 0) {
-      for (std::size_t s = 0; s < shards; ++s) {
-        if (views[s].active && views[s].live > 0) {
-          res.missing_shards.push_back(s);
-        }
-      }
-      break;
-    }
-    const double cap = kth();
-    const std::size_t owner = ShardOf(s_cand);
-    PayloadWriter ew;
-    ew.U64(s_cand);
-    ew.F64(cap);
-    std::vector<char> reply;
-    bool ok = views[owner].active &&
-              GroupEval(ctx, owner, FrameType::kEval, ew.buf, &reply,
-                        deadline, &res);
-    double d = 0.0;
-    if (ok) {
-      PayloadReader r(reply);
-      d = r.F64();
-      ok = r.Done();
-      if (!ok) MarkDead(ctx, owner, ctx.groups[owner].primary);
-    }
-    if (!ok) {
-      views[owner].active = false;
-      res.missing_shards.push_back(owner);
-      recount();
-      s_cand = select_next();
-      continue;
-    }
-    ++computations;
-    const bool abandoned = d >= cap;
-    if (abandoned) {
-      ++abandons;
-    } else {
-      InsertNeighborTopK(best, k, {s_cand, d});
-    }
-
-    const double bound = kth();
-    PayloadWriter w;
-    w.U32(static_cast<std::uint32_t>(s_cand));
-    w.F64(bound);
-    std::vector<std::vector<char>> replies(shards);
-    Broadcast(ctx, FrameType::kStepRow, w.buf,
-              /*retryable=*/false, RemainingMs(deadline), deadline, views,
-              replies, res.missing_shards, &res);
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (!views[s].active) continue;
-      PayloadReader r(replies[s]);
-      const WireCompact wc = DecodeCompact(r);
-      if (!r.Done()) {
-        MarkDead(ctx, s, ctx.groups[s].primary);
-        views[s].active = false;
-        res.missing_shards.push_back(s);
-        continue;
-      }
-      views[s].last = wc.pass;
-      views[s].live = wc.pass.live;
-    }
-    recount();
-    if (total_live == 0) break;
-    s_cand = select_next();
-  }
-
-  DeltaPhase(ctx, query, k, deadline, views, best, &computations, &abandons,
-             &res);
-
-  res.stats.distance_computations += computations;
-  res.stats.bounded_abandons += abandons;
-  std::sort(res.missing_shards.begin(), res.missing_shards.end());
-  res.missing_shards.erase(
-      std::unique(res.missing_shards.begin(), res.missing_shards.end()),
-      res.missing_shards.end());
-  res.partial = !res.missing_shards.empty();
-  res.stats.shards_degraded = res.missing_shards.size();
-  res.neighbors = std::move(best);
+  m.Finish(&res);
+  EndSweeps(ctx);
   return res;
 }
 

@@ -18,6 +18,7 @@
 #include "search/nn_searcher.h"
 #include "search/sweep_kernel.h"
 #include "serve/reactor.h"
+#include "serve/sweep_machine.h"
 
 namespace cned {
 
@@ -95,35 +96,6 @@ struct ServeOptions {
   std::string worker_binary;
 };
 
-/// One query's answer plus its degradation and failover record.
-struct ServeResult {
-  std::vector<NeighborResult> neighbors;
-  QueryStats stats;
-  /// True when any shard's candidates were not (fully) considered — the
-  /// neighbours are then exact over the surviving shards only, possibly
-  /// improved by evaluations that landed before a shard was lost. A shard
-  /// whose primary failed but whose standby took over is NOT partial.
-  bool partial = false;
-  /// True when the admission front end (serve/engine.h) refused the query
-  /// under overload instead of running it; neighbors/stats are empty. The
-  /// router itself never sheds — only the engine sets this.
-  bool shed = false;
-  /// The shards this query is missing, ascending. A shard appears here
-  /// only when its *entire replica group* was lost: dead at query start,
-  /// failed mid-sweep, or still live at the deadline.
-  std::vector<std::size_t> missing_shards;
-  /// Primary promotions performed during this query (a standby with
-  /// bit-identical slab state took over mid-sweep; the result stayed
-  /// exact and unflagged).
-  std::size_t failovers = 0;
-  /// Eval requests that were raced to a standby after the hedge delay.
-  std::size_t hedged_evals = 0;
-  /// Standby replicas evicted because their reply disagreed byte-for-byte
-  /// with the primary's (corrupt state; the primary's reply drove the
-  /// merge).
-  std::size_t replicas_evicted = 0;
-};
-
 /// Fault-tolerant scatter/gather serving tier over a per-shard snapshot
 /// directory (serve/shard_snapshot.h).
 ///
@@ -140,9 +112,13 @@ struct ServeResult {
 /// results in shard order with strict '<', the lowest-global-index tie
 /// rule), workers run the kernel passes over their segments, and the
 /// elimination radius tightens incrementally between rounds exactly as it
-/// does in process. A healthy router is therefore bit-identical —
+/// does in process. Those decisions live in one I/O-free `SweepMachine`
+/// (serve/sweep_machine.h) per query, driven by two executors: the robust
+/// per-query path (retries, failover, hedging, partial flagging) behind
+/// `KNearest`, `KNearestBatch` and `KNearestWithRow`, and the multiplexed
+/// `DriveSweeps` legs. A healthy router is therefore bit-identical —
 /// neighbours, distances AND QueryStats — to the in-process index,
-/// regardless of worker or replica count.
+/// regardless of worker or replica count or executor.
 ///
 /// Concurrency model (the concurrent pipelined router): N caller threads
 /// drive N simultaneous scatter/gather sweeps over the *shared* worker
@@ -240,10 +216,10 @@ class ServeRouter {
   ServeRouter& operator=(const ServeRouter&) = delete;
 
   std::size_t size() const { return n_; }
-  std::size_t shard_count() const { return shard_sizes_.size(); }
+  std::size_t shard_count() const { return shape_.shard_count(); }
   std::size_t replica_count() const { return replicas_per_shard_; }
-  std::size_t num_pivots() const { return pivots_.size(); }
-  const std::vector<std::size_t>& pivots() const { return pivots_; }
+  std::size_t num_pivots() const { return shape_.pivots.size(); }
+  const std::vector<std::size_t>& pivots() const { return shape_.pivots; }
   /// The manifest's pivot strings (immutable), in pivot-ordinal order —
   /// what the admission front end needs to run the pivot stage itself.
   const std::vector<std::string>& pivot_strings() const {
@@ -312,30 +288,23 @@ class ServeRouter {
   /// across all of them. N in-flight sweeps thus cost one wakeup and a
   /// handful of syscalls per round instead of N parked threads paying two
   /// context switches per exchange — on a single core this, not parallel
-  /// compute, is where concurrent throughput comes from.
-  ///
-  /// Exactness: per query the driver replays the exact KNearestWithRow
-  /// exchange sequence (begin, eval, step, in the same order with the
-  /// same payloads), so healthy results are bit-identical to it. The fast
-  /// path requires a fully healthy world (every replica alive, no
-  /// mutations pending); a query that cannot run on it — or that hits
-  /// any anomaly mid-sweep (timeout, death, byte disagreement, deadline)
-  /// — abandons its sweep slots and reruns through the robust per-query
-  /// path (retries, failover, hedging, partial flagging), whose result
-  /// is returned instead. `rows[i]` must hold `num_pivots()` entries for
-  /// `queries[i]`; `max_concurrent` caps simultaneously driven sweeps
-  /// (0 = all). Throws std::invalid_argument on mismatched input sizes.
-  std::vector<ServeResult> KNearestManyWithRows(
-      const std::vector<std::string_view>& queries,
-      const std::vector<std::size_t>& ks,
-      const std::vector<const double*>& rows, std::size_t max_concurrent = 0);
-
-  /// The continuous form of the multiplexed driver: pulls jobs from
-  /// `feed` as sweeps settle (admission refills mid-flight, so rounds
+  /// compute, is where concurrent throughput comes from. It pulls jobs
+  /// from `feed` as sweeps settle (admission refills mid-flight, so rounds
   /// stay full instead of draining to a batch tail), delivers each result
   /// through the feed, and returns once the feed is Finished and every
   /// admitted sweep has settled. `max_concurrent` caps in-flight sweeps
   /// (0 = a default cap). ServeEngine runs this on a dedicated thread.
+  ///
+  /// Exactness: per query the driver replays the exact KNearestWithRow
+  /// exchange sequence (begin, eval, step, in the same order with the
+  /// same payloads — the same `SweepMachine` builds them), so healthy
+  /// results are bit-identical to it. The fast path requires a fully
+  /// healthy world (every replica alive, no mutations pending); a query
+  /// that cannot run on it — or that hits any anomaly mid-sweep (timeout,
+  /// death, malformed or disagreeing reply, deadline) — abandons its
+  /// sweep slots and is delivered `bailed`, for its caller to rerun
+  /// through the robust per-query path (retries, failover, hedging,
+  /// partial flagging).
   ///
   /// World-lock fairness: the driver holds the world lock shared while
   /// sweeps are in flight, which (on a reader-preferring rwlock) would
@@ -409,15 +378,6 @@ class ServeRouter {
     std::vector<GroupCtx> groups;
   };
 
-  /// Per-query view of one shard's sweep state, mirrored from its
-  /// primary's replies.
-  struct ShardView {
-    bool active = false;
-    std::size_t live = 0;
-    std::size_t live_pivots = 0;
-    SweepCompactResult last;
-  };
-
   /// Spawn/reap run under `respawn_mu_`.
   void SpawnReplica(std::size_t s, std::size_t r,
                     const std::string& fault_spec);
@@ -464,19 +424,16 @@ class ServeRouter {
                        const std::vector<char>& payload,
                        std::vector<char>* reply, bool retryable);
 
-  /// Scatters one identical request to every live pinned member of every
-  /// active shard (the state-machine replication step), gathers, then
-  /// reconciles each group: the primary's reply drives (landing in
-  /// `replies[s]`), standbys are byte-checked against it (disagreement =
-  /// eviction), and a failed primary is replaced by a standby that
-  /// answered. Shards whose whole group failed are flipped inactive in
-  /// `views` and appended to `missing`.
-  void Broadcast(QueryCtx& ctx, FrameType type,
-                 const std::vector<char>& payload, bool retryable,
-                 int timeout_ms, std::int64_t deadline_ms,
-                 std::vector<ShardView>& views,
-                 std::vector<std::vector<char>>& replies,
-                 std::vector<std::size_t>& missing, ServeResult* res);
+  /// Scatters the machine's begin (`begin`, idempotent: retried) or step
+  /// (mutating: never retried) to every live pinned member of every active
+  /// shard (the state-machine replication step), gathers, then reconciles
+  /// each group: the primary's reply drives (absorbed into `m`), standbys
+  /// are byte-checked against it (disagreement = eviction), and a failed
+  /// primary is replaced by a standby that answered. Shards whose whole
+  /// group failed, or whose driving reply is malformed, are dropped from
+  /// `m`.
+  void Broadcast(QueryCtx& ctx, SweepMachine& m, bool begin,
+                 std::int64_t deadline_ms, ServeResult* res);
 
   /// One idempotent read (`kEval` or `kDeltaScan`) against shard `s`:
   /// primary first, hedged to a standby after `hedge_delay_ms`, first
@@ -501,16 +458,12 @@ class ServeRouter {
   /// (replica already marked dead) when any op fails to apply.
   bool ReplayMutations(std::size_t s, std::size_t r);
 
-  /// The delta-scan phase both query paths share: scatters a bounded scan
-  /// to every shard holding live delta entries and strict-merges the
-  /// gathered hits into `best` in global NeighborLess order.
-  void DeltaPhase(QueryCtx& ctx, std::string_view query, std::size_t k,
-                  std::int64_t deadline, std::vector<ShardView>& views,
-                  std::vector<NeighborResult>& best,
-                  std::uint64_t* computations, std::uint64_t* abandons,
+  /// The delta-scan phase: scatters the machine's bounded scan to every
+  /// shard holding live delta entries (hedged like Eval — the scan is a
+  /// pure function of the shard's delta) and hands it the hits.
+  void DeltaPhase(QueryCtx& ctx, SweepMachine& m, std::int64_t deadline,
                   ServeResult* res);
 
-  std::size_t ShardOf(std::size_t global) const;
   int RemainingMs(std::int64_t deadline_ms) const;
 
   /// Cheap any-dead scan; only when one exists does the query path take
@@ -524,16 +477,13 @@ class ServeRouter {
   std::size_t RespawnDeadLocked(std::size_t limit);
   void HealthLoop();
 
-  ServeResult QueryLazy(QueryCtx& ctx, std::string_view query, std::size_t k,
-                        double slack);
-  /// The pivot-row sweep given an already-computed row (`row` has
-  /// num_pivots() entries). Charges the row evaluations to the stats.
-  ServeResult QueryRow(QueryCtx& ctx, std::string_view query, std::size_t k,
-                       const double* row);
-  /// One robust pivot-row query (respawn check, fresh ctx, QueryRow,
-  /// sweep-slot cleanup). Caller holds `world_mu_` shared.
-  ServeResult RobustRowQuery(std::string_view query, std::size_t k,
-                             const double* row);
+  /// The robust per-query executor (respawn check, fresh ctx, one
+  /// `SweepMachine` driven through Broadcast/GroupEval/DeltaPhase,
+  /// sweep-slot cleanup): the lazy sweep when `row` is null, else the
+  /// pivot-row sweep over `row` (num_pivots() entries). Caller holds
+  /// `world_mu_` shared.
+  ServeResult RobustQuery(std::string_view query, std::size_t k,
+                          const double* row);
   /// True when the multiplexed fast path may run: no tombstones, no
   /// delta entries, every replica alive on a healthy connection. Caller
   /// holds `world_mu_` shared.
@@ -541,10 +491,7 @@ class ServeRouter {
 
   // Manifest state (immutable after construction — read lock-free).
   std::size_t n_ = 0;
-  std::vector<std::size_t> shard_sizes_;
-  std::vector<std::size_t> bases_;        // size S+1
-  std::vector<std::size_t> pivots_;       // global pivot ids
-  std::vector<std::int32_t> pivot_rank_;  // global id -> ordinal or -1
+  SweepShape shape_;
   std::vector<std::string> pivot_strings_;
   StringDistancePtr distance_;
 
@@ -558,14 +505,9 @@ class ServeRouter {
   /// Router-wide query-id source; 0 is reserved for the control plane.
   mutable std::atomic<std::uint32_t> qid_counter_{0};
 
-  // Mutable-tier bookkeeping (the router-side mirror of the workers'
-  // delta/tombstone state; drives the masked begin, the k clamp, pivot
-  // seeding, and respawn replay). Guarded by `world_mu_`.
-  std::uint64_t next_insert_id_ = 0;       // initialised to n_
-  std::vector<std::uint64_t> base_tombs_;  // bitmap over base ids; lazy
-  std::vector<std::size_t> shard_dead_;    // base tombstones per shard
-  std::size_t base_dead_total_ = 0;
-  std::vector<std::size_t> delta_live_;        // live delta per shard
+  // Mutable-tier bookkeeping. Guarded by `world_mu_`.
+  std::uint64_t next_insert_id_ = 0;           // initialised to n_
+  SweepWorld world_;
   std::vector<std::uint64_t> dead_delta_ids_;  // sorted, Remove dedup
   std::vector<std::vector<MutationOp>> shard_ops_;  // per-shard journal
 
