@@ -1,17 +1,21 @@
-// Bounded-kernel engine benchmark: (1) raw kernel throughput of the banded
-// contextual DP with and without a caller bound, counting DP cells; (2)
-// end-to-end LAESA nearest-neighbour queries on the dictionary workload with
-// the bound-passing engine versus an adapter that ignores bounds (the
-// pre-engine baseline) — same pivots, same elimination trajectory, so any
-// delta is pure kernel work. Results must be identical; wall time and DP
-// cells must not be.
+// Bounded-kernel engine benchmark, for both contextual kernels — exact dC
+// and the heuristic dC,h: (1) raw kernel throughput with and without a
+// caller bound (DP cells counted for dC); (2) end-to-end LAESA
+// nearest-neighbour queries with the bound-passing engine versus an adapter
+// that ignores bounds (the pre-engine baseline) — same pivots, same
+// elimination trajectory, so any delta is pure kernel work. dC runs on the
+// dictionary workload, dC,h on digit contours (the paper's Fig. 4 setting).
+// Results must be identical; wall time and DP cells must not be.
 //
 // Human-readable progress goes to stderr; a single JSON object for the perf
-// trajectory goes to stdout.
+// trajectory goes to stdout. The exit code is non-zero unless both LAESA
+// comparisons report identical results.
 
 #include <cmath>
 #include <cstdint>
 #include <iostream>
+#include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +25,7 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "core/contextual.h"
+#include "core/contextual_heuristic.h"
 #include "datasets/perturb.h"
 #include "distances/levenshtein.h"
 #include "distances/registry.h"
@@ -56,20 +61,22 @@ struct KernelRun {
   std::uint64_t abandons = 0;
 };
 
-KernelRun RunContextualPairs(
+// Times `kernel(x, y, bound)` over `pairs`: unbounded when `bound_factor` is
+// 0, otherwise at `bound_factor` times the true value (an index incumbent).
+template <typename Kernel>
+KernelRun RunPairs(
     const std::vector<std::pair<std::string, std::string>>& pairs,
-    double bound_factor) {
+    double bound_factor, Kernel kernel) {
+  const double inf = std::numeric_limits<double>::infinity();
   KernelRun run;
   ResetContextualCellsEvaluated();
   Stopwatch w;
   for (const auto& [x, y] : pairs) {
     if (bound_factor <= 0.0) {
-      (void)ContextualDistanceDetailed(x, y);
+      (void)kernel(x, y, inf);
     } else {
-      // Simulate an index incumbent at `bound_factor` times the true value.
-      const double exact = ContextualDistanceDetailed(x, y).distance;
-      const double d =
-          ContextualDistanceDetailed(x, y, exact * bound_factor).distance;
+      const double exact = kernel(x, y, inf);
+      const double d = kernel(x, y, exact * bound_factor);
       if (d >= exact * bound_factor) ++run.abandons;
     }
   }
@@ -78,13 +85,66 @@ KernelRun RunContextualPairs(
   return run;
 }
 
+double DetailedDC(const std::string& x, const std::string& y, double bound) {
+  return ContextualDistanceDetailed(x, y, bound).distance;
+}
+
+double DetailedDCH(const std::string& x, const std::string& y, double bound) {
+  return ContextualHeuristicDetailed(x, y, bound).distance;
+}
+
+// One LAESA workload run twice: through an adapter that ignores bounds and
+// through the bound-passing kernel.
+struct LaesaComparison {
+  double baseline_s = 0.0, bounded_s = 0.0;
+  std::uint64_t baseline_cells = 0, bounded_cells = 0;
+  Laesa::QueryStats baseline_stats, bounded_stats;
+  bool identical_results = true;
+};
+
+LaesaComparison CompareLaesa(const std::vector<std::string>& prototypes,
+                             const std::vector<std::string>& queries,
+                             const StringDistancePtr& distance,
+                             std::size_t pivots) {
+  Laesa laesa_bounded(prototypes, distance, pivots);
+  Laesa laesa_baseline(prototypes, std::make_shared<UnboundedAdapter>(distance),
+                       pivots);
+  LaesaComparison c;
+  std::vector<NeighborResult> results_bounded, results_baseline;
+  results_bounded.reserve(queries.size());
+  results_baseline.reserve(queries.size());
+
+  ResetContextualCellsEvaluated();
+  Stopwatch w_baseline;
+  for (const auto& q : queries) {
+    results_baseline.push_back(laesa_baseline.Nearest(q, &c.baseline_stats));
+  }
+  c.baseline_s = w_baseline.Seconds();
+  c.baseline_cells = ContextualCellsEvaluated();
+
+  ResetContextualCellsEvaluated();
+  Stopwatch w_bounded;
+  for (const auto& q : queries) {
+    results_bounded.push_back(laesa_bounded.Nearest(q, &c.bounded_stats));
+  }
+  c.bounded_s = w_bounded.Seconds();
+  c.bounded_cells = ContextualCellsEvaluated();
+
+  for (std::size_t i = 0; c.identical_results && i < queries.size(); ++i) {
+    c.identical_results =
+        results_bounded[i].index == results_baseline[i].index &&
+        results_bounded[i].distance == results_baseline[i].distance;
+  }
+  return c;
+}
+
 int Run() {
   std::ostream& log = std::cerr;
-  log << "micro_bounded_kernel: bounded-vs-unbounded contextual kernel and "
+  log << "micro_bounded_kernel: bounded-vs-unbounded contextual kernels and "
          "end-to-end LAESA (scale=" << Config::Scale() << ")\n";
 
   // -------------------------------------------------------------------
-  // Part 1: raw kernel, near-duplicate pairs (the index query regime).
+  // Part 1: raw kernels, near-duplicate pairs (the index query regime).
   // -------------------------------------------------------------------
   const auto pair_count =
       static_cast<std::size_t>(Config::ScaledInt("MBK_PAIRS", 400));
@@ -105,15 +165,23 @@ int Run() {
 
   // Note: the bounded runs evaluate each pair twice (exact + bounded), so
   // compare their cells/time against 2x the unbounded baseline.
-  KernelRun unbounded = RunContextualPairs(pairs, 0.0);
-  KernelRun tight = RunContextualPairs(pairs, 0.5);   // incumbent below d
-  KernelRun loose = RunContextualPairs(pairs, 1.5);   // incumbent above d
-  log << "  kernel: " << pairs.size() << " pairs, unbounded "
+  KernelRun unbounded = RunPairs(pairs, 0.0, DetailedDC);
+  KernelRun tight = RunPairs(pairs, 0.5, DetailedDC);  // incumbent below d
+  KernelRun loose = RunPairs(pairs, 1.5, DetailedDC);  // incumbent above d
+  log << "  dC kernel: " << pairs.size() << " pairs, unbounded "
       << unbounded.cells << " cells in " << unbounded.seconds * 1e3
       << " ms; tight-bound pass abandoned " << tight.abandons << "\n";
+  KernelRun h_unbounded = RunPairs(pairs, 0.0, DetailedDCH);
+  KernelRun h_tight = RunPairs(pairs, 0.5, DetailedDCH);
+  KernelRun h_loose = RunPairs(pairs, 1.5, DetailedDCH);
+  log << "  dC,h kernel: unbounded " << h_unbounded.seconds * 1e3
+      << " ms; tight " << h_tight.seconds * 1e3 << " ms ("
+      << h_tight.abandons << " abandoned); loose " << h_loose.seconds * 1e3
+      << " ms\n";
 
   // -------------------------------------------------------------------
-  // Part 2: end-to-end LAESA on the dictionary workload, exact dC.
+  // Part 2: end-to-end LAESA — exact dC on the dictionary workload, dC,h
+  // on digit contours.
   // -------------------------------------------------------------------
   const auto pool =
       static_cast<std::size_t>(Config::ScaledInt("MBK_POOL", 1000));
@@ -125,50 +193,45 @@ int Run() {
   Dataset dict = bench::MakeDictionary(pool, Config::Seed());
   Rng qrng(Config::Seed() + 32);
   auto queries = MakeQueries(dict.strings, num_queries, 2, latin, qrng);
-
-  auto contextual = MakeDistance("dC");
-  auto baseline = std::make_shared<UnboundedAdapter>(contextual);
-
-  Laesa laesa_bounded(dict.strings, contextual, pivots);
-  Laesa laesa_baseline(dict.strings, baseline, pivots);
-
-  Laesa::QueryStats stats_bounded, stats_baseline;
-  std::vector<NeighborResult> results_bounded, results_baseline;
-  results_bounded.reserve(queries.size());
-  results_baseline.reserve(queries.size());
-
-  ResetContextualCellsEvaluated();
-  Stopwatch w_baseline;
-  for (const auto& q : queries) {
-    results_baseline.push_back(laesa_baseline.Nearest(q, &stats_baseline));
-  }
-  const double baseline_s = w_baseline.Seconds();
-  const std::uint64_t baseline_cells = ContextualCellsEvaluated();
-
-  ResetContextualCellsEvaluated();
-  Stopwatch w_bounded;
-  for (const auto& q : queries) {
-    results_bounded.push_back(laesa_bounded.Nearest(q, &stats_bounded));
-  }
-  const double bounded_s = w_bounded.Seconds();
-  const std::uint64_t bounded_cells = ContextualCellsEvaluated();
-
-  bool identical = results_bounded.size() == results_baseline.size();
-  for (std::size_t i = 0; identical && i < results_bounded.size(); ++i) {
-    identical = results_bounded[i].index == results_baseline[i].index &&
-                results_bounded[i].distance == results_baseline[i].distance;
-  }
-
-  log << "  laesa: " << pool << " prototypes, " << queries.size()
+  const LaesaComparison exact =
+      CompareLaesa(dict.strings, queries, MakeDistance("dC"), pivots);
+  log << "  dC laesa: " << pool << " prototypes, " << queries.size()
       << " queries, " << pivots << " pivots\n"
-      << "    baseline " << baseline_s * 1e3 << " ms, " << baseline_cells
-      << " cells; bounded " << bounded_s * 1e3 << " ms, " << bounded_cells
-      << " cells, " << stats_bounded.bounded_abandons << " abandons\n"
-      << "    identical results: " << (identical ? "yes" : "NO") << "\n";
+      << "    baseline " << exact.baseline_s * 1e3 << " ms, "
+      << exact.baseline_cells << " cells; bounded " << exact.bounded_s * 1e3
+      << " ms, " << exact.bounded_cells << " cells, "
+      << exact.bounded_stats.bounded_abandons << " abandons\n"
+      << "    identical results: "
+      << (exact.identical_results ? "yes" : "NO") << "\n";
+
+  const auto digits_per_class =
+      static_cast<std::size_t>(Config::ScaledInt("MBK_DIGITS_PER_CLASS", 30));
+  Dataset digits = bench::MakeDigits(digits_per_class, Config::Seed() + 33);
+  Dataset digit_queries =
+      bench::MakeDigits(digits_per_class / 3 + 1, Config::Seed() + 34);
+  const LaesaComparison heuristic =
+      CompareLaesa(digits.strings, digit_queries.strings, MakeDistance("dC,h"),
+                   pivots);
+  // The search trajectory must not change either: the bounded kernel only
+  // cuts work inside evaluations.
+  const bool heuristic_identical =
+      heuristic.identical_results &&
+      heuristic.bounded_stats.distance_computations ==
+          heuristic.baseline_stats.distance_computations;
+  log << "  dC,h laesa: " << digits.size() << " contours, "
+      << digit_queries.size() << " queries, " << pivots << " pivots\n"
+      << "    baseline " << heuristic.baseline_s * 1e3 << " ms; bounded "
+      << heuristic.bounded_s * 1e3 << " ms, "
+      << heuristic.bounded_stats.bounded_abandons << " abandons\n"
+      << "    identical results and computations: "
+      << (heuristic_identical ? "yes" : "NO") << "\n";
 
   // -------------------------------------------------------------------
   // JSON for the perf trajectory.
   // -------------------------------------------------------------------
+  auto speedup = [](double baseline_s, double bounded_s) {
+    return bounded_s == 0.0 ? 0.0 : baseline_s / bounded_s;
+  };
   std::cout.precision(6);
   std::cout << "{\n"
             << "  \"bench\": \"micro_bounded_kernel\",\n"
@@ -191,26 +254,55 @@ int Run() {
             << "    \"prototypes\": " << pool << ",\n"
             << "    \"queries\": " << queries.size() << ",\n"
             << "    \"pivots\": " << pivots << ",\n"
-            << "    \"baseline\": {\"seconds\": " << baseline_s
-            << ", \"cells\": " << baseline_cells << ", \"computations\": "
-            << stats_baseline.distance_computations << "},\n"
-            << "    \"bounded\": {\"seconds\": " << bounded_s
-            << ", \"cells\": " << bounded_cells << ", \"computations\": "
-            << stats_bounded.distance_computations
-            << ", \"abandons\": " << stats_bounded.bounded_abandons << "},\n"
+            << "    \"baseline\": {\"seconds\": " << exact.baseline_s
+            << ", \"cells\": " << exact.baseline_cells << ", \"computations\": "
+            << exact.baseline_stats.distance_computations << "},\n"
+            << "    \"bounded\": {\"seconds\": " << exact.bounded_s
+            << ", \"cells\": " << exact.bounded_cells << ", \"computations\": "
+            << exact.bounded_stats.distance_computations
+            << ", \"abandons\": " << exact.bounded_stats.bounded_abandons
+            << "},\n"
             << "    \"cell_reduction\": "
-            << (baseline_cells == 0
+            << (exact.baseline_cells == 0
                     ? 0.0
-                    : 1.0 - static_cast<double>(bounded_cells) /
-                                static_cast<double>(baseline_cells))
+                    : 1.0 - static_cast<double>(exact.bounded_cells) /
+                                static_cast<double>(exact.baseline_cells))
             << ",\n"
-            << "    \"speedup\": "
-            << (bounded_s == 0.0 ? 0.0 : baseline_s / bounded_s) << ",\n"
-            << "    \"identical_results\": " << (identical ? "true" : "false")
-            << "\n"
+            << "    \"speedup\": " << speedup(exact.baseline_s, exact.bounded_s)
+            << ",\n"
+            << "    \"identical_results\": "
+            << (exact.identical_results ? "true" : "false") << "\n"
+            << "  },\n"
+            << "  \"heuristic\": {\n"
+            << "    \"kernel\": {\n"
+            << "      \"unbounded\": {\"seconds\": " << h_unbounded.seconds
+            << "},\n"
+            << "      \"tight_bound\": {\"seconds\": " << h_tight.seconds
+            << ", \"abandons\": " << h_tight.abandons << "},\n"
+            << "      \"loose_bound\": {\"seconds\": " << h_loose.seconds
+            << ", \"abandons\": " << h_loose.abandons << "}\n"
+            << "    },\n"
+            << "    \"laesa\": {\n"
+            << "      \"prototypes\": " << digits.size() << ",\n"
+            << "      \"mean_length\": " << digits.MeanLength() << ",\n"
+            << "      \"queries\": " << digit_queries.size() << ",\n"
+            << "      \"pivots\": " << pivots << ",\n"
+            << "      \"baseline\": {\"seconds\": " << heuristic.baseline_s
+            << ", \"computations\": "
+            << heuristic.baseline_stats.distance_computations << "},\n"
+            << "      \"bounded\": {\"seconds\": " << heuristic.bounded_s
+            << ", \"computations\": "
+            << heuristic.bounded_stats.distance_computations
+            << ", \"abandons\": " << heuristic.bounded_stats.bounded_abandons
+            << "},\n"
+            << "      \"speedup\": "
+            << speedup(heuristic.baseline_s, heuristic.bounded_s) << ",\n"
+            << "      \"heuristic_identical_results\": "
+            << (heuristic_identical ? "true" : "false") << "\n"
+            << "    }\n"
             << "  }\n"
             << "}\n";
-  return identical ? 0 : 1;
+  return exact.identical_results && heuristic_identical ? 0 : 1;
 }
 
 }  // namespace

@@ -30,11 +30,10 @@ struct DpWorkspace {
   // Rolling rows for the Levenshtein / weighted-Levenshtein kernels.
   std::vector<std::size_t> int_row;
   std::vector<double> weight_row;
-  // Paired (edit distance, max insertions) rows for the d_C,h heuristic.
-  std::vector<std::uint32_t> dist_row;
-  std::vector<std::uint32_t> dist_row_prev;
-  std::vector<std::int32_t> ins_row;
-  std::vector<std::int32_t> ins_row_prev;
+  // Rolling rows for the d_C,h heuristic: packed
+  // (edit distance << 32) | substitutions cells, length |y| + 1.
+  std::vector<std::uint64_t> packed_row;
+  std::vector<std::uint64_t> packed_row_prev;
 };
 
 /// The calling thread's workspace. Buffers grow monotonically with the

@@ -42,6 +42,12 @@ double ContextualPathCost(std::size_t m, std::size_t n, std::size_t k,
   return cost;
 }
 
+double ContextualCostFloor(std::size_t m, std::size_t n, std::size_t k,
+                           HarmonicTable& harmonic) {
+  const std::size_t kk = std::max(k, m > n ? m - n : n - m);
+  return ContextualPathCost(m, n, kk, (kk + n - m) / 2, harmonic);
+}
+
 Rational ContextualPathCostExact(std::size_t m, std::size_t n, std::size_t k,
                                  std::size_t ni) {
   ValidateDecomposition(m, n, k, ni);
@@ -125,8 +131,9 @@ ContextualResult ContextualDistanceDetailed(std::string_view x,
   // cell (i, j) is reachable only when |i - j| <= k, because insertions
   // minus deletions along the prefix equals j - i while their sum is at
   // most k — and evaluating each layer's candidate as soon as its last
-  // cell is available so the loop can stop once the k/(m+n) lower bound
-  // rules out all longer paths (or reaches the caller's bound).
+  // cell is available so the loop can stop once the cost floor of paths
+  // of length >= k (`ContextualCostFloor`) rules out all longer paths (or
+  // reaches the caller's bound).
   //
   // Buffer invariant: cells outside a layer's band are kNegInf. It holds
   // at the start (both planes are filled with kNegInf) and is preserved
@@ -166,12 +173,11 @@ ContextualResult ContextualDistanceDetailed(std::string_view x,
   tls_cells_evaluated += std::min(m, n) + 1;
   consider(0, (*prev)[m * width + n]);
 
-  const double per_op_floor = 1.0 / static_cast<double>(m + n);
   for (std::size_t k = 1; k <= kmax; ++k) {
-    const double layer_floor = static_cast<double>(k) * per_op_floor;
-    // Every op on an internal path costs >= 1/(m+n); once even that floor
-    // exceeds the incumbent — or reaches the caller's bound — no longer
-    // path can produce a result the caller would use.
+    const double layer_floor = ContextualCostFloor(m, n, k, h);
+    // No path of length >= k costs less than the floor; once it exceeds the
+    // incumbent — or reaches the caller's bound — no longer path can
+    // produce a result the caller would use.
     if (layer_floor > best.distance || layer_floor >= bound) break;
 
     // Row 0: insertion-only cells, band j <= k.

@@ -38,6 +38,31 @@ struct ContextualResult {
 double ContextualPathCost(std::size_t m, std::size_t n, std::size_t k,
                           std::size_t ni, HarmonicTable& harmonic);
 
+/// The lowest contextual cost of any canonical path from a length-`m` string
+/// to a length-`n` string whose edit length is at least `k`:
+///
+///   ContextualPathCost(m, n, k', (k' + n - m) / 2),  k' = max(k, |m - n|)
+///
+/// i.e. the path of length k' with the most insertions (and so at most one
+/// substitution). It is exact, not just a bound, on three facts:
+///
+///  - At fixed k the cost does not increase with the insertion count: one
+///    more insertion and deletion replace two substitutions, and then the
+///    new insertion, the new deletion and every remaining substitution
+///    cost 1/(m+ni+1), where each substitution cost 1/(m+ni) before.
+///  - The floor never decreases in k. From a length whose floor path has
+///    no substitution, the next length adds one, 1/(m+ni); the length
+///    after that trades it for an insertion and a deletion, adding
+///    (m+ni-1)/((m+ni)(m+ni+1)) >= 0.
+///  - No path is shorter than |m - n|.
+///
+/// Both contextual kernels stop on this floor. It is computed with the same
+/// `ContextualPathCost` arithmetic as their final costs, so a path whose
+/// cost equals the floor produces the same `double`. Requires
+/// k <= m + n.
+double ContextualCostFloor(std::size_t m, std::size_t n, std::size_t k,
+                           HarmonicTable& harmonic);
+
 /// Exact-rational version of `ContextualPathCost` (for property tests that
 /// must be free of floating-point noise). Only valid while the reduced
 /// fraction fits in 64 bits — fine for strings of total length <= ~40.
@@ -57,16 +82,15 @@ std::vector<std::int32_t> MaxInsertionProfile(std::string_view x,
 /// d_C(x, y) with the optimal decomposition. Exact Algorithm 1, with three
 /// compounding accelerations over the naive cubic DP:
 ///
-///  1. Early layer termination: every operation on an internal path costs
-///     at least 1/(|x|+|y|), so a path of edit length k costs at least
-///     k/(|x|+|y|) and the layer loop stops once that floor exceeds the
-///     best cost found — typically after ~d_C·(|x|+|y|) layers.
+///  1. Early layer termination: no path of edit length >= k costs less
+///     than `ContextualCostFloor(|x|, |y|, k)`, so the layer loop stops
+///     once that floor exceeds the best cost found.
 ///  2. Band limiting: at layer k only cells with |i-j| <= k are reachable
 ///     (#insertions - #deletions == j - i and both counts are <= k), so
 ///     each layer fills O(min(|x|·|y|, k·(|x|+|y|))) cells instead of the
 ///     full (|x|+1)·(|y|+1) table.
 ///  3. Bounded evaluation: when `bound` is finite the layer loop also stops
-///     at k >= bound·(|x|+|y|) (same per-op floor). The result is exact
+///     once the same floor reaches `bound`. The result is exact
 ///     whenever d_C(x,y) < bound and otherwise any value >= bound
 ///     (possibly +infinity) — the `DistanceBounded` contract.
 ///

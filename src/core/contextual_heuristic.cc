@@ -9,69 +9,124 @@
 #include "common/harmonic.h"
 
 namespace cned {
+namespace {
+
+// Packed DP cell: (edit distance << 32) | substitutions. Adding two cells
+// adds both components, and comparing two cells as integers orders them
+// lexicographically by (distance, substitutions).
+constexpr std::uint64_t kIndel = std::uint64_t{1} << 32;  // d + 1
+constexpr std::uint64_t kSubst = kIndel | 1;              // d + 1, S + 1
+// Cells outside the band. Far enough from 2^64 that adding one step cannot
+// wrap, and larger than any in-band cell.
+constexpr std::uint64_t kOutside = std::uint64_t{1} << 62;
+
+}  // namespace
 
 // Correctness of the 2-D DP (why this equals ni[m][n][d_E] of Algorithm 1):
 // any internal path of total edit length d_E(x,y) through a cell (i,j) must
 // use exactly d_E(x[0..i), y[0..j)) operations on its prefix — otherwise
-// swapping in a cheaper prefix would beat d_E overall. Hence maximising the
-// insertion count over "minimal-k predecessors only" loses no path that the
-// full DP would consider at k = d_E, and the pair (D, NI) below is exact.
+// swapping in a cheaper prefix would beat d_E overall. So a shortest-path
+// DP over prefixes loses no path that the full DP would consider at
+// k = d_E.
+//
+// Why one packed (d, S) cell suffices: among paths of length k into
+// (i, j), insertions I, deletions D and substitutions S satisfy
+// I - D = j - i and I + D + S = k, so I = (k - S + j - i) / 2 and the most
+// insertions is the same as the fewest substitutions. Pairs (d, S) under
+// lexicographic order, added component-wise, form a totally ordered monoid
+// (a <= b implies a + c <= b + c), so the min-plus DP over packed cells is
+// a valid shortest-path DP. Its value at (m, n) is (d_E, fewest S among
+// minimal paths), i.e. the same (k, ni) as a DP that tracks the edit
+// distance and the most insertions in separate rows.
+//
+// Bounded calls. Let K be the largest edit length whose
+// `ContextualCostFloor` is still < bound; the floor never decreases in k
+// (see contextual.h), so a result below the bound needs d_E <= K, and the
+// floor is computed with the same `ContextualPathCost` arithmetic as the
+// final cost, so a path whose cost equals the floor yields the same double
+// on both sides of that comparison. Every cell (i, j) on a path of final
+// length <= K has |i - j| <= d(i, j) <= K, so only the diagonal band
+// |i - j| <= K is filled; cells outside it read as kOutside. Band cells
+// whose true d is <= K see only band predecessors on their optimal paths,
+// so they are exact; every other band cell is >= its true value > K.
 ContextualHeuristicResult ContextualHeuristicDetailed(std::string_view x,
                                                       std::string_view y,
                                                       double bound) {
   const std::size_t m = x.size(), n = y.size();
-  // Rows of (edit distance, max insertions among minimal scripts), borrowed
-  // from the thread's workspace (no steady-state allocations).
+  HarmonicTable& h = ThreadLocalHarmonic();
+  ContextualHeuristicResult abandoned;
+  abandoned.distance = std::numeric_limits<double>::infinity();
+
+  // Band half-width K. Unbounded calls (and NaN bounds) take the full table.
+  std::size_t band = m + n;
+  if (bound < std::numeric_limits<double>::infinity()) {
+    std::size_t lo = m > n ? m - n : n - m;  // no path is shorter
+    if (!(ContextualCostFloor(m, n, lo, h) < bound)) return abandoned;
+    // Binary search for the largest k in [lo, m + n] with floor(k) < bound;
+    // floor(lo) < bound holds throughout.
+    std::size_t hi = m + n;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo + 1) / 2;
+      if (ContextualCostFloor(m, n, mid, h) < bound) {
+        lo = mid;
+      } else {
+        hi = mid - 1;
+      }
+    }
+    band = lo;
+  }
+
+  // Rolling rows of packed cells, borrowed from the thread's workspace (no
+  // steady-state allocations). Only band cells and the one cell past each
+  // row's band end are ever read.
   DpWorkspace& ws = TlsDpWorkspace();
-  std::vector<std::uint32_t>&dist = ws.dist_row, &dist_prev = ws.dist_row_prev;
-  std::vector<std::int32_t>&ins = ws.ins_row, &ins_prev = ws.ins_row_prev;
-  dist.resize(n + 1);
-  dist_prev.resize(n + 1);
-  ins.resize(n + 1);
-  ins_prev.resize(n + 1);
+  ws.packed_row.resize(n + 1);
+  ws.packed_row_prev.resize(n + 1);
+  std::uint64_t* cur = ws.packed_row.data();
+  std::uint64_t* prev = ws.packed_row_prev.data();
 
-  // Every operation of a canonical path costs at least 1/(m+n), so the
-  // final cost is at least k/(m+n); the row minimum of the edit-distance DP
-  // lower-bounds the final k, giving a cheap per-row abandon test.
-  const double row_min_cutoff = bound * static_cast<double>(m + n);
-
-  for (std::size_t j = 0; j <= n; ++j) {
-    dist_prev[j] = static_cast<std::uint32_t>(j);
-    ins_prev[j] = static_cast<std::int32_t>(j);
+  {
+    const std::size_t jhi = std::min(n, band);
+    for (std::size_t j = 0; j <= jhi; ++j) prev[j] = j * kIndel;
+    if (jhi < n) prev[jhi + 1] = kOutside;
   }
   for (std::size_t i = 1; i <= m; ++i) {
-    dist[0] = static_cast<std::uint32_t>(i);
-    ins[0] = 0;
-    std::uint32_t row_min = dist[0];
-    for (std::size_t j = 1; j <= n; ++j) {
-      const std::uint32_t d_diag =
-          dist_prev[j - 1] + (x[i - 1] == y[j - 1] ? 0u : 1u);
-      const std::uint32_t d_del = dist_prev[j] + 1;
-      const std::uint32_t d_ins = dist[j - 1] + 1;
-      const std::uint32_t d = std::min({d_diag, d_del, d_ins});
-      std::int32_t ni = std::numeric_limits<std::int32_t>::min();
-      if (d == d_diag) ni = std::max(ni, ins_prev[j - 1]);
-      if (d == d_del) ni = std::max(ni, ins_prev[j]);
-      if (d == d_ins) ni = std::max(ni, ins[j - 1] + 1);
-      dist[j] = d;
-      ins[j] = ni;
-      row_min = std::min(row_min, d);
+    const std::size_t jlo = i > band ? i - band : 0;
+    const std::size_t jhi = std::min(n, i + band);
+    const char xi = x[i - 1];
+    std::uint64_t left = kOutside;
+    std::size_t j = jlo;
+    if (j == 0) {
+      left = cur[0] = i * kIndel;  // deletions only
+      j = 1;
     }
-    if (static_cast<double>(row_min) >= row_min_cutoff) {
-      ContextualHeuristicResult abandoned;
-      abandoned.distance = std::numeric_limits<double>::infinity();
-      abandoned.k = row_min;
-      return abandoned;
+    for (; j <= jhi; ++j) {
+      const std::uint64_t mismatch = xi != y[j - 1];
+      std::uint64_t v = prev[j - 1] + (kSubst & (0 - mismatch));
+      v = std::min(v, prev[j] + kIndel);
+      v = std::min(v, left + kIndel);
+      cur[j] = left = v;
     }
-    std::swap(dist, dist_prev);
-    std::swap(ins, ins_prev);
+    if (jhi < n) cur[jhi + 1] = kOutside;
+
+    // Remaining-length row test: every path to (m, n) crosses row i at some
+    // (i, j) and needs at least |(m - i) - (n - j)| more operations, so
+    // d_E >= min_j d(i, j) + |(m - i) - (n - j)|. The edit distance changes
+    // by at most 1 per step along a row, so that minimum is attained on the
+    // end diagonal j = i + n - m (inside the band, as K >= |m - n|); when
+    // that column is negative the minimum is m - n <= K and the test
+    // cannot fire. A true minimum <= K makes the cell exact, and a true
+    // minimum > K leaves it > K, so reading one cell decides the test.
+    if (i + n >= m && (cur[i + n - m] >> 32) > band) return abandoned;
+    std::swap(cur, prev);
   }
 
+  const std::uint64_t cell = prev[n];
   ContextualHeuristicResult r;
-  r.k = dist_prev[n];
-  r.insertions = static_cast<std::size_t>(ins_prev[n]);
-  r.distance =
-      ContextualPathCost(m, n, r.k, r.insertions, ThreadLocalHarmonic());
+  r.k = static_cast<std::size_t>(cell >> 32);
+  const auto subs = static_cast<std::size_t>(cell & 0xffffffffu);
+  r.insertions = (r.k - subs + n - m) / 2;
+  r.distance = ContextualPathCost(m, n, r.k, r.insertions, h);
   return r;
 }
 

@@ -23,20 +23,24 @@ namespace cned {
 /// a superset of candidates), with equality in ~90% of benchmark cases per
 /// the paper (reproduced by bench/sec41_heuristic_agreement).
 ///
-/// Every minimal-edit-length path is prefix-minimal in every cell, so the
-/// 2-D "(edit distance, max insertions)" DP below computes exactly
-/// ni[|x|][|y|][d_E] of the full Algorithm 1 — see the proof sketch in
-/// contextual_heuristic.cc.
+/// Every minimal-edit-length path is prefix-minimal in every cell, so a 2-D
+/// DP over packed (edit distance, substitutions) cells, minimised
+/// lexicographically, computes exactly ni[|x|][|y|][d_E] of the full
+/// Algorithm 1 — see the proof sketch in contextual_heuristic.cc.
 struct ContextualHeuristicResult {
   double distance = 0.0;       ///< d_C,h(x, y)
   std::size_t k = 0;           ///< d_E(x, y)
   std::size_t insertions = 0;  ///< max insertions among minimal paths
 };
 
-/// d_C,h(x, y) with decomposition. When `bound` is finite the DP abandons
-/// (returning distance = +infinity) as soon as the edit-distance row
-/// minimum proves the final cost will be >= bound — the
-/// `StringDistance::DistanceBounded` contract.
+/// d_C,h(x, y) with decomposition. When `bound` is finite the DP fills only
+/// the diagonal band |i - j| <= K, where K is the largest edit length whose
+/// `ContextualCostFloor` is still < bound, and abandons (returning
+/// distance = +infinity) as soon as a row proves d_E > K — the
+/// `StringDistance::DistanceBounded` contract. The result is identical to
+/// the unbounded one whenever d_C,h(x, y) < bound; otherwise `distance` is
+/// >= bound and only `distance` is meaningful (`k` and `insertions` of an
+/// abandoned result are unspecified).
 ContextualHeuristicResult ContextualHeuristicDetailed(
     std::string_view x, std::string_view y,
     double bound = std::numeric_limits<double>::infinity());

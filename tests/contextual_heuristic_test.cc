@@ -2,13 +2,124 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "common/harmonic.h"
 #include "common/rng.h"
 #include "core/contextual.h"
+#include "datasets/perturb.h"
 #include "distances/levenshtein.h"
 #include "strings/string_gen.h"
 
 namespace cned {
 namespace {
+
+// Reference: the unbanded two-array DP over (edit distance, max insertions
+// among minimal scripts), with three equality branches per cell. The
+// packed, banded kernel must reproduce it exactly.
+ContextualHeuristicResult ReferenceHeuristic(std::string_view x,
+                                             std::string_view y) {
+  const std::size_t m = x.size(), n = y.size();
+  std::vector<std::uint32_t> dist(n + 1), dist_prev(n + 1);
+  std::vector<std::int32_t> ins(n + 1), ins_prev(n + 1);
+  for (std::size_t j = 0; j <= n; ++j) {
+    dist_prev[j] = static_cast<std::uint32_t>(j);
+    ins_prev[j] = static_cast<std::int32_t>(j);
+  }
+  for (std::size_t i = 1; i <= m; ++i) {
+    dist[0] = static_cast<std::uint32_t>(i);
+    ins[0] = 0;
+    for (std::size_t j = 1; j <= n; ++j) {
+      const std::uint32_t d_diag =
+          dist_prev[j - 1] + (x[i - 1] == y[j - 1] ? 0u : 1u);
+      const std::uint32_t d_del = dist_prev[j] + 1;
+      const std::uint32_t d_ins = dist[j - 1] + 1;
+      const std::uint32_t d = std::min({d_diag, d_del, d_ins});
+      std::int32_t ni = std::numeric_limits<std::int32_t>::min();
+      if (d == d_diag) ni = std::max(ni, ins_prev[j - 1]);
+      if (d == d_del) ni = std::max(ni, ins_prev[j]);
+      if (d == d_ins) ni = std::max(ni, ins[j - 1] + 1);
+      dist[j] = d;
+      ins[j] = ni;
+    }
+    std::swap(dist, dist_prev);
+    std::swap(ins, ins_prev);
+  }
+  ContextualHeuristicResult r;
+  r.k = dist_prev[n];
+  r.insertions = static_cast<std::size_t>(ins_prev[n]);
+  r.distance = ContextualPathCost(m, n, r.k, r.insertions, GlobalHarmonic());
+  return r;
+}
+
+// Checks the kernel against the reference, unbounded and at the bounds an
+// index produces around the true value d: the result must be identical
+// whenever d < bound and otherwise >= bound.
+void ExpectMatchesReference(const std::string& x, const std::string& y) {
+  const ContextualHeuristicResult ref = ReferenceHeuristic(x, y);
+  const double d = ref.distance;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double bounds[] = {inf,
+                           d,
+                           std::nextafter(d, inf),
+                           std::nextafter(d, -inf),
+                           d / 2,
+                           1.5 * d,
+                           0.0};
+  for (double bound : bounds) {
+    const ContextualHeuristicResult got =
+        ContextualHeuristicDetailed(x, y, bound);
+    if (d < bound) {
+      EXPECT_EQ(got.distance, d) << "x=" << x << " y=" << y << " b=" << bound;
+      EXPECT_EQ(got.k, ref.k) << "x=" << x << " y=" << y << " b=" << bound;
+      EXPECT_EQ(got.insertions, ref.insertions)
+          << "x=" << x << " y=" << y << " b=" << bound;
+    } else {
+      EXPECT_GE(got.distance, bound)
+          << "x=" << x << " y=" << y << " b=" << bound;
+    }
+  }
+}
+
+TEST(ContextualHeuristicTest, MatchesReferenceOnRandomPairs) {
+  Rng rng(26);
+  const std::string symbols = "abcdefghij";
+  for (std::size_t sigma = 2; sigma <= symbols.size(); ++sigma) {
+    Alphabet ab(symbols.substr(0, sigma));
+    for (int t = 0; t < 150; ++t) {
+      std::string x = StringGen::UniformLength(rng, ab, 0, 40);
+      std::string y = StringGen::UniformLength(rng, ab, 0, 40);
+      ExpectMatchesReference(x, y);
+    }
+  }
+}
+
+TEST(ContextualHeuristicTest, MatchesReferenceOnNearDuplicates) {
+  // Index queries converge on near-duplicates, where the band is narrowest.
+  Rng rng(27);
+  Alphabet ab("abcdefgh");
+  for (int t = 0; t < 300; ++t) {
+    std::string x = StringGen::UniformLength(rng, ab, 0, 130);
+    std::string y = PerturbString(x, rng.Index(9), ab, rng);
+    ExpectMatchesReference(x, y);
+    ExpectMatchesReference(y, x);
+  }
+}
+
+TEST(ContextualHeuristicTest, MatchesReferenceWithEmptySide) {
+  Rng rng(28);
+  Alphabet ab("abc");
+  ExpectMatchesReference("", "");
+  for (int t = 0; t < 40; ++t) {
+    std::string s = StringGen::UniformLength(rng, ab, 1, 40);
+    ExpectMatchesReference(s, "");
+    ExpectMatchesReference("", s);
+  }
+}
 
 TEST(ContextualHeuristicTest, AgreesOnPaperExample4) {
   EXPECT_NEAR(ContextualHeuristicDistance("ababa", "baab"), 8.0 / 15.0, 1e-12);
