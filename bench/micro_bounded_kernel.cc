@@ -1,15 +1,19 @@
 // Bounded-kernel engine benchmark, for both contextual kernels — exact dC
 // and the heuristic dC,h: (1) raw kernel throughput with and without a
-// caller bound (DP cells counted for dC); (2) end-to-end LAESA
+// caller bound (DP cells counted for dC), plus the share of bounded dC
+// calls on dictionary-word pairs that the d_E pre-filter rejects before any
+// DP cell is written; (2) end-to-end LAESA
 // nearest-neighbour queries with the bound-passing engine versus an adapter
 // that ignores bounds (the pre-engine baseline) — same pivots, same
 // elimination trajectory, so any delta is pure kernel work. dC runs on the
 // dictionary workload, dC,h on digit contours (the paper's Fig. 4 setting).
-// Results must be identical; wall time and DP cells must not be.
+// Results must be identical; wall time and DP cells must not be. (3) Max-min
+// pivot selection with bounded evaluations versus the same adapter; the
+// selected pivot sequences must be identical.
 //
 // Human-readable progress goes to stderr; a single JSON object for the perf
 // trajectory goes to stdout. The exit code is non-zero unless both LAESA
-// comparisons report identical results.
+// comparisons report identical results and the pivot sequences match.
 
 #include <cmath>
 #include <cstdint>
@@ -30,6 +34,7 @@
 #include "distances/levenshtein.h"
 #include "distances/registry.h"
 #include "search/laesa.h"
+#include "search/pivot_selection.h"
 #include "strings/string_gen.h"
 
 namespace cned {
@@ -91,6 +96,56 @@ double DetailedDC(const std::string& x, const std::string& y, double bound) {
 
 double DetailedDCH(const std::string& x, const std::string& y, double bound) {
   return ContextualHeuristicDetailed(x, y, bound).distance;
+}
+
+// Bounded dC calls at a fixed bound, timed, with the calls the d_E
+// pre-filter rejected counted apart: those return >= bound having written
+// no DP cell.
+struct PrefilterRun {
+  double unbounded_s = 0.0, bounded_s = 0.0;
+  std::uint64_t abandons = 0, rejected = 0;
+};
+
+PrefilterRun RunPrefilter(
+    const std::vector<std::pair<std::string, std::string>>& pairs,
+    double bound) {
+  PrefilterRun run;
+  Stopwatch w_unbounded;
+  for (const auto& [x, y] : pairs) (void)ContextualDistance(x, y);
+  run.unbounded_s = w_unbounded.Seconds();
+  Stopwatch w_bounded;
+  for (const auto& [x, y] : pairs) {
+    const std::uint64_t cells = ContextualCellsEvaluated();
+    if (ContextualDistanceDetailed(x, y, bound).distance >= bound) {
+      ++run.abandons;
+      if (ContextualCellsEvaluated() == cells) ++run.rejected;
+    }
+  }
+  run.bounded_s = w_bounded.Seconds();
+  return run;
+}
+
+// Max-min pivot selection with the bounded kernel and through an adapter
+// that ignores bounds; the two sequences must be identical.
+struct PivotComparison {
+  double baseline_s = 0.0, bounded_s = 0.0;
+  bool identical = false;
+};
+
+PivotComparison ComparePivots(const std::vector<std::string>& prototypes,
+                              const StringDistancePtr& distance,
+                              std::size_t pivots) {
+  const PrototypeStore store(prototypes);
+  const UnboundedAdapter baseline(distance);
+  PivotComparison c;
+  Stopwatch w_baseline;
+  const auto want = SelectPivotsMaxMin(store, baseline, pivots);
+  c.baseline_s = w_baseline.Seconds();
+  Stopwatch w_bounded;
+  const auto got = SelectPivotsMaxMin(store, *distance, pivots);
+  c.bounded_s = w_bounded.Seconds();
+  c.identical = got == want;
+  return c;
 }
 
 // One LAESA workload run twice: through an adapter that ignores bounds and
@@ -179,6 +234,26 @@ int Run() {
       << h_tight.abandons << " abandoned); loose " << h_loose.seconds * 1e3
       << " ms\n";
 
+  // Short dictionary words paired at random, at a tight fixed bound: most
+  // bounded calls are hopeless, and the d_E pre-filter rejects them.
+  constexpr double kWordBound = 0.4;
+  Dataset words = bench::MakeDictionary(2 * pair_count, Config::Seed() + 35);
+  std::vector<std::pair<std::string, std::string>> word_pairs;
+  word_pairs.reserve(pair_count);
+  for (std::size_t i = 0; i + 1 < words.size(); i += 2) {
+    word_pairs.emplace_back(words.strings[i], words.strings[i + 1]);
+  }
+  const PrefilterRun prefilter = RunPrefilter(word_pairs, kWordBound);
+  const double reject_frac =
+      word_pairs.empty() ? 0.0
+                         : static_cast<double>(prefilter.rejected) /
+                               static_cast<double>(word_pairs.size());
+  log << "  dC word pairs at bound " << kWordBound << ": "
+      << word_pairs.size() << " pairs, unbounded "
+      << prefilter.unbounded_s * 1e3 << " ms, bounded "
+      << prefilter.bounded_s * 1e3 << " ms; " << prefilter.abandons
+      << " abandoned, " << prefilter.rejected << " by the d_E pre-filter\n";
+
   // -------------------------------------------------------------------
   // Part 2: end-to-end LAESA — exact dC on the dictionary workload, dC,h
   // on digit contours.
@@ -227,6 +302,22 @@ int Run() {
       << (heuristic_identical ? "yes" : "NO") << "\n";
 
   // -------------------------------------------------------------------
+  // Part 3: max-min pivot selection, bounded vs unbounded evaluations.
+  // -------------------------------------------------------------------
+  const PivotComparison dict_pivots =
+      ComparePivots(dict.strings, MakeDistance("dC"), pivots);
+  const PivotComparison digit_pivots =
+      ComparePivots(digits.strings, MakeDistance("dC,h"), pivots);
+  const bool pivots_identical = dict_pivots.identical && digit_pivots.identical;
+  log << "  pivot selection: dC " << dict_pivots.baseline_s * 1e3
+      << " ms unbounded, " << dict_pivots.bounded_s * 1e3
+      << " ms bounded; dC,h " << digit_pivots.baseline_s * 1e3
+      << " ms unbounded, " << digit_pivots.bounded_s * 1e3
+      << " ms bounded\n"
+      << "    identical pivots: " << (pivots_identical ? "yes" : "NO")
+      << "\n";
+
+  // -------------------------------------------------------------------
   // JSON for the perf trajectory.
   // -------------------------------------------------------------------
   auto speedup = [](double baseline_s, double bounded_s) {
@@ -248,7 +339,14 @@ int Run() {
             << ", \"abandons\": " << tight.abandons << "},\n"
             << "    \"loose_bound\": {\"seconds\": " << loose.seconds
             << ", \"cells\": " << loose.cells
-            << ", \"abandons\": " << loose.abandons << "}\n"
+            << ", \"abandons\": " << loose.abandons << "},\n"
+            << "    \"word_pairs\": {\"pairs\": " << word_pairs.size()
+            << ", \"bound\": " << kWordBound
+            << ", \"unbounded_seconds\": " << prefilter.unbounded_s
+            << ", \"bounded_seconds\": " << prefilter.bounded_s
+            << ", \"abandons\": " << prefilter.abandons
+            << ", \"prefilter_rejects\": " << prefilter.rejected
+            << ", \"prefilter_reject_frac\": " << reject_frac << "}\n"
             << "  },\n"
             << "  \"laesa\": {\n"
             << "    \"prototypes\": " << pool << ",\n"
@@ -300,9 +398,22 @@ int Run() {
             << "      \"heuristic_identical_results\": "
             << (heuristic_identical ? "true" : "false") << "\n"
             << "    }\n"
+            << "  },\n"
+            << "  \"pivot_selection\": {\n"
+            << "    \"pivots\": " << pivots << ",\n"
+            << "    \"dC\": {\"prototypes\": " << dict.size()
+            << ", \"unbounded_seconds\": " << dict_pivots.baseline_s
+            << ", \"bounded_seconds\": " << dict_pivots.bounded_s << "},\n"
+            << "    \"dC,h\": {\"prototypes\": " << digits.size()
+            << ", \"unbounded_seconds\": " << digit_pivots.baseline_s
+            << ", \"bounded_seconds\": " << digit_pivots.bounded_s << "},\n"
+            << "    \"pivots_identical\": "
+            << (pivots_identical ? "true" : "false") << "\n"
             << "  }\n"
             << "}\n";
-  return exact.identical_results && heuristic_identical ? 0 : 1;
+  return exact.identical_results && heuristic_identical && pivots_identical
+             ? 0
+             : 1;
 }
 
 }  // namespace

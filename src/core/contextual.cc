@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/dp_workspace.h"
+#include "distances/levenshtein.h"
 
 namespace cned {
 namespace {
@@ -46,6 +47,26 @@ double ContextualCostFloor(std::size_t m, std::size_t n, std::size_t k,
                            HarmonicTable& harmonic) {
   const std::size_t kk = std::max(k, m > n ? m - n : n - m);
   return ContextualPathCost(m, n, kk, (kk + n - m) / 2, harmonic);
+}
+
+std::optional<std::size_t> ContextualEditLengthCap(std::size_t m,
+                                                   std::size_t n, double bound,
+                                                   HarmonicTable& harmonic) {
+  if (!(bound < std::numeric_limits<double>::infinity())) return m + n;
+  std::size_t lo = m > n ? m - n : n - m;  // no path is shorter
+  if (!(ContextualCostFloor(m, n, lo, harmonic) < bound)) return std::nullopt;
+  // Largest k in [lo, m + n] with floor(k) < bound; floor(lo) < bound holds
+  // throughout.
+  std::size_t hi = m + n;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo + 1) / 2;
+    if (ContextualCostFloor(m, n, mid, harmonic) < bound) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  return lo;
 }
 
 Rational ContextualPathCostExact(std::size_t m, std::size_t n, std::size_t k,
@@ -126,6 +147,21 @@ ContextualResult ContextualDistanceDetailed(std::string_view x,
   ContextualResult best;
   if (m == 0 && n == 0) return best;
   best.distance = std::numeric_limits<double>::infinity();
+
+  // d_E pre-filter. Every canonical path has edit length >= d_E(x, y) and
+  // the floor never decreases in k (contextual.h), so d_C >= floor(d_E):
+  // when d_E > K, the cap below which floors stay under the bound, every
+  // path costs >= bound and the call can return +infinity at once.
+  // `BoundedLevenshtein` is exact up to its cap, so a call it lets through
+  // runs the DP below unchanged. d_E <= max(m, n) always, so the check can
+  // only fire when K is below that; unbounded and NaN bounds get K = m + n
+  // and skip it. Both rejections happen before the DP planes are touched.
+  const std::optional<std::size_t> cap =
+      ContextualEditLengthCap(m, n, bound, h);
+  if (!cap) return best;
+  if (*cap < std::max(m, n) && BoundedLevenshtein(x, y, *cap) > *cap) {
+    return best;
+  }
 
   // Same layered DP as MaxInsertionProfile, but band-limited — at layer k a
   // cell (i, j) is reachable only when |i - j| <= k, because insertions

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -63,6 +64,17 @@ double ContextualPathCost(std::size_t m, std::size_t n, std::size_t k,
 double ContextualCostFloor(std::size_t m, std::size_t n, std::size_t k,
                            HarmonicTable& harmonic);
 
+/// The edit-length cap of a bounded contextual call: the largest edit
+/// length K whose `ContextualCostFloor(m, n, K)` is still < `bound`, found
+/// by binary search over [|m - n|, m + n] (the floor never decreases in k).
+/// Any path of edit length > K costs >= `bound`, so a result below the
+/// bound needs d_E <= K. Returns std::nullopt when even the floor at
+/// |m - n| reaches the bound (no result below it exists), and m + n —
+/// every length — when `bound` is +infinity or NaN (an unbounded call).
+std::optional<std::size_t> ContextualEditLengthCap(std::size_t m,
+                                                   std::size_t n, double bound,
+                                                   HarmonicTable& harmonic);
+
 /// Exact-rational version of `ContextualPathCost` (for property tests that
 /// must be free of floating-point noise). Only valid while the reduced
 /// fraction fits in 64 bits — fine for strings of total length <= ~40.
@@ -89,8 +101,14 @@ std::vector<std::int32_t> MaxInsertionProfile(std::string_view x,
 ///     (#insertions - #deletions == j - i and both counts are <= k), so
 ///     each layer fills O(min(|x|·|y|, k·(|x|+|y|))) cells instead of the
 ///     full (|x|+1)·(|y|+1) table.
-///  3. Bounded evaluation: when `bound` is finite the layer loop also stops
-///     once the same floor reaches `bound`. The result is exact
+///  3. Bounded evaluation: when `bound` is finite the call first takes the
+///     edit-length cap K (`ContextualEditLengthCap`). Every canonical path
+///     has edit length >= d_E(x,y) and the floor never decreases in k, so
+///     d_C >= floor(d_E): the call returns +infinity before touching the
+///     DP planes when the floor at |x|-|y| already reaches `bound`, or when
+///     the Ukkonen-banded `BoundedLevenshtein(x, y, K)` exceeds K. A call
+///     that passes runs the layered DP unchanged, whose layer loop also
+///     stops once the floor reaches `bound`. The result is exact
 ///     whenever d_C(x,y) < bound and otherwise any value >= bound
 ///     (possibly +infinity) — the `DistanceBounded` contract.
 ///

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "common/dp_workspace.h"
@@ -57,24 +58,12 @@ ContextualHeuristicResult ContextualHeuristicDetailed(std::string_view x,
   ContextualHeuristicResult abandoned;
   abandoned.distance = std::numeric_limits<double>::infinity();
 
-  // Band half-width K. Unbounded calls (and NaN bounds) take the full table.
-  std::size_t band = m + n;
-  if (bound < std::numeric_limits<double>::infinity()) {
-    std::size_t lo = m > n ? m - n : n - m;  // no path is shorter
-    if (!(ContextualCostFloor(m, n, lo, h) < bound)) return abandoned;
-    // Binary search for the largest k in [lo, m + n] with floor(k) < bound;
-    // floor(lo) < bound holds throughout.
-    std::size_t hi = m + n;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo + 1) / 2;
-      if (ContextualCostFloor(m, n, mid, h) < bound) {
-        lo = mid;
-      } else {
-        hi = mid - 1;
-      }
-    }
-    band = lo;
-  }
+  // Band half-width K (`ContextualEditLengthCap`). Unbounded calls (and NaN
+  // bounds) take the full table.
+  const std::optional<std::size_t> cap =
+      ContextualEditLengthCap(m, n, bound, h);
+  if (!cap) return abandoned;
+  const std::size_t band = *cap;
 
   // Rolling rows of packed cells, borrowed from the thread's workspace (no
   // steady-state allocations). Only band cells and the one cell past each

@@ -15,9 +15,19 @@ namespace cned {
 /// Greedy maximum-minimum-distance pivot (base prototype) selection, the
 /// strategy of the LAESA paper (Micó, Oncina & Vidal 1994): start from
 /// `first` and repeatedly add the prototype whose minimum distance to the
-/// already-chosen pivots is largest. Returns `count` indices.
+/// already-chosen pivots is largest (ties go to the lowest index). Returns
+/// `count` indices, or fewer when every remaining prototype duplicates a
+/// pivot.
 ///
-/// Costs count * |prototypes| distance evaluations.
+/// Costs count * |prototypes| distance evaluations, but each is bounded:
+/// a round evaluates `DistanceBounded(pivot, i, min_dist[i])`, which can
+/// abandon once the result reaches the candidate's current minimum — such
+/// a result could not change it, and one below it is exactly `Distance`.
+/// Each round's updates run in chunks through `ParallelFor` (inline when
+/// called from a ParallelFor body) and the argmax is one sequential scan,
+/// so the selection is identical to the sequential loop over unbounded
+/// `Distance` calls, at every thread count. `distance` must be safe to
+/// call concurrently, as every registered kernel is.
 std::vector<std::size_t> SelectPivotsMaxMin(const PrototypeStore& prototypes,
                                             const StringDistance& distance,
                                             std::size_t count,

@@ -2,19 +2,24 @@
 // cutoff in ContextualDistanceDetailed) is exactly equivalent to the full
 // layer scan over the MaxInsertionProfile, unbounded and at bounds around
 // the true value, and that it actually prunes. Also checks that the floor
-// is the exact minimum cost over all longer paths.
+// is the exact minimum cost over all longer paths, and that the d_E
+// pre-filter of bounded calls rejects exactly the pairs whose edit
+// distance exceeds the edit-length cap.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "core/contextual.h"
 #include "datasets/perturb.h"
+#include "distances/levenshtein.h"
 #include "strings/string_gen.h"
 
 namespace cned {
@@ -136,6 +141,141 @@ TEST(ContextualPruningTest, BoundedEquivalentToFullScanAtBoundaryBounds) {
   ExpectBoundedMatchesFullScan("", "");
   ExpectBoundedMatchesFullScan("abc", "");
   ExpectBoundedMatchesFullScan("", "xyz");
+}
+
+// Counts of pre-filter outcomes seen by ExpectPrefilterBoundaries, so the
+// test can check that both sides of the d_E == K boundary were exercised.
+struct PrefilterCases {
+  int kept_at_cap = 0;      // d_E == K: the DP ran
+  int rejected_past_cap = 0;  // d_E == K + 1: rejected before the DP
+  int rejected_by_floor = 0;  // the floor at |m - n| reaches the bound
+};
+
+// Runs one bounded call and checks the pre-filter decision and the result:
+// a call whose d_E is within the cap K runs the DP (cells are written) and
+// obeys the bounded contract against FullScan; every other call returns
+// +infinity without touching the DP planes.
+void ExpectPrefilterDecision(const std::string& x, const std::string& y,
+                             double bound, PrefilterCases& cases) {
+  const std::size_t m = x.size(), n = y.size();
+  const std::size_t e = LevenshteinDistance(x, y);
+  const ContextualResult full = FullScan(x, y);
+  const std::optional<std::size_t> cap =
+      ContextualEditLengthCap(m, n, bound, GlobalHarmonic());
+  ResetContextualCellsEvaluated();
+  const ContextualResult got = ContextualDistanceDetailed(x, y, bound);
+  const std::uint64_t cells = ContextualCellsEvaluated();
+  const std::string where =
+      "x=" + x + " y=" + y + " b=" + std::to_string(bound);
+
+  if (full.distance < bound) {
+    EXPECT_EQ(got.distance, full.distance) << where;
+    EXPECT_EQ(got.k, full.k) << where;
+    EXPECT_EQ(got.insertions, full.insertions) << where;
+    EXPECT_EQ(got.substitutions, full.substitutions) << where;
+  } else {
+    EXPECT_GE(got.distance, bound) << where;
+  }
+  if (m == 0 && n == 0) return;  // answered before the pre-filter
+  if (cap && e <= *cap) {
+    EXPECT_GT(cells, 0u) << where;
+    if (e == *cap) ++cases.kept_at_cap;
+  } else {
+    EXPECT_EQ(got.distance, std::numeric_limits<double>::infinity()) << where;
+    EXPECT_EQ(cells, 0u) << where;
+    if (!cap) {
+      ++cases.rejected_by_floor;
+    } else if (e == *cap + 1) {
+      ++cases.rejected_past_cap;
+    }
+  }
+}
+
+// Bounds at and around the floors of edit lengths d_E - 1, d_E and
+// d_E + 1 (so the cap K lands on d_E - 1 and d_E), at the floor of |m - n|,
+// at 0, and NaN.
+void ExpectPrefilterBoundaries(const std::string& x, const std::string& y,
+                               PrefilterCases& cases) {
+  const std::size_t m = x.size(), n = y.size();
+  const std::size_t e = LevenshteinDistance(x, y);
+  const std::size_t gap = m > n ? m - n : n - m;
+  const double inf = std::numeric_limits<double>::infinity();
+  HarmonicTable& h = GlobalHarmonic();
+  std::vector<double> bounds = {0.0, ContextualCostFloor(m, n, gap, h)};
+  for (std::size_t k = e > gap ? e - 1 : gap; k <= std::min(e + 1, m + n);
+       ++k) {
+    const double f = ContextualCostFloor(m, n, k, h);
+    bounds.insert(bounds.end(),
+                  {f, std::nextafter(f, inf), std::nextafter(f, -inf)});
+  }
+  for (double bound : bounds) ExpectPrefilterDecision(x, y, bound, cases);
+
+  // NaN: no pre-filter and no layer cutoff, so the result is exact.
+  ResetContextualCellsEvaluated();
+  const ContextualResult got = ContextualDistanceDetailed(
+      x, y, std::numeric_limits<double>::quiet_NaN());
+  const ContextualResult full = FullScan(x, y);
+  EXPECT_EQ(got.distance, full.distance) << "x=" << x << " y=" << y;
+  EXPECT_EQ(got.k, full.k) << "x=" << x << " y=" << y;
+  EXPECT_EQ(got.insertions, full.insertions) << "x=" << x << " y=" << y;
+  EXPECT_EQ(got.substitutions, full.substitutions) << "x=" << x << " y=" << y;
+}
+
+TEST(ContextualPruningTest, EditDistancePrefilterBoundaries) {
+  PrefilterCases cases;
+  Rng rng(1804);
+  const std::string symbols = "abcdefgh";
+  for (std::size_t sigma = 2; sigma <= symbols.size(); sigma += 3) {
+    Alphabet ab(symbols.substr(0, sigma));
+    for (int t = 0; t < 60; ++t) {
+      std::string x = StringGen::UniformLength(rng, ab, 0, 14);
+      std::string y = StringGen::UniformLength(rng, ab, 0, 14);
+      ExpectPrefilterBoundaries(x, y, cases);
+    }
+  }
+  Alphabet ab(symbols);
+  for (int t = 0; t < 60; ++t) {
+    std::string x = StringGen::UniformLength(rng, ab, 0, 30);
+    std::string y = PerturbString(x, rng.Index(6), ab, rng);
+    ExpectPrefilterBoundaries(x, y, cases);
+  }
+  for (const char* s : {"", "a", "abc", "abcdefgh"}) {
+    ExpectPrefilterBoundaries(s, "", cases);
+    ExpectPrefilterBoundaries("", s, cases);
+  }
+  EXPECT_GT(cases.kept_at_cap, 0);
+  EXPECT_GT(cases.rejected_past_cap, 0);
+  EXPECT_GT(cases.rejected_by_floor, 0);
+}
+
+TEST(ContextualCostFloorTest, EditLengthCapIsTheLastLengthBelowTheBound) {
+  HarmonicTable h;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (std::size_t m = 0; m <= 24; ++m) {
+    for (std::size_t n = 0; n <= 24; ++n) {
+      const std::size_t gap = m > n ? m - n : n - m;
+      EXPECT_EQ(ContextualEditLengthCap(m, n, inf, h), m + n);
+      EXPECT_EQ(ContextualEditLengthCap(
+                    m, n, std::numeric_limits<double>::quiet_NaN(), h),
+                m + n);
+      for (std::size_t k = gap; k <= m + n; ++k) {
+        const double f = ContextualCostFloor(m, n, k, h);
+        for (double bound : {f, std::nextafter(f, inf)}) {
+          const std::optional<std::size_t> cap =
+              ContextualEditLengthCap(m, n, bound, h);
+          if (!(ContextualCostFloor(m, n, gap, h) < bound)) {
+            EXPECT_FALSE(cap.has_value()) << "m=" << m << " n=" << n;
+            continue;
+          }
+          ASSERT_TRUE(cap.has_value()) << "m=" << m << " n=" << n;
+          EXPECT_LT(ContextualCostFloor(m, n, *cap, h), bound);
+          if (*cap < m + n) {
+            EXPECT_GE(ContextualCostFloor(m, n, *cap + 1, h), bound);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(ContextualCostFloorTest, IsTheMinimumOverAllLongerPaths) {

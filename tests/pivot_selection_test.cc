@@ -1,11 +1,15 @@
 #include "search/pivot_selection.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
+#include "common/rng.h"
 #include "distances/registry.h"
+#include "strings/string_gen.h"
 
 namespace cned {
 namespace {
@@ -47,6 +51,90 @@ TEST(PivotSelectionTest, ValidatesArguments) {
   EXPECT_THROW(SelectPivotsMaxMin(protos, *dist, 3), std::invalid_argument);
   EXPECT_THROW(SelectPivotsMaxMin(protos, *dist, 1, /*first=*/5),
                std::invalid_argument);
+}
+
+// Reference: the sequential max-min loop with unbounded `Distance` calls,
+// the selection that the bounded, parallel implementation must reproduce.
+std::vector<std::size_t> ReferenceMaxMin(const std::vector<std::string>& protos,
+                                         const StringDistance& distance,
+                                         std::size_t count, std::size_t first) {
+  const std::size_t n = protos.size();
+  std::vector<std::size_t> pivots{first};
+  std::vector<double> min_dist(n, std::numeric_limits<double>::infinity());
+  std::size_t current = first;
+  while (pivots.size() < count) {
+    std::size_t next = 0;
+    double best = -1.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (min_dist[i] == 0.0) continue;
+      double d = distance.Distance(protos[current], protos[i]);
+      min_dist[i] = std::min(min_dist[i], d);
+      if (min_dist[i] > best) {
+        best = min_dist[i];
+        next = i;
+      }
+    }
+    if (best <= 0.0) break;
+    min_dist[next] = 0.0;
+    pivots.push_back(next);
+    current = next;
+  }
+  return pivots;
+}
+
+// 300 strings drawn from 60 distinct ones (the empty string included), so
+// every string has exact duplicates and asking for more pivots than there
+// are distinct strings makes the early stop fire.
+std::vector<std::string> StringsWithDuplicates() {
+  Rng rng(93);
+  Alphabet ab("abcde");
+  std::vector<std::string> distinct{""};
+  while (distinct.size() < 60) {
+    std::string s = StringGen::UniformLength(rng, ab, 1, 12);
+    if (std::find(distinct.begin(), distinct.end(), s) == distinct.end()) {
+      distinct.push_back(s);
+    }
+  }
+  std::vector<std::string> protos;
+  for (std::size_t i = 0; i < 300; ++i) {
+    protos.push_back(i < distinct.size() ? distinct[i]
+                                         : distinct[rng.Index(distinct.size())]);
+  }
+  rng.Shuffle(protos);
+  return protos;
+}
+
+TEST(PivotSelectionTest, MatchesSequentialUnboundedReference) {
+  const std::vector<std::string> protos = StringsWithDuplicates();
+  const PrototypeStore flat(protos);
+  const ShardedPrototypeStore sharded(protos, 3);
+  for (const std::string& name : AllDistanceNames()) {
+    SCOPED_TRACE(name);
+    auto dist = MakeDistance(name);
+    for (std::size_t count : {std::size_t{1}, std::size_t{24},
+                              std::size_t{80}}) {
+      const std::size_t first = count % protos.size();
+      const std::vector<std::size_t> want =
+          ReferenceMaxMin(protos, *dist, count, first);
+      if (count == 80) {
+        // Only 60 distinct strings: the early stop must have fired.
+        EXPECT_LE(want.size(), 60u);
+      } else {
+        EXPECT_EQ(want.size(), count);
+      }
+      EXPECT_EQ(SelectPivotsMaxMin(flat, *dist, count, first), want);
+      EXPECT_EQ(SelectPivotsMaxMin(protos, *dist, count, first), want);
+      EXPECT_EQ(SelectPivotsMaxMin(sharded, *dist, count, first), want);
+
+      // From inside a ParallelFor body the nested loop runs inline.
+      std::vector<std::vector<std::size_t>> nested(2);
+      ParallelFor(nested.size(), [&](std::size_t t) {
+        nested[t] = SelectPivotsMaxMin(flat, *dist, count, first);
+      }, 2);
+      EXPECT_EQ(nested[0], want);
+      EXPECT_EQ(nested[1], want);
+    }
+  }
 }
 
 TEST(PivotSelectionTest, RandomPivotsValidAndDistinct) {
