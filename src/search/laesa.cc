@@ -10,29 +10,41 @@
 #include <string>
 
 #include "common/binary_io.h"
-#include "common/parallel.h"
 #include "search/pivot_selection.h"
+#include "search/pivot_sweep.h"
 #include "search/sweep_kernel.h"
 
 namespace cned {
 
-Laesa::Laesa(PrototypeStoreRef prototypes, StringDistancePtr distance,
-             std::size_t num_pivots, std::size_t first_pivot,
-             TablePrecision table_precision)
-    : prototypes_(prototypes),
-      distance_(std::move(distance)),
-      precision_(table_precision) {
-  if (store().empty()) {
+namespace {
+
+// The selecting constructor's pivots: greedy max-min over a validated
+// store.
+std::vector<std::size_t> SelectLaesaPivots(const PrototypeStore& store,
+                                           const StringDistance& distance,
+                                           std::size_t num_pivots,
+                                           std::size_t first_pivot) {
+  if (store.empty()) {
     throw std::invalid_argument("Laesa: empty prototype set");
   }
-  num_pivots = std::min(num_pivots, store().size());
+  num_pivots = std::min(num_pivots, store.size());
   if (num_pivots == 0) {
     throw std::invalid_argument("Laesa: need at least one pivot");
   }
-  pivots_ = SelectPivotsMaxMin(store(), *distance_, num_pivots, first_pivot);
+  return SelectPivotsMaxMin(store, distance, num_pivots, first_pivot);
+}
+
+}  // namespace
+
+Laesa::Laesa(PrototypeStoreRef prototypes, StringDistancePtr distance,
+             std::size_t num_pivots, std::size_t first_pivot,
+             TablePrecision table_precision)
+    : Laesa(prototypes, distance,
+            SelectLaesaPivots(prototypes.get(), *distance, num_pivots,
+                              first_pivot),
+            table_precision) {
   preprocessing_computations_ +=
       static_cast<std::uint64_t>(pivots_.size()) * store().size();
-  BuildTable();
 }
 
 Laesa::Laesa(PrototypeStoreRef prototypes, StringDistancePtr distance,
@@ -53,260 +65,49 @@ Laesa::Laesa(PrototypeStoreRef prototypes, StringDistancePtr distance,
       throw std::invalid_argument("Laesa: pivot index out of range");
     }
   }
-  BuildTable();
-}
-
-void Laesa::BuildTable() {
-  const PrototypeStore& protos = store();
-  const std::size_t n = protos.size();
+  const std::size_t n = store().size();
   pivot_rank_.assign(n, -1);
   for (std::size_t p = 0; p < pivots_.size(); ++p) {
     pivot_rank_[pivots_[p]] = static_cast<std::int32_t>(p);
   }
-  pivot_dist_.resize(pivots_.size() * n);
-  // One task per table entry: the atomic work queue in ParallelFor balances
-  // the load even when string lengths (and thus per-distance cost) vary
-  // wildly. Every distance kernel is thread-safe (thread-local workspaces).
-  ParallelFor(pivots_.size() * n, [&](std::size_t t) {
-    const std::size_t p = t / n;
-    const std::size_t i = t % n;
-    pivot_dist_[t] = distance_->Distance(protos[pivots_[p]], protos[i]);
-  });
+  PivotTables tables = core().BuildTables(precision_);
   preprocessing_computations_ +=
       static_cast<std::uint64_t>(pivots_.size()) * n;
-  if (precision_ != TablePrecision::kF64) {
-    // Quantize row by row (round-down codes + per-row gap, table_quant.h)
-    // and drop the exact table — the narrow codes ARE the index from here
-    // on, so build, save, load and map all sweep the same bytes.
-    const std::size_t width = TablePrecisionBytes(precision_);
-    quant_table_.resize(pivots_.size() * n * width);
-    row_meta_.resize(pivots_.size());
-    for (std::size_t p = 0; p < pivots_.size(); ++p) {
-      QuantRowEncoder enc;
-      enc.Scan(pivot_dist_.data() + p * n, n);
-      enc.Prepare(precision_);
-      enc.Encode(pivot_dist_.data() + p * n, n,
-                 quant_table_.data() + p * n * width);
-      row_meta_[p] = enc.Finish();
-    }
-    pivot_dist_.clear();
-    pivot_dist_.shrink_to_fit();
+  if (precision_ == TablePrecision::kF64) {
+    pivot_dist_ = std::move(tables.f64[0]);
+  } else {
+    quant_table_ = std::move(tables.codes[0]);
+    row_meta_ = std::move(tables.meta);
   }
 }
 
-// Unified flat sweep behind Nearest (k = 1), NearestApprox (slack = 1+eps)
-// and KNearest: a candidate is eliminated when lower_bound * slack reaches
-// the k-th incumbent.
-//
-// Elimination and the incumbent update share one semantic: a candidate that
-// cannot *strictly* improve on the k-th incumbent is dead. That is what
-// lets the incumbent itself be the `DistanceBounded` bound — the kernel may
-// abandon any evaluation that provably reaches it, because such a value
-// could at most tie.
-//
-// Two phases, both on the shared dispatched sweep kernels
-// (sweep_kernel.h), so the flat, sharded and mapped indexes execute
-// literally the same vector code over their packed candidate slabs:
-//   - approximating: while pivots survive, visit the minimal-bound pivot,
-//     tighten with its contiguous table row, then one flagged
-//     eliminate-and-compact pass picks the next pivot;
-//   - static: once the last live pivot is gone the bounds are final, and
-//     `VisitInBoundOrder` visits the survivors in ascending (bound, index)
-//     order — the sequence the per-visit compaction would pick, tie for
-//     tie.
-std::vector<NeighborResult> Laesa::Sweep(std::string_view query, std::size_t k,
-                                         double slack, QueryStats* stats,
-                                         const std::uint64_t* tombstones)
-    const {
-  const PrototypeStore& protos = store();
-  const std::size_t n = protos.size();
-  k = std::min(k, n);
-  if (k == 0) return {};
-
-  const SweepKernels& kern = ActiveSweepKernels();
-  const QuantTableView view = table_view();
-  SweepScratch& scratch = TlsSweepScratch();
-  scratch.idx.resize(n);
-  scratch.lower.resize(n);
-  std::uint32_t* idx = scratch.idx.data();
-  double* lower = scratch.lower.data();
-
-  // Free zeroth pivot: length-only lower bounds, filled by one flat pass
-  // over the store's packed length array before any distance is computed.
-  distance_->LengthLowerBounds(query.size(), protos.lengths_data(), n, lower);
-  // Count live pivots from pivot_rank_, not pivots_.size(): the ablation
-  // constructor and Load accept duplicate pivot indices, which occupy one
-  // candidate slot but several pivots_ entries.
-  std::size_t live_pivots = FillIotaCountPivots(idx, pivot_rank_.data(), n);
-
-  std::size_t live = n;  // candidates in the packed prefix [0, live)
-
-  // Current k best, sorted ascending (k is small in practice).
-  std::vector<NeighborResult> best;
-  best.reserve(k + 1);
-  const double inf = std::numeric_limits<double>::infinity();
-  auto kth = [&]() { return best.size() < k ? inf : best.back().distance; };
-
-  std::uint64_t computations = 0, abandons = 0, pivot_computations = 0;
-
-  // Pivot distances stay exact: the full value tightens a whole row of
-  // lower bounds (both sides of |d - row[i]|), which an abandoned
-  // evaluation cannot. Non-pivot distances only ever update the incumbents,
-  // so the k-th incumbent bounds their kernel — the search trajectory (and
-  // computation count) is identical to the unbounded sweep, only the
-  // per-evaluation DP work shrinks.
-  auto visit = [&](std::size_t s, bool is_pivot) {
-    const double cap = is_pivot ? inf : kth();
-    const double d = distance_->DistanceBounded(query, protos[s], cap);
-    ++computations;
-    pivot_computations += is_pivot ? 1 : 0;
-    if (d >= cap) {
-      ++abandons;
-    } else {
-      InsertNeighborTopK(best, k, {s, d});
-    }
-    return d;
-  };
-
-  std::size_t s = pivots_[0];  // start from the first base prototype
-  if (tombstones != nullptr) {
-    // Deletes are eliminated inside the compaction before anything is
-    // visited: force the masked slots' bounds to +inf, then one flagged
-    // pass drops them from the packed slab (lower >= bound is inclusive,
-    // so +inf falls even to the infinite starting incumbent) and hands
-    // back the minimal-bound live pivot to start from.
-    ApplyTombstoneMask(tombstones, n, lower);
-    const SweepCompactResult pre = kern.eliminate_and_compact_flagged(
-        idx, lower, pivot_rank_.data(), live, /*skip=*/0xFFFFFFFFu, slack,
-        inf);
-    live = pre.live;
-    live_pivots -= pre.pivots_died;
-    s = pre.next_pivot;
-  }
-  // Approximating phase: the surviving pivot with minimal lower bound is
-  // visited next, and its row tightens every survivor's bound.
-  while (live_pivots > 0 && s != kSweepNone) {
-    const double d = visit(s, /*is_pivot=*/true);
-    QuantUpdateLowerPacked(kern, view,
-                           static_cast<std::size_t>(pivot_rank_[s]), n, d,
-                           idx, 0, lower, live);
-    const SweepCompactResult pass = kern.eliminate_and_compact_flagged(
-        idx, lower, pivot_rank_.data(), live, static_cast<std::uint32_t>(s),
-        slack, kth());
-    live = pass.live;
-    live_pivots -= pass.pivots_died;
-    s = pass.next_pivot;
-  }
-  // Static phase: no row left to apply.
-  VisitInBoundOrder(idx, lower, live, slack, kth,
-                    [&](std::size_t c) { visit(c, /*is_pivot=*/false); });
-
-  if (stats != nullptr) {
-    stats->distance_computations += computations;
-    stats->bounded_abandons += abandons;
-    stats->pivot_computations += pivot_computations;
-  }
-  return best;
-}
-
-// The batched counterpart of `Sweep`: the caller already paid for every
-// query-pivot distance (they are shared across the batch), so all pivot
-// rows are applied before any elimination — the tightest pivot-based lower
-// bounds the table can give — and only the surviving non-pivots are then
-// visited adaptively. Same elimination semantics as `Sweep` (a candidate
-// that can at most tie the k-th incumbent is dead), different trajectory:
-// see pivot_stage.h.
-std::vector<NeighborResult> Laesa::SweepWithRow(std::string_view query,
-                                                std::size_t k,
-                                                const double* row,
-                                                QueryStats* stats) const {
-  const PrototypeStore& protos = store();
-  const std::size_t n = protos.size();
-  k = std::min(k, n);
-  if (k == 0) return {};
-
-  const SweepKernels& kern = ActiveSweepKernels();
-  SweepScratch& scratch = TlsSweepScratch();
-  scratch.idx.resize(n);
-  scratch.lower.resize(n);
-  std::uint32_t* idx = scratch.idx.data();
-  double* lower = scratch.lower.data();
-
-  distance_->LengthLowerBounds(query.size(), protos.lengths_data(), n, lower);
-
-  // Seed the incumbents with every pivot distance (each live pivot once —
-  // the ablation constructor and Load accept duplicate pivot entries).
-  // These evaluations are already paid for, so ties admit the lower index.
-  std::vector<NeighborResult> best;
-  best.reserve(k + 1);
-  const double inf = std::numeric_limits<double>::infinity();
-  auto kth = [&]() { return best.size() < k ? inf : best.back().distance; };
-  for (std::size_t p = 0; p < pivots_.size(); ++p) {
-    if (pivot_rank_[pivots_[p]] != static_cast<std::int32_t>(p)) continue;
-    InsertNeighborTopK(best, k, {pivots_[p], row[p]}, /*admit_ties=*/true);
-  }
-
-  // Tighten every lower bound with every pivot row (no elimination yet:
-  // each row pass is the dense streamed-max kernel), then eliminate against
-  // the fully seeded k-th incumbent and compact the surviving non-pivots
-  // into the packed slabs — one compact_seed pass.
-  const QuantTableView view = table_view();
-  for (std::size_t p = 0; p < pivots_.size(); ++p) {
-    QuantUpdateLowerDense(kern, view, p, n, row[p], lower);
-  }
-  const SweepCompactResult seed = kern.compact_seed(
-      lower, pivot_rank_.data(), n, 0, kth(), idx, lower);
-
-  // Adaptive non-pivot phase: the bounds are final, so the survivors are
-  // visited in bound order against the improving incumbent.
-  std::uint64_t computations = 0, abandons = 0;
-  VisitInBoundOrder(idx, lower, seed.live, /*slack=*/1.0, kth,
-                    [&](std::size_t s) {
-                      const double cap = kth();
-                      const double d =
-                          distance_->DistanceBounded(query, protos[s], cap);
-                      ++computations;
-                      if (d >= cap) {
-                        ++abandons;
-                      } else {
-                        InsertNeighborTopK(best, k, {s, d});
-                      }
-                    });
-
-  if (stats != nullptr) {
-    stats->distance_computations += computations;
-    stats->bounded_abandons += abandons;
-  }
-  return best;
+// The flat index is the one-segment table of the shared sweep core
+// (pivot_sweep.h).
+PivotSweep Laesa::core() const {
+  return PivotSweep({SweepSegment{0, &store(), table_view()}}, pivots_,
+                    pivot_rank_.data(), *distance_);
 }
 
 void Laesa::ComputePivotRow(std::string_view query, double* row,
                             QueryStats* stats) const {
-  const PrototypeStore& protos = store();
-  for (std::size_t p = 0; p < pivots_.size(); ++p) {
-    row[p] = distance_->Distance(query, protos[pivots_[p]]);
-  }
-  if (stats != nullptr) {
-    stats->distance_computations += pivots_.size();
-    stats->pivot_computations += pivots_.size();
-  }
+  core().ComputePivotRow(query, row, stats);
 }
 
 NeighborResult Laesa::NearestWithPivotRow(std::string_view query,
                                           const double* row,
                                           QueryStats* stats) const {
-  return SweepWithRow(query, 1, row, stats).front();
+  return core().WithRow(query, 1, row, stats).front();
 }
 
 std::vector<NeighborResult> Laesa::KNearestWithPivotRow(
     std::string_view query, std::size_t k, const double* row,
     QueryStats* stats) const {
-  return SweepWithRow(query, k, row, stats);
+  return core().WithRow(query, k, row, stats);
 }
 
 NeighborResult Laesa::Nearest(std::string_view query,
                               QueryStats* stats) const {
-  return Sweep(query, 1, /*slack=*/1.0, stats).front();
+  return core().Lazy(query, 1, /*slack=*/1.0, stats).front();
 }
 
 NeighborResult Laesa::NearestApprox(std::string_view query, double epsilon,
@@ -314,19 +115,19 @@ NeighborResult Laesa::NearestApprox(std::string_view query, double epsilon,
   if (epsilon < 0.0) {
     throw std::invalid_argument("Laesa::NearestApprox: epsilon must be >= 0");
   }
-  return Sweep(query, 1, 1.0 + epsilon, stats).front();
+  return core().Lazy(query, 1, 1.0 + epsilon, stats).front();
 }
 
 std::vector<NeighborResult> Laesa::KNearest(std::string_view query,
                                             std::size_t k,
                                             QueryStats* stats) const {
-  return Sweep(query, k, /*slack=*/1.0, stats);
+  return core().Lazy(query, k, /*slack=*/1.0, stats);
 }
 
 NeighborResult Laesa::NearestMasked(std::string_view query,
                                     const std::uint64_t* tombstones,
                                     QueryStats* stats) const {
-  auto best = Sweep(query, 1, /*slack=*/1.0, stats, tombstones);
+  auto best = core().Lazy(query, 1, /*slack=*/1.0, stats, nullptr, tombstones);
   if (best.empty()) {
     throw std::out_of_range("Laesa::NearestMasked: every prototype deleted");
   }
@@ -336,7 +137,7 @@ NeighborResult Laesa::NearestMasked(std::string_view query,
 std::vector<NeighborResult> Laesa::KNearestMasked(
     std::string_view query, std::size_t k, const std::uint64_t* tombstones,
     QueryStats* stats) const {
-  return Sweep(query, k, /*slack=*/1.0, stats, tombstones);
+  return core().Lazy(query, k, /*slack=*/1.0, stats, nullptr, tombstones);
 }
 
 std::vector<NeighborResult> Laesa::RangeSearch(std::string_view query,

@@ -14,6 +14,8 @@
 
 namespace cned {
 
+class PivotSweep;
+
 /// LAESA — Linear Approximating and Eliminating Search Algorithm
 /// (Micó, Oncina & Vidal, Pattern Recognition Letters 1994).
 ///
@@ -25,13 +27,15 @@ namespace cned {
 /// that eliminate prototypes without computing their distance; candidates
 /// are visited in increasing lower-bound order, pivots first.
 ///
-/// The hot path is a flat structure-of-arrays sweep: surviving candidates
-/// live in packed index/lower-bound arrays that one pass per visited pivot
-/// tightens (a contiguous row of the pivot table), eliminates and compacts;
-/// once no pivot survives the bounds are final, and the remaining
-/// candidates are visited in bound order from a heap over the same arrays
+/// Queries run the shared sweep core (pivot_sweep.h) over one segment;
+/// `ShardedLaesa` runs it over S. The hot path is a flat
+/// structure-of-arrays sweep: surviving candidates live in packed
+/// index/lower-bound arrays that one pass per visited pivot tightens (a
+/// contiguous row of the pivot table), eliminates and compacts; once no
+/// pivot survives the bounds are final, and the remaining candidates are
+/// visited in bound order from a heap over the same arrays
 /// (`VisitInBoundOrder`, sweep_kernel.h). No per-candidate pointer
-/// chasing, no per-query allocation (thread-local scratch), and the
+/// chasing, no per-query slab allocation (thread-local scratch), and the
 /// length-difference lower bound of the distance acts as a free "zeroth
 /// pivot" over the store's flat length array before any distance is
 /// computed.
@@ -185,21 +189,9 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
   Laesa(InternalTag, PrototypeStoreRef prototypes, StringDistancePtr distance)
       : prototypes_(prototypes), distance_(std::move(distance)) {}
 
-  void BuildTable();
-
-  /// The unified elimination sweep behind Nearest/NearestApprox/KNearest
-  /// and their masked variants (`tombstones` may be null: no masking).
-  std::vector<NeighborResult> Sweep(std::string_view query, std::size_t k,
-                                    double slack, QueryStats* stats,
-                                    const std::uint64_t* tombstones =
-                                        nullptr) const;
-
-  /// Row-consuming sweep behind the *WithPivotRow entry points: seeds the
-  /// incumbents with all pivot distances, applies every pivot-table row,
-  /// then eliminates and visits the surviving non-pivots in bound order.
-  std::vector<NeighborResult> SweepWithRow(std::string_view query,
-                                           std::size_t k, const double* row,
-                                           QueryStats* stats) const;
+  /// The shared sweep core (pivot_sweep.h) over this index's single
+  /// segment, built per call from the current table view.
+  PivotSweep core() const;
 
   /// The pivot table as a flat row-major view:
   /// table_data()[p * N + i] = d(store()[pivots_[p]], store()[i]); a

@@ -1,0 +1,400 @@
+#include "search/pivot_sweep.h"
+
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <utility>
+
+#include "common/parallel.h"
+
+namespace cned {
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Candidate work below which the per-visit segment passes run serially on
+// the calling thread. ParallelFor spawns and joins real threads (no pool),
+// so a pass must stream on the order of a million candidates — tens of
+// megabytes, hundreds of microseconds — before that dispatch pays for
+// itself; under the batch engine the nested call runs inline anyway.
+// Results are identical either way — only the execution schedule changes.
+constexpr std::size_t kParallelPassWork = 1 << 20;
+
+/// Thread-local per-segment bookkeeping: segment live counts and the
+/// per-segment pass results. The packed candidate slabs themselves come
+/// from the shared `TlsSweepScratch`. Owned per thread, so batched queries
+/// running under ParallelFor never share state.
+struct SegmentScratch {
+  std::vector<std::size_t> live;
+  std::vector<SweepCompactResult> pass;
+};
+
+SegmentScratch& TlsSegmentScratch() {
+  thread_local SegmentScratch scratch;
+  return scratch;
+}
+
+// Runs body(g) for every segment: fanned out through ParallelFor when there
+// is more than one segment and `work` candidates amortise the dispatch,
+// serially otherwise.
+template <typename Body>
+void ForEachSegment(std::size_t segments, std::size_t work, Body&& body) {
+  if (segments > 1 && work >= kParallelPassWork) {
+    ParallelFor(segments, body);
+  } else {
+    for (std::size_t g = 0; g < segments; ++g) body(g);
+  }
+}
+
+// Moves each segment's packed survivors [base, base + live[g]) left into
+// one prefix of the slabs, in segment order, and returns its length.
+// Segments hold ascending global ids, so the prefix is ascending too and
+// the heap's smallest-id tie-break equals a strict-'<' merge of
+// per-segment minima in segment order — one packed scan's choice. A single
+// segment is already in place.
+std::size_t GatherSurvivors(const std::vector<SweepSegment>& segments,
+                            const std::size_t* live, std::uint32_t* idx,
+                            double* lower) {
+  std::size_t total = 0;
+  for (std::size_t g = 0; g < segments.size(); ++g) {
+    const std::size_t base = segments[g].base;
+    if (base != total) {
+      std::memmove(idx + total, idx + base, live[g] * sizeof(*idx));
+      std::memmove(lower + total, lower + base, live[g] * sizeof(*lower));
+    }
+    total += live[g];
+  }
+  return total;
+}
+
+// The k incumbents of one sweep and its cost counters.
+//
+// Elimination and the incumbent update share one semantic: a candidate that
+// cannot *strictly* improve on the k-th incumbent is dead. That is what
+// lets the incumbent itself be the `DistanceBounded` bound — the kernel may
+// abandon any evaluation that provably reaches it, because such a value
+// could at most tie.
+struct Incumbents {
+  const PivotSweep& core;
+  std::string_view query;
+  std::size_t k;
+  QueryStats* segment_stats;
+  std::vector<NeighborResult> best = {};
+  std::uint64_t computations = 0, abandons = 0, pivot_computations = 0;
+
+  double kth() const { return best.size() < k ? kInf : best.back().distance; }
+
+  // Pivot distances stay exact: the full value tightens a whole row of
+  // lower bounds (both sides of |d - row[i]|), which an abandoned
+  // evaluation cannot. Non-pivot distances only ever update the incumbents,
+  // so the k-th incumbent bounds their kernel — the search trajectory (and
+  // computation count) is identical to the unbounded sweep, only the
+  // per-evaluation DP work shrinks.
+  double Visit(std::size_t id, bool is_pivot) {
+    const std::size_t g = core.SegmentOf(id);
+    const SweepSegment& seg = core.segments()[g];
+    const double cap = is_pivot ? kInf : kth();
+    const double d = core.distance().DistanceBounded(
+        query, seg.store->view(id - seg.base), cap);
+    ++computations;
+    pivot_computations += is_pivot ? 1 : 0;
+    const bool abandoned = d >= cap;
+    if (abandoned) {
+      ++abandons;
+    } else {
+      InsertNeighborTopK(best, k, {id, d});
+    }
+    if (segment_stats != nullptr) {
+      QueryStats& hs = segment_stats[g];
+      hs.distance_computations += 1;
+      hs.bounded_abandons += abandoned ? 1 : 0;
+      hs.pivot_computations += is_pivot ? 1 : 0;
+    }
+    return d;
+  }
+
+  std::vector<NeighborResult> Finish(QueryStats* stats) {
+    if (stats != nullptr) {
+      stats->distance_computations += computations;
+      stats->bounded_abandons += abandons;
+      stats->pivot_computations += pivot_computations;
+    }
+    return std::move(best);
+  }
+};
+
+}  // namespace
+
+SweepCompactResult SeedSegmentWithRow(const SweepSegment& seg,
+                                      const StringDistance& distance,
+                                      std::size_t query_len, const double* row,
+                                      std::size_t pivot_count,
+                                      const std::int32_t* pivot_rank,
+                                      const std::uint64_t* tombstones,
+                                      double bound, std::uint32_t* idx,
+                                      double* lower) {
+  const SweepKernels& kern = ActiveSweepKernels();
+  const std::size_t n = seg.store->size();
+  distance.LengthLowerBounds(query_len, seg.store->lengths_data(), n, lower);
+  // No elimination yet: each row pass is the dense streamed-max kernel.
+  for (std::size_t p = 0; p < pivot_count; ++p) {
+    QuantUpdateLowerDense(kern, seg.table, p, n, row[p], lower);
+  }
+  // Tombstoned slots go to +inf before the seed compaction, so the row
+  // path can never admit a deleted prototype either.
+  if (tombstones != nullptr) ApplyTombstoneMask(tombstones, n, lower);
+  return kern.compact_seed(lower, pivot_rank + seg.base, n,
+                           static_cast<std::uint32_t>(seg.base), bound, idx,
+                           lower);
+}
+
+SweepCompactResult VisitSegmentPass(const SweepSegment& seg,
+                                    const std::int32_t* pivot_rank,
+                                    std::int32_t rank, double d,
+                                    std::uint32_t skip, double slack,
+                                    double bound, std::uint32_t* idx,
+                                    double* lower, std::size_t live) {
+  const SweepKernels& kern = ActiveSweepKernels();
+  if (rank >= 0) {
+    QuantUpdateLowerPacked(kern, seg.table, static_cast<std::size_t>(rank),
+                           seg.store->size(), d, idx,
+                           static_cast<std::uint32_t>(seg.base), lower, live);
+  }
+  return kern.eliminate_and_compact_flagged(idx, lower, pivot_rank, live, skip,
+                                            slack, bound);
+}
+
+PivotSweep::PivotSweep(std::vector<SweepSegment> segments,
+                       const std::vector<std::size_t>& pivots,
+                       const std::int32_t* pivot_rank,
+                       const StringDistance& distance)
+    : segments_(std::move(segments)),
+      pivots_(pivots),
+      pivot_rank_(pivot_rank),
+      distance_(distance) {
+  for (const SweepSegment& seg : segments_) size_ += seg.store->size();
+}
+
+std::size_t PivotSweep::SegmentOf(std::size_t id) const {
+  // One segment (the flat index): no search, so the per-visit lookup costs
+  // what a flat store's view does.
+  if (segments_.size() == 1) return 0;
+  // Bases are sorted; the owning segment is the last base <= id. Empty
+  // segments share a base with their successor, and upper_bound lands past
+  // all of them — on the (unique) segment that actually contains id.
+  const auto it = std::upper_bound(
+      segments_.begin(), segments_.end(), id,
+      [](std::size_t v, const SweepSegment& seg) { return v < seg.base; });
+  return static_cast<std::size_t>(it - segments_.begin()) - 1;
+}
+
+// Two phases, both on the shared dispatched sweep kernels (sweep_kernel.h):
+//   - approximating: while pivots survive, visit the minimal-bound pivot,
+//     then one visit pass per segment tightens with its table row and
+//     eliminates, and the merged per-segment minima pick the next pivot;
+//   - static: once the last live pivot is gone the bounds are final, the
+//     survivors are gathered into one prefix, and `VisitInBoundOrder`
+//     visits them in ascending (bound, index) order — the sequence the
+//     per-visit compaction would pick, tie for tie.
+std::vector<NeighborResult> PivotSweep::Lazy(
+    std::string_view query, std::size_t k, double slack, QueryStats* stats,
+    QueryStats* segment_stats, const std::uint64_t* tombstones) const {
+  const std::size_t n = size_;
+  const std::size_t count = segments_.size();
+  k = std::min(k, n);
+  if (k == 0) return {};
+
+  SweepScratch& slabs = TlsSweepScratch();
+  slabs.idx.resize(n);
+  slabs.lower.resize(n);
+  SegmentScratch& scratch = TlsSegmentScratch();
+  scratch.live.assign(count, 0);
+  scratch.pass.assign(count, SweepCompactResult{});
+  std::uint32_t* idx = slabs.idx.data();
+  double* lower = slabs.lower.data();
+
+  // Free zeroth pivot: length-only lower bounds, one flat pass over each
+  // segment's packed length array before any distance is computed.
+  for (std::size_t g = 0; g < count; ++g) {
+    const SweepSegment& seg = segments_[g];
+    distance_.LengthLowerBounds(query.size(), seg.store->lengths_data(),
+                                seg.store->size(), lower + seg.base);
+    scratch.live[g] = seg.store->size();
+  }
+  // Count live pivots from pivot_rank_, not pivots_.size(): duplicate pivot
+  // entries occupy one candidate slot but several pivots_ entries.
+  std::size_t live_pivots = FillIotaCountPivots(idx, pivot_rank_, n);
+  std::size_t total_live = n;
+
+  Incumbents inc{*this, query, k, segment_stats};
+  inc.best.reserve(k + 1);
+  auto kth = [&]() { return inc.kth(); };
+
+  // One visit pass over every segment, merged in segment order with strict
+  // '<': the first occurrence wins, i.e. the lowest global index among
+  // ties. Returns the next pivot to visit.
+  auto pass = [&](std::int32_t rank, double d, std::uint32_t skip,
+                  double bound) {
+    ForEachSegment(count, total_live, [&](std::size_t g) {
+      const SweepSegment& seg = segments_[g];
+      scratch.pass[g] =
+          VisitSegmentPass(seg, pivot_rank_, rank, d, skip, slack, bound,
+                           idx + seg.base, lower + seg.base, scratch.live[g]);
+    });
+    total_live = 0;
+    std::size_t next = kSweepNone;
+    double next_key = kInf;
+    for (std::size_t g = 0; g < count; ++g) {
+      const SweepCompactResult& out = scratch.pass[g];
+      scratch.live[g] = out.live;
+      total_live += out.live;
+      live_pivots -= out.pivots_died;
+      if (out.next_pivot != kSweepNone && out.next_pivot_key < next_key) {
+        next_key = out.next_pivot_key;
+        next = out.next_pivot;
+      }
+    }
+    return next;
+  };
+
+  std::size_t s = pivots_[0];  // start from the first base prototype
+  if (tombstones != nullptr) {
+    // Deletes are eliminated inside the compaction before anything is
+    // visited: force the masked slots' bounds to +inf (the slabs are still
+    // in global id order), then one pass drops them (lower >= bound is
+    // inclusive, so +inf falls even to the infinite starting incumbent)
+    // and hands back the minimal-bound live pivot to start from.
+    ApplyTombstoneMask(tombstones, n, lower);
+    s = pass(/*rank=*/-1, 0.0, /*skip=*/0xFFFFFFFFu, kInf);
+  }
+  while (live_pivots > 0 && s != kSweepNone) {
+    const double d = inc.Visit(s, /*is_pivot=*/true);
+    s = pass(pivot_rank_[s], d, static_cast<std::uint32_t>(s), kth());
+  }
+  // Static phase: no row left to apply.
+  total_live = GatherSurvivors(segments_, scratch.live.data(), idx, lower);
+  VisitInBoundOrder(idx, lower, total_live, slack, kth,
+                    [&](std::size_t c) { inc.Visit(c, /*is_pivot=*/false); });
+  return inc.Finish(stats);
+}
+
+// The batched counterpart of `Lazy`: the caller already paid for every
+// query-pivot distance (they are shared across the batch), so all pivot
+// rows are applied before any elimination — the tightest pivot-based lower
+// bounds the table can give — and only the surviving non-pivots are then
+// visited adaptively. Same elimination semantics, different trajectory:
+// see pivot_stage.h.
+std::vector<NeighborResult> PivotSweep::WithRow(
+    std::string_view query, std::size_t k, const double* row,
+    QueryStats* stats, QueryStats* segment_stats) const {
+  const std::size_t n = size_;
+  const std::size_t count = segments_.size();
+  const std::size_t p_count = pivots_.size();
+  k = std::min(k, n);
+  if (k == 0) return {};
+
+  SweepScratch& slabs = TlsSweepScratch();
+  slabs.idx.resize(n);
+  slabs.lower.resize(n);
+  SegmentScratch& scratch = TlsSegmentScratch();
+  scratch.live.assign(count, 0);
+  std::uint32_t* idx = slabs.idx.data();
+  double* lower = slabs.lower.data();
+
+  // Seed the incumbents with every pivot distance (each live pivot once —
+  // duplicate pivot entries share one candidate slot). These evaluations
+  // are already paid for, so ties admit the lower index.
+  Incumbents inc{*this, query, k, segment_stats};
+  inc.best.reserve(k + 1);
+  for (std::size_t p = 0; p < p_count; ++p) {
+    if (pivot_rank_[pivots_[p]] != static_cast<std::int32_t>(p)) continue;
+    InsertNeighborTopK(inc.best, k, {pivots_[p], row[p]}, /*admit_ties=*/true);
+  }
+
+  // Per segment: every pivot row applied dense, then one compact_seed pass
+  // against the fully seeded k-th incumbent packs the surviving non-pivots.
+  const double seed_bound = inc.kth();
+  ForEachSegment(count, p_count * n, [&](std::size_t g) {
+    const SweepSegment& seg = segments_[g];
+    scratch.live[g] =
+        SeedSegmentWithRow(seg, distance_, query.size(), row, p_count,
+                           pivot_rank_, /*tombstones=*/nullptr, seed_bound,
+                           idx + seg.base, lower + seg.base)
+            .live;
+  });
+
+  // Adaptive non-pivot phase: the bounds are final, so the survivors are
+  // visited in bound order against the improving incumbent.
+  const std::size_t total_live =
+      GatherSurvivors(segments_, scratch.live.data(), idx, lower);
+  VisitInBoundOrder(idx, lower, total_live, /*slack=*/1.0,
+                    [&]() { return inc.kth(); },
+                    [&](std::size_t c) { inc.Visit(c, /*is_pivot=*/false); });
+  return inc.Finish(stats);
+}
+
+void PivotSweep::ComputePivotRow(std::string_view query, double* row,
+                                 QueryStats* stats) const {
+  for (std::size_t p = 0; p < pivots_.size(); ++p) {
+    row[p] = distance_.Distance(query, View(pivots_[p]));
+  }
+  if (stats != nullptr) {
+    stats->distance_computations += pivots_.size();
+    stats->pivot_computations += pivots_.size();
+  }
+}
+
+PivotTables PivotSweep::BuildTables(TablePrecision precision) const {
+  const std::size_t n = size_;
+  const std::size_t p_count = pivots_.size();
+  PivotTables out;
+  out.f64.resize(segments_.size());
+  for (std::size_t g = 0; g < segments_.size(); ++g) {
+    out.f64[g].resize(p_count * segments_[g].store->size());
+  }
+  // One task per table entry: the atomic work queue in ParallelFor balances
+  // the load even when string lengths (and thus per-distance cost) vary
+  // wildly, and writes are disjoint. Every distance kernel is thread-safe
+  // (thread-local workspaces).
+  ParallelFor(p_count * n, [&](std::size_t t) {
+    const std::size_t p = t / n;
+    const std::size_t i = t % n;
+    const std::size_t g = SegmentOf(i);
+    const SweepSegment& seg = segments_[g];
+    out.f64[g][p * seg.store->size() + (i - seg.base)] =
+        distance_.Distance(View(pivots_[p]), seg.store->view(i - seg.base));
+  });
+  if (precision == TablePrecision::kF64) return out;
+
+  // Quantize each GLOBAL pivot row with one shared meta: scan every
+  // segment's slice of the row first (segment order == global index
+  // order), then encode the slices against that meta (round-down codes +
+  // per-row gap, table_quant.h). The exact table is dropped — the narrow
+  // codes ARE the index from here on, so build, save, load and map all
+  // sweep the same bytes.
+  const std::size_t width = TablePrecisionBytes(precision);
+  out.codes.resize(segments_.size());
+  for (std::size_t g = 0; g < segments_.size(); ++g) {
+    out.codes[g].resize(p_count * segments_[g].store->size() * width);
+  }
+  out.meta.resize(p_count);
+  for (std::size_t p = 0; p < p_count; ++p) {
+    QuantRowEncoder enc;
+    for (std::size_t g = 0; g < segments_.size(); ++g) {
+      const std::size_t n_g = segments_[g].store->size();
+      enc.Scan(out.f64[g].data() + p * n_g, n_g);
+    }
+    enc.Prepare(precision);
+    for (std::size_t g = 0; g < segments_.size(); ++g) {
+      const std::size_t n_g = segments_[g].store->size();
+      enc.Encode(out.f64[g].data() + p * n_g, n_g,
+                 out.codes[g].data() + p * n_g * width);
+    }
+    out.meta[p] = enc.Finish();
+  }
+  out.f64.clear();
+  out.f64.shrink_to_fit();
+  return out;
+}
+
+}  // namespace cned

@@ -1,0 +1,130 @@
+#ifndef CNED_SEARCH_PIVOT_SWEEP_H_
+#define CNED_SEARCH_PIVOT_SWEEP_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <string_view>
+#include <vector>
+
+#include "datasets/prototype_store.h"
+#include "distances/distance.h"
+#include "search/nn_searcher.h"
+#include "search/sweep_kernel.h"
+#include "search/table_quant.h"
+
+namespace cned {
+
+/// The one LAESA sweep core: `Laesa` runs it over one segment,
+/// `ShardedLaesa` over one segment per shard, and the serve worker's
+/// `ShardReplica` runs its two per-segment passes for its own shard.
+///
+/// The candidate space [0, N) is a table of contiguous segments in base
+/// order, and segment g owns [base, base + size) of the packed slabs.
+/// Every visit decision (incumbents, elimination bound, next pivot) is
+/// global; every kernel pass touches one segment only, and per-segment
+/// minima merge in segment order with strict '<', so the lowest global id
+/// wins ties as in one packed scan over [0, N). Results and `QueryStats`
+/// do not depend on the segment count or the passes' thread schedule.
+
+/// Global ids [base, base + store->size()): their prototypes and their
+/// slice of the pivot table (rank-major, decoded with the global row meta).
+struct SweepSegment {
+  std::size_t base = 0;
+  const PrototypeStore* store = nullptr;
+  QuantTableView table;
+};
+
+/// The two per-segment passes. `pivot_rank` is the global N-entry array;
+/// `idx`/`lower` are the segment's own slabs.
+///
+/// Row seed: length bounds, every pivot row applied dense with the query's
+/// pivot distances `row`, then (when `tombstones`, a bitmap over local
+/// slots, is non-null) deleted slots forced to +inf, then one
+/// `compact_seed` that packs the non-pivots surviving `bound`.
+SweepCompactResult SeedSegmentWithRow(const SweepSegment& seg,
+                                      const StringDistance& distance,
+                                      std::size_t query_len, const double* row,
+                                      std::size_t pivot_count,
+                                      const std::int32_t* pivot_rank,
+                                      const std::uint64_t* tombstones,
+                                      double bound, std::uint32_t* idx,
+                                      double* lower);
+
+/// Visit pass over the `live` survivors: if `rank` >= 0 the visited
+/// candidate was that pivot, at distance `d`, and its row tightens the
+/// bounds first; then one flagged eliminate-and-compact against `bound`
+/// with `slack`, dropping `skip`. Rank -1, no skip and an infinite bound
+/// drop only +inf (tombstoned) slots.
+SweepCompactResult VisitSegmentPass(const SweepSegment& seg,
+                                    const std::int32_t* pivot_rank,
+                                    std::int32_t rank, double d,
+                                    std::uint32_t skip, double slack,
+                                    double bound, std::uint32_t* idx,
+                                    double* lower, std::size_t live);
+
+/// Per-segment table slices: exact f64, or narrow codes plus global meta.
+struct PivotTables {
+  std::vector<std::vector<double>> f64;           // empty unless f64
+  std::vector<std::vector<unsigned char>> codes;  // empty for f64
+  std::vector<QuantRowMeta> meta;                 // empty for f64
+};
+
+/// The sweeps over one index's segments. Each index builds it per call
+/// from its own accessors, so it never outlives the buffers it views.
+class PivotSweep {
+ public:
+  /// `pivot_rank`: global id -> ordinal or -1. Duplicate `pivots` entries
+  /// share one candidate slot, ranked by their last entry.
+  PivotSweep(std::vector<SweepSegment> segments,
+             const std::vector<std::size_t>& pivots,
+             const std::int32_t* pivot_rank, const StringDistance& distance);
+
+  /// Lazy sweep behind Nearest/NearestApprox/KNearest: a candidate dies
+  /// once lower * slack reaches the k-th incumbent. `tombstones` (bitmap
+  /// over [0, N), may be null) masks slots out before any visit;
+  /// `segment_stats` (one entry per segment, may be null) receives each
+  /// evaluation on its home segment.
+  std::vector<NeighborResult> Lazy(std::string_view query, std::size_t k,
+                                   double slack, QueryStats* stats,
+                                   QueryStats* segment_stats = nullptr,
+                                   const std::uint64_t* tombstones =
+                                       nullptr) const;
+
+  /// Row sweep behind the *WithPivotRow entry points (pivot_stage.h).
+  std::vector<NeighborResult> WithRow(std::string_view query, std::size_t k,
+                                      const double* row, QueryStats* stats,
+                                      QueryStats* segment_stats =
+                                          nullptr) const;
+
+  /// row[p] = d(query, pivot p), exact; counted into `stats` when non-null.
+  void ComputePivotRow(std::string_view query, double* row,
+                       QueryStats* stats) const;
+
+  /// The segments' table slices at `precision` (their `table` views are
+  /// not read). One meta per GLOBAL row, so one-segment and S-segment
+  /// builds of the same data hold the same codes.
+  PivotTables BuildTables(TablePrecision precision) const;
+
+  /// The segment holding global id `id`.
+  std::size_t SegmentOf(std::size_t id) const;
+
+  const std::vector<SweepSegment>& segments() const { return segments_; }
+  const StringDistance& distance() const { return distance_; }
+
+ private:
+  /// The prototype at global id `id`.
+  std::string_view View(std::size_t id) const {
+    const SweepSegment& seg = segments_[SegmentOf(id)];
+    return seg.store->view(id - seg.base);
+  }
+
+  std::vector<SweepSegment> segments_;
+  const std::vector<std::size_t>& pivots_;
+  const std::int32_t* pivot_rank_;
+  const StringDistance& distance_;
+  std::size_t size_ = 0;
+};
+
+}  // namespace cned
+
+#endif  // CNED_SEARCH_PIVOT_SWEEP_H_

@@ -1,67 +1,14 @@
 #include "search/sharded_laesa.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
-#include <limits>
 #include <stdexcept>
 
 #include "common/binary_io.h"
-#include "common/parallel.h"
 #include "search/pivot_selection.h"
-#include "search/sweep_kernel.h"
+#include "search/pivot_sweep.h"
 #include "serve/shard_snapshot.h"
 
 namespace cned {
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Candidate work below which the per-visit shard passes run serially on the
-// calling thread. ParallelFor spawns and joins real threads (no pool), so a
-// pass must stream on the order of a million candidates — tens of
-// megabytes, hundreds of microseconds — before that dispatch pays for
-// itself; under the batch engine the nested call runs inline anyway.
-// Results are identical either way — only the execution schedule changes.
-constexpr std::size_t kParallelPassWork = 1 << 20;
-
-/// Thread-local per-shard bookkeeping: segment live counts and the
-/// per-shard kernel pass results. The packed candidate slabs themselves
-/// come from the shared `TlsSweepScratch` (segment s occupies
-/// [shard_base(s), shard_base(s) + live[s]) of the 64-byte-aligned slabs
-/// the kernels sweep). Owned per thread, so batched queries running under
-/// ParallelFor never share state.
-struct ShardedScratch {
-  std::vector<std::size_t> live;
-  std::vector<SweepCompactResult> pass;
-};
-
-ShardedScratch& TlsShardedScratch() {
-  thread_local ShardedScratch scratch;
-  return scratch;
-}
-
-// Moves each shard's packed survivors [base, base + live[s]) left into one
-// prefix of the slabs, in shard order, and returns its length. Shard
-// segments hold ascending global ids, so the prefix is ascending too and
-// the heap's smallest-id tie-break equals a strict-'<' merge of per-shard
-// minima in shard order — the flat index's choice.
-std::size_t GatherSurvivors(const ShardedPrototypeStore& st,
-                            const std::size_t* live, std::uint32_t* idx,
-                            double* lower) {
-  std::size_t total = 0;
-  for (std::size_t sh = 0; sh < st.shard_count(); ++sh) {
-    const std::size_t base = st.shard_base(sh);
-    if (base != total) {
-      std::memmove(idx + total, idx + base, live[sh] * sizeof(*idx));
-      std::memmove(lower + total, lower + base, live[sh] * sizeof(*lower));
-    }
-    total += live[sh];
-  }
-  return total;
-}
-
-}  // namespace
 
 ShardedLaesa::ShardedLaesa(const ShardedPrototypeStore& store,
                            StringDistancePtr distance, std::size_t num_pivots,
@@ -69,7 +16,11 @@ ShardedLaesa::ShardedLaesa(const ShardedPrototypeStore& store,
                            TablePrecision table_precision)
     : store_(&store),
       distance_(std::move(distance)),
-      precision_(table_precision) {
+      precision_(table_precision),
+      // One (still empty) table per shard, so core() can view them before
+      // the build below fills them.
+      tables_(store.shard_count()),
+      quant_tables_(store.shard_count()) {
   if (store.empty()) {
     throw std::invalid_argument("ShardedLaesa: empty prototype set");
   }
@@ -81,287 +32,44 @@ ShardedLaesa::ShardedLaesa(const ShardedPrototypeStore& store,
   // flat index picks, so a sharded and a flat build of the same data share
   // pivots (and therefore search trajectories).
   pivots_ = SelectPivotsMaxMin(store, *distance_, num_pivots, first_pivot);
-  preprocessing_computations_ +=
-      static_cast<std::uint64_t>(pivots_.size()) * store.size();
-  BuildTables();
-}
-
-void ShardedLaesa::BuildTables() {
-  const ShardedPrototypeStore& st = *store_;
-  const std::size_t n = st.size();
-  const std::size_t p_count = pivots_.size();
+  const std::size_t n = store.size();
   pivot_rank_.assign(n, -1);
-  for (std::size_t p = 0; p < p_count; ++p) {
+  for (std::size_t p = 0; p < pivots_.size(); ++p) {
     if (pivot_rank_[pivots_[p]] >= 0) {
       throw std::invalid_argument("ShardedLaesa: duplicate pivot index");
     }
     pivot_rank_[pivots_[p]] = static_cast<std::int32_t>(p);
   }
-  tables_.resize(st.shard_count());
-  for (std::size_t s = 0; s < st.shard_count(); ++s) {
-    tables_[s].resize(p_count * st.shard(s).size());
-  }
-  // One task per table entry, as in the flat build: the atomic work queue
-  // balances wildly varying string lengths, and writes are disjoint.
-  ParallelFor(p_count * n, [&](std::size_t t) {
-    const std::size_t p = t / n;
-    const std::size_t g = t % n;
-    const std::size_t s = st.ShardOf(g);
-    const std::size_t local = g - st.shard_base(s);
-    tables_[s][p * st.shard(s).size() + local] =
-        distance_->Distance(st.view(pivots_[p]), st.view(g));
-  });
-  preprocessing_computations_ += static_cast<std::uint64_t>(p_count) * n;
-
-  if (precision_ != TablePrecision::kF64) {
-    // Quantize each GLOBAL pivot row with one shared meta: scan every
-    // shard's slice of the row first (shard order == global index order),
-    // then encode the slices against that meta. A sharded build therefore
-    // produces exactly the codes and gaps a flat build of the same data
-    // would — sharded results stay bit-identical to flat at any precision.
-    const std::size_t width = TablePrecisionBytes(precision_);
-    quant_tables_.resize(st.shard_count());
-    for (std::size_t s = 0; s < st.shard_count(); ++s) {
-      quant_tables_[s].resize(p_count * st.shard(s).size() * width);
-    }
-    row_meta_.resize(p_count);
-    for (std::size_t p = 0; p < p_count; ++p) {
-      QuantRowEncoder enc;
-      for (std::size_t s = 0; s < st.shard_count(); ++s) {
-        enc.Scan(tables_[s].data() + p * st.shard(s).size(),
-                 st.shard(s).size());
-      }
-      enc.Prepare(precision_);
-      for (std::size_t s = 0; s < st.shard_count(); ++s) {
-        const std::size_t n_s = st.shard(s).size();
-        enc.Encode(tables_[s].data() + p * n_s, n_s,
-                   quant_tables_[s].data() + p * n_s * width);
-      }
-      row_meta_[p] = enc.Finish();
-    }
-    tables_.clear();
-    tables_.shrink_to_fit();
-  }
+  // Each GLOBAL row is quantized with one meta shared by every shard, so a
+  // sharded build holds exactly the codes and gaps a flat build of the same
+  // data would — sharded results stay bit-identical to flat at any
+  // precision.
+  PivotTables tables = core().BuildTables(precision_);
+  // Pivot selection and the table build cost pivots x N evaluations each.
+  preprocessing_computations_ +=
+      2 * static_cast<std::uint64_t>(pivots_.size()) * n;
+  tables_ = std::move(tables.f64);
+  quant_tables_ = std::move(tables.codes);
+  row_meta_ = std::move(tables.meta);
 }
 
-// The flat `Laesa::Sweep` with its per-visit pass partitioned by shard: the
-// visit loop below makes the same decisions on the same values in the same
-// order (incumbents, kernel caps, elimination bound, and the next-pivot
-// merge that resolves ties to the lowest global index, as the flat packed
-// scan does), so neighbours, distances and QueryStats are bit-identical to
-// the single-store index for every distance. Each shard's
-// tighten/eliminate/compact pass runs on the shared dispatched sweep
-// kernels (sweep_kernel.h) over that shard's slab segment — literally the
-// flat index's vector code, partitioned. Once the last live pivot is gone
-// the survivors are gathered into one prefix and visited in bound order,
-// as in the flat static phase.
-std::vector<NeighborResult> ShardedLaesa::Sweep(std::string_view query,
-                                                std::size_t k, double slack,
-                                                QueryStats* stats,
-                                                QueryStats* shard_stats) const {
-  const ShardedPrototypeStore& st = *store_;
-  const std::size_t n = st.size();
-  const std::size_t shards = st.shard_count();
-  k = std::min(k, n);
-  if (k == 0) return {};
-
-  const SweepKernels& kern = ActiveSweepKernels();
-  SweepScratch& slabs = TlsSweepScratch();
-  slabs.idx.resize(n);
-  slabs.lower.resize(n);
-  ShardedScratch& scratch = TlsShardedScratch();
-  scratch.live.assign(shards, 0);
-  scratch.pass.assign(shards, SweepCompactResult{});
-  std::uint32_t* idx = slabs.idx.data();
-  double* lower = slabs.lower.data();
-
-  // Free zeroth pivot per shard: one flat pass over each shard's packed
-  // length array, writing straight into that shard's bound segment.
-  for (std::size_t s = 0; s < shards; ++s) {
-    const PrototypeStore& shard = st.shard(s);
-    distance_->LengthLowerBounds(query.size(), shard.lengths_data(),
-                                 shard.size(), lower + st.shard_base(s));
-    scratch.live[s] = shard.size();
+// The sharded index is the S-segment table of the shared sweep core
+// (pivot_sweep.h): one segment per shard, in shard order. The core merges
+// the per-shard passes in that order and fans them out through ParallelFor
+// when enough candidates survive, so results and QueryStats equal the flat
+// index's on any shard count.
+PivotSweep ShardedLaesa::core() const {
+  std::vector<SweepSegment> segments(store_->shard_count());
+  for (std::size_t s = 0; s < segments.size(); ++s) {
+    segments[s] = {store_->shard_base(s), &store_->shard(s), shard_view(s)};
   }
-  std::size_t live_pivots = FillIotaCountPivots(idx, pivot_rank_.data(), n);
-  std::size_t total_live = n;
-
-  std::vector<NeighborResult> best;
-  best.reserve(k + 1);
-  auto kth = [&]() { return best.size() < k ? kInf : best.back().distance; };
-
-  std::uint64_t computations = 0, abandons = 0, pivot_computations = 0;
-
-  auto visit = [&](std::size_t s, bool is_pivot) {
-    const double cap = is_pivot ? kInf : kth();
-    const double d = distance_->DistanceBounded(query, st.view(s), cap);
-    ++computations;
-    pivot_computations += is_pivot ? 1 : 0;
-    const bool abandoned = d >= cap;
-    if (abandoned) {
-      ++abandons;
-    } else {
-      InsertNeighborTopK(best, k, {s, d});
-    }
-    if (shard_stats != nullptr) {
-      QueryStats& hs = shard_stats[st.ShardOf(s)];
-      hs.distance_computations += 1;
-      hs.bounded_abandons += abandoned ? 1 : 0;
-      hs.pivot_computations += is_pivot ? 1 : 0;
-    }
-    return d;
-  };
-
-  std::size_t s_cand = pivots_[0];  // start from the first base prototype
-  while (live_pivots > 0 && s_cand != kSweepNone) {
-    const std::size_t rank = static_cast<std::size_t>(pivot_rank_[s_cand]);
-    const double d = visit(s_cand, /*is_pivot=*/true);
-
-    const double bound = kth();
-    auto pass_fn = [&](std::size_t sh) {
-      const std::size_t base = st.shard_base(sh);
-      const std::size_t seg_live = scratch.live[sh];
-      QuantUpdateLowerPacked(kern, shard_view(sh), rank, st.shard(sh).size(),
-                             d, idx + base, static_cast<std::uint32_t>(base),
-                             lower + base, seg_live);
-      scratch.pass[sh] = kern.eliminate_and_compact_flagged(
-          idx + base, lower + base, pivot_rank_.data(), seg_live,
-          static_cast<std::uint32_t>(s_cand), slack, bound);
-    };
-    if (shards > 1 && total_live >= kParallelPassWork) {
-      ParallelFor(shards, pass_fn);
-    } else {
-      for (std::size_t sh = 0; sh < shards; ++sh) pass_fn(sh);
-    }
-
-    // Merge per-shard pivot minima in shard order with strict '<': the
-    // first occurrence wins, i.e. the lowest global index among ties —
-    // exactly the flat packed scan's choice.
-    total_live = 0;
-    s_cand = kSweepNone;
-    double s_key = kInf;
-    for (std::size_t sh = 0; sh < shards; ++sh) {
-      const SweepCompactResult& out = scratch.pass[sh];
-      scratch.live[sh] = out.live;
-      total_live += out.live;
-      live_pivots -= out.pivots_died;
-      if (out.next_pivot != kSweepNone && out.next_pivot_key < s_key) {
-        s_key = out.next_pivot_key;
-        s_cand = out.next_pivot;
-      }
-    }
-  }
-  total_live = GatherSurvivors(st, scratch.live.data(), idx, lower);
-  VisitInBoundOrder(idx, lower, total_live, slack, kth,
-                    [&](std::size_t c) { visit(c, /*is_pivot=*/false); });
-
-  if (stats != nullptr) {
-    stats->distance_computations += computations;
-    stats->bounded_abandons += abandons;
-    stats->pivot_computations += pivot_computations;
-  }
-  return best;
-}
-
-// Row-consuming counterpart, mirroring `Laesa::SweepWithRow`: seed the
-// incumbents with every pivot distance, apply every table row per shard (a
-// streamed max with no elimination inside), eliminate against the seeded
-// k-th incumbent, then visit the surviving non-pivots of every shard in
-// bound order.
-std::vector<NeighborResult> ShardedLaesa::SweepWithRow(
-    std::string_view query, std::size_t k, const double* row,
-    QueryStats* stats, QueryStats* shard_stats) const {
-  const ShardedPrototypeStore& st = *store_;
-  const std::size_t n = st.size();
-  const std::size_t shards = st.shard_count();
-  const std::size_t p_count = pivots_.size();
-  k = std::min(k, n);
-  if (k == 0) return {};
-
-  const SweepKernels& kern = ActiveSweepKernels();
-  SweepScratch& slabs = TlsSweepScratch();
-  slabs.idx.resize(n);
-  slabs.lower.resize(n);
-  ShardedScratch& scratch = TlsShardedScratch();
-  scratch.live.assign(shards, 0);
-  std::uint32_t* idx = slabs.idx.data();
-  double* lower = slabs.lower.data();
-
-  for (std::size_t s = 0; s < shards; ++s) {
-    const PrototypeStore& shard = st.shard(s);
-    distance_->LengthLowerBounds(query.size(), shard.lengths_data(),
-                                 shard.size(), lower + st.shard_base(s));
-  }
-
-  std::vector<NeighborResult> best;
-  best.reserve(k + 1);
-  auto kth = [&]() { return best.size() < k ? kInf : best.back().distance; };
-  for (std::size_t p = 0; p < p_count; ++p) {
-    InsertNeighborTopK(best, k, {pivots_[p], row[p]}, /*admit_ties=*/true);
-  }
-
-  // Per shard: every pivot row applied with the dense streamed-max kernel,
-  // then one compact_seed pass packs the surviving non-pivots of that
-  // shard's segment.
-  const double seed_bound = kth();
-  auto stage_fn = [&](std::size_t sh) {
-    const std::size_t base = st.shard_base(sh);
-    const std::size_t n_sh = st.shard(sh).size();
-    double* slow = lower + base;
-    const QuantTableView view = shard_view(sh);
-    for (std::size_t p = 0; p < p_count; ++p) {
-      QuantUpdateLowerDense(kern, view, p, n_sh, row[p], slow);
-    }
-    scratch.live[sh] =
-        kern.compact_seed(slow, pivot_rank_.data() + base, n_sh,
-                          static_cast<std::uint32_t>(base), seed_bound,
-                          idx + base, slow)
-            .live;
-  };
-  if (shards > 1 && p_count * n >= kParallelPassWork) {
-    ParallelFor(shards, stage_fn);
-  } else {
-    for (std::size_t sh = 0; sh < shards; ++sh) stage_fn(sh);
-  }
-
-  std::uint64_t computations = 0, abandons = 0;
-  const std::size_t total_live =
-      GatherSurvivors(st, scratch.live.data(), idx, lower);
-  VisitInBoundOrder(idx, lower, total_live, /*slack=*/1.0, kth,
-                    [&](std::size_t s) {
-                      const double cap = kth();
-                      const double d =
-                          distance_->DistanceBounded(query, st.view(s), cap);
-                      ++computations;
-                      const bool abandoned = d >= cap;
-                      if (abandoned) {
-                        ++abandons;
-                      } else {
-                        InsertNeighborTopK(best, k, {s, d});
-                      }
-                      if (shard_stats != nullptr) {
-                        QueryStats& hs = shard_stats[st.ShardOf(s)];
-                        hs.distance_computations += 1;
-                        hs.bounded_abandons += abandoned ? 1 : 0;
-                      }
-                    });
-
-  if (stats != nullptr) {
-    stats->distance_computations += computations;
-    stats->bounded_abandons += abandons;
-  }
-  return best;
+  return PivotSweep(std::move(segments), pivots_, pivot_rank_.data(),
+                    *distance_);
 }
 
 void ShardedLaesa::ComputePivotRow(std::string_view query, double* row,
                                    QueryStats* stats) const {
-  for (std::size_t p = 0; p < pivots_.size(); ++p) {
-    row[p] = distance_->Distance(query, store_->view(pivots_[p]));
-  }
-  if (stats != nullptr) {
-    stats->distance_computations += pivots_.size();
-    stats->pivot_computations += pivots_.size();
-  }
+  core().ComputePivotRow(query, row, stats);
 }
 
 NeighborResult ShardedLaesa::Nearest(std::string_view query,
@@ -371,7 +79,7 @@ NeighborResult ShardedLaesa::Nearest(std::string_view query,
 
 NeighborResult ShardedLaesa::Nearest(std::string_view query, QueryStats* stats,
                                      QueryStats* shard_stats) const {
-  return Sweep(query, 1, /*slack=*/1.0, stats, shard_stats).front();
+  return core().Lazy(query, 1, /*slack=*/1.0, stats, shard_stats).front();
 }
 
 NeighborResult ShardedLaesa::NearestApprox(std::string_view query,
@@ -381,25 +89,25 @@ NeighborResult ShardedLaesa::NearestApprox(std::string_view query,
     throw std::invalid_argument(
         "ShardedLaesa::NearestApprox: epsilon must be >= 0");
   }
-  return Sweep(query, 1, 1.0 + epsilon, stats, nullptr).front();
+  return core().Lazy(query, 1, 1.0 + epsilon, stats).front();
 }
 
 std::vector<NeighborResult> ShardedLaesa::KNearest(std::string_view query,
                                                    std::size_t k,
                                                    QueryStats* stats) const {
-  return Sweep(query, k, /*slack=*/1.0, stats, nullptr);
+  return core().Lazy(query, k, /*slack=*/1.0, stats);
 }
 
 std::vector<NeighborResult> ShardedLaesa::KNearest(
     std::string_view query, std::size_t k, QueryStats* stats,
     QueryStats* shard_stats) const {
-  return Sweep(query, k, /*slack=*/1.0, stats, shard_stats);
+  return core().Lazy(query, k, /*slack=*/1.0, stats, shard_stats);
 }
 
 NeighborResult ShardedLaesa::NearestWithPivotRow(std::string_view query,
                                                  const double* row,
                                                  QueryStats* stats) const {
-  return SweepWithRow(query, 1, row, stats, nullptr).front();
+  return core().WithRow(query, 1, row, stats).front();
 }
 
 NeighborResult ShardedLaesa::NearestWithPivotRow(std::string_view query,
@@ -407,19 +115,19 @@ NeighborResult ShardedLaesa::NearestWithPivotRow(std::string_view query,
                                                  QueryStats* stats,
                                                  QueryStats* shard_stats)
     const {
-  return SweepWithRow(query, 1, row, stats, shard_stats).front();
+  return core().WithRow(query, 1, row, stats, shard_stats).front();
 }
 
 std::vector<NeighborResult> ShardedLaesa::KNearestWithPivotRow(
     std::string_view query, std::size_t k, const double* row,
     QueryStats* stats) const {
-  return SweepWithRow(query, k, row, stats, nullptr);
+  return core().WithRow(query, k, row, stats);
 }
 
 std::vector<NeighborResult> ShardedLaesa::KNearestWithPivotRow(
     std::string_view query, std::size_t k, const double* row,
     QueryStats* stats, QueryStats* shard_stats) const {
-  return SweepWithRow(query, k, row, stats, shard_stats);
+  return core().WithRow(query, k, row, stats, shard_stats);
 }
 
 namespace {

@@ -14,6 +14,8 @@
 
 namespace cned {
 
+class PivotSweep;
+
 /// LAESA over a `ShardedPrototypeStore`: one pivot table per shard, one
 /// shared (global) pivot set.
 ///
@@ -24,17 +26,10 @@ namespace cned {
 /// are prototypes, so their own lower bounds come out of the same tables
 /// and they remain adaptive candidates of their home shard.
 ///
-/// Query execution runs the *identical* approximating-and-eliminating
-/// sweep as the flat index: one global visit loop (incumbents, elimination
-/// threshold and the next-candidate choice are global decisions, ties
-/// resolved by lowest global index exactly as the flat packed scan does).
-/// While pivots survive, each visited pivot's tighten/eliminate/compact
-/// pass is partitioned by shard and fanned out through `ParallelFor` when
-/// enough candidates survive to amortise the dispatch; every shard pass
-/// touches only its own contiguous candidate segment and its own table
-/// rows, and the per-shard pivot minima are merged in shard order. Once
-/// the bounds are final, the shards' survivors are gathered into one
-/// ascending prefix and visited in bound order, as in the flat index — so
+/// Query execution runs the shared sweep core (pivot_sweep.h) over S
+/// segments, one per shard; the flat `Laesa` runs it over one. Each
+/// visited pivot's per-shard passes fan out through `ParallelFor` when
+/// enough candidates survive, and their minima merge in shard order — so
 /// neighbours, distances *and* `QueryStats` are bit-identical to the
 /// single-store `Laesa` on every distance, metric or not, regardless of
 /// shard count or thread schedule.
@@ -171,19 +166,9 @@ class ShardedLaesa final : public NearestNeighborSearcher,
                StringDistancePtr distance)
       : store_(&store), distance_(std::move(distance)) {}
 
-  void BuildTables();
-
-  /// The global adaptive sweep with shard-partitioned pivot passes (lazy
-  /// pivot evaluation — the per-query path).
-  std::vector<NeighborResult> Sweep(std::string_view query, std::size_t k,
-                                    double slack, QueryStats* stats,
-                                    QueryStats* shard_stats) const;
-
-  /// The row-consuming sweep behind the *WithPivotRow entry points.
-  std::vector<NeighborResult> SweepWithRow(std::string_view query,
-                                           std::size_t k, const double* row,
-                                           QueryStats* stats,
-                                           QueryStats* shard_stats) const;
+  /// The shared sweep core (pivot_sweep.h) over one segment per shard,
+  /// built per call from the current table views.
+  PivotSweep core() const;
 
   /// Shard s's pivot table as a flat row-major view:
   /// shard_table(s)[p * n_s + j] = d(pivot_p, shard s's j-th prototype).

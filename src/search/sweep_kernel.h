@@ -13,11 +13,12 @@ namespace cned {
 
 /// The shared vectorised elimination core of the LAESA family.
 ///
-/// Every LAESA-shaped sweep in the library — `Laesa::Sweep`,
-/// `Laesa::SweepWithRow`, `Laesa::RangeSearch`, `ShardedLaesa`'s
-/// per-shard passes (and through them the batch engine's pivot-stage
-/// pipeline) and the serve worker's `ShardReplica` steps — is the same
-/// three data-parallel operations over packed candidate slabs:
+/// Every LAESA-shaped sweep in the library — the sweep core
+/// (pivot_sweep.h) that `Laesa` and `ShardedLaesa` run over one or S
+/// segments (and through them the batch engine's pivot-stage pipeline),
+/// its per-segment passes in the serve worker's `ShardReplica`, and
+/// `Laesa::RangeSearch` — is the same three data-parallel operations over
+/// packed candidate slabs:
 ///
 ///   1. tighten lower bounds with a visited pivot's table row
 ///      (`update_lower_*`: fused abs-diff + running max),
@@ -28,9 +29,9 @@ namespace cned {
 ///   3. the length-bound "zeroth pivot" fill (`fill_absdiff_bounds`: the
 ///      |Δlen| core of the unit-cost edit-distance family's bound).
 ///
-/// Once no table row is left to apply, the bounds are fixed and the
-/// in-process sweeps switch to `VisitInBoundOrder` (below): a heap over the
-/// same packed slabs instead of one compaction pass per visit.
+/// Once no table row is left to apply, the bounds are fixed and the sweep
+/// core switches to `VisitInBoundOrder` (below): a heap over the same
+/// packed slabs instead of one compaction pass per visit.
 ///
 /// This header defines those operations once as a dispatch table of
 /// function pointers with scalar, AVX2 and NEON implementations. The
@@ -90,9 +91,9 @@ struct SweepKernels {
 
   /// Packed (gather) row application over the live slice: for r in
   /// [0, live), lower[r] = max(lower[r], |d - row[idx[r] - base]|).
-  /// `base` is the shard base so idx's global ids index the shard-local
-  /// row; 0 for the flat index. Used by the lazy sweeps after each visited
-  /// pivot.
+  /// `base` is the segment base so idx's global ids index the
+  /// segment-local row; 0 for the flat index. Used by the lazy sweep's
+  /// visit pass after each visited pivot.
   void (*update_lower_packed)(double d, const double* row,
                               const std::uint32_t* idx, std::uint32_t base,
                               double* lower, std::size_t live);
@@ -147,10 +148,11 @@ struct SweepKernels {
   ///   idx[r] != skip  &&  !(lower[r] >= bound)
   /// compacting idx/lower in place (stable) and tracking the minimal-bound
   /// survivor. `skip` is the just-visited candidate (pass a value absent
-  /// from the slice, e.g. 0xFFFFFFFF, for "none"). The in-process sweeps
-  /// visit their static-bound phase with `VisitInBoundOrder` instead; this
-  /// entry serves the serve worker's `ShardReplica::StepRow`, which reports
-  /// the compacted per-shard live count back to the router every round.
+  /// from the slice, e.g. 0xFFFFFFFF, for "none"). The sweep core
+  /// (pivot_sweep.h) visits its static-bound phase with
+  /// `VisitInBoundOrder` instead; this entry serves only the serve
+  /// worker's `ShardReplica::StepRow`, which reports the compacted
+  /// per-shard live count back to the router every round.
   SweepCompactResult (*eliminate_and_compact)(std::uint32_t* idx,
                                               double* lower, std::size_t live,
                                               std::uint32_t skip,

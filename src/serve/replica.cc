@@ -6,6 +6,7 @@
 
 #include "common/binary_io.h"
 #include "distances/registry.h"
+#include "search/pivot_sweep.h"
 #include "search/sharded_laesa.h"
 #include "serve/shard_snapshot.h"
 
@@ -98,6 +99,18 @@ ShardReplica::ShardReplica(const std::string& store_path,
   index_mapping_ = reader.file();
 }
 
+SweepSegment ShardReplica::segment() const {
+  SweepSegment seg{base_, &store_, {}};
+  seg.table.precision = precision_;
+  if (precision_ == TablePrecision::kF64) {
+    seg.table.f64 = table_;
+  } else {
+    seg.table.q = qtable_;
+    seg.table.rows = row_meta_;
+  }
+  return seg;
+}
+
 ShardReplica::SweepSlot& ShardReplica::NewSlot(std::uint32_t qid) {
   auto it = sweeps_.find(qid);
   if (it == sweeps_.end()) {
@@ -161,15 +174,13 @@ SweepCompactResult ShardReplica::BeginLazy(std::uint32_t qid,
   // visited, and hand the router this segment's minimal-bound survivors so
   // it can choose a live starting candidate across shards (a dead global
   // pivot 0 must not be visited anywhere).
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   if (base_dead_ > 0) {
     ApplyTombstoneMask(tombs_.data(), n_s, slot.lower.data());
   }
-  const SweepKernels& kern = ActiveSweepKernels();
-  pass = kern.eliminate_and_compact_flagged(slot.idx.data(), slot.lower.data(),
-                                            pivot_rank_.data(), slot.live,
-                                            /*skip=*/0xFFFFFFFFu,
-                                            /*slack=*/1.0, kInf);
+  pass = VisitSegmentPass(segment(), pivot_rank_.data(), /*rank=*/-1, 0.0,
+                          /*skip=*/0xFFFFFFFFu, /*slack=*/1.0,
+                          std::numeric_limits<double>::infinity(),
+                          slot.idx.data(), slot.lower.data(), slot.live);
   slot.live = pass.live;
   slot.live_pivots -= pass.pivots_died;
   return pass;
@@ -243,24 +254,12 @@ SweepCompactResult ShardReplica::BeginRow(std::uint32_t qid,
                                           double seed_bound) {
   SweepSlot& slot = NewSlot(qid);
   slot.query.assign(query);
-  const std::size_t n_s = store_.size();
-  const SweepKernels& kern = ActiveSweepKernels();
-  distance_->LengthLowerBounds(slot.query.size(), store_.lengths_data(), n_s,
-                               slot.lower.data());
-  const QuantTableView view = table_view();
-  for (std::size_t p = 0; p < pivots_.size(); ++p) {
-    QuantUpdateLowerDense(kern, view, p, n_s, row[p], slot.lower.data());
-  }
-  // Tombstoned base slots go to +inf before the seed compaction, so the
-  // row path can never admit a deleted prototype either — no protocol
-  // change needed: the mask rides the shard's own state.
-  if (base_dead_ > 0) {
-    ApplyTombstoneMask(tombs_.data(), n_s, slot.lower.data());
-  }
-  const SweepCompactResult out = kern.compact_seed(
-      slot.lower.data(), pivot_rank_.data() + base_, n_s,
-      static_cast<std::uint32_t>(base_), seed_bound, slot.idx.data(),
-      slot.lower.data());
+  // Tombstoned base slots go to +inf before the seed compaction — no
+  // protocol change needed: the mask rides the shard's own state.
+  const SweepCompactResult out = SeedSegmentWithRow(
+      segment(), *distance_, slot.query.size(), row, pivots_.size(),
+      pivot_rank_.data(), base_dead_ > 0 ? tombs_.data() : nullptr,
+      seed_bound, slot.idx.data(), slot.lower.data());
   slot.live = out.live;
   slot.live_pivots = 0;  // the row sweep's adaptive phase never revisits
                          // pivots
@@ -281,16 +280,9 @@ SweepCompactResult ShardReplica::Step(std::uint32_t qid, std::uint32_t skip,
                                       std::int32_t rank, double d,
                                       double slack, double bound) {
   SweepSlot& slot = SlotOf(qid);
-  const SweepKernels& kern = ActiveSweepKernels();
-  if (rank >= 0) {
-    QuantUpdateLowerPacked(kern, table_view(),
-                           static_cast<std::size_t>(rank), store_.size(), d,
-                           slot.idx.data(), static_cast<std::uint32_t>(base_),
-                           slot.lower.data(), slot.live);
-  }
-  const SweepCompactResult out = kern.eliminate_and_compact_flagged(
-      slot.idx.data(), slot.lower.data(), pivot_rank_.data(), slot.live, skip,
-      slack, bound);
+  const SweepCompactResult out =
+      VisitSegmentPass(segment(), pivot_rank_.data(), rank, d, skip, slack,
+                       bound, slot.idx.data(), slot.lower.data(), slot.live);
   slot.live = out.live;
   slot.live_pivots -= out.pivots_died;
   return out;

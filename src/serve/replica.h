@@ -18,17 +18,19 @@
 
 namespace cned {
 
+struct SweepSegment;
+
 /// The worker-process half of the distributed LAESA sweep: one shard's
 /// prototypes, its slice of the pivot table, and that shard's segment of
 /// the candidate slabs.
 ///
-/// A replica is the per-shard loop body of `ShardedLaesa::Sweep` /
-/// `SweepWithRow` cut out and given its own state. It runs exactly the
-/// same dispatched kernels over exactly the same per-shard values
-/// (sweep_kernel.h), and the router merges its `SweepCompactResult`s the
-/// same way the in-process index merges its per-shard passes — which is
-/// what makes a healthy distributed query bit-identical (neighbours,
-/// distances AND QueryStats) to the in-process `ShardedLaesa`.
+/// A replica is one segment of the shared sweep core (pivot_sweep.h) given
+/// its own state: `BeginRow` runs the core's row seed and `Step` (and the
+/// masked start of `BeginLazy`) its visit pass — the very per-segment
+/// passes `ShardedLaesa` runs over its shards — and the router merges the
+/// returned `SweepCompactResult`s the way the core merges its segments.
+/// That is what makes a healthy distributed query bit-identical
+/// (neighbours, distances AND QueryStats) to the in-process `ShardedLaesa`.
 ///
 /// Multiplexing: sweep state lives in per-query slots keyed by the frame
 /// layer's query id, so one replica serves any number of interleaved
@@ -153,20 +155,11 @@ class ShardReplica {
   std::size_t n_total_ = 0;
   std::size_t shard_count_ = 0;
 
-  /// The any-precision view of the mapped table slice (table_quant.h). The
-  /// row meta is the GLOBAL per-row meta the build computed, so a worker's
-  /// bounds match the in-process sharded index bit for bit.
-  QuantTableView table_view() const {
-    QuantTableView view;
-    view.precision = precision_;
-    if (precision_ == TablePrecision::kF64) {
-      view.f64 = table_;
-    } else {
-      view.q = qtable_;
-      view.rows = row_meta_;
-    }
-    return view;
-  }
+  /// This shard as a segment of the sweep core (pivot_sweep.h), viewing
+  /// the mapped table slice at any precision (table_quant.h). The row meta
+  /// is the GLOBAL per-row meta the build computed, so a worker's bounds
+  /// match the in-process sharded index bit for bit.
+  SweepSegment segment() const;
 
   PrototypeStore store_;  // mapped shard store
   StringDistancePtr distance_;

@@ -840,32 +840,6 @@ ServeResult ServeRouter::KNearest(std::string_view query, std::size_t k) {
   return RobustQuery(query, k, /*row=*/nullptr);
 }
 
-std::vector<ServeResult> ServeRouter::NearestBatch(
-    const std::vector<std::string>& queries) {
-  return KNearestBatch(queries, 1);
-}
-
-std::vector<ServeResult> ServeRouter::KNearestBatch(
-    const std::vector<std::string>& queries, std::size_t k) {
-  std::vector<ServeResult> out;
-  out.reserve(queries.size());
-  const std::size_t np = num_pivots();
-  std::vector<double> row(np);
-  for (const std::string& q : queries) {
-    // The world lock is taken per query: respawn runs between queries, so
-    // one lost group costs one partial answer, and revived replicas
-    // (re-mapped, checksum-verified) rejoin at the next query's begin.
-    std::shared_lock<std::shared_mutex> world(world_mu_);
-    // Pivot stage, router-side (charged by the machine as the batch engine
-    // charges it).
-    for (std::size_t p = 0; p < np; ++p) {
-      row[p] = distance_->Distance(q, pivot_strings_[p]);
-    }
-    out.push_back(RobustQuery(q, k, row.data()));
-  }
-  return out;
-}
-
 ServeResult ServeRouter::KNearestWithRow(std::string_view query, std::size_t k,
                                          const std::vector<double>& row) {
   if (row.size() != num_pivots()) {

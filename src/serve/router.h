@@ -115,7 +115,7 @@ struct ServeOptions {
 /// does in process. Those decisions live in one I/O-free `SweepMachine`
 /// (serve/sweep_machine.h) per query, driven by two executors: the robust
 /// per-query path (retries, failover, hedging, partial flagging) behind
-/// `KNearest`, `KNearestBatch` and `KNearestWithRow`, and the multiplexed
+/// `KNearest` and `KNearestWithRow`, and the multiplexed
 /// `DriveSweeps` legs. A healthy router is therefore bit-identical —
 /// neighbours, distances AND QueryStats — to the in-process index,
 /// regardless of worker or replica count or executor.
@@ -260,22 +260,12 @@ class ServeRouter {
   /// The id the next Insert will assign.
   std::uint64_t next_insert_id() const;
 
-  /// Batched pivot-stage path — the distributed `*WithPivotRow` pipeline:
-  /// the router evaluates each query's pivot row once (locally, from the
-  /// manifest's pivot strings) and scatters it; workers seed and sweep.
-  /// Equivalent to the in-process pivot-row path per query; stats include
-  /// the row evaluations, as the batch engine counts them.
-  std::vector<ServeResult> NearestBatch(
-      const std::vector<std::string>& queries);
-  std::vector<ServeResult> KNearestBatch(
-      const std::vector<std::string>& queries, std::size_t k);
-
   /// One pivot-row query whose row the caller already computed (`row[p]` =
   /// d(query, pivot p), all pivots) — the seam the admission-batching
   /// front end (serve/engine.h) drives after its blocked query×pivot
   /// pass. Stats still count the `num_pivots()` row evaluations, exactly
   /// as the in-process batch engine charges them per query, so results
-  /// stay bit-identical to KNearestBatch of the same query. Throws
+  /// stay bit-identical to the in-process pivot-row path. Throws
   /// std::invalid_argument when `row.size() != num_pivots()`.
   ServeResult KNearestWithRow(std::string_view query, std::size_t k,
                               const std::vector<double>& row);

@@ -109,6 +109,25 @@ ServeOptions FastOptions() {
   return opt;
 }
 
+/// The pivot-row path over a batch of queries: each row evaluated from the
+/// manifest's pivot strings, then one `KNearestWithRow` per query — the
+/// calls the admission front end (serve/engine.h) makes.
+std::vector<ServeResult> KNearestBatch(ServeRouter& router,
+                                       const std::vector<std::string>& queries,
+                                       std::size_t k) {
+  auto dist = MakeDistance("dE");
+  const std::vector<std::string>& pivots = router.pivot_strings();
+  std::vector<double> row(pivots.size());
+  std::vector<ServeResult> out;
+  for (const std::string& q : queries) {
+    for (std::size_t p = 0; p < pivots.size(); ++p) {
+      row[p] = dist->Distance(q, pivots[p]);
+    }
+    out.push_back(router.KNearestWithRow(q, k, row));
+  }
+  return out;
+}
+
 void ExpectHealthyIdentical(const ServeResult& got,
                             const std::vector<NeighborResult>& want,
                             const QueryStats& want_stats,
@@ -158,7 +177,7 @@ TEST(ServeDistributedTest, HealthyBatchPathBitIdenticalAcrossWorkerCounts) {
   for (std::size_t shards : {1u, 2u, 4u, 8u}) {
     Deployment dep(w.protos, shards, 8);
     ServeRouter router(dep.dir.path, FastOptions());
-    const auto got = router.KNearestBatch(w.queries, 4);
+    const auto got = KNearestBatch(router, w.queries, 4);
     ASSERT_EQ(got.size(), w.queries.size());
     std::vector<double> row(dep.index->pivot_count());
     for (std::size_t i = 0; i < w.queries.size(); ++i) {
@@ -281,7 +300,7 @@ TEST(ServeDistributedTest, CrashMidBatchCostsOneQueryAndAutoRespawns) {
   // runs between queries, so exactly one answer in the batch is partial.
   opt.fault_spec = "crash:shard=1,op=begin,nth=3";
   ServeRouter router(dep.dir.path, opt);
-  const auto got = router.KNearestBatch(w.queries, 3);
+  const auto got = KNearestBatch(router, w.queries, 3);
   ASSERT_EQ(got.size(), w.queries.size());
   std::vector<double> row(dep.index->pivot_count());
   std::size_t partials = 0;
@@ -380,7 +399,7 @@ TEST(ServeDistributedTest, EveryPrimaryCrashedMidBatchStaysExactUnflagged) {
   ServeOptions opt = FastOptions();
   opt.fault_spec = "crash:op=step,nth=2,replica=0";
   ServeRouter router(dep.dir.path, opt);
-  const auto got = router.KNearestBatch(w.queries, 3);
+  const auto got = KNearestBatch(router, w.queries, 3);
   ASSERT_EQ(got.size(), w.queries.size());
   std::vector<double> row(dep.index->pivot_count());
   std::size_t failovers = 0;
@@ -506,7 +525,7 @@ TEST(ServeDistributedTest, AllShardsDeadReturnsAllMissingAscending) {
 
   // Fresh router (the first one's fleet is dead and stays dead).
   ServeRouter router2(dep.dir.path, opt);
-  const auto batch = router2.KNearestBatch({w.queries[1]}, 3);
+  const auto batch = KNearestBatch(router2, {w.queries[1]}, 3);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_TRUE(batch[0].partial);
   EXPECT_EQ(batch[0].missing_shards, (std::vector<std::size_t>{0, 1, 2, 3}));
@@ -655,7 +674,7 @@ TEST(ServeDistributedTest, DegradedBatchResultsAreDeterministicAcrossRuns) {
   opt.fault_spec = "crash:shard=3,op=begin,nth=2";
   auto run = [&]() {
     ServeRouter router(dep.dir.path, opt);
-    return router.KNearestBatch(w.queries, 3);
+    return KNearestBatch(router, w.queries, 3);
   };
   const auto first = run();
   const auto second = run();
@@ -835,7 +854,7 @@ TEST(ServeDistributedTest, MutationsServeExactlyOnBothPathsReplicated) {
   }
   // The pivot-row path masks too — including the removed pivot id 0, which
   // must be skipped as a seed but never returned.
-  const auto batch = router.KNearestBatch(w.queries, 5);
+  const auto batch = KNearestBatch(router, w.queries, 5);
   ASSERT_EQ(batch.size(), w.queries.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     ExpectServesLiveOracle(batch[i], live, *dist, w.queries[i], 5,
@@ -868,7 +887,7 @@ TEST(ServeDistributedTest, MutationsServeExactlyAtROne) {
     ExpectServesLiveOracle(router.KNearest(q, 4), live, *dist, q, 4,
                            "R=1 lazy q=" + q);
   }
-  const auto batch = router.KNearestBatch(w.queries, 4);
+  const auto batch = KNearestBatch(router, w.queries, 4);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     ExpectServesLiveOracle(batch[i], live, *dist, w.queries[i], 4,
                            "R=1 row q=" + w.queries[i]);
@@ -955,7 +974,7 @@ TEST(ServeDistributedTest, MutatedTierStaysExactAcrossPrecisionsAndKernels) {
         ExpectServesLiveOracle(router.KNearest(q, 3), live, *dist, q, 3,
                                ctx + " lazy q=" + q);
       }
-      const auto batch = router.KNearestBatch({w.queries[0]}, 3);
+      const auto batch = KNearestBatch(router, {w.queries[0]}, 3);
       ASSERT_EQ(batch.size(), 1u);
       ExpectServesLiveOracle(batch[0], live, *dist, w.queries[0], 3,
                              ctx + " row");

@@ -145,6 +145,63 @@ TEST(ShardedLaesaTest, WithPivotRowMatchesFlatWithPivotRow) {
   }
 }
 
+// The per-shard passes fan out through ParallelFor only once a lazy pass
+// sees 2^20 live candidates, or a row seed 2^20 table entries; smaller
+// suites always run them serially. 2^20 + 4096 short strings over four
+// letters with 2 pivots reach both thresholds at S = 2 and 4, so the
+// threaded schedule is held to the flat index's results and QueryStats.
+TEST(ShardedLaesaTest, ParallelShardPassesMatchFlat) {
+  Rng rng(6100);
+  std::vector<std::string> protos((std::size_t{1} << 20) + 4096);
+  for (std::string& s : protos) {
+    s.resize(static_cast<std::size_t>(rng.UniformInt(1, 8)));
+    for (char& c : s) c = static_cast<char>('a' + rng.UniformInt(0, 3));
+  }
+  // Queries may carry a fifth letter, so exact hits are not guaranteed.
+  std::vector<std::string> queries(3);
+  for (std::string& q : queries) {
+    q.resize(static_cast<std::size_t>(rng.UniformInt(4, 8)));
+    for (char& c : q) c = static_cast<char>('a' + rng.UniformInt(0, 4));
+  }
+  auto dist = MakeDistance("dE");
+  PrototypeStore flat_store(protos);
+  Laesa flat(flat_store, dist, 2);
+  std::vector<double> row(flat.pivot_count());
+  for (std::size_t shards : {2u, 4u}) {
+    ShardedPrototypeStore store(protos, shards);
+    ShardedLaesa sharded(store, dist, 2);
+    ASSERT_EQ(sharded.pivots(), flat.pivots()) << "S=" << shards;
+    for (const auto& q : queries) {
+      for (std::size_t k : {1u, 5u}) {
+        const std::string ctx =
+            "S=" + std::to_string(shards) + " k=" + std::to_string(k) +
+            " q=" + q;
+        QueryStats fs, ss;
+        const auto a = flat.KNearest(q, k, &fs);
+        const auto b = sharded.KNearest(q, k, &ss);
+        ASSERT_EQ(a.size(), b.size()) << ctx;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          EXPECT_EQ(a[i].index, b[i].index) << ctx;
+          EXPECT_EQ(a[i].distance, b[i].distance) << ctx;
+        }
+        EXPECT_TRUE(fs == ss) << ctx << " (lazy)";
+
+        QueryStats fr, sr;
+        flat.ComputePivotRow(q, row.data(), &fr);
+        sr = fr;
+        const auto ra = flat.KNearestWithPivotRow(q, k, row.data(), &fr);
+        const auto rb = sharded.KNearestWithPivotRow(q, k, row.data(), &sr);
+        ASSERT_EQ(ra.size(), rb.size()) << ctx;
+        for (std::size_t i = 0; i < ra.size(); ++i) {
+          EXPECT_EQ(ra[i].index, rb[i].index) << ctx;
+          EXPECT_EQ(ra[i].distance, rb[i].distance) << ctx;
+        }
+        EXPECT_TRUE(fr == sr) << ctx << " (row)";
+      }
+    }
+  }
+}
+
 TEST(ShardedLaesaTest, KNearestDistancesMatchExhaustive) {
   Workload w = MakeWorkload(250, 25, 5400);
   auto dist = MakeDistance("dE");
