@@ -1,8 +1,9 @@
 // Bounded-kernel engine benchmark, for both contextual kernels — exact dC
 // and the heuristic dC,h: (1) raw kernel throughput with and without a
 // caller bound (DP cells counted for dC), plus the share of bounded dC
-// calls on dictionary-word pairs that the d_E pre-filter rejects before any
-// DP cell is written; (2) end-to-end LAESA
+// calls on dictionary-word pairs that the d_E gate rejects before any
+// DP cell is written, and the same gate in front of dC,h on digit-contour
+// pairs: its rejected share and its time per call; (2) end-to-end LAESA
 // nearest-neighbour queries with the bound-passing engine versus an adapter
 // that ignores bounds (the pre-engine baseline) — same pivots, same
 // elimination trajectory, so any delta is pure kernel work. dC runs on the
@@ -13,13 +14,16 @@
 //
 // Human-readable progress goes to stderr; a single JSON object for the perf
 // trajectory goes to stdout. The exit code is non-zero unless both LAESA
-// comparisons report identical results and the pivot sequences match.
+// comparisons report identical results, the pivot sequences match and the
+// dC,h gate's rejections match an independent d_E.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -99,7 +103,7 @@ double DetailedDCH(const std::string& x, const std::string& y, double bound) {
 }
 
 // Bounded dC calls at a fixed bound, timed, with the calls the d_E
-// pre-filter rejected counted apart: those return >= bound having written
+// gate rejected counted apart: those return >= bound having written
 // no DP cell.
 struct PrefilterRun {
   double unbounded_s = 0.0, bounded_s = 0.0;
@@ -122,6 +126,53 @@ PrefilterRun RunPrefilter(
     }
   }
   run.bounded_s = w_bounded.Seconds();
+  return run;
+}
+
+// Bounded dC,h calls at a fixed bound. The gate (`ContextualEditLengthGate`)
+// runs its bit-parallel check when the edit-length cap K is below max(m, n)
+// and rejects the calls with d_E > K before any DP cell is written. Each
+// pair's expected decision comes from an independent d_E; the gate alone is
+// timed over all pairs, and its decision must match on every one.
+struct GateRun {
+  double unbounded_s = 0.0, bounded_s = 0.0, gate_s = 0.0;
+  std::uint64_t gated = 0, rejected = 0, abandons = 0;
+  bool agrees = true;
+};
+
+GateRun RunHeuristicGate(
+    const std::vector<std::pair<std::string, std::string>>& pairs,
+    double bound) {
+  GateRun run;
+  HarmonicTable& h = ThreadLocalHarmonic();
+  std::vector<char> expect_reject(pairs.size());
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    const auto& [x, y] = pairs[p];
+    const std::optional<std::size_t> cap =
+        ContextualEditLengthCap(x.size(), y.size(), bound, h);
+    const bool gated = cap && *cap < std::max(x.size(), y.size());
+    const bool beyond = gated && LevenshteinDistance(x, y) > *cap;
+    run.gated += gated;
+    run.rejected += beyond;
+    expect_reject[p] = !cap || beyond;
+  }
+  Stopwatch w_unbounded;
+  for (const auto& [x, y] : pairs) (void)ContextualHeuristicDistance(x, y);
+  run.unbounded_s = w_unbounded.Seconds();
+  Stopwatch w_bounded;
+  for (const auto& [x, y] : pairs) {
+    if (ContextualHeuristicDetailed(x, y, bound).distance >= bound) {
+      ++run.abandons;
+    }
+  }
+  run.bounded_s = w_bounded.Seconds();
+  Stopwatch w_gate;
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    const bool rejects =
+        !ContextualEditLengthGate(pairs[p].first, pairs[p].second, bound, h);
+    if (rejects != static_cast<bool>(expect_reject[p])) run.agrees = false;
+  }
+  run.gate_s = w_gate.Seconds();
   return run;
 }
 
@@ -235,7 +286,7 @@ int Run() {
       << " ms\n";
 
   // Short dictionary words paired at random, at a tight fixed bound: most
-  // bounded calls are hopeless, and the d_E pre-filter rejects them.
+  // bounded calls are hopeless, and the d_E gate rejects them.
   constexpr double kWordBound = 0.4;
   Dataset words = bench::MakeDictionary(2 * pair_count, Config::Seed() + 35);
   std::vector<std::pair<std::string, std::string>> word_pairs;
@@ -252,7 +303,45 @@ int Run() {
       << word_pairs.size() << " pairs, unbounded "
       << prefilter.unbounded_s * 1e3 << " ms, bounded "
       << prefilter.bounded_s * 1e3 << " ms; " << prefilter.abandons
-      << " abandoned, " << prefilter.rejected << " by the d_E pre-filter\n";
+      << " abandoned, " << prefilter.rejected << " by the d_E gate\n";
+
+  // Digit contours paired at random, at the 10th percentile of their dC,h
+  // values: as in the Fig. 4 sweeps, most bounded calls are hopeless, and
+  // the d_E gate rejects those with d_E > K.
+  const auto digits_per_class =
+      static_cast<std::size_t>(Config::ScaledInt("MBK_DIGITS_PER_CLASS", 30));
+  Dataset digits = bench::MakeDigits(digits_per_class, Config::Seed() + 33);
+  const std::size_t gate_pair_count = 5 * pair_count;
+  std::vector<std::pair<std::string, std::string>> digit_pairs;
+  digit_pairs.reserve(gate_pair_count);
+  std::vector<double> digit_distances;
+  digit_distances.reserve(gate_pair_count);
+  Rng grng(Config::Seed() + 36);
+  for (std::size_t i = 0; i < gate_pair_count && !digits.strings.empty(); ++i) {
+    const std::string& x = digits.strings[grng.Index(digits.size())];
+    const std::string& y = digits.strings[grng.Index(digits.size())];
+    digit_pairs.emplace_back(x, y);
+    digit_distances.push_back(ContextualHeuristicDistance(x, y));
+  }
+  std::sort(digit_distances.begin(), digit_distances.end());
+  const double gate_bound =
+      digit_distances.empty() ? 0.0
+                              : digit_distances[digit_distances.size() / 10];
+  const GateRun gate = RunHeuristicGate(digit_pairs, gate_bound);
+  auto per_call_ns = [](double seconds, std::uint64_t calls) {
+    return calls == 0 ? 0.0 : seconds * 1e9 / static_cast<double>(calls);
+  };
+  const double gate_reject_frac =
+      digit_pairs.empty() ? 0.0
+                          : static_cast<double>(gate.rejected) /
+                                static_cast<double>(digit_pairs.size());
+  log << "  dC,h digit pairs at bound " << gate_bound << ": "
+      << digit_pairs.size() << " pairs, " << gate.rejected
+      << " rejected by the d_E gate (" << gate_reject_frac * 100.0
+      << "%), gate " << per_call_ns(gate.gate_s, digit_pairs.size())
+      << " ns/call; bounded " << per_call_ns(gate.bounded_s, digit_pairs.size())
+      << " ns/call, unbounded "
+      << per_call_ns(gate.unbounded_s, digit_pairs.size()) << " ns/call\n";
 
   // -------------------------------------------------------------------
   // Part 2: end-to-end LAESA — exact dC on the dictionary workload, dC,h
@@ -279,9 +368,6 @@ int Run() {
       << "    identical results: "
       << (exact.identical_results ? "yes" : "NO") << "\n";
 
-  const auto digits_per_class =
-      static_cast<std::size_t>(Config::ScaledInt("MBK_DIGITS_PER_CLASS", 30));
-  Dataset digits = bench::MakeDigits(digits_per_class, Config::Seed() + 33);
   Dataset digit_queries =
       bench::MakeDigits(digits_per_class / 3 + 1, Config::Seed() + 34);
   const LaesaComparison heuristic =
@@ -380,6 +466,20 @@ int Run() {
             << "      \"loose_bound\": {\"seconds\": " << h_loose.seconds
             << ", \"abandons\": " << h_loose.abandons << "}\n"
             << "    },\n"
+            << "    \"gate\": {\"pairs\": " << digit_pairs.size()
+            << ", \"bound\": " << gate_bound
+            << ", \"gated_calls\": " << gate.gated
+            << ", \"gate_rejects\": " << gate.rejected
+            << ", \"gate_reject_frac\": " << gate_reject_frac
+            << ", \"abandons\": " << gate.abandons
+            << ", \"gate_ns_per_call\": "
+            << per_call_ns(gate.gate_s, digit_pairs.size())
+            << ", \"bounded_ns_per_call\": "
+            << per_call_ns(gate.bounded_s, digit_pairs.size())
+            << ", \"unbounded_ns_per_call\": "
+            << per_call_ns(gate.unbounded_s, digit_pairs.size())
+            << ", \"gate_agrees\": " << (gate.agrees ? "true" : "false")
+            << "},\n"
             << "    \"laesa\": {\n"
             << "      \"prototypes\": " << digits.size() << ",\n"
             << "      \"mean_length\": " << digits.MeanLength() << ",\n"
@@ -411,7 +511,8 @@ int Run() {
             << (pivots_identical ? "true" : "false") << "\n"
             << "  }\n"
             << "}\n";
-  return exact.identical_results && heuristic_identical && pivots_identical
+  return exact.identical_results && heuristic_identical && pivots_identical &&
+                 gate.agrees
              ? 0
              : 1;
 }

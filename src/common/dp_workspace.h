@@ -34,6 +34,12 @@ struct DpWorkspace {
   // (edit distance << 32) | substitutions cells, length |y| + 1.
   std::vector<std::uint64_t> packed_row;
   std::vector<std::uint64_t> packed_row_prev;
+  // Bit-parallel d_E (distances/myers.h): the match table, 256 words per
+  // 64-symbol pattern block, all-zero between calls; and the blocked
+  // form's per-block vertical-delta words.
+  std::vector<std::uint64_t> myers_peq;
+  std::vector<std::uint64_t> myers_pv;
+  std::vector<std::uint64_t> myers_mv;
 };
 
 /// The calling thread's workspace. Buffers grow monotonically with the

@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "common/dp_workspace.h"
-#include "distances/levenshtein.h"
+#include "distances/myers.h"
 
 namespace cned {
 namespace {
@@ -67,6 +67,18 @@ std::optional<std::size_t> ContextualEditLengthCap(std::size_t m,
     }
   }
   return lo;
+}
+
+std::optional<std::size_t> ContextualEditLengthGate(std::string_view x,
+                                                    std::string_view y,
+                                                    double bound,
+                                                    HarmonicTable& harmonic) {
+  const std::optional<std::size_t> cap =
+      ContextualEditLengthCap(x.size(), y.size(), bound, harmonic);
+  if (!cap || *cap >= std::max(x.size(), y.size())) return cap;
+  const std::size_t d = MyersLevenshteinBounded(x, y, *cap);
+  if (d > *cap) return std::nullopt;
+  return d;
 }
 
 Rational ContextualPathCostExact(std::size_t m, std::size_t n, std::size_t k,
@@ -148,20 +160,14 @@ ContextualResult ContextualDistanceDetailed(std::string_view x,
   if (m == 0 && n == 0) return best;
   best.distance = std::numeric_limits<double>::infinity();
 
-  // d_E pre-filter. Every canonical path has edit length >= d_E(x, y) and
-  // the floor never decreases in k (contextual.h), so d_C >= floor(d_E):
-  // when d_E > K, the cap below which floors stay under the bound, every
-  // path costs >= bound and the call can return +infinity at once.
-  // `BoundedLevenshtein` is exact up to its cap, so a call it lets through
-  // runs the DP below unchanged. d_E <= max(m, n) always, so the check can
-  // only fire when K is below that; unbounded and NaN bounds get K = m + n
-  // and skip it. Both rejections happen before the DP planes are touched.
-  const std::optional<std::size_t> cap =
-      ContextualEditLengthCap(m, n, bound, h);
-  if (!cap) return best;
-  if (*cap < std::max(m, n) && BoundedLevenshtein(x, y, *cap) > *cap) {
-    return best;
-  }
+  // d_E gate. Every canonical path has edit length >= d_E(x, y) and the
+  // floor never decreases in k (contextual.h), so d_C >= floor(d_E): when
+  // d_E > K, the cap below which floors stay under the bound, every path
+  // costs >= bound and the call can return +infinity at once. The
+  // gate (`ContextualEditLengthGate`, shared with dC,h) decides d_E > K
+  // exactly, so a call it lets through runs the DP below unchanged. Both
+  // rejections happen before the DP planes are touched.
+  if (!ContextualEditLengthGate(x, y, bound, h)) return best;
 
   // Same layered DP as MaxInsertionProfile, but band-limited — at layer k a
   // cell (i, j) is reachable only when |i - j| <= k, because insertions

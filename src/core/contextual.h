@@ -1,6 +1,7 @@
 #ifndef CNED_CORE_CONTEXTUAL_H_
 #define CNED_CORE_CONTEXTUAL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -75,6 +76,19 @@ std::optional<std::size_t> ContextualEditLengthCap(std::size_t m,
                                                    std::size_t n, double bound,
                                                    HarmonicTable& harmonic);
 
+/// The d_E gate that both bounded contextual kernels run before touching
+/// their DP. It takes the cap K (`ContextualEditLengthCap`) and, when K is
+/// below max(|x|, |y|) (d_E never exceeds that), decides d_E > K with the
+/// bit-parallel `MyersLevenshteinBounded`. Returns std::nullopt when no
+/// result below `bound` can exist: there is no cap, or d_E > K. Otherwise
+/// returns a band half-width B with d_E <= B <= K: d_E itself when the
+/// check ran, K when it did not. Unbounded and NaN bounds give K = m + n
+/// and skip the check.
+std::optional<std::size_t> ContextualEditLengthGate(std::string_view x,
+                                                    std::string_view y,
+                                                    double bound,
+                                                    HarmonicTable& harmonic);
+
 /// Exact-rational version of `ContextualPathCost` (for property tests that
 /// must be free of floating-point noise). Only valid while the reduced
 /// fraction fits in 64 bits — fine for strings of total length <= ~40.
@@ -106,9 +120,10 @@ std::vector<std::int32_t> MaxInsertionProfile(std::string_view x,
 ///     has edit length >= d_E(x,y) and the floor never decreases in k, so
 ///     d_C >= floor(d_E): the call returns +infinity before touching the
 ///     DP planes when the floor at |x|-|y| already reaches `bound`, or when
-///     the Ukkonen-banded `BoundedLevenshtein(x, y, K)` exceeds K. A call
-///     that passes runs the layered DP unchanged, whose layer loop also
-///     stops once the floor reaches `bound`. The result is exact
+///     the bit-parallel d_E gate (`ContextualEditLengthGate`) finds d_E > K.
+///     The heuristic d_C,h runs the same gate (contextual_heuristic.h).
+///     A call that passes runs the layered DP unchanged, whose layer loop
+///     also stops once the floor reaches `bound`. The result is exact
 ///     whenever d_C(x,y) < bound and otherwise any value >= bound
 ///     (possibly +infinity) — the `DistanceBounded` contract.
 ///
@@ -142,6 +157,13 @@ class ContextualEditDistance final : public StringDistance {
   double DistanceBounded(std::string_view x, std::string_view y,
                          double bound) const override {
     return ContextualDistanceDetailed(x, y, bound).distance;
+  }
+  /// No length-only bound is known (the base default of 0.0); overridden
+  /// as one flat fill so the zeroth-pivot pass of a LAESA sweep makes no
+  /// per-entry virtual calls.
+  void LengthLowerBounds(std::size_t, const std::uint32_t*, std::size_t n,
+                         double* out) const override {
+    std::fill_n(out, n, 0.0);
   }
   std::string name() const override { return "dC"; }
   bool is_metric() const override { return true; }

@@ -45,11 +45,15 @@ constexpr std::uint64_t kOutside = std::uint64_t{1} << 62;
 // (see contextual.h), so a result below the bound needs d_E <= K, and the
 // floor is computed with the same `ContextualPathCost` arithmetic as the
 // final cost, so a path whose cost equals the floor yields the same double
-// on both sides of that comparison. Every cell (i, j) on a path of final
-// length <= K has |i - j| <= d(i, j) <= K, so only the diagonal band
-// |i - j| <= K is filled; cells outside it read as kOutside. Band cells
-// whose true d is <= K see only band predecessors on their optimal paths,
-// so they are exact; every other band cell is >= its true value > K.
+// on both sides of that comparison. The d_E gate that dC uses
+// (`ContextualEditLengthGate`) returns +infinity for every call with
+// d_E > K before a DP cell is written, and otherwise yields d_E itself.
+// The DP then fills only the diagonal band |i - j| <= B, where B is that
+// d_E, or K >= max(m, n) >= d_E when the bit-parallel check was skipped;
+// cells outside it read as kOutside. Every cell (i, j) on a path of final length
+// d_E has |i - j| <= d(i, j) <= d_E <= B, and band cells whose true d is
+// <= B see only band predecessors on their optimal paths, so they are
+// exact, and (m, n) is one of them.
 ContextualHeuristicResult ContextualHeuristicDetailed(std::string_view x,
                                                       std::string_view y,
                                                       double bound) {
@@ -58,12 +62,13 @@ ContextualHeuristicResult ContextualHeuristicDetailed(std::string_view x,
   ContextualHeuristicResult abandoned;
   abandoned.distance = std::numeric_limits<double>::infinity();
 
-  // Band half-width K (`ContextualEditLengthCap`). Unbounded calls (and NaN
-  // bounds) take the full table.
-  const std::optional<std::size_t> cap =
-      ContextualEditLengthCap(m, n, bound, h);
-  if (!cap) return abandoned;
-  const std::size_t band = *cap;
+  // The shared d_E gate (`ContextualEditLengthGate`): rejects d_E > K and
+  // otherwise yields the band half-width. Unbounded calls (and NaN bounds)
+  // get K = m + n and take the full table.
+  const std::optional<std::size_t> gate =
+      ContextualEditLengthGate(x, y, bound, h);
+  if (!gate) return abandoned;
+  const std::size_t band = *gate;
 
   // Rolling rows of packed cells, borrowed from the thread's workspace (no
   // steady-state allocations). Only band cells and the one cell past each
@@ -97,16 +102,6 @@ ContextualHeuristicResult ContextualHeuristicDetailed(std::string_view x,
       cur[j] = left = v;
     }
     if (jhi < n) cur[jhi + 1] = kOutside;
-
-    // Remaining-length row test: every path to (m, n) crosses row i at some
-    // (i, j) and needs at least |(m - i) - (n - j)| more operations, so
-    // d_E >= min_j d(i, j) + |(m - i) - (n - j)|. The edit distance changes
-    // by at most 1 per step along a row, so that minimum is attained on the
-    // end diagonal j = i + n - m (inside the band, as K >= |m - n|); when
-    // that column is negative the minimum is m - n <= K and the test
-    // cannot fire. A true minimum <= K makes the cell exact, and a true
-    // minimum > K leaves it > K, so reading one cell decides the test.
-    if (i + n >= m && (cur[i + n - m] >> 32) > band) return abandoned;
     std::swap(cur, prev);
   }
 

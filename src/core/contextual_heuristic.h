@@ -1,7 +1,9 @@
 #ifndef CNED_CORE_CONTEXTUAL_HEURISTIC_H_
 #define CNED_CORE_CONTEXTUAL_HEURISTIC_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -33,14 +35,16 @@ struct ContextualHeuristicResult {
   std::size_t insertions = 0;  ///< max insertions among minimal paths
 };
 
-/// d_C,h(x, y) with decomposition. When `bound` is finite the DP fills only
-/// the diagonal band |i - j| <= K, where K is the largest edit length whose
-/// `ContextualCostFloor` is still < bound, and abandons (returning
-/// distance = +infinity) as soon as a row proves d_E > K — the
-/// `StringDistance::DistanceBounded` contract. The result is identical to
-/// the unbounded one whenever d_C,h(x, y) < bound; otherwise `distance` is
-/// >= bound and only `distance` is meaningful (`k` and `insertions` of an
-/// abandoned result are unspecified).
+/// d_C,h(x, y) with decomposition. When `bound` is finite the call first
+/// takes the edit-length cap K (`ContextualEditLengthCap`): a result below
+/// the bound needs d_E <= K. It then runs the same bit-parallel d_E gate as
+/// `ContextualDistanceDetailed` (`ContextualEditLengthGate`), which returns
+/// distance = +infinity before the DP is touched when d_E > K and
+/// otherwise yields d_E, the half-width of the only DP band the call needs
+/// to fill. The result is identical to the unbounded one whenever
+/// d_C,h(x, y) < bound — the `StringDistance::DistanceBounded` contract;
+/// otherwise `distance` is >= bound and only `distance` is meaningful (`k`
+/// and `insertions` of an abandoned result are unspecified).
 ContextualHeuristicResult ContextualHeuristicDetailed(
     std::string_view x, std::string_view y,
     double bound = std::numeric_limits<double>::infinity());
@@ -62,6 +66,13 @@ class ContextualHeuristicEditDistance final : public StringDistance {
   double DistanceBounded(std::string_view x, std::string_view y,
                          double bound) const override {
     return ContextualHeuristicDetailed(x, y, bound).distance;
+  }
+  /// No length-only bound is known (the base default of 0.0); overridden
+  /// as one flat fill so the zeroth-pivot pass of a LAESA sweep makes no
+  /// per-entry virtual calls.
+  void LengthLowerBounds(std::size_t, const std::uint32_t*, std::size_t n,
+                         double* out) const override {
+    std::fill_n(out, n, 0.0);
   }
   std::string name() const override { return "dC,h"; }
   bool is_metric() const override { return false; }

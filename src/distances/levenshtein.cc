@@ -105,8 +105,9 @@ double LevenshteinDistanceBounded(std::string_view x, std::string_view y,
   // Length-difference early-out: |len(x) - len(y)| <= d_E, so when the gap
   // already reaches the bound no DP needs to run at all.
   if (static_cast<double>(longer - shorter) >= bound) return bound;
-  if (bound > static_cast<double>(longer)) {
-    // d_E <= max(|x|, |y|) < bound: the exact value is always needed.
+  if (!(bound <= static_cast<double>(longer))) {
+    // d_E <= max(|x|, |y|) < bound, or a NaN bound (unbounded): the exact
+    // value is always needed.
     return static_cast<double>(LevenshteinDistance(x, y));
   }
   // Largest integer strictly below `bound`: exactness is required only for

@@ -24,7 +24,8 @@ std::size_t BoundedLevenshtein(std::string_view x, std::string_view y,
 
 /// Real-valued wrapper with the `StringDistance::DistanceBounded` contract:
 /// exactly d_E(x,y) when that is < `bound`, otherwise any value >= `bound`.
-/// Maps the real bound onto the integer Ukkonen band.
+/// Maps the real bound onto the integer Ukkonen band; a NaN bound is
+/// unbounded (the exact value).
 double LevenshteinDistanceBounded(std::string_view x, std::string_view y,
                                   double bound);
 

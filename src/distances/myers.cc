@@ -1,75 +1,86 @@
 #include "distances/myers.h"
 
-#include <array>
 #include <cstdint>
 #include <vector>
+
+#include "common/dp_workspace.h"
 
 namespace cned {
 namespace {
 
 constexpr std::size_t kWord = 64;
 
-// Single-word Myers (pattern length <= 64).
-std::size_t MyersShort(std::string_view pattern, std::string_view text) {
-  const std::size_t m = pattern.size();
-  std::array<std::uint64_t, 256> peq{};
-  for (std::size_t i = 0; i < m; ++i) {
-    peq[static_cast<unsigned char>(pattern[i])] |= std::uint64_t{1} << i;
-  }
-  const std::uint64_t high = std::uint64_t{1} << (m - 1);
+// Both kernels run the pattern (the shorter string, m <= n rows) down the
+// columns of the text. They do not track the last-row score: they track the
+// cell D[j - lag][j] on the end diagonal, lag = n - m, which reaches D[m][n]
+// at the last column. Every path to (m, n) crosses column j and still needs
+// at least |(m - i) - (n - j)| operations from (i, j), and D changes by at
+// most 1 per step down a column, so d_E >= D[j - lag][j] for every
+// j >= lag; once that cell exceeds `bound` the call stops. (It is never
+// below the last-row test D[m][j] - (n - j), so it fires no later.) Columns
+// j < lag need no test: their minimum is lag <= bound.
+//
+// The diagonal cell steps from (i, j) to (i + 1, j + 1) by 0 or 1, and by 0
+// exactly when x_{i+1} == y_{j+1} (`eq`), D[i+1][j] = D[i][j] - 1 (the old
+// `mv`) or D[i][j+1] = D[i][j] - 1 (the new horizontal `mh`, shifted so
+// that bit i is row i). `xv` is eq | mv, so bit i of xv | mh decides it.
+
+// Single-word Myers (1 <= m <= 64).
+std::size_t MyersWord(const std::uint64_t* peq, std::string_view text,
+                      std::size_t lag, std::size_t bound) {
   std::uint64_t pv = ~std::uint64_t{0};
   std::uint64_t mv = 0;
-  std::size_t score = m;
-  for (char c : text) {
-    const std::uint64_t eq = peq[static_cast<unsigned char>(c)];
+  std::size_t diag = lag;  // D[0][lag]
+  std::uint64_t row = 1;   // bit of the diagonal's row
+  for (std::size_t j = 0; j < text.size(); ++j) {
+    const std::uint64_t eq = peq[static_cast<unsigned char>(text[j])];
     const std::uint64_t xv = eq | mv;
     const std::uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
     std::uint64_t ph = mv | ~(xh | pv);
     std::uint64_t mh = pv & xh;
-    if (ph & high) ++score;
-    if (mh & high) --score;
     ph = (ph << 1) | 1;  // horizontal carry-in of +1 from the top row
     mh <<= 1;
     pv = mh | ~(xv | ph);
     mv = ph & xv;
+    if (j >= lag) {
+      diag += ((xv | mh) & row) == 0;
+      row <<= 1;
+      if (diag > bound) return bound + 1;
+    }
   }
-  return score;
+  return diag;
 }
 
-// Blocked Myers/Hyyrö for pattern length > 64. One vertical-delta word pair
-// (pv, mv) per block; horizontal deltas are carried across blocks for each
-// text column. The top boundary row contributes carry +1 into block 0.
-std::size_t MyersBlocked(std::string_view pattern, std::string_view text) {
-  const std::size_t m = pattern.size();
-  const std::size_t blocks = (m + kWord - 1) / kWord;
-  std::vector<std::array<std::uint64_t, 256>> peq(
-      blocks, std::array<std::uint64_t, 256>{});
-  for (std::size_t i = 0; i < m; ++i) {
-    peq[i / kWord][static_cast<unsigned char>(pattern[i])] |=
-        std::uint64_t{1} << (i % kWord);
+// Blocked Myers/Hyyrö for m > 64: one vertical-delta word pair (pv, mv) per
+// block, horizontal deltas carried across blocks for each text column. The
+// top boundary row contributes carry +1 into block 0. `peq` holds `blocks`
+// words per symbol.
+std::size_t MyersBlocked(const std::uint64_t* peq, std::size_t blocks,
+                         std::string_view text, std::size_t lag,
+                         std::size_t bound, std::uint64_t* pv,
+                         std::uint64_t* mv) {
+  for (std::size_t b = 0; b < blocks; ++b) {
+    pv[b] = ~std::uint64_t{0};
+    mv[b] = 0;
   }
-  std::vector<std::uint64_t> pv(blocks, ~std::uint64_t{0});
-  std::vector<std::uint64_t> mv(blocks, 0);
-  const std::size_t last_bits = m - (blocks - 1) * kWord;
-  const std::uint64_t last_high = std::uint64_t{1} << (last_bits - 1);
-  std::size_t score = m;
-
-  for (char c : text) {
+  std::size_t diag = lag;
+  std::size_t row_block = 0;
+  std::uint64_t row = 1;
+  for (std::size_t j = 0; j < text.size(); ++j) {
+    const std::uint64_t* col =
+        peq + static_cast<unsigned char>(text[j]) * blocks;
+    std::uint64_t diag_bits = 0;
     int hin = 1;  // carry from the top boundary row (D[0][j] = j)
     for (std::size_t b = 0; b < blocks; ++b) {
-      std::uint64_t eq = peq[b][static_cast<unsigned char>(c)];
+      std::uint64_t eq = col[b];
       const std::uint64_t xv = eq | mv[b];
       if (hin < 0) eq |= 1;
       const std::uint64_t xh = (((eq & pv[b]) + pv[b]) ^ pv[b]) | eq;
       std::uint64_t ph = mv[b] | ~(xh | pv[b]);
       std::uint64_t mh = pv[b] & xh;
 
-      const std::uint64_t high =
-          (b + 1 == blocks) ? last_high : (std::uint64_t{1} << (kWord - 1));
-      int hout = 0;
-      if (ph & high) hout = 1;
-      if (mh & high) hout = -1;
-
+      const int hout =
+          static_cast<int>(ph >> (kWord - 1)) - static_cast<int>(mh >> (kWord - 1));
       ph <<= 1;
       mh <<= 1;
       if (hin > 0) ph |= 1;
@@ -77,22 +88,62 @@ std::size_t MyersBlocked(std::string_view pattern, std::string_view text) {
 
       pv[b] = mh | ~(xv | ph);
       mv[b] = ph & xv;
+      if (b == row_block) diag_bits = xv | mh;
       hin = hout;
     }
-    score = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(score) + hin);
+    if (j >= lag) {
+      diag += (diag_bits & row) == 0;
+      row <<= 1;
+      if (row == 0) {
+        row = 1;
+        ++row_block;
+      }
+      if (diag > bound) return bound + 1;
+    }
   }
-  return score;
+  return diag;
 }
 
 }  // namespace
 
-std::size_t MyersLevenshtein(std::string_view x, std::string_view y) {
+std::size_t MyersLevenshteinBounded(std::string_view x, std::string_view y,
+                                    std::size_t bound) {
   // Use the shorter string as the pattern (fewer blocks).
   std::string_view pattern = x, text = y;
   if (pattern.size() > text.size()) std::swap(pattern, text);
-  if (pattern.empty()) return text.size();
-  if (pattern.size() <= kWord) return MyersShort(pattern, text);
-  return MyersBlocked(pattern, text);
+  const std::size_t m = pattern.size();
+  const std::size_t lag = text.size() - m;  // |m - n| <= d_E
+  if (lag > bound) return bound + 1;
+  if (m == 0) return lag;
+
+  // The match table lives in the thread's workspace and is all-zero between
+  // calls: only the entries this pattern sets are cleared afterwards.
+  DpWorkspace& ws = TlsDpWorkspace();
+  const std::size_t blocks = (m + kWord - 1) / kWord;
+  if (ws.myers_peq.size() < 256 * blocks) ws.myers_peq.resize(256 * blocks);
+  std::uint64_t* peq = ws.myers_peq.data();
+  for (std::size_t i = 0; i < m; ++i) {
+    peq[static_cast<unsigned char>(pattern[i]) * blocks + i / kWord] |=
+        std::uint64_t{1} << (i % kWord);
+  }
+  std::size_t d;
+  if (blocks == 1) {
+    d = MyersWord(peq, text, lag, bound);
+  } else {
+    ws.myers_pv.resize(blocks);
+    ws.myers_mv.resize(blocks);
+    d = MyersBlocked(peq, blocks, text, lag, bound, ws.myers_pv.data(),
+                     ws.myers_mv.data());
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    peq[static_cast<unsigned char>(pattern[i]) * blocks + i / kWord] = 0;
+  }
+  return d;
+}
+
+std::size_t MyersLevenshtein(std::string_view x, std::string_view y) {
+  // d_E <= max(|x|, |y|), so this bound never cuts the kernel short.
+  return MyersLevenshteinBounded(x, y, std::max(x.size(), y.size()));
 }
 
 }  // namespace cned

@@ -21,6 +21,18 @@ namespace cned {
 /// reference DP.
 std::size_t MyersLevenshtein(std::string_view x, std::string_view y);
 
+/// Bounded bit-parallel d_E: exactly d_E(x, y) when that is <= `bound`,
+/// otherwise `bound + 1` — the contract of `BoundedLevenshtein`. Returns at
+/// once when ||x| - |y|| > `bound`. Otherwise it runs the shorter string
+/// down the columns of the longer one, one 64-bit word when the shorter
+/// string fits and the blocked form beyond, and stops at the first column
+/// whose end-diagonal cell proves d_E > `bound`; that cell is never below
+/// the last-row score minus the remaining columns. The match table and
+/// block vectors come from the thread's `DpWorkspace`, so steady-state calls
+/// allocate nothing. The contextual kernels' shared d_E gate.
+std::size_t MyersLevenshteinBounded(std::string_view x, std::string_view y,
+                                    std::size_t bound);
+
 /// `StringDistance` adapter using the bit-parallel engine (same values as
 /// `EditDistance`, different constant factor).
 class FastEditDistance final : public StringDistance {

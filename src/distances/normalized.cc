@@ -14,13 +14,15 @@ namespace {
 // needed for d_E <= ceil(t)-1, which is exactly the Ukkonen band of
 // BoundedLevenshtein; the truncated sentinel ceil(t) maps back to a
 // normalised value >= b by the same monotonicity. Returns the (possibly
-// truncated) d_E; a threshold <= 0 yields 0 (any mapped value is >= b).
+// truncated) d_E; a threshold <= 0 yields 0 (any mapped value is >= b),
+// and a NaN threshold the exact d_E.
 double EditDistanceForThreshold(std::string_view x, std::string_view y,
                                 double threshold) {
   const double longer = static_cast<double>(std::max(x.size(), y.size()));
   if (threshold <= 0.0) return 0.0;
-  if (threshold > longer) {
-    // d_E <= longer < t: the exact value is always needed.
+  if (!(threshold <= longer)) {
+    // d_E <= longer < t, or a NaN threshold (an unbounded call): the exact
+    // value is always needed.
     return static_cast<double>(LevenshteinDistance(x, y));
   }
   const auto band = static_cast<std::size_t>(std::ceil(threshold)) - 1;

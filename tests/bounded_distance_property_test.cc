@@ -3,7 +3,7 @@
 // `Distance(x, y)` whenever the true distance is < b (bounded max-min pivot
 // selection relies on bit equality), and must return some value >= b
 // otherwise — over randomized string pairs and a spread of bounds (derived
-// from the true distance, fixed constants, zero and infinity).
+// from the true distance, fixed constants, zero, infinity and NaN).
 
 #include <gtest/gtest.h>
 
@@ -87,6 +87,20 @@ TEST_P(BoundedDistanceTest, InfiniteBoundIsPlainDistance) {
     std::string x = StringGen::UniformLength(rng, ab, 0, 10);
     std::string y = StringGen::UniformLength(rng, ab, 0, 10);
     EXPECT_EQ(dist_->DistanceBounded(x, y, kInf), dist_->Distance(x, y));
+  }
+}
+
+TEST_P(BoundedDistanceTest, NaNBoundIsPlainDistance) {
+  // A NaN bound orders below nothing, so no result may be abandoned: every
+  // kernel treats it as unbounded and returns the exact value.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(7004);
+  Alphabet ab("abcd");
+  for (int t = 0; t < 40; ++t) {
+    std::string x = StringGen::UniformLength(rng, ab, 0, 20);
+    std::string y = StringGen::UniformLength(rng, ab, 0, 20);
+    EXPECT_EQ(dist_->DistanceBounded(x, y, nan), dist_->Distance(x, y))
+        << dist_->name() << " x=" << x << " y=" << y;
   }
 }
 

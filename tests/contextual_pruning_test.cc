@@ -3,8 +3,8 @@
 // layer scan over the MaxInsertionProfile, unbounded and at bounds around
 // the true value, and that it actually prunes. Also checks that the floor
 // is the exact minimum cost over all longer paths, and that the d_E
-// pre-filter of bounded calls rejects exactly the pairs whose edit
-// distance exceeds the edit-length cap.
+// gate of bounded calls, in dC and in dC,h, rejects exactly the pairs whose
+// edit distance exceeds the edit-length cap.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "core/contextual.h"
+#include "core/contextual_heuristic.h"
 #include "datasets/perturb.h"
 #include "distances/levenshtein.h"
 #include "strings/string_gen.h"
@@ -244,6 +245,89 @@ TEST(ContextualPruningTest, EditDistancePrefilterBoundaries) {
     ExpectPrefilterBoundaries("", s, cases);
   }
   EXPECT_GT(cases.kept_at_cap, 0);
+  EXPECT_GT(cases.rejected_past_cap, 0);
+  EXPECT_GT(cases.rejected_by_floor, 0);
+}
+
+struct HeuristicGateCases {
+  int passed = 0;             // d_E <= K: the DP ran
+  int rejected_past_cap = 0;  // d_E > K: rejected by the d_E gate
+  int rejected_by_floor = 0;  // the floor at |m - n| reaches the bound
+};
+
+// The dC,h counterpart of ExpectPrefilterBoundaries: bounds on both sides
+// of every floor step, plus 0, +infinity and NaN. A bounded call returns
+// +infinity exactly when d_E > K (or no cap exists); otherwise it returns
+// the unbounded result whenever that is below the bound, and anything
+// >= the bound when it is not.
+void ExpectHeuristicGateBoundaries(const std::string& x, const std::string& y,
+                                   HeuristicGateCases& cases) {
+  const std::size_t m = x.size(), n = y.size();
+  const std::size_t e = LevenshteinDistance(x, y);
+  const std::size_t gap = m > n ? m - n : n - m;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  HarmonicTable& h = GlobalHarmonic();
+  const ContextualHeuristicResult full = ContextualHeuristicDetailed(x, y);
+  std::vector<double> bounds = {0.0, inf, nan};
+  for (std::size_t k = gap; k <= m + n; ++k) {
+    const double f = ContextualCostFloor(m, n, k, h);
+    bounds.insert(bounds.end(),
+                  {f, std::nextafter(f, inf), std::nextafter(f, -inf)});
+  }
+  for (double bound : bounds) {
+    const std::optional<std::size_t> cap =
+        ContextualEditLengthCap(m, n, bound, h);
+    const ContextualHeuristicResult got =
+        ContextualHeuristicDetailed(x, y, bound);
+    const std::string where =
+        "x=" + x + " y=" + y + " b=" + std::to_string(bound);
+    if (!cap || e > *cap) {
+      EXPECT_EQ(got.distance, inf) << where;
+      ++(cap ? cases.rejected_past_cap : cases.rejected_by_floor);
+      continue;
+    }
+    ++cases.passed;
+    EXPECT_NE(got.distance, inf) << where;
+    if (full.distance < bound || std::isnan(bound)) {
+      EXPECT_EQ(got.distance, full.distance) << where;
+      EXPECT_EQ(got.k, full.k) << where;
+      EXPECT_EQ(got.insertions, full.insertions) << where;
+    } else {
+      EXPECT_GE(got.distance, bound) << where;
+    }
+  }
+}
+
+TEST(ContextualPruningTest, HeuristicEditDistanceGateBoundaries) {
+  HeuristicGateCases cases;
+  Rng rng(1805);
+  const std::string symbols = "abcdefgh";
+  for (std::size_t sigma = 2; sigma <= symbols.size(); sigma += 3) {
+    Alphabet ab(symbols.substr(0, sigma));
+    for (int t = 0; t < 60; ++t) {
+      std::string x = StringGen::UniformLength(rng, ab, 0, 14);
+      std::string y = StringGen::UniformLength(rng, ab, 0, 14);
+      ExpectHeuristicGateBoundaries(x, y, cases);
+    }
+  }
+  Alphabet ab(symbols);
+  for (int t = 0; t < 60; ++t) {
+    std::string x = StringGen::UniformLength(rng, ab, 0, 30);
+    std::string y = PerturbString(x, rng.Index(6), ab, rng);
+    ExpectHeuristicGateBoundaries(x, y, cases);
+  }
+  // Past one 64-bit word, so the gate runs its blocked form.
+  for (int t = 0; t < 6; ++t) {
+    std::string x = StringGen::UniformLength(rng, ab, 60, 140);
+    std::string y = PerturbString(x, rng.Index(30), ab, rng);
+    ExpectHeuristicGateBoundaries(x, y, cases);
+  }
+  for (const char* s : {"", "a", "abc", "abcdefgh"}) {
+    ExpectHeuristicGateBoundaries(s, "", cases);
+    ExpectHeuristicGateBoundaries("", s, cases);
+  }
+  EXPECT_GT(cases.passed, 0);
   EXPECT_GT(cases.rejected_past_cap, 0);
   EXPECT_GT(cases.rejected_by_floor, 0);
 }

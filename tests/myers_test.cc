@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/rng.h"
 #include "distances/levenshtein.h"
 #include "strings/string_gen.h"
@@ -72,6 +75,53 @@ TEST(MyersTest, HighSimilarityAndDisjointExtremes) {
   std::string a_mut = a;
   a_mut[150] = 'b';
   EXPECT_EQ(MyersLevenshtein(a, a_mut), 1u);
+}
+
+// The bounded kernel against the DP at every bound K in [0, max(m, n)]:
+// exactly d_E when d_E <= K, some value > K otherwise.
+void ExpectBoundedAgreesAtEveryBound(const std::string& x,
+                                     const std::string& y) {
+  const std::size_t d = LevenshteinDistance(x, y);
+  for (std::size_t k = 0; k <= std::max(x.size(), y.size()); ++k) {
+    const std::size_t got = MyersLevenshteinBounded(x, y, k);
+    if (d <= k) {
+      EXPECT_EQ(got, d) << "|x|=" << x.size() << " |y|=" << y.size()
+                        << " K=" << k;
+    } else {
+      EXPECT_GT(got, k) << "|x|=" << x.size() << " |y|=" << y.size()
+                        << " K=" << k << " d=" << d;
+    }
+  }
+}
+
+// Uniform random bytes drawn from `symbols`.
+std::string RandomBytes(Rng& rng, const std::string& symbols, std::size_t n) {
+  std::string s(n, '\0');
+  for (char& c : s) c = symbols[rng.Index(symbols.size())];
+  return s;
+}
+
+TEST(MyersTest, BoundedAgreesWithDpAtEveryBound) {
+  // Lengths on both sides of the one-word / blocked switch and of the
+  // second block boundary, empty sides included; symbols include bytes
+  // >= 0x80, which must index the match table as unsigned.
+  const std::size_t lengths[] = {0, 1, 63, 64, 65, 127, 128, 129};
+  const std::string symbols[] = {"ab", std::string("a\x7f\x80\xff", 4)};
+  Rng rng(1205);
+  for (const std::string& sym : symbols) {
+    for (std::size_t m : lengths) {
+      for (std::size_t n : lengths) {
+        const std::string x = RandomBytes(rng, sym, m);
+        ExpectBoundedAgreesAtEveryBound(x, RandomBytes(rng, sym, n));
+        // A near-duplicate: a few substitutions, so small bounds pass too.
+        std::string y = x;
+        for (int e = 0; e < 3 && !y.empty(); ++e) {
+          y[rng.Index(y.size())] = sym[rng.Index(sym.size())];
+        }
+        ExpectBoundedAgreesAtEveryBound(x, y);
+      }
+    }
+  }
 }
 
 TEST(FastEditDistanceTest, AdapterMetadataAndValue) {
