@@ -16,7 +16,15 @@
 //     search/table_quant.h), and the quantized mapped index answers probes
 //     bit-identically to the index built at the same precision.
 //
-// The JSON also breaks each snapshot into its sections (pivot table vs
+// The probe index (the one loaded and mapped above) is built at
+// `DefaultTablePrecision()`, so `CNED_TABLE_PRECISION=u8` runs the identity
+// check over the quantized sections. The size comparison and the section
+// breakdown always use an f64 reference build. The 10x startup contract is
+// defined for the f64 table, whose O(pivots x N) copy dominates Load; at a
+// quantized probe precision the copy shrinks with the table, so
+// map_speedup_ok is still reported but does not set the exit status.
+//
+// The JSON also breaks the f64 snapshot into its sections (pivot table vs
 // string arena vs bookkeeping, computed from the format layout) and lists
 // the index file size at every table precision.
 //
@@ -89,8 +97,10 @@ int Run() {
   built.Save(index_path);
   const std::size_t store_bytes = FileBytes(store_path);
   const std::size_t index_bytes = FileBytes(index_path);
+  const TablePrecision probe_precision = built.table_precision();
   log << "  " << store.size() << " prototypes, " << pivots
-      << " pivots; snapshot " << store_bytes << " + " << index_bytes
+      << " pivots, " << TablePrecisionName(probe_precision)
+      << " table; snapshot " << store_bytes << " + " << index_bytes
       << " bytes\n";
 
   const double inf = std::numeric_limits<double>::infinity();
@@ -127,20 +137,6 @@ int Run() {
     }
   }
 
-  // Per-section byte accounting, from the format layout: the pivot table
-  // dominates the index file, the character arena the store file; the rest
-  // (headers, pivot ids, lengths/offsets, alignment, CRC footers) is
-  // bookkeeping.
-  const std::size_t n = store.size();
-  const std::size_t table_bytes = pivots * n * sizeof(double);
-  const std::size_t index_bookkeeping_bytes = index_bytes - table_bytes;
-  std::size_t arena_bytes = 0;
-  for (std::size_t i = 0; i < n; ++i) arena_bytes += store.view(i).size();
-  const std::size_t store_bookkeeping_bytes = store_bytes - arena_bytes;
-  log << "  sections: table " << table_bytes << " B, arena " << arena_bytes
-      << " B, bookkeeping " << (index_bookkeeping_bytes +
-                                store_bookkeeping_bytes) << " B\n";
-
   // Quantized snapshots: size at every precision, plus a probe-identity
   // check that the mapped quantized index serves exactly what the
   // same-precision build computes.
@@ -148,11 +144,11 @@ int Run() {
       TablePrecision::kF64, TablePrecision::kF32, TablePrecision::kF16,
       TablePrecision::kU8};
   std::vector<std::pair<std::string, std::size_t>> precision_bytes;
-  std::size_t f16_bytes = 0;
+  std::size_t f64_bytes = 0, f16_bytes = 0;
   bool quantized_identical = true;
   for (TablePrecision prec : kPrecisions) {
     std::size_t bytes = index_bytes;
-    if (prec != TablePrecision::kF64) {
+    if (prec != probe_precision) {
       Laesa quantized(store, dist, pivots, /*first_pivot=*/0, prec);
       const std::string qpath =
           "micro_mmap_index_" + std::string(TablePrecisionName(prec)) + ".bin";
@@ -163,19 +159,34 @@ int Run() {
           quantized_identical && ProbesIdentical(quantized, mapped, queries);
       std::remove(qpath.c_str());
     }
+    if (prec == TablePrecision::kF64) f64_bytes = bytes;
     if (prec == TablePrecision::kF16) f16_bytes = bytes;
     precision_bytes.emplace_back(TablePrecisionName(prec), bytes);
     log << "  index at " << TablePrecisionName(prec) << ": " << bytes
         << " bytes\n";
   }
   const bool snapshot_shrink_ok =
-      f16_bytes > 0 && index_bytes >= 2 * f16_bytes && quantized_identical;
+      f16_bytes > 0 && f64_bytes >= 2 * f16_bytes && quantized_identical;
   log << "  f64 -> f16 snapshot shrink: "
-      << (f16_bytes > 0 ? static_cast<double>(index_bytes) /
+      << (f16_bytes > 0 ? static_cast<double>(f64_bytes) /
                               static_cast<double>(f16_bytes)
                         : 0.0)
       << "x (" << (snapshot_shrink_ok ? "ok" : "BELOW 2x or probes diverged")
       << ")\n";
+
+  // Per-section byte accounting of the f64 snapshot, from the format
+  // layout: the pivot table dominates the index file, the character arena
+  // the store file; the rest (headers, pivot ids, lengths/offsets,
+  // alignment, CRC footers) is bookkeeping.
+  const std::size_t n = store.size();
+  const std::size_t table_bytes = pivots * n * sizeof(double);
+  const std::size_t index_bookkeeping_bytes = f64_bytes - table_bytes;
+  std::size_t arena_bytes = 0;
+  for (std::size_t i = 0; i < n; ++i) arena_bytes += store.view(i).size();
+  const std::size_t store_bookkeeping_bytes = store_bytes - arena_bytes;
+  log << "  f64 sections: table " << table_bytes << " B, arena "
+      << arena_bytes << " B, bookkeeping "
+      << (index_bookkeeping_bytes + store_bookkeeping_bytes) << " B\n";
 
   const double speedup = map_load > 0.0 ? copy_load / map_load : inf;
   const bool speedup_ok = speedup >= 10.0;
@@ -191,6 +202,8 @@ int Run() {
             << "  \"bench\": \"micro_mmap_load\",\n"
             << "  \"prototypes\": " << store.size() << ",\n"
             << "  \"pivots\": " << pivots << ",\n"
+            << "  \"table_precision\": \""
+            << TablePrecisionName(probe_precision) << "\",\n"
             << "  \"store_bytes\": " << store_bytes << ",\n"
             << "  \"index_bytes\": " << index_bytes << ",\n"
             << "  \"sections\": {\"table_bytes\": " << table_bytes
@@ -220,7 +233,10 @@ int Run() {
 
   std::remove(store_path.c_str());
   std::remove(index_path.c_str());
-  return identical && speedup_ok && snapshot_shrink_ok ? 0 : 1;
+  const bool speedup_gated = probe_precision == TablePrecision::kF64;
+  return identical && (speedup_ok || !speedup_gated) && snapshot_shrink_ok
+             ? 0
+             : 1;
 }
 
 }  // namespace

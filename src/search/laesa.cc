@@ -44,48 +44,35 @@ Laesa::Laesa(PrototypeStoreRef prototypes, StringDistancePtr distance,
                               first_pivot),
             table_precision) {
   preprocessing_computations_ +=
-      static_cast<std::uint64_t>(pivots_.size()) * store().size();
+      static_cast<std::uint64_t>(pivots().size()) * store().size();
 }
 
 Laesa::Laesa(PrototypeStoreRef prototypes, StringDistancePtr distance,
              std::vector<std::size_t> pivot_indices,
              TablePrecision table_precision)
-    : prototypes_(prototypes),
-      distance_(std::move(distance)),
-      pivots_(std::move(pivot_indices)),
-      precision_(table_precision) {
+    : prototypes_(prototypes), distance_(std::move(distance)) {
   if (store().empty()) {
     throw std::invalid_argument("Laesa: empty prototype set");
   }
-  if (pivots_.empty()) {
+  if (pivot_indices.empty()) {
     throw std::invalid_argument("Laesa: need at least one pivot");
   }
-  for (std::size_t p : pivots_) {
-    if (p >= store().size()) {
-      throw std::invalid_argument("Laesa: pivot index out of range");
-    }
-  }
   const std::size_t n = store().size();
-  pivot_rank_.assign(n, -1);
-  for (std::size_t p = 0; p < pivots_.size(); ++p) {
-    pivot_rank_[pivots_[p]] = static_cast<std::int32_t>(p);
+  for (std::size_t p : pivot_indices) {
+    if (p >= n) throw std::invalid_argument("Laesa: pivot index out of range");
   }
-  PivotTables tables = core().BuildTables(precision_);
+  pivot_table_ = PivotTables(std::move(pivot_indices), n,
+                             /*distinct=*/false, "Laesa");
+  pivot_table_.Build({SweepSegment{0, &store(), {}}}, *distance_,
+                     table_precision);
   preprocessing_computations_ +=
-      static_cast<std::uint64_t>(pivots_.size()) * n;
-  if (precision_ == TablePrecision::kF64) {
-    pivot_dist_ = std::move(tables.f64[0]);
-  } else {
-    quant_table_ = std::move(tables.codes[0]);
-    row_meta_ = std::move(tables.meta);
-  }
+      static_cast<std::uint64_t>(pivots().size()) * n;
 }
 
 // The flat index is the one-segment table of the shared sweep core
 // (pivot_sweep.h).
 PivotSweep Laesa::core() const {
-  return PivotSweep({SweepSegment{0, &store(), table_view()}}, pivots_,
-                    pivot_rank_.data(), *distance_);
+  return pivot_table_.Sweep({SweepSegment{0, &store(), {}}}, *distance_);
 }
 
 void Laesa::ComputePivotRow(std::string_view query, double* row,
@@ -160,14 +147,16 @@ std::vector<NeighborResult> Laesa::RangeSearch(std::string_view query,
   // the pivot's contiguous table row (the dense streamed-max kernel). Pivot
   // distances stay exact: their full value feeds every candidate's lower
   // bound, which is worth far more than an abandoned evaluation saves.
-  const QuantTableView view = table_view();
-  for (std::size_t p = 0; p < pivots_.size(); ++p) {
-    const std::size_t s = pivots_[p];
+  const std::vector<std::size_t>& pivots = this->pivots();
+  const std::int32_t* pivot_rank = pivot_table_.rank();
+  const QuantTableView view = pivot_table_.view(0);
+  for (std::size_t p = 0; p < pivots.size(); ++p) {
+    const std::size_t s = pivots[p];
     const double d = distance_->Distance(query, protos[s]);
     ++computations;
-    // A pivot listed more than once (ablation constructor, text Load) is
-    // one prototype: report it from its ranked entry only.
-    if (d <= radius && pivot_rank_[s] == static_cast<std::int32_t>(p)) {
+    // A pivot listed more than once (ablation constructor, any Load or
+    // Map) is one prototype: report it from its ranked entry only.
+    if (d <= radius && pivot_rank[s] == static_cast<std::int32_t>(p)) {
       hits.push_back({s, d});
     }
     QuantUpdateLowerDense(kern, view, p, n, d, lower);
@@ -179,7 +168,7 @@ std::vector<NeighborResult> Laesa::RangeSearch(std::string_view query,
   const double cap =
       std::nextafter(radius, std::numeric_limits<double>::infinity());
   for (std::size_t i = 0; i < n; ++i) {
-    if (pivot_rank_[i] >= 0 || lower[i] > radius) continue;
+    if (pivot_rank[i] >= 0 || lower[i] > radius) continue;
     const double d = distance_->DistanceBounded(query, protos[i], cap);
     ++computations;
     if (d >= cap) {
@@ -192,7 +181,7 @@ std::vector<NeighborResult> Laesa::RangeSearch(std::string_view query,
   if (stats != nullptr) {
     stats->distance_computations += computations;
     stats->bounded_abandons += abandons;
-    stats->pivot_computations += pivots_.size();
+    stats->pivot_computations += pivots.size();
   }
   return hits;
 }
@@ -204,56 +193,44 @@ std::vector<NeighborResult> Laesa::RangeSearch(std::string_view query,
 // patterns — so a text round-trip restores the codes bit for bit.
 void Laesa::Save(std::ostream& out) const {
   const std::size_t n = store().size();
-  const std::size_t entries = pivots_.size() * n;
-  if (precision_ == TablePrecision::kF64) {
-    out << "LAESA 1\n" << n << ' ' << pivots_.size() << '\n';
+  const std::size_t np = pivots().size();
+  const std::size_t entries = np * n;
+  const TablePrecision precision = table_precision();
+  const QuantTableView view = pivot_table_.view(0);
+  if (precision == TablePrecision::kF64) {
+    out << "LAESA 1\n" << n << ' ' << np << '\n';
   } else {
-    out << "LAESA 2 " << TablePrecisionName(precision_) << '\n'
-        << n << ' ' << pivots_.size() << '\n';
+    out << "LAESA 2 " << TablePrecisionName(precision) << '\n'
+        << n << ' ' << np << '\n';
   }
-  for (std::size_t p : pivots_) out << p << ' ';
+  for (std::size_t p : pivots()) out << p << ' ';
   out << '\n';
   out.precision(17);
-  switch (precision_) {
-    case TablePrecision::kF64: {
-      const double* table = table_data();
-      for (std::size_t t = 0; t < entries; ++t) out << table[t] << ' ';
-      break;
-    }
-    case TablePrecision::kF32: {
-      for (const QuantRowMeta* m = row_meta_data();
-           m != row_meta_data() + pivots_.size(); ++m) {
-        out << m->scale << ' ' << m->offset << ' ' << m->gap << '\n';
-      }
-      const float* codes = static_cast<const float*>(quant_data());
-      for (std::size_t t = 0; t < entries; ++t) {
+  if (precision == TablePrecision::kF64) {
+    for (std::size_t t = 0; t < entries; ++t) out << view.f64[t] << ' ';
+    out << '\n';
+    return;
+  }
+  for (const QuantRowMeta* m = view.rows; m != view.rows + np; ++m) {
+    out << m->scale << ' ' << m->offset << ' ' << m->gap << '\n';
+  }
+  for (std::size_t t = 0; t < entries; ++t) {
+    switch (precision) {
+      case TablePrecision::kF32: {
         std::uint32_t bits;
-        std::memcpy(&bits, codes + t, sizeof(bits));
+        std::memcpy(&bits, static_cast<const float*>(view.q) + t,
+                    sizeof(bits));
         out << bits << ' ';
+        break;
       }
-      break;
-    }
-    case TablePrecision::kF16: {
-      for (const QuantRowMeta* m = row_meta_data();
-           m != row_meta_data() + pivots_.size(); ++m) {
-        out << m->scale << ' ' << m->offset << ' ' << m->gap << '\n';
-      }
-      const std::uint16_t* codes =
-          static_cast<const std::uint16_t*>(quant_data());
-      for (std::size_t t = 0; t < entries; ++t) out << codes[t] << ' ';
-      break;
-    }
-    case TablePrecision::kU8: {
-      for (const QuantRowMeta* m = row_meta_data();
-           m != row_meta_data() + pivots_.size(); ++m) {
-        out << m->scale << ' ' << m->offset << ' ' << m->gap << '\n';
-      }
-      const std::uint8_t* codes =
-          static_cast<const std::uint8_t*>(quant_data());
-      for (std::size_t t = 0; t < entries; ++t) {
-        out << static_cast<unsigned>(codes[t]) << ' ';
-      }
-      break;
+      case TablePrecision::kF16:
+        out << static_cast<const std::uint16_t*>(view.q)[t] << ' ';
+        break;
+      default:
+        out << static_cast<unsigned>(
+                   static_cast<const std::uint8_t*>(view.q)[t])
+            << ' ';
+        break;
     }
   }
   out << '\n';
@@ -285,50 +262,60 @@ Laesa Laesa::Load(std::istream& in, PrototypeStoreRef prototypes,
   if (np == 0 || np > n) {
     throw std::runtime_error("Laesa::Load: bad pivot count");
   }
-  Laesa index(InternalTag{}, prototypes, std::move(distance));
-  index.precision_ = precision;
-  index.pivots_.resize(np);
-  for (std::size_t& p : index.pivots_) {
+  std::vector<std::size_t> pivots(np);
+  for (std::size_t& p : pivots) {
     in >> p;
-    if (!in || p >= n) throw std::runtime_error("Laesa::Load: bad pivot");
+    if (!in) throw std::runtime_error("Laesa::Load: bad pivot");
   }
-  index.pivot_rank_.assign(n, -1);
-  for (std::size_t p = 0; p < np; ++p) {
-    index.pivot_rank_[index.pivots_[p]] = static_cast<std::int32_t>(p);
-  }
+  Laesa index(InternalTag{}, prototypes, std::move(distance));
+  index.pivot_table_ =
+      PivotTables(std::move(pivots), n, /*distinct=*/false, "Laesa::Load");
+  PivotTables::Buffers table;
   if (precision == TablePrecision::kF64) {
-    index.pivot_dist_.resize(np * n);
-    for (double& d : index.pivot_dist_) {
+    table.f64.emplace_back(np * n);
+    for (double& d : table.f64[0]) {
       in >> d;
       if (!in) throw std::runtime_error("Laesa::Load: truncated table");
     }
+    index.pivot_table_.Own(precision, {n}, std::move(table));
     return index;
   }
-  index.row_meta_.resize(np);
-  for (QuantRowMeta& m : index.row_meta_) {
+  table.meta.resize(np);
+  for (QuantRowMeta& m : table.meta) {
     in >> m.scale >> m.offset >> m.gap;
     if (!in) throw std::runtime_error("Laesa::Load: truncated table");
   }
+  // Codes are written as unsigned integers of the element's width: u8
+  // values, f16 and f32 bit patterns. A wider value is corrupt, not a code
+  // to truncate.
   const std::size_t width = TablePrecisionBytes(precision);
-  index.quant_table_.resize(np * n * width);
+  const std::uint64_t max_code = (std::uint64_t{1} << (8 * width)) - 1;
+  table.codes.emplace_back(np * n * width);
+  unsigned char* codes = table.codes[0].data();
   for (std::size_t t = 0; t < np * n; ++t) {
-    std::uint32_t code = 0;
+    std::uint64_t code = 0;
     in >> code;
     if (!in) throw std::runtime_error("Laesa::Load: truncated table");
+    if (code > max_code) {
+      throw std::runtime_error("Laesa::Load: bad table code");
+    }
     switch (precision) {
-      case TablePrecision::kF32:
-        std::memcpy(index.quant_table_.data() + t * 4, &code, 4);
+      case TablePrecision::kF32: {
+        const std::uint32_t bits = static_cast<std::uint32_t>(code);
+        std::memcpy(codes + t * 4, &bits, 4);
         break;
+      }
       case TablePrecision::kF16: {
         const std::uint16_t h = static_cast<std::uint16_t>(code);
-        std::memcpy(index.quant_table_.data() + t * 2, &h, 2);
+        std::memcpy(codes + t * 2, &h, 2);
         break;
       }
       default:
-        index.quant_table_[t] = static_cast<unsigned char>(code);
+        codes[t] = static_cast<unsigned char>(code);
         break;
     }
   }
+  index.pivot_table_.Own(precision, {n}, std::move(table));
   return index;
 }
 
@@ -340,134 +327,55 @@ constexpr std::uint32_t kLaesaVersion = 1;
 // code table. f64 indexes keep writing version 1, byte-identical to every
 // snapshot produced before quantization existed.
 constexpr std::uint32_t kLaesaVersionQuant = 2;
-
-/// Range-checks a version-2 header's precision count (f64 snapshots are
-/// version 1 by construction, so 0 is rejected too).
-TablePrecision CheckedPrecision(std::uint64_t raw, const char* who) {
-  if (raw < 1 || raw > 3) {
-    throw std::runtime_error(std::string(who) + ": bad table precision");
-  }
-  return static_cast<TablePrecision>(static_cast<std::uint32_t>(raw));
-}
 }  // namespace
 
 void Laesa::Save(const std::string& path) const {
   BinaryWriter writer(path);
-  static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
-                "64-bit pivot indices expected");
-  if (precision_ == TablePrecision::kF64) {
-    const std::uint64_t counts[2] = {store().size(), pivots_.size()};
-    writer.Header(kLaesaMagic, kLaesaVersion, counts, 2);
-    writer.Align();
-    writer.Raw(pivots_.data(), pivots_.size() * sizeof(std::uint64_t));
-    writer.Align();
-    // Through the view, so a mapped index re-snapshots byte-identically.
-    writer.Raw(table_data(),
-               pivots_.size() * store().size() * sizeof(double));
-    writer.Finish();
-    return;
-  }
-  const std::uint64_t counts[3] = {store().size(), pivots_.size(),
-                                   static_cast<std::uint64_t>(precision_)};
-  writer.Header(kLaesaMagic, kLaesaVersionQuant, counts, 3);
-  writer.Align();
-  writer.Raw(pivots_.data(), pivots_.size() * sizeof(std::uint64_t));
-  writer.Align();
-  writer.Raw(row_meta_data(), pivots_.size() * sizeof(QuantRowMeta));
-  writer.Align();
-  writer.Raw(quant_data(), pivots_.size() * store().size() *
-                               TablePrecisionBytes(precision_));
+  const TablePrecision precision = table_precision();
+  // f64 is precision code 0, so a version-1 header's third count stays zero.
+  const std::uint64_t counts[3] = {store().size(), pivots().size(),
+                                   static_cast<std::uint64_t>(precision)};
+  writer.Header(kLaesaMagic,
+                precision == TablePrecision::kF64 ? kLaesaVersion
+                                                  : kLaesaVersionQuant,
+                counts, 3);
+  pivot_table_.Write(writer, 0, 1);
   writer.Finish();
+}
+
+Laesa Laesa::Open(const std::string& path, PrototypeStoreRef prototypes,
+                  StringDistancePtr distance, bool copy, const char* who) {
+  // Load reads every byte anyway, so it always verifies the checksum; Map
+  // leaves that to CNED_SNAPSHOT_VERIFY (binary_io.h).
+  MappedReader reader(MappedFile::Open(path),
+                      copy || SnapshotVerifyEnabled());
+  std::uint32_t version = 0;
+  const auto counts =
+      reader.Header(kLaesaMagic, kLaesaVersion, kLaesaVersionQuant, &version);
+  const std::uint64_t n = counts[0];
+  if (n != prototypes->size()) {
+    throw std::runtime_error(std::string(who) + ": prototype count mismatch");
+  }
+  const TablePrecision precision =
+      version == kLaesaVersion ? TablePrecision::kF64
+                               : TablePrecisionFromCode(counts[2], who);
+  Laesa index(InternalTag{}, prototypes, std::move(distance));
+  index.pivot_table_ = PivotTables::Read(reader, counts[1], n, {n},
+                                         precision, /*distinct=*/false, copy,
+                                         who);
+  return index;
 }
 
 Laesa Laesa::Load(const std::string& path, PrototypeStoreRef prototypes,
                   StringDistancePtr distance) {
-  BinaryReader reader(path);
-  std::uint32_t version = 0;
-  const auto counts =
-      reader.Header(kLaesaMagic, kLaesaVersion, kLaesaVersionQuant, &version);
-  const std::uint64_t n = counts[0];
-  const std::uint64_t np = counts[1];
-  if (n != prototypes->size()) {
-    throw std::runtime_error("Laesa::Load: prototype count mismatch");
-  }
-  if (np == 0 || np > n) {
-    throw std::runtime_error("Laesa::Load: bad pivot count");
-  }
-  Laesa index(InternalTag{}, prototypes, std::move(distance));
-  reader.RequireArray(np, sizeof(std::uint64_t));
-  index.pivots_.resize(np);
-  reader.Align();
-  reader.Raw(index.pivots_.data(), np * sizeof(std::uint64_t));
-  index.pivot_rank_.assign(n, -1);
-  for (std::size_t p = 0; p < np; ++p) {
-    if (index.pivots_[p] >= n) {
-      throw std::runtime_error("Laesa::Load: pivot index out of range");
-    }
-    index.pivot_rank_[index.pivots_[p]] = static_cast<std::int32_t>(p);
-  }
-  if (version == kLaesaVersion) {
-    reader.RequireArray(np * n, sizeof(double));
-    index.pivot_dist_.resize(np * n);
-    reader.Align();
-    reader.Raw(index.pivot_dist_.data(), np * n * sizeof(double));
-    return index;
-  }
-  index.precision_ = CheckedPrecision(counts[2], "Laesa::Load");
-  const std::size_t width = TablePrecisionBytes(index.precision_);
-  reader.RequireArray(np, sizeof(QuantRowMeta));
-  index.row_meta_.resize(np);
-  reader.Align();
-  reader.Raw(index.row_meta_.data(), np * sizeof(QuantRowMeta));
-  reader.RequireArray(np * n, width);
-  index.quant_table_.resize(np * n * width);
-  reader.Align();
-  reader.Raw(index.quant_table_.data(), np * n * width);
-  return index;
+  return Open(path, prototypes, std::move(distance), /*copy=*/true,
+              "Laesa::Load");
 }
 
 Laesa Laesa::Map(const std::string& path, PrototypeStoreRef prototypes,
                  StringDistancePtr distance) {
-  MappedReader reader(MappedFile::Open(path));
-  std::uint32_t version = 0;
-  const auto counts =
-      reader.Header(kLaesaMagic, kLaesaVersion, kLaesaVersionQuant, &version);
-  const std::uint64_t n = counts[0];
-  const std::uint64_t np = counts[1];
-  if (n != prototypes->size()) {
-    throw std::runtime_error("Laesa::Map: prototype count mismatch");
-  }
-  if (np == 0 || np > n) {
-    throw std::runtime_error("Laesa::Map: bad pivot count");
-  }
-  Laesa index(InternalTag{}, prototypes, std::move(distance));
-  // The pivot index array is tiny (np entries); copying it keeps the
-  // `pivots()` API. The table — the O(pivots x N) bulk — stays a view.
-  const std::uint64_t* pivots = reader.Array<std::uint64_t>(np);
-  index.pivots_.assign(pivots, pivots + np);
-  index.pivot_rank_.assign(n, -1);
-  for (std::size_t p = 0; p < np; ++p) {
-    if (index.pivots_[p] >= n) {
-      throw std::runtime_error("Laesa::Map: pivot index out of range");
-    }
-    index.pivot_rank_[index.pivots_[p]] = static_cast<std::int32_t>(p);
-  }
-  // np <= n <= the live store's size, so np * n cannot overflow before
-  // Array()'s own division-form extent check sees it.
-  if (version == kLaesaVersion) {
-    index.mapped_table_ = reader.Array<double>(np * n);
-    index.mapping_ = reader.file();
-    return index;
-  }
-  index.precision_ = CheckedPrecision(counts[2], "Laesa::Map");
-  index.mapped_meta_ = reader.Array<QuantRowMeta>(np);
-  // The code section is served zero-copy too: the sweep reads the narrow
-  // elements straight off the page cache through the kernels' widening
-  // loads.
-  index.mapped_quant_ =
-      reader.Section(np * n, TablePrecisionBytes(index.precision_));
-  index.mapping_ = reader.file();
-  return index;
+  return Open(path, prototypes, std::move(distance), /*copy=*/false,
+              "Laesa::Map");
 }
 
 }  // namespace cned

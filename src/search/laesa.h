@@ -10,11 +10,10 @@
 #include "distances/distance.h"
 #include "search/nn_searcher.h"
 #include "search/pivot_stage.h"
+#include "search/pivot_sweep.h"
 #include "search/table_quant.h"
 
 namespace cned {
-
-class PivotSweep;
 
 /// LAESA — Linear Approximating and Eliminating Search Algorithm
 /// (Micó, Oncina & Vidal, Pattern Recognition Letters 1994).
@@ -27,8 +26,13 @@ class PivotSweep;
 /// that eliminate prototypes without computing their distance; candidates
 /// are visited in increasing lower-bound order, pivots first.
 ///
-/// Queries run the shared sweep core (pivot_sweep.h) over one segment;
-/// `ShardedLaesa` runs it over S. The hot path is a flat
+/// The index is a thin one-segment front over the shared pivot table
+/// (`PivotTables`, pivot_sweep.h): the build, the binary `Load` and `Map`
+/// all fill that one holder, and queries run the shared sweep core over
+/// its single segment; `ShardedLaesa` holds the same table with S
+/// segments. A pivot id listed twice (ablation constructor, any `Load` or
+/// `Map`) is one candidate slot, ranked by its last entry. The hot path is
+/// a flat
 /// structure-of-arrays sweep: surviving candidates live in packed
 /// index/lower-bound arrays that one pass per visited pivot tightens (a
 /// contiguous row of the pivot table), eliminates and compacts; once no
@@ -137,6 +141,9 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
   /// index and pivot-table sections each 64-byte aligned (the mmap-ready
   /// format of common/binary_io.h). Pair with `PrototypeStore::SaveBinary`
   /// for a complete serving snapshot.
+  /// The binary `Load` reads through a read-only shared mapping of the
+  /// file, as `Map` does. Like `Map`, it must not race a writer to the same
+  /// path: a concurrent `Save` truncates the file and can raise `SIGBUS`.
   void Save(const std::string& path) const;
   static Laesa Load(const std::string& path, PrototypeStoreRef prototypes,
                     StringDistancePtr distance);
@@ -145,22 +152,24 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
   /// table view at its section in place — the O(pivots x N) table is never
   /// copied, so startup is O(N) (pivot-rank bookkeeping) instead of
   /// O(pivots x N), and the table pages are shared across processes through
-  /// the page cache. Validation matches `Load`; query results, trajectories
-  /// and `QueryStats` are bit-identical to the built or copy-loaded index.
+  /// the page cache. `Load` is the same section walk with the checksum
+  /// always verified and the table then copied out of the mapping, so
+  /// validation matches; query results, trajectories and `QueryStats` are
+  /// bit-identical to the built or copy-loaded index.
   static Laesa Map(const std::string& path, PrototypeStoreRef prototypes,
                    StringDistancePtr distance);
 
   /// True when the pivot table aliases a mapped snapshot.
-  bool mapped() const { return mapping_ != nullptr; }
+  bool mapped() const { return pivot_table_.mapped(); }
 
   /// Storage precision of the pivot table (set at build or restored by the
   /// loaders).
-  TablePrecision table_precision() const { return precision_; }
+  TablePrecision table_precision() const { return pivot_table_.precision(); }
 
   // PivotStageSearcher: the batched pivot stage of the query engine.
-  std::size_t pivot_count() const override { return pivots_.size(); }
+  std::size_t pivot_count() const override { return pivots().size(); }
   std::string_view PivotString(std::size_t p) const override {
-    return store()[pivots_[p]];
+    return store()[pivots()[p]];
   }
   const StringDistance& pivot_distance() const override { return *distance_; }
   void ComputePivotRow(std::string_view query, double* row,
@@ -172,8 +181,10 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
       std::string_view query, std::size_t k, const double* row,
       QueryStats* stats = nullptr) const override;
 
-  std::size_t num_pivots() const { return pivots_.size(); }
-  const std::vector<std::size_t>& pivots() const { return pivots_; }
+  std::size_t num_pivots() const { return pivots().size(); }
+  const std::vector<std::size_t>& pivots() const {
+    return pivot_table_.pivots();
+  }
 
   /// The prototype set the index searches over.
   const PrototypeStore& store() const { return prototypes_.get(); }
@@ -189,53 +200,21 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
   Laesa(InternalTag, PrototypeStoreRef prototypes, StringDistancePtr distance)
       : prototypes_(prototypes), distance_(std::move(distance)) {}
 
+  /// Restores a binary snapshot: `Map` when `copy` is false, `Load` when
+  /// it is true. `who` prefixes the error messages.
+  static Laesa Open(const std::string& path, PrototypeStoreRef prototypes,
+                    StringDistancePtr distance, bool copy, const char* who);
+
   /// The shared sweep core (pivot_sweep.h) over this index's single
-  /// segment, built per call from the current table view.
+  /// segment, built per call from the table's view.
   PivotSweep core() const;
-
-  /// The pivot table as a flat row-major view:
-  /// table_data()[p * N + i] = d(store()[pivots_[p]], store()[i]); a
-  /// visited pivot contributes one contiguous row. Backed by the owned
-  /// buffer (build/Load) or by the mapped file section (Map). f64 only —
-  /// quantized tables go through table_view().
-  const double* table_data() const {
-    return mapping_ ? mapped_table_ : pivot_dist_.data();
-  }
-
-  /// Quantized code array / per-row meta, owned or mapped (null for f64).
-  const void* quant_data() const {
-    return mapping_ ? mapped_quant_ : static_cast<const void*>(
-                                          quant_table_.data());
-  }
-  const QuantRowMeta* row_meta_data() const {
-    return mapping_ ? mapped_meta_ : row_meta_.data();
-  }
-
-  /// The any-precision view the sweeps dispatch through (table_quant.h).
-  QuantTableView table_view() const {
-    QuantTableView view;
-    view.precision = precision_;
-    if (precision_ == TablePrecision::kF64) {
-      view.f64 = table_data();
-    } else {
-      view.q = quant_data();
-      view.rows = row_meta_data();
-    }
-    return view;
-  }
 
   PrototypeStoreRef prototypes_;
   StringDistancePtr distance_;
-  std::vector<std::size_t> pivots_;
-  std::vector<std::int32_t> pivot_rank_;  // prototype -> pivot ordinal or -1
-  TablePrecision precision_ = TablePrecision::kF64;
-  std::vector<double> pivot_dist_;        // owned f64 table; empty otherwise
-  std::vector<unsigned char> quant_table_;  // owned codes (non-f64)
-  std::vector<QuantRowMeta> row_meta_;      // per-row decode meta (non-f64)
-  const double* mapped_table_ = nullptr;  // view into mapping_ when mapped
-  const void* mapped_quant_ = nullptr;    // quantized counterpart
-  const QuantRowMeta* mapped_meta_ = nullptr;
-  std::shared_ptr<MappedFile> mapping_;
+  /// The pivot table: f64 or quantized, owned (build/Load) or viewing a
+  /// mapped snapshot (Map). A pivot listed twice is one candidate slot,
+  /// ranked by its last entry.
+  PivotTables pivot_table_;
   std::uint64_t preprocessing_computations_ = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "common/parallel.h"
@@ -344,14 +345,47 @@ void PivotSweep::ComputePivotRow(std::string_view query, double* row,
   }
 }
 
-PivotTables PivotSweep::BuildTables(TablePrecision precision) const {
-  const std::size_t n = size_;
-  const std::size_t p_count = pivots_.size();
-  PivotTables out;
-  out.f64.resize(segments_.size());
-  for (std::size_t g = 0; g < segments_.size(); ++g) {
-    out.f64[g].resize(p_count * segments_[g].store->size());
+std::vector<std::int32_t> RankPivots(const std::vector<std::size_t>& pivots,
+                                     std::size_t n, bool distinct,
+                                     const std::string& who) {
+  std::vector<std::int32_t> pivot_rank;
+  pivot_rank.assign(n, -1);
+  for (std::size_t p = 0; p < pivots.size(); ++p) {
+    if (pivots[p] >= n) {
+      throw std::runtime_error(who + ": pivot index out of range");
+    }
+    if (distinct && pivot_rank[pivots[p]] >= 0) {
+      throw std::runtime_error(who + ": duplicate pivot index");
+    }
+    pivot_rank[pivots[p]] = static_cast<std::int32_t>(p);
   }
+  return pivot_rank;
+}
+
+PivotTables::PivotTables(std::vector<std::size_t> pivots, std::size_t n,
+                         bool distinct, const std::string& who)
+    : pivots_(std::move(pivots)),
+      rank_(RankPivots(pivots_, n, distinct, who)) {}
+
+void PivotTables::Build(std::vector<SweepSegment> segments,
+                        const StringDistance& distance,
+                        TablePrecision precision) {
+  const PivotSweep sweep(std::move(segments), pivots_, rank_.data(), distance);
+  const std::vector<SweepSegment>& segs = sweep.segments();
+  const std::size_t p_count = pivots_.size();
+  std::vector<std::size_t> sizes(segs.size());
+  std::size_t n = 0;
+  Buffers out;
+  out.f64.resize(segs.size());
+  for (std::size_t g = 0; g < segs.size(); ++g) {
+    sizes[g] = segs[g].store->size();
+    n += sizes[g];
+    out.f64[g].resize(p_count * sizes[g]);
+  }
+  auto prototype = [&](std::size_t id) {
+    const SweepSegment& seg = segs[sweep.SegmentOf(id)];
+    return seg.store->view(id - seg.base);
+  };
   // One task per table entry: the atomic work queue in ParallelFor balances
   // the load even when string lengths (and thus per-distance cost) vary
   // wildly, and writes are disjoint. Every distance kernel is thread-safe
@@ -359,42 +393,133 @@ PivotTables PivotSweep::BuildTables(TablePrecision precision) const {
   ParallelFor(p_count * n, [&](std::size_t t) {
     const std::size_t p = t / n;
     const std::size_t i = t % n;
-    const std::size_t g = SegmentOf(i);
-    const SweepSegment& seg = segments_[g];
-    out.f64[g][p * seg.store->size() + (i - seg.base)] =
-        distance_.Distance(View(pivots_[p]), seg.store->view(i - seg.base));
+    const std::size_t g = sweep.SegmentOf(i);
+    const SweepSegment& seg = segs[g];
+    out.f64[g][p * sizes[g] + (i - seg.base)] = distance.Distance(
+        prototype(pivots_[p]), seg.store->view(i - seg.base));
   });
-  if (precision == TablePrecision::kF64) return out;
+  if (precision != TablePrecision::kF64) {
+    // Quantize each GLOBAL pivot row with one shared meta: scan every
+    // segment's slice of the row first (segment order == global index
+    // order), then encode the slices against that meta (round-down codes +
+    // per-row gap, table_quant.h). The exact table is dropped — the narrow
+    // codes ARE the index from here on, so build, save, load and map all
+    // sweep the same bytes.
+    const std::size_t width = TablePrecisionBytes(precision);
+    out.codes.resize(segs.size());
+    for (std::size_t g = 0; g < segs.size(); ++g) {
+      out.codes[g].resize(p_count * sizes[g] * width);
+    }
+    out.meta.resize(p_count);
+    for (std::size_t p = 0; p < p_count; ++p) {
+      QuantRowEncoder enc;
+      for (std::size_t g = 0; g < segs.size(); ++g) {
+        enc.Scan(out.f64[g].data() + p * sizes[g], sizes[g]);
+      }
+      enc.Prepare(precision);
+      for (std::size_t g = 0; g < segs.size(); ++g) {
+        enc.Encode(out.f64[g].data() + p * sizes[g], sizes[g],
+                   out.codes[g].data() + p * sizes[g] * width);
+      }
+      out.meta[p] = enc.Finish();
+    }
+    out.f64.clear();
+  }
+  Own(precision, std::move(sizes), std::move(out));
+}
 
-  // Quantize each GLOBAL pivot row with one shared meta: scan every
-  // segment's slice of the row first (segment order == global index
-  // order), then encode the slices against that meta (round-down codes +
-  // per-row gap, table_quant.h). The exact table is dropped — the narrow
-  // codes ARE the index from here on, so build, save, load and map all
-  // sweep the same bytes.
+void PivotTables::Own(TablePrecision precision, std::vector<std::size_t> sizes,
+                      Buffers buffers) {
+  precision_ = precision;
+  sizes_ = std::move(sizes);
+  owned_ = std::make_shared<const Buffers>(std::move(buffers));
+  mapping_.reset();
+  views_.assign(sizes_.size(), QuantTableView{precision_});
+  for (std::size_t g = 0; g < sizes_.size(); ++g) {
+    if (precision_ == TablePrecision::kF64) {
+      views_[g].f64 = owned_->f64[g].data();
+    } else {
+      views_[g].q = owned_->codes[g].data();
+      views_[g].rows = owned_->meta.data();
+    }
+  }
+}
+
+PivotTables PivotTables::Read(MappedReader& reader, std::uint64_t np,
+                              std::size_t n, std::vector<std::size_t> sizes,
+                              TablePrecision precision, bool distinct,
+                              bool copy, const std::string& who) {
+  if (np == 0 || np > n) throw std::runtime_error(who + ": bad pivot count");
+  static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
+                "64-bit pivot indices expected");
+  const std::uint64_t* ids = reader.Array<std::uint64_t>(np);
+  PivotTables out(std::vector<std::size_t>(ids, ids + np), n, distinct, who);
+  out.precision_ = precision;
+  const QuantRowMeta* meta = precision == TablePrecision::kF64
+                                 ? nullptr
+                                 : reader.Array<QuantRowMeta>(np);
   const std::size_t width = TablePrecisionBytes(precision);
-  out.codes.resize(segments_.size());
-  for (std::size_t g = 0; g < segments_.size(); ++g) {
-    out.codes[g].resize(p_count * segments_[g].store->size() * width);
-  }
-  out.meta.resize(p_count);
-  for (std::size_t p = 0; p < p_count; ++p) {
-    QuantRowEncoder enc;
-    for (std::size_t g = 0; g < segments_.size(); ++g) {
-      const std::size_t n_g = segments_[g].store->size();
-      enc.Scan(out.f64[g].data() + p * n_g, n_g);
+  out.views_.assign(sizes.size(), QuantTableView{precision});
+  for (std::size_t g = 0; g < sizes.size(); ++g) {
+    // Every caller checks its segment sizes against a live store, so
+    // np * sizes[g] cannot wrap before Section()'s division-form extent
+    // check sees it.
+    const void* section = reader.Section(np * sizes[g], width);
+    if (meta == nullptr) {
+      out.views_[g].f64 = static_cast<const double*>(section);
+    } else {
+      out.views_[g].q = section;
+      out.views_[g].rows = meta;
     }
-    enc.Prepare(precision);
-    for (std::size_t g = 0; g < segments_.size(); ++g) {
-      const std::size_t n_g = segments_[g].store->size();
-      enc.Encode(out.f64[g].data() + p * n_g, n_g,
-                 out.codes[g].data() + p * n_g * width);
-    }
-    out.meta[p] = enc.Finish();
   }
-  out.f64.clear();
-  out.f64.shrink_to_fit();
+  if (!copy) {
+    out.sizes_ = std::move(sizes);
+    out.mapping_ = reader.file();
+    return out;
+  }
+  Buffers buffers;
+  if (meta != nullptr) buffers.meta.assign(meta, meta + np);
+  for (std::size_t g = 0; g < sizes.size(); ++g) {
+    const QuantTableView& v = out.views_[g];
+    const std::size_t count = np * sizes[g];
+    if (meta == nullptr) {
+      buffers.f64.emplace_back(v.f64, v.f64 + count);
+    } else {
+      const auto* bytes = static_cast<const unsigned char*>(v.q);
+      buffers.codes.emplace_back(bytes, bytes + count * width);
+    }
+  }
+  out.Own(precision, std::move(sizes), std::move(buffers));
   return out;
+}
+
+void PivotTables::Write(BinaryWriter& writer, std::size_t first,
+                        std::size_t last) const {
+  const std::size_t np = pivots_.size();
+  writer.Align();
+  writer.Raw(pivots_.data(), np * sizeof(std::uint64_t));
+  if (precision_ != TablePrecision::kF64) {
+    writer.Align();
+    writer.Raw(views_[first].rows, np * sizeof(QuantRowMeta));
+  }
+  // Through the views, so a mapped table re-snapshots byte-identically.
+  const std::size_t width = TablePrecisionBytes(precision_);
+  for (std::size_t g = first; g < last; ++g) {
+    const QuantTableView& v = views_[g];
+    writer.Align();
+    writer.Raw(precision_ == TablePrecision::kF64
+                   ? static_cast<const void*>(v.f64)
+                   : v.q,
+               np * sizes_[g] * width);
+  }
+}
+
+PivotSweep PivotTables::Sweep(std::vector<SweepSegment> segments,
+                              const StringDistance& distance) const {
+  for (std::size_t g = 0; g < segments.size(); ++g) {
+    segments[g].table = views_[g];
+  }
+  return PivotSweep(std::move(segments), pivots_, rank_.data(), distance);
 }
 
 }  // namespace cned

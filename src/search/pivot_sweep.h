@@ -3,9 +3,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/binary_io.h"
+#include "common/mapped_file.h"
 #include "datasets/prototype_store.h"
 #include "distances/distance.h"
 #include "search/nn_searcher.h"
@@ -62,15 +66,9 @@ SweepCompactResult VisitSegmentPass(const SweepSegment& seg,
                                     double bound, std::uint32_t* idx,
                                     double* lower, std::size_t live);
 
-/// Per-segment table slices: exact f64, or narrow codes plus global meta.
-struct PivotTables {
-  std::vector<std::vector<double>> f64;           // empty unless f64
-  std::vector<std::vector<unsigned char>> codes;  // empty for f64
-  std::vector<QuantRowMeta> meta;                 // empty for f64
-};
-
 /// The sweeps over one index's segments. Each index builds it per call
-/// from its own accessors, so it never outlives the buffers it views.
+/// from its `PivotTables` (`PivotTables::Sweep`), so it never outlives the
+/// table it views.
 class PivotSweep {
  public:
   /// `pivot_rank`: global id -> ordinal or -1. Duplicate `pivots` entries
@@ -100,11 +98,6 @@ class PivotSweep {
   void ComputePivotRow(std::string_view query, double* row,
                        QueryStats* stats) const;
 
-  /// The segments' table slices at `precision` (their `table` views are
-  /// not read). One meta per GLOBAL row, so one-segment and S-segment
-  /// builds of the same data hold the same codes.
-  PivotTables BuildTables(TablePrecision precision) const;
-
   /// The segment holding global id `id`.
   std::size_t SegmentOf(std::size_t id) const;
 
@@ -123,6 +116,89 @@ class PivotSweep {
   const std::int32_t* pivot_rank_;
   const StringDistance& distance_;
   std::size_t size_ = 0;
+};
+
+/// The N-entry rank array of `pivots` over [0, n): rank[pivots[p]] = p,
+/// -1 for non-pivots. Throws std::runtime_error, prefixed with `who`, on an
+/// id >= n, and on a repeated id when `distinct`; otherwise a repeated id
+/// is one candidate slot, ranked by its last entry.
+std::vector<std::int32_t> RankPivots(const std::vector<std::size_t>& pivots,
+                                     std::size_t n, bool distinct,
+                                     const std::string& who);
+
+/// The one pivot table of an index: the pivot ids, their N-entry rank
+/// array, the storage precision, and one rank-major table slice per
+/// segment, decoded with the global row meta. `Laesa` holds a one-segment
+/// table, `ShardedLaesa` one segment per shard, and the serve worker's
+/// `ShardReplica` the segment of its own shard over the global rank array.
+///
+/// The slices are built in memory (`Build`) or read from the tail every
+/// table format shares (`Read`): viewed in place in a mapped snapshot, or
+/// copied out of it. The storage behind the views, owned buffers or the
+/// mapping, is shared and never written after it is set, so copies of a
+/// holder view the same bytes.
+class PivotTables {
+ public:
+  /// Owned slices: exact f64 rows, or narrow codes plus one meta per
+  /// global row. One buffer per segment.
+  struct Buffers {
+    std::vector<std::vector<double>> f64;           // empty unless f64
+    std::vector<std::vector<unsigned char>> codes;  // empty for f64
+    std::vector<QuantRowMeta> meta;                 // empty for f64
+  };
+
+  PivotTables() = default;
+
+  /// `pivots` ranked over [0, n) (see `RankPivots`), with no slice yet.
+  PivotTables(std::vector<std::size_t> pivots, std::size_t n, bool distinct,
+              const std::string& who);
+
+  /// Computes the slices of `segments` (their `table` views are not read)
+  /// at `precision`. One meta per GLOBAL row, so one-segment and S-segment
+  /// builds of the same data hold the same codes.
+  void Build(std::vector<SweepSegment> segments,
+             const StringDistance& distance, TablePrecision precision);
+
+  /// Takes `buffers` as the slices of segments holding `sizes[g]`
+  /// prototypes each.
+  void Own(TablePrecision precision, std::vector<std::size_t> sizes,
+           Buffers buffers);
+
+  /// Walks the tail every table format shares: pivot ids u64[np], then
+  /// QuantRowMeta[np] unless `precision` is f64, then one table section per
+  /// entry of `sizes`. Throws std::runtime_error, prefixed with `who`, on a
+  /// pivot count outside [1, n] or a pivot id the rank policy rejects; the
+  /// reader throws on a truncated section. The slices view the mapping, or
+  /// with `copy` are copied into owned buffers and the mapping is let go.
+  static PivotTables Read(MappedReader& reader, std::uint64_t np,
+                          std::size_t n, std::vector<std::size_t> sizes,
+                          TablePrecision precision, bool distinct, bool copy,
+                          const std::string& who);
+
+  /// Writes the tail `Read` walks, for segments [first, last).
+  void Write(BinaryWriter& writer, std::size_t first, std::size_t last) const;
+
+  /// The sweep core over `segments` (bases and stores), each viewing its
+  /// slice of this table.
+  PivotSweep Sweep(std::vector<SweepSegment> segments,
+                   const StringDistance& distance) const;
+
+  const std::vector<std::size_t>& pivots() const { return pivots_; }
+  const std::int32_t* rank() const { return rank_.data(); }
+  TablePrecision precision() const { return precision_; }
+  QuantTableView view(std::size_t g) const { return views_[g]; }
+
+  /// True when the slices view a mapped snapshot.
+  bool mapped() const { return mapping_ != nullptr; }
+
+ private:
+  std::vector<std::size_t> pivots_;
+  std::vector<std::int32_t> rank_;
+  TablePrecision precision_ = TablePrecision::kF64;
+  std::vector<std::size_t> sizes_;    // prototypes per segment
+  std::vector<QuantTableView> views_;  // one per segment
+  std::shared_ptr<const Buffers> owned_;
+  std::shared_ptr<MappedFile> mapping_;
 };
 
 }  // namespace cned

@@ -10,11 +10,10 @@
 #include "distances/distance.h"
 #include "search/nn_searcher.h"
 #include "search/pivot_stage.h"
+#include "search/pivot_sweep.h"
 #include "search/table_quant.h"
 
 namespace cned {
-
-class PivotSweep;
 
 /// LAESA over a `ShardedPrototypeStore`: one pivot table per shard, one
 /// shared (global) pivot set.
@@ -26,8 +25,11 @@ class PivotSweep;
 /// are prototypes, so their own lower bounds come out of the same tables
 /// and they remain adaptive candidates of their home shard.
 ///
-/// Query execution runs the shared sweep core (pivot_sweep.h) over S
-/// segments, one per shard; the flat `Laesa` runs it over one. Each
+/// The tables are one `PivotTables` (pivot_sweep.h) with a segment per
+/// shard: the build, `Load` and `Map` fill it the way they fill the flat
+/// index's one-segment table, after the shard-size section, and the pivot
+/// ids must be distinct. Query execution runs the shared sweep core over
+/// those S segments; the flat `Laesa` runs it over one. Each
 /// visited pivot's per-shard passes fan out through `ParallelFor` when
 /// enough candidates survive, and their minima merge in shard order — so
 /// neighbours, distances *and* `QueryStats` are bit-identical to the
@@ -84,8 +86,10 @@ class ShardedLaesa final : public NearestNeighborSearcher,
   /// The sharded prototype set the index searches over.
   const ShardedPrototypeStore& store() const { return *store_; }
 
-  std::size_t num_pivots() const { return pivots_.size(); }
-  const std::vector<std::size_t>& pivots() const { return pivots_; }
+  std::size_t num_pivots() const { return pivots().size(); }
+  const std::vector<std::size_t>& pivots() const {
+    return pivot_table_.pivots();
+  }
 
   /// Distance evaluations spent in preprocessing (pivot selection + tables).
   std::uint64_t preprocessing_computations() const {
@@ -93,9 +97,9 @@ class ShardedLaesa final : public NearestNeighborSearcher,
   }
 
   // PivotStageSearcher: the batched pivot stage of the query engine.
-  std::size_t pivot_count() const override { return pivots_.size(); }
+  std::size_t pivot_count() const override { return pivots().size(); }
   std::string_view PivotString(std::size_t p) const override {
-    return store_->view(pivots_[p]);
+    return store_->view(pivots()[p]);
   }
   const StringDistance& pivot_distance() const override { return *distance_; }
   void ComputePivotRow(std::string_view query, double* row,
@@ -140,7 +144,9 @@ class ShardedLaesa final : public NearestNeighborSearcher,
 
   /// Restores an index saved by `Save` against the *same* sharded store and
   /// distance. Throws std::runtime_error on malformed input or a
-  /// store-shape mismatch.
+  /// store-shape mismatch. It reads through a shared mapping of the file,
+  /// as `Map` does, so it must not race a writer to the same path (a
+  /// concurrent `Save` truncates the file and can raise `SIGBUS`).
   static ShardedLaesa Load(const std::string& path,
                            const ShardedPrototypeStore& store,
                            StringDistancePtr distance);
@@ -148,17 +154,18 @@ class ShardedLaesa final : public NearestNeighborSearcher,
   /// Zero-copy form of `Load`: maps the file and points every per-shard
   /// table view at its section in place — no table is copied, so startup is
   /// O(N) bookkeeping instead of O(pivots x N), and each shard's table
-  /// remains an independently page-cache-shared unit. Validation matches
-  /// `Load`; results and `QueryStats` are bit-identical to the built index.
+  /// remains an independently page-cache-shared unit. `Load` walks the same
+  /// sections, checksum verified, and copies them; results and
+  /// `QueryStats` are bit-identical to the built index.
   static ShardedLaesa Map(const std::string& path,
                           const ShardedPrototypeStore& store,
                           StringDistancePtr distance);
 
   /// True when the shard tables alias a mapped snapshot.
-  bool mapped() const { return mapping_ != nullptr; }
+  bool mapped() const { return pivot_table_.mapped(); }
 
   /// Storage precision of the shard tables.
-  TablePrecision table_precision() const { return precision_; }
+  TablePrecision table_precision() const { return pivot_table_.precision(); }
 
  private:
   struct InternalTag {};
@@ -166,56 +173,25 @@ class ShardedLaesa final : public NearestNeighborSearcher,
                StringDistancePtr distance)
       : store_(&store), distance_(std::move(distance)) {}
 
+  /// Restores a snapshot written by `Save`: `Map` when `copy` is false,
+  /// `Load` when it is true. `who` prefixes the error messages.
+  static ShardedLaesa Open(const std::string& path,
+                           const ShardedPrototypeStore& store,
+                           StringDistancePtr distance, bool copy,
+                           const char* who);
+
   /// The shared sweep core (pivot_sweep.h) over one segment per shard,
-  /// built per call from the current table views.
+  /// built per call from the table's views.
   PivotSweep core() const;
-
-  /// Shard s's pivot table as a flat row-major view:
-  /// shard_table(s)[p * n_s + j] = d(pivot_p, shard s's j-th prototype).
-  /// Pivots are prototypes, so their own bounds come from these tables too
-  /// — no separate pivot-to-pivot matrix is needed. Backed by the owned
-  /// per-shard buffers (build/Load) or by mapped file sections (Map).
-  const double* shard_table(std::size_t s) const {
-    return mapping_ ? mapped_tables_[s] : tables_[s].data();
-  }
-
-  /// Shard s's quantized code table / the GLOBAL per-row meta, owned or
-  /// mapped (meaningless for f64).
-  const void* shard_quant(std::size_t s) const {
-    return mapping_ ? mapped_quants_[s]
-                    : static_cast<const void*>(quant_tables_[s].data());
-  }
-  const QuantRowMeta* row_meta_data() const {
-    return mapping_ ? mapped_meta_ : row_meta_.data();
-  }
-
-  /// The any-precision view of shard s's table (table_quant.h). The meta
-  /// is global — every shard decodes a pivot row with the same
-  /// scale/offset/gap, which is what keeps sharded == flat bitwise.
-  QuantTableView shard_view(std::size_t s) const {
-    QuantTableView view;
-    view.precision = precision_;
-    if (precision_ == TablePrecision::kF64) {
-      view.f64 = shard_table(s);
-    } else {
-      view.q = shard_quant(s);
-      view.rows = row_meta_data();
-    }
-    return view;
-  }
 
   const ShardedPrototypeStore* store_;
   StringDistancePtr distance_;
-  std::vector<std::size_t> pivots_;       // global indices, distinct
-  std::vector<std::int32_t> pivot_rank_;  // global index -> ordinal or -1
-  TablePrecision precision_ = TablePrecision::kF64;
-  std::vector<std::vector<double>> tables_;  // owned f64 tables; else empty
-  std::vector<std::vector<unsigned char>> quant_tables_;  // owned codes
-  std::vector<QuantRowMeta> row_meta_;  // global per-row meta (non-f64)
-  std::vector<const double*> mapped_tables_;  // views into mapping_
-  std::vector<const void*> mapped_quants_;    // quantized counterparts
-  const QuantRowMeta* mapped_meta_ = nullptr;
-  std::shared_ptr<MappedFile> mapping_;
+  /// The pivot table, one segment per shard: shard s's slice holds
+  /// d(pivot p, shard s's j-th prototype) at [p * n_s + j]. Pivots are
+  /// prototypes, so their own bounds come from these slices too. Every
+  /// shard decodes a row with the same global meta, which keeps sharded ==
+  /// flat bitwise. Pivot ids are distinct.
+  PivotTables pivot_table_;
   std::uint64_t preprocessing_computations_ = 0;
 };
 

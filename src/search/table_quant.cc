@@ -75,6 +75,14 @@ std::size_t TablePrecisionBytes(TablePrecision precision) {
   return 8;
 }
 
+TablePrecision TablePrecisionFromCode(std::uint64_t code,
+                                      const std::string& who) {
+  if (code < 1 || code > 3) {
+    throw std::runtime_error(who + ": bad table precision");
+  }
+  return static_cast<TablePrecision>(static_cast<std::uint32_t>(code));
+}
+
 TablePrecision DefaultTablePrecision() {
   const char* env = std::getenv("CNED_TABLE_PRECISION");
   if (env == nullptr || *env == '\0') return TablePrecision::kF64;

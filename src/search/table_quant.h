@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <string_view>
 
 #include "search/sweep_kernel.h"
@@ -55,6 +56,12 @@ bool ParseTablePrecision(std::string_view name, TablePrecision* out);
 
 /// Bytes per stored table element: 8, 4, 2 or 1.
 std::size_t TablePrecisionBytes(TablePrecision precision);
+
+/// Decodes the precision code of a quantized snapshot (1..3 = f32, f16,
+/// u8; f64 snapshots carry none). Throws std::runtime_error
+/// "<who>: bad table precision" on any other value.
+TablePrecision TablePrecisionFromCode(std::uint64_t code,
+                                      const std::string& who);
 
 /// The build-time default: the CNED_TABLE_PRECISION environment variable
 /// when set to a valid name (an invalid value warns on stderr and falls

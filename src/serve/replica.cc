@@ -63,52 +63,17 @@ ShardReplica::ShardReplica(const std::string& store_path,
         "ShardReplica: index slice and store disagree on shard size (" +
         index_path + ")");
   }
-  if (np == 0 || np > n_total_) {
-    throw std::runtime_error("ShardReplica: bad pivot count (" + index_path +
-                             ")");
-  }
+  const std::string who = "ShardReplica (" + index_path + ")";
+  TablePrecision precision = TablePrecision::kF64;
   if (version == kShardSliceVersionQuant) {
     // v2 leads with the {precision, reserved} section (shard_snapshot.h).
-    const std::uint64_t* prec = reader.Array<std::uint64_t>(2);
-    if (prec[0] < 1 || prec[0] > 3) {
-      throw std::runtime_error("ShardReplica: bad table precision (" +
-                               index_path + ")");
-    }
-    precision_ =
-        static_cast<TablePrecision>(static_cast<std::uint32_t>(prec[0]));
+    precision = TablePrecisionFromCode(reader.Array<std::uint64_t>(2)[0], who);
   }
-  const std::uint64_t* pivots = reader.Array<std::uint64_t>(np);
-  pivots_.assign(pivots, pivots + np);
-  // Full-length rank array, exactly as the in-process index keeps it: the
-  // flagged kernel gathers rank[global id] for ids in this segment, and the
-  // seed kernel reads the slice at base_ — both stay in bounds.
-  pivot_rank_.assign(n_total_, -1);
-  for (std::size_t p = 0; p < np; ++p) {
-    if (pivots_[p] >= n_total_ || pivot_rank_[pivots_[p]] >= 0) {
-      throw std::runtime_error("ShardReplica: bad pivot ids (" + index_path +
-                               ")");
-    }
-    pivot_rank_[pivots_[p]] = static_cast<std::int32_t>(p);
-  }
-  if (version == kShardSliceVersion) {
-    table_ = reader.Array<double>(np * n_s);
-  } else {
-    row_meta_ = reader.Array<QuantRowMeta>(np);
-    qtable_ = reader.Section(np * n_s, TablePrecisionBytes(precision_));
-  }
-  index_mapping_ = reader.file();
-}
-
-SweepSegment ShardReplica::segment() const {
-  SweepSegment seg{base_, &store_, {}};
-  seg.table.precision = precision_;
-  if (precision_ == TablePrecision::kF64) {
-    seg.table.f64 = table_;
-  } else {
-    seg.table.q = qtable_;
-    seg.table.rows = row_meta_;
-  }
-  return seg;
+  // The rank array spans the whole global id space, exactly as the
+  // in-process index keeps it: the flagged kernel gathers rank[global id]
+  // for ids in this segment, and the seed kernel reads the slice at base_.
+  pivot_table_ = PivotTables::Read(reader, np, n_total_, {n_s}, precision,
+                                   /*distinct=*/true, /*copy=*/false, who);
 }
 
 ShardReplica::SweepSlot& ShardReplica::NewSlot(std::uint32_t qid) {
@@ -164,7 +129,7 @@ SweepCompactResult ShardReplica::BeginLazy(std::uint32_t qid,
   slot.live_pivots = 0;
   for (std::size_t j = 0; j < n_s; ++j) {
     slot.idx.data()[j] = static_cast<std::uint32_t>(base_ + j);
-    slot.live_pivots += pivot_rank_[base_ + j] >= 0 ? 1 : 0;
+    slot.live_pivots += pivot_table_.rank()[base_ + j] >= 0 ? 1 : 0;
   }
   slot.live = n_s;
   SweepCompactResult pass;
@@ -177,7 +142,7 @@ SweepCompactResult ShardReplica::BeginLazy(std::uint32_t qid,
   if (base_dead_ > 0) {
     ApplyTombstoneMask(tombs_.data(), n_s, slot.lower.data());
   }
-  pass = VisitSegmentPass(segment(), pivot_rank_.data(), /*rank=*/-1, 0.0,
+  pass = VisitSegmentPass(segment(), pivot_table_.rank(), /*rank=*/-1, 0.0,
                           /*skip=*/0xFFFFFFFFu, /*slack=*/1.0,
                           std::numeric_limits<double>::infinity(),
                           slot.idx.data(), slot.lower.data(), slot.live);
@@ -257,8 +222,8 @@ SweepCompactResult ShardReplica::BeginRow(std::uint32_t qid,
   // Tombstoned base slots go to +inf before the seed compaction — no
   // protocol change needed: the mask rides the shard's own state.
   const SweepCompactResult out = SeedSegmentWithRow(
-      segment(), *distance_, slot.query.size(), row, pivots_.size(),
-      pivot_rank_.data(), base_dead_ > 0 ? tombs_.data() : nullptr,
+      segment(), *distance_, slot.query.size(), row, num_pivots(),
+      pivot_table_.rank(), base_dead_ > 0 ? tombs_.data() : nullptr,
       seed_bound, slot.idx.data(), slot.lower.data());
   slot.live = out.live;
   slot.live_pivots = 0;  // the row sweep's adaptive phase never revisits
@@ -281,7 +246,7 @@ SweepCompactResult ShardReplica::Step(std::uint32_t qid, std::uint32_t skip,
                                       double slack, double bound) {
   SweepSlot& slot = SlotOf(qid);
   const SweepCompactResult out =
-      VisitSegmentPass(segment(), pivot_rank_.data(), rank, d, skip, slack,
+      VisitSegmentPass(segment(), pivot_table_.rank(), rank, d, skip, slack,
                        bound, slot.idx.data(), slot.lower.data(), slot.live);
   slot.live = out.live;
   slot.live_pivots -= out.pivots_died;

@@ -9,20 +9,24 @@
 #include <vector>
 
 #include "common/aligned_buffer.h"
-#include "common/mapped_file.h"
 #include "datasets/prototype_store.h"
 #include "distances/distance.h"
 #include "search/nn_searcher.h"
+#include "search/pivot_sweep.h"
 #include "search/sweep_kernel.h"
 #include "search/table_quant.h"
 
 namespace cned {
 
-struct SweepSegment;
-
 /// The worker-process half of the distributed LAESA sweep: one shard's
 /// prototypes, its slice of the pivot table, and that shard's segment of
 /// the candidate slabs.
+///
+/// The table slice is a one-segment `PivotTables` (pivot_sweep.h) over the
+/// global rank array, mapped by the same section walk `ShardedLaesa::Map`
+/// runs after the slice's own header (and, in v2, its {precision,
+/// reserved} section). Like the sharded index, it rejects duplicate pivot
+/// ids.
 ///
 /// A replica is one segment of the shared sweep core (pivot_sweep.h) given
 /// its own state: `BeginRow` runs the core's row seed and `Step` (and the
@@ -58,11 +62,11 @@ class ShardReplica {
   std::size_t base() const { return base_; }
   std::size_t size() const { return store_.size(); }
   std::size_t total_size() const { return n_total_; }
-  std::size_t num_pivots() const { return pivots_.size(); }
+  std::size_t num_pivots() const { return pivot_table_.pivots().size(); }
 
   /// Storage precision of the mapped table slice (shard_snapshot.h v2
   /// carries quantized tables; v1 is always f64).
-  TablePrecision table_precision() const { return precision_; }
+  TablePrecision table_precision() const { return pivot_table_.precision(); }
 
   /// Candidates still live in query `qid`'s slot. Throws std::out_of_range
   /// for an unknown qid.
@@ -159,17 +163,16 @@ class ShardReplica {
   /// the mapped table slice at any precision (table_quant.h). The row meta
   /// is the GLOBAL per-row meta the build computed, so a worker's bounds
   /// match the in-process sharded index bit for bit.
-  SweepSegment segment() const;
+  SweepSegment segment() const {
+    return {base_, &store_, pivot_table_.view(0)};
+  }
 
   PrototypeStore store_;  // mapped shard store
   StringDistancePtr distance_;
-  std::vector<std::size_t> pivots_;       // global pivot ids
-  std::vector<std::int32_t> pivot_rank_;  // global id -> ordinal or -1
-  TablePrecision precision_ = TablePrecision::kF64;
-  const double* table_ = nullptr;         // row-major np x n_s, mapped (f64)
-  const void* qtable_ = nullptr;          // quantized codes, mapped (v2)
-  const QuantRowMeta* row_meta_ = nullptr;  // global per-row meta, mapped
-  std::shared_ptr<MappedFile> index_mapping_;
+  /// The global pivot ids and rank array over [0, total_size()), and this
+  /// shard's one-segment table slice, mapped in place. Pivot ids are
+  /// distinct.
+  PivotTables pivot_table_;
 
   /// One in-flight sweep: this query's private copy of the segment slabs.
   struct SweepSlot {

@@ -15,6 +15,7 @@
 
 #include "common/binary_io.h"
 #include "distances/registry.h"
+#include "search/pivot_sweep.h"
 #include "serve/frame.h"
 #include "serve/shard_snapshot.h"
 #include "serve/worker.h"
@@ -102,28 +103,27 @@ ServeRouter::ServeRouter(const std::string& snapshot_dir,
   static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
                 "64-bit shard sizes expected");
   reader.Raw(shard_sizes.data(), shards * sizeof(std::uint64_t));
+  // Each size must fit in what is left of n: a running sum that wraps would
+  // pass the total check with bases that do not ascend, and ShardOf needs
+  // them sorted.
   std::vector<std::size_t>& bases = shape_.bases;
   bases.resize(shards + 1);
   bases[0] = 0;
   for (std::size_t s = 0; s < shards; ++s) {
+    if (shard_sizes[s] > n_ - bases[s]) {
+      throw std::runtime_error("ServeRouter: shard sizes exceed n");
+    }
     bases[s + 1] = bases[s] + shard_sizes[s];
   }
   if (bases[shards] != n_) {
     throw std::runtime_error("ServeRouter: shard sizes do not sum to n");
   }
   reader.RequireArray(np, sizeof(std::uint64_t));
-  std::vector<std::size_t>& pivots = shape_.pivots;
-  std::vector<std::int32_t>& pivot_rank = shape_.pivot_rank;
-  pivots.resize(np);
+  shape_.pivots.resize(np);
   reader.Align();
-  reader.Raw(pivots.data(), np * sizeof(std::uint64_t));
-  pivot_rank.assign(n_, -1);
-  for (std::size_t p = 0; p < np; ++p) {
-    if (pivots[p] >= n_ || pivot_rank[pivots[p]] >= 0) {
-      throw std::runtime_error("ServeRouter: bad manifest pivot ids");
-    }
-    pivot_rank[pivots[p]] = static_cast<std::int32_t>(p);
-  }
+  reader.Raw(shape_.pivots.data(), np * sizeof(std::uint64_t));
+  shape_.pivot_rank =
+      RankPivots(shape_.pivots, n_, /*distinct=*/true, "ServeRouter");
   reader.RequireArray(np, sizeof(std::uint64_t));
   std::vector<std::uint64_t> lens(np);
   reader.Align();
