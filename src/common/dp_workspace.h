@@ -9,13 +9,13 @@ namespace cned {
 
 /// Reusable scratch buffers for the dynamic-programming distance kernels.
 ///
-/// Every hot kernel (the contextual layered DP, Levenshtein and its banded
-/// variant, the Marzal-Vidal length DP, the weighted edit DP) used to heap-
-/// allocate fresh tables on each call — two allocations per evaluation in
-/// the contextual case, millions of evaluations per index build. The
-/// kernels now borrow these buffers instead: `assign`/`resize` reuse the
-/// existing capacity, so after the first few calls of a thread the steady-
-/// state path performs zero allocations.
+/// Every hot kernel (the contextual layered DP, the bit-parallel d_E, the
+/// Marzal-Vidal length DP, the weighted edit DP) used to heap-allocate
+/// fresh tables on each call — two allocations per evaluation in the
+/// contextual case, millions of evaluations per index build. The kernels
+/// now borrow these buffers instead: `assign`/`resize` reuse the existing
+/// capacity, so after the first few calls of a thread the steady-state path
+/// performs zero allocations.
 ///
 /// One instance exists per thread (see `TlsDpWorkspace`), which makes every
 /// kernel safe to run concurrently from `ParallelFor` bodies without
@@ -27,8 +27,7 @@ struct DpWorkspace {
   // Marzal-Vidal length DP: two (m+1) x (n+1) weight planes.
   std::vector<double> plane_a;
   std::vector<double> plane_b;
-  // Rolling rows for the Levenshtein / weighted-Levenshtein kernels.
-  std::vector<std::size_t> int_row;
+  // Rolling row for the weighted-Levenshtein kernel.
   std::vector<double> weight_row;
   // Rolling rows for the d_C,h heuristic: packed
   // (edit distance << 32) | substitutions cells, length |y| + 1.

@@ -7,25 +7,26 @@
 #include <vector>
 
 #include "distances/distance.h"
+#include "distances/myers.h"
 
 namespace cned {
 
-/// Unit-cost Levenshtein (edit) distance d_E.
-///
-/// The minimum number of single-symbol insertions, deletions and
+/// Unit-cost Levenshtein (edit) distance d_E, the textbook Wagner-Fischer
+/// DP: the minimum number of single-symbol insertions, deletions and
 /// substitutions turning `x` into `y` (Wagner & Fischer 1974). O(|x|·|y|)
-/// time, O(min(|x|,|y|)) space.
+/// time, O(min(|x|,|y|)) space. The reference the tests hold the production
+/// kernel to: the library computes d_E with the bit-parallel
+/// `MyersLevenshtein` (distances/myers.h) and never calls this.
 std::size_t LevenshteinDistance(std::string_view x, std::string_view y);
 
-/// Banded variant: returns the exact distance if it is <= `bound`, otherwise
-/// any value > `bound` (early exit). Useful for heavy NN workloads.
-std::size_t BoundedLevenshtein(std::string_view x, std::string_view y,
-                               std::size_t bound);
-
-/// Real-valued wrapper with the `StringDistance::DistanceBounded` contract:
-/// exactly d_E(x,y) when that is < `bound`, otherwise any value >= `bound`.
-/// Maps the real bound onto the integer Ukkonen band; a NaN bound is
-/// unbounded (the exact value).
+/// d_E under a real-valued bound: the one mapping of a real bound onto the
+/// integer band of `MyersLevenshteinBounded`, shared by dE and the four
+/// normalisations (distances/normalized.h). Returns exactly d_E(x,y) when
+/// that is < `bound`. Otherwise returns ceil(`bound`) when `bound` > 0 (d_E
+/// is an integer, so it is < `bound` iff it is <= ceil(`bound`) - 1, the
+/// band), and 0 when `bound` <= 0; either way an integer >= `bound`, which a
+/// normalisation monotone in d_E maps back to a value >= its own bound. A
+/// NaN bound, or one above max(|x|, |y|), gives the exact value.
 double LevenshteinDistanceBounded(std::string_view x, std::string_view y,
                                   double bound);
 
@@ -35,11 +36,11 @@ double LevenshteinDistanceBounded(std::string_view x, std::string_view y,
 std::vector<std::vector<std::size_t>> LevenshteinMatrix(std::string_view x,
                                                         std::string_view y);
 
-/// `StringDistance` adapter for d_E.
+/// `StringDistance` adapter for d_E, on the bit-parallel kernel.
 class EditDistance final : public StringDistance {
  public:
   double Distance(std::string_view x, std::string_view y) const override {
-    return static_cast<double>(LevenshteinDistance(x, y));
+    return static_cast<double>(MyersLevenshtein(x, y));
   }
   double DistanceBounded(std::string_view x, std::string_view y,
                          double bound) const override {

@@ -1,6 +1,8 @@
 #include "distances/myers.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/dp_workspace.h"

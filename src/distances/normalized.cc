@@ -1,58 +1,34 @@
 #include "distances/normalized.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "distances/levenshtein.h"
+#include "distances/myers.h"
 
 namespace cned {
-namespace {
-
-// All four normalisations are monotone non-decreasing in d_E for fixed
-// string lengths, so a bound `b` on the normalised value maps to an integer
-// threshold t on d_E: the value is < b iff d_E < t. Exactness is then only
-// needed for d_E <= ceil(t)-1, which is exactly the Ukkonen band of
-// BoundedLevenshtein; the truncated sentinel ceil(t) maps back to a
-// normalised value >= b by the same monotonicity. Returns the (possibly
-// truncated) d_E; a threshold <= 0 yields 0 (any mapped value is >= b),
-// and a NaN threshold the exact d_E.
-double EditDistanceForThreshold(std::string_view x, std::string_view y,
-                                double threshold) {
-  const double longer = static_cast<double>(std::max(x.size(), y.size()));
-  if (threshold <= 0.0) return 0.0;
-  if (!(threshold <= longer)) {
-    // d_E <= longer < t, or a NaN threshold (an unbounded call): the exact
-    // value is always needed.
-    return static_cast<double>(LevenshteinDistance(x, y));
-  }
-  const auto band = static_cast<std::size_t>(std::ceil(threshold)) - 1;
-  return static_cast<double>(BoundedLevenshtein(x, y, band));
-}
-
-}  // namespace
 
 double DsumDistance(std::string_view x, std::string_view y) {
   if (x.empty() && y.empty()) return 0.0;
-  return static_cast<double>(LevenshteinDistance(x, y)) /
+  return static_cast<double>(MyersLevenshtein(x, y)) /
          static_cast<double>(x.size() + y.size());
 }
 
 double DmaxDistance(std::string_view x, std::string_view y) {
   if (x.empty() && y.empty()) return 0.0;
-  return static_cast<double>(LevenshteinDistance(x, y)) /
+  return static_cast<double>(MyersLevenshtein(x, y)) /
          static_cast<double>(std::max(x.size(), y.size()));
 }
 
 double DminDistance(std::string_view x, std::string_view y) {
   if (x.empty() && y.empty()) return 0.0;
   std::size_t denom = std::max<std::size_t>(std::min(x.size(), y.size()), 1);
-  return static_cast<double>(LevenshteinDistance(x, y)) /
+  return static_cast<double>(MyersLevenshtein(x, y)) /
          static_cast<double>(denom);
 }
 
 double DybDistance(std::string_view x, std::string_view y) {
   if (x.empty() && y.empty()) return 0.0;
-  double de = static_cast<double>(LevenshteinDistance(x, y));
+  double de = static_cast<double>(MyersLevenshtein(x, y));
   return 2.0 * de / (static_cast<double>(x.size() + y.size()) + de);
 }
 
@@ -86,6 +62,31 @@ double DybLengthLowerBound(std::size_t x_len, std::size_t y_len) {
   return 2.0 * gap / (static_cast<double>(x_len + y_len) + gap);
 }
 
+namespace {
+
+// All four normalisations are monotone non-decreasing in d_E for fixed
+// string lengths, so a bound `b` on the normalised value maps to a
+// threshold t on d_E: the value is < b iff d_E < t.
+// `LevenshteinDistanceBounded` returns the exact d_E below t and the
+// integer ceil(t) otherwise, and `value` (the normalisation's formula at
+// these lengths) maps that back to a value >= b. Mapping t itself back
+// could round below b. So can ceil(t) when t = b * denom rounds down onto
+// an integer whose own value is still < b (e.g. b just above 1/258 on two
+// 129-symbol strings gives t = 1); that d_E then needs exactness too, and
+// the band grows by one.
+template <typename Value>
+double NormalizedBounded(std::string_view x, std::string_view y, double bound,
+                         double threshold, Value value) {
+  double de = LevenshteinDistanceBounded(x, y, threshold);
+  while (de >= threshold && value(de) < bound) {
+    threshold = de + 1.0;
+    de = LevenshteinDistanceBounded(x, y, threshold);
+  }
+  return value(de);
+}
+
+}  // namespace
+
 double DsumDistanceBounded(std::string_view x, std::string_view y,
                            double bound) {
   if (x.empty() && y.empty()) return 0.0;
@@ -93,7 +94,8 @@ double DsumDistanceBounded(std::string_view x, std::string_view y,
   // length-only bound already reaches the caller's bound.
   if (DsumLengthLowerBound(x.size(), y.size()) >= bound) return bound;
   const double denom = static_cast<double>(x.size() + y.size());
-  return EditDistanceForThreshold(x, y, bound * denom) / denom;
+  return NormalizedBounded(x, y, bound, bound * denom,
+                           [denom](double de) { return de / denom; });
 }
 
 double DmaxDistanceBounded(std::string_view x, std::string_view y,
@@ -101,7 +103,8 @@ double DmaxDistanceBounded(std::string_view x, std::string_view y,
   if (x.empty() && y.empty()) return 0.0;
   if (DmaxLengthLowerBound(x.size(), y.size()) >= bound) return bound;
   const double denom = static_cast<double>(std::max(x.size(), y.size()));
-  return EditDistanceForThreshold(x, y, bound * denom) / denom;
+  return NormalizedBounded(x, y, bound, bound * denom,
+                           [denom](double de) { return de / denom; });
 }
 
 double DminDistanceBounded(std::string_view x, std::string_view y,
@@ -110,7 +113,8 @@ double DminDistanceBounded(std::string_view x, std::string_view y,
   if (DminLengthLowerBound(x.size(), y.size()) >= bound) return bound;
   const double denom = static_cast<double>(
       std::max<std::size_t>(std::min(x.size(), y.size()), 1));
-  return EditDistanceForThreshold(x, y, bound * denom) / denom;
+  return NormalizedBounded(x, y, bound, bound * denom,
+                           [denom](double de) { return de / denom; });
 }
 
 double DybDistanceBounded(std::string_view x, std::string_view y,
@@ -120,11 +124,10 @@ double DybDistanceBounded(std::string_view x, std::string_view y,
   if (bound >= 2.0) return DybDistance(x, y);
   if (DybLengthLowerBound(x.size(), y.size()) >= bound) return bound;
   const double len = static_cast<double>(x.size() + y.size());
-  // d_YB < b  <=>  d_E < b * (|x|+|y|) / (2 - b), and the mapping below is
-  // monotone, so a truncated d_E >= threshold still lands >= b.
-  const double de =
-      EditDistanceForThreshold(x, y, bound * len / (2.0 - bound));
-  return 2.0 * de / (len + de);
+  // d_YB < b  <=>  d_E < b * (|x|+|y|) / (2 - b).
+  return NormalizedBounded(
+      x, y, bound, bound * len / (2.0 - bound),
+      [len](double de) { return 2.0 * de / (len + de); });
 }
 
 }  // namespace cned

@@ -31,7 +31,9 @@ double DybDistance(std::string_view x, std::string_view y);
 /// Bounded-evaluation variants (`StringDistance::DistanceBounded` contract:
 /// exact when the true value is < `bound`, else any value >= `bound`). All
 /// four normalisations are monotone in d_E for fixed lengths, so the bound
-/// maps onto BoundedLevenshtein's integer Ukkonen band.
+/// maps onto a bound on d_E, which `LevenshteinDistanceBounded`
+/// (distances/levenshtein.h) turns into the bit-parallel kernel's integer
+/// band. The unbounded forms run `MyersLevenshtein` (distances/myers.h).
 double DsumDistanceBounded(std::string_view x, std::string_view y,
                            double bound);
 double DmaxDistanceBounded(std::string_view x, std::string_view y,

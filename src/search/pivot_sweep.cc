@@ -348,6 +348,12 @@ void PivotSweep::ComputePivotRow(std::string_view query, double* row,
 std::vector<std::int32_t> RankPivots(const std::vector<std::size_t>& pivots,
                                      std::size_t n, bool distinct,
                                      const std::string& who) {
+  // Checked before the n-entry allocation, so a corrupt header count fails
+  // here as a format error.
+  if (n > kMaxSweepIds) {
+    throw std::runtime_error(who + ": " + std::to_string(n) +
+                             " ids exceed the sweep's 2^31 id limit");
+  }
   std::vector<std::int32_t> pivot_rank;
   pivot_rank.assign(n, -1);
   for (std::size_t p = 0; p < pivots.size(); ++p) {

@@ -119,9 +119,10 @@ class PivotSweep {
 };
 
 /// The N-entry rank array of `pivots` over [0, n): rank[pivots[p]] = p,
-/// -1 for non-pivots. Throws std::runtime_error, prefixed with `who`, on an
-/// id >= n, and on a repeated id when `distinct`; otherwise a repeated id
-/// is one candidate slot, ranked by its last entry.
+/// -1 for non-pivots. Throws std::runtime_error, prefixed with `who`, on
+/// n > `kMaxSweepIds` (before allocating), on an id >= n, and on a repeated
+/// id when `distinct`; otherwise a repeated id is one candidate slot, ranked
+/// by its last entry.
 std::vector<std::int32_t> RankPivots(const std::vector<std::size_t>& pivots,
                                      std::size_t n, bool distinct,
                                      const std::string& who);

@@ -57,6 +57,11 @@ namespace cned {
 /// aligned); the kernels use unaligned loads so mid-slab shard segments
 /// are also fine.
 
+/// The id contract above as a size: an index spans at most 2^31 candidates.
+/// `RankPivots` (search/pivot_sweep.h), which every index build and every
+/// snapshot loader goes through, rejects a larger n.
+constexpr std::size_t kMaxSweepIds = std::size_t{1} << 31;
+
 /// "No candidate": the sentinel `next`/`next_pivot` value.
 constexpr std::size_t kSweepNone = static_cast<std::size_t>(-1);
 

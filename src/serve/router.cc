@@ -128,8 +128,15 @@ ServeRouter::ServeRouter(const std::string& snapshot_dir,
   std::vector<std::uint64_t> lens(np);
   reader.Align();
   reader.Raw(lens.data(), np * sizeof(std::uint64_t));
+  // Each length must fit in what is left of the arena, so the running sum
+  // cannot wrap past the total check.
   std::uint64_t lens_total = 0;
-  for (std::uint64_t l : lens) lens_total += l;
+  for (std::uint64_t l : lens) {
+    if (l > arena_bytes - lens_total) {
+      throw std::runtime_error("ServeRouter: pivot lengths exceed the arena");
+    }
+    lens_total += l;
+  }
   if (lens_total != arena_bytes) {
     throw std::runtime_error("ServeRouter: manifest pivot arena mismatch");
   }

@@ -1,6 +1,6 @@
 // Tests for the length-difference lower bounds (the LAESA sweep's "free
-// zeroth pivot"), the DistanceBounded length early-outs, and the common
-// prefix/suffix trimming in the Levenshtein kernels.
+// zeroth pivot"), the DistanceBounded length early-outs, and the d_E
+// kernels on pairs with long shared prefixes and suffixes.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "distances/levenshtein.h"
+#include "distances/myers.h"
 #include "distances/normalized.h"
 #include "distances/registry.h"
 #include "strings/alphabet.h"
@@ -97,9 +98,10 @@ TEST(LengthEarlyOutTest, BoundedReturnsBoundOnLengthGap) {
   }
 }
 
-TEST(AffixTrimmingTest, MatchesUntrimmedReference) {
-  // LevenshteinMatrix computes the full untrimmed DP; the trimmed kernel
-  // must agree on affix-heavy pairs.
+TEST(AffixHeavyPairsTest, MatchFullDpReference) {
+  // LevenshteinMatrix computes the full DP; the production kernel and the
+  // reference DP must agree with it on affix-heavy pairs (shared stems,
+  // perturbed words).
   auto reference = [](std::string_view x, std::string_view y) {
     return LevenshteinMatrix(x, y)[x.size()][y.size()];
   };
@@ -116,6 +118,8 @@ TEST(AffixTrimmingTest, MatchesUntrimmedReference) {
   for (const auto& [x, y] : pairs) {
     EXPECT_EQ(LevenshteinDistance(x, y), reference(x, y))
         << "x=" << x << " y=" << y;
+    EXPECT_EQ(MyersLevenshtein(x, y), reference(x, y))
+        << "x=" << x << " y=" << y;
   }
 
   Rng rng(6103);
@@ -130,15 +134,21 @@ TEST(AffixTrimmingTest, MatchesUntrimmedReference) {
         affix_l + StringGen::UniformLength(rng, latin, 0, 10) + affix_r;
     EXPECT_EQ(LevenshteinDistance(x, y), reference(x, y))
         << "x=" << x << " y=" << y;
-    // The banded kernel with trimming keeps the DistanceBounded contract.
+    EXPECT_EQ(MyersLevenshtein(x, y), reference(x, y))
+        << "x=" << x << " y=" << y;
+    // The bounded entry point keeps its contract: the real bound
+    // `bound + 1` maps onto the kernel's integer band `bound`.
     const auto exact = reference(x, y);
     for (std::size_t bound : {std::size_t{1}, std::size_t{3},
                               std::size_t{50}}) {
-      const auto b = BoundedLevenshtein(x, y, bound);
+      const double b = LevenshteinDistanceBounded(
+          x, y, static_cast<double>(bound) + 1.0);
       if (exact <= bound) {
-        EXPECT_EQ(b, exact) << "x=" << x << " y=" << y << " bound=" << bound;
+        EXPECT_EQ(b, static_cast<double>(exact))
+            << "x=" << x << " y=" << y << " bound=" << bound;
       } else {
-        EXPECT_GT(b, bound) << "x=" << x << " y=" << y << " bound=" << bound;
+        EXPECT_GT(b, static_cast<double>(bound))
+            << "x=" << x << " y=" << y << " bound=" << bound;
       }
     }
   }

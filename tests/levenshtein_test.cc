@@ -80,11 +80,16 @@ TEST(LevenshteinTest, BoundedAgreesWhenWithinBound) {
     std::string y = StringGen::UniformLength(rng, ab, 0, 14);
     std::size_t exact = LevenshteinDistance(x, y);
     for (std::size_t bound : {0u, 1u, 2u, 5u, 20u}) {
-      std::size_t b = BoundedLevenshtein(x, y, bound);
+      // The real bound `bound + 1` maps onto the kernel's integer band
+      // `bound`: exact up to it, above it otherwise.
+      const double b = LevenshteinDistanceBounded(
+          x, y, static_cast<double>(bound) + 1.0);
       if (exact <= bound) {
-        EXPECT_EQ(b, exact) << "x=" << x << " y=" << y << " bound=" << bound;
+        EXPECT_EQ(b, static_cast<double>(exact))
+            << "x=" << x << " y=" << y << " bound=" << bound;
       } else {
-        EXPECT_GT(b, bound) << "x=" << x << " y=" << y << " bound=" << bound;
+        EXPECT_GT(b, static_cast<double>(bound))
+            << "x=" << x << " y=" << y << " bound=" << bound;
       }
     }
   }
@@ -107,6 +112,7 @@ TEST(EditDistanceAdapterTest, NameAndMetricFlag) {
   EXPECT_EQ(d.name(), "dE");
   EXPECT_TRUE(d.is_metric());
   EXPECT_DOUBLE_EQ(d.Distance("abaa", "aab"), 2.0);
+  EXPECT_DOUBLE_EQ(d.Distance("kitten", "sitting"), 3.0);
 }
 
 }  // namespace

@@ -124,12 +124,5 @@ TEST(MyersTest, BoundedAgreesWithDpAtEveryBound) {
   }
 }
 
-TEST(FastEditDistanceTest, AdapterMetadataAndValue) {
-  FastEditDistance d;
-  EXPECT_TRUE(d.is_metric());
-  EXPECT_DOUBLE_EQ(d.Distance("kitten", "sitting"), 3.0);
-  EXPECT_EQ(d.name(), "dE(bitparallel)");
-}
-
 }  // namespace
 }  // namespace cned

@@ -6,7 +6,9 @@
 //   * the sharded index (Load, Map), the serve worker's ShardReplica and
 //     the ServeRouter manifest reject both.
 // Each case feeds one crafted file, at f64 and at u8. The router manifest
-// must also reject shard sizes whose running sum wraps.
+// must also reject shard sizes and pivot lengths whose running sums wrap,
+// and the worker's slice and the manifest an id count above the sweep's
+// 2^31 limit.
 
 #include <gtest/gtest.h>
 
@@ -40,6 +42,13 @@ namespace {
 constexpr std::size_t kShards = 3;
 constexpr TablePrecision kPrecisions[] = {TablePrecision::kF64,
                                           TablePrecision::kU8};
+
+// Byte offset of the first header count (n in every format here).
+constexpr std::size_t kHeaderN = 16;
+
+// An id count far above the sweep's 2^31 limit, and above what a rank
+// array could ever allocate.
+constexpr std::uint64_t kHugeN = std::uint64_t{1} << 62;
 
 // Byte offset of the pivot-id section: right after the 64-byte header in
 // the flat format, after one more 64-byte-aligned leading section (the
@@ -79,16 +88,21 @@ std::uint64_t ReadU64(const std::vector<char>& bytes, std::size_t offset) {
   return v;
 }
 
-// Overwrites entry `p` of the pivot-id section at `section` (after checking
-// that the entry holds `expected`, so a wrong offset fails loudly) and
-// re-stamps the checksum footer, so the edit reaches the structural checks.
+// Overwrites the u64 at `offset` (after checking that it holds `expected`,
+// so a wrong offset fails loudly) and re-stamps the checksum footer, so the
+// edit reaches the structural checks.
+void PatchU64(const std::string& path, std::size_t offset,
+              std::uint64_t expected, std::uint64_t value) {
+  std::vector<char> bytes = ReadAll(path);
+  ASSERT_EQ(ReadU64(bytes, offset), expected) << path;
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
+  WriteAllRestamped(path, bytes);
+}
+
+// Overwrites entry `p` of the pivot-id section at `section`.
 void PatchPivot(const std::string& path, std::size_t section, std::size_t p,
                 std::uint64_t expected, std::uint64_t id) {
-  std::vector<char> bytes = ReadAll(path);
-  const std::size_t offset = section + p * sizeof(std::uint64_t);
-  ASSERT_EQ(ReadU64(bytes, offset), expected) << path;
-  std::memcpy(bytes.data() + offset, &id, sizeof(id));
-  WriteAllRestamped(path, bytes);
+  PatchU64(path, section + p * sizeof(std::uint64_t), expected, id);
 }
 
 // The id that makes a pivot list bad: past the end, or pivots[0] again.
@@ -264,41 +278,86 @@ TEST(PivotTableTest, ServeRouterRejectsOutOfRangeAndDuplicatePivots) {
   }
 }
 
+TEST(PivotTableTest, ShardReplicaRejectsIdCountAboveSweepLimit) {
+  // A slice whose header n is 2^62 (checksum valid) is rejected as a format
+  // error before its n-entry rank array is allocated.
+  Data d;
+  const ShardedLaesa built(d.sharded, d.dist, 4, /*first_pivot=*/0);
+  TempDir dir;
+  SaveServingSnapshot(built, dir.path);
+  const std::string store_path = ShardStorePath(dir.path, 1);
+  const std::string index_path = ShardIndexPath(dir.path, 1);
+  PatchU64(index_path, kHeaderN, d.sharded.size(), kHugeN);
+  try {
+    ShardReplica replica(store_path, index_path, "dE");
+    FAIL() << "expected the slice to be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("id limit"), std::string::npos)
+        << e.what();
+  }
+}
+
+// Writes a router manifest from its parts, checksum footer included.
+void WriteManifest(const std::string& dir, const std::uint64_t counts[4],
+                   const std::vector<std::uint64_t>& sizes,
+                   const std::vector<std::uint64_t>& pivots,
+                   const std::vector<std::uint64_t>& lens,
+                   const std::string& arena) {
+  BinaryWriter writer(ManifestPath(dir));
+  writer.Header(kRouterManifestMagic, kRouterManifestVersion, counts, 4);
+  for (const std::vector<std::uint64_t>* section : {&sizes, &pivots, &lens}) {
+    writer.Align();
+    writer.Raw(section->data(), section->size() * sizeof(std::uint64_t));
+  }
+  writer.Align();
+  writer.Raw(arena.data(), arena.size());
+  writer.Finish();
+}
+
+// Expects `ServeRouter` to reject the manifest in `dir` with a message
+// containing `reason`: rejected for it before any worker is spawned, not
+// because the (absent) shard files kept every worker from coming up.
+void ExpectManifestRejected(const std::string& dir, const std::string& reason) {
+  ServeOptions options;
+  options.distance = "dE";
+  options.replicas = 1;
+  try {
+    ServeRouter router(dir, options);
+    FAIL() << "expected the manifest to be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PivotTableTest, ServeRouterRejectsIdCountAboveSweepLimit) {
+  // n = 2^62 with one shard of that size: every other count and section is
+  // consistent, so only the id limit can reject it.
+  TempDir dir;
+  const std::uint64_t counts[4] = {/*n=*/kHugeN, /*shards=*/1, /*np=*/1,
+                                   /*arena_bytes=*/1};
+  WriteManifest(dir.path, counts, {kHugeN}, {0}, {1}, "a");
+  ExpectManifestRejected(dir.path, "id limit");
+}
+
+TEST(PivotTableTest, ServeRouterRejectsPivotLengthsThatWrap) {
+  // Lengths {2^64 - 1, 1} sum to the arena's 0 bytes modulo 2^64.
+  TempDir dir;
+  const std::uint64_t counts[4] = {/*n=*/10, /*shards=*/1, /*np=*/2,
+                                   /*arena_bytes=*/0};
+  WriteManifest(dir.path, counts, {10}, {0, 1}, {~std::uint64_t{0}, 1}, "");
+  ExpectManifestRejected(dir.path, "pivot lengths");
+}
+
 TEST(PivotTableTest, ServeRouterRejectsShardSizesThatWrap) {
   // Sizes {2^64 - 5, 15} sum to n = 10 modulo 2^64, but the bases
   // {0, 2^64 - 5, 10} do not ascend. Everything else in the manifest is
   // well formed, checksum included.
   TempDir dir;
-  {
-    BinaryWriter writer(ManifestPath(dir.path));
-    const std::uint64_t counts[4] = {/*n=*/10, /*shards=*/2, /*np=*/1,
-                                     /*arena_bytes=*/1};
-    writer.Header(kRouterManifestMagic, kRouterManifestVersion, counts, 4);
-    const std::uint64_t sizes[2] = {~std::uint64_t{0} - 4, 15};
-    const std::uint64_t pivots[1] = {0};
-    const std::uint64_t lens[1] = {1};
-    writer.Align();
-    writer.Raw(sizes, sizeof(sizes));
-    writer.Align();
-    writer.Raw(pivots, sizeof(pivots));
-    writer.Align();
-    writer.Raw(lens, sizeof(lens));
-    writer.Align();
-    writer.Raw("a", 1);
-    writer.Finish();
-  }
-  ServeOptions options;
-  options.distance = "dE";
-  options.replicas = 1;
-  try {
-    ServeRouter router(dir.path, options);
-    FAIL() << "expected the manifest to be rejected";
-  } catch (const std::runtime_error& e) {
-    // Rejected for its sizes, before any worker is spawned — not because
-    // the (absent) shard files kept every worker from coming up.
-    EXPECT_NE(std::string(e.what()).find("shard sizes"), std::string::npos)
-        << e.what();
-  }
+  const std::uint64_t counts[4] = {/*n=*/10, /*shards=*/2, /*np=*/1,
+                                   /*arena_bytes=*/1};
+  WriteManifest(dir.path, counts, {~std::uint64_t{0} - 4, 15}, {0}, {1}, "a");
+  ExpectManifestRejected(dir.path, "shard sizes");
 }
 
 }  // namespace
