@@ -12,6 +12,9 @@
 namespace cned {
 namespace {
 
+/// Queries per block of the stage-1 pivot pass: the cache-tile height.
+constexpr std::size_t kPivotBlock = 32;
+
 /// Runs `per_query(i, stats_i)` for every query index under ParallelFor and
 /// merges the per-query counters in index order. A dense per-query stats
 /// array keeps workers contention-free and the merge deterministic.
@@ -61,14 +64,13 @@ std::vector<double> BatchQueryEngine::PivotStagePass(
   // loop, so one pivot string is streamed against the whole block while it
   // is hot in cache. Blocks are independent ParallelFor tasks.
   std::vector<double> rows(u_count * p_count);
-  const std::size_t block = options_.pivot_block > 0 ? options_.pivot_block : 1;
-  const std::size_t n_blocks = (u_count + block - 1) / block;
+  const std::size_t n_blocks = (u_count + kPivotBlock - 1) / kPivotBlock;
   const StringDistance& distance = ps.pivot_distance();
   ParallelFor(
       n_blocks,
       [&](std::size_t b) {
-        const std::size_t lo = b * block;
-        const std::size_t hi = std::min(lo + block, u_count);
+        const std::size_t lo = b * kPivotBlock;
+        const std::size_t hi = std::min(lo + kPivotBlock, u_count);
         for (std::size_t p = 0; p < p_count; ++p) {
           const std::string_view pivot = ps.PivotString(p);
           for (std::size_t u = lo; u < hi; ++u) {

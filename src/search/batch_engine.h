@@ -43,10 +43,10 @@ class BatchQueryEngine {
   struct Options {
     /// Worker threads; 0 means hardware concurrency.
     std::size_t threads = 0;
-    /// Run the two-stage pivot pipeline when the searcher supports it.
+    /// Run the two-stage pivot pipeline when the searcher supports it;
+    /// its stage-1 pass runs in blocks of 32 queries (the cache-tile
+    /// height).
     bool pivot_stage = false;
-    /// Queries per block of the stage-1 pass (cache-tile height).
-    std::size_t pivot_block = 32;
   };
 
   /// Borrows `searcher` (caller keeps it alive).

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <istream>
 #include <limits>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 
@@ -184,139 +181,6 @@ std::vector<NeighborResult> Laesa::RangeSearch(std::string_view query,
     stats->pivot_computations += pivots.size();
   }
   return hits;
-}
-
-// Text format: "LAESA 1" is the original exact-table form, written for f64
-// indexes exactly as before. Quantized indexes write "LAESA 2 <precision>"
-// followed by the per-row decode meta (precision-17 doubles: round-trip
-// exact) and the codes as integers — u8 values, f16 bit patterns, f32 bit
-// patterns — so a text round-trip restores the codes bit for bit.
-void Laesa::Save(std::ostream& out) const {
-  const std::size_t n = store().size();
-  const std::size_t np = pivots().size();
-  const std::size_t entries = np * n;
-  const TablePrecision precision = table_precision();
-  const QuantTableView view = pivot_table_.view(0);
-  if (precision == TablePrecision::kF64) {
-    out << "LAESA 1\n" << n << ' ' << np << '\n';
-  } else {
-    out << "LAESA 2 " << TablePrecisionName(precision) << '\n'
-        << n << ' ' << np << '\n';
-  }
-  for (std::size_t p : pivots()) out << p << ' ';
-  out << '\n';
-  out.precision(17);
-  if (precision == TablePrecision::kF64) {
-    for (std::size_t t = 0; t < entries; ++t) out << view.f64[t] << ' ';
-    out << '\n';
-    return;
-  }
-  for (const QuantRowMeta* m = view.rows; m != view.rows + np; ++m) {
-    out << m->scale << ' ' << m->offset << ' ' << m->gap << '\n';
-  }
-  for (std::size_t t = 0; t < entries; ++t) {
-    switch (precision) {
-      case TablePrecision::kF32: {
-        std::uint32_t bits;
-        std::memcpy(&bits, static_cast<const float*>(view.q) + t,
-                    sizeof(bits));
-        out << bits << ' ';
-        break;
-      }
-      case TablePrecision::kF16:
-        out << static_cast<const std::uint16_t*>(view.q)[t] << ' ';
-        break;
-      default:
-        out << static_cast<unsigned>(
-                   static_cast<const std::uint8_t*>(view.q)[t])
-            << ' ';
-        break;
-    }
-  }
-  out << '\n';
-}
-
-Laesa Laesa::Load(std::istream& in, PrototypeStoreRef prototypes,
-                  StringDistancePtr distance) {
-  std::string magic;
-  int version = 0;
-  in >> magic >> version;
-  if (!in || magic != "LAESA" || (version != 1 && version != 2)) {
-    throw std::runtime_error("Laesa::Load: bad header");
-  }
-  TablePrecision precision = TablePrecision::kF64;
-  if (version == 2) {
-    std::string name;
-    in >> name;
-    if (!in || !ParseTablePrecision(name, &precision) ||
-        precision == TablePrecision::kF64) {
-      throw std::runtime_error("Laesa::Load: bad table precision");
-    }
-  }
-  std::size_t n = 0, np = 0;
-  in >> n >> np;
-  if (!in) throw std::runtime_error("Laesa::Load: bad header");
-  if (n != prototypes->size()) {
-    throw std::runtime_error("Laesa::Load: prototype count mismatch");
-  }
-  if (np == 0 || np > n) {
-    throw std::runtime_error("Laesa::Load: bad pivot count");
-  }
-  std::vector<std::size_t> pivots(np);
-  for (std::size_t& p : pivots) {
-    in >> p;
-    if (!in) throw std::runtime_error("Laesa::Load: bad pivot");
-  }
-  Laesa index(InternalTag{}, prototypes, std::move(distance));
-  index.pivot_table_ =
-      PivotTables(std::move(pivots), n, /*distinct=*/false, "Laesa::Load");
-  PivotTables::Buffers table;
-  if (precision == TablePrecision::kF64) {
-    table.f64.emplace_back(np * n);
-    for (double& d : table.f64[0]) {
-      in >> d;
-      if (!in) throw std::runtime_error("Laesa::Load: truncated table");
-    }
-    index.pivot_table_.Own(precision, {n}, std::move(table));
-    return index;
-  }
-  table.meta.resize(np);
-  for (QuantRowMeta& m : table.meta) {
-    in >> m.scale >> m.offset >> m.gap;
-    if (!in) throw std::runtime_error("Laesa::Load: truncated table");
-  }
-  // Codes are written as unsigned integers of the element's width: u8
-  // values, f16 and f32 bit patterns. A wider value is corrupt, not a code
-  // to truncate.
-  const std::size_t width = TablePrecisionBytes(precision);
-  const std::uint64_t max_code = (std::uint64_t{1} << (8 * width)) - 1;
-  table.codes.emplace_back(np * n * width);
-  unsigned char* codes = table.codes[0].data();
-  for (std::size_t t = 0; t < np * n; ++t) {
-    std::uint64_t code = 0;
-    in >> code;
-    if (!in) throw std::runtime_error("Laesa::Load: truncated table");
-    if (code > max_code) {
-      throw std::runtime_error("Laesa::Load: bad table code");
-    }
-    switch (precision) {
-      case TablePrecision::kF32: {
-        const std::uint32_t bits = static_cast<std::uint32_t>(code);
-        std::memcpy(codes + t * 4, &bits, 4);
-        break;
-      }
-      case TablePrecision::kF16: {
-        const std::uint16_t h = static_cast<std::uint16_t>(code);
-        std::memcpy(codes + t * 2, &h, 2);
-        break;
-      }
-      default:
-        codes[t] = static_cast<unsigned char>(code);
-        break;
-    }
-  }
-  index.pivot_table_.Own(precision, {n}, std::move(table));
-  return index;
 }
 
 namespace {

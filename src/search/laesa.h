@@ -2,7 +2,6 @@
 #define CNED_SEARCH_LAESA_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <string_view>
 #include <vector>
 
@@ -127,20 +126,12 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
                                              const std::uint64_t* tombstones,
                                              QueryStats* stats = nullptr) const;
 
-  /// Serialises the pivot table (not the prototypes) to a stream. Rebuild
-  /// with `Load` against the *same* prototype set and distance — a
-  /// production convenience so the O(pivots x N) preprocessing is paid once.
-  void Save(std::ostream& out) const;
-
-  /// Restores an index saved by `Save`. Throws std::runtime_error on
-  /// malformed input or when the prototype count does not match.
-  static Laesa Load(std::istream& in, PrototypeStoreRef prototypes,
-                    StringDistancePtr distance);
-
-  /// Binary form of Save/Load: versioned 64-byte header, then the pivot
-  /// index and pivot-table sections each 64-byte aligned (the mmap-ready
-  /// format of common/binary_io.h). Pair with `PrototypeStore::SaveBinary`
-  /// for a complete serving snapshot.
+  /// Serialises the pivot table (not the prototypes): versioned 64-byte
+  /// header, then the pivot index and pivot-table sections each 64-byte
+  /// aligned (the mmap-ready format of common/binary_io.h). Rebuild with
+  /// `Load` or `Map` against the *same* prototype set and distance — so
+  /// the O(pivots x N) preprocessing is paid once. Pair with
+  /// `PrototypeStore::SaveBinary` for a complete serving snapshot.
   /// The binary `Load` reads through a read-only shared mapping of the
   /// file, as `Map` does. Like `Map`, it must not race a writer to the same
   /// path: a concurrent `Save` truncates the file and can raise `SIGBUS`.

@@ -68,43 +68,22 @@ std::size_t GatherSurvivors(const std::vector<SweepSegment>& segments,
   return total;
 }
 
-// The k incumbents of one sweep and its cost counters.
-//
-// Elimination and the incumbent update share one semantic: a candidate that
-// cannot *strictly* improve on the k-th incumbent is dead. That is what
-// lets the incumbent itself be the `DistanceBounded` bound — the kernel may
-// abandon any evaluation that provably reaches it, because such a value
-// could at most tie.
-struct Incumbents {
+// One in-process visit: the local evaluation against the shared visit rule,
+// charged to the candidate's home segment as well when `segment_stats` is
+// non-null.
+struct LocalVisit {
   const PivotSweep& core;
   std::string_view query;
-  std::size_t k;
+  SweepIncumbents& inc;
   QueryStats* segment_stats;
-  std::vector<NeighborResult> best = {};
-  std::uint64_t computations = 0, abandons = 0, pivot_computations = 0;
 
-  double kth() const { return best.size() < k ? kInf : best.back().distance; }
-
-  // Pivot distances stay exact: the full value tightens a whole row of
-  // lower bounds (both sides of |d - row[i]|), which an abandoned
-  // evaluation cannot. Non-pivot distances only ever update the incumbents,
-  // so the k-th incumbent bounds their kernel — the search trajectory (and
-  // computation count) is identical to the unbounded sweep, only the
-  // per-evaluation DP work shrinks.
-  double Visit(std::size_t id, bool is_pivot) {
+  double operator()(std::size_t id, bool is_pivot) const {
     const std::size_t g = core.SegmentOf(id);
     const SweepSegment& seg = core.segments()[g];
-    const double cap = is_pivot ? kInf : kth();
+    const double cap = inc.Cap(is_pivot);
     const double d = core.distance().DistanceBounded(
         query, seg.store->view(id - seg.base), cap);
-    ++computations;
-    pivot_computations += is_pivot ? 1 : 0;
-    const bool abandoned = d >= cap;
-    if (abandoned) {
-      ++abandons;
-    } else {
-      InsertNeighborTopK(best, k, {id, d});
-    }
+    const bool abandoned = inc.Absorb(id, d, cap, is_pivot);
     if (segment_stats != nullptr) {
       QueryStats& hs = segment_stats[g];
       hs.distance_computations += 1;
@@ -113,16 +92,12 @@ struct Incumbents {
     }
     return d;
   }
-
-  std::vector<NeighborResult> Finish(QueryStats* stats) {
-    if (stats != nullptr) {
-      stats->distance_computations += computations;
-      stats->bounded_abandons += abandons;
-      stats->pivot_computations += pivot_computations;
-    }
-    return std::move(best);
-  }
 };
+
+std::vector<NeighborResult> Finish(SweepIncumbents& inc, QueryStats* stats) {
+  if (stats != nullptr) *stats += inc.stats();
+  return inc.Take();
+}
 
 }  // namespace
 
@@ -227,13 +202,12 @@ std::vector<NeighborResult> PivotSweep::Lazy(
   std::size_t live_pivots = FillIotaCountPivots(idx, pivot_rank_, n);
   std::size_t total_live = n;
 
-  Incumbents inc{*this, query, k, segment_stats};
-  inc.best.reserve(k + 1);
-  auto kth = [&]() { return inc.kth(); };
+  SweepIncumbents inc(k);
+  const LocalVisit visit{*this, query, inc, segment_stats};
+  auto kth = [&]() { return inc.Kth(); };
 
-  // One visit pass over every segment, merged in segment order with strict
-  // '<': the first occurrence wins, i.e. the lowest global index among
-  // ties. Returns the next pivot to visit.
+  // One visit pass over every segment, folded in segment order. Returns
+  // the next pivot to visit.
   auto pass = [&](std::int32_t rank, double d, std::uint32_t skip,
                   double bound) {
     ForEachSegment(count, total_live, [&](std::size_t g) {
@@ -242,20 +216,14 @@ std::vector<NeighborResult> PivotSweep::Lazy(
           VisitSegmentPass(seg, pivot_rank_, rank, d, skip, slack, bound,
                            idx + seg.base, lower + seg.base, scratch.live[g]);
     });
-    total_live = 0;
-    std::size_t next = kSweepNone;
-    double next_key = kInf;
+    SweepCompactResult merged;
     for (std::size_t g = 0; g < count; ++g) {
-      const SweepCompactResult& out = scratch.pass[g];
-      scratch.live[g] = out.live;
-      total_live += out.live;
-      live_pivots -= out.pivots_died;
-      if (out.next_pivot != kSweepNone && out.next_pivot_key < next_key) {
-        next_key = out.next_pivot_key;
-        next = out.next_pivot;
-      }
+      scratch.live[g] = scratch.pass[g].live;
+      FoldSegmentMinima(scratch.pass[g], &merged);
     }
-    return next;
+    total_live = merged.live;
+    live_pivots -= merged.pivots_died;
+    return merged.next_pivot;
   };
 
   std::size_t s = pivots_[0];  // start from the first base prototype
@@ -269,14 +237,14 @@ std::vector<NeighborResult> PivotSweep::Lazy(
     s = pass(/*rank=*/-1, 0.0, /*skip=*/0xFFFFFFFFu, kInf);
   }
   while (live_pivots > 0 && s != kSweepNone) {
-    const double d = inc.Visit(s, /*is_pivot=*/true);
-    s = pass(pivot_rank_[s], d, static_cast<std::uint32_t>(s), kth());
+    const double d = visit(s, /*is_pivot=*/true);
+    s = pass(pivot_rank_[s], d, static_cast<std::uint32_t>(s), inc.Kth());
   }
   // Static phase: no row left to apply.
   total_live = GatherSurvivors(segments_, scratch.live.data(), idx, lower);
   VisitInBoundOrder(idx, lower, total_live, slack, kth,
-                    [&](std::size_t c) { inc.Visit(c, /*is_pivot=*/false); });
-  return inc.Finish(stats);
+                    [&](std::size_t c) { visit(c, /*is_pivot=*/false); });
+  return Finish(inc, stats);
 }
 
 // The batched counterpart of `Lazy`: the caller already paid for every
@@ -305,16 +273,14 @@ std::vector<NeighborResult> PivotSweep::WithRow(
   // Seed the incumbents with every pivot distance (each live pivot once —
   // duplicate pivot entries share one candidate slot). These evaluations
   // are already paid for, so ties admit the lower index.
-  Incumbents inc{*this, query, k, segment_stats};
-  inc.best.reserve(k + 1);
-  for (std::size_t p = 0; p < p_count; ++p) {
-    if (pivot_rank_[pivots_[p]] != static_cast<std::int32_t>(p)) continue;
-    InsertNeighborTopK(inc.best, k, {pivots_[p], row[p]}, /*admit_ties=*/true);
-  }
+  SweepIncumbents inc(k);
+  inc.SeedRow(pivots_, row, [&](std::size_t p) {
+    return pivot_rank_[pivots_[p]] != static_cast<std::int32_t>(p);
+  });
 
   // Per segment: every pivot row applied dense, then one compact_seed pass
   // against the fully seeded k-th incumbent packs the surviving non-pivots.
-  const double seed_bound = inc.kth();
+  const double seed_bound = inc.Kth();
   ForEachSegment(count, p_count * n, [&](std::size_t g) {
     const SweepSegment& seg = segments_[g];
     scratch.live[g] =
@@ -328,10 +294,11 @@ std::vector<NeighborResult> PivotSweep::WithRow(
   // visited in bound order against the improving incumbent.
   const std::size_t total_live =
       GatherSurvivors(segments_, scratch.live.data(), idx, lower);
+  const LocalVisit visit{*this, query, inc, segment_stats};
   VisitInBoundOrder(idx, lower, total_live, /*slack=*/1.0,
-                    [&]() { return inc.kth(); },
-                    [&](std::size_t c) { inc.Visit(c, /*is_pivot=*/false); });
-  return inc.Finish(stats);
+                    [&]() { return inc.Kth(); },
+                    [&](std::size_t c) { visit(c, /*is_pivot=*/false); });
+  return Finish(inc, stats);
 }
 
 void PivotSweep::ComputePivotRow(std::string_view query, double* row,

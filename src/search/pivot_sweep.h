@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -29,6 +30,97 @@ namespace cned {
 /// minima merge in segment order with strict '<', so the lowest global id
 /// wins ties as in one packed scan over [0, N). Results and `QueryStats`
 /// do not depend on the segment count or the passes' thread schedule.
+
+/// The visit rule of every LAESA sweep: the k incumbents, the bound a
+/// visit's evaluation may abandon at, and the cost counters. `PivotSweep`
+/// and the router's `SweepMachine` (serve/sweep_machine.h) hold one each,
+/// so the in-process and the distributed sweep decide alike.
+///
+/// Elimination and the incumbent update share one semantic: a candidate
+/// that cannot *strictly* improve on the k-th incumbent is dead. That is
+/// what lets the incumbent itself be the `DistanceBounded` bound — the
+/// kernel may abandon any evaluation that provably reaches it, because such
+/// a value could at most tie.
+class SweepIncumbents {
+ public:
+  explicit SweepIncumbents(std::size_t k) : k_(k) { best_.reserve(k + 1); }
+
+  /// The k-th incumbent distance; +inf while fewer than k are held.
+  double Kth() const {
+    return best_.size() < k_ ? std::numeric_limits<double>::infinity()
+                             : best_.back().distance;
+  }
+
+  /// The bound a visit's evaluation may abandon at. Pivot distances stay
+  /// exact: the full value tightens a whole row of lower bounds (both
+  /// sides of |d - row[i]|), which an abandoned evaluation cannot. Other
+  /// distances only ever update the incumbents, so the k-th incumbent
+  /// bounds their kernel — the trajectory (and computation count) is the
+  /// unbounded sweep's, only the per-evaluation DP work shrinks.
+  double Cap(bool is_pivot) const {
+    return is_pivot ? std::numeric_limits<double>::infinity() : Kth();
+  }
+
+  /// Counts one visit evaluation, `d = d(query, id)` bounded by `cap`
+  /// (from `Cap`): abandoned when d >= cap, otherwise admitted on a strict
+  /// improvement. Returns true when abandoned.
+  bool Absorb(std::size_t id, double d, double cap, bool is_pivot) {
+    ++stats_.distance_computations;
+    if (is_pivot) ++stats_.pivot_computations;
+    if (d >= cap) {
+      ++stats_.bounded_abandons;
+      return true;
+    }
+    Offer({id, d});
+    return false;
+  }
+
+  /// Admits `hit`, an evaluation counted elsewhere, on a strict
+  /// improvement.
+  void Offer(const NeighborResult& hit) { InsertNeighborTopK(best_, k_, hit); }
+
+  /// Seeds the incumbents from an already-paid pivot row, row[p] =
+  /// d(query, pivots[p]), skipping every p with `skip(p)`. The row is paid
+  /// for, so ties admit the lower id.
+  template <typename Skip>
+  void SeedRow(const std::vector<std::size_t>& pivots, const double* row,
+               Skip skip) {
+    for (std::size_t p = 0; p < pivots.size(); ++p) {
+      if (skip(p)) continue;
+      InsertNeighborTopK(best_, k_, {pivots[p], row[p]}, /*admit_ties=*/true);
+    }
+  }
+
+  /// The counters so far: visit evaluations, pivot visits, abandons.
+  QueryStats& stats() { return stats_; }
+
+  /// Moves the incumbents out, in (distance, id) order.
+  std::vector<NeighborResult> Take() { return std::move(best_); }
+
+ private:
+  std::size_t k_;
+  std::vector<NeighborResult> best_;
+  QueryStats stats_;
+};
+
+/// Folds one segment's compact result into `acc`, segments in base order:
+/// live counts and pivot deaths add up, and the minima merge with strict
+/// '<', so the first occurrence — the lowest global id among equal keys —
+/// wins, as in one packed scan over [0, N). Start from a default `acc`.
+inline void FoldSegmentMinima(const SweepCompactResult& seg,
+                              SweepCompactResult* acc) {
+  acc->live += seg.live;
+  acc->pivots_died += seg.pivots_died;
+  if (seg.next != kSweepNone && seg.next_key < acc->next_key) {
+    acc->next = seg.next;
+    acc->next_key = seg.next_key;
+  }
+  if (seg.next_pivot != kSweepNone &&
+      seg.next_pivot_key < acc->next_pivot_key) {
+    acc->next_pivot = seg.next_pivot;
+    acc->next_pivot_key = seg.next_pivot_key;
+  }
+}
 
 /// Global ids [base, base + store->size()): their prototypes and their
 /// slice of the pivot table (rank-major, decoded with the global row meta).

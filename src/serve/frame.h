@@ -60,7 +60,8 @@ inline constexpr std::uint32_t kMaxFramePayload = 1u << 30;
 /// round trip with nothing to gate on.
 enum class FrameType : std::uint32_t {
   kPing = 1,       ///< health check; reply: u64 shard id, u64 replica id
-  kBeginLazy = 2,  ///< start a lazy sweep: str query
+  kBeginLazy = 2,  ///< start a lazy sweep: str query -> compact (the
+                   ///< shard's base tombstones masked out by a +inf pass)
   kBeginRow = 3,   ///< start a row sweep: str query, f64 seed_bound, row
   kEval = 4,       ///< evaluate: u64 global id, f64 cap -> f64 distance
   kStep = 5,       ///< lazy visit pass: skip/rank/d/slack/bound -> compact

@@ -119,8 +119,7 @@ std::size_t ShardReplica::live_pivots(std::uint32_t qid) const {
 void ShardReplica::EndSweep(std::uint32_t qid) { sweeps_.erase(qid); }
 
 SweepCompactResult ShardReplica::BeginLazy(std::uint32_t qid,
-                                           std::string_view query,
-                                           bool masked_start) {
+                                           std::string_view query) {
   SweepSlot& slot = NewSlot(qid);
   slot.query.assign(query);
   const std::size_t n_s = store_.size();
@@ -132,9 +131,6 @@ SweepCompactResult ShardReplica::BeginLazy(std::uint32_t qid,
     slot.live_pivots += pivot_table_.rank()[base_ + j] >= 0 ? 1 : 0;
   }
   slot.live = n_s;
-  SweepCompactResult pass;
-  pass.live = slot.live;
-  if (!masked_start) return pass;  // legacy start: router begins at pivot 0
   // Mask this shard's base tombstones out of the slab before anything is
   // visited, and hand the router this segment's minimal-bound survivors so
   // it can choose a live starting candidate across shards (a dead global
@@ -142,7 +138,7 @@ SweepCompactResult ShardReplica::BeginLazy(std::uint32_t qid,
   if (base_dead_ > 0) {
     ApplyTombstoneMask(tombs_.data(), n_s, slot.lower.data());
   }
-  pass = VisitSegmentPass(segment(), pivot_table_.rank(), /*rank=*/-1, 0.0,
+  const SweepCompactResult pass = VisitSegmentPass(segment(), pivot_table_.rank(), /*rank=*/-1, 0.0,
                           /*skip=*/0xFFFFFFFFu, /*slack=*/1.0,
                           std::numeric_limits<double>::infinity(),
                           slot.idx.data(), slot.lower.data(), slot.live);

@@ -30,7 +30,7 @@ namespace cned {
 ///
 /// A replica is one segment of the shared sweep core (pivot_sweep.h) given
 /// its own state: `BeginRow` runs the core's row seed and `Step` (and the
-/// masked start of `BeginLazy`) its visit pass — the very per-segment
+/// tombstone mask of `BeginLazy`) its visit pass — the very per-segment
 /// passes `ShardedLaesa` runs over its shards — and the router merges the
 /// returned `SweepCompactResult`s the way the core merges its segments.
 /// That is what makes a healthy distributed query bit-identical
@@ -86,16 +86,12 @@ class ShardReplica {
   static constexpr std::size_t kMaxSweeps = 4096;
 
   /// Starts a lazy sweep in `qid`'s slot (created, or reset if the id is
-  /// being reused): length lower bounds over the segment, all candidates
-  /// live. With `masked_start` false this is the legacy path: the returned
-  /// pass only carries `live` (the router starts at the first pivot),
-  /// bit-identical to the pre-mutability protocol. With it true the
-  /// shard's base tombstones are masked out by an initial compaction at
-  /// bound=+inf (sweep_kernel.h) and the returned pass carries this
-  /// segment's minimal-bound survivors so the router can pick a live start
-  /// across shards.
-  SweepCompactResult BeginLazy(std::uint32_t qid, std::string_view query,
-                               bool masked_start);
+  /// being reused): length lower bounds over the segment, the shard's base
+  /// tombstones (if any) forced to +inf, then one flagged compaction at
+  /// bound=+inf (sweep_kernel.h) that drops exactly those. The returned
+  /// pass carries the survivor count and this segment's minimal-bound
+  /// survivors, so the router can pick a live start across shards.
+  SweepCompactResult BeginLazy(std::uint32_t qid, std::string_view query);
 
   /// Retires `qid`'s slot. Idempotent — the router's end-of-sweep frame is
   /// fire-and-forget, so a duplicate or a never-begun id is a no-op.

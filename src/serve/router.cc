@@ -52,9 +52,6 @@ void ValidateServeOptions(const ServeOptions& o) {
   if (o.health_interval_ms < 0) {
     fail("health_interval_ms", o.health_interval_ms, "must be >= 0");
   }
-  if (o.max_respawns_per_tick < 0) {
-    fail("max_respawns_per_tick", o.max_respawns_per_tick, "must be >= 0");
-  }
 }
 
 /// Exponential backoff before retry `attempt` (1-based), capped at the
@@ -75,6 +72,13 @@ void BackoffSleep(int backoff_base_ms, int attempt, std::int64_t deadline_ms) {
 
 constexpr std::uint32_t kReplyType =
     static_cast<std::uint32_t>(FrameType::kReply);
+
+/// How many dead replicas one health tick respawns at most, bounding the
+/// fork/re-map/replay work a tick can inject into a loaded server; the
+/// rest waits for the next tick (or for a query-path respawn, which is
+/// never capped — a caller already paying for a query wants full
+/// strength).
+constexpr std::size_t kMaxRespawnsPerTick = 4;
 
 }  // namespace
 
@@ -210,10 +214,6 @@ ServeRouter::~ServeRouter() {
 // replica revived here joins at a later query's begin.
 void ServeRouter::HealthLoop() {
   const auto interval = std::chrono::milliseconds(options_.health_interval_ms);
-  const std::size_t cap =
-      options_.max_respawns_per_tick > 0
-          ? static_cast<std::size_t>(options_.max_respawns_per_tick)
-          : 0;
   auto next = Clock::now() + interval;
   std::unique_lock<std::mutex> lock(health_mu_);
   for (;;) {
@@ -224,7 +224,7 @@ void ServeRouter::HealthLoop() {
     {
       std::lock_guard<std::mutex> rlock(respawn_mu_);
       PingAllLocked();
-      RespawnDeadLocked(cap);
+      RespawnDeadLocked(kMaxRespawnsPerTick);
     }
     lock.lock();
     next += interval;
@@ -325,17 +325,6 @@ void ServeRouter::ReapReplica(std::size_t s, std::size_t r) {
   }
 }
 
-void ServeRouter::MarkDeadGlobal(std::size_t s, std::size_t r) {
-  std::shared_ptr<Conn> conn;
-  {
-    Group& g = *groups_[s];
-    std::lock_guard<std::mutex> lock(g.mu);
-    g.members[r].alive = false;
-    conn = g.members[r].conn;
-  }
-  if (conn != nullptr) conn->Fail();
-}
-
 void ServeRouter::MarkDead(QueryCtx& ctx, std::size_t s, std::size_t r) {
   Participant& m = ctx.groups[s].members[r];
   m.alive = false;
@@ -348,24 +337,41 @@ void ServeRouter::MarkDead(QueryCtx& ctx, std::size_t s, std::size_t r) {
   if (g.members[r].conn == m.conn) g.members[r].alive = false;
 }
 
+void ServeRouter::PinGroup(const Group& g, GroupCtx* gc) {
+  gc->members.resize(g.members.size());
+  for (std::size_t r = 0; r < g.members.size(); ++r) {
+    gc->members[r].conn = g.members[r].conn;
+    gc->members[r].alive = g.members[r].alive &&
+                           g.members[r].conn != nullptr &&
+                           !g.members[r].conn->failed();
+  }
+  gc->primary = g.primary;
+}
+
 void ServeRouter::SnapshotCtx(QueryCtx* ctx) const {
   std::uint32_t qid = ++qid_counter_;
   if (qid == 0) qid = ++qid_counter_;  // 0 is the control plane
   ctx->qid = qid;
   ctx->groups.resize(groups_.size());
   for (std::size_t s = 0; s < groups_.size(); ++s) {
-    Group& g = *groups_[s];
-    GroupCtx& gc = ctx->groups[s];
-    std::lock_guard<std::mutex> lock(g.mu);
-    gc.members.resize(g.members.size());
-    for (std::size_t r = 0; r < g.members.size(); ++r) {
-      gc.members[r].conn = g.members[r].conn;
-      gc.members[r].alive = g.members[r].alive &&
-                            g.members[r].conn != nullptr &&
-                            !g.members[r].conn->failed();
-    }
-    gc.primary = g.primary;
+    std::lock_guard<std::mutex> lock(groups_[s]->mu);
+    PinGroup(*groups_[s], &ctx->groups[s]);
   }
+}
+
+ServeRouter::QueryCtx ServeRouter::ControlCtx(std::size_t s) {
+  QueryCtx ctx;  // query id 0
+  ctx.groups.resize(groups_.size());
+  Group& g = *groups_[s];
+  std::lock_guard<std::mutex> lock(g.mu);
+  PinGroup(g, &ctx.groups[s]);
+  // The reactor can fail a connection while the member's alive flag is
+  // still set; mark it dead globally so RespawnDead and the health loop
+  // revive it.
+  for (std::size_t r = 0; r < g.members.size(); ++r) {
+    if (!ctx.groups[s].members[r].alive) g.members[r].alive = false;
+  }
+  return ctx;
 }
 
 void ServeRouter::EndSweeps(const QueryCtx& ctx) {
@@ -474,71 +480,28 @@ bool ServeRouter::SendRecv(QueryCtx& ctx, std::size_t s, std::size_t r,
 bool ServeRouter::ControlSendRecv(std::size_t s, std::size_t r, FrameType type,
                                   const std::vector<char>& payload,
                                   std::vector<char>* reply, bool retryable) {
-  std::shared_ptr<Conn> conn;
-  {
-    Group& g = *groups_[s];
-    std::lock_guard<std::mutex> lock(g.mu);
-    if (!g.members[r].alive) return false;
-    conn = g.members[r].conn;
-  }
-  if (conn == nullptr || conn->failed()) {
-    MarkDeadGlobal(s, r);
-    return false;
-  }
-  const int attempts = retryable ? 1 + options_.op_retries : 1;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      BackoffSleep(options_.backoff_base_ms, attempt, /*deadline_ms=*/-1);
-    }
-    const std::uint32_t seq = conn->NextSeq();
-    conn->Expect(seq, /*qid=*/0);
-    if (!conn->Send(type, seq, /*qid=*/0, payload.data(), payload.size())) {
-      conn->Cancel(seq);
-      MarkDeadGlobal(s, r);
-      return false;
-    }
-    Frame frame;
-    const RecvStatus st = conn->Wait(seq, options_.op_timeout_ms, &frame);
-    if (st == RecvStatus::kOk) {
-      if (frame.type != kReplyType) {
-        MarkDeadGlobal(s, r);
-        return false;
-      }
-      if (reply != nullptr) *reply = std::move(frame.payload);
-      return true;
-    }
-    if (st != RecvStatus::kTimeout) {
-      MarkDeadGlobal(s, r);
-      return false;
-    }
-    conn->Cancel(seq);
-    if (!retryable) break;
-  }
-  MarkDeadGlobal(s, r);
-  return false;
+  QueryCtx ctx = ControlCtx(s);
+  return SendRecv(ctx, s, r, type, payload, reply, options_.op_timeout_ms,
+                  retryable, /*deadline_ms=*/-1);
 }
 
-void ServeRouter::Broadcast(QueryCtx& ctx, SweepMachine& m, bool begin,
-                            std::int64_t deadline_ms, ServeResult* res) {
-  const FrameType type = begin ? m.begin_type() : m.step_type();
-  const std::vector<char> payload = begin ? m.BeginPayload() : m.StepPayload();
-  const bool retryable = begin;
-  const int timeout_ms = RemainingMs(deadline_ms);
-  const std::size_t shards = shard_count();
+std::vector<std::optional<std::vector<char>>> ServeRouter::Replicate(
+    QueryCtx& ctx, const std::vector<std::size_t>& shards, FrameType type,
+    const std::vector<char>& payload, bool retryable, int timeout_ms,
+    std::int64_t deadline_ms, ServeResult* res) {
   const std::size_t R = replicas_per_shard_;
   // Per (shard, member) scatter state, flat-indexed s * R + r.
-  std::vector<std::uint32_t> sent_seq(shards * R, 0);
-  std::vector<char> pending(shards * R, 0), good(shards * R, 0);
-  std::vector<std::vector<char>> member_reply(shards * R);
+  const std::size_t slots = ctx.groups.size() * R;
+  std::vector<std::uint32_t> sent_seq(slots, 0);
+  std::vector<char> pending(slots, 0), good(slots, 0);
+  std::vector<std::vector<char>> member_reply(slots);
 
-  // Scatter to every live pinned member of every active shard first, so
-  // all replicas compute their pass concurrently — this is the
-  // state-machine replication step: standbys consume the identical op
-  // stream. With concurrent queries in flight, the reactor's send
-  // coalescing merges these frames with other queries' into fewer
-  // syscalls.
-  for (std::size_t s = 0; s < shards; ++s) {
-    if (!m.active(s)) continue;
+  // Scatter to every live pinned member first, so all replicas compute
+  // concurrently — this is the state-machine replication step: standbys
+  // consume the identical op stream. With concurrent queries in flight,
+  // the reactor's send coalescing merges these frames with other queries'
+  // into fewer syscalls.
+  for (const std::size_t s : shards) {
     GroupCtx& g = ctx.groups[s];
     for (std::size_t r = 0; r < g.members.size(); ++r) {
       Participant& p = g.members[r];
@@ -558,8 +521,8 @@ void ServeRouter::Broadcast(QueryCtx& ctx, SweepMachine& m, bool begin,
   // ...then gather in (shard, member) order. Later waits usually complete
   // instantly: whichever thread reads the socket completes every waiter
   // whose frame arrived in the same drain.
-  for (std::size_t s = 0; s < shards; ++s) {
-    for (std::size_t r = 0; r < R; ++r) {
+  for (const std::size_t s : shards) {
+    for (std::size_t r = 0; r < ctx.groups[s].members.size(); ++r) {
       const std::size_t i = s * R + r;
       if (!pending[i]) continue;
       Participant& p = ctx.groups[s].members[r];
@@ -568,70 +531,80 @@ void ServeRouter::Broadcast(QueryCtx& ctx, SweepMachine& m, bool begin,
       if (st == RecvStatus::kOk && frame.type == kReplyType) {
         member_reply[i] = std::move(frame.payload);
         good[i] = 1;
-      } else if (st == RecvStatus::kTimeout) {
-        // Deregister — the late reply becomes stale — then retry fresh
-        // when the op is idempotent; a mutating op that timed out costs
-        // the replica its life on the spot.
+      } else if (st == RecvStatus::kTimeout && retryable) {
+        // Deregister — the late reply becomes stale — then retry fresh.
         p.conn->Cancel(sent_seq[i]);
-        if (retryable) {
-          if (SendRecv(ctx, s, r, type, payload, &member_reply[i], timeout_ms,
-                       /*retryable=*/true, deadline_ms)) {
-            good[i] = 1;
-          }
-        } else {
-          MarkDead(ctx, s, r);
-        }
-      } else if (st == RecvStatus::kOk) {
-        // kError or an unexpected type.
-        MarkDead(ctx, s, r);
+        good[i] = SendRecv(ctx, s, r, type, payload, &member_reply[i],
+                           timeout_ms, /*retryable=*/true, deadline_ms);
       } else {
+        // A mutating op that timed out costs the replica its life on the
+        // spot, as do kError, an unexpected type and a broken stream.
+        if (st == RecvStatus::kTimeout) p.conn->Cancel(sent_seq[i]);
         MarkDead(ctx, s, r);
       }
     }
   }
-  // Reconcile each group: the primary's reply drives the merge; standbys
-  // must agree byte-for-byte or be evicted as corrupt; a failed primary
-  // is replaced by the first standby that answered (whose slab state is
-  // bit-identical by construction) — the failover that keeps the query
-  // exact and unflagged.
-  for (std::size_t s = 0; s < shards; ++s) {
-    if (!m.active(s)) continue;
+  // Reconcile each group: the primary's reply drives; standbys must agree
+  // byte-for-byte or be evicted as corrupt; a failed primary is replaced
+  // by the first standby that answered (whose state is bit-identical by
+  // construction) — the failover that keeps a query exact and unflagged.
+  std::vector<std::optional<std::vector<char>>> driving(ctx.groups.size());
+  for (const std::size_t s : shards) {
     GroupCtx& g = ctx.groups[s];
-    std::size_t driver = g.members.size();
+    std::size_t lead = g.members.size();
     if (good[s * R + g.primary]) {
-      driver = g.primary;
+      lead = g.primary;
     } else {
       for (std::size_t r = 0; r < g.members.size(); ++r) {
         if (good[s * R + r]) {
-          driver = r;
+          lead = r;
           break;
         }
       }
-      if (driver < g.members.size()) {
-        Promote(ctx, s, driver);
+      if (lead < g.members.size()) {
+        Promote(ctx, s, lead);
         if (res != nullptr) ++res->failovers;
       }
     }
-    if (driver == g.members.size()) {
-      // The whole replica group is gone: only now does the shard degrade.
-      m.Drop(s);
-      continue;
-    }
+    if (lead == g.members.size()) continue;  // the whole group failed
     for (std::size_t r = 0; r < g.members.size(); ++r) {
-      if (r == driver || !good[s * R + r]) continue;
-      if (member_reply[s * R + r] != member_reply[s * R + driver]) {
+      if (r == lead || !good[s * R + r]) continue;
+      if (member_reply[s * R + r] != member_reply[s * R + lead]) {
         MarkDead(ctx, s, r);
         if (res != nullptr) ++res->replicas_evicted;
       }
     }
-    const std::vector<char>& reply = member_reply[s * R + driver];
-    if (begin ? m.AbsorbBegin(s, reply) : m.AbsorbStep(s, reply)) continue;
+    driving[s] = std::move(member_reply[s * R + lead]);
+  }
+  return driving;
+}
+
+void ServeRouter::Broadcast(QueryCtx& ctx, SweepMachine& m, bool begin,
+                            std::int64_t deadline_ms, ServeResult* res) {
+  std::vector<std::size_t> shards;
+  for (std::size_t s = 0; s < shard_count(); ++s) {
+    if (m.active(s)) shards.push_back(s);
+  }
+  const auto replies =
+      Replicate(ctx, shards, begin ? m.begin_type() : m.step_type(),
+                begin ? m.BeginPayload() : m.StepPayload(),
+                /*retryable=*/begin, RemainingMs(deadline_ms), deadline_ms,
+                res);
+  for (const std::size_t s : shards) {
+    if (!replies[s].has_value()) {
+      // The whole replica group is gone: only now does the shard degrade.
+      m.Drop(s);
+      continue;
+    }
+    if (begin ? m.AbsorbBegin(s, *replies[s]) : m.AbsorbStep(s, *replies[s])) {
+      continue;
+    }
     // The driving reply decoded to garbage (CRC-valid but wrong): with the
     // primary's stream suspect there is no quorum to promote on, so the
     // shard sits this query out. After a begin, EnsurePrimary (without
     // counting a failover — nothing was saved) leaves the group pointing
     // at a live member for the next query.
-    MarkDead(ctx, s, g.primary);
+    MarkDead(ctx, s, ctx.groups[s].primary);
     if (begin) EnsurePrimary(ctx, s, nullptr);
     m.Drop(s);
   }
@@ -1241,17 +1214,12 @@ bool ServeRouter::PingAll() {
 bool ServeRouter::PingAllLocked() {
   bool all = true;
   for (std::size_t s = 0; s < groups_.size(); ++s) {
-    for (std::size_t r = 0; r < groups_[s]->members.size(); ++r) {
-      {
-        std::lock_guard<std::mutex> lock(groups_[s]->mu);
-        if (!groups_[s]->members[r].alive) {
-          all = false;
-          continue;
-        }
-      }
+    QueryCtx ctx = ControlCtx(s);
+    for (std::size_t r = 0; r < ctx.groups[s].members.size(); ++r) {
       std::vector<char> reply;
-      if (!ControlSendRecv(s, r, FrameType::kPing, {}, &reply,
-                           /*retryable=*/true)) {
+      if (!SendRecv(ctx, s, r, FrameType::kPing, {}, &reply,
+                    options_.op_timeout_ms, /*retryable=*/true,
+                    /*deadline_ms=*/-1)) {
         all = false;
         continue;
       }
@@ -1260,7 +1228,7 @@ bool ServeRouter::PingAllLocked() {
       // the wrong shard (or the wrong group slot) is as dead as one
       // serving nothing.
       if (pr.U64() != s || pr.U64() != r || !pr.Done()) {
-        MarkDeadGlobal(s, r);
+        MarkDead(ctx, s, r);
         all = false;
       }
     }
@@ -1387,92 +1355,28 @@ std::uint64_t ServeRouter::next_insert_id() const {
   return next_insert_id_;
 }
 
-void ServeRouter::ReplicateMutation(std::size_t owner, const MutationOp& op) {
-  // The usual replication step at query id 0: every live member applies
-  // the op, replies are byte-checked (dedup-stable, so retries after lost
-  // replies still agree), and a member that fails is dead — to be
-  // replayed at respawn. Caller holds respawn_mu_, so membership is
-  // stable across the exchange.
-  Group& g = *groups_[owner];
-  const std::size_t R = replicas_per_shard_;
-  std::vector<std::shared_ptr<Conn>> conns(R);
-  std::vector<char> live(R, 0);
-  std::size_t primary = 0;
-  {
-    std::lock_guard<std::mutex> lock(g.mu);
-    for (std::size_t r = 0; r < R; ++r) {
-      conns[r] = g.members[r].conn;
-      live[r] = g.members[r].alive ? 1 : 0;
-    }
-    primary = g.primary;
-  }
+std::vector<char> ServeRouter::MutationOp::Payload() const {
   PayloadWriter w;
-  w.U64(op.id);
-  if (op.insert) w.Str(op.s);
-  const FrameType type = op.insert ? FrameType::kInsert : FrameType::kRemove;
-  std::vector<std::uint32_t> seqs(R, 0);
-  std::vector<char> pending(R, 0), good(R, 0);
-  std::vector<std::vector<char>> reply(R);
-  for (std::size_t r = 0; r < R; ++r) {
-    if (!live[r] || conns[r] == nullptr || conns[r]->failed()) continue;
-    seqs[r] = conns[r]->NextSeq();
-    conns[r]->Expect(seqs[r], /*qid=*/0);
-    if (conns[r]->Send(type, seqs[r], /*qid=*/0, w.buf.data(),
-                       w.buf.size())) {
-      pending[r] = 1;
-    } else {
-      conns[r]->Cancel(seqs[r]);
-      MarkDeadGlobal(owner, r);
-    }
-  }
-  for (std::size_t r = 0; r < R; ++r) {
-    if (!pending[r]) continue;
-    Frame f;
-    const RecvStatus st = conns[r]->Wait(seqs[r], options_.op_timeout_ms, &f);
-    if (st == RecvStatus::kOk && f.type == kReplyType) {
-      reply[r] = std::move(f.payload);
-      good[r] = 1;
-    } else if (st == RecvStatus::kTimeout) {
-      conns[r]->Cancel(seqs[r]);
-      if (ControlSendRecv(owner, r, type, w.buf, &reply[r],
-                          /*retryable=*/true)) {
-        good[r] = 1;
-      }
-    } else {
-      MarkDeadGlobal(owner, r);
-    }
-  }
-  std::size_t driver = R;
-  if (good[primary]) {
-    driver = primary;
-  } else {
-    for (std::size_t r = 0; r < R; ++r) {
-      if (good[r]) {
-        driver = r;
-        break;
-      }
-    }
-  }
-  if (driver == R) return;  // journal replay repairs at respawn
-  if (driver != primary) {
-    std::lock_guard<std::mutex> lock(g.mu);
-    if (g.members[driver].alive) g.primary = driver;
-  }
-  for (std::size_t r = 0; r < R; ++r) {
-    if (r == driver || !good[r]) continue;
-    if (reply[r] != reply[driver]) MarkDeadGlobal(owner, r);
-  }
+  w.U64(id);
+  if (insert) w.Str(s);
+  return std::move(w.buf);
+}
+
+void ServeRouter::ReplicateMutation(std::size_t owner, const MutationOp& op) {
+  // The sweeps' replication step on the control plane: every live member
+  // applies the op, replies are byte-checked (dedup-stable, so retries
+  // after lost replies still agree), and a member that fails is dead — to
+  // be replayed at respawn, as is a group that fails whole. Caller holds
+  // respawn_mu_, so membership is stable across the exchange.
+  QueryCtx ctx = ControlCtx(owner);
+  Replicate(ctx, {owner}, op.type(), op.Payload(), /*retryable=*/true,
+            options_.op_timeout_ms, /*deadline_ms=*/-1, /*res=*/nullptr);
 }
 
 bool ServeRouter::ReplayMutations(std::size_t s, std::size_t r) {
   for (const MutationOp& op : shard_ops_[s]) {
-    PayloadWriter w;
-    w.U64(op.id);
-    if (op.insert) w.Str(op.s);
-    std::vector<char> reply;
-    if (!ControlSendRecv(s, r,
-                         op.insert ? FrameType::kInsert : FrameType::kRemove,
-                         w.buf, &reply, /*retryable=*/true)) {
+    if (!ControlSendRecv(s, r, op.type(), op.Payload(), /*reply=*/nullptr,
+                         /*retryable=*/true)) {
       return false;  // ControlSendRecv already marked the replica dead
     }
   }
@@ -1495,7 +1399,7 @@ void ServeRouter::DeltaPhase(QueryCtx& ctx, SweepMachine& m,
     if (!GroupEval(ctx, s, FrameType::kDeltaScan, m.DeltaPayload(), &reply,
                    deadline, res)) {
       m.Drop(s);
-    } else if (!m.AbsorbDelta(reply)) {
+    } else if (!m.AbsorbDelta(s, reply)) {
       MarkDead(ctx, s, ctx.groups[s].primary);
       m.Drop(s);
     }

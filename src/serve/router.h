@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -72,16 +73,13 @@ struct ServeOptions {
   /// drift-free (each tick is scheduled from the previous deadline, not
   /// from when the work finished) and runs *concurrently* with queries —
   /// pings multiplex over the shared connections, and a replica it
-  /// revives only joins queries that begin afterwards. 0 disables the
+  /// revives only joins queries that begin afterwards. One tick respawns
+  /// at most four dead replicas, bounding the fork/re-map/replay work it
+  /// can inject into a loaded server; the rest waits for the next tick or
+  /// for a query-path respawn, which is never capped. 0 disables the
   /// thread — the synchronous `auto_respawn` path alone keeps groups at
   /// full strength.
   int health_interval_ms = 0;
-  /// Caps how many dead replicas one health tick will respawn, bounding
-  /// the fork/re-map/replay work a tick can inject into a loaded server;
-  /// the remainder waits for the next tick (or for a query-path respawn,
-  /// which is never capped — a caller already paying for a query wants
-  /// full strength). 0 = uncapped.
-  int max_respawns_per_tick = 4;
 
   /// CNED_FAULT-grammar fault schedule for the initial workers
   /// (serve/fault.h); empty = fault-free.
@@ -151,6 +149,13 @@ struct ServeOptions {
 /// whose state is bit-identical by construction — the query completes
 /// exact and unflagged. Idempotent Evals go to the primary only and are
 /// hedged to a standby after `hedge_delay_ms`.
+///
+/// The control plane (pings, respawn replay, Insert/Remove replication)
+/// is a query context too, with query id 0: the members of one group as
+/// they stand at call time, no deadline (each wait is `op_timeout_ms`),
+/// and no `ServeResult` to count into. So there is one request/retry loop
+/// (`SendRecv`) and one replicated exchange (`Replicate`: scatter, gather,
+/// reconcile); sweep begins and steps, and mutations, all run the latter.
 ///
 /// Failure semantics (the robustness contract the tests pin down):
 ///   * per-op timeouts; idempotent ops retry with exponential backoff
@@ -373,17 +378,24 @@ class ServeRouter {
                     const std::string& fault_spec);
   void ReapReplica(std::size_t s, std::size_t r);
 
-  /// Global death: fails the member's connection (waking every query
-  /// waiting on it) and clears the alive flag.
-  void MarkDeadGlobal(std::size_t s, std::size_t r);
   /// Query-context death: fails the pinned connection and clears the ctx
   /// flag; propagates to the global member only if it still holds the
   /// *same* connection (a respawn may already have replaced it — the
   /// fresh process must not be condemned for its predecessor's death).
   void MarkDead(QueryCtx& ctx, std::size_t s, std::size_t r);
 
+  /// Pins `g`'s members into `gc`; a member counts alive only on a
+  /// healthy connection. Caller holds `g.mu`.
+  static void PinGroup(const Group& g, GroupCtx* gc);
   /// New query id (nonzero) + participant snapshot under each group's mu.
   void SnapshotCtx(QueryCtx* ctx) const;
+  /// The control plane's context for group `s` (the other groups stay
+  /// empty): query id 0 and the group's members as they stand now, so a
+  /// call made right after `SpawnReplica` talks to the new connection. A
+  /// member whose connection failed under a still-set alive flag is
+  /// marked dead globally, so `RespawnDead` and the health loop revive it.
+  /// Caller holds `respawn_mu_`, so membership is stable while it is used.
+  QueryCtx ControlCtx(std::size_t s);
   /// Fire-and-forget kEndSweep to every pinned participant whose
   /// connection still works: retires the workers' per-query sweep slots.
   void EndSweeps(const QueryCtx& ctx);
@@ -407,21 +419,32 @@ class ServeRouter {
   bool SendRecv(QueryCtx& ctx, std::size_t s, std::size_t r, FrameType type,
                 const std::vector<char>& payload, std::vector<char>* reply,
                 int timeout_ms, bool retryable, std::int64_t deadline_ms);
-  /// The control-plane (query id 0) form against the *current* global
-  /// member — ping, respawn replay, mutation replication. Caller holds
-  /// `respawn_mu_`, so membership is stable across the exchange.
+  /// `SendRecv` on the control plane: over `ControlCtx(s)`, each wait
+  /// `op_timeout_ms`, no deadline — respawn pings and journal replay.
   bool ControlSendRecv(std::size_t s, std::size_t r, FrameType type,
                        const std::vector<char>& payload,
                        std::vector<char>* reply, bool retryable);
 
-  /// Scatters the machine's begin (`begin`, idempotent: retried) or step
-  /// (mutating: never retried) to every live pinned member of every active
-  /// shard (the state-machine replication step), gathers, then reconciles
-  /// each group: the primary's reply drives (absorbed into `m`), standbys
-  /// are byte-checked against it (disagreement = eviction), and a failed
-  /// primary is replaced by a standby that answered. Shards whose whole
-  /// group failed, or whose driving reply is malformed, are dropped from
-  /// `m`.
+  /// The one replicated exchange (the state-machine replication step):
+  /// scatters `payload` to every live pinned member of each group in
+  /// `shards`, gathers in (shard, member) order — a member that times out
+  /// is retried through `SendRecv` when `retryable`, else dead on the spot
+  /// — then reconciles each group: the primary's reply drives, a failed
+  /// primary is replaced by the first member that answered (promoted,
+  /// one failover), and a member whose reply disagrees byte-for-byte with
+  /// the driving reply is evicted as corrupt. Each wait is `timeout_ms`, capped
+  /// by `deadline_ms` (-1 = none); failovers and evictions count into
+  /// `res` when non-null. Returns the driving reply per shard id, empty
+  /// for a shard not asked or whose whole group failed.
+  std::vector<std::optional<std::vector<char>>> Replicate(
+      QueryCtx& ctx, const std::vector<std::size_t>& shards, FrameType type,
+      const std::vector<char>& payload, bool retryable, int timeout_ms,
+      std::int64_t deadline_ms, ServeResult* res);
+
+  /// Replicates the machine's begin (`begin`, idempotent: retried) or step
+  /// (mutating: never retried) to every active shard and absorbs each
+  /// driving reply into `m`. Shards whose whole group failed, or whose
+  /// driving reply is malformed, are dropped from `m`.
   void Broadcast(QueryCtx& ctx, SweepMachine& m, bool begin,
                  std::int64_t deadline_ms, ServeResult* res);
 
@@ -440,6 +463,12 @@ class ServeRouter {
     bool insert = false;
     std::uint64_t id = 0;
     std::string s;
+
+    FrameType type() const {
+      return insert ? FrameType::kInsert : FrameType::kRemove;
+    }
+    /// u64 id, then the string for an insert (serve/frame.h).
+    std::vector<char> Payload() const;
   };
   void ReplicateMutation(std::size_t owner, const MutationOp& op);
   /// Replays the owner shard's journal to a freshly respawned member —

@@ -1,14 +1,12 @@
 #include "serve/sweep_machine.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "serve/wire.h"
 
 namespace cned {
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
 /// The router runs the exact sweep: the lazy step's elimination slack.
 constexpr double kExactSlack = 1.0;
 
@@ -32,39 +30,30 @@ SweepMachine::SweepMachine(const SweepShape& shape, const SweepWorld& world,
       world_(world),
       query_(query),
       row_(row),
-      masked_(world.base_dead_total > 0),
       k_(std::min(k, world.LiveTotal(shape.n()))),
+      inc_(k_),
       views_(shape.shard_count()) {
   if (k_ == 0) return;
-  best_.reserve(k_ + 1);
   if (row_ == nullptr) {
-    // Legacy start: the first pivot, as in process. The masked start is
-    // the best survivor of the begin passes instead — tombstoned slots
-    // are already gone, and a dead global pivot 0 must not be visited.
-    if (!masked_) start_ = shape_.pivots[0];
+    // The start rule, as in process: the first pivot while no base
+    // prototype is removed, else the best survivor of the begin passes —
+    // tombstoned slots are already gone there, and a dead global pivot 0
+    // must not be visited.
+    if (world_.base_dead_total == 0) start_ = shape_.pivots[0];
     return;
   }
   // The row sweep charges the row evaluations here, once per query, as
-  // the in-process batch engine charges them; they seed the incumbents
-  // with ties admitted, as the row is already paid for.
+  // the in-process batch engine charges them, and seeds the incumbents.
   const std::size_t np = shape_.pivots.size();
-  stats_.distance_computations += np;
-  stats_.pivot_computations += np;
-  for (std::size_t p = 0; p < np; ++p) {
-    // A tombstoned pivot's evaluation still tightens every worker's bounds
-    // (its row is broadcast in the begin, an admissible use), but it must
-    // never become an incumbent — it is no longer a member of the live set.
-    if (!world_.base_tombs.empty() &&
-        TestTombstone(world_.base_tombs.data(), shape_.pivots[p])) {
-      continue;
-    }
-    InsertNeighborTopK(best_, k_, {shape_.pivots[p], row_[p]},
-                       /*admit_ties=*/true);
-  }
-}
-
-double SweepMachine::Kth() const {
-  return best_.size() < k_ ? kInf : best_.back().distance;
+  inc_.stats().distance_computations += np;
+  inc_.stats().pivot_computations += np;
+  // A tombstoned pivot's evaluation still tightens every worker's bounds
+  // (its row is broadcast in the begin, an admissible use), but it must
+  // never become an incumbent — it is no longer a member of the live set.
+  inc_.SeedRow(shape_.pivots, row_, [&](std::size_t p) {
+    return !world_.base_tombs.empty() &&
+           TestTombstone(world_.base_tombs.data(), shape_.pivots[p]);
+  });
 }
 
 FrameType SweepMachine::begin_type() const {
@@ -78,11 +67,9 @@ FrameType SweepMachine::step_type() const {
 std::vector<char> SweepMachine::BeginPayload() const {
   PayloadWriter w;
   w.Str(query_);
-  if (row_ == nullptr) {
-    w.U32(masked_ ? 1u : 0u);
-  } else {
+  if (row_ != nullptr) {
     const std::size_t np = shape_.pivots.size();
-    w.F64(Kth());
+    w.F64(inc_.Kth());
     w.U64(np);
     w.Raw(row_, np * sizeof(double));
   }
@@ -90,22 +77,12 @@ std::vector<char> SweepMachine::BeginPayload() const {
 }
 
 bool SweepMachine::AbsorbBegin(std::size_t s, const std::vector<char>& reply) {
-  if (row_ == nullptr && !masked_) {
-    // Legacy reply shape: the shard's full live and pivot counts.
-    PayloadReader r(reply);
-    const std::size_t live = r.U64();
-    const std::size_t live_pivots = r.U64();
-    if (!r.Done() || live != shape_.shard_size(s)) return false;
-    views_[s].live = live;
-    views_[s].live_pivots = live_pivots;
-    return true;
-  }
   if (!AbsorbStep(s, reply)) return false;
-  // The mask pass drops exactly the tombstoned slots (every live slot's
-  // length bound is finite), so the survivor count is an integrity check
-  // just like the legacy full count.
+  // The lazy begin's +inf pass drops exactly the tombstoned slots (every
+  // live slot's length bound is finite), so its survivor count is an
+  // integrity check.
   return row_ != nullptr ||
-         views_[s].live == shape_.shard_size(s) - world_.shard_dead[s];
+         views_[s].last.live == shape_.shard_size(s) - world_.shard_dead[s];
 }
 
 // A CRC-valid reply is still outside input: its candidate ids index the
@@ -128,7 +105,6 @@ bool SweepMachine::AbsorbStep(std::size_t s, const std::vector<char>& reply) {
   }
   ShardView& v = views_[s];
   v.last = pass;
-  v.live = pass.live;
   // The row sweep's adaptive phase never revisits pivots.
   v.live_pivots = row_ == nullptr ? wc.live_pivots : 0;
   return true;
@@ -137,7 +113,7 @@ bool SweepMachine::AbsorbStep(std::size_t s, const std::vector<char>& reply) {
 std::size_t SweepMachine::live() const {
   std::size_t live = 0;
   for (const ShardView& v : views_) {
-    if (v.active) live += v.live;
+    if (v.active) live += v.last.live;
   }
   return live;
 }
@@ -151,32 +127,22 @@ std::size_t SweepMachine::live_pivots() const {
 }
 
 std::size_t SweepMachine::Next() {
-  std::size_t next = kSweepNone, next_pivot = kSweepNone;
-  double next_key = kInf, next_pivot_key = kInf;
+  SweepCompactResult merged;
   for (const ShardView& v : views_) {
-    if (!v.active) continue;
-    if (v.last.next != kSweepNone && v.last.next_key < next_key) {
-      next_key = v.last.next_key;
-      next = v.last.next;
-    }
-    if (v.last.next_pivot != kSweepNone &&
-        v.last.next_pivot_key < next_pivot_key) {
-      next_pivot_key = v.last.next_pivot_key;
-      next_pivot = v.last.next_pivot;
-    }
+    if (v.active) FoldSegmentMinima(v.last, &merged);
   }
-  if (live() == 0) {
+  if (merged.live == 0) {
     cand_ = kSweepNone;
   } else if (start_ != kSweepNone) {
     cand_ = start_;
   } else {
-    cand_ = live_pivots() > 0 ? next_pivot : next;
+    cand_ = live_pivots() > 0 ? merged.next_pivot : merged.next;
   }
   start_ = kSweepNone;
   if (cand_ == kSweepNone) return cand_;
   cand_shard_ = shape_.ShardOf(cand_);
   cand_rank_ = row_ == nullptr ? shape_.pivot_rank[cand_] : -1;
-  cap_ = cand_rank_ >= 0 ? kInf : Kth();
+  cap_ = inc_.Cap(cand_rank_ >= 0);
   return cand_;
 }
 
@@ -189,19 +155,15 @@ std::vector<char> SweepMachine::EvalPayload() const {
 
 void SweepMachine::AbsorbEval(double d) {
   cand_d_ = d;
-  ++stats_.distance_computations;
-  if (cand_rank_ >= 0) ++stats_.pivot_computations;
-  if (d >= cap_) {
-    ++stats_.bounded_abandons;
-  } else {
-    InsertNeighborTopK(best_, k_, {cand_, d});
-  }
+  inc_.Absorb(cand_, d, cap_, cand_rank_ >= 0);
 }
 
+// A CRC-valid reply is still outside input: a distance is >= 0 or +inf,
+// and a NaN would reach every later step bound through Kth().
 bool SweepMachine::AbsorbEvalReply(const std::vector<char>& reply) {
   PayloadReader r(reply);
   const double d = r.F64();
-  if (!r.Done()) return false;
+  if (!r.Done() || !(d >= 0.0)) return false;
   AbsorbEval(d);
   return true;
 }
@@ -215,7 +177,7 @@ std::vector<char> SweepMachine::StepPayload() const {
     w.F64(cand_d_);
     w.F64(kExactSlack);
   }
-  w.F64(Kth());
+  w.F64(inc_.Kth());
   return std::move(w.buf);
 }
 
@@ -227,7 +189,7 @@ void SweepMachine::Drop(std::size_t s) {
 
 void SweepMachine::Expire() {
   for (std::size_t s = 0; s < views_.size(); ++s) {
-    if (views_[s].active && views_[s].live > 0) missing_.push_back(s);
+    if (views_[s].active && views_[s].last.live > 0) missing_.push_back(s);
   }
 }
 
@@ -242,20 +204,26 @@ std::vector<char> SweepMachine::DeltaPayload() const {
   // only at Finish, so the cap is the same for every shard.
   PayloadWriter w;
   w.Str(query_);
-  w.F64(Kth());
+  w.F64(inc_.Kth());
   w.U64(k_);
   return std::move(w.buf);
 }
 
-bool SweepMachine::AbsorbDelta(const std::vector<char>& reply) {
+// Each hit must be a delta id that shard `s` owns under the round-robin
+// rule `Insert` assigns by, at a distance below the cap the scan was sent
+// (the hits merge only at Finish, so Kth() still is that cap).
+bool SweepMachine::AbsorbDelta(std::size_t s, const std::vector<char>& reply) {
   PayloadReader r(reply);
   const std::size_t mark = delta_hits_.size();
+  const std::size_t n = shape_.n();
+  const double cap = inc_.Kth();
   const std::uint64_t count = r.U64();
   bool ok = r.ok() && count <= k_;  // a worker returns at most k hits
   for (std::uint64_t i = 0; ok && i < count; ++i) {
     const std::uint64_t id = r.U64();
     const double d = r.F64();
-    ok = r.ok();
+    ok = r.ok() && id >= n && (id - n) % shape_.shard_count() == s &&
+         d >= 0.0 && d < cap;
     if (ok) delta_hits_.push_back({static_cast<std::size_t>(id), d});
   }
   const std::uint64_t comps = r.U64();
@@ -265,8 +233,8 @@ bool SweepMachine::AbsorbDelta(const std::vector<char>& reply) {
     delta_hits_.resize(mark);
     return false;
   }
-  stats_.distance_computations += comps;
-  stats_.bounded_abandons += abandons;
+  inc_.stats().distance_computations += comps;
+  inc_.stats().bounded_abandons += abandons;
   return true;
 }
 
@@ -276,12 +244,12 @@ void SweepMachine::Finish(ServeResult* res) {
   // all base ids < all delta ids, and within the delta the sort puts the
   // lower id first at equal distance.
   std::sort(delta_hits_.begin(), delta_hits_.end(), NeighborLess);
-  for (const NeighborResult& h : delta_hits_) InsertNeighborTopK(best_, k_, h);
+  for (const NeighborResult& h : delta_hits_) inc_.Offer(h);
   std::sort(missing_.begin(), missing_.end());
   missing_.erase(std::unique(missing_.begin(), missing_.end()),
                  missing_.end());
-  res->neighbors = std::move(best_);
-  res->stats = stats_;
+  res->neighbors = inc_.Take();
+  res->stats = inc_.stats();
   res->stats.shards_degraded = missing_.size();
   res->partial = !missing_.empty();
   res->missing_shards = std::move(missing_);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "search/nn_searcher.h"
+#include "search/pivot_sweep.h"
 #include "search/sweep_kernel.h"
 #include "serve/frame.h"
 
@@ -58,9 +59,9 @@ struct SweepShape {
 };
 
 /// The router-side mirror of the workers' delta/tombstone state. It drives
-/// the masked begin, the k clamp, pivot seeding, the delta phase and
-/// respawn replay. The router guards it with its world lock, held shared
-/// for the whole life of every sweep that reads it.
+/// the lazy start rule and begin check, the k clamp, pivot seeding, the
+/// delta phase and respawn replay. The router guards it with its world
+/// lock, held shared for the whole life of every sweep that reads it.
 struct SweepWorld {
   std::vector<std::uint64_t> base_tombs;  // bitmap over base ids; lazy
   std::vector<std::size_t> shard_dead;    // base tombstones per shard
@@ -74,18 +75,24 @@ struct SweepWorld {
 /// One query's distributed LAESA sweep as a state machine: every decision
 /// of `ShardedLaesa`'s sweep (paper Figs. 3-4: select the minimal-bound
 /// candidate, evaluate it, tighten, eliminate), with the per-shard passes
-/// left to the workers. It does no I/O and takes no locks: an executor
-/// sends the payloads it builds, feeds back the replies, and reports lost
-/// shards. Two executors drive it — the router's robust per-query path and
-/// the multiplexed `DriveSweeps` legs — so both make identical decisions
-/// on identical values in identical order, and a healthy distributed query
-/// is bit-identical (neighbours, distances and QueryStats) to the
-/// in-process index.
+/// left to the workers. The visit rule (incumbents, caps, row seeding) is
+/// the in-process sweep's own `SweepIncumbents`, and the shard merge its
+/// `FoldSegmentMinima` (search/pivot_sweep.h). It does no I/O and takes no
+/// locks: an executor sends the payloads it builds, feeds back the
+/// replies, and reports lost shards. Two executors drive it — the router's
+/// robust per-query path and the multiplexed `DriveSweeps` legs — so both
+/// make identical decisions on identical values in identical order, and a
+/// healthy distributed query is bit-identical (neighbours, distances and
+/// QueryStats) to the in-process index.
 ///
 /// The two sweep kinds differ only in data:
 ///   * lazy (`row == nullptr`, the distributed `ShardedLaesa::Nearest`):
 ///     kBeginLazy / kStep frames, and a visited pivot is evaluated
-///     router-side from the manifest's pivot strings;
+///     router-side from the manifest's pivot strings. Every begin reply is
+///     a compact result: each worker masks its base tombstones (if any) in
+///     one +inf pass. The sweep starts at global pivot 0 while no base
+///     prototype is removed, as in process, else at the merged min-bound
+///     live pivot;
 ///   * pivot-row (`ShardedLaesa::SweepWithRow`): kBeginRow / kStepRow
 ///     frames, incumbents seeded from the row, every visit a worker eval.
 ///
@@ -129,7 +136,8 @@ class SweepMachine {
   /// Counts the candidate's evaluation and admits it when it improves on
   /// the k-th incumbent.
   void AbsorbEval(double d);
-  /// Decodes a worker's eval reply into AbsorbEval. False when malformed.
+  /// Decodes a worker's eval reply into AbsorbEval. False when malformed:
+  /// a distance is >= 0 or +inf, never NaN.
   bool AbsorbEvalReply(const std::vector<char>& reply);
   /// The visit pass for every active shard; sent after AbsorbEval.
   std::vector<char> StepPayload() const;
@@ -145,9 +153,10 @@ class SweepMachine {
   /// True when shard `s` is active and holds live delta entries.
   bool HasDelta(std::size_t s) const;
   std::vector<char> DeltaPayload() const;
-  /// Collects one shard's delta-scan hits. False when malformed (nothing
-  /// of the reply is kept).
-  bool AbsorbDelta(const std::vector<char>& reply);
+  /// Collects shard `s`'s delta-scan hits. False when malformed (nothing
+  /// of the reply is kept): every hit must be a delta id shard `s` owns,
+  /// id >= n and (id - n) % S == s, at a distance below the scan's cap.
+  bool AbsorbDelta(std::size_t s, const std::vector<char>& reply);
 
   /// Merges the delta hits and fills `res`: neighbours, stats, and the
   /// sorted, deduplicated missing shards with `partial` and
@@ -163,28 +172,22 @@ class SweepMachine {
   /// primary's replies.
   struct ShardView {
     bool active = true;
-    std::size_t live = 0;
     std::size_t live_pivots = 0;
     SweepCompactResult last;
   };
-
-  double Kth() const;
 
   const SweepShape& shape_;
   const SweepWorld& world_;
   std::string_view query_;
   const double* row_;
-  /// Any base tombstone anywhere switches the lazy begin to its masked
-  /// form (see AbsorbBegin).
-  bool masked_;
   std::size_t k_;
+  SweepIncumbents inc_;
   std::vector<ShardView> views_;
-  std::vector<NeighborResult> best_;
   std::vector<NeighborResult> delta_hits_;
   std::vector<std::size_t> missing_;
-  QueryStats stats_;
 
-  /// The legacy lazy start (global pivot 0), consumed by the first Next().
+  /// The lazy start while no base prototype is removed (global pivot 0),
+  /// consumed by the first Next().
   std::size_t start_ = kSweepNone;
   std::size_t cand_ = kSweepNone;
   std::size_t cand_shard_ = 0;

@@ -9,7 +9,7 @@
 namespace cned {
 
 /// Payload encoding of one shard's sweep pass result — the reply body of
-/// kBeginRow, kStep and kStepRow. `live_pivots` rides along so the router
+/// kBeginLazy, kBeginRow, kStep and kStepRow. `live_pivots` rides along so the router
 /// always has each shard's absolute live-pivot count (the quantity that
 /// keeps the global next-candidate rule exact when shards drop out).
 struct WireCompact {

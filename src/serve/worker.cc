@@ -153,20 +153,9 @@ int RunShardWorker(int fd, const WorkerConfig& config) {
         }
         case FrameType::kBeginLazy: {
           const std::string query = r.Str();
-          const std::uint32_t masked = r.U32();
           if (!r.Done()) throw std::runtime_error("malformed BeginLazy");
-          const SweepCompactResult pass =
-              replica->BeginLazy(req.qid, query, masked != 0);
-          if (masked != 0) {
-            // Mutations exist somewhere: the router needs this segment's
-            // post-mask survivors to pick a live start.
-            EncodeCompact(reply, pass, replica->live_pivots(req.qid));
-          } else {
-            // Legacy reply shape — healthy immutable deployments stay
-            // byte-identical on the wire.
-            reply.U64(replica->live(req.qid));
-            reply.U64(replica->live_pivots(req.qid));
-          }
+          const SweepCompactResult pass = replica->BeginLazy(req.qid, query);
+          EncodeCompact(reply, pass, replica->live_pivots(req.qid));
           break;
         }
         case FrameType::kBeginRow: {

@@ -1,8 +1,6 @@
 // Tests for the LAESA extensions beyond the paper's 1-NN search:
 // k-nearest-neighbour queries, range queries and index serialisation.
 
-#include <sstream>
-
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -11,6 +9,7 @@
 #include "distances/registry.h"
 #include "search/exhaustive.h"
 #include "search/laesa.h"
+#include "tests/snapshot_test_util.h"
 
 namespace cned {
 namespace {
@@ -104,10 +103,10 @@ TEST(LaesaSerializationTest, SaveLoadRoundtrip) {
   auto protos = Dict(150, 709);
   auto dist = MakeDistance("dE");
   Laesa original(protos, dist, 12);
-  std::stringstream buffer;
-  original.Save(buffer);
+  TempFile file("laesa_ext_roundtrip");
+  original.Save(file.path());
 
-  Laesa restored = Laesa::Load(buffer, protos, dist);
+  Laesa restored = Laesa::Load(file.path(), protos, dist);
   EXPECT_EQ(restored.num_pivots(), original.num_pivots());
   EXPECT_EQ(restored.pivots(), original.pivots());
 
@@ -124,20 +123,26 @@ TEST(LaesaSerializationTest, SaveLoadRoundtrip) {
 TEST(LaesaSerializationTest, LoadValidatesInput) {
   auto protos = Dict(20, 711);
   auto dist = MakeDistance("dE");
+  TempFile file("laesa_ext_validate");
   {
-    std::stringstream bad("GARBAGE 9");
-    EXPECT_THROW(Laesa::Load(bad, protos, dist), std::runtime_error);
+    const std::string bad = "GARBAGE 9";
+    WriteAll(file.path(), std::vector<char>(bad.begin(), bad.end()));
+    EXPECT_THROW(Laesa::Load(file.path(), protos, dist), std::runtime_error);
   }
+  Laesa original(protos, dist, 4);
   {
-    Laesa original(protos, dist, 4);
-    std::stringstream buffer;
-    original.Save(buffer);
+    original.Save(file.path());
     auto fewer = std::vector<std::string>(protos.begin(), protos.end() - 1);
-    EXPECT_THROW(Laesa::Load(buffer, fewer, dist), std::runtime_error);
+    EXPECT_THROW(Laesa::Load(file.path(), fewer, dist), std::runtime_error);
   }
   {
-    std::stringstream truncated("LAESA 1\n20 4\n0 1 2 3\n0.5");
-    EXPECT_THROW(Laesa::Load(truncated, protos, dist), std::runtime_error);
+    // Cut inside the table section, footer re-stamped: the walk, not the
+    // checksum, must reject it.
+    original.Save(file.path());
+    std::vector<char> bytes = ReadAll(file.path());
+    bytes.resize(bytes.size() - 2 * kBinaryAlignment);
+    WriteAllRestamped(file.path(), bytes);
+    EXPECT_THROW(Laesa::Load(file.path(), protos, dist), std::runtime_error);
   }
 }
 

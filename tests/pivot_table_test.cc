@@ -1,6 +1,6 @@
-// The pivot-id policy of every pivot-table loader. All seven rank their ids
+// The pivot-id policy of every pivot-table loader. All six rank their ids
 // through `RankPivots` (search/pivot_sweep.h), but each keeps its policy:
-//   * the flat index (text Load, binary Load, Map) rejects an out-of-range
+//   * the flat index (Load, Map) rejects an out-of-range
 //     id and accepts a duplicate, whose last entry takes the rank — the
 //     same table the ablation constructor builds from that list;
 //   * the sharded index (Load, Map), the serve worker's ShardReplica and
@@ -18,7 +18,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -149,12 +148,6 @@ void ExpectSameAnswers(const Laesa& want, const Laesa& got,
   }
 }
 
-std::string TextSnapshot(const Laesa& index) {
-  std::ostringstream out;
-  index.Save(out);
-  return out.str();
-}
-
 TEST(PivotTableTest, FlatLoadersAcceptDuplicatePivotsLikeTheAblationBuild) {
   Data d;
   const std::vector<std::size_t> list = {7, 3, 7, 11, 3};
@@ -166,16 +159,13 @@ TEST(PivotTableTest, FlatLoadersAcceptDuplicatePivotsLikeTheAblationBuild) {
 
     const Laesa loaded = Laesa::Load(file.path(), d.store, d.dist);
     const Laesa mapped = Laesa::Map(file.path(), d.store, d.dist);
-    std::istringstream text(TextSnapshot(built));
-    const Laesa text_loaded = Laesa::Load(text, d.store, d.dist);
-    for (const Laesa* index : {&loaded, &mapped, &text_loaded}) {
+    for (const Laesa* index : {&loaded, &mapped}) {
       EXPECT_EQ(index->pivots(), list) << ctx;
       EXPECT_EQ(index->table_precision(), prec) << ctx;
     }
     EXPECT_TRUE(mapped.mapped()) << ctx;
     ExpectSameAnswers(built, loaded, d.queries, ctx + " binary Load");
     ExpectSameAnswers(built, mapped, d.queries, ctx + " Map");
-    ExpectSameAnswers(built, text_loaded, d.queries, ctx + " text Load");
   }
 }
 
@@ -193,22 +183,6 @@ TEST(PivotTableTest, FlatLoadersRejectOutOfRangePivot) {
                  std::runtime_error)
         << ctx;
     EXPECT_THROW(Laesa::Map(file.path(), d.store, d.dist), std::runtime_error)
-        << ctx;
-
-    // Text form: the third line lists the pivot ids.
-    std::istringstream in(TextSnapshot(built));
-    std::string line, patched;
-    for (int i = 0; std::getline(in, line); ++i) {
-      if (i == 2) {
-        line.clear();
-        for (std::size_t p = 0; p < built.pivots().size(); ++p) {
-          line += std::to_string(p == 1 ? bad : built.pivots()[p]) + ' ';
-        }
-      }
-      patched += line + '\n';
-    }
-    std::istringstream text(patched);
-    EXPECT_THROW(Laesa::Load(text, d.store, d.dist), std::runtime_error)
         << ctx;
   }
 }

@@ -10,9 +10,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/binary_io.h"
@@ -640,37 +638,6 @@ TEST(SerializationTest, QuantizedLoadRejectsCorruptPrecisionAndTruncation) {
                  std::runtime_error);
     EXPECT_THROW(ShardedLaesa::Map(file.path(), sharded, dist),
                  std::runtime_error);
-  }
-}
-
-TEST(SerializationTest, TextLoadRejectsCodesWiderThanThePrecision) {
-  // The text form writes each code as an unsigned integer of the element's
-  // width. A wider value (300 for u8, 70000 for f16) is corrupt and must be
-  // rejected, not truncated to a different valid code.
-  const auto words = Words(30, 7520);
-  PrototypeStore store(words);
-  auto dist = MakeDistance("dE");
-  const std::pair<TablePrecision, const char*> cases[] = {
-      {TablePrecision::kU8, "300"}, {TablePrecision::kF16, "70000"}};
-  for (const auto& [prec, wide] : cases) {
-    Laesa index(store, dist, 3, /*first_pivot=*/0, prec);
-    std::ostringstream out;
-    index.Save(out);
-    // Lines: header, "n np", pivot ids, one meta line per pivot, codes.
-    std::istringstream in(out.str());
-    std::string line, patched;
-    for (std::size_t i = 0; std::getline(in, line); ++i) {
-      if (i == 3 + index.num_pivots()) {
-        line = wide + line.substr(line.find(' '));
-      }
-      patched += line + '\n';
-    }
-    std::istringstream intact(out.str());
-    EXPECT_NO_THROW(Laesa::Load(intact, store, dist))
-        << TablePrecisionName(prec);
-    std::istringstream corrupt(patched);
-    EXPECT_THROW(Laesa::Load(corrupt, store, dist), std::runtime_error)
-        << TablePrecisionName(prec);
   }
 }
 

@@ -2,12 +2,14 @@
 // directly with hand-built worker replies (no processes): the strict '<'
 // shard-order merge, pivots-first selection, shard loss and deadline
 // bookkeeping, result finalisation, row seeding, and the rejection of
-// malformed replies whose candidate ids would index outside the shape.
+// malformed replies: candidate ids outside the shape, impossible distances,
+// and delta hits outside the replying shard or the scan's cap.
 
 #include "serve/sweep_machine.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -63,10 +65,20 @@ std::vector<char> Compact(std::size_t live, std::size_t next, double next_key,
   return w.buf;
 }
 
-std::vector<char> Legacy(std::size_t live, std::size_t live_pivots) {
+std::vector<char> EvalReply(double d) {
   PayloadWriter w;
-  w.U64(live);
-  w.U64(live_pivots);
+  w.F64(d);
+  return w.buf;
+}
+
+/// A delta-scan reply with one hit and one evaluation.
+std::vector<char> DeltaHit(std::uint64_t id, double d) {
+  PayloadWriter w;
+  w.U64(1);
+  w.U64(id);
+  w.F64(d);
+  w.U64(1);
+  w.U64(0);
   return w.buf;
 }
 
@@ -131,18 +143,19 @@ TEST(SweepMachineTest, PivotsAreChosenFirstWhileAnySurvive) {
   EXPECT_EQ(m.cap(), 2.0);
 }
 
-TEST(SweepMachineTest, LegacyLazyBeginStartsAtTheFirstPivot) {
+TEST(SweepMachineTest, LazyBeginStartsAtTheFirstPivotWithoutTombstones) {
   const SweepShape shape = ThreeShards();
   const SweepWorld world = CleanWorld();
   SweepMachine m(shape, world, "q", 1, /*row=*/nullptr);
   const std::vector<char> begin = m.BeginPayload();
   PayloadReader r(begin);
   EXPECT_EQ(r.Str(), "q");
-  EXPECT_EQ(r.U32(), 0u);  // unmasked
   EXPECT_TRUE(r.Done());
-  for (std::size_t s = 0; s < 3; ++s) {
-    ASSERT_TRUE(m.AbsorbBegin(s, Legacy(4, 1)));
-  }
+  // Shard 0 holds the minimal-bound pivot (id 1), but with no base
+  // tombstone the sweep starts at global pivot 0 (id 9), as in process.
+  ASSERT_TRUE(m.AbsorbBegin(0, Compact(4, 1, 0.1, 1, 0.1, 1)));
+  ASSERT_TRUE(m.AbsorbBegin(1, Compact(4, 5, 0.2, 5, 0.2, 1)));
+  ASSERT_TRUE(m.AbsorbBegin(2, Compact(4, 9, 0.3, 9, 0.3, 1)));
   EXPECT_EQ(m.Next(), 9u);
   EXPECT_EQ(m.cand_shard(), 2u);
   EXPECT_EQ(m.router_pivot(), 0);
@@ -153,7 +166,7 @@ TEST(SweepMachineTest, DropRemovesTheShardAndListsItOnce) {
   const SweepWorld world = CleanWorld();
   SweepMachine m(shape, world, "q", 1, /*row=*/nullptr);
   for (std::size_t s = 0; s < 3; ++s) {
-    ASSERT_TRUE(m.AbsorbBegin(s, Legacy(4, 1)));
+    ASSERT_TRUE(m.AbsorbBegin(s, Compact(4, 4 * s, 0.5, kSweepNone, kInf, 1)));
   }
   EXPECT_EQ(m.live(), 12u);
   EXPECT_EQ(m.live_pivots(), 3u);
@@ -273,10 +286,10 @@ TEST(SweepMachineTest, RejectsRepliesNamingIdsOutsideTheShard) {
 TEST(SweepMachineTest, RejectsBeginsWithTheWrongSurvivorCount) {
   const SweepShape shape = ThreeShards();
   const SweepWorld clean = CleanWorld();
-  SweepMachine legacy(shape, clean, "q", 1, /*row=*/nullptr);
-  EXPECT_FALSE(legacy.AbsorbBegin(0, Legacy(3, 1)));
-  EXPECT_FALSE(legacy.AbsorbBegin(0, Legacy(5, 1)));
-  EXPECT_TRUE(legacy.AbsorbBegin(0, Legacy(4, 1)));
+  SweepMachine unmasked(shape, clean, "q", 1, /*row=*/nullptr);
+  EXPECT_FALSE(unmasked.AbsorbBegin(0, Compact(3, 2, 1.0)));
+  EXPECT_FALSE(unmasked.AbsorbBegin(0, Compact(5, 2, 1.0)));
+  EXPECT_TRUE(unmasked.AbsorbBegin(0, Compact(4, 2, 1.0)));
 
   const SweepWorld world = WorldWithTombstone(0);
   SweepMachine masked(shape, world, "q", 1, /*row=*/nullptr);
@@ -306,20 +319,76 @@ TEST(SweepMachineTest, RejectsMalformedEvalAndDeltaReplies) {
   too_many.F64(0.25);
   too_many.U64(2);
   too_many.U64(0);
-  EXPECT_FALSE(m.AbsorbDelta(too_many.buf));
+  EXPECT_FALSE(m.AbsorbDelta(0, too_many.buf));
   PayloadWriter hit;
   hit.U64(1);
   hit.U64(12);
   hit.F64(0.5);
   hit.U64(1);
   hit.U64(0);
-  EXPECT_TRUE(m.AbsorbDelta(hit.buf));
+  EXPECT_TRUE(m.AbsorbDelta(0, hit.buf));
 
   ServeResult res;
   m.Finish(&res);
   ASSERT_EQ(res.neighbors.size(), 1u);
   EXPECT_EQ(res.neighbors[0].index, 12u);
   EXPECT_EQ(res.stats.distance_computations, 3u + 1u + 1u);
+}
+
+TEST(SweepMachineTest, RejectsImpossibleEvalReplies) {
+  const SweepShape shape = ThreeShards();
+  const SweepWorld world = CleanWorld();
+  SweepMachine m(shape, world, "q", 1, kRow);
+  ASSERT_TRUE(m.AbsorbBegin(0, Compact(1, 2, 1.0)));
+  ASSERT_EQ(m.Next(), 2u);
+  ASSERT_EQ(m.cap(), 5.0);
+  // A distance is >= 0 or +inf; a NaN would reach every later bound.
+  EXPECT_FALSE(m.AbsorbEvalReply(EvalReply(std::nan(""))));
+  EXPECT_FALSE(m.AbsorbEvalReply(EvalReply(-1.0)));
+  EXPECT_FALSE(m.AbsorbEvalReply(EvalReply(-kInf)));
+  // Nothing of a rejected reply was absorbed: the step still carries the
+  // row's k-th incumbent as its bound.
+  {
+    const std::vector<char> step = m.StepPayload();
+    PayloadReader r(step);
+    EXPECT_EQ(r.U32(), 2u);
+    EXPECT_EQ(r.F64(), 5.0);
+    EXPECT_TRUE(r.Done());
+  }
+  EXPECT_TRUE(m.AbsorbEvalReply(EvalReply(kInf)));  // abandoned, counted
+
+  ServeResult res;
+  m.Finish(&res);
+  ASSERT_EQ(res.neighbors.size(), 1u);
+  EXPECT_EQ(res.neighbors[0].index, 1u);
+  EXPECT_EQ(res.neighbors[0].distance, 5.0);
+  EXPECT_EQ(res.stats.distance_computations, 3u + 1u);
+  EXPECT_EQ(res.stats.bounded_abandons, 1u);
+}
+
+TEST(SweepMachineTest, RejectsDeltaHitsOutsideTheShardOrTheCap) {
+  const SweepShape shape = ThreeShards();
+  SweepWorld world = CleanWorld();
+  world.delta_live[0] = 1;
+  world.delta_live[1] = 1;
+  // Delta ids start at n = 12 and go round-robin: 12 is shard 0's, 13
+  // shard 1's. The scan's cap is the row's k-th incumbent, 5.0.
+  SweepMachine m(shape, world, "q", 1, kRow);
+  EXPECT_FALSE(m.AbsorbDelta(0, DeltaHit(3, 0.5)));    // a base id
+  EXPECT_FALSE(m.AbsorbDelta(0, DeltaHit(13, 0.5)));   // shard 1's id
+  EXPECT_FALSE(m.AbsorbDelta(1, DeltaHit(12, 0.5)));   // shard 0's id
+  EXPECT_FALSE(m.AbsorbDelta(0, DeltaHit(12, 5.0)));   // at the cap
+  EXPECT_FALSE(m.AbsorbDelta(0, DeltaHit(12, std::nan(""))));
+  EXPECT_TRUE(m.AbsorbDelta(1, DeltaHit(13, 4.5)));
+  EXPECT_TRUE(m.AbsorbDelta(0, DeltaHit(12, 4.5)));
+
+  ServeResult res;
+  m.Finish(&res);
+  ASSERT_EQ(res.neighbors.size(), 1u);
+  EXPECT_EQ(res.neighbors[0].index, 12u);  // ties go to the lower id
+  EXPECT_EQ(res.neighbors[0].distance, 4.5);
+  // The three row evaluations plus the two accepted scans' one each.
+  EXPECT_EQ(res.stats.distance_computations, 3u + 2u);
 }
 
 }  // namespace
