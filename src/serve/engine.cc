@@ -65,11 +65,10 @@ class ServeEngine::Feed : public SweepFeed {
     return e_.stop_.load(std::memory_order_acquire);
   }
 
-  void Deliver(std::uint64_t tag, ServeResult res, bool bailed) override {
+  void Deliver(std::uint64_t tag, ServeResult res, bool) override {
     Pending* p = reinterpret_cast<Pending*>(static_cast<std::uintptr_t>(tag));
     std::lock_guard<std::mutex> lock(e_.mu_);
     p->result = std::move(res);
-    p->bailed = bailed;
     p->done = true;
     p->cv.notify_one();  // precise: only the caller whose result this is
   }
@@ -197,14 +196,6 @@ ServeResult ServeEngine::KNearest(std::string_view query, std::size_t k) {
       shed_queries_.fetch_add(1, std::memory_order_relaxed);
       return ShedResult();
     }
-  }
-  if (entry.bailed) {
-    // The world was not fast-path eligible (or the sweep hit an anomaly):
-    // rerun robustly on this thread, reusing the computed pivot row.
-    // Robust queries from concurrent callers proceed concurrently, with
-    // all the retry/failover/hedging machinery.
-    lock.unlock();
-    return router_.KNearestWithRow(entry.query, entry.k, entry.row);
   }
   return std::move(entry.result);
 }

@@ -69,11 +69,10 @@ struct ServeEngineOptions {
 /// `KNearestWithRow` with the same query and its freshly computed row,
 /// regardless of how claims formed or rows were deduplicated.
 ///
-/// Degraded worlds: when the router's fast gate fails (a dead replica, a
-/// tombstone, delta entries), the driver hands queries straight back and
-/// each caller reruns its own robustly on its own thread, reusing the
-/// already-computed pivot row — robust queries keep their pre-existing
-/// concurrency instead of serializing through the driver.
+/// Degraded worlds: `DriveSweeps` is the router's one executor, so a dead
+/// replica, a tombstone or delta entries change nothing here — the driver
+/// runs those sweeps itself, with the router's retries, failover, hedging
+/// and delta phase, and every caller still parks exactly once.
 ///
 /// Overload: a query is shed — returned immediately with
 /// `ServeResult::shed` set and nothing else — when the admission queue is
@@ -120,7 +119,6 @@ class ServeEngine {
     ServeResult result;
     bool claimed = false;  // the driver owns it; the caller must wait
     bool done = false;     // result delivered; caller may act on it
-    bool bailed = false;   // fast path declined; caller reruns robustly
     /// Precise wakeup (mirrors the reactor's per-waiter cvs): the driver
     /// notifies exactly the caller whose result landed — a shared cv
     /// would wake every parked caller per delivery, ~2N context switches

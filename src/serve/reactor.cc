@@ -13,6 +13,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// One byte down a waiter's wake pipe. The pipe is non-blocking: a full
+/// one is already readable, so EAGAIN loses nothing.
+void Wake(int fd) {
+  if (fd < 0) return;
+  const char b = 0;
+  (void)!::write(fd, &b, 1);
+}
+
 /// Milliseconds until `deadline`, rounded up (the frame layer's fixed
 /// semantics: a sub-millisecond remainder polls once, never truncates to
 /// a premature 0); clamped at 0 once passed.
@@ -30,10 +38,11 @@ Conn::~Conn() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void Conn::Expect(std::uint32_t seq, std::uint32_t qid) {
+void Conn::Expect(std::uint32_t seq, std::uint32_t qid, int wake_fd) {
   std::lock_guard<std::mutex> lock(mu_);
   Waiter& w = waiters_[seq];
   w.qid = qid;
+  w.wake_fd = wake_fd;
   w.done = false;
   w.waiting = false;
 }
@@ -50,7 +59,14 @@ void Conn::Fail() {
   // worker EOF, while the fd number stays reserved until the last
   // shared_ptr owner drops the Conn.
   ::shutdown(fd_, SHUT_RDWR);
-  for (auto& [seq, w] : waiters_) w.cv.notify_one();
+  WakeAllLocked();
+}
+
+void Conn::WakeAllLocked() {
+  for (auto& [seq, w] : waiters_) {
+    w.cv.notify_one();
+    Wake(w.wake_fd);
+  }
 }
 
 void Conn::HandOffReader() {
@@ -100,7 +116,8 @@ bool Conn::SendRaw(const char* data, std::size_t n) {
   return FlushOutboxLocked(lock);
 }
 
-void Conn::ReadOnce(std::unique_lock<std::mutex>& lock, int wait_ms) {
+void Conn::ReadOnce(std::unique_lock<std::mutex>& lock, int wait_ms,
+                    int self_wake) {
   reader_active_ = true;
   lock.unlock();
 
@@ -149,6 +166,7 @@ void Conn::ReadOnce(std::unique_lock<std::mutex>& lock, int wait_ms) {
   if (have_bytes) {
     inbuf_.Append(chunk, static_cast<std::size_t>(r));
     Frame f;
+    int last_woken = -1;
     for (;;) {
       const FrameBuffer::Next next = inbuf_.Pop(&f);
       if (next == FrameBuffer::Next::kNeedMore) break;
@@ -166,14 +184,27 @@ void Conn::ReadOnce(std::unique_lock<std::mutex>& lock, int wait_ms) {
       it->second.frame = std::move(f);
       it->second.done = true;
       // Precise wakeup: only the thread whose reply this is. The reader
-      // (us) re-checks its own waiter on loop re-entry without a signal.
+      // (us) re-checks its own waiter on loop re-entry without a signal,
+      // and a run of frames for one other driver wakes it once.
       it->second.cv.notify_one();
+      const int fd = it->second.wake_fd;
+      if (fd != self_wake && fd != last_woken) {
+        Wake(fd);
+        last_woken = fd;
+      }
     }
   }
   if (stream_dead && !failed_.exchange(true, std::memory_order_acq_rel)) {
     ::shutdown(fd_, SHUT_RDWR);
-    for (auto& [seq, w] : waiters_) w.cv.notify_one();
+    WakeAllLocked();
   }
+}
+
+void Conn::Drain(int wake_fd) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (reader_active_ || failed()) return;
+  ReadOnce(lock, 0, wake_fd);
+  HandOffReader();  // a blocked Wait may have been queued for the role
 }
 
 RecvStatus Conn::TryWait(std::uint32_t seq, Frame* out) {
@@ -233,7 +264,7 @@ RecvStatus Conn::Wait(std::uint32_t seq, int timeout_ms, Frame* out) {
     }
     if (!reader_active_) {
       tried_read = true;
-      ReadOnce(lock, wait_ms);
+      ReadOnce(lock, wait_ms, it->second.wake_fd);
     } else {
       it->second.waiting = true;
       if (bounded) {

@@ -17,8 +17,9 @@ namespace cned {
 /// threads exchange frames over one socket concurrently, matched back to
 /// their callers by sequence number (with the query id echoed as a sanity
 /// check). This is the reactor seam of the concurrent serving tier —
-/// everything above it (per-group failover, broadcast, hedging) works in
-/// terms of Expect/Send/Wait and never touches the fd.
+/// everything above it (per-group failover, replication, hedging) works in
+/// terms of Expect/Send/Wait/TryWait/Drain and never reads the fd (a sweep
+/// driver only polls it for readiness).
 ///
 /// Receive side — a reactor with a *migrating leader* instead of a
 /// dedicated thread: whichever thread is waiting becomes the reader,
@@ -56,8 +57,12 @@ class Conn {
 
   /// Registers interest in the reply carrying `seq` — MUST be called
   /// before the request is sent, or a fast reply could be discarded as
-  /// stale. Pair with exactly one Wait or Cancel.
-  void Expect(std::uint32_t seq, std::uint32_t qid);
+  /// stale. Pair with exactly one Wait, TryWait that settles it, or
+  /// Cancel. `wake_fd` (a pipe's write end, or -1) is written one byte
+  /// whenever another thread completes this waiter — its reply drained by
+  /// that thread's read, or the stream found dead — so a caller polling
+  /// its own wake pipe instead of blocking in Wait learns of it at once.
+  void Expect(std::uint32_t seq, std::uint32_t qid, int wake_fd = -1);
 
   /// Encodes and sends one frame (coalescing with concurrent senders).
   /// False only when the connection has failed; the caller should Cancel
@@ -80,12 +85,21 @@ class Conn {
   /// Wait or a Cancel.
   RecvStatus Wait(std::uint32_t seq, int timeout_ms, Frame* out);
 
+  /// Reads whatever the socket holds without blocking — unless another
+  /// thread holds the reader role, which then delivers it — completing
+  /// every waiter it answers and writing their wake fds (all but
+  /// `wake_fd`, the caller's own). A sweep driver calls this for each
+  /// connection its poll reports readable, so the driver that wakes reads
+  /// for every driver sharing the connection.
+  void Drain(int wake_fd);
+
   /// Completed-check without reading: returns kOk or kClosed and retires
   /// the waiter exactly like Wait, or kTimeout (registration kept) when
   /// the reply has not been drained from the socket yet. Never takes the
-  /// reader role, never blocks, never issues a syscall — the multiplexed
-  /// sweep driver's scan loop uses this to collect replies some reader
-  /// (its own earlier probe, or another thread) already delivered.
+  /// reader role, never blocks, never issues a syscall — the sweep
+  /// driver's scan uses this to collect replies some reader (its own
+  /// Drain, or another thread, which then wrote its wake fd) already
+  /// delivered.
   RecvStatus TryWait(std::uint32_t seq, Frame* out);
 
   /// Drops a registered waiter without waiting (send failed, caller gave
@@ -110,6 +124,7 @@ class Conn {
   /// context switches per frame, more than the multiplexing saves.
   struct Waiter {
     std::uint32_t qid = 0;
+    int wake_fd = -1;
     bool done = false;
     /// True while the owning thread is blocked inside Wait for this seq.
     /// The reader handoff only considers waiting=true entries: a waiter
@@ -124,9 +139,14 @@ class Conn {
   };
 
   /// Reads once (poll + recv) as the reader leader and completes every
-  /// waiter whose frame arrived. Called with `mu_` held; unlocks around
-  /// the syscalls. Returns false when the poll window expired first.
-  void ReadOnce(std::unique_lock<std::mutex>& lock, int wait_ms);
+  /// waiter whose frame arrived, writing each one's wake fd unless it is
+  /// `self_wake`, the reader's own (already awake). Called with `mu_`
+  /// held; unlocks around the syscalls.
+  void ReadOnce(std::unique_lock<std::mutex>& lock, int wait_ms,
+                int self_wake);
+  /// The stream-dead fan-out: wakes every waiter (cv and wake fd) to see
+  /// kClosed. Called with `mu_` held, after `failed_` is set.
+  void WakeAllLocked();
 
   const int fd_;
   std::atomic<std::uint32_t> seq_{0};

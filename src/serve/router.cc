@@ -1,16 +1,19 @@
 #include "serve/router.h"
 
-#include <poll.h>
+#include <fcntl.h>
 #include <signal.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <list>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "common/binary_io.h"
@@ -54,20 +57,10 @@ void ValidateServeOptions(const ServeOptions& o) {
   }
 }
 
-/// Exponential backoff before retry `attempt` (1-based), capped at the
-/// time remaining before `deadline_ms` (-1 = unbounded) so a retrying op
-/// can never sleep a query past its budget.
-void BackoffSleep(int backoff_base_ms, int attempt, std::int64_t deadline_ms) {
+/// Exponential backoff before retry `attempt` (1-based).
+std::int64_t BackoffMs(int backoff_base_ms, int attempt) {
   const int shift = attempt - 1 < 20 ? attempt - 1 : 20;
-  std::int64_t sleep_ms = static_cast<std::int64_t>(backoff_base_ms) << shift;
-  if (deadline_ms >= 0) {
-    const std::int64_t left = deadline_ms - NowMs();
-    if (left <= 0) return;
-    if (sleep_ms > left) sleep_ms = left;
-  }
-  if (sleep_ms > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-  }
+  return static_cast<std::int64_t>(backoff_base_ms) << shift;
 }
 
 constexpr std::uint32_t kReplyType =
@@ -374,18 +367,6 @@ ServeRouter::QueryCtx ServeRouter::ControlCtx(std::size_t s) {
   return ctx;
 }
 
-void ServeRouter::EndSweeps(const QueryCtx& ctx) {
-  for (const GroupCtx& g : ctx.groups) {
-    for (const Participant& m : g.members) {
-      if (m.conn == nullptr || m.conn->failed()) continue;
-      // Fire-and-forget (no Expect): the worker retires the sweep slot
-      // and sends nothing back.
-      m.conn->Send(FrameType::kEndSweep, m.conn->NextSeq(), ctx.qid, nullptr,
-                   0);
-    }
-  }
-}
-
 void ServeRouter::Promote(QueryCtx& ctx, std::size_t s, std::size_t r) {
   ctx.groups[s].primary = r;
   // Mirror to the global group when its member is unchanged, steering
@@ -414,348 +395,117 @@ bool ServeRouter::EnsurePrimary(QueryCtx& ctx, std::size_t s,
 
 bool ServeRouter::SendRecv(QueryCtx& ctx, std::size_t s, std::size_t r,
                            FrameType type, const std::vector<char>& payload,
-                           std::vector<char>* reply, int timeout_ms,
-                           bool retryable, std::int64_t deadline_ms) {
+                           std::vector<char>* reply) {
   Participant& m = ctx.groups[s].members[r];
-  const int attempts = retryable ? 1 + options_.op_retries : 1;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
+  for (int attempt = 0; attempt <= options_.op_retries; ++attempt) {
     if (!m.alive) return false;
-    // Gate on the remaining deadline before sleeping or sending: an
-    // already-expired query must not burn a full send+recv window. The
-    // break still reaches the MarkDead below — GroupEval's retry loop
-    // relies on a false return leaving the replica dead.
-    std::int64_t left = timeout_ms;
-    if (deadline_ms >= 0) {
-      left = deadline_ms - NowMs();
-      if (left <= 0) break;
-    }
     if (attempt > 0) {
-      BackoffSleep(options_.backoff_base_ms, attempt, deadline_ms);
-      if (deadline_ms >= 0) {
-        left = deadline_ms - NowMs();
-        if (left <= 0) break;
-      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          BackoffMs(options_.backoff_base_ms, attempt)));
     }
     const std::uint32_t seq = m.conn->NextSeq();
     m.conn->Expect(seq, ctx.qid);
     if (!m.conn->Send(type, seq, ctx.qid, payload.data(), payload.size())) {
       m.conn->Cancel(seq);
-      MarkDead(ctx, s, r);
-      return false;
+      break;
     }
-    // Cap the per-attempt recv window at the remaining deadline, so one
-    // slow attempt cannot overshoot the whole query budget.
-    const int window =
-        deadline_ms >= 0 && left < timeout_ms ? static_cast<int>(left)
-                                              : timeout_ms;
     Frame frame;
-    const RecvStatus st = m.conn->Wait(seq, window, &frame);
-    if (st == RecvStatus::kOk) {
-      if (frame.type != kReplyType) {
-        // kError (a worker-side exception) or an unexpected type: the
-        // replica's state is suspect either way.
-        MarkDead(ctx, s, r);
-        return false;
-      }
+    const RecvStatus st = m.conn->Wait(seq, options_.op_timeout_ms, &frame);
+    if (st == RecvStatus::kOk && frame.type == kReplyType) {
       if (reply != nullptr) *reply = std::move(frame.payload);
       return true;
     }
-    if (st != RecvStatus::kTimeout) {
-      // A corrupt or closed stream is never resynchronised: dead replica.
-      MarkDead(ctx, s, r);
-      return false;
-    }
-    // kTimeout: deregister (a late reply becomes stale) and retry when
-    // the op allows it.
+    // kError (a worker-side exception), an unexpected type, or a corrupt
+    // or closed stream — never resynchronised: dead replica.
+    if (st != RecvStatus::kTimeout) break;
+    // kTimeout: deregister (a late reply becomes stale) and retry.
     m.conn->Cancel(seq);
-    if (!retryable) {
-      MarkDead(ctx, s, r);
-      return false;
-    }
   }
   MarkDead(ctx, s, r);
   return false;
 }
 
-bool ServeRouter::ControlSendRecv(std::size_t s, std::size_t r, FrameType type,
-                                  const std::vector<char>& payload,
-                                  std::vector<char>* reply, bool retryable) {
-  QueryCtx ctx = ControlCtx(s);
-  return SendRecv(ctx, s, r, type, payload, reply, options_.op_timeout_ms,
-                  retryable, /*deadline_ms=*/-1);
-}
-
-std::vector<std::optional<std::vector<char>>> ServeRouter::Replicate(
-    QueryCtx& ctx, const std::vector<std::size_t>& shards, FrameType type,
-    const std::vector<char>& payload, bool retryable, int timeout_ms,
-    std::int64_t deadline_ms, ServeResult* res) {
-  const std::size_t R = replicas_per_shard_;
-  // Per (shard, member) scatter state, flat-indexed s * R + r.
-  const std::size_t slots = ctx.groups.size() * R;
-  std::vector<std::uint32_t> sent_seq(slots, 0);
-  std::vector<char> pending(slots, 0), good(slots, 0);
-  std::vector<std::vector<char>> member_reply(slots);
-
-  // Scatter to every live pinned member first, so all replicas compute
-  // concurrently — this is the state-machine replication step: standbys
-  // consume the identical op stream. With concurrent queries in flight,
-  // the reactor's send coalescing merges these frames with other queries'
-  // into fewer syscalls.
-  for (const std::size_t s : shards) {
-    GroupCtx& g = ctx.groups[s];
-    for (std::size_t r = 0; r < g.members.size(); ++r) {
-      Participant& p = g.members[r];
-      if (!p.alive) continue;
-      const std::size_t i = s * R + r;
-      sent_seq[i] = p.conn->NextSeq();
-      p.conn->Expect(sent_seq[i], ctx.qid);
-      if (p.conn->Send(type, sent_seq[i], ctx.qid, payload.data(),
-                       payload.size())) {
-        pending[i] = 1;
-      } else {
-        p.conn->Cancel(sent_seq[i]);
-        MarkDead(ctx, s, r);
-      }
-    }
-  }
-  // ...then gather in (shard, member) order. Later waits usually complete
-  // instantly: whichever thread reads the socket completes every waiter
-  // whose frame arrived in the same drain.
-  for (const std::size_t s : shards) {
-    for (std::size_t r = 0; r < ctx.groups[s].members.size(); ++r) {
-      const std::size_t i = s * R + r;
-      if (!pending[i]) continue;
-      Participant& p = ctx.groups[s].members[r];
-      Frame frame;
-      const RecvStatus st = p.conn->Wait(sent_seq[i], timeout_ms, &frame);
-      if (st == RecvStatus::kOk && frame.type == kReplyType) {
-        member_reply[i] = std::move(frame.payload);
-        good[i] = 1;
-      } else if (st == RecvStatus::kTimeout && retryable) {
-        // Deregister — the late reply becomes stale — then retry fresh.
-        p.conn->Cancel(sent_seq[i]);
-        good[i] = SendRecv(ctx, s, r, type, payload, &member_reply[i],
-                           timeout_ms, /*retryable=*/true, deadline_ms);
-      } else {
-        // A mutating op that timed out costs the replica its life on the
-        // spot, as do kError, an unexpected type and a broken stream.
-        if (st == RecvStatus::kTimeout) p.conn->Cancel(sent_seq[i]);
-        MarkDead(ctx, s, r);
-      }
-    }
-  }
-  // Reconcile each group: the primary's reply drives; standbys must agree
-  // byte-for-byte or be evicted as corrupt; a failed primary is replaced
-  // by the first standby that answered (whose state is bit-identical by
-  // construction) — the failover that keeps a query exact and unflagged.
-  std::vector<std::optional<std::vector<char>>> driving(ctx.groups.size());
-  for (const std::size_t s : shards) {
-    GroupCtx& g = ctx.groups[s];
-    std::size_t lead = g.members.size();
-    if (good[s * R + g.primary]) {
-      lead = g.primary;
-    } else {
-      for (std::size_t r = 0; r < g.members.size(); ++r) {
-        if (good[s * R + r]) {
-          lead = r;
-          break;
-        }
-      }
-      if (lead < g.members.size()) {
-        Promote(ctx, s, lead);
-        if (res != nullptr) ++res->failovers;
-      }
-    }
-    if (lead == g.members.size()) continue;  // the whole group failed
-    for (std::size_t r = 0; r < g.members.size(); ++r) {
-      if (r == lead || !good[s * R + r]) continue;
-      if (member_reply[s * R + r] != member_reply[s * R + lead]) {
-        MarkDead(ctx, s, r);
-        if (res != nullptr) ++res->replicas_evicted;
-      }
-    }
-    driving[s] = std::move(member_reply[s * R + lead]);
-  }
-  return driving;
-}
-
-void ServeRouter::Broadcast(QueryCtx& ctx, SweepMachine& m, bool begin,
-                            std::int64_t deadline_ms, ServeResult* res) {
-  std::vector<std::size_t> shards;
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    if (m.active(s)) shards.push_back(s);
-  }
-  const auto replies =
-      Replicate(ctx, shards, begin ? m.begin_type() : m.step_type(),
-                begin ? m.BeginPayload() : m.StepPayload(),
-                /*retryable=*/begin, RemainingMs(deadline_ms), deadline_ms,
-                res);
-  for (const std::size_t s : shards) {
-    if (!replies[s].has_value()) {
-      // The whole replica group is gone: only now does the shard degrade.
-      m.Drop(s);
-      continue;
-    }
-    if (begin ? m.AbsorbBegin(s, *replies[s]) : m.AbsorbStep(s, *replies[s])) {
-      continue;
-    }
-    // The driving reply decoded to garbage (CRC-valid but wrong): with the
-    // primary's stream suspect there is no quorum to promote on, so the
-    // shard sits this query out. After a begin, EnsurePrimary (without
-    // counting a failover — nothing was saved) leaves the group pointing
-    // at a live member for the next query.
-    MarkDead(ctx, s, ctx.groups[s].primary);
-    if (begin) EnsurePrimary(ctx, s, nullptr);
-    m.Drop(s);
-  }
-}
-
-bool ServeRouter::GroupEval(QueryCtx& ctx, std::size_t s, FrameType type,
-                            const std::vector<char>& payload,
-                            std::vector<char>* reply, std::int64_t deadline_ms,
-                            ServeResult* res) {
+std::size_t ServeRouter::Reconcile(
+    QueryCtx& ctx, std::size_t s,
+    const std::vector<std::optional<std::vector<char>>>& replies,
+    const std::function<bool(const std::vector<char>&)>& accept,
+    ServeResult* res) {
   GroupCtx& g = ctx.groups[s];
-  if (!EnsurePrimary(ctx, s, res)) return false;
-
-  auto pick_standby = [&]() -> std::size_t {
-    for (std::size_t r = 0; r < g.members.size(); ++r) {
-      if (r != g.primary && g.members[r].alive) return r;
+  const std::size_t size = g.members.size();
+  const std::size_t primary = g.primary;
+  // Validate before judging anyone: the driving reply is the first one the
+  // caller accepts, so a refused primary cannot condemn an honest standby.
+  std::size_t lead = size;
+  const auto consider = [&](std::size_t r) {
+    if (lead < size || !replies[r].has_value()) return;
+    if (accept(*replies[r])) {
+      lead = r;
+    } else {
+      MarkDead(ctx, s, r);
     }
-    return g.members.size();
   };
-
-  if (options_.hedge_delay_ms < 0 || pick_standby() == g.members.size()) {
-    // No hedging possible: plain retried exchange, failing over to the
-    // next member while any remains (the op is pure, so a promoted standby
-    // answers identically).
-    while (EnsurePrimary(ctx, s, res)) {
-      if (SendRecv(ctx, s, g.primary, type, payload, reply,
-                   RemainingMs(deadline_ms), /*retryable=*/true,
-                   deadline_ms)) {
-        return true;
-      }
-    }
-    return false;
+  consider(primary);
+  for (std::size_t r = 0; r < size; ++r) {
+    if (r != primary) consider(r);
   }
-
-  const int attempts = 1 + options_.op_retries;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      BackoffSleep(options_.backoff_base_ms, attempt, deadline_ms);
-    }
-    if (!EnsurePrimary(ctx, s, res)) return false;
-    const int window = RemainingMs(deadline_ms);
-    if (window == 0) break;
-    const std::int64_t attempt_end = NowMs() + window;
-
-    const std::size_t prim_idx = g.primary;
-    Participant& prim = g.members[prim_idx];
-    const std::uint32_t pseq = prim.conn->NextSeq();
-    prim.conn->Expect(pseq, ctx.qid);
-    if (!prim.conn->Send(type, pseq, ctx.qid, payload.data(),
-                         payload.size())) {
-      prim.conn->Cancel(pseq);
-      MarkDead(ctx, s, prim_idx);
+  if (lead == size) return size;  // the whole group failed
+  // A failed or refused primary is replaced by the driving member, whose
+  // state is bit-identical by construction — the failover that keeps a
+  // query exact and unflagged.
+  if (lead != primary) {
+    Promote(ctx, s, lead);
+    if (res != nullptr) ++res->failovers;
+  }
+  for (std::size_t r = 0; r < size; ++r) {
+    if (r == lead || (r == primary && lead != primary) ||
+        !replies[r].has_value() || *replies[r] == *replies[lead]) {
       continue;
     }
-    bool p_pending = true;
-
-    // Phase 1: give the primary the hedge window to itself.
-    {
-      const std::int64_t left = attempt_end - NowMs();
-      int hedge = options_.hedge_delay_ms;
-      if (hedge > left) hedge = static_cast<int>(left > 0 ? left : 0);
-      Frame frame;
-      const RecvStatus st = prim.conn->Wait(pseq, hedge, &frame);
-      if (st == RecvStatus::kOk) {
-        if (frame.type == kReplyType) {
-          *reply = std::move(frame.payload);
-          return true;
-        }
-        MarkDead(ctx, s, prim_idx);
-        p_pending = false;
-      } else if (st != RecvStatus::kTimeout) {
-        MarkDead(ctx, s, prim_idx);
-        p_pending = false;
-      }
-    }
-
-    // Phase 2: race the standby against the (slow or dead) primary and
-    // take the first valid reply — both hold the same snapshot, so either
-    // answer is exact. Each connection has its own reactor (no
-    // cross-connection poll), so the race alternates short waits between
-    // the two sides; a winner is noticed at worst ~2ms late. When only
-    // one side remains pending, its wait spans the rest of the window.
-    const std::size_t stand_idx = pick_standby();
-    bool s_pending = false;
-    std::uint32_t sseq = 0;
-    if (stand_idx < g.members.size()) {
-      Participant& stand = g.members[stand_idx];
-      sseq = stand.conn->NextSeq();
-      stand.conn->Expect(sseq, ctx.qid);
-      if (stand.conn->Send(type, sseq, ctx.qid, payload.data(),
-                           payload.size())) {
-        s_pending = true;
-        if (res != nullptr) ++res->hedged_evals;
-      } else {
-        stand.conn->Cancel(sseq);
-        MarkDead(ctx, s, stand_idx);
-      }
-    }
-
-    auto poll_side = [&](std::size_t idx, std::uint32_t seq, bool* pend,
-                         int wait_ms) -> bool {
-      Frame frame;
-      const RecvStatus st = g.members[idx].conn->Wait(seq, wait_ms, &frame);
-      if (st == RecvStatus::kOk) {
-        if (frame.type == kReplyType) {
-          *reply = std::move(frame.payload);
-          return true;
-        }
-        MarkDead(ctx, s, idx);
-        *pend = false;
-      } else if (st != RecvStatus::kTimeout) {
-        MarkDead(ctx, s, idx);
-        *pend = false;
-      }
-      return false;
-    };
-    while (p_pending || s_pending) {
-      const std::int64_t left = attempt_end - NowMs();
-      if (left <= 0) break;
-      const int slice = left < 2 ? static_cast<int>(left) : 2;
-      if (p_pending &&
-          poll_side(prim_idx, pseq, &p_pending,
-                    s_pending ? slice : static_cast<int>(left))) {
-        if (s_pending) g.members[stand_idx].conn->Cancel(sseq);
-        return true;
-      }
-      if (s_pending &&
-          poll_side(stand_idx, sseq, &s_pending,
-                    p_pending ? slice : static_cast<int>(left))) {
-        if (p_pending) g.members[prim_idx].conn->Cancel(pseq);
-        return true;
-      }
-    }
-    // Attempt window exhausted with no valid reply from either side:
-    // deregister both (late replies become stale) and try again fresh.
-    if (p_pending) g.members[prim_idx].conn->Cancel(pseq);
-    if (s_pending) g.members[stand_idx].conn->Cancel(sseq);
+    MarkDead(ctx, s, r);
+    if (res != nullptr) ++res->replicas_evicted;
   }
-  // All attempts burned: whatever is still nominally pending has missed
-  // every window — treat the participants as unresponsive, exactly as the
-  // unreplicated tier treats a worker that exhausts its retries.
-  MarkDead(ctx, s, g.primary);
-  const std::size_t stand_idx = pick_standby();
-  if (stand_idx < g.members.size()) MarkDead(ctx, s, stand_idx);
-  return false;
+  return lead;
 }
 
-int ServeRouter::RemainingMs(std::int64_t deadline_ms) const {
-  const std::int64_t left = deadline_ms - NowMs();
-  if (left <= 0) return 0;
-  const int cap = options_.op_timeout_ms;
-  return left < cap ? static_cast<int>(left) : cap;
+void ServeRouter::Replicate(std::size_t s, FrameType type,
+                            const std::vector<char>& payload) {
+  QueryCtx ctx = ControlCtx(s);
+  std::vector<Participant>& members = ctx.groups[s].members;
+  std::vector<std::uint32_t> seq(members.size(), 0);
+  std::vector<char> sent(members.size(), 0);
+  // Scatter to every live member first, so all replicas apply concurrently.
+  for (std::size_t r = 0; r < members.size(); ++r) {
+    Participant& p = members[r];
+    if (!p.alive) continue;
+    seq[r] = p.conn->NextSeq();
+    p.conn->Expect(seq[r], ctx.qid);
+    if (p.conn->Send(type, seq[r], ctx.qid, payload.data(), payload.size())) {
+      sent[r] = 1;
+    } else {
+      p.conn->Cancel(seq[r]);
+      MarkDead(ctx, s, r);
+    }
+  }
+  // ...then gather in member order; a timed-out member is deregistered (its
+  // late reply becomes stale) and retried fresh.
+  std::vector<std::optional<std::vector<char>>> replies(members.size());
+  for (std::size_t r = 0; r < members.size(); ++r) {
+    if (!sent[r]) continue;
+    Participant& p = members[r];
+    Frame frame;
+    const RecvStatus st = p.conn->Wait(seq[r], options_.op_timeout_ms, &frame);
+    if (st == RecvStatus::kOk && frame.type == kReplyType) {
+      replies[r] = std::move(frame.payload);
+    } else if (st == RecvStatus::kTimeout) {
+      p.conn->Cancel(seq[r]);
+      std::vector<char> reply;
+      if (SendRecv(ctx, s, r, type, payload, &reply)) replies[r] = reply;
+    } else {
+      MarkDead(ctx, s, r);
+    }
+  }
+  Reconcile(ctx, s, replies,
+            [](const std::vector<char>&) { return true; }, nullptr);
 }
 
 pid_t ServeRouter::worker_pid(std::size_t s) const {
@@ -813,11 +563,48 @@ ServeResult ServeRouter::Nearest(std::string_view query) {
   return KNearest(query, 1);
 }
 
+namespace {
+
+/// Feeds one job to DriveSweeps on its caller's thread and keeps the
+/// result.
+class OneJobFeed final : public SweepFeed {
+ public:
+  explicit OneJobFeed(const SweepJob& job) : job_(job) {}
+  bool Next(SweepJob* out) override {
+    if (taken_) return false;
+    *out = job_;
+    taken_ = true;
+    return true;
+  }
+  bool Finished() override { return taken_; }
+  void Deliver(std::uint64_t, ServeResult res, bool) override {
+    result = std::move(res);
+  }
+
+  ServeResult result;
+
+ private:
+  SweepJob job_;
+  bool taken_ = false;
+};
+
+ServeResult DriveOne(ServeRouter& router, const SweepJob& job) {
+  OneJobFeed feed(job);
+  router.DriveSweeps(feed, 1);
+  return std::move(feed.result);
+}
+
+/// Empties a non-blocking wake pipe.
+void DrainPipe(int fd) {
+  char buf[256];
+  while (::read(fd, buf, sizeof(buf)) > 0) {
+  }
+}
+
+}  // namespace
+
 ServeResult ServeRouter::KNearest(std::string_view query, std::size_t k) {
-  // Shared world lock: N callers sweep concurrently; mutations (which
-  // take it exclusive) never interleave with a sweep.
-  std::shared_lock<std::shared_mutex> world(world_mu_);
-  return RobustQuery(query, k, /*row=*/nullptr);
+  return DriveOne(*this, SweepJob{query, k, nullptr, 0});
 }
 
 ServeResult ServeRouter::KNearestWithRow(std::string_view query, std::size_t k,
@@ -826,233 +613,583 @@ ServeResult ServeRouter::KNearestWithRow(std::string_view query, std::size_t k,
     throw std::invalid_argument(
         "ServeRouter::KNearestWithRow: row must have num_pivots() entries");
   }
-  std::shared_lock<std::shared_mutex> world(world_mu_);
-  return RobustQuery(query, k, row.data());
+  return DriveOne(*this, SweepJob{query, k, row.data(), 0});
 }
 
-bool ServeRouter::FastWorldLocked() const {
-  if (world_.base_dead_total != 0) return false;
-  for (const std::size_t d : world_.delta_live) {
-    if (d != 0) return false;
-  }
-  for (const auto& g : groups_) {
-    std::lock_guard<std::mutex> glock(g->mu);
-    for (const Replica& m : g->members) {
-      if (!m.alive || m.conn == nullptr || m.conn->failed()) return false;
+/// DriveSweeps' state: the admitted sweeps, each a `SweepMachine` plus the
+/// legs of its current phase, the round's per-connection send buffers, and
+/// the driver's epoll set: its own wake pipe, which the reactor writes
+/// whenever another thread completes one of its legs, the feed's wake fd,
+/// and every connection it has sent on. Connections are watched
+/// EPOLLEXCLUSIVE, so an arrival wakes one sleeping driver, which drains
+/// the connection for every driver sharing it. Read the phases side by
+/// side with `ShardedLaesa`'s sweep (sharded_laesa.cc): the machine makes
+/// identical decisions on identical values in identical order, and the
+/// legs only move its requests and replies.
+class ServeRouter::Driver {
+ public:
+  Driver(ServeRouter& router, SweepFeed& feed, std::size_t wave)
+      : r_(router), o_(router.options_), feed_(feed), wave_(wave) {
+    int fds[2];
+    epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
+    if (epfd_ < 0 || ::pipe2(fds, O_NONBLOCK | O_CLOEXEC) != 0) {
+      if (epfd_ >= 0) ::close(epfd_);
+      throw std::runtime_error("ServeRouter::DriveSweeps: no wake fds");
+    }
+    wake_r_ = fds[0];
+    wake_w_ = fds[1];
+    struct epoll_event ev {};
+    ev.events = EPOLLIN;
+    ev.data.ptr = &wake_r_;
+    ::epoll_ctl(epfd_, EPOLL_CTL_ADD, wake_r_, &ev);
+    if (feed_.wake_fd() >= 0) {
+      ev.data.ptr = &feed_;
+      ::epoll_ctl(epfd_, EPOLL_CTL_ADD, feed_.wake_fd(), &ev);
     }
   }
-  return true;
-}
+  ~Driver() {
+    ::close(epfd_);
+    ::close(wake_r_);
+    ::close(wake_w_);
+  }
+  Driver(const Driver&) = delete;
+  Driver& operator=(const Driver&) = delete;
 
-void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
-  const std::size_t wave = max_concurrent == 0 ? 16 : max_concurrent;
-  const std::size_t shards = shard_count();
+  void Run();
 
-  /// One outstanding request leg of a sweep's current phase.
+ private:
+  enum class Phase { kBegin, kEval, kStep, kDelta, kDone };
+
+  /// One request of a sweep's current phase to one pinned member.
   struct Leg {
     std::size_t s = 0, r = 0;
     std::uint32_t seq = 0;
-    Conn* conn = nullptr;
-    bool done = false;
-    std::vector<char> payload;
+    bool pending = true;  // in flight, or waiting out a retry backoff
+    bool hedged = false;  // eval/delta: a standby already races this one
+    int attempt = 0;      // retries spent
+    std::int64_t sent_ms = 0, expires_ms = 0;
+    std::int64_t resend_ms = -1;  // >= 0: backing off until then
+    std::optional<std::vector<char>> reply;  // begin/step: the answer
   };
-  enum class St { kBegin, kEval, kStep, kDone, kBail };
+
   struct Sweep {
     Sweep(const SweepJob& j, SweepMachine machine)
         : job(j), m(std::move(machine)) {}
     SweepJob job;
     SweepMachine m;
-    St st = St::kBegin;
+    Phase phase = Phase::kBegin;
+    FrameType type = FrameType::kPing;
+    std::vector<char> request;  // the phase's payload: resends and hedges
+    std::vector<char> open;     // eval/delta: per shard, still unanswered
+    std::vector<Leg> legs;
     std::int64_t deadline = 0;
     QueryCtx ctx;
     ServeResult res;
-    std::vector<Leg> legs;
-    std::int64_t last_progress_ms = 0;
-    bool settled = false;  // kDone or kBail, awaiting delivery
   };
 
-  std::list<Sweep> sweeps;
-  std::shared_lock<std::shared_mutex> world(world_mu_, std::defer_lock);
-  bool fast = false;
+  static bool Replicated(const Sweep& sw) {
+    return sw.phase == Phase::kBegin || sw.phase == Phase::kStep;
+  }
+  Conn* ConnOf(const Sweep& sw, const Leg& leg) const {
+    return sw.ctx.groups[leg.s].members[leg.r].conn.get();
+  }
 
-  // Per-connection request buffers for the current round; flushed as one
-  // write per connection.
-  std::vector<Conn*> flush_order;
-  std::unordered_map<Conn*, std::vector<char>> outgoing;
+  void Watch(const std::shared_ptr<Conn>& conn);
+  void Buffer(Conn* conn, FrameType type, std::uint32_t seq,
+              std::uint32_t qid, const std::vector<char>& payload);
+  void Send(Sweep& sw, Leg& leg);
+  void Start(Sweep& sw);
+  void Scatter(Sweep& sw, Phase phase);
+  void Read(Sweep& sw, Phase phase, FrameType type, std::vector<char> request,
+            const std::vector<std::size_t>& shards);
+  void ReadLeg(Sweep& sw, std::size_t s, int attempt);
+  void Pump(Sweep& sw);
+  void Advance(Sweep& sw);
+  void Visit(Sweep& sw);
+  void Settle(Sweep& sw);
+  void Finish(Sweep& sw);
+  void Expire(Sweep& sw);
+  void OnReply(Sweep& sw, std::size_t i, std::vector<char> reply);
+  void Lost(Sweep& sw, std::size_t i);
+  void Timers(Sweep& sw, std::int64_t now);
+  std::size_t Standby(const Sweep& sw, const Leg& leg) const;
+  std::int64_t NextTimer(const Sweep& sw) const;
+  void Service(Sweep& sw);
+  void Park(std::int64_t cap_ms);
+  void Flush();
+  void DeliverSettled();
 
-  auto enqueue = [&](Sweep& sw, std::size_t s, std::size_t r, FrameType type,
-                     const std::vector<char>& payload) {
-    const Participant& m = sw.ctx.groups[s].members[r];
-    Leg leg;
-    leg.s = s;
-    leg.r = r;
-    leg.conn = m.conn.get();
-    leg.seq = m.conn->NextSeq();
-    m.conn->Expect(leg.seq, sw.ctx.qid);
-    auto& buf = outgoing[leg.conn];
-    if (buf.empty()) flush_order.push_back(leg.conn);
-    EncodeFrame(&buf, type, leg.seq, sw.ctx.qid, payload.data(),
-                payload.size());
-    sw.legs.push_back(leg);
-  };
-  auto enqueue_all = [&](Sweep& sw, FrameType type,
-                         const std::vector<char>& payload) {
-    sw.legs.clear();
-    for (std::size_t s = 0; s < shards; ++s) {
-      for (std::size_t r = 0; r < sw.ctx.groups[s].members.size(); ++r) {
-        enqueue(sw, s, r, type, payload);
-      }
-    }
-  };
-  auto flush = [&] {
-    for (Conn* conn : flush_order) {
-      auto& buf = outgoing[conn];
-      if (!buf.empty()) conn->SendRaw(buf.data(), buf.size());
-      buf.clear();
-    }
-    flush_order.clear();
-  };
-  // EndSweeps, but riding the next round's flush instead of paying its
-  // own write syscall per connection: the kEndSweep frames are
-  // fire-and-forget, and the worker's slot table tolerates one round of
-  // retirement lag. Every finish/bail is followed by a flush in the same
-  // driver iteration, so nothing lingers.
-  auto end_sweeps_buffered = [&](const QueryCtx& ctx) {
-    for (const GroupCtx& g : ctx.groups) {
-      for (const Participant& m : g.members) {
-        if (m.conn == nullptr || m.conn->failed()) continue;
-        auto& buf = outgoing[m.conn.get()];
-        if (buf.empty()) flush_order.push_back(m.conn.get());
-        EncodeFrame(&buf, FrameType::kEndSweep, m.conn->NextSeq(), ctx.qid,
-                    nullptr, 0);
-      }
-    }
-  };
-  auto bail = [&](Sweep& sw) {
-    for (const Leg& leg : sw.legs) {
-      if (!leg.done) leg.conn->Cancel(leg.seq);
-    }
-    sw.legs.clear();
-    end_sweeps_buffered(sw.ctx);
-    sw.st = St::kBail;
-    sw.settled = true;
-    // A bail usually means a replica died under us: re-gate admission now
-    // rather than feeding more sweeps into a world that will bail them.
-    fast = FastWorldLocked();
-  };
-  auto finish = [&](Sweep& sw) {
-    sw.m.Finish(&sw.res);
-    end_sweeps_buffered(sw.ctx);
-    sw.st = St::kDone;
-    sw.settled = true;
-  };
-  // The machine's next candidate goes to its shard's primary as an eval;
-  // none left settles the sweep.
-  auto advance = [&](Sweep& sw) {
-    sw.legs.clear();
-    if (sw.m.Next() == kSweepNone) {
-      finish(sw);
-      return;
-    }
-    const std::size_t owner = sw.m.cand_shard();
-    enqueue(sw, owner, sw.ctx.groups[owner].primary, FrameType::kEval,
-            sw.m.EvalPayload());
-    sw.st = St::kEval;
-  };
-  auto start_sweep = [&](Sweep& sw) {
-    sw.st = St::kBegin;
-    sw.deadline = NowMs() + options_.query_deadline_ms;
-    sw.last_progress_ms = NowMs();
-    if (sw.m.k() == 0) {
-      finish(sw);
-      return;
-    }
-    SnapshotCtx(&sw.ctx);
-    // The fast gate held when this wave's world lock was taken, but a
-    // replica can die right up to the snapshot; an incomplete snapshot
-    // bails to the robust path, which owns failover.
-    for (std::size_t s = 0; s < shards; ++s) {
-      for (const Participant& m : sw.ctx.groups[s].members) {
-        if (!m.alive) {
-          bail(sw);
-          return;
-        }
-      }
-    }
-    enqueue_all(sw, sw.m.begin_type(), sw.m.BeginPayload());
-  };
+  ServeRouter& r_;
+  const ServeOptions& o_;
+  SweepFeed& feed_;
+  const std::size_t wave_;
+  int epfd_ = -1, wake_r_ = -1, wake_w_ = -1;
+  std::unordered_map<Conn*, std::shared_ptr<Conn>> watched_;
+  std::list<Sweep> sweeps_;
+  // The round's requests, encoded per connection and flushed as one write.
+  std::vector<Conn*> flush_order_;
+  std::unordered_map<Conn*, std::vector<char>> outgoing_;
+};
 
-  // Reconciles a completed begin/step round: the primary's reply drives
-  // the machine, every standby must byte-agree (the state-machine
-  // replication check). Returns false on any malformed or disagreeing
-  // reply — the caller bails to the robust path, which evicts properly.
-  auto absorb_compacts = [&](Sweep& sw) {
-    for (std::size_t s = 0; s < shards; ++s) {
-      const Leg* primary = nullptr;
-      for (const Leg& leg : sw.legs) {
-        if (leg.s == s && leg.r == sw.ctx.groups[s].primary) primary = &leg;
-      }
-      if (primary == nullptr) return false;
-      for (const Leg& leg : sw.legs) {
-        if (leg.s == s && &leg != primary && leg.payload != primary->payload) {
-          return false;
-        }
-      }
-      const bool ok = sw.st == St::kBegin
-                          ? sw.m.AbsorbBegin(s, primary->payload)
-                          : sw.m.AbsorbStep(s, primary->payload);
-      if (!ok) return false;
-    }
-    return true;
-  };
+void ServeRouter::Driver::Watch(const std::shared_ptr<Conn>& conn) {
+  if (watched_.count(conn.get()) != 0) return;
+  struct epoll_event ev {};
+  ev.events = EPOLLIN | EPOLLEXCLUSIVE;
+  ev.data.ptr = conn.get();
+  if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, conn->fd(), &ev) != 0) {
+    conn->Fail();  // a connection the driver cannot watch, it cannot hear
+    return;
+  }
+  watched_.emplace(conn.get(), conn);
+}
 
-  auto deliver_settled = [&] {
-    for (auto it = sweeps.begin(); it != sweeps.end();) {
-      if (it->settled) {
-        feed.Deliver(it->job.tag, std::move(it->res), it->st == St::kBail);
-        it = sweeps.erase(it);
+void ServeRouter::Driver::Buffer(Conn* conn, FrameType type, std::uint32_t seq,
+                                 std::uint32_t qid,
+                                 const std::vector<char>& payload) {
+  std::vector<char>& buf = outgoing_[conn];
+  if (buf.empty()) flush_order_.push_back(conn);
+  EncodeFrame(&buf, type, seq, qid, payload.data(), payload.size());
+}
+
+void ServeRouter::Driver::Send(Sweep& sw, Leg& leg) {
+  const std::shared_ptr<Conn>& pinned =
+      sw.ctx.groups[leg.s].members[leg.r].conn;
+  Conn* conn = pinned.get();
+  Watch(pinned);
+  const std::int64_t now = NowMs();
+  leg.seq = conn->NextSeq();
+  leg.pending = true;
+  leg.resend_ms = -1;
+  leg.sent_ms = now;
+  leg.expires_ms = std::min(now + o_.op_timeout_ms, sw.deadline);
+  conn->Expect(leg.seq, sw.ctx.qid, wake_w_);
+  Buffer(conn, sw.type, leg.seq, sw.ctx.qid, sw.request);
+}
+
+void ServeRouter::Driver::Start(Sweep& sw) {
+  if (sw.m.k() == 0) {
+    Finish(sw);
+    return;
+  }
+  r_.SnapshotCtx(&sw.ctx);
+  sw.deadline = NowMs() + o_.query_deadline_ms;
+  for (std::size_t s = 0; s < r_.shard_count(); ++s) {
+    if (!sw.ctx.groups[s].AnyAlive()) sw.m.Drop(s);
+  }
+  Scatter(sw, Phase::kBegin);
+  Pump(sw);
+}
+
+// Begin or step: the machine's payload to every live member of every
+// active group, the state-machine replication step. A begin is idempotent
+// (retried); a step mutates the members' slab state (never retried).
+void ServeRouter::Driver::Scatter(Sweep& sw, Phase phase) {
+  const bool begin = phase == Phase::kBegin;
+  sw.phase = phase;
+  sw.type = begin ? sw.m.begin_type() : sw.m.step_type();
+  sw.request = begin ? sw.m.BeginPayload() : sw.m.StepPayload();
+  sw.legs.clear();
+  for (std::size_t s = 0; s < r_.shard_count(); ++s) {
+    if (!sw.m.active(s)) continue;
+    const GroupCtx& g = sw.ctx.groups[s];
+    for (std::size_t r = 0; r < g.members.size(); ++r) {
+      if (!g.members[r].alive) continue;
+      sw.legs.emplace_back();
+      sw.legs.back().s = s;
+      sw.legs.back().r = r;
+      Send(sw, sw.legs.back());
+    }
+  }
+}
+
+// Eval or delta scan: one idempotent read per shard, a pure function of the
+// shard's state, so any live member's answer is exact.
+void ServeRouter::Driver::Read(Sweep& sw, Phase phase, FrameType type,
+                               std::vector<char> request,
+                               const std::vector<std::size_t>& shards) {
+  sw.phase = phase;
+  sw.type = type;
+  sw.request = std::move(request);
+  sw.legs.clear();
+  sw.open.assign(r_.shard_count(), 0);
+  for (const std::size_t s : shards) {
+    sw.open[s] = 1;
+    ReadLeg(sw, s, 0);
+  }
+}
+
+// The read goes to the group's primary, promoting a live member when the
+// primary is dead; with none left the shard is lost to the query.
+void ServeRouter::Driver::ReadLeg(Sweep& sw, std::size_t s, int attempt) {
+  if (!r_.EnsurePrimary(sw.ctx, s, &sw.res)) {
+    sw.m.Drop(s);
+    sw.open[s] = 0;
+    return;
+  }
+  sw.legs.emplace_back();
+  Leg& leg = sw.legs.back();
+  leg.s = s;
+  leg.r = sw.ctx.groups[s].primary;
+  leg.attempt = attempt;
+  Send(sw, leg);
+}
+
+// The phase has settled (no leg pending): issue the next one.
+void ServeRouter::Driver::Advance(Sweep& sw) {
+  switch (sw.phase) {
+    case Phase::kBegin:
+    case Phase::kStep:
+      Settle(sw);
+      Visit(sw);
+      break;
+    case Phase::kEval:
+      // A lost candidate's group drops its shard; no visit happened, so no
+      // counters move and the next candidate comes from the survivors.
+      if (sw.m.active(sw.m.cand_shard())) {
+        Scatter(sw, Phase::kStep);
       } else {
-        ++it;
+        Visit(sw);
+      }
+      break;
+    case Phase::kDelta:
+      Finish(sw);
+      break;
+    case Phase::kDone:
+      break;
+  }
+}
+
+void ServeRouter::Driver::Visit(Sweep& sw) {
+  if (sw.m.Next() == kSweepNone) {
+    // The base sweep is done. Everything inserted since the snapshot lives
+    // in the workers' deltas: one bounded scan per shard holding live
+    // delta entries, capped by the base sweep's incumbents.
+    std::vector<std::size_t> delta;
+    for (std::size_t s = 0; s < r_.shard_count(); ++s) {
+      if (sw.m.HasDelta(s)) delta.push_back(s);
+    }
+    if (delta.empty()) {
+      Finish(sw);
+    } else {
+      Read(sw, Phase::kDelta, FrameType::kDeltaScan, sw.m.DeltaPayload(),
+           delta);
+    }
+    return;
+  }
+  const std::int32_t rank = sw.m.router_pivot();
+  if (rank < 0) {
+    Read(sw, Phase::kEval, FrameType::kEval, sw.m.EvalPayload(),
+         {sw.m.cand_shard()});
+    return;
+  }
+  // Pivot strings live in the manifest: a lazy sweep's visited pivot is
+  // evaluated router-side, like the pivot stage.
+  sw.m.AbsorbEval(r_.distance_->DistanceBounded(
+      sw.job.query, r_.pivot_strings_[rank], sw.m.cap()));
+  Scatter(sw, Phase::kStep);
+}
+
+// Reconciles each active group's begin or step replies into the machine;
+// a group with no accepted reply is lost and its shard dropped.
+void ServeRouter::Driver::Settle(Sweep& sw) {
+  const bool begin = sw.phase == Phase::kBegin;
+  std::vector<std::optional<std::vector<char>>> replies;
+  for (std::size_t s = 0; s < r_.shard_count(); ++s) {
+    if (!sw.m.active(s)) continue;
+    replies.assign(sw.ctx.groups[s].members.size(), std::nullopt);
+    for (Leg& leg : sw.legs) {
+      if (leg.s == s) replies[leg.r] = std::move(leg.reply);
+    }
+    const auto accept = [&](const std::vector<char>& reply) {
+      return begin ? sw.m.AbsorbBegin(s, reply) : sw.m.AbsorbStep(s, reply);
+    };
+    if (r_.Reconcile(sw.ctx, s, replies, accept, &sw.res) ==
+        replies.size()) {
+      sw.m.Drop(s);
+    }
+  }
+}
+
+// Retires the workers' sweep slots with fire-and-forget kEndSweep frames
+// riding the round's flush; the workers tolerate one round of lag.
+void ServeRouter::Driver::Finish(Sweep& sw) {
+  sw.m.Finish(&sw.res);
+  for (const GroupCtx& g : sw.ctx.groups) {
+    for (const Participant& m : g.members) {
+      if (m.conn == nullptr || m.conn->failed()) continue;
+      Buffer(m.conn.get(), FrameType::kEndSweep, m.conn->NextSeq(),
+             sw.ctx.qid, {});
+    }
+  }
+  sw.legs.clear();
+  sw.phase = Phase::kDone;
+}
+
+// The query deadline: every shard still owing a reply is lost to the
+// query (its members stay alive — they were slow, not wrong), what did
+// arrive is settled, and the machine's incumbents stand.
+void ServeRouter::Driver::Expire(Sweep& sw) {
+  for (Leg& leg : sw.legs) {
+    if (!leg.pending) continue;
+    if (leg.resend_ms < 0) ConnOf(sw, leg)->Cancel(leg.seq);
+    leg.pending = false;
+    sw.m.Drop(leg.s);
+  }
+  if (Replicated(sw)) Settle(sw);
+  sw.m.Expire();
+  Finish(sw);
+}
+
+void ServeRouter::Driver::OnReply(Sweep& sw, std::size_t i,
+                                  std::vector<char> reply) {
+  Leg& leg = sw.legs[i];
+  leg.pending = false;
+  if (Replicated(sw)) {
+    leg.reply = std::move(reply);
+    return;
+  }
+  const std::size_t s = leg.s;
+  const bool accepted = sw.phase == Phase::kEval
+                            ? sw.m.AbsorbEvalReply(reply)
+                            : sw.m.AbsorbDelta(s, reply);
+  if (!accepted) {
+    Lost(sw, i);  // a refused reply: the member's state is suspect
+    return;
+  }
+  // First valid reply wins; the racing leg's late reply becomes stale.
+  sw.open[s] = 0;
+  for (Leg& other : sw.legs) {
+    if (other.s != s || !other.pending) continue;
+    if (other.resend_ms < 0) ConnOf(sw, other)->Cancel(other.seq);
+    other.pending = false;
+  }
+}
+
+// A leg whose member crashed, errored, or sent a refused reply: the member
+// is dead. A read with no other leg racing goes to the next live member.
+void ServeRouter::Driver::Lost(Sweep& sw, std::size_t i) {
+  const std::size_t s = sw.legs[i].s;
+  const int attempt = sw.legs[i].attempt;
+  sw.legs[i].pending = false;
+  r_.MarkDead(sw.ctx, s, sw.legs[i].r);
+  if (Replicated(sw) || !sw.open[s]) return;
+  for (const Leg& leg : sw.legs) {
+    if (leg.s == s && leg.pending) return;
+  }
+  ReadLeg(sw, s, attempt);
+}
+
+std::size_t ServeRouter::Driver::Standby(const Sweep& sw,
+                                         const Leg& leg) const {
+  const GroupCtx& g = sw.ctx.groups[leg.s];
+  for (std::size_t r = 0; r < g.members.size(); ++r) {
+    if (r != leg.r && g.members[r].alive) return r;
+  }
+  return g.members.size();
+}
+
+// Fires the sweep's due timers: retry backoffs, leg timeouts, hedges.
+void ServeRouter::Driver::Timers(Sweep& sw, std::int64_t now) {
+  const bool read = !Replicated(sw);
+  std::vector<std::size_t> expired;  // read legs whose window just passed
+  for (std::size_t i = 0; i < sw.legs.size(); ++i) {
+    Leg& leg = sw.legs[i];
+    if (!leg.pending) continue;
+    if (leg.resend_ms >= 0) {
+      if (now < leg.resend_ms) continue;
+      if (read) {
+        // A retried read re-resolves its target: the primary may have
+        // changed while it backed off.
+        leg.pending = false;
+        ReadLeg(sw, leg.s, leg.attempt);
+      } else if (sw.ctx.groups[leg.s].members[leg.r].alive) {
+        Send(sw, leg);
+      } else {
+        leg.pending = false;
+      }
+      continue;
+    }
+    if (now >= leg.expires_ms) {
+      ConnOf(sw, leg)->Cancel(leg.seq);  // a late reply becomes stale
+      if (read) {
+        leg.pending = false;
+        expired.push_back(i);
+      } else if (sw.phase == Phase::kBegin && leg.attempt < o_.op_retries) {
+        ++leg.attempt;
+        leg.resend_ms = now + BackoffMs(o_.backoff_base_ms, leg.attempt);
+      } else {
+        Lost(sw, i);  // a step is never retried on the same member
+      }
+      continue;
+    }
+    if (read && !leg.hedged && o_.hedge_delay_ms >= 0 &&
+        now >= leg.sent_ms + o_.hedge_delay_ms) {
+      const std::size_t standby = Standby(sw, leg);
+      if (standby == sw.ctx.groups[leg.s].members.size()) continue;
+      // Race the read to a standby inside the same attempt window.
+      leg.hedged = true;
+      const std::int64_t expires = leg.expires_ms;
+      Leg hedge;
+      hedge.s = leg.s;
+      hedge.r = standby;
+      hedge.hedged = true;
+      hedge.attempt = leg.attempt;
+      sw.legs.push_back(std::move(hedge));
+      Send(sw, sw.legs.back());
+      sw.legs.back().expires_ms = expires;
+      ++sw.res.hedged_evals;
+    }
+  }
+  // A read whose attempt window passed with no leg left racing retries
+  // after its backoff or, out of retries, condemns the members it tried and
+  // moves on to the next live one.
+  for (const std::size_t i : expired) {
+    const std::size_t s = sw.legs[i].s;
+    const auto racing = [&](const Leg& leg) {
+      return leg.s == s && leg.pending;
+    };
+    if (!sw.open[s] || std::any_of(sw.legs.begin(), sw.legs.end(), racing)) {
+      continue;
+    }
+    if (sw.legs[i].attempt < o_.op_retries) {
+      Leg retry;
+      retry.s = s;
+      retry.attempt = sw.legs[i].attempt + 1;
+      retry.resend_ms = now + BackoffMs(o_.backoff_base_ms, retry.attempt);
+      sw.legs.push_back(std::move(retry));
+      continue;
+    }
+    for (const std::size_t j : expired) {
+      if (sw.legs[j].s == s) r_.MarkDead(sw.ctx, s, sw.legs[j].r);
+    }
+    ReadLeg(sw, s, 0);
+  }
+}
+
+std::int64_t ServeRouter::Driver::NextTimer(const Sweep& sw) const {
+  std::int64_t next = sw.deadline;
+  for (const Leg& leg : sw.legs) {
+    if (!leg.pending) continue;
+    if (leg.resend_ms >= 0) {
+      next = std::min(next, leg.resend_ms);
+      continue;
+    }
+    next = std::min(next, leg.expires_ms);
+    if (!Replicated(sw) && !leg.hedged && o_.hedge_delay_ms >= 0 &&
+        Standby(sw, leg) < sw.ctx.groups[leg.s].members.size()) {
+      next = std::min(next, leg.sent_ms + o_.hedge_delay_ms);
+    }
+  }
+  return next;
+}
+
+void ServeRouter::Driver::Pump(Sweep& sw) {
+  const auto pending = [](const Leg& leg) { return leg.pending; };
+  while (sw.phase != Phase::kDone &&
+         std::none_of(sw.legs.begin(), sw.legs.end(), pending)) {
+    Advance(sw);
+  }
+}
+
+// Collects the sweep's arrived replies, then fires its deadline or its due
+// timers, then advances every phase that settled.
+void ServeRouter::Driver::Service(Sweep& sw) {
+  for (std::size_t i = 0; i < sw.legs.size(); ++i) {
+    Leg& leg = sw.legs[i];
+    if (!leg.pending || leg.resend_ms >= 0) continue;
+    Frame f;
+    const RecvStatus st = ConnOf(sw, leg)->TryWait(leg.seq, &f);
+    if (st == RecvStatus::kOk && f.type == kReplyType) {
+      OnReply(sw, i, std::move(f.payload));
+    } else if (st != RecvStatus::kTimeout) {
+      Lost(sw, i);  // kError, an unexpected type, or a dead stream
+    }
+  }
+  const std::int64_t now = NowMs();
+  if (now >= sw.deadline) {
+    Expire(sw);
+    return;
+  }
+  Timers(sw, now);
+  Pump(sw);
+}
+
+// Parks until a watched connection is readable, a wake fd fires, or the
+// nearest timer is due — at most `cap_ms` — then drains what fired. A
+// connection is drained whoever's replies it holds: the reactor wakes
+// their drivers.
+void ServeRouter::Driver::Park(std::int64_t cap_ms) {
+  const std::int64_t now = NowMs();
+  std::int64_t next = now + cap_ms;
+  for (const Sweep& sw : sweeps_) next = std::min(next, NextTimer(sw));
+  struct epoll_event events[64];
+  const auto wait = static_cast<int>(std::max<std::int64_t>(next - now, 0));
+  const int n = ::epoll_wait(epfd_, events, 64, wait);
+  for (int i = 0; i < n; ++i) {
+    void* tag = events[i].data.ptr;
+    if (tag == &wake_r_) {
+      DrainPipe(wake_r_);
+    } else if (tag == &feed_) {
+      DrainPipe(feed_.wake_fd());
+    } else {
+      Conn* conn = static_cast<Conn*>(tag);
+      if (conn->failed()) {
+        // A dead stream stays readable: stop watching it. Its legs read
+        // kClosed from TryWait.
+        ::epoll_ctl(epfd_, EPOLL_CTL_DEL, conn->fd(), nullptr);
+        watched_.erase(conn);
+      } else {
+        conn->Drain(wake_w_);
       }
     }
-  };
+  }
+}
 
-  for (;;) {
-    if (sweeps.empty() && feed.Finished()) break;
+void ServeRouter::Driver::Flush() {
+  for (Conn* conn : flush_order_) {
+    std::vector<char>& buf = outgoing_[conn];
+    if (!buf.empty()) conn->SendRaw(buf.data(), buf.size());
+    buf.clear();
+  }
+  flush_order_.clear();
+}
 
-    if (!world.owns_lock()) {
-      world.lock();
-      MaybeRespawn();
-      fast = FastWorldLocked();
+void ServeRouter::Driver::DeliverSettled() {
+  for (auto it = sweeps_.begin(); it != sweeps_.end();) {
+    if (it->phase == Phase::kDone) {
+      feed_.Deliver(it->job.tag, std::move(it->res), /*bailed=*/false);
+      it = sweeps_.erase(it);
+    } else {
+      ++it;
     }
+  }
+}
+
+void ServeRouter::Driver::Run() {
+  std::shared_lock<std::shared_mutex> world(r_.world_mu_, std::defer_lock);
+  for (;;) {
+    if (sweeps_.empty() && feed_.Finished()) break;
+    if (!world.owns_lock()) world.lock();
     // A writer announced itself: stop admitting so the wave drains and
     // the shared hold can be released below. In read-only steady state
     // this branch never fires and the driver keeps the lock indefinitely
     // — cycling it on a timer would decay the wave to nothing once per
     // cycle for no one's benefit.
     const bool writer_waiting =
-        writers_waiting_.load(std::memory_order_relaxed) > 0;
-
-    // Admit until the wave is full (or, when the world is not fast-path
-    // eligible, hand every queued job straight back for a robust rerun on
-    // its caller's thread — serializing robust queries through this one
-    // thread would be a step backwards).
+        r_.writers_waiting_.load(std::memory_order_relaxed) > 0;
     if (!writer_waiting) {
       SweepJob job;
-      while (sweeps.size() < wave && feed.Next(&job)) {
-        if (!fast) {
-          feed.Deliver(job.tag, ServeResult(), /*bailed=*/true);
-          continue;
-        }
-        sweeps.emplace_back(
-            job, SweepMachine(shape_, world_, job.query, job.k, job.row));
-        start_sweep(sweeps.back());
+      while (sweeps_.size() < wave_ && feed_.Next(&job)) {
+        r_.MaybeRespawn();
+        sweeps_.emplace_back(
+            job, SweepMachine(r_.shape_, r_.world_, job.query, job.k, job.row));
+        Start(sweeps_.back());
       }
     }
-    flush();
-    deliver_settled();
+    Flush();
+    DeliverSettled();
 
-    if (sweeps.empty()) {
+    if (sweeps_.empty()) {
       // Nothing in flight: give the world back (a writer may be waiting
       // on it) and park for new work. The deliberate gap after a
       // writer-forced drain lets the blocked Insert/Remove actually win
@@ -1061,149 +1198,24 @@ void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
       if (writer_waiting) {
         std::this_thread::sleep_for(std::chrono::microseconds(500));
       }
-      if (feed.Finished()) break;
-      const int wfd = feed.wake_fd();
-      if (wfd >= 0) {
-        struct pollfd pfd{wfd, POLLIN, 0};
-        ::poll(&pfd, 1, 50);
-        if ((pfd.revents & POLLIN) != 0) {
-          char buf[256];
-          while (::read(wfd, buf, sizeof(buf)) > 0) {
-          }
-        }
-      } else {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+      if (feed_.Finished()) break;
+      Park(feed_.wake_fd() >= 0 ? 50 : 1);  // no wake fd: a 1 ms nap
       continue;
     }
 
-    // Park: one poll across every connection that still owes a reply,
-    // plus the feed's wake fd so a fresh admission interrupts the park.
-    // Readiness results then drive the scan — only a flagged connection
-    // is worth a read syscall. The short cap bounds the stall if some
-    // other reader (a robust rerun, the control plane) drains our frames
-    // between the scan below and the next park.
-    std::vector<struct pollfd> pfds;
-    for (const Sweep& sw : sweeps) {
-      for (const Leg& leg : sw.legs) {
-        if (leg.done) continue;
-        bool seen = false;
-        for (const struct pollfd& p : pfds) {
-          if (p.fd == leg.conn->fd()) seen = true;
-        }
-        if (!seen) pfds.push_back({leg.conn->fd(), POLLIN, 0});
-      }
+    Park(INT_MAX);
+    // One pass suffices: Park already read everything that arrived, and
+    // the requests issued here stay buffered until the flush below.
+    for (Sweep& sw : sweeps_) {
+      if (sw.phase != Phase::kDone) Service(sw);
     }
-    const std::size_t conn_pfds = pfds.size();
-    const int wfd = feed.wake_fd();
-    if (wfd >= 0 && !writer_waiting && sweeps.size() < wave &&
-        !feed.Finished()) {
-      pfds.push_back({wfd, POLLIN, 0});
-    }
-    if (!pfds.empty()) {
-      ::poll(pfds.data(), pfds.size(), 20);
-    }
-    if (pfds.size() > conn_pfds && (pfds.back().revents & POLLIN) != 0) {
-      char buf[256];
-      while (::read(wfd, buf, sizeof(buf)) > 0) {
-      }
-    }
-    const auto readable = [&](Conn* c) {
-      for (std::size_t i = 0; i < conn_pfds; ++i) {
-        if (pfds[i].fd == c->fd()) {
-          return (pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0;
-        }
-      }
-      return false;
-    };
-
-    // Scan to quiescence: TryWait collects replies some reader already
-    // drained for free, each readable connection is read at most once
-    // per park (one recv empties it), and newly issued requests stay
-    // buffered until the flush below — their replies cannot land
-    // mid-scan, so the rescans are pure flag checks and the loop
-    // terminates once every arrived reply is absorbed.
-    std::vector<Conn*> probed;
-    const auto conn_probed = [&](Conn* c) {
-      for (Conn* d : probed) {
-        if (d == c) return true;
-      }
-      return false;
-    };
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (Sweep& sw : sweeps) {
-        if (sw.st != St::kBegin && sw.st != St::kEval && sw.st != St::kStep) {
-          continue;
-        }
-        bool all_done = true;
-        bool dead = false;
-        for (Leg& leg : sw.legs) {
-          if (leg.done) continue;
-          Frame f;
-          RecvStatus st = leg.conn->TryWait(leg.seq, &f);
-          if (st == RecvStatus::kTimeout && readable(leg.conn) &&
-              !conn_probed(leg.conn)) {
-            probed.push_back(leg.conn);
-            st = leg.conn->Wait(leg.seq, 0, &f);
-          }
-          if (st == RecvStatus::kOk) {
-            if (f.type != kReplyType) {
-              dead = true;
-              break;
-            }
-            leg.payload = std::move(f.payload);
-            leg.done = true;
-            // A probe here may have drained replies for sweeps scanned
-            // earlier in this pass; one more (syscall-free) pass picks
-            // those up rather than stalling them into the next park.
-            progress = true;
-          } else if (st == RecvStatus::kClosed) {
-            dead = true;
-            break;
-          } else {
-            all_done = false;
-          }
-        }
-        if (dead) {
-          bail(sw);
-          progress = true;
-          continue;
-        }
-        if (!all_done) {
-          const std::int64_t now = NowMs();
-          if (now - sw.last_progress_ms >
-                  static_cast<std::int64_t>(options_.op_timeout_ms) ||
-              now >= sw.deadline) {
-            bail(sw);
-            progress = true;
-          }
-          continue;
-        }
-
-        // Phase complete: absorb the replies and issue the next round.
-        progress = true;
-        sw.last_progress_ms = NowMs();
-        if (sw.st == St::kBegin || sw.st == St::kStep) {
-          if (!absorb_compacts(sw)) {
-            bail(sw);
-            continue;
-          }
-          advance(sw);
-        } else {  // kEval
-          if (!sw.m.AbsorbEvalReply(sw.legs[0].payload)) {
-            bail(sw);
-            continue;
-          }
-          enqueue_all(sw, sw.m.step_type(), sw.m.StepPayload());
-          sw.st = St::kStep;
-        }
-      }
-    }
-    flush();
-    deliver_settled();
+    Flush();
+    DeliverSettled();
   }
+}
+
+void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
+  Driver(*this, feed, max_concurrent == 0 ? 16 : max_concurrent).Run();
 }
 
 bool ServeRouter::PingAll() {
@@ -1217,9 +1229,7 @@ bool ServeRouter::PingAllLocked() {
     QueryCtx ctx = ControlCtx(s);
     for (std::size_t r = 0; r < ctx.groups[s].members.size(); ++r) {
       std::vector<char> reply;
-      if (!SendRecv(ctx, s, r, FrameType::kPing, {}, &reply,
-                    options_.op_timeout_ms, /*retryable=*/true,
-                    /*deadline_ms=*/-1)) {
+      if (!SendRecv(ctx, s, r, FrameType::kPing, {}, &reply)) {
         all = false;
         continue;
       }
@@ -1260,15 +1270,18 @@ std::size_t ServeRouter::RespawnDeadLocked(std::size_t limit) {
         std::lock_guard<std::mutex> lock(g.mu);
         if (!g.members[r].alive) continue;
       }
+      // A fresh fork maps only the immutable snapshot: after its ping,
+      // replay the shard's mutation journal — delta and tombstone state is
+      // process-local — so it rejoins at the group's current state (ops
+      // are idempotent by id, so a partial previous life is harmless). A
+      // failed exchange has already marked it dead.
+      QueryCtx ctx = ControlCtx(s);
       std::vector<char> reply;
-      if (ControlSendRecv(s, r, FrameType::kPing, {}, &reply,
-                          /*retryable=*/true)) {
-        // A fresh fork maps only the immutable snapshot; replay the
-        // shard's mutation journal so it rejoins at the group's current
-        // delta/tombstone state (ops are idempotent by id, so a partial
-        // previous life is harmless).
-        if (ReplayMutations(s, r)) ++revived;
+      bool ok = SendRecv(ctx, s, r, FrameType::kPing, {}, &reply);
+      for (const MutationOp& op : shard_ops_[s]) {
+        ok = ok && SendRecv(ctx, s, r, op.type(), op.Payload(), nullptr);
       }
+      if (ok) ++revived;
     }
     // A fully-restored group keeps its current primary; a group whose
     // primary slot is still dead points at the first live member so the
@@ -1307,9 +1320,12 @@ std::uint64_t ServeRouter::Insert(std::string_view s) {
   op.s.assign(s);
   // Journal before replicating: even if the whole group is down right now,
   // the next respawn replays the journal, so the id is durably assigned
-  // from the router's point of view either way.
+  // from the router's point of view either way. Every live member applies
+  // the op; replies are byte-checked (dedup-stable, so retries after lost
+  // replies still agree), and a member that fails is dead — to be replayed
+  // at respawn, as is a group that fails whole.
   shard_ops_[owner].push_back(std::move(op));
-  ReplicateMutation(owner, shard_ops_[owner].back());
+  Replicate(owner, FrameType::kInsert, shard_ops_[owner].back().Payload());
   return id;
 }
 
@@ -1341,7 +1357,7 @@ bool ServeRouter::Remove(std::uint64_t id) {
   MutationOp op;
   op.id = id;
   shard_ops_[owner].push_back(std::move(op));
-  ReplicateMutation(owner, shard_ops_[owner].back());
+  Replicate(owner, FrameType::kRemove, shard_ops_[owner].back().Payload());
   return true;
 }
 
@@ -1360,111 +1376,6 @@ std::vector<char> ServeRouter::MutationOp::Payload() const {
   w.U64(id);
   if (insert) w.Str(s);
   return std::move(w.buf);
-}
-
-void ServeRouter::ReplicateMutation(std::size_t owner, const MutationOp& op) {
-  // The sweeps' replication step on the control plane: every live member
-  // applies the op, replies are byte-checked (dedup-stable, so retries
-  // after lost replies still agree), and a member that fails is dead — to
-  // be replayed at respawn, as is a group that fails whole. Caller holds
-  // respawn_mu_, so membership is stable across the exchange.
-  QueryCtx ctx = ControlCtx(owner);
-  Replicate(ctx, {owner}, op.type(), op.Payload(), /*retryable=*/true,
-            options_.op_timeout_ms, /*deadline_ms=*/-1, /*res=*/nullptr);
-}
-
-bool ServeRouter::ReplayMutations(std::size_t s, std::size_t r) {
-  for (const MutationOp& op : shard_ops_[s]) {
-    if (!ControlSendRecv(s, r, op.type(), op.Payload(), /*reply=*/nullptr,
-                         /*retryable=*/true)) {
-      return false;  // ControlSendRecv already marked the replica dead
-    }
-  }
-  return true;
-}
-
-// The distributed form of the mutable tier's delta phase: everything
-// inserted since the snapshot lives in the workers' in-memory deltas, and
-// every shard holding live delta entries runs one bounded scan, capped by
-// the base sweep's incumbents.
-void ServeRouter::DeltaPhase(QueryCtx& ctx, SweepMachine& m,
-                             std::int64_t deadline, ServeResult* res) {
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    if (!m.HasDelta(s)) continue;
-    if (RemainingMs(deadline) == 0) {
-      m.Drop(s);
-      continue;
-    }
-    std::vector<char> reply;
-    if (!GroupEval(ctx, s, FrameType::kDeltaScan, m.DeltaPayload(), &reply,
-                   deadline, res)) {
-      m.Drop(s);
-    } else if (!m.AbsorbDelta(s, reply)) {
-      MarkDead(ctx, s, ctx.groups[s].primary);
-      m.Drop(s);
-    }
-  }
-}
-
-// The distributed `ShardedLaesa::Sweep` (lazy, `row` null) or
-// `ShardedLaesa::SweepWithRow`: the machine makes identical decisions on
-// identical values in identical order — only the per-shard kernel passes
-// run in the workers (on every live member of each replica group). This
-// executor moves the machine's requests and replies with retries,
-// failover, hedging and partial flagging. Read side by side with
-// sharded_laesa.cc.
-ServeResult ServeRouter::RobustQuery(std::string_view query, std::size_t k,
-                                     const double* row) {
-  MaybeRespawn();
-  QueryCtx ctx;
-  SnapshotCtx(&ctx);
-  ServeResult res;
-  SweepMachine m(shape_, world_, query, k, row);
-  if (m.k() > 0) {
-    const std::int64_t deadline = NowMs() + options_.query_deadline_ms;
-    for (std::size_t s = 0; s < shard_count(); ++s) {
-      if (!ctx.groups[s].AnyAlive()) m.Drop(s);
-    }
-    Broadcast(ctx, m, /*begin=*/true, deadline, &res);
-    while (m.Next() != kSweepNone) {
-      if (RemainingMs(deadline) == 0) {
-        // Deadline: degrade to the incumbents.
-        m.Expire();
-        break;
-      }
-      const std::int32_t rank = m.router_pivot();
-      if (rank >= 0) {
-        // Pivot strings live in the manifest: the visit evaluation runs
-        // router-side, like the pivot stage.
-        m.AbsorbEval(
-            distance_->DistanceBounded(query, pivot_strings_[rank], m.cap()));
-      } else {
-        const std::size_t owner = m.cand_shard();
-        std::vector<char> reply;
-        bool ok = GroupEval(ctx, owner, FrameType::kEval, m.EvalPayload(),
-                            &reply, deadline, &res);
-        if (ok && !m.AbsorbEvalReply(reply)) {
-          MarkDead(ctx, owner, ctx.groups[owner].primary);
-          ok = false;
-        }
-        if (!ok) {
-          // The candidate's whole group is gone: drop the shard and pick
-          // the best survivor from the remaining shards' last passes. No
-          // visit happened, so no counters move.
-          m.Drop(owner);
-          continue;
-        }
-      }
-      // Scatter the visit pass to every live replica. Mutating — never
-      // retried: a member that misses the timeout here is dead on the
-      // spot, and only a whole lost group degrades the shard.
-      Broadcast(ctx, m, /*begin=*/false, deadline, &res);
-    }
-    DeltaPhase(ctx, m, deadline, &res);
-  }
-  m.Finish(&res);
-  EndSweeps(ctx);
-  return res;
 }
 
 }  // namespace cned

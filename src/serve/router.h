@@ -6,6 +6,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -51,15 +52,15 @@ struct ServeOptions {
   int query_deadline_ms = 10000;
   /// Extra attempts (beyond the first) for idempotent ops.
   int op_retries = 2;
-  /// Exponential backoff between retries: `backoff_base_ms << attempt`,
-  /// with each sleep capped at the time remaining until the query
-  /// deadline so retries can never sleep a query past its budget.
+  /// Exponential backoff between retries: `backoff_base_ms << attempt`.
+  /// A sweep waits it out on a timer that the query deadline preempts, so
+  /// retries can never hold a query past its budget.
   int backoff_base_ms = 5;
-  /// Hedging for idempotent Eval ops: when the primary has not replied
-  /// after this long (and a live standby exists), the router races the
-  /// same request to a standby and takes whichever reply lands first —
-  /// either answer is exact, so this only cuts the slow-shard tail.
-  /// Negative disables hedging.
+  /// Hedging for idempotent Eval (and delta-scan) ops: when the primary
+  /// has not replied after this long (and a live standby exists), the
+  /// router races the same request to a standby and takes whichever reply
+  /// lands first — either answer is exact, so this only cuts the
+  /// slow-shard tail. Negative disables hedging.
   int hedge_delay_ms = 25;
   /// Respawn dead workers (kill, waitpid, fork, re-Map, ping) before each
   /// query, so one crash degrades one query, not the rest of the session.
@@ -111,22 +112,27 @@ struct ServeOptions {
 /// rule), workers run the kernel passes over their segments, and the
 /// elimination radius tightens incrementally between rounds exactly as it
 /// does in process. Those decisions live in one I/O-free `SweepMachine`
-/// (serve/sweep_machine.h) per query, driven by two executors: the robust
-/// per-query path (retries, failover, hedging, partial flagging) behind
-/// `KNearest` and `KNearestWithRow`, and the multiplexed
-/// `DriveSweeps` legs. A healthy router is therefore bit-identical —
+/// (serve/sweep_machine.h) per query, driven by one executor: the
+/// multiplexed leg machine of `DriveSweeps`, which `KNearest` and
+/// `KNearestWithRow` also run, over a one-job feed on the caller's thread.
+/// Every read — healthy, degraded or mutated — runs the exchange sequence
+/// the machine builds, with retries, failover, hedging and partial
+/// flagging per leg. A healthy router is therefore bit-identical —
 /// neighbours, distances AND QueryStats — to the in-process index,
-/// regardless of worker or replica count or executor.
+/// regardless of worker or replica count or entry point.
 ///
 /// Concurrency model (the concurrent pipelined router): N caller threads
-/// drive N simultaneous scatter/gather sweeps over the *shared* worker
-/// connections. Every query multiplexes through three mechanisms:
+/// (or one engine driver) run simultaneous scatter/gather sweeps over the
+/// *shared* worker connections. Every query multiplexes through three
+/// mechanisms:
 ///   * a router-assigned nonzero query id stamped on every frame; workers
 ///     keep per-query sweep slots keyed on it (serve/replica.h), so
 ///     interleaved sweeps cannot see each other's slab state;
 ///   * a per-connection reactor (serve/reactor.h) that matches replies to
 ///     callers by sequence number and coalesces concurrent sends, so N
 ///     in-flight queries cost far fewer syscalls than N serialized ones;
+///     whichever driver drains a connection writes the wake pipe of every
+///     other driver whose reply it delivered;
 ///   * a query context captured at begin: the set of (connection, alive)
 ///     participants this query may ever talk to. Failover and hedging act
 ///     only inside the context; a replica respawned mid-flight (new
@@ -142,43 +148,45 @@ struct ServeOptions {
 /// Replication model (state-machine): a shard's slab state is a pure
 /// deterministic function of its op sequence (Begin*, then the Step*s),
 /// so the router scatters the begin and every mutating step to ALL live
-/// members of each group. The primary's reply drives the merge; every
-/// standby's reply is checked for byte agreement (a disagreeing standby
-/// is evicted as corrupt). When the primary crashes, times out, or
-/// returns a malformed frame mid-sweep, the router promotes a standby
-/// whose state is bit-identical by construction — the query completes
-/// exact and unflagged. Idempotent Evals go to the primary only and are
-/// hedged to a standby after `hedge_delay_ms`.
+/// members of each group, and `Reconcile` settles the replies: the first
+/// reply the sweep machine accepts (primary first) drives the merge, and
+/// every other member must agree with it byte for byte or be evicted as
+/// corrupt. When the primary crashes, times out, or returns a malformed
+/// or refused reply mid-sweep, the router promotes a standby whose state
+/// is bit-identical by construction — the query completes exact and
+/// unflagged. Idempotent Evals and delta scans go to the primary only and
+/// are hedged to a standby after `hedge_delay_ms`.
 ///
 /// The control plane (pings, respawn replay, Insert/Remove replication)
 /// is a query context too, with query id 0: the members of one group as
 /// they stand at call time, no deadline (each wait is `op_timeout_ms`),
-/// and no `ServeResult` to count into. So there is one request/retry loop
-/// (`SendRecv`) and one replicated exchange (`Replicate`: scatter, gather,
-/// reconcile); sweep begins and steps, and mutations, all run the latter.
+/// and no `ServeResult` to count into. It runs one blocking request/retry
+/// loop (`SendRecv`) and one blocking replicated exchange (`Replicate`:
+/// scatter, gather, then the sweeps' own `Reconcile`).
 ///
 /// Failure semantics (the robustness contract the tests pin down):
-///   * per-op timeouts; idempotent ops retry with exponential backoff
-///     (each sleep capped at the remaining query deadline), sweep-
-///     mutating ops never retry on the same replica;
+///   * per-leg timeouts, capped by the query deadline; idempotent legs
+///     retry after an exponential backoff timer, sweep-mutating legs never
+///     retry on the same replica;
 ///   * a crashed / timed-out / malformed-reply replica is marked dead; if
 ///     it was the primary a standby is promoted and the query continues
 ///     exact;
 ///   * `partial` / `missing_shards` fire only when a whole replica group
 ///     is lost; the per-query deadline degrades to partial results
-///     instead of blocking;
+///     instead of blocking (`SweepMachine::Expire`);
 ///   * dead replicas are respawned (fresh fork + checksum-verified
 ///     re-map) and rejoin at a later query's begin — synchronously before
 ///     a query when `auto_respawn` is set, and/or from the background
 ///     health loop;
 ///   * `stats.shards_degraded` counts the missing shards, so healthy
 ///     queries still compare bit-equal to in-process stats (0 == 0).
-/// One sweep for the multiplexed driver to run. `query` and `row` are
-/// borrowed — they must stay valid until the job's result is Delivered.
+/// One sweep for the driver to run. `query` and `row` are borrowed — they
+/// must stay valid until the job's result is Delivered.
 struct SweepJob {
   std::string_view query;
   std::size_t k = 0;
-  /// d(query, pivot p) for every pivot, `num_pivots()` entries.
+  /// d(query, pivot p) for every pivot, `num_pivots()` entries: a
+  /// pivot-row sweep. nullptr is a lazy sweep (the `KNearest` path).
   const double* row = nullptr;
   /// Opaque caller identifier, echoed back through Deliver.
   std::uint64_t tag = 0;
@@ -197,15 +205,16 @@ class SweepFeed {
   /// True once no further jobs will ever arrive: the driver finishes the
   /// sweeps it already admitted, delivers them, and returns.
   virtual bool Finished() = 0;
-  /// One settled job. `bailed` means the fast path refused or aborted it
-  /// (`res` is then empty) and the caller must rerun it on the robust
-  /// per-query path (`KNearestWithRow`). Called with the router's world
-  /// lock held shared — do not call back into the router from here.
+  /// One settled job: exact, or flagged partial when whole replica groups
+  /// were lost or its deadline expired. `bailed` is always false — the
+  /// driver has no other executor to hand a job to; the parameter stays
+  /// for the feeds that override this signature. Called with the router's
+  /// world lock held shared — do not call back into the router from here.
   virtual void Deliver(std::uint64_t tag, ServeResult res, bool bailed) = 0;
   /// Optional readable fd the driver adds to its park poll, made readable
   /// by producers when Next() may have new jobs (self-pipe). The driver
-  /// drains it when it polls readable. -1 = none; the driver then relies
-  /// on its short park cap to notice new work.
+  /// drains it when it polls readable. -1 = none; the driver then notices
+  /// new work at its next wakeup (a reply, a timer, or a 1 ms idle nap).
   virtual int wake_fd() { return -1; }
 };
 
@@ -233,8 +242,9 @@ class ServeRouter {
   /// The router's distance (immutable after construction).
   const StringDistance& metric() const { return *distance_; }
 
-  /// Lazy (per-query) path — the distributed `ShardedLaesa::Nearest`.
-  /// Thread-safe: concurrent calls multiplex over the shared connections.
+  /// Lazy (per-query) path — the distributed `ShardedLaesa::Nearest`:
+  /// `DriveSweeps` over a one-job feed on the caller's thread. Thread-safe:
+  /// concurrent calls multiplex over the shared connections.
   ServeResult Nearest(std::string_view query);
   ServeResult KNearest(std::string_view query, std::size_t k);
 
@@ -266,40 +276,54 @@ class ServeRouter {
   std::uint64_t next_insert_id() const;
 
   /// One pivot-row query whose row the caller already computed (`row[p]` =
-  /// d(query, pivot p), all pivots) — the seam the admission-batching
-  /// front end (serve/engine.h) drives after its blocked query×pivot
-  /// pass. Stats still count the `num_pivots()` row evaluations, exactly
-  /// as the in-process batch engine charges them per query, so results
-  /// stay bit-identical to the in-process pivot-row path. Throws
-  /// std::invalid_argument when `row.size() != num_pivots()`.
+  /// d(query, pivot p), all pivots): `DriveSweeps` over a one-job feed on
+  /// the caller's thread, the same executor and exchange sequence the
+  /// admission front end (serve/engine.h) drives. Stats still count the
+  /// `num_pivots()` row evaluations, exactly as the in-process batch engine
+  /// charges them per query, so results stay bit-identical to the
+  /// in-process pivot-row path. Throws std::invalid_argument when
+  /// `row.size() != num_pivots()`.
   ServeResult KNearestWithRow(std::string_view query, std::size_t k,
                               const std::vector<double>& row);
 
-  /// The multiplexed sweep driver — the engine's throughput path. ONE
-  /// caller thread drives every query's row-consuming sweep concurrently
-  /// over the shared connections: each round it advances every sweep that
-  /// has its replies, encodes the whole round's requests per connection,
-  /// flushes each connection with a single write, and parks in one poll
-  /// across all of them. N in-flight sweeps thus cost one wakeup and a
-  /// handful of syscalls per round instead of N parked threads paying two
-  /// context switches per exchange — on a single core this, not parallel
-  /// compute, is where concurrent throughput comes from. It pulls jobs
-  /// from `feed` as sweeps settle (admission refills mid-flight, so rounds
-  /// stay full instead of draining to a batch tail), delivers each result
-  /// through the feed, and returns once the feed is Finished and every
-  /// admitted sweep has settled. `max_concurrent` caps in-flight sweeps
-  /// (0 = a default cap). ServeEngine runs this on a dedicated thread.
+  /// The router's one sweep executor. The calling thread drives every
+  /// admitted sweep concurrently over the shared connections: each round
+  /// it settles the legs that replied, fires due timers, issues the next
+  /// phases' requests encoded per connection, flushes each connection
+  /// with a single write, and parks in one epoll wait across them and its
+  /// own wake pipe until a reply, a wake or its nearest timer (leg
+  /// timeout, hedge, retry backoff, deadline). Drivers sharing a
+  /// connection watch it EPOLLEXCLUSIVE: an arrival wakes one of them,
+  /// which reads it for all and wakes the others' pipes through the
+  /// reactor. N in-flight sweeps thus cost one
+  /// wakeup and a handful of syscalls per round instead of N parked
+  /// threads paying two context switches per exchange — on a single core
+  /// this, not parallel compute, is where concurrent throughput comes
+  /// from. It pulls jobs from `feed` as sweeps settle (admission refills
+  /// mid-flight, so rounds stay full instead of draining to a batch tail),
+  /// delivers each result through the feed, and returns once the feed is
+  /// Finished and every admitted sweep has settled. `max_concurrent` caps
+  /// in-flight sweeps (0 = a default cap). ServeEngine runs this on a
+  /// dedicated thread; KNearest and KNearestWithRow run it per call.
   ///
-  /// Exactness: per query the driver replays the exact KNearestWithRow
-  /// exchange sequence (begin, eval, step, in the same order with the
-  /// same payloads — the same `SweepMachine` builds them), so healthy
-  /// results are bit-identical to it. The fast path requires a fully
-  /// healthy world (every replica alive, no mutations pending); a query
-  /// that cannot run on it — or that hits any anomaly mid-sweep (timeout,
-  /// death, malformed or disagreeing reply, deadline) — abandons its
-  /// sweep slots and is delivered `bailed`, for its caller to rerun
-  /// through the robust per-query path (retries, failover, hedging,
-  /// partial flagging).
+  /// Each sweep is a `SweepMachine` plus the legs of its current phase —
+  /// begin, eval, step, delta scan — one leg per request to one pinned
+  /// member, in the order and with the payloads the machine builds:
+  ///   * every leg times out after `op_timeout_ms`, capped by the query
+  ///     deadline; a begin, eval or delta-scan leg (idempotent) is retried
+  ///     after `backoff_base_ms << attempt` on a not-before timer, up to
+  ///     `op_retries` times; a step leg that times out kills its member;
+  ///   * begin and step go to every live member of each active group and
+  ///     settle through `Reconcile` (promotion, eviction, lost groups
+  ///     dropped);
+  ///   * an eval or delta scan goes to the group's primary (promoting a
+  ///     live member when it is dead) and, still pending after
+  ///     `hedge_delay_ms`, races a standby leg; the first reply the
+  ///     machine accepts wins. A lazy sweep evaluates a visited pivot
+  ///     router-side, from the manifest's pivot strings;
+  ///   * at the deadline the pending legs' shards are dropped and the
+  ///     machine's incumbents stand (`Expire`).
+  /// `MaybeRespawn` runs before each sweep is admitted.
   ///
   /// World-lock fairness: the driver holds the world lock shared while
   /// sweeps are in flight, which (on a reader-preferring rwlock) would
@@ -308,9 +332,7 @@ class ServeRouter {
   /// and the driver checks the counter each round — when one is waiting
   /// it stops admitting, drains, and releases with a real gap so the
   /// writer wins the lock. In read-only steady state the hold is never
-  /// cycled. When the world is not fast-path eligible (a replica down,
-  /// mutations applied), jobs are delivered back `bailed` immediately and
-  /// run robustly on their callers' threads instead.
+  /// cycled.
   void DriveSweeps(SweepFeed& feed, std::size_t max_concurrent = 0);
 
   /// Heartbeat: pings every replica (retrying per options), marking the
@@ -378,6 +400,9 @@ class ServeRouter {
                     const std::string& fault_spec);
   void ReapReplica(std::size_t s, std::size_t r);
 
+  /// DriveSweeps' leg machine (router.cc).
+  class Driver;
+
   /// Query-context death: fails the pinned connection and clears the ctx
   /// flag; propagates to the global member only if it still holds the
   /// *same* connection (a respawn may already have replaced it — the
@@ -396,9 +421,6 @@ class ServeRouter {
   /// marked dead globally, so `RespawnDead` and the health loop revive it.
   /// Caller holds `respawn_mu_`, so membership is stable while it is used.
   QueryCtx ControlCtx(std::size_t s);
-  /// Fire-and-forget kEndSweep to every pinned participant whose
-  /// connection still works: retires the workers' per-query sweep slots.
-  void EndSweeps(const QueryCtx& ctx);
 
   /// If the ctx group's primary is dead, promote the first live ctx
   /// member (in member order — deterministic), mirroring to the global
@@ -410,52 +432,34 @@ class ServeRouter {
   /// global primary.
   void Promote(QueryCtx& ctx, std::size_t s, std::size_t r);
 
-  /// One request/reply exchange with the query's pinned replica (s, r).
-  /// Retries (with backoff, each sleep capped at the remaining time
-  /// before `deadline_ms`; pass -1 for no deadline) only when
-  /// `retryable`; marks the replica dead on any unrecoverable failure.
-  /// Replies with stale sequence numbers (from a timed-out earlier
-  /// attempt) are discarded by the reactor.
+  /// One blocking control-plane exchange with the pinned replica (s, r),
+  /// each wait `op_timeout_ms`, retried `op_retries` times after a backoff
+  /// sleep; marks the replica dead on any unrecoverable failure. Replies
+  /// with stale sequence numbers (from a timed-out earlier attempt) are
+  /// discarded by the reactor.
   bool SendRecv(QueryCtx& ctx, std::size_t s, std::size_t r, FrameType type,
-                const std::vector<char>& payload, std::vector<char>* reply,
-                int timeout_ms, bool retryable, std::int64_t deadline_ms);
-  /// `SendRecv` on the control plane: over `ControlCtx(s)`, each wait
-  /// `op_timeout_ms`, no deadline — respawn pings and journal replay.
-  bool ControlSendRecv(std::size_t s, std::size_t r, FrameType type,
-                       const std::vector<char>& payload,
-                       std::vector<char>* reply, bool retryable);
+                const std::vector<char>& payload, std::vector<char>* reply);
 
-  /// The one replicated exchange (the state-machine replication step):
-  /// scatters `payload` to every live pinned member of each group in
-  /// `shards`, gathers in (shard, member) order — a member that times out
-  /// is retried through `SendRecv` when `retryable`, else dead on the spot
-  /// — then reconciles each group: the primary's reply drives, a failed
-  /// primary is replaced by the first member that answered (promoted,
-  /// one failover), and a member whose reply disagrees byte-for-byte with
-  /// the driving reply is evicted as corrupt. Each wait is `timeout_ms`, capped
-  /// by `deadline_ms` (-1 = none); failovers and evictions count into
-  /// `res` when non-null. Returns the driving reply per shard id, empty
-  /// for a shard not asked or whose whole group failed.
-  std::vector<std::optional<std::vector<char>>> Replicate(
-      QueryCtx& ctx, const std::vector<std::size_t>& shards, FrameType type,
-      const std::vector<char>& payload, bool retryable, int timeout_ms,
-      std::int64_t deadline_ms, ServeResult* res);
+  /// Settles one group's replies to a replicated op (`replies[r]` empty
+  /// for a member that did not answer): the driving reply is the first
+  /// one `accept` takes, the primary's first, then in member order. A
+  /// member whose reply is refused is marked dead; a driving member that
+  /// is not the primary is promoted (one failover); every other member
+  /// whose reply disagrees byte for byte with the driving one is evicted
+  /// as corrupt. Counts into `res` when non-null. Returns the driving
+  /// member, or the group size when no reply was accepted.
+  std::size_t Reconcile(
+      QueryCtx& ctx, std::size_t s,
+      const std::vector<std::optional<std::vector<char>>>& replies,
+      const std::function<bool(const std::vector<char>&)>& accept,
+      ServeResult* res);
 
-  /// Replicates the machine's begin (`begin`, idempotent: retried) or step
-  /// (mutating: never retried) to every active shard and absorbs each
-  /// driving reply into `m`. Shards whose whole group failed, or whose
-  /// driving reply is malformed, are dropped from `m`.
-  void Broadcast(QueryCtx& ctx, SweepMachine& m, bool begin,
-                 std::int64_t deadline_ms, ServeResult* res);
-
-  /// One idempotent read (`kEval` or `kDeltaScan`) against shard `s`:
-  /// primary first, hedged to a standby after `hedge_delay_ms`, first
-  /// valid reply wins — both ops are pure functions of the shard's state,
-  /// so either answer is exact. Falls back to plain retries when the group
-  /// has no standby or hedging is off.
-  bool GroupEval(QueryCtx& ctx, std::size_t s, FrameType type,
-                 const std::vector<char>& payload, std::vector<char>* reply,
-                 std::int64_t deadline_ms, ServeResult* res);
+  /// The control plane's replicated exchange: scatters `payload` to every
+  /// live member of group `s`, gathers in member order — a member that
+  /// times out is retried through `SendRecv` — and reconciles, every
+  /// reply accepted.
+  void Replicate(std::size_t s, FrameType type,
+                 const std::vector<char>& payload);
 
   /// One journaled mutation, replicated to every live member of the owner
   /// shard's group.
@@ -470,20 +474,6 @@ class ServeRouter {
     /// u64 id, then the string for an insert (serve/frame.h).
     std::vector<char> Payload() const;
   };
-  void ReplicateMutation(std::size_t owner, const MutationOp& op);
-  /// Replays the owner shard's journal to a freshly respawned member —
-  /// delta and tombstone state is process-local, so the journal is what
-  /// brings the new process to the group's current state. Returns false
-  /// (replica already marked dead) when any op fails to apply.
-  bool ReplayMutations(std::size_t s, std::size_t r);
-
-  /// The delta-scan phase: scatters the machine's bounded scan to every
-  /// shard holding live delta entries (hedged like Eval — the scan is a
-  /// pure function of the shard's delta) and hands it the hits.
-  void DeltaPhase(QueryCtx& ctx, SweepMachine& m, std::int64_t deadline,
-                  ServeResult* res);
-
-  int RemainingMs(std::int64_t deadline_ms) const;
 
   /// Cheap any-dead scan; only when one exists does the query path take
   /// `respawn_mu_` and run a full (uncapped) respawn.
@@ -495,18 +485,6 @@ class ServeRouter {
   /// group's primary at a live member. Caller holds `respawn_mu_`.
   std::size_t RespawnDeadLocked(std::size_t limit);
   void HealthLoop();
-
-  /// The robust per-query executor (respawn check, fresh ctx, one
-  /// `SweepMachine` driven through Broadcast/GroupEval/DeltaPhase,
-  /// sweep-slot cleanup): the lazy sweep when `row` is null, else the
-  /// pivot-row sweep over `row` (num_pivots() entries). Caller holds
-  /// `world_mu_` shared.
-  ServeResult RobustQuery(std::string_view query, std::size_t k,
-                          const double* row);
-  /// True when the multiplexed fast path may run: no tombstones, no
-  /// delta entries, every replica alive on a healthy connection. Caller
-  /// holds `world_mu_` shared.
-  bool FastWorldLocked() const;
 
   // Manifest state (immutable after construction — read lock-free).
   std::size_t n_ = 0;

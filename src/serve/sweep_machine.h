@@ -79,11 +79,11 @@ struct SweepWorld {
 /// the in-process sweep's own `SweepIncumbents`, and the shard merge its
 /// `FoldSegmentMinima` (search/pivot_sweep.h). It does no I/O and takes no
 /// locks: an executor sends the payloads it builds, feeds back the
-/// replies, and reports lost shards. Two executors drive it — the router's
-/// robust per-query path and the multiplexed `DriveSweeps` legs — so both
-/// make identical decisions on identical values in identical order, and a
-/// healthy distributed query is bit-identical (neighbours, distances and
-/// QueryStats) to the in-process index.
+/// replies, and reports lost shards. One executor drives it — the router's
+/// multiplexed `DriveSweeps` legs, behind every read entry point — so a
+/// healthy distributed query makes the in-process sweep's decisions on
+/// identical values in identical order, and is bit-identical (neighbours,
+/// distances and QueryStats) to the in-process index.
 ///
 /// The two sweep kinds differ only in data:
 ///   * lazy (`row == nullptr`, the distributed `ShardedLaesa::Nearest`):

@@ -8,14 +8,16 @@
 //      in-process ShardedLaesa pivot-row path, even while injected
 //      faults kill and mangle standby replicas mid-query.
 //   2. Mixed ops never flag while any replica survives. Concurrent
-//      Nearest/KNearest/Insert/Remove (mutations force the robust
-//      per-query path and make writers contend for the world lock the
-//      driver holds shared) produce no partial, no shed, and no missing
+//      Nearest/KNearest/Insert/Remove (mutations send the driver's sweeps
+//      through the delta phase and make writers contend for the world
+//      lock it holds shared) produce no partial, no shed, and no missing
 //      shards, because every injected fault targets replica=1 only —
 //      each group always keeps a live member.
 //   3. The mutations land: after the storm quiesces, every inserted and
 //      not-removed string is found at distance 0, and every removed one
 //      is not.
+//   4. Callers without the engine each drive their own sweeps over the
+//      shared connections and still get bit-identical answers.
 //
 // This test is wired into the ASan and TSan CI jobs: it is the one that
 // races the admission queue, the sweep driver's world-lock hold, the
@@ -169,6 +171,74 @@ TEST(ServeConcurrentTest, EightClientsStayExactWhileStandbysDieAndMangle) {
       << "concurrent results diverged from in-process ShardedLaesa";
   EXPECT_GE(engine.batched_queries(), kThreads * 3 * w.queries.size());
   EXPECT_EQ(engine.shed_queries(), 0u);
+}
+
+TEST(ServeConcurrentTest, CallersDrivingTheirOwnSweepsStayExact) {
+  // No engine: every client thread runs ServeRouter::KNearest (lazy) and
+  // KNearestWithRow (pivot row), i.e. its own sweep driver, over the same
+  // worker connections — a driver that drains a connection completes the
+  // other drivers' legs and must wake them through their wake pipes.
+  const Workload w = MakeWorkload(200, 8, 9300);
+  ShardedPrototypeStore store(w.protos, 4);
+  ShardedLaesa index(store, MakeDistance("dE"), 8, /*first_pivot=*/0);
+  TempDir dir;
+  SaveServingSnapshot(index, dir.path);
+
+  ServeOptions opt;
+  opt.distance = "dE";
+  opt.replicas = 2;
+  opt.op_timeout_ms = 2000;  // TSan headroom
+  opt.backoff_base_ms = 2;
+  // A standby crash mid-step: the group keeps its primary, so nothing may
+  // flag or perturb a bit.
+  opt.fault_spec = "crash:shard=2,op=step,nth=40,replica=1";
+  ServeRouter router(dir.path, opt);
+
+  const std::size_t k = 3;
+  std::vector<std::vector<NeighborResult>> lazy_want(w.queries.size());
+  std::vector<QueryStats> lazy_stats(w.queries.size());
+  std::vector<std::vector<double>> rows(w.queries.size());
+  std::vector<std::vector<NeighborResult>> row_want(w.queries.size());
+  std::vector<QueryStats> row_stats(w.queries.size());
+  for (std::size_t i = 0; i < w.queries.size(); ++i) {
+    lazy_want[i] = index.KNearest(w.queries[i], k, &lazy_stats[i]);
+    rows[i].resize(index.pivot_count());
+    index.ComputePivotRow(w.queries[i], rows[i].data(), &row_stats[i]);
+    row_want[i] = index.KNearestWithPivotRow(w.queries[i], k, rows[i].data(),
+                                             &row_stats[i]);
+  }
+  const auto same = [](const ServeResult& got,
+                       const std::vector<NeighborResult>& want,
+                       const QueryStats& stats) {
+    bool ok = !got.partial && got.missing_shards.empty() &&
+              got.neighbors.size() == want.size() && got.stats == stats;
+    for (std::size_t j = 0; ok && j < want.size(); ++j) {
+      ok = got.neighbors[j].index == want[j].index &&
+           got.neighbors[j].distance == want[j].distance;
+    }
+    return ok;
+  };
+
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < 2 * w.queries.size(); ++i) {
+        const std::size_t qi = (i + t) % w.queries.size();
+        const bool ok =
+            (i + t) % 2 == 0
+                ? same(router.KNearest(w.queries[qi], k), lazy_want[qi],
+                       lazy_stats[qi])
+                : same(router.KNearestWithRow(w.queries[qi], k, rows[qi]),
+                       row_want[qi], row_stats[qi]);
+        if (!ok) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0u)
+      << "concurrent callers diverged from in-process ShardedLaesa";
 }
 
 TEST(ServeConcurrentTest, MixedQueryInsertRemoveStormNeverFlags) {

@@ -23,6 +23,10 @@
 // member (identical op sequences), so the contract-2 tests above keep
 // their exact semantics at R=2: the injected fault takes out the whole
 // group.
+//
+// `DriveSweeps` is the router's one executor: `KNearest` and
+// `KNearestWithRow` run it over a one-job feed, and the driven cases below
+// feed it directly, as the admission front end does.
 
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -588,6 +592,93 @@ TEST(ServeDistributedTest, UnreplicatedTierStillServesExactlyAtROne) {
   }
 }
 
+TEST(ServeDistributedTest, RefusedPrimaryBeginFailsOverWithoutEvictions) {
+  Workload w = MakeWorkload(120, 1, 8850);
+  Deployment dep(w.protos, 4, 8);
+  ServeOptions opt = FastOptions();
+  // Shard 2's *primary* mangles its first lazy-begin reply: CRC-valid, but
+  // its survivor count is wrong, so the sweep machine refuses it. The
+  // refusal must fall on the primary — the honest standby's reply drives
+  // (one failover) and nobody is evicted for disagreeing with garbage.
+  opt.fault_spec = "mangle:shard=2,op=begin,nth=1,replica=0";
+  opt.auto_respawn = false;
+  ServeRouter router(dep.dir.path, opt);
+
+  QueryStats ref;
+  const auto want = dep.index->KNearest(w.queries[0], 3, &ref);
+  const ServeResult r = router.KNearest(w.queries[0], 3);
+  ExpectHealthyIdentical(r, want, ref, "refused primary begin");
+  EXPECT_EQ(r.failovers, 1u);
+  EXPECT_EQ(r.replicas_evicted, 0u);
+  EXPECT_EQ(router.primary_of(2), 1u);
+  EXPECT_FALSE(router.replica_alive(2, 0));
+  EXPECT_TRUE(router.replica_alive(2, 1));
+}
+
+// --- Driven sweeps: the admission front end's seam --------------------------
+
+/// Hands `jobs` (tagged by position) to DriveSweeps and records each
+/// delivery.
+class VectorFeed : public SweepFeed {
+ public:
+  explicit VectorFeed(std::vector<SweepJob> jobs)
+      : jobs_(std::move(jobs)), results(jobs_.size()),
+        bailed(jobs_.size(), -1) {
+    for (std::size_t i = 0; i < jobs_.size(); ++i) jobs_[i].tag = i;
+  }
+  bool Next(SweepJob* out) override {
+    if (next_ == jobs_.size()) return false;
+    *out = jobs_[next_++];
+    return true;
+  }
+  bool Finished() override { return next_ == jobs_.size(); }
+  void Deliver(std::uint64_t tag, ServeResult res, bool was_bailed) override {
+    results[tag] = std::move(res);
+    bailed[tag] = was_bailed ? 1 : 0;
+  }
+
+ private:
+  std::vector<SweepJob> jobs_;
+  std::size_t next_ = 0;
+
+ public:
+  std::vector<ServeResult> results;
+  std::vector<int> bailed;  // -1 = never delivered
+};
+
+std::vector<double> PivotRow(const ServeRouter& router, const std::string& q) {
+  std::vector<double> row;
+  for (const std::string& p : router.pivot_strings()) {
+    row.push_back(router.metric().Distance(q, p));
+  }
+  return row;
+}
+
+TEST(ServeDistributedTest, DrivenSweepFailsOverMidSweepInsteadOfBailing) {
+  Workload w = MakeWorkload(150, 1, 8500);
+  Deployment dep(w.protos, 4, 8);
+  ServeOptions opt = FastOptions();
+  // Every primary crashes on its 2nd visit pass, inside this one sweep.
+  opt.fault_spec = "crash:op=step,nth=2,replica=0";
+  opt.auto_respawn = false;
+  ServeRouter router(dep.dir.path, opt);
+
+  const std::string& q = w.queries[0];
+  const std::vector<double> row = PivotRow(router, q);
+  VectorFeed feed({SweepJob{q, 3, row.data(), 0}});
+  router.DriveSweeps(feed, 1);
+  ASSERT_EQ(feed.bailed[0], 0);
+  QueryStats ref;
+  std::vector<double> ref_row(dep.index->pivot_count());
+  dep.index->ComputePivotRow(q, ref_row.data(), &ref);
+  const auto want = dep.index->KNearestWithPivotRow(q, 3, ref_row.data(), &ref);
+  ExpectHealthyIdentical(feed.results[0], want, ref, "driven failover");
+  EXPECT_EQ(feed.results[0].failovers, 4u);
+  for (std::size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(router.primary_of(s), 1u) << "shard " << s;
+  }
+}
+
 // --- Satellite: option validation ------------------------------------------
 
 TEST(ServeDistributedTest, InvalidOptionsThrowNamingTheField) {
@@ -861,6 +952,41 @@ TEST(ServeDistributedTest, MutationsServeExactlyOnBothPathsReplicated) {
                            "masked row q=" + w.queries[i]);
   }
   EXPECT_TRUE(router.PingAll());
+}
+
+TEST(ServeDistributedTest, DrivenSweepsServeAMutatedWorldInsteadOfBailing) {
+  Workload w = MakeWorkload(120, 4, 9450);
+  Deployment dep(w.protos, 4, 8);
+  ServeRouter router(dep.dir.path, FastOptions());
+  auto dist = MakeDistance("dE");
+
+  std::map<std::uint64_t, std::string> live;
+  for (std::size_t i = 0; i < w.protos.size(); ++i) live[i] = w.protos[i];
+  const std::string inserted = w.protos[3] + "+driven";
+  live[router.Insert(inserted)] = inserted;
+  ASSERT_TRUE(router.Remove(0));  // a base pivot
+  live.erase(0);
+
+  // Row and lazy jobs over the queries plus the inserted string, in one
+  // wave: the tombstone and the delta phase ride the driven sweeps.
+  std::vector<std::string> queries = w.queries;
+  queries.push_back(inserted);
+  std::vector<std::vector<double>> rows;
+  for (const std::string& q : queries) rows.push_back(PivotRow(router, q));
+  std::vector<SweepJob> jobs;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    jobs.push_back(SweepJob{queries[i], 4, rows[i].data(), 0});
+    jobs.push_back(SweepJob{queries[i], 4, nullptr, 0});
+  }
+  VectorFeed feed(jobs);
+  router.DriveSweeps(feed, 4);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const std::string& q = queries[j / 2];
+    const std::string ctx =
+        std::string(j % 2 == 0 ? "driven row" : "driven lazy") + " q=" + q;
+    ASSERT_EQ(feed.bailed[j], 0) << ctx;
+    ExpectServesLiveOracle(feed.results[j], live, *dist, q, 4, ctx);
+  }
 }
 
 TEST(ServeDistributedTest, MutationsServeExactlyAtROne) {

@@ -1,12 +1,15 @@
 // Wire-level contracts of the serving tier: checksummed framing round
 // trips, corruption and truncation surface as kMalformed (never a hang or
 // a garbage decode), receives are deadline-bounded, the payload codec is
-// strict about short reads and trailing bytes, and the CNED_FAULT grammar
-// parses deterministically.
+// strict about short reads and trailing bytes, the CNED_FAULT grammar
+// parses deterministically, and the connection reactor wakes a waiter
+// whose reply another thread drained.
 
 #include "serve/frame.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -14,9 +17,11 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/fault.h"
+#include "serve/reactor.h"
 
 namespace cned {
 namespace {
@@ -349,6 +354,60 @@ TEST(ServeFaultTest, MangleKindFlagsPayloadCorruption) {
   // Mangle is byte-corruption with a *valid* CRC: distinct from corrupt.
   EXPECT_FALSE(second.corrupt);
   EXPECT_FALSE(second.crash);
+}
+
+// --- Reactor wake -----------------------------------------------------------
+
+/// A non-blocking wake pipe, as the sweep driver keeps one.
+struct WakePipe {
+  int fds[2] = {-1, -1};
+  WakePipe() { EXPECT_EQ(pipe2(fds, O_NONBLOCK), 0); }
+  ~WakePipe() {
+    close(fds[0]);
+    close(fds[1]);
+  }
+  bool Readable() const {
+    struct pollfd pfd{fds[0], POLLIN, 0};
+    return poll(&pfd, 1, 0) == 1;
+  }
+};
+
+TEST(ServeReactorTest, AnotherThreadsReadWakesTheWaiterItCompleted) {
+  SocketPair sp;
+  Conn conn(sp.fds[0]);
+  sp.fds[0] = -1;  // the connection owns it now
+  WakePipe wake;
+  // Thread A registers with its wake pipe and never reads; thread B
+  // blocks in Wait on the same connection.
+  conn.Expect(1, 7, wake.fds[1]);
+  conn.Expect(2, 7);
+  std::vector<char> out;
+  ASSERT_TRUE(EncodeFrame(&out, FrameType::kReply, 1, 7, "a", 1));
+  ASSERT_TRUE(EncodeFrame(&out, FrameType::kReply, 2, 7, "b", 1));
+  ASSERT_TRUE(SendBytes(sp.fds[1], out.data(), out.size()));
+  EXPECT_FALSE(wake.Readable());
+  std::thread b([&] {
+    Frame f;
+    EXPECT_EQ(conn.Wait(2, 1000, &f), RecvStatus::kOk);
+  });
+  b.join();
+  // B's one read drained both frames: A learns of its reply from the pipe
+  // and collects it without reading the socket.
+  EXPECT_TRUE(wake.Readable());
+  Frame f;
+  ASSERT_EQ(conn.TryWait(1, &f), RecvStatus::kOk);
+  EXPECT_EQ(f.payload, std::vector<char>{'a'});
+}
+
+TEST(ServeReactorTest, ADeadStreamWakesEveryRegisteredPipe) {
+  SocketPair sp;
+  Conn conn(sp.fds[0]);
+  sp.fds[0] = -1;
+  WakePipe wake;
+  conn.Expect(1, 7, wake.fds[1]);
+  conn.Fail();
+  EXPECT_TRUE(wake.Readable());
+  EXPECT_EQ(conn.TryWait(1, nullptr), RecvStatus::kClosed);
 }
 
 }  // namespace
