@@ -47,7 +47,7 @@ int Run() {
       table.AddRow({"LAESA (40 pivots)", dist_name,
                     FormatDouble(static_cast<double>(st.distance_computations) /
                                      static_cast<double>(query_set.size()),
-                                 1),
+                                 3),
                     std::to_string(laesa.preprocessing_computations())});
     }
     {
@@ -57,7 +57,7 @@ int Run() {
       table.AddRow({"AESA (full matrix)", dist_name,
                     FormatDouble(static_cast<double>(st.distance_computations) /
                                      static_cast<double>(query_set.size()),
-                                 1),
+                                 3),
                     std::to_string(aesa.preprocessing_computations())});
     }
     {
@@ -67,7 +67,7 @@ int Run() {
       table.AddRow({"VP-tree", dist_name,
                     FormatDouble(static_cast<double>(st.distance_computations) /
                                      static_cast<double>(query_set.size()),
-                                 1),
+                                 3),
                     std::to_string(tree.preprocessing_computations())});
     }
     if (std::string(dist_name) == "dE") {
@@ -77,7 +77,7 @@ int Run() {
       table.AddRow({"BK-tree (integer metric only)", dist_name,
                     FormatDouble(static_cast<double>(st.distance_computations) /
                                      static_cast<double>(query_set.size()),
-                                 1),
+                                 3),
                     std::to_string(train - 1)});
     }
     table.AddRow({"exhaustive", dist_name, std::to_string(train), "0"});

@@ -29,11 +29,12 @@ Aesa::Aesa(PrototypeStoreRef prototypes, StringDistancePtr distance)
   preprocessing_computations_ += static_cast<std::uint64_t>(n) * (n - 1) / 2;
 }
 
-// Shared sweep behind Nearest (k = 1) and KNearest: a candidate whose lower
-// bound reaches the k-th incumbent cannot strictly improve on it and is
-// eliminated; the same k-th incumbent caps every kernel evaluation.
-std::vector<NeighborResult> Aesa::Sweep(std::string_view query, std::size_t k,
-                                        QueryStats* stats) const {
+// A candidate whose lower bound reaches the k-th incumbent cannot strictly
+// improve on it and is eliminated; the same k-th incumbent caps every
+// kernel evaluation.
+std::vector<NeighborResult> Aesa::KNearest(std::string_view query,
+                                           std::size_t k,
+                                           QueryStats* stats) const {
   const PrototypeStore& protos = store();
   const std::size_t n = protos.size();
   k = std::min(k, n);
@@ -97,16 +98,6 @@ std::vector<NeighborResult> Aesa::Sweep(std::string_view query, std::size_t k,
     stats->bounded_abandons += abandons;
   }
   return best;
-}
-
-NeighborResult Aesa::Nearest(std::string_view query, QueryStats* stats) const {
-  return Sweep(query, 1, stats).front();
-}
-
-std::vector<NeighborResult> Aesa::KNearest(std::string_view query,
-                                           std::size_t k,
-                                           QueryStats* stats) const {
-  return Sweep(query, k, stats);
 }
 
 }  // namespace cned

@@ -29,13 +29,9 @@ class Aesa final : public NearestNeighborSearcher {
   /// alive) or a `std::vector<std::string>` packed once into an owned store.
   Aesa(PrototypeStoreRef prototypes, StringDistancePtr distance);
 
-  NeighborResult Nearest(std::string_view query,
-                         QueryStats* stats = nullptr) const override;
-
   /// The k nearest prototypes, closest first (elimination prunes against
   /// the current k-th best; abandoned evaluations still tighten every
-  /// survivor one-sidedly). k = 1 follows the identical trajectory to
-  /// `Nearest`, which shares this sweep.
+  /// survivor one-sidedly).
   std::vector<NeighborResult> KNearest(
       std::string_view query, std::size_t k,
       QueryStats* stats = nullptr) const override;
@@ -53,10 +49,6 @@ class Aesa final : public NearestNeighborSearcher {
   double Dist(std::size_t i, std::size_t j) const {
     return matrix_[i * prototypes_->size() + j];
   }
-
-  /// The unified elimination sweep behind Nearest/KNearest.
-  std::vector<NeighborResult> Sweep(std::string_view query, std::size_t k,
-                                    QueryStats* stats) const;
 
   PrototypeStoreRef prototypes_;
   StringDistancePtr distance_;

@@ -30,18 +30,15 @@ void RunBatch(std::size_t n, std::size_t threads, QueryStats* stats,
   for (const QueryStats& s : per) *stats += s;
 }
 
-}  // namespace
-
-BatchQueryEngine::BatchQueryEngine(const NearestNeighborSearcher& searcher)
-    : BatchQueryEngine(searcher, Options()) {}
-
-BatchQueryEngine::BatchQueryEngine(const NearestNeighborSearcher& searcher,
-                                   Options options)
-    : searcher_(&searcher), options_(options) {}
-
-std::vector<double> BatchQueryEngine::PivotStagePass(
-    const PivotStageSearcher& ps, const PrototypeStore& queries,
-    std::vector<std::size_t>* row_of, QueryStats* stats) const {
+/// Stage 1 of the pivot pipeline: the deduplicated, blocked query x pivot
+/// pass. Fills `row_of[i]` with query i's row ordinal and returns the
+/// row-major unique-query x pivot matrix; counts the evaluations into
+/// `stats`.
+std::vector<double> PivotStagePass(const PivotStageSearcher& ps,
+                                   const PrototypeStore& queries,
+                                   std::size_t threads,
+                                   std::vector<std::size_t>* row_of,
+                                   QueryStats* stats) {
   const std::size_t q_count = queries.size();
   const std::size_t p_count = ps.pivot_count();
 
@@ -78,7 +75,7 @@ std::vector<double> BatchQueryEngine::PivotStagePass(
           }
         }
       },
-      options_.threads);
+      threads);
 
   if (stats != nullptr) {
     const std::uint64_t evals =
@@ -89,107 +86,101 @@ std::vector<double> BatchQueryEngine::PivotStagePass(
   return rows;
 }
 
-std::vector<NeighborResult> BatchQueryEngine::Nearest(
-    PrototypeStoreRef queries, QueryStats* stats) const {
-  const PrototypeStore& q = queries.get();
-  std::vector<NeighborResult> results(q.size());
-  const auto* ps = options_.pivot_stage
-                       ? dynamic_cast<const PivotStageSearcher*>(searcher_)
+/// The one k-NN runner behind Nearest and KNearest. With the pivot pipeline
+/// enabled and a pivot-stage searcher, it runs stage 1 once and then
+/// `with_row(ps, i, row, s)` for every query; otherwise `lazy(i, s)`. Both
+/// return query i's neighbours, closest first. The callables are template
+/// parameters, so a caller's variant (per-shard counters) costs the
+/// per-query loop no branch.
+template <typename WithRow, typename Lazy>
+std::vector<std::vector<NeighborResult>> RunKnn(
+    const NearestNeighborSearcher& searcher,
+    const BatchQueryEngine::Options& options, const PrototypeStore& q,
+    QueryStats* stats, const WithRow& with_row, const Lazy& lazy) {
+  std::vector<std::vector<NeighborResult>> results(q.size());
+  const auto* ps = options.pivot_stage
+                       ? dynamic_cast<const PivotStageSearcher*>(&searcher)
                        : nullptr;
   if (ps != nullptr && ps->pivot_count() > 0 && !q.empty()) {
     std::vector<std::size_t> row_of;
-    const std::vector<double> rows = PivotStagePass(*ps, q, &row_of, stats);
+    const std::vector<double> rows =
+        PivotStagePass(*ps, q, options.threads, &row_of, stats);
     const std::size_t p_count = ps->pivot_count();
-    RunBatch(q.size(), options_.threads, stats,
+    RunBatch(q.size(), options.threads, stats,
              [&](std::size_t i, QueryStats* s) {
-               results[i] =
-                   ps->NearestWithPivotRow(q[i], &rows[row_of[i] * p_count], s);
+               results[i] = with_row(*ps, i, &rows[row_of[i] * p_count], s);
              });
     return results;
   }
-  RunBatch(q.size(), options_.threads, stats,
-           [&](std::size_t i, QueryStats* s) {
-             results[i] = searcher_->Nearest(q[i], s);
-           });
+  RunBatch(q.size(), options.threads, stats,
+           [&](std::size_t i, QueryStats* s) { results[i] = lazy(i, s); });
   return results;
 }
+
+}  // namespace
+
+BatchQueryEngine::BatchQueryEngine(const NearestNeighborSearcher& searcher)
+    : BatchQueryEngine(searcher, Options()) {}
+
+BatchQueryEngine::BatchQueryEngine(const NearestNeighborSearcher& searcher,
+                                   Options options)
+    : searcher_(&searcher), options_(options) {}
 
 std::vector<NeighborResult> BatchQueryEngine::Nearest(
     PrototypeStoreRef queries, QueryStats* stats,
     std::vector<QueryStats>* shard_stats) const {
-  if (shard_stats == nullptr) return Nearest(queries, stats);
-  const auto* sharded = dynamic_cast<const ShardedLaesa*>(searcher_);
-  if (sharded == nullptr) {
-    throw std::invalid_argument(
-        "BatchQueryEngine::Nearest: per-shard stats need a sharded searcher");
-  }
   const PrototypeStore& q = queries.get();
-  const std::size_t shards = sharded->shard_count();
-  std::vector<NeighborResult> results(q.size());
-  // Dense query x shard counters, merged in index order afterwards — the
-  // same determinism scheme as the per-query stats.
-  std::vector<QueryStats> per_shard(q.size() * shards);
-  const auto* ps = options_.pivot_stage
-                       ? dynamic_cast<const PivotStageSearcher*>(searcher_)
-                       : nullptr;
-  if (ps != nullptr && ps->pivot_count() > 0 && !q.empty()) {
-    std::vector<std::size_t> row_of;
-    const std::vector<double> rows = PivotStagePass(*ps, q, &row_of, stats);
-    const std::size_t p_count = ps->pivot_count();
-    RunBatch(q.size(), options_.threads, stats,
-             [&](std::size_t i, QueryStats* s) {
-               results[i] = sharded->NearestWithPivotRow(
-                   q[i], &rows[row_of[i] * p_count], s,
-                   &per_shard[i * shards]);
-             });
+  std::vector<std::vector<NeighborResult>> lists;
+  if (shard_stats == nullptr) {
+    lists = KNearest(queries, 1, stats);
   } else {
-    RunBatch(q.size(), options_.threads, stats,
-             [&](std::size_t i, QueryStats* s) {
-               results[i] = sharded->Nearest(
-                   q[i], s, &per_shard[i * shards]);
-             });
-  }
-  shard_stats->assign(shards, QueryStats{});
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    for (std::size_t sh = 0; sh < shards; ++sh) {
-      (*shard_stats)[sh] += per_shard[i * shards + sh];
+    const auto* sharded = dynamic_cast<const ShardedLaesa*>(searcher_);
+    if (sharded == nullptr) {
+      throw std::invalid_argument(
+          "BatchQueryEngine::Nearest: per-shard stats need a sharded "
+          "searcher");
+    }
+    const std::size_t shards = sharded->shard_count();
+    // Dense query x shard counters, merged in index order afterwards — the
+    // same determinism scheme as the per-query stats.
+    std::vector<QueryStats> per_shard(q.size() * shards);
+    lists = RunKnn(
+        *searcher_, options_, q, stats,
+        [&](const PivotStageSearcher&, std::size_t i, const double* row,
+            QueryStats* s) {
+          return sharded->KNearestWithPivotRow(q[i], 1, row, s,
+                                               &per_shard[i * shards]);
+        },
+        [&](std::size_t i, QueryStats* s) {
+          return sharded->KNearest(q[i], 1, s, &per_shard[i * shards]);
+        });
+    shard_stats->assign(shards, QueryStats{});
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      for (std::size_t sh = 0; sh < shards; ++sh) {
+        (*shard_stats)[sh] += per_shard[i * shards + sh];
+      }
     }
   }
-  return results;
+  std::vector<NeighborResult> nearest(lists.size());
+  for (std::size_t i = 0; i < lists.size(); ++i) {
+    if (lists[i].empty()) {
+      throw std::out_of_range("BatchQueryEngine::Nearest: empty index");
+    }
+    nearest[i] = lists[i].front();
+  }
+  return nearest;
 }
 
 std::vector<std::vector<NeighborResult>> BatchQueryEngine::KNearest(
     PrototypeStoreRef queries, std::size_t k, QueryStats* stats) const {
   const PrototypeStore& q = queries.get();
-  std::vector<std::vector<NeighborResult>> results(q.size());
-  const auto* ps = options_.pivot_stage
-                       ? dynamic_cast<const PivotStageSearcher*>(searcher_)
-                       : nullptr;
-  if (ps != nullptr && ps->pivot_count() > 0 && !q.empty()) {
-    std::vector<std::size_t> row_of;
-    const std::vector<double> rows = PivotStagePass(*ps, q, &row_of, stats);
-    const std::size_t p_count = ps->pivot_count();
-    RunBatch(q.size(), options_.threads, stats,
-             [&](std::size_t i, QueryStats* s) {
-               results[i] = ps->KNearestWithPivotRow(
-                   q[i], k, &rows[row_of[i] * p_count], s);
-             });
-    return results;
-  }
-  if (!q.empty()) {
-    // Probe k-NN support on the calling thread: backends without KNearest
-    // throw std::logic_error here. Inside a ParallelFor worker the same
-    // throw would std::terminate the process (raw std::thread semantics).
-    // k = 0 is a no-op on every supporting backend (returns {} before any
-    // distance evaluation), so the probe costs nothing and touches no
-    // stats.
-    (void)searcher_->KNearest(q[0], 0, nullptr);
-  }
-  RunBatch(q.size(), options_.threads, stats,
-           [&](std::size_t i, QueryStats* s) {
-             results[i] = searcher_->KNearest(q[i], k, s);
-           });
-  return results;
+  return RunKnn(
+      *searcher_, options_, q, stats,
+      [&](const PivotStageSearcher& ps, std::size_t i, const double* row,
+          QueryStats* s) { return ps.KNearestWithPivotRow(q[i], k, row, s); },
+      [&](std::size_t i, QueryStats* s) {
+        return searcher_->KNearest(q[i], k, s);
+      });
 }
 
 std::vector<int> BatchQueryEngine::Classify(PrototypeStoreRef queries,
@@ -202,7 +193,7 @@ std::vector<int> BatchQueryEngine::Classify(PrototypeStoreRef queries,
   const std::vector<NeighborResult> nearest = Nearest(queries, stats);
   std::vector<int> out(nearest.size());
   for (std::size_t i = 0; i < nearest.size(); ++i) {
-    out[i] = labels[nearest[i].index];
+    out[i] = LabelOf(labels, nearest[i]);
   }
   return out;
 }

@@ -32,12 +32,14 @@ namespace cned {
 ///      cache, and duplicate query strings are evaluated once for the
 ///      whole batch (popular queries are free after the first);
 ///   2. per-query elimination sweeps consuming the precomputed rows
-///      (`NearestWithPivotRow` / `KNearestWithPivotRow`), fanned out as
-///      above.
+///      (`KNearestWithPivotRow`), fanned out as above.
 /// Results are bit-identical to the sequential per-query two-stage loop
-/// (`ComputePivotRow` + `*WithPivotRow`), and the merged stats equal that
-/// loop's sums minus the deduplicated pivot rows. Searchers without a
-/// pivot stage fall back to the plain per-query path.
+/// (`ComputePivotRow` + `KNearestWithPivotRow`), and the merged stats
+/// equal that loop's sums minus the deduplicated pivot rows. Searchers
+/// without a pivot stage fall back to the plain per-query path.
+///
+/// Both paths are one k-NN runner: `Nearest` is `KNearest` with k = 1,
+/// each query's first neighbour.
 class BatchQueryEngine {
  public:
   struct Options {
@@ -53,32 +55,30 @@ class BatchQueryEngine {
   explicit BatchQueryEngine(const NearestNeighborSearcher& searcher);
   BatchQueryEngine(const NearestNeighborSearcher& searcher, Options options);
 
-  /// Nearest prototype for every query in the span. `queries` is either a
+  /// Nearest prototype for every query in the span: each query's first
+  /// neighbour under `KNearest(queries, 1, ...)`. `queries` is either a
   /// borrowed `PrototypeStore` or a `std::vector<std::string>` (packed once
   /// into a temporary store). Merged counters accumulate into `stats` when
-  /// non-null.
-  std::vector<NeighborResult> Nearest(PrototypeStoreRef queries,
-                                      QueryStats* stats = nullptr) const;
+  /// non-null. Throws std::out_of_range when the index holds no prototype.
+  ///
+  /// With `shard_stats` non-null it also accumulates each visited
+  /// candidate's evaluation onto its home shard: `shard_stats` is resized
+  /// to the searcher's shard count, and the searcher must be a
+  /// `ShardedLaesa` (std::invalid_argument otherwise). Stage-1 pivot
+  /// evaluations of the pivot pipeline are global, not per-shard — they
+  /// appear only in the merged `stats`.
+  std::vector<NeighborResult> Nearest(
+      PrototypeStoreRef queries, QueryStats* stats = nullptr,
+      std::vector<QueryStats>* shard_stats = nullptr) const;
 
-  /// Sharded-searcher variant: additionally accumulates each visited
-  /// candidate's evaluation onto its home shard. `shard_stats` is resized
-  /// to the searcher's shard count; requires a `ShardedLaesa` searcher
-  /// (throws std::invalid_argument otherwise).
-  /// Stage-1 pivot evaluations of the pivot pipeline are global, not
-  /// per-shard — they appear only in the merged `stats`.
-  std::vector<NeighborResult> Nearest(PrototypeStoreRef queries,
-                                      QueryStats* stats,
-                                      std::vector<QueryStats>* shard_stats)
-      const;
-
-  /// k nearest prototypes for every query, each closest first. Requires a
-  /// searcher family with a k-NN search; others throw std::logic_error.
+  /// k nearest prototypes for every query, each closest first.
   std::vector<std::vector<NeighborResult>> KNearest(
       PrototypeStoreRef queries, std::size_t k,
       QueryStats* stats = nullptr) const;
 
   /// 1-NN label for every query; `labels[i]` is the class of the searcher's
-  /// i-th prototype. Throws std::invalid_argument on size mismatch.
+  /// i-th prototype. Throws std::invalid_argument on a size mismatch or
+  /// when `labels` does not cover a result's index.
   std::vector<int> Classify(PrototypeStoreRef queries,
                             const std::vector<int>& labels,
                             QueryStats* stats = nullptr) const;
@@ -86,15 +86,6 @@ class BatchQueryEngine {
   const NearestNeighborSearcher& searcher() const { return *searcher_; }
 
  private:
-  /// Stage 1 of the pivot pipeline: the deduplicated, blocked query x pivot
-  /// pass. Fills `row_of[i]` with query i's row ordinal and returns the
-  /// row-major unique-query x pivot matrix; counts the evaluations into
-  /// `stats`.
-  std::vector<double> PivotStagePass(const class PivotStageSearcher& ps,
-                                     const PrototypeStore& queries,
-                                     std::vector<std::size_t>* row_of,
-                                     QueryStats* stats) const;
-
   const NearestNeighborSearcher* searcher_;
   Options options_;
 };

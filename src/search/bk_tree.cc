@@ -58,52 +58,6 @@ BkTree::BkTree(PrototypeStoreRef prototypes, StringDistancePtr distance)
   }
 }
 
-NeighborResult BkTree::Nearest(std::string_view query,
-                               QueryStats* stats) const {
-  NeighborResult best{0, std::numeric_limits<double>::infinity()};
-  std::uint64_t computations = 0, abandons = 0;
-  std::vector<std::int32_t> stack{0};
-  while (!stack.empty()) {
-    const Node& node = nodes_[static_cast<std::size_t>(stack.back())];
-    stack.pop_back();
-    // The kernel may stop once d can neither improve the incumbent nor
-    // reach any child edge window [e - r, e + r]: the largest edge label
-    // plus the current radius caps every useful value (distances are
-    // integers, so "+1" makes the cap exclusive).
-    double cap = best.distance;
-    if (!node.children.empty() &&
-        best.distance != std::numeric_limits<double>::infinity()) {
-      const double max_edge =
-          static_cast<double>(node.children.rbegin()->first);
-      cap = std::max(cap, max_edge + best.distance + 1.0);
-    }
-    bool abandoned = false;
-    std::size_t d = BoundedIntDistance(query, store()[node.point], cap,
-                                       &abandoned);
-    ++computations;
-    if (abandoned) {
-      ++abandons;
-      continue;  // no improvement and every child edge is out of range
-    }
-    if (static_cast<double>(d) < best.distance) {
-      best = {node.point, static_cast<double>(d)};
-    }
-    const auto r = static_cast<std::size_t>(best.distance);
-    // Only edges labelled within [d - r, d + r] can contain improvements.
-    const std::size_t lo = d > r ? d - r : 0;
-    const std::size_t hi = d + r;
-    for (auto it = node.children.lower_bound(lo);
-         it != node.children.end() && it->first <= hi; ++it) {
-      stack.push_back(it->second);
-    }
-  }
-  if (stats != nullptr) {
-    stats->distance_computations += computations;
-    stats->bounded_abandons += abandons;
-  }
-  return best;
-}
-
 std::vector<NeighborResult> BkTree::KNearest(std::string_view query,
                                              std::size_t k,
                                              QueryStats* stats) const {
@@ -118,10 +72,12 @@ std::vector<NeighborResult> BkTree::KNearest(std::string_view query,
   while (!stack.empty()) {
     const Node& node = nodes_[static_cast<std::size_t>(stack.back())];
     stack.pop_back();
-    // As in Nearest, with the k-th incumbent as the radius: the kernel may
-    // stop once d can neither improve the k-th best nor reach any child
-    // edge window [e - r, e + r]. Until k incumbents exist the radius is
-    // unbounded, so every node is evaluated exactly and every child kept.
+    // With the k-th incumbent as the radius r, the kernel may stop once d
+    // can neither improve the k-th best nor reach any child edge window
+    // [e - r, e + r]: the largest edge label plus r caps every useful
+    // value (distances are integers, so "+1" makes the cap exclusive).
+    // Until k incumbents exist the radius is unbounded, so every node is
+    // evaluated exactly and every child kept.
     double cap = kth();
     if (!node.children.empty() && cap != inf) {
       const double max_edge =

@@ -34,12 +34,8 @@ class BkTree final : public NearestNeighborSearcher {
   /// construction).
   BkTree(PrototypeStoreRef prototypes, StringDistancePtr distance);
 
-  NeighborResult Nearest(std::string_view query,
-                         QueryStats* stats = nullptr) const override;
-
   /// The k nearest prototypes, closest first: the descent radius is the
-  /// current k-th best distance instead of the single best, so the batch
-  /// engine's k-NN entry point works on this family too.
+  /// current k-th best distance.
   std::vector<NeighborResult> KNearest(
       std::string_view query, std::size_t k,
       QueryStats* stats = nullptr) const override;

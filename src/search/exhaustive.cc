@@ -4,6 +4,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "search/sweep_kernel.h"
+
 namespace cned {
 
 ExhaustiveSearch::ExhaustiveSearch(PrototypeStoreRef prototypes,
@@ -14,67 +16,44 @@ ExhaustiveSearch::ExhaustiveSearch(PrototypeStoreRef prototypes,
   }
 }
 
-NeighborResult ExhaustiveSearch::Nearest(std::string_view query,
-                                         QueryStats* stats) const {
-  const PrototypeStore& protos = store();
-  NeighborResult best{0, distance_->Distance(query, protos[0])};
-  std::uint64_t computations = 1, abandons = 0;
-  for (std::size_t i = 1; i < protos.size(); ++i) {
-    // Strict improvement only (smallest index wins ties), so the incumbent
-    // itself bounds the kernel.
-    double d = distance_->DistanceBounded(query, protos[i], best.distance);
-    ++computations;
-    if (d >= best.distance) {
-      ++abandons;
-      continue;
-    }
-    best = {i, d};
-  }
-  if (stats != nullptr) {
-    stats->distance_computations += computations;
-    stats->bounded_abandons += abandons;
-  }
-  return best;
-}
-
-std::vector<NeighborResult> ExhaustiveSearch::KNearest(std::string_view query,
-                                                       std::size_t k,
-                                                       QueryStats* stats) const {
-  const PrototypeStore& protos = store();
-  const std::size_t n = protos.size();
-  k = std::min(k, n);
-  if (k == 0) return {};
-  // Running sorted top-k; a candidate that cannot beat the k-th incumbent
-  // is rejected, so the k-th incumbent bounds the kernel. Scanning in index
-  // order keeps tie handling identical to the full-sort baseline (an equal
-  // later index never evicts an earlier one).
-  std::vector<NeighborResult> best;
-  best.reserve(k + 1);
+void BoundedScan(const StringDistance& distance, std::string_view query,
+                 const PrototypeStore& store, const std::uint64_t* tombstones,
+                 const std::uint64_t* ids, double cap0, std::size_t k,
+                 std::vector<NeighborResult>* best, QueryStats* stats) {
+  if (k == 0) return;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   std::uint64_t computations = 0, abandons = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double cap = best.size() < k
-                           ? std::numeric_limits<double>::infinity()
-                           : best.back().distance;
-    double d = distance_->DistanceBounded(query, protos[i], cap);
+  for (std::size_t j = 0; j < store.size(); ++j) {
+    if (tombstones != nullptr && TestTombstone(tombstones, j)) continue;
+    // Only a strict improvement on the k-th incumbent is admitted, so it
+    // bounds the kernel. Scanning in slot order keeps tie handling
+    // identical to the full-sort baseline (an equal later slot never
+    // evicts an earlier one).
+    const double kth = best->size() < k ? kInf : best->back().distance;
+    const double cap = cap0 < kth ? cap0 : kth;
+    const double d = distance.DistanceBounded(query, store.view(j), cap);
     ++computations;
     if (d >= cap) {
       ++abandons;
       continue;
     }
-    NeighborResult r{i, d};
-    auto pos = std::lower_bound(
-        best.begin(), best.end(), r,
-        [](const NeighborResult& a, const NeighborResult& b) {
-          if (a.distance != b.distance) return a.distance < b.distance;
-          return a.index < b.index;
-        });
-    best.insert(pos, r);
-    if (best.size() > k) best.pop_back();
+    InsertNeighborTopK(*best, k,
+                       {ids != nullptr ? static_cast<std::size_t>(ids[j]) : j,
+                        d});
   }
   if (stats != nullptr) {
     stats->distance_computations += computations;
     stats->bounded_abandons += abandons;
   }
+}
+
+std::vector<NeighborResult> ExhaustiveSearch::KNearest(std::string_view query,
+                                                       std::size_t k,
+                                                       QueryStats* stats) const {
+  std::vector<NeighborResult> best;
+  best.reserve(std::min(k, size()) + 1);
+  BoundedScan(*distance_, query, store(), nullptr, nullptr,
+              std::numeric_limits<double>::infinity(), k, &best, stats);
   return best;
 }
 

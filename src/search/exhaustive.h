@@ -12,6 +12,21 @@
 
 namespace cned {
 
+/// The bounded linear scan behind `ExhaustiveSearch` and both delta scans
+/// of the mutable tier (`MutableLaesa`'s small delta and a shard worker's
+/// `ShardReplica::DeltaScan`). Visits `store`'s slots in ascending order,
+/// skipping those set in the `tombstones` bitmap (null = none), and caps
+/// each `DistanceBounded` at min(`cap0`, the k-th incumbent of `best`). An
+/// evaluation that reaches its cap counts one abandon; any other enters
+/// `best` through `InsertNeighborTopK` under id `ids[slot]` (the slot
+/// itself when `ids` is null). `best` may arrive holding incumbents, sorted
+/// by `NeighborLess`. Counters accumulate into `stats` when non-null;
+/// k = 0 evaluates nothing.
+void BoundedScan(const StringDistance& distance, std::string_view query,
+                 const PrototypeStore& store, const std::uint64_t* tombstones,
+                 const std::uint64_t* ids, double cap0, std::size_t k,
+                 std::vector<NeighborResult>* best, QueryStats* stats);
+
 /// Brute-force nearest-neighbour search: one distance evaluation per
 /// prototype. The baseline ("Exhaustive search" column of Table 2) and the
 /// correctness oracle for LAESA/AESA.
@@ -31,11 +46,8 @@ class ExhaustiveSearch final : public NearestNeighborSearcher {
   /// alive) or a `std::vector<std::string>` packed once into an owned store.
   ExhaustiveSearch(PrototypeStoreRef prototypes, StringDistancePtr distance);
 
-  /// The nearest prototype to `query` (smallest index wins ties).
-  NeighborResult Nearest(std::string_view query,
-                         QueryStats* stats = nullptr) const override;
-
-  /// The k nearest prototypes, closest first.
+  /// The k nearest prototypes, closest first (the smaller index wins a
+  /// distance tie): one `BoundedScan` over the store.
   std::vector<NeighborResult> KNearest(
       std::string_view query, std::size_t k,
       QueryStats* stats = nullptr) const override;

@@ -12,9 +12,10 @@ namespace {
 /// closer neighbour's label (the first to reach the winning count).
 int MajorityVote(const std::vector<NeighborResult>& neighbors,
                  const std::vector<int>& labels) {
+  if (neighbors.empty()) throw std::out_of_range("KnnClassify: empty index");
   std::map<int, std::size_t> votes;
-  for (const auto& nb : neighbors) ++votes[labels[nb.index]];
-  int best_label = labels[neighbors.front().index];
+  for (const auto& nb : neighbors) ++votes[LabelOf(labels, nb)];
+  int best_label = 0;
   std::size_t best_votes = 0;
   for (const auto& nb : neighbors) {  // iterate by proximity for tie-breaking
     int label = labels[nb.index];
@@ -39,7 +40,7 @@ NearestNeighborClassifier::NearestNeighborClassifier(
 }
 
 int NearestNeighborClassifier::Classify(std::string_view query) const {
-  return (*labels_)[searcher_->Nearest(query).index];
+  return LabelOf(*labels_, searcher_->Nearest(query));
 }
 
 std::vector<int> NearestNeighborClassifier::ClassifyBatch(

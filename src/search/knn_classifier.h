@@ -24,7 +24,9 @@ class NearestNeighborClassifier {
   NearestNeighborClassifier(const NearestNeighborSearcher& searcher,
                             const std::vector<int>& labels);
 
-  /// Label of the nearest prototype.
+  /// Label of the nearest prototype. Throws std::invalid_argument when the
+  /// labels do not cover its index (a mutable index's stable ids can
+  /// exceed its size()).
   int Classify(std::string_view query) const;
 
   /// Labels for a whole query span, batched across cores. `queries` is a
@@ -44,9 +46,9 @@ class NearestNeighborClassifier {
   const std::vector<int>* labels_;
 };
 
-/// Majority-vote k-NN (extension beyond the paper's 1-NN). Works with any
-/// backend implementing `KNearest` (exhaustive, LAESA, VP-tree). Ties break
-/// toward the closer neighbour's label.
+/// Majority-vote k-NN (extension beyond the paper's 1-NN), over any
+/// backend. Ties break toward the closer neighbour's label. Throws
+/// std::invalid_argument when `labels` does not cover a neighbour's index.
 int KnnClassify(const NearestNeighborSearcher& searcher,
                 const std::vector<int>& labels, std::string_view query,
                 std::size_t k);

@@ -77,21 +77,10 @@ void Laesa::ComputePivotRow(std::string_view query, double* row,
   core().ComputePivotRow(query, row, stats);
 }
 
-NeighborResult Laesa::NearestWithPivotRow(std::string_view query,
-                                          const double* row,
-                                          QueryStats* stats) const {
-  return core().WithRow(query, 1, row, stats).front();
-}
-
 std::vector<NeighborResult> Laesa::KNearestWithPivotRow(
     std::string_view query, std::size_t k, const double* row,
     QueryStats* stats) const {
   return core().WithRow(query, k, row, stats);
-}
-
-NeighborResult Laesa::Nearest(std::string_view query,
-                              QueryStats* stats) const {
-  return core().Lazy(query, 1, /*slack=*/1.0, stats).front();
 }
 
 NeighborResult Laesa::NearestApprox(std::string_view query, double epsilon,
@@ -106,16 +95,6 @@ std::vector<NeighborResult> Laesa::KNearest(std::string_view query,
                                             std::size_t k,
                                             QueryStats* stats) const {
   return core().Lazy(query, k, /*slack=*/1.0, stats);
-}
-
-NeighborResult Laesa::NearestMasked(std::string_view query,
-                                    const std::uint64_t* tombstones,
-                                    QueryStats* stats) const {
-  auto best = core().Lazy(query, 1, /*slack=*/1.0, stats, nullptr, tombstones);
-  if (best.empty()) {
-    throw std::out_of_range("Laesa::NearestMasked: every prototype deleted");
-  }
-  return best.front();
 }
 
 std::vector<NeighborResult> Laesa::KNearestMasked(

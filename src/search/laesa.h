@@ -29,10 +29,11 @@ namespace cned {
 /// (`PivotTables`, pivot_sweep.h): the build, the binary `Load` and `Map`
 /// all fill that one holder, and queries run the shared sweep core over
 /// its single segment; `ShardedLaesa` holds the same table with S
-/// segments. A pivot id listed twice (ablation constructor, any `Load` or
-/// `Map`) is one candidate slot, ranked by its last entry. The hot path is
-/// a flat
-/// structure-of-arrays sweep: surviving candidates live in packed
+/// segments. Every query entry point is a k-NN search (`KNearest`,
+/// `KNearestMasked`, `KNearestWithPivotRow`); the paper's 1-NN search is
+/// k = 1, the inherited `Nearest`. A pivot id listed twice (ablation
+/// constructor, any `Load` or `Map`) is one candidate slot, ranked by its
+/// last entry. The hot path is a flat structure-of-arrays sweep: surviving candidates live in packed
 /// index/lower-bound arrays that one pass per visited pivot tightens (a
 /// contiguous row of the pivot table), eliminates and compacts; once no
 /// pivot survives the bounds are final, and the remaining candidates are
@@ -73,10 +74,6 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
         std::vector<std::size_t> pivot_indices,
         TablePrecision table_precision = DefaultTablePrecision());
 
-  /// Nearest prototype; accumulates counters into `stats` when non-null.
-  NeighborResult Nearest(std::string_view query,
-                         QueryStats* stats = nullptr) const override;
-
   /// Approximate variant: eliminates candidates whose lower bound exceeds
   /// best/(1+epsilon), i.e. accepts a neighbour at most (1+epsilon) times
   /// farther than the true nearest. epsilon = 0 is exact; larger values
@@ -95,8 +92,8 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
   std::size_t size() const override { return store().size(); }
 
   /// The k nearest prototypes, closest first (extension of the paper's
-  /// 1-NN LAESA: elimination prunes against the current k-th best). Shares
-  /// the sweep with `Nearest`, so k = 1 follows the identical trajectory.
+  /// 1-NN LAESA: elimination prunes against the current k-th best). The
+  /// paper's search is k = 1, the inherited `Nearest`.
   std::vector<NeighborResult> KNearest(
       std::string_view query, std::size_t k,
       QueryStats* stats = nullptr) const override;
@@ -108,7 +105,7 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
                                           double radius,
                                           QueryStats* stats = nullptr) const;
 
-  /// Tombstone-masked variants for the mutable tier (mutable_laesa.h):
+  /// Tombstone-masked variant for the mutable tier (mutable_laesa.h):
   /// `tombstones` is a packed bitmap over prototype slots (bit i set =
   /// deleted, TombstoneWords(size()) words). Masked slots are eliminated
   /// *inside* the sweep compaction before anything is visited — their
@@ -116,11 +113,8 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
   /// from the packed slab (see sweep_kernel.h) — so a deleted prototype is
   /// never evaluated, never returned and never counted, at every
   /// table_precision and under every kernel variant. A null bitmap is the
-  /// plain sweep, bit-identical to Nearest/KNearest including QueryStats.
-  /// NearestMasked throws std::out_of_range when every slot is deleted.
-  NeighborResult NearestMasked(std::string_view query,
-                               const std::uint64_t* tombstones,
-                               QueryStats* stats = nullptr) const;
+  /// plain sweep, bit-identical to KNearest including QueryStats; with
+  /// every slot deleted the result is empty.
   std::vector<NeighborResult> KNearestMasked(std::string_view query,
                                              std::size_t k,
                                              const std::uint64_t* tombstones,
@@ -165,9 +159,6 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
   const StringDistance& pivot_distance() const override { return *distance_; }
   void ComputePivotRow(std::string_view query, double* row,
                        QueryStats* stats = nullptr) const override;
-  NeighborResult NearestWithPivotRow(std::string_view query, const double* row,
-                                     QueryStats* stats = nullptr)
-      const override;
   std::vector<NeighborResult> KNearestWithPivotRow(
       std::string_view query, std::size_t k, const double* row,
       QueryStats* stats = nullptr) const override;

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "search/exhaustive.h"
 #include "search/sweep_kernel.h"
 
 namespace cned {
@@ -251,20 +252,9 @@ std::vector<NeighborResult> MutableLaesa::KNearest(std::string_view query,
     } else {
       // Exhaustive ascending-slot scan, each evaluation bounded by the
       // merged incumbent (same ">= abandons" semantics as the sweeps).
-      const PrototypeStore& store = *st->delta.store;
-      const std::uint64_t* tombs = st->delta.tomb_bits();
-      const double inf = std::numeric_limits<double>::infinity();
-      for (std::size_t j = 0; j < store.size(); ++j) {
-        if (tombs != nullptr && TestTombstone(tombs, j)) continue;
-        const double cap = best.size() < k ? inf : best.back().distance;
-        const double d = distance_->DistanceBounded(query, store.view(j), cap);
-        ++qs.distance_computations;
-        if (d >= cap) {
-          ++qs.bounded_abandons;
-        } else {
-          InsertNeighborTopK(best, k, {static_cast<std::size_t>(ids[j]), d});
-        }
-      }
+      BoundedScan(*distance_, query, *st->delta.store, st->delta.tomb_bits(),
+                  ids.data(), std::numeric_limits<double>::infinity(), k,
+                  &best, &qs);
     }
   }
 
@@ -272,24 +262,10 @@ std::vector<NeighborResult> MutableLaesa::KNearest(std::string_view query,
   return best;
 }
 
-NeighborResult MutableLaesa::Nearest(std::string_view query,
-                                     QueryStats* stats) const {
-  auto best = KNearest(query, 1, stats);
-  if (best.empty()) {
-    throw std::out_of_range("MutableLaesa::Nearest: empty index");
-  }
-  return best.front();
-}
-
 int MutableLaesa::Classify(std::string_view query,
                            const std::vector<int>& labels_by_id,
                            QueryStats* stats) const {
-  const NeighborResult nn = Nearest(query, stats);
-  if (nn.index >= labels_by_id.size()) {
-    throw std::invalid_argument(
-        "MutableLaesa::Classify: label table does not cover stable id");
-  }
-  return labels_by_id[nn.index];
+  return LabelOf(labels_by_id, Nearest(query, stats));
 }
 
 bool MutableLaesa::StartMerge(const std::string& snapshot_dir) {

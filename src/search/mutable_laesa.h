@@ -135,13 +135,11 @@ class MutableLaesa final : public NearestNeighborSearcher {
   std::size_t delta_size() const;       ///< live delta entries
   std::size_t tombstone_count() const;  ///< dead entries not yet merged out
 
-  /// Nearest live prototype by stable id; throws std::out_of_range when
-  /// the index is empty. Safe to call concurrently with mutators.
-  NeighborResult Nearest(std::string_view query,
-                         QueryStats* stats = nullptr) const override;
-
-  /// The k nearest live prototypes, closest first; exact distances, with
-  /// cross-segment distance ties resolving to the base (lower-id) segment.
+  /// The k nearest live prototypes by stable id, closest first; exact
+  /// distances, with cross-segment distance ties resolving to the base
+  /// (lower-id) segment. Empty when the index is (so the inherited
+  /// `Nearest` throws std::out_of_range). Safe to call concurrently with
+  /// mutators.
   std::vector<NeighborResult> KNearest(
       std::string_view query, std::size_t k,
       QueryStats* stats = nullptr) const override;

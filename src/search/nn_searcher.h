@@ -90,6 +90,18 @@ inline bool operator==(const QueryStats& a, const QueryStats& b) {
          a.shards_degraded == b.shards_degraded;
 }
 
+/// The label of `r`'s prototype: `labels` is indexed by result index (a
+/// slot, or a stable id for the mutable tier). Throws std::invalid_argument
+/// when `labels` does not cover that index; a size check alone cannot rule
+/// that out, because a mutable index's ids outgrow its size() after a
+/// removal.
+inline int LabelOf(const std::vector<int>& labels, const NeighborResult& r) {
+  if (r.index >= labels.size()) {
+    throw std::invalid_argument("label table does not cover result index");
+  }
+  return labels[r.index];
+}
+
 /// Common interface over nearest-neighbour searchers (exhaustive, LAESA,
 /// AESA, VP-tree, BK-tree) so classifiers, the batch engine and experiment
 /// harnesses are generic in the search algorithm, as in the paper's Table 2
@@ -98,23 +110,24 @@ class NearestNeighborSearcher {
  public:
   virtual ~NearestNeighborSearcher() = default;
 
-  /// The nearest prototype to `query`; accumulates cost counters into
-  /// `stats` when non-null. Implementations must be safe to call
-  /// concurrently from multiple threads (the batch engine relies on it).
-  virtual NeighborResult Nearest(std::string_view query,
-                                 QueryStats* stats = nullptr) const = 0;
-
-  /// The k nearest prototypes, closest first. Families without a k-NN
-  /// search (AESA, BK-tree) keep this default, which throws
-  /// std::logic_error.
+  /// The k nearest prototypes, closest first; fewer when the index holds
+  /// fewer, none for k = 0. Accumulates cost counters into `stats` when
+  /// non-null. Implementations must be safe to call concurrently from
+  /// multiple threads (the batch engine relies on it).
   virtual std::vector<NeighborResult> KNearest(std::string_view query,
                                                std::size_t k,
                                                QueryStats* stats = nullptr)
-      const {
-    (void)query;
-    (void)k;
-    (void)stats;
-    throw std::logic_error("KNearest: not supported by this index family");
+      const = 0;
+
+  /// The nearest prototype: `KNearest(query, 1, stats)`'s only entry, so
+  /// the 1-NN search of every family is its k-NN search. Throws
+  /// std::out_of_range when the index holds no prototype (a mutable index
+  /// after removing everything).
+  NeighborResult Nearest(std::string_view query,
+                         QueryStats* stats = nullptr) const {
+    const std::vector<NeighborResult> best = KNearest(query, 1, stats);
+    if (best.empty()) throw std::out_of_range("Nearest: empty index");
+    return best.front();
   }
 
   /// Number of prototypes indexed.

@@ -20,16 +20,17 @@ namespace cned {
 /// (each pivot string streamed once per query block, duplicate query
 /// strings evaluated once), and hands each query its precomputed row.
 ///
-/// Contract: `NearestWithPivotRow(q, row, stats)` with `row` produced by
+/// Contract: `KNearestWithPivotRow(q, k, row, stats)` with `row` produced by
 /// `ComputePivotRow(q, row, ...)` returns exactly the same neighbours as an
 /// engine-driven two-stage query, and `row[p]` must hold the exact distance
-/// from the query to pivot `p`. The row-consuming sweep applies *all* pivot
-/// rows up front (the pivot distances are already paid for), which makes
-/// its trajectory — and therefore its `QueryStats` — intentionally
-/// different from the lazy `Nearest` path that evaluates pivots adaptively
-/// and may skip eliminated ones: the batched mode trades unconditional
-/// pivot rows for tighter bounds, fewer non-pivot evaluations and a
-/// cache-friendly evaluation order.
+/// from the query to pivot `p`. 1-NN is k = 1; there is no separate 1-NN
+/// row sweep. The row-consuming sweep applies *all* pivot rows up front
+/// (the pivot distances are already paid for), which makes its trajectory
+/// — and therefore its `QueryStats` — intentionally different from the
+/// lazy `KNearest` path that evaluates pivots adaptively and may skip
+/// eliminated ones: the batched mode trades unconditional pivot rows for
+/// tighter bounds, fewer non-pivot evaluations and a cache-friendly
+/// evaluation order.
 class PivotStageSearcher {
  public:
   virtual ~PivotStageSearcher() = default;
@@ -49,15 +50,9 @@ class PivotStageSearcher {
   virtual void ComputePivotRow(std::string_view query, double* row,
                                QueryStats* stats = nullptr) const = 0;
 
-  /// Nearest neighbour given the precomputed pivot row. Counts only the
-  /// sweep's own (non-pivot) evaluations into `stats` — the row was counted
-  /// by whoever computed it.
-  virtual NeighborResult NearestWithPivotRow(std::string_view query,
-                                             const double* row,
-                                             QueryStats* stats = nullptr)
-      const = 0;
-
   /// k nearest neighbours given the precomputed pivot row, closest first.
+  /// Counts only the sweep's own (non-pivot) evaluations into `stats` —
+  /// the row was counted by whoever computed it.
   virtual std::vector<NeighborResult> KNearestWithPivotRow(
       std::string_view query, std::size_t k, const double* row,
       QueryStats* stats = nullptr) const = 0;

@@ -169,7 +169,7 @@ class PivotSweep {
              const std::vector<std::size_t>& pivots,
              const std::int32_t* pivot_rank, const StringDistance& distance);
 
-  /// Lazy sweep behind Nearest/NearestApprox/KNearest: a candidate dies
+  /// Lazy sweep behind KNearest/KNearestMasked/NearestApprox: a candidate dies
   /// once lower * slack reaches the k-th incumbent. `tombstones` (bitmap
   /// over [0, N), may be null) masks slots out before any visit;
   /// `segment_stats` (one entry per segment, may be null) receives each
@@ -180,7 +180,7 @@ class PivotSweep {
                                    const std::uint64_t* tombstones =
                                        nullptr) const;
 
-  /// Row sweep behind the *WithPivotRow entry points (pivot_stage.h).
+  /// Row sweep behind KNearestWithPivotRow (pivot_stage.h).
   std::vector<NeighborResult> WithRow(std::string_view query, std::size_t k,
                                       const double* row, QueryStats* stats,
                                       QueryStats* segment_stats =

@@ -67,16 +67,6 @@ void ShardedLaesa::ComputePivotRow(std::string_view query, double* row,
   core().ComputePivotRow(query, row, stats);
 }
 
-NeighborResult ShardedLaesa::Nearest(std::string_view query,
-                                     QueryStats* stats) const {
-  return Nearest(query, stats, nullptr);
-}
-
-NeighborResult ShardedLaesa::Nearest(std::string_view query, QueryStats* stats,
-                                     QueryStats* shard_stats) const {
-  return core().Lazy(query, 1, /*slack=*/1.0, stats, shard_stats).front();
-}
-
 NeighborResult ShardedLaesa::NearestApprox(std::string_view query,
                                            double epsilon,
                                            QueryStats* stats) const {
@@ -97,20 +87,6 @@ std::vector<NeighborResult> ShardedLaesa::KNearest(
     std::string_view query, std::size_t k, QueryStats* stats,
     QueryStats* shard_stats) const {
   return core().Lazy(query, k, /*slack=*/1.0, stats, shard_stats);
-}
-
-NeighborResult ShardedLaesa::NearestWithPivotRow(std::string_view query,
-                                                 const double* row,
-                                                 QueryStats* stats) const {
-  return core().WithRow(query, 1, row, stats).front();
-}
-
-NeighborResult ShardedLaesa::NearestWithPivotRow(std::string_view query,
-                                                 const double* row,
-                                                 QueryStats* stats,
-                                                 QueryStats* shard_stats)
-    const {
-  return core().WithRow(query, 1, row, stats, shard_stats).front();
 }
 
 std::vector<NeighborResult> ShardedLaesa::KNearestWithPivotRow(

@@ -36,11 +36,13 @@ namespace cned {
 /// single-store `Laesa` on every distance, metric or not, regardless of
 /// shard count or thread schedule.
 ///
-/// The `*WithPivotRow` entry points are the sharded half of the batch
-/// engine's two-stage pipeline (see pivot_stage.h): the engine evaluates
-/// the query x pivot block once for the whole batch and each sweep then
-/// consumes its precomputed row — per-shard row application in parallel,
-/// followed by the same global bound-order phase over the survivors.
+/// There is one k-NN search per entry point, and 1-NN is its k = 1 case
+/// (the inherited `Nearest`). `KNearestWithPivotRow` is the sharded half of
+/// the batch engine's two-stage pipeline (see pivot_stage.h): the engine
+/// evaluates the query x pivot block once for the whole batch and each
+/// sweep then consumes its precomputed row — per-shard row application in
+/// parallel, followed by the same global bound-order phase over the
+/// survivors.
 class ShardedLaesa final : public NearestNeighborSearcher,
                            public PivotStageSearcher {
  public:
@@ -60,19 +62,14 @@ class ShardedLaesa final : public NearestNeighborSearcher,
                std::size_t num_pivots, std::size_t first_pivot = 0,
                TablePrecision table_precision = DefaultTablePrecision());
 
-  /// Nearest prototype (global index). `shard_stats`, when non-null, must
-  /// point at shard_count() entries; each visited candidate's evaluation is
-  /// accumulated onto its home shard.
-  NeighborResult Nearest(std::string_view query,
-                         QueryStats* stats = nullptr) const override;
-  NeighborResult Nearest(std::string_view query, QueryStats* stats,
-                         QueryStats* shard_stats) const;
-
   /// Approximate variant, as `Laesa::NearestApprox`.
   NeighborResult NearestApprox(std::string_view query, double epsilon,
                                QueryStats* stats = nullptr) const;
 
-  /// The k nearest prototypes, closest first.
+  /// The k nearest prototypes (global indexes), closest first; k = 1 is
+  /// the inherited `Nearest`. `shard_stats`, when non-null, must point at
+  /// shard_count() entries; each visited candidate's evaluation is
+  /// accumulated onto its home shard.
   std::vector<NeighborResult> KNearest(
       std::string_view query, std::size_t k,
       QueryStats* stats = nullptr) const override;
@@ -104,12 +101,6 @@ class ShardedLaesa final : public NearestNeighborSearcher,
   const StringDistance& pivot_distance() const override { return *distance_; }
   void ComputePivotRow(std::string_view query, double* row,
                        QueryStats* stats = nullptr) const override;
-  NeighborResult NearestWithPivotRow(std::string_view query, const double* row,
-                                     QueryStats* stats = nullptr)
-      const override;
-  NeighborResult NearestWithPivotRow(std::string_view query, const double* row,
-                                     QueryStats* stats,
-                                     QueryStats* shard_stats) const;
   std::vector<NeighborResult> KNearestWithPivotRow(
       std::string_view query, std::size_t k, const double* row,
       QueryStats* stats = nullptr) const override;

@@ -68,51 +68,8 @@ std::int32_t VpTree::Build(std::vector<std::size_t>& items, std::size_t lo,
   return node_index;
 }
 
-void VpTree::Search(std::int32_t node, std::string_view query,
-                    NeighborResult& best, QueryStats& stats) const {
-  if (node < 0) return;
-  const Node& n = nodes_[static_cast<std::size_t>(node)];
-  // The kernel bound is incumbent + node radius: a vantage-point distance
-  // that reaches it can neither improve the incumbent (>= best) nor leave
-  // the inside ball reachable (every inside point is >= d - radius >=
-  // best), so the only decision left — descend outside — needs no value.
-  const double cap = best.distance + n.radius;
-  const double d =
-      distance_->DistanceBounded(query, store()[n.point], cap);
-  ++stats.distance_computations;
-  if (d >= cap) {
-    ++stats.bounded_abandons;
-    Search(n.outside, query, best, stats);
-    return;
-  }
-  if (d < best.distance) best = {n.point, d};
-  // Visit the more promising side first, prune with the triangle inequality.
-  const bool inside_first = d <= n.radius;
-  const std::int32_t first = inside_first ? n.inside : n.outside;
-  const std::int32_t second = inside_first ? n.outside : n.inside;
-  Search(first, query, best, stats);
-  // Every point beyond the boundary is at least `boundary_gap` away; under
-  // strict-improvement semantics a gap that reaches the incumbent is dead.
-  const double boundary_gap = inside_first ? n.radius - d : d - n.radius;
-  if (boundary_gap < best.distance) {
-    Search(second, query, best, stats);
-  }
-}
-
-NeighborResult VpTree::Nearest(std::string_view query,
-                               QueryStats* stats) const {
-  NeighborResult best{0, std::numeric_limits<double>::infinity()};
-  QueryStats local;
-  Search(root_, query, best, local);
-  if (stats != nullptr) {
-    stats->distance_computations += local.distance_computations;
-    stats->bounded_abandons += local.bounded_abandons;
-  }
-  return best;
-}
-
-void VpTree::SearchK(std::int32_t node, std::string_view query, std::size_t k,
-                     std::vector<NeighborResult>& best, QueryStats& stats) const {
+void VpTree::Search(std::int32_t node, std::string_view query, std::size_t k,
+                    std::vector<NeighborResult>& best, QueryStats& stats) const {
   if (node < 0) return;
   const Node& n = nodes_[static_cast<std::size_t>(node)];
   const double incumbent = best.size() < k
@@ -123,23 +80,29 @@ void VpTree::SearchK(std::int32_t node, std::string_view query, std::size_t k,
       distance_->DistanceBounded(query, store()[n.point], cap);
   ++stats.distance_computations;
   if (d >= cap) {
-    // As in Search: no offer possible (d >= incumbent) and the inside ball
-    // is provably beyond the k-th incumbent; only outside can contribute.
+    // The kernel bound is the k-th incumbent + node radius: a vantage-point
+    // distance that reaches it can neither improve the incumbent nor leave
+    // the inside ball reachable (every inside point is >= d - radius >=
+    // incumbent), so only the outside child can contribute.
     ++stats.bounded_abandons;
-    SearchK(n.outside, query, k, best, stats);
+    Search(n.outside, query, k, best, stats);
     return;
   }
   InsertNeighborTopK(best, k, {n.point, d});
   const bool inside_first = d <= n.radius;
   const std::int32_t first = inside_first ? n.inside : n.outside;
   const std::int32_t second = inside_first ? n.outside : n.inside;
-  SearchK(first, query, k, best, stats);
-  // Re-evaluate the prune bound after the first subtree tightened it.
+  // Visit the more promising side first, prune with the triangle
+  // inequality: every point beyond the boundary is at least `gap` away, and
+  // under strict-improvement semantics a gap that reaches the k-th
+  // incumbent (re-read, since the first subtree may have tightened it) is
+  // dead.
+  Search(first, query, k, best, stats);
   const double gap = inside_first ? n.radius - d : d - n.radius;
   const double bound = best.size() < k
                            ? std::numeric_limits<double>::infinity()
                            : best.back().distance;
-  if (gap < bound) SearchK(second, query, k, best, stats);
+  if (gap < bound) Search(second, query, k, best, stats);
 }
 
 std::vector<NeighborResult> VpTree::KNearest(std::string_view query,
@@ -150,7 +113,7 @@ std::vector<NeighborResult> VpTree::KNearest(std::string_view query,
   std::vector<NeighborResult> best;
   best.reserve(k + 1);
   QueryStats local;
-  SearchK(root_, query, k, best, local);
+  Search(root_, query, k, best, local);
   if (stats != nullptr) {
     stats->distance_computations += local.distance_computations;
     stats->bounded_abandons += local.bounded_abandons;

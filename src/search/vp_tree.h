@@ -31,9 +31,6 @@ class VpTree final : public NearestNeighborSearcher {
   VpTree(PrototypeStoreRef prototypes, StringDistancePtr distance,
          std::uint64_t seed = 1);
 
-  NeighborResult Nearest(std::string_view query,
-                         QueryStats* stats = nullptr) const override;
-
   std::size_t size() const override { return prototypes_->size(); }
 
   /// The prototype set the index searches over.
@@ -65,10 +62,8 @@ class VpTree final : public NearestNeighborSearcher {
 
   std::int32_t Build(std::vector<std::size_t>& items, std::size_t lo,
                      std::size_t hi, std::uint64_t seed);
-  void Search(std::int32_t node, std::string_view query, NeighborResult& best,
-              QueryStats& stats) const;
-  void SearchK(std::int32_t node, std::string_view query, std::size_t k,
-               std::vector<NeighborResult>& best, QueryStats& stats) const;
+  void Search(std::int32_t node, std::string_view query, std::size_t k,
+              std::vector<NeighborResult>& best, QueryStats& stats) const;
   void SearchRange(std::int32_t node, std::string_view query, double radius,
                    std::vector<NeighborResult>& hits, QueryStats& stats) const;
 

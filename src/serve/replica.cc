@@ -6,6 +6,7 @@
 
 #include "common/binary_io.h"
 #include "distances/registry.h"
+#include "search/exhaustive.h"
 #include "search/pivot_sweep.h"
 #include "search/sharded_laesa.h"
 #include "serve/shard_snapshot.h"
@@ -186,27 +187,12 @@ void ShardReplica::DeltaScan(std::string_view query, double cap0,
                              std::uint64_t* computations,
                              std::uint64_t* abandons) const {
   hits->clear();
-  *computations = 0;
-  *abandons = 0;
-  if (k == 0) return;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  for (std::size_t j = 0; j < delta_store_.size(); ++j) {
-    if (!delta_tombs_.empty() && TestTombstone(delta_tombs_.data(), j)) {
-      continue;
-    }
-    const double local =
-        hits->size() < k ? kInf : hits->back().distance;
-    const double cap = cap0 < local ? cap0 : local;
-    const double d = distance_->DistanceBounded(query, delta_store_.view(j),
-                                                cap);
-    ++*computations;
-    if (d >= cap) {
-      ++*abandons;
-      continue;
-    }
-    InsertNeighborTopK(*hits, k,
-                       {static_cast<std::size_t>(delta_ids_[j]), d});
-  }
+  QueryStats scan;
+  BoundedScan(*distance_, query, delta_store_,
+              delta_tombs_.empty() ? nullptr : delta_tombs_.data(),
+              delta_ids_.data(), cap0, k, hits, &scan);
+  *computations = scan.distance_computations;
+  *abandons = scan.bounded_abandons;
 }
 
 SweepCompactResult ShardReplica::BeginRow(std::uint32_t qid,

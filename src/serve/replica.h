@@ -109,8 +109,9 @@ class ShardReplica {
   /// already-dead ids.
   bool Remove(std::uint64_t id);
 
-  /// Bounded exhaustive scan of the live delta in ascending-id order: the
-  /// scattered form of the mutable tier's delta phase. Each evaluation is
+  /// Bounded exhaustive scan of the live delta in ascending-id order
+  /// (`BoundedScan`, search/exhaustive.h): the scattered form of the
+  /// mutable tier's delta phase. Each evaluation is
   /// capped by min(cap0, the local k-th hit); `>= cap` abandons, exactly
   /// the sweeps' semantics, so the result is a deterministic pure function
   /// of (delta, query, cap0, k) — safe to retry and to byte-compare across

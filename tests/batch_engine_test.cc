@@ -209,23 +209,6 @@ TEST(BatchEngineTest, AesaKNearestOneMatchesNearest) {
   }
 }
 
-TEST(BatchEngineTest, KNearestThrowsForUnsupportedBackend) {
-  // A minimal searcher without a KNearest override: the default must
-  // surface as a catchable exception on the calling thread, not a throw
-  // inside a ParallelFor worker (which would terminate the process).
-  class NearestOnly final : public NearestNeighborSearcher {
-   public:
-    NeighborResult Nearest(std::string_view, QueryStats*) const override {
-      return {0, 0.0};
-    }
-    std::size_t size() const override { return 1; }
-  };
-  NearestOnly searcher;
-  BatchQueryEngine engine(searcher);
-  PrototypeStore queries(std::vector<std::string>{"ab", "bc", "ca"});
-  EXPECT_THROW(engine.KNearest(queries, 2), std::logic_error);
-}
-
 // The two-stage pivot pipeline on the flat index: bit-identical to the
 // sequential per-query two-stage reference, stats included (distinct
 // query strings, so stage deduplication is a no-op).
@@ -241,7 +224,8 @@ TEST(BatchEngineTest, PivotStageMatchesSequentialReferenceOnFlatLaesa) {
     for (std::size_t i = 0; i < w.queries.size(); ++i) {
       laesa.ComputePivotRow(w.queries[i], row.data(), &seq_stats);
       sequential[i] =
-          laesa.NearestWithPivotRow(w.queries[i], row.data(), &seq_stats);
+          laesa.KNearestWithPivotRow(w.queries[i], 1, row.data(), &seq_stats)
+              .at(0);
     }
 
     for (std::size_t threads : {std::size_t{0}, std::size_t{3}}) {

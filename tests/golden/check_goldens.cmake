@@ -1,4 +1,4 @@
-# Runs the paper harnesses and compares their stdout, with timing values
+# Runs the paper harnesses (and the index-family ablation) and compares their stdout, with timing values
 # masked, against the committed goldens in this directory.
 #
 #   cmake -DBIN_DIR=<build dir> -DGOLDEN_DIR=<this dir> -DOUT_DIR=<scratch>
@@ -16,7 +16,8 @@ set(CNED_PAPER_HARNESSES
     fig4_laesa_digits
     table1_intrinsic_dimension
     table2_classification
-    sec41_heuristic_agreement)
+    sec41_heuristic_agreement
+    ablation_indexes)
 
 # Timing values are the only lines that differ between runs and kernels:
 #   - fig3/fig4's "average search time" block, header and separator too

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "distances/registry.h"
+#include "search/batch_engine.h"
 #include "search/exhaustive.h"
 #include "search/laesa.h"
+#include "search/mutable_laesa.h"
 
 namespace cned {
 namespace {
@@ -77,6 +79,32 @@ TEST(KnnClassifyTest, TieBreaksTowardCloserNeighbor) {
   // 2-NN is a 1-1 tie; the closer neighbour's label must win.
   EXPECT_EQ(KnnClassify(search, labels, "aaaz", 2), 0);
   EXPECT_EQ(KnnClassify(search, labels, "zzza", 2), 1);
+}
+
+// A mutable index reports stable ids, which outgrow size() after a
+// removal: the size check passes, yet the nearest id is not covered by a
+// slot-sized label table. Every classifier must throw instead of reading
+// past the table.
+TEST(KnnClassifierTest, UncoveredResultIndexThrows) {
+  MutableLaesa index({"aaaa", "bbbb", "cccc"}, MakeDistance("dE"));
+  ASSERT_TRUE(index.Remove(0));
+  const std::vector<int> labels{10, 20};
+  ASSERT_EQ(labels.size(), index.size());
+  ASSERT_EQ(index.Nearest("cccc").index, 2u);
+
+  NearestNeighborClassifier clf(index, labels);
+  EXPECT_THROW(clf.Classify("cccc"), std::invalid_argument);
+  EXPECT_THROW(clf.ClassifyBatch(std::vector<std::string>{"cccc"}),
+               std::invalid_argument);
+  EXPECT_THROW(KnnClassify(index, labels, "cccc", 2), std::invalid_argument);
+  EXPECT_THROW(KnnClassifyBatch(index, labels,
+                                std::vector<std::string>{"cccc"}, 2),
+               std::invalid_argument);
+  BatchQueryEngine engine(index);
+  EXPECT_THROW(engine.Classify(std::vector<std::string>{"cccc"}, labels),
+               std::invalid_argument);
+  // A covered id still classifies.
+  EXPECT_EQ(clf.Classify("bbbb"), 20);
 }
 
 }  // namespace

@@ -126,9 +126,10 @@ TEST(ShardedLaesaTest, WithPivotRowMatchesFlatWithPivotRow) {
         flat.ComputePivotRow(q, row_a.data(), &fs);
         sharded.ComputePivotRow(q, row_b.data(), &ss);
         ASSERT_EQ(row_a, row_b) << name;
-        const NeighborResult a = flat.NearestWithPivotRow(q, row_a.data(), &fs);
+        const NeighborResult a =
+            flat.KNearestWithPivotRow(q, 1, row_a.data(), &fs).at(0);
         const NeighborResult b =
-            sharded.NearestWithPivotRow(q, row_b.data(), &ss);
+            sharded.KNearestWithPivotRow(q, 1, row_b.data(), &ss).at(0);
         EXPECT_EQ(a.index, b.index) << name << " S=" << shards;
         EXPECT_EQ(a.distance, b.distance) << name << " S=" << shards;
         EXPECT_TRUE(fs == ss) << name << " S=" << shards;
@@ -229,7 +230,7 @@ TEST(ShardedLaesaTest, PerShardStatsSumToMergedStats) {
   for (const auto& q : w.queries) {
     QueryStats merged;
     std::vector<QueryStats> per_shard(sharded.shard_count());
-    (void)sharded.Nearest(q, &merged, per_shard.data());
+    (void)sharded.KNearest(q, 1, &merged, per_shard.data());
     QueryStats sum;
     for (const QueryStats& s : per_shard) sum += s;
     EXPECT_TRUE(sum == merged) << q;
@@ -257,7 +258,8 @@ TEST(ShardedLaesaTest, EnginePivotStageMatchesSequentialReference) {
     for (std::size_t i = 0; i < queries.size(); ++i) {
       sharded.ComputePivotRow(queries[i], row.data(), &seq_stats);
       sequential[i] =
-          sharded.NearestWithPivotRow(queries[i], row.data(), &seq_stats);
+          sharded.KNearestWithPivotRow(queries[i], 1, row.data(), &seq_stats)
+              .at(0);
     }
 
     for (std::size_t threads : {std::size_t{0}, std::size_t{1},
@@ -311,7 +313,7 @@ TEST(ShardedLaesaTest, EnginePivotStageDeduplicatesRepeatedQueries) {
   for (std::size_t i = 0; i < queries.size(); ++i) {
     sharded.ComputePivotRow(queries[i], row.data());
     const NeighborResult expect =
-        sharded.NearestWithPivotRow(queries[i], row.data());
+        sharded.KNearestWithPivotRow(queries[i], 1, row.data()).at(0);
     EXPECT_EQ(results[i].index, expect.index) << i;
     EXPECT_EQ(results[i].distance, expect.distance) << i;
   }
@@ -326,7 +328,7 @@ TEST(ShardedLaesaTest, EngineShardStatsMatchDirectCalls) {
 
   std::vector<QueryStats> expected(sharded.shard_count());
   for (const auto& q : w.queries) {
-    (void)sharded.Nearest(q, nullptr, expected.data());
+    (void)sharded.KNearest(q, 1, nullptr, expected.data());
   }
 
   BatchQueryEngine engine(sharded);
