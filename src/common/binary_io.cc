@@ -37,38 +37,6 @@ std::string Describe(const std::string& path, const char* what) {
   return "binary_io: " + std::string(what) + " (" + path + ")";
 }
 
-/// Validates a 64-byte header already in memory and extracts the payload
-/// counts — the one implementation both the copying and the mapped reader
-/// share, so their magic/version errors are identical.
-std::vector<std::uint64_t> ParseHeader(const char* header, const char magic[8],
-                                       std::uint32_t min_version,
-                                       std::uint32_t max_version,
-                                       std::uint32_t* version_out,
-                                       const std::string& path) {
-  if (std::memcmp(header, magic, 8) != 0) {
-    throw std::runtime_error(
-        Describe(path, "bad magic (not a file of this type)"));
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, header + 8, sizeof(version));
-  if (version < min_version || version > max_version) {
-    const std::string reads =
-        min_version == max_version
-            ? "version " + std::to_string(min_version)
-            : "versions " + std::to_string(min_version) + ".." +
-                  std::to_string(max_version);
-    throw std::runtime_error(
-        "binary_io: format version mismatch: file has version " +
-        std::to_string(version) + ", this build reads " + reads + " (" + path +
-        ")");
-  }
-  if (version_out != nullptr) *version_out = version;
-  std::vector<std::uint64_t> counts(kBinaryHeaderCounts);
-  std::memcpy(counts.data(), header + 16,
-              kBinaryHeaderCounts * sizeof(std::uint64_t));
-  return counts;
-}
-
 /// Zero padding between the cursor and the next 64-byte boundary.
 std::size_t PadTo(std::size_t offset) {
   const std::size_t rem = offset % kBinaryAlignment;
@@ -82,12 +50,6 @@ bool SnapshotVerifyEnabled() {
   if (env == nullptr) return false;
   const std::string v(env);
   return v == "1" || v == "true" || v == "on";
-}
-
-void VerifySnapshotChecksum(const std::string& path) {
-  // One mapped pass; works on any file BinaryWriter finished, regardless of
-  // which reader will consume it afterwards.
-  MappedReader reader(MappedFile::Open(path), /*verify_checksum=*/true);
 }
 
 struct BinaryWriter::Impl {
@@ -149,77 +111,6 @@ void BinaryWriter::Finish() {
   }
 }
 
-BinaryReader::BinaryReader(const std::string& path) : path_(path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw std::runtime_error(Describe(path, "cannot open for reading"));
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  buffer_.resize(static_cast<std::size_t>(size));
-  if (size > 0) {
-    in.read(buffer_.data(), size);
-    if (!in) throw std::runtime_error(Describe(path, "read failed"));
-  }
-  // The copying loader reads every byte anyway, so it always verifies the
-  // checksum: a bit flip anywhere in the payload fails here, before any
-  // structural validation interprets the corrupted values.
-  std::uint32_t stored = 0;
-  const std::size_t payload =
-      CheckFooter(buffer_.data(), buffer_.size(), &stored, path_);
-  if (Crc32(buffer_.data(), payload) != stored) {
-    throw std::runtime_error(Describe(path_, "checksum mismatch"));
-  }
-  buffer_.resize(payload);  // sections must never read into the footer
-}
-
-std::vector<std::uint64_t> BinaryReader::Header(
-    const char magic[8], std::uint32_t expected_version) {
-  return Header(magic, expected_version, expected_version, nullptr);
-}
-
-std::vector<std::uint64_t> BinaryReader::Header(const char magic[8],
-                                                std::uint32_t min_version,
-                                                std::uint32_t max_version,
-                                                std::uint32_t* version_out) {
-  char header[kBinaryAlignment];
-  Raw(header, sizeof(header));
-  return ParseHeader(header, magic, min_version, max_version, version_out,
-                     path_);
-}
-
-void BinaryReader::RequireArray(std::uint64_t count,
-                                std::size_t elem_size) const {
-  // Cumulative extent check: the section sits behind its alignment padding,
-  // so the bytes available to it are the unread tail minus that padding. A
-  // division-form comparison keeps count * elem_size from overflowing.
-  const std::size_t pad = PadTo(offset_);
-  const std::size_t avail = remaining() < pad ? 0 : remaining() - pad;
-  if (elem_size != 0 && count > avail / elem_size) {
-    throw std::runtime_error(Describe(path_, "truncated file"));
-  }
-}
-
-void BinaryReader::Raw(void* out, std::size_t bytes) {
-  if (bytes == 0) return;  // empty sections pass a null out pointer
-  if (bytes > remaining()) {
-    throw std::runtime_error(Describe(path_, "truncated file"));
-  }
-  std::memcpy(out, buffer_.data() + offset_, bytes);
-  offset_ += bytes;
-}
-
-void BinaryReader::Align() {
-  const std::size_t pad = PadTo(offset_);
-  if (pad != 0) {
-    if (pad > remaining()) {
-      throw std::runtime_error(Describe(path_, "truncated file"));
-    }
-    offset_ += pad;
-  }
-}
-
-MappedReader::MappedReader(std::shared_ptr<MappedFile> file)
-    : MappedReader(std::move(file), SnapshotVerifyEnabled()) {}
-
 MappedReader::MappedReader(std::shared_ptr<MappedFile> file,
                            bool verify_checksum)
     : file_(std::move(file)) {
@@ -240,15 +131,6 @@ MappedReader::MappedReader(std::shared_ptr<MappedFile> file,
   }
 }
 
-void MappedReader::VerifyChecksum() const {
-  // size_ already excludes the footer; the stored CRC sits right after it.
-  std::uint32_t stored = 0;
-  std::memcpy(&stored, data_ + size_ + 8, sizeof(stored));
-  if (Crc32(data_, size_) != stored) {
-    throw std::runtime_error(Describe(path_, "checksum mismatch"));
-  }
-}
-
 std::vector<std::uint64_t> MappedReader::Header(
     const char magic[8], std::uint32_t expected_version) {
   return Header(magic, expected_version, expected_version, nullptr);
@@ -262,8 +144,28 @@ std::vector<std::uint64_t> MappedReader::Header(const char magic[8],
   // of it and bounds-check before touching the bytes.
   const char* header =
       static_cast<const char*>(Section(kBinaryAlignment, 1));
-  return ParseHeader(header, magic, min_version, max_version, version_out,
-                     path_);
+  if (std::memcmp(header, magic, 8) != 0) {
+    throw std::runtime_error(
+        Describe(path_, "bad magic (not a file of this type)"));
+  }
+  std::uint32_t version = 0;
+  std::memcpy(&version, header + 8, sizeof(version));
+  if (version < min_version || version > max_version) {
+    const std::string reads =
+        min_version == max_version
+            ? "version " + std::to_string(min_version)
+            : "versions " + std::to_string(min_version) + ".." +
+                  std::to_string(max_version);
+    throw std::runtime_error(
+        "binary_io: format version mismatch: file has version " +
+        std::to_string(version) + ", this build reads " + reads + " (" +
+        path_ + ")");
+  }
+  if (version_out != nullptr) *version_out = version;
+  std::vector<std::uint64_t> counts(kBinaryHeaderCounts);
+  std::memcpy(counts.data(), header + 16,
+              kBinaryHeaderCounts * sizeof(std::uint64_t));
+  return counts;
 }
 
 const void* MappedReader::Section(std::uint64_t count, std::size_t elem_size) {

@@ -29,14 +29,17 @@ namespace cned {
 ///   bytes  0..7   footer magic "CNEDCRC1"
 ///   bytes  8..11  CRC-32 (common/crc32.h) of every byte before the footer
 ///   bytes 12..63  reserved (zero)
-/// `BinaryReader` (the copying loader — it reads every byte anyway) always
-/// verifies the checksum. `MappedReader` always validates the footer's
-/// *presence* (and excludes it from the section space) but verifies the
-/// content checksum only when asked — eagerly hashing the whole mapping
-/// would forfeit the O(validation) zero-copy startup contract — via the
-/// `verify_checksum` constructor flag, the `CNED_SNAPSHOT_VERIFY=1`
-/// environment default, or a standalone `VerifySnapshotChecksum` pass (the
-/// distributed serving tier runs one per shard file before mapping).
+/// One reader serves every format: `MappedReader` below. The copying
+/// loaders (`PrototypeStore::LoadBinary`, `ShardedPrototypeStore::
+/// LoadBinary`, `Laesa::Load`, `ShardedLaesa::Load`) run the same section
+/// walk as the zero-copy `Map` forms and then copy the sections out. The
+/// reader always validates the footer's *presence* (and excludes it from
+/// the section space); it verifies the content checksum when its
+/// `verify_checksum` flag is set. The copying loaders (they read every
+/// byte anyway), the router manifest and the serving workers' shard files
+/// always set it. `Map` sets it only under `CNED_SNAPSHOT_VERIFY=1`:
+/// eagerly hashing the whole mapping would forfeit the O(validation)
+/// zero-copy startup contract.
 inline constexpr std::size_t kBinaryAlignment = 64;
 inline constexpr std::size_t kBinaryHeaderCounts = 6;
 inline constexpr char kBinaryFooterMagic[8] = {'C', 'N', 'E', 'D',
@@ -45,11 +48,6 @@ inline constexpr char kBinaryFooterMagic[8] = {'C', 'N', 'E', 'D',
 /// True when `CNED_SNAPSHOT_VERIFY` is set to a truthy value ("1", "true",
 /// "on"): mapped snapshot loads then verify the content checksum too.
 bool SnapshotVerifyEnabled();
-
-/// One sequential checksum pass over a snapshot file: validates the footer
-/// and the CRC-32 of the payload, throwing std::runtime_error on a missing
-/// footer or a mismatch. O(file) read, zero allocation beyond the mapping.
-void VerifySnapshotChecksum(const std::string& path);
 
 /// Streaming writer with 64-byte section alignment. All methods throw
 /// std::runtime_error on I/O failure.
@@ -85,62 +83,18 @@ class BinaryWriter {
   std::string path_;
 };
 
-/// Whole-file reader with the matching alignment/validation rules. Loads
-/// the file into memory once; sections are then validated, bounds-checked
-/// views. Throws std::runtime_error on truncated or malformed input.
-class BinaryReader {
- public:
-  explicit BinaryReader(const std::string& path);
-
-  /// Validates the 64-byte header: magic must match, version must equal
-  /// `expected_version` (mismatch message names both). Returns the payload
-  /// counts.
-  std::vector<std::uint64_t> Header(const char magic[8],
-                                    std::uint32_t expected_version);
-
-  /// Version-range form for evolving formats: accepts any version in
-  /// [min_version, max_version], storing the file's actual version through
-  /// `version_out` (may be null). Same errors otherwise.
-  std::vector<std::uint64_t> Header(const char magic[8],
-                                    std::uint32_t min_version,
-                                    std::uint32_t max_version,
-                                    std::uint32_t* version_out);
-
-  /// Copies `bytes` raw bytes into `out`; throws when fewer remain.
-  void Raw(void* out, std::size_t bytes);
-
-  /// Validates that an array section of `count` elements of `elem_size`
-  /// bytes can still fit in the unread tail, *before* the caller allocates
-  /// for it — untrusted header counts must never size an allocation
-  /// directly. The check is cumulative against the actual file length: it
-  /// accounts for the zero padding the section's 64-byte alignment will
-  /// consume ahead of it, so a count that only "fits" by eating the padding
-  /// fails here rather than in a later Raw(). Overflow-safe; throws the
-  /// same truncation error as `Raw`.
-  void RequireArray(std::uint64_t count, std::size_t elem_size) const;
-
-  /// Skips the zero padding to the next 64-byte boundary.
-  void Align();
-
-  /// Bytes not yet consumed.
-  std::size_t remaining() const { return buffer_.size() - offset_; }
-
- private:
-  std::vector<char> buffer_;
-  std::size_t offset_ = 0;
-  std::string path_;
-};
-
-/// Zero-copy counterpart of `BinaryReader`: a cursor over a `MappedFile`
-/// that validates the same header/alignment rules but returns in-place
-/// pointers into the mapping instead of copying sections out.
+/// The snapshot reader: a cursor over a `MappedFile` that validates the
+/// header/alignment rules and returns in-place pointers into the mapping.
+/// Copying loaders copy out of those views; zero-copy loaders keep them.
 ///
 /// Safety contract (the serving tier maps untrusted bytes): every section's
 /// cumulative extent — alignment padding plus `count * elem_size`, computed
 /// overflow-safely — is range-checked against the actual file length
-/// *before* any pointer is formed, and the section start is verified to be
-/// aligned for the element type. Malformed input throws std::runtime_error;
-/// no returned pointer ever spans past the end of the mapping.
+/// *before* any pointer is formed, so an untrusted header count never sizes
+/// an allocation or a view directly, and the section start is verified to
+/// be aligned for the element type. Malformed input throws
+/// std::runtime_error; no returned pointer ever spans past the end of the
+/// mapping.
 ///
 /// Views returned by `Section`/`Array` alias the mapping; callers must keep
 /// `file()` alive for as long as they hold them (the view-backed stores
@@ -149,24 +103,21 @@ class MappedReader {
  public:
   /// Reads `file` in place. Validates the checksum footer's presence (the
   /// footer is excluded from the section space) and, when `verify_checksum`
-  /// — defaulted from `CNED_SNAPSHOT_VERIFY` — is true, verifies the
-  /// payload CRC with one sequential pass. Throws std::invalid_argument on
-  /// a null file, std::runtime_error on a missing footer or a mismatch.
-  explicit MappedReader(std::shared_ptr<MappedFile> file);
+  /// is true, verifies the payload CRC with one sequential pass. Callers
+  /// that leave the choice to the environment pass
+  /// `SnapshotVerifyEnabled()`. Throws std::invalid_argument on a null
+  /// file, std::runtime_error on a missing footer or a mismatch.
   MappedReader(std::shared_ptr<MappedFile> file, bool verify_checksum);
 
-  /// Verifies the payload CRC against the footer (one sequential pass over
-  /// the mapping); throws std::runtime_error on mismatch. Callable at any
-  /// point — the check is independent of the cursor.
-  void VerifyChecksum() const;
-
-  /// Skips to the next 64-byte boundary and validates the standard header
-  /// (same rules and errors as `BinaryReader::Header`). Returns the payload
-  /// counts.
+  /// Skips to the next 64-byte boundary and validates the standard 64-byte
+  /// header: magic must match, version must equal `expected_version`
+  /// (mismatch message names both). Returns the payload counts.
   std::vector<std::uint64_t> Header(const char magic[8],
                                     std::uint32_t expected_version);
 
-  /// Version-range form, as in `BinaryReader::Header`.
+  /// Version-range form for evolving formats: accepts any version in
+  /// [min_version, max_version], storing the file's actual version through
+  /// `version_out` (may be null). Same errors otherwise.
   std::vector<std::uint64_t> Header(const char magic[8],
                                     std::uint32_t min_version,
                                     std::uint32_t max_version,
@@ -183,13 +134,12 @@ class MappedReader {
     return static_cast<const T*>(Section(count, sizeof(T)));
   }
 
-  std::size_t offset() const { return offset_; }
-  std::size_t remaining() const { return size_ - offset_; }
-
   /// The mapping the returned views alias.
   const std::shared_ptr<MappedFile>& file() const { return file_; }
 
  private:
+  std::size_t remaining() const { return size_ - offset_; }
+
   std::shared_ptr<MappedFile> file_;
   const char* data_ = nullptr;
   std::size_t size_ = 0;

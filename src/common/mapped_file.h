@@ -12,7 +12,7 @@ namespace cned {
 /// The zero-copy half of the serving tier: a snapshot written in the
 /// 64-byte-aligned binary format (common/binary_io.h) is mapped once and
 /// its sections are used in place — startup cost is O(1) in the index size
-/// instead of the O(index) read+copy of the buffered loaders, and the pages
+/// instead of the O(index) copy of the copying loaders, and the pages
 /// live in the kernel page cache, shared across every serving process that
 /// maps the same file (the usearch / pg_embedding serving model).
 ///

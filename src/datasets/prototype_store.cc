@@ -42,8 +42,7 @@ void PrototypeStore::Add(std::string_view s) {
     throw std::logic_error(
         "PrototypeStore::Add: store is a read-only mapped view");
   }
-  constexpr std::size_t kMax = std::numeric_limits<std::uint32_t>::max();
-  if (s.size() > kMax || arena_.size() > kMax - s.size()) {
+  if (s.size() > kArenaMax || arena_.size() > kArenaMax - s.size()) {
     throw std::length_error(
         "PrototypeStore: arena exceeds 32-bit offset range");
   }
@@ -84,78 +83,49 @@ void PrototypeStore::SaveBinary(const std::string& path) const {
   writer.Finish();
 }
 
-PrototypeStore PrototypeStore::LoadBinary(BinaryReader& reader) {
-  reader.Align();
+PrototypeStore PrototypeStore::Read(MappedReader& reader, bool copy,
+                                    const std::string& who) {
   const auto counts = reader.Header(kStoreMagic, kStoreVersion);
   const std::uint64_t n = counts[0];
   const std::uint64_t arena_bytes = counts[1];
-  if (arena_bytes > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::runtime_error(
-        "PrototypeStore::LoadBinary: arena exceeds 32-bit offset range");
+  if (arena_bytes > kArenaMax) {
+    throw std::runtime_error(who + ": arena exceeds 32-bit offset range");
   }
-  // Header counts are untrusted until checked against the unread tail —
-  // a corrupt count must fail as "truncated", not as a huge allocation.
-  // Each section is checked (padding included) right before its
-  // allocation, so the extents accumulate against the actual file length.
-  PrototypeStore store;
-  reader.RequireArray(n, sizeof(std::uint32_t));
-  store.offsets_.resize(n);
-  reader.Align();
-  reader.Raw(store.offsets_.data(), n * sizeof(std::uint32_t));
-  reader.RequireArray(n, sizeof(std::uint32_t));
-  store.lengths_.resize(n);
-  reader.Align();
-  reader.Raw(store.lengths_.data(), n * sizeof(std::uint32_t));
-  reader.RequireArray(arena_bytes, 1);
-  store.arena_.resize(arena_bytes);
-  reader.Align();
-  reader.Raw(store.arena_.data(), arena_bytes);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (static_cast<std::uint64_t>(store.offsets_[i]) + store.lengths_[i] >
+  // Array() range-checks each cumulative extent against the file length
+  // before forming the view — a corrupt count fails as "truncated file",
+  // not as a huge allocation.
+  MappedView view;
+  view.offsets = reader.Array<std::uint32_t>(n);
+  view.lengths = reader.Array<std::uint32_t>(n);
+  view.arena = reader.Array<char>(arena_bytes);
+  view.size = static_cast<std::size_t>(n);
+  view.arena_bytes = static_cast<std::size_t>(arena_bytes);
+  for (std::size_t i = 0; i < view.size; ++i) {
+    if (static_cast<std::uint64_t>(view.offsets[i]) + view.lengths[i] >
         arena_bytes) {
-      throw std::runtime_error(
-          "PrototypeStore::LoadBinary: string section out of arena bounds");
+      throw std::runtime_error(who + ": string section out of arena bounds");
     }
+  }
+  PrototypeStore store;
+  if (copy) {
+    store.offsets_.assign(view.offsets, view.offsets + view.size);
+    store.lengths_.assign(view.lengths, view.lengths + view.size);
+    store.arena_.assign(view.arena, view.arena + view.arena_bytes);
+  } else {
+    store.map_ = view;
+    store.mapping_ = reader.file();
   }
   return store;
 }
 
 PrototypeStore PrototypeStore::LoadBinary(const std::string& path) {
-  BinaryReader reader(path);
-  return LoadBinary(reader);
-}
-
-PrototypeStore PrototypeStore::Map(MappedReader& reader) {
-  const auto counts = reader.Header(kStoreMagic, kStoreVersion);
-  const std::uint64_t n = counts[0];
-  const std::uint64_t arena_bytes = counts[1];
-  if (arena_bytes > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::runtime_error(
-        "PrototypeStore::Map: arena exceeds 32-bit offset range");
-  }
-  // Section() range-checks each cumulative extent against the file length
-  // before forming the view — corrupt counts fail as "truncated file".
-  PrototypeStore store;
-  store.map_.offsets = reader.Array<std::uint32_t>(n);
-  store.map_.lengths = reader.Array<std::uint32_t>(n);
-  store.map_.arena = reader.Array<char>(arena_bytes);
-  store.map_.size = static_cast<std::size_t>(n);
-  store.map_.arena_bytes = static_cast<std::size_t>(arena_bytes);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (static_cast<std::uint64_t>(store.map_.offsets[i]) +
-            store.map_.lengths[i] >
-        arena_bytes) {
-      throw std::runtime_error(
-          "PrototypeStore::Map: string section out of arena bounds");
-    }
-  }
-  store.mapping_ = reader.file();
-  return store;
+  MappedReader reader(MappedFile::Open(path), /*verify_checksum=*/true);
+  return Read(reader, /*copy=*/true, "PrototypeStore::LoadBinary");
 }
 
 PrototypeStore PrototypeStore::Map(const std::string& path) {
-  MappedReader reader(MappedFile::Open(path));
-  return Map(reader);
+  MappedReader reader(MappedFile::Open(path), SnapshotVerifyEnabled());
+  return Read(reader, /*copy=*/false, "PrototypeStore::Map");
 }
 
 }  // namespace cned

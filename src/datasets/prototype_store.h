@@ -96,25 +96,35 @@ class PrototypeStore {
   /// and use the sections in place.
   void SaveBinary(const std::string& path) const;
 
-  /// Reads a store written by `SaveBinary`. Throws std::runtime_error on
-  /// bad magic, version mismatch, truncation or inconsistent sections.
+  /// Reads a store written by `SaveBinary` into owned vectors. Throws
+  /// std::runtime_error on bad magic, version mismatch, checksum mismatch,
+  /// truncation or inconsistent sections. It is `Map`'s walk with the
+  /// checksum always verified and the sections then copied out, so it reads
+  /// through a read-only shared mapping of the file until it returns. Like
+  /// `Map`, it must not race a writer to the same path: a concurrent
+  /// `SaveBinary` truncates the file and can raise `SIGBUS`.
   static PrototypeStore LoadBinary(const std::string& path);
 
-  /// Stream forms used to embed a store section inside a larger file
+  /// Stream form used to embed a store section inside a larger file
   /// (the sharded store serializer).
   void SaveBinary(BinaryWriter& writer) const;
-  static PrototypeStore LoadBinary(BinaryReader& reader);
 
   /// Zero-copy load: maps a file written by `SaveBinary` and points the
   /// views at its sections in place — no section is copied. Header, section
   /// extents and per-string bounds are fully validated (same errors as
-  /// `LoadBinary`); the store co-owns the mapping, so views stay valid for
-  /// the store's lifetime, across copies and moves.
+  /// `LoadBinary`); the payload checksum is verified only under
+  /// `CNED_SNAPSHOT_VERIFY=1`. The store co-owns the mapping, so views stay
+  /// valid for the store's lifetime, across copies and moves.
   static PrototypeStore Map(const std::string& path);
 
-  /// Cursor form used to map a store section embedded in a larger file
-  /// (the sharded store snapshot). The store retains `reader.file()`.
-  static PrototypeStore Map(MappedReader& reader);
+  /// Cursor form of both loaders: reads one store section at `reader`'s
+  /// position (a standalone file, or a section embedded in the sharded
+  /// store snapshot). Every extent is checked before any view is formed or
+  /// any vector is sized. With `copy` the sections are copied into owned
+  /// vectors; otherwise the views point into the mapping and the store
+  /// retains `reader.file()`. `who` prefixes the error messages.
+  static PrototypeStore Read(MappedReader& reader, bool copy,
+                             const std::string& who);
 
  private:
   std::vector<char> arena_;

@@ -80,59 +80,21 @@ void ShardedPrototypeStore::SaveBinary(const std::string& path) const {
   writer.Finish();
 }
 
-ShardedPrototypeStore ShardedPrototypeStore::LoadBinary(
-    const std::string& path) {
-  BinaryReader reader(path);
+ShardedPrototypeStore ShardedPrototypeStore::Open(const std::string& path,
+                                                  bool copy, const char* who) {
+  // LoadBinary copies every section, so it always verifies the checksum;
+  // Map leaves that to CNED_SNAPSHOT_VERIFY (binary_io.h).
+  MappedReader reader(MappedFile::Open(path),
+                      copy || SnapshotVerifyEnabled());
   const auto counts = reader.Header(kShardedMagic, kShardedVersion);
   const std::uint64_t shard_count = counts[0];
   const std::uint64_t total = counts[1];
   const bool has_labels = counts[2] != 0;
   if (shard_count == 0) {
-    throw std::runtime_error(
-        "ShardedPrototypeStore::LoadBinary: zero shard count");
+    throw std::runtime_error(std::string(who) + ": zero shard count");
   }
-  // Header counts are untrusted until checked against the unread tail —
-  // a corrupt count must fail as "truncated", not as a huge allocation.
-  reader.RequireArray(shard_count, sizeof(std::uint64_t));
-  std::vector<std::uint64_t> sizes(shard_count);
-  reader.Align();
-  reader.Raw(sizes.data(), shard_count * sizeof(std::uint64_t));
-  ShardedPrototypeStore store;
-  store.total_ = total;
-  if (has_labels) {
-    reader.RequireArray(total, sizeof(int));
-    store.labels_.resize(total);
-    reader.Align();
-    reader.Raw(store.labels_.data(), total * sizeof(int));
-  }
-  store.shards_.reserve(shard_count);
-  std::uint64_t sum = 0;
-  for (std::uint64_t s = 0; s < shard_count; ++s) {
-    store.shards_.push_back(PrototypeStore::LoadBinary(reader));
-    if (store.shards_.back().size() != sizes[s]) {
-      throw std::runtime_error(
-          "ShardedPrototypeStore::LoadBinary: shard size mismatch");
-    }
-    sum += sizes[s];
-  }
-  if (sum != total) {
-    throw std::runtime_error(
-        "ShardedPrototypeStore::LoadBinary: shard sizes do not sum to total");
-  }
-  store.InitBases();
-  return store;
-}
-
-ShardedPrototypeStore ShardedPrototypeStore::Map(const std::string& path) {
-  MappedReader reader(MappedFile::Open(path));
-  const auto counts = reader.Header(kShardedMagic, kShardedVersion);
-  const std::uint64_t shard_count = counts[0];
-  const std::uint64_t total = counts[1];
-  const bool has_labels = counts[2] != 0;
-  if (shard_count == 0) {
-    throw std::runtime_error("ShardedPrototypeStore::Map: zero shard count");
-  }
-  // Array() bounds-checks every cumulative extent before a view is formed.
+  // Array() bounds-checks every cumulative extent before a view is formed
+  // or a vector is sized from it.
   const std::uint64_t* sizes = reader.Array<std::uint64_t>(shard_count);
   ShardedPrototypeStore store;
   store.total_ = total;
@@ -144,19 +106,27 @@ ShardedPrototypeStore ShardedPrototypeStore::Map(const std::string& path) {
   store.shards_.reserve(shard_count);
   std::uint64_t sum = 0;
   for (std::uint64_t s = 0; s < shard_count; ++s) {
-    store.shards_.push_back(PrototypeStore::Map(reader));
+    store.shards_.push_back(PrototypeStore::Read(reader, copy, who));
     if (store.shards_.back().size() != sizes[s]) {
-      throw std::runtime_error(
-          "ShardedPrototypeStore::Map: shard size mismatch");
+      throw std::runtime_error(std::string(who) + ": shard size mismatch");
     }
     sum += sizes[s];
   }
   if (sum != total) {
-    throw std::runtime_error(
-        "ShardedPrototypeStore::Map: shard sizes do not sum to total");
+    throw std::runtime_error(std::string(who) +
+                             ": shard sizes do not sum to total");
   }
   store.InitBases();
   return store;
+}
+
+ShardedPrototypeStore ShardedPrototypeStore::LoadBinary(
+    const std::string& path) {
+  return Open(path, /*copy=*/true, "ShardedPrototypeStore::LoadBinary");
+}
+
+ShardedPrototypeStore ShardedPrototypeStore::Map(const std::string& path) {
+  return Open(path, /*copy=*/false, "ShardedPrototypeStore::Map");
 }
 
 void ShardedPrototypeStore::InitBases() {

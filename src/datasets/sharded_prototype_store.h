@@ -86,8 +86,13 @@ class ShardedPrototypeStore {
   /// the shared 64-byte-aligned binary format (common/binary_io.h).
   void SaveBinary(const std::string& path) const;
 
-  /// Reads a store written by `SaveBinary`. Throws std::runtime_error on
-  /// bad magic, version mismatch, truncation or inconsistent sections.
+  /// Reads a store written by `SaveBinary` into owned vectors. Throws
+  /// std::runtime_error on bad magic, version mismatch, checksum mismatch,
+  /// truncation or inconsistent sections. It is `Map`'s walk with the
+  /// checksum always verified and every shard then copied out, so it reads
+  /// through a read-only shared mapping of the file until it returns. Like
+  /// `Map`, it must not race a writer to the same path: a concurrent
+  /// `SaveBinary` truncates the file and can raise `SIGBUS`.
   static ShardedPrototypeStore LoadBinary(const std::string& path);
 
   /// Zero-copy load: maps a snapshot written by `SaveBinary` and backs
@@ -95,13 +100,19 @@ class ShardedPrototypeStore {
   /// (each shard co-owns the one mapping). Labels are the single copied
   /// section — they are returned as a `std::vector<int>&` by `labels()` and
   /// are 4 bytes per prototype, negligible next to the arenas. Validation
-  /// matches `LoadBinary`.
+  /// matches `LoadBinary`; the payload checksum is verified only under
+  /// `CNED_SNAPSHOT_VERIFY=1`.
   static ShardedPrototypeStore Map(const std::string& path);
 
   /// True when the shard views alias a mapped snapshot.
   bool mapped() const { return !shards_.empty() && shards_[0].mapped(); }
 
  private:
+  /// The one section walk behind both loaders: `Map` when `copy` is false,
+  /// `LoadBinary` when it is true. `who` prefixes the error messages.
+  static ShardedPrototypeStore Open(const std::string& path, bool copy,
+                                    const char* who);
+
   void InitBases();
 
   std::vector<PrototypeStore> shards_;

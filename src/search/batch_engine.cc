@@ -186,9 +186,9 @@ std::vector<std::vector<NeighborResult>> BatchQueryEngine::KNearest(
 std::vector<int> BatchQueryEngine::Classify(PrototypeStoreRef queries,
                                             const std::vector<int>& labels,
                                             QueryStats* stats) const {
-  if (labels.size() != searcher_->size()) {
+  if (labels.size() < searcher_->size()) {
     throw std::invalid_argument(
-        "BatchQueryEngine::Classify: labels/prototypes size mismatch");
+        "BatchQueryEngine::Classify: fewer labels than prototypes");
   }
   const std::vector<NeighborResult> nearest = Nearest(queries, stats);
   std::vector<int> out(nearest.size());

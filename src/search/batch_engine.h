@@ -76,9 +76,10 @@ class BatchQueryEngine {
       PrototypeStoreRef queries, std::size_t k,
       QueryStats* stats = nullptr) const;
 
-  /// 1-NN label for every query; `labels[i]` is the class of the searcher's
-  /// i-th prototype. Throws std::invalid_argument on a size mismatch or
-  /// when `labels` does not cover a result's index.
+  /// 1-NN label for every query; `labels[id]` is the class of the prototype
+  /// a result reports as `id`. Throws std::invalid_argument when `labels`
+  /// is shorter than the searcher's size() or does not cover a result's
+  /// index.
   std::vector<int> Classify(PrototypeStoreRef queries,
                             const std::vector<int>& labels,
                             QueryStats* stats = nullptr) const;

@@ -14,8 +14,12 @@ namespace cned {
 /// Decorator counting how many times the wrapped distance is evaluated.
 ///
 /// The paper's §4.3 experiments report "average number of distance
-/// computations" as the primary cost measure of LAESA; every search harness
-/// threads its distance through this wrapper.
+/// computations" as the primary cost measure of LAESA. The indexes count
+/// them themselves (`QueryStats::distance_computations`); this wrapper is
+/// an independent tally for tests and tools that want to check a count
+/// from outside an index. The length lower bounds are forwarded uncounted,
+/// so an index built on the wrapper keeps its free zeroth pivot and runs
+/// exactly the evaluations it runs on the bare distance.
 class CountingDistance final : public StringDistance {
  public:
   explicit CountingDistance(StringDistancePtr inner)
@@ -29,6 +33,14 @@ class CountingDistance final : public StringDistance {
                          double bound) const override {
     ++count_;
     return inner_->DistanceBounded(x, y, bound);
+  }
+  double LengthLowerBound(std::size_t x_len,
+                          std::size_t y_len) const override {
+    return inner_->LengthLowerBound(x_len, y_len);
+  }
+  void LengthLowerBounds(std::size_t x_len, const std::uint32_t* y_lens,
+                         std::size_t n, double* out) const override {
+    inner_->LengthLowerBounds(x_len, y_lens, n, out);
   }
   std::string name() const override { return inner_->name(); }
   bool is_metric() const override { return inner_->is_metric(); }

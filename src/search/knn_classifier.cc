@@ -33,9 +33,9 @@ int MajorityVote(const std::vector<NeighborResult>& neighbors,
 NearestNeighborClassifier::NearestNeighborClassifier(
     const NearestNeighborSearcher& searcher, const std::vector<int>& labels)
     : searcher_(&searcher), labels_(&labels) {
-  if (labels.size() != searcher.size()) {
+  if (labels.size() < searcher.size()) {
     throw std::invalid_argument(
-        "NearestNeighborClassifier: labels/prototypes size mismatch");
+        "NearestNeighborClassifier: fewer labels than prototypes");
   }
 }
 
@@ -67,8 +67,8 @@ double NearestNeighborClassifier::ErrorRatePercent(
 int KnnClassify(const NearestNeighborSearcher& searcher,
                 const std::vector<int>& labels, std::string_view query,
                 std::size_t k) {
-  if (labels.size() != searcher.size()) {
-    throw std::invalid_argument("KnnClassify: labels/prototypes size mismatch");
+  if (labels.size() < searcher.size()) {
+    throw std::invalid_argument("KnnClassify: fewer labels than prototypes");
   }
   if (k == 0) {
     throw std::invalid_argument("KnnClassify: k must be >= 1");
@@ -80,9 +80,9 @@ std::vector<int> KnnClassifyBatch(const NearestNeighborSearcher& searcher,
                                   const std::vector<int>& labels,
                                   PrototypeStoreRef queries, std::size_t k,
                                   QueryStats* stats, std::size_t threads) {
-  if (labels.size() != searcher.size()) {
+  if (labels.size() < searcher.size()) {
     throw std::invalid_argument(
-        "KnnClassifyBatch: labels/prototypes size mismatch");
+        "KnnClassifyBatch: fewer labels than prototypes");
   }
   if (k == 0) {
     throw std::invalid_argument("KnnClassifyBatch: k must be >= 1");

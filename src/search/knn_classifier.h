@@ -19,8 +19,11 @@ namespace cned {
 /// stats) and return exactly what the per-query loop would.
 class NearestNeighborClassifier {
  public:
-  /// `labels[i]` is the class of the searcher's i-th prototype. The searcher
-  /// and labels are borrowed; the caller keeps them alive.
+  /// `labels[id]` is the class of the prototype a result reports as `id`.
+  /// A mutable index reports stable ids, which outgrow its size() after a
+  /// removal, so the table may be longer than size(); a shorter one throws
+  /// std::invalid_argument. The searcher and labels are borrowed; the
+  /// caller keeps them alive.
   NearestNeighborClassifier(const NearestNeighborSearcher& searcher,
                             const std::vector<int>& labels);
 
@@ -47,8 +50,10 @@ class NearestNeighborClassifier {
 };
 
 /// Majority-vote k-NN (extension beyond the paper's 1-NN), over any
-/// backend. Ties break toward the closer neighbour's label. Throws
-/// std::invalid_argument when `labels` does not cover a neighbour's index.
+/// backend. Ties break toward the closer neighbour's label. `labels` is
+/// indexed by result id, as in `NearestNeighborClassifier`. Throws
+/// std::invalid_argument when it is shorter than the searcher's size() or
+/// does not cover a neighbour's index.
 int KnnClassify(const NearestNeighborSearcher& searcher,
                 const std::vector<int>& labels, std::string_view query,
                 std::size_t k);

@@ -37,14 +37,15 @@ ShardReplica::ShardReplica(const std::string& store_path,
                            const std::string& index_path,
                            const std::string& distance_name)
     : distance_(MakeDistance(distance_name)) {
-  // Full checksum pass over both files before any section is interpreted:
-  // the worker is the tier's integrity gate (the mapped loaders below
-  // validate structure, not payload bytes).
-  VerifySnapshotChecksum(store_path);
-  VerifySnapshotChecksum(index_path);
-  store_ = PrototypeStore::Map(store_path);
+  // Each file is mapped once, and its reader runs the full checksum pass
+  // before any section is interpreted: the worker is the tier's integrity
+  // gate (the section walks validate structure, not payload bytes).
+  MappedReader store_reader(MappedFile::Open(store_path),
+                            /*verify_checksum=*/true);
+  store_ = PrototypeStore::Read(store_reader, /*copy=*/false,
+                                "ShardReplica (" + store_path + ")");
 
-  MappedReader reader(MappedFile::Open(index_path));
+  MappedReader reader(MappedFile::Open(index_path), /*verify_checksum=*/true);
   std::uint32_t version = 0;
   const auto counts = reader.Header(kShardSliceMagic, kShardSliceVersion,
                                     kShardSliceVersionQuant, &version);

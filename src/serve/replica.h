@@ -46,10 +46,10 @@ namespace cned {
 /// shared across slots; the router's writer lock guarantees mutations
 /// never interleave with a sweep that has already begun.
 ///
-/// Construction verifies both snapshot files' CRC footers with a full
-/// `VerifySnapshotChecksum` pass before mapping them: a worker serving a
-/// silently corrupted shard would poison every merged result, so the
-/// serving tier pays the one sequential read up front.
+/// Construction maps each snapshot file once, through a `MappedReader` that
+/// verifies its CRC footer before any section is interpreted: a worker
+/// serving a silently corrupted shard would poison every merged result, so
+/// the serving tier pays the one sequential read up front.
 class ShardReplica {
  public:
   /// Maps shard files written by `SaveServingSnapshot`. Throws

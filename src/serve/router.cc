@@ -81,10 +81,11 @@ ServeRouter::ServeRouter(const std::string& snapshot_dir,
       dir_(snapshot_dir),
       options_(options),
       replicas_per_shard_(static_cast<std::size_t>(options.replicas)) {
-  // The manifest is small (pivot ids + strings); the copying reader also
-  // gives the router the same always-on checksum verification the workers
-  // run on their shard files.
-  BinaryReader reader(ManifestPath(dir_));
+  // The manifest is small (pivot ids + strings): it is read through a
+  // verifying mapping (the same always-on checksum the workers run on their
+  // shard files) and copied out before the mapping is dropped.
+  MappedReader reader(MappedFile::Open(ManifestPath(dir_)),
+                      /*verify_checksum=*/true);
   const auto counts =
       reader.Header(kRouterManifestMagic, kRouterManifestVersion);
   n_ = counts[0];
@@ -94,12 +95,7 @@ ServeRouter::ServeRouter(const std::string& snapshot_dir,
   if (shards == 0 || np == 0 || np > n_) {
     throw std::runtime_error("ServeRouter: malformed manifest counts");
   }
-  reader.RequireArray(shards, sizeof(std::uint64_t));
-  std::vector<std::size_t> shard_sizes(shards);
-  reader.Align();
-  static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
-                "64-bit shard sizes expected");
-  reader.Raw(shard_sizes.data(), shards * sizeof(std::uint64_t));
+  const std::uint64_t* shard_sizes = reader.Array<std::uint64_t>(shards);
   // Each size must fit in what is left of n: a running sum that wraps would
   // pass the total check with bases that do not ascend, and ShardOf needs
   // them sorted.
@@ -115,33 +111,28 @@ ServeRouter::ServeRouter(const std::string& snapshot_dir,
   if (bases[shards] != n_) {
     throw std::runtime_error("ServeRouter: shard sizes do not sum to n");
   }
-  reader.RequireArray(np, sizeof(std::uint64_t));
-  shape_.pivots.resize(np);
-  reader.Align();
-  reader.Raw(shape_.pivots.data(), np * sizeof(std::uint64_t));
+  const std::uint64_t* pivots = reader.Array<std::uint64_t>(np);
+  shape_.pivots.assign(pivots, pivots + np);
   shape_.pivot_rank =
       RankPivots(shape_.pivots, n_, /*distinct=*/true, "ServeRouter");
-  reader.RequireArray(np, sizeof(std::uint64_t));
-  std::vector<std::uint64_t> lens(np);
-  reader.Align();
-  reader.Raw(lens.data(), np * sizeof(std::uint64_t));
+  const std::uint64_t* lens = reader.Array<std::uint64_t>(np);
   // Each length must fit in what is left of the arena, so the running sum
   // cannot wrap past the total check.
   std::uint64_t lens_total = 0;
-  for (std::uint64_t l : lens) {
-    if (l > arena_bytes - lens_total) {
+  for (std::uint64_t p = 0; p < np; ++p) {
+    if (lens[p] > arena_bytes - lens_total) {
       throw std::runtime_error("ServeRouter: pivot lengths exceed the arena");
     }
-    lens_total += l;
+    lens_total += lens[p];
   }
   if (lens_total != arena_bytes) {
     throw std::runtime_error("ServeRouter: manifest pivot arena mismatch");
   }
-  reader.Align();
+  const char* arena = reader.Array<char>(arena_bytes);
   pivot_strings_.resize(np);
   for (std::size_t p = 0; p < np; ++p) {
-    pivot_strings_[p].resize(lens[p]);
-    reader.Raw(pivot_strings_[p].data(), lens[p]);
+    pivot_strings_[p].assign(arena, lens[p]);
+    arena += lens[p];
   }
 
   next_insert_id_ = n_;

@@ -221,9 +221,11 @@ class SweepFeed {
 class ServeRouter {
  public:
   /// Loads the manifest and spawns `options.replicas` workers per shard.
-  /// Throws std::invalid_argument on out-of-range options,
-  /// std::runtime_error on a malformed manifest or if *every* worker
-  /// fails to come up; individual dead workers only degrade queries.
+  /// The manifest is read through a `MappedReader` that always verifies its
+  /// checksum, and its sections are copied out. Throws
+  /// std::invalid_argument on out-of-range options, std::runtime_error on a
+  /// corrupt or malformed manifest or if *every* worker fails to come up;
+  /// individual dead workers only degrade queries.
   ServeRouter(const std::string& snapshot_dir, const ServeOptions& options);
   ~ServeRouter();
   ServeRouter(const ServeRouter&) = delete;

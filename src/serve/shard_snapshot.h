@@ -27,9 +27,10 @@ namespace cned {
 /// table elem[np * n_s] at the precision's element width. f64 snapshots
 /// keep writing version 1 byte-identically.
 ///
-/// Each worker process opens only its own two shard files (checksum-
-/// verified, then mapped in place); the router opens only the manifest.
-/// No process ever holds the whole index.
+/// Each worker process opens only its own two shard files, each mapped
+/// once through a checksum-verifying `MappedReader` and used in place; the
+/// router opens only the manifest, through the same verifying reader. No
+/// process ever holds the whole index.
 
 inline constexpr char kShardSliceMagic[8] = {'C', 'N', 'E', 'D',
                                              'S', 'H', 'W', '1'};

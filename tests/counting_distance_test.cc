@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "datasets/dictionary_gen.h"
+#include "datasets/perturb.h"
 #include "distances/levenshtein.h"
 #include "distances/registry.h"
+#include "search/laesa.h"
 
 namespace cned {
 namespace {
@@ -33,6 +37,38 @@ TEST(CountingDistanceTest, DelegatesValueAndMetadata) {
 TEST(CountingDistanceTest, NonMetricFlagPropagates) {
   CountingDistance c(MakeDistance("dmax"));
   EXPECT_FALSE(c.is_metric());
+}
+
+// The wrapper must be invisible to an index: the length bounds reach the
+// LAESA sweep's free zeroth pivot through it, so the wrapped and the bare
+// index pick the same pivots, return the same neighbours and report the same
+// stats, and the wrapper's tally equals the index's own count.
+TEST(CountingDistanceTest, WrappedLaesaMatchesPlainLaesa) {
+  DictionaryOptions opt;
+  opt.word_count = 300;
+  opt.seed = 401;
+  const Dataset dict = GenerateDictionary(opt);
+  Rng rng(402);
+  const auto queries =
+      MakeQueries(dict.strings, 50, 2, Alphabet::Latin(), rng);
+  for (const char* name : {"dE", "dYB", "dmax"}) {
+    auto counter = std::make_shared<CountingDistance>(MakeDistance(name));
+    const Laesa wrapped(dict.strings, counter, 20);
+    const Laesa plain(dict.strings, MakeDistance(name), 20);
+    ASSERT_EQ(wrapped.pivots(), plain.pivots()) << name;
+    counter->Reset();
+    QueryStats total;
+    for (const auto& q : queries) {
+      QueryStats sw, sp;
+      const NeighborResult a = wrapped.Nearest(q, &sw);
+      const NeighborResult b = plain.Nearest(q, &sp);
+      EXPECT_EQ(a.index, b.index) << name << " q=" << q;
+      EXPECT_EQ(a.distance, b.distance) << name << " q=" << q;
+      EXPECT_TRUE(sw == sp) << name << " q=" << q;
+      total += sw;
+    }
+    EXPECT_EQ(counter->count(), total.distance_computations) << name;
+  }
 }
 
 }  // namespace

@@ -107,5 +107,27 @@ TEST(KnnClassifierTest, UncoveredResultIndexThrows) {
   EXPECT_EQ(clf.Classify("bbbb"), 20);
 }
 
+// The id-indexed table `MutableLaesa::Classify` takes is longer than size()
+// after a removal; every generic entry point must accept it and agree.
+TEST(KnnClassifierTest, IdIndexedLabelsClassifyMutableIndexAfterRemove) {
+  MutableLaesa index({"aaaa", "bbbb", "cccc"}, MakeDistance("dE"));
+  ASSERT_TRUE(index.Remove(0));
+  const std::vector<int> labels{10, 20, 30};
+  ASSERT_GT(labels.size(), index.size());
+  ASSERT_EQ(index.Classify("cccc", labels), 30);
+
+  NearestNeighborClassifier clf(index, labels);
+  EXPECT_EQ(clf.Classify("cccc"), 30);
+  EXPECT_EQ(clf.ClassifyBatch(std::vector<std::string>{"cccc"}),
+            std::vector<int>{30});
+  EXPECT_EQ(KnnClassify(index, labels, "cccc", 1), 30);
+  EXPECT_EQ(KnnClassifyBatch(index, labels, std::vector<std::string>{"cccc"},
+                             1),
+            std::vector<int>{30});
+  BatchQueryEngine engine(index);
+  EXPECT_EQ(engine.Classify(std::vector<std::string>{"cccc"}, labels),
+            std::vector<int>{30});
+}
+
 }  // namespace
 }  // namespace cned

@@ -161,16 +161,15 @@ TEST(SerializationTest, LoadRejectsBitFlipInArena) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos);
   }
-  // The standalone verification pass (what the serving tier's workers run
-  // before mapping a shard) rejects it too...
-  EXPECT_THROW(VerifySnapshotChecksum(file.path()), std::runtime_error);
-  // ...as does a mapped load with verification requested.
-  MappedReader reader(MappedFile::Open(file.path()),
-                      /*verify_checksum=*/false);
-  EXPECT_THROW(reader.VerifyChecksum(), std::runtime_error);
+  // The verifying reader (what the serving tier's workers and router
+  // construct, and what every copying loader runs) rejects it too...
   EXPECT_THROW(
       MappedReader(MappedFile::Open(file.path()), /*verify_checksum=*/true),
       std::runtime_error);
+  // ...while a reader that skips the pass sees an intact footer: only the
+  // checksum catches this class of corruption.
+  EXPECT_NO_THROW(
+      MappedReader(MappedFile::Open(file.path()), /*verify_checksum=*/false));
 }
 
 TEST(SerializationTest, LoadRejectsTruncatedFooter) {
@@ -188,10 +187,12 @@ TEST(SerializationTest, LoadRejectsTruncatedFooter) {
     EXPECT_NE(std::string(e.what()).find("footer"), std::string::npos);
   }
   EXPECT_THROW(PrototypeStore::Map(file.path()), std::runtime_error);
-  EXPECT_THROW(VerifySnapshotChecksum(file.path()), std::runtime_error);
+  EXPECT_THROW(
+      MappedReader(MappedFile::Open(file.path()), /*verify_checksum=*/true),
+      std::runtime_error);
 }
 
-TEST(SerializationTest, VerifySnapshotChecksumAcceptsIntactFiles) {
+TEST(SerializationTest, VerifyingReaderAcceptsIntactFiles) {
   const auto words = Words(30, 9300);
   ShardedPrototypeStore store(words, 3);
   ShardedLaesa index(store, MakeDistance("dE"), 4);
@@ -199,12 +200,22 @@ TEST(SerializationTest, VerifySnapshotChecksumAcceptsIntactFiles) {
   TempFile index_file("crc_ok_index");
   store.SaveBinary(store_file.path());
   index.Save(index_file.path());
-  EXPECT_NO_THROW(VerifySnapshotChecksum(store_file.path()));
-  EXPECT_NO_THROW(VerifySnapshotChecksum(index_file.path()));
+  EXPECT_NO_THROW(MappedReader(MappedFile::Open(store_file.path()),
+                               /*verify_checksum=*/true));
+  EXPECT_NO_THROW(MappedReader(MappedFile::Open(index_file.path()),
+                               /*verify_checksum=*/true));
   // CNED_SNAPSHOT_VERIFY=1 routes every mapped load through the same check.
+  // The previous value is restored, so a suite run with the variable set
+  // keeps verifying in the tests that follow.
+  const char* before = std::getenv("CNED_SNAPSHOT_VERIFY");
+  const std::string saved = before != nullptr ? before : "";
   ::setenv("CNED_SNAPSHOT_VERIFY", "1", 1);
   EXPECT_NO_THROW(ShardedPrototypeStore::Map(store_file.path()));
-  ::unsetenv("CNED_SNAPSHOT_VERIFY");
+  if (before != nullptr) {
+    ::setenv("CNED_SNAPSHOT_VERIFY", saved.c_str(), 1);
+  } else {
+    ::unsetenv("CNED_SNAPSHOT_VERIFY");
+  }
 }
 
 TEST(SerializationTest, LoadRejectsBadMagic) {
@@ -660,6 +671,207 @@ TEST(SerializationTest, MapRejectsMismatchedStoreShape) {
   EXPECT_THROW(
       ShardedLaesa::Map(sharded_file.path(), other_shape, MakeDistance("dE")),
       std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// One walk per format: the copying loader and Map read every snapshot
+// through the same MappedReader walk, so on any restamped mutation of a
+// snapshot they must both reject it (std::runtime_error) or both return
+// identical content.
+// ---------------------------------------------------------------------------
+
+// Appends `v`'s bytes to `out`, so float payloads compare bit for bit.
+template <typename T>
+void AppendBits(std::string& out, const T& v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+// Everything a loaded store shows: size, arena size and strings; for the
+// sharded store also its shards and labels.
+std::string Fingerprint(const PrototypeStore& store) {
+  std::string out;
+  AppendBits(out, store.size());
+  AppendBits(out, store.arena_bytes());
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    AppendBits(out, store.length(i));
+    out.append(store.view(i));
+  }
+  return out;
+}
+
+std::string Fingerprint(const ShardedPrototypeStore& store) {
+  std::string out;
+  AppendBits(out, store.shard_count());
+  for (std::size_t s = 0; s < store.shard_count(); ++s) {
+    out += Fingerprint(store.shard(s));
+  }
+  AppendBits(out, store.labels().size());
+  for (int label : store.labels()) AppendBits(out, label);
+  return out;
+}
+
+// An index's pivots, precision, and 3-NN results plus stats for `queries`.
+template <typename Index>
+std::string Fingerprint(const Index& index,
+                        const std::vector<std::string>& queries) {
+  std::string out;
+  AppendBits(out, index.table_precision());
+  for (std::size_t p : index.pivots()) AppendBits(out, p);
+  for (const auto& q : queries) {
+    QueryStats stats;
+    for (const NeighborResult& r : index.KNearest(q, 3, &stats)) {
+      AppendBits(out, r.index);
+      AppendBits(out, r.distance);
+    }
+    AppendBits(out, stats.distance_computations);
+    AppendBits(out, stats.bounded_abandons);
+    AppendBits(out, stats.pivot_computations);
+    AppendBits(out, stats.shards_degraded);
+  }
+  return out;
+}
+
+// Runs one loader: its content fingerprint, or "rejected" when it throws
+// std::runtime_error. Any other exception fails the test.
+template <typename Load>
+std::string Outcome(Load&& load) {
+  try {
+    return "loaded:" + load();
+  } catch (const std::runtime_error&) {
+    return "rejected";
+  }
+}
+
+// Runs `kMutations` seeded mutations of the snapshot at `path` (each a
+// random header-count byte, a random payload byte or a random truncation,
+// restamped) and expects `load` and `map` to agree on every one. Returns
+// how many mutants were accepted.
+constexpr int kMutations = 2000;
+
+template <typename Load, typename Map>
+int ExpectLoadersAgreeUnderMutation(const std::string& path,
+                                    std::uint64_t seed, Load&& load,
+                                    Map&& map) {
+  const std::vector<char> original = ReadAll(path);
+  // The mutations act on the payload; WriteAllRestamped appends the footer.
+  const std::vector<char> payload(original.begin(),
+                                  original.end() - kBinaryAlignment);
+  const std::string intact = Outcome(load);
+  EXPECT_NE(intact, "rejected") << path;
+  EXPECT_EQ(intact, Outcome(map)) << path << " intact";
+  Rng rng(seed);
+  int accepted = 0;
+  for (int m = 0; m < kMutations; ++m) {
+    std::vector<char> bytes = payload;
+    const std::int64_t kind = rng.UniformInt(0, 2);
+    const auto flip = static_cast<char>(rng.UniformInt(1, 255));
+    if (kind == 0) {
+      bytes[16 + rng.Index(48)] ^= flip;  // the first header's counts
+    } else if (kind == 1) {
+      bytes[rng.Index(bytes.size())] ^= flip;
+    } else {
+      bytes.resize(rng.Index(bytes.size()));
+    }
+    WriteAllRestamped(path, bytes);
+    const std::string loaded = Outcome(load);
+    EXPECT_EQ(loaded, Outcome(map))
+        << path << " mutation " << m << " kind " << kind;
+    if (loaded != "rejected") ++accepted;
+  }
+  return accepted;
+}
+
+TEST(SerializationTest, LoadAndMapAgreeUnderSeededMutation) {
+  const auto words = Words(40, 9400);
+  std::vector<int> labels(words.size());
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<int>(i % 4) - 1;
+  }
+  const PrototypeStore store(words);
+  const ShardedPrototypeStore sharded(words, 3, labels);
+  const auto dist = MakeDistance("dE");
+  Rng qrng(9401);
+  const auto queries = MakeQueries(words, 3, 2, Alphabet::Latin(), qrng);
+
+  {
+    TempFile file("mut_store");
+    store.SaveBinary(file.path());
+    const int accepted = ExpectLoadersAgreeUnderMutation(
+        file.path(), 9410,
+        [&] { return Fingerprint(PrototypeStore::LoadBinary(file.path())); },
+        [&] { return Fingerprint(PrototypeStore::Map(file.path())); });
+    EXPECT_GT(accepted, 0);
+    EXPECT_LT(accepted, kMutations);
+  }
+  {
+    TempFile file("mut_sharded_store");
+    sharded.SaveBinary(file.path());
+    const int accepted = ExpectLoadersAgreeUnderMutation(
+        file.path(), 9420,
+        [&] {
+          return Fingerprint(ShardedPrototypeStore::LoadBinary(file.path()));
+        },
+        [&] { return Fingerprint(ShardedPrototypeStore::Map(file.path())); });
+    EXPECT_GT(accepted, 0);
+    EXPECT_LT(accepted, kMutations);
+  }
+  for (TablePrecision prec : {TablePrecision::kF64, TablePrecision::kU8}) {
+    const std::string tag = TablePrecisionName(prec);
+    {
+      const Laesa built(store, dist, 6, /*first_pivot=*/0, prec);
+      TempFile file("mut_laesa_" + tag);
+      built.Save(file.path());
+      const int accepted = ExpectLoadersAgreeUnderMutation(
+          file.path(), 9430 + static_cast<std::uint64_t>(prec),
+          [&] {
+            return Fingerprint(Laesa::Load(file.path(), store, dist), queries);
+          },
+          [&] {
+            return Fingerprint(Laesa::Map(file.path(), store, dist), queries);
+          });
+      EXPECT_GT(accepted, 0) << tag;
+      EXPECT_LT(accepted, kMutations) << tag;
+    }
+    {
+      const ShardedLaesa built(sharded, dist, 5, /*first_pivot=*/0, prec);
+      TempFile file("mut_sharded_laesa_" + tag);
+      built.Save(file.path());
+      const int accepted = ExpectLoadersAgreeUnderMutation(
+          file.path(), 9440 + static_cast<std::uint64_t>(prec),
+          [&] {
+            return Fingerprint(ShardedLaesa::Load(file.path(), sharded, dist),
+                               queries);
+          },
+          [&] {
+            return Fingerprint(ShardedLaesa::Map(file.path(), sharded, dist),
+                               queries);
+          });
+      EXPECT_GT(accepted, 0) << tag;
+      EXPECT_LT(accepted, kMutations) << tag;
+    }
+  }
+}
+
+// The copying loader owns its sections: the mapping it read through is
+// gone when it returns, so overwriting the file cannot reach the store.
+TEST(SerializationTest, LoadBinaryStoreOutlivesItsFile) {
+  const auto words = Words(30, 9500);
+  const PrototypeStore store(words);
+  TempFile file("owned_store");
+  store.SaveBinary(file.path());
+  const PrototypeStore loaded = PrototypeStore::LoadBinary(file.path());
+  EXPECT_FALSE(loaded.mapped());
+  const ShardedPrototypeStore sharded(words, 3);
+  TempFile sharded_file("owned_sharded_store");
+  sharded.SaveBinary(sharded_file.path());
+  const ShardedPrototypeStore sharded_loaded =
+      ShardedPrototypeStore::LoadBinary(sharded_file.path());
+  EXPECT_FALSE(sharded_loaded.mapped());
+
+  PrototypeStore(Words(50, 9501)).SaveBinary(file.path());
+  ShardedPrototypeStore(Words(50, 9502), 2).SaveBinary(sharded_file.path());
+  EXPECT_EQ(loaded.ToStrings(), words);
+  EXPECT_EQ(sharded_loaded.ToFlatStore().ToStrings(), words);
 }
 
 }  // namespace
