@@ -123,15 +123,14 @@ inline std::vector<SweepPoint> RunSweep(
       double secs = 0.0;
       if (shards <= 1) {
         PrototypeStore protos(sample);
-        Laesa laesa(protos, distance, pivots, /*first_pivot=*/0, precision);
+        Laesa laesa(protos, distance, pivots, precision);
         BatchQueryEngine engine(laesa);
         Stopwatch watch;
         (void)engine.Nearest(queries, &qstats);
         secs = watch.Seconds();
       } else {
         ShardedPrototypeStore store(sample, shards);
-        ShardedLaesa laesa(store, distance, pivots, /*first_pivot=*/0,
-                           precision);
+        ShardedLaesa laesa(store, distance, pivots, precision);
         BatchQueryEngine engine(laesa);
         std::vector<QueryStats> shard_stats;
         Stopwatch watch;

@@ -149,7 +149,7 @@ int Run() {
   for (TablePrecision prec : kPrecisions) {
     std::size_t bytes = index_bytes;
     if (prec != probe_precision) {
-      Laesa quantized(store, dist, pivots, /*first_pivot=*/0, prec);
+      Laesa quantized(store, dist, pivots, prec);
       const std::string qpath =
           "micro_mmap_index_" + std::string(TablePrecisionName(prec)) + ".bin";
       quantized.Save(qpath);

@@ -11,9 +11,9 @@
 //     live ids, and no removed id ever surfaces; the same holds again
 //     after the merge (CI greps this boolean).
 //
-// The JSON reports p50 Nearest latency for each state plus the merge cost,
-// so the delta/tombstone overhead and its reclamation are visible side by
-// side.
+// The JSON reports p50 Nearest latency for each state plus the insert and
+// merge costs, so the delta/tombstone overhead and its reclamation are
+// visible side by side.
 //
 // Human-readable progress goes to stderr; a single JSON object goes to
 // stdout.
@@ -121,19 +121,21 @@ int Run() {
   // spread over base and delta.
   const std::size_t inserts = dict.strings.size() * insert_pct / 100;
   const std::size_t removes = dict.strings.size() * remove_pct / 100;
+  Stopwatch insert_watch;
   for (std::size_t i = 0; i < inserts; ++i) {
     const std::string s =
         dict.strings[rng.Index(dict.strings.size())] + std::to_string(i);
     live[index.Insert(s)] = s;
   }
+  const double insert_seconds = insert_watch.Seconds();
   for (std::size_t i = 0; i < removes && live.size() > 1; ++i) {
     auto it = live.begin();
     std::advance(it, rng.Index(live.size()));
     if (index.Remove(it->first)) live.erase(it);
   }
-  log << "  mutated: +" << inserts << " / -" << removes << ", delta "
-      << index.delta_size() << ", tombstones " << index.tombstone_count()
-      << "\n";
+  log << "  mutated: +" << inserts << " in " << insert_seconds * 1e3
+      << " ms / -" << removes << ", delta " << index.delta_size()
+      << ", tombstones " << index.tombstone_count() << "\n";
 
   const double p50_live = MeasureP50(index, queries);
   bool exact = ProbesExact(index, live, *dist, queries, 3);
@@ -160,6 +162,7 @@ int Run() {
             << "  \"prototypes\": " << dict.strings.size() << ",\n"
             << "  \"pivots\": " << pivots << ",\n"
             << "  \"inserted\": " << inserts << ",\n"
+            << "  \"insert_seconds\": " << insert_seconds << ",\n"
             << "  \"removed\": " << removes << ",\n"
             << "  \"live\": " << live.size() << ",\n"
             << "  \"p50_frozen_seconds\": " << p50_frozen << ",\n"

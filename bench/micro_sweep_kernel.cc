@@ -103,11 +103,11 @@ KernelMicro TimeKernels(const SweepKernels& k, std::size_t n,
   // — compacts every candidate onto itself, so the slab survives intact.
   std::uint64_t sink = 0;
   (void)k.eliminate_and_compact_flagged(idx.data(), lower.data(), rank.data(),
-                                        n, 0xFFFFFFFFu, 1.0, inf);
+                                        n, 0xFFFFFFFFu, inf);
   Stopwatch w_elim;
   for (std::size_t r = 0; r < reps; ++r) {
     const SweepCompactResult pass = k.eliminate_and_compact_flagged(
-        idx.data(), lower.data(), rank.data(), n, 0xFFFFFFFFu, 1.0, inf);
+        idx.data(), lower.data(), rank.data(), n, 0xFFFFFFFFu, inf);
     sink += pass.live;
   }
   out.eliminate_ns = w_elim.Seconds() * 1e9 / denom;
@@ -399,7 +399,7 @@ int Run() {
       pstats = runs.front().flat_stats;
       presults = f64_results;
     } else {
-      Laesa quantized(flat_store, dist, pivots, /*first_pivot=*/0, prec);
+      Laesa quantized(flat_store, dist, pivots, prec);
       BatchQueryEngine engine(quantized);
       presults = engine.Nearest(queries, &pstats);
     }

@@ -13,7 +13,7 @@
 namespace cned {
 
 /// The bounded linear scan behind `ExhaustiveSearch` and both delta scans
-/// of the mutable tier (`MutableLaesa`'s small delta and a shard worker's
+/// of the mutable tier (`MutableLaesa`'s delta and a shard worker's
 /// `ShardReplica::DeltaScan`). Visits `store`'s slots in ascending order,
 /// skipping those set in the `tombstones` bitmap (null = none), and caps
 /// each `DistanceBounded` at min(`cap0`, the k-th incumbent of `best`). An

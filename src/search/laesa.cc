@@ -19,8 +19,7 @@ namespace {
 // store.
 std::vector<std::size_t> SelectLaesaPivots(const PrototypeStore& store,
                                            const StringDistance& distance,
-                                           std::size_t num_pivots,
-                                           std::size_t first_pivot) {
+                                           std::size_t num_pivots) {
   if (store.empty()) {
     throw std::invalid_argument("Laesa: empty prototype set");
   }
@@ -28,17 +27,15 @@ std::vector<std::size_t> SelectLaesaPivots(const PrototypeStore& store,
   if (num_pivots == 0) {
     throw std::invalid_argument("Laesa: need at least one pivot");
   }
-  return SelectPivotsMaxMin(store, distance, num_pivots, first_pivot);
+  return SelectPivotsMaxMin(store, distance, num_pivots);
 }
 
 }  // namespace
 
 Laesa::Laesa(PrototypeStoreRef prototypes, StringDistancePtr distance,
-             std::size_t num_pivots, std::size_t first_pivot,
-             TablePrecision table_precision)
+             std::size_t num_pivots, TablePrecision table_precision)
     : Laesa(prototypes, distance,
-            SelectLaesaPivots(prototypes.get(), *distance, num_pivots,
-                              first_pivot),
+            SelectLaesaPivots(prototypes.get(), *distance, num_pivots),
             table_precision) {
   preprocessing_computations_ +=
       static_cast<std::uint64_t>(pivots().size()) * store().size();
@@ -83,24 +80,16 @@ std::vector<NeighborResult> Laesa::KNearestWithPivotRow(
   return core().WithRow(query, k, row, stats);
 }
 
-NeighborResult Laesa::NearestApprox(std::string_view query, double epsilon,
-                                    QueryStats* stats) const {
-  if (epsilon < 0.0) {
-    throw std::invalid_argument("Laesa::NearestApprox: epsilon must be >= 0");
-  }
-  return core().Lazy(query, 1, 1.0 + epsilon, stats).front();
-}
-
 std::vector<NeighborResult> Laesa::KNearest(std::string_view query,
                                             std::size_t k,
                                             QueryStats* stats) const {
-  return core().Lazy(query, k, /*slack=*/1.0, stats);
+  return core().Lazy(query, k, stats);
 }
 
 std::vector<NeighborResult> Laesa::KNearestMasked(
     std::string_view query, std::size_t k, const std::uint64_t* tombstones,
     QueryStats* stats) const {
-  return core().Lazy(query, k, /*slack=*/1.0, stats, nullptr, tombstones);
+  return core().Lazy(query, k, stats, nullptr, tombstones);
 }
 
 std::vector<NeighborResult> Laesa::RangeSearch(std::string_view query,

@@ -54,7 +54,7 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
   using QueryStats = ::cned::QueryStats;
 
   /// Builds the pivot table with greedy max-min pivots starting from
-  /// prototype `first_pivot`. `prototypes` is either a borrowed
+  /// prototype 0. `prototypes` is either a borrowed
   /// `PrototypeStore` (caller keeps it alive) or a `std::vector<std::string>`
   /// packed once into an owned store. Costs ~(num_pivots+1)·N distance
   /// evaluations.
@@ -66,28 +66,13 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
   /// shrink by the element-width ratio. The |Δlen| zeroth-pivot bound is
   /// never quantized.
   Laesa(PrototypeStoreRef prototypes, StringDistancePtr distance,
-        std::size_t num_pivots, std::size_t first_pivot = 0,
+        std::size_t num_pivots,
         TablePrecision table_precision = DefaultTablePrecision());
 
   /// Builds with externally chosen pivot indices (ablation hook).
   Laesa(PrototypeStoreRef prototypes, StringDistancePtr distance,
         std::vector<std::size_t> pivot_indices,
         TablePrecision table_precision = DefaultTablePrecision());
-
-  /// Approximate variant: eliminates candidates whose lower bound exceeds
-  /// best/(1+epsilon), i.e. accepts a neighbour at most (1+epsilon) times
-  /// farther than the true nearest. epsilon = 0 is exact; larger values
-  /// trade accuracy for fewer distance computations (a standard relaxation
-  /// of approximating-eliminating search).
-  ///
-  /// Effective on continuous-valued distances (dYB, dC,h: measured ~2-6x
-  /// fewer computations at epsilon = 1); on the integer-valued d_E the
-  /// quantised thresholds mean a prematurely eliminated true neighbour
-  /// leaves a stale incumbent that eliminates no better than the exact
-  /// search — expect little or no saving there. Counters accumulate into
-  /// `stats` when non-null.
-  NeighborResult NearestApprox(std::string_view query, double epsilon,
-                               QueryStats* stats = nullptr) const;
 
   std::size_t size() const override { return store().size(); }
 

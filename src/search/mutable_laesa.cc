@@ -33,7 +33,7 @@ std::shared_ptr<std::vector<std::uint64_t>> CopyOrMakeTombs(
 }
 
 void ValidateOptions(const MutableLaesa::Options& options) {
-  if (options.num_pivots == 0 || options.delta_pivots == 0) {
+  if (options.num_pivots == 0) {
     throw std::invalid_argument("MutableLaesa: need at least one pivot");
   }
 }
@@ -59,7 +59,7 @@ MutableLaesa::MutableLaesa(const std::vector<std::string>& base,
     st->base.ids = std::move(ids);
     st->base_index = std::make_shared<const Laesa>(
         PrototypeStoreRef(*store), distance_, options_.num_pivots,
-        /*first_pivot=*/0, options_.table_precision);
+        options_.table_precision);
   }
   st->next_id = base.size();
   state_ = std::move(st);
@@ -98,22 +98,6 @@ std::string MutableLaesa::SnapshotIndexPath(const std::string& dir) {
   return dir + "/mutable.index.bin";
 }
 
-std::shared_ptr<const Laesa> MutableLaesa::BuildDeltaIndex(
-    const Segment& delta) const {
-  // The index is a pure function of the delta's *contents* (tombstones are
-  // query-time masks), so two instances replaying the same op sequence
-  // build bit-identical indexes — the stats-determinism contract.
-  if (delta.count() < options_.delta_index_threshold || delta.count() == 0) {
-    return nullptr;
-  }
-  const std::size_t np = std::min(options_.delta_pivots, delta.count());
-  std::vector<std::size_t> pivots(np);
-  for (std::size_t p = 0; p < np; ++p) pivots[p] = p;
-  return std::make_shared<const Laesa>(PrototypeStoreRef(*delta.store),
-                                       distance_, std::move(pivots),
-                                       options_.table_precision);
-}
-
 std::uint64_t MutableLaesa::Insert(std::string_view s) {
   std::lock_guard<std::mutex> lk(write_mu_);
   const auto cur = Pin();
@@ -135,7 +119,6 @@ std::uint64_t MutableLaesa::Insert(std::string_view s) {
     next->delta.tombs =
         CopyOrMakeTombs(cur->delta.tombs, next->delta.count());
   }
-  next->delta_index = BuildDeltaIndex(next->delta);
   next->next_id = id + 1;
   next->epoch = cur->epoch + 1;
   Publish(std::move(next));
@@ -237,25 +220,15 @@ std::vector<NeighborResult> MutableLaesa::KNearest(std::string_view query,
     }
   }
 
-  // Delta segment, merged with the strict-improvement gate: every delta id
-  // is larger than every base id, so a delta candidate that only ties the
+  // Delta segment: one exhaustive ascending-slot scan, each evaluation
+  // bounded by the merged incumbent (same ">= abandons" semantics as the
+  // sweeps) and merged with the strict-improvement gate. Every delta id is
+  // larger than every base id, so a delta candidate that only ties the
   // k-th incumbent must lose — exactly what the gate enforces.
   if (st->delta.live() > 0) {
-    const auto& ids = *st->delta.ids;
-    if (st->delta_index) {
-      const auto r = st->delta_index->KNearestMasked(
-          query, k, st->delta.tomb_bits(), &qs);
-      for (const auto& nr : r) {
-        InsertNeighborTopK(
-            best, k, {static_cast<std::size_t>(ids[nr.index]), nr.distance});
-      }
-    } else {
-      // Exhaustive ascending-slot scan, each evaluation bounded by the
-      // merged incumbent (same ">= abandons" semantics as the sweeps).
-      BoundedScan(*distance_, query, *st->delta.store, st->delta.tomb_bits(),
-                  ids.data(), std::numeric_limits<double>::infinity(), k,
-                  &best, &qs);
-    }
+    BoundedScan(*distance_, query, *st->delta.store, st->delta.tomb_bits(),
+                st->delta.ids->data(),
+                std::numeric_limits<double>::infinity(), k, &best, &qs);
   }
 
   if (stats != nullptr) *stats += qs;
@@ -335,8 +308,7 @@ void MutableLaesa::MergeBody(std::shared_ptr<const State> pinned,
         store->SaveBinary(store_path + ".tmp");
         {
           const Laesa built(PrototypeStoreRef(*store), distance_,
-                            options_.num_pivots, /*first_pivot=*/0,
-                            options_.table_precision);
+                            options_.num_pivots, options_.table_precision);
           built.Save(index_path + ".tmp");
         }
         if (std::rename((store_path + ".tmp").c_str(),
@@ -355,7 +327,7 @@ void MutableLaesa::MergeBody(std::shared_ptr<const State> pinned,
       } else {
         merged_index = std::make_shared<const Laesa>(
             PrototypeStoreRef(*merged_store), distance_, options_.num_pivots,
-            /*first_pivot=*/0, options_.table_precision);
+            options_.table_precision);
       }
     }
   } catch (const std::exception& e) {
@@ -423,7 +395,6 @@ void MutableLaesa::MergeBody(std::shared_ptr<const State> pinned,
     next->delta.ids = std::move(dids);
     next->delta.tombs = std::move(dtombs);
     next->delta.dead = ddead;
-    next->delta_index = BuildDeltaIndex(next->delta);
   }
   next->next_id = cur->next_id;
   next->epoch = cur->epoch + 1;

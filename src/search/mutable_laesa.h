@@ -31,9 +31,11 @@ namespace cned {
 ///     as a neighbour at any `table_precision`.
 ///   * **delta**: an appendable `PrototypeStore` holding everything
 ///     inserted since the last merge, with its own tombstone bitmap.
-///     Queried exhaustively (bounded by the merged incumbent) below
-///     `Options::delta_index_threshold` entries, through a small LAESA of
-///     its own above it.
+///     Always queried by one exhaustive scan bounded by the merged
+///     incumbent (`BoundedScan`, exhaustive.h), the rule the shard
+///     workers' `ShardReplica::DeltaScan` runs too. It has no index, so an
+///     insert evaluates no distance; the background merge is what keeps
+///     the delta, and so the scan, short.
 ///
 /// Every prototype carries a stable 64-bit id, assigned monotonically by
 /// `Insert` and never reused; results report ids, not slots. Base slots
@@ -76,17 +78,10 @@ class MutableLaesa final : public NearestNeighborSearcher {
     // usable in this class's own default arguments (GCC defers NSDMIs of a
     // nested class past the enclosing class's end).
     Options()
-        : num_pivots(8),
-          delta_pivots(4),
-          delta_index_threshold(128),
-          table_precision(DefaultTablePrecision()) {}
+        : num_pivots(8), table_precision(DefaultTablePrecision()) {}
     /// Pivots for the base index (built by the ctor and by every merge).
     std::size_t num_pivots;
-    /// Pivots for the delta's own LAESA once it crosses the threshold.
-    std::size_t delta_pivots;
-    /// Delta size at which the exhaustive scan gives way to a delta LAESA.
-    std::size_t delta_index_threshold;
-    /// Pivot-table storage precision for base and delta indexes.
+    /// Pivot-table storage precision for the base index.
     TablePrecision table_precision;
   };
 
@@ -199,7 +194,6 @@ class MutableLaesa final : public NearestNeighborSearcher {
     Segment base;
     std::shared_ptr<const Laesa> base_index;  // null iff base empty
     Segment delta;
-    std::shared_ptr<const Laesa> delta_index;  // null below the threshold
     std::uint64_t next_id = 0;
     std::uint64_t epoch = 0;
   };
@@ -212,7 +206,6 @@ class MutableLaesa final : public NearestNeighborSearcher {
                       std::shared_ptr<const State>(std::move(next)));
   }
 
-  std::shared_ptr<const Laesa> BuildDeltaIndex(const Segment& delta) const;
   void MergeBody(std::shared_ptr<const State> pinned, std::string dir);
 
   StringDistancePtr distance_;

@@ -31,21 +31,17 @@ constexpr std::size_t kChunk = 64;
 template <typename StoreT>
 std::vector<std::size_t> SelectPivotsMaxMinImpl(const StoreT& prototypes,
                                                 const StringDistance& distance,
-                                                std::size_t count,
-                                                std::size_t first) {
+                                                std::size_t count) {
   const std::size_t n = prototypes.size();
   if (count > n) {
     throw std::invalid_argument("SelectPivotsMaxMin: count > prototypes");
-  }
-  if (first >= n) {
-    throw std::invalid_argument("SelectPivotsMaxMin: first out of range");
   }
   std::vector<std::size_t> pivots;
   pivots.reserve(count);
   if (count == 0) return pivots;
 
   std::vector<double> min_dist(n, std::numeric_limits<double>::infinity());
-  std::size_t current = first;
+  std::size_t current = 0;
   pivots.push_back(current);
   while (pivots.size() < count) {
     const std::string_view pivot = prototypes[current];
@@ -78,22 +74,20 @@ std::vector<std::size_t> SelectPivotsMaxMinImpl(const StoreT& prototypes,
 
 std::vector<std::size_t> SelectPivotsMaxMin(const PrototypeStore& prototypes,
                                             const StringDistance& distance,
-                                            std::size_t count,
-                                            std::size_t first) {
-  return SelectPivotsMaxMinImpl(prototypes, distance, count, first);
+                                            std::size_t count) {
+  return SelectPivotsMaxMinImpl(prototypes, distance, count);
 }
 
 std::vector<std::size_t> SelectPivotsMaxMin(
     const ShardedPrototypeStore& prototypes, const StringDistance& distance,
-    std::size_t count, std::size_t first) {
-  return SelectPivotsMaxMinImpl(prototypes, distance, count, first);
+    std::size_t count) {
+  return SelectPivotsMaxMinImpl(prototypes, distance, count);
 }
 
 std::vector<std::size_t> SelectPivotsMaxMin(
     const std::vector<std::string>& prototypes, const StringDistance& distance,
-    std::size_t count, std::size_t first) {
-  return SelectPivotsMaxMin(PrototypeStore(prototypes), distance, count,
-                            first);
+    std::size_t count) {
+  return SelectPivotsMaxMin(PrototypeStore(prototypes), distance, count);
 }
 
 std::vector<std::size_t> SelectPivotsRandom(std::size_t n_prototypes,

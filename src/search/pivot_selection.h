@@ -14,7 +14,7 @@ namespace cned {
 
 /// Greedy maximum-minimum-distance pivot (base prototype) selection, the
 /// strategy of the LAESA paper (Micó, Oncina & Vidal 1994): start from
-/// `first` and repeatedly add the prototype whose minimum distance to the
+/// prototype 0 and repeatedly add the prototype whose minimum distance to the
 /// already-chosen pivots is largest (ties go to the lowest index). Returns
 /// `count` indices, or fewer when every remaining prototype duplicates a
 /// pivot.
@@ -30,20 +30,19 @@ namespace cned {
 /// call concurrently, as every registered kernel is.
 std::vector<std::size_t> SelectPivotsMaxMin(const PrototypeStore& prototypes,
                                             const StringDistance& distance,
-                                            std::size_t count,
-                                            std::size_t first = 0);
+                                            std::size_t count);
 
 /// Sharded overload over the global index space — identical selection to a
 /// flat store of the same strings (the sharded index's bit-identity with
 /// the flat one starts here), without materialising a flat copy.
 std::vector<std::size_t> SelectPivotsMaxMin(
     const ShardedPrototypeStore& prototypes, const StringDistance& distance,
-    std::size_t count, std::size_t first = 0);
+    std::size_t count);
 
 /// Convenience overload: packs `prototypes` into a temporary store.
 std::vector<std::size_t> SelectPivotsMaxMin(
     const std::vector<std::string>& prototypes, const StringDistance& distance,
-    std::size_t count, std::size_t first = 0);
+    std::size_t count);
 
 /// Uniform random pivots (the ablation baseline).
 std::vector<std::size_t> SelectPivotsRandom(std::size_t n_prototypes,

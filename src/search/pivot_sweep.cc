@@ -127,9 +127,9 @@ SweepCompactResult SeedSegmentWithRow(const SweepSegment& seg,
 SweepCompactResult VisitSegmentPass(const SweepSegment& seg,
                                     const std::int32_t* pivot_rank,
                                     std::int32_t rank, double d,
-                                    std::uint32_t skip, double slack,
-                                    double bound, std::uint32_t* idx,
-                                    double* lower, std::size_t live) {
+                                    std::uint32_t skip, double bound,
+                                    std::uint32_t* idx, double* lower,
+                                    std::size_t live) {
   const SweepKernels& kern = ActiveSweepKernels();
   if (rank >= 0) {
     QuantUpdateLowerPacked(kern, seg.table, static_cast<std::size_t>(rank),
@@ -137,7 +137,7 @@ SweepCompactResult VisitSegmentPass(const SweepSegment& seg,
                            static_cast<std::uint32_t>(seg.base), lower, live);
   }
   return kern.eliminate_and_compact_flagged(idx, lower, pivot_rank, live, skip,
-                                            slack, bound);
+                                            bound);
 }
 
 PivotSweep::PivotSweep(std::vector<SweepSegment> segments,
@@ -173,7 +173,7 @@ std::size_t PivotSweep::SegmentOf(std::size_t id) const {
 //     visits them in ascending (bound, index) order — the sequence the
 //     per-visit compaction would pick, tie for tie.
 std::vector<NeighborResult> PivotSweep::Lazy(
-    std::string_view query, std::size_t k, double slack, QueryStats* stats,
+    std::string_view query, std::size_t k, QueryStats* stats,
     QueryStats* segment_stats, const std::uint64_t* tombstones) const {
   const std::size_t n = size_;
   const std::size_t count = segments_.size();
@@ -213,7 +213,7 @@ std::vector<NeighborResult> PivotSweep::Lazy(
     ForEachSegment(count, total_live, [&](std::size_t g) {
       const SweepSegment& seg = segments_[g];
       scratch.pass[g] =
-          VisitSegmentPass(seg, pivot_rank_, rank, d, skip, slack, bound,
+          VisitSegmentPass(seg, pivot_rank_, rank, d, skip, bound,
                            idx + seg.base, lower + seg.base, scratch.live[g]);
     });
     SweepCompactResult merged;
@@ -242,7 +242,7 @@ std::vector<NeighborResult> PivotSweep::Lazy(
   }
   // Static phase: no row left to apply.
   total_live = GatherSurvivors(segments_, scratch.live.data(), idx, lower);
-  VisitInBoundOrder(idx, lower, total_live, slack, kth,
+  VisitInBoundOrder(idx, lower, total_live, kth,
                     [&](std::size_t c) { visit(c, /*is_pivot=*/false); });
   return Finish(inc, stats);
 }
@@ -295,8 +295,7 @@ std::vector<NeighborResult> PivotSweep::WithRow(
   const std::size_t total_live =
       GatherSurvivors(segments_, scratch.live.data(), idx, lower);
   const LocalVisit visit{*this, query, inc, segment_stats};
-  VisitInBoundOrder(idx, lower, total_live, /*slack=*/1.0,
-                    [&]() { return inc.Kth(); },
+  VisitInBoundOrder(idx, lower, total_live, [&]() { return inc.Kth(); },
                     [&](std::size_t c) { visit(c, /*is_pivot=*/false); });
   return Finish(inc, stats);
 }

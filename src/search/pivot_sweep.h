@@ -148,15 +148,16 @@ SweepCompactResult SeedSegmentWithRow(const SweepSegment& seg,
 
 /// Visit pass over the `live` survivors: if `rank` >= 0 the visited
 /// candidate was that pivot, at distance `d`, and its row tightens the
-/// bounds first; then one flagged eliminate-and-compact against `bound`
-/// with `slack`, dropping `skip`. Rank -1, no skip and an infinite bound
-/// drop only +inf (tombstoned) slots.
+/// bounds first; then one flagged eliminate-and-compact against `bound`,
+/// dropping `skip`. Rank -1, no skip and an infinite bound drop only +inf
+/// (tombstoned) slots. `rank` must lie in [-1, pivot count): it selects a
+/// table row unchecked.
 SweepCompactResult VisitSegmentPass(const SweepSegment& seg,
                                     const std::int32_t* pivot_rank,
                                     std::int32_t rank, double d,
-                                    std::uint32_t skip, double slack,
-                                    double bound, std::uint32_t* idx,
-                                    double* lower, std::size_t live);
+                                    std::uint32_t skip, double bound,
+                                    std::uint32_t* idx, double* lower,
+                                    std::size_t live);
 
 /// The sweeps over one index's segments. Each index builds it per call
 /// from its `PivotTables` (`PivotTables::Sweep`), so it never outlives the
@@ -169,13 +170,13 @@ class PivotSweep {
              const std::vector<std::size_t>& pivots,
              const std::int32_t* pivot_rank, const StringDistance& distance);
 
-  /// Lazy sweep behind KNearest/KNearestMasked/NearestApprox: a candidate dies
-  /// once lower * slack reaches the k-th incumbent. `tombstones` (bitmap
+  /// Lazy sweep behind KNearest/KNearestMasked: a candidate dies once its
+  /// lower bound reaches the k-th incumbent. `tombstones` (bitmap
   /// over [0, N), may be null) masks slots out before any visit;
   /// `segment_stats` (one entry per segment, may be null) receives each
   /// evaluation on its home segment.
   std::vector<NeighborResult> Lazy(std::string_view query, std::size_t k,
-                                   double slack, QueryStats* stats,
+                                   QueryStats* stats,
                                    QueryStats* segment_stats = nullptr,
                                    const std::uint64_t* tombstones =
                                        nullptr) const;

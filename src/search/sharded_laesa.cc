@@ -26,7 +26,6 @@ std::vector<SweepSegment> ShardSegments(const ShardedPrototypeStore& store) {
 
 ShardedLaesa::ShardedLaesa(const ShardedPrototypeStore& store,
                            StringDistancePtr distance, std::size_t num_pivots,
-                           std::size_t first_pivot,
                            TablePrecision table_precision)
     : store_(&store), distance_(std::move(distance)) {
   if (store.empty()) {
@@ -41,7 +40,7 @@ ShardedLaesa::ShardedLaesa(const ShardedPrototypeStore& store,
   // pivots (and therefore search trajectories).
   const std::size_t n = store.size();
   pivot_table_ = PivotTables(
-      SelectPivotsMaxMin(store, *distance_, num_pivots, first_pivot), n,
+      SelectPivotsMaxMin(store, *distance_, num_pivots), n,
       /*distinct=*/true, "ShardedLaesa");
   // Each GLOBAL row is quantized with one meta shared by every shard, so a
   // sharded build holds exactly the codes and gaps a flat build of the same
@@ -67,26 +66,16 @@ void ShardedLaesa::ComputePivotRow(std::string_view query, double* row,
   core().ComputePivotRow(query, row, stats);
 }
 
-NeighborResult ShardedLaesa::NearestApprox(std::string_view query,
-                                           double epsilon,
-                                           QueryStats* stats) const {
-  if (epsilon < 0.0) {
-    throw std::invalid_argument(
-        "ShardedLaesa::NearestApprox: epsilon must be >= 0");
-  }
-  return core().Lazy(query, 1, 1.0 + epsilon, stats).front();
-}
-
 std::vector<NeighborResult> ShardedLaesa::KNearest(std::string_view query,
                                                    std::size_t k,
                                                    QueryStats* stats) const {
-  return core().Lazy(query, k, /*slack=*/1.0, stats);
+  return core().Lazy(query, k, stats);
 }
 
 std::vector<NeighborResult> ShardedLaesa::KNearest(
     std::string_view query, std::size_t k, QueryStats* stats,
     QueryStats* shard_stats) const {
-  return core().Lazy(query, k, /*slack=*/1.0, stats, shard_stats);
+  return core().Lazy(query, k, stats, shard_stats);
 }
 
 std::vector<NeighborResult> ShardedLaesa::KNearestWithPivotRow(

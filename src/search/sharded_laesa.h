@@ -50,7 +50,7 @@ class ShardedLaesa final : public NearestNeighborSearcher,
   using QueryStats = ::cned::QueryStats;
 
   /// Builds per-shard pivot tables with greedy max-min pivots over the
-  /// global set, starting from global index `first_pivot`. `store` is
+  /// global set, starting from global index 0. `store` is
   /// borrowed — the caller keeps it alive. Costs ~2·num_pivots·N distance
   /// evaluations, the same as the flat index.
   ///
@@ -59,12 +59,8 @@ class ShardedLaesa final : public NearestNeighborSearcher,
   /// shards before encoding), so a sharded build stays bit-identical to the
   /// flat build at the same precision.
   ShardedLaesa(const ShardedPrototypeStore& store, StringDistancePtr distance,
-               std::size_t num_pivots, std::size_t first_pivot = 0,
+               std::size_t num_pivots,
                TablePrecision table_precision = DefaultTablePrecision());
-
-  /// Approximate variant, as `Laesa::NearestApprox`.
-  NeighborResult NearestApprox(std::string_view query, double epsilon,
-                               QueryStats* stats = nullptr) const;
 
   /// The k nearest prototypes (global indexes), closest first; k = 1 is
   /// the inherited `Nearest`. `shard_stats`, when non-null, must point at

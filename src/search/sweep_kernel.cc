@@ -141,7 +141,7 @@ SweepCompactResult ScalarEliminateAndCompact(std::uint32_t* idx, double* lower,
 
 SweepCompactResult ScalarEliminateAndCompactFlagged(
     std::uint32_t* idx, double* lower, const std::int32_t* pivot_rank,
-    std::size_t live, std::uint32_t skip, double slack, double bound) {
+    std::size_t live, std::uint32_t skip, double bound) {
   SweepCompactResult out;
   std::size_t write = 0;
   for (std::size_t r = 0; r < live; ++r) {
@@ -152,7 +152,7 @@ SweepCompactResult ScalarEliminateAndCompactFlagged(
       continue;
     }
     const double lb = lower[r];
-    if (lb * slack >= bound) {  // can at most tie: eliminated
+    if (lb >= bound) {  // can at most tie: eliminated
       out.pivots_died += is_pivot ? 1 : 0;
       continue;
     }

@@ -43,9 +43,8 @@ namespace cned {
 /// Bit-identity contract: every implementation computes exactly the scalar
 /// reference semantics documented per entry below. All arithmetic involved
 /// is exact in IEEE-754 double precision — |d - row| is one correctly
-/// rounded subtraction plus sign clearing, comparisons and max are exact,
-/// and the slack multiply is performed identically in every variant — so
-/// neighbours, distances AND QueryStats are bit-identical across kernels,
+/// rounded subtraction plus sign clearing, and comparisons and max are
+/// exact — so neighbours, distances AND QueryStats are bit-identical across kernels,
 /// which the differential tests and `micro_sweep_kernel` enforce.
 ///
 /// Layout contract: candidate ids are 32-bit and < 2^31 (the SIMD gathers
@@ -163,16 +162,16 @@ struct SweepKernels {
                                               std::uint32_t skip,
                                               double bound);
 
-  /// Eliminate + compact for the lazy sweeps: same as above with the
-  /// approximation slack applied — keeps idx[r] iff
-  ///   idx[r] != skip  &&  !(lower[r] * slack >= bound)
+  /// Eliminate + compact for the lazy sweeps: the same predicate — keeps
+  /// idx[r] iff
+  ///   idx[r] != skip  &&  !(lower[r] >= bound)
   /// — plus pivot bookkeeping: pivot_rank is indexed by candidate id
   /// (rank[id] >= 0 marks a pivot; gathered through idx), dropped pivots
   /// are counted into pivots_died, and the minimal-bound surviving pivot is
   /// tracked alongside the overall minimum.
   SweepCompactResult (*eliminate_and_compact_flagged)(
       std::uint32_t* idx, double* lower, const std::int32_t* pivot_rank,
-      std::size_t live, std::uint32_t skip, double slack, double bound);
+      std::size_t live, std::uint32_t skip, double bound);
 
   /// Dense-to-packed seeding for the row-consuming sweeps: after all pivot
   /// rows tightened the dense bound array, keeps position j in [0, n) iff
@@ -236,11 +235,10 @@ std::size_t FillIotaCountPivots(std::uint32_t* idx,
 /// loop (visit the minimal-bound survivor, eliminate and compact every
 /// survivor against the new incumbent, pick the next minimum) therefore
 /// visits candidates in ascending (lower, id) order: after each pass the
-/// survivors are exactly the unvisited candidates with
-/// lower * slack < bound(), so their minimum is the smallest unvisited key.
-/// It stops at the first key with lower * slack >= bound(), because every
-/// later key is then eliminated too (bound() only falls, and the rounded
-/// multiply by slack >= 1 is monotone). `VisitInBoundOrder` yields exactly
+/// survivors are exactly the unvisited candidates with lower < bound(), so
+/// their minimum is the smallest unvisited key. It stops at the first key
+/// with lower >= bound(), because every later key is then eliminated too
+/// (keys only rise and bound() only falls). `VisitInBoundOrder` yields exactly
 /// that sequence from a binary min-heap built in place over the packed
 /// idx/lower slabs: O(live + visits * log(live)) instead of one O(live)
 /// compaction per visit, and no memory beyond the slabs.
@@ -277,11 +275,11 @@ inline void SiftDown(std::uint32_t* idx, double* lower, std::size_t n,
 
 template <typename Bound, typename Visit>
 void VisitInBoundOrder(std::uint32_t* idx, double* lower, std::size_t live,
-                       double slack, Bound&& bound, Visit&& visit) {
+                       Bound&& bound, Visit&& visit) {
   for (std::size_t i = live / 2; i-- > 0;) {
     sweep_heap::SiftDown(idx, lower, live, i);
   }
-  while (live > 0 && lower[0] * slack < bound()) {
+  while (live > 0 && lower[0] < bound()) {
     const std::uint32_t id = idx[0];
     --live;
     idx[0] = idx[live];

@@ -14,7 +14,7 @@
 //  * The running-max update `lb = g > lb ? g : lb` is _mm256_max_pd(g, lb)
 //    verbatim: maxpd returns the SECOND operand on ties and NaNs, which is
 //    precisely the scalar ternary's behaviour.
-//  * Elimination keeps a lane iff NOT(lb * slack >= bound), encoded as the
+//  * Elimination keeps a lane iff NOT(lb >= bound), encoded as the
 //    unordered-quiet predicate _CMP_NGE_UQ so an (impossible in practice,
 //    but contract-tested) NaN bound/lb survives exactly like the scalar
 //    `!(lb >= bound)`.
@@ -358,12 +358,12 @@ inline void FoldMin(double key, double id_lane, double* next_key,
 }
 
 /// Shared body of the two packed eliminate-and-compact kernels. kFlagged
-/// adds the slack multiply and the pivot bookkeeping of the lazy sweeps.
+/// adds the pivot bookkeeping of the lazy sweeps.
 template <bool kFlagged>
 SweepCompactResult Avx2Eliminate(std::uint32_t* idx, double* lower,
                                  const std::int32_t* pivot_rank,
                                  std::size_t live, std::uint32_t skip,
-                                 double slack, double bound) {
+                                 double bound) {
   // Below a couple of vector blocks the per-pass fixed cost (broadcasts,
   // final lane reduce, the rank gather's latency) outweighs the lane win —
   // and late-sweep passes over a collapsed candidate set are the common
@@ -372,7 +372,6 @@ SweepCompactResult Avx2Eliminate(std::uint32_t* idx, double* lower,
   constexpr std::size_t kScalarCutoff = 32;
   SweepCompactResult out;
   const PackTables& t = Tables();
-  const __m256d vslack = _mm256_set1_pd(slack);
   const __m256d vbound = _mm256_set1_pd(bound);
   const __m256d vinf = _mm256_set1_pd(kInf);
   const __m128i vskip = _mm_set1_epi32(static_cast<int>(skip));
@@ -386,9 +385,8 @@ SweepCompactResult Avx2Eliminate(std::uint32_t* idx, double* lower,
     const __m128i vi =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + r));
     const __m256d lb = _mm256_loadu_pd(lower + r);
-    const __m256d scaled = kFlagged ? _mm256_mul_pd(lb, vslack) : lb;
-    // keep iff id != skip && !(lb * slack >= bound)
-    const __m256d value_ok = _mm256_cmp_pd(scaled, vbound, _CMP_NGE_UQ);
+    // keep iff id != skip && !(lb >= bound)
+    const __m256d value_ok = _mm256_cmp_pd(lb, vbound, _CMP_NGE_UQ);
     const __m128i skip_eq = _mm_cmpeq_epi32(vi, vskip);
     const int skip_bits = _mm_movemask_ps(_mm_castsi128_ps(skip_eq));
     const int keep = _mm256_movemask_pd(value_ok) & ~skip_bits & 0xF;
@@ -453,7 +451,7 @@ SweepCompactResult Avx2Eliminate(std::uint32_t* idx, double* lower,
       continue;
     }
     const double lb = lower[r];
-    if ((kFlagged ? lb * slack : lb) >= bound) {
+    if (lb >= bound) {
       pivots_died += is_pivot ? 1 : 0;
       continue;
     }
@@ -474,14 +472,13 @@ SweepCompactResult Avx2Eliminate(std::uint32_t* idx, double* lower,
 SweepCompactResult Avx2EliminateAndCompact(std::uint32_t* idx, double* lower,
                                            std::size_t live,
                                            std::uint32_t skip, double bound) {
-  return Avx2Eliminate<false>(idx, lower, nullptr, live, skip, 1.0, bound);
+  return Avx2Eliminate<false>(idx, lower, nullptr, live, skip, bound);
 }
 
 SweepCompactResult Avx2EliminateAndCompactFlagged(
     std::uint32_t* idx, double* lower, const std::int32_t* pivot_rank,
-    std::size_t live, std::uint32_t skip, double slack, double bound) {
-  return Avx2Eliminate<true>(idx, lower, pivot_rank, live, skip, slack,
-                             bound);
+    std::size_t live, std::uint32_t skip, double bound) {
+  return Avx2Eliminate<true>(idx, lower, pivot_rank, live, skip, bound);
 }
 
 SweepCompactResult Avx2CompactSeed(const double* lower_dense,

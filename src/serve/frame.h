@@ -64,7 +64,7 @@ enum class FrameType : std::uint32_t {
                    ///< shard's base tombstones masked out by a +inf pass)
   kBeginRow = 3,   ///< start a row sweep: str query, f64 seed_bound, row
   kEval = 4,       ///< evaluate: u64 global id, f64 cap -> f64 distance
-  kStep = 5,       ///< lazy visit pass: skip/rank/d/slack/bound -> compact
+  kStep = 5,       ///< lazy visit pass: skip/rank/d/bound -> compact
   kStepRow = 6,    ///< row visit pass: skip/bound -> compact
   kShutdown = 7,   ///< clean worker exit; empty reply, then close
   kReply = 8,      ///< successful response (payload per request type)

@@ -140,10 +140,10 @@ SweepCompactResult ShardReplica::BeginLazy(std::uint32_t qid,
   if (base_dead_ > 0) {
     ApplyTombstoneMask(tombs_.data(), n_s, slot.lower.data());
   }
-  const SweepCompactResult pass = VisitSegmentPass(segment(), pivot_table_.rank(), /*rank=*/-1, 0.0,
-                          /*skip=*/0xFFFFFFFFu, /*slack=*/1.0,
-                          std::numeric_limits<double>::infinity(),
-                          slot.idx.data(), slot.lower.data(), slot.live);
+  const SweepCompactResult pass = VisitSegmentPass(
+      segment(), pivot_table_.rank(), /*rank=*/-1, 0.0, /*skip=*/0xFFFFFFFFu,
+      std::numeric_limits<double>::infinity(), slot.idx.data(),
+      slot.lower.data(), slot.live);
   slot.live = pass.live;
   slot.live_pivots -= pass.pivots_died;
   return pass;
@@ -226,11 +226,16 @@ double ShardReplica::Eval(std::uint32_t qid, std::size_t global_id,
 
 SweepCompactResult ShardReplica::Step(std::uint32_t qid, std::uint32_t skip,
                                       std::int32_t rank, double d,
-                                      double slack, double bound) {
+                                      double bound) {
+  // The rank selects a table row unchecked (VisitSegmentPass): a frame's
+  // rank past the pivot count would read beyond the mapped slice.
+  if (rank < -1 || rank >= static_cast<std::int64_t>(num_pivots())) {
+    throw std::out_of_range("ShardReplica::Step: pivot rank out of range");
+  }
   SweepSlot& slot = SlotOf(qid);
   const SweepCompactResult out =
-      VisitSegmentPass(segment(), pivot_table_.rank(), rank, d, skip, slack,
-                       bound, slot.idx.data(), slot.lower.data(), slot.live);
+      VisitSegmentPass(segment(), pivot_table_.rank(), rank, d, skip, bound,
+                       slot.idx.data(), slot.lower.data(), slot.live);
   slot.live = out.live;
   slot.live_pivots -= out.pivots_died;
   return out;

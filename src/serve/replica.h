@@ -139,12 +139,12 @@ class ShardReplica {
 
   /// One lazy visit pass on `qid`'s slot: if `rank` >= 0 the visited
   /// candidate was pivot `rank`, so its table row tightens the segment's
-  /// bounds first; then eliminate-and-compact against `bound` with
-  /// `slack`, dropping `skip` (the visited candidate). Mutates slot state
-  /// — not idempotent. Throws std::out_of_range for an unknown qid.
+  /// bounds first; then eliminate-and-compact against `bound`, dropping
+  /// `skip` (the visited candidate). Mutates slot state — not idempotent.
+  /// Throws std::out_of_range, leaving the slot as it was, for an unknown
+  /// qid or a `rank` outside [-1, num_pivots()).
   SweepCompactResult Step(std::uint32_t qid, std::uint32_t skip,
-                          std::int32_t rank, double d, double slack,
-                          double bound);
+                          std::int32_t rank, double d, double bound);
 
   /// One row-sweep visit pass: eliminate-and-compact only.
   SweepCompactResult StepRow(std::uint32_t qid, std::uint32_t skip,

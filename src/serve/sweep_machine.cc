@@ -5,12 +5,6 @@
 #include "serve/wire.h"
 
 namespace cned {
-namespace {
-
-/// The router runs the exact sweep: the lazy step's elimination slack.
-constexpr double kExactSlack = 1.0;
-
-}  // namespace
 
 std::size_t SweepShape::ShardOf(std::size_t id) const {
   const auto it = std::upper_bound(bases.begin() + 1, bases.end(), id);
@@ -175,7 +169,6 @@ std::vector<char> SweepMachine::StepPayload() const {
   if (row_ == nullptr) {
     w.I32(cand_rank_);
     w.F64(cand_d_);
-    w.F64(kExactSlack);
   }
   w.F64(inc_.Kth());
   return std::move(w.buf);

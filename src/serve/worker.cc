@@ -190,11 +190,10 @@ int RunShardWorker(int fd, const WorkerConfig& config) {
           const std::uint32_t skip = r.U32();
           const std::int32_t rank = r.I32();
           const double d = r.F64();
-          const double slack = r.F64();
           const double bound = r.F64();
           if (!r.Done()) throw std::runtime_error("malformed Step");
           const SweepCompactResult pass =
-              replica->Step(req.qid, skip, rank, d, slack, bound);
+              replica->Step(req.qid, skip, rank, d, bound);
           EncodeCompact(reply, pass, replica->live_pivots(req.qid));
           break;
         }

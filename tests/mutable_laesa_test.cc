@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "datasets/perturb.h"
 #include "distances/registry.h"
 #include "search/batch_engine.h"
+#include "search/counting_distance.h"
 #include "search/nn_searcher.h"
 #include "search/sweep_kernel.h"
 #include "search/table_quant.h"
@@ -233,14 +235,11 @@ TEST(MutableLaesaTest, RemovedIdsNeverSurfaceAtAnyPrecisionOrKernel) {
   }
 }
 
-// --- The delta's own LAESA regime -----------------------------------------
+// --- A delta-only index: one bounded scan ---------------------------------
 
 TEST(MutableLaesaTest, DeltaIndexRegimeStaysExactWithDeletes) {
   auto dist = MakeDistance("dE");
-  MutableLaesa::Options opt;
-  opt.delta_index_threshold = 16;  // force the delta LAESA early
-  opt.delta_pivots = 3;
-  MutableLaesa index(dist, opt);  // starts empty: everything lives in delta
+  MutableLaesa index(dist);  // starts empty: everything lives in delta
   Model model;
 
   const auto words = Words(60, 71005);
@@ -248,8 +247,8 @@ TEST(MutableLaesaTest, DeltaIndexRegimeStaysExactWithDeletes) {
     const std::uint64_t id = index.Insert(words[i]);
     model.Insert(id, words[i]);
   }
-  ASSERT_GE(index.delta_size(), opt.delta_index_threshold);
-  // Remove a spread that includes the delta index's own pivots (slots 0..2).
+  ASSERT_EQ(index.delta_size(), 60u);
+  // Remove a spread over the delta: its first slots, middle and last.
   for (const std::uint64_t id : {0ull, 1ull, 2ull, 20ull, 41ull, 59ull}) {
     ASSERT_TRUE(index.Remove(id));
     model.Remove(id);
@@ -257,6 +256,25 @@ TEST(MutableLaesaTest, DeltaIndexRegimeStaysExactWithDeletes) {
   Rng rng(71006);
   const auto queries = MakeQueries(words, 12, 2, Alphabet::Latin(), rng);
   ExpectMatchesOracle(index, model, *dist, queries, 5, "delta-laesa");
+}
+
+// The delta has no index, so an insert evaluates no distance; a query pays
+// exactly the evaluations its QueryStats report, counted from outside.
+TEST(MutableLaesaTest, InsertsEvaluateNoDistance) {
+  auto counter = std::make_shared<CountingDistance>(MakeDistance("dE"));
+  MutableLaesa index(counter);
+  const auto words = Words(300, 71011);
+  for (const std::string& w : words) index.Insert(w);
+  EXPECT_EQ(counter->count(), 0u);
+
+  ASSERT_TRUE(index.Remove(3));
+  ASSERT_TRUE(index.Remove(150));
+  const std::uint64_t before = counter->count();
+  QueryStats stats;
+  const auto got = index.KNearest(words[7] + "x", 3, &stats);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_GT(stats.distance_computations, 0u);
+  EXPECT_EQ(counter->count() - before, stats.distance_computations);
 }
 
 // --- Merges: rewrite, snapshot durability, from-scratch bit-identity ------

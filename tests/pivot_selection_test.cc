@@ -21,7 +21,7 @@ TEST(PivotSelectionTest, MaxMinPicksOutlyingPrototypes) {
                                   "abaa",        "baaa",     "zzzzzzzzzz",
                                   "qqqqqqqqqqqq"};
   auto dist = MakeDistance("dE");
-  auto pivots = SelectPivotsMaxMin(protos, *dist, 3, /*first=*/0);
+  auto pivots = SelectPivotsMaxMin(protos, *dist, 3);
   ASSERT_EQ(pivots.size(), 3u);
   EXPECT_EQ(pivots[0], 0u);
   std::set<std::size_t> chosen(pivots.begin(), pivots.end());
@@ -49,19 +49,18 @@ TEST(PivotSelectionTest, ValidatesArguments) {
   std::vector<std::string> protos{"a", "b"};
   auto dist = MakeDistance("dE");
   EXPECT_THROW(SelectPivotsMaxMin(protos, *dist, 3), std::invalid_argument);
-  EXPECT_THROW(SelectPivotsMaxMin(protos, *dist, 1, /*first=*/5),
-               std::invalid_argument);
 }
 
-// Reference: the sequential max-min loop with unbounded `Distance` calls,
-// the selection that the bounded, parallel implementation must reproduce.
+// Reference: the sequential max-min loop from prototype 0 with unbounded
+// `Distance` calls, the selection that the bounded, parallel implementation
+// must reproduce.
 std::vector<std::size_t> ReferenceMaxMin(const std::vector<std::string>& protos,
                                          const StringDistance& distance,
-                                         std::size_t count, std::size_t first) {
+                                         std::size_t count) {
   const std::size_t n = protos.size();
-  std::vector<std::size_t> pivots{first};
+  std::vector<std::size_t> pivots{0};
   std::vector<double> min_dist(n, std::numeric_limits<double>::infinity());
-  std::size_t current = first;
+  std::size_t current = 0;
   while (pivots.size() < count) {
     std::size_t next = 0;
     double best = -1.0;
@@ -113,23 +112,22 @@ TEST(PivotSelectionTest, MatchesSequentialUnboundedReference) {
     auto dist = MakeDistance(name);
     for (std::size_t count : {std::size_t{1}, std::size_t{24},
                               std::size_t{80}}) {
-      const std::size_t first = count % protos.size();
       const std::vector<std::size_t> want =
-          ReferenceMaxMin(protos, *dist, count, first);
+          ReferenceMaxMin(protos, *dist, count);
       if (count == 80) {
         // Only 60 distinct strings: the early stop must have fired.
         EXPECT_LE(want.size(), 60u);
       } else {
         EXPECT_EQ(want.size(), count);
       }
-      EXPECT_EQ(SelectPivotsMaxMin(flat, *dist, count, first), want);
-      EXPECT_EQ(SelectPivotsMaxMin(protos, *dist, count, first), want);
-      EXPECT_EQ(SelectPivotsMaxMin(sharded, *dist, count, first), want);
+      EXPECT_EQ(SelectPivotsMaxMin(flat, *dist, count), want);
+      EXPECT_EQ(SelectPivotsMaxMin(protos, *dist, count), want);
+      EXPECT_EQ(SelectPivotsMaxMin(sharded, *dist, count), want);
 
       // From inside a ParallelFor body the nested loop runs inline.
       std::vector<std::vector<std::size_t>> nested(2);
       ParallelFor(nested.size(), [&](std::size_t t) {
-        nested[t] = SelectPivotsMaxMin(flat, *dist, count, first);
+        nested[t] = SelectPivotsMaxMin(flat, *dist, count);
       }, 2);
       EXPECT_EQ(nested[0], want);
       EXPECT_EQ(nested[1], want);

@@ -8,7 +8,8 @@
 // Each case feeds one crafted file, at f64 and at u8. The router manifest
 // must also reject shard sizes and pivot lengths whose running sums wrap,
 // and the worker's slice and the manifest an id count above the sweep's
-// 2^31 limit.
+// 2^31 limit. The worker's lazy step must reject a pivot rank outside the
+// slice's table.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -173,7 +175,7 @@ TEST(PivotTableTest, FlatLoadersRejectOutOfRangePivot) {
   Data d;
   for (TablePrecision prec : kPrecisions) {
     const std::string ctx = TablePrecisionName(prec);
-    const Laesa built(d.store, d.dist, 4, /*first_pivot=*/0, prec);
+    const Laesa built(d.store, d.dist, 4, prec);
     const std::uint64_t bad = BadPivot(BadId::kOutOfRange, built.pivots(),
                                        d.store.size());
     TempFile file("pivots_oor_flat_" + ctx);
@@ -190,7 +192,7 @@ TEST(PivotTableTest, FlatLoadersRejectOutOfRangePivot) {
 TEST(PivotTableTest, ShardedLoadersRejectOutOfRangeAndDuplicatePivots) {
   Data d;
   for (TablePrecision prec : kPrecisions) {
-    const ShardedLaesa built(d.sharded, d.dist, 4, /*first_pivot=*/0, prec);
+    const ShardedLaesa built(d.sharded, d.dist, 4, prec);
     for (BadId bad : {BadId::kOutOfRange, BadId::kDuplicate}) {
       const std::string ctx = Context(prec, bad);
       TempFile file("pivots_sharded_" + std::to_string(static_cast<int>(bad)));
@@ -211,7 +213,7 @@ TEST(PivotTableTest, ShardedLoadersRejectOutOfRangeAndDuplicatePivots) {
 TEST(PivotTableTest, ShardReplicaRejectsOutOfRangeAndDuplicatePivots) {
   Data d;
   for (TablePrecision prec : kPrecisions) {
-    const ShardedLaesa built(d.sharded, d.dist, 4, /*first_pivot=*/0, prec);
+    const ShardedLaesa built(d.sharded, d.dist, 4, prec);
     // The v2 slice leads with its {precision, reserved} section.
     const std::size_t section = prec == TablePrecision::kF64
                                     ? kPivotsAfterHeader
@@ -238,7 +240,7 @@ TEST(PivotTableTest, ServeRouterRejectsOutOfRangeAndDuplicatePivots) {
   options.distance = "dE";
   options.replicas = 1;
   for (TablePrecision prec : kPrecisions) {
-    const ShardedLaesa built(d.sharded, d.dist, 4, /*first_pivot=*/0, prec);
+    const ShardedLaesa built(d.sharded, d.dist, 4, prec);
     for (BadId bad : {BadId::kOutOfRange, BadId::kDuplicate}) {
       const std::string ctx = Context(prec, bad);
       TempDir dir;
@@ -256,7 +258,7 @@ TEST(PivotTableTest, ShardReplicaRejectsIdCountAboveSweepLimit) {
   // A slice whose header n is 2^62 (checksum valid) is rejected as a format
   // error before its n-entry rank array is allocated.
   Data d;
-  const ShardedLaesa built(d.sharded, d.dist, 4, /*first_pivot=*/0);
+  const ShardedLaesa built(d.sharded, d.dist, 4);
   TempDir dir;
   SaveServingSnapshot(built, dir.path);
   const std::string store_path = ShardStorePath(dir.path, 1);
@@ -268,6 +270,49 @@ TEST(PivotTableTest, ShardReplicaRejectsIdCountAboveSweepLimit) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("id limit"), std::string::npos)
         << e.what();
+  }
+}
+
+// A kStep frame's pivot rank selects a row of the mapped table slice, so the
+// worker rejects a rank outside [-1, num_pivots()) before touching the slot;
+// the slot then steps exactly as a fresh one does.
+TEST(PivotTableTest, ShardReplicaStepRejectsOutOfRangeRank) {
+  Data d;
+  for (TablePrecision prec : kPrecisions) {
+    const std::string ctx = TablePrecisionName(prec);
+    const ShardedLaesa built(d.sharded, d.dist, 8, prec);
+    TempDir dir;
+    SaveServingSnapshot(built, dir.path);
+    ShardReplica replica(ShardStorePath(dir.path, 1),
+                         ShardIndexPath(dir.path, 1), "dE");
+    const auto np = static_cast<std::int32_t>(replica.num_pivots());
+    ASSERT_EQ(np, 8) << ctx;
+    const std::string& q = d.queries[0];
+    const std::size_t pivot = built.pivots()[0];
+    const double dist = d.dist->Distance(q, d.words[pivot]);
+    const auto skip = static_cast<std::uint32_t>(pivot);
+    const double bound = dist + 1.0;
+
+    replica.BeginLazy(1, q);
+    const std::size_t live = replica.live(1);
+    const std::size_t live_pivots = replica.live_pivots(1);
+    for (const std::int32_t rank : {np, std::int32_t{-2}}) {
+      EXPECT_THROW(replica.Step(1, skip, rank, dist, bound), std::out_of_range)
+          << ctx << " rank " << rank;
+      EXPECT_EQ(replica.live(1), live) << ctx << " rank " << rank;
+      EXPECT_EQ(replica.live_pivots(1), live_pivots) << ctx << " rank " << rank;
+    }
+
+    replica.BeginLazy(2, q);
+    const SweepCompactResult want = replica.Step(2, skip, 0, dist, bound);
+    const SweepCompactResult got = replica.Step(1, skip, 0, dist, bound);
+    EXPECT_EQ(got.live, want.live) << ctx;
+    EXPECT_EQ(got.pivots_died, want.pivots_died) << ctx;
+    EXPECT_EQ(got.next, want.next) << ctx;
+    EXPECT_EQ(got.next_key, want.next_key) << ctx;
+    EXPECT_EQ(got.next_pivot, want.next_pivot) << ctx;
+    EXPECT_EQ(got.next_pivot_key, want.next_pivot_key) << ctx;
+    EXPECT_EQ(replica.live_pivots(1), replica.live_pivots(2)) << ctx;
   }
 }
 

@@ -105,12 +105,10 @@ TEST(QuantizedTableTest, ResultsMatchF64AcrossFlatShardedAndMappedPaths) {
 
   for (const char* dist_name : {"dE", "dYB"}) {
     auto dist = MakeDistance(dist_name);
-    const Laesa reference(flat_store, dist, 8, /*first_pivot=*/0,
-                          TablePrecision::kF64);
+    const Laesa reference(flat_store, dist, 8, TablePrecision::kF64);
     for (TablePrecision prec : kQuantPrecisions) {
-      const Laesa flat(flat_store, dist, 8, /*first_pivot=*/0, prec);
-      const ShardedLaesa sharded(sharded_store, dist, 8, /*first_pivot=*/0,
-                                 prec);
+      const Laesa flat(flat_store, dist, 8, prec);
+      const ShardedLaesa sharded(sharded_store, dist, 8, prec);
       TempFile file(std::string("quant_diff_") + TablePrecisionName(prec) +
                     "_" + dist_name);
       flat.Save(file.path());
@@ -161,9 +159,8 @@ TEST(QuantizedTableTest, QuantizedIndexBitIdenticalAcrossKernels) {
   auto dist = MakeDistance("dE");
 
   for (TablePrecision prec : kQuantPrecisions) {
-    const Laesa flat(flat_store, dist, 7, /*first_pivot=*/0, prec);
-    const ShardedLaesa sharded(sharded_store, dist, 7, /*first_pivot=*/0,
-                               prec);
+    const Laesa flat(flat_store, dist, 7, prec);
+    const ShardedLaesa sharded(sharded_store, dist, 7, prec);
 
     ASSERT_TRUE(SetActiveSweepKernels("scalar"));
     std::vector<Probe> flat_ref, sharded_ref;
@@ -192,14 +189,13 @@ TEST(QuantizedTableTest, DistributedReplicasServeQuantizedBitIdentically) {
   const auto queries = MakeQueries(words, 5, 2, Alphabet::Latin(), rng);
   ShardedPrototypeStore store(words, 3);
   auto dist = MakeDistance("dE");
-  const ShardedLaesa reference(store, dist, 8, /*first_pivot=*/0,
-                               TablePrecision::kF64);
+  const ShardedLaesa reference(store, dist, 8, TablePrecision::kF64);
 
   // f32 is covered by the in-process paths above; fork the replica fleet
   // only for the two precisions with nontrivial decode arithmetic.
   for (TablePrecision prec :
        {TablePrecision::kF16, TablePrecision::kU8}) {
-    const ShardedLaesa index(store, dist, 8, /*first_pivot=*/0, prec);
+    const ShardedLaesa index(store, dist, 8, prec);
     TempDir dir;
     SaveServingSnapshot(index, dir.path);
 

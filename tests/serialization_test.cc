@@ -493,7 +493,7 @@ TEST(SerializationTest, QuantizedLaesaRoundTripAcrossAllDistances) {
   for (TablePrecision prec : kQuantPrecisions) {
     for (const auto& name : AllDistanceNames()) {
       auto dist = MakeDistance(name);
-      Laesa original(store, dist, 6, /*first_pivot=*/0, prec);
+      Laesa original(store, dist, 6, prec);
       const std::string tag =
           std::string(TablePrecisionName(prec)) + "/" + name;
       TempFile file("laesa_quant");
@@ -527,7 +527,7 @@ TEST(SerializationTest, QuantizedShardedRoundTripAcrossAllDistances) {
   for (TablePrecision prec : kQuantPrecisions) {
     for (const auto& name : AllDistanceNames()) {
       auto dist = MakeDistance(name);
-      ShardedLaesa original(store, dist, 5, /*first_pivot=*/0, prec);
+      ShardedLaesa original(store, dist, 5, prec);
       const std::string tag =
           std::string(TablePrecisionName(prec)) + "/" + name;
       TempFile file("sharded_quant");
@@ -557,14 +557,14 @@ TEST(SerializationTest, QuantizedFilesAreVersion2AndF64StaysVersion1) {
   PrototypeStore store(words);
   auto dist = MakeDistance("dE");
   {
-    Laesa f64(store, dist, 4, /*first_pivot=*/0, TablePrecision::kF64);
+    Laesa f64(store, dist, 4, TablePrecision::kF64);
     TempFile file("ver_f64");
     f64.Save(file.path());
     const auto bytes = ReadAll(file.path());
     EXPECT_EQ(bytes[8], 1);  // f64 keeps the v1 on-disk format untouched
   }
   {
-    Laesa u8(store, dist, 4, /*first_pivot=*/0, TablePrecision::kU8);
+    Laesa u8(store, dist, 4, TablePrecision::kU8);
     TempFile file("ver_u8");
     u8.Save(file.path());
     const auto bytes = ReadAll(file.path());
@@ -581,7 +581,7 @@ TEST(SerializationTest, QuantizedLoadRejectsCorruptPrecisionAndTruncation) {
   const auto words = Words(40, 7510);
   PrototypeStore store(words);
   auto dist = MakeDistance("dE");
-  Laesa u8(store, dist, 6, /*first_pivot=*/0, TablePrecision::kU8);
+  Laesa u8(store, dist, 6, TablePrecision::kU8);
   {
     // Precision tag outside {f32, f16, u8}: must be rejected as malformed,
     // both copying and mapped.
@@ -638,8 +638,7 @@ TEST(SerializationTest, QuantizedLoadRejectsCorruptPrecisionAndTruncation) {
   {
     // Same truncation class for the sharded v2 format.
     ShardedPrototypeStore sharded(words, 3);
-    ShardedLaesa index(sharded, dist, 4, /*first_pivot=*/0,
-                       TablePrecision::kF16);
+    ShardedLaesa index(sharded, dist, 4, TablePrecision::kF16);
     TempFile file("quant_sharded_trunc");
     index.Save(file.path());
     auto bytes = ReadAll(file.path());
@@ -818,7 +817,7 @@ TEST(SerializationTest, LoadAndMapAgreeUnderSeededMutation) {
   for (TablePrecision prec : {TablePrecision::kF64, TablePrecision::kU8}) {
     const std::string tag = TablePrecisionName(prec);
     {
-      const Laesa built(store, dist, 6, /*first_pivot=*/0, prec);
+      const Laesa built(store, dist, 6, prec);
       TempFile file("mut_laesa_" + tag);
       built.Save(file.path());
       const int accepted = ExpectLoadersAgreeUnderMutation(
@@ -833,7 +832,7 @@ TEST(SerializationTest, LoadAndMapAgreeUnderSeededMutation) {
       EXPECT_LT(accepted, kMutations) << tag;
     }
     {
-      const ShardedLaesa built(sharded, dist, 5, /*first_pivot=*/0, prec);
+      const ShardedLaesa built(sharded, dist, 5, prec);
       TempFile file("mut_sharded_laesa_" + tag);
       built.Save(file.path());
       const int accepted = ExpectLoadersAgreeUnderMutation(

@@ -104,7 +104,7 @@ void ExpectWellFormed(const ServeResult& res, std::size_t k,
 TEST(ServeConcurrentTest, EightClientsStayExactWhileStandbysDieAndMangle) {
   const Workload w = MakeWorkload(300, 16, 9100);
   ShardedPrototypeStore store(w.protos, 4);
-  ShardedLaesa index(store, MakeDistance("dE"), 8, /*first_pivot=*/0);
+  ShardedLaesa index(store, MakeDistance("dE"), 8);
   TempDir dir;
   SaveServingSnapshot(index, dir.path);
 
@@ -180,7 +180,7 @@ TEST(ServeConcurrentTest, CallersDrivingTheirOwnSweepsStayExact) {
   // other drivers' legs and must wake them through their wake pipes.
   const Workload w = MakeWorkload(200, 8, 9300);
   ShardedPrototypeStore store(w.protos, 4);
-  ShardedLaesa index(store, MakeDistance("dE"), 8, /*first_pivot=*/0);
+  ShardedLaesa index(store, MakeDistance("dE"), 8);
   TempDir dir;
   SaveServingSnapshot(index, dir.path);
 
@@ -244,7 +244,7 @@ TEST(ServeConcurrentTest, CallersDrivingTheirOwnSweepsStayExact) {
 TEST(ServeConcurrentTest, MixedQueryInsertRemoveStormNeverFlags) {
   const Workload w = MakeWorkload(300, 12, 9200);
   ShardedPrototypeStore store(w.protos, 4);
-  ShardedLaesa index(store, MakeDistance("dE"), 8, /*first_pivot=*/0);
+  ShardedLaesa index(store, MakeDistance("dE"), 8);
   TempDir dir;
   SaveServingSnapshot(index, dir.path);
 

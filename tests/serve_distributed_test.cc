@@ -99,7 +99,7 @@ struct Deployment {
              TablePrecision precision = DefaultTablePrecision()) {
     store = std::make_unique<ShardedPrototypeStore>(protos, shards);
     index = std::make_unique<ShardedLaesa>(*store, MakeDistance("dE"), pivots,
-                                           /*first_pivot=*/0, precision);
+                                           precision);
     SaveServingSnapshot(*index, dir.path);
   }
 };

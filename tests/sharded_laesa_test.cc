@@ -366,20 +366,6 @@ TEST(ShardedLaesaTest, ClassifyThroughEngineUsesGlobalLabels) {
   EXPECT_EQ(engine.Classify(queries, store.labels()), expected);
 }
 
-TEST(ShardedLaesaTest, NearestApproxAcceptsSlackAndRejectsNegative) {
-  Workload w = MakeWorkload(100, 10, 6000);
-  auto dist = MakeDistance("dYB");
-  ShardedPrototypeStore store(w.protos, 4);
-  ShardedLaesa sharded(store, dist, 8);
-  ExhaustiveSearch exact(w.protos, dist);
-  for (const auto& q : w.queries) {
-    const NeighborResult approx = sharded.NearestApprox(q, 1.0);
-    const NeighborResult truth = exact.Nearest(q);
-    EXPECT_LE(truth.distance, approx.distance * (1.0 + 1e-12));
-  }
-  EXPECT_THROW(sharded.NearestApprox("abc", -0.1), std::invalid_argument);
-}
-
 TEST(ShardedLaesaTest, RejectsEmptyStoreAndZeroPivots) {
   ShardedPrototypeStore empty(std::vector<std::string>{}, 2);
   EXPECT_THROW(ShardedLaesa(empty, MakeDistance("dE"), 4),

@@ -3,8 +3,8 @@
 // and supported by the running CPU must reproduce the scalar reference
 // BIT FOR BIT — on randomised packed tables covering live counts of
 // 0/1/odd/non-multiple-of-the-lane-width, +inf bounds left by eliminated
-// slots, present and absent skip candidates, slack factors, and sparse /
-// duplicated pivot sets — and at the index level, where `Laesa` and
+// slots, present and absent skip candidates, and sparse / duplicated
+// pivot sets — and at the index level, where `Laesa` and
 // `ShardedLaesa` (including duplicate-pivot-row ablation builds and the
 // batch engine's pivot-stage path) must answer with identical neighbours,
 // distances AND QueryStats under every kernel. The quantized entries
@@ -243,50 +243,45 @@ TEST(SweepKernelTest, EliminateAndCompactFlaggedMatchesScalarBitwise) {
   std::uniform_real_distribution<double> value(0.0, 8.0);
   for (const SweepKernels* k : VariantKernels()) {
     for (std::size_t live : kLiveCounts) {
-      for (double slack : {1.0, 1.5, 2.0}) {
-        for (int trial = 0; trial < 16; ++trial) {
-          PackedInput ref, got;
-          MakePacked(rng, live, 0, &ref);
-          got.idx.resize(live + 8);
-          got.lower.resize(live + 8);
-          std::memcpy(got.idx.data(), ref.idx.data(),
-                      live * sizeof(std::uint32_t));
-          std::memcpy(got.lower.data(), ref.lower.data(),
-                      live * sizeof(double));
-          // Sparse pivot ranks over the id space (and dense every 16th
-          // trial, the all-pivots edge).
-          const std::uint32_t max_id =
-              live > 0 ? ref.idx.data()[live - 1] : 4;
-          std::vector<std::int32_t> rank(max_id + 8, -1);
-          std::int32_t next_rank = 0;
-          for (std::size_t id = 0; id < rank.size(); ++id) {
-            if (rng() % 4 == 0 || trial == 15) rank[id] = next_rank++;
-          }
-          std::uint32_t skip = 0xFFFFFFFFu;
-          if (live > 0 && trial % 2 == 0) skip = ref.idx.data()[rng() % live];
-          const double bound = trial % 5 == 0 ? kInf : value(rng);
-          const SweepCompactResult r0 =
-              ScalarSweepKernels().eliminate_and_compact_flagged(
-                  ref.idx.data(), ref.lower.data(), rank.data(), live, skip,
-                  slack, bound);
-          const SweepCompactResult r1 = k->eliminate_and_compact_flagged(
-              got.idx.data(), got.lower.data(), rank.data(), live, skip,
-              slack, bound);
-          const std::string ctx = std::string(k->name) + " live=" +
-                                  std::to_string(live) + " slack=" +
-                                  std::to_string(slack) + " trial=" +
-                                  std::to_string(trial);
-          ExpectSameResult(r0, r1, ctx);
-          ASSERT_EQ(r0.live, r1.live) << ctx;
-          EXPECT_EQ(std::memcmp(ref.idx.data(), got.idx.data(),
-                                r0.live * sizeof(std::uint32_t)),
-                    0)
-              << ctx;
-          EXPECT_EQ(std::memcmp(ref.lower.data(), got.lower.data(),
-                                r0.live * sizeof(double)),
-                    0)
-              << ctx;
+      for (int trial = 0; trial < 48; ++trial) {
+        PackedInput ref, got;
+        MakePacked(rng, live, 0, &ref);
+        got.idx.resize(live + 8);
+        got.lower.resize(live + 8);
+        std::memcpy(got.idx.data(), ref.idx.data(),
+                    live * sizeof(std::uint32_t));
+        std::memcpy(got.lower.data(), ref.lower.data(),
+                    live * sizeof(double));
+        // Sparse pivot ranks over the id space (and dense every 16th
+        // trial, the all-pivots edge).
+        const std::uint32_t max_id = live > 0 ? ref.idx.data()[live - 1] : 4;
+        std::vector<std::int32_t> rank(max_id + 8, -1);
+        std::int32_t next_rank = 0;
+        for (std::size_t id = 0; id < rank.size(); ++id) {
+          if (rng() % 4 == 0 || trial % 16 == 15) rank[id] = next_rank++;
         }
+        std::uint32_t skip = 0xFFFFFFFFu;
+        if (live > 0 && trial % 2 == 0) skip = ref.idx.data()[rng() % live];
+        const double bound = trial % 5 == 0 ? kInf : value(rng);
+        const SweepCompactResult r0 =
+            ScalarSweepKernels().eliminate_and_compact_flagged(
+                ref.idx.data(), ref.lower.data(), rank.data(), live, skip,
+                bound);
+        const SweepCompactResult r1 = k->eliminate_and_compact_flagged(
+            got.idx.data(), got.lower.data(), rank.data(), live, skip, bound);
+        const std::string ctx = std::string(k->name) + " live=" +
+                                std::to_string(live) + " trial=" +
+                                std::to_string(trial);
+        ExpectSameResult(r0, r1, ctx);
+        ASSERT_EQ(r0.live, r1.live) << ctx;
+        EXPECT_EQ(std::memcmp(ref.idx.data(), got.idx.data(),
+                              r0.live * sizeof(std::uint32_t)),
+                  0)
+            << ctx;
+        EXPECT_EQ(std::memcmp(ref.lower.data(), got.lower.data(),
+                              r0.live * sizeof(double)),
+                  0)
+            << ctx;
       }
     }
   }
@@ -368,7 +363,6 @@ struct Probe {
   NeighborResult nearest;
   std::vector<NeighborResult> knn;
   std::vector<NeighborResult> range;
-  NeighborResult approx;
   std::vector<NeighborResult> staged_knn;
   QueryStats stats;
 };
@@ -378,7 +372,6 @@ Probe ProbeLaesa(const Laesa& index, std::string_view q) {
   p.nearest = index.Nearest(q, &p.stats);
   p.knn = index.KNearest(q, 3, &p.stats);
   p.range = index.RangeSearch(q, p.nearest.distance * 1.5 + 1.0, &p.stats);
-  p.approx = index.NearestApprox(q, 0.5, &p.stats);
   std::vector<double> row(index.pivot_count());
   index.ComputePivotRow(q, row.data(), &p.stats);
   p.staged_knn = index.KNearestWithPivotRow(q, 3, row.data(), &p.stats);
@@ -389,7 +382,6 @@ Probe ProbeSharded(const ShardedLaesa& index, std::string_view q) {
   Probe p;
   p.nearest = index.Nearest(q, &p.stats);
   p.knn = index.KNearest(q, 3, &p.stats);
-  p.approx = index.NearestApprox(q, 0.5, &p.stats);
   std::vector<double> row(index.pivot_count());
   index.ComputePivotRow(q, row.data(), &p.stats);
   p.staged_knn = index.KNearestWithPivotRow(q, 3, row.data(), &p.stats);
@@ -399,8 +391,6 @@ Probe ProbeSharded(const ShardedLaesa& index, std::string_view q) {
 void ExpectIdentical(const Probe& a, const Probe& b, const std::string& ctx) {
   EXPECT_EQ(a.nearest.index, b.nearest.index) << ctx;
   EXPECT_EQ(a.nearest.distance, b.nearest.distance) << ctx;
-  EXPECT_EQ(a.approx.index, b.approx.index) << ctx;
-  EXPECT_EQ(a.approx.distance, b.approx.distance) << ctx;
   EXPECT_TRUE(a.stats == b.stats)
       << ctx << " computations " << a.stats.distance_computations << " vs "
       << b.stats.distance_computations;

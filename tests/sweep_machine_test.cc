@@ -130,7 +130,6 @@ TEST(SweepMachineTest, PivotsAreChosenFirstWhileAnySurvive) {
   EXPECT_EQ(r.U32(), 5u);
   EXPECT_EQ(r.I32(), 1);
   EXPECT_EQ(r.F64(), 2.0);
-  EXPECT_EQ(r.F64(), 1.0);
   EXPECT_EQ(r.F64(), 2.0);
   EXPECT_TRUE(r.Done());
 

@@ -73,7 +73,7 @@ class RefLaesa {
 
   // Laesa::Sweep: pivots first, then every survivor, one flagged
   // eliminate-and-compact pass per visit.
-  RefResult Sweep(std::string_view q, std::size_t k, double slack,
+  RefResult Sweep(std::string_view q, std::size_t k,
                   const std::uint64_t* tombstones) const {
     const SweepKernels& kern = ScalarSweepKernels();
     const std::size_t n = store_.size();
@@ -92,8 +92,7 @@ class RefLaesa {
     if (tombstones != nullptr) {
       ApplyTombstoneMask(tombstones, n, lower.data());
       const SweepCompactResult pre = kern.eliminate_and_compact_flagged(
-          idx.data(), lower.data(), rank_.data(), live, 0xFFFFFFFFu, slack,
-          kInf);
+          idx.data(), lower.data(), rank_.data(), live, 0xFFFFFFFFu, kInf);
       live = pre.live;
       live_pivots -= pre.pivots_died;
       s = live_pivots > 0 ? pre.next_pivot : pre.next;
@@ -110,7 +109,7 @@ class RefLaesa {
       }
       const SweepCompactResult pass = kern.eliminate_and_compact_flagged(
           idx.data(), lower.data(), rank_.data(), live,
-          static_cast<std::uint32_t>(s), slack, kth());
+          static_cast<std::uint32_t>(s), kth());
       live = pass.live;
       live_pivots -= pass.pivots_died;
       if (live == 0) break;
@@ -243,7 +242,6 @@ std::vector<std::string> TieHeavy(std::size_t count, std::uint64_t seed,
 }
 
 const std::size_t kKs[] = {1, 3, 8};
-const double kSlacks[] = {1.25, 2.0};
 const TablePrecision kPrecisions[] = {TablePrecision::kF64,
                                       TablePrecision::kF32,
                                       TablePrecision::kF16,
@@ -272,7 +270,7 @@ TEST(SweepOrderTest, FlatAndShardedMatchCompactionLoops) {
   for (const std::string& name : AllDistanceNames()) {
     StringDistancePtr dist = MakeDistance(name);
     for (TablePrecision prec : kPrecisions) {
-      Laesa flat(store, dist, 6, 0, prec);
+      Laesa flat(store, dist, 6, prec);
       RefLaesa ref(store, *dist, flat.pivots(), prec);
       std::vector<std::int32_t> rank(n, -1);
       for (std::size_t p = 0; p < flat.pivots().size(); ++p) {
@@ -286,7 +284,7 @@ TEST(SweepOrderTest, FlatAndShardedMatchCompactionLoops) {
       std::vector<ShardedLaesa> sharded;
       for (std::size_t shards : kShardCounts) {
         sharded_stores.emplace_back(protos, shards);
-        sharded.emplace_back(sharded_stores.back(), dist, 6, 0, prec);
+        sharded.emplace_back(sharded_stores.back(), dist, 6, prec);
         ASSERT_EQ(sharded.back().pivots(), flat.pivots());
       }
 
@@ -295,7 +293,7 @@ TEST(SweepOrderTest, FlatAndShardedMatchCompactionLoops) {
         flat.ComputePivotRow(q, row.data());
 
         for (std::size_t k : kKs) {
-          const RefResult lazy = ref.Sweep(q, k, 1.0, nullptr);
+          const RefResult lazy = ref.Sweep(q, k, nullptr);
           const RefResult with_row = ref.SweepWithRow(q, k, row.data());
           {
             QueryStats st;
@@ -307,7 +305,7 @@ TEST(SweepOrderTest, FlatAndShardedMatchCompactionLoops) {
                        Label(name, prec, "flat row", k, q));
           }
           for (const std::uint64_t* mask : {thirds.data(), no_pivots.data()}) {
-            const RefResult masked = ref.Sweep(q, k, 1.0, mask);
+            const RefResult masked = ref.Sweep(q, k, mask);
             QueryStats st;
             ExpectSame(masked, flat.KNearestMasked(q, k, mask, &st), st,
                        Label(name, prec, "flat masked", k, q));
@@ -341,22 +339,6 @@ TEST(SweepOrderTest, FlatAndShardedMatchCompactionLoops) {
             }
           }
         }
-
-        for (double slack : kSlacks) {
-          const RefResult approx = ref.Sweep(q, 1, slack, nullptr);
-          QueryStats st;
-          ExpectSame(approx, {flat.NearestApprox(q, slack - 1.0, &st)}, st,
-                     Label(name, prec, "flat approx", 1, q));
-          for (std::size_t i = 0; i < sharded.size(); ++i) {
-            QueryStats ss;
-            ExpectSame(approx, {sharded[i].NearestApprox(q, slack - 1.0, &ss)},
-                       ss,
-                       Label(name, prec,
-                             "sharded approx S=" +
-                                 std::to_string(kShardCounts[i]),
-                             1, q));
-          }
-        }
       }
     }
   }
@@ -377,7 +359,7 @@ TEST(SweepOrderTest, DuplicatePivotsMatchCompactionLoops) {
       flat.ComputePivotRow(q, row.data());
       for (std::size_t k : kKs) {
         QueryStats st, sr;
-        ExpectSame(ref.Sweep(q, k, 1.0, nullptr), flat.KNearest(q, k, &st), st,
+        ExpectSame(ref.Sweep(q, k, nullptr), flat.KNearest(q, k, &st), st,
                    Label(name, flat.table_precision(), "dup lazy", k, q));
         ExpectSame(ref.SweepWithRow(q, k, row.data()),
                    flat.KNearestWithPivotRow(q, k, row.data(), &sr), sr,

@@ -1,14 +1,9 @@
-// Tests for Wilson editing (ENN) and the approximate LAESA relaxation.
+// Tests for Wilson editing (ENN).
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
-#include "datasets/dictionary_gen.h"
-#include "datasets/perturb.h"
 #include "distances/registry.h"
 #include "search/condensing.h"
-#include "search/exhaustive.h"
-#include "search/laesa.h"
 
 namespace cned {
 namespace {
@@ -66,70 +61,6 @@ TEST(WilsonEditTest, ComposesWithCondensing) {
   CondensedSet sub = Condense(es, el, *dist);
   EXPECT_LE(sub.strings.size(), es.size());
   EXPECT_GE(sub.strings.size(), 2u);
-}
-
-std::vector<std::string> Dict(std::size_t n, std::uint64_t seed) {
-  DictionaryOptions opt;
-  opt.word_count = n;
-  opt.seed = seed;
-  return GenerateDictionary(opt).strings;
-}
-
-TEST(LaesaApproxTest, EpsilonZeroIsExact) {
-  auto protos = Dict(200, 1901);
-  Rng rng(1902);
-  auto queries = MakeQueries(protos, 30, 2, Alphabet::Latin(), rng);
-  Laesa laesa(protos, MakeDistance("dE"), 15);
-  for (const auto& q : queries) {
-    EXPECT_DOUBLE_EQ(laesa.NearestApprox(q, 0.0).distance,
-                     laesa.Nearest(q).distance);
-  }
-}
-
-TEST(LaesaApproxTest, GuaranteeHolds) {
-  auto protos = Dict(300, 1903);
-  Rng rng(1904);
-  auto queries = MakeQueries(protos, 40, 2, Alphabet::Latin(), rng);
-  auto dist = MakeDistance("dE");
-  Laesa laesa(protos, dist, 20);
-  ExhaustiveSearch exact(protos, dist);
-  for (double eps : {0.25, 1.0}) {
-    for (const auto& q : queries) {
-      double approx = laesa.NearestApprox(q, eps).distance;
-      double truth = exact.Nearest(q).distance;
-      EXPECT_LE(approx, (1.0 + eps) * truth + 1e-9)
-          << "q=" << q << " eps=" << eps;
-      EXPECT_GE(approx + 1e-12, truth);
-    }
-  }
-}
-
-TEST(LaesaApproxTest, LargerEpsilonFewerComputationsOnContinuousMetrics) {
-  // The relaxation pays off on continuous-valued distances, where a
-  // slightly stale incumbent still eliminates well (measured: dYB needs
-  // ~6x fewer computations at eps=1). On the integer-valued dE the
-  // thresholds quantise and the effect can even reverse — see the doc
-  // comment on NearestApprox.
-  auto protos = Dict(600, 1905);
-  Rng rng(1906);
-  auto queries = MakeQueries(protos, 50, 2, Alphabet::Latin(), rng);
-  for (const char* name : {"dYB", "dC,h"}) {
-    Laesa laesa(protos, MakeDistance(name), 40);
-    Laesa::QueryStats exact_stats, approx_stats;
-    for (const auto& q : queries) {
-      laesa.NearestApprox(q, 0.0, &exact_stats);
-      laesa.NearestApprox(q, 1.0, &approx_stats);
-    }
-    EXPECT_LT(approx_stats.distance_computations,
-              exact_stats.distance_computations)
-        << name;
-  }
-}
-
-TEST(LaesaApproxTest, RejectsNegativeEpsilon) {
-  auto protos = Dict(20, 1907);
-  Laesa laesa(protos, MakeDistance("dE"), 4);
-  EXPECT_THROW(laesa.NearestApprox("abc", -0.5), std::invalid_argument);
 }
 
 }  // namespace
