@@ -10,7 +10,7 @@
 // wins on computation count.
 
 // Run with --shards=N to partition the prototype sample into N shards
-// searched by ShardedLaesa: the headline numbers stay bit-identical to the
+// searched by a sharded Laesa: the headline numbers stay bit-identical to the
 // flat index (same sweep, shard-partitioned execution), and an extra table
 // per distance reports the per-shard split of the distance evaluations
 // plus the totals of the batched two-stage pivot pipeline.

@@ -13,7 +13,7 @@
 // would see.
 //
 // With `shards > 1` the store is partitioned into a ShardedPrototypeStore
-// and searched with ShardedLaesa. The lazy sharded sweep is bit-identical
+// and searched with a sharded Laesa. The lazy sharded sweep is bit-identical
 // to the flat index (results and stats), so the headline columns stay
 // comparable; the harness additionally reports the per-shard split of
 // those evaluations and the totals of the batched two-stage pivot
@@ -35,7 +35,6 @@
 #include "metric/stats.h"
 #include "search/batch_engine.h"
 #include "search/laesa.h"
-#include "search/sharded_laesa.h"
 #include "search/sweep_kernel.h"
 
 namespace cned::bench {
@@ -130,7 +129,7 @@ inline std::vector<SweepPoint> RunSweep(
         secs = watch.Seconds();
       } else {
         ShardedPrototypeStore store(sample, shards);
-        ShardedLaesa laesa(store, distance, pivots, precision);
+        Laesa laesa(store, distance, pivots, precision);
         BatchQueryEngine engine(laesa);
         std::vector<QueryStats> shard_stats;
         Stopwatch watch;

@@ -1,5 +1,5 @@
 // Distributed serving benchmark: one scatter/gather router (serve/router.h)
-// over 1/2/4/8 forked shard workers versus the in-process ShardedLaesa,
+// over 1/2/4/8 forked shard workers versus the in-process sharded Laesa,
 // on a fig3-style dictionary workload.
 //
 // Measured:
@@ -49,7 +49,7 @@
 #include "datasets/perturb.h"
 #include "datasets/sharded_prototype_store.h"
 #include "distances/registry.h"
-#include "search/sharded_laesa.h"
+#include "search/laesa.h"
 #include "serve/router.h"
 #include "serve/shard_snapshot.h"
 
@@ -127,7 +127,7 @@ int Run() {
 
   for (std::size_t shards : worker_counts) {
     ShardedPrototypeStore store(dict.strings, shards);
-    ShardedLaesa index(store, dist, pivots);
+    Laesa index(store, dist, pivots);
     TempDir dir;
     SaveServingSnapshot(index, dir.path);
 

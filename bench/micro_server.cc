@@ -27,7 +27,7 @@
 // Contracts checked (CI greps the booleans):
 //   * "concurrent_exact": every non-shed answer, at every client count
 //     and both replica counts, is bit-identical — neighbours, distances
-//     AND QueryStats — to the in-process ShardedLaesa pivot-row path
+//     AND QueryStats — to the in-process sharded Laesa pivot-row path
 //     (ComputePivotRow + KNearestWithPivotRow);
 //   * "concurrent_throughput_ok": 8 concurrent clients sustain >= 3x the
 //     serialized baseline's throughput (R=1) — the pipelining headline;
@@ -57,7 +57,7 @@
 #include "datasets/sharded_prototype_store.h"
 #include "distances/registry.h"
 #include "search/pivot_stage.h"
-#include "search/sharded_laesa.h"
+#include "search/laesa.h"
 #include "serve/engine.h"
 #include "serve/router.h"
 #include "serve/shard_snapshot.h"
@@ -179,7 +179,7 @@ int Run() {
   auto dist = MakeDistance("dE");
 
   ShardedPrototypeStore store(dict.strings, shards);
-  ShardedLaesa index(store, dist, pivots);
+  Laesa index(store, dist, pivots);
   TempDir dir;
   SaveServingSnapshot(index, dir.path);
 

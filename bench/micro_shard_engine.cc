@@ -34,7 +34,6 @@
 #include "distances/registry.h"
 #include "search/batch_engine.h"
 #include "search/laesa.h"
-#include "search/sharded_laesa.h"
 
 namespace cned {
 namespace {
@@ -65,7 +64,7 @@ DistanceReport RunDistance(const std::string& distance_name,
   auto dist = MakeDistance(distance_name);
 
   // Flat single-store reference: the identity baseline for every shard
-  // count (ShardedLaesa picks the same max-min pivots over the same data).
+  // count (a sharded Laesa picks the same max-min pivots over the same data).
   PrototypeStore flat_store(protos);
   Laesa flat(flat_store, dist, pivots);
   QueryStats flat_stats;
@@ -78,7 +77,7 @@ DistanceReport RunDistance(const std::string& distance_name,
     ShardRun run;
     run.shards = shards;
     ShardedPrototypeStore store(protos, shards);
-    ShardedLaesa index(store, dist, pivots);
+    Laesa index(store, dist, pivots);
 
     // Warm-up so neither timed path pays first-allocation noise.
     BatchQueryEngine::Options opt;

@@ -8,7 +8,7 @@
 //     skip absent), which is idempotent — the slab can be re-swept without
 //     rebuilding, and it is the traffic-heavy early-sweep shape.
 //  2. The fig3 dictionary workload end to end: flat LAESA and a 4-shard
-//     ShardedLaesa answering a query batch through the BatchQueryEngine,
+//     sharded Laesa answering a query batch through the BatchQueryEngine,
 //     lazy and two-stage pivot pipeline, per kernel variant.
 //
 // Contracts checked (CI greps the booleans):
@@ -48,7 +48,6 @@
 #include "distances/registry.h"
 #include "search/batch_engine.h"
 #include "search/laesa.h"
-#include "search/sharded_laesa.h"
 #include "search/sweep_kernel.h"
 #include "search/table_quant.h"
 
@@ -194,7 +193,7 @@ struct Fig3Run {
   std::vector<NeighborResult> staged_results;
 };
 
-Fig3Run RunFig3(const Laesa& flat, const ShardedLaesa& sharded,
+Fig3Run RunFig3(const Laesa& flat, const Laesa& sharded,
                 const PrototypeStore& queries) {
   Fig3Run run;
   run.kernel = ActiveSweepKernels().name;
@@ -346,7 +345,7 @@ int Run() {
   PrototypeStore flat_store(sample);
   Laesa flat(flat_store, dist, pivots);
   ShardedPrototypeStore sharded_store(sample, 4);
-  ShardedLaesa sharded(sharded_store, dist, pivots);
+  Laesa sharded(sharded_store, dist, pivots);
   log << "  fig3 workload: " << train << " prototypes, " << queries.size()
       << " queries, " << pivots << " pivots, dE, 4 shards\n";
 

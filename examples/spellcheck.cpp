@@ -2,7 +2,7 @@
 // LAESA, the scenario of the paper's Figure 3, grown into the sharded
 // serving flow:
 //
-//   1. build a ShardedPrototypeStore + ShardedLaesa (4 shards, one pivot
+//   1. build a ShardedPrototypeStore + Laesa (4 shards, one pivot
 //      table per shard, shared global pivots);
 //   2. snapshot both to disk in the mmap-ready binary format
 //      (64-byte-aligned sections, versioned headers);
@@ -30,7 +30,7 @@
 #include "datasets/sharded_prototype_store.h"
 #include "distances/registry.h"
 #include "search/batch_engine.h"
-#include "search/sharded_laesa.h"
+#include "search/laesa.h"
 
 int main(int argc, char** argv) {
   // 1. A deterministic 3000-word synthetic dictionary (drop in the real
@@ -46,11 +46,11 @@ int main(int argc, char** argv) {
             << store.shard_count() << " shards (e.g. \"" << store.view(0)
             << "\", \"" << store.view(1) << "\")\n";
 
-  // 2. Index with ShardedLaesa: 40 max-min pivots selected globally — the
+  // 2. Index with Laesa: 40 max-min pivots selected globally — the
   //    same pivots a flat index would pick, so results are bit-identical
   //    to the single-store search — with one table per shard.
   auto distance = cned::MakeDistance("dC,h");
-  cned::ShardedLaesa index(store, distance, /*num_pivots=*/40);
+  cned::Laesa index(store, distance, /*num_pivots=*/40);
   std::cout << "sharded LAESA built (" << index.num_pivots() << " pivots, "
             << index.preprocessing_computations()
             << " preprocessing distance computations)\n";
@@ -68,16 +68,16 @@ int main(int argc, char** argv) {
     cned::Stopwatch copy_watch;
     cned::ShardedPrototypeStore copy_store =
         cned::ShardedPrototypeStore::LoadBinary(store_path);
-    cned::ShardedLaesa copy_index =
-        cned::ShardedLaesa::Load(index_path, copy_store, distance);
+    cned::Laesa copy_index =
+        cned::Laesa::Load(index_path, copy_store, distance);
     (void)copy_index;
     copy_ms = copy_watch.Millis();
   }
   cned::Stopwatch map_watch;
   cned::ShardedPrototypeStore served_store =
       cned::ShardedPrototypeStore::Map(store_path);
-  cned::ShardedLaesa served =
-      cned::ShardedLaesa::Map(index_path, served_store, distance);
+  cned::Laesa served =
+      cned::Laesa::Map(index_path, served_store, distance);
   const double map_ms = map_watch.Millis();
   std::cout << "snapshot: " << store_path << " + " << index_path
             << " -> mmap-served index with " << served.num_pivots()

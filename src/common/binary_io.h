@@ -31,7 +31,7 @@ namespace cned {
 ///   bytes 12..63  reserved (zero)
 /// One reader serves every format: `MappedReader` below. The copying
 /// loaders (`PrototypeStore::LoadBinary`, `ShardedPrototypeStore::
-/// LoadBinary`, `Laesa::Load`, `ShardedLaesa::Load`) run the same section
+/// LoadBinary`, `Laesa::Load`) run the same section
 /// walk as the zero-copy `Map` forms and then copy the sections out. The
 /// reader always validates the footer's *presence* (and excludes it from
 /// the section space); it verifies the content checksum when its

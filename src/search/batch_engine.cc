@@ -7,7 +7,7 @@
 
 #include "common/parallel.h"
 #include "search/pivot_stage.h"
-#include "search/sharded_laesa.h"
+#include "search/laesa.h"
 
 namespace cned {
 namespace {
@@ -134,13 +134,12 @@ std::vector<NeighborResult> BatchQueryEngine::Nearest(
   if (shard_stats == nullptr) {
     lists = KNearest(queries, 1, stats);
   } else {
-    const auto* sharded = dynamic_cast<const ShardedLaesa*>(searcher_);
-    if (sharded == nullptr) {
+    const auto* laesa = dynamic_cast<const Laesa*>(searcher_);
+    if (laesa == nullptr) {
       throw std::invalid_argument(
-          "BatchQueryEngine::Nearest: per-shard stats need a sharded "
-          "searcher");
+          "BatchQueryEngine::Nearest: per-shard stats need a Laesa searcher");
     }
-    const std::size_t shards = sharded->shard_count();
+    const std::size_t shards = laesa->shard_count();
     // Dense query x shard counters, merged in index order afterwards — the
     // same determinism scheme as the per-query stats.
     std::vector<QueryStats> per_shard(q.size() * shards);
@@ -148,11 +147,11 @@ std::vector<NeighborResult> BatchQueryEngine::Nearest(
         *searcher_, options_, q, stats,
         [&](const PivotStageSearcher&, std::size_t i, const double* row,
             QueryStats* s) {
-          return sharded->KNearestWithPivotRow(q[i], 1, row, s,
-                                               &per_shard[i * shards]);
+          return laesa->KNearestWithPivotRow(q[i], 1, row, s,
+                                             &per_shard[i * shards]);
         },
         [&](std::size_t i, QueryStats* s) {
-          return sharded->KNearest(q[i], 1, s, &per_shard[i * shards]);
+          return laesa->KNearest(q[i], 1, s, &per_shard[i * shards]);
         });
     shard_stats->assign(shards, QueryStats{});
     for (std::size_t i = 0; i < q.size(); ++i) {

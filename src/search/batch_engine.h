@@ -62,9 +62,9 @@ class BatchQueryEngine {
   /// non-null. Throws std::out_of_range when the index holds no prototype.
   ///
   /// With `shard_stats` non-null it also accumulates each visited
-  /// candidate's evaluation onto its home shard: `shard_stats` is resized
-  /// to the searcher's shard count, and the searcher must be a
-  /// `ShardedLaesa` (std::invalid_argument otherwise). Stage-1 pivot
+  /// candidate's evaluation onto its home segment: the searcher must be a
+  /// `Laesa` (std::invalid_argument otherwise), and `shard_stats` is resized
+  /// to its segment count (one entry for a flat index). Stage-1 pivot
   /// evaluations of the pivot pipeline are global, not per-shard — they
   /// appear only in the merged `stats`.
   std::vector<NeighborResult> Nearest(

@@ -1,23 +1,22 @@
 #include "search/laesa.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "common/binary_io.h"
 #include "search/pivot_selection.h"
 #include "search/pivot_sweep.h"
-#include "search/sweep_kernel.h"
+#include "serve/shard_snapshot.h"
 
 namespace cned {
 
 namespace {
 
-// The selecting constructor's pivots: greedy max-min over a validated
-// store.
-std::vector<std::size_t> SelectLaesaPivots(const PrototypeStore& store,
+// The selecting constructors' pivots: greedy max-min over the global id
+// space of a flat or sharded store, the same sequence for either.
+template <typename Store>
+std::vector<std::size_t> SelectLaesaPivots(const Store& store,
                                            const StringDistance& distance,
                                            std::size_t num_pivots) {
   if (store.empty()) {
@@ -30,7 +29,69 @@ std::vector<std::size_t> SelectLaesaPivots(const PrototypeStore& store,
   return SelectPivotsMaxMin(store, distance, num_pivots);
 }
 
+// One borrowed store per shard, in shard order.
+std::vector<PrototypeStoreRef> ShardStores(const ShardedPrototypeStore& store) {
+  std::vector<PrototypeStoreRef> stores;
+  stores.reserve(store.shard_count());
+  for (std::size_t s = 0; s < store.shard_count(); ++s) {
+    stores.emplace_back(store.shard(s));
+  }
+  return stores;
+}
+
+std::vector<std::uint64_t> SegmentSizes(
+    const std::vector<SweepSegment>& segments) {
+  std::vector<std::uint64_t> sizes(segments.size());
+  for (std::size_t g = 0; g < segments.size(); ++g) {
+    sizes[g] = segments[g].store->size();
+  }
+  return sizes;
+}
+
+constexpr char kSnapshotMagic[8] = {'C', 'N', 'E', 'D', 'S', 'H', 'L', '1'};
+constexpr std::uint32_t kSnapshotVersion = 1;
+// Version 2 stores a quantized table: counts {n, segments, np, precision},
+// sections segment sizes, pivot ids, the GLOBAL per-row meta
+// QuantRowMeta[np], then each segment's code table elem[np * n_g]. f64
+// indexes keep writing version 1 byte-identically.
+constexpr std::uint32_t kSnapshotVersionQuant = 2;
+
 }  // namespace
+
+Laesa::Laesa(std::vector<PrototypeStoreRef> stores, StringDistancePtr distance)
+    : stores_(std::move(stores)), distance_(std::move(distance)) {
+  segments_.reserve(stores_.size());
+  for (const PrototypeStoreRef& store : stores_) {
+    segments_.push_back({size_, &store.get(), {}});
+    size_ += store->size();
+  }
+}
+
+Laesa::Laesa(std::vector<PrototypeStoreRef> stores, StringDistancePtr distance,
+             std::vector<std::size_t> pivot_indices,
+             TablePrecision precision)
+    : Laesa(std::move(stores), std::move(distance)) {
+  if (size_ == 0) {
+    throw std::invalid_argument("Laesa: empty prototype set");
+  }
+  if (pivot_indices.empty()) {
+    throw std::invalid_argument("Laesa: need at least one pivot");
+  }
+  for (std::size_t p : pivot_indices) {
+    if (p >= size_) {
+      throw std::invalid_argument("Laesa: pivot index out of range");
+    }
+  }
+  pivot_table_ = PivotTables(std::move(pivot_indices), size_,
+                             /*distinct=*/shard_count() > 1, "Laesa");
+  // Each GLOBAL row is quantized with one meta shared by every segment, so
+  // an S-segment build holds exactly the codes and gaps a one-segment
+  // build of the same data would.
+  pivot_table_.Build(segments_, *distance_, precision);
+  BindTables();
+  preprocessing_computations_ +=
+      static_cast<std::uint64_t>(pivots().size()) * size_;
+}
 
 Laesa::Laesa(PrototypeStoreRef prototypes, StringDistancePtr distance,
              std::size_t num_pivots, TablePrecision table_precision)
@@ -38,35 +99,27 @@ Laesa::Laesa(PrototypeStoreRef prototypes, StringDistancePtr distance,
             SelectLaesaPivots(prototypes.get(), *distance, num_pivots),
             table_precision) {
   preprocessing_computations_ +=
-      static_cast<std::uint64_t>(pivots().size()) * store().size();
+      static_cast<std::uint64_t>(pivots().size()) * size_;
 }
 
 Laesa::Laesa(PrototypeStoreRef prototypes, StringDistancePtr distance,
              std::vector<std::size_t> pivot_indices,
              TablePrecision table_precision)
-    : prototypes_(prototypes), distance_(std::move(distance)) {
-  if (store().empty()) {
-    throw std::invalid_argument("Laesa: empty prototype set");
-  }
-  if (pivot_indices.empty()) {
-    throw std::invalid_argument("Laesa: need at least one pivot");
-  }
-  const std::size_t n = store().size();
-  for (std::size_t p : pivot_indices) {
-    if (p >= n) throw std::invalid_argument("Laesa: pivot index out of range");
-  }
-  pivot_table_ = PivotTables(std::move(pivot_indices), n,
-                             /*distinct=*/false, "Laesa");
-  pivot_table_.Build({SweepSegment{0, &store(), {}}}, *distance_,
-                     table_precision);
+    : Laesa(std::vector<PrototypeStoreRef>{prototypes}, std::move(distance),
+            std::move(pivot_indices), table_precision) {}
+
+Laesa::Laesa(const ShardedPrototypeStore& store, StringDistancePtr distance,
+             std::size_t num_pivots, TablePrecision table_precision)
+    : Laesa(ShardStores(store), distance,
+            SelectLaesaPivots(store, *distance, num_pivots), table_precision) {
   preprocessing_computations_ +=
-      static_cast<std::uint64_t>(pivots().size()) * n;
+      static_cast<std::uint64_t>(pivots().size()) * size_;
 }
 
-// The flat index is the one-segment table of the shared sweep core
-// (pivot_sweep.h).
-PivotSweep Laesa::core() const {
-  return pivot_table_.Sweep({SweepSegment{0, &store(), {}}}, *distance_);
+void Laesa::BindTables() {
+  for (std::size_t g = 0; g < segments_.size(); ++g) {
+    segments_[g].table = pivot_table_.view(g);
+  }
 }
 
 void Laesa::ComputePivotRow(std::string_view query, double* row,
@@ -80,10 +133,22 @@ std::vector<NeighborResult> Laesa::KNearestWithPivotRow(
   return core().WithRow(query, k, row, stats);
 }
 
+std::vector<NeighborResult> Laesa::KNearestWithPivotRow(
+    std::string_view query, std::size_t k, const double* row,
+    QueryStats* stats, QueryStats* shard_stats) const {
+  return core().WithRow(query, k, row, stats, shard_stats);
+}
+
 std::vector<NeighborResult> Laesa::KNearest(std::string_view query,
                                             std::size_t k,
                                             QueryStats* stats) const {
   return core().Lazy(query, k, stats);
+}
+
+std::vector<NeighborResult> Laesa::KNearest(std::string_view query,
+                                            std::size_t k, QueryStats* stats,
+                                            QueryStats* shard_stats) const {
+  return core().Lazy(query, k, stats, shard_stats);
 }
 
 std::vector<NeighborResult> Laesa::KNearestMasked(
@@ -92,122 +157,123 @@ std::vector<NeighborResult> Laesa::KNearestMasked(
   return core().Lazy(query, k, stats, nullptr, tombstones);
 }
 
-std::vector<NeighborResult> Laesa::RangeSearch(std::string_view query,
-                                               double radius,
-                                               QueryStats* stats) const {
-  const PrototypeStore& protos = store();
-  const std::size_t n = protos.size();
-  const SweepKernels& kern = ActiveSweepKernels();
-  SweepScratch& scratch = TlsSweepScratch();
-  scratch.lower.resize(n);
-  double* lower = scratch.lower.data();
-  // Length-difference bounds seed the candidate filter for free, as in the
-  // nearest-neighbour sweep.
-  distance_->LengthLowerBounds(query.size(), protos.lengths_data(), n, lower);
-
-  std::vector<NeighborResult> hits;
-  std::uint64_t computations = 0, abandons = 0;
-
-  // Phase 1: compute query-pivot distances, tighten every lower bound with
-  // the pivot's contiguous table row (the dense streamed-max kernel). Pivot
-  // distances stay exact: their full value feeds every candidate's lower
-  // bound, which is worth far more than an abandoned evaluation saves.
-  const std::vector<std::size_t>& pivots = this->pivots();
-  const std::int32_t* pivot_rank = pivot_table_.rank();
-  const QuantTableView view = pivot_table_.view(0);
-  for (std::size_t p = 0; p < pivots.size(); ++p) {
-    const std::size_t s = pivots[p];
-    const double d = distance_->Distance(query, protos[s]);
-    ++computations;
-    // A pivot listed more than once (ablation constructor, any Load or
-    // Map) is one prototype: report it from its ranked entry only.
-    if (d <= radius && pivot_rank[s] == static_cast<std::int32_t>(p)) {
-      hits.push_back({s, d});
-    }
-    QuantUpdateLowerDense(kern, view, p, n, d, lower);
-  }
-  // Phase 2: verify every surviving non-pivot (pivots were computed in
-  // phase 1). Hits are inclusive (d <= radius), so the kernel bound is the
-  // next representable value above the radius — an abandoned evaluation
-  // then certifies d > radius.
-  const double cap =
-      std::nextafter(radius, std::numeric_limits<double>::infinity());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (pivot_rank[i] >= 0 || lower[i] > radius) continue;
-    const double d = distance_->DistanceBounded(query, protos[i], cap);
-    ++computations;
-    if (d >= cap) {
-      ++abandons;
-    } else if (d <= radius) {
-      hits.push_back({i, d});
-    }
-  }
-  std::sort(hits.begin(), hits.end(), NeighborLess);
-  if (stats != nullptr) {
-    stats->distance_computations += computations;
-    stats->bounded_abandons += abandons;
-    stats->pivot_computations += pivots.size();
-  }
-  return hits;
-}
-
-namespace {
-constexpr char kLaesaMagic[8] = {'C', 'N', 'E', 'D', 'L', 'S', 'A', '1'};
-constexpr std::uint32_t kLaesaVersion = 1;
-// Version 2 adds quantized tables: counts gain the precision, and a 32-byte
-// per-row QuantRowMeta section sits between the pivots and the (narrow)
-// code table. f64 indexes keep writing version 1, byte-identical to every
-// snapshot produced before quantization existed.
-constexpr std::uint32_t kLaesaVersionQuant = 2;
-}  // namespace
-
 void Laesa::Save(const std::string& path) const {
   BinaryWriter writer(path);
   const TablePrecision precision = table_precision();
-  // f64 is precision code 0, so a version-1 header's third count stays zero.
-  const std::uint64_t counts[3] = {store().size(), pivots().size(),
+  // f64 is precision code 0, so a version-1 header's fourth count stays
+  // zero.
+  const std::uint64_t counts[4] = {size_, shard_count(), pivots().size(),
                                    static_cast<std::uint64_t>(precision)};
-  writer.Header(kLaesaMagic,
-                precision == TablePrecision::kF64 ? kLaesaVersion
-                                                  : kLaesaVersionQuant,
-                counts, 3);
-  pivot_table_.Write(writer, 0, 1);
+  writer.Header(kSnapshotMagic,
+                precision == TablePrecision::kF64 ? kSnapshotVersion
+                                                  : kSnapshotVersionQuant,
+                counts, 4);
+  const std::vector<std::uint64_t> sizes = SegmentSizes(segments_);
+  writer.Align();
+  writer.Raw(sizes.data(), sizes.size() * sizeof(std::uint64_t));
+  pivot_table_.Write(writer, 0, shard_count());
   writer.Finish();
 }
 
-Laesa Laesa::Open(const std::string& path, PrototypeStoreRef prototypes,
-                  StringDistancePtr distance, bool copy, const char* who) {
+void Laesa::SaveShard(std::size_t s, const std::string& path) const {
+  BinaryWriter writer(path);
+  const SweepSegment& seg = segments_[s];
+  const std::uint64_t counts[6] = {size_, shard_count(), pivots().size(), s,
+                                   seg.store->size(), seg.base};
+  if (table_precision() == TablePrecision::kF64) {
+    writer.Header(kShardSliceMagic, kShardSliceVersion, counts, 6);
+  } else {
+    // All six header counts are taken, so v2 leads with an extra
+    // {precision, reserved} section (see serve/shard_snapshot.h).
+    writer.Header(kShardSliceMagic, kShardSliceVersionQuant, counts, 6);
+    const std::uint64_t prec[2] = {
+        static_cast<std::uint64_t>(table_precision()), 0};
+    writer.Align();
+    writer.Raw(prec, sizeof(prec));
+  }
+  pivot_table_.Write(writer, s, s + 1);
+  writer.Finish();
+}
+
+void Laesa::SaveRouterManifest(const std::string& path) const {
+  BinaryWriter writer(path);
+  const std::vector<std::size_t>& pivots = this->pivots();
+  std::vector<std::uint64_t> lens(pivots.size());
+  std::uint64_t arena_bytes = 0;
+  for (std::size_t p = 0; p < pivots.size(); ++p) {
+    lens[p] = PivotString(p).size();
+    arena_bytes += lens[p];
+  }
+  const std::uint64_t counts[4] = {size_, shard_count(), pivots.size(),
+                                   arena_bytes};
+  writer.Header(kRouterManifestMagic, kRouterManifestVersion, counts, 4);
+  const std::vector<std::uint64_t> sizes = SegmentSizes(segments_);
+  writer.Align();
+  writer.Raw(sizes.data(), sizes.size() * sizeof(std::uint64_t));
+  writer.Align();
+  writer.Raw(pivots.data(), pivots.size() * sizeof(std::uint64_t));
+  writer.Align();
+  writer.Raw(lens.data(), lens.size() * sizeof(std::uint64_t));
+  writer.Align();
+  for (std::size_t p = 0; p < pivots.size(); ++p) {
+    const std::string_view v = PivotString(p);
+    writer.Raw(v.data(), v.size());
+  }
+  writer.Finish();
+}
+
+Laesa Laesa::Open(const std::string& path, Laesa shell, bool copy,
+                  const char* who) {
   // Load reads every byte anyway, so it always verifies the checksum; Map
   // leaves that to CNED_SNAPSHOT_VERIFY (binary_io.h).
   MappedReader reader(MappedFile::Open(path),
                       copy || SnapshotVerifyEnabled());
   std::uint32_t version = 0;
-  const auto counts =
-      reader.Header(kLaesaMagic, kLaesaVersion, kLaesaVersionQuant, &version);
+  const auto counts = reader.Header(kSnapshotMagic, kSnapshotVersion,
+                                    kSnapshotVersionQuant, &version);
   const std::uint64_t n = counts[0];
-  if (n != prototypes->size()) {
-    throw std::runtime_error(std::string(who) + ": prototype count mismatch");
+  const std::uint64_t segments = counts[1];
+  if (n != shell.size_ || segments != shell.shard_count()) {
+    throw std::runtime_error(std::string(who) + ": store shape mismatch");
   }
   const TablePrecision precision =
-      version == kLaesaVersion ? TablePrecision::kF64
-                               : TablePrecisionFromCode(counts[2], who);
-  Laesa index(InternalTag{}, prototypes, std::move(distance));
-  index.pivot_table_ = PivotTables::Read(reader, counts[1], n, {n},
-                                         precision, /*distinct=*/false, copy,
-                                         who);
-  return index;
+      version == kSnapshotVersion ? TablePrecision::kF64
+                                  : TablePrecisionFromCode(counts[3], who);
+  const std::uint64_t* sizes = reader.Array<std::uint64_t>(segments);
+  for (std::uint64_t g = 0; g < segments; ++g) {
+    if (sizes[g] != shell.segments_[g].store->size()) {
+      throw std::runtime_error(std::string(who) + ": shard size mismatch");
+    }
+  }
+  shell.pivot_table_ = PivotTables::Read(
+      reader, counts[2], n, std::vector<std::size_t>(sizes, sizes + segments),
+      precision, /*distinct=*/segments > 1, copy, who);
+  shell.BindTables();
+  return shell;
 }
 
 Laesa Laesa::Load(const std::string& path, PrototypeStoreRef prototypes,
                   StringDistancePtr distance) {
-  return Open(path, prototypes, std::move(distance), /*copy=*/true,
+  return Open(path, Laesa({prototypes}, std::move(distance)), /*copy=*/true,
               "Laesa::Load");
+}
+
+Laesa Laesa::Load(const std::string& path, const ShardedPrototypeStore& store,
+                  StringDistancePtr distance) {
+  return Open(path, Laesa(ShardStores(store), std::move(distance)),
+              /*copy=*/true, "Laesa::Load");
 }
 
 Laesa Laesa::Map(const std::string& path, PrototypeStoreRef prototypes,
                  StringDistancePtr distance) {
-  return Open(path, prototypes, std::move(distance), /*copy=*/false,
+  return Open(path, Laesa({prototypes}, std::move(distance)), /*copy=*/false,
               "Laesa::Map");
+}
+
+Laesa Laesa::Map(const std::string& path, const ShardedPrototypeStore& store,
+                 StringDistancePtr distance) {
+  return Open(path, Laesa(ShardStores(store), std::move(distance)),
+              /*copy=*/false, "Laesa::Map");
 }
 
 }  // namespace cned

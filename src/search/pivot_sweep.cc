@@ -140,11 +140,11 @@ SweepCompactResult VisitSegmentPass(const SweepSegment& seg,
                                             bound);
 }
 
-PivotSweep::PivotSweep(std::vector<SweepSegment> segments,
+PivotSweep::PivotSweep(const std::vector<SweepSegment>& segments,
                        const std::vector<std::size_t>& pivots,
                        const std::int32_t* pivot_rank,
                        const StringDistance& distance)
-    : segments_(std::move(segments)),
+    : segments_(segments),
       pivots_(pivots),
       pivot_rank_(pivot_rank),
       distance_(distance) {
@@ -339,11 +339,10 @@ PivotTables::PivotTables(std::vector<std::size_t> pivots, std::size_t n,
     : pivots_(std::move(pivots)),
       rank_(RankPivots(pivots_, n, distinct, who)) {}
 
-void PivotTables::Build(std::vector<SweepSegment> segments,
+void PivotTables::Build(const std::vector<SweepSegment>& segs,
                         const StringDistance& distance,
                         TablePrecision precision) {
-  const PivotSweep sweep(std::move(segments), pivots_, rank_.data(), distance);
-  const std::vector<SweepSegment>& segs = sweep.segments();
+  const PivotSweep sweep(segs, pivots_, rank_.data(), distance);
   const std::size_t p_count = pivots_.size();
   std::vector<std::size_t> sizes(segs.size());
   std::size_t n = 0;
@@ -354,10 +353,6 @@ void PivotTables::Build(std::vector<SweepSegment> segments,
     n += sizes[g];
     out.f64[g].resize(p_count * sizes[g]);
   }
-  auto prototype = [&](std::size_t id) {
-    const SweepSegment& seg = segs[sweep.SegmentOf(id)];
-    return seg.store->view(id - seg.base);
-  };
   // One task per table entry: the atomic work queue in ParallelFor balances
   // the load even when string lengths (and thus per-distance cost) vary
   // wildly, and writes are disjoint. Every distance kernel is thread-safe
@@ -368,7 +363,7 @@ void PivotTables::Build(std::vector<SweepSegment> segments,
     const std::size_t g = sweep.SegmentOf(i);
     const SweepSegment& seg = segs[g];
     out.f64[g][p * sizes[g] + (i - seg.base)] = distance.Distance(
-        prototype(pivots_[p]), seg.store->view(i - seg.base));
+        sweep.View(pivots_[p]), seg.store->view(i - seg.base));
   });
   if (precision != TablePrecision::kF64) {
     // Quantize each GLOBAL pivot row with one shared meta: scan every
@@ -484,14 +479,6 @@ void PivotTables::Write(BinaryWriter& writer, std::size_t first,
                    : v.q,
                np * sizes_[g] * width);
   }
-}
-
-PivotSweep PivotTables::Sweep(std::vector<SweepSegment> segments,
-                              const StringDistance& distance) const {
-  for (std::size_t g = 0; g < segments.size(); ++g) {
-    segments[g].table = views_[g];
-  }
-  return PivotSweep(std::move(segments), pivots_, rank_.data(), distance);
 }
 
 }  // namespace cned

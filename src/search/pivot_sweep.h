@@ -19,8 +19,8 @@
 
 namespace cned {
 
-/// The one LAESA sweep core: `Laesa` runs it over one segment,
-/// `ShardedLaesa` over one segment per shard, and the serve worker's
+/// The one LAESA sweep core: `Laesa` runs it over its S segments (one for
+/// a flat store, one per shard of a sharded store), and the serve worker's
 /// `ShardReplica` runs its two per-segment passes for its own shard.
 ///
 /// The candidate space [0, N) is a table of contiguous segments in base
@@ -159,14 +159,14 @@ SweepCompactResult VisitSegmentPass(const SweepSegment& seg,
                                     std::uint32_t* idx, double* lower,
                                     std::size_t live);
 
-/// The sweeps over one index's segments. Each index builds it per call
-/// from its `PivotTables` (`PivotTables::Sweep`), so it never outlives the
-/// table it views.
+/// The sweeps over one index's segments. It borrows the segment list, the
+/// pivots and the rank array, so the index builds one per call and it never
+/// outlives the table it views.
 class PivotSweep {
  public:
   /// `pivot_rank`: global id -> ordinal or -1. Duplicate `pivots` entries
   /// share one candidate slot, ranked by their last entry.
-  PivotSweep(std::vector<SweepSegment> segments,
+  PivotSweep(const std::vector<SweepSegment>& segments,
              const std::vector<std::size_t>& pivots,
              const std::int32_t* pivot_rank, const StringDistance& distance);
 
@@ -194,17 +194,17 @@ class PivotSweep {
   /// The segment holding global id `id`.
   std::size_t SegmentOf(std::size_t id) const;
 
-  const std::vector<SweepSegment>& segments() const { return segments_; }
-  const StringDistance& distance() const { return distance_; }
-
- private:
   /// The prototype at global id `id`.
   std::string_view View(std::size_t id) const {
     const SweepSegment& seg = segments_[SegmentOf(id)];
     return seg.store->view(id - seg.base);
   }
 
-  std::vector<SweepSegment> segments_;
+  const std::vector<SweepSegment>& segments() const { return segments_; }
+  const StringDistance& distance() const { return distance_; }
+
+ private:
+  const std::vector<SweepSegment>& segments_;
   const std::vector<std::size_t>& pivots_;
   const std::int32_t* pivot_rank_;
   const StringDistance& distance_;
@@ -222,9 +222,9 @@ std::vector<std::int32_t> RankPivots(const std::vector<std::size_t>& pivots,
 
 /// The one pivot table of an index: the pivot ids, their N-entry rank
 /// array, the storage precision, and one rank-major table slice per
-/// segment, decoded with the global row meta. `Laesa` holds a one-segment
-/// table, `ShardedLaesa` one segment per shard, and the serve worker's
-/// `ShardReplica` the segment of its own shard over the global rank array.
+/// segment, decoded with the global row meta. `Laesa` holds one segment
+/// per store, and the serve worker's `ShardReplica` the segment of its own
+/// shard over the global rank array.
 ///
 /// The slices are built in memory (`Build`) or read from the tail every
 /// table format shares (`Read`): viewed in place in a mapped snapshot, or
@@ -250,7 +250,7 @@ class PivotTables {
   /// Computes the slices of `segments` (their `table` views are not read)
   /// at `precision`. One meta per GLOBAL row, so one-segment and S-segment
   /// builds of the same data hold the same codes.
-  void Build(std::vector<SweepSegment> segments,
+  void Build(const std::vector<SweepSegment>& segments,
              const StringDistance& distance, TablePrecision precision);
 
   /// Takes `buffers` as the slices of segments holding `sizes[g]`
@@ -271,11 +271,6 @@ class PivotTables {
 
   /// Writes the tail `Read` walks, for segments [first, last).
   void Write(BinaryWriter& writer, std::size_t first, std::size_t last) const;
-
-  /// The sweep core over `segments` (bases and stores), each viewing its
-  /// slice of this table.
-  PivotSweep Sweep(std::vector<SweepSegment> segments,
-                   const StringDistance& distance) const;
 
   const std::vector<std::size_t>& pivots() const { return pivots_; }
   const std::int32_t* rank() const { return rank_.data(); }

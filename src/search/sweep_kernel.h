@@ -14,11 +14,10 @@ namespace cned {
 /// The shared vectorised elimination core of the LAESA family.
 ///
 /// Every LAESA-shaped sweep in the library — the sweep core
-/// (pivot_sweep.h) that `Laesa` and `ShardedLaesa` run over one or S
-/// segments (and through them the batch engine's pivot-stage pipeline),
-/// its per-segment passes in the serve worker's `ShardReplica`, and
-/// `Laesa::RangeSearch` — is the same three data-parallel operations over
-/// packed candidate slabs:
+/// (pivot_sweep.h) that `Laesa` runs over its S segments (and through it
+/// the batch engine's pivot-stage pipeline) and its per-segment passes in
+/// the serve worker's `ShardReplica` — is the same three data-parallel
+/// operations over packed candidate slabs:
 ///
 ///   1. tighten lower bounds with a visited pivot's table row
 ///      (`update_lower_*`: fused abs-diff + running max),
@@ -89,7 +88,7 @@ struct SweepKernels {
   /// Dense row application: lower[i] = max(lower[i], |d - row[i]|) for i in
   /// [0, n), where max keeps lower[i] on ties (the scalar `if (g > lb)`).
   /// Used by the row-consuming sweeps (every pivot row applied to every
-  /// candidate) and RangeSearch's pivot phase.
+  /// candidate).
   void (*update_lower_dense)(double d, const double* row, double* lower,
                              std::size_t n);
 

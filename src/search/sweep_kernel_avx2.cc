@@ -118,6 +118,12 @@ void Avx2UpdateLowerPacked(double d, const double* row,
     // consecutive ids, a contiguous load replaces the (much slower on many
     // cores) hardware gather. Same row elements either way.
     const std::uint32_t first = idx[r];
+    // GCC 12 flags the gather's deliberately undefined pass-through source
+    // (every mask lane is set, so none of it reaches the result).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
     const __m256d rows =
         idx[r + 3] - first == 3
             ? _mm256_loadu_pd(row + (first - base))
@@ -127,6 +133,9 @@ void Avx2UpdateLowerPacked(double d, const double* row,
                                     reinterpret_cast<const __m128i*>(idx + r)),
                                 vbase),
                   8);
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
     const __m256d g = AbsDiff(vd, rows);
     _mm256_storeu_pd(lower + r,
                      _mm256_max_pd(g, _mm256_loadu_pd(lower + r)));

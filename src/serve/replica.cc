@@ -8,7 +8,7 @@
 #include "distances/registry.h"
 #include "search/exhaustive.h"
 #include "search/pivot_sweep.h"
-#include "search/sharded_laesa.h"
+#include "search/laesa.h"
 #include "serve/shard_snapshot.h"
 
 namespace cned {
@@ -25,10 +25,10 @@ std::string ShardIndexPath(const std::string& dir, std::size_t shard) {
   return dir + "/shard" + std::to_string(shard) + ".index.bin";
 }
 
-void SaveServingSnapshot(const ShardedLaesa& index, const std::string& dir) {
+void SaveServingSnapshot(const Laesa& index, const std::string& dir) {
   index.SaveRouterManifest(ManifestPath(dir));
   for (std::size_t s = 0; s < index.shard_count(); ++s) {
-    index.store().shard(s).SaveBinary(ShardStorePath(dir, s));
+    index.segments()[s].store->SaveBinary(ShardStorePath(dir, s));
     index.SaveShard(s, ShardIndexPath(dir, s));
   }
 }

@@ -23,18 +23,18 @@ namespace cned {
 /// the candidate slabs.
 ///
 /// The table slice is a one-segment `PivotTables` (pivot_sweep.h) over the
-/// global rank array, mapped by the same section walk `ShardedLaesa::Map`
-/// runs after the slice's own header (and, in v2, its {precision,
-/// reserved} section). Like the sharded index, it rejects duplicate pivot
-/// ids.
+/// global rank array, mapped by the same section walk `Laesa::Map` runs
+/// after the slice's own header (and, in v2, its {precision, reserved}
+/// section). Like an index of more than one segment, it rejects duplicate
+/// pivot ids.
 ///
 /// A replica is one segment of the shared sweep core (pivot_sweep.h) given
 /// its own state: `BeginRow` runs the core's row seed and `Step` (and the
 /// tombstone mask of `BeginLazy`) its visit pass — the very per-segment
-/// passes `ShardedLaesa` runs over its shards — and the router merges the
+/// passes `Laesa` runs over its segments — and the router merges the
 /// returned `SweepCompactResult`s the way the core merges its segments.
 /// That is what makes a healthy distributed query bit-identical
-/// (neighbours, distances AND QueryStats) to the in-process `ShardedLaesa`.
+/// (neighbours, distances AND QueryStats) to the in-process `Laesa`.
 ///
 /// Multiplexing: sweep state lives in per-query slots keyed by the frame
 /// layer's query id, so one replica serves any number of interleaved

@@ -614,9 +614,9 @@ ServeResult ServeRouter::KNearestWithRow(std::string_view query, std::size_t k,
 /// and every connection it has sent on. Connections are watched
 /// EPOLLEXCLUSIVE, so an arrival wakes one sleeping driver, which drains
 /// the connection for every driver sharing it. Read the phases side by
-/// side with `ShardedLaesa`'s sweep (sharded_laesa.cc): the machine makes
-/// identical decisions on identical values in identical order, and the
-/// legs only move its requests and replies.
+/// side with the in-process sweep (`PivotSweep`, pivot_sweep.cc): the
+/// machine makes identical decisions on identical values in identical
+/// order, and the legs only move its requests and replies.
 class ServeRouter::Driver {
  public:
   Driver(ServeRouter& router, SweepFeed& feed, std::size_t wave)

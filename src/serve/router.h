@@ -105,7 +105,7 @@ struct ServeOptions {
 /// manifest (shard shapes + pivot ids + pivot strings), so no process
 /// ever materialises the whole index.
 ///
-/// A query runs the exact `ShardedLaesa` sweep with the per-shard passes
+/// A query runs the exact `Laesa` sweep with the per-shard passes
 /// scattered: the router makes every global decision (incumbents,
 /// elimination bound, next candidate — merged over the per-shard compact
 /// results in shard order with strict '<', the lowest-global-index tie
@@ -244,7 +244,7 @@ class ServeRouter {
   /// The router's distance (immutable after construction).
   const StringDistance& metric() const { return *distance_; }
 
-  /// Lazy (per-query) path — the distributed `ShardedLaesa::Nearest`:
+  /// Lazy (per-query) path — the distributed `Laesa::KNearest`:
   /// `DriveSweeps` over a one-job feed on the caller's thread. Thread-safe:
   /// concurrent calls multiplex over the shared connections.
   ServeResult Nearest(std::string_view query);

@@ -8,8 +8,8 @@ namespace cned {
 
 /// On-disk layout of a distributed serving snapshot (binary_io format).
 ///
-/// `SaveServingSnapshot` splits a `ShardedLaesa` + its store into one
-/// directory:
+/// `SaveServingSnapshot` splits a sharded `Laesa` + its store into one
+/// directory, one shard per segment:
 ///   manifest.bin      router half (magic CNEDSRM1): counts {n, shards,
 ///                     np, pivot_arena_bytes}; sections shard sizes
 ///                     u64[shards], pivot ids u64[np], pivot lengths
@@ -45,12 +45,12 @@ std::string ManifestPath(const std::string& dir);
 std::string ShardStorePath(const std::string& dir, std::size_t shard);
 std::string ShardIndexPath(const std::string& dir, std::size_t shard);
 
-class ShardedLaesa;
+class Laesa;
 
 /// Writes the full distributed snapshot for `index` into `dir` (which must
 /// exist): the router manifest plus every shard's store and index-slice
 /// file, under the standard names above.
-void SaveServingSnapshot(const ShardedLaesa& index, const std::string& dir);
+void SaveServingSnapshot(const Laesa& index, const std::string& dir);
 
 }  // namespace cned
 

@@ -73,9 +73,9 @@ struct SweepWorld {
 };
 
 /// One query's distributed LAESA sweep as a state machine: every decision
-/// of `ShardedLaesa`'s sweep (paper Figs. 3-4: select the minimal-bound
-/// candidate, evaluate it, tighten, eliminate), with the per-shard passes
-/// left to the workers. The visit rule (incumbents, caps, row seeding) is
+/// of the in-process `Laesa` sweep (paper Figs. 3-4: select the
+/// minimal-bound candidate, evaluate it, tighten, eliminate), with the
+/// per-shard passes left to the workers. The visit rule (incumbents, caps, row seeding) is
 /// the in-process sweep's own `SweepIncumbents`, and the shard merge its
 /// `FoldSegmentMinima` (search/pivot_sweep.h). It does no I/O and takes no
 /// locks: an executor sends the payloads it builds, feeds back the
@@ -86,14 +86,14 @@ struct SweepWorld {
 /// distances and QueryStats) to the in-process index.
 ///
 /// The two sweep kinds differ only in data:
-///   * lazy (`row == nullptr`, the distributed `ShardedLaesa::Nearest`):
+///   * lazy (`row == nullptr`, the distributed `Laesa::KNearest`):
 ///     kBeginLazy / kStep frames, and a visited pivot is evaluated
 ///     router-side from the manifest's pivot strings. Every begin reply is
 ///     a compact result: each worker masks its base tombstones (if any) in
 ///     one +inf pass. The sweep starts at global pivot 0 while no base
 ///     prototype is removed, as in process, else at the merged min-bound
 ///     live pivot;
-///   * pivot-row (`ShardedLaesa::SweepWithRow`): kBeginRow / kStepRow
+///   * pivot-row (`Laesa::KNearestWithPivotRow`): kBeginRow / kStepRow
 ///     frames, incumbents seeded from the row, every visit a worker eval.
 ///
 /// Protocol: AbsorbBegin for every active shard, then repeat { Next();

@@ -1,5 +1,5 @@
 // Tests for the LAESA extensions beyond the paper's 1-NN search:
-// k-nearest-neighbour queries, range queries and index serialisation.
+// k-nearest-neighbour queries and index serialisation.
 
 #include <gtest/gtest.h>
 
@@ -62,41 +62,6 @@ TEST(LaesaKNearestTest, KLargerThanSetClamps) {
   auto protos = Dict(10, 705);
   Laesa laesa(protos, MakeDistance("dE"), 3);
   EXPECT_EQ(laesa.KNearest("zzz", 50).size(), protos.size());
-}
-
-TEST(LaesaRangeSearchTest, MatchesBruteForce) {
-  auto protos = Dict(200, 706);
-  Rng rng(707);
-  auto queries = MakeQueries(protos, 25, 2, Alphabet::Latin(), rng);
-  auto dist = MakeDistance("dE");
-  Laesa laesa(protos, dist, 15);
-  for (const auto& q : queries) {
-    for (double radius : {0.0, 1.0, 2.5}) {
-      auto hits = laesa.RangeSearch(q, radius);
-      std::size_t expected = 0;
-      for (const auto& p : protos) {
-        if (dist->Distance(q, p) <= radius) ++expected;
-      }
-      EXPECT_EQ(hits.size(), expected) << "q=" << q << " r=" << radius;
-      for (std::size_t i = 1; i < hits.size(); ++i) {
-        EXPECT_LE(hits[i - 1].distance, hits[i].distance);
-      }
-    }
-  }
-}
-
-TEST(LaesaRangeSearchTest, WorksWithContextualMetric) {
-  auto protos = Dict(120, 708);
-  auto dist = MakeDistance("dC");
-  Laesa laesa(protos, dist, 10);
-  auto hits = laesa.RangeSearch(protos[5], 0.35);
-  // The query itself is a prototype: must be reported at distance 0.
-  ASSERT_FALSE(hits.empty());
-  EXPECT_DOUBLE_EQ(hits[0].distance, 0.0);
-  for (const auto& h : hits) {
-    EXPECT_LE(h.distance, 0.35);
-    EXPECT_NEAR(dist->Distance(protos[5], protos[h.index]), h.distance, 1e-12);
-  }
 }
 
 TEST(LaesaSerializationTest, SaveLoadRoundtrip) {

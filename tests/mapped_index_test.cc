@@ -1,11 +1,11 @@
 // Cross-index differential fuzz harness for the zero-copy serving tier:
 // for randomized dictionaries over every registered distance, a mapped
-// (`PrototypeStore::Map` / `Laesa::Map` / `ShardedPrototypeStore::Map` /
-// `ShardedLaesa::Map`) index must answer Nearest and KNearest with
-// bit-identical neighbours, distances AND QueryStats to (a) the freshly
-// built index, (b) the copy-loading `LoadBinary`/`Load` path, and (c) — for
-// the sharded family at every shard count S in {1, 2, 4, 8} — the flat
-// single-store reference. The mapped serving path must also drive the
+// (`PrototypeStore::Map` / `ShardedPrototypeStore::Map` / `Laesa::Map` over
+// either) index must answer Nearest and KNearest with bit-identical
+// neighbours, distances AND QueryStats to (a) the freshly built index,
+// (b) the copy-loading `LoadBinary`/`Load` path, and (c) — for an index
+// over a sharded store at every shard count S in {1, 2, 4, 8} — the S = 1
+// index over a flat store. The mapped serving path must also drive the
 // batch engine (plain and two-stage pivot pipeline) and Classify
 // identically, and re-snapshotting a mapped object must reproduce the file
 // byte for byte.
@@ -23,7 +23,6 @@
 #include "distances/registry.h"
 #include "search/batch_engine.h"
 #include "search/laesa.h"
-#include "search/sharded_laesa.h"
 #include "tests/snapshot_test_util.h"
 
 namespace cned {
@@ -112,7 +111,7 @@ TEST(MappedIndexTest, ShardedDifferentialFuzzAcrossDistancesAndShardCounts) {
 
     for (std::size_t shards : {1u, 2u, 4u, 8u}) {
       ShardedPrototypeStore store(words, shards, labels);
-      ShardedLaesa built(store, dist, 5);
+      Laesa built(store, dist, 5);
       TempFile store_file("fuzz_sstore_" + name + std::to_string(shards));
       TempFile index_file("fuzz_slaesa_" + name + std::to_string(shards));
       store.SaveBinary(store_file.path());
@@ -120,14 +119,12 @@ TEST(MappedIndexTest, ShardedDifferentialFuzzAcrossDistancesAndShardCounts) {
 
       ShardedPrototypeStore copy_store =
           ShardedPrototypeStore::LoadBinary(store_file.path());
-      ShardedLaesa copied =
-          ShardedLaesa::Load(index_file.path(), copy_store, dist);
+      Laesa copied = Laesa::Load(index_file.path(), copy_store, dist);
       ShardedPrototypeStore mapped_store =
           ShardedPrototypeStore::Map(store_file.path());
       ASSERT_TRUE(mapped_store.mapped());
       EXPECT_EQ(mapped_store.labels(), labels);
-      ShardedLaesa mapped =
-          ShardedLaesa::Map(index_file.path(), mapped_store, dist);
+      Laesa mapped = Laesa::Map(index_file.path(), mapped_store, dist);
       ASSERT_TRUE(mapped.mapped());
       EXPECT_EQ(mapped.pivots(), built.pivots()) << name;
 
@@ -153,14 +150,14 @@ TEST(MappedIndexTest, MappedServingBatchesAndClassifiesIdentically) {
   }
   ShardedPrototypeStore store(words, 4, labels);
   auto dist = MakeDistance("dYB");
-  ShardedLaesa built(store, dist, 6);
+  Laesa built(store, dist, 6);
   TempFile store_file("serve_store");
   TempFile index_file("serve_index");
   store.SaveBinary(store_file.path());
   built.Save(index_file.path());
   ShardedPrototypeStore mapped_store =
       ShardedPrototypeStore::Map(store_file.path());
-  ShardedLaesa mapped = ShardedLaesa::Map(index_file.path(), mapped_store, dist);
+  Laesa mapped = Laesa::Map(index_file.path(), mapped_store, dist);
 
   Rng rng(9601);
   auto query_words = MakeQueries(words, 9, 2, Alphabet::Latin(), rng);

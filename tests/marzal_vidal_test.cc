@@ -71,7 +71,9 @@ TEST(MarzalVidalTest, SymmetryAndIdentity) {
     std::string y = StringGen::UniformLength(rng, ab, 0, 10);
     EXPECT_NEAR(MarzalVidalDistance(x, y), MarzalVidalDistance(y, x), 1e-12);
     EXPECT_DOUBLE_EQ(MarzalVidalDistance(x, x), 0.0);
-    if (x != y) EXPECT_GT(MarzalVidalDistance(x, y), 0.0);
+    if (x != y) {
+      EXPECT_GT(MarzalVidalDistance(x, y), 0.0);
+    }
   }
 }
 

@@ -1,10 +1,11 @@
-// The pivot-id policy of every pivot-table loader. All six rank their ids
-// through `RankPivots` (search/pivot_sweep.h), but each keeps its policy:
-//   * the flat index (Load, Map) rejects an out-of-range
+// The pivot-id policy of every pivot-table loader. All of them rank their
+// ids through `RankPivots` (search/pivot_sweep.h), but each keeps its
+// policy:
+//   * an S = 1 index (Load, Map over a flat store) rejects an out-of-range
 //     id and accepts a duplicate, whose last entry takes the rank — the
 //     same table the ablation constructor builds from that list;
-//   * the sharded index (Load, Map), the serve worker's ShardReplica and
-//     the ServeRouter manifest reject both.
+//   * an S > 1 index (Load, Map over a sharded store), the serve worker's
+//     ShardReplica and the ServeRouter manifest reject both.
 // Each case feeds one crafted file, at f64 and at u8. The router manifest
 // must also reject shard sizes and pivot lengths whose running sums wrap,
 // and the worker's slice and the manifest an id count above the sweep's
@@ -30,7 +31,6 @@
 #include "datasets/sharded_prototype_store.h"
 #include "distances/registry.h"
 #include "search/laesa.h"
-#include "search/sharded_laesa.h"
 #include "search/table_quant.h"
 #include "serve/replica.h"
 #include "serve/router.h"
@@ -52,8 +52,9 @@ constexpr std::size_t kHeaderN = 16;
 constexpr std::uint64_t kHugeN = std::uint64_t{1} << 62;
 
 // Byte offset of the pivot-id section: right after the 64-byte header in
-// the flat format, after one more 64-byte-aligned leading section (the
-// shard sizes, or the slice's {precision, reserved}) in the others.
+// the f64 shard slice, after one more 64-byte-aligned leading section (the
+// index's segment sizes, the manifest's shard sizes, or the v2 slice's
+// {precision, reserved}) in the others.
 constexpr std::size_t kPivotsAfterHeader = 64;
 constexpr std::size_t kPivotsAfterOneSection = 128;
 
@@ -137,16 +138,6 @@ void ExpectSameAnswers(const Laesa& want, const Laesa& got,
       EXPECT_EQ(knn_a[i].distance, knn_b[i].distance) << ctx << " q=" << q;
     }
     EXPECT_TRUE(ka == kb) << ctx << " KNearest stats q=" << q;
-
-    QueryStats ra, rb;
-    const auto range_a = want.RangeSearch(q, 2.0, &ra);
-    const auto range_b = got.RangeSearch(q, 2.0, &rb);
-    ASSERT_EQ(range_a.size(), range_b.size()) << ctx << " q=" << q;
-    for (std::size_t i = 0; i < range_a.size(); ++i) {
-      EXPECT_EQ(range_a[i].index, range_b[i].index) << ctx << " q=" << q;
-      EXPECT_EQ(range_a[i].distance, range_b[i].distance) << ctx << " q=" << q;
-    }
-    EXPECT_TRUE(ra == rb) << ctx << " RangeSearch stats q=" << q;
   }
 }
 
@@ -180,7 +171,7 @@ TEST(PivotTableTest, FlatLoadersRejectOutOfRangePivot) {
                                        d.store.size());
     TempFile file("pivots_oor_flat_" + ctx);
     built.Save(file.path());
-    PatchPivot(file.path(), kPivotsAfterHeader, 1, built.pivots()[1], bad);
+    PatchPivot(file.path(), kPivotsAfterOneSection, 1, built.pivots()[1], bad);
     EXPECT_THROW(Laesa::Load(file.path(), d.store, d.dist),
                  std::runtime_error)
         << ctx;
@@ -192,18 +183,18 @@ TEST(PivotTableTest, FlatLoadersRejectOutOfRangePivot) {
 TEST(PivotTableTest, ShardedLoadersRejectOutOfRangeAndDuplicatePivots) {
   Data d;
   for (TablePrecision prec : kPrecisions) {
-    const ShardedLaesa built(d.sharded, d.dist, 4, prec);
+    const Laesa built(d.sharded, d.dist, 4, prec);
     for (BadId bad : {BadId::kOutOfRange, BadId::kDuplicate}) {
       const std::string ctx = Context(prec, bad);
       TempFile file("pivots_sharded_" + std::to_string(static_cast<int>(bad)));
       built.Save(file.path());
-      EXPECT_NO_THROW(ShardedLaesa::Load(file.path(), d.sharded, d.dist));
+      EXPECT_NO_THROW(Laesa::Load(file.path(), d.sharded, d.dist));
       PatchPivot(file.path(), kPivotsAfterOneSection, 1, built.pivots()[1],
                  BadPivot(bad, built.pivots(), d.sharded.size()));
-      EXPECT_THROW(ShardedLaesa::Load(file.path(), d.sharded, d.dist),
+      EXPECT_THROW(Laesa::Load(file.path(), d.sharded, d.dist),
                    std::runtime_error)
           << ctx;
-      EXPECT_THROW(ShardedLaesa::Map(file.path(), d.sharded, d.dist),
+      EXPECT_THROW(Laesa::Map(file.path(), d.sharded, d.dist),
                    std::runtime_error)
           << ctx;
     }
@@ -213,7 +204,7 @@ TEST(PivotTableTest, ShardedLoadersRejectOutOfRangeAndDuplicatePivots) {
 TEST(PivotTableTest, ShardReplicaRejectsOutOfRangeAndDuplicatePivots) {
   Data d;
   for (TablePrecision prec : kPrecisions) {
-    const ShardedLaesa built(d.sharded, d.dist, 4, prec);
+    const Laesa built(d.sharded, d.dist, 4, prec);
     // The v2 slice leads with its {precision, reserved} section.
     const std::size_t section = prec == TablePrecision::kF64
                                     ? kPivotsAfterHeader
@@ -240,7 +231,7 @@ TEST(PivotTableTest, ServeRouterRejectsOutOfRangeAndDuplicatePivots) {
   options.distance = "dE";
   options.replicas = 1;
   for (TablePrecision prec : kPrecisions) {
-    const ShardedLaesa built(d.sharded, d.dist, 4, prec);
+    const Laesa built(d.sharded, d.dist, 4, prec);
     for (BadId bad : {BadId::kOutOfRange, BadId::kDuplicate}) {
       const std::string ctx = Context(prec, bad);
       TempDir dir;
@@ -258,7 +249,7 @@ TEST(PivotTableTest, ShardReplicaRejectsIdCountAboveSweepLimit) {
   // A slice whose header n is 2^62 (checksum valid) is rejected as a format
   // error before its n-entry rank array is allocated.
   Data d;
-  const ShardedLaesa built(d.sharded, d.dist, 4);
+  const Laesa built(d.sharded, d.dist, 4);
   TempDir dir;
   SaveServingSnapshot(built, dir.path);
   const std::string store_path = ShardStorePath(dir.path, 1);
@@ -280,7 +271,7 @@ TEST(PivotTableTest, ShardReplicaStepRejectsOutOfRangeRank) {
   Data d;
   for (TablePrecision prec : kPrecisions) {
     const std::string ctx = TablePrecisionName(prec);
-    const ShardedLaesa built(d.sharded, d.dist, 8, prec);
+    const Laesa built(d.sharded, d.dist, 8, prec);
     TempDir dir;
     SaveServingSnapshot(built, dir.path);
     ShardReplica replica(ShardStorePath(dir.path, 1),

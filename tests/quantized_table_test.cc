@@ -29,7 +29,6 @@
 #include "datasets/sharded_prototype_store.h"
 #include "distances/registry.h"
 #include "search/laesa.h"
-#include "search/sharded_laesa.h"
 #include "search/sweep_kernel.h"
 #include "search/table_quant.h"
 #include "serve/router.h"
@@ -108,7 +107,7 @@ TEST(QuantizedTableTest, ResultsMatchF64AcrossFlatShardedAndMappedPaths) {
     const Laesa reference(flat_store, dist, 8, TablePrecision::kF64);
     for (TablePrecision prec : kQuantPrecisions) {
       const Laesa flat(flat_store, dist, 8, prec);
-      const ShardedLaesa sharded(sharded_store, dist, 8, prec);
+      const Laesa sharded(sharded_store, dist, 8, prec);
       TempFile file(std::string("quant_diff_") + TablePrecisionName(prec) +
                     "_" + dist_name);
       flat.Save(file.path());
@@ -160,7 +159,7 @@ TEST(QuantizedTableTest, QuantizedIndexBitIdenticalAcrossKernels) {
 
   for (TablePrecision prec : kQuantPrecisions) {
     const Laesa flat(flat_store, dist, 7, prec);
-    const ShardedLaesa sharded(sharded_store, dist, 7, prec);
+    const Laesa sharded(sharded_store, dist, 7, prec);
 
     ASSERT_TRUE(SetActiveSweepKernels("scalar"));
     std::vector<Probe> flat_ref, sharded_ref;
@@ -189,13 +188,13 @@ TEST(QuantizedTableTest, DistributedReplicasServeQuantizedBitIdentically) {
   const auto queries = MakeQueries(words, 5, 2, Alphabet::Latin(), rng);
   ShardedPrototypeStore store(words, 3);
   auto dist = MakeDistance("dE");
-  const ShardedLaesa reference(store, dist, 8, TablePrecision::kF64);
+  const Laesa reference(store, dist, 8, TablePrecision::kF64);
 
   // f32 is covered by the in-process paths above; fork the replica fleet
   // only for the two precisions with nontrivial decode arithmetic.
   for (TablePrecision prec :
        {TablePrecision::kF16, TablePrecision::kU8}) {
-    const ShardedLaesa index(store, dist, 8, prec);
+    const Laesa index(store, dist, 8, prec);
     TempDir dir;
     SaveServingSnapshot(index, dir.path);
 

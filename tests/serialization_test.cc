@@ -1,5 +1,5 @@
 // Binary serialization contracts: a saved-and-loaded
-// PrototypeStore / Laesa / ShardedPrototypeStore / ShardedLaesa must
+// PrototypeStore / ShardedPrototypeStore / Laesa over either must
 // reproduce identical query results and stats across every registered
 // distance, the on-disk sections must honour the 64-byte-aligned versioned
 // header layout, and corrupt / truncated / wrong-version files must fail
@@ -20,7 +20,6 @@
 #include "datasets/sharded_prototype_store.h"
 #include "distances/registry.h"
 #include "search/laesa.h"
-#include "search/sharded_laesa.h"
 #include "search/table_quant.h"
 #include "tests/snapshot_test_util.h"
 
@@ -95,12 +94,12 @@ TEST(SerializationTest, ShardedStoreAndIndexRoundTripAcrossAllDistances) {
   const auto queries = MakeQueries(words, 8, 2, Alphabet::Latin(), rng);
   for (const auto& name : AllDistanceNames()) {
     auto dist = MakeDistance(name);
-    ShardedLaesa original(store, dist, 5);
+    Laesa original(store, dist, 5);
     TempFile file("sharded_laesa_" + name);
     original.Save(file.path());
     // Load against the *loaded* store: the full serving path — both halves
     // of the snapshot come off disk.
-    ShardedLaesa loaded = ShardedLaesa::Load(file.path(), loaded_store, dist);
+    Laesa loaded = Laesa::Load(file.path(), loaded_store, dist);
     EXPECT_EQ(loaded.pivots(), original.pivots()) << name;
     for (const auto& q : queries) {
       QueryStats sa, sb;
@@ -195,7 +194,7 @@ TEST(SerializationTest, LoadRejectsTruncatedFooter) {
 TEST(SerializationTest, VerifyingReaderAcceptsIntactFiles) {
   const auto words = Words(30, 9300);
   ShardedPrototypeStore store(words, 3);
-  ShardedLaesa index(store, MakeDistance("dE"), 4);
+  Laesa index(store, MakeDistance("dE"), 4);
   TempFile store_file("crc_ok_store");
   TempFile index_file("crc_ok_index");
   store.SaveBinary(store_file.path());
@@ -269,13 +268,13 @@ TEST(SerializationTest, LoadRejectsTruncatedFile) {
   }
   {
     ShardedPrototypeStore sharded(words, 3);
-    ShardedLaesa index(sharded, MakeDistance("dE"), 4);
+    Laesa index(sharded, MakeDistance("dE"), 4);
     TempFile file("trunc_sharded");
     index.Save(file.path());
     auto bytes = ReadAll(file.path());
     bytes.resize(bytes.size() - 3 * kBinaryAlignment);
     WriteAllRestamped(file.path(), bytes);
-    EXPECT_THROW(ShardedLaesa::Load(file.path(), sharded, MakeDistance("dE")),
+    EXPECT_THROW(Laesa::Load(file.path(), sharded, MakeDistance("dE")),
                  std::runtime_error);
   }
 }
@@ -292,12 +291,12 @@ TEST(SerializationTest, LoadRejectsMismatchedStoreShape) {
                std::runtime_error);
 
   ShardedPrototypeStore sharded(words, 3);
-  ShardedLaesa index(sharded, MakeDistance("dE"), 4);
+  Laesa index(sharded, MakeDistance("dE"), 4);
   TempFile sharded_file("sharded_shape");
   index.Save(sharded_file.path());
   ShardedPrototypeStore other_shape(words, 5);
   EXPECT_THROW(
-      ShardedLaesa::Load(sharded_file.path(), other_shape, MakeDistance("dE")),
+      Laesa::Load(sharded_file.path(), other_shape, MakeDistance("dE")),
       std::runtime_error);
 }
 
@@ -389,7 +388,7 @@ TEST(SerializationTest, MapRejectsTruncatedTail) {
   }
   {
     ShardedPrototypeStore sharded(words, 3);
-    ShardedLaesa index(sharded, MakeDistance("dE"), 4);
+    Laesa index(sharded, MakeDistance("dE"), 4);
     TempFile store_file("map_trunc_sstore");
     TempFile index_file("map_trunc_slaesa");
     sharded.SaveBinary(store_file.path());
@@ -402,7 +401,7 @@ TEST(SerializationTest, MapRejectsTruncatedTail) {
     bytes = ReadAll(index_file.path());
     bytes.resize(bytes.size() - 3 * kBinaryAlignment);
     WriteAllRestamped(index_file.path(), bytes);
-    EXPECT_THROW(ShardedLaesa::Map(index_file.path(), sharded,
+    EXPECT_THROW(Laesa::Map(index_file.path(), sharded,
                                    MakeDistance("dE")),
                  std::runtime_error);
   }
@@ -527,13 +526,13 @@ TEST(SerializationTest, QuantizedShardedRoundTripAcrossAllDistances) {
   for (TablePrecision prec : kQuantPrecisions) {
     for (const auto& name : AllDistanceNames()) {
       auto dist = MakeDistance(name);
-      ShardedLaesa original(store, dist, 5, prec);
+      Laesa original(store, dist, 5, prec);
       const std::string tag =
           std::string(TablePrecisionName(prec)) + "/" + name;
       TempFile file("sharded_quant");
       original.Save(file.path());
-      ShardedLaesa loaded = ShardedLaesa::Load(file.path(), store, dist);
-      ShardedLaesa mapped = ShardedLaesa::Map(file.path(), store, dist);
+      Laesa loaded = Laesa::Load(file.path(), store, dist);
+      Laesa mapped = Laesa::Map(file.path(), store, dist);
       EXPECT_EQ(loaded.table_precision(), prec) << tag;
       EXPECT_EQ(mapped.table_precision(), prec) << tag;
       for (const auto& q : queries) {
@@ -569,9 +568,9 @@ TEST(SerializationTest, QuantizedFilesAreVersion2AndF64StaysVersion1) {
     u8.Save(file.path());
     const auto bytes = ReadAll(file.path());
     EXPECT_EQ(bytes[8], 2);
-    // counts[2] carries the precision tag.
+    // counts[3] carries the precision tag (counts {n, S, np, precision}).
     std::uint64_t prec = 0;
-    std::memcpy(&prec, bytes.data() + 16 + 2 * sizeof(std::uint64_t),
+    std::memcpy(&prec, bytes.data() + 16 + 3 * sizeof(std::uint64_t),
                 sizeof(prec));
     EXPECT_EQ(prec, static_cast<std::uint64_t>(TablePrecision::kU8));
   }
@@ -589,7 +588,7 @@ TEST(SerializationTest, QuantizedLoadRejectsCorruptPrecisionAndTruncation) {
     u8.Save(file.path());
     auto bytes = ReadAll(file.path());
     const std::uint64_t bogus = 7;
-    std::memcpy(bytes.data() + 16 + 2 * sizeof(std::uint64_t), &bogus,
+    std::memcpy(bytes.data() + 16 + 3 * sizeof(std::uint64_t), &bogus,
                 sizeof(bogus));
     WriteAllRestamped(file.path(), bytes);
     EXPECT_THROW(Laesa::Load(file.path(), store, dist), std::runtime_error);
@@ -638,15 +637,15 @@ TEST(SerializationTest, QuantizedLoadRejectsCorruptPrecisionAndTruncation) {
   {
     // Same truncation class for the sharded v2 format.
     ShardedPrototypeStore sharded(words, 3);
-    ShardedLaesa index(sharded, dist, 4, TablePrecision::kF16);
+    Laesa index(sharded, dist, 4, TablePrecision::kF16);
     TempFile file("quant_sharded_trunc");
     index.Save(file.path());
     auto bytes = ReadAll(file.path());
     bytes.resize(bytes.size() - 2 * kBinaryAlignment);
     WriteAllRestamped(file.path(), bytes);
-    EXPECT_THROW(ShardedLaesa::Load(file.path(), sharded, dist),
+    EXPECT_THROW(Laesa::Load(file.path(), sharded, dist),
                  std::runtime_error);
-    EXPECT_THROW(ShardedLaesa::Map(file.path(), sharded, dist),
+    EXPECT_THROW(Laesa::Map(file.path(), sharded, dist),
                  std::runtime_error);
   }
 }
@@ -663,12 +662,12 @@ TEST(SerializationTest, MapRejectsMismatchedStoreShape) {
                std::runtime_error);
 
   ShardedPrototypeStore sharded(words, 3);
-  ShardedLaesa index(sharded, MakeDistance("dE"), 4);
+  Laesa index(sharded, MakeDistance("dE"), 4);
   TempFile sharded_file("map_sharded_shape");
   index.Save(sharded_file.path());
   ShardedPrototypeStore other_shape(words, 5);
   EXPECT_THROW(
-      ShardedLaesa::Map(sharded_file.path(), other_shape, MakeDistance("dE")),
+      Laesa::Map(sharded_file.path(), other_shape, MakeDistance("dE")),
       std::runtime_error);
 }
 
@@ -832,17 +831,17 @@ TEST(SerializationTest, LoadAndMapAgreeUnderSeededMutation) {
       EXPECT_LT(accepted, kMutations) << tag;
     }
     {
-      const ShardedLaesa built(sharded, dist, 5, prec);
+      const Laesa built(sharded, dist, 5, prec);
       TempFile file("mut_sharded_laesa_" + tag);
       built.Save(file.path());
       const int accepted = ExpectLoadersAgreeUnderMutation(
           file.path(), 9440 + static_cast<std::uint64_t>(prec),
           [&] {
-            return Fingerprint(ShardedLaesa::Load(file.path(), sharded, dist),
+            return Fingerprint(Laesa::Load(file.path(), sharded, dist),
                                queries);
           },
           [&] {
-            return Fingerprint(ShardedLaesa::Map(file.path(), sharded, dist),
+            return Fingerprint(Laesa::Map(file.path(), sharded, dist),
                                queries);
           });
       EXPECT_GT(accepted, 0) << tag;

@@ -5,7 +5,7 @@
 //      hammering one ServeEngine — whose persistent driver multiplexes
 //      all their sweeps over the shared worker connections — get answers
 //      (neighbours, distances AND QueryStats) bit-identical to the
-//      in-process ShardedLaesa pivot-row path, even while injected
+//      in-process sharded Laesa pivot-row path, even while injected
 //      faults kill and mangle standby replicas mid-query.
 //   2. Mixed ops never flag while any replica survives. Concurrent
 //      Nearest/KNearest/Insert/Remove (mutations send the driver's sweeps
@@ -41,7 +41,7 @@
 #include "datasets/perturb.h"
 #include "datasets/sharded_prototype_store.h"
 #include "distances/registry.h"
-#include "search/sharded_laesa.h"
+#include "search/laesa.h"
 #include "serve/engine.h"
 #include "serve/router.h"
 #include "serve/shard_snapshot.h"
@@ -84,27 +84,37 @@ struct TempDir {
 };
 
 /// Results may interleave with concurrent mutations, so only invariants
-/// hold: never flagged, never shed, sorted finite distances.
-void ExpectWellFormed(const ServeResult& res, std::size_t k,
-                      const std::string& context) {
-  EXPECT_FALSE(res.shed) << context;
-  EXPECT_FALSE(res.partial) << context;
-  EXPECT_TRUE(res.missing_shards.empty()) << context;
-  EXPECT_LE(res.neighbors.size(), k) << context;
+/// hold: never flagged, never shed, at most `k` neighbours, sorted finite
+/// distances. Returns one message per violation, prefixed with `context`;
+/// touches no gtest state, so worker threads may call it.
+std::vector<std::string> WellFormedFailures(const ServeResult& res,
+                                            std::size_t k,
+                                            const std::string& context) {
+  std::vector<std::string> out;
+  if (res.shed) out.push_back(context + " shed");
+  if (res.partial) out.push_back(context + " partial");
+  if (!res.missing_shards.empty()) out.push_back(context + " missing shards");
+  if (res.neighbors.size() > k) {
+    out.push_back(context + " " + std::to_string(res.neighbors.size()) +
+                  " neighbours for k=" + std::to_string(k));
+  }
   for (std::size_t i = 0; i < res.neighbors.size(); ++i) {
-    EXPECT_TRUE(std::isfinite(res.neighbors[i].distance))
-        << context << " i=" << i;
-    if (i > 0) {
-      EXPECT_GE(res.neighbors[i].distance, res.neighbors[i - 1].distance)
-          << context << " i=" << i;
+    const std::string at = context + " i=" + std::to_string(i);
+    if (!std::isfinite(res.neighbors[i].distance)) {
+      out.push_back(at + " non-finite distance");
+    }
+    if (i > 0 &&
+        res.neighbors[i].distance < res.neighbors[i - 1].distance) {
+      out.push_back(at + " unsorted neighbours");
     }
   }
+  return out;
 }
 
 TEST(ServeConcurrentTest, EightClientsStayExactWhileStandbysDieAndMangle) {
   const Workload w = MakeWorkload(300, 16, 9100);
   ShardedPrototypeStore store(w.protos, 4);
-  ShardedLaesa index(store, MakeDistance("dE"), 8);
+  Laesa index(store, MakeDistance("dE"), 8);
   TempDir dir;
   SaveServingSnapshot(index, dir.path);
 
@@ -168,7 +178,7 @@ TEST(ServeConcurrentTest, EightClientsStayExactWhileStandbysDieAndMangle) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0u)
-      << "concurrent results diverged from in-process ShardedLaesa";
+      << "concurrent results diverged from in-process sharded Laesa";
   EXPECT_GE(engine.batched_queries(), kThreads * 3 * w.queries.size());
   EXPECT_EQ(engine.shed_queries(), 0u);
 }
@@ -180,7 +190,7 @@ TEST(ServeConcurrentTest, CallersDrivingTheirOwnSweepsStayExact) {
   // other drivers' legs and must wake them through their wake pipes.
   const Workload w = MakeWorkload(200, 8, 9300);
   ShardedPrototypeStore store(w.protos, 4);
-  ShardedLaesa index(store, MakeDistance("dE"), 8);
+  Laesa index(store, MakeDistance("dE"), 8);
   TempDir dir;
   SaveServingSnapshot(index, dir.path);
 
@@ -238,13 +248,13 @@ TEST(ServeConcurrentTest, CallersDrivingTheirOwnSweepsStayExact) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0u)
-      << "concurrent callers diverged from in-process ShardedLaesa";
+      << "concurrent callers diverged from in-process sharded Laesa";
 }
 
 TEST(ServeConcurrentTest, MixedQueryInsertRemoveStormNeverFlags) {
   const Workload w = MakeWorkload(300, 12, 9200);
   ShardedPrototypeStore store(w.protos, 4);
-  ShardedLaesa index(store, MakeDistance("dE"), 8);
+  Laesa index(store, MakeDistance("dE"), 8);
   TempDir dir;
   SaveServingSnapshot(index, dir.path);
 
@@ -289,21 +299,13 @@ TEST(ServeConcurrentTest, MixedQueryInsertRemoveStormNeverFlags) {
         const std::size_t kk = (i % 2 == 0) ? 1 : 4;
         const ServeResult res = i % 2 == 0 ? engine.Nearest(q)
                                            : engine.KNearest(q, kk);
-        {
-          // EXPECT_* is not thread-safe; collect and assert on the main
-          // thread after the join.
-          const std::string ctx =
-              "t=" + std::to_string(t) + " i=" + std::to_string(i);
-          if (res.shed || res.partial || !res.missing_shards.empty()) {
-            std::lock_guard<std::mutex> lock(failures_mu);
-            failures.push_back(ctx + " flagged/shed");
-          }
-          for (std::size_t j = 1; j < res.neighbors.size(); ++j) {
-            if (res.neighbors[j].distance < res.neighbors[j - 1].distance) {
-              std::lock_guard<std::mutex> lock(failures_mu);
-              failures.push_back(ctx + " unsorted neighbours");
-            }
-          }
+        // EXPECT_* is not thread-safe; collect and assert on the main
+        // thread after the join.
+        const std::vector<std::string> bad = WellFormedFailures(
+            res, kk, "t=" + std::to_string(t) + " i=" + std::to_string(i));
+        if (!bad.empty()) {
+          std::lock_guard<std::mutex> lock(failures_mu);
+          failures.insert(failures.end(), bad.begin(), bad.end());
         }
         if (i % 3 == 0) {
           const std::string s = "qz" + std::to_string(t) + "ws" +

@@ -3,7 +3,7 @@
 //
 //   1. Healthy = bit-identical. A router over 1/2/4/8 workers returns the
 //      same neighbours, the same distances AND the same QueryStats as the
-//      in-process ShardedLaesa, on both the lazy and the pivot-row path.
+//      in-process sharded Laesa, on both the lazy and the pivot-row path.
 //   2. Degraded = correctly flagged. Crashed (kill -9), unresponsive,
 //      and corrupt-stream workers cost exactly their shard: results come
 //      back partial with the missed shards named, surviving distances
@@ -47,7 +47,7 @@
 #include "datasets/perturb.h"
 #include "datasets/sharded_prototype_store.h"
 #include "distances/registry.h"
-#include "search/sharded_laesa.h"
+#include "search/laesa.h"
 #include "search/sweep_kernel.h"
 #include "search/table_quant.h"
 #include "serve/router.h"
@@ -92,13 +92,13 @@ struct TempDir {
 struct Deployment {
   TempDir dir;
   std::unique_ptr<ShardedPrototypeStore> store;
-  std::unique_ptr<ShardedLaesa> index;
+  std::unique_ptr<Laesa> index;
 
   Deployment(const std::vector<std::string>& protos, std::size_t shards,
              std::size_t pivots,
              TablePrecision precision = DefaultTablePrecision()) {
     store = std::make_unique<ShardedPrototypeStore>(protos, shards);
-    index = std::make_unique<ShardedLaesa>(*store, MakeDistance("dE"), pivots,
+    index = std::make_unique<Laesa>(*store, MakeDistance("dE"), pivots,
                                            precision);
     SaveServingSnapshot(*index, dir.path);
   }

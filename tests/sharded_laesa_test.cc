@@ -1,11 +1,12 @@
-// ShardedLaesa contracts: the sharded execution is the *same* LAESA sweep
-// as the flat single-store index — neighbours, distances and QueryStats
-// must be bit-identical for every registered distance (metric or not) and
-// every shard count — and the batch engine's two-stage pivot pipeline must
-// be bit-identical to its sequential per-query reference
+// Laesa over S segments: an index over the shards of a
+// ShardedPrototypeStore runs the *same* LAESA sweep as the S = 1 index over
+// a flat store — neighbours, distances and QueryStats must be
+// bit-identical for every registered distance (metric or not) and every
+// shard count — and the batch engine's two-stage pivot pipeline must be
+// bit-identical to its sequential per-query reference
 // (ComputePivotRow + *WithPivotRow).
 
-#include "search/sharded_laesa.h"
+#include "search/laesa.h"
 
 #include <gtest/gtest.h>
 
@@ -21,7 +22,6 @@
 #include "distances/registry.h"
 #include "search/batch_engine.h"
 #include "search/exhaustive.h"
-#include "search/laesa.h"
 
 namespace cned {
 namespace {
@@ -54,7 +54,7 @@ TEST(ShardedLaesaTest, BitIdenticalToFlatForEveryDistance) {
     Laesa flat(flat_store, dist, 8);
     for (std::size_t shards : kShardCounts) {
       ShardedPrototypeStore store(w.protos, shards);
-      ShardedLaesa sharded(store, dist, 8);
+      Laesa sharded(store, dist, 8);
       ASSERT_EQ(sharded.pivots(), flat.pivots()) << name << " S=" << shards;
       for (const auto& q : w.queries) {
         QueryStats fs, ss;
@@ -94,7 +94,7 @@ TEST(ShardedLaesaTest, Fig3DictionaryWorkloadIdentity) {
       Laesa flat(flat_store, dist, pivots);
       for (std::size_t shards : kShardCounts) {
         ShardedPrototypeStore store(w.protos, shards);
-        ShardedLaesa sharded(store, dist, pivots);
+        Laesa sharded(store, dist, pivots);
         QueryStats fs, ss;
         for (const auto& q : w.queries) {
           const NeighborResult a = flat.Nearest(q, &fs);
@@ -118,7 +118,7 @@ TEST(ShardedLaesaTest, WithPivotRowMatchesFlatWithPivotRow) {
     Laesa flat(flat_store, dist, 6);
     for (std::size_t shards : {2u, 4u}) {
       ShardedPrototypeStore store(w.protos, shards);
-      ShardedLaesa sharded(store, dist, 6);
+      Laesa sharded(store, dist, 6);
       std::vector<double> row_a(flat.pivot_count());
       std::vector<double> row_b(sharded.pivot_count());
       for (const auto& q : w.queries) {
@@ -170,7 +170,7 @@ TEST(ShardedLaesaTest, ParallelShardPassesMatchFlat) {
   std::vector<double> row(flat.pivot_count());
   for (std::size_t shards : {2u, 4u}) {
     ShardedPrototypeStore store(protos, shards);
-    ShardedLaesa sharded(store, dist, 2);
+    Laesa sharded(store, dist, 2);
     ASSERT_EQ(sharded.pivots(), flat.pivots()) << "S=" << shards;
     for (const auto& q : queries) {
       for (std::size_t k : {1u, 5u}) {
@@ -207,7 +207,7 @@ TEST(ShardedLaesaTest, KNearestDistancesMatchExhaustive) {
   Workload w = MakeWorkload(250, 25, 5400);
   auto dist = MakeDistance("dE");
   ShardedPrototypeStore store(w.protos, 4);
-  ShardedLaesa sharded(store, dist, 20);
+  Laesa sharded(store, dist, 20);
   ExhaustiveSearch exact(w.protos, dist);
   for (const auto& q : w.queries) {
     for (std::size_t k : {1u, 3u, 7u}) {
@@ -226,7 +226,7 @@ TEST(ShardedLaesaTest, PerShardStatsSumToMergedStats) {
   Workload w = MakeWorkload(300, 30, 5500);
   auto dist = MakeDistance("dYB");
   ShardedPrototypeStore store(w.protos, 4);
-  ShardedLaesa sharded(store, dist, 12);
+  Laesa sharded(store, dist, 12);
   for (const auto& q : w.queries) {
     QueryStats merged;
     std::vector<QueryStats> per_shard(sharded.shard_count());
@@ -250,7 +250,7 @@ TEST(ShardedLaesaTest, EnginePivotStageMatchesSequentialReference) {
   for (const char* name : {"dE", "dYB"}) {
     auto dist = MakeDistance(name);
     ShardedPrototypeStore store(w.protos, 4);
-    ShardedLaesa sharded(store, dist, 10);
+    Laesa sharded(store, dist, 10);
 
     QueryStats seq_stats;
     std::vector<double> row(sharded.pivot_count());
@@ -297,7 +297,7 @@ TEST(ShardedLaesaTest, EnginePivotStageDeduplicatesRepeatedQueries) {
 
   auto dist = MakeDistance("dE");
   ShardedPrototypeStore store(w.protos, 2);
-  ShardedLaesa sharded(store, dist, 8);
+  Laesa sharded(store, dist, 8);
 
   BatchQueryEngine::Options opt;
   opt.pivot_stage = true;
@@ -323,7 +323,7 @@ TEST(ShardedLaesaTest, EngineShardStatsMatchDirectCalls) {
   Workload w = MakeWorkload(200, 20, 5800);
   auto dist = MakeDistance("dE");
   ShardedPrototypeStore store(w.protos, 4);
-  ShardedLaesa sharded(store, dist, 10);
+  Laesa sharded(store, dist, 10);
   PrototypeStore queries(w.queries);
 
   std::vector<QueryStats> expected(sharded.shard_count());
@@ -340,10 +340,20 @@ TEST(ShardedLaesaTest, EngineShardStatsMatchDirectCalls) {
     EXPECT_TRUE(shard_stats[s] == expected[s]) << "shard " << s;
   }
 
-  Laesa flat(PrototypeStore(w.protos), dist, 10);
-  BatchQueryEngine flat_engine(flat);
+  // An S = 1 index reports its one segment.
+  PrototypeStore flat_store(w.protos);
+  Laesa flat(flat_store, dist, 10);
+  QueryStats one;
+  for (const auto& q : w.queries) (void)flat.KNearest(q, 1, nullptr, &one);
+  std::vector<QueryStats> flat_stats;
+  (void)BatchQueryEngine(flat).Nearest(queries, nullptr, &flat_stats);
+  ASSERT_EQ(flat_stats.size(), 1u);
+  EXPECT_TRUE(flat_stats[0] == one);
+
+  ExhaustiveSearch exhaustive(w.protos, dist);
+  BatchQueryEngine exhaustive_engine(exhaustive);
   std::vector<QueryStats> bad;
-  EXPECT_THROW(flat_engine.Nearest(queries, nullptr, &bad),
+  EXPECT_THROW(exhaustive_engine.Nearest(queries, nullptr, &bad),
                std::invalid_argument);
 }
 
@@ -355,7 +365,7 @@ TEST(ShardedLaesaTest, ClassifyThroughEngineUsesGlobalLabels) {
   }
   auto dist = MakeDistance("dYB");
   ShardedPrototypeStore store(w.protos, 3, labels);
-  ShardedLaesa sharded(store, dist, 8);
+  Laesa sharded(store, dist, 8);
   PrototypeStore queries(w.queries);
 
   std::vector<int> expected(w.queries.size());
@@ -368,10 +378,10 @@ TEST(ShardedLaesaTest, ClassifyThroughEngineUsesGlobalLabels) {
 
 TEST(ShardedLaesaTest, RejectsEmptyStoreAndZeroPivots) {
   ShardedPrototypeStore empty(std::vector<std::string>{}, 2);
-  EXPECT_THROW(ShardedLaesa(empty, MakeDistance("dE"), 4),
+  EXPECT_THROW(Laesa(empty, MakeDistance("dE"), 4),
                std::invalid_argument);
   ShardedPrototypeStore tiny(std::vector<std::string>{"ab", "cd"}, 2);
-  EXPECT_THROW(ShardedLaesa(tiny, MakeDistance("dE"), 0),
+  EXPECT_THROW(Laesa(tiny, MakeDistance("dE"), 0),
                std::invalid_argument);
 }
 

@@ -3,11 +3,12 @@
 // keeps a test-local reference of the compaction-driven loops that heap
 // replaces — visit the minimal-bound survivor, eliminate and compact every
 // survivor, pick the next minimum — built on the scalar kernels, and
-// asserts that `Laesa` and `ShardedLaesa` return the same neighbours,
-// distances and QueryStats on data where equal bounds are the norm.
+// asserts that `Laesa` over one segment and over S shards returns the same
+// neighbours, distances and QueryStats on data where equal bounds are the
+// norm.
 //
-// The flat-vs-sharded suites cannot catch an ordering bug shared by both
-// indexes; this one compares each against an independent loop.
+// The S = 1 vs S = k suites cannot catch an ordering bug shared by every
+// segment count; this one compares each against an independent loop.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +23,6 @@
 #include "datasets/sharded_prototype_store.h"
 #include "distances/registry.h"
 #include "search/laesa.h"
-#include "search/sharded_laesa.h"
 #include "search/sweep_kernel.h"
 #include "search/table_quant.h"
 
@@ -195,7 +195,7 @@ class RefLaesa {
   std::vector<QuantRowMeta> meta_;
 };
 
-// Per-shard split of a reference trajectory, as ShardedLaesa reports it.
+// Per-shard split of a reference trajectory, as a sharded Laesa reports it.
 std::vector<QueryStats> ShardSplit(const RefResult& r,
                                    const ShardedPrototypeStore& st,
                                    const std::vector<std::int32_t>& rank,
@@ -281,7 +281,7 @@ TEST(SweepOrderTest, FlatAndShardedMatchCompactionLoops) {
 
       std::vector<ShardedPrototypeStore> sharded_stores;
       sharded_stores.reserve(std::size(kShardCounts));
-      std::vector<ShardedLaesa> sharded;
+      std::vector<Laesa> sharded;
       for (std::size_t shards : kShardCounts) {
         sharded_stores.emplace_back(protos, shards);
         sharded.emplace_back(sharded_stores.back(), dist, 6, prec);
@@ -311,7 +311,7 @@ TEST(SweepOrderTest, FlatAndShardedMatchCompactionLoops) {
                        Label(name, prec, "flat masked", k, q));
           }
           for (std::size_t i = 0; i < sharded.size(); ++i) {
-            const ShardedLaesa& idx = sharded[i];
+            const Laesa& idx = sharded[i];
             const std::string tag = " S=" + std::to_string(kShardCounts[i]);
             std::vector<QueryStats> hs(idx.shard_count());
             QueryStats st;
