@@ -163,6 +163,9 @@ class PrototypeStoreRef {
   PrototypeStoreRef(const PrototypeStore& store)  // NOLINT(runtime/explicit)
       : store_(&store) {}
 
+  /// A temporary store would die before the index that borrows it.
+  PrototypeStoreRef(PrototypeStore&&) = delete;
+
   /// Packs `strings` into an owned store (one copy at construction).
   PrototypeStoreRef(  // NOLINT(runtime/explicit)
       const std::vector<std::string>& strings)

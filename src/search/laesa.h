@@ -49,8 +49,9 @@ namespace cned {
 /// index/lower-bound arrays that one pass per visited pivot tightens (a
 /// contiguous row of the pivot table), eliminates and compacts; once no
 /// pivot survives the bounds are final, and the remaining candidates are
-/// visited in bound order from a heap over the same arrays
-/// (`VisitInBoundOrder`, sweep_kernel.h). No per-candidate pointer
+/// visited in bound order from a survivor stream: ids counting-sorted into
+/// bound buckets over the dense bound array, a bucket sorted only when the
+/// visits reach it (`SurvivorStream`, sweep_kernel.h). No per-candidate pointer
 /// chasing, no per-query slab allocation (thread-local scratch), and the
 /// length-difference lower bound of the distance acts as a free "zeroth
 /// pivot" over the stores' flat length arrays before any distance is

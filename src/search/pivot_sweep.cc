@@ -1,7 +1,6 @@
 #include "search/pivot_sweep.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -21,13 +20,15 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // Results are identical either way — only the execution schedule changes.
 constexpr std::size_t kParallelPassWork = 1 << 20;
 
-/// Thread-local per-segment bookkeeping: segment live counts and the
-/// per-segment pass results. The packed candidate slabs themselves come
-/// from the shared `TlsSweepScratch`. Owned per thread, so batched queries
-/// running under ParallelFor never share state.
+/// Thread-local per-segment bookkeeping: segment live counts, the
+/// per-segment pass results and the survivor stream's histogram. The
+/// candidate slabs themselves come from the shared `TlsSweepScratch`.
+/// Owned per thread, so batched queries running under ParallelFor never
+/// share state.
 struct SegmentScratch {
   std::vector<std::size_t> live;
   std::vector<SweepCompactResult> pass;
+  std::vector<std::uint32_t> hist;
 };
 
 SegmentScratch& TlsSegmentScratch() {
@@ -45,27 +46,6 @@ void ForEachSegment(std::size_t segments, std::size_t work, Body&& body) {
   } else {
     for (std::size_t g = 0; g < segments; ++g) body(g);
   }
-}
-
-// Moves each segment's packed survivors [base, base + live[g]) left into
-// one prefix of the slabs, in segment order, and returns its length.
-// Segments hold ascending global ids, so the prefix is ascending too and
-// the heap's smallest-id tie-break equals a strict-'<' merge of
-// per-segment minima in segment order — one packed scan's choice. A single
-// segment is already in place.
-std::size_t GatherSurvivors(const std::vector<SweepSegment>& segments,
-                            const std::size_t* live, std::uint32_t* idx,
-                            double* lower) {
-  std::size_t total = 0;
-  for (std::size_t g = 0; g < segments.size(); ++g) {
-    const std::size_t base = segments[g].base;
-    if (base != total) {
-      std::memmove(idx + total, idx + base, live[g] * sizeof(*idx));
-      std::memmove(lower + total, lower + base, live[g] * sizeof(*lower));
-    }
-    total += live[g];
-  }
-  return total;
 }
 
 // One in-process visit: the local evaluation against the shared visit rule,
@@ -94,6 +74,23 @@ struct LocalVisit {
   }
 };
 
+// The survivor stream's last steps over every segment's counted dense
+// slab: place, scatter, then visit each survivor below bound() as a
+// non-pivot.
+template <typename Bound>
+void VisitStream(const std::vector<SweepSegment>& segments, std::size_t n,
+                 SurvivorStream& stream, std::uint32_t* idx,
+                 const double* lower, Bound&& bound, const LocalVisit& visit) {
+  stream.Place();
+  ForEachSegment(segments.size(), n, [&](std::size_t g) {
+    const SweepSegment& seg = segments[g];
+    stream.Scatter(g, lower + seg.base, seg.store->size(), seg.base, idx);
+  });
+  stream.VisitInBoundOrder(idx, lower, bound, [&](std::size_t c) {
+    visit(c, /*is_pivot=*/false);
+  });
+}
+
 std::vector<NeighborResult> Finish(SweepIncumbents& inc, QueryStats* stats) {
   if (stats != nullptr) *stats += inc.stats();
   return inc.Take();
@@ -101,14 +98,10 @@ std::vector<NeighborResult> Finish(SweepIncumbents& inc, QueryStats* stats) {
 
 }  // namespace
 
-SweepCompactResult SeedSegmentWithRow(const SweepSegment& seg,
-                                      const StringDistance& distance,
-                                      std::size_t query_len, const double* row,
-                                      std::size_t pivot_count,
-                                      const std::int32_t* pivot_rank,
-                                      const std::uint64_t* tombstones,
-                                      double bound, std::uint32_t* idx,
-                                      double* lower) {
+void SeedSegmentBounds(const SweepSegment& seg, const StringDistance& distance,
+                       std::size_t query_len, const double* row,
+                       std::size_t pivot_count,
+                       const std::uint64_t* tombstones, double* lower) {
   const SweepKernels& kern = ActiveSweepKernels();
   const std::size_t n = seg.store->size();
   distance.LengthLowerBounds(query_len, seg.store->lengths_data(), n, lower);
@@ -116,12 +109,9 @@ SweepCompactResult SeedSegmentWithRow(const SweepSegment& seg,
   for (std::size_t p = 0; p < pivot_count; ++p) {
     QuantUpdateLowerDense(kern, seg.table, p, n, row[p], lower);
   }
-  // Tombstoned slots go to +inf before the seed compaction, so the row
-  // path can never admit a deleted prototype either.
+  // Tombstoned slots go to +inf before the survivors are taken, so the
+  // row path can never admit a deleted prototype either.
   if (tombstones != nullptr) ApplyTombstoneMask(tombstones, n, lower);
-  return kern.compact_seed(lower, pivot_rank + seg.base, n,
-                           static_cast<std::uint32_t>(seg.base), bound, idx,
-                           lower);
 }
 
 SweepCompactResult VisitSegmentPass(const SweepSegment& seg,
@@ -164,14 +154,15 @@ std::size_t PivotSweep::SegmentOf(std::size_t id) const {
   return static_cast<std::size_t>(it - segments_.begin()) - 1;
 }
 
-// Two phases, both on the shared dispatched sweep kernels (sweep_kernel.h):
+// Two phases, both on the shared sweep kernels (sweep_kernel.h):
 //   - approximating: while pivots survive, visit the minimal-bound pivot,
 //     then one visit pass per segment tightens with its table row and
 //     eliminates, and the merged per-segment minima pick the next pivot;
-//   - static: once the last live pivot is gone the bounds are final, the
-//     survivors are gathered into one prefix, and `VisitInBoundOrder`
-//     visits them in ascending (bound, index) order — the sequence the
-//     per-visit compaction would pick, tie for tie.
+//   - static: once the last live pivot is gone the bounds are final, each
+//     segment's packed survivors are unpacked back into the dense slab and
+//     counted, and the survivor stream visits them in ascending
+//     (bound, id) order — the sequence the per-visit compaction would
+//     pick, tie for tie.
 std::vector<NeighborResult> PivotSweep::Lazy(
     std::string_view query, std::size_t k, QueryStats* stats,
     QueryStats* segment_stats, const std::uint64_t* tombstones) const {
@@ -240,10 +231,15 @@ std::vector<NeighborResult> PivotSweep::Lazy(
     const double d = visit(s, /*is_pivot=*/true);
     s = pass(pivot_rank_[s], d, static_cast<std::uint32_t>(s), inc.Kth());
   }
-  // Static phase: no row left to apply.
-  total_live = GatherSurvivors(segments_, scratch.live.data(), idx, lower);
-  VisitInBoundOrder(idx, lower, total_live, kth,
-                    [&](std::size_t c) { visit(c, /*is_pivot=*/false); });
+  // Static phase: no row left to apply, and every survivor lies below the
+  // k-th incumbent the last pass eliminated against.
+  SurvivorStream stream(inc.Kth(), n, count, scratch.hist);
+  ForEachSegment(count, n, [&](std::size_t g) {
+    const SweepSegment& seg = segments_[g];
+    stream.Unpack(g, idx + seg.base, lower + seg.base, scratch.live[g],
+                  seg.store->size(), seg.base);
+  });
+  VisitStream(segments_, n, stream, idx, lower, kth, visit);
   return Finish(inc, stats);
 }
 
@@ -266,7 +262,6 @@ std::vector<NeighborResult> PivotSweep::WithRow(
   slabs.idx.resize(n);
   slabs.lower.resize(n);
   SegmentScratch& scratch = TlsSegmentScratch();
-  scratch.live.assign(count, 0);
   std::uint32_t* idx = slabs.idx.data();
   double* lower = slabs.lower.data();
 
@@ -278,25 +273,27 @@ std::vector<NeighborResult> PivotSweep::WithRow(
     return pivot_rank_[pivots_[p]] != static_cast<std::int32_t>(p);
   });
 
-  // Per segment: every pivot row applied dense, then one compact_seed pass
-  // against the fully seeded k-th incumbent packs the surviving non-pivots.
-  const double seed_bound = inc.Kth();
+  // Per segment: every pivot row applied dense, the pivots (already in the
+  // incumbents) lifted to +inf, then the slab counted into the stream
+  // against the fully seeded k-th incumbent.
+  SurvivorStream stream(inc.Kth(), n, count, scratch.hist);
   ForEachSegment(count, p_count * n, [&](std::size_t g) {
     const SweepSegment& seg = segments_[g];
-    scratch.live[g] =
-        SeedSegmentWithRow(seg, distance_, query.size(), row, p_count,
-                           pivot_rank_, /*tombstones=*/nullptr, seed_bound,
-                           idx + seg.base, lower + seg.base)
-            .live;
+    const std::size_t size = seg.store->size();
+    double* seg_lower = lower + seg.base;
+    SeedSegmentBounds(seg, distance_, query.size(), row, p_count,
+                      /*tombstones=*/nullptr, seg_lower);
+    for (std::size_t id : pivots_) {
+      if (id - seg.base < size) seg_lower[id - seg.base] = kInf;
+    }
+    stream.Count(g, seg_lower, size);
   });
 
   // Adaptive non-pivot phase: the bounds are final, so the survivors are
   // visited in bound order against the improving incumbent.
-  const std::size_t total_live =
-      GatherSurvivors(segments_, scratch.live.data(), idx, lower);
   const LocalVisit visit{*this, query, inc, segment_stats};
-  VisitInBoundOrder(idx, lower, total_live, [&]() { return inc.Kth(); },
-                    [&](std::size_t c) { visit(c, /*is_pivot=*/false); });
+  VisitStream(
+      segments_, n, stream, idx, lower, [&]() { return inc.Kth(); }, visit);
   return Finish(inc, stats);
 }
 

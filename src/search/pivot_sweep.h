@@ -28,8 +28,11 @@ namespace cned {
 /// Every visit decision (incumbents, elimination bound, next pivot) is
 /// global; every kernel pass touches one segment only, and per-segment
 /// minima merge in segment order with strict '<', so the lowest global id
-/// wins ties as in one packed scan over [0, N). Results and `QueryStats`
-/// do not depend on the segment count or the passes' thread schedule.
+/// wins ties as in one packed scan over [0, N). The static phase's survivor
+/// stream (sweep_kernel.h) counts each segment into its own histogram row
+/// and scatters the segments in base order, so it too orders ties by
+/// global id. Results and `QueryStats` do not depend on the segment count
+/// or the passes' thread schedule.
 
 /// The visit rule of every LAESA sweep: the k incumbents, the bound a
 /// visit's evaluation may abandon at, and the cost counters. `PivotSweep`
@@ -130,21 +133,18 @@ struct SweepSegment {
   QuantTableView table;
 };
 
-/// The two per-segment passes. `pivot_rank` is the global N-entry array;
+/// The per-segment passes. `pivot_rank` is the global N-entry array;
 /// `idx`/`lower` are the segment's own slabs.
 ///
 /// Row seed: length bounds, every pivot row applied dense with the query's
 /// pivot distances `row`, then (when `tombstones`, a bitmap over local
-/// slots, is non-null) deleted slots forced to +inf, then one
-/// `compact_seed` that packs the non-pivots surviving `bound`.
-SweepCompactResult SeedSegmentWithRow(const SweepSegment& seg,
-                                      const StringDistance& distance,
-                                      std::size_t query_len, const double* row,
-                                      std::size_t pivot_count,
-                                      const std::int32_t* pivot_rank,
-                                      const std::uint64_t* tombstones,
-                                      double bound, std::uint32_t* idx,
-                                      double* lower);
+/// slots, is non-null) deleted slots forced to +inf. The in-process row
+/// sweep then counts the dense slab into its survivor stream; the serve
+/// worker packs the surviving non-pivots with one `compact_seed`.
+void SeedSegmentBounds(const SweepSegment& seg, const StringDistance& distance,
+                       std::size_t query_len, const double* row,
+                       std::size_t pivot_count,
+                       const std::uint64_t* tombstones, double* lower);
 
 /// Visit pass over the `live` survivors: if `rank` >= 0 the visited
 /// candidate was that pivot, at distance `d`, and its row tightens the

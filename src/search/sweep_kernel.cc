@@ -1,5 +1,6 @@
 #include "search/sweep_kernel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -195,6 +196,11 @@ SweepCompactResult ScalarCompactSeed(const double* lower_dense,
   return out;
 }
 
+void ScalarStreamKeys(const StreamBucketMap& map, const double* lower,
+                      std::size_t n, std::uint32_t* keys) {
+  for (std::size_t i = 0; i < n; ++i) keys[i] = map.Key(lower[i]);
+}
+
 }  // namespace
 
 const SweepKernels& ScalarSweepKernels() {
@@ -213,6 +219,7 @@ const SweepKernels& ScalarSweepKernels() {
     k.eliminate_and_compact = ScalarEliminateAndCompact;
     k.eliminate_and_compact_flagged = ScalarEliminateAndCompactFlagged;
     k.compact_seed = ScalarCompactSeed;
+    k.stream_keys = ScalarStreamKeys;
     return k;
   }();
   return kScalar;
@@ -300,6 +307,97 @@ std::size_t FillIotaCountPivots(std::uint32_t* idx,
     pivots += pivot_rank[i] >= 0 ? 1 : 0;
   }
   return pivots;
+}
+
+// Histogram counters per stream, over all segments.
+constexpr std::size_t kMaxStreamHistogram = 4096;
+
+// Slab entries per bucket the map aims for: n / kStreamBucketLoad buckets.
+// Measured on a 20k-word dictionary, loads of 4 to 32 sweep alike.
+constexpr std::size_t kStreamBucketLoad = 8;
+
+// Keys are computed a chunk at a time by the dispatched `stream_keys`
+// before the chunk's counters are touched.
+constexpr std::size_t kKeyChunk = 256;
+
+SurvivorStream::SurvivorStream(double seed_bound, std::size_t n,
+                               std::size_t segments,
+                               std::vector<std::uint32_t>& hist)
+    : segments_(segments) {
+  const std::size_t per_row = kMaxStreamHistogram / segments_;
+  const std::size_t want = n / kStreamBucketLoad;
+  map_.buckets = static_cast<std::uint32_t>(
+      std::max<std::size_t>(1, std::min(want, per_row > 1 ? per_row - 1 : 1)));
+  map_.seed_bound = seed_bound;
+  map_.top = static_cast<double>(map_.buckets - 1);
+  // +inf leaves scale 0; 0, NaN and an overflowing scale are guarded to 0.
+  const double scale = static_cast<double>(map_.buckets) / seed_bound;
+  if (seed_bound > 0.0 && std::isfinite(scale)) map_.scale = scale;
+  hist.assign(segments_ * (map_.buckets + 1), 0);
+  hist_ = hist.data();
+}
+
+void SurvivorStream::Count(std::size_t g, const double* lower,
+                           std::size_t n) {
+  const SweepKernels& kern = ActiveSweepKernels();
+  std::uint32_t* row = Row(g);
+  std::uint32_t keys[kKeyChunk];
+  for (std::size_t j0 = 0; j0 < n; j0 += kKeyChunk) {
+    const std::size_t m = std::min(kKeyChunk, n - j0);
+    kern.stream_keys(map_, lower + j0, m, keys);
+    for (std::size_t i = 0; i < m; ++i) ++row[keys[i]];
+  }
+}
+
+void SurvivorStream::Unpack(std::size_t g, const std::uint32_t* idx,
+                            double* lower, std::size_t live, std::size_t n,
+                            std::size_t base) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const StreamBucketMap map = map_;  // cannot alias the counters
+  std::uint32_t* row = Row(g);
+  // Descending: idx[r] - base >= r, so each write lands at or above the
+  // packed entry it reads, never on one still to be read.
+  std::size_t next = n;  // slots [next, n) are restored
+  for (std::size_t r = live; r-- > 0;) {
+    const std::size_t j = idx[r] - base;
+    const double l = lower[r];
+    std::fill(lower + j + 1, lower + next, kInf);
+    lower[j] = l;
+    ++row[map.Key(l)];
+    next = j;
+  }
+  std::fill(lower, lower + next, kInf);
+  row[map.buckets] += static_cast<std::uint32_t>(n - live);
+}
+
+std::size_t SurvivorStream::Place() {
+  std::uint32_t total = 0;
+  for (std::uint32_t b = 0; b <= map_.buckets; ++b) {
+    for (std::size_t g = 0; g < segments_; ++g) {
+      std::uint32_t& c = Row(g)[b];
+      const std::uint32_t count = c;
+      c = total;
+      total += count;
+    }
+  }
+  // The overflow bucket starts where the survivors end.
+  return Row(0)[map_.buckets];
+}
+
+void SurvivorStream::Scatter(std::size_t g, const double* lower,
+                             std::size_t n, std::size_t base,
+                             std::uint32_t* idx) {
+  const SweepKernels& kern = ActiveSweepKernels();
+  std::uint32_t* row = Row(g);
+  std::uint32_t keys[kKeyChunk];
+  for (std::size_t j0 = 0; j0 < n; j0 += kKeyChunk) {
+    const std::size_t m = std::min(kKeyChunk, n - j0);
+    kern.stream_keys(map_, lower + j0, m, keys);
+    const auto first = static_cast<std::uint32_t>(base + j0);
+    for (std::size_t i = 0; i < m; ++i) {
+      idx[row[keys[i]]++] = first + static_cast<std::uint32_t>(i);
+    }
+  }
 }
 
 void ApplyTombstoneMask(const std::uint64_t* bits, std::size_t n,

@@ -1,6 +1,7 @@
 #ifndef CNED_SEARCH_SWEEP_KERNEL_H_
 #define CNED_SEARCH_SWEEP_KERNEL_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -29,8 +30,9 @@ namespace cned {
 ///      |Δlen| core of the unit-cost edit-distance family's bound).
 ///
 /// Once no table row is left to apply, the bounds are fixed and the sweep
-/// core switches to `VisitInBoundOrder` (below): a heap over the same
-/// packed slabs instead of one compaction pass per visit.
+/// core switches to the survivor stream (`SurvivorStream`, below): ids
+/// counting-sorted into bound buckets over the dense bound slab, visited
+/// in (bound, id) order, instead of one compaction pass per visit.
 ///
 /// This header defines those operations once as a dispatch table of
 /// function pointers with scalar, AVX2 and NEON implementations. The
@@ -77,6 +79,25 @@ struct SweepCompactResult {
   /// Same, restricted to surviving pivots (flagged kernel only).
   std::size_t next_pivot = kSweepNone;
   double next_pivot_key = std::numeric_limits<double>::infinity();
+};
+
+/// The survivor stream's bucket map (`SurvivorStream`, below): survivors,
+/// the bounds b < seed_bound, go to key(b) = min(top, floor(b * scale))
+/// with top = buckets - 1; every other bound goes to `buckets`. The key is
+/// monotone in b under IEEE rounding.
+struct StreamBucketMap {
+  double seed_bound = 0.0;
+  double scale = 0.0;
+  double top = 0.0;
+  std::uint32_t buckets = 1;
+
+  std::uint32_t Key(double b) const {
+    const double x = b * scale;
+    const double c = x < top ? x : top;  // NaN and +inf go to top
+    // A mask, not a branch: survivors and the rest interleave at random.
+    const std::uint32_t keep = 0u - static_cast<std::uint32_t>(b < seed_bound);
+    return (static_cast<std::uint32_t>(c) & keep) | (buckets & ~keep);
+  }
 };
 
 /// One kernel variant: a named table of the sweep's data-parallel cores.
@@ -152,10 +173,10 @@ struct SweepKernels {
   /// compacting idx/lower in place (stable) and tracking the minimal-bound
   /// survivor. `skip` is the just-visited candidate (pass a value absent
   /// from the slice, e.g. 0xFFFFFFFF, for "none"). The sweep core
-  /// (pivot_sweep.h) visits its static-bound phase with
-  /// `VisitInBoundOrder` instead; this entry serves only the serve
-  /// worker's `ShardReplica::StepRow`, which reports the compacted
-  /// per-shard live count back to the router every round.
+  /// (pivot_sweep.h) visits its static-bound phase with the survivor
+  /// stream instead; this entry serves only the serve worker's
+  /// `ShardReplica::StepRow`, which reports the compacted per-shard live
+  /// count back to the router every round.
   SweepCompactResult (*eliminate_and_compact)(std::uint32_t* idx,
                                               double* lower, std::size_t live,
                                               std::uint32_t skip,
@@ -172,8 +193,10 @@ struct SweepKernels {
       std::uint32_t* idx, double* lower, const std::int32_t* pivot_rank,
       std::size_t live, std::uint32_t skip, double bound);
 
-  /// Dense-to-packed seeding for the row-consuming sweeps: after all pivot
-  /// rows tightened the dense bound array, keeps position j in [0, n) iff
+  /// Dense-to-packed seeding for the serve worker's row sweep
+  /// (`ShardReplica::BeginRow`, whose router step loop reads packed
+  /// survivors): after all pivot rows tightened the dense bound array,
+  /// keeps position j in [0, n) iff
   ///   rank[j] < 0  &&  !(lower_dense[j] >= bound)
   /// writing candidate id base + j and its bound packed into
   /// idx_out/lower_out, tracking the minimal-bound survivor. `rank` here is
@@ -185,6 +208,13 @@ struct SweepKernels {
                                      std::uint32_t base, double bound,
                                      std::uint32_t* idx_out,
                                      double* lower_out);
+
+  /// The survivor stream's bucket keys: keys[i] = map.Key(lower[i]) for i
+  /// in [0, n). Bounds are non-negative (+inf allowed); the survivor
+  /// stream's counting and scatter passes consume the keys a chunk at a
+  /// time.
+  void (*stream_keys)(const StreamBucketMap& map, const double* lower,
+                      std::size_t n, std::uint32_t* keys);
 };
 
 /// The portable reference implementation (always available). Every other
@@ -225,66 +255,113 @@ std::size_t FillIotaCountPivots(std::uint32_t* idx,
                                 const std::int32_t* pivot_rank,
                                 std::size_t n);
 
-/// --- Static-bound visit order. ------------------------------------------
+/// --- Static-bound visit order: the survivor stream. ---------------------
 ///
 /// Once every pivot row a sweep will apply has been applied — the
-/// row-consuming sweeps after `compact_seed`, the lazy sweeps from the pass
-/// where the last live pivot died — the lower bounds never change again;
-/// only the k-th incumbent moves, and only downwards. The classic adaptive
-/// loop (visit the minimal-bound survivor, eliminate and compact every
-/// survivor against the new incumbent, pick the next minimum) therefore
-/// visits candidates in ascending (lower, id) order: after each pass the
-/// survivors are exactly the unvisited candidates with lower < bound(), so
-/// their minimum is the smallest unvisited key. It stops at the first key
-/// with lower >= bound(), because every later key is then eliminated too
-/// (keys only rise and bound() only falls). `VisitInBoundOrder` yields exactly
-/// that sequence from a binary min-heap built in place over the packed
-/// idx/lower slabs: O(live + visits * log(live)) instead of one O(live)
-/// compaction per visit, and no memory beyond the slabs.
+/// row-consuming sweeps after the seed, the lazy sweeps from the pass where
+/// the last live pivot died — the lower bounds never change again; only the
+/// k-th incumbent moves, and only downwards. The classic adaptive loop
+/// (visit the minimal-bound survivor, eliminate and compact every survivor
+/// against the new incumbent, pick the next minimum) therefore visits
+/// candidates in ascending (lower, id) order: after each pass the survivors
+/// are exactly the unvisited candidates with lower < bound(), so their
+/// minimum is the smallest unvisited key. It stops at the first key with
+/// lower >= bound(), because every later key is then eliminated too (keys
+/// only rise and bound() only falls).
 ///
-/// Contract: [0, live) holds the survivors (any order — ties are broken by
-/// id, not by position) with non-NaN bounds. `bound()` is read before each
-/// pop; `visit(id)` runs the evaluation and may lower it. The slabs'
-/// contents are unspecified afterwards.
-namespace sweep_heap {
+/// `SurvivorStream` yields exactly that sequence without ordering every
+/// survivor. The bounds stay in the dense slab, indexed by global id; only
+/// the ids move. A monotone bucket map over [0, seed bound) sends each
+/// survivor to one of a few thousand buckets (`StreamBucketMap`), a
+/// counting sort writes the ids into the `idx` slab bucket by bucket, and
+/// a bucket is sorted by (lower, id) only when the stream reaches it. Most
+/// survivors lie in buckets past the stop, which are never sorted.
+///
+/// One stream serves S segments, in four steps:
+///   1. `Count` (or `Unpack` for a packed slab) per segment: one
+///      histogram row per segment, so segments may count in parallel;
+///   2. `Place` once: counts become scatter offsets in (bucket, segment)
+///      order;
+///   3. `Scatter` per segment: the segment's ids in id order, so every
+///      bucket holds ascending global ids;
+///   4. `VisitInBoundOrder`: buckets in key order, each sorted on arrival.
+/// No memory beyond the two slabs and the histogram (at most 4096
+/// counters).
+///
+/// Contract: the survivors are the slab entries with lower < the seed
+/// bound, so a caller drops an entry (the row sweep's pivots, tombstoned
+/// slots) by setting its bound to +inf. Bounds are non-negative.
 
-/// (lower, id) lexicographic order: the adaptive loop's min-bound choice
-/// with ties going to the smallest id.
-inline bool Before(double la, std::uint32_t ia, double lb, std::uint32_t ib) {
-  return la < lb || (la == lb && ia < ib);
-}
+class SurvivorStream {
+ public:
+  /// The bucket map for survivors of an n-entry slab split into `segments`
+  /// segments, all below `seed_bound`. `hist` holds the counters: it is
+  /// resized and zeroed here, and must outlive the stream. A seed bound of
+  /// +inf, 0 or one so small that the scale overflows maps every survivor
+  /// to bucket 0, which is then sorted in O(m log m) like any other.
+  SurvivorStream(double seed_bound, std::size_t n, std::size_t segments,
+                 std::vector<std::uint32_t>& hist);
 
-/// Moves the entry at `i` down to its place in the n-entry heap.
-inline void SiftDown(std::uint32_t* idx, double* lower, std::size_t n,
-                     std::size_t i) {
-  const std::uint32_t id = idx[i];
-  const double lb = lower[i];
-  for (std::size_t c = 2 * i + 1; c < n; c = 2 * i + 1) {
-    if (c + 1 < n && Before(lower[c + 1], idx[c + 1], lower[c], idx[c])) ++c;
-    if (!Before(lower[c], idx[c], lb, id)) break;
-    idx[i] = idx[c];
-    lower[i] = lower[c];
-    i = c;
+  /// The bucket map: `buckets` ordered buckets over [0, seed bound), and
+  /// `buckets` itself as the key of every other bound.
+  const StreamBucketMap& map() const { return map_; }
+
+  /// Step 1, dense: counts segment g's n bounds lower[0, n).
+  void Count(std::size_t g, const double* lower, std::size_t n);
+
+  /// Step 1, packed: segment g's `live` survivors sit packed in
+  /// idx[0, live)/lower[0, live) (global ids, ascending, as a stable
+  /// compaction leaves them) over its n slots from global id `base`.
+  /// Restores the dense form in place — each bound back to its slot
+  /// lower[id - base], +inf in every other slot — and counts it.
+  void Unpack(std::size_t g, const std::uint32_t* idx, double* lower,
+              std::size_t live, std::size_t n, std::size_t base);
+
+  /// Step 2, after every segment was counted: turns the counts into
+  /// scatter offsets. Returns the number of survivors.
+  std::size_t Place();
+
+  /// Step 3: writes segment g's ids base + j, j in [0, n), into the global
+  /// `idx` slab (N entries), survivors bucket by bucket in [0, survivors),
+  /// the others after them. Reads the same bounds `Count` counted.
+  void Scatter(std::size_t g, const double* lower, std::size_t n,
+               std::size_t base, std::uint32_t* idx);
+
+  /// Step 4: calls visit(id) for the survivors in ascending (lower, id)
+  /// order while lower[id] < bound(), reading bound() before each visit.
+  /// `lower` is the dense slab indexed by global id; `visit` may lower
+  /// bound() but must not write the slabs. Consumes the histogram.
+  template <typename Bound, typename Visit>
+  void VisitInBoundOrder(std::uint32_t* idx, const double* lower,
+                         Bound&& bound, Visit&& visit);
+
+ private:
+  std::uint32_t* Row(std::size_t g) {
+    return hist_ + g * (map_.buckets + 1);
   }
-  idx[i] = id;
-  lower[i] = lb;
-}
 
-}  // namespace sweep_heap
+  StreamBucketMap map_;
+  std::size_t segments_;
+  std::uint32_t* hist_;
+};
 
 template <typename Bound, typename Visit>
-void VisitInBoundOrder(std::uint32_t* idx, double* lower, std::size_t live,
-                       Bound&& bound, Visit&& visit) {
-  for (std::size_t i = live / 2; i-- > 0;) {
-    sweep_heap::SiftDown(idx, lower, live, i);
-  }
-  while (live > 0 && lower[0] < bound()) {
-    const std::uint32_t id = idx[0];
-    --live;
-    idx[0] = idx[live];
-    lower[0] = lower[live];
-    sweep_heap::SiftDown(idx, lower, live, 0);
-    visit(static_cast<std::size_t>(id));
+void SurvivorStream::VisitInBoundOrder(std::uint32_t* idx, const double* lower,
+                                       Bound&& bound, Visit&& visit) {
+  // After `Scatter`, the last segment's row holds each bucket's end.
+  const std::uint32_t* ends = Row(segments_ - 1);
+  const auto before = [lower](std::uint32_t a, std::uint32_t b) {
+    return lower[a] < lower[b] || (lower[a] == lower[b] && a < b);
+  };
+  std::uint32_t r = 0;
+  for (std::uint32_t b = 0; b < map_.buckets; ++b) {
+    const std::uint32_t end = ends[b];
+    std::sort(idx + r, idx + end, before);
+    for (; r < end; ++r) {
+      const std::uint32_t id = idx[r];
+      if (!(lower[id] < bound())) return;
+      visit(static_cast<std::size_t>(id));
+    }
   }
 }
 

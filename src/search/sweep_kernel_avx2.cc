@@ -557,6 +557,28 @@ SweepCompactResult Avx2CompactSeed(const double* lower_dense,
   return out;
 }
 
+// The survivor stream's keys, lane for lane the scalar map: mulpd is the
+// scalar multiply, and minpd(x, top) returns its second operand on NaN as
+// `x < top ? x : top` does. Lanes that are not survivors take `buckets`
+// (exact as a double) before the conversion, so cvttpd2dq truncates the
+// value the scalar cast does; every value lies in [0, buckets] < 2^31.
+void Avx2StreamKeys(const StreamBucketMap& map, const double* lower,
+                    std::size_t n, std::uint32_t* keys) {
+  const __m256d vscale = _mm256_set1_pd(map.scale);
+  const __m256d vtop = _mm256_set1_pd(map.top);
+  const __m256d vseed = _mm256_set1_pd(map.seed_bound);
+  const __m256d vrest = _mm256_set1_pd(static_cast<double>(map.buckets));
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d b = _mm256_loadu_pd(lower + i);
+    const __m256d c = _mm256_min_pd(_mm256_mul_pd(b, vscale), vtop);
+    const __m256d keep = _mm256_cmp_pd(b, vseed, _CMP_LT_OQ);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(keys + i),
+                     _mm256_cvttpd_epi32(_mm256_blendv_pd(vrest, c, keep)));
+  }
+  for (; i < n; ++i) keys[i] = map.Key(lower[i]);
+}
+
 }  // namespace
 
 const SweepKernels& Avx2SweepKernels() {
@@ -575,6 +597,7 @@ const SweepKernels& Avx2SweepKernels() {
     k.eliminate_and_compact = Avx2EliminateAndCompact;
     k.eliminate_and_compact_flagged = Avx2EliminateAndCompactFlagged;
     k.compact_seed = Avx2CompactSeed;
+    k.stream_keys = Avx2StreamKeys;
     return k;
   }();
   return kAvx2;

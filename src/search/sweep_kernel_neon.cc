@@ -230,7 +230,8 @@ void NeonFillAbsDiffBounds(std::size_t x_len, const std::uint32_t* y_lens,
 
 const SweepKernels& NeonSweepKernels() {
   static const SweepKernels kNeon = [] {
-    SweepKernels k = ScalarSweepKernels();  // compaction stays scalar
+    // Compaction and the stream keys stay scalar.
+    SweepKernels k = ScalarSweepKernels();
     k.name = "neon";
     k.update_lower_dense = NeonUpdateLowerDense;
     k.update_lower_packed = NeonUpdateLowerPacked;

@@ -203,11 +203,17 @@ SweepCompactResult ShardReplica::BeginRow(std::uint32_t qid,
   SweepSlot& slot = NewSlot(qid);
   slot.query.assign(query);
   // Tombstoned base slots go to +inf before the seed compaction — no
-  // protocol change needed: the mask rides the shard's own state.
-  const SweepCompactResult out = SeedSegmentWithRow(
-      segment(), *distance_, slot.query.size(), row, num_pivots(),
-      pivot_table_.rank(), base_dead_ > 0 ? tombs_.data() : nullptr,
-      seed_bound, slot.idx.data(), slot.lower.data());
+  // protocol change needed: the mask rides the shard's own state. The
+  // router's step loop reads packed survivors, so the dense slab is
+  // compacted in place.
+  const SweepSegment seg = segment();
+  SeedSegmentBounds(seg, *distance_, slot.query.size(), row, num_pivots(),
+                    base_dead_ > 0 ? tombs_.data() : nullptr,
+                    slot.lower.data());
+  const SweepCompactResult out = ActiveSweepKernels().compact_seed(
+      slot.lower.data(), pivot_table_.rank() + seg.base, store_.size(),
+      static_cast<std::uint32_t>(seg.base), seed_bound, slot.idx.data(),
+      slot.lower.data());
   slot.live = out.live;
   slot.live_pivots = 0;  // the row sweep's adaptive phase never revisits
                          // pivots

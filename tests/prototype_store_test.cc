@@ -11,6 +11,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/parallel.h"
@@ -79,6 +80,18 @@ TEST(PrototypeStoreTest, ArenaIsContiguousAndPacked) {
   EXPECT_EQ(store.view(0).data() + store.view(0).size(),
             store.view(1).data());
 }
+
+// A ref borrows a named store or packs strings; a temporary store, which
+// would die before the index holding the ref, does not compile.
+static_assert(!std::is_constructible_v<PrototypeStoreRef, PrototypeStore>);
+static_assert(!std::is_constructible_v<PrototypeStoreRef, PrototypeStore&&>);
+static_assert(std::is_constructible_v<PrototypeStoreRef, PrototypeStore&>);
+static_assert(
+    std::is_constructible_v<PrototypeStoreRef, const PrototypeStore&>);
+static_assert(
+    std::is_constructible_v<PrototypeStoreRef, std::vector<std::string>>);
+static_assert(std::is_constructible_v<PrototypeStoreRef,
+                                      const std::vector<std::string>&>);
 
 TEST(PrototypeStoreRefTest, BorrowsAndOwns) {
   std::vector<std::string> strings{"alpha", "beta"};

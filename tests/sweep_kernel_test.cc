@@ -3,8 +3,9 @@
 // and supported by the running CPU must reproduce the scalar reference
 // BIT FOR BIT — on randomised packed tables covering live counts of
 // 0/1/odd/non-multiple-of-the-lane-width, +inf bounds left by eliminated
-// slots, present and absent skip candidates, and sparse / duplicated
-// pivot sets — and at the index level, where `Laesa` over one segment and
+// slots, present and absent skip candidates, sparse / duplicated pivot
+// sets, and the survivor stream's bucket keys under degenerate maps — and
+// at the index level, where `Laesa` over one segment and
 // over S shards (including duplicate-pivot-row ablation builds and the
 // batch engine's pivot-stage path) must answer with identical neighbours,
 // distances AND QueryStats under every kernel. The quantized entries
@@ -329,6 +330,54 @@ TEST(SweepKernelTest, CompactSeedMatchesScalarBitwise) {
                                 r0.live * sizeof(double)),
                     0)
               << ctx;
+        }
+      }
+    }
+  }
+}
+
+// The survivor stream's keys. Maps come from the stream's own constructor
+// (so its guards for +inf, 0 and overflowing-scale seed bounds are what is
+// tested) at 1, 7 and 2500 buckets. Bounds mix random survivors, the seed
+// bound itself, its predecessor (where b * scale may round up to the bucket
+// count), zeros and +inf slots (eliminated candidates and the row sweep's
+// pivots, which it lifts to +inf instead of passing a rank array).
+TEST(SweepKernelTest, StreamKeysMatchScalarBitwise) {
+  std::mt19937_64 rng(0x5EED5EED);
+  const double seeds[] = {1.0,
+                          0.3,
+                          7.25,
+                          kInf,
+                          0.0,
+                          std::numeric_limits<double>::denorm_min() * 3,
+                          DBL_MAX};
+  for (const SweepKernels* k : VariantKernels()) {
+    for (double seed : seeds) {
+      for (std::size_t slab : {8u, 56u, 20000u}) {
+        std::vector<std::uint32_t> hist;
+        const StreamBucketMap map = SurvivorStream(seed, slab, 1, hist).map();
+        const double span = std::isfinite(seed) && seed > 0 ? seed : 4.0;
+        std::uniform_real_distribution<double> value(0.0, 2.0 * span);
+        for (std::size_t n : kLiveCounts) {
+          std::vector<double> lower(n);
+          for (double& b : lower) {
+            switch (rng() % 6) {
+              case 0: b = kInf; break;
+              case 1: b = seed; break;
+              case 2: b = std::nextafter(seed, 0.0); break;
+              case 3: b = 0.0; break;
+              default: b = value(rng); break;
+            }
+          }
+          std::vector<std::uint32_t> want(n + 1, 7), got(n + 1, 7);
+          ScalarSweepKernels().stream_keys(map, lower.data(), n, want.data());
+          k->stream_keys(map, lower.data(), n, got.data());
+          EXPECT_EQ(want, got) << k->name << " seed=" << seed
+                               << " buckets=" << map.buckets << " n=" << n;
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_LE(want[i], map.buckets);
+            ASSERT_EQ(want[i] == map.buckets, !(lower[i] < seed));
+          }
         }
       }
     }

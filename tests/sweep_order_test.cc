@@ -1,17 +1,24 @@
 // Pins the LAESA search trajectory. The in-process sweeps visit their
-// static-bound phase through the heap of `VisitInBoundOrder`; this suite
-// keeps a test-local reference of the compaction-driven loops that heap
-// replaces — visit the minimal-bound survivor, eliminate and compact every
-// survivor, pick the next minimum — built on the scalar kernels, and
-// asserts that `Laesa` over one segment and over S shards returns the same
-// neighbours, distances and QueryStats on data where equal bounds are the
-// norm.
+// static-bound phase through the survivor stream (`SurvivorStream`,
+// sweep_kernel.h): survivor ids counting-sorted into bound buckets over the
+// dense bound slab, each bucket sorted by (bound, id) when the stream
+// reaches it. This suite keeps a test-local reference of the
+// compaction-driven loops that stream replaces — visit the minimal-bound
+// survivor, eliminate and compact every survivor, pick the next minimum —
+// built on the scalar kernels, and asserts that `Laesa` over one segment
+// and over S shards returns the same neighbours, distances and QueryStats
+// on data where equal bounds are the norm. It also drives the stream
+// itself on synthetic slabs (equal, zero, one-ulp-apart, denormal and
+// near-overflow bounds, infinite and zero seed bounds, no survivors, a
+// bound that falls mid-stream) against a std::sort by (bound, id).
 //
 // The S = 1 vs S = k suites cannot catch an ordering bug shared by every
 // segment count; this one compares each against an independent loop.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <iterator>
 #include <limits>
@@ -364,6 +371,246 @@ TEST(SweepOrderTest, DuplicatePivotsMatchCompactionLoops) {
         ExpectSame(ref.SweepWithRow(q, k, row.data()),
                    flat.KNearestWithPivotRow(q, k, row.data(), &sr), sr,
                    Label(name, flat.table_precision(), "dup row", k, q));
+      }
+    }
+  }
+}
+
+// --- The survivor stream on synthetic slabs. ------------------------------
+
+// Segment sizes summing to n: S uneven segments, the last one possibly
+// empty.
+std::vector<std::size_t> SplitSizes(std::size_t n, std::size_t segments) {
+  std::vector<std::size_t> sizes;
+  std::size_t left = n;
+  for (std::size_t g = 0; g + 1 < segments; ++g) {
+    const std::size_t take = std::min(left, (n * (g + 1)) / (2 * segments) + 1);
+    sizes.push_back(take);
+    left -= take;
+  }
+  sizes.push_back(left);
+  return sizes;
+}
+
+// The stream over `lower` split into segments of `sizes`: dense segments
+// are counted, packed ones (`packed`) are first compacted stably to their
+// survivors and then unpacked. `bound(visited)` is read before each visit.
+// Returns the visited ids.
+template <typename Bound>
+std::vector<std::uint32_t> RunStream(std::vector<double> lower,
+                                     double seed_bound,
+                                     const std::vector<std::size_t>& sizes,
+                                     bool packed, Bound bound) {
+  const std::size_t n = lower.size();
+  std::vector<std::uint32_t> idx(n, 0xFFFFFFFFu);
+  std::vector<std::uint32_t> hist;
+  SurvivorStream stream(seed_bound, n, sizes.size(), hist);
+  std::size_t base = 0;
+  for (std::size_t g = 0; g < sizes.size(); ++g) {
+    if (!packed) {
+      stream.Count(g, lower.data() + base, sizes[g]);
+    } else {
+      std::size_t live = 0;
+      for (std::size_t j = 0; j < sizes[g]; ++j) {
+        if (!(lower[base + j] < seed_bound)) continue;
+        idx[base + live] = static_cast<std::uint32_t>(base + j);
+        lower[base + live] = lower[base + j];
+        ++live;
+      }
+      stream.Unpack(g, idx.data() + base, lower.data() + base, live, sizes[g],
+                    base);
+    }
+    base += sizes[g];
+  }
+  const std::size_t survivors = static_cast<std::size_t>(std::count_if(
+      lower.begin(), lower.end(), [&](double b) { return b < seed_bound; }));
+  EXPECT_EQ(stream.Place(), survivors);
+  base = 0;
+  for (std::size_t g = 0; g < sizes.size(); ++g) {
+    stream.Scatter(g, lower.data() + base, sizes[g], base, idx.data());
+    base += sizes[g];
+  }
+  std::vector<std::uint32_t> visited;
+  stream.VisitInBoundOrder(
+      idx.data(), lower.data(), [&]() { return bound(visited.size()); },
+      [&](std::size_t id) {
+        visited.push_back(static_cast<std::uint32_t>(id));
+      });
+  return visited;
+}
+
+// The reference: every survivor sorted by (bound, id), taken while
+// lower < bound(visited).
+template <typename Bound>
+std::vector<std::uint32_t> RefStream(const std::vector<double>& lower,
+                                     double seed_bound, Bound bound) {
+  std::vector<std::uint32_t> all;
+  for (std::uint32_t j = 0; j < lower.size(); ++j) {
+    if (lower[j] < seed_bound) all.push_back(j);
+  }
+  std::sort(all.begin(), all.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return lower[a] < lower[b] || (lower[a] == lower[b] && a < b);
+  });
+  std::vector<std::uint32_t> visited;
+  for (std::uint32_t id : all) {
+    if (!(lower[id] < bound(visited.size()))) break;
+    visited.push_back(id);
+  }
+  return visited;
+}
+
+// Checks the stream against the reference at S = 1, 2 and 5, dense and
+// packed.
+template <typename Bound>
+void ExpectStream(const std::vector<double>& lower, double seed_bound,
+                  Bound bound, const std::string& what) {
+  const std::vector<std::uint32_t> want = RefStream(lower, seed_bound, bound);
+  for (std::size_t segments : {1, 2, 5}) {
+    for (bool packed : {false, true}) {
+      EXPECT_EQ(want, RunStream(lower, seed_bound,
+                                SplitSizes(lower.size(), segments), packed,
+                                bound))
+          << what << " S=" << segments << (packed ? " packed" : " dense");
+    }
+  }
+}
+
+auto Never() {
+  return [](std::size_t) { return kInf; };
+}
+
+TEST(SurvivorStreamTest, AllBoundsEqualVisitInIdOrder) {
+  const std::vector<double> lower(3000, 0.25);
+  ExpectStream(lower, 0.5, Never(), "equal");
+  ExpectStream(lower, kInf, Never(), "equal, seed +inf");
+  const std::vector<std::uint32_t> got =
+      RunStream(lower, 0.5, {lower.size()}, false, Never());
+  ASSERT_EQ(got.size(), lower.size());
+  for (std::uint32_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], i);
+}
+
+TEST(SurvivorStreamTest, ZeroBoundsAndZeroSeedBound) {
+  std::vector<double> lower(500, 0.0);
+  for (std::size_t i = 0; i < lower.size(); i += 3) lower[i] = 0.75;
+  ExpectStream(lower, 1.0, Never(), "zeros");
+  ExpectStream(lower, 0.0, Never(), "seed bound 0");
+  EXPECT_TRUE(RunStream(lower, 0.0, {lower.size()}, false, Never()).empty());
+}
+
+TEST(SurvivorStreamTest, KeysOneUlpApart) {
+  // Pairs of keys one ulp apart, interleaved in id order, over many seed
+  // bounds: the largest survivor sits one ulp under the seed bound, where
+  // b * scale may round up to the bucket count.
+  Rng rng(13101);
+  for (int trial = 0; trial < 200; ++trial) {
+    const double seed = 0.01 + rng.Uniform() * 10.0;
+    std::vector<double> lower;
+    for (int i = 0; i < 64; ++i) {
+      const double v = rng.Uniform() * seed;
+      lower.push_back(std::nextafter(v, kInf));
+      lower.push_back(v);
+    }
+    lower.push_back(std::nextafter(seed, 0.0));
+    lower.push_back(seed);  // not a survivor
+    lower.push_back(std::nextafter(seed, 0.0));
+    ExpectStream(lower, seed, Never(), "ulp trial " + std::to_string(trial));
+  }
+}
+
+TEST(SurvivorStreamTest, DegenerateSpreads) {
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  std::vector<double> tiny;
+  for (int i = 0; i < 300; ++i) tiny.push_back(denorm * (i % 7));
+  ExpectStream(tiny, denorm * 6, Never(), "denormal spread");
+  ExpectStream(tiny, denorm * 7, Never(), "denormal spread, all survive");
+  tiny.push_back(1e-300);  // a finite scale over denormal keys
+  ExpectStream(tiny, 2e-300, Never(), "denormal keys under 2e-300");
+
+  const double big = std::numeric_limits<double>::max();
+  std::vector<double> huge;
+  for (int i = 0; i < 300; ++i) huge.push_back(big / (1 + i % 11));
+  ExpectStream(huge, big, Never(), "spread near 1e308");
+  ExpectStream(huge, kInf, Never(), "spread near 1e308, seed +inf");
+
+  Rng rng(13102);
+  std::vector<double> spread(2000);
+  for (double& v : spread) v = std::floor(rng.Uniform() * 40.0) / 8.0;
+  ExpectStream(spread, kInf, Never(), "seed bound +inf");
+  spread.back() = kInf;  // a non-survivor under an infinite seed bound
+  ExpectStream(spread, kInf, Never(), "seed bound +inf with an +inf slot");
+}
+
+TEST(SurvivorStreamTest, ZeroSurvivors) {
+  const std::vector<double> lower(100, 2.0);
+  ExpectStream(lower, 1.0, Never(), "none below the seed bound");
+  ExpectStream(std::vector<double>(40, kInf), kInf, Never(), "all +inf");
+  EXPECT_TRUE(RunStream(lower, 1.0, {100}, false, Never()).empty());
+  EXPECT_TRUE(RunStream(lower, 1.0, {60, 40}, true, Never()).empty());
+}
+
+TEST(SurvivorStreamTest, FallingBoundStopsAtFirstKeyAtOrAboveIt) {
+  Rng rng(13103);
+  std::vector<double> lower(4000);
+  for (double& v : lower) v = std::floor(rng.Uniform() * 200.0) / 100.0;
+  // bound() is the seed bound for the first 50 visits, then the key of the
+  // 300th survivor in (bound, id) order: the stream must stop at the first
+  // survivor whose key reaches it, not one visit earlier or later.
+  const double seed = 1.5;
+  const std::vector<std::uint32_t> order = RefStream(lower, seed, Never());
+  ASSERT_GT(order.size(), 300u);
+  const double drop = lower[order[300]];
+  std::size_t stop = 0;
+  while (lower[order[stop]] < drop) ++stop;
+  ASSERT_GT(stop, 50u);
+  const auto falling = [&](std::size_t visited) {
+    return visited < 50 ? seed : drop;
+  };
+  ExpectStream(lower, seed, falling, "falling bound");
+  const std::vector<std::uint32_t> got =
+      RunStream(lower, seed, {lower.size()}, false, falling);
+  ASSERT_EQ(got.size(), stop);
+  EXPECT_EQ(lower[got.back()] < drop, true);
+  EXPECT_EQ(got, std::vector<std::uint32_t>(order.begin(),
+                                            order.begin() + stop));
+  // A bound that falls below every remaining key stops the stream at once.
+  const auto to_zero = [](std::size_t visited) {
+    return visited < 10 ? kInf : 0.0;
+  };
+  EXPECT_EQ(RunStream(lower, seed, SplitSizes(lower.size(), 3), true, to_zero)
+                .size(),
+            10u);
+}
+
+// A corpus large enough that the stream spreads over hundreds of buckets
+// (the 90-prototype corpus above fills only a few), with many equal keys.
+TEST(SweepOrderTest, LargeTieHeavyCorpusMatchesCompactionLoops) {
+  const std::vector<std::string> protos = TieHeavy(2400, 13005, 9);
+  const std::vector<std::string> queries = TieHeavy(6, 13006, 9);
+  PrototypeStore store(protos);
+  for (const char* name : {"dE", "dC", "dYB"}) {
+    StringDistancePtr dist = MakeDistance(name);
+    for (TablePrecision prec : {TablePrecision::kF64, TablePrecision::kU8}) {
+      Laesa flat(store, dist, 6, prec);
+      RefLaesa ref(store, *dist, flat.pivots(), prec);
+      ShardedPrototypeStore sharded_store(protos, 3);
+      Laesa sharded(sharded_store, dist, 6, prec);
+      for (const std::string& q : queries) {
+        std::vector<double> row(flat.pivot_count());
+        flat.ComputePivotRow(q, row.data());
+        for (std::size_t k : kKs) {
+          const RefResult lazy = ref.Sweep(q, k, nullptr);
+          const RefResult with_row = ref.SweepWithRow(q, k, row.data());
+          for (const Laesa* idx : {&flat, &sharded}) {
+            const std::string tag =
+                " S=" + std::to_string(idx->shard_count());
+            QueryStats st, sr;
+            ExpectSame(lazy, idx->KNearest(q, k, &st), st,
+                       Label(name, prec, "large lazy" + tag, k, q));
+            ExpectSame(with_row,
+                       idx->KNearestWithPivotRow(q, k, row.data(), &sr), sr,
+                       Label(name, prec, "large row" + tag, k, q));
+          }
+        }
       }
     }
   }
