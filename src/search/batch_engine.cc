@@ -182,19 +182,4 @@ std::vector<std::vector<NeighborResult>> BatchQueryEngine::KNearest(
       });
 }
 
-std::vector<int> BatchQueryEngine::Classify(PrototypeStoreRef queries,
-                                            const std::vector<int>& labels,
-                                            QueryStats* stats) const {
-  if (labels.size() < searcher_->size()) {
-    throw std::invalid_argument(
-        "BatchQueryEngine::Classify: fewer labels than prototypes");
-  }
-  const std::vector<NeighborResult> nearest = Nearest(queries, stats);
-  std::vector<int> out(nearest.size());
-  for (std::size_t i = 0; i < nearest.size(); ++i) {
-    out[i] = LabelOf(labels, nearest[i]);
-  }
-  return out;
-}
-
 }  // namespace cned

@@ -40,6 +40,9 @@ namespace cned {
 ///
 /// Both paths are one k-NN runner: `Nearest` is `KNearest` with k = 1,
 /// each query's first neighbour.
+///
+/// Table 2's error rate (`NearestNeighborClassifier::ErrorRatePercent`)
+/// labels the results of one `Nearest` pass.
 class BatchQueryEngine {
  public:
   struct Options {
@@ -75,16 +78,6 @@ class BatchQueryEngine {
   std::vector<std::vector<NeighborResult>> KNearest(
       PrototypeStoreRef queries, std::size_t k,
       QueryStats* stats = nullptr) const;
-
-  /// 1-NN label for every query; `labels[id]` is the class of the prototype
-  /// a result reports as `id`. Throws std::invalid_argument when `labels`
-  /// is shorter than the searcher's size() or does not cover a result's
-  /// index.
-  std::vector<int> Classify(PrototypeStoreRef queries,
-                            const std::vector<int>& labels,
-                            QueryStats* stats = nullptr) const;
-
-  const NearestNeighborSearcher& searcher() const { return *searcher_; }
 
  private:
   const NearestNeighborSearcher* searcher_;

@@ -1,6 +1,5 @@
 #include "search/knn_classifier.h"
 
-#include <map>
 #include <stdexcept>
 
 #include "search/batch_engine.h"
@@ -8,24 +7,16 @@
 namespace cned {
 namespace {
 
-/// Majority vote over neighbours sorted by proximity; ties break toward the
-/// closer neighbour's label (the first to reach the winning count).
-int MajorityVote(const std::vector<NeighborResult>& neighbors,
-                 const std::vector<int>& labels) {
-  if (neighbors.empty()) throw std::out_of_range("KnnClassify: empty index");
-  std::map<int, std::size_t> votes;
-  for (const auto& nb : neighbors) ++votes[LabelOf(labels, nb)];
-  int best_label = 0;
-  std::size_t best_votes = 0;
-  for (const auto& nb : neighbors) {  // iterate by proximity for tie-breaking
-    int label = labels[nb.index];
-    std::size_t v = votes[label];
-    if (v > best_votes) {
-      best_votes = v;
-      best_label = label;
-    }
+/// The label of `r`'s prototype: `labels` is indexed by result index (a
+/// slot, or a stable id for the mutable tier). Throws std::invalid_argument
+/// when `labels` does not cover that index; a size check alone cannot rule
+/// that out, because a mutable index's ids outgrow its size() after a
+/// removal.
+int LabelOf(const std::vector<int>& labels, const NeighborResult& r) {
+  if (r.index >= labels.size()) {
+    throw std::invalid_argument("label table does not cover result index");
   }
-  return best_label;
+  return labels[r.index];
 }
 
 }  // namespace
@@ -43,57 +34,20 @@ int NearestNeighborClassifier::Classify(std::string_view query) const {
   return LabelOf(*labels_, searcher_->Nearest(query));
 }
 
-std::vector<int> NearestNeighborClassifier::ClassifyBatch(
-    PrototypeStoreRef queries, QueryStats* stats, std::size_t threads) const {
-  BatchQueryEngine engine(*searcher_, {threads});
-  return engine.Classify(queries, *labels_, stats);
-}
-
 double NearestNeighborClassifier::ErrorRatePercent(
     PrototypeStoreRef queries, const std::vector<int>& true_labels) const {
   if (queries->size() != true_labels.size()) {
     throw std::invalid_argument("ErrorRatePercent: size mismatch");
   }
   if (queries->empty()) return 0.0;
-  std::vector<int> predicted = ClassifyBatch(queries);
+  const std::vector<NeighborResult> nearest =
+      BatchQueryEngine(*searcher_).Nearest(queries);
   std::size_t errors = 0;
-  for (std::size_t i = 0; i < predicted.size(); ++i) {
-    if (predicted[i] != true_labels[i]) ++errors;
+  for (std::size_t i = 0; i < nearest.size(); ++i) {
+    if (LabelOf(*labels_, nearest[i]) != true_labels[i]) ++errors;
   }
   return 100.0 * static_cast<double>(errors) /
-         static_cast<double>(predicted.size());
-}
-
-int KnnClassify(const NearestNeighborSearcher& searcher,
-                const std::vector<int>& labels, std::string_view query,
-                std::size_t k) {
-  if (labels.size() < searcher.size()) {
-    throw std::invalid_argument("KnnClassify: fewer labels than prototypes");
-  }
-  if (k == 0) {
-    throw std::invalid_argument("KnnClassify: k must be >= 1");
-  }
-  return MajorityVote(searcher.KNearest(query, k), labels);
-}
-
-std::vector<int> KnnClassifyBatch(const NearestNeighborSearcher& searcher,
-                                  const std::vector<int>& labels,
-                                  PrototypeStoreRef queries, std::size_t k,
-                                  QueryStats* stats, std::size_t threads) {
-  if (labels.size() < searcher.size()) {
-    throw std::invalid_argument(
-        "KnnClassifyBatch: fewer labels than prototypes");
-  }
-  if (k == 0) {
-    throw std::invalid_argument("KnnClassifyBatch: k must be >= 1");
-  }
-  BatchQueryEngine engine(searcher, {threads});
-  auto neighbor_lists = engine.KNearest(queries, k, stats);
-  std::vector<int> out(neighbor_lists.size());
-  for (std::size_t i = 0; i < neighbor_lists.size(); ++i) {
-    out[i] = MajorityVote(neighbor_lists[i], labels);
-  }
-  return out;
+         static_cast<double>(nearest.size());
 }
 
 }  // namespace cned

@@ -77,13 +77,15 @@ Laesa::Laesa(std::vector<PrototypeStoreRef> stores, StringDistancePtr distance,
   if (pivot_indices.empty()) {
     throw std::invalid_argument("Laesa: need at least one pivot");
   }
-  for (std::size_t p : pivot_indices) {
-    if (p >= size_) {
-      throw std::invalid_argument("Laesa: pivot index out of range");
-    }
+  std::vector<std::size_t> sorted = pivot_indices;
+  std::sort(sorted.begin(), sorted.end());
+  if (sorted.back() >= size_) {
+    throw std::invalid_argument("Laesa: pivot index out of range");
   }
-  pivot_table_ = PivotTables(std::move(pivot_indices), size_,
-                             /*distinct=*/shard_count() > 1, "Laesa");
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    throw std::invalid_argument("Laesa: duplicate pivot index");
+  }
+  pivot_table_ = PivotTables(std::move(pivot_indices), size_, "Laesa");
   // Each GLOBAL row is quantized with one meta shared by every segment, so
   // an S-segment build holds exactly the codes and gaps a one-segment
   // build of the same data would.
@@ -145,16 +147,10 @@ std::vector<NeighborResult> Laesa::KNearest(std::string_view query,
   return core().Lazy(query, k, stats);
 }
 
-std::vector<NeighborResult> Laesa::KNearest(std::string_view query,
-                                            std::size_t k, QueryStats* stats,
-                                            QueryStats* shard_stats) const {
-  return core().Lazy(query, k, stats, shard_stats);
-}
-
-std::vector<NeighborResult> Laesa::KNearestMasked(
-    std::string_view query, std::size_t k, const std::uint64_t* tombstones,
-    QueryStats* stats) const {
-  return core().Lazy(query, k, stats, nullptr, tombstones);
+std::vector<NeighborResult> Laesa::KNearest(
+    std::string_view query, std::size_t k, QueryStats* stats,
+    QueryStats* shard_stats, const std::uint64_t* tombstones) const {
+  return core().Lazy(query, k, stats, shard_stats, tombstones);
 }
 
 void Laesa::Save(const std::string& path) const {
@@ -247,7 +243,7 @@ Laesa Laesa::Open(const std::string& path, Laesa shell, bool copy,
   }
   shell.pivot_table_ = PivotTables::Read(
       reader, counts[2], n, std::vector<std::size_t>(sizes, sizes + segments),
-      precision, /*distinct=*/segments > 1, copy, who);
+      precision, copy, who);
   shell.BindTables();
   return shell;
 }

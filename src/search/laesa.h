@@ -40,11 +40,10 @@ namespace cned {
 /// `QueryStats` are bit-identical for every S, on every distance, metric
 /// or not, regardless of thread schedule.
 ///
-/// Every query entry point is a k-NN search (`KNearest`, `KNearestMasked`,
+/// Every query entry point is a k-NN search (`KNearest`,
 /// `KNearestWithPivotRow`); the paper's 1-NN search is k = 1, the inherited
-/// `Nearest`. A one-segment index accepts a pivot id listed twice (ablation
-/// constructor, `Load`, `Map`) as one candidate slot, ranked by its last
-/// entry; an S > 1 index requires distinct pivot ids. The hot path is a
+/// `Nearest`. Pivot ids are distinct at every S: the ablation constructor,
+/// `Load` and `Map` reject a pivot id listed twice. The hot path is a
 /// flat structure-of-arrays sweep: surviving candidates live in packed
 /// index/lower-bound arrays that one pass per visited pivot tightens (a
 /// contiguous row of the pivot table), eliminates and compacts; once no
@@ -82,6 +81,7 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
         TablePrecision table_precision = DefaultTablePrecision());
 
   /// Builds with externally chosen pivot indices (ablation hook), S = 1.
+  /// Throws std::invalid_argument on an index out of range or listed twice.
   Laesa(PrototypeStoreRef prototypes, StringDistancePtr distance,
         std::vector<std::size_t> pivot_indices,
         TablePrecision table_precision = DefaultTablePrecision());
@@ -106,27 +106,23 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
   /// `shard_stats`, when non-null, must point at shard_count() entries;
   /// each visited candidate's evaluation is accumulated onto its home
   /// segment.
+  ///
+  /// `tombstones`, for the mutable tier (mutable_laesa.h), is a packed
+  /// bitmap over prototype slots (bit i set = deleted,
+  /// TombstoneWords(size()) words). Masked slots are eliminated *inside*
+  /// the sweep compaction before anything is visited — their bounds are
+  /// forced to +inf and one flagged compaction pass drops them from the
+  /// packed slab (see sweep_kernel.h) — so a deleted prototype is never
+  /// evaluated, never returned and never counted, at every table_precision
+  /// and under every kernel variant. A null bitmap is the plain sweep; with
+  /// every slot deleted the result is empty.
   std::vector<NeighborResult> KNearest(
       std::string_view query, std::size_t k,
       QueryStats* stats = nullptr) const override;
-  std::vector<NeighborResult> KNearest(std::string_view query, std::size_t k,
-                                       QueryStats* stats,
-                                       QueryStats* shard_stats) const;
-
-  /// Tombstone-masked variant for the mutable tier (mutable_laesa.h):
-  /// `tombstones` is a packed bitmap over prototype slots (bit i set =
-  /// deleted, TombstoneWords(size()) words). Masked slots are eliminated
-  /// *inside* the sweep compaction before anything is visited — their
-  /// bounds are forced to +inf and one flagged compaction pass drops them
-  /// from the packed slab (see sweep_kernel.h) — so a deleted prototype is
-  /// never evaluated, never returned and never counted, at every
-  /// table_precision and under every kernel variant. A null bitmap is the
-  /// plain sweep, bit-identical to KNearest including QueryStats; with
-  /// every slot deleted the result is empty.
-  std::vector<NeighborResult> KNearestMasked(std::string_view query,
-                                             std::size_t k,
-                                             const std::uint64_t* tombstones,
-                                             QueryStats* stats = nullptr) const;
+  std::vector<NeighborResult> KNearest(
+      std::string_view query, std::size_t k, QueryStats* stats,
+      QueryStats* shard_stats,
+      const std::uint64_t* tombstones = nullptr) const;
 
   /// Serialises the pivot table (not the prototypes): versioned 64-byte
   /// header {N, S, pivots, precision}, then the segment sizes, the pivot

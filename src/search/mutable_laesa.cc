@@ -211,8 +211,8 @@ std::vector<NeighborResult> MutableLaesa::KNearest(std::string_view query,
   // ids. Slots are in ascending-id order, so the sweep's (distance, slot)
   // tie-break IS the (distance, id) tie-break.
   if (st->base_index && st->base.live() > 0) {
-    const auto r =
-        st->base_index->KNearestMasked(query, k, st->base.tomb_bits(), &qs);
+    const auto r = st->base_index->KNearest(query, k, &qs, nullptr,
+                                            st->base.tomb_bits());
     const auto& ids = *st->base.ids;
     best.reserve(r.size());
     for (const auto& nr : r) {
@@ -233,12 +233,6 @@ std::vector<NeighborResult> MutableLaesa::KNearest(std::string_view query,
 
   if (stats != nullptr) *stats += qs;
   return best;
-}
-
-int MutableLaesa::Classify(std::string_view query,
-                           const std::vector<int>& labels_by_id,
-                           QueryStats* stats) const {
-  return LabelOf(labels_by_id, Nearest(query, stats));
 }
 
 bool MutableLaesa::StartMerge(const std::string& snapshot_dir) {

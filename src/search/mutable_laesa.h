@@ -27,7 +27,7 @@ namespace cned {
 ///   * **base**: a frozen `PrototypeStore` + `Laesa` (owned or mapped from
 ///     a snapshot). Never rewritten in place; deletes set a bit in a
 ///     tombstone bitmap that the sweep masks *inside* its compaction
-///     (`Laesa::KNearestMasked`), so a deleted prototype can never surface
+///     (`Laesa::KNearest` with a tombstone bitmap), so a deleted prototype can never surface
 ///     as a neighbour at any `table_precision`.
 ///   * **delta**: an appendable `PrototypeStore` holding everything
 ///     inserted since the last merge, with its own tombstone bitmap.
@@ -138,13 +138,6 @@ class MutableLaesa final : public NearestNeighborSearcher {
   std::vector<NeighborResult> KNearest(
       std::string_view query, std::size_t k,
       QueryStats* stats = nullptr) const override;
-
-  /// 1-NN classification over the live set. `labels_by_id` is indexed by
-  /// stable id (the mutable-tier analogue of BatchQueryEngine::Classify's
-  /// slot-indexed labels); throws std::invalid_argument when the nearest
-  /// id is not covered.
-  int Classify(std::string_view query, const std::vector<int>& labels_by_id,
-               QueryStats* stats = nullptr) const;
 
   /// Kicks off a background merge of the current delta+tombstones into a
   /// fresh base. Returns false when a merge is already running (or reaped

@@ -90,18 +90,6 @@ inline bool operator==(const QueryStats& a, const QueryStats& b) {
          a.shards_degraded == b.shards_degraded;
 }
 
-/// The label of `r`'s prototype: `labels` is indexed by result index (a
-/// slot, or a stable id for the mutable tier). Throws std::invalid_argument
-/// when `labels` does not cover that index; a size check alone cannot rule
-/// that out, because a mutable index's ids outgrow its size() after a
-/// removal.
-inline int LabelOf(const std::vector<int>& labels, const NeighborResult& r) {
-  if (r.index >= labels.size()) {
-    throw std::invalid_argument("label table does not cover result index");
-  }
-  return labels[r.index];
-}
-
 /// Common interface over nearest-neighbour searchers (exhaustive, LAESA,
 /// AESA, VP-tree, BK-tree) so classifiers, the batch engine and experiment
 /// harnesses are generic in the search algorithm, as in the paper's Table 2

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -188,9 +189,8 @@ std::vector<NeighborResult> PivotSweep::Lazy(
                                 seg.store->size(), lower + seg.base);
     scratch.live[g] = seg.store->size();
   }
-  // Count live pivots from pivot_rank_, not pivots_.size(): duplicate pivot
-  // entries occupy one candidate slot but several pivots_ entries.
-  std::size_t live_pivots = FillIotaCountPivots(idx, pivot_rank_, n);
+  std::iota(idx, idx + n, std::uint32_t{0});
+  std::size_t live_pivots = pivots_.size();
   std::size_t total_live = n;
 
   SweepIncumbents inc(k);
@@ -265,13 +265,10 @@ std::vector<NeighborResult> PivotSweep::WithRow(
   std::uint32_t* idx = slabs.idx.data();
   double* lower = slabs.lower.data();
 
-  // Seed the incumbents with every pivot distance (each live pivot once —
-  // duplicate pivot entries share one candidate slot). These evaluations
-  // are already paid for, so ties admit the lower index.
+  // Seed the incumbents with every pivot distance. These evaluations are
+  // already paid for, so ties admit the lower index.
   SweepIncumbents inc(k);
-  inc.SeedRow(pivots_, row, [&](std::size_t p) {
-    return pivot_rank_[pivots_[p]] != static_cast<std::int32_t>(p);
-  });
+  inc.SeedRow(pivots_, row, [](std::size_t) { return false; });
 
   // Per segment: every pivot row applied dense, the pivots (already in the
   // incumbents) lifted to +inf, then the slab counted into the stream
@@ -309,8 +306,7 @@ void PivotSweep::ComputePivotRow(std::string_view query, double* row,
 }
 
 std::vector<std::int32_t> RankPivots(const std::vector<std::size_t>& pivots,
-                                     std::size_t n, bool distinct,
-                                     const std::string& who) {
+                                     std::size_t n, const std::string& who) {
   // Checked before the n-entry allocation, so a corrupt header count fails
   // here as a format error.
   if (n > kMaxSweepIds) {
@@ -323,7 +319,7 @@ std::vector<std::int32_t> RankPivots(const std::vector<std::size_t>& pivots,
     if (pivots[p] >= n) {
       throw std::runtime_error(who + ": pivot index out of range");
     }
-    if (distinct && pivot_rank[pivots[p]] >= 0) {
+    if (pivot_rank[pivots[p]] >= 0) {
       throw std::runtime_error(who + ": duplicate pivot index");
     }
     pivot_rank[pivots[p]] = static_cast<std::int32_t>(p);
@@ -332,9 +328,8 @@ std::vector<std::int32_t> RankPivots(const std::vector<std::size_t>& pivots,
 }
 
 PivotTables::PivotTables(std::vector<std::size_t> pivots, std::size_t n,
-                         bool distinct, const std::string& who)
-    : pivots_(std::move(pivots)),
-      rank_(RankPivots(pivots_, n, distinct, who)) {}
+                         const std::string& who)
+    : pivots_(std::move(pivots)), rank_(RankPivots(pivots_, n, who)) {}
 
 void PivotTables::Build(const std::vector<SweepSegment>& segs,
                         const StringDistance& distance,
@@ -411,13 +406,13 @@ void PivotTables::Own(TablePrecision precision, std::vector<std::size_t> sizes,
 
 PivotTables PivotTables::Read(MappedReader& reader, std::uint64_t np,
                               std::size_t n, std::vector<std::size_t> sizes,
-                              TablePrecision precision, bool distinct,
-                              bool copy, const std::string& who) {
+                              TablePrecision precision, bool copy,
+                              const std::string& who) {
   if (np == 0 || np > n) throw std::runtime_error(who + ": bad pivot count");
   static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
                 "64-bit pivot indices expected");
   const std::uint64_t* ids = reader.Array<std::uint64_t>(np);
-  PivotTables out(std::vector<std::size_t>(ids, ids + np), n, distinct, who);
+  PivotTables out(std::vector<std::size_t>(ids, ids + np), n, who);
   out.precision_ = precision;
   const QuantRowMeta* meta = precision == TablePrecision::kF64
                                  ? nullptr

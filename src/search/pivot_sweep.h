@@ -164,13 +164,13 @@ SweepCompactResult VisitSegmentPass(const SweepSegment& seg,
 /// outlives the table it views.
 class PivotSweep {
  public:
-  /// `pivot_rank`: global id -> ordinal or -1. Duplicate `pivots` entries
-  /// share one candidate slot, ranked by their last entry.
+  /// `pivots`: distinct global ids; `pivot_rank`: global id -> ordinal or
+  /// -1 (see `RankPivots`).
   PivotSweep(const std::vector<SweepSegment>& segments,
              const std::vector<std::size_t>& pivots,
              const std::int32_t* pivot_rank, const StringDistance& distance);
 
-  /// Lazy sweep behind KNearest/KNearestMasked: a candidate dies once its
+  /// Lazy sweep behind Laesa::KNearest: a candidate dies once its
   /// lower bound reaches the k-th incumbent. `tombstones` (bitmap
   /// over [0, N), may be null) masks slots out before any visit;
   /// `segment_stats` (one entry per segment, may be null) receives each
@@ -213,12 +213,10 @@ class PivotSweep {
 
 /// The N-entry rank array of `pivots` over [0, n): rank[pivots[p]] = p,
 /// -1 for non-pivots. Throws std::runtime_error, prefixed with `who`, on
-/// n > `kMaxSweepIds` (before allocating), on an id >= n, and on a repeated
-/// id when `distinct`; otherwise a repeated id is one candidate slot, ranked
-/// by its last entry.
+/// n > `kMaxSweepIds` (before allocating), on an id >= n and on a repeated
+/// id.
 std::vector<std::int32_t> RankPivots(const std::vector<std::size_t>& pivots,
-                                     std::size_t n, bool distinct,
-                                     const std::string& who);
+                                     std::size_t n, const std::string& who);
 
 /// The one pivot table of an index: the pivot ids, their N-entry rank
 /// array, the storage precision, and one rank-major table slice per
@@ -244,7 +242,7 @@ class PivotTables {
   PivotTables() = default;
 
   /// `pivots` ranked over [0, n) (see `RankPivots`), with no slice yet.
-  PivotTables(std::vector<std::size_t> pivots, std::size_t n, bool distinct,
+  PivotTables(std::vector<std::size_t> pivots, std::size_t n,
               const std::string& who);
 
   /// Computes the slices of `segments` (their `table` views are not read)
@@ -261,12 +259,12 @@ class PivotTables {
   /// Walks the tail every table format shares: pivot ids u64[np], then
   /// QuantRowMeta[np] unless `precision` is f64, then one table section per
   /// entry of `sizes`. Throws std::runtime_error, prefixed with `who`, on a
-  /// pivot count outside [1, n] or a pivot id the rank policy rejects; the
+  /// pivot count outside [1, n] or a pivot id `RankPivots` rejects; the
   /// reader throws on a truncated section. The slices view the mapping, or
   /// with `copy` are copied into owned buffers and the mapping is let go.
   static PivotTables Read(MappedReader& reader, std::uint64_t np,
                           std::size_t n, std::vector<std::size_t> sizes,
-                          TablePrecision precision, bool distinct, bool copy,
+                          TablePrecision precision, bool copy,
                           const std::string& who);
 
   /// Writes the tail `Read` walks, for segments [first, last).

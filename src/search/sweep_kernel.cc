@@ -298,17 +298,6 @@ SweepScratch& TlsSweepScratch() {
   return scratch;
 }
 
-std::size_t FillIotaCountPivots(std::uint32_t* idx,
-                                const std::int32_t* pivot_rank,
-                                std::size_t n) {
-  std::size_t pivots = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    idx[i] = static_cast<std::uint32_t>(i);
-    pivots += pivot_rank[i] >= 0 ? 1 : 0;
-  }
-  return pivots;
-}
-
 // Histogram counters per stream, over all segments.
 constexpr std::size_t kMaxStreamHistogram = 4096;
 

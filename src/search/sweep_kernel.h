@@ -247,14 +247,6 @@ struct SweepScratch {
 };
 SweepScratch& TlsSweepScratch();
 
-/// Shared candidate-slab initialisation: idx[i] = i for i in [0, n), and
-/// returns the number of ids with pivot_rank[id] >= 0 — the live-pivot
-/// count the lazy sweeps start from (duplicate pivots_ entries occupy one
-/// candidate slot, hence counting ranks, not table rows).
-std::size_t FillIotaCountPivots(std::uint32_t* idx,
-                                const std::int32_t* pivot_rank,
-                                std::size_t n);
-
 /// --- Static-bound visit order: the survivor stream. ---------------------
 ///
 /// Once every pivot row a sweep will apply has been applied — the

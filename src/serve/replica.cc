@@ -75,7 +75,7 @@ ShardReplica::ShardReplica(const std::string& store_path,
   // in-process index keeps it: the flagged kernel gathers rank[global id]
   // for ids in this segment, and the seed kernel reads the slice at base_.
   pivot_table_ = PivotTables::Read(reader, np, n_total_, {n_s}, precision,
-                                   /*distinct=*/true, /*copy=*/false, who);
+                                   /*copy=*/false, who);
 }
 
 ShardReplica::SweepSlot& ShardReplica::NewSlot(std::uint32_t qid) {

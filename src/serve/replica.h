@@ -25,8 +25,7 @@ namespace cned {
 /// The table slice is a one-segment `PivotTables` (pivot_sweep.h) over the
 /// global rank array, mapped by the same section walk `Laesa::Map` runs
 /// after the slice's own header (and, in v2, its {precision, reserved}
-/// section). Like an index of more than one segment, it rejects duplicate
-/// pivot ids.
+/// section). Like every index, it rejects duplicate pivot ids.
 ///
 /// A replica is one segment of the shared sweep core (pivot_sweep.h) given
 /// its own state: `BeginRow` runs the core's row seed and `Step` (and the
@@ -167,8 +166,7 @@ class ShardReplica {
   PrototypeStore store_;  // mapped shard store
   StringDistancePtr distance_;
   /// The global pivot ids and rank array over [0, total_size()), and this
-  /// shard's one-segment table slice, mapped in place. Pivot ids are
-  /// distinct.
+  /// shard's one-segment table slice, mapped in place.
   PivotTables pivot_table_;
 
   /// One in-flight sweep: this query's private copy of the segment slabs.

@@ -113,8 +113,7 @@ ServeRouter::ServeRouter(const std::string& snapshot_dir,
   }
   const std::uint64_t* pivots = reader.Array<std::uint64_t>(np);
   shape_.pivots.assign(pivots, pivots + np);
-  shape_.pivot_rank =
-      RankPivots(shape_.pivots, n_, /*distinct=*/true, "ServeRouter");
+  shape_.pivot_rank = RankPivots(shape_.pivots, n_, "ServeRouter");
   const std::uint64_t* lens = reader.Array<std::uint64_t>(np);
   // Each length must fit in what is left of the arena, so the running sum
   // cannot wrap past the total check.
@@ -497,21 +496,6 @@ void ServeRouter::Replicate(std::size_t s, FrameType type,
   }
   Reconcile(ctx, s, replies,
             [](const std::vector<char>&) { return true; }, nullptr);
-}
-
-pid_t ServeRouter::worker_pid(std::size_t s) const {
-  Group& g = *groups_[s];
-  std::lock_guard<std::mutex> lock(g.mu);
-  return g.members[g.primary].pid;
-}
-
-bool ServeRouter::worker_alive(std::size_t s) const {
-  Group& g = *groups_[s];
-  std::lock_guard<std::mutex> lock(g.mu);
-  for (const Replica& m : g.members) {
-    if (m.alive) return true;
-  }
-  return false;
 }
 
 std::size_t ServeRouter::primary_of(std::size_t s) const {

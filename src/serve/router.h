@@ -345,11 +345,7 @@ class ServeRouter {
   /// its shard. Returns the number of processes brought back to healthy.
   std::size_t RespawnDead();
 
-  /// Group inspection hooks for tests and monitoring. `worker_pid` /
-  /// `worker_alive` keep their PR-6 per-shard meaning: the pid of the
-  /// current *primary*, and whether *any* member of the group is alive.
-  pid_t worker_pid(std::size_t s) const;
-  bool worker_alive(std::size_t s) const;
+  /// Group inspection hooks for tests and monitoring.
   std::size_t primary_of(std::size_t s) const;
   pid_t replica_pid(std::size_t s, std::size_t r) const;
   bool replica_alive(std::size_t s, std::size_t r) const;

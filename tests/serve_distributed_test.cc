@@ -132,6 +132,14 @@ std::vector<ServeResult> KNearestBatch(ServeRouter& router,
   return out;
 }
 
+/// Whether any member of shard `s`'s replica group is alive.
+bool AnyReplicaAlive(const ServeRouter& router, std::size_t s) {
+  for (std::size_t r = 0; r < router.replica_count(); ++r) {
+    if (router.replica_alive(s, r)) return true;
+  }
+  return false;
+}
+
 void ExpectHealthyIdentical(const ServeResult& got,
                             const std::vector<NeighborResult>& want,
                             const QueryStats& want_stats,
@@ -210,7 +218,7 @@ TEST(ServeDistributedTest, CrashMidSweepDegradesExactlyThatShard) {
   EXPECT_TRUE(r.partial);
   ASSERT_EQ(r.missing_shards, std::vector<std::size_t>{2});
   EXPECT_EQ(r.stats.shards_degraded, 1u);
-  EXPECT_FALSE(router.worker_alive(2));
+  EXPECT_FALSE(AnyReplicaAlive(router, 2));
   // Every distance the degraded answer reports is still exact.
   auto dist = MakeDistance("dE");
   for (const NeighborResult& nb : r.neighbors) {
@@ -241,7 +249,7 @@ TEST(ServeDistributedTest, UnresponsiveStepIsNeverRetriedAndDegrades) {
   const ServeResult r = router.Nearest(w.queries[0]);
   EXPECT_TRUE(r.partial);
   EXPECT_EQ(r.missing_shards, std::vector<std::size_t>{1});
-  EXPECT_FALSE(router.worker_alive(1));
+  EXPECT_FALSE(AnyReplicaAlive(router, 1));
 }
 
 TEST(ServeDistributedTest, UnresponsiveIdempotentOpIsRetriedTransparently) {
@@ -271,7 +279,7 @@ TEST(ServeDistributedTest, CorruptReplyIsTreatedAsDeadShard) {
   const ServeResult r = router.Nearest(w.queries[0]);
   EXPECT_TRUE(r.partial);
   EXPECT_EQ(r.missing_shards, std::vector<std::size_t>{0});
-  EXPECT_FALSE(router.worker_alive(0));
+  EXPECT_FALSE(AnyReplicaAlive(router, 0));
 }
 
 TEST(ServeDistributedTest, DeadlineExpiryReturnsFlaggedPartialIncumbents) {
@@ -321,7 +329,7 @@ TEST(ServeDistributedTest, CrashMidBatchCostsOneQueryAndAutoRespawns) {
     ExpectHealthyIdentical(got[i], want, ref, "batch q=" + w.queries[i]);
   }
   EXPECT_EQ(partials, 1u);
-  EXPECT_TRUE(router.worker_alive(1));
+  EXPECT_TRUE(AnyReplicaAlive(router, 1));
 }
 
 TEST(ServeDistributedTest, KillNineOfWholeGroupIsSurvivedFlaggedAndRecovered) {
@@ -360,8 +368,8 @@ TEST(ServeDistributedTest, KillNineOfWholeGroupIsSurvivedFlaggedAndRecovered) {
   const auto want2 = dep.index->KNearest(w.queries[2], 3, &ref2);
   ExpectHealthyIdentical(router.KNearest(w.queries[2], 3), want2, ref2,
                          "post-respawn");
-  EXPECT_TRUE(router.worker_alive(2));
-  EXPECT_NE(router.worker_pid(2), victims[0]);
+  EXPECT_TRUE(AnyReplicaAlive(router, 2));
+  EXPECT_NE(router.replica_pid(2, router.primary_of(2)), victims[0]);
 }
 
 // --- Contract 3: replica-group failover ------------------------------------
@@ -432,7 +440,7 @@ TEST(ServeDistributedTest, RealKillNineOfPrimaryFailsOverMidQuery) {
   // A real kill -9 of shard 2's primary. The router has no idea until the
   // next query's scatter hits the dead socket — mid-query it promotes the
   // standby and the answer stays exact and unflagged.
-  const pid_t victim = router.worker_pid(2);
+  const pid_t victim = router.replica_pid(2, router.primary_of(2));
   ASSERT_GT(victim, 0);
   ASSERT_EQ(kill(victim, SIGKILL), 0);
 
@@ -441,8 +449,8 @@ TEST(ServeDistributedTest, RealKillNineOfPrimaryFailsOverMidQuery) {
   const ServeResult during = router.KNearest(w.queries[1], 3);
   ExpectHealthyIdentical(during, want1, ref1, "kill -9 failover");
   EXPECT_GE(during.failovers, 1u);
-  EXPECT_TRUE(router.worker_alive(2));
-  EXPECT_NE(router.worker_pid(2), victim);
+  EXPECT_TRUE(AnyReplicaAlive(router, 2));
+  EXPECT_NE(router.replica_pid(2, router.primary_of(2)), victim);
 
   // auto_respawn refills the group between queries; the revived process
   // rejoins at the next begin and the group is back to full strength.

@@ -357,23 +357,20 @@ TEST(ShardedLaesaTest, EngineShardStatsMatchDirectCalls) {
                std::invalid_argument);
 }
 
-TEST(ShardedLaesaTest, ClassifyThroughEngineUsesGlobalLabels) {
+TEST(ShardedLaesaTest, EngineNearestReportsGlobalIds) {
   Workload w = MakeWorkload(120, 15, 5900);
-  std::vector<int> labels(w.protos.size());
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    labels[i] = static_cast<int>(i % 5);
-  }
   auto dist = MakeDistance("dYB");
-  ShardedPrototypeStore store(w.protos, 3, labels);
+  ShardedPrototypeStore store(w.protos, 3);
   Laesa sharded(store, dist, 8);
   PrototypeStore queries(w.queries);
 
-  std::vector<int> expected(w.queries.size());
+  const auto batched = BatchQueryEngine(sharded).Nearest(queries);
+  ASSERT_EQ(batched.size(), w.queries.size());
   for (std::size_t i = 0; i < w.queries.size(); ++i) {
-    expected[i] = labels[sharded.Nearest(w.queries[i]).index];
+    const NeighborResult want = sharded.Nearest(w.queries[i]);
+    EXPECT_EQ(batched[i].index, want.index) << i;
+    EXPECT_EQ(batched[i].distance, want.distance) << i;
   }
-  BatchQueryEngine engine(sharded);
-  EXPECT_EQ(engine.Classify(queries, store.labels()), expected);
 }
 
 TEST(ShardedLaesaTest, RejectsEmptyStoreAndZeroPivots) {

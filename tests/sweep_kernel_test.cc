@@ -5,13 +5,13 @@
 // 0/1/odd/non-multiple-of-the-lane-width, +inf bounds left by eliminated
 // slots, present and absent skip candidates, sparse / duplicated pivot
 // sets, and the survivor stream's bucket keys under degenerate maps — and
-// at the index level, where `Laesa` over one segment and
-// over S shards (including duplicate-pivot-row ablation builds and the
-// batch engine's pivot-stage path) must answer with identical neighbours,
-// distances AND QueryStats under every kernel. The quantized entries
-// (search/table_quant.h) get the same bitwise differential treatment plus
-// an admissibility property test: g_q <= |d - t| elementwise at every
-// precision, for rows the QuantRowEncoder actually produces.
+// at the index level, where `Laesa` over one segment and over S shards
+// (including the batch engine's pivot-stage path) must answer with
+// identical neighbours, distances AND QueryStats under every kernel. The
+// quantized entries (search/table_quant.h) get the same bitwise
+// differential treatment plus an admissibility property test:
+// g_q <= |d - t| elementwise at every precision, for rows the
+// QuantRowEncoder actually produces.
 //
 // The suite runs the same assertions regardless of which variant is
 // *active*, so CI exercising CNED_SWEEP_KERNEL=scalar still covers the
@@ -590,24 +590,16 @@ TEST(SweepKernelIndexTest, FlatIndexBitIdenticalAcrossKernels) {
   for (const char* dist_name : {"dE", "dYB", "dmax"}) {
     auto dist = MakeDistance(dist_name);
     Laesa index(store, dist, 7);
-    // Duplicate pivot rows: the ablation constructor accepts repeated pivot
-    // indices, which the sweeps must treat as one candidate but two rows.
-    Laesa dup(store, dist, std::vector<std::size_t>{3, 3, 17, 42});
 
     ASSERT_TRUE(SetActiveSweepKernels("scalar"));
-    std::vector<Probe> ref, dup_ref;
-    for (const auto& q : queries) {
-      ref.push_back(ProbeLaesa(index, q));
-      dup_ref.push_back(ProbeLaesa(dup, q));
-    }
+    std::vector<Probe> ref;
+    for (const auto& q : queries) ref.push_back(ProbeLaesa(index, q));
     for (const SweepKernels* k : VariantKernels()) {
       ASSERT_TRUE(SetActiveSweepKernels(k->name));
       for (std::size_t i = 0; i < queries.size(); ++i) {
         const std::string ctx = std::string(dist_name) + " kernel " +
                                 k->name + " q=" + queries[i];
         ExpectIdentical(ref[i], ProbeLaesa(index, queries[i]), ctx);
-        ExpectIdentical(dup_ref[i], ProbeLaesa(dup, queries[i]),
-                        ctx + " [dup pivots]");
       }
     }
   }

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <iterator>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -90,7 +91,8 @@ class RefLaesa {
     std::vector<std::uint32_t> idx(n);
     std::vector<double> lower(n);
     dist_.LengthLowerBounds(q.size(), store_.lengths_data(), n, lower.data());
-    std::size_t live_pivots = FillIotaCountPivots(idx.data(), rank_.data(), n);
+    std::iota(idx.begin(), idx.end(), std::uint32_t{0});
+    std::size_t live_pivots = pivots_.size();
     std::size_t live = n;
     auto kth = [&]() {
       return r.best.size() < k ? kInf : r.best.back().distance;
@@ -142,7 +144,6 @@ class RefLaesa {
       return r.best.size() < k ? kInf : r.best.back().distance;
     };
     for (std::size_t p = 0; p < pivots_.size(); ++p) {
-      if (rank_[pivots_[p]] != static_cast<std::int32_t>(p)) continue;
       InsertNeighborTopK(r.best, k, {pivots_[p], row[p]}, true);
     }
     for (std::size_t p = 0; p < pivots_.size(); ++p) {
@@ -314,7 +315,7 @@ TEST(SweepOrderTest, FlatAndShardedMatchCompactionLoops) {
           for (const std::uint64_t* mask : {thirds.data(), no_pivots.data()}) {
             const RefResult masked = ref.Sweep(q, k, mask);
             QueryStats st;
-            ExpectSame(masked, flat.KNearestMasked(q, k, mask, &st), st,
+            ExpectSame(masked, flat.KNearest(q, k, &st, nullptr, mask), st,
                        Label(name, prec, "flat masked", k, q));
           }
           for (std::size_t i = 0; i < sharded.size(); ++i) {
@@ -346,31 +347,6 @@ TEST(SweepOrderTest, FlatAndShardedMatchCompactionLoops) {
             }
           }
         }
-      }
-    }
-  }
-}
-
-// Duplicate pivot entries (ablation constructor): one candidate slot,
-// several table rows — the static phase must start from the same place.
-TEST(SweepOrderTest, DuplicatePivotsMatchCompactionLoops) {
-  const std::vector<std::string> protos = TieHeavy(40, 13003, 5);
-  PrototypeStore store(protos);
-  const std::vector<std::size_t> pivots{0, 0, 7, 3, 7};
-  for (const char* name : {"dE", "dC", "dYB"}) {
-    StringDistancePtr dist = MakeDistance(name);
-    Laesa flat(store, dist, pivots);
-    RefLaesa ref(store, *dist, pivots, flat.table_precision());
-    for (const std::string& q : TieHeavy(8, 13004, 6)) {
-      std::vector<double> row(flat.pivot_count());
-      flat.ComputePivotRow(q, row.data());
-      for (std::size_t k : kKs) {
-        QueryStats st, sr;
-        ExpectSame(ref.Sweep(q, k, nullptr), flat.KNearest(q, k, &st), st,
-                   Label(name, flat.table_precision(), "dup lazy", k, q));
-        ExpectSame(ref.SweepWithRow(q, k, row.data()),
-                   flat.KNearestWithPivotRow(q, k, row.data(), &sr), sr,
-                   Label(name, flat.table_precision(), "dup row", k, q));
       }
     }
   }
