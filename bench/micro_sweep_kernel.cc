@@ -3,7 +3,7 @@
 //
 //  1. Kernel micro loops over synthetic packed candidate slabs: ns per
 //     candidate for the dense row update, the gathered (packed) row update
-//     and the flagged eliminate-and-compact pass, per kernel variant. The
+//     and the eliminate-and-compact pass, per kernel variant. The
 //     eliminate pass is timed in its keep-all configuration (bound = inf,
 //     skip absent), which is idempotent — the slab can be re-swept without
 //     rebuilding, and it is the traffic-heavy early-sweep shape.
@@ -70,7 +70,6 @@ KernelMicro TimeKernels(const SweepKernels& k, std::size_t n,
 
   AlignedBuffer<std::uint32_t> idx;
   AlignedBuffer<double> lower, row;
-  std::vector<std::int32_t> rank(n, -1);
   idx.resize(n);
   lower.resize(n);
   row.resize(n);
@@ -78,7 +77,6 @@ KernelMicro TimeKernels(const SweepKernels& k, std::size_t n,
     idx.data()[i] = static_cast<std::uint32_t>(i);
     lower.data()[i] = rng.Uniform();
     row.data()[i] = rng.Uniform() * 4.0;
-    if (i % 16 == 0) rank[i] = static_cast<std::int32_t>(i / 16);
   }
   const double inf = std::numeric_limits<double>::infinity();
   const double denom = static_cast<double>(n) * static_cast<double>(reps);
@@ -101,12 +99,12 @@ KernelMicro TimeKernels(const SweepKernels& k, std::size_t n,
   // Keep-all eliminate: finite bounds vs an infinite threshold, skip absent
   // — compacts every candidate onto itself, so the slab survives intact.
   std::uint64_t sink = 0;
-  (void)k.eliminate_and_compact_flagged(idx.data(), lower.data(), rank.data(),
-                                        n, 0xFFFFFFFFu, inf);
+  (void)k.eliminate_and_compact(idx.data(), lower.data(), n, 0xFFFFFFFFu,
+                                inf);
   Stopwatch w_elim;
   for (std::size_t r = 0; r < reps; ++r) {
-    const SweepCompactResult pass = k.eliminate_and_compact_flagged(
-        idx.data(), lower.data(), rank.data(), n, 0xFFFFFFFFu, inf);
+    const SweepCompactResult pass = k.eliminate_and_compact(
+        idx.data(), lower.data(), n, 0xFFFFFFFFu, inf);
     sink += pass.live;
   }
   out.eliminate_ns = w_elim.Seconds() * 1e9 / denom;

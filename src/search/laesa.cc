@@ -77,14 +77,9 @@ Laesa::Laesa(std::vector<PrototypeStoreRef> stores, StringDistancePtr distance,
   if (pivot_indices.empty()) {
     throw std::invalid_argument("Laesa: need at least one pivot");
   }
-  std::vector<std::size_t> sorted = pivot_indices;
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.back() >= size_) {
-    throw std::invalid_argument("Laesa: pivot index out of range");
-  }
-  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
-    throw std::invalid_argument("Laesa: duplicate pivot index");
-  }
+  // The loaders' validation, thrown as a caller error.
+  const std::string why = PivotIds::Invalid(pivot_indices, size_);
+  if (!why.empty()) throw std::invalid_argument("Laesa: " + why);
   pivot_table_ = PivotTables(std::move(pivot_indices), size_, "Laesa");
   // Each GLOBAL row is quantized with one meta shared by every segment, so
   // an S-segment build holds exactly the codes and gaps a one-segment

@@ -45,8 +45,9 @@ namespace cned {
 /// `Nearest`. Pivot ids are distinct at every S: the ablation constructor,
 /// `Load` and `Map` reject a pivot id listed twice. The hot path is a
 /// flat structure-of-arrays sweep: surviving candidates live in packed
-/// index/lower-bound arrays that one pass per visited pivot tightens (a
-/// contiguous row of the pivot table), eliminates and compacts; once no
+/// index/lower-bound arrays, the pivots in a small array of their own,
+/// that one pass per visited pivot tightens (a contiguous row of the pivot
+/// table), eliminates and compacts; once no
 /// pivot survives the bounds are final, and the remaining candidates are
 /// visited in bound order from a survivor stream: ids counting-sorted into
 /// bound buckets over the dense bound array, a bucket sorted only when the
@@ -111,8 +112,8 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
   /// bitmap over prototype slots (bit i set = deleted,
   /// TombstoneWords(size()) words). Masked slots are eliminated *inside*
   /// the sweep compaction before anything is visited — their bounds are
-  /// forced to +inf and one flagged compaction pass drops them from the
-  /// packed slab (see sweep_kernel.h) — so a deleted prototype is never
+  /// forced to +inf and one compaction pass drops them from the packed
+  /// slabs (see sweep_kernel.h) — so a deleted prototype is never
   /// evaluated, never returned and never counted, at every table_precision
   /// and under every kernel variant. A null bitmap is the plain sweep; with
   /// every slot deleted the result is empty.
@@ -164,8 +165,9 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
 
   /// Zero-copy form of `Load`: maps the file and points every segment's
   /// table view at its section in place — no table is copied, so startup
-  /// is O(N) (pivot-rank bookkeeping) instead of O(pivots x N), and the
-  /// table pages are shared across processes through the page cache.
+  /// costs O(pivots) beyond the header and section checks instead of
+  /// O(pivots x N), and the table pages are shared across processes
+  /// through the page cache.
   /// `Load` is the same section walk with the checksum always verified and
   /// the tables then copied out of the mapping, so validation matches;
   /// query results, trajectories and `QueryStats` are bit-identical to the
@@ -200,7 +202,7 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
 
   std::size_t num_pivots() const { return pivots().size(); }
   const std::vector<std::size_t>& pivots() const {
-    return pivot_table_.pivots();
+    return pivot_table_.pivots().ids();
   }
 
   /// Distance evaluations spent in preprocessing (pivot selection + table).
@@ -213,7 +215,7 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
   /// shell the builds and `Open` fill.
   Laesa(std::vector<PrototypeStoreRef> stores, StringDistancePtr distance);
 
-  /// Ranks `pivot_indices` and builds the table over `stores`.
+  /// Validates `pivot_indices` and builds the table over `stores`.
   Laesa(std::vector<PrototypeStoreRef> stores, StringDistancePtr distance,
         std::vector<std::size_t> pivot_indices, TablePrecision precision);
 
@@ -227,8 +229,7 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
 
   /// The shared sweep core (pivot_sweep.h) over the segment list.
   PivotSweep core() const {
-    return PivotSweep(segments_, pivot_table_.pivots(), pivot_table_.rank(),
-                      *distance_);
+    return PivotSweep(segments_, pivot_table_.pivots(), *distance_);
   }
 
   /// One store per segment; a flat index may own its store.

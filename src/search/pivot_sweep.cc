@@ -21,13 +21,15 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // Results are identical either way — only the execution schedule changes.
 constexpr std::size_t kParallelPassWork = 1 << 20;
 
-/// Thread-local per-segment bookkeeping: segment live counts, the
-/// per-segment pass results and the survivor stream's histogram. The
-/// candidate slabs themselves come from the shared `TlsSweepScratch`.
-/// Owned per thread, so batched queries running under ParallelFor never
-/// share state.
+/// Thread-local per-segment bookkeeping: the pivot slabs (at most np
+/// entries over all segments), each segment's two slabs, the per-segment
+/// pass results and the survivor stream's histogram. The non-pivot slabs
+/// come from the shared `TlsSweepScratch`. Owned per thread, so batched
+/// queries running under ParallelFor never share state.
 struct SegmentScratch {
-  std::vector<std::size_t> live;
+  AlignedBuffer<std::uint32_t> pivot_idx;
+  AlignedBuffer<double> pivot_lower;
+  std::vector<SegmentSlabs> slabs;
   std::vector<SweepCompactResult> pass;
   std::vector<std::uint32_t> hist;
 };
@@ -115,30 +117,59 @@ void SeedSegmentBounds(const SweepSegment& seg, const StringDistance& distance,
   if (tombstones != nullptr) ApplyTombstoneMask(tombstones, n, lower);
 }
 
-SweepCompactResult VisitSegmentPass(const SweepSegment& seg,
-                                    const std::int32_t* pivot_rank,
-                                    std::int32_t rank, double d,
-                                    std::uint32_t skip, double bound,
-                                    std::uint32_t* idx, double* lower,
-                                    std::size_t live) {
-  const SweepKernels& kern = ActiveSweepKernels();
-  if (rank >= 0) {
-    QuantUpdateLowerPacked(kern, seg.table, static_cast<std::size_t>(rank),
-                           seg.store->size(), d, idx,
-                           static_cast<std::uint32_t>(seg.base), lower, live);
+void LiftSegmentPivots(const PivotIds& pivots, const SweepSegment& seg,
+                       double* lower, SegmentSlabs* slabs) {
+  const auto [first, last] = pivots.Run(seg.base, seg.store->size());
+  const std::uint32_t* ids = pivots.sorted();
+  for (std::size_t j = first; j < last; ++j) {
+    double& slot = lower[ids[j] - seg.base];
+    if (slabs != nullptr) {
+      slabs->pivot_idx[j - first] = ids[j];
+      slabs->pivot_lower[j - first] = slot;
+    }
+    slot = kInf;
   }
-  return kern.eliminate_and_compact_flagged(idx, lower, pivot_rank, live, skip,
-                                            bound);
+  if (slabs != nullptr) slabs->pivot_live = last - first;
+}
+
+SweepCompactResult VisitSegmentPass(const SweepSegment& seg, std::int32_t rank,
+                                    double d, std::uint32_t skip,
+                                    double bound, SegmentSlabs* slabs) {
+  const SweepKernels& kern = ActiveSweepKernels();
+  SegmentSlabs& s = *slabs;
+  if (rank >= 0) {
+    const auto p = static_cast<std::size_t>(rank);
+    const auto base = static_cast<std::uint32_t>(seg.base);
+    const std::size_t n = seg.store->size();
+    QuantUpdateLowerPacked(kern, seg.table, p, n, d, s.idx, base, s.lower,
+                           s.live);
+    QuantUpdateLowerPacked(kern, seg.table, p, n, d, s.pivot_idx, base,
+                           s.pivot_lower, s.pivot_live);
+  }
+  SweepCompactResult out =
+      kern.eliminate_and_compact(s.idx, s.lower, s.live, skip, bound);
+  const SweepCompactResult piv = kern.eliminate_and_compact(
+      s.pivot_idx, s.pivot_lower, s.pivot_live, skip, bound);
+  out.pivots_died = s.pivot_live - piv.live;
+  s.live = out.live;
+  s.pivot_live = piv.live;
+  out.live += piv.live;
+  out.next_pivot = piv.next;
+  out.next_pivot_key = piv.next_key;
+  // The (bound, id) minimum over both slabs: the lowest id wins a tie, as
+  // in one packed scan over the segment.
+  if (piv.next != kSweepNone &&
+      (piv.next_key < out.next_key ||
+       (piv.next_key == out.next_key && piv.next < out.next))) {
+    out.next = piv.next;
+    out.next_key = piv.next_key;
+  }
+  return out;
 }
 
 PivotSweep::PivotSweep(const std::vector<SweepSegment>& segments,
-                       const std::vector<std::size_t>& pivots,
-                       const std::int32_t* pivot_rank,
-                       const StringDistance& distance)
-    : segments_(segments),
-      pivots_(pivots),
-      pivot_rank_(pivot_rank),
-      distance_(distance) {
+                       const PivotIds& pivots, const StringDistance& distance)
+    : segments_(segments), pivots_(pivots), distance_(distance) {
   for (const SweepSegment& seg : segments_) size_ += seg.store->size();
 }
 
@@ -157,8 +188,9 @@ std::size_t PivotSweep::SegmentOf(std::size_t id) const {
 
 // Two phases, both on the shared sweep kernels (sweep_kernel.h):
 //   - approximating: while pivots survive, visit the minimal-bound pivot,
-//     then one visit pass per segment tightens with its table row and
-//     eliminates, and the merged per-segment minima pick the next pivot;
+//     then one visit pass per segment tightens both of its slabs with the
+//     pivot's table row and eliminates, and the merged per-segment minima
+//     of the pivot slabs pick the next pivot;
 //   - static: once the last live pivot is gone the bounds are final, each
 //     segment's packed survivors are unpacked back into the dense slab and
 //     counted, and the survivor stream visits them in ascending
@@ -176,7 +208,9 @@ std::vector<NeighborResult> PivotSweep::Lazy(
   slabs.idx.resize(n);
   slabs.lower.resize(n);
   SegmentScratch& scratch = TlsSegmentScratch();
-  scratch.live.assign(count, 0);
+  scratch.pivot_idx.resize(pivots_.size());
+  scratch.pivot_lower.resize(pivots_.size());
+  scratch.slabs.assign(count, SegmentSlabs{});
   scratch.pass.assign(count, SweepCompactResult{});
   std::uint32_t* idx = slabs.idx.data();
   double* lower = slabs.lower.data();
@@ -187,9 +221,24 @@ std::vector<NeighborResult> PivotSweep::Lazy(
     const SweepSegment& seg = segments_[g];
     distance_.LengthLowerBounds(query.size(), seg.store->lengths_data(),
                                 seg.store->size(), lower + seg.base);
-    scratch.live[g] = seg.store->size();
   }
   std::iota(idx, idx + n, std::uint32_t{0});
+  // Deletes are eliminated inside the compaction before anything is
+  // visited: the masked slots' bounds go to +inf (the slabs are still in
+  // global id order), and the first pass drops them (lower >= bound is
+  // inclusive, so +inf falls even to the infinite starting incumbent).
+  if (tombstones != nullptr) ApplyTombstoneMask(tombstones, n, lower);
+  // The pivots move to their own slabs, in segment order, so segment g's
+  // run of the sorted pivot ids is its pivot slab.
+  for (std::size_t g = 0; g < count; ++g) {
+    const SweepSegment& seg = segments_[g];
+    SegmentSlabs& sl = scratch.slabs[g];
+    const std::size_t first = pivots_.Run(seg.base, seg.store->size()).first;
+    sl = {idx + seg.base,    lower + seg.base,
+          seg.store->size(), scratch.pivot_idx.data() + first,
+          scratch.pivot_lower.data() + first};
+    LiftSegmentPivots(pivots_, seg, lower + seg.base, &sl);
+  }
   std::size_t live_pivots = pivots_.size();
   std::size_t total_live = n;
 
@@ -202,14 +251,11 @@ std::vector<NeighborResult> PivotSweep::Lazy(
   auto pass = [&](std::int32_t rank, double d, std::uint32_t skip,
                   double bound) {
     ForEachSegment(count, total_live, [&](std::size_t g) {
-      const SweepSegment& seg = segments_[g];
-      scratch.pass[g] =
-          VisitSegmentPass(seg, pivot_rank_, rank, d, skip, bound,
-                           idx + seg.base, lower + seg.base, scratch.live[g]);
+      scratch.pass[g] = VisitSegmentPass(segments_[g], rank, d, skip, bound,
+                                         &scratch.slabs[g]);
     });
     SweepCompactResult merged;
     for (std::size_t g = 0; g < count; ++g) {
-      scratch.live[g] = scratch.pass[g].live;
       FoldSegmentMinima(scratch.pass[g], &merged);
     }
     total_live = merged.live;
@@ -217,26 +263,24 @@ std::vector<NeighborResult> PivotSweep::Lazy(
     return merged.next_pivot;
   };
 
-  std::size_t s = pivots_[0];  // start from the first base prototype
+  std::size_t s = pivots_.ids()[0];  // start from the first base prototype
   if (tombstones != nullptr) {
-    // Deletes are eliminated inside the compaction before anything is
-    // visited: force the masked slots' bounds to +inf (the slabs are still
-    // in global id order), then one pass drops them (lower >= bound is
-    // inclusive, so +inf falls even to the infinite starting incumbent)
-    // and hands back the minimal-bound live pivot to start from.
-    ApplyTombstoneMask(tombstones, n, lower);
+    // The +inf pass hands back the minimal-bound live pivot to start from.
     s = pass(/*rank=*/-1, 0.0, /*skip=*/0xFFFFFFFFu, kInf);
   }
   while (live_pivots > 0 && s != kSweepNone) {
     const double d = visit(s, /*is_pivot=*/true);
-    s = pass(pivot_rank_[s], d, static_cast<std::uint32_t>(s), inc.Kth());
+    s = pass(pivots_.Rank(s), d, static_cast<std::uint32_t>(s), inc.Kth());
   }
   // Static phase: no row left to apply, and every survivor lies below the
-  // k-th incumbent the last pass eliminated against.
+  // k-th incumbent the last pass eliminated against. The loop ends with
+  // live pivots only when none has a finite bound below that incumbent,
+  // and the stream would never reach such a bound, so only the non-pivot
+  // slabs are unpacked.
   SurvivorStream stream(inc.Kth(), n, count, scratch.hist);
   ForEachSegment(count, n, [&](std::size_t g) {
     const SweepSegment& seg = segments_[g];
-    stream.Unpack(g, idx + seg.base, lower + seg.base, scratch.live[g],
+    stream.Unpack(g, idx + seg.base, lower + seg.base, scratch.slabs[g].live,
                   seg.store->size(), seg.base);
   });
   VisitStream(segments_, n, stream, idx, lower, kth, visit);
@@ -268,7 +312,7 @@ std::vector<NeighborResult> PivotSweep::WithRow(
   // Seed the incumbents with every pivot distance. These evaluations are
   // already paid for, so ties admit the lower index.
   SweepIncumbents inc(k);
-  inc.SeedRow(pivots_, row, [](std::size_t) { return false; });
+  inc.SeedRow(pivots_.ids(), row, [](std::size_t) { return false; });
 
   // Per segment: every pivot row applied dense, the pivots (already in the
   // incumbents) lifted to +inf, then the slab counted into the stream
@@ -280,9 +324,7 @@ std::vector<NeighborResult> PivotSweep::WithRow(
     double* seg_lower = lower + seg.base;
     SeedSegmentBounds(seg, distance_, query.size(), row, p_count,
                       /*tombstones=*/nullptr, seg_lower);
-    for (std::size_t id : pivots_) {
-      if (id - seg.base < size) seg_lower[id - seg.base] = kInf;
-    }
+    LiftSegmentPivots(pivots_, seg, seg_lower);
     stream.Count(g, seg_lower, size);
   });
 
@@ -297,7 +339,7 @@ std::vector<NeighborResult> PivotSweep::WithRow(
 void PivotSweep::ComputePivotRow(std::string_view query, double* row,
                                  QueryStats* stats) const {
   for (std::size_t p = 0; p < pivots_.size(); ++p) {
-    row[p] = distance_.Distance(query, View(pivots_[p]));
+    row[p] = distance_.Distance(query, View(pivots_.ids()[p]));
   }
   if (stats != nullptr) {
     stats->distance_computations += pivots_.size();
@@ -305,36 +347,62 @@ void PivotSweep::ComputePivotRow(std::string_view query, double* row,
   }
 }
 
-std::vector<std::int32_t> RankPivots(const std::vector<std::size_t>& pivots,
-                                     std::size_t n, const std::string& who) {
-  // Checked before the n-entry allocation, so a corrupt header count fails
-  // here as a format error.
+std::string PivotIds::Invalid(const std::vector<std::size_t>& ids,
+                              std::size_t n) {
+  // Checked first, so a corrupt header count fails as a format error
+  // whatever the ids are.
   if (n > kMaxSweepIds) {
-    throw std::runtime_error(who + ": " + std::to_string(n) +
-                             " ids exceed the sweep's 2^31 id limit");
+    return std::to_string(n) + " ids exceed the sweep's 2^31 id limit";
   }
-  std::vector<std::int32_t> pivot_rank;
-  pivot_rank.assign(n, -1);
-  for (std::size_t p = 0; p < pivots.size(); ++p) {
-    if (pivots[p] >= n) {
-      throw std::runtime_error(who + ": pivot index out of range");
-    }
-    if (pivot_rank[pivots[p]] >= 0) {
-      throw std::runtime_error(who + ": duplicate pivot index");
-    }
-    pivot_rank[pivots[p]] = static_cast<std::int32_t>(p);
+  std::vector<std::size_t> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  if (!sorted.empty() && sorted.back() >= n) {
+    return "pivot index out of range";
   }
-  return pivot_rank;
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    return "duplicate pivot index";
+  }
+  return {};
+}
+
+PivotIds::PivotIds(std::vector<std::size_t> ids, std::size_t n,
+                   const std::string& who)
+    : ids_(std::move(ids)) {
+  const std::string why = Invalid(ids_, n);
+  if (!why.empty()) throw std::runtime_error(who + ": " + why);
+  // Ids are below n <= 2^31, and so are the ordinals.
+  ordinals_.resize(ids_.size());
+  std::iota(ordinals_.begin(), ordinals_.end(), std::int32_t{0});
+  std::sort(ordinals_.begin(), ordinals_.end(),
+            [&](std::int32_t a, std::int32_t b) { return ids_[a] < ids_[b]; });
+  sorted_.resize(ids_.size());
+  for (std::size_t j = 0; j < ids_.size(); ++j) {
+    sorted_[j] = static_cast<std::uint32_t>(ids_[ordinals_[j]]);
+  }
+}
+
+std::int32_t PivotIds::Rank(std::size_t id) const {
+  const auto it = std::lower_bound(sorted_.begin(), sorted_.end(), id);
+  if (it == sorted_.end() || *it != id) return -1;
+  return ordinals_[static_cast<std::size_t>(it - sorted_.begin())];
+}
+
+std::pair<std::size_t, std::size_t> PivotIds::Run(std::size_t base,
+                                                  std::size_t size) const {
+  const auto first = std::lower_bound(sorted_.begin(), sorted_.end(), base);
+  const auto last = std::lower_bound(first, sorted_.end(), base + size);
+  return {static_cast<std::size_t>(first - sorted_.begin()),
+          static_cast<std::size_t>(last - sorted_.begin())};
 }
 
 PivotTables::PivotTables(std::vector<std::size_t> pivots, std::size_t n,
                          const std::string& who)
-    : pivots_(std::move(pivots)), rank_(RankPivots(pivots_, n, who)) {}
+    : pivots_(std::move(pivots), n, who) {}
 
 void PivotTables::Build(const std::vector<SweepSegment>& segs,
                         const StringDistance& distance,
                         TablePrecision precision) {
-  const PivotSweep sweep(segs, pivots_, rank_.data(), distance);
+  const PivotSweep sweep(segs, pivots_, distance);
   const std::size_t p_count = pivots_.size();
   std::vector<std::size_t> sizes(segs.size());
   std::size_t n = 0;
@@ -355,7 +423,7 @@ void PivotTables::Build(const std::vector<SweepSegment>& segs,
     const std::size_t g = sweep.SegmentOf(i);
     const SweepSegment& seg = segs[g];
     out.f64[g][p * sizes[g] + (i - seg.base)] = distance.Distance(
-        sweep.View(pivots_[p]), seg.store->view(i - seg.base));
+        sweep.View(pivots_.ids()[p]), seg.store->view(i - seg.base));
   });
   if (precision != TablePrecision::kF64) {
     // Quantize each GLOBAL pivot row with one shared meta: scan every
@@ -456,7 +524,7 @@ void PivotTables::Write(BinaryWriter& writer, std::size_t first,
                         std::size_t last) const {
   const std::size_t np = pivots_.size();
   writer.Align();
-  writer.Raw(pivots_.data(), np * sizeof(std::uint64_t));
+  writer.Raw(pivots_.ids().data(), np * sizeof(std::uint64_t));
   if (precision_ != TablePrecision::kF64) {
     writer.Align();
     writer.Raw(views_[first].rows, np * sizeof(QuantRowMeta));

@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/binary_io.h"
@@ -24,11 +25,15 @@ namespace cned {
 /// `ShardReplica` runs its two per-segment passes for its own shard.
 ///
 /// The candidate space [0, N) is a table of contiguous segments in base
-/// order, and segment g owns [base, base + size) of the packed slabs.
-/// Every visit decision (incumbents, elimination bound, next pivot) is
-/// global; every kernel pass touches one segment only, and per-segment
-/// minima merge in segment order with strict '<', so the lowest global id
-/// wins ties as in one packed scan over [0, N). The static phase's survivor
+/// order, and segment g owns [base, base + size) of the packed slabs. A
+/// pivot is a row of the distance table, not a flag on a candidate: the
+/// lazy sweep keeps each segment's pivots in a separate pivot slab of at
+/// most np entries, and both slabs go through the same compaction kernel
+/// (`SegmentSlabs`, `VisitSegmentPass`). Every visit decision (incumbents,
+/// elimination bound, next pivot) is global; every kernel pass touches one
+/// segment only, and per-segment minima merge in segment order with strict
+/// '<', so the lowest global id wins ties as in one packed scan over
+/// [0, N). The static phase's survivor
 /// stream (sweep_kernel.h) counts each segment into its own histogram row
 /// and scatters the segments in base order, so it too orders ties by
 /// global id. Results and `QueryStats` do not depend on the segment count
@@ -133,42 +138,100 @@ struct SweepSegment {
   QuantTableView table;
 };
 
-/// The per-segment passes. `pivot_rank` is the global N-entry array;
-/// `idx`/`lower` are the segment's own slabs.
+/// The pivot ids of an index, the base prototypes of LAESA (Micó, Oncina
+/// & Vidal, 1994): row p of the pivot table belongs to `ids()[p]`, pivot p.
+/// They are also held sorted by id with their ordinals, so the id ->
+/// ordinal lookup is a binary search over np entries and the pivots of a
+/// segment are one contiguous run of the sorted list. Nothing here scales
+/// with the number of candidates.
+class PivotIds {
+ public:
+  PivotIds() = default;
+
+  /// Throws std::runtime_error, prefixed with `who`, on the problems
+  /// `Invalid` names.
+  PivotIds(std::vector<std::size_t> ids, std::size_t n,
+           const std::string& who);
+
+  /// Why `ids` cannot be pivots over [0, n): n above `kMaxSweepIds`, an id
+  /// >= n or an id listed twice. Empty when they can.
+  static std::string Invalid(const std::vector<std::size_t>& ids,
+                             std::size_t n);
+
+  /// The ids in ordinal order.
+  const std::vector<std::size_t>& ids() const { return ids_; }
+  std::size_t size() const { return ids_.size(); }
+
+  /// The ordinal of pivot `id`, or -1 when `id` is not a pivot.
+  std::int32_t Rank(std::size_t id) const;
+
+  /// The ids in ascending order.
+  const std::uint32_t* sorted() const { return sorted_.data(); }
+
+  /// The positions [first, last) in `sorted()` of the pivots in
+  /// [base, base + size).
+  std::pair<std::size_t, std::size_t> Run(std::size_t base,
+                                          std::size_t size) const;
+
+ private:
+  std::vector<std::size_t> ids_;
+  std::vector<std::uint32_t> sorted_;
+  std::vector<std::int32_t> ordinals_;  // the ordinal of sorted_[j]
+};
+
+/// One segment's live candidates as two packed slabs, each in ascending id
+/// order: the non-pivots (`idx`/`lower`, `live` entries, over the
+/// segment's slots) and the pivots (`pivot_idx`/`pivot_lower`,
+/// `pivot_live` entries, at most the segment's pivot count). The memory is
+/// borrowed; the counts are the state a visit pass updates.
+struct SegmentSlabs {
+  std::uint32_t* idx = nullptr;
+  double* lower = nullptr;
+  std::size_t live = 0;
+  std::uint32_t* pivot_idx = nullptr;
+  double* pivot_lower = nullptr;
+  std::size_t pivot_live = 0;
+};
+
+/// The per-segment passes. `lower` is the segment's own dense bound slab,
+/// indexed by local slot.
 ///
 /// Row seed: length bounds, every pivot row applied dense with the query's
 /// pivot distances `row`, then (when `tombstones`, a bitmap over local
 /// slots, is non-null) deleted slots forced to +inf. The in-process row
 /// sweep then counts the dense slab into its survivor stream; the serve
-/// worker packs the surviving non-pivots with one `compact_seed`.
+/// worker packs the surviving non-pivots with one visit pass.
 void SeedSegmentBounds(const SweepSegment& seg, const StringDistance& distance,
                        std::size_t query_len, const double* row,
                        std::size_t pivot_count,
                        const std::uint64_t* tombstones, double* lower);
 
-/// Visit pass over the `live` survivors: if `rank` >= 0 the visited
-/// candidate was that pivot, at distance `d`, and its row tightens the
-/// bounds first; then one flagged eliminate-and-compact against `bound`,
-/// dropping `skip`. Rank -1, no skip and an infinite bound drop only +inf
-/// (tombstoned) slots. `rank` must lie in [-1, pivot count): it selects a
-/// table row unchecked.
-SweepCompactResult VisitSegmentPass(const SweepSegment& seg,
-                                    const std::int32_t* pivot_rank,
-                                    std::int32_t rank, double d,
-                                    std::uint32_t skip, double bound,
-                                    std::uint32_t* idx, double* lower,
-                                    std::size_t live);
+/// Lifts the pivot slots of segment `seg` in its dense slab `lower` to +inf,
+/// so the first compaction, or the survivor stream, drops them there. With
+/// a non-null `slabs`, first moves the pivots into its pivot slab, their
+/// bounds read from `lower`, and sets `pivot_live` to their count.
+void LiftSegmentPivots(const PivotIds& pivots, const SweepSegment& seg,
+                       double* lower, SegmentSlabs* slabs = nullptr);
 
-/// The sweeps over one index's segments. It borrows the segment list, the
-/// pivots and the rank array, so the index builds one per call and it never
-/// outlives the table it views.
+/// Visit pass over both slabs of a segment: if `rank` >= 0 the visited
+/// candidate was that pivot, at distance `d`, and its row tightens every
+/// bound first; then each slab is eliminated and compacted against
+/// `bound`, dropping `skip`. Returns the live count over both slabs, the
+/// pivots dropped, the (bound, id) minimum over both and the minimum over
+/// the pivots. Rank -1, no skip and an infinite bound drop only +inf
+/// (tombstoned or lifted) slots. `rank` must lie in [-1, pivot count): it
+/// selects a table row unchecked.
+SweepCompactResult VisitSegmentPass(const SweepSegment& seg, std::int32_t rank,
+                                    double d, std::uint32_t skip,
+                                    double bound, SegmentSlabs* slabs);
+
+/// The sweeps over one index's segments. It borrows the segment list and
+/// the pivots, so the index builds one per call and it never outlives the
+/// table it views.
 class PivotSweep {
  public:
-  /// `pivots`: distinct global ids; `pivot_rank`: global id -> ordinal or
-  /// -1 (see `RankPivots`).
   PivotSweep(const std::vector<SweepSegment>& segments,
-             const std::vector<std::size_t>& pivots,
-             const std::int32_t* pivot_rank, const StringDistance& distance);
+             const PivotIds& pivots, const StringDistance& distance);
 
   /// Lazy sweep behind Laesa::KNearest: a candidate dies once its
   /// lower bound reaches the k-th incumbent. `tombstones` (bitmap
@@ -205,24 +268,15 @@ class PivotSweep {
 
  private:
   const std::vector<SweepSegment>& segments_;
-  const std::vector<std::size_t>& pivots_;
-  const std::int32_t* pivot_rank_;
+  const PivotIds& pivots_;
   const StringDistance& distance_;
   std::size_t size_ = 0;
 };
 
-/// The N-entry rank array of `pivots` over [0, n): rank[pivots[p]] = p,
-/// -1 for non-pivots. Throws std::runtime_error, prefixed with `who`, on
-/// n > `kMaxSweepIds` (before allocating), on an id >= n and on a repeated
-/// id.
-std::vector<std::int32_t> RankPivots(const std::vector<std::size_t>& pivots,
-                                     std::size_t n, const std::string& who);
-
-/// The one pivot table of an index: the pivot ids, their N-entry rank
-/// array, the storage precision, and one rank-major table slice per
-/// segment, decoded with the global row meta. `Laesa` holds one segment
-/// per store, and the serve worker's `ShardReplica` the segment of its own
-/// shard over the global rank array.
+/// The one pivot table of an index: the pivot ids, the storage precision,
+/// and one rank-major table slice per segment, decoded with the global row
+/// meta. `Laesa` holds one segment per store, and the serve worker's
+/// `ShardReplica` the segment of its own shard.
 ///
 /// The slices are built in memory (`Build`) or read from the tail every
 /// table format shares (`Read`): viewed in place in a mapped snapshot, or
@@ -241,7 +295,7 @@ class PivotTables {
 
   PivotTables() = default;
 
-  /// `pivots` ranked over [0, n) (see `RankPivots`), with no slice yet.
+  /// `pivots` over [0, n) (see `PivotIds`), with no slice yet.
   PivotTables(std::vector<std::size_t> pivots, std::size_t n,
               const std::string& who);
 
@@ -259,7 +313,7 @@ class PivotTables {
   /// Walks the tail every table format shares: pivot ids u64[np], then
   /// QuantRowMeta[np] unless `precision` is f64, then one table section per
   /// entry of `sizes`. Throws std::runtime_error, prefixed with `who`, on a
-  /// pivot count outside [1, n] or a pivot id `RankPivots` rejects; the
+  /// pivot count outside [1, n] or pivot ids `PivotIds` rejects; the
   /// reader throws on a truncated section. The slices view the mapping, or
   /// with `copy` are copied into owned buffers and the mapping is let go.
   static PivotTables Read(MappedReader& reader, std::uint64_t np,
@@ -270,8 +324,7 @@ class PivotTables {
   /// Writes the tail `Read` walks, for segments [first, last).
   void Write(BinaryWriter& writer, std::size_t first, std::size_t last) const;
 
-  const std::vector<std::size_t>& pivots() const { return pivots_; }
-  const std::int32_t* rank() const { return rank_.data(); }
+  const PivotIds& pivots() const { return pivots_; }
   TablePrecision precision() const { return precision_; }
   QuantTableView view(std::size_t g) const { return views_[g]; }
 
@@ -279,8 +332,7 @@ class PivotTables {
   bool mapped() const { return mapping_ != nullptr; }
 
  private:
-  std::vector<std::size_t> pivots_;
-  std::vector<std::int32_t> rank_;
+  PivotIds pivots_;
   TablePrecision precision_ = TablePrecision::kF64;
   std::vector<std::size_t> sizes_;    // prototypes per segment
   std::vector<QuantTableView> views_;  // one per segment

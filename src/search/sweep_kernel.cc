@@ -140,62 +140,6 @@ SweepCompactResult ScalarEliminateAndCompact(std::uint32_t* idx, double* lower,
   return out;
 }
 
-SweepCompactResult ScalarEliminateAndCompactFlagged(
-    std::uint32_t* idx, double* lower, const std::int32_t* pivot_rank,
-    std::size_t live, std::uint32_t skip, double bound) {
-  SweepCompactResult out;
-  std::size_t write = 0;
-  for (std::size_t r = 0; r < live; ++r) {
-    const std::uint32_t u = idx[r];
-    const bool is_pivot = pivot_rank[u] >= 0;
-    if (u == skip) {  // just visited: drop from the candidate set
-      out.pivots_died += is_pivot ? 1 : 0;
-      continue;
-    }
-    const double lb = lower[r];
-    if (lb >= bound) {  // can at most tie: eliminated
-      out.pivots_died += is_pivot ? 1 : 0;
-      continue;
-    }
-    idx[write] = u;
-    lower[write] = lb;
-    ++write;
-    if (lb < out.next_key) {
-      out.next_key = lb;
-      out.next = u;
-    }
-    if (is_pivot && lb < out.next_pivot_key) {
-      out.next_pivot_key = lb;
-      out.next_pivot = u;
-    }
-  }
-  out.live = write;
-  return out;
-}
-
-SweepCompactResult ScalarCompactSeed(const double* lower_dense,
-                                     const std::int32_t* rank, std::size_t n,
-                                     std::uint32_t base, double bound,
-                                     std::uint32_t* idx_out,
-                                     double* lower_out) {
-  SweepCompactResult out;
-  std::size_t write = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (rank[j] >= 0) continue;  // already evaluated by the pivot stage
-    const double lb = lower_dense[j];
-    if (lb >= bound) continue;
-    idx_out[write] = base + static_cast<std::uint32_t>(j);
-    lower_out[write] = lb;
-    ++write;
-    if (lb < out.next_key) {
-      out.next_key = lb;
-      out.next = base + j;
-    }
-  }
-  out.live = write;
-  return out;
-}
-
 void ScalarStreamKeys(const StreamBucketMap& map, const double* lower,
                       std::size_t n, std::uint32_t* keys) {
   for (std::size_t i = 0; i < n; ++i) keys[i] = map.Key(lower[i]);
@@ -217,8 +161,6 @@ const SweepKernels& ScalarSweepKernels() {
     k.update_lower_packed_u8 = ScalarUpdateLowerPackedU8;
     k.fill_absdiff_bounds = ScalarFillAbsDiffBounds;
     k.eliminate_and_compact = ScalarEliminateAndCompact;
-    k.eliminate_and_compact_flagged = ScalarEliminateAndCompactFlagged;
-    k.compact_seed = ScalarCompactSeed;
     k.stream_keys = ScalarStreamKeys;
     return k;
   }();

@@ -23,11 +23,15 @@ namespace cned {
 ///   1. tighten lower bounds with a visited pivot's table row
 ///      (`update_lower_*`: fused abs-diff + running max),
 ///   2. eliminate against the incumbent and compact the survivors
-///      (`eliminate_and_compact_flagged` / `compact_seed`: threshold
-///      filter + in-place index/bound compaction that also tracks the
-///      minimal-bound survivor), and
+///      (`eliminate_and_compact`: threshold filter + in-place index/bound
+///      compaction that also tracks the minimal-bound survivor), and
 ///   3. the length-bound "zeroth pivot" fill (`fill_absdiff_bounds`: the
 ///      |Δlen| core of the unit-cost edit-distance family's bound).
+///
+/// A kernel knows nothing of pivots. The lazy sweeps keep each segment's
+/// pivots in a slab of their own and run the same two kernels over it
+/// (`VisitSegmentPass`, pivot_sweep.h), so pivot deaths and the
+/// minimal-bound pivot come from that slab.
 ///
 /// Once no table row is left to apply, the bounds are fixed and the sweep
 /// core switches to the survivor stream (`SurvivorStream`, below): ids
@@ -58,8 +62,8 @@ namespace cned {
 /// are also fine.
 
 /// The id contract above as a size: an index spans at most 2^31 candidates.
-/// `RankPivots` (search/pivot_sweep.h), which every index build and every
-/// snapshot loader goes through, rejects a larger n.
+/// `PivotIds` (search/pivot_sweep.h), which every index build, every
+/// snapshot loader and the serve router go through, rejects a larger n.
 constexpr std::size_t kMaxSweepIds = std::size_t{1} << 31;
 
 /// "No candidate": the sentinel `next`/`next_pivot` value.
@@ -69,14 +73,15 @@ constexpr std::size_t kSweepNone = static_cast<std::size_t>(-1);
 struct SweepCompactResult {
   /// Survivors now packed in [0, live) of the idx/lower slice.
   std::size_t live = 0;
-  /// Dropped candidates (visited or eliminated) whose pivot flag was set.
-  /// Only the *_flagged kernel fills this; others leave it 0.
+  /// Dropped pivots (visited or eliminated). The kernel leaves it 0; the
+  /// visit pass (pivot_sweep.h) fills it from the segment's pivot slab.
   std::size_t pivots_died = 0;
   /// Surviving candidate with the minimal finite lower bound (first in
   /// packed order among ties, i.e. the smallest id), or kSweepNone.
   std::size_t next = kSweepNone;
   double next_key = std::numeric_limits<double>::infinity();
-  /// Same, restricted to surviving pivots (flagged kernel only).
+  /// Same, restricted to surviving pivots. The kernel leaves it kSweepNone;
+  /// the visit pass fills it from the pivot slab.
   std::size_t next_pivot = kSweepNone;
   double next_pivot_key = std::numeric_limits<double>::infinity();
 };
@@ -168,46 +173,20 @@ struct SweepKernels {
   void (*fill_absdiff_bounds)(std::size_t x_len, const std::uint32_t* y_lens,
                               std::size_t n, double* out);
 
-  /// Eliminate + compact without pivot bookkeeping. Keeps idx[r] iff
+  /// Eliminate + compact. Keeps idx[r] iff
   ///   idx[r] != skip  &&  !(lower[r] >= bound)
   /// compacting idx/lower in place (stable) and tracking the minimal-bound
   /// survivor. `skip` is the just-visited candidate (pass a value absent
-  /// from the slice, e.g. 0xFFFFFFFF, for "none"). The sweep core
-  /// (pivot_sweep.h) visits its static-bound phase with the survivor
-  /// stream instead; this entry serves only the serve worker's
-  /// `ShardReplica::StepRow`, which reports the compacted per-shard live
-  /// count back to the router every round.
+  /// from the slice, e.g. 0xFFFFFFFF, for "none"). The one compaction
+  /// entry: the lazy sweeps' visit pass runs it over a segment's non-pivot
+  /// slab and over its pivot slab (0 to np entries), and the serve
+  /// worker's row sweep seeds and steps with it. The in-process row sweep
+  /// and the lazy sweep's static phase visit through the survivor stream
+  /// instead.
   SweepCompactResult (*eliminate_and_compact)(std::uint32_t* idx,
                                               double* lower, std::size_t live,
                                               std::uint32_t skip,
                                               double bound);
-
-  /// Eliminate + compact for the lazy sweeps: the same predicate — keeps
-  /// idx[r] iff
-  ///   idx[r] != skip  &&  !(lower[r] >= bound)
-  /// — plus pivot bookkeeping: pivot_rank is indexed by candidate id
-  /// (rank[id] >= 0 marks a pivot; gathered through idx), dropped pivots
-  /// are counted into pivots_died, and the minimal-bound surviving pivot is
-  /// tracked alongside the overall minimum.
-  SweepCompactResult (*eliminate_and_compact_flagged)(
-      std::uint32_t* idx, double* lower, const std::int32_t* pivot_rank,
-      std::size_t live, std::uint32_t skip, double bound);
-
-  /// Dense-to-packed seeding for the serve worker's row sweep
-  /// (`ShardReplica::BeginRow`, whose router step loop reads packed
-  /// survivors): after all pivot rows tightened the dense bound array,
-  /// keeps position j in [0, n) iff
-  ///   rank[j] < 0  &&  !(lower_dense[j] >= bound)
-  /// writing candidate id base + j and its bound packed into
-  /// idx_out/lower_out, tracking the minimal-bound survivor. `rank` here is
-  /// the slice aligned with lower_dense (rank[j] describes candidate
-  /// base + j). lower_out may alias lower_dense (the in-place pack the
-  /// sweeps use).
-  SweepCompactResult (*compact_seed)(const double* lower_dense,
-                                     const std::int32_t* rank, std::size_t n,
-                                     std::uint32_t base, double bound,
-                                     std::uint32_t* idx_out,
-                                     double* lower_out);
 
   /// The survivor stream's bucket keys: keys[i] = map.Key(lower[i]) for i
   /// in [0, n). Bounds are non-negative (+inf allowed); the survivor
@@ -362,7 +341,7 @@ void SurvivorStream::VisitInBoundOrder(std::uint32_t* idx, const double* lower,
 /// Deletes are represented as a packed bitmap over candidate slots (bit i =
 /// word i/64, bit i%64). Masking happens *inside* the sweep's compaction:
 /// `ApplyTombstoneMask` writes +inf into the dense lower-bound slab for
-/// every set bit, and the next `eliminate_and_compact*` pass then drops
+/// every set bit, and the next `eliminate_and_compact` pass then drops
 /// exactly those slots — the elimination predicate `lower >= bound` is
 /// inclusive, so +inf falls to every bound including +inf itself, and every
 /// quantized row update is a running max, so +inf can never be lowered back

@@ -366,17 +366,13 @@ inline void FoldMin(double key, double id_lane, double* next_key,
   }
 }
 
-/// Shared body of the two packed eliminate-and-compact kernels. kFlagged
-/// adds the pivot bookkeeping of the lazy sweeps.
-template <bool kFlagged>
-SweepCompactResult Avx2Eliminate(std::uint32_t* idx, double* lower,
-                                 const std::int32_t* pivot_rank,
-                                 std::size_t live, std::uint32_t skip,
-                                 double bound) {
+SweepCompactResult Avx2EliminateAndCompact(std::uint32_t* idx, double* lower,
+                                           std::size_t live,
+                                           std::uint32_t skip, double bound) {
   // Below a couple of vector blocks the per-pass fixed cost (broadcasts,
-  // final lane reduce, the rank gather's latency) outweighs the lane win —
-  // and late-sweep passes over a collapsed candidate set are the common
-  // case in the lazy path. The scalar tail loop below IS the scalar
+  // final lane reduce) outweighs the lane win — and late-sweep passes over
+  // a collapsed candidate set, and every pass over a pivot slab, are the
+  // common case in the lazy path. The scalar tail loop below IS the scalar
   // kernel, so skipping the vector phase changes nothing but speed.
   constexpr std::size_t kScalarCutoff = 32;
   SweepCompactResult out;
@@ -384,10 +380,7 @@ SweepCompactResult Avx2Eliminate(std::uint32_t* idx, double* lower,
   const __m256d vbound = _mm256_set1_pd(bound);
   const __m256d vinf = _mm256_set1_pd(kInf);
   const __m128i vskip = _mm_set1_epi32(static_cast<int>(skip));
-  const __m128i vneg1 = _mm_set1_epi32(-1);
   __m256d vmin = vinf, vmin_id = vinf;
-  __m256d vpmin = vinf, vpmin_id = vinf;
-  std::size_t pivots_died = 0;
   std::size_t write = 0;
   std::size_t r = 0;
   for (; live >= kScalarCutoff && r + 4 <= live; r += 4) {
@@ -418,24 +411,8 @@ SweepCompactResult Avx2Eliminate(std::uint32_t* idx, double* lower,
         _mm256_castsi256_pd(_mm256_cvtepi32_epi64(skip_eq)), value_ok);
     const __m256d masked = _mm256_blendv_pd(vinf, lb, keep_mask);
     const __m256d lt = _mm256_cmp_pd(masked, vmin, _CMP_LT_OQ);
-    const __m256d ids = U32ToDouble(vi);
     vmin = _mm256_blendv_pd(vmin, masked, lt);
-    vmin_id = _mm256_blendv_pd(vmin_id, ids, lt);
-    if constexpr (kFlagged) {
-      const __m128i ranks = _mm_i32gather_epi32(
-          reinterpret_cast<const int*>(pivot_rank), vi, 4);
-      const __m128i flag32 = _mm_cmpgt_epi32(ranks, vneg1);  // rank >= 0
-      const int flag_bits = _mm_movemask_ps(_mm_castsi128_ps(flag32));
-      pivots_died += static_cast<std::size_t>(
-          __builtin_popcount(static_cast<unsigned>(flag_bits & ~keep & 0xF)));
-      const __m256d flag_mask =
-          _mm256_castsi256_pd(_mm256_cvtepi32_epi64(flag32));
-      const __m256d pmasked = _mm256_blendv_pd(
-          vinf, lb, _mm256_and_pd(keep_mask, flag_mask));
-      const __m256d plt = _mm256_cmp_pd(pmasked, vpmin, _CMP_LT_OQ);
-      vpmin = _mm256_blendv_pd(vpmin, pmasked, plt);
-      vpmin_id = _mm256_blendv_pd(vpmin_id, ids, plt);
-    }
+    vmin_id = _mm256_blendv_pd(vmin_id, U32ToDouble(vi), lt);
   }
   // Fold the vector lanes, then the scalar tail (tail ids are larger than
   // every vector-phase id, so the shared (key, id) rule stays exact).
@@ -445,113 +422,15 @@ SweepCompactResult Avx2Eliminate(std::uint32_t* idx, double* lower,
   for (int l = 0; l < 4; ++l) {
     FoldMin(keys[l], ids[l], &out.next_key, &out.next);
   }
-  if constexpr (kFlagged) {
-    _mm256_store_pd(keys, vpmin);
-    _mm256_store_pd(ids, vpmin_id);
-    for (int l = 0; l < 4; ++l) {
-      FoldMin(keys[l], ids[l], &out.next_pivot_key, &out.next_pivot);
-    }
-  }
   for (; r < live; ++r) {
     const std::uint32_t u = idx[r];
-    const bool is_pivot = kFlagged && pivot_rank[u] >= 0;
-    if (u == skip) {
-      pivots_died += is_pivot ? 1 : 0;
-      continue;
-    }
+    if (u == skip) continue;
     const double lb = lower[r];
-    if (lb >= bound) {
-      pivots_died += is_pivot ? 1 : 0;
-      continue;
-    }
+    if (lb >= bound) continue;
     idx[write] = u;
     lower[write] = lb;
     ++write;
     FoldMin(lb, static_cast<double>(u), &out.next_key, &out.next);
-    if (is_pivot) {
-      FoldMin(lb, static_cast<double>(u), &out.next_pivot_key,
-              &out.next_pivot);
-    }
-  }
-  out.live = write;
-  out.pivots_died = kFlagged ? pivots_died : 0;
-  return out;
-}
-
-SweepCompactResult Avx2EliminateAndCompact(std::uint32_t* idx, double* lower,
-                                           std::size_t live,
-                                           std::uint32_t skip, double bound) {
-  return Avx2Eliminate<false>(idx, lower, nullptr, live, skip, bound);
-}
-
-SweepCompactResult Avx2EliminateAndCompactFlagged(
-    std::uint32_t* idx, double* lower, const std::int32_t* pivot_rank,
-    std::size_t live, std::uint32_t skip, double bound) {
-  return Avx2Eliminate<true>(idx, lower, pivot_rank, live, skip, bound);
-}
-
-SweepCompactResult Avx2CompactSeed(const double* lower_dense,
-                                   const std::int32_t* rank, std::size_t n,
-                                   std::uint32_t base, double bound,
-                                   std::uint32_t* idx_out,
-                                   double* lower_out) {
-  SweepCompactResult out;
-  const PackTables& t = Tables();
-  const __m256d vbound = _mm256_set1_pd(bound);
-  const __m256d vinf = _mm256_set1_pd(kInf);
-  const __m128i viota = _mm_setr_epi32(0, 1, 2, 3);
-  const __m128i vzero = _mm_setzero_si128();
-  __m256d vmin = vinf, vmin_id = vinf;
-  std::size_t write = 0;
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d lb = _mm256_loadu_pd(lower_dense + j);
-    const __m128i ranks =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(rank + j));
-    const __m128i non_pivot = _mm_cmpgt_epi32(vzero, ranks);  // rank < 0
-    const __m256d value_ok = _mm256_cmp_pd(lb, vbound, _CMP_NGE_UQ);
-    const int keep = _mm256_movemask_pd(value_ok) &
-                     _mm_movemask_ps(_mm_castsi128_ps(non_pivot)) & 0xF;
-    const __m128i ids32 = _mm_add_epi32(
-        _mm_set1_epi32(static_cast<int>(base + static_cast<std::uint32_t>(j))),
-        viota);
-    // lower_out may alias lower_dense: write <= j keeps the pack in-place
-    // safe exactly as in the packed kernels.
-    _mm_storeu_si128(
-        reinterpret_cast<__m128i*>(idx_out + write),
-        _mm_shuffle_epi8(ids32,
-                         _mm_load_si128(reinterpret_cast<const __m128i*>(
-                             t.u32_bytes[keep]))));
-    _mm256_storeu_pd(
-        lower_out + write,
-        _mm256_castsi256_pd(_mm256_permutevar8x32_epi32(
-            _mm256_castpd_si256(lb),
-            _mm256_load_si256(
-                reinterpret_cast<const __m256i*>(t.f64_lanes[keep])))));
-    write += static_cast<std::size_t>(
-        __builtin_popcount(static_cast<unsigned>(keep)));
-    const __m256d keep_mask = _mm256_and_pd(
-        _mm256_castsi256_pd(_mm256_cvtepi32_epi64(non_pivot)), value_ok);
-    const __m256d masked = _mm256_blendv_pd(vinf, lb, keep_mask);
-    const __m256d lt = _mm256_cmp_pd(masked, vmin, _CMP_LT_OQ);
-    const __m256d ids = U32ToDouble(ids32);
-    vmin = _mm256_blendv_pd(vmin, masked, lt);
-    vmin_id = _mm256_blendv_pd(vmin_id, ids, lt);
-  }
-  alignas(32) double keys[4], ids[4];
-  _mm256_store_pd(keys, vmin);
-  _mm256_store_pd(ids, vmin_id);
-  for (int l = 0; l < 4; ++l) {
-    FoldMin(keys[l], ids[l], &out.next_key, &out.next);
-  }
-  for (; j < n; ++j) {
-    if (rank[j] >= 0) continue;
-    const double lb = lower_dense[j];
-    if (lb >= bound) continue;
-    idx_out[write] = base + static_cast<std::uint32_t>(j);
-    lower_out[write] = lb;
-    ++write;
-    FoldMin(lb, static_cast<double>(base + j), &out.next_key, &out.next);
   }
   out.live = write;
   return out;
@@ -595,8 +474,6 @@ const SweepKernels& Avx2SweepKernels() {
     k.update_lower_packed_u8 = Avx2UpdateLowerPackedU8;
     k.fill_absdiff_bounds = Avx2FillAbsDiffBounds;
     k.eliminate_and_compact = Avx2EliminateAndCompact;
-    k.eliminate_and_compact_flagged = Avx2EliminateAndCompactFlagged;
-    k.compact_seed = Avx2CompactSeed;
     k.stream_keys = Avx2StreamKeys;
     return k;
   }();

@@ -9,7 +9,7 @@
 //
 // Scope: the bandwidth-bound passes — the dense and gathered row updates
 // and the |Δlen| fill — are vectorised (2 double lanes). The compaction
-// kernels reuse the scalar reference: with 2-wide vectors and no movemask
+// kernel reuses the scalar reference: with 2-wide vectors and no movemask
 // instruction, a NEON left-pack buys nothing over the scalar loop that the
 // compiler already schedules well, and sharing the scalar code keeps the
 // bit-identity argument trivial. The running-max update is written as

@@ -29,8 +29,8 @@ namespace cned {
 ///              *every* member of a replica group, since state-machine
 ///              replication feeds all members the same request sequence)
 ///   op=NAME    only fire on requests of this class: ping, begin (both
-///              BeginLazy and BeginRow), eval, step (both Step and
-///              StepRow) (default: any request)
+///              BeginLazy and BeginRow), eval, step (every Step, lazy
+///              or row sweep) (default: any request)
 ///   nth=K      fire exactly once, on the K-th matching request (1-based)
 ///   every=K    fire on every K-th matching request
 ///   ms=T       delay duration (delay only; default 0)

@@ -64,8 +64,10 @@ enum class FrameType : std::uint32_t {
                    ///< shard's base tombstones masked out by a +inf pass)
   kBeginRow = 3,   ///< start a row sweep: str query, f64 seed_bound, row
   kEval = 4,       ///< evaluate: u64 global id, f64 cap -> f64 distance
-  kStep = 5,       ///< lazy visit pass: skip/rank/d/bound -> compact
-  kStepRow = 6,    ///< row visit pass: skip/bound -> compact
+  kStep = 5,       ///< visit pass: skip/rank/d/bound -> compact; a row
+                   ///< sweep's step has rank -1
+  // 6 is reserved (it was the row sweep's own step): the frame layer still
+  // accepts it, and a worker answers it with kError as an unknown type.
   kShutdown = 7,   ///< clean worker exit; empty reply, then close
   kReply = 8,      ///< successful response (payload per request type)
   kError = 9,      ///< worker-side exception; payload: str message

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "common/binary_io.h"
@@ -71,11 +72,11 @@ ShardReplica::ShardReplica(const std::string& store_path,
     // v2 leads with the {precision, reserved} section (shard_snapshot.h).
     precision = TablePrecisionFromCode(reader.Array<std::uint64_t>(2)[0], who);
   }
-  // The rank array spans the whole global id space, exactly as the
-  // in-process index keeps it: the flagged kernel gathers rank[global id]
-  // for ids in this segment, and the seed kernel reads the slice at base_.
+  // The global N only bounds the pivot ids: nothing is allocated over it.
   pivot_table_ = PivotTables::Read(reader, np, n_total_, {n_s}, precision,
                                    /*copy=*/false, who);
+  const auto [first, last] = pivot_table_.pivots().Run(base_, n_s);
+  shard_pivots_ = last - first;
 }
 
 ShardReplica::SweepSlot& ShardReplica::NewSlot(std::uint32_t qid) {
@@ -87,8 +88,15 @@ ShardReplica::SweepSlot& ShardReplica::NewSlot(std::uint32_t qid) {
     it = sweeps_.emplace(qid, std::make_unique<SweepSlot>()).first;
   }
   SweepSlot& slot = *it->second;
-  slot.idx.resize(store_.size());
-  slot.lower.resize(store_.size());
+  const std::size_t n_s = store_.size();
+  slot.idx.resize(n_s);
+  slot.lower.resize(n_s);
+  slot.pivot_idx.resize(shard_pivots_);
+  slot.pivot_lower.resize(shard_pivots_);
+  slot.slabs = {slot.idx.data(),       slot.lower.data(), n_s,
+                slot.pivot_idx.data(), slot.pivot_lower.data()};
+  std::iota(slot.idx.data(), slot.idx.data() + n_s,
+            static_cast<std::uint32_t>(base_));
   return slot;
 }
 
@@ -111,11 +119,12 @@ const ShardReplica::SweepSlot& ShardReplica::SlotOf(std::uint32_t qid) const {
 }
 
 std::size_t ShardReplica::live(std::uint32_t qid) const {
-  return SlotOf(qid).live;
+  const SegmentSlabs& slabs = SlotOf(qid).slabs;
+  return slabs.live + slabs.pivot_live;
 }
 
 std::size_t ShardReplica::live_pivots(std::uint32_t qid) const {
-  return SlotOf(qid).live_pivots;
+  return SlotOf(qid).slabs.pivot_live;
 }
 
 void ShardReplica::EndSweep(std::uint32_t qid) { sweeps_.erase(qid); }
@@ -124,29 +133,19 @@ SweepCompactResult ShardReplica::BeginLazy(std::uint32_t qid,
                                            std::string_view query) {
   SweepSlot& slot = NewSlot(qid);
   slot.query.assign(query);
-  const std::size_t n_s = store_.size();
-  distance_->LengthLowerBounds(slot.query.size(), store_.lengths_data(), n_s,
-                               slot.lower.data());
-  slot.live_pivots = 0;
-  for (std::size_t j = 0; j < n_s; ++j) {
-    slot.idx.data()[j] = static_cast<std::uint32_t>(base_ + j);
-    slot.live_pivots += pivot_table_.rank()[base_ + j] >= 0 ? 1 : 0;
-  }
-  slot.live = n_s;
-  // Mask this shard's base tombstones out of the slab before anything is
+  const SweepSegment seg = segment();
+  double* lower = slot.slabs.lower;
+  distance_->LengthLowerBounds(slot.query.size(), store_.lengths_data(),
+                               store_.size(), lower);
+  // Mask this shard's base tombstones out of the slabs before anything is
   // visited, and hand the router this segment's minimal-bound survivors so
   // it can choose a live starting candidate across shards (a dead global
   // pivot 0 must not be visited anywhere).
-  if (base_dead_ > 0) {
-    ApplyTombstoneMask(tombs_.data(), n_s, slot.lower.data());
-  }
-  const SweepCompactResult pass = VisitSegmentPass(
-      segment(), pivot_table_.rank(), /*rank=*/-1, 0.0, /*skip=*/0xFFFFFFFFu,
-      std::numeric_limits<double>::infinity(), slot.idx.data(),
-      slot.lower.data(), slot.live);
-  slot.live = pass.live;
-  slot.live_pivots -= pass.pivots_died;
-  return pass;
+  if (base_dead_ > 0) ApplyTombstoneMask(tombs_.data(), store_.size(), lower);
+  LiftSegmentPivots(pivot_table_.pivots(), seg, lower, &slot.slabs);
+  return VisitSegmentPass(seg, /*rank=*/-1, 0.0, /*skip=*/0xFFFFFFFFu,
+                          std::numeric_limits<double>::infinity(),
+                          &slot.slabs);
 }
 
 bool ShardReplica::Insert(std::uint64_t id, std::string_view s) {
@@ -203,21 +202,17 @@ SweepCompactResult ShardReplica::BeginRow(std::uint32_t qid,
   SweepSlot& slot = NewSlot(qid);
   slot.query.assign(query);
   // Tombstoned base slots go to +inf before the seed compaction — no
-  // protocol change needed: the mask rides the shard's own state. The
-  // router's step loop reads packed survivors, so the dense slab is
-  // compacted in place.
+  // protocol change needed: the mask rides the shard's own state. So do
+  // the pivots: the row sweep's adaptive phase never revisits them, and
+  // the pivot slab stays empty. The router's step loop reads packed
+  // survivors, so the dense slab is compacted in place.
   const SweepSegment seg = segment();
   SeedSegmentBounds(seg, *distance_, slot.query.size(), row, num_pivots(),
                     base_dead_ > 0 ? tombs_.data() : nullptr,
-                    slot.lower.data());
-  const SweepCompactResult out = ActiveSweepKernels().compact_seed(
-      slot.lower.data(), pivot_table_.rank() + seg.base, store_.size(),
-      static_cast<std::uint32_t>(seg.base), seed_bound, slot.idx.data(),
-      slot.lower.data());
-  slot.live = out.live;
-  slot.live_pivots = 0;  // the row sweep's adaptive phase never revisits
-                         // pivots
-  return out;
+                    slot.slabs.lower);
+  LiftSegmentPivots(pivot_table_.pivots(), seg, slot.slabs.lower);
+  return VisitSegmentPass(seg, /*rank=*/-1, 0.0, /*skip=*/0xFFFFFFFFu,
+                          seed_bound, &slot.slabs);
 }
 
 double ShardReplica::Eval(std::uint32_t qid, std::size_t global_id,
@@ -238,23 +233,8 @@ SweepCompactResult ShardReplica::Step(std::uint32_t qid, std::uint32_t skip,
   if (rank < -1 || rank >= static_cast<std::int64_t>(num_pivots())) {
     throw std::out_of_range("ShardReplica::Step: pivot rank out of range");
   }
-  SweepSlot& slot = SlotOf(qid);
-  const SweepCompactResult out =
-      VisitSegmentPass(segment(), pivot_table_.rank(), rank, d, skip, bound,
-                       slot.idx.data(), slot.lower.data(), slot.live);
-  slot.live = out.live;
-  slot.live_pivots -= out.pivots_died;
-  return out;
-}
-
-SweepCompactResult ShardReplica::StepRow(std::uint32_t qid, std::uint32_t skip,
-                                         double bound) {
-  SweepSlot& slot = SlotOf(qid);
-  const SweepKernels& kern = ActiveSweepKernels();
-  const SweepCompactResult out = kern.eliminate_and_compact(
-      slot.idx.data(), slot.lower.data(), slot.live, skip, bound);
-  slot.live = out.live;
-  return out;
+  return VisitSegmentPass(segment(), rank, d, skip, bound,
+                          &SlotOf(qid).slabs);
 }
 
 }  // namespace cned

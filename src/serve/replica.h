@@ -22,18 +22,21 @@ namespace cned {
 /// prototypes, its slice of the pivot table, and that shard's segment of
 /// the candidate slabs.
 ///
-/// The table slice is a one-segment `PivotTables` (pivot_sweep.h) over the
-/// global rank array, mapped by the same section walk `Laesa::Map` runs
-/// after the slice's own header (and, in v2, its {precision, reserved}
-/// section). Like every index, it rejects duplicate pivot ids.
+/// The table slice is a one-segment `PivotTables` (pivot_sweep.h), mapped
+/// by the same section walk `Laesa::Map` runs after the slice's own header
+/// (and, in v2, its {precision, reserved} section). Like every index, it
+/// rejects duplicate pivot ids. Nothing it allocates scales with the
+/// header's global N: the slabs span the shard, the pivot slab the
+/// shard's pivots.
 ///
 /// A replica is one segment of the shared sweep core (pivot_sweep.h) given
 /// its own state: `BeginRow` runs the core's row seed and `Step` (and the
-/// tombstone mask of `BeginLazy`) its visit pass — the very per-segment
-/// passes `Laesa` runs over its segments — and the router merges the
-/// returned `SweepCompactResult`s the way the core merges its segments.
-/// That is what makes a healthy distributed query bit-identical
-/// (neighbours, distances AND QueryStats) to the in-process `Laesa`.
+/// tombstone mask of `BeginLazy`) its visit pass over the segment's
+/// non-pivot and pivot slabs — the very per-segment passes `Laesa` runs
+/// over its segments — and the router merges the returned
+/// `SweepCompactResult`s the way the core merges its segments. That is
+/// what makes a healthy distributed query bit-identical (neighbours,
+/// distances AND QueryStats) to the in-process `Laesa`.
 ///
 /// Multiplexing: sweep state lives in per-query slots keyed by the frame
 /// layer's query id, so one replica serves any number of interleaved
@@ -86,10 +89,11 @@ class ShardReplica {
 
   /// Starts a lazy sweep in `qid`'s slot (created, or reset if the id is
   /// being reused): length lower bounds over the segment, the shard's base
-  /// tombstones (if any) forced to +inf, then one flagged compaction at
-  /// bound=+inf (sweep_kernel.h) that drops exactly those. The returned
-  /// pass carries the survivor count and this segment's minimal-bound
-  /// survivors, so the router can pick a live start across shards.
+  /// tombstones (if any) forced to +inf, the shard's pivots moved to the
+  /// pivot slab, then one visit pass at bound=+inf that drops exactly the
+  /// tombstoned slots. The returned pass carries the survivor count and
+  /// this segment's minimal-bound survivors, so the router can pick a live
+  /// start across shards.
   SweepCompactResult BeginLazy(std::uint32_t qid, std::string_view query);
 
   /// Retires `qid`'s slot. Idempotent — the router's end-of-sweep frame is
@@ -125,8 +129,9 @@ class ShardReplica {
   std::size_t total_dead() const { return base_dead_ + delta_dead_; }
 
   /// Starts a row sweep in `qid`'s slot: length bounds, every pivot row
-  /// applied dense, then the seed compaction against `seed_bound`. Returns
-  /// the segment's compact result.
+  /// applied dense, the pivots (already the router's incumbents) lifted to
+  /// +inf, then one compaction against `seed_bound`. The pivot slab stays
+  /// empty. Returns the segment's compact result.
   SweepCompactResult BeginRow(std::uint32_t qid, std::string_view query,
                               const double* row, double seed_bound);
 
@@ -136,18 +141,15 @@ class ShardReplica {
   /// outside the segment or an unknown qid.
   double Eval(std::uint32_t qid, std::size_t global_id, double cap) const;
 
-  /// One lazy visit pass on `qid`'s slot: if `rank` >= 0 the visited
-  /// candidate was pivot `rank`, so its table row tightens the segment's
-  /// bounds first; then eliminate-and-compact against `bound`, dropping
-  /// `skip` (the visited candidate). Mutates slot state — not idempotent.
-  /// Throws std::out_of_range, leaving the slot as it was, for an unknown
-  /// qid or a `rank` outside [-1, num_pivots()).
+  /// One visit pass on `qid`'s slot, lazy or row sweep alike: if `rank`
+  /// >= 0 the visited candidate was pivot `rank`, so its table row tightens
+  /// the segment's bounds first; then eliminate-and-compact against
+  /// `bound`, dropping `skip` (the visited candidate). A row sweep's steps
+  /// carry rank -1. Mutates slot state — not idempotent. Throws
+  /// std::out_of_range, leaving the slot as it was, for an unknown qid or a
+  /// `rank` outside [-1, num_pivots()).
   SweepCompactResult Step(std::uint32_t qid, std::uint32_t skip,
                           std::int32_t rank, double d, double bound);
-
-  /// One row-sweep visit pass: eliminate-and-compact only.
-  SweepCompactResult StepRow(std::uint32_t qid, std::uint32_t skip,
-                             double bound);
 
  private:
   std::size_t shard_id_ = 0;
@@ -165,18 +167,23 @@ class ShardReplica {
 
   PrototypeStore store_;  // mapped shard store
   StringDistancePtr distance_;
-  /// The global pivot ids and rank array over [0, total_size()), and this
-  /// shard's one-segment table slice, mapped in place.
+  /// The global pivot ids and this shard's one-segment table slice, mapped
+  /// in place.
   PivotTables pivot_table_;
+  /// The pivots whose ids fall in this shard.
+  std::size_t shard_pivots_ = 0;
 
   /// One in-flight sweep: this query's private copy of the segment slabs.
   struct SweepSlot {
     std::string query;
     AlignedBuffer<std::uint32_t> idx;
     AlignedBuffer<double> lower;
-    std::size_t live = 0;
-    std::size_t live_pivots = 0;
+    AlignedBuffer<std::uint32_t> pivot_idx;
+    AlignedBuffer<double> pivot_lower;
+    SegmentSlabs slabs;  // views the four buffers above
   };
+  /// Resets `qid`'s slot (creating it) to the segment's ids in order, all
+  /// live, with an empty pivot slab.
   SweepSlot& NewSlot(std::uint32_t qid);
   SweepSlot& SlotOf(std::uint32_t qid);
   const SweepSlot& SlotOf(std::uint32_t qid) const;

@@ -112,8 +112,8 @@ ServeRouter::ServeRouter(const std::string& snapshot_dir,
     throw std::runtime_error("ServeRouter: shard sizes do not sum to n");
   }
   const std::uint64_t* pivots = reader.Array<std::uint64_t>(np);
-  shape_.pivots.assign(pivots, pivots + np);
-  shape_.pivot_rank = RankPivots(shape_.pivots, n_, "ServeRouter");
+  shape_.pivots = PivotIds(std::vector<std::size_t>(pivots, pivots + np), n_,
+                           "ServeRouter");
   const std::uint64_t* lens = reader.Array<std::uint64_t>(np);
   // Each length must fit in what is left of the arena, so the running sum
   // cannot wrap past the total check.
@@ -761,7 +761,7 @@ void ServeRouter::Driver::Start(Sweep& sw) {
 void ServeRouter::Driver::Scatter(Sweep& sw, Phase phase) {
   const bool begin = phase == Phase::kBegin;
   sw.phase = phase;
-  sw.type = begin ? sw.m.begin_type() : sw.m.step_type();
+  sw.type = begin ? sw.m.begin_type() : FrameType::kStep;
   sw.request = begin ? sw.m.BeginPayload() : sw.m.StepPayload();
   sw.legs.clear();
   for (std::size_t s = 0; s < r_.shard_count(); ++s) {

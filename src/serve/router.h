@@ -235,7 +235,9 @@ class ServeRouter {
   std::size_t shard_count() const { return shape_.shard_count(); }
   std::size_t replica_count() const { return replicas_per_shard_; }
   std::size_t num_pivots() const { return shape_.pivots.size(); }
-  const std::vector<std::size_t>& pivots() const { return shape_.pivots; }
+  const std::vector<std::size_t>& pivots() const {
+    return shape_.pivots.ids();
+  }
   /// The manifest's pivot strings (immutable), in pivot-ordinal order —
   /// what the admission front end needs to run the pivot stage itself.
   const std::vector<std::string>& pivot_strings() const {

@@ -33,7 +33,7 @@ SweepMachine::SweepMachine(const SweepShape& shape, const SweepWorld& world,
     // prototype is removed, else the best survivor of the begin passes —
     // tombstoned slots are already gone there, and a dead global pivot 0
     // must not be visited.
-    if (world_.base_dead_total == 0) start_ = shape_.pivots[0];
+    if (world_.base_dead_total == 0) start_ = shape_.pivots.ids()[0];
     return;
   }
   // The row sweep charges the row evaluations here, once per query, as
@@ -44,18 +44,14 @@ SweepMachine::SweepMachine(const SweepShape& shape, const SweepWorld& world,
   // A tombstoned pivot's evaluation still tightens every worker's bounds
   // (its row is broadcast in the begin, an admissible use), but it must
   // never become an incumbent — it is no longer a member of the live set.
-  inc_.SeedRow(shape_.pivots, row_, [&](std::size_t p) {
+  inc_.SeedRow(shape_.pivots.ids(), row_, [&](std::size_t p) {
     return !world_.base_tombs.empty() &&
-           TestTombstone(world_.base_tombs.data(), shape_.pivots[p]);
+           TestTombstone(world_.base_tombs.data(), shape_.pivots.ids()[p]);
   });
 }
 
 FrameType SweepMachine::begin_type() const {
   return row_ == nullptr ? FrameType::kBeginLazy : FrameType::kBeginRow;
-}
-
-FrameType SweepMachine::step_type() const {
-  return row_ == nullptr ? FrameType::kStep : FrameType::kStepRow;
 }
 
 std::vector<char> SweepMachine::BeginPayload() const {
@@ -94,7 +90,7 @@ bool SweepMachine::AbsorbStep(std::size_t s, const std::vector<char>& reply) {
   if (!r.Done() || pass.live > shape_.shard_size(s) || !in_shard(pass.next) ||
       !in_shard(pass.next_pivot) ||
       (pass.next_pivot != kSweepNone &&
-       shape_.pivot_rank[pass.next_pivot] < 0)) {
+       shape_.pivots.Rank(pass.next_pivot) < 0)) {
     return false;
   }
   ShardView& v = views_[s];
@@ -135,7 +131,7 @@ std::size_t SweepMachine::Next() {
   start_ = kSweepNone;
   if (cand_ == kSweepNone) return cand_;
   cand_shard_ = shape_.ShardOf(cand_);
-  cand_rank_ = row_ == nullptr ? shape_.pivot_rank[cand_] : -1;
+  cand_rank_ = row_ == nullptr ? shape_.pivots.Rank(cand_) : -1;
   cap_ = inc_.Cap(cand_rank_ >= 0);
   return cand_;
 }
@@ -163,13 +159,12 @@ bool SweepMachine::AbsorbEvalReply(const std::vector<char>& reply) {
 }
 
 std::vector<char> SweepMachine::StepPayload() const {
-  // The elimination radius tightens with the new incumbent.
+  // The elimination radius tightens with the new incumbent. A row sweep's
+  // candidate is never a pivot, so its rank is -1.
   PayloadWriter w;
   w.U32(static_cast<std::uint32_t>(cand_));
-  if (row_ == nullptr) {
-    w.I32(cand_rank_);
-    w.F64(cand_d_);
-  }
+  w.I32(cand_rank_);
+  w.F64(cand_d_);
   w.F64(inc_.Kth());
   return std::move(w.buf);
 }

@@ -45,9 +45,8 @@ struct ServeResult {
 /// The router's immutable index shape, loaded from the manifest. Shard s
 /// owns the global ids [bases[s], bases[s+1]).
 struct SweepShape {
-  std::vector<std::size_t> bases;        // size S+1
-  std::vector<std::size_t> pivots;       // global pivot ids
-  std::vector<std::int32_t> pivot_rank;  // global id -> ordinal or -1
+  std::vector<std::size_t> bases;  // size S+1
+  PivotIds pivots;                 // global pivot ids, O(pivots) memory
 
   std::size_t n() const { return bases.back(); }
   std::size_t shard_count() const { return bases.size() - 1; }
@@ -93,8 +92,9 @@ struct SweepWorld {
 ///     one +inf pass. The sweep starts at global pivot 0 while no base
 ///     prototype is removed, as in process, else at the merged min-bound
 ///     live pivot;
-///   * pivot-row (`Laesa::KNearestWithPivotRow`): kBeginRow / kStepRow
-///     frames, incumbents seeded from the row, every visit a worker eval.
+///   * pivot-row (`Laesa::KNearestWithPivotRow`): kBeginRow / kStep
+///     frames, every step at rank -1, incumbents seeded from the row, every
+///     visit a worker eval.
 ///
 /// Protocol: AbsorbBegin for every active shard, then repeat { Next();
 /// evaluate the candidate (AbsorbEval / AbsorbEvalReply); AbsorbStep for
@@ -114,7 +114,6 @@ class SweepMachine {
   std::size_t k() const { return k_; }
 
   FrameType begin_type() const;
-  FrameType step_type() const;
   std::vector<char> BeginPayload() const;
   /// Absorbs shard `s`'s begin reply. False when it is malformed.
   bool AbsorbBegin(std::size_t s, const std::vector<char>& reply);
@@ -139,7 +138,8 @@ class SweepMachine {
   /// Decodes a worker's eval reply into AbsorbEval. False when malformed:
   /// a distance is >= 0 or +inf, never NaN.
   bool AbsorbEvalReply(const std::vector<char>& reply);
-  /// The visit pass for every active shard; sent after AbsorbEval.
+  /// The visit pass for every active shard, a kStep frame; sent after
+  /// AbsorbEval.
   std::vector<char> StepPayload() const;
 
   bool active(std::size_t s) const { return views_[s].active; }

@@ -9,9 +9,10 @@
 namespace cned {
 
 /// Payload encoding of one shard's sweep pass result — the reply body of
-/// kBeginLazy, kBeginRow, kStep and kStepRow. `live_pivots` rides along so the router
-/// always has each shard's absolute live-pivot count (the quantity that
-/// keeps the global next-candidate rule exact when shards drop out).
+/// kBeginLazy, kBeginRow and kStep. `live_pivots` (the shard's pivot slab)
+/// rides along so the router always has each shard's absolute live-pivot
+/// count (the quantity that keeps the global next-candidate rule exact when
+/// shards drop out).
 struct WireCompact {
   SweepCompactResult pass;
   std::uint64_t live_pivots = 0;

@@ -32,7 +32,6 @@ const char* OpClass(FrameType type) {
     case FrameType::kEval:
       return "eval";
     case FrameType::kStep:
-    case FrameType::kStepRow:
       return "step";
     case FrameType::kInsert:
       return "insert";
@@ -194,15 +193,6 @@ int RunShardWorker(int fd, const WorkerConfig& config) {
           if (!r.Done()) throw std::runtime_error("malformed Step");
           const SweepCompactResult pass =
               replica->Step(req.qid, skip, rank, d, bound);
-          EncodeCompact(reply, pass, replica->live_pivots(req.qid));
-          break;
-        }
-        case FrameType::kStepRow: {
-          const std::uint32_t skip = r.U32();
-          const double bound = r.F64();
-          if (!r.Done()) throw std::runtime_error("malformed StepRow");
-          const SweepCompactResult pass =
-              replica->StepRow(req.qid, skip, bound);
           EncodeCompact(reply, pass, replica->live_pivots(req.qid));
           break;
         }

@@ -1,21 +1,27 @@
-// The pivot-id rule of every pivot-table loader. All of them rank their
-// ids through `RankPivots` (search/pivot_sweep.h), so all of them — Load
+// The pivot-id rule of every pivot-table loader. All of them validate their
+// ids through `PivotIds` (search/pivot_sweep.h), so all of them — Load
 // and Map over a flat or a sharded store, the serve worker's ShardReplica
 // and the ServeRouter manifest — reject an out-of-range id and a repeated
 // one alike. Each case feeds one crafted file, at f64 and at u8. The router
 // manifest must also reject shard sizes and pivot lengths whose running
 // sums wrap, and the worker's slice and the manifest an id count above the
-// sweep's 2^31 limit. The worker's lazy step must reject a pivot rank
-// outside the slice's table.
+// sweep's 2^31 limit. An id count just below that limit must be served
+// without any allocation proportional to it. The worker's lazy step must
+// reject a pivot rank outside the slice's table.
 
 #include <gtest/gtest.h>
 
 #include <stdlib.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -27,6 +33,7 @@
 #include "datasets/sharded_prototype_store.h"
 #include "distances/registry.h"
 #include "search/laesa.h"
+#include "search/sweep_kernel.h"
 #include "search/table_quant.h"
 #include "serve/replica.h"
 #include "serve/router.h"
@@ -36,6 +43,7 @@
 namespace cned {
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kShards = 3;
 constexpr TablePrecision kPrecisions[] = {TablePrecision::kF64,
                                           TablePrecision::kU8};
@@ -202,7 +210,7 @@ TEST(PivotTableTest, ServeRouterRejectsOutOfRangeAndDuplicatePivots) {
 
 TEST(PivotTableTest, ShardReplicaRejectsIdCountAboveSweepLimit) {
   // A slice whose header n is 2^62 (checksum valid) is rejected as a format
-  // error before its n-entry rank array is allocated.
+  // error.
   Data d;
   const Laesa built(d.sharded, d.dist, 4);
   TempDir dir;
@@ -259,6 +267,134 @@ TEST(PivotTableTest, ShardReplicaStepRejectsOutOfRangeRank) {
     EXPECT_EQ(got.next_pivot, want.next_pivot) << ctx;
     EXPECT_EQ(got.next_pivot_key, want.next_pivot_key) << ctx;
     EXPECT_EQ(replica.live_pivots(1), replica.live_pivots(2)) << ctx;
+  }
+}
+
+// The largest id count the sweep accepts.
+constexpr std::uint64_t kMaxN = kMaxSweepIds - 1;
+
+// While alive, caps this process's address space at its current size plus
+// `headroom`, restoring the old limit on exit; forked workers inherit the
+// cap. An allocation proportional to a crafted id count (a 4-byte entry per
+// id is 8 GiB at 2^31 - 1) then fails instead of being written.
+class AddressSpaceCap {
+ public:
+  explicit AddressSpaceCap(std::uint64_t headroom) {
+    EXPECT_EQ(getrlimit(RLIMIT_AS, &saved_), 0);
+    std::uint64_t pages = 0;
+    std::ifstream("/proc/self/statm") >> pages;
+    EXPECT_GT(pages, 0u);
+    rlimit cap = saved_;
+    const std::uint64_t want =
+        pages * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE)) + headroom;
+    if (cap.rlim_cur == RLIM_INFINITY || want < cap.rlim_cur) {
+      cap.rlim_cur = want;
+    }
+    EXPECT_EQ(setrlimit(RLIMIT_AS, &cap), 0);
+  }
+  ~AddressSpaceCap() { setrlimit(RLIMIT_AS, &saved_); }
+
+ private:
+  rlimit saved_{};
+};
+
+constexpr std::uint64_t kCapHeadroom = std::uint64_t{2} << 30;  // 2 GiB
+
+void ExpectSamePass(const SweepCompactResult& got,
+                    const SweepCompactResult& want, const std::string& ctx) {
+  EXPECT_EQ(got.live, want.live) << ctx;
+  EXPECT_EQ(got.pivots_died, want.pivots_died) << ctx;
+  EXPECT_EQ(got.next, want.next) << ctx;
+  EXPECT_EQ(got.next_key, want.next_key) << ctx;
+  EXPECT_EQ(got.next_pivot, want.next_pivot) << ctx;
+  EXPECT_EQ(got.next_pivot_key, want.next_pivot_key) << ctx;
+}
+
+// A slice whose header n is 2^31 - 1 is valid: n only bounds the pivot
+// ids. The worker serves it, under a cap far below 4 bytes per id, exactly
+// as it serves the true header.
+TEST(PivotTableTest, ShardReplicaServesIdCountAtSweepLimit) {
+  Data d;
+  for (TablePrecision prec : kPrecisions) {
+    const std::string ctx = TablePrecisionName(prec);
+    const Laesa built(d.sharded, d.dist, 8, prec);
+    TempDir dir;
+    SaveServingSnapshot(built, dir.path);
+    const std::string store_path = ShardStorePath(dir.path, 1);
+    const std::string index_path = ShardIndexPath(dir.path, 1);
+    ShardReplica ref(store_path, index_path, "dE");
+    const std::string crafted_path = index_path + ".crafted";
+    std::filesystem::copy_file(index_path, crafted_path);
+    PatchU64(crafted_path, kHeaderN, d.sharded.size(), kMaxN);
+
+    const std::string& q = d.queries[1];
+    std::vector<double> row(built.num_pivots());
+    built.ComputePivotRow(q, row.data(), nullptr);
+    const double seed = *std::min_element(row.begin(), row.end()) + 1.0;
+    const std::size_t pivot = built.pivots()[0];
+    const auto skip = static_cast<std::uint32_t>(pivot);
+    const std::size_t id = ref.base() + 2;
+
+    AddressSpaceCap cap(kCapHeadroom);
+    std::unique_ptr<ShardReplica> got;
+    ASSERT_NO_THROW(got = std::make_unique<ShardReplica>(store_path,
+                                                         crafted_path, "dE"))
+        << ctx;
+    EXPECT_EQ(got->total_size(), kMaxN) << ctx;
+    ExpectSamePass(got->BeginRow(1, q, row.data(), seed),
+                   ref.BeginRow(1, q, row.data(), seed), ctx + " begin row");
+    ExpectSamePass(got->Step(1, 0xFFFFFFFFu, -1, 0.0, seed - 0.5),
+                   ref.Step(1, 0xFFFFFFFFu, -1, 0.0, seed - 0.5),
+                   ctx + " row step");
+    EXPECT_EQ(got->Eval(1, id, kInf), ref.Eval(1, id, kInf)) << ctx;
+    ExpectSamePass(got->BeginLazy(2, q), ref.BeginLazy(2, q),
+                   ctx + " begin lazy");
+    ExpectSamePass(got->Step(2, skip, 0, row[0], row[0] + 1.0),
+                   ref.Step(2, skip, 0, row[0], row[0] + 1.0),
+                   ctx + " lazy step");
+    EXPECT_EQ(got->live_pivots(2), ref.live_pivots(2)) << ctx;
+  }
+}
+
+// A manifest whose n is 2^31 - 1 (the last shard stretched to cover it) is
+// valid, and the router serves its row sweeps under the same cap. Its
+// workers map the true slices, so every reply is the in-process index's.
+TEST(PivotTableTest, ServeRouterServesIdCountAtSweepLimit) {
+  Data d;
+  const Laesa built(d.sharded, d.dist, 4);
+  TempDir dir;
+  SaveServingSnapshot(built, dir.path);
+  const std::string manifest = ManifestPath(dir.path);
+  const std::size_t last = kShards - 1;
+  const std::size_t tail = d.sharded.shard(last).size();
+  PatchU64(manifest, kHeaderN, d.sharded.size(), kMaxN);
+  // The shard-size section follows the 64-byte header.
+  PatchU64(manifest, 64 + last * sizeof(std::uint64_t), tail,
+           kMaxN - (d.sharded.size() - tail));
+
+  ServeOptions options;
+  options.distance = "dE";
+  options.replicas = 1;
+  AddressSpaceCap cap(kCapHeadroom);
+  std::unique_ptr<ServeRouter> router;
+  ASSERT_NO_THROW(router = std::make_unique<ServeRouter>(dir.path, options));
+  EXPECT_EQ(router->size(), kMaxN);
+  std::vector<double> row(built.num_pivots());
+  for (const std::string& q : d.queries) {
+    QueryStats stats;
+    built.ComputePivotRow(q, row.data(), &stats);
+    const std::vector<NeighborResult> want =
+        built.KNearestWithPivotRow(q, 3, row.data(), &stats);
+    const ServeResult got = router->KNearestWithRow(q, 3, row);
+    EXPECT_FALSE(got.partial) << q;
+    ASSERT_EQ(got.neighbors.size(), want.size()) << q;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got.neighbors[i].index, want[i].index) << q;
+      EXPECT_EQ(got.neighbors[i].distance, want[i].distance) << q;
+    }
+    EXPECT_EQ(got.stats.distance_computations, stats.distance_computations)
+        << q;
+    EXPECT_EQ(got.stats.bounded_abandons, stats.bounded_abandons) << q;
   }
 }
 

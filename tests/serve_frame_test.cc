@@ -2,26 +2,34 @@
 // trips, corruption and truncation surface as kMalformed (never a hang or
 // a garbage decode), receives are deadline-bounded, the payload codec is
 // strict about short reads and trailing bytes, the CNED_FAULT grammar
-// parses deterministically, and the connection reactor wakes a waiter
-// whose reply another thread drained.
+// parses deterministically, the connection reactor wakes a waiter whose
+// reply another thread drained, and a worker answers the reserved frame
+// type 6 with kError.
 
 #include "serve/frame.h"
 
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <poll.h>
+#include <stdlib.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "datasets/prototype_store.h"
+#include "distances/registry.h"
+#include "search/laesa.h"
 #include "serve/fault.h"
 #include "serve/reactor.h"
+#include "serve/shard_snapshot.h"
+#include "serve/worker.h"
 
 namespace cned {
 namespace {
@@ -408,6 +416,47 @@ TEST(ServeReactorTest, ADeadStreamWakesEveryRegisteredPipe) {
   conn.Fail();
   EXPECT_TRUE(wake.Readable());
   EXPECT_EQ(conn.TryWait(1, nullptr), RecvStatus::kClosed);
+}
+
+// Frame type 6 is reserved: the frame layer still accepts it, and a worker
+// answers it with kError as a type it does not serve (a row sweep steps
+// with kStep at rank -1), then keeps serving.
+TEST(ServeWorkerTest, AnswersReservedFrameTypeWithError) {
+  std::string dir = std::string(::testing::TempDir()) + "cned_worker_XXXXXX";
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  const PrototypeStore store(std::vector<std::string>{"casa", "cosa", "masa",
+                                                      "mesa", "rosa", "risa"});
+  SaveServingSnapshot(Laesa(store, MakeDistance("dE"), 2), dir);
+  WorkerConfig config;
+  config.store_path = ShardStorePath(dir, 0);
+  config.index_path = ShardIndexPath(dir, 0);
+  config.distance = "dE";
+  SocketPair sp;
+  int exit_code = -1;
+  std::thread worker([&] { exit_code = RunShardWorker(sp.fds[1], config); });
+
+  PayloadWriter w;
+  w.U32(0);
+  w.F64(1.0);
+  ASSERT_TRUE(SendFrame(sp.fds[0], static_cast<FrameType>(6), 1, 7,
+                        w.buf.data(), w.buf.size()));
+  Frame f;
+  ASSERT_EQ(RecvFrame(sp.fds[0], &f, 5000), RecvStatus::kOk);
+  EXPECT_EQ(f.type, static_cast<std::uint32_t>(FrameType::kError));
+  EXPECT_EQ(f.seq, 1u);
+  PayloadReader r(f.payload);
+  EXPECT_NE(r.Str().find("unexpected frame type 6"), std::string::npos);
+
+  ASSERT_TRUE(SendFrame(sp.fds[0], FrameType::kPing, 2, 0, nullptr, 0));
+  ASSERT_EQ(RecvFrame(sp.fds[0], &f, 5000), RecvStatus::kOk);
+  EXPECT_EQ(f.type, static_cast<std::uint32_t>(FrameType::kReply));
+  EXPECT_EQ(f.seq, 2u);
+
+  close(sp.fds[0]);  // EOF: the worker returns cleanly
+  sp.fds[0] = -1;
+  worker.join();
+  EXPECT_EQ(exit_code, 0);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

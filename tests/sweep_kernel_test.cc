@@ -2,9 +2,9 @@
 // (search/sweep_kernel.h): every kernel variant compiled into this binary
 // and supported by the running CPU must reproduce the scalar reference
 // BIT FOR BIT — on randomised packed tables covering live counts of
-// 0/1/odd/non-multiple-of-the-lane-width, +inf bounds left by eliminated
-// slots, present and absent skip candidates, sparse / duplicated pivot
-// sets, and the survivor stream's bucket keys under degenerate maps — and
+// 0-9/odd/non-multiple-of-the-lane-width, +inf bounds left by eliminated
+// slots, present and absent skip candidates, and the survivor stream's
+// bucket keys under degenerate maps — and
 // at the index level, where `Laesa` over one segment and over S shards
 // (including the batch engine's pivot-stage path) must answer with
 // identical neighbours, distances AND QueryStats under every kernel. The
@@ -64,9 +64,11 @@ std::vector<const SweepKernels*> VariantKernels() {
 }
 
 /// The live-count shapes the lane-width-sensitive code paths care about:
-/// empty, single, below/at/above one vector, odd, non-multiples of 4 and 8,
-/// and a size big enough for many full blocks plus a tail.
-const std::size_t kLiveCounts[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 13, 31, 64, 257};
+/// every count 0-9 (a pivot slab holds at most np entries, often fewer
+/// than 8), odd, non-multiples of 4 and 8, and a size big enough for many
+/// full blocks plus a tail.
+const std::size_t kLiveCounts[] = {0, 1, 2, 3,  4,  5,  6,
+                                   7, 8, 9, 13, 31, 64, 257};
 
 struct PackedInput {
   AlignedBuffer<std::uint32_t> idx;
@@ -241,107 +243,12 @@ TEST(SweepKernelTest, EliminateAndCompactMatchesScalarBitwise) {
   }
 }
 
-TEST(SweepKernelTest, EliminateAndCompactFlaggedMatchesScalarBitwise) {
-  std::mt19937_64 rng(0x5EEDC0DE);
-  std::uniform_real_distribution<double> value(0.0, 8.0);
-  for (const SweepKernels* k : VariantKernels()) {
-    for (std::size_t live : kLiveCounts) {
-      for (int trial = 0; trial < 48; ++trial) {
-        PackedInput ref, got;
-        MakePacked(rng, live, 0, &ref);
-        CopyPacked(ref, live, &got);
-        // Sparse pivot ranks over the id space (and dense every 16th
-        // trial, the all-pivots edge).
-        const std::uint32_t max_id = live > 0 ? ref.idx.data()[live - 1] : 4;
-        std::vector<std::int32_t> rank(max_id + 8, -1);
-        std::int32_t next_rank = 0;
-        for (std::size_t id = 0; id < rank.size(); ++id) {
-          if (rng() % 4 == 0 || trial % 16 == 15) rank[id] = next_rank++;
-        }
-        std::uint32_t skip = 0xFFFFFFFFu;
-        if (live > 0 && trial % 2 == 0) skip = ref.idx.data()[rng() % live];
-        const double bound = trial % 5 == 0 ? kInf : value(rng);
-        const SweepCompactResult r0 =
-            ScalarSweepKernels().eliminate_and_compact_flagged(
-                ref.idx.data(), ref.lower.data(), rank.data(), live, skip,
-                bound);
-        const SweepCompactResult r1 = k->eliminate_and_compact_flagged(
-            got.idx.data(), got.lower.data(), rank.data(), live, skip, bound);
-        const std::string ctx = std::string(k->name) + " live=" +
-                                std::to_string(live) + " trial=" +
-                                std::to_string(trial);
-        ExpectSameResult(r0, r1, ctx);
-        ASSERT_EQ(r0.live, r1.live) << ctx;
-        EXPECT_EQ(std::memcmp(ref.idx.data(), got.idx.data(),
-                              r0.live * sizeof(std::uint32_t)),
-                  0)
-            << ctx;
-        EXPECT_EQ(std::memcmp(ref.lower.data(), got.lower.data(),
-                              r0.live * sizeof(double)),
-                  0)
-            << ctx;
-      }
-    }
-  }
-}
-
-TEST(SweepKernelTest, CompactSeedMatchesScalarBitwise) {
-  std::mt19937_64 rng(0xABCD1234);
-  std::uniform_real_distribution<double> value(0.0, 8.0);
-  for (const SweepKernels* k : VariantKernels()) {
-    for (std::size_t n : kLiveCounts) {
-      for (std::uint32_t base : {0u, 17u}) {
-        for (int aliased = 0; aliased < 2; ++aliased) {
-          AlignedBuffer<double> dense_ref, dense_got, out_ref, out_got;
-          AlignedBuffer<std::uint32_t> idx_ref, idx_got;
-          dense_ref.resize(n + 4);
-          dense_got.resize(n + 4);
-          out_ref.resize(n + 4);
-          out_got.resize(n + 4);
-          idx_ref.resize(n + 4);
-          idx_got.resize(n + 4);
-          std::vector<std::int32_t> rank(n + 4, -1);
-          std::int32_t next_rank = 0;
-          for (std::size_t j = 0; j < n; ++j) {
-            dense_ref.data()[j] = rng() % 8 == 0 ? kInf : value(rng);
-            dense_got.data()[j] = dense_ref.data()[j];
-            if (rng() % 5 == 0) rank[j] = next_rank++;
-          }
-          const double bound = rng() % 4 == 0 ? kInf : value(rng);
-          double* lower_out_ref = aliased ? dense_ref.data() : out_ref.data();
-          double* lower_out_got = aliased ? dense_got.data() : out_got.data();
-          const SweepCompactResult r0 = ScalarSweepKernels().compact_seed(
-              dense_ref.data(), rank.data(), n, base, bound, idx_ref.data(),
-              lower_out_ref);
-          const SweepCompactResult r1 =
-              k->compact_seed(dense_got.data(), rank.data(), n, base, bound,
-                              idx_got.data(), lower_out_got);
-          const std::string ctx = std::string(k->name) + " n=" +
-                                  std::to_string(n) + " base=" +
-                                  std::to_string(base) +
-                                  (aliased ? " aliased" : "");
-          ExpectSameResult(r0, r1, ctx);
-          ASSERT_EQ(r0.live, r1.live) << ctx;
-          EXPECT_EQ(std::memcmp(idx_ref.data(), idx_got.data(),
-                                r0.live * sizeof(std::uint32_t)),
-                    0)
-              << ctx;
-          EXPECT_EQ(std::memcmp(lower_out_ref, lower_out_got,
-                                r0.live * sizeof(double)),
-                    0)
-              << ctx;
-        }
-      }
-    }
-  }
-}
-
 // The survivor stream's keys. Maps come from the stream's own constructor
 // (so its guards for +inf, 0 and overflowing-scale seed bounds are what is
 // tested) at 1, 7 and 2500 buckets. Bounds mix random survivors, the seed
 // bound itself, its predecessor (where b * scale may round up to the bucket
-// count), zeros and +inf slots (eliminated candidates and the row sweep's
-// pivots, which it lifts to +inf instead of passing a rank array).
+// count), zeros and +inf slots (eliminated candidates and the pivots,
+// which the sweeps lift to +inf in the non-pivot slab).
 TEST(SweepKernelTest, StreamKeysMatchScalarBitwise) {
   std::mt19937_64 rng(0x5EED5EED);
   const double seeds[] = {1.0,

@@ -25,11 +25,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 SweepShape ThreeShards() {
   SweepShape shape;
   shape.bases = {0, 4, 8, 12};
-  shape.pivots = {9, 5, 1};
-  shape.pivot_rank.assign(12, -1);
-  for (std::size_t p = 0; p < shape.pivots.size(); ++p) {
-    shape.pivot_rank[shape.pivots[p]] = static_cast<std::int32_t>(p);
-  }
+  shape.pivots = PivotIds({9, 5, 1}, 12, "ThreeShards");
   return shape;
 }
 
@@ -345,12 +341,15 @@ TEST(SweepMachineTest, RejectsImpossibleEvalReplies) {
   EXPECT_FALSE(m.AbsorbEvalReply(EvalReply(std::nan(""))));
   EXPECT_FALSE(m.AbsorbEvalReply(EvalReply(-1.0)));
   EXPECT_FALSE(m.AbsorbEvalReply(EvalReply(-kInf)));
-  // Nothing of a rejected reply was absorbed: the step still carries the
-  // row's k-th incumbent as its bound.
+  // Nothing of a rejected reply was absorbed: the step (a kStep at rank
+  // -1) carries no distance and still the row's k-th incumbent as its
+  // bound.
   {
     const std::vector<char> step = m.StepPayload();
     PayloadReader r(step);
     EXPECT_EQ(r.U32(), 2u);
+    EXPECT_EQ(r.I32(), -1);
+    EXPECT_EQ(r.F64(), 0.0);
     EXPECT_EQ(r.F64(), 5.0);
     EXPECT_TRUE(r.Done());
   }

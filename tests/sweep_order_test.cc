@@ -5,7 +5,9 @@
 // reaches it. This suite keeps a test-local reference of the
 // compaction-driven loops that stream replaces — visit the minimal-bound
 // survivor, eliminate and compact every survivor, pick the next minimum —
-// built on the scalar kernels, and asserts that `Laesa` over one segment
+// with the pivots flagged inside the one candidate slab, as before they
+// moved to a pivot slab of their own (pivot_sweep.h); its compaction and
+// seed pack are test-local loops. It asserts that `Laesa` over one segment
 // and over S shards returns the same neighbours, distances and QueryStats
 // on data where equal bounds are the norm. It also drives the stream
 // itself on synthetic slabs (equal, zero, one-ulp-apart, denormal and
@@ -46,9 +48,67 @@ struct RefResult {
   std::vector<bool> visit_abandoned;  // parallel to visits
 };
 
+// The compaction of the reference's lazy sweep, which keeps the pivots in
+// the candidate slab: keeps idx[r] iff idx[r] != skip && !(lower[r] >=
+// bound), stable, counting the dropped candidates that `rank` (indexed by
+// id) marks as pivots and tracking the minimal-bound survivor and pivot,
+// first in slab order among ties.
+SweepCompactResult FlaggedCompact(std::uint32_t* idx, double* lower,
+                                  const std::vector<std::int32_t>& rank,
+                                  std::size_t live, std::uint32_t skip,
+                                  double bound) {
+  SweepCompactResult out;
+  std::size_t write = 0;
+  for (std::size_t r = 0; r < live; ++r) {
+    const std::uint32_t u = idx[r];
+    const bool is_pivot = rank[u] >= 0;
+    const double lb = lower[r];
+    if (u == skip || lb >= bound) {
+      out.pivots_died += is_pivot ? 1 : 0;
+      continue;
+    }
+    idx[write] = u;
+    lower[write] = lb;
+    ++write;
+    if (lb < out.next_key) {
+      out.next_key = lb;
+      out.next = u;
+    }
+    if (is_pivot && lb < out.next_pivot_key) {
+      out.next_pivot_key = lb;
+      out.next_pivot = u;
+    }
+  }
+  out.live = write;
+  return out;
+}
+
+// The seed pack of the reference's row sweep: the non-pivots with
+// !(lower >= bound), packed in id order in place, with the minimal-bound
+// survivor.
+SweepCompactResult SeedPack(const std::vector<std::int32_t>& rank,
+                            double bound, std::uint32_t* idx, double* lower) {
+  SweepCompactResult out;
+  std::size_t write = 0;
+  for (std::size_t j = 0; j < rank.size(); ++j) {
+    const double lb = lower[j];
+    if (rank[j] >= 0 || lb >= bound) continue;
+    idx[write] = static_cast<std::uint32_t>(j);
+    lower[write] = lb;
+    ++write;
+    if (lb < out.next_key) {
+      out.next_key = lb;
+      out.next = j;
+    }
+  }
+  out.live = write;
+  return out;
+}
+
 // The reference: the pivot table rebuilt from the public surface (same
 // distance calls, same quantizer), swept by the per-visit compaction loops
-// on the scalar kernels.
+// of the design the sweep core replaced — pivots flagged inside the one
+// candidate slab — on the scalar row kernels.
 class RefLaesa {
  public:
   RefLaesa(const PrototypeStore& store, const StringDistance& dist,
@@ -80,7 +140,7 @@ class RefLaesa {
   }
 
   // Laesa::Sweep: pivots first, then every survivor, one flagged
-  // eliminate-and-compact pass per visit.
+  // eliminate-and-compact pass per visit over the one slab.
   RefResult Sweep(std::string_view q, std::size_t k,
                   const std::uint64_t* tombstones) const {
     const SweepKernels& kern = ScalarSweepKernels();
@@ -100,8 +160,8 @@ class RefLaesa {
     std::size_t s = pivots_[0];
     if (tombstones != nullptr) {
       ApplyTombstoneMask(tombstones, n, lower.data());
-      const SweepCompactResult pre = kern.eliminate_and_compact_flagged(
-          idx.data(), lower.data(), rank_.data(), live, 0xFFFFFFFFu, kInf);
+      const SweepCompactResult pre = FlaggedCompact(
+          idx.data(), lower.data(), rank_, live, 0xFFFFFFFFu, kInf);
       live = pre.live;
       live_pivots -= pre.pivots_died;
       s = live_pivots > 0 ? pre.next_pivot : pre.next;
@@ -116,9 +176,9 @@ class RefLaesa {
                                static_cast<std::size_t>(rank_[s]), n, d,
                                idx.data(), 0, lower.data(), live);
       }
-      const SweepCompactResult pass = kern.eliminate_and_compact_flagged(
-          idx.data(), lower.data(), rank_.data(), live,
-          static_cast<std::uint32_t>(s), kth());
+      const SweepCompactResult pass =
+          FlaggedCompact(idx.data(), lower.data(), rank_, live,
+                         static_cast<std::uint32_t>(s), kth());
       live = pass.live;
       live_pivots -= pass.pivots_died;
       if (live == 0) break;
@@ -128,8 +188,8 @@ class RefLaesa {
     return r;
   }
 
-  // Laesa::SweepWithRow: seed with the row, apply every row, compact_seed,
-  // then one eliminate-and-compact pass per visit.
+  // Laesa::SweepWithRow: seed with the row, apply every row, pack the
+  // surviving non-pivots, then one eliminate-and-compact pass per visit.
   RefResult SweepWithRow(std::string_view q, std::size_t k,
                          const double* row) const {
     const SweepKernels& kern = ScalarSweepKernels();
@@ -149,8 +209,8 @@ class RefLaesa {
     for (std::size_t p = 0; p < pivots_.size(); ++p) {
       QuantUpdateLowerDense(kern, view(), p, n, row[p], lower.data());
     }
-    const SweepCompactResult seed = kern.compact_seed(
-        lower.data(), rank_.data(), n, 0, kth(), idx.data(), lower.data());
+    const SweepCompactResult seed =
+        SeedPack(rank_, kth(), idx.data(), lower.data());
     std::size_t live = seed.live;
     std::size_t s = seed.next;
     while (live > 0 && s != kSweepNone) {
