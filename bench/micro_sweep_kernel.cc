@@ -1,9 +1,9 @@
 // Sweep-kernel benchmark: the dispatched SIMD elimination core vs the
 // scalar reference, measured two ways.
 //
-//  1. Kernel micro loops over synthetic packed candidate slabs: ns per
-//     candidate for the dense row update, the gathered (packed) row update
-//     and the eliminate-and-compact pass, per kernel variant. The
+//  1. Kernel micro loops over synthetic candidate slabs: ns per candidate
+//     for the dense row update and the eliminate-and-compact pass, per
+//     kernel variant. The
 //     eliminate pass is timed in its keep-all configuration (bound = inf,
 //     skip absent), which is idempotent — the slab can be re-swept without
 //     rebuilding, and it is the traffic-heavy early-sweep shape.
@@ -57,11 +57,10 @@ namespace {
 struct KernelMicro {
   std::string name;
   double dense_ns = 0.0;      // per candidate
-  double packed_ns = 0.0;     // per candidate
   double eliminate_ns = 0.0;  // per candidate
 };
 
-/// Times the three hot kernels of one variant over n-candidate slabs.
+/// Times the two hot kernels of one variant over n-candidate slabs.
 KernelMicro TimeKernels(const SweepKernels& k, std::size_t n,
                         std::size_t reps) {
   KernelMicro out;
@@ -88,13 +87,6 @@ KernelMicro TimeKernels(const SweepKernels& k, std::size_t n,
     k.update_lower_dense(1.0, row.data(), lower.data(), n);
   }
   out.dense_ns = w_dense.Seconds() * 1e9 / denom;
-
-  k.update_lower_packed(1.0, row.data(), idx.data(), 0, lower.data(), n);
-  Stopwatch w_packed;
-  for (std::size_t r = 0; r < reps; ++r) {
-    k.update_lower_packed(1.0, row.data(), idx.data(), 0, lower.data(), n);
-  }
-  out.packed_ns = w_packed.Seconds() * 1e9 / denom;
 
   // Keep-all eliminate: finite bounds vs an infinite threshold, skip absent
   // — compacts every candidate onto itself, so the slab survives intact.
@@ -278,7 +270,6 @@ int Run() {
   for (const SweepKernels* k : AvailableSweepKernels()) {
     micro.push_back(TimeKernels(*k, candidates, reps));
     log << "  " << micro.back().name << ": dense " << micro.back().dense_ns
-        << " ns/cand, packed " << micro.back().packed_ns
         << " ns/cand, eliminate " << micro.back().eliminate_ns
         << " ns/cand\n";
   }
@@ -425,8 +416,7 @@ int Run() {
             << "  \"kernels\": [\n";
   for (std::size_t i = 0; i < micro.size(); ++i) {
     std::cout << "    {\"name\": \"" << micro[i].name << "\", \"dense_ns\": "
-              << micro[i].dense_ns << ", \"packed_ns\": "
-              << micro[i].packed_ns << ", \"eliminate_ns\": "
+              << micro[i].dense_ns << ", \"eliminate_ns\": "
               << micro[i].eliminate_ns << "}"
               << (i + 1 < micro.size() ? "," : "") << "\n";
   }

@@ -127,25 +127,26 @@ void Laesa::ComputePivotRow(std::string_view query, double* row,
 std::vector<NeighborResult> Laesa::KNearestWithPivotRow(
     std::string_view query, std::size_t k, const double* row,
     QueryStats* stats) const {
-  return core().WithRow(query, k, row, stats);
+  return core().Sweep(query, k, row, stats);
 }
 
 std::vector<NeighborResult> Laesa::KNearestWithPivotRow(
     std::string_view query, std::size_t k, const double* row,
     QueryStats* stats, QueryStats* shard_stats) const {
-  return core().WithRow(query, k, row, stats, shard_stats);
+  return core().Sweep(query, k, row, stats, shard_stats);
 }
 
 std::vector<NeighborResult> Laesa::KNearest(std::string_view query,
                                             std::size_t k,
                                             QueryStats* stats) const {
-  return core().Lazy(query, k, stats);
+  return core().Sweep(query, k, /*row=*/nullptr, stats);
 }
 
 std::vector<NeighborResult> Laesa::KNearest(
     std::string_view query, std::size_t k, QueryStats* stats,
     QueryStats* shard_stats, const std::uint64_t* tombstones) const {
-  return core().Lazy(query, k, stats, shard_stats, tombstones);
+  return core().Sweep(query, k, /*row=*/nullptr, stats, shard_stats,
+                      tombstones);
 }
 
 void Laesa::Save(const std::string& path) const {

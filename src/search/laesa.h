@@ -35,7 +35,7 @@ namespace cned {
 /// (`PivotTables`, pivot_sweep.h), each global row quantized with one
 /// shared meta. The segment list (base, store, table view) is built once;
 /// every query runs the shared sweep core over it. Per-segment passes fan
-/// out through `ParallelFor` when enough candidates survive and their
+/// out through `ParallelFor` when they carry enough work and their
 /// minima merge in segment order, so neighbours, distances *and*
 /// `QueryStats` are bit-identical for every S, on every distance, metric
 /// or not, regardless of thread schedule.
@@ -44,14 +44,16 @@ namespace cned {
 /// `KNearestWithPivotRow`); the paper's 1-NN search is k = 1, the inherited
 /// `Nearest`. Pivot ids are distinct at every S: the ablation constructor,
 /// `Load` and `Map` reject a pivot id listed twice. The hot path is a
-/// flat structure-of-arrays sweep: surviving candidates live in packed
-/// index/lower-bound arrays, the pivots in a small array of their own,
-/// that one pass per visited pivot tightens (a contiguous row of the pivot
-/// table), eliminates and compacts; once no
-/// pivot survives the bounds are final, and the remaining candidates are
-/// visited in bound order from a survivor stream: ids counting-sorted into
-/// bound buckets over the dense bound array, a bucket sorted only when the
-/// visits reach it (`SurvivorStream`, sweep_kernel.h). No per-candidate pointer
+/// flat structure-of-arrays sweep: the lower bounds live in one dense
+/// array indexed by candidate id, the pivots in a small packed array of
+/// their own. `KNearest` visits pivots from that array while any survive,
+/// each visit tightening (a contiguous row of the pivot table),
+/// eliminating and compacting the pivots alone; `KNearestWithPivotRow`
+/// takes every row at once. The rows taken are then applied to the dense
+/// array, one pass each, and the other candidates are visited in bound
+/// order from a survivor stream: ids counting-sorted into bound buckets
+/// over the dense bound array, a bucket sorted only when the visits reach
+/// it (`SurvivorStream`, sweep_kernel.h). No per-candidate pointer
 /// chasing, no per-query slab allocation (thread-local scratch), and the
 /// length-difference lower bound of the distance acts as a free "zeroth
 /// pivot" over the stores' flat length arrays before any distance is

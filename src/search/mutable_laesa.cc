@@ -14,15 +14,6 @@ namespace cned {
 
 namespace {
 
-/// Binary search over an ascending stable-id array; slots == positions.
-bool FindSlot(const std::vector<std::uint64_t>& ids, std::uint64_t id,
-              std::size_t* slot) {
-  const auto it = std::lower_bound(ids.begin(), ids.end(), id);
-  if (it == ids.end() || *it != id) return false;
-  *slot = static_cast<std::size_t>(it - ids.begin());
-  return true;
-}
-
 std::shared_ptr<std::vector<std::uint64_t>> CopyOrMakeTombs(
     const std::shared_ptr<const std::vector<std::uint64_t>>& old,
     std::size_t count) {
@@ -125,62 +116,48 @@ std::uint64_t MutableLaesa::Insert(std::string_view s) {
   return id;
 }
 
+MutableLaesa::Slot MutableLaesa::Locate(const State& st, std::uint64_t id) {
+  // Each segment's ids ascend and slots are positions: a binary search.
+  for (Segment State::*which : {&State::base, &State::delta}) {
+    const Segment& seg = st.*which;
+    if (!seg.ids) continue;
+    const auto it = std::lower_bound(seg.ids->begin(), seg.ids->end(), id);
+    if (it == seg.ids->end() || *it != id) continue;
+    const auto slot = static_cast<std::size_t>(it - seg.ids->begin());
+    return {which, slot,
+            !(seg.tombs && TestTombstone(seg.tombs->data(), slot))};
+  }
+  return {};
+}
+
 bool MutableLaesa::Remove(std::uint64_t id) {
   std::lock_guard<std::mutex> lk(write_mu_);
   const auto cur = Pin();
+  const Slot at = Locate(*cur, id);
+  if (!at.live) return false;
   auto next = std::make_shared<State>(*cur);
-  std::size_t slot = 0;
-  if (cur->base.ids && FindSlot(*cur->base.ids, id, &slot)) {
-    if (cur->base.tombs && TestTombstone(cur->base.tombs->data(), slot)) {
-      return false;
-    }
-    auto tombs = CopyOrMakeTombs(cur->base.tombs, cur->base.count());
-    SetTombstone(tombs->data(), slot);
-    next->base.tombs = std::move(tombs);
-    next->base.dead = cur->base.dead + 1;
-  } else if (cur->delta.ids && FindSlot(*cur->delta.ids, id, &slot)) {
-    if (cur->delta.tombs && TestTombstone(cur->delta.tombs->data(), slot)) {
-      return false;
-    }
-    auto tombs = CopyOrMakeTombs(cur->delta.tombs, cur->delta.count());
-    SetTombstone(tombs->data(), slot);
-    next->delta.tombs = std::move(tombs);
-    next->delta.dead = cur->delta.dead + 1;
-  } else {
-    return false;
-  }
+  const Segment& old = (*cur).*at.segment;
+  Segment& seg = (*next).*at.segment;
+  auto tombs = CopyOrMakeTombs(old.tombs, old.count());
+  SetTombstone(tombs->data(), at.slot);
+  seg.tombs = std::move(tombs);
+  seg.dead = old.dead + 1;
   next->epoch = cur->epoch + 1;
   Publish(std::move(next));
   return true;
 }
 
 bool MutableLaesa::Contains(std::uint64_t id) const {
-  const auto st = Pin();
-  std::size_t slot = 0;
-  if (st->base.ids && FindSlot(*st->base.ids, id, &slot)) {
-    return !(st->base.tombs && TestTombstone(st->base.tombs->data(), slot));
-  }
-  if (st->delta.ids && FindSlot(*st->delta.ids, id, &slot)) {
-    return !(st->delta.tombs &&
-             TestTombstone(st->delta.tombs->data(), slot));
-  }
-  return false;
+  return Locate(*Pin(), id).live;
 }
 
 std::string MutableLaesa::GetString(std::uint64_t id) const {
   const auto st = Pin();
-  std::size_t slot = 0;
-  if (st->base.ids && FindSlot(*st->base.ids, id, &slot)) {
-    if (!(st->base.tombs && TestTombstone(st->base.tombs->data(), slot))) {
-      return std::string(st->base.store->view(slot));
-    }
-  } else if (st->delta.ids && FindSlot(*st->delta.ids, id, &slot)) {
-    if (!(st->delta.tombs &&
-          TestTombstone(st->delta.tombs->data(), slot))) {
-      return std::string(st->delta.store->view(slot));
-    }
+  const Slot at = Locate(*st, id);
+  if (!at.live) {
+    throw std::out_of_range("MutableLaesa::GetString: unknown or removed id");
   }
-  throw std::out_of_range("MutableLaesa::GetString: unknown or removed id");
+  return std::string(((*st).*at.segment).store->view(at.slot));
 }
 
 std::size_t MutableLaesa::size() const {

@@ -26,9 +26,9 @@ namespace cned {
 ///
 ///   * **base**: a frozen `PrototypeStore` + `Laesa` (owned or mapped from
 ///     a snapshot). Never rewritten in place; deletes set a bit in a
-///     tombstone bitmap that the sweep masks *inside* its compaction
-///     (`Laesa::KNearest` with a tombstone bitmap), so a deleted prototype can never surface
-///     as a neighbour at any `table_precision`.
+///     tombstone bitmap that the sweep masks as +inf bounds before any
+///     visit (`Laesa::KNearest` with a tombstone bitmap), so a deleted
+///     prototype can never surface as a neighbour at any `table_precision`.
 ///   * **delta**: an appendable `PrototypeStore` holding everything
 ///     inserted since the last merge, with its own tombstone bitmap.
 ///     Always queried by one exhaustive scan bounded by the merged
@@ -190,6 +190,17 @@ class MutableLaesa final : public NearestNeighborSearcher {
     std::uint64_t next_id = 0;
     std::uint64_t epoch = 0;
   };
+
+  /// Where a stable id lives in a State: its segment, as a member pointer
+  /// so a mutator can address the same segment of its next State (null
+  /// when neither segment holds the id), its slot there, and whether that
+  /// slot is not tombstoned.
+  struct Slot {
+    Segment State::*segment = nullptr;
+    std::size_t slot = 0;
+    bool live = false;
+  };
+  static Slot Locate(const State& st, std::uint64_t id);
 
   std::shared_ptr<const State> Pin() const {
     return std::atomic_load(&state_);

@@ -13,8 +13,8 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Candidate work below which the per-visit segment passes run serially on
-// the calling thread. ParallelFor spawns and joins real threads (no pool),
+// Candidate work below which the per-segment passes run serially on the
+// calling thread. ParallelFor spawns and joins real threads (no pool),
 // so a pass must stream on the order of a million candidates — tens of
 // megabytes, hundreds of microseconds — before that dispatch pays for
 // itself; under the batch engine the nested call runs inline anyway.
@@ -22,15 +22,15 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kParallelPassWork = 1 << 20;
 
 /// Thread-local per-segment bookkeeping: the pivot slabs (at most np
-/// entries over all segments), each segment's two slabs, the per-segment
-/// pass results and the survivor stream's histogram. The non-pivot slabs
-/// come from the shared `TlsSweepScratch`. Owned per thread, so batched
-/// queries running under ParallelFor never share state.
+/// entries over all segments), each segment's two slabs, the visited rows
+/// and the survivor stream's histogram. The dense slabs come from the
+/// shared `TlsSweepScratch`. Owned per thread, so batched queries running
+/// under ParallelFor never share state.
 struct SegmentScratch {
   AlignedBuffer<std::uint32_t> pivot_idx;
   AlignedBuffer<double> pivot_lower;
   std::vector<SegmentSlabs> slabs;
-  std::vector<SweepCompactResult> pass;
+  std::vector<PivotRow> rows;
   std::vector<std::uint32_t> hist;
 };
 
@@ -77,44 +77,15 @@ struct LocalVisit {
   }
 };
 
-// The survivor stream's last steps over every segment's counted dense
-// slab: place, scatter, then visit each survivor below bound() as a
-// non-pivot.
-template <typename Bound>
-void VisitStream(const std::vector<SweepSegment>& segments, std::size_t n,
-                 SurvivorStream& stream, std::uint32_t* idx,
-                 const double* lower, Bound&& bound, const LocalVisit& visit) {
-  stream.Place();
-  ForEachSegment(segments.size(), n, [&](std::size_t g) {
-    const SweepSegment& seg = segments[g];
-    stream.Scatter(g, lower + seg.base, seg.store->size(), seg.base, idx);
-  });
-  stream.VisitInBoundOrder(idx, lower, bound, [&](std::size_t c) {
-    visit(c, /*is_pivot=*/false);
-  });
-}
-
-std::vector<NeighborResult> Finish(SweepIncumbents& inc, QueryStats* stats) {
-  if (stats != nullptr) *stats += inc.stats();
-  return inc.Take();
-}
-
 }  // namespace
 
-void SeedSegmentBounds(const SweepSegment& seg, const StringDistance& distance,
-                       std::size_t query_len, const double* row,
-                       std::size_t pivot_count,
-                       const std::uint64_t* tombstones, double* lower) {
+void ApplyPivotRows(const SweepSegment& seg, const std::vector<PivotRow>& rows,
+                    double* lower) {
   const SweepKernels& kern = ActiveSweepKernels();
   const std::size_t n = seg.store->size();
-  distance.LengthLowerBounds(query_len, seg.store->lengths_data(), n, lower);
-  // No elimination yet: each row pass is the dense streamed-max kernel.
-  for (std::size_t p = 0; p < pivot_count; ++p) {
-    QuantUpdateLowerDense(kern, seg.table, p, n, row[p], lower);
+  for (const PivotRow& r : rows) {
+    QuantUpdateLowerDense(kern, seg.table, r.rank, n, r.d, lower);
   }
-  // Tombstoned slots go to +inf before the survivors are taken, so the
-  // row path can never admit a deleted prototype either.
-  if (tombstones != nullptr) ApplyTombstoneMask(tombstones, n, lower);
 }
 
 void LiftSegmentPivots(const PivotIds& pivots, const SweepSegment& seg,
@@ -141,9 +112,8 @@ SweepCompactResult VisitSegmentPass(const SweepSegment& seg, std::int32_t rank,
     const auto p = static_cast<std::size_t>(rank);
     const auto base = static_cast<std::uint32_t>(seg.base);
     const std::size_t n = seg.store->size();
-    QuantUpdateLowerPacked(kern, seg.table, p, n, d, s.idx, base, s.lower,
-                           s.live);
-    QuantUpdateLowerPacked(kern, seg.table, p, n, d, s.pivot_idx, base,
+    QuantUpdateLowerPacked(seg.table, p, n, d, s.idx, base, s.lower, s.live);
+    QuantUpdateLowerPacked(seg.table, p, n, d, s.pivot_idx, base,
                            s.pivot_lower, s.pivot_live);
   }
   SweepCompactResult out =
@@ -186,19 +156,31 @@ std::size_t PivotSweep::SegmentOf(std::size_t id) const {
   return static_cast<std::size_t>(it - segments_.begin()) - 1;
 }
 
-// Two phases, both on the shared sweep kernels (sweep_kernel.h):
-//   - approximating: while pivots survive, visit the minimal-bound pivot,
-//     then one visit pass per segment tightens both of its slabs with the
-//     pivot's table row and eliminates, and the merged per-segment minima
-//     of the pivot slabs pick the next pivot;
-//   - static: once the last live pivot is gone the bounds are final, each
-//     segment's packed survivors are unpacked back into the dense slab and
-//     counted, and the survivor stream visits them in ascending
-//     (bound, id) order — the sequence the per-visit compaction would
-//     pick, tie for tie.
-std::vector<NeighborResult> PivotSweep::Lazy(
-    std::string_view query, std::size_t k, QueryStats* stats,
-    QueryStats* segment_stats, const std::uint64_t* tombstones) const {
+// Three steps, both sweeps alike, on the shared sweep kernels
+// (sweep_kernel.h):
+//   1. bounds: the length bounds in the dense slab, deletes and pivots
+//      lifted to +inf there, each segment's pivots moved with their bounds
+//      into its pivot slab;
+//   2. rows: the row sweep takes every pivot row and seeds the incumbents
+//      from it. The lazy sweep visits pivots while any survive: the
+//      minimal-bound pivot is visited, then one visit pass per segment
+//      tightens its pivot slab with that pivot's row and eliminates, and
+//      the merged minima pick the next pivot. Only the pivot slabs take
+//      part, as only they decide the next visit;
+//   3. static phase: the rows taken are applied dense to every segment,
+//      and the survivor stream visits the non-pivots below the k-th
+//      incumbent in ascending (bound, id) order against the improving
+//      incumbent.
+// For the lazy sweep, step 3 counts exactly the non-pivots that a
+// compaction after every visit would still hold, with the same bounds:
+// bounds only rise and the incumbent only falls, so a non-pivot
+// eliminated at some visit is at or above the final incumbent for good,
+// and one never eliminated saw every row. Its visits are therefore the
+// ones that sweep would pick, tie for tie.
+std::vector<NeighborResult> PivotSweep::Sweep(
+    std::string_view query, std::size_t k, const double* row,
+    QueryStats* stats, QueryStats* segment_stats,
+    const std::uint64_t* tombstones) const {
   const std::size_t n = size_;
   const std::size_t count = segments_.size();
   k = std::min(k, n);
@@ -211,129 +193,85 @@ std::vector<NeighborResult> PivotSweep::Lazy(
   scratch.pivot_idx.resize(pivots_.size());
   scratch.pivot_lower.resize(pivots_.size());
   scratch.slabs.assign(count, SegmentSlabs{});
-  scratch.pass.assign(count, SweepCompactResult{});
   std::uint32_t* idx = slabs.idx.data();
   double* lower = slabs.lower.data();
 
   // Free zeroth pivot: length-only lower bounds, one flat pass over each
   // segment's packed length array before any distance is computed.
-  for (std::size_t g = 0; g < count; ++g) {
+  ForEachSegment(count, n, [&](std::size_t g) {
     const SweepSegment& seg = segments_[g];
     distance_.LengthLowerBounds(query.size(), seg.store->lengths_data(),
                                 seg.store->size(), lower + seg.base);
-  }
-  std::iota(idx, idx + n, std::uint32_t{0});
-  // Deletes are eliminated inside the compaction before anything is
-  // visited: the masked slots' bounds go to +inf (the slabs are still in
-  // global id order), and the first pass drops them (lower >= bound is
-  // inclusive, so +inf falls even to the infinite starting incumbent).
+  });
+  // A +inf bound drops a deleted slot before it is visited: from a pivot
+  // slab at its first pass, from the dense slab at the stream's count.
   if (tombstones != nullptr) ApplyTombstoneMask(tombstones, n, lower);
-  // The pivots move to their own slabs, in segment order, so segment g's
-  // run of the sorted pivot ids is its pivot slab.
+  // Segment g's run of the sorted pivot ids is its pivot slab. The
+  // non-pivot slabs stay empty: the pivot phase does not read them.
   for (std::size_t g = 0; g < count; ++g) {
     const SweepSegment& seg = segments_[g];
     SegmentSlabs& sl = scratch.slabs[g];
     const std::size_t first = pivots_.Run(seg.base, seg.store->size()).first;
-    sl = {idx + seg.base,    lower + seg.base,
-          seg.store->size(), scratch.pivot_idx.data() + first,
-          scratch.pivot_lower.data() + first};
+    sl = {idx + seg.base, lower + seg.base, 0,
+          scratch.pivot_idx.data() + first, scratch.pivot_lower.data() + first};
     LiftSegmentPivots(pivots_, seg, lower + seg.base, &sl);
   }
-  std::size_t live_pivots = pivots_.size();
-  std::size_t total_live = n;
 
   SweepIncumbents inc(k);
   const LocalVisit visit{*this, query, inc, segment_stats};
-  auto kth = [&]() { return inc.Kth(); };
-
-  // One visit pass over every segment, folded in segment order. Returns
-  // the next pivot to visit.
-  auto pass = [&](std::int32_t rank, double d, std::uint32_t skip,
-                  double bound) {
-    ForEachSegment(count, total_live, [&](std::size_t g) {
-      scratch.pass[g] = VisitSegmentPass(segments_[g], rank, d, skip, bound,
-                                         &scratch.slabs[g]);
-    });
-    SweepCompactResult merged;
-    for (std::size_t g = 0; g < count; ++g) {
-      FoldSegmentMinima(scratch.pass[g], &merged);
+  std::vector<PivotRow>& rows = scratch.rows;
+  rows.clear();
+  if (row != nullptr) {
+    // Every pivot distance is already paid for, so ties admit the lower
+    // index.
+    inc.SeedRow(pivots_.ids(), row, [](std::size_t) { return false; });
+    for (std::size_t p = 0; p < pivots_.size(); ++p) {
+      rows.push_back({p, row[p]});
     }
-    total_live = merged.live;
-    live_pivots -= merged.pivots_died;
-    return merged.next_pivot;
-  };
+  } else {
+    // One visit pass over every segment's pivot slab, folded in segment
+    // order. Returns the next pivot to visit.
+    auto pass = [&](std::int32_t rank, double d, std::uint32_t skip,
+                    double bound) {
+      SweepCompactResult merged;
+      for (std::size_t g = 0; g < count; ++g) {
+        FoldSegmentMinima(VisitSegmentPass(segments_[g], rank, d, skip,
+                                           bound, &scratch.slabs[g]),
+                          &merged);
+      }
+      return merged.next_pivot;
+    };
+    std::size_t s = pivots_.ids()[0];  // start from the first base prototype
+    if (tombstones != nullptr) {
+      // The +inf pass hands back the minimal-bound live pivot to start from.
+      s = pass(/*rank=*/-1, 0.0, /*skip=*/0xFFFFFFFFu, kInf);
+    }
+    // A surviving pivot has a finite bound, so none is left when the pass
+    // names no next pivot.
+    while (s != kSweepNone) {
+      const double d = visit(s, /*is_pivot=*/true);
+      const std::int32_t rank = pivots_.Rank(s);
+      rows.push_back({static_cast<std::size_t>(rank), d});
+      s = pass(rank, d, static_cast<std::uint32_t>(s), inc.Kth());
+    }
+  }
 
-  std::size_t s = pivots_.ids()[0];  // start from the first base prototype
-  if (tombstones != nullptr) {
-    // The +inf pass hands back the minimal-bound live pivot to start from.
-    s = pass(/*rank=*/-1, 0.0, /*skip=*/0xFFFFFFFFu, kInf);
-  }
-  while (live_pivots > 0 && s != kSweepNone) {
-    const double d = visit(s, /*is_pivot=*/true);
-    s = pass(pivots_.Rank(s), d, static_cast<std::uint32_t>(s), inc.Kth());
-  }
-  // Static phase: no row left to apply, and every survivor lies below the
-  // k-th incumbent the last pass eliminated against. The loop ends with
-  // live pivots only when none has a finite bound below that incumbent,
-  // and the stream would never reach such a bound, so only the non-pivot
-  // slabs are unpacked.
   SurvivorStream stream(inc.Kth(), n, count, scratch.hist);
+  ForEachSegment(count, rows.size() * n, [&](std::size_t g) {
+    const SweepSegment& seg = segments_[g];
+    ApplyPivotRows(seg, rows, lower + seg.base);
+    stream.Count(g, lower + seg.base, seg.store->size());
+  });
+  stream.Place();
   ForEachSegment(count, n, [&](std::size_t g) {
     const SweepSegment& seg = segments_[g];
-    stream.Unpack(g, idx + seg.base, lower + seg.base, scratch.slabs[g].live,
-                  seg.store->size(), seg.base);
+    stream.Scatter(g, lower + seg.base, seg.store->size(), seg.base, idx);
   });
-  VisitStream(segments_, n, stream, idx, lower, kth, visit);
-  return Finish(inc, stats);
-}
-
-// The batched counterpart of `Lazy`: the caller already paid for every
-// query-pivot distance (they are shared across the batch), so all pivot
-// rows are applied before any elimination — the tightest pivot-based lower
-// bounds the table can give — and only the surviving non-pivots are then
-// visited adaptively. Same elimination semantics, different trajectory:
-// see pivot_stage.h.
-std::vector<NeighborResult> PivotSweep::WithRow(
-    std::string_view query, std::size_t k, const double* row,
-    QueryStats* stats, QueryStats* segment_stats) const {
-  const std::size_t n = size_;
-  const std::size_t count = segments_.size();
-  const std::size_t p_count = pivots_.size();
-  k = std::min(k, n);
-  if (k == 0) return {};
-
-  SweepScratch& slabs = TlsSweepScratch();
-  slabs.idx.resize(n);
-  slabs.lower.resize(n);
-  SegmentScratch& scratch = TlsSegmentScratch();
-  std::uint32_t* idx = slabs.idx.data();
-  double* lower = slabs.lower.data();
-
-  // Seed the incumbents with every pivot distance. These evaluations are
-  // already paid for, so ties admit the lower index.
-  SweepIncumbents inc(k);
-  inc.SeedRow(pivots_.ids(), row, [](std::size_t) { return false; });
-
-  // Per segment: every pivot row applied dense, the pivots (already in the
-  // incumbents) lifted to +inf, then the slab counted into the stream
-  // against the fully seeded k-th incumbent.
-  SurvivorStream stream(inc.Kth(), n, count, scratch.hist);
-  ForEachSegment(count, p_count * n, [&](std::size_t g) {
-    const SweepSegment& seg = segments_[g];
-    const std::size_t size = seg.store->size();
-    double* seg_lower = lower + seg.base;
-    SeedSegmentBounds(seg, distance_, query.size(), row, p_count,
-                      /*tombstones=*/nullptr, seg_lower);
-    LiftSegmentPivots(pivots_, seg, seg_lower);
-    stream.Count(g, seg_lower, size);
-  });
-
-  // Adaptive non-pivot phase: the bounds are final, so the survivors are
-  // visited in bound order against the improving incumbent.
-  const LocalVisit visit{*this, query, inc, segment_stats};
-  VisitStream(
-      segments_, n, stream, idx, lower, [&]() { return inc.Kth(); }, visit);
-  return Finish(inc, stats);
+  stream.VisitInBoundOrder(
+      idx, lower, [&]() { return inc.Kth(); },
+      [&](std::size_t c) { visit(c, /*is_pivot=*/false); });
+  if (stats != nullptr) *stats += inc.stats();
+  return inc.Take();
 }
 
 void PivotSweep::ComputePivotRow(std::string_view query, double* row,

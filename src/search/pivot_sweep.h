@@ -22,22 +22,24 @@ namespace cned {
 
 /// The one LAESA sweep core: `Laesa` runs it over its S segments (one for
 /// a flat store, one per shard of a sharded store), and the serve worker's
-/// `ShardReplica` runs its two per-segment passes for its own shard.
+/// `ShardReplica` runs its per-segment passes for its own shard.
 ///
 /// The candidate space [0, N) is a table of contiguous segments in base
-/// order, and segment g owns [base, base + size) of the packed slabs. A
-/// pivot is a row of the distance table, not a flag on a candidate: the
-/// lazy sweep keeps each segment's pivots in a separate pivot slab of at
-/// most np entries, and both slabs go through the same compaction kernel
-/// (`SegmentSlabs`, `VisitSegmentPass`). Every visit decision (incumbents,
-/// elimination bound, next pivot) is global; every kernel pass touches one
-/// segment only, and per-segment minima merge in segment order with strict
-/// '<', so the lowest global id wins ties as in one packed scan over
-/// [0, N). The static phase's survivor
-/// stream (sweep_kernel.h) counts each segment into its own histogram row
-/// and scatters the segments in base order, so it too orders ties by
-/// global id. Results and `QueryStats` do not depend on the segment count
-/// or the passes' thread schedule.
+/// order, and segment g owns [base, base + size) of the slabs. A pivot is
+/// a row of the distance table, not a flag on a candidate: each segment's
+/// pivots sit in a separate pivot slab of at most np entries
+/// (`SegmentSlabs`), and the lazy sweep's pivot phase visits from those
+/// slabs alone (`VisitSegmentPass`). Both sweeps then apply the rows they
+/// took, all of them or the visited ones (`PivotRow`), to the dense bound
+/// slab, and visit the non-pivots through the survivor stream
+/// (sweep_kernel.h). Every visit decision (incumbents, elimination bound,
+/// next pivot) is global; every kernel pass touches one segment only, and
+/// per-segment minima merge in segment order with strict '<', so the
+/// lowest global id wins ties as in one packed scan over [0, N). The
+/// survivor stream counts each segment into its own histogram row and
+/// scatters the segments in base order, so it too orders ties by global
+/// id. Results and `QueryStats` do not depend on the segment count or the
+/// passes' thread schedule.
 
 /// The visit rule of every LAESA sweep: the k incumbents, the bound a
 /// visit's evaluation may abandon at, and the cost counters. `PivotSweep`
@@ -183,7 +185,9 @@ class PivotIds {
 /// order: the non-pivots (`idx`/`lower`, `live` entries, over the
 /// segment's slots) and the pivots (`pivot_idx`/`pivot_lower`,
 /// `pivot_live` entries, at most the segment's pivot count). The memory is
-/// borrowed; the counts are the state a visit pass updates.
+/// borrowed; the counts are the state a visit pass updates. The in-process
+/// lazy sweep leaves the non-pivot slab empty, and only the serve worker's
+/// lazy sweep packs its non-pivots there.
 struct SegmentSlabs {
   std::uint32_t* idx = nullptr;
   double* lower = nullptr;
@@ -193,18 +197,20 @@ struct SegmentSlabs {
   std::size_t pivot_live = 0;
 };
 
+/// A pivot row a sweep takes: the pivot's ordinal and d(query, pivot).
+struct PivotRow {
+  std::size_t rank;
+  double d;
+};
+
 /// The per-segment passes. `lower` is the segment's own dense bound slab,
 /// indexed by local slot.
 ///
-/// Row seed: length bounds, every pivot row applied dense with the query's
-/// pivot distances `row`, then (when `tombstones`, a bitmap over local
-/// slots, is non-null) deleted slots forced to +inf. The in-process row
-/// sweep then counts the dense slab into its survivor stream; the serve
-/// worker packs the surviving non-pivots with one visit pass.
-void SeedSegmentBounds(const SweepSegment& seg, const StringDistance& distance,
-                       std::size_t query_len, const double* row,
-                       std::size_t pivot_count,
-                       const std::uint64_t* tombstones, double* lower);
+/// Applies `rows` to `lower`, one dense pass each. The in-process sweeps
+/// then count the dense slab into their survivor stream; the serve
+/// worker's row sweep packs the surviving non-pivots with one visit pass.
+void ApplyPivotRows(const SweepSegment& seg, const std::vector<PivotRow>& rows,
+                    double* lower);
 
 /// Lifts the pivot slots of segment `seg` in its dense slab `lower` to +inf,
 /// so the first compaction, or the survivor stream, drops them there. With
@@ -233,22 +239,21 @@ class PivotSweep {
   PivotSweep(const std::vector<SweepSegment>& segments,
              const PivotIds& pivots, const StringDistance& distance);
 
-  /// Lazy sweep behind Laesa::KNearest: a candidate dies once its
-  /// lower bound reaches the k-th incumbent. `tombstones` (bitmap
-  /// over [0, N), may be null) masks slots out before any visit;
+  /// The k nearest: a candidate dies once its lower bound reaches the
+  /// k-th incumbent. With a null `row` this is the lazy sweep behind
+  /// Laesa::KNearest, which chooses the pivot rows it takes by visiting
+  /// pivots while any survive. Otherwise it is the row sweep behind
+  /// KNearestWithPivotRow (pivot_stage.h): row[p] = d(query, pivot p) is
+  /// already paid for, every row is taken and seeds the incumbents.
+  /// `tombstones` (bitmap over [0, N), may be null; lazy sweep only, as
+  /// the row seeds every pivot) masks slots out before any visit;
   /// `segment_stats` (one entry per segment, may be null) receives each
   /// evaluation on its home segment.
-  std::vector<NeighborResult> Lazy(std::string_view query, std::size_t k,
-                                   QueryStats* stats,
-                                   QueryStats* segment_stats = nullptr,
-                                   const std::uint64_t* tombstones =
-                                       nullptr) const;
-
-  /// Row sweep behind KNearestWithPivotRow (pivot_stage.h).
-  std::vector<NeighborResult> WithRow(std::string_view query, std::size_t k,
-                                      const double* row, QueryStats* stats,
-                                      QueryStats* segment_stats =
-                                          nullptr) const;
+  std::vector<NeighborResult> Sweep(std::string_view query, std::size_t k,
+                                    const double* row, QueryStats* stats,
+                                    QueryStats* segment_stats = nullptr,
+                                    const std::uint64_t* tombstones =
+                                        nullptr) const;
 
   /// row[p] = d(query, pivot p), exact; counted into `stats` when non-null.
   void ComputePivotRow(std::string_view query, double* row,

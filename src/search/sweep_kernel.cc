@@ -27,40 +27,12 @@ void ScalarUpdateLowerDense(double d, const double* row, double* lower,
   }
 }
 
-void ScalarUpdateLowerPacked(double d, const double* row,
-                             const std::uint32_t* idx, std::uint32_t base,
-                             double* lower, std::size_t live) {
-  for (std::size_t r = 0; r < live; ++r) {
-    const double g = std::abs(d - row[idx[r] - base]);
-    if (g > lower[r]) lower[r] = g;
-  }
-}
-
-// The quantized arm max documented in sweep_kernel.h: given diff = v - d,
-// g = max(v - d, (d - v) - gap) with the same tie handling as the vector
-// max (the second arm wins ties — irrelevant for the final result, but it
-// keeps every variant literally identical).
-inline double QuantArmMax(double diff, double gap) {
-  const double other = (-diff) - gap;
-  return diff > other ? diff : other;
-}
-
 void ScalarUpdateLowerDenseF32(double d, const float* row, double gap,
                                double* lower, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const double diff = static_cast<double>(row[i]) - d;
     const double g = QuantArmMax(diff, gap);
     if (g > lower[i]) lower[i] = g;
-  }
-}
-
-void ScalarUpdateLowerPackedF32(double d, const float* row,
-                                const std::uint32_t* idx, std::uint32_t base,
-                                double gap, double* lower, std::size_t live) {
-  for (std::size_t r = 0; r < live; ++r) {
-    const double diff = static_cast<double>(row[idx[r] - base]) - d;
-    const double g = QuantArmMax(diff, gap);
-    if (g > lower[r]) lower[r] = g;
   }
 }
 
@@ -73,16 +45,6 @@ void ScalarUpdateLowerDenseF16(double d, const std::uint16_t* row, double gap,
   }
 }
 
-void ScalarUpdateLowerPackedF16(double d, const std::uint16_t* row,
-                                const std::uint32_t* idx, std::uint32_t base,
-                                double gap, double* lower, std::size_t live) {
-  for (std::size_t r = 0; r < live; ++r) {
-    const double diff = HalfToDouble(row[idx[r] - base]) - d;
-    const double g = QuantArmMax(diff, gap);
-    if (g > lower[r]) lower[r] = g;
-  }
-}
-
 void ScalarUpdateLowerDenseU8(double d, const std::uint8_t* row, double scale,
                               double offset, double gap, double* lower,
                               std::size_t n) {
@@ -92,19 +54,6 @@ void ScalarUpdateLowerDenseU8(double d, const std::uint8_t* row, double scale,
     const double diff = m - dq;
     const double g = QuantArmMax(diff, gap);
     if (g > lower[i]) lower[i] = g;
-  }
-}
-
-void ScalarUpdateLowerPackedU8(double d, const std::uint8_t* row,
-                               const std::uint32_t* idx, std::uint32_t base,
-                               double scale, double offset, double gap,
-                               double* lower, std::size_t live) {
-  const double dq = d - offset;
-  for (std::size_t r = 0; r < live; ++r) {
-    const double m = static_cast<double>(row[idx[r] - base]) * scale;
-    const double diff = m - dq;
-    const double g = QuantArmMax(diff, gap);
-    if (g > lower[r]) lower[r] = g;
   }
 }
 
@@ -152,13 +101,9 @@ const SweepKernels& ScalarSweepKernels() {
     SweepKernels k{};
     k.name = "scalar";
     k.update_lower_dense = ScalarUpdateLowerDense;
-    k.update_lower_packed = ScalarUpdateLowerPacked;
     k.update_lower_dense_f32 = ScalarUpdateLowerDenseF32;
-    k.update_lower_packed_f32 = ScalarUpdateLowerPackedF32;
     k.update_lower_dense_f16 = ScalarUpdateLowerDenseF16;
-    k.update_lower_packed_f16 = ScalarUpdateLowerPackedF16;
     k.update_lower_dense_u8 = ScalarUpdateLowerDenseU8;
-    k.update_lower_packed_u8 = ScalarUpdateLowerPackedU8;
     k.fill_absdiff_bounds = ScalarFillAbsDiffBounds;
     k.eliminate_and_compact = ScalarEliminateAndCompact;
     k.stream_keys = ScalarStreamKeys;
@@ -278,27 +223,6 @@ void SurvivorStream::Count(std::size_t g, const double* lower,
     kern.stream_keys(map_, lower + j0, m, keys);
     for (std::size_t i = 0; i < m; ++i) ++row[keys[i]];
   }
-}
-
-void SurvivorStream::Unpack(std::size_t g, const std::uint32_t* idx,
-                            double* lower, std::size_t live, std::size_t n,
-                            std::size_t base) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const StreamBucketMap map = map_;  // cannot alias the counters
-  std::uint32_t* row = Row(g);
-  // Descending: idx[r] - base >= r, so each write lands at or above the
-  // packed entry it reads, never on one still to be read.
-  std::size_t next = n;  // slots [next, n) are restored
-  for (std::size_t r = live; r-- > 0;) {
-    const std::size_t j = idx[r] - base;
-    const double l = lower[r];
-    std::fill(lower + j + 1, lower + next, kInf);
-    lower[j] = l;
-    ++row[map.Key(l)];
-    next = j;
-  }
-  std::fill(lower, lower + next, kInf);
-  row[map.buckets] += static_cast<std::uint32_t>(n - live);
 }
 
 std::size_t SurvivorStream::Place() {

@@ -18,25 +18,27 @@ namespace cned {
 /// (pivot_sweep.h) that `Laesa` runs over its S segments (and through it
 /// the batch engine's pivot-stage pipeline) and its per-segment passes in
 /// the serve worker's `ShardReplica` — is the same three data-parallel
-/// operations over packed candidate slabs:
+/// operations over candidate slabs:
 ///
-///   1. tighten lower bounds with a visited pivot's table row
-///      (`update_lower_*`: fused abs-diff + running max),
-///   2. eliminate against the incumbent and compact the survivors
-///      (`eliminate_and_compact`: threshold filter + in-place index/bound
-///      compaction that also tracks the minimal-bound survivor), and
+///   1. tighten a dense bound slab with a visited pivot's table row
+///      (`update_lower_dense*`: fused abs-diff + running max),
+///   2. eliminate against the incumbent and compact the survivors of a
+///      packed slab (`eliminate_and_compact`: threshold filter + in-place
+///      index/bound compaction that also tracks the minimal-bound
+///      survivor), and
 ///   3. the length-bound "zeroth pivot" fill (`fill_absdiff_bounds`: the
 ///      |Δlen| core of the unit-cost edit-distance family's bound).
 ///
 /// A kernel knows nothing of pivots. The lazy sweeps keep each segment's
-/// pivots in a slab of their own and run the same two kernels over it
-/// (`VisitSegmentPass`, pivot_sweep.h), so pivot deaths and the
-/// minimal-bound pivot come from that slab.
+/// pivots in a packed slab of their own (at most np entries) and choose
+/// the next pivot from it (`VisitSegmentPass`, pivot_sweep.h); the packed
+/// row update that short slab needs is one scalar body
+/// (`QuantUpdateLowerPacked`, table_quant.h), not a kernel entry.
 ///
 /// Once no table row is left to apply, the bounds are fixed and the sweep
-/// core switches to the survivor stream (`SurvivorStream`, below): ids
-/// counting-sorted into bound buckets over the dense bound slab, visited
-/// in (bound, id) order, instead of one compaction pass per visit.
+/// core applies the rows it visited to the dense slab and switches to the
+/// survivor stream (`SurvivorStream`, below): ids counting-sorted into
+/// bound buckets over the dense bound slab, visited in (bound, id) order.
 ///
 /// This header defines those operations once as a dispatch table of
 /// function pointers with scalar, AVX2 and NEON implementations. The
@@ -52,14 +54,14 @@ namespace cned {
 /// exact — so neighbours, distances AND QueryStats are bit-identical across kernels,
 /// which the differential tests and `micro_sweep_kernel` enforce.
 ///
-/// Layout contract: candidate ids are 32-bit and < 2^31 (the SIMD gathers
-/// index with signed 32-bit lanes); the packed `idx` slice handed to a
-/// compaction kernel is strictly ascending (true by construction: slices
-/// start as an iota fill and compaction is stable), which is what lets the
-/// vector implementations resolve min-bound ties by smallest id instead of
-/// smallest scan position. Slabs should come from `SweepScratch` (64-byte
-/// aligned); the kernels use unaligned loads so mid-slab shard segments
-/// are also fine.
+/// Layout contract: candidate ids are 32-bit and < 2^31 (so a pivot's
+/// ordinal fits the signed 32-bit rank of a visit pass, and 0xFFFFFFFF is
+/// never an id); the packed `idx` slice handed to a compaction kernel is
+/// strictly ascending (true by construction: slices start in id order and
+/// compaction is stable), which is what lets the vector implementations
+/// resolve min-bound ties by smallest id instead of smallest scan
+/// position. Slabs should come from `SweepScratch` (64-byte aligned); the
+/// kernels use unaligned loads so mid-slab shard segments are also fine.
 
 /// The id contract above as a size: an index spans at most 2^31 candidates.
 /// `PivotIds` (search/pivot_sweep.h), which every index build, every
@@ -113,23 +115,15 @@ struct SweepKernels {
 
   /// Dense row application: lower[i] = max(lower[i], |d - row[i]|) for i in
   /// [0, n), where max keeps lower[i] on ties (the scalar `if (g > lb)`).
-  /// Used by the row-consuming sweeps (every pivot row applied to every
-  /// candidate).
+  /// Every sweep applies its visited pivot rows to its dense bound slab
+  /// with it: all of them for the row sweeps, the ones its pivot phase
+  /// visited for the lazy sweep.
   void (*update_lower_dense)(double d, const double* row, double* lower,
                              std::size_t n);
 
-  /// Packed (gather) row application over the live slice: for r in
-  /// [0, live), lower[r] = max(lower[r], |d - row[idx[r] - base]|).
-  /// `base` is the segment base so idx's global ids index the
-  /// segment-local row; 0 for the flat index. Used by the lazy sweep's
-  /// visit pass after each visited pivot.
-  void (*update_lower_packed)(double d, const double* row,
-                              const std::uint32_t* idx, std::uint32_t base,
-                              double* lower, std::size_t live);
-
   /// --- Quantized row application (see search/table_quant.h). -----------
   ///
-  /// Same dense/packed tightening over rows stored in a narrow element
+  /// Same dense tightening over rows stored in a narrow element
   /// type. Each row carries decode metadata (QuantRowMeta): a row gap for
   /// every narrow precision, plus an affine scale/offset for u8. The
   /// shared reference semantics — identical op-for-op in every variant,
@@ -149,21 +143,11 @@ struct SweepKernels {
   /// |d - t| in every lane.
   void (*update_lower_dense_f32)(double d, const float* row, double gap,
                                  double* lower, std::size_t n);
-  void (*update_lower_packed_f32)(double d, const float* row,
-                                  const std::uint32_t* idx, std::uint32_t base,
-                                  double gap, double* lower, std::size_t live);
   void (*update_lower_dense_f16)(double d, const std::uint16_t* row,
                                  double gap, double* lower, std::size_t n);
-  void (*update_lower_packed_f16)(double d, const std::uint16_t* row,
-                                  const std::uint32_t* idx, std::uint32_t base,
-                                  double gap, double* lower, std::size_t live);
   void (*update_lower_dense_u8)(double d, const std::uint8_t* row,
                                 double scale, double offset, double gap,
                                 double* lower, std::size_t n);
-  void (*update_lower_packed_u8)(double d, const std::uint8_t* row,
-                                 const std::uint32_t* idx, std::uint32_t base,
-                                 double scale, double offset, double gap,
-                                 double* lower, std::size_t live);
 
   /// The |Δlen| zeroth-pivot fill: out[i] = |x_len - y_lens[i]| as a
   /// double, over a store's packed 32-bit length array. This is the
@@ -178,10 +162,10 @@ struct SweepKernels {
   /// compacting idx/lower in place (stable) and tracking the minimal-bound
   /// survivor. `skip` is the just-visited candidate (pass a value absent
   /// from the slice, e.g. 0xFFFFFFFF, for "none"). The one compaction
-  /// entry: the lazy sweeps' visit pass runs it over a segment's non-pivot
-  /// slab and over its pivot slab (0 to np entries), and the serve
-  /// worker's row sweep seeds and steps with it. The in-process row sweep
-  /// and the lazy sweep's static phase visit through the survivor stream
+  /// entry: the lazy sweeps' visit pass runs it over a segment's pivot
+  /// slab (0 to np entries) and, in the serve worker, over its non-pivot
+  /// slab, and the serve worker's row sweep seeds and steps with it. The
+  /// in-process sweeps visit their non-pivots through the survivor stream
   /// instead.
   SweepCompactResult (*eliminate_and_compact)(std::uint32_t* idx,
                                               double* lower, std::size_t live,
@@ -228,9 +212,9 @@ SweepScratch& TlsSweepScratch();
 
 /// --- Static-bound visit order: the survivor stream. ---------------------
 ///
-/// Once every pivot row a sweep will apply has been applied — the
-/// row-consuming sweeps after the seed, the lazy sweeps from the pass where
-/// the last live pivot died — the lower bounds never change again; only the
+/// Once every pivot row a sweep will apply has been applied — every row
+/// for the row-consuming sweeps, the rows its pivot phase visited for the
+/// lazy sweep — the lower bounds never change again; only the
 /// k-th incumbent moves, and only downwards. The classic adaptive loop
 /// (visit the minimal-bound survivor, eliminate and compact every survivor
 /// against the new incumbent, pick the next minimum) therefore visits
@@ -249,8 +233,8 @@ SweepScratch& TlsSweepScratch();
 /// survivors lie in buckets past the stop, which are never sorted.
 ///
 /// One stream serves S segments, in four steps:
-///   1. `Count` (or `Unpack` for a packed slab) per segment: one
-///      histogram row per segment, so segments may count in parallel;
+///   1. `Count` per segment: one histogram row per segment, so segments
+///      may count in parallel;
 ///   2. `Place` once: counts become scatter offsets in (bucket, segment)
 ///      order;
 ///   3. `Scatter` per segment: the segment's ids in id order, so every
@@ -260,8 +244,8 @@ SweepScratch& TlsSweepScratch();
 /// counters).
 ///
 /// Contract: the survivors are the slab entries with lower < the seed
-/// bound, so a caller drops an entry (the row sweep's pivots, tombstoned
-/// slots) by setting its bound to +inf. Bounds are non-negative.
+/// bound, so a caller drops an entry (the pivots, tombstoned slots) by
+/// setting its bound to +inf. Bounds are non-negative.
 
 class SurvivorStream {
  public:
@@ -277,16 +261,8 @@ class SurvivorStream {
   /// `buckets` itself as the key of every other bound.
   const StreamBucketMap& map() const { return map_; }
 
-  /// Step 1, dense: counts segment g's n bounds lower[0, n).
+  /// Step 1: counts segment g's n bounds lower[0, n).
   void Count(std::size_t g, const double* lower, std::size_t n);
-
-  /// Step 1, packed: segment g's `live` survivors sit packed in
-  /// idx[0, live)/lower[0, live) (global ids, ascending, as a stable
-  /// compaction leaves them) over its n slots from global id `base`.
-  /// Restores the dense form in place — each bound back to its slot
-  /// lower[id - base], +inf in every other slot — and counts it.
-  void Unpack(std::size_t g, const std::uint32_t* idx, double* lower,
-              std::size_t live, std::size_t n, std::size_t base);
 
   /// Step 2, after every segment was counted: turns the counts into
   /// scatter offsets. Returns the number of survivors.
@@ -339,14 +315,14 @@ void SurvivorStream::VisitInBoundOrder(std::uint32_t* idx, const double* lower,
 /// --- Tombstone bitmaps (the mutable tier, search/mutable_laesa.h). -------
 ///
 /// Deletes are represented as a packed bitmap over candidate slots (bit i =
-/// word i/64, bit i%64). Masking happens *inside* the sweep's compaction:
-/// `ApplyTombstoneMask` writes +inf into the dense lower-bound slab for
-/// every set bit, and the next `eliminate_and_compact` pass then drops
-/// exactly those slots — the elimination predicate `lower >= bound` is
-/// inclusive, so +inf falls to every bound including +inf itself, and every
-/// quantized row update is a running max, so +inf can never be lowered back
-/// at any table_precision. A deleted prototype is therefore removed from
-/// the packed slab before it can be visited, evaluated, or counted.
+/// word i/64, bit i%64). Masking is a bound: `ApplyTombstoneMask` writes
+/// +inf into the dense lower-bound slab for every set bit. A compaction
+/// pass drops such a slot — its predicate `lower >= bound` is inclusive,
+/// so +inf falls to every bound including +inf itself — and the survivor
+/// stream counts only bounds below its seed bound; every row update is a
+/// running max, so +inf can never be lowered back at any table_precision.
+/// A deleted prototype is therefore dropped before it can be visited,
+/// evaluated, or counted.
 /// Pure integer/bit work — identical behaviour under every kernel variant.
 
 inline std::size_t TombstoneWords(std::size_t n) { return (n + 63) / 64; }

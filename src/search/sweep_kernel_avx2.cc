@@ -106,46 +106,6 @@ void Avx2UpdateLowerDense(double d, const double* row, double* lower,
   }
 }
 
-void Avx2UpdateLowerPacked(double d, const double* row,
-                           const std::uint32_t* idx, std::uint32_t base,
-                           double* lower, std::size_t live) {
-  const __m256d vd = _mm256_set1_pd(d);
-  const __m128i vbase = _mm_set1_epi32(static_cast<int>(base));
-  std::size_t r = 0;
-  for (; r + 4 <= live; r += 4) {
-    // Early in a sweep the packed slice is still (nearly) dense, and ids
-    // are strictly ascending throughout — when a block spans exactly four
-    // consecutive ids, a contiguous load replaces the (much slower on many
-    // cores) hardware gather. Same row elements either way.
-    const std::uint32_t first = idx[r];
-    // GCC 12 flags the gather's deliberately undefined pass-through source
-    // (every mask lane is set, so none of it reaches the result).
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-    const __m256d rows =
-        idx[r + 3] - first == 3
-            ? _mm256_loadu_pd(row + (first - base))
-            : _mm256_i32gather_pd(
-                  row,
-                  _mm_sub_epi32(_mm_loadu_si128(
-                                    reinterpret_cast<const __m128i*>(idx + r)),
-                                vbase),
-                  8);
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-    const __m256d g = AbsDiff(vd, rows);
-    _mm256_storeu_pd(lower + r,
-                     _mm256_max_pd(g, _mm256_loadu_pd(lower + r)));
-  }
-  for (; r < live; ++r) {
-    const double g = std::abs(d - row[idx[r] - base]);
-    if (g > lower[r]) lower[r] = g;
-  }
-}
-
 // --- Quantized row kernels (semantics in sweep_kernel.h). ------------------
 //
 // Every decode is exact, so the only rounded operations are the same
@@ -201,36 +161,6 @@ void Avx2UpdateLowerDenseF32(double d, const float* row, double gap,
   }
 }
 
-void Avx2UpdateLowerPackedF32(double d, const float* row,
-                              const std::uint32_t* idx, std::uint32_t base,
-                              double gap, double* lower, std::size_t live) {
-  const __m256d vd = _mm256_set1_pd(d);
-  const __m256d vgap = _mm256_set1_pd(gap);
-  const __m128i vbase = _mm_set1_epi32(static_cast<int>(base));
-  std::size_t r = 0;
-  for (; r + 4 <= live; r += 4) {
-    const std::uint32_t first = idx[r];
-    const __m128 rows =
-        idx[r + 3] - first == 3
-            ? _mm_loadu_ps(row + (first - base))
-            : _mm_i32gather_ps(
-                  row,
-                  _mm_sub_epi32(_mm_loadu_si128(
-                                    reinterpret_cast<const __m128i*>(idx + r)),
-                                vbase),
-                  4);
-    const __m256d g =
-        QuantArms(_mm256_sub_pd(_mm256_cvtps_pd(rows), vd), vgap);
-    _mm256_storeu_pd(lower + r, _mm256_max_pd(g, _mm256_loadu_pd(lower + r)));
-  }
-  for (; r < live; ++r) {
-    const double diff = static_cast<double>(row[idx[r] - base]) - d;
-    const double other = (-diff) - gap;
-    const double g = diff > other ? diff : other;
-    if (g > lower[r]) lower[r] = g;
-  }
-}
-
 void Avx2UpdateLowerDenseF16(double d, const std::uint16_t* row, double gap,
                              double* lower, std::size_t n) {
   const __m256d vd = _mm256_set1_pd(d);
@@ -248,34 +178,6 @@ void Avx2UpdateLowerDenseF16(double d, const std::uint16_t* row, double gap,
     const double other = (-diff) - gap;
     const double g = diff > other ? diff : other;
     if (g > lower[i]) lower[i] = g;
-  }
-}
-
-void Avx2UpdateLowerPackedF16(double d, const std::uint16_t* row,
-                              const std::uint32_t* idx, std::uint32_t base,
-                              double gap, double* lower, std::size_t live) {
-  const __m256d vd = _mm256_set1_pd(d);
-  const __m256d vgap = _mm256_set1_pd(gap);
-  std::size_t r = 0;
-  for (; r + 4 <= live; r += 4) {
-    const std::uint32_t first = idx[r];
-    // No 16-bit hardware gather exists; scatter-load the four codes when
-    // the block isn't contiguous.
-    const __m128i codes =
-        idx[r + 3] - first == 3
-            ? _mm_cvtepu16_epi32(_mm_loadl_epi64(
-                  reinterpret_cast<const __m128i*>(row + (first - base))))
-            : _mm_setr_epi32(row[idx[r] - base], row[idx[r + 1] - base],
-                             row[idx[r + 2] - base], row[idx[r + 3] - base]);
-    const __m256d g =
-        QuantArms(_mm256_sub_pd(DecodeHalfCodes(codes), vd), vgap);
-    _mm256_storeu_pd(lower + r, _mm256_max_pd(g, _mm256_loadu_pd(lower + r)));
-  }
-  for (; r < live; ++r) {
-    const double diff = HalfToDouble(row[idx[r] - base]) - d;
-    const double other = (-diff) - gap;
-    const double g = diff > other ? diff : other;
-    if (g > lower[r]) lower[r] = g;
   }
 }
 
@@ -299,35 +201,6 @@ void Avx2UpdateLowerDenseU8(double d, const std::uint8_t* row, double scale,
     const double other = (-diff) - gap;
     const double g = diff > other ? diff : other;
     if (g > lower[i]) lower[i] = g;
-  }
-}
-
-void Avx2UpdateLowerPackedU8(double d, const std::uint8_t* row,
-                             const std::uint32_t* idx, std::uint32_t base,
-                             double scale, double offset, double gap,
-                             double* lower, std::size_t live) {
-  const double dq = d - offset;
-  const __m256d vdq = _mm256_set1_pd(dq);
-  const __m256d vscale = _mm256_set1_pd(scale);
-  const __m256d vgap = _mm256_set1_pd(gap);
-  std::size_t r = 0;
-  for (; r + 4 <= live; r += 4) {
-    const std::uint32_t first = idx[r];
-    const __m128i codes =
-        idx[r + 3] - first == 3
-            ? LoadU8x4(row + (first - base))
-            : _mm_setr_epi32(row[idx[r] - base], row[idx[r + 1] - base],
-                             row[idx[r + 2] - base], row[idx[r + 3] - base]);
-    const __m256d m = _mm256_mul_pd(_mm256_cvtepi32_pd(codes), vscale);
-    const __m256d g = QuantArms(_mm256_sub_pd(m, vdq), vgap);
-    _mm256_storeu_pd(lower + r, _mm256_max_pd(g, _mm256_loadu_pd(lower + r)));
-  }
-  for (; r < live; ++r) {
-    const double m = static_cast<double>(row[idx[r] - base]) * scale;
-    const double diff = m - dq;
-    const double other = (-diff) - gap;
-    const double g = diff > other ? diff : other;
-    if (g > lower[r]) lower[r] = g;
   }
 }
 
@@ -465,13 +338,9 @@ const SweepKernels& Avx2SweepKernels() {
     SweepKernels k{};
     k.name = "avx2";
     k.update_lower_dense = Avx2UpdateLowerDense;
-    k.update_lower_packed = Avx2UpdateLowerPacked;
     k.update_lower_dense_f32 = Avx2UpdateLowerDenseF32;
-    k.update_lower_packed_f32 = Avx2UpdateLowerPackedF32;
     k.update_lower_dense_f16 = Avx2UpdateLowerDenseF16;
-    k.update_lower_packed_f16 = Avx2UpdateLowerPackedF16;
     k.update_lower_dense_u8 = Avx2UpdateLowerDenseU8;
-    k.update_lower_packed_u8 = Avx2UpdateLowerPackedU8;
     k.fill_absdiff_bounds = Avx2FillAbsDiffBounds;
     k.eliminate_and_compact = Avx2EliminateAndCompact;
     k.stream_keys = Avx2StreamKeys;

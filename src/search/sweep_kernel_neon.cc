@@ -7,14 +7,14 @@
 // AArch64 targets only, and the runtime probe (common/cpu_features.h)
 // stays constant-true there.
 //
-// Scope: the bandwidth-bound passes — the dense and gathered row updates
-// and the |Δlen| fill — are vectorised (2 double lanes). The compaction
-// kernel reuses the scalar reference: with 2-wide vectors and no movemask
-// instruction, a NEON left-pack buys nothing over the scalar loop that the
-// compiler already schedules well, and sharing the scalar code keeps the
-// bit-identity argument trivial. The running-max update is written as
-// compare + select (not vmaxq, which would propagate NaNs differently from
-// the scalar `g > lb ? g : lb`).
+// Scope: the bandwidth-bound passes — the dense row updates and the |Δlen|
+// fill — are vectorised (2 double lanes). The compaction kernel reuses the
+// scalar reference: with 2-wide vectors and no movemask instruction, a NEON
+// left-pack buys nothing over the scalar loop that the compiler already
+// schedules well, and sharing the scalar code keeps the bit-identity
+// argument trivial. The running-max update is written as compare + select
+// (not vmaxq, which would propagate NaNs differently from the scalar
+// `g > lb ? g : lb`).
 
 #if defined(__aarch64__)
 
@@ -53,25 +53,6 @@ void NeonUpdateLowerDense(double d, const double* row, double* lower,
   }
 }
 
-void NeonUpdateLowerPacked(double d, const double* row,
-                           const std::uint32_t* idx, std::uint32_t base,
-                           double* lower, std::size_t live) {
-  const float64x2_t vd = vdupq_n_f64(d);
-  std::size_t r = 0;
-  for (; r + 2 <= live; r += 2) {
-    // No NEON gather: two scalar loads feed the vector lanes.
-    float64x2_t rows = vdupq_n_f64(row[idx[r] - base]);
-    rows = vsetq_lane_f64(row[idx[r + 1] - base], rows, 1);
-    const float64x2_t g = vabsq_f64(vsubq_f64(vd, rows));
-    const float64x2_t lb = vld1q_f64(lower + r);
-    vst1q_f64(lower + r, vbslq_f64(vcgtq_f64(g, lb), g, lb));
-  }
-  for (; r < live; ++r) {
-    const double g = std::abs(d - row[idx[r] - base]);
-    if (g > lower[r]) lower[r] = g;
-  }
-}
-
 // --- Quantized row kernels. ------------------------------------------------
 // Decodes run per lane in scalar (they are exact, so any exact decode
 // agrees bitwise; the u8 per-lane `double(code) * scale` is the same one
@@ -98,27 +79,6 @@ void NeonUpdateLowerDenseF32(double d, const float* row, double gap,
   }
 }
 
-void NeonUpdateLowerPackedF32(double d, const float* row,
-                              const std::uint32_t* idx, std::uint32_t base,
-                              double gap, double* lower, std::size_t live) {
-  const float64x2_t vd = vdupq_n_f64(d);
-  const float64x2_t vgap = vdupq_n_f64(gap);
-  std::size_t r = 0;
-  for (; r + 2 <= live; r += 2) {
-    float64x2_t v = vdupq_n_f64(static_cast<double>(row[idx[r] - base]));
-    v = vsetq_lane_f64(static_cast<double>(row[idx[r + 1] - base]), v, 1);
-    const float64x2_t g = QuantArms(vsubq_f64(v, vd), vgap);
-    const float64x2_t lb = vld1q_f64(lower + r);
-    vst1q_f64(lower + r, vbslq_f64(vcgtq_f64(g, lb), g, lb));
-  }
-  for (; r < live; ++r) {
-    const double diff = static_cast<double>(row[idx[r] - base]) - d;
-    const double other = (-diff) - gap;
-    const double g = diff > other ? diff : other;
-    if (g > lower[r]) lower[r] = g;
-  }
-}
-
 void NeonUpdateLowerDenseF16(double d, const std::uint16_t* row, double gap,
                              double* lower, std::size_t n) {
   const float64x2_t vd = vdupq_n_f64(d);
@@ -136,27 +96,6 @@ void NeonUpdateLowerDenseF16(double d, const std::uint16_t* row, double gap,
     const double other = (-diff) - gap;
     const double g = diff > other ? diff : other;
     if (g > lower[i]) lower[i] = g;
-  }
-}
-
-void NeonUpdateLowerPackedF16(double d, const std::uint16_t* row,
-                              const std::uint32_t* idx, std::uint32_t base,
-                              double gap, double* lower, std::size_t live) {
-  const float64x2_t vd = vdupq_n_f64(d);
-  const float64x2_t vgap = vdupq_n_f64(gap);
-  std::size_t r = 0;
-  for (; r + 2 <= live; r += 2) {
-    float64x2_t v = vdupq_n_f64(HalfToDouble(row[idx[r] - base]));
-    v = vsetq_lane_f64(HalfToDouble(row[idx[r + 1] - base]), v, 1);
-    const float64x2_t g = QuantArms(vsubq_f64(v, vd), vgap);
-    const float64x2_t lb = vld1q_f64(lower + r);
-    vst1q_f64(lower + r, vbslq_f64(vcgtq_f64(g, lb), g, lb));
-  }
-  for (; r < live; ++r) {
-    const double diff = HalfToDouble(row[idx[r] - base]) - d;
-    const double other = (-diff) - gap;
-    const double g = diff > other ? diff : other;
-    if (g > lower[r]) lower[r] = g;
   }
 }
 
@@ -180,32 +119,6 @@ void NeonUpdateLowerDenseU8(double d, const std::uint8_t* row, double scale,
     const double other = (-diff) - gap;
     const double g = diff > other ? diff : other;
     if (g > lower[i]) lower[i] = g;
-  }
-}
-
-void NeonUpdateLowerPackedU8(double d, const std::uint8_t* row,
-                             const std::uint32_t* idx, std::uint32_t base,
-                             double scale, double offset, double gap,
-                             double* lower, std::size_t live) {
-  const double dq = d - offset;
-  const float64x2_t vdq = vdupq_n_f64(dq);
-  const float64x2_t vgap = vdupq_n_f64(gap);
-  std::size_t r = 0;
-  for (; r + 2 <= live; r += 2) {
-    float64x2_t m =
-        vdupq_n_f64(static_cast<double>(row[idx[r] - base]) * scale);
-    m = vsetq_lane_f64(static_cast<double>(row[idx[r + 1] - base]) * scale, m,
-                       1);
-    const float64x2_t g = QuantArms(vsubq_f64(m, vdq), vgap);
-    const float64x2_t lb = vld1q_f64(lower + r);
-    vst1q_f64(lower + r, vbslq_f64(vcgtq_f64(g, lb), g, lb));
-  }
-  for (; r < live; ++r) {
-    const double m = static_cast<double>(row[idx[r] - base]) * scale;
-    const double diff = m - dq;
-    const double other = (-diff) - gap;
-    const double g = diff > other ? diff : other;
-    if (g > lower[r]) lower[r] = g;
   }
 }
 
@@ -234,13 +147,9 @@ const SweepKernels& NeonSweepKernels() {
     SweepKernels k = ScalarSweepKernels();
     k.name = "neon";
     k.update_lower_dense = NeonUpdateLowerDense;
-    k.update_lower_packed = NeonUpdateLowerPacked;
     k.update_lower_dense_f32 = NeonUpdateLowerDenseF32;
-    k.update_lower_packed_f32 = NeonUpdateLowerPackedF32;
     k.update_lower_dense_f16 = NeonUpdateLowerDenseF16;
-    k.update_lower_packed_f16 = NeonUpdateLowerPackedF16;
     k.update_lower_dense_u8 = NeonUpdateLowerDenseU8;
-    k.update_lower_packed_u8 = NeonUpdateLowerPackedU8;
     k.fill_absdiff_bounds = NeonFillAbsDiffBounds;
     return k;
   }();

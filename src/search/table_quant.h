@@ -93,6 +93,15 @@ inline double HalfToDouble(std::uint16_t h) {
   return static_cast<double>(f) * 0x1p112;
 }
 
+/// The quantized arm max documented in sweep_kernel.h: given diff = v - d,
+/// g = max(v - d, (d - v) - gap), the second arm winning ties as the vector
+/// max does (irrelevant for the result, but every variant stays literally
+/// identical). Inline for the scalar kernels' per-element loops.
+inline double QuantArmMax(double diff, double gap) {
+  const double other = (-diff) - gap;
+  return diff > other ? diff : other;
+}
+
 /// Largest binary16 code whose decoded value is <= t (t >= 0); saturates at
 /// the maximum finite half for larger t — the gap absorbs the slack.
 std::uint16_t DoubleToHalfRoundDown(double t);
@@ -176,40 +185,18 @@ inline void QuantUpdateLowerDense(const SweepKernels& kern,
   }
 }
 
-/// Packed (gather) row application through the view; `base`/`idx` as in
-/// `SweepKernels::update_lower_packed`.
-inline void QuantUpdateLowerPacked(const SweepKernels& kern,
-                                   const QuantTableView& view, std::size_t rank,
-                                   std::size_t n, double d,
-                                   const std::uint32_t* idx, std::uint32_t base,
-                                   double* lower, std::size_t live) {
-  switch (view.precision) {
-    case TablePrecision::kF64:
-      kern.update_lower_packed(d, view.f64 + rank * n, idx, base, lower, live);
-      return;
-    case TablePrecision::kF32: {
-      const QuantRowMeta& m = view.rows[rank];
-      kern.update_lower_packed_f32(
-          d, static_cast<const float*>(view.q) + rank * n, idx, base, m.gap,
-          lower, live);
-      return;
-    }
-    case TablePrecision::kF16: {
-      const QuantRowMeta& m = view.rows[rank];
-      kern.update_lower_packed_f16(
-          d, static_cast<const std::uint16_t*>(view.q) + rank * n, idx, base,
-          m.gap, lower, live);
-      return;
-    }
-    case TablePrecision::kU8: {
-      const QuantRowMeta& m = view.rows[rank];
-      kern.update_lower_packed_u8(
-          d, static_cast<const std::uint8_t*>(view.q) + rank * n, idx, base,
-          m.scale, m.offset, m.gap, lower, live);
-      return;
-    }
-  }
-}
+/// Packed row application through the view, for r in [0, live):
+///   lower[r] = max(lower[r], g(row[idx[r] - base]))
+/// with g the precision's per-entry bound from sweep_kernel.h, op for op
+/// the dense entry's arithmetic, so a packed slab reads the bits a dense
+/// update leaves at its ids. `base` is the segment base, so the global ids
+/// in `idx` index the segment-local row. One scalar body, not a kernel
+/// entry: it serves only short slabs (a segment's pivot slab, at most np
+/// entries, and the serve worker's lazy step).
+void QuantUpdateLowerPacked(const QuantTableView& view, std::size_t rank,
+                            std::size_t n, double d, const std::uint32_t* idx,
+                            std::uint32_t base, double* lower,
+                            std::size_t live);
 
 }  // namespace cned
 

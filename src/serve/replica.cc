@@ -207,10 +207,14 @@ SweepCompactResult ShardReplica::BeginRow(std::uint32_t qid,
   // the pivot slab stays empty. The router's step loop reads packed
   // survivors, so the dense slab is compacted in place.
   const SweepSegment seg = segment();
-  SeedSegmentBounds(seg, *distance_, slot.query.size(), row, num_pivots(),
-                    base_dead_ > 0 ? tombs_.data() : nullptr,
-                    slot.slabs.lower);
-  LiftSegmentPivots(pivot_table_.pivots(), seg, slot.slabs.lower);
+  double* lower = slot.slabs.lower;
+  distance_->LengthLowerBounds(slot.query.size(), store_.lengths_data(),
+                               store_.size(), lower);
+  std::vector<PivotRow> rows(num_pivots());
+  for (std::size_t p = 0; p < rows.size(); ++p) rows[p] = {p, row[p]};
+  ApplyPivotRows(seg, rows, lower);
+  if (base_dead_ > 0) ApplyTombstoneMask(tombs_.data(), store_.size(), lower);
+  LiftSegmentPivots(pivot_table_.pivots(), seg, lower);
   return VisitSegmentPass(seg, /*rank=*/-1, 0.0, /*skip=*/0xFFFFFFFFu,
                           seed_bound, &slot.slabs);
 }

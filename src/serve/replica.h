@@ -30,13 +30,15 @@ namespace cned {
 /// shard's pivots.
 ///
 /// A replica is one segment of the shared sweep core (pivot_sweep.h) given
-/// its own state: `BeginRow` runs the core's row seed and `Step` (and the
-/// tombstone mask of `BeginLazy`) its visit pass over the segment's
-/// non-pivot and pivot slabs — the very per-segment passes `Laesa` runs
-/// over its segments — and the router merges the returned
-/// `SweepCompactResult`s the way the core merges its segments. That is
-/// what makes a healthy distributed query bit-identical (neighbours,
-/// distances AND QueryStats) to the in-process `Laesa`.
+/// its own state: `BeginRow` runs the core's dense row application and
+/// `Step` (and the tombstone mask of `BeginLazy`) its visit pass over the
+/// segment's non-pivot and pivot slabs, and the router merges the returned
+/// `SweepCompactResult`s the way the core merges its segments. `Laesa`
+/// runs the same visit pass over its pivot slabs, and applies the rows its
+/// sweep took to its non-pivots once, densely: a compaction after every
+/// visit keeps the same candidates with the same bounds. That is what
+/// makes a healthy distributed query bit-identical (neighbours, distances
+/// AND QueryStats) to the in-process `Laesa`.
 ///
 /// Multiplexing: sweep state lives in per-query slots keyed by the frame
 /// layer's query id, so one replica serves any number of interleaved

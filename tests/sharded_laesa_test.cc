@@ -146,10 +146,11 @@ TEST(ShardedLaesaTest, WithPivotRowMatchesFlatWithPivotRow) {
   }
 }
 
-// The per-shard passes fan out through ParallelFor only once a lazy pass
-// sees 2^20 live candidates, or a row seed 2^20 table entries; smaller
+// The per-shard passes fan out through ParallelFor only once their work
+// reaches 2^20: N candidates for the length and scatter passes, visited
+// rows x N table entries for the lazy and row sweeps' dense seeds; smaller
 // suites always run them serially. 2^20 + 4096 short strings over four
-// letters with 2 pivots reach both thresholds at S = 2 and 4, so the
+// letters with 2 pivots reach every threshold at S = 2 and 4, so the
 // threaded schedule is held to the flat index's results and QueryStats.
 TEST(ShardedLaesaTest, ParallelShardPassesMatchFlat) {
   Rng rng(6100);

@@ -148,34 +148,6 @@ TEST(SweepKernelTest, UpdateLowerDenseMatchesScalarBitwise) {
   }
 }
 
-TEST(SweepKernelTest, UpdateLowerPackedMatchesScalarBitwise) {
-  std::mt19937_64 rng(0xBADF00D);
-  std::uniform_real_distribution<double> value(0.0, 8.0);
-  for (const SweepKernels* k : VariantKernels()) {
-    for (std::size_t live : kLiveCounts) {
-      for (std::uint32_t base : {0u, 7u, 129u}) {
-        PackedInput ref, got;
-        MakePacked(rng, live, base, &ref);
-        const std::uint32_t max_id =
-            live > 0 ? ref.idx.data()[live - 1] : base;
-        std::vector<double> row(max_id - base + 1);
-        for (double& v : row) v = value(rng);
-        CopyPacked(ref, live, &got);
-        const double d = value(rng);
-        ScalarSweepKernels().update_lower_packed(d, row.data(),
-                                                 ref.idx.data(), base,
-                                                 ref.lower.data(), live);
-        k->update_lower_packed(d, row.data(), got.idx.data(), base,
-                               got.lower.data(), live);
-        EXPECT_EQ(std::memcmp(ref.lower.data(), got.lower.data(),
-                              live * sizeof(double)),
-                  0)
-            << k->name << " live=" << live << " base=" << base;
-      }
-    }
-  }
-}
-
 TEST(SweepKernelTest, FillAbsDiffBoundsMatchesScalarBitwise) {
   std::mt19937_64 rng(0xFEEDFACE);
   for (const SweepKernels* k : VariantKernels()) {
@@ -352,7 +324,8 @@ void ExpectIdentical(const Probe& a, const Probe& b, const std::string& ctx) {
 constexpr TablePrecision kQuantPrecisions[] = {
     TablePrecision::kF32, TablePrecision::kF16, TablePrecision::kU8};
 
-/// One encoded pivot row plus the view the dispatch helpers consume.
+/// One encoded pivot row plus the view the dispatch helpers consume; an
+/// f64 row is viewed as it is.
 struct QuantRow {
   std::vector<double> exact;
   std::vector<unsigned char> codes;
@@ -363,6 +336,10 @@ struct QuantRow {
 QuantRow EncodeRow(TablePrecision prec, std::vector<double> values) {
   QuantRow row;
   row.exact = std::move(values);
+  if (prec == TablePrecision::kF64) {  // the exact row itself
+    row.view.f64 = row.exact.data();
+    return row;
+  }
   row.codes.resize(row.exact.size() * TablePrecisionBytes(prec) + 8);
   QuantRowEncoder enc;
   enc.Scan(row.exact.data(), row.exact.size());
@@ -408,35 +385,57 @@ TEST(SweepKernelTest, QuantizedUpdateLowerDenseMatchesScalarBitwise) {
   }
 }
 
-TEST(SweepKernelTest, QuantizedUpdateLowerPackedMatchesScalarBitwise) {
-  std::mt19937_64 rng(0x0DDBA11);
+// The packed row update is one scalar body (`QuantUpdateLowerPacked`),
+// not a kernel entry: at each packed entry it must leave the bits that
+// every variant's dense update leaves at that entry's id. Random packed
+// slabs over a row that starts at segment base `base`; the dense slab
+// holds the packed bounds at their ids and random bounds elsewhere.
+void ExpectPackedMatchesDense(TablePrecision prec, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> value(0.0, 8.0);
-  for (const SweepKernels* k : VariantKernels()) {
-    for (TablePrecision prec : kQuantPrecisions) {
-      for (std::size_t live : kLiveCounts) {
-        for (std::uint32_t base : {0u, 7u, 129u}) {
-          PackedInput ref, got;
-          MakePacked(rng, live, base, &ref);
-          const std::uint32_t max_id =
-              live > 0 ? ref.idx.data()[live - 1] : base;
-          std::vector<double> exact(max_id - base + 1);
-          for (double& v : exact) v = value(rng);
-          const QuantRow row = EncodeRow(prec, exact);
-          CopyPacked(ref, live, &got);
-          const double d = value(rng);
-          QuantUpdateLowerPacked(ScalarSweepKernels(), row.view, 0,
-                                 exact.size(), d, ref.idx.data(), base,
-                                 ref.lower.data(), live);
-          QuantUpdateLowerPacked(*k, row.view, 0, exact.size(), d,
-                                 got.idx.data(), base, got.lower.data(), live);
-          EXPECT_EQ(std::memcmp(ref.lower.data(), got.lower.data(),
-                                live * sizeof(double)),
+  std::vector<std::size_t> lives(std::begin(kLiveCounts),
+                                 std::end(kLiveCounts));
+  lives.push_back(4099);  // a large slab: many blocks of every lane width
+  for (const SweepKernels* k : AvailableSweepKernels()) {
+    for (std::size_t live : lives) {
+      for (std::uint32_t base : {0u, 7u, 129u}) {
+        PackedInput packed;
+        MakePacked(rng, live, base, &packed);
+        const std::uint32_t* idx = packed.idx.data();
+        const std::size_t n = (live > 0 ? idx[live - 1] - base : 0) + 1;
+        std::vector<double> exact(n);
+        for (double& v : exact) v = value(rng);
+        const QuantRow row = EncodeRow(prec, exact);
+        AlignedBuffer<double> dense;
+        dense.resize(n);
+        for (std::size_t i = 0; i < n; ++i) dense.data()[i] = value(rng);
+        for (std::size_t r = 0; r < live; ++r) {
+          dense.data()[idx[r] - base] = packed.lower.data()[r];
+        }
+        const double d = value(rng);
+        QuantUpdateLowerDense(*k, row.view, 0, n, d, dense.data());
+        QuantUpdateLowerPacked(row.view, 0, n, d, idx, base,
+                               packed.lower.data(), live);
+        for (std::size_t r = 0; r < live; ++r) {
+          const double want = dense.data()[idx[r] - base];
+          ASSERT_EQ(std::memcmp(&want, &packed.lower.data()[r],
+                                sizeof(double)),
                     0)
               << k->name << " " << TablePrecisionName(prec)
-              << " live=" << live << " base=" << base;
+              << " live=" << live << " base=" << base << " r=" << r;
         }
       }
     }
+  }
+}
+
+TEST(SweepKernelTest, UpdateLowerPackedMatchesScalarBitwise) {
+  ExpectPackedMatchesDense(TablePrecision::kF64, 0xBADF00D);
+}
+
+TEST(SweepKernelTest, QuantizedUpdateLowerPackedMatchesScalarBitwise) {
+  for (TablePrecision prec : kQuantPrecisions) {
+    ExpectPackedMatchesDense(prec, 0x0DDBA11);
   }
 }
 

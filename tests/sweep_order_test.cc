@@ -6,10 +6,13 @@
 // compaction-driven loops that stream replaces — visit the minimal-bound
 // survivor, eliminate and compact every survivor, pick the next minimum —
 // with the pivots flagged inside the one candidate slab, as before they
-// moved to a pivot slab of their own (pivot_sweep.h); its compaction and
-// seed pack are test-local loops. It asserts that `Laesa` over one segment
-// and over S shards returns the same neighbours, distances and QueryStats
-// on data where equal bounds are the norm. It also drives the stream
+// moved to a pivot slab of their own (pivot_sweep.h), and with every
+// candidate's bound tightened by the packed row update at each pivot
+// visit, as before the lazy sweep applied its visited rows dense once its
+// pivot phase ended; its compaction and seed pack are test-local loops.
+// It asserts that `Laesa` over one segment and over S shards returns the
+// same neighbours, distances and QueryStats on data where equal bounds are
+// the norm. It also drives the stream
 // itself on synthetic slabs (equal, zero, one-ulp-apart, denormal and
 // near-overflow bounds, infinite and zero seed bounds, no survivors, a
 // bound that falls mid-stream) against a std::sort by (bound, id).
@@ -108,7 +111,8 @@ SweepCompactResult SeedPack(const std::vector<std::int32_t>& rank,
 // The reference: the pivot table rebuilt from the public surface (same
 // distance calls, same quantizer), swept by the per-visit compaction loops
 // of the design the sweep core replaced — pivots flagged inside the one
-// candidate slab — on the scalar row kernels.
+// candidate slab, every live bound tightened at each pivot visit — on the
+// scalar row kernels and the scalar packed update.
 class RefLaesa {
  public:
   RefLaesa(const PrototypeStore& store, const StringDistance& dist,
@@ -143,7 +147,6 @@ class RefLaesa {
   // eliminate-and-compact pass per visit over the one slab.
   RefResult Sweep(std::string_view q, std::size_t k,
                   const std::uint64_t* tombstones) const {
-    const SweepKernels& kern = ScalarSweepKernels();
     const std::size_t n = store_.size();
     RefResult r;
     k = std::min(k, n);
@@ -172,9 +175,8 @@ class RefLaesa {
       const double cap = is_pivot ? kInf : kth();
       const double d = Visit(q, k, s, cap, is_pivot, &r);
       if (is_pivot) {
-        QuantUpdateLowerPacked(kern, view(),
-                               static_cast<std::size_t>(rank_[s]), n, d,
-                               idx.data(), 0, lower.data(), live);
+        QuantUpdateLowerPacked(view(), static_cast<std::size_t>(rank_[s]), n,
+                               d, idx.data(), 0, lower.data(), live);
       }
       const SweepCompactResult pass =
           FlaggedCompact(idx.data(), lower.data(), rank_, live,
@@ -428,34 +430,20 @@ std::vector<std::size_t> SplitSizes(std::size_t n, std::size_t segments) {
   return sizes;
 }
 
-// The stream over `lower` split into segments of `sizes`: dense segments
-// are counted, packed ones (`packed`) are first compacted stably to their
-// survivors and then unpacked. `bound(visited)` is read before each visit.
-// Returns the visited ids.
+// The stream over `lower` split into segments of `sizes`, each counted.
+// `bound(visited)` is read before each visit. Returns the visited ids.
 template <typename Bound>
-std::vector<std::uint32_t> RunStream(std::vector<double> lower,
+std::vector<std::uint32_t> RunStream(const std::vector<double>& lower,
                                      double seed_bound,
                                      const std::vector<std::size_t>& sizes,
-                                     bool packed, Bound bound) {
+                                     Bound bound) {
   const std::size_t n = lower.size();
   std::vector<std::uint32_t> idx(n, 0xFFFFFFFFu);
   std::vector<std::uint32_t> hist;
   SurvivorStream stream(seed_bound, n, sizes.size(), hist);
   std::size_t base = 0;
   for (std::size_t g = 0; g < sizes.size(); ++g) {
-    if (!packed) {
-      stream.Count(g, lower.data() + base, sizes[g]);
-    } else {
-      std::size_t live = 0;
-      for (std::size_t j = 0; j < sizes[g]; ++j) {
-        if (!(lower[base + j] < seed_bound)) continue;
-        idx[base + live] = static_cast<std::uint32_t>(base + j);
-        lower[base + live] = lower[base + j];
-        ++live;
-      }
-      stream.Unpack(g, idx.data() + base, lower.data() + base, live, sizes[g],
-                    base);
-    }
+    stream.Count(g, lower.data() + base, sizes[g]);
     base += sizes[g];
   }
   const std::size_t survivors = static_cast<std::size_t>(std::count_if(
@@ -495,19 +483,15 @@ std::vector<std::uint32_t> RefStream(const std::vector<double>& lower,
   return visited;
 }
 
-// Checks the stream against the reference at S = 1, 2 and 5, dense and
-// packed.
+// Checks the stream against the reference at S = 1, 2 and 5.
 template <typename Bound>
 void ExpectStream(const std::vector<double>& lower, double seed_bound,
                   Bound bound, const std::string& what) {
   const std::vector<std::uint32_t> want = RefStream(lower, seed_bound, bound);
   for (std::size_t segments : {1, 2, 5}) {
-    for (bool packed : {false, true}) {
-      EXPECT_EQ(want, RunStream(lower, seed_bound,
-                                SplitSizes(lower.size(), segments), packed,
-                                bound))
-          << what << " S=" << segments << (packed ? " packed" : " dense");
-    }
+    EXPECT_EQ(want, RunStream(lower, seed_bound,
+                              SplitSizes(lower.size(), segments), bound))
+        << what << " S=" << segments;
   }
 }
 
@@ -520,7 +504,7 @@ TEST(SurvivorStreamTest, AllBoundsEqualVisitInIdOrder) {
   ExpectStream(lower, 0.5, Never(), "equal");
   ExpectStream(lower, kInf, Never(), "equal, seed +inf");
   const std::vector<std::uint32_t> got =
-      RunStream(lower, 0.5, {lower.size()}, false, Never());
+      RunStream(lower, 0.5, {lower.size()}, Never());
   ASSERT_EQ(got.size(), lower.size());
   for (std::uint32_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], i);
 }
@@ -530,7 +514,7 @@ TEST(SurvivorStreamTest, ZeroBoundsAndZeroSeedBound) {
   for (std::size_t i = 0; i < lower.size(); i += 3) lower[i] = 0.75;
   ExpectStream(lower, 1.0, Never(), "zeros");
   ExpectStream(lower, 0.0, Never(), "seed bound 0");
-  EXPECT_TRUE(RunStream(lower, 0.0, {lower.size()}, false, Never()).empty());
+  EXPECT_TRUE(RunStream(lower, 0.0, {lower.size()}, Never()).empty());
 }
 
 TEST(SurvivorStreamTest, KeysOneUlpApart) {
@@ -580,8 +564,8 @@ TEST(SurvivorStreamTest, ZeroSurvivors) {
   const std::vector<double> lower(100, 2.0);
   ExpectStream(lower, 1.0, Never(), "none below the seed bound");
   ExpectStream(std::vector<double>(40, kInf), kInf, Never(), "all +inf");
-  EXPECT_TRUE(RunStream(lower, 1.0, {100}, false, Never()).empty());
-  EXPECT_TRUE(RunStream(lower, 1.0, {60, 40}, true, Never()).empty());
+  EXPECT_TRUE(RunStream(lower, 1.0, {100}, Never()).empty());
+  EXPECT_TRUE(RunStream(lower, 1.0, {60, 40}, Never()).empty());
 }
 
 TEST(SurvivorStreamTest, FallingBoundStopsAtFirstKeyAtOrAboveIt) {
@@ -603,7 +587,7 @@ TEST(SurvivorStreamTest, FallingBoundStopsAtFirstKeyAtOrAboveIt) {
   };
   ExpectStream(lower, seed, falling, "falling bound");
   const std::vector<std::uint32_t> got =
-      RunStream(lower, seed, {lower.size()}, false, falling);
+      RunStream(lower, seed, {lower.size()}, falling);
   ASSERT_EQ(got.size(), stop);
   EXPECT_EQ(lower[got.back()] < drop, true);
   EXPECT_EQ(got, std::vector<std::uint32_t>(order.begin(),
@@ -612,8 +596,7 @@ TEST(SurvivorStreamTest, FallingBoundStopsAtFirstKeyAtOrAboveIt) {
   const auto to_zero = [](std::size_t visited) {
     return visited < 10 ? kInf : 0.0;
   };
-  EXPECT_EQ(RunStream(lower, seed, SplitSizes(lower.size(), 3), true, to_zero)
-                .size(),
+  EXPECT_EQ(RunStream(lower, seed, SplitSizes(lower.size(), 3), to_zero).size(),
             10u);
 }
 
