@@ -196,9 +196,11 @@ void Laesa::SaveRouterManifest(const std::string& path) const {
     lens[p] = PivotString(p).size();
     arena_bytes += lens[p];
   }
-  const std::uint64_t counts[4] = {size_, shard_count(), pivots.size(),
-                                   arena_bytes};
-  writer.Header(kRouterManifestMagic, kRouterManifestVersion, counts, 4);
+  // f64 is precision code 0.
+  const std::uint64_t counts[5] = {
+      size_, shard_count(), pivots.size(), arena_bytes,
+      static_cast<std::uint64_t>(table_precision())};
+  writer.Header(kRouterManifestMagic, kRouterManifestVersion, counts, 5);
   const std::vector<std::uint64_t> sizes = SegmentSizes(segments_);
   writer.Align();
   writer.Raw(sizes.data(), sizes.size() * sizeof(std::uint64_t));
@@ -211,6 +213,7 @@ void Laesa::SaveRouterManifest(const std::string& path) const {
     const std::string_view v = PivotString(p);
     writer.Raw(v.data(), v.size());
   }
+  pivot_table_.block().Write(writer, pivots.size());
   writer.Finish();
 }
 

@@ -45,12 +45,13 @@ namespace cned {
 /// `Nearest`. Pivot ids are distinct at every S: the ablation constructor,
 /// `Load` and `Map` reject a pivot id listed twice. The hot path is a
 /// flat structure-of-arrays sweep: the lower bounds live in one dense
-/// array indexed by candidate id, the pivots in a small packed array of
-/// their own. `KNearest` visits pivots from that array while any survive,
-/// each visit tightening (a contiguous row of the pivot table),
-/// eliminating and compacting the pivots alone; `KNearestWithPivotRow`
-/// takes every row at once. The rows taken are then applied to the dense
-/// array, one pass each, and the other candidates are visited in bound
+/// array indexed by candidate id, and the pivots' bounds in an np-entry
+/// array of their own. `KNearest` visits pivots while any survive, each
+/// visit one dense pass over that array with a row of the np x np pivot
+/// block (`PivotBlock`, gathered from the table at build, Load and Map);
+/// `KNearestWithPivotRow` takes every row at once. The rows taken are
+/// then applied to the dense array, one pass each, and the other
+/// candidates are visited in bound
 /// order from a survivor stream: ids counting-sorted into bound buckets
 /// over the dense bound array, a bucket sorted only when the visits reach
 /// it (`SurvivorStream`, sweep_kernel.h). No per-candidate pointer
@@ -112,10 +113,10 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
   ///
   /// `tombstones`, for the mutable tier (mutable_laesa.h), is a packed
   /// bitmap over prototype slots (bit i set = deleted,
-  /// TombstoneWords(size()) words). Masked slots are eliminated *inside*
-  /// the sweep compaction before anything is visited — their bounds are
-  /// forced to +inf and one compaction pass drops them from the packed
-  /// slabs (see sweep_kernel.h) — so a deleted prototype is never
+  /// TombstoneWords(size()) words). Masked slots are eliminated before
+  /// anything is visited — their bounds are forced to +inf, which the
+  /// pivot phase and the survivor stream both drop (see sweep_kernel.h)
+  /// — so a deleted prototype is never
   /// evaluated, never returned and never counted, at every table_precision
   /// and under every kernel variant. A null bitmap is the plain sweep; with
   /// every slot deleted the result is empty.
@@ -147,10 +148,12 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
   void SaveShard(std::size_t s, const std::string& path) const;
 
   /// Writes the router's half of a distributed snapshot: segment sizes,
-  /// the global pivot ids and the pivot *strings*. The scatter/gather
-  /// router loads only this manifest — it evaluates the pivot stage
-  /// locally from the embedded strings and leaves every non-pivot candidate
-  /// to the shard workers, so its memory stays O(pivots), not O(N).
+  /// the global pivot ids, the pivot *strings* and the pivot block with
+  /// its row metas (serve/shard_snapshot.h). The scatter/gather router
+  /// loads only this manifest — it evaluates the pivot stage and the lazy
+  /// pivot phase locally from the embedded strings and block and leaves
+  /// every non-pivot candidate to the shard workers, so its memory stays
+  /// O(pivots^2), not O(N).
   void SaveRouterManifest(const std::string& path) const;
 
   /// Restores an index saved by `Save`: a flat store expects S = 1, a
@@ -166,10 +169,10 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
                     StringDistancePtr distance);
 
   /// Zero-copy form of `Load`: maps the file and points every segment's
-  /// table view at its section in place — no table is copied, so startup
-  /// costs O(pivots) beyond the header and section checks instead of
-  /// O(pivots x N), and the table pages are shared across processes
-  /// through the page cache.
+  /// table view at its section in place — no table is copied, only the
+  /// pivot block is gathered, so startup costs O(pivots^2) beyond the
+  /// header and section checks instead of O(pivots x N), and the table
+  /// pages are shared across processes through the page cache.
   /// `Load` is the same section walk with the checksum always verified and
   /// the tables then copied out of the mapping, so validation matches;
   /// query results, trajectories and `QueryStats` are bit-identical to the
@@ -231,7 +234,7 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
 
   /// The shared sweep core (pivot_sweep.h) over the segment list.
   PivotSweep core() const {
-    return PivotSweep(segments_, pivot_table_.pivots(), *distance_);
+    return PivotSweep(segments_, pivot_table_, *distance_);
   }
 
   /// One store per segment; a flat index may own its store.

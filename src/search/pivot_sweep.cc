@@ -1,6 +1,7 @@
 #include "search/pivot_sweep.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -21,15 +22,12 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // Results are identical either way — only the execution schedule changes.
 constexpr std::size_t kParallelPassWork = 1 << 20;
 
-/// Thread-local per-segment bookkeeping: the pivot slabs (at most np
-/// entries over all segments), each segment's two slabs, the visited rows
-/// and the survivor stream's histogram. The dense slabs come from the
-/// shared `TlsSweepScratch`. Owned per thread, so batched queries running
-/// under ParallelFor never share state.
+/// Thread-local per-query bookkeeping: the pivots' bounds (np entries),
+/// the visited rows and the survivor stream's histogram. The dense slabs
+/// come from the shared `TlsSweepScratch`. Owned per thread, so batched
+/// queries running under ParallelFor never share state.
 struct SegmentScratch {
-  AlignedBuffer<std::uint32_t> pivot_idx;
-  AlignedBuffer<double> pivot_lower;
-  std::vector<SegmentSlabs> slabs;
+  std::vector<double> bounds;
   std::vector<PivotRow> rows;
   std::vector<std::uint32_t> hist;
 };
@@ -88,58 +86,26 @@ void ApplyPivotRows(const SweepSegment& seg, const std::vector<PivotRow>& rows,
   }
 }
 
-void LiftSegmentPivots(const PivotIds& pivots, const SweepSegment& seg,
-                       double* lower, SegmentSlabs* slabs) {
-  const auto [first, last] = pivots.Run(seg.base, seg.store->size());
-  const std::uint32_t* ids = pivots.sorted();
-  for (std::size_t j = first; j < last; ++j) {
-    double& slot = lower[ids[j] - seg.base];
-    if (slabs != nullptr) {
-      slabs->pivot_idx[j - first] = ids[j];
-      slabs->pivot_lower[j - first] = slot;
+std::size_t NextPivotColumn(const double* bounds, std::size_t np,
+                            double kth) {
+  // The compaction kernel's rule: a bound at or above `kth` is dead, and
+  // the first minimum wins.
+  std::size_t next = kSweepNone;
+  double key = kInf;
+  for (std::size_t j = 0; j < np; ++j) {
+    const double b = bounds[j];
+    if (b >= kth) continue;
+    if (b < key) {
+      key = b;
+      next = j;
     }
-    slot = kInf;
   }
-  if (slabs != nullptr) slabs->pivot_live = last - first;
-}
-
-SweepCompactResult VisitSegmentPass(const SweepSegment& seg, std::int32_t rank,
-                                    double d, std::uint32_t skip,
-                                    double bound, SegmentSlabs* slabs) {
-  const SweepKernels& kern = ActiveSweepKernels();
-  SegmentSlabs& s = *slabs;
-  if (rank >= 0) {
-    const auto p = static_cast<std::size_t>(rank);
-    const auto base = static_cast<std::uint32_t>(seg.base);
-    const std::size_t n = seg.store->size();
-    QuantUpdateLowerPacked(seg.table, p, n, d, s.idx, base, s.lower, s.live);
-    QuantUpdateLowerPacked(seg.table, p, n, d, s.pivot_idx, base,
-                           s.pivot_lower, s.pivot_live);
-  }
-  SweepCompactResult out =
-      kern.eliminate_and_compact(s.idx, s.lower, s.live, skip, bound);
-  const SweepCompactResult piv = kern.eliminate_and_compact(
-      s.pivot_idx, s.pivot_lower, s.pivot_live, skip, bound);
-  out.pivots_died = s.pivot_live - piv.live;
-  s.live = out.live;
-  s.pivot_live = piv.live;
-  out.live += piv.live;
-  out.next_pivot = piv.next;
-  out.next_pivot_key = piv.next_key;
-  // The (bound, id) minimum over both slabs: the lowest id wins a tie, as
-  // in one packed scan over the segment.
-  if (piv.next != kSweepNone &&
-      (piv.next_key < out.next_key ||
-       (piv.next_key == out.next_key && piv.next < out.next))) {
-    out.next = piv.next;
-    out.next_key = piv.next_key;
-  }
-  return out;
+  return next;
 }
 
 PivotSweep::PivotSweep(const std::vector<SweepSegment>& segments,
-                       const PivotIds& pivots, const StringDistance& distance)
-    : segments_(segments), pivots_(pivots), distance_(distance) {
+                       const PivotTables& table, const StringDistance& distance)
+    : segments_(segments), table_(table), distance_(distance) {
   for (const SweepSegment& seg : segments_) size_ += seg.store->size();
 }
 
@@ -158,15 +124,13 @@ std::size_t PivotSweep::SegmentOf(std::size_t id) const {
 
 // Three steps, both sweeps alike, on the shared sweep kernels
 // (sweep_kernel.h):
-//   1. bounds: the length bounds in the dense slab, deletes and pivots
-//      lifted to +inf there, each segment's pivots moved with their bounds
-//      into its pivot slab;
+//   1. bounds: the length bounds in the dense slab, deletes lifted to +inf
+//      there, then the pivots' bounds taken out in id order and the pivots
+//      lifted to +inf;
 //   2. rows: the row sweep takes every pivot row and seeds the incumbents
-//      from it. The lazy sweep visits pivots while any survive: the
-//      minimal-bound pivot is visited, then one visit pass per segment
-//      tightens its pivot slab with that pivot's row and eliminates, and
-//      the merged minima pick the next pivot. Only the pivot slabs take
-//      part, as only they decide the next visit;
+//      from it. The lazy sweep runs the pivot phase (`VisitPivots`) over
+//      the pivots' bounds and the pivot block, as only they decide the
+//      next pivot;
 //   3. static phase: the rows taken are applied dense to every segment,
 //      and the survivor stream visits the non-pivots below the k-th
 //      incumbent in ascending (bound, id) order against the improving
@@ -181,7 +145,9 @@ std::vector<NeighborResult> PivotSweep::Sweep(
     std::string_view query, std::size_t k, const double* row,
     QueryStats* stats, QueryStats* segment_stats,
     const std::uint64_t* tombstones) const {
+  const PivotIds& pivots = table_.pivots();
   const std::size_t n = size_;
+  const std::size_t np = pivots.size();
   const std::size_t count = segments_.size();
   k = std::min(k, n);
   if (k == 0) return {};
@@ -190,9 +156,6 @@ std::vector<NeighborResult> PivotSweep::Sweep(
   slabs.idx.resize(n);
   slabs.lower.resize(n);
   SegmentScratch& scratch = TlsSegmentScratch();
-  scratch.pivot_idx.resize(pivots_.size());
-  scratch.pivot_lower.resize(pivots_.size());
-  scratch.slabs.assign(count, SegmentSlabs{});
   std::uint32_t* idx = slabs.idx.data();
   double* lower = slabs.lower.data();
 
@@ -203,18 +166,17 @@ std::vector<NeighborResult> PivotSweep::Sweep(
     distance_.LengthLowerBounds(query.size(), seg.store->lengths_data(),
                                 seg.store->size(), lower + seg.base);
   });
-  // A +inf bound drops a deleted slot before it is visited: from a pivot
-  // slab at its first pass, from the dense slab at the stream's count.
+  // A +inf bound drops a deleted slot before it is visited: from the
+  // pivot phase at its first choice, from the dense slab at the stream's
+  // count.
   if (tombstones != nullptr) ApplyTombstoneMask(tombstones, n, lower);
-  // Segment g's run of the sorted pivot ids is its pivot slab. The
-  // non-pivot slabs stay empty: the pivot phase does not read them.
-  for (std::size_t g = 0; g < count; ++g) {
-    const SweepSegment& seg = segments_[g];
-    SegmentSlabs& sl = scratch.slabs[g];
-    const std::size_t first = pivots_.Run(seg.base, seg.store->size()).first;
-    sl = {idx + seg.base, lower + seg.base, 0,
-          scratch.pivot_idx.data() + first, scratch.pivot_lower.data() + first};
-    LiftSegmentPivots(pivots_, seg, lower + seg.base, &sl);
+  std::vector<double>& bounds = scratch.bounds;
+  bounds.resize(np);
+  const std::uint32_t* sorted = pivots.sorted();
+  for (std::size_t j = 0; j < np; ++j) {
+    double& slot = lower[sorted[j]];
+    bounds[j] = slot;
+    slot = kInf;
   }
 
   SweepIncumbents inc(k);
@@ -224,36 +186,13 @@ std::vector<NeighborResult> PivotSweep::Sweep(
   if (row != nullptr) {
     // Every pivot distance is already paid for, so ties admit the lower
     // index.
-    inc.SeedRow(pivots_.ids(), row, [](std::size_t) { return false; });
-    for (std::size_t p = 0; p < pivots_.size(); ++p) {
-      rows.push_back({p, row[p]});
-    }
+    inc.SeedRow(pivots.ids(), row, [](std::size_t) { return false; });
+    for (std::size_t p = 0; p < np; ++p) rows.push_back({p, row[p]});
   } else {
-    // One visit pass over every segment's pivot slab, folded in segment
-    // order. Returns the next pivot to visit.
-    auto pass = [&](std::int32_t rank, double d, std::uint32_t skip,
-                    double bound) {
-      SweepCompactResult merged;
-      for (std::size_t g = 0; g < count; ++g) {
-        FoldSegmentMinima(VisitSegmentPass(segments_[g], rank, d, skip,
-                                           bound, &scratch.slabs[g]),
-                          &merged);
-      }
-      return merged.next_pivot;
-    };
-    std::size_t s = pivots_.ids()[0];  // start from the first base prototype
-    if (tombstones != nullptr) {
-      // The +inf pass hands back the minimal-bound live pivot to start from.
-      s = pass(/*rank=*/-1, 0.0, /*skip=*/0xFFFFFFFFu, kInf);
-    }
-    // A surviving pivot has a finite bound, so none is left when the pass
-    // names no next pivot.
-    while (s != kSweepNone) {
-      const double d = visit(s, /*is_pivot=*/true);
-      const std::int32_t rank = pivots_.Rank(s);
-      rows.push_back({static_cast<std::size_t>(rank), d});
-      s = pass(rank, d, static_cast<std::uint32_t>(s), inc.Kth());
-    }
+    VisitPivots(
+        pivots, table_.block().view(), tombstones != nullptr, inc,
+        bounds.data(),
+        [&](std::size_t id, std::size_t) { return visit(id, true); }, &rows);
   }
 
   SurvivorStream stream(inc.Kth(), n, count, scratch.hist);
@@ -276,12 +215,13 @@ std::vector<NeighborResult> PivotSweep::Sweep(
 
 void PivotSweep::ComputePivotRow(std::string_view query, double* row,
                                  QueryStats* stats) const {
-  for (std::size_t p = 0; p < pivots_.size(); ++p) {
-    row[p] = distance_.Distance(query, View(pivots_.ids()[p]));
+  const PivotIds& pivots = table_.pivots();
+  for (std::size_t p = 0; p < pivots.size(); ++p) {
+    row[p] = distance_.Distance(query, View(pivots.ids()[p]));
   }
   if (stats != nullptr) {
-    stats->distance_computations += pivots_.size();
-    stats->pivot_computations += pivots_.size();
+    stats->distance_computations += pivots.size();
+    stats->pivot_computations += pivots.size();
   }
 }
 
@@ -319,20 +259,6 @@ PivotIds::PivotIds(std::vector<std::size_t> ids, std::size_t n,
   }
 }
 
-std::int32_t PivotIds::Rank(std::size_t id) const {
-  const auto it = std::lower_bound(sorted_.begin(), sorted_.end(), id);
-  if (it == sorted_.end() || *it != id) return -1;
-  return ordinals_[static_cast<std::size_t>(it - sorted_.begin())];
-}
-
-std::pair<std::size_t, std::size_t> PivotIds::Run(std::size_t base,
-                                                  std::size_t size) const {
-  const auto first = std::lower_bound(sorted_.begin(), sorted_.end(), base);
-  const auto last = std::lower_bound(first, sorted_.end(), base + size);
-  return {static_cast<std::size_t>(first - sorted_.begin()),
-          static_cast<std::size_t>(last - sorted_.begin())};
-}
-
 PivotTables::PivotTables(std::vector<std::size_t> pivots, std::size_t n,
                          const std::string& who)
     : pivots_(std::move(pivots), n, who) {}
@@ -340,7 +266,7 @@ PivotTables::PivotTables(std::vector<std::size_t> pivots, std::size_t n,
 void PivotTables::Build(const std::vector<SweepSegment>& segs,
                         const StringDistance& distance,
                         TablePrecision precision) {
-  const PivotSweep sweep(segs, pivots_, distance);
+  const PivotSweep sweep(segs, *this, distance);
   const std::size_t p_count = pivots_.size();
   std::vector<std::size_t> sizes(segs.size());
   std::size_t n = 0;
@@ -391,6 +317,7 @@ void PivotTables::Build(const std::vector<SweepSegment>& segs,
     out.f64.clear();
   }
   Own(precision, std::move(sizes), std::move(out));
+  block_ = PivotBlock(pivots_, sizes_, views_);
 }
 
 void PivotTables::Own(TablePrecision precision, std::vector<std::size_t> sizes,
@@ -437,24 +364,27 @@ PivotTables PivotTables::Read(MappedReader& reader, std::uint64_t np,
       out.views_[g].rows = meta;
     }
   }
-  if (!copy) {
+  const bool covers = std::accumulate(sizes.begin(), sizes.end(),
+                                      std::size_t{0}) == n;
+  if (copy) {
+    Buffers buffers;
+    if (meta != nullptr) buffers.meta.assign(meta, meta + np);
+    for (std::size_t g = 0; g < sizes.size(); ++g) {
+      const QuantTableView& v = out.views_[g];
+      const std::size_t count = np * sizes[g];
+      if (meta == nullptr) {
+        buffers.f64.emplace_back(v.f64, v.f64 + count);
+      } else {
+        const auto* bytes = static_cast<const unsigned char*>(v.q);
+        buffers.codes.emplace_back(bytes, bytes + count * width);
+      }
+    }
+    out.Own(precision, std::move(sizes), std::move(buffers));
+  } else {
     out.sizes_ = std::move(sizes);
     out.mapping_ = reader.file();
-    return out;
   }
-  Buffers buffers;
-  if (meta != nullptr) buffers.meta.assign(meta, meta + np);
-  for (std::size_t g = 0; g < sizes.size(); ++g) {
-    const QuantTableView& v = out.views_[g];
-    const std::size_t count = np * sizes[g];
-    if (meta == nullptr) {
-      buffers.f64.emplace_back(v.f64, v.f64 + count);
-    } else {
-      const auto* bytes = static_cast<const unsigned char*>(v.q);
-      buffers.codes.emplace_back(bytes, bytes + count * width);
-    }
-  }
-  out.Own(precision, std::move(sizes), std::move(buffers));
+  if (covers) out.block_ = PivotBlock(out.pivots_, out.sizes_, out.views_);
   return out;
 }
 
@@ -477,6 +407,79 @@ void PivotTables::Write(BinaryWriter& writer, std::size_t first,
                    : v.q,
                np * sizes_[g] * width);
   }
+}
+
+PivotBlock::PivotBlock(const PivotIds& pivots,
+                       const std::vector<std::size_t>& sizes,
+                       const std::vector<QuantTableView>& views) {
+  const std::size_t np = pivots.size();
+  const QuantTableView& first = views[0];
+  const std::size_t width = TablePrecisionBytes(first.precision);
+  auto storage = NewStorage(np, width);
+  unsigned char* out = storage->bytes.data();
+  // Column j is pivot id sorted()[j]. The columns ascend by id, so one
+  // walk over the segments finds each one's segment and local slot.
+  std::size_t g = 0;
+  std::size_t base = 0;
+  for (std::size_t j = 0; j < np; ++j) {
+    const std::size_t id = pivots.sorted()[j];
+    while (id - base >= sizes[g]) base += sizes[g++];
+    const QuantTableView& v = views[g];
+    const auto* src = v.f64 != nullptr
+                          ? reinterpret_cast<const unsigned char*>(v.f64)
+                          : static_cast<const unsigned char*>(v.q);
+    for (std::size_t p = 0; p < np; ++p) {
+      std::memcpy(out + (p * np + j) * width,
+                  src + (p * sizes[g] + id - base) * width, width);
+    }
+  }
+  Bind(first.precision, std::move(storage), first.rows);
+}
+
+PivotBlock PivotBlock::Read(MappedReader& reader, std::size_t np,
+                            TablePrecision precision) {
+  const QuantRowMeta* meta = precision == TablePrecision::kF64
+                                 ? nullptr
+                                 : reader.Array<QuantRowMeta>(np);
+  // np <= n <= 2^31, so np * np cannot wrap before Section()'s
+  // division-form extent check sees it.
+  const std::size_t width = TablePrecisionBytes(precision);
+  const void* codes = reader.Section(np * np, width);
+  auto storage = NewStorage(np, width);
+  std::memcpy(storage->bytes.data(), codes, np * np * width);
+  if (meta != nullptr) storage->meta.assign(meta, meta + np);
+  PivotBlock out;
+  out.Bind(precision, storage, storage->meta.data());
+  return out;
+}
+
+std::shared_ptr<PivotBlock::Storage> PivotBlock::NewStorage(
+    std::size_t np, std::size_t width) {
+  auto storage = std::make_shared<Storage>();
+  storage->bytes.resize(np * np * width);
+  return storage;
+}
+
+void PivotBlock::Bind(TablePrecision precision,
+                      std::shared_ptr<const Storage> storage,
+                      const QuantRowMeta* rows) {
+  view_ = QuantTableView{precision};
+  if (precision == TablePrecision::kF64) {
+    view_.f64 = reinterpret_cast<const double*>(storage->bytes.data());
+  } else {
+    view_.q = storage->bytes.data();
+    view_.rows = rows;
+  }
+  storage_ = std::move(storage);
+}
+
+void PivotBlock::Write(BinaryWriter& writer, std::size_t np) const {
+  if (view_.precision != TablePrecision::kF64) {
+    writer.Align();
+    writer.Raw(view_.rows, np * sizeof(QuantRowMeta));
+  }
+  writer.Align();
+  writer.Raw(storage_->bytes.data(), storage_->bytes.size());
 }
 
 }  // namespace cned

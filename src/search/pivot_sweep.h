@@ -1,6 +1,7 @@
 #ifndef CNED_SEARCH_PIVOT_SWEEP_H_
 #define CNED_SEARCH_PIVOT_SWEEP_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -26,20 +27,19 @@ namespace cned {
 ///
 /// The candidate space [0, N) is a table of contiguous segments in base
 /// order, and segment g owns [base, base + size) of the slabs. A pivot is
-/// a row of the distance table, not a flag on a candidate: each segment's
-/// pivots sit in a separate pivot slab of at most np entries
-/// (`SegmentSlabs`), and the lazy sweep's pivot phase visits from those
-/// slabs alone (`VisitSegmentPass`). Both sweeps then apply the rows they
-/// took, all of them or the visited ones (`PivotRow`), to the dense bound
-/// slab, and visit the non-pivots through the survivor stream
-/// (sweep_kernel.h). Every visit decision (incumbents, elimination bound,
-/// next pivot) is global; every kernel pass touches one segment only, and
-/// per-segment minima merge in segment order with strict '<', so the
-/// lowest global id wins ties as in one packed scan over [0, N). The
-/// survivor stream counts each segment into its own histogram row and
-/// scatters the segments in base order, so it too orders ties by global
-/// id. Results and `QueryStats` do not depend on the segment count or the
-/// passes' thread schedule.
+/// a row of the distance table, not a candidate: the sweep lifts the
+/// pivots out of the dense bound slab. The lazy sweep's pivot phase reads
+/// only the pivots' bounds and the np x np pivot block (`PivotBlock`), so
+/// it is one dense body over np entries (`VisitPivots`), which the
+/// router's `SweepMachine` (serve/sweep_machine.h) runs too. Both sweeps
+/// then apply the rows they took, all of them or the visited ones
+/// (`PivotRow`), to the dense bound slab, and visit the non-pivots through
+/// the survivor stream (sweep_kernel.h). Every visit decision (incumbents,
+/// elimination bound, next candidate) is global; every kernel pass touches
+/// one segment only. The survivor stream counts each segment into its own
+/// histogram row and scatters the segments in base order, so it orders
+/// ties by global id, and results and `QueryStats` do not depend on the
+/// segment count or the passes' thread schedule.
 
 /// The visit rule of every LAESA sweep: the k incumbents, the bound a
 /// visit's evaluation may abandon at, and the cost counters. `PivotSweep`
@@ -114,21 +114,15 @@ class SweepIncumbents {
 };
 
 /// Folds one segment's compact result into `acc`, segments in base order:
-/// live counts and pivot deaths add up, and the minima merge with strict
-/// '<', so the first occurrence — the lowest global id among equal keys —
-/// wins, as in one packed scan over [0, N). Start from a default `acc`.
+/// live counts add up, and the minima merge with strict '<', so the first
+/// occurrence — the lowest global id among equal keys — wins, as in one
+/// packed scan over [0, N). Start from a default `acc`.
 inline void FoldSegmentMinima(const SweepCompactResult& seg,
                               SweepCompactResult* acc) {
   acc->live += seg.live;
-  acc->pivots_died += seg.pivots_died;
   if (seg.next != kSweepNone && seg.next_key < acc->next_key) {
     acc->next = seg.next;
     acc->next_key = seg.next_key;
-  }
-  if (seg.next_pivot != kSweepNone &&
-      seg.next_pivot_key < acc->next_pivot_key) {
-    acc->next_pivot = seg.next_pivot;
-    acc->next_pivot_key = seg.next_pivot_key;
   }
 }
 
@@ -142,10 +136,9 @@ struct SweepSegment {
 
 /// The pivot ids of an index, the base prototypes of LAESA (Micó, Oncina
 /// & Vidal, 1994): row p of the pivot table belongs to `ids()[p]`, pivot p.
-/// They are also held sorted by id with their ordinals, so the id ->
-/// ordinal lookup is a binary search over np entries and the pivots of a
-/// segment are one contiguous run of the sorted list. Nothing here scales
-/// with the number of candidates.
+/// They are also held sorted by id with their ordinals: column j of the
+/// pivot block is pivot `ordinals()[j]`, id `sorted()[j]`. Nothing here
+/// scales with the number of candidates.
 class PivotIds {
  public:
   PivotIds() = default;
@@ -164,37 +157,16 @@ class PivotIds {
   const std::vector<std::size_t>& ids() const { return ids_; }
   std::size_t size() const { return ids_.size(); }
 
-  /// The ordinal of pivot `id`, or -1 when `id` is not a pivot.
-  std::int32_t Rank(std::size_t id) const;
-
   /// The ids in ascending order.
   const std::uint32_t* sorted() const { return sorted_.data(); }
 
-  /// The positions [first, last) in `sorted()` of the pivots in
-  /// [base, base + size).
-  std::pair<std::size_t, std::size_t> Run(std::size_t base,
-                                          std::size_t size) const;
+  /// The ordinal of `sorted()[j]`.
+  const std::int32_t* ordinals() const { return ordinals_.data(); }
 
  private:
   std::vector<std::size_t> ids_;
   std::vector<std::uint32_t> sorted_;
-  std::vector<std::int32_t> ordinals_;  // the ordinal of sorted_[j]
-};
-
-/// One segment's live candidates as two packed slabs, each in ascending id
-/// order: the non-pivots (`idx`/`lower`, `live` entries, over the
-/// segment's slots) and the pivots (`pivot_idx`/`pivot_lower`,
-/// `pivot_live` entries, at most the segment's pivot count). The memory is
-/// borrowed; the counts are the state a visit pass updates. The in-process
-/// lazy sweep leaves the non-pivot slab empty, and only the serve worker's
-/// lazy sweep packs its non-pivots there.
-struct SegmentSlabs {
-  std::uint32_t* idx = nullptr;
-  double* lower = nullptr;
-  std::size_t live = 0;
-  std::uint32_t* pivot_idx = nullptr;
-  double* pivot_lower = nullptr;
-  std::size_t pivot_live = 0;
+  std::vector<std::int32_t> ordinals_;
 };
 
 /// A pivot row a sweep takes: the pivot's ordinal and d(query, pivot).
@@ -203,41 +175,105 @@ struct PivotRow {
   double d;
 };
 
-/// The per-segment passes. `lower` is the segment's own dense bound slab,
-/// indexed by local slot.
-///
-/// Applies `rows` to `lower`, one dense pass each. The in-process sweeps
-/// then count the dense slab into their survivor stream; the serve
-/// worker's row sweep packs the surviving non-pivots with one visit pass.
+/// Applies `rows` to `lower`, segment `seg`'s own dense bound slab indexed
+/// by local slot, one dense pass each. The in-process sweeps then count
+/// the slab into their survivor stream; the serve worker compacts it.
 void ApplyPivotRows(const SweepSegment& seg, const std::vector<PivotRow>& rows,
                     double* lower);
 
-/// Lifts the pivot slots of segment `seg` in its dense slab `lower` to +inf,
-/// so the first compaction, or the survivor stream, drops them there. With
-/// a non-null `slabs`, first moves the pivots into its pivot slab, their
-/// bounds read from `lower`, and sets `pivot_live` to their count.
-void LiftSegmentPivots(const PivotIds& pivots, const SweepSegment& seg,
-                       double* lower, SegmentSlabs* slabs = nullptr);
+/// The pivot block: the table entries between pivots, T[p][sorted()[j]] at
+/// [p * np + j], rank-major with its np columns in id order. It is all of
+/// the table the lazy sweep's pivot phase reads (`VisitPivots`): 8 KB at
+/// f64 for 32 pivots. The codes are copied out of the table, and a block
+/// row decodes with its table row's meta, so it reads the bits the table
+/// row holds. Copies share the storage.
+class PivotBlock {
+ public:
+  PivotBlock() = default;
 
-/// Visit pass over both slabs of a segment: if `rank` >= 0 the visited
-/// candidate was that pivot, at distance `d`, and its row tightens every
-/// bound first; then each slab is eliminated and compacted against
-/// `bound`, dropping `skip`. Returns the live count over both slabs, the
-/// pivots dropped, the (bound, id) minimum over both and the minimum over
-/// the pivots. Rank -1, no skip and an infinite bound drop only +inf
-/// (tombstoned or lifted) slots. `rank` must lie in [-1, pivot count): it
-/// selects a table row unchecked.
-SweepCompactResult VisitSegmentPass(const SweepSegment& seg, std::int32_t rank,
-                                    double d, std::uint32_t skip,
-                                    double bound, SegmentSlabs* slabs);
+  /// Gathers the block out of `views` (at least one), one per segment of
+  /// `sizes[g]` ids, the segments covering the pivot ids in base order.
+  /// The block shares their row metas.
+  PivotBlock(const PivotIds& pivots, const std::vector<std::size_t>& sizes,
+             const std::vector<QuantTableView>& views);
+
+  /// Reads what `Write` writes for `np` pivots at `precision`, copied out:
+  /// the row metas QuantRowMeta[np] unless f64, then the block
+  /// elem[np * np]. The reader checks both extents against the file before
+  /// anything is copied, and throws std::runtime_error past its end.
+  static PivotBlock Read(MappedReader& reader, std::size_t np,
+                         TablePrecision precision);
+
+  /// Writes the sections `Read` walks.
+  void Write(BinaryWriter& writer, std::size_t np) const;
+
+  /// The block as an np-wide table (`QuantUpdateLowerDense`).
+  const QuantTableView& view() const { return view_; }
+
+ private:
+  struct Storage {
+    std::vector<unsigned char> bytes;  // the entries, as a mapping holds them
+    std::vector<QuantRowMeta> meta;    // a read block's own metas
+  };
+  /// Storage for np * np entries of `width` bytes.
+  static std::shared_ptr<Storage> NewStorage(std::size_t np,
+                                             std::size_t width);
+  /// Views `storage` at `precision`, decoded with `rows`.
+  void Bind(TablePrecision precision, std::shared_ptr<const Storage> storage,
+            const QuantRowMeta* rows);
+
+  QuantTableView view_;
+  std::shared_ptr<const Storage> storage_;
+};
+
+/// The column of the next pivot to visit: the strict-'<' (bound, id)
+/// minimum over the columns with bound < `kth`, or kSweepNone. The columns
+/// ascend by id, so the lowest id wins a tie.
+std::size_t NextPivotColumn(const double* bounds, std::size_t np, double kth);
+
+/// The lazy sweep's pivot phase: visits pivots while any survive (Micó,
+/// Oncina & Vidal, 1994), one dense pass over np entries per visit. The
+/// in-process sweep and the router's `SweepMachine` both run it.
+///
+/// `bounds` holds the np pivots' bounds in column order (`PivotIds`): their
+/// length bounds, with the tombstoned pivots at +inf. The first visit is
+/// pivot 0 unless `tombstoned`, else the minimal-bound live pivot. A visit
+/// calls visit(id, rank), which evaluates the pivot exactly, absorbs it
+/// into `inc` and returns the distance d; then the block's row `rank`
+/// tightens every bound, the visited pivot goes to +inf, and the next
+/// pivot is `NextPivotColumn` below the k-th incumbent. The visited rows
+/// are appended to `rows` in visit order.
+template <typename Visit>
+void VisitPivots(const PivotIds& pivots, const QuantTableView& block,
+                 bool tombstoned, const SweepIncumbents& inc, double* bounds,
+                 Visit&& visit, std::vector<PivotRow>* rows) {
+  const SweepKernels& kern = ActiveSweepKernels();
+  const std::size_t np = pivots.size();
+  const std::int32_t* ordinals = pivots.ordinals();
+  std::size_t j =
+      tombstoned
+          ? NextPivotColumn(bounds, np, inc.Kth())
+          : static_cast<std::size_t>(std::find(ordinals, ordinals + np, 0) -
+                                     ordinals);
+  while (j != kSweepNone) {
+    const auto rank = static_cast<std::size_t>(ordinals[j]);
+    const double d = visit(static_cast<std::size_t>(pivots.sorted()[j]), rank);
+    rows->push_back({rank, d});
+    QuantUpdateLowerDense(kern, block, rank, np, d, bounds);
+    bounds[j] = std::numeric_limits<double>::infinity();
+    j = NextPivotColumn(bounds, np, inc.Kth());
+  }
+}
+
+class PivotTables;
 
 /// The sweeps over one index's segments. It borrows the segment list and
-/// the pivots, so the index builds one per call and it never outlives the
-/// table it views.
+/// the pivot table, so the index builds one per call and it never outlives
+/// the table it views.
 class PivotSweep {
  public:
   PivotSweep(const std::vector<SweepSegment>& segments,
-             const PivotIds& pivots, const StringDistance& distance);
+             const PivotTables& table, const StringDistance& distance);
 
   /// The k nearest: a candidate dies once its lower bound reaches the
   /// k-th incumbent. With a null `row` this is the lazy sweep behind
@@ -273,15 +309,16 @@ class PivotSweep {
 
  private:
   const std::vector<SweepSegment>& segments_;
-  const PivotIds& pivots_;
+  const PivotTables& table_;
   const StringDistance& distance_;
   std::size_t size_ = 0;
 };
 
 /// The one pivot table of an index: the pivot ids, the storage precision,
-/// and one rank-major table slice per segment, decoded with the global row
-/// meta. `Laesa` holds one segment per store, and the serve worker's
-/// `ShardReplica` the segment of its own shard.
+/// one rank-major table slice per segment, decoded with the global row
+/// meta, and the pivot block gathered from the slices. `Laesa` holds one
+/// segment per store, and the serve worker's `ShardReplica` the segment of
+/// its own shard.
 ///
 /// The slices are built in memory (`Build`) or read from the tail every
 /// table format shares (`Read`): viewed in place in a mapped snapshot, or
@@ -305,8 +342,9 @@ class PivotTables {
               const std::string& who);
 
   /// Computes the slices of `segments` (their `table` views are not read)
-  /// at `precision`. One meta per GLOBAL row, so one-segment and S-segment
-  /// builds of the same data hold the same codes.
+  /// at `precision`, and gathers the block. One meta per GLOBAL row, so
+  /// one-segment and S-segment builds of the same data hold the same
+  /// codes.
   void Build(const std::vector<SweepSegment>& segments,
              const StringDistance& distance, TablePrecision precision);
 
@@ -321,6 +359,9 @@ class PivotTables {
   /// pivot count outside [1, n] or pivot ids `PivotIds` rejects; the
   /// reader throws on a truncated section. The slices view the mapping, or
   /// with `copy` are copied into owned buffers and the mapping is let go.
+  /// When the segments cover [0, n), as every index's do, the block is
+  /// gathered too; a serve worker's slice of one shard among several
+  /// holds none.
   static PivotTables Read(MappedReader& reader, std::uint64_t np,
                           std::size_t n, std::vector<std::size_t> sizes,
                           TablePrecision precision, bool copy,
@@ -332,6 +373,7 @@ class PivotTables {
   const PivotIds& pivots() const { return pivots_; }
   TablePrecision precision() const { return precision_; }
   QuantTableView view(std::size_t g) const { return views_[g]; }
+  const PivotBlock& block() const { return block_; }
 
   /// True when the slices view a mapped snapshot.
   bool mapped() const { return mapping_ != nullptr; }
@@ -343,6 +385,7 @@ class PivotTables {
   std::vector<QuantTableView> views_;  // one per segment
   std::shared_ptr<const Buffers> owned_;
   std::shared_ptr<MappedFile> mapping_;
+  PivotBlock block_;
 };
 
 }  // namespace cned

@@ -29,16 +29,13 @@ namespace cned {
 ///   3. the length-bound "zeroth pivot" fill (`fill_absdiff_bounds`: the
 ///      |Δlen| core of the unit-cost edit-distance family's bound).
 ///
-/// A kernel knows nothing of pivots. The lazy sweeps keep each segment's
-/// pivots in a packed slab of their own (at most np entries) and choose
-/// the next pivot from it (`VisitSegmentPass`, pivot_sweep.h); the packed
-/// row update that short slab needs is one scalar body
-/// (`QuantUpdateLowerPacked`, table_quant.h), not a kernel entry.
-///
-/// Once no table row is left to apply, the bounds are fixed and the sweep
-/// core applies the rows it visited to the dense slab and switches to the
-/// survivor stream (`SurvivorStream`, below): ids counting-sorted into
-/// bound buckets over the dense bound slab, visited in (bound, id) order.
+/// A kernel knows nothing of pivots. The lazy sweep's pivot phase
+/// (`VisitPivots`, pivot_sweep.h) is the dense row update over the np x np
+/// pivot block. Once no table row is left to apply, the bounds are fixed:
+/// the sweep core applies the rows it took to the dense slab and switches
+/// to the survivor stream (`SurvivorStream`, below), ids counting-sorted
+/// into bound buckets over the dense bound slab, visited in (bound, id)
+/// order. The serve worker's row sweep compacts instead.
 ///
 /// This header defines those operations once as a dispatch table of
 /// function pointers with scalar, AVX2 and NEON implementations. The
@@ -55,37 +52,33 @@ namespace cned {
 /// which the differential tests and `micro_sweep_kernel` enforce.
 ///
 /// Layout contract: candidate ids are 32-bit and < 2^31 (so a pivot's
-/// ordinal fits the signed 32-bit rank of a visit pass, and 0xFFFFFFFF is
-/// never an id); the packed `idx` slice handed to a compaction kernel is
-/// strictly ascending (true by construction: slices start in id order and
-/// compaction is stable), which is what lets the vector implementations
-/// resolve min-bound ties by smallest id instead of smallest scan
-/// position. Slabs should come from `SweepScratch` (64-byte aligned); the
-/// kernels use unaligned loads so mid-slab shard segments are also fine.
+/// ordinal fits a signed 32-bit int, and 0xFFFFFFFF is never an id); the
+/// packed `idx` slice handed to a compaction kernel is strictly ascending
+/// (true by construction: slices start in id order and compaction is
+/// stable), which is what lets the vector implementations resolve
+/// min-bound ties by smallest id instead of smallest scan position. Slabs
+/// should come from `SweepScratch` (64-byte aligned); the kernels use
+/// unaligned loads so mid-slab shard segments are also fine.
 
 /// The id contract above as a size: an index spans at most 2^31 candidates.
 /// `PivotIds` (search/pivot_sweep.h), which every index build, every
 /// snapshot loader and the serve router go through, rejects a larger n.
 constexpr std::size_t kMaxSweepIds = std::size_t{1} << 31;
 
-/// "No candidate": the sentinel `next`/`next_pivot` value.
+/// "No candidate": the sentinel `next` value.
 constexpr std::size_t kSweepNone = static_cast<std::size_t>(-1);
 
-/// Outcome of one eliminate-and-compact pass over a packed candidate slice.
+/// Outcome of one eliminate-and-compact pass over a packed candidate slice,
+/// and of the serve worker's begin and step passes over its shard
+/// (serve/replica.h), which the router merges with `FoldSegmentMinima`
+/// (pivot_sweep.h).
 struct SweepCompactResult {
   /// Survivors now packed in [0, live) of the idx/lower slice.
   std::size_t live = 0;
-  /// Dropped pivots (visited or eliminated). The kernel leaves it 0; the
-  /// visit pass (pivot_sweep.h) fills it from the segment's pivot slab.
-  std::size_t pivots_died = 0;
   /// Surviving candidate with the minimal finite lower bound (first in
   /// packed order among ties, i.e. the smallest id), or kSweepNone.
   std::size_t next = kSweepNone;
   double next_key = std::numeric_limits<double>::infinity();
-  /// Same, restricted to surviving pivots. The kernel leaves it kSweepNone;
-  /// the visit pass fills it from the pivot slab.
-  std::size_t next_pivot = kSweepNone;
-  double next_pivot_key = std::numeric_limits<double>::infinity();
 };
 
 /// The survivor stream's bucket map (`SurvivorStream`, below): survivors,
@@ -115,9 +108,10 @@ struct SweepKernels {
 
   /// Dense row application: lower[i] = max(lower[i], |d - row[i]|) for i in
   /// [0, n), where max keeps lower[i] on ties (the scalar `if (g > lb)`).
-  /// Every sweep applies its visited pivot rows to its dense bound slab
-  /// with it: all of them for the row sweeps, the ones its pivot phase
-  /// visited for the lazy sweep.
+  /// Every sweep applies its pivot rows to its dense bound slab with it:
+  /// all of them for the row sweeps, the ones its pivot phase visited for
+  /// the lazy sweep. The pivot phase tightens the pivots' own bounds with
+  /// it too, over the np-wide pivot block.
   void (*update_lower_dense)(double d, const double* row, double* lower,
                              std::size_t n);
 
@@ -161,10 +155,8 @@ struct SweepKernels {
   ///   idx[r] != skip  &&  !(lower[r] >= bound)
   /// compacting idx/lower in place (stable) and tracking the minimal-bound
   /// survivor. `skip` is the just-visited candidate (pass a value absent
-  /// from the slice, e.g. 0xFFFFFFFF, for "none"). The one compaction
-  /// entry: the lazy sweeps' visit pass runs it over a segment's pivot
-  /// slab (0 to np entries) and, in the serve worker, over its non-pivot
-  /// slab, and the serve worker's row sweep seeds and steps with it. The
+  /// from the slice, e.g. 0xFFFFFFFF, for "none"). Its one caller is the
+  /// serve worker's row sweep, which seeds and steps with it; the
   /// in-process sweeps visit their non-pivots through the survivor stream
   /// instead.
   SweepCompactResult (*eliminate_and_compact)(std::uint32_t* idx,
@@ -317,9 +309,10 @@ void SurvivorStream::VisitInBoundOrder(std::uint32_t* idx, const double* lower,
 /// Deletes are represented as a packed bitmap over candidate slots (bit i =
 /// word i/64, bit i%64). Masking is a bound: `ApplyTombstoneMask` writes
 /// +inf into the dense lower-bound slab for every set bit. A compaction
-/// pass drops such a slot — its predicate `lower >= bound` is inclusive,
-/// so +inf falls to every bound including +inf itself — and the survivor
-/// stream counts only bounds below its seed bound; every row update is a
+/// pass and the pivot phase drop such a slot — their predicate `lower >=
+/// bound` is inclusive, so +inf falls to every bound including +inf itself
+/// — and the survivor stream counts only bounds below its seed bound;
+/// every row update is a
 /// running max, so +inf can never be lowered back at any table_precision.
 /// A deleted prototype is therefore dropped before it can be visited,
 /// evaluated, or counted.

@@ -244,9 +244,9 @@ SweepCompactResult Avx2EliminateAndCompact(std::uint32_t* idx, double* lower,
                                            std::uint32_t skip, double bound) {
   // Below a couple of vector blocks the per-pass fixed cost (broadcasts,
   // final lane reduce) outweighs the lane win — and late-sweep passes over
-  // a collapsed candidate set, and every pass over a pivot slab, are the
-  // common case in the lazy path. The scalar tail loop below IS the scalar
-  // kernel, so skipping the vector phase changes nothing but speed.
+  // a collapsed candidate set are the common case in the serve worker's
+  // steps. The scalar tail loop below IS the scalar kernel, so skipping
+  // the vector phase changes nothing but speed.
   constexpr std::size_t kScalarCutoff = 32;
   SweepCompactResult out;
   const PackTables& t = Tables();

@@ -30,17 +30,6 @@ double InflateGap(double gap) {
   return gap;
 }
 
-// lower[r] = max(lower[r], bound(idx[r] - base)) for r in [0, live), with
-// the dense kernels' tie handling (`if (g > lb)`).
-template <typename Bound>
-void PackedMax(const std::uint32_t* idx, std::uint32_t base, double* lower,
-               std::size_t live, Bound bound) {
-  for (std::size_t r = 0; r < live; ++r) {
-    const double g = bound(idx[r] - base);
-    if (g > lower[r]) lower[r] = g;
-  }
-}
-
 }  // namespace
 
 const char* TablePrecisionName(TablePrecision precision) {
@@ -220,47 +209,6 @@ QuantRowMeta QuantRowEncoder::Finish() const {
   QuantRowMeta m = meta_;
   m.gap = InflateGap(m.gap);
   return m;
-}
-
-void QuantUpdateLowerPacked(const QuantTableView& view, std::size_t rank,
-                            std::size_t n, double d, const std::uint32_t* idx,
-                            std::uint32_t base, double* lower,
-                            std::size_t live) {
-  const std::size_t first = rank * n;
-  switch (view.precision) {
-    case TablePrecision::kF64: {
-      const double* row = view.f64 + first;
-      PackedMax(idx, base, lower, live,
-                [&](std::size_t j) { return std::abs(d - row[j]); });
-      return;
-    }
-    case TablePrecision::kF32: {
-      const float* row = static_cast<const float*>(view.q) + first;
-      const double gap = view.rows[rank].gap;
-      PackedMax(idx, base, lower, live, [&](std::size_t j) {
-        return QuantArmMax(static_cast<double>(row[j]) - d, gap);
-      });
-      return;
-    }
-    case TablePrecision::kF16: {
-      const auto* row = static_cast<const std::uint16_t*>(view.q) + first;
-      const double gap = view.rows[rank].gap;
-      PackedMax(idx, base, lower, live, [&](std::size_t j) {
-        return QuantArmMax(HalfToDouble(row[j]) - d, gap);
-      });
-      return;
-    }
-    case TablePrecision::kU8: {
-      const auto* row = static_cast<const std::uint8_t*>(view.q) + first;
-      const QuantRowMeta& m = view.rows[rank];
-      const double dq = d - m.offset;  // once per call, as the dense entry
-      PackedMax(idx, base, lower, live, [&](std::size_t j) {
-        const double v = static_cast<double>(row[j]) * m.scale;
-        return QuantArmMax(v - dq, m.gap);
-      });
-      return;
-    }
-  }
 }
 
 }  // namespace cned

@@ -185,19 +185,6 @@ inline void QuantUpdateLowerDense(const SweepKernels& kern,
   }
 }
 
-/// Packed row application through the view, for r in [0, live):
-///   lower[r] = max(lower[r], g(row[idx[r] - base]))
-/// with g the precision's per-entry bound from sweep_kernel.h, op for op
-/// the dense entry's arithmetic, so a packed slab reads the bits a dense
-/// update leaves at its ids. `base` is the segment base, so the global ids
-/// in `idx` index the segment-local row. One scalar body, not a kernel
-/// entry: it serves only short slabs (a segment's pivot slab, at most np
-/// entries, and the serve worker's lazy step).
-void QuantUpdateLowerPacked(const QuantTableView& view, std::size_t rank,
-                            std::size_t n, double d, const std::uint32_t* idx,
-                            std::uint32_t base, double* lower,
-                            std::size_t live);
-
 }  // namespace cned
 
 #endif  // CNED_SEARCH_TABLE_QUANT_H_

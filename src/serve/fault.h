@@ -28,9 +28,10 @@ namespace cned {
 ///              replica — note a directive without this key fires on
 ///              *every* member of a replica group, since state-machine
 ///              replication feeds all members the same request sequence)
-///   op=NAME    only fire on requests of this class: ping, begin (both
-///              BeginLazy and BeginRow), eval, step (every Step, lazy
-///              or row sweep) (default: any request)
+///   op=NAME    only fire on requests of this class: ping, begin
+///              (kBeginRow, the one begin of every read), eval, step
+///              (kStep; a lazy read's pivot visits run router-side and
+///              send none) (default: any request)
 ///   nth=K      fire exactly once, on the K-th matching request (1-based)
 ///   every=K    fire on every K-th matching request
 ///   ms=T       delay duration (delay only; default 0)

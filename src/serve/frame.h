@@ -60,14 +60,14 @@ inline constexpr std::uint32_t kMaxFramePayload = 1u << 30;
 /// round trip with nothing to gate on.
 enum class FrameType : std::uint32_t {
   kPing = 1,       ///< health check; reply: u64 shard id, u64 replica id
-  kBeginLazy = 2,  ///< start a lazy sweep: str query -> compact (the
-                   ///< shard's base tombstones masked out by a +inf pass)
-  kBeginRow = 3,   ///< start a row sweep: str query, f64 seed_bound, row
+  // 2 and 6 are reserved (the lazy sweep's begin and the row sweep's own
+  // step): the frame layer still accepts them, and a worker answers them
+  // with kError as unknown types.
+  kBeginRow = 3,   ///< start a sweep: str query, f64 seed_bound, u64
+                   ///< count, count x (u32 rank, f64 d) -> u64 base
+                   ///< tombstones, compact
   kEval = 4,       ///< evaluate: u64 global id, f64 cap -> f64 distance
-  kStep = 5,       ///< visit pass: skip/rank/d/bound -> compact; a row
-                   ///< sweep's step has rank -1
-  // 6 is reserved (it was the row sweep's own step): the frame layer still
-  // accepts it, and a worker answers it with kError as an unknown type.
+  kStep = 5,       ///< compaction: u32 skip, f64 bound -> compact
   kShutdown = 7,   ///< clean worker exit; empty reply, then close
   kReply = 8,      ///< successful response (payload per request type)
   kError = 9,      ///< worker-side exception; payload: str message

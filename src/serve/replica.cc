@@ -75,8 +75,6 @@ ShardReplica::ShardReplica(const std::string& store_path,
   // The global N only bounds the pivot ids: nothing is allocated over it.
   pivot_table_ = PivotTables::Read(reader, np, n_total_, {n_s}, precision,
                                    /*copy=*/false, who);
-  const auto [first, last] = pivot_table_.pivots().Run(base_, n_s);
-  shard_pivots_ = last - first;
 }
 
 ShardReplica::SweepSlot& ShardReplica::NewSlot(std::uint32_t qid) {
@@ -91,10 +89,7 @@ ShardReplica::SweepSlot& ShardReplica::NewSlot(std::uint32_t qid) {
   const std::size_t n_s = store_.size();
   slot.idx.resize(n_s);
   slot.lower.resize(n_s);
-  slot.pivot_idx.resize(shard_pivots_);
-  slot.pivot_lower.resize(shard_pivots_);
-  slot.slabs = {slot.idx.data(),       slot.lower.data(), n_s,
-                slot.pivot_idx.data(), slot.pivot_lower.data()};
+  slot.live = n_s;
   std::iota(slot.idx.data(), slot.idx.data() + n_s,
             static_cast<std::uint32_t>(base_));
   return slot;
@@ -119,34 +114,10 @@ const ShardReplica::SweepSlot& ShardReplica::SlotOf(std::uint32_t qid) const {
 }
 
 std::size_t ShardReplica::live(std::uint32_t qid) const {
-  const SegmentSlabs& slabs = SlotOf(qid).slabs;
-  return slabs.live + slabs.pivot_live;
-}
-
-std::size_t ShardReplica::live_pivots(std::uint32_t qid) const {
-  return SlotOf(qid).slabs.pivot_live;
+  return SlotOf(qid).live;
 }
 
 void ShardReplica::EndSweep(std::uint32_t qid) { sweeps_.erase(qid); }
-
-SweepCompactResult ShardReplica::BeginLazy(std::uint32_t qid,
-                                           std::string_view query) {
-  SweepSlot& slot = NewSlot(qid);
-  slot.query.assign(query);
-  const SweepSegment seg = segment();
-  double* lower = slot.slabs.lower;
-  distance_->LengthLowerBounds(slot.query.size(), store_.lengths_data(),
-                               store_.size(), lower);
-  // Mask this shard's base tombstones out of the slabs before anything is
-  // visited, and hand the router this segment's minimal-bound survivors so
-  // it can choose a live starting candidate across shards (a dead global
-  // pivot 0 must not be visited anywhere).
-  if (base_dead_ > 0) ApplyTombstoneMask(tombs_.data(), store_.size(), lower);
-  LiftSegmentPivots(pivot_table_.pivots(), seg, lower, &slot.slabs);
-  return VisitSegmentPass(seg, /*rank=*/-1, 0.0, /*skip=*/0xFFFFFFFFu,
-                          std::numeric_limits<double>::infinity(),
-                          &slot.slabs);
-}
 
 bool ShardReplica::Insert(std::uint64_t id, std::string_view s) {
   // Per-shard ids are assigned (and replayed) in ascending order, so a
@@ -197,26 +168,36 @@ void ShardReplica::DeltaScan(std::string_view query, double cap0,
 
 SweepCompactResult ShardReplica::BeginRow(std::uint32_t qid,
                                           std::string_view query,
-                                          const double* row,
+                                          const std::vector<PivotRow>& rows,
                                           double seed_bound) {
+  // A rank selects a row of the mapped slice unchecked (ApplyPivotRows):
+  // a frame's rank past the pivot count would read beyond it.
+  const std::size_t np = num_pivots();
+  const bool valid =
+      rows.size() <= np &&
+      std::all_of(rows.begin(), rows.end(),
+                  [np](const PivotRow& r) { return r.rank < np; });
+  if (!valid) {
+    sweeps_.erase(qid);
+    throw std::out_of_range("ShardReplica::BeginRow: pivot rows out of range");
+  }
   SweepSlot& slot = NewSlot(qid);
   slot.query.assign(query);
   // Tombstoned base slots go to +inf before the seed compaction — no
   // protocol change needed: the mask rides the shard's own state. So do
-  // the pivots: the row sweep's adaptive phase never revisits them, and
-  // the pivot slab stays empty. The router's step loop reads packed
-  // survivors, so the dense slab is compacted in place.
-  const SweepSegment seg = segment();
-  double* lower = slot.slabs.lower;
-  distance_->LengthLowerBounds(slot.query.size(), store_.lengths_data(),
-                               store_.size(), lower);
-  std::vector<PivotRow> rows(num_pivots());
-  for (std::size_t p = 0; p < rows.size(); ++p) rows[p] = {p, row[p]};
-  ApplyPivotRows(seg, rows, lower);
-  if (base_dead_ > 0) ApplyTombstoneMask(tombs_.data(), store_.size(), lower);
-  LiftSegmentPivots(pivot_table_.pivots(), seg, lower);
-  return VisitSegmentPass(seg, /*rank=*/-1, 0.0, /*skip=*/0xFFFFFFFFu,
-                          seed_bound, &slot.slabs);
+  // the pivots: the router holds them as incumbents, or they are dead.
+  const std::size_t n_s = store_.size();
+  double* lower = slot.lower.data();
+  distance_->LengthLowerBounds(slot.query.size(), store_.lengths_data(), n_s,
+                               lower);
+  ApplyPivotRows(segment(), rows, lower);
+  if (base_dead_ > 0) ApplyTombstoneMask(tombs_.data(), n_s, lower);
+  const std::uint32_t* ids = pivot_table_.pivots().sorted();
+  for (const std::uint32_t* it = std::lower_bound(ids, ids + np, base_);
+       it != ids + np && *it - base_ < n_s; ++it) {
+    lower[*it - base_] = std::numeric_limits<double>::infinity();
+  }
+  return Step(qid, /*skip=*/0xFFFFFFFFu, seed_bound);
 }
 
 double ShardReplica::Eval(std::uint32_t qid, std::size_t global_id,
@@ -230,15 +211,12 @@ double ShardReplica::Eval(std::uint32_t qid, std::size_t global_id,
 }
 
 SweepCompactResult ShardReplica::Step(std::uint32_t qid, std::uint32_t skip,
-                                      std::int32_t rank, double d,
                                       double bound) {
-  // The rank selects a table row unchecked (VisitSegmentPass): a frame's
-  // rank past the pivot count would read beyond the mapped slice.
-  if (rank < -1 || rank >= static_cast<std::int64_t>(num_pivots())) {
-    throw std::out_of_range("ShardReplica::Step: pivot rank out of range");
-  }
-  return VisitSegmentPass(segment(), rank, d, skip, bound,
-                          &SlotOf(qid).slabs);
+  SweepSlot& slot = SlotOf(qid);
+  const SweepCompactResult out = ActiveSweepKernels().eliminate_and_compact(
+      slot.idx.data(), slot.lower.data(), slot.live, skip, bound);
+  slot.live = out.live;
+  return out;
 }
 
 }  // namespace cned

@@ -26,25 +26,26 @@ namespace cned {
 /// by the same section walk `Laesa::Map` runs after the slice's own header
 /// (and, in v2, its {precision, reserved} section). Like every index, it
 /// rejects duplicate pivot ids. Nothing it allocates scales with the
-/// header's global N: the slabs span the shard, the pivot slab the
-/// shard's pivots.
+/// header's global N: the slabs span the shard.
 ///
 /// A replica is one segment of the shared sweep core (pivot_sweep.h) given
-/// its own state: `BeginRow` runs the core's dense row application and
-/// `Step` (and the tombstone mask of `BeginLazy`) its visit pass over the
-/// segment's non-pivot and pivot slabs, and the router merges the returned
+/// its own state: `BeginRow` runs the core's dense application of the
+/// rows the router took — every pivot row for a row read, the visited
+/// ones for a lazy read, whose pivot phase the router runs — and compacts
+/// the segment's non-pivots against the seed bound; `Step` compacts them
+/// again against the falling incumbent. The router merges the returned
 /// `SweepCompactResult`s the way the core merges its segments. `Laesa`
-/// runs the same visit pass over its pivot slabs, and applies the rows its
-/// sweep took to its non-pivots once, densely: a compaction after every
-/// visit keeps the same candidates with the same bounds. That is what
-/// makes a healthy distributed query bit-identical (neighbours, distances
-/// AND QueryStats) to the in-process `Laesa`.
+/// applies the same rows once, densely, and visits the same non-pivots in
+/// (bound, id) order: a compaction after every visit keeps the same
+/// candidates with the same bounds. That is what makes a healthy
+/// distributed query bit-identical (neighbours, distances AND QueryStats)
+/// to the in-process `Laesa`.
 ///
 /// Multiplexing: sweep state lives in per-query slots keyed by the frame
 /// layer's query id, so one replica serves any number of interleaved
 /// sweeps over a single connection. Each slot is an independent copy of
 /// the segment slabs — a sweep's trajectory is a pure function of its own
-/// (Begin*, Step*...) sequence, untouched by whatever other queries do in
+/// (BeginRow, Step*...) sequence, untouched by whatever other queries do in
 /// between — which is exactly what keeps interleaved queries bit-identical
 /// to running them back to back. Mutable-tier state (delta, tombstones) is
 /// shared across slots; the router's writer lock guarantees mutations
@@ -75,28 +76,14 @@ class ShardReplica {
   /// Candidates still live in query `qid`'s slot. Throws std::out_of_range
   /// for an unknown qid.
   std::size_t live(std::uint32_t qid) const;
-  /// Live candidates of `qid`'s slot that are pivots. The router sums
-  /// these across shards; when a shard dies its contribution drops out of
-  /// the sum automatically, keeping the global pivot accounting exact
-  /// under degrade.
-  std::size_t live_pivots(std::uint32_t qid) const;
 
   /// Active sweep slots (monitoring; the overflow guard's input).
   std::size_t sweep_count() const { return sweeps_.size(); }
 
-  /// Hard cap on concurrent sweep slots per replica: a Begin* past it
+  /// Hard cap on concurrent sweep slots per replica: a BeginRow past it
   /// throws (the worker answers kError) instead of letting a router that
   /// leaks query ids grow the worker without bound.
   static constexpr std::size_t kMaxSweeps = 4096;
-
-  /// Starts a lazy sweep in `qid`'s slot (created, or reset if the id is
-  /// being reused): length lower bounds over the segment, the shard's base
-  /// tombstones (if any) forced to +inf, the shard's pivots moved to the
-  /// pivot slab, then one visit pass at bound=+inf that drops exactly the
-  /// tombstoned slots. The returned pass carries the survivor count and
-  /// this segment's minimal-bound survivors, so the router can pick a live
-  /// start across shards.
-  SweepCompactResult BeginLazy(std::uint32_t qid, std::string_view query);
 
   /// Retires `qid`'s slot. Idempotent — the router's end-of-sweep frame is
   /// fire-and-forget, so a duplicate or a never-begun id is a no-op.
@@ -130,12 +117,17 @@ class ShardReplica {
   std::size_t delta_dead() const { return delta_dead_; }
   std::size_t total_dead() const { return base_dead_ + delta_dead_; }
 
-  /// Starts a row sweep in `qid`'s slot: length bounds, every pivot row
-  /// applied dense, the pivots (already the router's incumbents) lifted to
-  /// +inf, then one compaction against `seed_bound`. The pivot slab stays
-  /// empty. Returns the segment's compact result.
+  /// Starts a row sweep in `qid`'s slot (created, or reset if the id is
+  /// being reused): length bounds, `rows` applied dense, the shard's base
+  /// tombstones (if any) and its pivots (already the router's incumbents
+  /// or dead) lifted to +inf, then one compaction against `seed_bound`.
+  /// Returns the segment's compact result. A rank selects a row of the
+  /// mapped slice, so more than num_pivots() rows, or a rank outside
+  /// [0, num_pivots()), throws std::out_of_range and leaves no slot under
+  /// `qid`.
   SweepCompactResult BeginRow(std::uint32_t qid, std::string_view query,
-                              const double* row, double seed_bound);
+                              const std::vector<PivotRow>& rows,
+                              double seed_bound);
 
   /// d(slot query, prototype at global id) bounded by `cap` — the
   /// scattered form of the sweep's visit evaluation. Pure (idempotent):
@@ -143,15 +135,11 @@ class ShardReplica {
   /// outside the segment or an unknown qid.
   double Eval(std::uint32_t qid, std::size_t global_id, double cap) const;
 
-  /// One visit pass on `qid`'s slot, lazy or row sweep alike: if `rank`
-  /// >= 0 the visited candidate was pivot `rank`, so its table row tightens
-  /// the segment's bounds first; then eliminate-and-compact against
-  /// `bound`, dropping `skip` (the visited candidate). A row sweep's steps
-  /// carry rank -1. Mutates slot state — not idempotent. Throws
-  /// std::out_of_range, leaving the slot as it was, for an unknown qid or a
-  /// `rank` outside [-1, num_pivots()).
+  /// One step on `qid`'s slot: eliminate-and-compact against `bound`,
+  /// dropping `skip` (the visited candidate). Mutates slot state — not
+  /// idempotent. Throws std::out_of_range for an unknown qid.
   SweepCompactResult Step(std::uint32_t qid, std::uint32_t skip,
-                          std::int32_t rank, double d, double bound);
+                          double bound);
 
  private:
   std::size_t shard_id_ = 0;
@@ -172,20 +160,17 @@ class ShardReplica {
   /// The global pivot ids and this shard's one-segment table slice, mapped
   /// in place.
   PivotTables pivot_table_;
-  /// The pivots whose ids fall in this shard.
-  std::size_t shard_pivots_ = 0;
 
-  /// One in-flight sweep: this query's private copy of the segment slabs.
+  /// One in-flight sweep: this query's private copy of the segment slabs,
+  /// its live non-pivots packed in [0, live).
   struct SweepSlot {
     std::string query;
     AlignedBuffer<std::uint32_t> idx;
     AlignedBuffer<double> lower;
-    AlignedBuffer<std::uint32_t> pivot_idx;
-    AlignedBuffer<double> pivot_lower;
-    SegmentSlabs slabs;  // views the four buffers above
+    std::size_t live = 0;
   };
   /// Resets `qid`'s slot (creating it) to the segment's ids in order, all
-  /// live, with an empty pivot slab.
+  /// live.
   SweepSlot& NewSlot(std::uint32_t qid);
   SweepSlot& SlotOf(std::uint32_t qid);
   const SweepSlot& SlotOf(std::uint32_t qid) const;

@@ -81,9 +81,10 @@ ServeRouter::ServeRouter(const std::string& snapshot_dir,
       dir_(snapshot_dir),
       options_(options),
       replicas_per_shard_(static_cast<std::size_t>(options.replicas)) {
-  // The manifest is small (pivot ids + strings): it is read through a
-  // verifying mapping (the same always-on checksum the workers run on their
-  // shard files) and copied out before the mapping is dropped.
+  // The manifest is small (pivot ids, strings and the pivot block): it is
+  // read through a verifying mapping (the same always-on checksum the
+  // workers run on their shard files) and copied out before the mapping is
+  // dropped.
   MappedReader reader(MappedFile::Open(ManifestPath(dir_)),
                       /*verify_checksum=*/true);
   const auto counts =
@@ -95,6 +96,9 @@ ServeRouter::ServeRouter(const std::string& snapshot_dir,
   if (shards == 0 || np == 0 || np > n_) {
     throw std::runtime_error("ServeRouter: malformed manifest counts");
   }
+  const TablePrecision precision =
+      counts[4] == 0 ? TablePrecision::kF64
+                     : TablePrecisionFromCode(counts[4], "ServeRouter");
   const std::uint64_t* shard_sizes = reader.Array<std::uint64_t>(shards);
   // Each size must fit in what is left of n: a running sum that wraps would
   // pass the total check with bases that do not ascend, and ShardOf needs
@@ -128,9 +132,10 @@ ServeRouter::ServeRouter(const std::string& snapshot_dir,
     throw std::runtime_error("ServeRouter: manifest pivot arena mismatch");
   }
   const char* arena = reader.Array<char>(arena_bytes);
-  pivot_strings_.resize(np);
+  shape_.block = PivotBlock::Read(reader, np, precision);
+  shape_.pivot_strings.resize(np);
   for (std::size_t p = 0; p < np; ++p) {
-    pivot_strings_[p].assign(arena, lens[p]);
+    shape_.pivot_strings[p].assign(arena, lens[p]);
     arena += lens[p];
   }
 
@@ -761,7 +766,7 @@ void ServeRouter::Driver::Start(Sweep& sw) {
 void ServeRouter::Driver::Scatter(Sweep& sw, Phase phase) {
   const bool begin = phase == Phase::kBegin;
   sw.phase = phase;
-  sw.type = begin ? sw.m.begin_type() : FrameType::kStep;
+  sw.type = begin ? FrameType::kBeginRow : FrameType::kStep;
   sw.request = begin ? sw.m.BeginPayload() : sw.m.StepPayload();
   sw.legs.clear();
   for (std::size_t s = 0; s < r_.shard_count(); ++s) {
@@ -851,17 +856,8 @@ void ServeRouter::Driver::Visit(Sweep& sw) {
     }
     return;
   }
-  const std::int32_t rank = sw.m.router_pivot();
-  if (rank < 0) {
-    Read(sw, Phase::kEval, FrameType::kEval, sw.m.EvalPayload(),
-         {sw.m.cand_shard()});
-    return;
-  }
-  // Pivot strings live in the manifest: a lazy sweep's visited pivot is
-  // evaluated router-side, like the pivot stage.
-  sw.m.AbsorbEval(r_.distance_->DistanceBounded(
-      sw.job.query, r_.pivot_strings_[rank], sw.m.cap()));
-  Scatter(sw, Phase::kStep);
+  Read(sw, Phase::kEval, FrameType::kEval, sw.m.EvalPayload(),
+       {sw.m.cand_shard()});
 }
 
 // Reconciles each active group's begin or step replies into the machine;
@@ -1157,7 +1153,8 @@ void ServeRouter::Driver::Run() {
       while (sweeps_.size() < wave_ && feed_.Next(&job)) {
         r_.MaybeRespawn();
         sweeps_.emplace_back(
-            job, SweepMachine(r_.shape_, r_.world_, job.query, job.k, job.row));
+            job, SweepMachine(r_.shape_, r_.world_, *r_.distance_, job.query,
+                              job.k, job.row));
         Start(sweeps_.back());
       }
     }

@@ -102,8 +102,8 @@ struct ServeOptions {
 /// per shard (ServeOptions::replicas), each connected by a socketpair
 /// speaking the checksummed framing of serve/frame.h. All members of a
 /// group map the *same* shard snapshot files; the router loads only the
-/// manifest (shard shapes + pivot ids + pivot strings), so no process
-/// ever materialises the whole index.
+/// manifest (shard shapes, pivot ids, pivot strings and the np x np pivot
+/// block), so no process ever materialises the whole index.
 ///
 /// A query runs the exact `Laesa` sweep with the per-shard passes
 /// scattered: the router makes every global decision (incumbents,
@@ -146,7 +146,7 @@ struct ServeOptions {
 /// `mu` (membership snapshots, short).
 ///
 /// Replication model (state-machine): a shard's slab state is a pure
-/// deterministic function of its op sequence (Begin*, then the Step*s),
+/// deterministic function of its op sequence (BeginRow, then the Steps),
 /// so the router scatters the begin and every mutating step to ALL live
 /// members of each group, and `Reconcile` settles the replies: the first
 /// reply the sweep machine accepts (primary first) drives the merge, and
@@ -241,14 +241,17 @@ class ServeRouter {
   /// The manifest's pivot strings (immutable), in pivot-ordinal order —
   /// what the admission front end needs to run the pivot stage itself.
   const std::vector<std::string>& pivot_strings() const {
-    return pivot_strings_;
+    return shape_.pivot_strings;
   }
   /// The router's distance (immutable after construction).
   const StringDistance& metric() const { return *distance_; }
 
   /// Lazy (per-query) path — the distributed `Laesa::KNearest`:
-  /// `DriveSweeps` over a one-job feed on the caller's thread. Thread-safe:
-  /// concurrent calls multiplex over the shared connections.
+  /// `DriveSweeps` over a one-job feed on the caller's thread. The router
+  /// runs the pivot phase itself, over the manifest's pivot block, and
+  /// begins the shards with the rows it visited; from there the read is
+  /// a row read. Thread-safe: concurrent calls multiplex over the shared
+  /// connections.
   ServeResult Nearest(std::string_view query);
   ServeResult KNearest(std::string_view query, std::size_t k);
 
@@ -323,8 +326,7 @@ class ServeRouter {
   ///   * an eval or delta scan goes to the group's primary (promoting a
   ///     live member when it is dead) and, still pending after
   ///     `hedge_delay_ms`, races a standby leg; the first reply the
-  ///     machine accepts wins. A lazy sweep evaluates a visited pivot
-  ///     router-side, from the manifest's pivot strings;
+  ///     machine accepts wins;
   ///   * at the deadline the pending legs' shards are dropped and the
   ///     machine's incumbents stand (`Expire`).
   /// `MaybeRespawn` runs before each sweep is admitted.
@@ -489,7 +491,6 @@ class ServeRouter {
   // Manifest state (immutable after construction — read lock-free).
   std::size_t n_ = 0;
   SweepShape shape_;
-  std::vector<std::string> pivot_strings_;
   StringDistancePtr distance_;
 
   std::string dir_;

@@ -10,10 +10,15 @@ namespace cned {
 ///
 /// `SaveServingSnapshot` splits a sharded `Laesa` + its store into one
 /// directory, one shard per segment:
-///   manifest.bin      router half (magic CNEDSRM1): counts {n, shards,
-///                     np, pivot_arena_bytes}; sections shard sizes
-///                     u64[shards], pivot ids u64[np], pivot lengths
-///                     u64[np], pivot characters char[arena_bytes]
+///   manifest.bin      router half (magic CNEDSRM1, version 2): counts
+///                     {n, shards, np, pivot_arena_bytes, precision};
+///                     sections shard sizes u64[shards], pivot ids
+///                     u64[np], pivot lengths u64[np], pivot characters
+///                     char[arena_bytes], then the GLOBAL per-row decode
+///                     meta QuantRowMeta[np] (quantized tables only) and
+///                     the pivot block elem[np * np] (`PivotBlock`,
+///                     search/pivot_sweep.h) at the precision's element
+///                     width. The router reads version 2 only
 ///   shard<s>.store.bin   shard s's prototypes — a standalone
 ///                     `PrototypeStore::SaveBinary` file
 ///   shard<s>.index.bin   shard s's index slice (magic CNEDSHW1): counts
@@ -38,7 +43,7 @@ inline constexpr std::uint32_t kShardSliceVersion = 1;
 inline constexpr std::uint32_t kShardSliceVersionQuant = 2;
 inline constexpr char kRouterManifestMagic[8] = {'C', 'N', 'E', 'D',
                                                  'S', 'R', 'M', '1'};
-inline constexpr std::uint32_t kRouterManifestVersion = 1;
+inline constexpr std::uint32_t kRouterManifestVersion = 2;
 
 /// Standard file names inside a snapshot directory.
 std::string ManifestPath(const std::string& dir);

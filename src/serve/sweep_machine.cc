@@ -1,6 +1,7 @@
 #include "serve/sweep_machine.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "serve/wire.h"
 
@@ -18,85 +19,98 @@ std::size_t SweepWorld::LiveTotal(std::size_t n) const {
 }
 
 SweepMachine::SweepMachine(const SweepShape& shape, const SweepWorld& world,
+                           const StringDistance& distance,
                            std::string_view query, std::size_t k,
                            const double* row)
     : shape_(shape),
       world_(world),
       query_(query),
-      row_(row),
       k_(std::min(k, world.LiveTotal(shape.n()))),
       inc_(k_),
       views_(shape.shard_count()) {
   if (k_ == 0) return;
-  if (row_ == nullptr) {
-    // The start rule, as in process: the first pivot while no base
-    // prototype is removed, else the best survivor of the begin passes —
-    // tombstoned slots are already gone there, and a dead global pivot 0
-    // must not be visited.
-    if (world_.base_dead_total == 0) start_ = shape_.pivots.ids()[0];
+  const PivotIds& pivots = shape_.pivots;
+  const std::size_t np = pivots.size();
+  const auto dead = [&](std::size_t id) {
+    return !world_.base_tombs.empty() &&
+           TestTombstone(world_.base_tombs.data(), id);
+  };
+  if (row == nullptr) {
+    // The pivot phase, as in process: length bounds, the tombstoned
+    // pivots at +inf, then one visit per surviving pivot, evaluated here
+    // from the manifest's strings.
+    std::vector<std::uint32_t> lens(np);
+    std::vector<double> bounds(np);
+    for (std::size_t j = 0; j < np; ++j) {
+      lens[j] = static_cast<std::uint32_t>(
+          shape_.pivot_strings[pivots.ordinals()[j]].size());
+    }
+    distance.LengthLowerBounds(query_.size(), lens.data(), np, bounds.data());
+    for (std::size_t j = 0; j < np; ++j) {
+      if (dead(pivots.sorted()[j])) {
+        bounds[j] = std::numeric_limits<double>::infinity();
+      }
+    }
+    cned::VisitPivots(
+        pivots, shape_.block.view(), world_.base_dead_total > 0, inc_,
+        bounds.data(),
+        [&](std::size_t id, std::size_t rank) {
+          const double cap = inc_.Cap(/*is_pivot=*/true);
+          const double d = distance.DistanceBounded(
+              query_, shape_.pivot_strings[rank], cap);
+          inc_.Absorb(id, d, cap, /*is_pivot=*/true);
+          return d;
+        },
+        &rows_);
     return;
   }
   // The row sweep charges the row evaluations here, once per query, as
   // the in-process batch engine charges them, and seeds the incumbents.
-  const std::size_t np = shape_.pivots.size();
   inc_.stats().distance_computations += np;
   inc_.stats().pivot_computations += np;
   // A tombstoned pivot's evaluation still tightens every worker's bounds
   // (its row is broadcast in the begin, an admissible use), but it must
   // never become an incumbent — it is no longer a member of the live set.
-  inc_.SeedRow(shape_.pivots.ids(), row_, [&](std::size_t p) {
-    return !world_.base_tombs.empty() &&
-           TestTombstone(world_.base_tombs.data(), shape_.pivots.ids()[p]);
-  });
-}
-
-FrameType SweepMachine::begin_type() const {
-  return row_ == nullptr ? FrameType::kBeginLazy : FrameType::kBeginRow;
+  inc_.SeedRow(pivots.ids(), row,
+               [&](std::size_t p) { return dead(pivots.ids()[p]); });
+  rows_.reserve(np);
+  for (std::size_t p = 0; p < np; ++p) rows_.push_back({p, row[p]});
 }
 
 std::vector<char> SweepMachine::BeginPayload() const {
   PayloadWriter w;
   w.Str(query_);
-  if (row_ != nullptr) {
-    const std::size_t np = shape_.pivots.size();
-    w.F64(inc_.Kth());
-    w.U64(np);
-    w.Raw(row_, np * sizeof(double));
+  w.F64(inc_.Kth());
+  w.U64(rows_.size());
+  for (const PivotRow& r : rows_) {
+    w.U32(static_cast<std::uint32_t>(r.rank));
+    w.F64(r.d);
   }
   return std::move(w.buf);
 }
 
 bool SweepMachine::AbsorbBegin(std::size_t s, const std::vector<char>& reply) {
-  if (!AbsorbStep(s, reply)) return false;
-  // The lazy begin's +inf pass drops exactly the tombstoned slots (every
-  // live slot's length bound is finite), so its survivor count is an
-  // integrity check.
-  return row_ != nullptr ||
-         views_[s].last.live == shape_.shard_size(s) - world_.shard_dead[s];
+  PayloadReader r(reply);
+  return r.U64() == world_.shard_dead[s] && AbsorbPass(s, r);
 }
 
-// A CRC-valid reply is still outside input: its candidate ids index the
-// router's shape and pick the shard an eval goes to, so each must lie in
-// the replying shard's segment, and its survivor count within the shard.
-// The row begin's reply has the same shape.
 bool SweepMachine::AbsorbStep(std::size_t s, const std::vector<char>& reply) {
   PayloadReader r(reply);
-  const WireCompact wc = DecodeCompact(r);
-  const auto in_shard = [&](std::size_t id) {
-    return id == kSweepNone ||
-           (id >= shape_.bases[s] && id < shape_.bases[s + 1]);
-  };
-  const SweepCompactResult& pass = wc.pass;
-  if (!r.Done() || pass.live > shape_.shard_size(s) || !in_shard(pass.next) ||
-      !in_shard(pass.next_pivot) ||
-      (pass.next_pivot != kSweepNone &&
-       shape_.pivots.Rank(pass.next_pivot) < 0)) {
+  return AbsorbPass(s, r);
+}
+
+// A CRC-valid reply is still outside input: its candidate id indexes the
+// router's shape and picks the shard an eval goes to, so it must lie in
+// the replying shard's segment, and its survivor count within the shard.
+bool SweepMachine::AbsorbPass(std::size_t s, PayloadReader& r) {
+  const SweepCompactResult pass = DecodeCompact(r);
+  const bool in_shard =
+      pass.next == kSweepNone ||
+      (pass.next >= shape_.bases[s] && pass.next < shape_.bases[s + 1]);
+  if (!r.Done() || pass.live > shape_.shard_size(s) || !in_shard) {
     return false;
   }
-  ShardView& v = views_[s];
-  v.last = pass;
-  // The row sweep's adaptive phase never revisits pivots.
-  v.live_pivots = row_ == nullptr ? wc.live_pivots : 0;
+  views_[s].last = pass;
   return true;
 }
 
@@ -108,31 +122,15 @@ std::size_t SweepMachine::live() const {
   return live;
 }
 
-std::size_t SweepMachine::live_pivots() const {
-  std::size_t live = 0;
-  for (const ShardView& v : views_) {
-    if (v.active) live += v.live_pivots;
-  }
-  return live;
-}
-
 std::size_t SweepMachine::Next() {
   SweepCompactResult merged;
   for (const ShardView& v : views_) {
     if (v.active) FoldSegmentMinima(v.last, &merged);
   }
-  if (merged.live == 0) {
-    cand_ = kSweepNone;
-  } else if (start_ != kSweepNone) {
-    cand_ = start_;
-  } else {
-    cand_ = live_pivots() > 0 ? merged.next_pivot : merged.next;
-  }
-  start_ = kSweepNone;
+  cand_ = merged.live == 0 ? kSweepNone : merged.next;
   if (cand_ == kSweepNone) return cand_;
   cand_shard_ = shape_.ShardOf(cand_);
-  cand_rank_ = row_ == nullptr ? shape_.pivots.Rank(cand_) : -1;
-  cap_ = inc_.Cap(cand_rank_ >= 0);
+  cap_ = inc_.Cap(/*is_pivot=*/false);
   return cand_;
 }
 
@@ -144,8 +142,7 @@ std::vector<char> SweepMachine::EvalPayload() const {
 }
 
 void SweepMachine::AbsorbEval(double d) {
-  cand_d_ = d;
-  inc_.Absorb(cand_, d, cap_, cand_rank_ >= 0);
+  inc_.Absorb(cand_, d, cap_, /*is_pivot=*/false);
 }
 
 // A CRC-valid reply is still outside input: a distance is >= 0 or +inf,
@@ -159,12 +156,9 @@ bool SweepMachine::AbsorbEvalReply(const std::vector<char>& reply) {
 }
 
 std::vector<char> SweepMachine::StepPayload() const {
-  // The elimination radius tightens with the new incumbent. A row sweep's
-  // candidate is never a pivot, so its rank is -1.
+  // The elimination radius tightens with the new incumbent.
   PayloadWriter w;
   w.U32(static_cast<std::uint32_t>(cand_));
-  w.I32(cand_rank_);
-  w.F64(cand_d_);
   w.F64(inc_.Kth());
   return std::move(w.buf);
 }

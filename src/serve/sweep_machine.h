@@ -3,9 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <string_view>
 #include <vector>
 
+#include "distances/distance.h"
 #include "search/nn_searcher.h"
 #include "search/pivot_sweep.h"
 #include "search/sweep_kernel.h"
@@ -47,6 +49,12 @@ struct ServeResult {
 struct SweepShape {
   std::vector<std::size_t> bases;  // size S+1
   PivotIds pivots;                 // global pivot ids, O(pivots) memory
+  /// The pivot strings in ordinal order: the router evaluates pivots
+  /// itself.
+  std::vector<std::string> pivot_strings;
+  /// The np x np pivot block (`PivotBlock`, search/pivot_sweep.h) that a
+  /// lazy read's pivot phase runs over.
+  PivotBlock block;
 
   std::size_t n() const { return bases.back(); }
   std::size_t shard_count() const { return bases.size() - 1; }
@@ -58,11 +66,11 @@ struct SweepShape {
 };
 
 /// The router-side mirror of the workers' delta/tombstone state. It drives
-/// the lazy start rule and begin check, the k clamp, pivot seeding, the
+/// the lazy pivot phase's tombstones, the k clamp, pivot seeding, the
 /// delta phase and respawn replay. The router guards it with its world
 /// lock, held shared for the whole life of every sweep that reads it.
 struct SweepWorld {
-  std::vector<std::uint64_t> base_tombs;  // bitmap over base ids; lazy
+  std::vector<std::uint64_t> base_tombs;  // bitmap over base ids
   std::vector<std::size_t> shard_dead;    // base tombstones per shard
   std::size_t base_dead_total = 0;
   std::vector<std::size_t> delta_live;    // live delta per shard
@@ -74,8 +82,9 @@ struct SweepWorld {
 /// One query's distributed LAESA sweep as a state machine: every decision
 /// of the in-process `Laesa` sweep (paper Figs. 3-4: select the
 /// minimal-bound candidate, evaluate it, tighten, eliminate), with the
-/// per-shard passes left to the workers. The visit rule (incumbents, caps, row seeding) is
-/// the in-process sweep's own `SweepIncumbents`, and the shard merge its
+/// per-shard passes left to the workers. The visit rule (incumbents,
+/// caps, row seeding) is the in-process sweep's own `SweepIncumbents`,
+/// the lazy pivot phase its `VisitPivots`, and the shard merge its
 /// `FoldSegmentMinima` (search/pivot_sweep.h). It does no I/O and takes no
 /// locks: an executor sends the payloads it builds, feeds back the
 /// replies, and reports lost shards. One executor drives it — the router's
@@ -84,51 +93,49 @@ struct SweepWorld {
 /// identical values in identical order, and is bit-identical (neighbours,
 /// distances and QueryStats) to the in-process index.
 ///
-/// The two sweep kinds differ only in data:
-///   * lazy (`row == nullptr`, the distributed `Laesa::KNearest`):
-///     kBeginLazy / kStep frames, and a visited pivot is evaluated
-///     router-side from the manifest's pivot strings. Every begin reply is
-///     a compact result: each worker masks its base tombstones (if any) in
-///     one +inf pass. The sweep starts at global pivot 0 while no base
-///     prototype is removed, as in process, else at the merged min-bound
-///     live pivot;
-///   * pivot-row (`Laesa::KNearestWithPivotRow`): kBeginRow / kStep
-///     frames, every step at rank -1, incumbents seeded from the row, every
-///     visit a worker eval.
+/// Both reads are row reads; they differ only in the rows:
+///   * lazy (`row == nullptr`, the distributed `Laesa::KNearest`): the
+///     constructor runs the pivot phase router-side, over the manifest's
+///     pivot block, evaluating each visited pivot from its string. It
+///     starts at global pivot 0 while no base prototype is removed, as in
+///     process, else at the minimal-bound live pivot. The begin carries
+///     the visited rows;
+///   * pivot-row (`Laesa::KNearestWithPivotRow`): the incumbents are
+///     seeded from the row, and the begin carries every row.
 ///
 /// Protocol: AbsorbBegin for every active shard, then repeat { Next();
-/// evaluate the candidate (AbsorbEval / AbsorbEvalReply); AbsorbStep for
-/// every active shard } until Next() returns kSweepNone; then the delta
-/// scans (AbsorbDelta); then Finish. A reply that fails an Absorb* is
-/// malformed: the executor must Drop the shard.
+/// evaluate the candidate on its shard (AbsorbEval / AbsorbEvalReply);
+/// AbsorbStep for every active shard } until Next() returns kSweepNone;
+/// then the delta scans (AbsorbDelta); then Finish. A reply that fails an Absorb* is malformed: the executor
+/// must Drop the shard.
 class SweepMachine {
  public:
-  /// `shape`, `world`, `query` and `row` (d(query, pivot p) for every
-  /// pivot, or nullptr for the lazy sweep) are borrowed for the machine's
-  /// life. Clamps k to the live set and, for a row sweep, seeds the
-  /// incumbents from the row.
+  /// `shape`, `world`, `distance`, `query` and `row` (d(query, pivot p)
+  /// for every pivot, or nullptr for the lazy sweep) are borrowed for the
+  /// machine's life. Clamps k to the live set, then seeds the incumbents
+  /// from the row or runs the lazy pivot phase.
   SweepMachine(const SweepShape& shape, const SweepWorld& world,
-               std::string_view query, std::size_t k, const double* row);
+               const StringDistance& distance, std::string_view query,
+               std::size_t k, const double* row);
 
   /// The clamped k; 0 means there is nothing to sweep (Finish at once).
   std::size_t k() const { return k_; }
 
-  FrameType begin_type() const;
+  /// The kBeginRow payload: the query, the seed bound and the rows taken.
   std::vector<char> BeginPayload() const;
-  /// Absorbs shard `s`'s begin reply. False when it is malformed.
+  /// Absorbs shard `s`'s begin reply. False when it is malformed, or when
+  /// the shard's base tombstone count is not the router's: the worker
+  /// masked other slots than the router removed.
   bool AbsorbBegin(std::size_t s, const std::vector<char>& reply);
   /// Absorbs shard `s`'s step reply. False when it is malformed.
   bool AbsorbStep(std::size_t s, const std::vector<char>& reply);
 
   /// Selects the next candidate: the per-shard minima merged in shard
-  /// order with strict '<' (the lowest global index wins ties), among the
-  /// surviving pivots while any survive. kSweepNone ends the sweep.
+  /// order with strict '<' (the lowest global index wins ties).
+  /// kSweepNone ends the sweep.
   std::size_t Next();
   /// The candidate's home shard, which answers its eval.
   std::size_t cand_shard() const { return cand_shard_; }
-  /// The candidate's pivot ordinal when the router evaluates it itself
-  /// (a pivot visited by the lazy sweep), else -1.
-  std::int32_t router_pivot() const { return cand_rank_; }
   /// The bound the candidate's evaluation may abandon at.
   double cap() const { return cap_; }
   std::vector<char> EvalPayload() const;
@@ -138,7 +145,7 @@ class SweepMachine {
   /// Decodes a worker's eval reply into AbsorbEval. False when malformed:
   /// a distance is >= 0 or +inf, never NaN.
   bool AbsorbEvalReply(const std::vector<char>& reply);
-  /// The visit pass for every active shard, a kStep frame; sent after
+  /// The compaction for every active shard, a kStep frame; sent after
   /// AbsorbEval.
   std::vector<char> StepPayload() const;
 
@@ -163,37 +170,35 @@ class SweepMachine {
   /// `shards_degraded`. The failover counters are the executor's.
   void Finish(ServeResult* res);
 
-  /// Live candidates (and live pivots) over the active shards.
+  /// Live candidates over the active shards.
   std::size_t live() const;
-  std::size_t live_pivots() const;
 
  private:
   /// Per-query view of one shard's sweep state, mirrored from its
   /// primary's replies.
   struct ShardView {
     bool active = true;
-    std::size_t live_pivots = 0;
     SweepCompactResult last;
   };
+
+  /// Decodes the rest of `r`, a compact pass result of shard `s`, into its
+  /// view. False when it is malformed.
+  bool AbsorbPass(std::size_t s, PayloadReader& r);
 
   const SweepShape& shape_;
   const SweepWorld& world_;
   std::string_view query_;
-  const double* row_;
   std::size_t k_;
   SweepIncumbents inc_;
+  /// The rows the begin carries: every pivot's, or the visited ones.
+  std::vector<PivotRow> rows_;
   std::vector<ShardView> views_;
   std::vector<NeighborResult> delta_hits_;
   std::vector<std::size_t> missing_;
 
-  /// The lazy start while no base prototype is removed (global pivot 0),
-  /// consumed by the first Next().
-  std::size_t start_ = kSweepNone;
   std::size_t cand_ = kSweepNone;
   std::size_t cand_shard_ = 0;
-  std::int32_t cand_rank_ = -1;
   double cap_ = 0.0;
-  double cand_d_ = 0.0;
 };
 
 }  // namespace cned

@@ -26,7 +26,6 @@ const char* OpClass(FrameType type) {
   switch (type) {
     case FrameType::kPing:
       return "ping";
-    case FrameType::kBeginLazy:
     case FrameType::kBeginRow:
       return "begin";
     case FrameType::kEval:
@@ -150,32 +149,23 @@ int RunShardWorker(int fd, const WorkerConfig& config) {
           reply.U64(config.replica_id);
           break;
         }
-        case FrameType::kBeginLazy: {
-          const std::string query = r.Str();
-          if (!r.Done()) throw std::runtime_error("malformed BeginLazy");
-          const SweepCompactResult pass = replica->BeginLazy(req.qid, query);
-          EncodeCompact(reply, pass, replica->live_pivots(req.qid));
-          break;
-        }
         case FrameType::kBeginRow: {
           const std::string query = r.Str();
           const double seed_bound = r.F64();
-          const std::uint64_t np = r.U64();
-          const char* row_bytes =
-              r.ok() && np == replica->num_pivots()
-                  ? r.Raw(np * sizeof(double))
-                  : nullptr;
-          if (row_bytes == nullptr || !r.Done()) {
-            throw std::runtime_error("malformed BeginRow");
+          const std::uint64_t count = r.U64();
+          // Read while the payload lasts, so a crafted count sizes nothing;
+          // the replica checks the rows against its table.
+          std::vector<PivotRow> rows;
+          for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
+            const std::uint32_t rank = r.U32();
+            const double d = r.F64();
+            rows.push_back({rank, d});
           }
-          // The row sits at an arbitrary offset inside the frame payload
-          // (behind the length-prefixed query); copy it out so the sweep
-          // kernels get a properly aligned double array.
-          std::vector<double> row(np);
-          std::memcpy(row.data(), row_bytes, np * sizeof(double));
+          if (!r.Done()) throw std::runtime_error("malformed BeginRow");
           const SweepCompactResult pass =
-              replica->BeginRow(req.qid, query, row.data(), seed_bound);
-          EncodeCompact(reply, pass, replica->live_pivots(req.qid));
+              replica->BeginRow(req.qid, query, rows, seed_bound);
+          reply.U64(replica->base_dead());
+          EncodeCompact(reply, pass);
           break;
         }
         case FrameType::kEval: {
@@ -187,13 +177,9 @@ int RunShardWorker(int fd, const WorkerConfig& config) {
         }
         case FrameType::kStep: {
           const std::uint32_t skip = r.U32();
-          const std::int32_t rank = r.I32();
-          const double d = r.F64();
           const double bound = r.F64();
           if (!r.Done()) throw std::runtime_error("malformed Step");
-          const SweepCompactResult pass =
-              replica->Step(req.qid, skip, rank, d, bound);
-          EncodeCompact(reply, pass, replica->live_pivots(req.qid));
+          EncodeCompact(reply, replica->Step(req.qid, skip, bound));
           break;
         }
         case FrameType::kInsert: {

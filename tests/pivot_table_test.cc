@@ -6,8 +6,11 @@
 // manifest must also reject shard sizes and pivot lengths whose running
 // sums wrap, and the worker's slice and the manifest an id count above the
 // sweep's 2^31 limit. An id count just below that limit must be served
-// without any allocation proportional to it. The worker's lazy step must
-// reject a pivot rank outside the slice's table.
+// without any allocation proportional to it. The worker's begin must
+// reject a row list longer than the pivot count or naming a rank outside
+// the slice's table. The router reads manifest version 2 only, and
+// rejects a pivot block past the end of the file and an unknown
+// precision.
 
 #include <gtest/gtest.h>
 
@@ -227,49 +230,6 @@ TEST(PivotTableTest, ShardReplicaRejectsIdCountAboveSweepLimit) {
   }
 }
 
-// A kStep frame's pivot rank selects a row of the mapped table slice, so the
-// worker rejects a rank outside [-1, num_pivots()) before touching the slot;
-// the slot then steps exactly as a fresh one does.
-TEST(PivotTableTest, ShardReplicaStepRejectsOutOfRangeRank) {
-  Data d;
-  for (TablePrecision prec : kPrecisions) {
-    const std::string ctx = TablePrecisionName(prec);
-    const Laesa built(d.sharded, d.dist, 8, prec);
-    TempDir dir;
-    SaveServingSnapshot(built, dir.path);
-    ShardReplica replica(ShardStorePath(dir.path, 1),
-                         ShardIndexPath(dir.path, 1), "dE");
-    const auto np = static_cast<std::int32_t>(replica.num_pivots());
-    ASSERT_EQ(np, 8) << ctx;
-    const std::string& q = d.queries[0];
-    const std::size_t pivot = built.pivots()[0];
-    const double dist = d.dist->Distance(q, d.words[pivot]);
-    const auto skip = static_cast<std::uint32_t>(pivot);
-    const double bound = dist + 1.0;
-
-    replica.BeginLazy(1, q);
-    const std::size_t live = replica.live(1);
-    const std::size_t live_pivots = replica.live_pivots(1);
-    for (const std::int32_t rank : {np, std::int32_t{-2}}) {
-      EXPECT_THROW(replica.Step(1, skip, rank, dist, bound), std::out_of_range)
-          << ctx << " rank " << rank;
-      EXPECT_EQ(replica.live(1), live) << ctx << " rank " << rank;
-      EXPECT_EQ(replica.live_pivots(1), live_pivots) << ctx << " rank " << rank;
-    }
-
-    replica.BeginLazy(2, q);
-    const SweepCompactResult want = replica.Step(2, skip, 0, dist, bound);
-    const SweepCompactResult got = replica.Step(1, skip, 0, dist, bound);
-    EXPECT_EQ(got.live, want.live) << ctx;
-    EXPECT_EQ(got.pivots_died, want.pivots_died) << ctx;
-    EXPECT_EQ(got.next, want.next) << ctx;
-    EXPECT_EQ(got.next_key, want.next_key) << ctx;
-    EXPECT_EQ(got.next_pivot, want.next_pivot) << ctx;
-    EXPECT_EQ(got.next_pivot_key, want.next_pivot_key) << ctx;
-    EXPECT_EQ(replica.live_pivots(1), replica.live_pivots(2)) << ctx;
-  }
-}
-
 // The largest id count the sweep accepts.
 constexpr std::uint64_t kMaxN = kMaxSweepIds - 1;
 
@@ -303,11 +263,60 @@ constexpr std::uint64_t kCapHeadroom = std::uint64_t{2} << 30;  // 2 GiB
 void ExpectSamePass(const SweepCompactResult& got,
                     const SweepCompactResult& want, const std::string& ctx) {
   EXPECT_EQ(got.live, want.live) << ctx;
-  EXPECT_EQ(got.pivots_died, want.pivots_died) << ctx;
   EXPECT_EQ(got.next, want.next) << ctx;
   EXPECT_EQ(got.next_key, want.next_key) << ctx;
-  EXPECT_EQ(got.next_pivot, want.next_pivot) << ctx;
-  EXPECT_EQ(got.next_pivot_key, want.next_pivot_key) << ctx;
+}
+
+// Every pivot row of `q`, as a row read's begin carries them.
+std::vector<PivotRow> AllRows(const Laesa& index, const std::string& q) {
+  std::vector<double> row(index.num_pivots());
+  index.ComputePivotRow(q, row.data(), nullptr);
+  std::vector<PivotRow> rows;
+  for (std::size_t p = 0; p < row.size(); ++p) rows.push_back({p, row[p]});
+  return rows;
+}
+
+// A kBeginRow frame's ranks select rows of the mapped table slice, so the
+// worker rejects a rank >= num_pivots() and a list longer than
+// num_pivots() before touching the slot, and leaves no slot under the
+// query id; a valid begin in the same id then serves exactly as a fresh
+// one.
+TEST(PivotTableTest, ShardReplicaBeginRowRejectsOutOfRangeRows) {
+  Data d;
+  for (TablePrecision prec : kPrecisions) {
+    const std::string ctx = TablePrecisionName(prec);
+    const Laesa built(d.sharded, d.dist, 8, prec);
+    TempDir dir;
+    SaveServingSnapshot(built, dir.path);
+    ShardReplica replica(ShardStorePath(dir.path, 1),
+                         ShardIndexPath(dir.path, 1), "dE");
+    const std::size_t np = replica.num_pivots();
+    ASSERT_EQ(np, 8u) << ctx;
+    const std::string& q = d.queries[0];
+    const std::vector<PivotRow> rows = AllRows(built, q);
+    const double seed = rows[0].d + 1.0;
+
+    std::vector<PivotRow> bad_rank = {rows[0], {np, rows[1].d}};
+    std::vector<PivotRow> too_many = rows;
+    too_many.push_back(rows[0]);
+    for (const std::vector<PivotRow>& bad : {bad_rank, too_many}) {
+      replica.BeginRow(1, q, rows, seed);
+      EXPECT_THROW(replica.BeginRow(1, q, bad, seed), std::out_of_range)
+          << ctx;
+      EXPECT_THROW(replica.live(1), std::out_of_range) << ctx;
+      EXPECT_THROW(replica.Step(1, 0xFFFFFFFFu, seed), std::out_of_range)
+          << ctx;
+      EXPECT_THROW(replica.Eval(1, replica.base(), kInf), std::out_of_range)
+          << ctx;
+    }
+
+    const SweepCompactResult want = replica.BeginRow(2, q, rows, seed);
+    ExpectSamePass(replica.BeginRow(1, q, rows, seed), want, ctx + " begin");
+    const auto skip = static_cast<std::uint32_t>(want.next);
+    ExpectSamePass(replica.Step(1, skip, seed - 0.5),
+                   replica.Step(2, skip, seed - 0.5), ctx + " step");
+    EXPECT_EQ(replica.live(1), replica.live(2)) << ctx;
+  }
 }
 
 // A slice whose header n is 2^31 - 1 is valid: n only bounds the pivot
@@ -328,11 +337,16 @@ TEST(PivotTableTest, ShardReplicaServesIdCountAtSweepLimit) {
     PatchU64(crafted_path, kHeaderN, d.sharded.size(), kMaxN);
 
     const std::string& q = d.queries[1];
-    std::vector<double> row(built.num_pivots());
-    built.ComputePivotRow(q, row.data(), nullptr);
-    const double seed = *std::min_element(row.begin(), row.end()) + 1.0;
-    const std::size_t pivot = built.pivots()[0];
-    const auto skip = static_cast<std::uint32_t>(pivot);
+    const std::vector<PivotRow> rows = AllRows(built, q);
+    const double seed =
+        std::min_element(rows.begin(), rows.end(),
+                         [](const PivotRow& a, const PivotRow& b) {
+                           return a.d < b.d;
+                         })->d +
+        1.0;
+    // A lazy read's begin: the rows its pivot phase visited.
+    const std::vector<PivotRow> visited(rows.begin(), rows.begin() + 3);
+    const auto skip = static_cast<std::uint32_t>(built.pivots()[0]);
     const std::size_t id = ref.base() + 2;
 
     AddressSpaceCap cap(kCapHeadroom);
@@ -341,24 +355,23 @@ TEST(PivotTableTest, ShardReplicaServesIdCountAtSweepLimit) {
                                                          crafted_path, "dE"))
         << ctx;
     EXPECT_EQ(got->total_size(), kMaxN) << ctx;
-    ExpectSamePass(got->BeginRow(1, q, row.data(), seed),
-                   ref.BeginRow(1, q, row.data(), seed), ctx + " begin row");
-    ExpectSamePass(got->Step(1, 0xFFFFFFFFu, -1, 0.0, seed - 0.5),
-                   ref.Step(1, 0xFFFFFFFFu, -1, 0.0, seed - 0.5),
-                   ctx + " row step");
+    ExpectSamePass(got->BeginRow(1, q, rows, seed),
+                   ref.BeginRow(1, q, rows, seed), ctx + " begin row");
+    ExpectSamePass(got->Step(1, 0xFFFFFFFFu, seed - 0.5),
+                   ref.Step(1, 0xFFFFFFFFu, seed - 0.5), ctx + " row step");
     EXPECT_EQ(got->Eval(1, id, kInf), ref.Eval(1, id, kInf)) << ctx;
-    ExpectSamePass(got->BeginLazy(2, q), ref.BeginLazy(2, q),
-                   ctx + " begin lazy");
-    ExpectSamePass(got->Step(2, skip, 0, row[0], row[0] + 1.0),
-                   ref.Step(2, skip, 0, row[0], row[0] + 1.0),
-                   ctx + " lazy step");
-    EXPECT_EQ(got->live_pivots(2), ref.live_pivots(2)) << ctx;
+    ExpectSamePass(got->BeginRow(2, q, visited, rows[0].d + 1.0),
+                   ref.BeginRow(2, q, visited, rows[0].d + 1.0),
+                   ctx + " begin visited rows");
+    ExpectSamePass(got->Step(2, skip, rows[0].d), ref.Step(2, skip, rows[0].d),
+                   ctx + " visited rows step");
   }
 }
 
 // A manifest whose n is 2^31 - 1 (the last shard stretched to cover it) is
-// valid, and the router serves its row sweeps under the same cap. Its
-// workers map the true slices, so every reply is the in-process index's.
+// valid, and the router serves its lazy and row reads under the same cap.
+// Its workers map the true slices and its pivot block is the true one, so
+// every reply is the in-process index's.
 TEST(PivotTableTest, ServeRouterServesIdCountAtSweepLimit) {
   Data d;
   const Laesa built(d.sharded, d.dist, 4);
@@ -395,23 +408,48 @@ TEST(PivotTableTest, ServeRouterServesIdCountAtSweepLimit) {
     EXPECT_EQ(got.stats.distance_computations, stats.distance_computations)
         << q;
     EXPECT_EQ(got.stats.bounded_abandons, stats.bounded_abandons) << q;
+
+    QueryStats lazy_stats;
+    const std::vector<NeighborResult> lazy_want =
+        built.KNearest(q, 3, &lazy_stats);
+    const ServeResult lazy = router->KNearest(q, 3);
+    EXPECT_FALSE(lazy.partial) << q;
+    ASSERT_EQ(lazy.neighbors.size(), lazy_want.size()) << q;
+    for (std::size_t i = 0; i < lazy_want.size(); ++i) {
+      EXPECT_EQ(lazy.neighbors[i].index, lazy_want[i].index) << q;
+      EXPECT_EQ(lazy.neighbors[i].distance, lazy_want[i].distance) << q;
+    }
+    EXPECT_EQ(lazy.stats.distance_computations,
+              lazy_stats.distance_computations)
+        << q;
+    EXPECT_EQ(lazy.stats.pivot_computations, lazy_stats.pivot_computations)
+        << q;
+    EXPECT_EQ(lazy.stats.bounded_abandons, lazy_stats.bounded_abandons) << q;
   }
 }
 
-// Writes a router manifest from its parts, checksum footer included.
-void WriteManifest(const std::string& dir, const std::uint64_t counts[4],
+// Writes a router manifest from its parts, checksum footer included: the
+// v1 sections, then for a later version `block` f64 entries of pivot
+// block (np * np in a well-formed f64 manifest).
+void WriteManifest(const std::string& dir, std::uint32_t version,
+                   const std::vector<std::uint64_t>& counts,
                    const std::vector<std::uint64_t>& sizes,
                    const std::vector<std::uint64_t>& pivots,
                    const std::vector<std::uint64_t>& lens,
-                   const std::string& arena) {
+                   const std::string& arena, std::size_t block = 0) {
   BinaryWriter writer(ManifestPath(dir));
-  writer.Header(kRouterManifestMagic, kRouterManifestVersion, counts, 4);
+  writer.Header(kRouterManifestMagic, version, counts.data(), counts.size());
   for (const std::vector<std::uint64_t>* section : {&sizes, &pivots, &lens}) {
     writer.Align();
     writer.Raw(section->data(), section->size() * sizeof(std::uint64_t));
   }
   writer.Align();
   writer.Raw(arena.data(), arena.size());
+  if (version > 1) {
+    const std::vector<double> entries(block, 1.0);
+    writer.Align();
+    writer.Raw(entries.data(), entries.size() * sizeof(double));
+  }
   writer.Finish();
 }
 
@@ -435,18 +473,20 @@ TEST(PivotTableTest, ServeRouterRejectsIdCountAboveSweepLimit) {
   // n = 2^62 with one shard of that size: every other count and section is
   // consistent, so only the id limit can reject it.
   TempDir dir;
-  const std::uint64_t counts[4] = {/*n=*/kHugeN, /*shards=*/1, /*np=*/1,
-                                   /*arena_bytes=*/1};
-  WriteManifest(dir.path, counts, {kHugeN}, {0}, {1}, "a");
+  WriteManifest(dir.path, kRouterManifestVersion,
+                {/*n=*/kHugeN, /*shards=*/1, /*np=*/1, /*arena_bytes=*/1,
+                 /*precision=*/0},
+                {kHugeN}, {0}, {1}, "a", 1);
   ExpectManifestRejected(dir.path, "id limit");
 }
 
 TEST(PivotTableTest, ServeRouterRejectsPivotLengthsThatWrap) {
   // Lengths {2^64 - 1, 1} sum to the arena's 0 bytes modulo 2^64.
   TempDir dir;
-  const std::uint64_t counts[4] = {/*n=*/10, /*shards=*/1, /*np=*/2,
-                                   /*arena_bytes=*/0};
-  WriteManifest(dir.path, counts, {10}, {0, 1}, {~std::uint64_t{0}, 1}, "");
+  WriteManifest(dir.path, kRouterManifestVersion,
+                {/*n=*/10, /*shards=*/1, /*np=*/2, /*arena_bytes=*/0,
+                 /*precision=*/0},
+                {10}, {0, 1}, {~std::uint64_t{0}, 1}, "", 4);
   ExpectManifestRejected(dir.path, "pivot lengths");
 }
 
@@ -455,10 +495,40 @@ TEST(PivotTableTest, ServeRouterRejectsShardSizesThatWrap) {
   // {0, 2^64 - 5, 10} do not ascend. Everything else in the manifest is
   // well formed, checksum included.
   TempDir dir;
-  const std::uint64_t counts[4] = {/*n=*/10, /*shards=*/2, /*np=*/1,
-                                   /*arena_bytes=*/1};
-  WriteManifest(dir.path, counts, {~std::uint64_t{0} - 4, 15}, {0}, {1}, "a");
+  WriteManifest(dir.path, kRouterManifestVersion,
+                {/*n=*/10, /*shards=*/2, /*np=*/1, /*arena_bytes=*/1,
+                 /*precision=*/0},
+                {~std::uint64_t{0} - 4, 15}, {0}, {1}, "a", 1);
   ExpectManifestRejected(dir.path, "shard sizes");
+}
+
+TEST(PivotTableTest, ServeRouterRejectsVersionOneManifest) {
+  // A well-formed v1 manifest: no precision, no pivot block.
+  TempDir dir;
+  WriteManifest(dir.path, 1,
+                {/*n=*/10, /*shards=*/1, /*np=*/1, /*arena_bytes=*/1}, {10},
+                {0}, {1}, "a");
+  ExpectManifestRejected(dir.path, "version");
+}
+
+TEST(PivotTableTest, ServeRouterRejectsPivotBlockPastTheEnd) {
+  // Three pivots need a 9-entry block (72 bytes); the file holds one entry
+  // and its padding, and ends 8 bytes short of the block's extent.
+  TempDir dir;
+  WriteManifest(dir.path, kRouterManifestVersion,
+                {/*n=*/10, /*shards=*/1, /*np=*/3, /*arena_bytes=*/3,
+                 /*precision=*/0},
+                {10}, {0, 1, 2}, {1, 1, 1}, "abc", 1);
+  ExpectManifestRejected(dir.path, "truncated");
+}
+
+TEST(PivotTableTest, ServeRouterRejectsUnknownPrecision) {
+  TempDir dir;
+  WriteManifest(dir.path, kRouterManifestVersion,
+                {/*n=*/10, /*shards=*/1, /*np=*/1, /*arena_bytes=*/1,
+                 /*precision=*/7},
+                {10}, {0}, {1}, "a", 1);
+  ExpectManifestRejected(dir.path, "precision");
 }
 
 }  // namespace

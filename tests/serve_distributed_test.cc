@@ -256,7 +256,7 @@ TEST(ServeDistributedTest, UnresponsiveIdempotentOpIsRetriedTransparently) {
   Workload w = MakeWorkload(100, 4, 7500);
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = FastOptions();
-  // Dropped Eval and dropped BeginLazy replies: both are idempotent, so
+  // Dropped Eval and dropped BeginRow replies: both are idempotent, so
   // the retry path must absorb them with no effect on the answer.
   opt.fault_spec = "drop:shard=1,op=eval,nth=1|drop:shard=3,op=begin,nth=1";
   ServeRouter router(dep.dir.path, opt);
@@ -522,9 +522,9 @@ TEST(ServeDistributedTest, AllShardsDeadReturnsAllMissingAscending) {
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = FastOptions();
   // Every replica of every shard crashes on its first begin: the whole
-  // fleet is gone. Lazy path: nothing survives, every shard is named,
-  // ascending. Row path: the pivot evaluations run router-side, so the
-  // answer still holds exact pivot incumbents.
+  // fleet is gone, and every shard is named, ascending. Both paths
+  // evaluate their pivots router-side before the begin, so the answer
+  // still holds exact pivot incumbents.
   opt.fault_spec = "crash:op=begin,nth=1";
   opt.auto_respawn = false;
   ServeRouter router(dep.dir.path, opt);
@@ -533,7 +533,10 @@ TEST(ServeDistributedTest, AllShardsDeadReturnsAllMissingAscending) {
   EXPECT_TRUE(lazy.partial);
   EXPECT_EQ(lazy.missing_shards, (std::vector<std::size_t>{0, 1, 2, 3}));
   EXPECT_EQ(lazy.stats.shards_degraded, 4u);
-  EXPECT_TRUE(lazy.neighbors.empty());
+  auto dist = MakeDistance("dE");
+  for (const NeighborResult& nb : lazy.neighbors) {
+    EXPECT_EQ(nb.distance, dist->Distance(w.queries[0], w.protos[nb.index]));
+  }
 
   // Fresh router (the first one's fleet is dead and stays dead).
   ServeRouter router2(dep.dir.path, opt);
@@ -541,7 +544,6 @@ TEST(ServeDistributedTest, AllShardsDeadReturnsAllMissingAscending) {
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_TRUE(batch[0].partial);
   EXPECT_EQ(batch[0].missing_shards, (std::vector<std::size_t>{0, 1, 2, 3}));
-  auto dist = MakeDistance("dE");
   for (const NeighborResult& nb : batch[0].neighbors) {
     EXPECT_EQ(nb.distance, dist->Distance(w.queries[1], w.protos[nb.index]));
   }

@@ -435,22 +435,34 @@ TEST(ServeWorkerTest, AnswersReservedFrameTypeWithError) {
   int exit_code = -1;
   std::thread worker([&] { exit_code = RunShardWorker(sp.fds[1], config); });
 
-  PayloadWriter w;
-  w.U32(0);
-  w.F64(1.0);
-  ASSERT_TRUE(SendFrame(sp.fds[0], static_cast<FrameType>(6), 1, 7,
-                        w.buf.data(), w.buf.size()));
+  // 2 was the lazy sweep's begin (a query string), 6 the row sweep's own
+  // step (a skip and a bound); each is answered with kError, and the worker
+  // keeps serving.
   Frame f;
-  ASSERT_EQ(RecvFrame(sp.fds[0], &f, 5000), RecvStatus::kOk);
-  EXPECT_EQ(f.type, static_cast<std::uint32_t>(FrameType::kError));
-  EXPECT_EQ(f.seq, 1u);
-  PayloadReader r(f.payload);
-  EXPECT_NE(r.Str().find("unexpected frame type 6"), std::string::npos);
+  std::uint32_t seq = 1;
+  for (const std::uint32_t type : {2u, 6u}) {
+    PayloadWriter w;
+    if (type == 2) {
+      w.Str("casa");
+    } else {
+      w.U32(0);
+      w.F64(1.0);
+    }
+    ASSERT_TRUE(SendFrame(sp.fds[0], static_cast<FrameType>(type), seq, 7,
+                          w.buf.data(), w.buf.size()));
+    ASSERT_EQ(RecvFrame(sp.fds[0], &f, 5000), RecvStatus::kOk);
+    EXPECT_EQ(f.type, static_cast<std::uint32_t>(FrameType::kError));
+    EXPECT_EQ(f.seq, seq);
+    PayloadReader r(f.payload);
+    EXPECT_NE(r.Str().find("unexpected frame type " + std::to_string(type)),
+              std::string::npos);
+    ++seq;
+  }
 
-  ASSERT_TRUE(SendFrame(sp.fds[0], FrameType::kPing, 2, 0, nullptr, 0));
+  ASSERT_TRUE(SendFrame(sp.fds[0], FrameType::kPing, seq, 0, nullptr, 0));
   ASSERT_EQ(RecvFrame(sp.fds[0], &f, 5000), RecvStatus::kOk);
   EXPECT_EQ(f.type, static_cast<std::uint32_t>(FrameType::kReply));
-  EXPECT_EQ(f.seq, 2u);
+  EXPECT_EQ(f.seq, seq);
 
   close(sp.fds[0]);  // EOF: the worker returns cleanly
   sp.fds[0] = -1;

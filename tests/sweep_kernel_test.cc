@@ -37,6 +37,7 @@
 #include "search/laesa.h"
 #include "search/sweep_kernel.h"
 #include "search/table_quant.h"
+#include "tests/packed_row_update.h"
 #include "tests/snapshot_test_util.h"
 
 namespace cned {
@@ -64,9 +65,9 @@ std::vector<const SweepKernels*> VariantKernels() {
 }
 
 /// The live-count shapes the lane-width-sensitive code paths care about:
-/// every count 0-9 (a pivot slab holds at most np entries, often fewer
-/// than 8), odd, non-multiples of 4 and 8, and a size big enough for many
-/// full blocks plus a tail.
+/// every count 0-9 (a pivot block row holds np entries, often fewer than
+/// 8), odd, non-multiples of 4 and 8, and a size big enough for many full
+/// blocks plus a tail.
 const std::size_t kLiveCounts[] = {0, 1, 2, 3,  4,  5,  6,
                                    7, 8, 9, 13, 31, 64, 257};
 
@@ -111,16 +112,10 @@ void CopyPacked(const PackedInput& from, std::size_t live, PackedInput* to) {
 void ExpectSameResult(const SweepCompactResult& ref,
                       const SweepCompactResult& got, const std::string& ctx) {
   EXPECT_EQ(ref.live, got.live) << ctx;
-  EXPECT_EQ(ref.pivots_died, got.pivots_died) << ctx;
   EXPECT_EQ(ref.next, got.next) << ctx;
-  EXPECT_EQ(ref.next_pivot, got.next_pivot) << ctx;
   // Bit equality, not numeric equality.
   EXPECT_EQ(std::memcmp(&ref.next_key, &got.next_key, sizeof(double)), 0)
       << ctx << " next_key " << ref.next_key << " vs " << got.next_key;
-  EXPECT_EQ(std::memcmp(&ref.next_pivot_key, &got.next_pivot_key,
-                        sizeof(double)),
-            0)
-      << ctx;
 }
 
 TEST(SweepKernelTest, UpdateLowerDenseMatchesScalarBitwise) {
@@ -220,7 +215,7 @@ TEST(SweepKernelTest, EliminateAndCompactMatchesScalarBitwise) {
 // tested) at 1, 7 and 2500 buckets. Bounds mix random survivors, the seed
 // bound itself, its predecessor (where b * scale may round up to the bucket
 // count), zeros and +inf slots (eliminated candidates and the pivots,
-// which the sweeps lift to +inf in the non-pivot slab).
+// which the sweeps lift to +inf in the dense slab).
 TEST(SweepKernelTest, StreamKeysMatchScalarBitwise) {
   std::mt19937_64 rng(0x5EED5EED);
   const double seeds[] = {1.0,
@@ -385,8 +380,8 @@ TEST(SweepKernelTest, QuantizedUpdateLowerDenseMatchesScalarBitwise) {
   }
 }
 
-// The packed row update is one scalar body (`QuantUpdateLowerPacked`),
-// not a kernel entry: at each packed entry it must leave the bits that
+// The reference sweep's packed row update (`PackedRowUpdate`,
+// tests/packed_row_update.h) must leave at each packed entry the bits that
 // every variant's dense update leaves at that entry's id. Random packed
 // slabs over a row that starts at segment base `base`; the dense slab
 // holds the packed bounds at their ids and random bounds elsewhere.
@@ -414,8 +409,8 @@ void ExpectPackedMatchesDense(TablePrecision prec, std::uint64_t seed) {
         }
         const double d = value(rng);
         QuantUpdateLowerDense(*k, row.view, 0, n, d, dense.data());
-        QuantUpdateLowerPacked(row.view, 0, n, d, idx, base,
-                               packed.lower.data(), live);
+        PackedRowUpdate(row.view, 0, n, d, idx, base, packed.lower.data(),
+                        live);
         for (std::size_t r = 0; r < live; ++r) {
           const double want = dense.data()[idx[r] - base];
           ASSERT_EQ(std::memcmp(&want, &packed.lower.data()[r],

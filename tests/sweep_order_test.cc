@@ -6,10 +6,12 @@
 // compaction-driven loops that stream replaces — visit the minimal-bound
 // survivor, eliminate and compact every survivor, pick the next minimum —
 // with the pivots flagged inside the one candidate slab, as before they
-// moved to a pivot slab of their own (pivot_sweep.h), and with every
-// candidate's bound tightened by the packed row update at each pivot
-// visit, as before the lazy sweep applied its visited rows dense once its
-// pivot phase ended; its compaction and seed pack are test-local loops.
+// left it for the pivot phase's own bounds over the pivot block
+// (pivot_sweep.h), and with every candidate's bound tightened by the
+// packed row update at each pivot visit, as before the lazy sweep applied
+// its visited rows dense once its pivot phase ended. Its compaction, its
+// result with the pivot fields, its seed pack and its packed row update
+// (tests/packed_row_update.h) are test-local.
 // It asserts that `Laesa` over one segment and over S shards returns the
 // same neighbours, distances and QueryStats on data where equal bounds are
 // the norm. It also drives the stream
@@ -38,6 +40,7 @@
 #include "search/laesa.h"
 #include "search/sweep_kernel.h"
 #include "search/table_quant.h"
+#include "tests/packed_row_update.h"
 
 namespace cned {
 namespace {
@@ -51,16 +54,27 @@ struct RefResult {
   std::vector<bool> visit_abandoned;  // parallel to visits
 };
 
+// A pass of the reference's lazy sweep: the compaction result with the
+// pivots' share of it.
+struct FlaggedResult {
+  std::size_t live = 0;
+  std::size_t pivots_died = 0;
+  std::size_t next = kSweepNone;
+  double next_key = kInf;
+  std::size_t next_pivot = kSweepNone;
+  double next_pivot_key = kInf;
+};
+
 // The compaction of the reference's lazy sweep, which keeps the pivots in
 // the candidate slab: keeps idx[r] iff idx[r] != skip && !(lower[r] >=
 // bound), stable, counting the dropped candidates that `rank` (indexed by
 // id) marks as pivots and tracking the minimal-bound survivor and pivot,
 // first in slab order among ties.
-SweepCompactResult FlaggedCompact(std::uint32_t* idx, double* lower,
-                                  const std::vector<std::int32_t>& rank,
-                                  std::size_t live, std::uint32_t skip,
-                                  double bound) {
-  SweepCompactResult out;
+FlaggedResult FlaggedCompact(std::uint32_t* idx, double* lower,
+                             const std::vector<std::int32_t>& rank,
+                             std::size_t live, std::uint32_t skip,
+                             double bound) {
+  FlaggedResult out;
   std::size_t write = 0;
   for (std::size_t r = 0; r < live; ++r) {
     const std::uint32_t u = idx[r];
@@ -163,7 +177,7 @@ class RefLaesa {
     std::size_t s = pivots_[0];
     if (tombstones != nullptr) {
       ApplyTombstoneMask(tombstones, n, lower.data());
-      const SweepCompactResult pre = FlaggedCompact(
+      const FlaggedResult pre = FlaggedCompact(
           idx.data(), lower.data(), rank_, live, 0xFFFFFFFFu, kInf);
       live = pre.live;
       live_pivots -= pre.pivots_died;
@@ -175,10 +189,10 @@ class RefLaesa {
       const double cap = is_pivot ? kInf : kth();
       const double d = Visit(q, k, s, cap, is_pivot, &r);
       if (is_pivot) {
-        QuantUpdateLowerPacked(view(), static_cast<std::size_t>(rank_[s]), n,
-                               d, idx.data(), 0, lower.data(), live);
+        PackedRowUpdate(view(), static_cast<std::size_t>(rank_[s]), n, d,
+                        idx.data(), 0, lower.data(), live);
       }
-      const SweepCompactResult pass =
+      const FlaggedResult pass =
           FlaggedCompact(idx.data(), lower.data(), rank_, live,
                          static_cast<std::uint32_t>(s), kth());
       live = pass.live;
