@@ -39,6 +39,7 @@
 #include "distances/registry.h"
 #include "search/laesa.h"
 #include "search/pivot_selection.h"
+#include "search/sweep_kernel.h"
 #include "strings/string_gen.h"
 
 namespace cned {
@@ -284,6 +285,21 @@ int Run() {
       << " ms; tight " << h_tight.seconds * 1e3 << " ms ("
       << h_tight.abandons << " abandoned); loose " << h_loose.seconds * 1e3
       << " ms\n";
+  auto per_call_ns = [](double seconds, std::uint64_t calls) {
+    return calls == 0 ? 0.0 : seconds * 1e9 / static_cast<double>(calls);
+  };
+  // The same unbounded pass under each sweep-kernel variant's diamond DP
+  // (`SweepKernels::contextual_diamond`); for context, not a gate.
+  {
+    const std::string active = ActiveSweepKernels().name;
+    for (const SweepKernels* k : AvailableSweepKernels()) {
+      SetActiveSweepKernels(k->name);
+      const KernelRun run = RunPairs(pairs, 0.0, DetailedDCH);
+      log << "    dC,h unbounded, " << k->name << " diamond: "
+          << per_call_ns(run.seconds, pairs.size()) << " ns/call\n";
+    }
+    SetActiveSweepKernels(active);
+  }
 
   // Short dictionary words paired at random, at a tight fixed bound: most
   // bounded calls are hopeless, and the d_E gate rejects them.
@@ -328,9 +344,6 @@ int Run() {
       digit_distances.empty() ? 0.0
                               : digit_distances[digit_distances.size() / 10];
   const GateRun gate = RunHeuristicGate(digit_pairs, gate_bound);
-  auto per_call_ns = [](double seconds, std::uint64_t calls) {
-    return calls == 0 ? 0.0 : seconds * 1e9 / static_cast<double>(calls);
-  };
   const double gate_reject_frac =
       digit_pairs.empty() ? 0.0
                           : static_cast<double>(gate.rejected) /

@@ -29,10 +29,14 @@ struct DpWorkspace {
   std::vector<double> plane_b;
   // Rolling row for the weighted-Levenshtein kernel.
   std::vector<double> weight_row;
-  // Rolling rows for the d_C,h heuristic: packed
-  // (edit distance << 32) | substitutions cells, length |y| + 1.
-  std::vector<std::uint64_t> packed_row;
-  std::vector<std::uint64_t> packed_row_prev;
+  // The d_C,h diamond DP (`SweepKernels::contextual_diamond`): three
+  // rolling lines of packed (edit distance << 32) | substitutions cells —
+  // two rows for the scalar form, three anti-diagonals for the SIMD form —
+  // and, for the SIMD form, x and the reversed y widened to one symbol per
+  // 64-bit lane and padded, so that a block of lanes reads contiguous
+  // symbols and never past either copy.
+  std::vector<std::uint64_t> packed_lines[3];
+  std::vector<std::uint64_t> diamond_text;
   // Bit-parallel d_E (distances/myers.h): the match table, 256 words per
   // 64-symbol pattern block, all-zero between calls; and the blocked
   // form's per-block vertical-delta words.

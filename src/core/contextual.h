@@ -81,9 +81,9 @@ std::optional<std::size_t> ContextualEditLengthCap(std::size_t m,
 /// below max(|x|, |y|) (d_E never exceeds that), decides d_E > K with the
 /// bit-parallel `MyersLevenshteinBounded`. Returns std::nullopt when no
 /// result below `bound` can exist: there is no cap, or d_E > K. Otherwise
-/// returns a band half-width B with d_E <= B <= K: d_E itself when the
-/// check ran, K when it did not. Unbounded and NaN bounds give K = m + n
-/// and skip the check.
+/// returns a B with d_E <= B <= K: d_E itself when the check ran, K when
+/// it did not, so a B below max(|x|, |y|) is exactly d_E. Unbounded and
+/// NaN bounds give K = m + n and skip the check.
 std::optional<std::size_t> ContextualEditLengthGate(std::string_view x,
                                                     std::string_view y,
                                                     double bound,

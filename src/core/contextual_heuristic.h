@@ -28,7 +28,13 @@ namespace cned {
 /// Every minimal-edit-length path is prefix-minimal in every cell, so a 2-D
 /// DP over packed (edit distance, substitutions) cells, minimised
 /// lexicographically, computes exactly ni[|x|][|y|][d_E] of the full
-/// Algorithm 1 — see the proof sketch in contextual_heuristic.cc.
+/// Algorithm 1 — see the proof sketch in contextual_heuristic.cc. The call
+/// takes d_E from the bit-parallel kernel first (distances/myers.h) and
+/// fills only the diamond of cells a path of length d_E can pass: d_E + 1
+/// diagonals, against the full table's |x| + |y| + 1. The fill is the
+/// `contextual_diamond` entry of the active sweep-kernel variant
+/// (search/sweep_kernel.h): row by row in scalar, along anti-diagonals in
+/// AVX2, the same bits either way.
 struct ContextualHeuristicResult {
   double distance = 0.0;       ///< d_C,h(x, y)
   std::size_t k = 0;           ///< d_E(x, y)
@@ -40,11 +46,13 @@ struct ContextualHeuristicResult {
 /// the bound needs d_E <= K. It then runs the same bit-parallel d_E gate as
 /// `ContextualDistanceDetailed` (`ContextualEditLengthGate`), which returns
 /// distance = +infinity before the DP is touched when d_E > K and
-/// otherwise yields d_E, the half-width of the only DP band the call needs
-/// to fill. The result is identical to the unbounded one whenever
-/// d_C,h(x, y) < bound — the `StringDistance::DistanceBounded` contract;
-/// otherwise `distance` is >= bound and only `distance` is meaningful (`k`
-/// and `insertions` of an abandoned result are unspecified).
+/// otherwise yields d_E, which sizes the diamond. A call whose gate skipped
+/// the check (K >= max(|x|, |y|), every unbounded call among them) runs the
+/// bit-parallel d_E once instead. The result is identical to the unbounded
+/// one whenever d_C,h(x, y) < bound — the `StringDistance::DistanceBounded`
+/// contract; otherwise `distance` is >= bound and only `distance` is
+/// meaningful (`k` and `insertions` of an abandoned result are
+/// unspecified).
 ContextualHeuristicResult ContextualHeuristicDetailed(
     std::string_view x, std::string_view y,
     double bound = std::numeric_limits<double>::infinity());

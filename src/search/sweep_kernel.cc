@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "common/cpu_features.h"
+#include "common/dp_workspace.h"
 #include "search/table_quant.h"  // HalfToDouble: the shared exact f16 decode
 
 namespace cned {
@@ -94,6 +95,47 @@ void ScalarStreamKeys(const StreamBucketMap& map, const double* lower,
   for (std::size_t i = 0; i < n; ++i) keys[i] = map.Key(lower[i]);
 }
 
+// Row by row: row i holds the diamond's columns
+// [i - below, i + above] clipped to [0, n], and the one cell past each
+// row's end reads as kPackedOutside.
+std::uint64_t ScalarContextualDiamond(std::string_view x, std::string_view y,
+                                      std::size_t e, DpWorkspace& ws) {
+  const std::size_t m = x.size(), n = y.size();
+  const std::size_t below = (e + m - n) / 2;  // the largest i - j
+  const std::size_t above = (e + n - m) / 2;  // the largest j - i
+  ws.packed_lines[0].resize(n + 1);
+  ws.packed_lines[1].resize(n + 1);
+  std::uint64_t* cur = ws.packed_lines[0].data();
+  std::uint64_t* prev = ws.packed_lines[1].data();
+
+  {
+    const std::size_t jhi = std::min(n, above);
+    for (std::size_t j = 0; j <= jhi; ++j) prev[j] = j * kPackedIndel;
+    if (jhi < n) prev[jhi + 1] = kPackedOutside;
+  }
+  for (std::size_t i = 1; i <= m; ++i) {
+    const std::size_t jlo = i > below ? i - below : 0;
+    const std::size_t jhi = std::min(n, i + above);
+    const char xi = x[i - 1];
+    std::uint64_t left = kPackedOutside;
+    std::size_t j = jlo;
+    if (j == 0) {
+      left = cur[0] = i * kPackedIndel;  // deletions only
+      j = 1;
+    }
+    for (; j <= jhi; ++j) {
+      const std::uint64_t mismatch = xi != y[j - 1];
+      std::uint64_t v = prev[j - 1] + (kPackedSubst & (0 - mismatch));
+      v = std::min(v, prev[j] + kPackedIndel);
+      v = std::min(v, left + kPackedIndel);
+      cur[j] = left = v;
+    }
+    if (jhi < n) cur[jhi + 1] = kPackedOutside;
+    std::swap(cur, prev);
+  }
+  return prev[n];
+}
+
 }  // namespace
 
 const SweepKernels& ScalarSweepKernels() {
@@ -107,6 +149,7 @@ const SweepKernels& ScalarSweepKernels() {
     k.fill_absdiff_bounds = ScalarFillAbsDiffBounds;
     k.eliminate_and_compact = ScalarEliminateAndCompact;
     k.stream_keys = ScalarStreamKeys;
+    k.contextual_diamond = ScalarContextualDiamond;
     return k;
   }();
   return kScalar;

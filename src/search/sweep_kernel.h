@@ -12,6 +12,8 @@
 
 namespace cned {
 
+struct DpWorkspace;  // common/dp_workspace.h
+
 /// The shared vectorised elimination core of the LAESA family.
 ///
 /// Every LAESA-shaped sweep in the library — the sweep core
@@ -28,6 +30,10 @@ namespace cned {
 ///      survivor), and
 ///   3. the length-bound "zeroth pivot" fill (`fill_absdiff_bounds`: the
 ///      |Δlen| core of the unit-cost edit-distance family's bound).
+///
+/// One more entry is the distance the paper's Fig. 4 sweeps evaluate: the
+/// d_C,h DP over the diamond of cells a minimal edit script can pass
+/// (`contextual_diamond`, core/contextual_heuristic.h).
 ///
 /// A kernel knows nothing of pivots. The lazy sweep's pivot phase
 /// (`VisitPivots`, pivot_sweep.h) is the dense row update over the np x np
@@ -64,6 +70,17 @@ namespace cned {
 /// `PivotIds` (search/pivot_sweep.h), which every index build, every
 /// snapshot loader and the serve router go through, rejects a larger n.
 constexpr std::size_t kMaxSweepIds = std::size_t{1} << 31;
+
+/// Packed d_C,h DP cells (`contextual_diamond`): (edit distance << 32) |
+/// substitutions. Adding two cells adds both components, and comparing two
+/// cells as integers orders them lexicographically by (distance,
+/// substitutions).
+constexpr std::uint64_t kPackedIndel = std::uint64_t{1} << 32;  // d + 1
+constexpr std::uint64_t kPackedSubst = kPackedIndel | 1;  // d + 1, S + 1
+/// A cell outside the diamond: larger than any cell inside, and far enough
+/// below 2^63 that the steps of a whole table (m + n < 2^30 of them) added
+/// to it neither wrap nor turn it negative as a signed lane.
+constexpr std::uint64_t kPackedOutside = std::uint64_t{1} << 62;
 
 /// "No candidate": the sentinel `next` value.
 constexpr std::size_t kSweepNone = static_cast<std::size_t>(-1);
@@ -170,6 +187,24 @@ struct SweepKernels {
   /// time.
   void (*stream_keys)(const StreamBucketMap& map, const double* lower,
                       std::size_t n, std::uint32_t* keys);
+
+  /// The d_C,h DP (core/contextual_heuristic.cc): the min-plus DP over
+  /// packed cells (kPackedIndel per insertion or deletion, kPackedSubst per
+  /// substitution, 0 per match) from (0, 0) to (|x|, |y|), restricted to
+  /// the diamond of diagonals -(e + n - m) / 2 <= i - j <= (e + m - n) / 2
+  /// (m = |x|, n = |y|); cells outside it read as kPackedOutside. Returns
+  /// the cell at (m, n), which is (d_E << 32) | (fewest substitutions among
+  /// minimal scripts) for every e >= d_E(x, y); e = d_E gives the narrowest
+  /// diamond, d_E + 1 diagonals wide. Requires m + n < 2^30. The rolling
+  /// lines and padded copies of the strings come from `ws`. The scalar
+  /// entry fills the diamond row by row. The AVX2 entry fills it one
+  /// anti-diagonal at a time, whose cells are independent lanes, and may
+  /// also fill the diagonal just outside each edge (any superset of the
+  /// diamond gives the same value); a diamond of one four-lane block it
+  /// hands to the row form, which is faster there. Integer-only
+  /// arithmetic, so every variant returns the same bits.
+  std::uint64_t (*contextual_diamond)(std::string_view x, std::string_view y,
+                                      std::size_t e, DpWorkspace& ws);
 };
 
 /// The portable reference implementation (always available). Every other

@@ -32,15 +32,21 @@
 //  * A lane whose bound is +inf never becomes `next` (inf < anything is
 //    false), matching the scalar strict '<' from an infinite initial key —
 //    eliminated-slot infinities propagate identically.
+//  * The d_C,h diamond is integer-only: packed cells stay below 2^63, so
+//    the signed _mm256_cmpgt_epi64 plus a blend is the exact unsigned min
+//    of the scalar row form.
 
 #if defined(__AVX2__)
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string_view>
 
+#include "common/dp_workspace.h"
 #include "search/sweep_kernel.h"
 #include "search/table_quant.h"  // HalfToDouble for the f16 scalar tails
 
@@ -331,6 +337,150 @@ void Avx2StreamKeys(const StreamBucketMap& map, const double* lower,
   for (; i < n; ++i) keys[i] = map.Key(lower[i]);
 }
 
+// Exact for lanes below 2^63, where signed and unsigned order agree.
+inline __m256i MinU63(__m256i a, __m256i b) {
+  return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(a, b));
+}
+
+inline __m256i LoadLanes(const std::uint64_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+
+// One block of four cells: the packed min-plus step of the scalar row form.
+// `aligned` is the predecessor on diagonal t - 1 in the block's own lanes,
+// `shifted` the other one, a lane shift later: it enters last.
+inline __m256i DiamondStep(__m256i diag, __m256i aligned, __m256i shifted,
+                           __m256i eq) {
+  const __m256i indel =
+      _mm256_set1_epi64x(static_cast<long long>(kPackedIndel));
+  const __m256i subst =
+      _mm256_set1_epi64x(static_cast<long long>(kPackedSubst));
+  return MinU63(MinU63(_mm256_add_epi64(diag, _mm256_andnot_si256(eq, subst)),
+                       _mm256_add_epi64(aligned, indel)),
+                _mm256_add_epi64(shifted, indel));
+}
+
+// The diamond one anti-diagonal t = i + j at a time. Cell (i, t - i) reads
+// cell i - 1 of diagonal t - 2 and cells i - 1 and i of diagonal t - 1, so
+// the cells of one diagonal are independent lanes.
+//
+// Lane q of diagonal t is cell i = q + ceil(t / 2) - a, with a fixed per
+// call, so the diamond lies in the same lanes [0, band) on every
+// anti-diagonal. On one parity of t an edge lane holds the diamond's edge
+// diagonal, on the other it may hold the diagonal just outside: a real
+// cell, and a superset of the diamond gives the same value. Lanes
+// [band, width) round the band up to whole blocks and are forced to
+// >= kPackedOutside. In these lanes cell i - 1 of diagonal t - 2 is lane
+// q, and cells i - 1 and i of diagonal t - 1 are lanes q - 1 and q for even
+// t, q and q + 1 for odd t. A line holds lane q in slot q + 4, between two
+// blocks of sentinels that stay kPackedOutside. Lanes are read and written
+// in whole four-slot blocks, and a lane shifted by one comes from a
+// neighbouring block in registers, so each load is one block an earlier
+// diagonal stored whole.
+//
+// The lanes off the table need no mask. A lane with i < 0 or j < 0 reads
+// only such lanes or sentinels, all >= kPackedOutside from diagonals -1
+// and 0 on, so it stays >= kPackedOutside. A lane with i > m or j > n is
+// read by no cell of the table, so the blocks holding only such lanes are
+// skipped.
+std::uint64_t Avx2ContextualDiamond(std::string_view x, std::string_view y,
+                                    std::size_t e, DpWorkspace& ws) {
+  const std::size_t m = x.size(), n = y.size();
+  const std::size_t below = (e + m - n) / 2;  // the largest i - j
+  const std::size_t above = (e + n - m) / 2;  // the largest j - i
+  const std::size_t a = (above + 1) / 2;
+  const std::size_t band = a + below / 2 + 1;
+  const std::size_t width = (band + 3) & ~std::size_t{3};
+  // A one-block diamond (d_E up to 6 or 7) is latency-bound: every
+  // anti-diagonal waits on the last one's single block. The row form is
+  // faster there (2-4x at d_E <= 4 on 30- and 60-symbol pairs).
+  if (width == 4) return ScalarSweepKernels().contextual_diamond(x, y, e, ws);
+
+  // Symbols widened to lanes: lane q of diagonal t compares
+  // xw[q + ceil(t / 2)] = x[i - 1] with yw[q + n + 3 - floor(t / 2) - a] =
+  // y[j - 1]. Off the strings both read pads, which differ from every byte
+  // and from each other; a pad meets only a lane off the table or a border
+  // cell (i = 0 or j = 0), whose diagonal predecessor is off the table.
+  constexpr std::uint64_t kPadX = 256, kPadY = 257;
+  const std::size_t x_lanes = m + a + 8, y_lanes = n + width + 8;
+  ws.diamond_text.resize(x_lanes + y_lanes);
+  std::uint64_t* xw = ws.diamond_text.data();
+  std::uint64_t* yw = xw + x_lanes;
+  std::fill_n(xw, x_lanes, kPadX);
+  for (std::size_t k = 0; k < m; ++k) {
+    xw[k + a + 1] = static_cast<unsigned char>(x[k]);
+  }
+  std::fill_n(yw, y_lanes, kPadY);
+  for (std::size_t k = 0; k < n; ++k) {
+    yw[n + 2 - k] = static_cast<unsigned char>(y[k]);
+  }
+
+  for (auto& line : ws.packed_lines) line.assign(width + 8, kPackedOutside);
+  std::uint64_t* d2 = ws.packed_lines[0].data();  // diagonal t - 2
+  std::uint64_t* d1 = ws.packed_lines[1].data();  // diagonal t - 1
+  std::uint64_t* d0 = ws.packed_lines[2].data();  // diagonal t
+  // Diagonal -1 is off the table; diagonal 0 is the one cell (0, 0).
+  d1[a + 4] = 0;
+
+  // OR-ed into the top block: kPackedOutside in its lanes >= band.
+  const __m256i top_or = _mm256_and_si256(
+      _mm256_set1_epi64x(static_cast<long long>(kPackedOutside)),
+      _mm256_cmpgt_epi64(
+          _mm256_add_epi64(_mm256_set1_epi64x(static_cast<long long>(width - 4)),
+                           _mm256_setr_epi64x(1, 2, 3, 4)),
+          _mm256_set1_epi64x(static_cast<long long>(band))));
+  for (std::size_t t = 1; t <= m + n; ++t) {
+    const std::size_t half_up = (t + 1) / 2, half_down = t / 2;
+    // Lanes below q_lo have j > n; lanes past q_hi have i > m (m + a >=
+    // half_up, as a >= (n - m + 1) / 2 when n > m).
+    const std::size_t q_lo =
+        half_down + a > n ? (half_down + a - n) & ~std::size_t{3} : 0;
+    // q_lo < band on every diagonal, so the loads stay in the line.
+    const std::size_t q_hi = std::min(width - 1, m + a - half_up);
+    const std::uint64_t* xt = xw + half_up;
+    std::size_t yk = q_lo + n + 3 - half_down - a;  // >= 0: q_lo >= the clip
+    // Block q from its predecessors on diagonal t - 1, `aligned` in its own
+    // lanes and `shifted` one lane off.
+    const auto store_block = [&](std::size_t q, __m256i aligned,
+                                 __m256i shifted) {
+      const __m256i eq =
+          _mm256_cmpeq_epi64(LoadLanes(xt + q), LoadLanes(yw + yk));
+      __m256i v = DiamondStep(LoadLanes(d2 + q + 4), aligned, shifted, eq);
+      if (q + 4 > band) v = _mm256_or_si256(v, top_or);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(d0 + q + 4), v);
+    };
+    if (t % 2 == 0) {
+      // Up is lane q - 1 of diagonal t - 1: the block rotated up one lane,
+      // the previous block's top lane entering at the bottom.
+      __m256i prev_rot =
+          _mm256_permute4x64_epi64(LoadLanes(d1 + q_lo), 0x93);
+      for (std::size_t q = q_lo; q <= q_hi; q += 4, yk += 4) {
+        const __m256i left = LoadLanes(d1 + q + 4);
+        const __m256i left_rot = _mm256_permute4x64_epi64(left, 0x93);
+        store_block(q, left, _mm256_blend_epi32(left_rot, prev_rot, 0x03));
+        prev_rot = left_rot;
+      }
+    } else {
+      // Left is lane q + 1 of diagonal t - 1: the block rotated down one
+      // lane, the next block's bottom lane entering at the top.
+      __m256i up = LoadLanes(d1 + q_lo + 4);
+      __m256i up_rot = _mm256_permute4x64_epi64(up, 0x39);
+      for (std::size_t q = q_lo; q <= q_hi; q += 4, yk += 4) {
+        const __m256i next = LoadLanes(d1 + q + 8);
+        const __m256i next_rot = _mm256_permute4x64_epi64(next, 0x39);
+        store_block(q, up, _mm256_blend_epi32(up_rot, next_rot, 0xC0));
+        up = next;
+        up_rot = next_rot;
+      }
+    }
+    std::uint64_t* const free_line = d2;
+    d2 = d1;
+    d1 = d0;
+    d0 = free_line;
+  }
+  return d1[m + a - (m + n + 1) / 2 + 4];
+}
+
 }  // namespace
 
 const SweepKernels& Avx2SweepKernels() {
@@ -344,6 +494,7 @@ const SweepKernels& Avx2SweepKernels() {
     k.fill_absdiff_bounds = Avx2FillAbsDiffBounds;
     k.eliminate_and_compact = Avx2EliminateAndCompact;
     k.stream_keys = Avx2StreamKeys;
+    k.contextual_diamond = Avx2ContextualDiamond;
     return k;
   }();
   return kAvx2;

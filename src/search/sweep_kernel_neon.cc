@@ -143,7 +143,7 @@ void NeonFillAbsDiffBounds(std::size_t x_len, const std::uint32_t* y_lens,
 
 const SweepKernels& NeonSweepKernels() {
   static const SweepKernels kNeon = [] {
-    // Compaction and the stream keys stay scalar.
+    // Compaction, the stream keys and the d_C,h diamond stay scalar.
     SweepKernels k = ScalarSweepKernels();
     k.name = "neon";
     k.update_lower_dense = NeonUpdateLowerDense;

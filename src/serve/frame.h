@@ -167,7 +167,6 @@ struct PayloadWriter {
 
   void U32(std::uint32_t v) { Raw(&v, sizeof(v)); }
   void U64(std::uint64_t v) { Raw(&v, sizeof(v)); }
-  void I32(std::int32_t v) { Raw(&v, sizeof(v)); }
   void F64(double v) { Raw(&v, sizeof(v)); }
   /// u32 length + bytes.
   void Str(std::string_view s) {
@@ -189,7 +188,6 @@ class PayloadReader {
 
   std::uint32_t U32() { return Fixed<std::uint32_t>(); }
   std::uint64_t U64() { return Fixed<std::uint64_t>(); }
-  std::int32_t I32() { return Fixed<std::int32_t>(); }
   double F64() { return Fixed<double>(); }
   std::string Str();
   /// In-place view of `n` raw bytes (valid while the payload lives).

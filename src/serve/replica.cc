@@ -113,10 +113,6 @@ const ShardReplica::SweepSlot& ShardReplica::SlotOf(std::uint32_t qid) const {
   return *it->second;
 }
 
-std::size_t ShardReplica::live(std::uint32_t qid) const {
-  return SlotOf(qid).live;
-}
-
 void ShardReplica::EndSweep(std::uint32_t qid) { sweeps_.erase(qid); }
 
 bool ShardReplica::Insert(std::uint64_t id, std::string_view s) {

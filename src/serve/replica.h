@@ -73,10 +73,6 @@ class ShardReplica {
   /// carries quantized tables; v1 is always f64).
   TablePrecision table_precision() const { return pivot_table_.precision(); }
 
-  /// Candidates still live in query `qid`'s slot. Throws std::out_of_range
-  /// for an unknown qid.
-  std::size_t live(std::uint32_t qid) const;
-
   /// Active sweep slots (monitoring; the overflow guard's input).
   std::size_t sweep_count() const { return sweeps_.size(); }
 

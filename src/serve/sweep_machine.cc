@@ -114,14 +114,6 @@ bool SweepMachine::AbsorbPass(std::size_t s, PayloadReader& r) {
   return true;
 }
 
-std::size_t SweepMachine::live() const {
-  std::size_t live = 0;
-  for (const ShardView& v : views_) {
-    if (v.active) live += v.last.live;
-  }
-  return live;
-}
-
 std::size_t SweepMachine::Next() {
   SweepCompactResult merged;
   for (const ShardView& v : views_) {

@@ -170,9 +170,6 @@ class SweepMachine {
   /// `shards_degraded`. The failover counters are the executor's.
   void Finish(ServeResult* res);
 
-  /// Live candidates over the active shards.
-  std::size_t live() const;
-
  private:
   /// Per-query view of one shard's sweep state, mirrored from its
   /// primary's replies.

@@ -6,13 +6,16 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "common/dp_workspace.h"
 #include "common/harmonic.h"
 #include "common/rng.h"
 #include "core/contextual.h"
 #include "datasets/perturb.h"
 #include "distances/levenshtein.h"
+#include "search/sweep_kernel.h"
 #include "strings/string_gen.h"
 
 namespace cned {
@@ -56,11 +59,27 @@ ContextualHeuristicResult ReferenceHeuristic(std::string_view x,
   return r;
 }
 
-// Checks the kernel against the reference, unbounded and at the bounds an
-// index produces around the true value d: the result must be identical
-// whenever d < bound and otherwise >= bound.
+// Restores the active sweep-kernel variant on scope exit.
+class KernelGuard {
+ public:
+  KernelGuard() : saved_(ActiveSweepKernels().name) {}
+  ~KernelGuard() { SetActiveSweepKernels(saved_); }
+
+ private:
+  std::string saved_;
+};
+
+// Checks every available variant against the reference. First its diamond
+// entry directly: at e = d_E, the narrowest diamond, and at wider ones, the
+// packed cell must be (d_E << 32) | the fewest substitutions. Then the
+// kernel with that variant active, unbounded and at the bounds an index
+// produces around the true value d: the result must be identical whenever
+// d < bound and otherwise >= bound.
 void ExpectMatchesReference(const std::string& x, const std::string& y) {
   const ContextualHeuristicResult ref = ReferenceHeuristic(x, y);
+  const std::size_t m = x.size(), n = y.size();
+  const std::uint64_t cell =
+      (std::uint64_t{ref.k} << 32) | (ref.k + n - m - 2 * ref.insertions);
   const double d = ref.distance;
   const double inf = std::numeric_limits<double>::infinity();
   const double bounds[] = {inf,
@@ -70,17 +89,27 @@ void ExpectMatchesReference(const std::string& x, const std::string& y) {
                            d / 2,
                            1.5 * d,
                            0.0};
-  for (double bound : bounds) {
-    const ContextualHeuristicResult got =
-        ContextualHeuristicDetailed(x, y, bound);
-    if (d < bound) {
-      EXPECT_EQ(got.distance, d) << "x=" << x << " y=" << y << " b=" << bound;
-      EXPECT_EQ(got.k, ref.k) << "x=" << x << " y=" << y << " b=" << bound;
-      EXPECT_EQ(got.insertions, ref.insertions)
-          << "x=" << x << " y=" << y << " b=" << bound;
-    } else {
-      EXPECT_GE(got.distance, bound)
-          << "x=" << x << " y=" << y << " b=" << bound;
+  KernelGuard guard;
+  for (const SweepKernels* kern : AvailableSweepKernels()) {
+    for (const std::size_t e : {ref.k, ref.k + 1, m + n}) {
+      EXPECT_EQ(kern->contextual_diamond(x, y, e, TlsDpWorkspace()), cell)
+          << kern->name << " x=" << x << " y=" << y << " e=" << e;
+    }
+    ASSERT_TRUE(SetActiveSweepKernels(kern->name));
+    for (double bound : bounds) {
+      const ContextualHeuristicResult got =
+          ContextualHeuristicDetailed(x, y, bound);
+      if (d < bound) {
+        EXPECT_EQ(got.distance, d)
+            << kern->name << " x=" << x << " y=" << y << " b=" << bound;
+        EXPECT_EQ(got.k, ref.k)
+            << kern->name << " x=" << x << " y=" << y << " b=" << bound;
+        EXPECT_EQ(got.insertions, ref.insertions)
+            << kern->name << " x=" << x << " y=" << y << " b=" << bound;
+      } else {
+        EXPECT_GE(got.distance, bound)
+            << kern->name << " x=" << x << " y=" << y << " b=" << bound;
+      }
     }
   }
 }
@@ -118,6 +147,72 @@ TEST(ContextualHeuristicTest, MatchesReferenceWithEmptySide) {
     std::string s = StringGen::UniformLength(rng, ab, 1, 40);
     ExpectMatchesReference(s, "");
     ExpectMatchesReference("", s);
+  }
+}
+
+TEST(ContextualHeuristicTest, MatchesReferenceWhenLengthGapIsTheDistance) {
+  // |m - n| = d_E: every minimal script is indels of one kind and matches,
+  // and the diamond is the band between the main and the end diagonal.
+  Rng rng(29);
+  Alphabet ab("abcd");
+  for (int t = 0; t < 200; ++t) {
+    const std::string x = StringGen::UniformLength(rng, ab, 0, 70);
+    std::string y;
+    for (const char c : x) {
+      if (!rng.Chance(0.2)) y += c;
+    }
+    ASSERT_EQ(LevenshteinDistance(x, y), x.size() - y.size());
+    ExpectMatchesReference(x, y);
+    ExpectMatchesReference(y, x);
+  }
+  ExpectMatchesReference("ab", "b");   // the one minimal script deletes first
+  ExpectMatchesReference("ab", "a");   // ... or last
+  ExpectMatchesReference("b", "ab");
+  ExpectMatchesReference("a", "ab");
+}
+
+TEST(ContextualHeuristicTest, MatchesReferenceWhenDistanceAndGapDifferInParity) {
+  // d_E - |m - n| odd: the diamond's two edges lie on diagonals of
+  // different parity, d_E diagonals in all.
+  Rng rng(30);
+  Alphabet ab("abc");
+  int checked = 0;
+  for (int t = 0; t < 1000 && checked < 150; ++t) {
+    const std::string x = StringGen::UniformLength(rng, ab, 0, 70);
+    const std::string y = StringGen::UniformLength(rng, ab, 0, 70);
+    const std::size_t gap = x.size() > y.size() ? x.size() - y.size()
+                                                : y.size() - x.size();
+    if ((LevenshteinDistance(x, y) - gap) % 2 == 0) continue;
+    ++checked;
+    ExpectMatchesReference(x, y);
+  }
+  EXPECT_EQ(checked, 150);
+}
+
+TEST(ContextualHeuristicTest, MatchesReferenceOnEqualStrings) {
+  // d_E = 0: a one-diagonal diamond.
+  Rng rng(31);
+  Alphabet ab("ab");
+  for (const std::size_t len : {1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 130}) {
+    const std::string x = StringGen::UniformLength(rng, ab, len, len);
+    ExpectMatchesReference(x, x);
+  }
+}
+
+TEST(ContextualHeuristicTest, MatchesReferenceAcrossWordAndLaneBoundaries) {
+  // 63, 64 and 65 symbols cross the single-word and blocked d_E forms, 130
+  // two blocks; the lengths around them cross the four-lane tail.
+  Rng rng(32);
+  Alphabet ab("abcdefgh");
+  const std::size_t lengths[] = {62, 63, 64, 65, 66, 129, 130, 131};
+  for (const std::size_t lx : lengths) {
+    for (const std::size_t ly : lengths) {
+      const std::string x = StringGen::UniformLength(rng, ab, lx, lx);
+      ExpectMatchesReference(x, StringGen::UniformLength(rng, ab, ly, ly));
+      const std::string y = PerturbString(x, 1 + rng.Index(6), ab, rng);
+      ExpectMatchesReference(x, y);
+      ExpectMatchesReference(y, x);
+    }
   }
 }
 
@@ -220,6 +315,8 @@ TEST(ContextualHeuristicTest, LongStringsStayCheap) {
   double d = ContextualHeuristicDistance(x, y);
   EXPECT_GT(d, 0.0);
   EXPECT_LT(d, 2.0);  // contextual distances live in [0, ~2H range)
+  ExpectMatchesReference(x, y);
+  ExpectMatchesReference(y, x);
 }
 
 TEST(ContextualHeuristicAdapterTest, Metadata) {

@@ -260,17 +260,29 @@ TEST(SweepMachineTest, DropRemovesTheShardAndListsItOnce) {
   const SweepShape shape = ThreeShards();
   const SweepWorld world = CleanWorld();
   SweepMachine m(shape, world, Dist(), "q", 1, /*row=*/nullptr);
+  // Shard 1's candidate, id 4 at bound 0.25, would lead the merge.
   for (std::size_t s = 0; s < 3; ++s) {
-    ASSERT_TRUE(m.AbsorbBegin(s, BeginReply(4, 4 * s, 0.5)));
+    ASSERT_TRUE(m.AbsorbBegin(s, BeginReply(4, 4 * s, s == 1 ? 0.25 : 0.5)));
   }
-  EXPECT_EQ(m.live(), 12u);
   m.Drop(1);
   m.Drop(1);
   EXPECT_FALSE(m.active(1));
-  EXPECT_EQ(m.live(), 8u);
+  // The sweep visits only the active shards' candidates: id 0, then id 8
+  // once shard 0 has emptied, then nothing.
+  EXPECT_EQ(m.Next(), 0u);
+  ASSERT_TRUE(m.AbsorbEvalReply(EvalReply(3.0)));
+  ASSERT_TRUE(m.AbsorbStep(0, Compact(0, kSweepNone, kInf)));
+  ASSERT_TRUE(m.AbsorbStep(2, Compact(4, 8, 0.5)));
+  EXPECT_EQ(m.Next(), 8u);
+  ASSERT_TRUE(m.AbsorbEvalReply(EvalReply(3.0)));
+  ASSERT_TRUE(m.AbsorbStep(0, Compact(0, kSweepNone, kInf)));
+  ASSERT_TRUE(m.AbsorbStep(2, Compact(0, kSweepNone, kInf)));
+  EXPECT_EQ(m.Next(), kSweepNone);
 
   ServeResult res;
   m.Finish(&res);
+  EXPECT_EQ(res.stats.distance_computations - res.stats.pivot_computations,
+            2u);
   EXPECT_EQ(res.missing_shards, std::vector<std::size_t>({1}));
   EXPECT_TRUE(res.partial);
   EXPECT_EQ(res.stats.shards_degraded, 1u);
@@ -355,21 +367,28 @@ TEST(SweepMachineTest, RejectsRepliesNamingIdsOutsideTheShard) {
   const SweepShape shape = ThreeShards();
   const SweepWorld world = CleanWorld();
   SweepMachine m(shape, world, Dist(), "q", 1, kRow);
+  SweepMachine expired(shape, world, Dist(), "q", 1, kRow);
   const std::vector<std::vector<char>> bad = {
       Compact(2, 100, 1.0),  // id >= n
       Compact(2, 6, 1.0),    // an id of shard 1
       Compact(5, 2, 1.0),    // live > shard size
   };
-  for (const std::vector<char>& reply : bad) {
-    EXPECT_FALSE(m.AbsorbBegin(0, WithDead(0, reply)));
-    EXPECT_FALSE(m.AbsorbStep(0, reply));
-  }
   std::vector<char> trailing = Compact(2, 2, 1.0);
   trailing.push_back(0);
-  EXPECT_FALSE(m.AbsorbStep(0, trailing));
-  // Nothing of a rejected reply was absorbed.
-  EXPECT_EQ(m.live(), 0u);
+  for (SweepMachine* machine : {&m, &expired}) {
+    for (const std::vector<char>& reply : bad) {
+      EXPECT_FALSE(machine->AbsorbBegin(0, WithDead(0, reply)));
+      EXPECT_FALSE(machine->AbsorbStep(0, reply));
+    }
+    EXPECT_FALSE(machine->AbsorbStep(0, trailing));
+  }
+  // Nothing of a rejected reply was absorbed: no candidate is next, and at
+  // the deadline no shard holds live candidates to list missing.
   EXPECT_EQ(m.Next(), kSweepNone);
+  expired.Expire();
+  ServeResult res;
+  expired.Finish(&res);
+  EXPECT_TRUE(res.missing_shards.empty());
   // An id of its own shard is accepted.
   EXPECT_TRUE(m.AbsorbStep(0, Compact(2, 2, 1.0)));
 }
