@@ -174,64 +174,6 @@ EditScript ContextualAlign(std::string_view x, std::string_view y,
   return script;
 }
 
-EditScript ContextualAlignHeuristic(std::string_view x, std::string_view y) {
-  const std::size_t m = x.size(), n = y.size();
-  const std::size_t width = n + 1;
-  std::vector<std::uint32_t> dist((m + 1) * width);
-  std::vector<std::int32_t> ins((m + 1) * width);
-  auto d = [&](std::size_t i, std::size_t j) -> std::uint32_t& {
-    return dist[i * width + j];
-  };
-  auto ni = [&](std::size_t i, std::size_t j) -> std::int32_t& {
-    return ins[i * width + j];
-  };
-
-  for (std::size_t j = 0; j <= n; ++j) {
-    d(0, j) = static_cast<std::uint32_t>(j);
-    ni(0, j) = static_cast<std::int32_t>(j);
-  }
-  for (std::size_t i = 1; i <= m; ++i) {
-    d(i, 0) = static_cast<std::uint32_t>(i);
-    ni(i, 0) = 0;
-    for (std::size_t j = 1; j <= n; ++j) {
-      const std::uint32_t dd = d(i - 1, j - 1) + (x[i - 1] == y[j - 1] ? 0u : 1u);
-      const std::uint32_t ddel = d(i - 1, j) + 1;
-      const std::uint32_t dins = d(i, j - 1) + 1;
-      const std::uint32_t best = std::min({dd, ddel, dins});
-      std::int32_t best_ni = std::numeric_limits<std::int32_t>::min();
-      if (best == dd) best_ni = std::max(best_ni, ni(i - 1, j - 1));
-      if (best == ddel) best_ni = std::max(best_ni, ni(i - 1, j));
-      if (best == dins) best_ni = std::max(best_ni, ni(i, j - 1) + 1);
-      d(i, j) = best;
-      ni(i, j) = best_ni;
-    }
-  }
-
-  std::vector<Column> columns;
-  std::size_t i = m, j = n;
-  while (i > 0 || j > 0) {
-    const std::uint32_t dv = d(i, j);
-    const std::int32_t nv = ni(i, j);
-    if (i > 0 && j > 0 &&
-        dv == d(i - 1, j - 1) + (x[i - 1] == y[j - 1] ? 0u : 1u) &&
-        nv == ni(i - 1, j - 1)) {
-      columns.push_back({x[i - 1] == y[j - 1] ? ColKind::kMatch : ColKind::kSub,
-                         x[i - 1], y[j - 1]});
-      --i, --j;
-    } else if (j > 0 && dv == d(i, j - 1) + 1 && nv == ni(i, j - 1) + 1) {
-      columns.push_back({ColKind::kIns, '\0', y[j - 1]});
-      --j;
-    } else if (i > 0 && dv == d(i - 1, j) + 1 && nv == ni(i - 1, j)) {
-      columns.push_back({ColKind::kDel, x[i - 1], '\0'});
-      --i;
-    } else {
-      throw std::logic_error("ContextualAlignHeuristic: backtrack dead end");
-    }
-  }
-  std::reverse(columns.begin(), columns.end());
-  return BuildCanonicalScript(x, columns);
-}
-
 std::string ApplyEditScript(std::string_view x, const EditScript& script) {
   std::string w(x);
   for (const EditOp& op : script.ops) {

@@ -39,10 +39,6 @@ struct EditScript {
 EditScript ContextualAlign(std::string_view x, std::string_view y,
                            std::size_t max_cells = std::size_t{1} << 25);
 
-/// Edit script of the heuristic d_C,h: a minimal-edit-length path with the
-/// maximum number of insertions, in canonical order. O(|x|·|y|) time/space.
-EditScript ContextualAlignHeuristic(std::string_view x, std::string_view y);
-
 /// Replays `script` on `x` and returns the resulting string. Throws
 /// std::invalid_argument when an operation's position or `from` symbol does
 /// not match the working string (i.e. the script is not valid for `x`).

@@ -51,17 +51,6 @@ std::size_t ShardedPrototypeStore::ShardOf(std::size_t i) const {
   return static_cast<std::size_t>(it - bases_.begin()) - 1;
 }
 
-PrototypeStore ShardedPrototypeStore::ToFlatStore() const {
-  PrototypeStore flat;
-  std::size_t chars = 0;
-  for (const PrototypeStore& s : shards_) chars += s.arena_bytes();
-  flat.Reserve(total_, chars);
-  for (const PrototypeStore& s : shards_) {
-    for (std::size_t j = 0; j < s.size(); ++j) flat.Add(s.view(j));
-  }
-  return flat;
-}
-
 void ShardedPrototypeStore::SaveBinary(const std::string& path) const {
   BinaryWriter writer(path);
   const std::uint64_t counts[3] = {shards_.size(), total_,

@@ -79,9 +79,6 @@ class ShardedPrototypeStore {
     return has_labels() ? labels_.data() + bases_[s] : nullptr;
   }
 
-  /// Materialises the global set as one flat store (pivot selection, tests).
-  PrototypeStore ToFlatStore() const;
-
   /// Writes shard count, labels and every per-shard section to `path` in
   /// the shared 64-byte-aligned binary format (common/binary_io.h).
   void SaveBinary(const std::string& path) const;

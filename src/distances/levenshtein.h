@@ -30,12 +30,6 @@ std::size_t LevenshteinDistance(std::string_view x, std::string_view y);
 double LevenshteinDistanceBounded(std::string_view x, std::string_view y,
                                   double bound);
 
-/// The full DP matrix D[i][j] = d_E(x[0..i), y[0..j)), rows |x|+1 by |y|+1.
-/// Exposed because the Marzal-Vidal and contextual computations, tests and
-/// teaching examples need the intermediate values.
-std::vector<std::vector<std::size_t>> LevenshteinMatrix(std::string_view x,
-                                                        std::string_view y);
-
 /// `StringDistance` adapter for d_E, on the bit-parallel kernel.
 class EditDistance final : public StringDistance {
  public:

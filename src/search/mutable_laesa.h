@@ -6,12 +6,12 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "datasets/prototype_store.h"
 #include "distances/distance.h"
 #include "search/laesa.h"
+#include "search/mutable_segment.h"
 #include "search/nn_searcher.h"
 #include "search/table_quant.h"
 
@@ -22,19 +22,20 @@ namespace cned {
 /// in flight (the add/search + view() serving model of usearch, see
 /// ROADMAP.md).
 ///
-/// Structure — two segments behind one epoch-numbered immutable `State`:
+/// Structure — two `MutableSegment`s (mutable_segment.h) behind one
+/// epoch-numbered immutable `State`:
 ///
-///   * **base**: a frozen `PrototypeStore` + `Laesa` (owned or mapped from
-///     a snapshot). Never rewritten in place; deletes set a bit in a
-///     tombstone bitmap that the sweep masks as +inf bounds before any
-///     visit (`Laesa::KNearest` with a tombstone bitmap), so a deleted
-///     prototype can never surface as a neighbour at any `table_precision`.
-///   * **delta**: an appendable `PrototypeStore` holding everything
-///     inserted since the last merge, with its own tombstone bitmap.
-///     Always queried by one exhaustive scan bounded by the merged
-///     incumbent (`BoundedScan`, exhaustive.h), the rule the shard
-///     workers' `ShardReplica::DeltaScan` runs too. It has no index, so an
-///     insert evaluates no distance; the background merge is what keeps
+///   * **base**: a frozen store + `Laesa` (owned or mapped from a
+///     snapshot). Never rewritten in place; deletes kill a slot in the
+///     segment's `Tombstones`, whose bitmap the sweep masks as +inf bounds
+///     before any visit (`Laesa::KNearest` with a tombstone bitmap), so a
+///     deleted prototype can never surface as a neighbour at any
+///     `table_precision`.
+///   * **delta**: everything inserted since the last merge, with its own
+///     tombstones. Always queried by the segment's one bounded exhaustive
+///     scan (`MutableSegment::Scan`), bounded by the merged incumbent; a
+///     shard worker's `ShardReplica::DeltaScan` is the same scan. It has no
+///     index, so an insert evaluates no distance; the merge is what keeps
 ///     the delta, and so the scan, short.
 ///
 /// Every prototype carries a stable 64-bit id, assigned monotonically by
@@ -53,15 +54,15 @@ namespace cned {
 /// they touch) and publish it with `std::atomic_store` on the shared_ptr.
 /// Readers pin the current state with `std::atomic_load` and keep their
 /// pinned segments for the whole query, so a concurrent publish (or a
-/// background merge's epoch swap) never invalidates an in-flight query and
-/// no query ever fails during a swap. Readers never block writers and vice
-/// versa.
+/// merge's epoch swap) never invalidates an in-flight query and no query
+/// ever fails during a swap. Readers never block writers and vice versa.
 ///
-/// Background merge — `StartMerge` pins the current epoch and rewrites
-/// base+delta (minus tombstones) into a fresh base on a background thread,
-/// then swaps it in: entries removed *during* the merge become tombstones
-/// on the new base, entries inserted during it stay in the (re-packed)
-/// delta. With a snapshot directory the merge output goes through
+/// Merge — `MergeNow` pins the current epoch and rewrites base+delta
+/// (minus tombstones) into a fresh base on the calling thread, off the
+/// writer lock, then swaps it in: entries removed *during* the merge become
+/// tombstones on the new base, entries inserted during it stay in the
+/// (re-packed) delta. Readers and writers on other threads proceed
+/// throughout. With a snapshot directory the merge output goes through
 /// temp-file + rename, so a crash mid-merge leaves the previous snapshot
 /// fully valid — the only residue is a stale `*.tmp` pair.
 ///
@@ -92,21 +93,20 @@ class MutableLaesa final : public NearestNeighborSearcher {
   MutableLaesa(const std::vector<std::string>& base,
                StringDistancePtr distance, Options options = Options());
 
-  /// Serves a snapshot written by a merge (`StartMerge(dir)`): maps the
+  /// Serves a snapshot written by a merge (`MergeNow(dir)`): maps the
   /// store and index zero-copy. Ids restart at 0..n-1 — the snapshot is a
-  /// compacted world, stable within the new instance's lifetime.
+  /// compacted world, stable within the new instance's lifetime. This is
+  /// the tier's restart path: after a crash, the last merge's snapshot is
+  /// what a new process serves.
   static MutableLaesa FromSnapshot(const std::string& dir,
                                    StringDistancePtr distance,
                                    Options options = Options());
-
-  ~MutableLaesa() override;
 
   MutableLaesa(const MutableLaesa&) = delete;
   MutableLaesa& operator=(const MutableLaesa&) = delete;
 
   /// Appends one prototype; returns its stable id. O(delta) copy-on-write —
-  /// the background merge is what keeps the delta (and thus this cost)
-  /// bounded.
+  /// the merge is what keeps the delta (and thus this cost) bounded.
   std::uint64_t Insert(std::string_view s);
 
   /// Tombstones `id`. Returns false when the id is unknown or already
@@ -139,18 +139,11 @@ class MutableLaesa final : public NearestNeighborSearcher {
       std::string_view query, std::size_t k,
       QueryStats* stats = nullptr) const override;
 
-  /// Kicks off a background merge of the current delta+tombstones into a
-  /// fresh base. Returns false when a merge is already running (or reaped
-  /// by WaitMerge yet), or when there is nothing to merge. With a
-  /// non-empty `snapshot_dir` the merged store+index are also written
-  /// there (temp-file + rename) and the new base serves mapped from those
-  /// files.
-  bool StartMerge(const std::string& snapshot_dir = std::string());
-
-  /// Joins the background merge if one is running or finished-unreaped.
-  void WaitMerge();
-
-  /// StartMerge + WaitMerge. Returns false when there was nothing to do.
+  /// Merges the current delta+tombstones into a fresh base on the calling
+  /// thread. Returns false when another merge is running or there is
+  /// nothing to merge. With a non-empty `snapshot_dir` the merged
+  /// store+index are also written there (temp-file + rename) and the new
+  /// base serves mapped from those files.
   bool MergeNow(const std::string& snapshot_dir = std::string());
 
   /// Non-empty after a merge that failed (snapshot I/O error); the state
@@ -167,40 +160,20 @@ class MutableLaesa final : public NearestNeighborSearcher {
   MutableLaesa(SnapshotTag, const std::string& dir, StringDistancePtr distance,
                Options options);
 
-  /// One frozen segment: slots 0..count-1, ids ascending, optional
-  /// tombstone bitmap (null = no deletes yet).
-  struct Segment {
-    std::shared_ptr<const PrototypeStore> store;
-    std::shared_ptr<const std::vector<std::uint64_t>> ids;
-    std::shared_ptr<const std::vector<std::uint64_t>> tombs;
-    std::size_t dead = 0;
-    std::size_t count() const { return store ? store->size() : 0; }
-    std::size_t live() const { return count() - dead; }
-    const std::uint64_t* tomb_bits() const {
-      return dead > 0 ? tombs->data() : nullptr;
-    }
-  };
-
   /// The immutable world a reader pins. Everything reachable from here is
   /// frozen; mutators publish whole new States.
   struct State {
-    Segment base;
+    MutableSegment base;
     std::shared_ptr<const Laesa> base_index;  // null iff base empty
-    Segment delta;
+    MutableSegment delta;
     std::uint64_t next_id = 0;
     std::uint64_t epoch = 0;
   };
 
-  /// Where a stable id lives in a State: its segment, as a member pointer
-  /// so a mutator can address the same segment of its next State (null
-  /// when neither segment holds the id), its slot there, and whether that
-  /// slot is not tombstoned.
-  struct Slot {
-    Segment State::*segment = nullptr;
-    std::size_t slot = 0;
-    bool live = false;
-  };
-  static Slot Locate(const State& st, std::uint64_t id);
+  /// The segment of `st` holding live `id` and its slot there; null when
+  /// neither does.
+  static const MutableSegment* Locate(const State& st, std::uint64_t id,
+                                      std::size_t* slot);
 
   std::shared_ptr<const State> Pin() const {
     return std::atomic_load(&state_);
@@ -210,15 +183,12 @@ class MutableLaesa final : public NearestNeighborSearcher {
                       std::shared_ptr<const State>(std::move(next)));
   }
 
-  void MergeBody(std::shared_ptr<const State> pinned, std::string dir);
-
   StringDistancePtr distance_;
   Options options_;
   std::shared_ptr<const State> state_;  // accessed via atomic_load/store
 
   /// Serializes mutators and merge bookkeeping; never held while querying.
   mutable std::mutex write_mu_;
-  std::thread merge_thread_;
   bool merging_ = false;
   std::string merge_error_;
 };

@@ -7,7 +7,6 @@
 
 #include "common/binary_io.h"
 #include "distances/registry.h"
-#include "search/exhaustive.h"
 #include "search/pivot_sweep.h"
 #include "search/laesa.h"
 #include "serve/shard_snapshot.h"
@@ -66,6 +65,7 @@ ShardReplica::ShardReplica(const std::string& store_path,
         "ShardReplica: index slice and store disagree on shard size (" +
         index_path + ")");
   }
+  removed_ = Tombstones(n_s);
   const std::string who = "ShardReplica (" + index_path + ")";
   TablePrecision precision = TablePrecision::kF64;
   if (version == kShardSliceVersionQuant) {
@@ -118,35 +118,15 @@ void ShardReplica::EndSweep(std::uint32_t qid) { sweeps_.erase(qid); }
 bool ShardReplica::Insert(std::uint64_t id, std::string_view s) {
   // Per-shard ids are assigned (and replayed) in ascending order, so a
   // duplicate delivery — a retry after a lost reply — is exactly an id that
-  // is not past the current tail.
-  if (!delta_ids_.empty() && id <= delta_ids_.back()) return false;
-  delta_store_.Add(s);
-  delta_ids_.push_back(id);
-  if (!delta_tombs_.empty()) {
-    delta_tombs_.resize(TombstoneWords(delta_store_.size()), 0);
-  }
-  return true;
+  // is not past the current tail, which the segment ignores.
+  return delta_.Insert(id, s);
 }
 
 bool ShardReplica::Remove(std::uint64_t id) {
   if (id >= base_ && id - base_ < store_.size()) {
-    const std::size_t j = id - base_;
-    if (tombs_.empty()) tombs_.assign(TombstoneWords(store_.size()), 0);
-    if (TestTombstone(tombs_.data(), j)) return false;
-    SetTombstone(tombs_.data(), j);
-    ++base_dead_;
-    return true;
+    return removed_.Kill(id - base_);
   }
-  const auto it = std::lower_bound(delta_ids_.begin(), delta_ids_.end(), id);
-  if (it == delta_ids_.end() || *it != id) return false;
-  const std::size_t j = static_cast<std::size_t>(it - delta_ids_.begin());
-  if (delta_tombs_.empty()) {
-    delta_tombs_.assign(TombstoneWords(delta_store_.size()), 0);
-  }
-  if (TestTombstone(delta_tombs_.data(), j)) return false;
-  SetTombstone(delta_tombs_.data(), j);
-  ++delta_dead_;
-  return true;
+  return delta_.Remove(id);
 }
 
 void ShardReplica::DeltaScan(std::string_view query, double cap0,
@@ -155,9 +135,7 @@ void ShardReplica::DeltaScan(std::string_view query, double cap0,
                              std::uint64_t* abandons) const {
   hits->clear();
   QueryStats scan;
-  BoundedScan(*distance_, query, delta_store_,
-              delta_tombs_.empty() ? nullptr : delta_tombs_.data(),
-              delta_ids_.data(), cap0, k, hits, &scan);
+  delta_.Scan(*distance_, query, cap0, k, hits, &scan);
   *computations = scan.distance_computations;
   *abandons = scan.bounded_abandons;
 }
@@ -187,7 +165,9 @@ SweepCompactResult ShardReplica::BeginRow(std::uint32_t qid,
   distance_->LengthLowerBounds(slot.query.size(), store_.lengths_data(), n_s,
                                lower);
   ApplyPivotRows(segment(), rows, lower);
-  if (base_dead_ > 0) ApplyTombstoneMask(tombs_.data(), n_s, lower);
+  if (const std::uint64_t* mask = removed_.mask()) {
+    ApplyTombstoneMask(mask, n_s, lower);
+  }
   const std::uint32_t* ids = pivot_table_.pivots().sorted();
   for (const std::uint32_t* it = std::lower_bound(ids, ids + np, base_);
        it != ids + np && *it - base_ < n_s; ++it) {

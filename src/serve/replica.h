@@ -11,6 +11,7 @@
 #include "common/aligned_buffer.h"
 #include "datasets/prototype_store.h"
 #include "distances/distance.h"
+#include "search/mutable_segment.h"
 #include "search/nn_searcher.h"
 #include "search/pivot_sweep.h"
 #include "search/sweep_kernel.h"
@@ -47,9 +48,11 @@ namespace cned {
 /// the segment slabs — a sweep's trajectory is a pure function of its own
 /// (BeginRow, Step*...) sequence, untouched by whatever other queries do in
 /// between — which is exactly what keeps interleaved queries bit-identical
-/// to running them back to back. Mutable-tier state (delta, tombstones) is
-/// shared across slots; the router's writer lock guarantees mutations
-/// never interleave with a sweep that has already begun.
+/// to running them back to back. Mutable-tier state is shared across
+/// slots: the base segment's `Tombstones` (ids stay implicit, base_ +
+/// slot) and the delta, a `MutableSegment` (search/mutable_segment.h)
+/// appended and killed in place. The router's writer lock guarantees
+/// mutations never interleave with a sweep that has already begun.
 ///
 /// Construction maps each snapshot file once, through a `MappedReader` that
 /// verifies its CRC footer before any section is interpreted: a worker
@@ -108,10 +111,10 @@ class ShardReplica {
                  std::vector<NeighborResult>* hits,
                  std::uint64_t* computations, std::uint64_t* abandons) const;
 
-  std::size_t base_dead() const { return base_dead_; }
-  std::size_t delta_count() const { return delta_store_.size(); }
-  std::size_t delta_dead() const { return delta_dead_; }
-  std::size_t total_dead() const { return base_dead_ + delta_dead_; }
+  std::size_t base_dead() const { return removed_.dead(); }
+  std::size_t delta_count() const { return delta_.count(); }
+  std::size_t delta_dead() const { return delta_.dead(); }
+  std::size_t total_dead() const { return base_dead() + delta_dead(); }
 
   /// Starts a row sweep in `qid`'s slot (created, or reset if the id is
   /// being reused): length bounds, `rows` applied dense, the shard's base
@@ -174,14 +177,9 @@ class ShardReplica {
   std::unordered_map<std::uint32_t, std::unique_ptr<SweepSlot>> sweeps_;
 
   // Mutable-tier state, process-local (rebuilt by the router's op-journal
-  // replay when a replica respawns). Tombstone bitmaps are allocated on
-  // first use; empty means no deletes.
-  std::vector<std::uint64_t> tombs_;  // over base slots
-  std::size_t base_dead_ = 0;
-  PrototypeStore delta_store_;               // owned, appendable
-  std::vector<std::uint64_t> delta_ids_;     // global id per delta slot
-  std::vector<std::uint64_t> delta_tombs_;   // over delta slots
-  std::size_t delta_dead_ = 0;
+  // replay when a replica respawns).
+  Tombstones removed_;    // over base slots: global id base_ + slot
+  MutableSegment delta_;  // global ids, ascending
 };
 
 }  // namespace cned

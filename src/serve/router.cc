@@ -140,6 +140,7 @@ ServeRouter::ServeRouter(const std::string& snapshot_dir,
   }
 
   next_insert_id_ = n_;
+  world_.base = Tombstones(n_);
   world_.shard_dead.assign(shards, 0);
   world_.delta_live.assign(shards, 0);
   shard_ops_.resize(shards);
@@ -1285,6 +1286,7 @@ std::uint64_t ServeRouter::Insert(std::string_view s) {
   if (options_.auto_respawn) RespawnDeadLocked(/*limit=*/0);
   const std::uint64_t id = next_insert_id_++;
   const std::size_t owner = static_cast<std::size_t>((id - n_) % shard_count());
+  world_.delta.Grow(next_insert_id_ - n_);
   ++world_.delta_live[owner];
   MutationOp op;
   op.insert = true;
@@ -1309,18 +1311,11 @@ bool ServeRouter::Remove(std::uint64_t id) {
   if (options_.auto_respawn) RespawnDeadLocked(/*limit=*/0);
   std::size_t owner = 0;
   if (id < n_) {
-    std::vector<std::uint64_t>& tombs = world_.base_tombs;
-    if (tombs.empty()) tombs.assign(TombstoneWords(n_), 0);
-    if (TestTombstone(tombs.data(), id)) return false;
-    SetTombstone(tombs.data(), id);
+    if (!world_.base.Kill(id)) return false;
     owner = shape_.ShardOf(id);
     ++world_.shard_dead[owner];
-    ++world_.base_dead_total;
   } else if (id < next_insert_id_) {
-    const auto it =
-        std::lower_bound(dead_delta_ids_.begin(), dead_delta_ids_.end(), id);
-    if (it != dead_delta_ids_.end() && *it == id) return false;
-    dead_delta_ids_.insert(it, id);
+    if (!world_.delta.Kill(id - n_)) return false;
     owner = static_cast<std::size_t>((id - n_) % shard_count());
     --world_.delta_live[owner];
   } else {

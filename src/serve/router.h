@@ -504,9 +504,8 @@ class ServeRouter {
   mutable std::atomic<std::uint32_t> qid_counter_{0};
 
   // Mutable-tier bookkeeping. Guarded by `world_mu_`.
-  std::uint64_t next_insert_id_ = 0;           // initialised to n_
+  std::uint64_t next_insert_id_ = 0;  // initialised to n_
   SweepWorld world_;
-  std::vector<std::uint64_t> dead_delta_ids_;  // sorted, Remove dedup
   std::vector<std::vector<MutationOp>> shard_ops_;  // per-shard journal
 
   /// Queries hold this shared (N sweeps in flight at once); mutations

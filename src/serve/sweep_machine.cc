@@ -15,7 +15,7 @@ std::size_t SweepShape::ShardOf(std::size_t id) const {
 std::size_t SweepWorld::LiveTotal(std::size_t n) const {
   std::size_t delta = 0;
   for (const std::size_t v : delta_live) delta += v;
-  return n - base_dead_total + delta;
+  return n - base.dead() + delta;
 }
 
 SweepMachine::SweepMachine(const SweepShape& shape, const SweepWorld& world,
@@ -31,10 +31,7 @@ SweepMachine::SweepMachine(const SweepShape& shape, const SweepWorld& world,
   if (k_ == 0) return;
   const PivotIds& pivots = shape_.pivots;
   const std::size_t np = pivots.size();
-  const auto dead = [&](std::size_t id) {
-    return !world_.base_tombs.empty() &&
-           TestTombstone(world_.base_tombs.data(), id);
-  };
+  const auto dead = [&](std::size_t id) { return world_.base.IsDead(id); };
   if (row == nullptr) {
     // The pivot phase, as in process: length bounds, the tombstoned
     // pivots at +inf, then one visit per surviving pivot, evaluated here
@@ -52,7 +49,7 @@ SweepMachine::SweepMachine(const SweepShape& shape, const SweepWorld& world,
       }
     }
     cned::VisitPivots(
-        pivots, shape_.block.view(), world_.base_dead_total > 0, inc_,
+        pivots, shape_.block.view(), world_.base.dead() > 0, inc_,
         bounds.data(),
         [&](std::size_t id, std::size_t rank) {
           const double cap = inc_.Cap(/*is_pivot=*/true);

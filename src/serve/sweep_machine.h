@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "distances/distance.h"
+#include "search/mutable_segment.h"
 #include "search/nn_searcher.h"
 #include "search/pivot_sweep.h"
 #include "search/sweep_kernel.h"
@@ -67,12 +68,15 @@ struct SweepShape {
 
 /// The router-side mirror of the workers' delta/tombstone state. It drives
 /// the lazy pivot phase's tombstones, the k clamp, pivot seeding, the
-/// delta phase and respawn replay. The router guards it with its world
-/// lock, held shared for the whole life of every sweep that reads it.
+/// delta phase, Remove's dedup and respawn replay. Deletes are two
+/// `Tombstones` (search/mutable_segment.h): one over base ids, one over
+/// delta ids as id - n, grown by every insert. The router guards the world
+/// with its world lock, held shared for the whole life of every sweep that
+/// reads it.
 struct SweepWorld {
-  std::vector<std::uint64_t> base_tombs;  // bitmap over base ids
+  Tombstones base;                        // over base ids
+  Tombstones delta;                       // over delta ids, id - n
   std::vector<std::size_t> shard_dead;    // base tombstones per shard
-  std::size_t base_dead_total = 0;
   std::vector<std::size_t> delta_live;    // live delta per shard
 
   /// Live prototypes over `n` base ids: base + inserts - removals.

@@ -14,6 +14,7 @@
 #include "distances/registry.h"
 #include "strings/alphabet.h"
 #include "strings/string_gen.h"
+#include "tests/levenshtein_matrix.h"
 
 namespace cned {
 namespace {

@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "strings/string_gen.h"
+#include "tests/levenshtein_matrix.h"
 
 namespace cned {
 namespace {

@@ -471,8 +471,7 @@ TEST(MutableLaesaTest, BackgroundMergeServesEveryQueryDuringSwap) {
       }
     });
   }
-  ASSERT_TRUE(index.StartMerge());
-  index.WaitMerge();
+  ASSERT_TRUE(index.MergeNow());
   done.store(true);
   for (auto& t : readers) t.join();
 

@@ -84,13 +84,18 @@ TEST(ShardedStoreTest, LabelsSliceFollowsShards) {
   }
 }
 
-TEST(ShardedStoreTest, ToFlatStoreRoundTrips) {
+TEST(ShardedStoreTest, ShardViewsRoundTrip) {
   const auto words = Words(37, 9004);
   ShardedPrototypeStore store(words, 3);
-  PrototypeStore flat = store.ToFlatStore();
-  ASSERT_EQ(flat.size(), words.size());
+  std::vector<std::string> back;
+  for (std::size_t s = 0; s < store.shard_count(); ++s) {
+    for (std::size_t j = 0; j < store.shard(s).size(); ++j) {
+      back.emplace_back(store.shard(s).view(j));
+    }
+  }
+  ASSERT_EQ(back.size(), words.size());
   for (std::size_t i = 0; i < words.size(); ++i) {
-    EXPECT_EQ(flat.view(i), words[i]);
+    EXPECT_EQ(back[i], words[i]);
   }
 }
 

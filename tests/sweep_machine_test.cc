@@ -56,6 +56,7 @@ const StringDistance& Dist() {
 
 SweepWorld CleanWorld() {
   SweepWorld world;
+  world.base = Tombstones(12);
   world.shard_dead.assign(3, 0);
   world.delta_live.assign(3, 0);
   return world;
@@ -64,10 +65,8 @@ SweepWorld CleanWorld() {
 /// Base id `id` removed.
 SweepWorld WorldWithTombstone(std::size_t id) {
   SweepWorld world = CleanWorld();
-  world.base_tombs.assign(TombstoneWords(12), 0);
-  SetTombstone(world.base_tombs.data(), id);
+  world.base.Kill(id);
   ++world.shard_dead[id / 4];
-  ++world.base_dead_total;
   return world;
 }
 
