@@ -26,6 +26,11 @@
 //     DISTANCES as the f64 index on the fig3 workload (admissible
 //     round-down never loses the true neighbour on a metric distance).
 //
+// An information-only section (no gate) times the blocked row application
+// for a group of queries (`update_lower_rows`) at one and four queries
+// beside the per-row loop it replaces, in ns per candidate-row, on the
+// dictionary sweep's shape: 32 f64 rows of 20,000 candidates.
+//
 // The quantized section also reports each precision's eliminated fraction
 // (1 - distance computations / N per query): how much pruning the widened
 // bounds give up relative to the exact f64 table.
@@ -169,6 +174,66 @@ QuantMicro TimeQuantDense(const SweepKernels& k, TablePrecision prec,
   out.dense_ns = watch.Seconds() * 1e9 /
                  (static_cast<double>(reps) * static_cast<double>(n_rows) *
                   static_cast<double>(n));
+  return out;
+}
+
+/// The blocked row application against the per-row loop, f64, for one
+/// kernel: ns per candidate-row (rows x candidates x queries per pass).
+struct RowGroupMicro {
+  std::string kernel;
+  double per_row_ns = 0.0;  // kMaxRowQueries slabs, one dense call per row
+  double rows_b1_ns = 0.0;  // update_lower_rows, one slab
+  double rows_b4_ns = 0.0;  // update_lower_rows, kMaxRowQueries slabs
+};
+
+RowGroupMicro TimeRowGroups(const SweepKernels& k,
+                            const std::vector<double>& table,
+                            std::size_t n_rows, std::size_t n,
+                            std::size_t reps) {
+  RowGroupMicro out;
+  out.kernel = k.name;
+  QuantTableView view;
+  view.f64 = table.data();
+  std::vector<std::size_t> ranks(n_rows);
+  std::vector<double> d(n_rows * kMaxRowQueries);
+  for (std::size_t r = 0; r < n_rows; ++r) {
+    ranks[r] = r;
+    for (std::size_t b = 0; b < kMaxRowQueries; ++b) {
+      d[r * kMaxRowQueries + b] = 1.0 + 1e-3 * static_cast<double>(r + b);
+    }
+  }
+  AlignedBuffer<double> slabs[kMaxRowQueries];
+  double* lower[kMaxRowQueries];
+  for (std::size_t b = 0; b < kMaxRowQueries; ++b) {
+    slabs[b].resize(n);
+    for (std::size_t i = 0; i < n; ++i) slabs[b].data()[i] = 0.0;
+    lower[b] = slabs[b].data();
+  }
+  // Each pass is a max over the same rows, so repeated passes are
+  // idempotent on the slabs; the first one warms them.
+  const auto time = [&](std::size_t queries, auto&& pass) {
+    pass();
+    Stopwatch watch;
+    for (std::size_t rep = 0; rep < reps; ++rep) pass();
+    return watch.Seconds() * 1e9 /
+           (static_cast<double>(reps) * static_cast<double>(n_rows) *
+            static_cast<double>(n) * static_cast<double>(queries));
+  };
+  out.per_row_ns = time(kMaxRowQueries, [&] {
+    for (std::size_t b = 0; b < kMaxRowQueries; ++b) {
+      for (std::size_t r = 0; r < n_rows; ++r) {
+        k.update_lower_dense(d[r * kMaxRowQueries + b], table.data() + r * n,
+                             lower[b], n);
+      }
+    }
+  });
+  out.rows_b1_ns = time(1, [&] {
+    k.update_lower_rows(view, ranks.data(), n_rows, d.data(), 1, lower, n);
+  });
+  out.rows_b4_ns = time(kMaxRowQueries, [&] {
+    k.update_lower_rows(view, ranks.data(), n_rows, d.data(), kMaxRowQueries,
+                        lower, n);
+  });
   return out;
 }
 
@@ -318,6 +383,28 @@ int Run() {
   const bool u8_speedup_ok = micro.size() == 1 || u8_speedup >= 1.5;
   log << "  u8 dense speedup vs f64 (best kernel): " << u8_speedup << "x\n";
 
+  // --- 1c. Blocked row application for a group of queries ---------------
+  // Information only. Unscaled knobs: the dictionary sweep's table shape.
+  const auto g_rows = static_cast<std::size_t>(Config::Int("MSK_GROWS", 32));
+  const auto g_cand =
+      static_cast<std::size_t>(Config::Int("MSK_GCAND", 20000));
+  const auto g_reps = static_cast<std::size_t>(Config::Int("MSK_GREPS", 40));
+  std::vector<double> g_table(g_rows * g_cand);
+  {
+    Rng grng(Config::Seed() + 11);
+    for (double& v : g_table) v = grng.Uniform() * 4.0;
+  }
+  std::vector<RowGroupMicro> group_micro;
+  for (const SweepKernels* k : AvailableSweepKernels()) {
+    group_micro.push_back(TimeRowGroups(*k, g_table, g_rows, g_cand, g_reps));
+    const RowGroupMicro& gm = group_micro.back();
+    log << "  " << gm.kernel << " rows x " << g_rows << " over " << g_cand
+        << " candidates (ns per candidate-row): per-row loop "
+        << gm.per_row_ns << ", blocked 1 query " << gm.rows_b1_ns
+        << ", blocked " << kMaxRowQueries << " queries " << gm.rows_b4_ns
+        << "\n";
+  }
+
   // --- 2. fig3 dictionary workload ---------------------------------------
   Dataset dict = bench::MakeDictionary(pool, Config::Seed());
   Rng rng(Config::Seed() + 83);
@@ -431,6 +518,16 @@ int Run() {
   }
   std::cout << "  ],\n"
             << "  \"u8_speedup\": " << u8_speedup << ",\n"
+            << "  \"row_groups\": [\n";
+  for (std::size_t i = 0; i < group_micro.size(); ++i) {
+    const RowGroupMicro& gm = group_micro[i];
+    std::cout << "    {\"kernel\": \"" << gm.kernel
+              << "\", \"per_row_ns\": " << gm.per_row_ns
+              << ", \"rows_b1_ns\": " << gm.rows_b1_ns
+              << ", \"rows_b4_ns\": " << gm.rows_b4_ns << "}"
+              << (i + 1 < group_micro.size() ? "," : "") << "\n";
+  }
+  std::cout << "  ],\n"
             << "  \"precisions\": [\n";
   for (std::size_t i = 0; i < precision_runs.size(); ++i) {
     std::cout << "    {\"precision\": \"" << precision_runs[i].precision

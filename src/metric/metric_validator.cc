@@ -1,8 +1,5 @@
 #include "metric/metric_validator.h"
 
-#include <cmath>
-#include <sstream>
-
 namespace cned {
 
 std::optional<TriangleViolation> FindTriangleViolation(
@@ -32,33 +29,6 @@ std::optional<TriangleViolation> FindTriangleViolation(
     }
   }
   return worst;
-}
-
-std::string CheckIdentityAndSymmetry(const StringDistance& dist,
-                                     const std::vector<std::string>& sample,
-                                     double tol) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < sample.size(); ++i) {
-    if (std::abs(dist.Distance(sample[i], sample[i])) > tol) {
-      os << "d(x,x) != 0 for x=\"" << sample[i] << "\"";
-      return os.str();
-    }
-    for (std::size_t j = i + 1; j < sample.size(); ++j) {
-      double dij = dist.Distance(sample[i], sample[j]);
-      double dji = dist.Distance(sample[j], sample[i]);
-      if (std::abs(dij - dji) > tol) {
-        os << "asymmetry for (\"" << sample[i] << "\", \"" << sample[j]
-           << "\"): " << dij << " vs " << dji;
-        return os.str();
-      }
-      if (sample[i] != sample[j] && dij <= tol) {
-        os << "d(x,y) == 0 for distinct x=\"" << sample[i] << "\" y=\""
-           << sample[j] << "\"";
-        return os.str();
-      }
-    }
-  }
-  return "";
 }
 
 }  // namespace cned

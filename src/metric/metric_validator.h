@@ -17,23 +17,15 @@ struct TriangleViolation {
   double margin = 0.0;
 };
 
-/// Checks the metric axioms of `dist` over all triples from `sample`
-/// (identity and symmetry over all pairs, triangle over all ordered
-/// triples). Returns the worst triangle violation found, or nullopt when
-/// every axiom holds within `tol`.
+/// Checks the triangle inequality of `dist` over all ordered triples from
+/// `sample`. Returns the worst violation found, or nullopt when every
+/// triple holds within `tol`.
 ///
 /// This is how the tests reproduce the paper's §2.2 counterexamples
 /// (d_sum/d_max/d_min are not metrics) and corroborate Theorem 1 (d_C is).
 std::optional<TriangleViolation> FindTriangleViolation(
     const StringDistance& dist, const std::vector<std::string>& sample,
     double tol = 1e-9);
-
-/// Verifies d(x,y) == 0 iff x == y, and d(x,y) == d(y,x), over all pairs of
-/// `sample`. Returns a human-readable description of the first failure, or
-/// empty string if all hold within `tol`.
-std::string CheckIdentityAndSymmetry(const StringDistance& dist,
-                                     const std::vector<std::string>& sample,
-                                     double tol = 1e-9);
 
 }  // namespace cned
 

@@ -6,8 +6,9 @@
 #include <unordered_map>
 
 #include "common/parallel.h"
-#include "search/pivot_stage.h"
 #include "search/laesa.h"
+#include "search/pivot_stage.h"
+#include "search/sweep_kernel.h"
 
 namespace cned {
 namespace {
@@ -15,18 +16,29 @@ namespace {
 /// Queries per block of the stage-1 pivot pass: the cache-tile height.
 constexpr std::size_t kPivotBlock = 32;
 
-/// Runs `per_query(i, stats_i)` for every query index under ParallelFor and
-/// merges the per-query counters in index order. A dense per-query stats
-/// array keeps workers contention-free and the merge deterministic.
+/// Queries per task of the stage-2 sweeps: a group shares one pass over
+/// the pivot table (`KNearestWithPivotRows`). Each worker holds one dense
+/// bound slab per query of its group, (kSweepGroup - 1) x 8N bytes more
+/// than a one-query sweep over N prototypes.
+constexpr std::size_t kSweepGroup = kMaxRowQueries;
+
+/// Runs `per_group(lo, hi, stats)` for the queries [lo, hi) of every run of
+/// `group` consecutive queries under ParallelFor, where stats[i] is query
+/// i's counters (null when `stats` is), and merges the per-query counters
+/// in index order. A dense per-query stats array keeps workers
+/// contention-free and the merge deterministic.
 template <typename Body>
-void RunBatch(std::size_t n, std::size_t threads, QueryStats* stats,
-              const Body& per_query) {
-  if (stats == nullptr) {
-    ParallelFor(n, [&](std::size_t i) { per_query(i, nullptr); }, threads);
-    return;
-  }
-  std::vector<QueryStats> per(n);
-  ParallelFor(n, [&](std::size_t i) { per_query(i, &per[i]); }, threads);
+void RunBatch(std::size_t n, std::size_t group, std::size_t threads,
+              QueryStats* stats, const Body& per_group) {
+  std::vector<QueryStats> per(stats == nullptr ? 0 : n);
+  QueryStats* slots = stats == nullptr ? nullptr : per.data();
+  ParallelFor(
+      (n + group - 1) / group,
+      [&](std::size_t t) {
+        const std::size_t lo = t * group;
+        per_group(lo, std::min(lo + group, n), slots);
+      },
+      threads);
   for (const QueryStats& s : per) *stats += s;
 }
 
@@ -88,15 +100,16 @@ std::vector<double> PivotStagePass(const PivotStageSearcher& ps,
 
 /// The one k-NN runner behind Nearest and KNearest. With the pivot pipeline
 /// enabled and a pivot-stage searcher, it runs stage 1 once and then
-/// `with_row(ps, i, row, s)` for every query; otherwise `lazy(i, s)`. Both
-/// return query i's neighbours, closest first. The callables are template
-/// parameters, so a caller's variant (per-shard counters) costs the
-/// per-query loop no branch.
-template <typename WithRow, typename Lazy>
+/// `with_rows(ps, group, count, lo, out)` for every group of up to
+/// kSweepGroup consecutive queries from lo on, filling out[0, count);
+/// otherwise `lazy(i, s)`, which returns query i's neighbours. Neighbours
+/// are closest first. The callables are template parameters, so a caller's
+/// variant (per-shard counters) costs the per-query loop no branch.
+template <typename WithRows, typename Lazy>
 std::vector<std::vector<NeighborResult>> RunKnn(
     const NearestNeighborSearcher& searcher,
     const BatchQueryEngine::Options& options, const PrototypeStore& q,
-    QueryStats* stats, const WithRow& with_row, const Lazy& lazy) {
+    QueryStats* stats, const WithRows& with_rows, const Lazy& lazy) {
   std::vector<std::vector<NeighborResult>> results(q.size());
   const auto* ps = options.pivot_stage
                        ? dynamic_cast<const PivotStageSearcher*>(&searcher)
@@ -106,14 +119,21 @@ std::vector<std::vector<NeighborResult>> RunKnn(
     const std::vector<double> rows =
         PivotStagePass(*ps, q, options.threads, &row_of, stats);
     const std::size_t p_count = ps->pivot_count();
-    RunBatch(q.size(), options.threads, stats,
-             [&](std::size_t i, QueryStats* s) {
-               results[i] = with_row(*ps, i, &rows[row_of[i] * p_count], s);
+    RunBatch(q.size(), kSweepGroup, options.threads, stats,
+             [&](std::size_t lo, std::size_t hi, QueryStats* s) {
+               PivotRowQuery group[kSweepGroup];
+               for (std::size_t i = lo; i < hi; ++i) {
+                 group[i - lo] = {q[i], &rows[row_of[i] * p_count],
+                                  s == nullptr ? nullptr : s + i};
+               }
+               with_rows(*ps, group, hi - lo, lo, &results[lo]);
              });
     return results;
   }
-  RunBatch(q.size(), options.threads, stats,
-           [&](std::size_t i, QueryStats* s) { results[i] = lazy(i, s); });
+  RunBatch(q.size(), 1, options.threads, stats,
+           [&](std::size_t i, std::size_t, QueryStats* s) {
+             results[i] = lazy(i, s == nullptr ? nullptr : s + i);
+           });
   return results;
 }
 
@@ -145,10 +165,11 @@ std::vector<NeighborResult> BatchQueryEngine::Nearest(
     std::vector<QueryStats> per_shard(q.size() * shards);
     lists = RunKnn(
         *searcher_, options_, q, stats,
-        [&](const PivotStageSearcher&, std::size_t i, const double* row,
-            QueryStats* s) {
-          return laesa->KNearestWithPivotRow(q[i], 1, row, s,
-                                             &per_shard[i * shards]);
+        [&](const PivotStageSearcher&, const PivotRowQuery* group,
+            std::size_t count, std::size_t lo,
+            std::vector<NeighborResult>* out) {
+          laesa->KNearestWithPivotRows(group, count, 1, out,
+                                       &per_shard[lo * shards]);
         },
         [&](std::size_t i, QueryStats* s) {
           return laesa->KNearest(q[i], 1, s, &per_shard[i * shards]);
@@ -175,8 +196,11 @@ std::vector<std::vector<NeighborResult>> BatchQueryEngine::KNearest(
   const PrototypeStore& q = queries.get();
   return RunKnn(
       *searcher_, options_, q, stats,
-      [&](const PivotStageSearcher& ps, std::size_t i, const double* row,
-          QueryStats* s) { return ps.KNearestWithPivotRow(q[i], k, row, s); },
+      [&](const PivotStageSearcher& ps, const PivotRowQuery* group,
+          std::size_t count, std::size_t,
+          std::vector<NeighborResult>* out) {
+        ps.KNearestWithPivotRows(group, count, k, out);
+      },
       [&](std::size_t i, QueryStats* s) {
         return searcher_->KNearest(q[i], k, s);
       });

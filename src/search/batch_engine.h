@@ -31,8 +31,14 @@ namespace cned {
 ///      every pivot string is streamed once per block while it is hot in
 ///      cache, and duplicate query strings are evaluated once for the
 ///      whole batch (popular queries are free after the first);
-///   2. per-query elimination sweeps consuming the precomputed rows
-///      (`KNearestWithPivotRow`), fanned out as above.
+///   2. elimination sweeps consuming the precomputed rows, fanned out as
+///      above in groups of four consecutive queries
+///      (`KNearestWithPivotRows`): a group streams the pivot table once
+///      instead of once per query, and each query's sweep is otherwise its
+///      own. The group size is fixed. Its memory cost is one dense bound
+///      slab per query of a group, so each worker holds (4 - 1) x 8N bytes
+///      more than a one-query sweep over N prototypes (480 KB at N =
+///      20,000).
 /// Results are bit-identical to the sequential per-query two-stage loop
 /// (`ComputePivotRow` + `KNearestWithPivotRow`), and the merged stats
 /// equal that loop's sums minus the deduplicated pivot rows. Searchers

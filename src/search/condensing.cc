@@ -1,8 +1,6 @@
 #include "search/condensing.h"
 
-#include <algorithm>
 #include <limits>
-#include <map>
 #include <stdexcept>
 
 namespace cned {
@@ -70,49 +68,6 @@ std::vector<std::size_t> CondenseTrainingSet(
         changed = true;
       }
     }
-  }
-  return kept;
-}
-
-std::vector<std::size_t> WilsonEdit(const std::vector<std::string>& samples,
-                                    const std::vector<int>& labels,
-                                    const StringDistance& distance,
-                                    std::size_t k) {
-  if (samples.size() != labels.size()) {
-    throw std::invalid_argument("WilsonEdit: size mismatch");
-  }
-  if (k == 0) throw std::invalid_argument("WilsonEdit: k must be >= 1");
-  std::vector<std::size_t> kept;
-  if (samples.size() <= 1) {
-    for (std::size_t i = 0; i < samples.size(); ++i) kept.push_back(i);
-    return kept;
-  }
-
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    // k nearest neighbours of sample i among the others.
-    std::vector<std::pair<double, std::size_t>> dists;
-    dists.reserve(samples.size() - 1);
-    for (std::size_t j = 0; j < samples.size(); ++j) {
-      if (j == i) continue;
-      dists.emplace_back(distance.Distance(samples[i], samples[j]), j);
-    }
-    std::size_t kk = std::min(k, dists.size());
-    std::partial_sort(dists.begin(),
-                      dists.begin() + static_cast<std::ptrdiff_t>(kk),
-                      dists.end());
-    std::map<int, std::size_t> votes;
-    for (std::size_t t = 0; t < kk; ++t) ++votes[labels[dists[t].second]];
-    // Majority label; proximity breaks ties.
-    int best_label = labels[dists[0].second];
-    std::size_t best_votes = 0;
-    for (std::size_t t = 0; t < kk; ++t) {
-      int label = labels[dists[t].second];
-      if (votes[label] > best_votes) {
-        best_votes = votes[label];
-        best_label = label;
-      }
-    }
-    if (best_label == labels[i]) kept.push_back(i);
   }
   return kept;
 }

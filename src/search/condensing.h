@@ -35,15 +35,6 @@ CondensedSet Condense(const std::vector<std::string>& samples,
                       const std::vector<int>& labels,
                       const StringDistance& distance);
 
-/// Wilson editing (ENN, 1972): removes every sample whose label disagrees
-/// with the majority of its k nearest neighbours in the rest of the set —
-/// the standard noise filter applied *before* Hart condensing. Returns the
-/// retained indices in original order.
-std::vector<std::size_t> WilsonEdit(const std::vector<std::string>& samples,
-                                    const std::vector<int>& labels,
-                                    const StringDistance& distance,
-                                    std::size_t k = 3);
-
 }  // namespace cned
 
 #endif  // CNED_SEARCH_CONDENSING_H_

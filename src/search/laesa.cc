@@ -127,26 +127,49 @@ void Laesa::ComputePivotRow(std::string_view query, double* row,
 std::vector<NeighborResult> Laesa::KNearestWithPivotRow(
     std::string_view query, std::size_t k, const double* row,
     QueryStats* stats) const {
-  return core().Sweep(query, k, row, stats);
+  return KNearestWithPivotRow(query, k, row, stats, nullptr);
 }
 
 std::vector<NeighborResult> Laesa::KNearestWithPivotRow(
     std::string_view query, std::size_t k, const double* row,
     QueryStats* stats, QueryStats* shard_stats) const {
-  return core().Sweep(query, k, row, stats, shard_stats);
+  std::vector<NeighborResult> out;
+  const PivotRowQuery one{query, row, stats};
+  core().Sweep(&one, 1, k, &out, shard_stats);
+  return out;
+}
+
+void Laesa::KNearestWithPivotRows(const PivotRowQuery* group,
+                                  std::size_t count, std::size_t k,
+                                  std::vector<NeighborResult>* out) const {
+  KNearestWithPivotRows(group, count, k, out, nullptr);
+}
+
+void Laesa::KNearestWithPivotRows(const PivotRowQuery* group,
+                                  std::size_t count, std::size_t k,
+                                  std::vector<NeighborResult>* out,
+                                  QueryStats* shard_stats) const {
+  const PivotSweep sweep = core();
+  for (std::size_t lo = 0; lo < count; lo += kMaxRowQueries) {
+    sweep.Sweep(group + lo, std::min(kMaxRowQueries, count - lo), k, out + lo,
+                shard_stats == nullptr ? nullptr
+                                       : shard_stats + lo * shard_count());
+  }
 }
 
 std::vector<NeighborResult> Laesa::KNearest(std::string_view query,
                                             std::size_t k,
                                             QueryStats* stats) const {
-  return core().Sweep(query, k, /*row=*/nullptr, stats);
+  return KNearest(query, k, stats, nullptr);
 }
 
 std::vector<NeighborResult> Laesa::KNearest(
     std::string_view query, std::size_t k, QueryStats* stats,
     QueryStats* shard_stats, const std::uint64_t* tombstones) const {
-  return core().Sweep(query, k, /*row=*/nullptr, stats, shard_stats,
-                      tombstones);
+  std::vector<NeighborResult> out;
+  const PivotRowQuery one{query, /*row=*/nullptr, stats};
+  core().Sweep(&one, 1, k, &out, shard_stats, tombstones);
+  return out;
 }
 
 void Laesa::Save(const std::string& path) const {

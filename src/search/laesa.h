@@ -50,7 +50,9 @@ namespace cned {
 /// visit one dense pass over that array with a row of the np x np pivot
 /// block (`PivotBlock`, gathered from the table at build, Load and Map);
 /// `KNearestWithPivotRow` takes every row at once. The rows taken are
-/// then applied to the dense array, one pass each, and the other
+/// then applied to the dense array in one blocked pass over the table,
+/// shared by a group of up to four queries in `KNearestWithPivotRows`,
+/// and the other
 /// candidates are visited in bound
 /// order from a survivor stream: ids counting-sorted into bound buckets
 /// over the dense bound array, a bucket sorted only when the visits reach
@@ -204,6 +206,18 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
   std::vector<NeighborResult> KNearestWithPivotRow(
       std::string_view query, std::size_t k, const double* row,
       QueryStats* stats, QueryStats* shard_stats) const;
+
+  /// The group form, in groups of up to `kMaxRowQueries` consecutive
+  /// queries, each group one pass over every segment's table. With
+  /// `shard_stats` non-null (count x shard_count() entries), query b's
+  /// evaluations are also accumulated onto its home segments at
+  /// [b * shard_count(), (b + 1) * shard_count()).
+  void KNearestWithPivotRows(const PivotRowQuery* group, std::size_t count,
+                             std::size_t k,
+                             std::vector<NeighborResult>* out) const override;
+  void KNearestWithPivotRows(const PivotRowQuery* group, std::size_t count,
+                             std::size_t k, std::vector<NeighborResult>* out,
+                             QueryStats* shard_stats) const;
 
   std::size_t num_pivots() const { return pivots().size(); }
   const std::vector<std::size_t>& pivots() const {

@@ -10,6 +10,16 @@
 
 namespace cned {
 
+/// One query of a row-sweep group (`KNearestWithPivotRows`).
+struct PivotRowQuery {
+  std::string_view query;
+  /// row[p] = d(query, pivot p), exact. `PivotSweep` (pivot_sweep.h) reads
+  /// a null row as its lazy sweep, in a group of one.
+  const double* row = nullptr;
+  /// Receives the sweep's own evaluations when non-null.
+  QueryStats* stats = nullptr;
+};
+
 /// Interface of searchers whose query work splits into a pivot stage (exact
 /// query-pivot distance evaluations, independent of elimination) and an
 /// elimination sweep consuming those values — the LAESA family.
@@ -56,6 +66,17 @@ class PivotStageSearcher {
   virtual std::vector<NeighborResult> KNearestWithPivotRow(
       std::string_view query, std::size_t k, const double* row,
       QueryStats* stats = nullptr) const = 0;
+
+  /// The group form: out[b] = KNearestWithPivotRow(group[b].query, k,
+  /// group[b].row, group[b].stats) for every b < count, each query's
+  /// neighbours, trajectory and `QueryStats` exactly its own. The queries
+  /// share only the work that does not depend on which query runs it: a
+  /// LAESA sweep streams its pivot table once per group of up to
+  /// `kMaxRowQueries` queries (sweep_kernel.h) instead of once per query,
+  /// at the cost of one dense bound slab per query of the group.
+  virtual void KNearestWithPivotRows(const PivotRowQuery* group,
+                                     std::size_t count, std::size_t k,
+                                     std::vector<NeighborResult>* out) const = 0;
 };
 
 }  // namespace cned

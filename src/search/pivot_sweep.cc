@@ -22,14 +22,17 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // Results are identical either way — only the execution schedule changes.
 constexpr std::size_t kParallelPassWork = 1 << 20;
 
-/// Thread-local per-query bookkeeping: the pivots' bounds (np entries),
-/// the visited rows and the survivor stream's histogram. The dense slabs
-/// come from the shared `TlsSweepScratch`. Owned per thread, so batched
-/// queries running under ParallelFor never share state.
+/// Thread-local per-sweep bookkeeping: the lazy sweep's pivot bounds (np
+/// entries) and visited rows, the ranks and distances of the rows a sweep
+/// applies, and one survivor-stream histogram per query of the group. The
+/// dense slabs come from the shared `TlsSweepScratch`. Owned per thread,
+/// so batched queries running under ParallelFor never share state.
 struct SegmentScratch {
   std::vector<double> bounds;
   std::vector<PivotRow> rows;
-  std::vector<std::uint32_t> hist;
+  std::vector<std::size_t> ranks;
+  std::vector<double> d;
+  std::vector<std::uint32_t> hist[kMaxRowQueries];
 };
 
 SegmentScratch& TlsSegmentScratch() {
@@ -77,13 +80,24 @@ struct LocalVisit {
 
 }  // namespace
 
+void ApplyPivotRows(const SweepSegment& seg, const std::size_t* ranks,
+                    std::size_t rows, const double* d, std::size_t queries,
+                    double* const* lower) {
+  ActiveSweepKernels().update_lower_rows(seg.table, ranks, rows, d, queries,
+                                         lower, seg.store->size());
+}
+
 void ApplyPivotRows(const SweepSegment& seg, const std::vector<PivotRow>& rows,
                     double* lower) {
-  const SweepKernels& kern = ActiveSweepKernels();
-  const std::size_t n = seg.store->size();
+  SegmentScratch& scratch = TlsSegmentScratch();
+  scratch.ranks.clear();
+  scratch.d.clear();
   for (const PivotRow& r : rows) {
-    QuantUpdateLowerDense(kern, seg.table, r.rank, n, r.d, lower);
+    scratch.ranks.push_back(r.rank);
+    scratch.d.push_back(r.d);
   }
+  ApplyPivotRows(seg, scratch.ranks.data(), rows.size(), scratch.d.data(), 1,
+                 &lower);
 }
 
 std::size_t NextPivotColumn(const double* bounds, std::size_t np,
@@ -124,93 +138,145 @@ std::size_t PivotSweep::SegmentOf(std::size_t id) const {
 
 // Three steps, both sweeps alike, on the shared sweep kernels
 // (sweep_kernel.h):
-//   1. bounds: the length bounds in the dense slab, deletes lifted to +inf
-//      there, then the pivots' bounds taken out in id order and the pivots
-//      lifted to +inf;
+//   1. bounds: the length bounds in the query's dense slab, deletes lifted
+//      to +inf there, then the pivots lifted to +inf, the lazy sweep
+//      taking their bounds out in id order first;
 //   2. rows: the row sweep takes every pivot row and seeds the incumbents
 //      from it. The lazy sweep runs the pivot phase (`VisitPivots`) over
 //      the pivots' bounds and the pivot block, as only they decide the
 //      next pivot;
 //   3. static phase: the rows taken are applied dense to every segment,
-//      and the survivor stream visits the non-pivots below the k-th
+//      one pass over the segment's table for the whole group, and each
+//      query's survivor stream visits its non-pivots below its k-th
 //      incumbent in ascending (bound, id) order against the improving
 //      incumbent.
+// The queries of a group share only step 3's table pass, which leaves
+// each slab the bits it would leave alone (`update_lower_rows`).
 // For the lazy sweep, step 3 counts exactly the non-pivots that a
 // compaction after every visit would still hold, with the same bounds:
 // bounds only rise and the incumbent only falls, so a non-pivot
 // eliminated at some visit is at or above the final incumbent for good,
 // and one never eliminated saw every row. Its visits are therefore the
 // ones that sweep would pick, tie for tie.
-std::vector<NeighborResult> PivotSweep::Sweep(
-    std::string_view query, std::size_t k, const double* row,
-    QueryStats* stats, QueryStats* segment_stats,
-    const std::uint64_t* tombstones) const {
+void PivotSweep::Sweep(const PivotRowQuery* group, std::size_t count,
+                       std::size_t k, std::vector<NeighborResult>* out,
+                       QueryStats* segment_stats,
+                       const std::uint64_t* tombstones) const {
+  if (count > kMaxRowQueries ||
+      (count > 1 && std::any_of(group, group + count,
+                                [](const PivotRowQuery& q) {
+                                  return q.row == nullptr;
+                                }))) {
+    throw std::invalid_argument(
+        "PivotSweep::Sweep: a group holds at most kMaxRowQueries row "
+        "queries or one lazy query");
+  }
   const PivotIds& pivots = table_.pivots();
   const std::size_t n = size_;
   const std::size_t np = pivots.size();
-  const std::size_t count = segments_.size();
+  const std::size_t segs = segments_.size();
   k = std::min(k, n);
-  if (k == 0) return {};
+  if (k == 0) {
+    for (std::size_t b = 0; b < count; ++b) out[b].clear();
+    return;
+  }
 
   SweepScratch& slabs = TlsSweepScratch();
   slabs.idx.resize(n);
-  slabs.lower.resize(n);
   SegmentScratch& scratch = TlsSegmentScratch();
   std::uint32_t* idx = slabs.idx.data();
-  double* lower = slabs.lower.data();
-
-  // Free zeroth pivot: length-only lower bounds, one flat pass over each
-  // segment's packed length array before any distance is computed.
-  ForEachSegment(count, n, [&](std::size_t g) {
-    const SweepSegment& seg = segments_[g];
-    distance_.LengthLowerBounds(query.size(), seg.store->lengths_data(),
-                                seg.store->size(), lower + seg.base);
-  });
-  // A +inf bound drops a deleted slot before it is visited: from the
-  // pivot phase at its first choice, from the dense slab at the stream's
-  // count.
-  if (tombstones != nullptr) ApplyTombstoneMask(tombstones, n, lower);
-  std::vector<double>& bounds = scratch.bounds;
-  bounds.resize(np);
-  const std::uint32_t* sorted = pivots.sorted();
-  for (std::size_t j = 0; j < np; ++j) {
-    double& slot = lower[sorted[j]];
-    bounds[j] = slot;
-    slot = kInf;
-  }
-
-  SweepIncumbents inc(k);
-  const LocalVisit visit{*this, query, inc, segment_stats};
+  double* lower[kMaxRowQueries];
+  std::vector<SweepIncumbents> incs;
+  std::vector<SurvivorStream> streams;
+  incs.reserve(count);
+  streams.reserve(count);
   std::vector<PivotRow>& rows = scratch.rows;
   rows.clear();
-  if (row != nullptr) {
-    // Every pivot distance is already paid for, so ties admit the lower
-    // index.
-    inc.SeedRow(pivots.ids(), row, [](std::size_t) { return false; });
-    for (std::size_t p = 0; p < np; ++p) rows.push_back({p, row[p]});
-  } else {
-    VisitPivots(
-        pivots, table_.block().view(), tombstones != nullptr, inc,
-        bounds.data(),
-        [&](std::size_t id, std::size_t) { return visit(id, true); }, &rows);
+  const std::uint32_t* sorted = pivots.sorted();
+  for (std::size_t b = 0; b < count; ++b) {
+    const PivotRowQuery& q = group[b];
+    slabs.lower[b].resize(n);
+    double* slab = lower[b] = slabs.lower[b].data();
+    // Free zeroth pivot: length-only lower bounds, one flat pass over each
+    // segment's packed length array before any distance is computed.
+    ForEachSegment(segs, n, [&](std::size_t g) {
+      const SweepSegment& seg = segments_[g];
+      distance_.LengthLowerBounds(q.query.size(), seg.store->lengths_data(),
+                                  seg.store->size(), slab + seg.base);
+    });
+    SweepIncumbents& inc = incs.emplace_back(k);
+    if (q.row != nullptr) {
+      for (std::size_t j = 0; j < np; ++j) slab[sorted[j]] = kInf;
+      // Every pivot distance is already paid for, so ties admit the lower
+      // index.
+      inc.SeedRow(pivots.ids(), q.row, [](std::size_t) { return false; });
+    } else {
+      // A +inf bound drops a deleted slot before it is visited: from the
+      // pivot phase at its first choice, from the dense slab at the
+      // stream's count.
+      if (tombstones != nullptr) ApplyTombstoneMask(tombstones, n, slab);
+      std::vector<double>& bounds = scratch.bounds;
+      bounds.resize(np);
+      for (std::size_t j = 0; j < np; ++j) {
+        double& slot = slab[sorted[j]];
+        bounds[j] = slot;
+        slot = kInf;
+      }
+      const LocalVisit visit{*this, q.query, inc, segment_stats};
+      VisitPivots(
+          pivots, table_.block().view(), tombstones != nullptr, inc,
+          bounds.data(),
+          [&](std::size_t id, std::size_t) { return visit(id, true); },
+          &rows);
+    }
+    streams.emplace_back(inc.Kth(), n, segs, scratch.hist[b]);
   }
 
-  SurvivorStream stream(inc.Kth(), n, count, scratch.hist);
-  ForEachSegment(count, rows.size() * n, [&](std::size_t g) {
+  // The rows taken, d[r * count + b]: every row for the row sweep, the
+  // visited ones for the lazy sweep.
+  std::vector<std::size_t>& ranks = scratch.ranks;
+  std::vector<double>& d = scratch.d;
+  ranks.clear();
+  d.clear();
+  if (group[0].row != nullptr) {
+    for (std::size_t p = 0; p < np; ++p) {
+      ranks.push_back(p);
+      for (std::size_t b = 0; b < count; ++b) d.push_back(group[b].row[p]);
+    }
+  } else {
+    for (const PivotRow& r : rows) {
+      ranks.push_back(r.rank);
+      d.push_back(r.d);
+    }
+  }
+  ForEachSegment(segs, count * ranks.size() * n, [&](std::size_t g) {
     const SweepSegment& seg = segments_[g];
-    ApplyPivotRows(seg, rows, lower + seg.base);
-    stream.Count(g, lower + seg.base, seg.store->size());
+    double* seg_lower[kMaxRowQueries];
+    for (std::size_t b = 0; b < count; ++b) seg_lower[b] = lower[b] + seg.base;
+    ApplyPivotRows(seg, ranks.data(), ranks.size(), d.data(), count,
+                   seg_lower);
+    for (std::size_t b = 0; b < count; ++b) {
+      streams[b].Count(g, seg_lower[b], seg.store->size());
+    }
   });
-  stream.Place();
-  ForEachSegment(count, n, [&](std::size_t g) {
-    const SweepSegment& seg = segments_[g];
-    stream.Scatter(g, lower + seg.base, seg.store->size(), seg.base, idx);
-  });
-  stream.VisitInBoundOrder(
-      idx, lower, [&]() { return inc.Kth(); },
-      [&](std::size_t c) { visit(c, /*is_pivot=*/false); });
-  if (stats != nullptr) *stats += inc.stats();
-  return inc.Take();
+  for (std::size_t b = 0; b < count; ++b) {
+    SurvivorStream& stream = streams[b];
+    SweepIncumbents& inc = incs[b];
+    stream.Place();
+    ForEachSegment(segs, n, [&](std::size_t g) {
+      const SweepSegment& seg = segments_[g];
+      stream.Scatter(g, lower[b] + seg.base, seg.store->size(), seg.base,
+                     idx);
+    });
+    const LocalVisit visit{
+        *this, group[b].query, inc,
+        segment_stats == nullptr ? nullptr : segment_stats + b * segs};
+    stream.VisitInBoundOrder(
+        idx, lower[b], [&]() { return inc.Kth(); },
+        [&](std::size_t c) { visit(c, /*is_pivot=*/false); });
+    if (group[b].stats != nullptr) *group[b].stats += inc.stats();
+    out[b] = inc.Take();
+  }
 }
 
 void PivotSweep::ComputePivotRow(std::string_view query, double* row,

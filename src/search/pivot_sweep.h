@@ -16,6 +16,7 @@
 #include "datasets/prototype_store.h"
 #include "distances/distance.h"
 #include "search/nn_searcher.h"
+#include "search/pivot_stage.h"
 #include "search/sweep_kernel.h"
 #include "search/table_quant.h"
 
@@ -175,9 +176,17 @@ struct PivotRow {
   double d;
 };
 
-/// Applies `rows` to `lower`, segment `seg`'s own dense bound slab indexed
-/// by local slot, one dense pass each. The in-process sweeps then count
-/// the slab into their survivor stream; the serve worker compacts it.
+/// Applies `rows` rows of segment `seg`'s table to `queries` (at most
+/// `kMaxRowQueries`) dense bound slabs indexed by local slot, in one pass
+/// over the table (`update_lower_rows`): row ranks[r] with d[r * queries +
+/// b] to lower[b]. The in-process sweeps then count the slabs into their
+/// survivor streams.
+void ApplyPivotRows(const SweepSegment& seg, const std::size_t* ranks,
+                    std::size_t rows, const double* d, std::size_t queries,
+                    double* const* lower);
+
+/// The same for one slab and the rows a sweep took: the serve worker
+/// compacts `lower` afterwards.
 void ApplyPivotRows(const SweepSegment& seg, const std::vector<PivotRow>& rows,
                     double* lower);
 
@@ -275,21 +284,26 @@ class PivotSweep {
   PivotSweep(const std::vector<SweepSegment>& segments,
              const PivotTables& table, const StringDistance& distance);
 
-  /// The k nearest: a candidate dies once its lower bound reaches the
-  /// k-th incumbent. With a null `row` this is the lazy sweep behind
-  /// Laesa::KNearest, which chooses the pivot rows it takes by visiting
-  /// pivots while any survive. Otherwise it is the row sweep behind
-  /// KNearestWithPivotRow (pivot_stage.h): row[p] = d(query, pivot p) is
-  /// already paid for, every row is taken and seeds the incumbents.
-  /// `tombstones` (bitmap over [0, N), may be null; lazy sweep only, as
-  /// the row seeds every pivot) masks slots out before any visit;
-  /// `segment_stats` (one entry per segment, may be null) receives each
-  /// evaluation on its home segment.
-  std::vector<NeighborResult> Sweep(std::string_view query, std::size_t k,
-                                    const double* row, QueryStats* stats,
-                                    QueryStats* segment_stats = nullptr,
-                                    const std::uint64_t* tombstones =
-                                        nullptr) const;
+  /// The k nearest of each query of `group`, into out[b]: a candidate
+  /// dies once its lower bound reaches the query's k-th incumbent. A
+  /// query with a null `row` is the lazy sweep behind Laesa::KNearest,
+  /// which chooses the pivot rows it takes by visiting pivots while any
+  /// survive; it runs in a group of one. Otherwise it is the row sweep
+  /// behind KNearestWithPivotRows (pivot_stage.h): row[p] = d(query, pivot
+  /// p) is already paid for, every row is taken and seeds the incumbents.
+  /// The row sweep takes up to `kMaxRowQueries` queries and applies the
+  /// group's rows in one pass over each segment's table; everything else
+  /// (bounds, incumbents, survivor stream, visits) is each query's own, so
+  /// every query answers exactly as it would alone. `tombstones` (bitmap
+  /// over [0, N), may be null; lazy sweep only, as the row seeds every
+  /// pivot) masks slots out before any visit; `segment_stats` (may be
+  /// null) receives each evaluation on its home segment, query b's at
+  /// [b * S, (b + 1) * S) for S segments. Throws std::invalid_argument on
+  /// more than `kMaxRowQueries` queries or a lazy query in a larger group.
+  void Sweep(const PivotRowQuery* group, std::size_t count, std::size_t k,
+             std::vector<NeighborResult>* out,
+             QueryStats* segment_stats = nullptr,
+             const std::uint64_t* tombstones = nullptr) const;
 
   /// row[p] = d(query, pivot p), exact; counted into `stats` when non-null.
   void ComputePivotRow(std::string_view query, double* row,

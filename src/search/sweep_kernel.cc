@@ -58,6 +58,14 @@ void ScalarUpdateLowerDenseU8(double d, const std::uint8_t* row, double scale,
   }
 }
 
+void ScalarUpdateLowerRows(const QuantTableView& table,
+                           const std::size_t* ranks, std::size_t rows,
+                           const double* d, std::size_t queries,
+                           double* const* lower, std::size_t n) {
+  UpdateLowerRowsPerRow(ScalarSweepKernels(), table, ranks, rows, d, queries,
+                        lower, n);
+}
+
 void ScalarFillAbsDiffBounds(std::size_t x_len, const std::uint32_t* y_lens,
                              std::size_t n, double* out) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -146,6 +154,7 @@ const SweepKernels& ScalarSweepKernels() {
     k.update_lower_dense_f32 = ScalarUpdateLowerDenseF32;
     k.update_lower_dense_f16 = ScalarUpdateLowerDenseF16;
     k.update_lower_dense_u8 = ScalarUpdateLowerDenseU8;
+    k.update_lower_rows = ScalarUpdateLowerRows;
     k.fill_absdiff_bounds = ScalarFillAbsDiffBounds;
     k.eliminate_and_compact = ScalarEliminateAndCompact;
     k.stream_keys = ScalarStreamKeys;

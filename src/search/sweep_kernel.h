@@ -12,7 +12,8 @@
 
 namespace cned {
 
-struct DpWorkspace;  // common/dp_workspace.h
+struct DpWorkspace;     // common/dp_workspace.h
+struct QuantTableView;  // search/table_quant.h
 
 /// The shared vectorised elimination core of the LAESA family.
 ///
@@ -23,7 +24,9 @@ struct DpWorkspace;  // common/dp_workspace.h
 /// operations over candidate slabs:
 ///
 ///   1. tighten a dense bound slab with a visited pivot's table row
-///      (`update_lower_dense*`: fused abs-diff + running max),
+///      (`update_lower_dense*`: fused abs-diff + running max), or the
+///      slabs of up to `kMaxRowQueries` queries with every row a sweep
+///      took, in one pass over the table (`update_lower_rows`),
 ///   2. eliminate against the incumbent and compact the survivors of a
 ///      packed slab (`eliminate_and_compact`: threshold filter + in-place
 ///      index/bound compaction that also tracks the minimal-bound
@@ -81,6 +84,10 @@ constexpr std::uint64_t kPackedSubst = kPackedIndel | 1;  // d + 1, S + 1
 /// below 2^63 that the steps of a whole table (m + n < 2^30 of them) added
 /// to it neither wrap nor turn it negative as a signed lane.
 constexpr std::uint64_t kPackedOutside = std::uint64_t{1} << 62;
+
+/// The most dense bound slabs one `update_lower_rows` pass tightens: a
+/// group of queries shares each table element it loads.
+constexpr std::size_t kMaxRowQueries = 4;
 
 /// "No candidate": the sentinel `next` value.
 constexpr std::size_t kSweepNone = static_cast<std::size_t>(-1);
@@ -160,6 +167,24 @@ struct SweepKernels {
                                 double scale, double offset, double gap,
                                 double* lower, std::size_t n);
 
+  /// Blocked row application for a group of queries: for each slab
+  /// lower[b], b < `queries` <= kMaxRowQueries, of n entries, and each row
+  /// r < `rows` in order, the precision's dense update above with row
+  /// ranks[r] of the n-wide `table` and d = d[r * queries + b]. Per lane
+  /// the rows apply in order with the per-row entries' arithmetic, so the
+  /// result is bit-identical to rows x queries per-row calls at every
+  /// precision. Every sweep applies the rows it took with it: the row
+  /// sweep for a group of queries, the lazy sweep and the serve worker
+  /// for one. The scalar entry is that loop over the scalar per-row
+  /// bodies, the reference. The AVX2 entry walks the candidates in blocks
+  /// whose bounds stay in registers across all rows, and loads and
+  /// decodes each table element once for all the queries. The NEON entry
+  /// loops over its per-row bodies.
+  void (*update_lower_rows)(const QuantTableView& table,
+                            const std::size_t* ranks, std::size_t rows,
+                            const double* d, std::size_t queries,
+                            double* const* lower, std::size_t n);
+
   /// The |Δlen| zeroth-pivot fill: out[i] = |x_len - y_lens[i]| as a
   /// double, over a store's packed 32-bit length array. This is the
   /// unit-cost edit-distance length bound; the normalised distances derive
@@ -231,9 +256,11 @@ bool SetActiveSweepKernels(std::string_view name);
 /// Thread-local 64-byte-aligned candidate slabs shared by the sweeps.
 /// Reused across queries (zero steady-state allocations) and owned per
 /// thread, so batched queries running under ParallelFor never share state.
+/// A sweep over a group of queries holds one dense bound slab per query;
+/// a one-query sweep sizes only the first.
 struct SweepScratch {
   AlignedBuffer<std::uint32_t> idx;
-  AlignedBuffer<double> lower;
+  AlignedBuffer<double> lower[kMaxRowQueries];
 };
 SweepScratch& TlsSweepScratch();
 

@@ -210,6 +210,197 @@ void Avx2UpdateLowerDenseU8(double d, const std::uint8_t* row, double scale,
   }
 }
 
+// --- Blocked row application for a group of queries. ----------------------
+//
+// A block of lanes holds every query's bounds in registers while all the
+// rows of a chunk apply to it, each row's lanes loaded and decoded once for
+// the whole group. Per lane and query the rows apply in order, with the
+// per-row bodies' exact operations: f64 is AbsDiff(d, t), the narrow
+// precisions QuantArms(v - dq, gap) with u8's dq = d - offset computed once
+// per row and query, and the running max keeps the bound on ties
+// (maxpd(g, lb)). So the pass leaves the bits rows x queries per-row calls
+// leave.
+
+/// Rows per chunk: the per-row operands of a chunk live on the stack.
+constexpr std::size_t kRowChunk = 32;
+
+/// One chunk's per-row operands: the row's first element, its gap and u8
+/// scale, and dq[r * queries + b], query b's d (u8: d - offset).
+struct RowChunk {
+  const void* row[kRowChunk];
+  double gap[kRowChunk];
+  double scale[kRowChunk];
+  double dq[kRowChunk * kMaxRowQueries];
+};
+
+/// The decode of each precision: four lanes of a row as doubles, and one
+/// query's bound from them, vector and scalar.
+struct F64Lanes {
+  using Elem = double;
+  static __m256d Load(const double* p, __m256d) { return _mm256_loadu_pd(p); }
+  static __m256d Bound(__m256d t, __m256d vd, __m256d) {
+    return AbsDiff(vd, t);
+  }
+  static double Bound(const double* p, double d, double, double) {
+    return std::abs(d - *p);
+  }
+};
+
+struct F32Lanes {
+  using Elem = float;
+  static __m256d Load(const float* p, __m256d) {
+    return _mm256_cvtps_pd(_mm_loadu_ps(p));
+  }
+  static __m256d Bound(__m256d v, __m256d vdq, __m256d vgap) {
+    return QuantArms(_mm256_sub_pd(v, vdq), vgap);
+  }
+  static double Bound(const float* p, double dq, double gap, double) {
+    return QuantArmMax(static_cast<double>(*p) - dq, gap);
+  }
+};
+
+struct F16Lanes {
+  using Elem = std::uint16_t;
+  static __m256d Load(const std::uint16_t* p, __m256d) {
+    return DecodeHalfCodes(_mm_cvtepu16_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p))));
+  }
+  static __m256d Bound(__m256d v, __m256d vdq, __m256d vgap) {
+    return QuantArms(_mm256_sub_pd(v, vdq), vgap);
+  }
+  static double Bound(const std::uint16_t* p, double dq, double gap, double) {
+    return QuantArmMax(HalfToDouble(*p) - dq, gap);
+  }
+};
+
+struct U8Lanes {
+  using Elem = std::uint8_t;
+  static __m256d Load(const std::uint8_t* p, __m256d vscale) {
+    return _mm256_mul_pd(_mm256_cvtepi32_pd(LoadU8x4(p)), vscale);
+  }
+  static __m256d Bound(__m256d m, __m256d vdq, __m256d vgap) {
+    return QuantArms(_mm256_sub_pd(m, vdq), vgap);
+  }
+  static double Bound(const std::uint8_t* p, double dq, double gap,
+                      double scale) {
+    return QuantArmMax(static_cast<double>(*p) * scale - dq, gap);
+  }
+};
+
+/// The chunk's `rows` rows over whole blocks of 4 * kV lanes from lane i
+/// on, kB queries; returns the first lane past the last whole block.
+template <typename Lanes, std::size_t kB, std::size_t kV>
+std::size_t Avx2RowBlocks(const RowChunk& c, std::size_t rows,
+                          double* const* lower, std::size_t i,
+                          std::size_t n) {
+  using Elem = typename Lanes::Elem;
+  constexpr std::size_t kLanes = 4 * kV;
+  for (; i + kLanes <= n; i += kLanes) {
+    __m256d acc[kB][kV];
+    for (std::size_t b = 0; b < kB; ++b) {
+      for (std::size_t v = 0; v < kV; ++v) {
+        acc[b][v] = _mm256_loadu_pd(lower[b] + i + 4 * v);
+      }
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      const Elem* row = static_cast<const Elem*>(c.row[r]) + i;
+      const __m256d vgap = _mm256_set1_pd(c.gap[r]);
+      __m256d t[kV];
+      for (std::size_t v = 0; v < kV; ++v) {
+        t[v] = Lanes::Load(row + 4 * v, _mm256_set1_pd(c.scale[r]));
+      }
+      for (std::size_t b = 0; b < kB; ++b) {
+        const __m256d vdq = _mm256_set1_pd(c.dq[r * kB + b]);
+        for (std::size_t v = 0; v < kV; ++v) {
+          acc[b][v] = _mm256_max_pd(Lanes::Bound(t[v], vdq, vgap), acc[b][v]);
+        }
+      }
+    }
+    for (std::size_t b = 0; b < kB; ++b) {
+      for (std::size_t v = 0; v < kV; ++v) {
+        _mm256_storeu_pd(lower[b] + i + 4 * v, acc[b][v]);
+      }
+    }
+  }
+  return i;
+}
+
+/// All n lanes of one chunk: wide blocks, then four-lane blocks, then a
+/// scalar tail. kV keeps the kB x kV accumulators within the 16 registers.
+template <typename Lanes, std::size_t kB>
+void Avx2RowChunk(const RowChunk& c, std::size_t rows, double* const* lower,
+                  std::size_t n) {
+  using Elem = typename Lanes::Elem;
+  constexpr std::size_t kV = kB <= 2 ? 4 : 2;
+  std::size_t i = Avx2RowBlocks<Lanes, kB, kV>(c, rows, lower, 0, n);
+  i = Avx2RowBlocks<Lanes, kB, 1>(c, rows, lower, i, n);
+  for (std::size_t b = 0; b < kB; ++b) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      const Elem* row = static_cast<const Elem*>(c.row[r]);
+      for (std::size_t j = i; j < n; ++j) {
+        const double g =
+            Lanes::Bound(row + j, c.dq[r * kB + b], c.gap[r], c.scale[r]);
+        if (g > lower[b][j]) lower[b][j] = g;
+      }
+    }
+  }
+}
+
+template <typename Lanes>
+void Avx2UpdateLowerRowsAs(const QuantTableView& table,
+                           const std::size_t* ranks, std::size_t rows,
+                           const double* d, std::size_t queries,
+                           double* const* lower, std::size_t n) {
+  using Elem = typename Lanes::Elem;
+  const Elem* base = table.f64 != nullptr
+                         ? reinterpret_cast<const Elem*>(table.f64)
+                         : static_cast<const Elem*>(table.q);
+  RowChunk c;
+  for (std::size_t r0 = 0; r0 < rows; r0 += kRowChunk) {
+    const std::size_t m = std::min(kRowChunk, rows - r0);
+    for (std::size_t r = 0; r < m; ++r) {
+      const std::size_t rank = ranks[r0 + r];
+      const QuantRowMeta meta =
+          table.rows != nullptr ? table.rows[rank] : QuantRowMeta{};
+      c.row[r] = base + rank * n;
+      c.gap[r] = meta.gap;
+      c.scale[r] = meta.scale;
+      for (std::size_t b = 0; b < queries; ++b) {
+        const double dv = d[(r0 + r) * queries + b];
+        // u8 only: the per-row body's dq, once per row and query.
+        c.dq[r * queries + b] =
+            table.precision == TablePrecision::kU8 ? dv - meta.offset : dv;
+      }
+    }
+    switch (queries) {
+      case 1: Avx2RowChunk<Lanes, 1>(c, m, lower, n); break;
+      case 2: Avx2RowChunk<Lanes, 2>(c, m, lower, n); break;
+      case 3: Avx2RowChunk<Lanes, 3>(c, m, lower, n); break;
+      default: Avx2RowChunk<Lanes, 4>(c, m, lower, n); break;
+    }
+  }
+}
+
+void Avx2UpdateLowerRows(const QuantTableView& table,
+                         const std::size_t* ranks, std::size_t rows,
+                         const double* d, std::size_t queries,
+                         double* const* lower, std::size_t n) {
+  switch (table.precision) {
+    case TablePrecision::kF64:
+      return Avx2UpdateLowerRowsAs<F64Lanes>(table, ranks, rows, d, queries,
+                                             lower, n);
+    case TablePrecision::kF32:
+      return Avx2UpdateLowerRowsAs<F32Lanes>(table, ranks, rows, d, queries,
+                                             lower, n);
+    case TablePrecision::kF16:
+      return Avx2UpdateLowerRowsAs<F16Lanes>(table, ranks, rows, d, queries,
+                                             lower, n);
+    case TablePrecision::kU8:
+      return Avx2UpdateLowerRowsAs<U8Lanes>(table, ranks, rows, d, queries,
+                                            lower, n);
+  }
+}
+
 void Avx2FillAbsDiffBounds(std::size_t x_len, const std::uint32_t* y_lens,
                            std::size_t n, double* out) {
   // double(x_len) and double(y) are exact (string lengths < 2^53, y < 2^32)
@@ -491,6 +682,7 @@ const SweepKernels& Avx2SweepKernels() {
     k.update_lower_dense_f32 = Avx2UpdateLowerDenseF32;
     k.update_lower_dense_f16 = Avx2UpdateLowerDenseF16;
     k.update_lower_dense_u8 = Avx2UpdateLowerDenseU8;
+    k.update_lower_rows = Avx2UpdateLowerRows;
     k.fill_absdiff_bounds = Avx2FillAbsDiffBounds;
     k.eliminate_and_compact = Avx2EliminateAndCompact;
     k.stream_keys = Avx2StreamKeys;

@@ -8,7 +8,8 @@
 // stays constant-true there.
 //
 // Scope: the bandwidth-bound passes — the dense row updates and the |Δlen|
-// fill — are vectorised (2 double lanes). The compaction kernel reuses the
+// fill — are vectorised (2 double lanes). The blocked row application for
+// a group of queries loops over the per-row bodies, query by query. The compaction kernel reuses the
 // scalar reference: with 2-wide vectors and no movemask instruction, a NEON
 // left-pack buys nothing over the scalar loop that the compiler already
 // schedules well, and sharing the scalar code keeps the bit-identity
@@ -27,6 +28,9 @@
 #include "search/table_quant.h"  // HalfToDouble: the shared exact f16 decode
 
 namespace cned {
+
+const SweepKernels& NeonSweepKernels();
+
 namespace {
 
 // Quantized arm max (semantics in sweep_kernel.h): negation is exact, the
@@ -139,6 +143,14 @@ void NeonFillAbsDiffBounds(std::size_t x_len, const std::uint32_t* y_lens,
   }
 }
 
+void NeonUpdateLowerRows(const QuantTableView& table,
+                         const std::size_t* ranks, std::size_t rows,
+                         const double* d, std::size_t queries,
+                         double* const* lower, std::size_t n) {
+  UpdateLowerRowsPerRow(NeonSweepKernels(), table, ranks, rows, d, queries,
+                        lower, n);
+}
+
 }  // namespace
 
 const SweepKernels& NeonSweepKernels() {
@@ -150,6 +162,7 @@ const SweepKernels& NeonSweepKernels() {
     k.update_lower_dense_f32 = NeonUpdateLowerDenseF32;
     k.update_lower_dense_f16 = NeonUpdateLowerDenseF16;
     k.update_lower_dense_u8 = NeonUpdateLowerDenseU8;
+    k.update_lower_rows = NeonUpdateLowerRows;
     k.fill_absdiff_bounds = NeonFillAbsDiffBounds;
     return k;
   }();

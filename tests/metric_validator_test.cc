@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "core/contextual.h"
 #include "distances/levenshtein.h"
@@ -10,6 +15,36 @@
 
 namespace cned {
 namespace {
+
+/// Verifies d(x,y) == 0 iff x == y, and d(x,y) == d(y,x), over all pairs of
+/// `sample`. Returns a human-readable description of the first failure, or
+/// empty string if all hold within `tol`.
+std::string CheckIdentityAndSymmetry(const StringDistance& dist,
+                                     const std::vector<std::string>& sample,
+                                     double tol = 1e-9) {
+  std::ostringstream os;
+  for (std::size_t i = 0; i < sample.size(); ++i) {
+    if (std::abs(dist.Distance(sample[i], sample[i])) > tol) {
+      os << "d(x,x) != 0 for x=\"" << sample[i] << "\"";
+      return os.str();
+    }
+    for (std::size_t j = i + 1; j < sample.size(); ++j) {
+      double dij = dist.Distance(sample[i], sample[j]);
+      double dji = dist.Distance(sample[j], sample[i]);
+      if (std::abs(dij - dji) > tol) {
+        os << "asymmetry for (\"" << sample[i] << "\", \"" << sample[j]
+           << "\"): " << dij << " vs " << dji;
+        return os.str();
+      }
+      if (sample[i] != sample[j] && dij <= tol) {
+        os << "d(x,y) == 0 for distinct x=\"" << sample[i] << "\" y=\""
+           << sample[j] << "\"";
+        return os.str();
+      }
+    }
+  }
+  return "";
+}
 
 TEST(MetricValidatorTest, FindsPaperCounterexampleForDsum) {
   SumNormalizedDistance dsum;

@@ -3,8 +3,9 @@
 // and supported by the running CPU must reproduce the scalar reference
 // BIT FOR BIT — on randomised packed tables covering live counts of
 // 0-9/odd/non-multiple-of-the-lane-width, +inf bounds left by eliminated
-// slots, present and absent skip candidates, and the survivor stream's
-// bucket keys under degenerate maps — and
+// slots, present and absent skip candidates, the survivor stream's
+// bucket keys under degenerate maps, and the blocked row application for
+// every group size against the per-row calls — and
 // at the index level, where `Laesa` over one segment and over S shards
 // (including the batch engine's pivot-stage path) must answer with
 // identical neighbours, distances AND QueryStats under every kernel. The
@@ -19,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
@@ -319,32 +321,45 @@ void ExpectIdentical(const Probe& a, const Probe& b, const std::string& ctx) {
 constexpr TablePrecision kQuantPrecisions[] = {
     TablePrecision::kF32, TablePrecision::kF16, TablePrecision::kU8};
 
-/// One encoded pivot row plus the view the dispatch helpers consume; an
-/// f64 row is viewed as it is.
-struct QuantRow {
+/// An encoded pivot table of `rows` rows plus the view the dispatch
+/// helpers consume, each row quantized with its own meta; an f64 table is
+/// viewed as it is.
+struct QuantTable {
   std::vector<double> exact;
   std::vector<unsigned char> codes;
-  QuantRowMeta meta;
+  std::vector<QuantRowMeta> meta;
   QuantTableView view;
 };
 
-QuantRow EncodeRow(TablePrecision prec, std::vector<double> values) {
-  QuantRow row;
-  row.exact = std::move(values);
-  if (prec == TablePrecision::kF64) {  // the exact row itself
-    row.view.f64 = row.exact.data();
-    return row;
+QuantTable EncodeTable(TablePrecision prec, std::vector<double> values,
+                       std::size_t rows) {
+  QuantTable table;
+  table.exact = std::move(values);
+  if (prec == TablePrecision::kF64) {  // the exact table itself
+    table.view.f64 = table.exact.data();
+    return table;
   }
-  row.codes.resize(row.exact.size() * TablePrecisionBytes(prec) + 8);
-  QuantRowEncoder enc;
-  enc.Scan(row.exact.data(), row.exact.size());
-  enc.Prepare(prec);
-  enc.Encode(row.exact.data(), row.exact.size(), row.codes.data());
-  row.meta = enc.Finish();
-  row.view.precision = prec;
-  row.view.q = row.codes.data();
-  row.view.rows = &row.meta;
-  return row;
+  const std::size_t n = rows == 0 ? 0 : table.exact.size() / rows;
+  const std::size_t width = TablePrecisionBytes(prec);
+  table.codes.resize(table.exact.size() * width + 8);
+  table.meta.resize(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    QuantRowEncoder enc;
+    enc.Scan(table.exact.data() + r * n, n);
+    enc.Prepare(prec);
+    enc.Encode(table.exact.data() + r * n, n,
+               table.codes.data() + r * n * width);
+    table.meta[r] = enc.Finish();
+  }
+  table.view.precision = prec;
+  table.view.q = table.codes.data();
+  table.view.rows = table.meta.data();
+  return table;
+}
+
+/// One encoded pivot row.
+QuantTable EncodeRow(TablePrecision prec, std::vector<double> values) {
+  return EncodeTable(prec, std::move(values), 1);
 }
 
 TEST(SweepKernelTest, QuantizedUpdateLowerDenseMatchesScalarBitwise) {
@@ -358,7 +373,7 @@ TEST(SweepKernelTest, QuantizedUpdateLowerDenseMatchesScalarBitwise) {
           for (double& v : exact) {
             v = trial % 4 == 0 ? 2.5 : value(rng);  // duplicate-row case
           }
-          const QuantRow row = EncodeRow(prec, exact);
+          const QuantTable row = EncodeRow(prec, exact);
           AlignedBuffer<double> ref, got;
           ref.resize(n + 4);
           got.resize(n + 4);
@@ -374,6 +389,98 @@ TEST(SweepKernelTest, QuantizedUpdateLowerDenseMatchesScalarBitwise) {
                     0)
               << k->name << " " << TablePrecisionName(prec) << " n=" << n
               << " trial=" << trial;
+        }
+      }
+    }
+  }
+}
+
+// The blocked row application (`update_lower_rows`) for every group size,
+// row count and precision: each available variant leaves exactly the bits
+// the scalar entry leaves, and the scalar entry the bits of the per-row
+// dense calls, query by query and row by row. Widths cover every block
+// remainder up to 67 lanes and three larger ones; 33 rows cross a row
+// chunk. The rows repeat ranks; the bounds mix +inf, zeros and exact ties
+// with the first row's bound, and each query's first d is a table value
+// (a zero difference).
+TEST(SweepKernelTest, UpdateLowerRowsMatchesScalarAndPerRowBitwise) {
+  std::mt19937_64 rng(0xB10C4ED);
+  std::uniform_real_distribution<double> value(0.0, 8.0);
+  std::vector<std::size_t> widths;
+  for (std::size_t n = 0; n <= 67; ++n) widths.push_back(n);
+  for (std::size_t n : {128u, 129u, 257u}) widths.push_back(n);
+  const TablePrecision precisions[] = {TablePrecision::kF64,
+                                       TablePrecision::kF32,
+                                       TablePrecision::kF16,
+                                       TablePrecision::kU8};
+  for (TablePrecision prec : precisions) {
+    for (std::size_t n : widths) {
+      for (std::size_t rows : {0u, 1u, 2u, 7u, 32u, 33u}) {
+        for (std::size_t queries = 1; queries <= kMaxRowQueries; ++queries) {
+          const std::size_t table_rows = rows + 3;
+          std::vector<double> exact(table_rows * n);
+          for (double& v : exact) v = rng() % 8 == 0 ? 2.5 : value(rng);
+          const QuantTable table = EncodeTable(prec, exact, table_rows);
+          std::vector<std::size_t> ranks(rows);
+          for (std::size_t& r : ranks) r = rng() % table_rows;
+          std::vector<double> d(rows * queries);
+          for (double& v : d) v = value(rng);
+          if (rows > 0 && n > 0) {
+            for (std::size_t b = 0; b < queries; ++b) {
+              d[b] = exact[ranks[0] * n + rng() % n];
+            }
+          }
+          // Slab b + 1 of `want` (+4 pad) holds query b; slab 0 is scratch.
+          std::vector<AlignedBuffer<double>> want(queries + 1);
+          for (auto& slab : want) slab.resize(n + 4);
+          for (std::size_t b = 0; b < queries; ++b) {
+            double* tie = want[0].data();
+            for (std::size_t i = 0; i < n; ++i) tie[i] = 0.0;
+            if (rows > 0) {
+              QuantUpdateLowerDense(ScalarSweepKernels(), table.view,
+                                    ranks[0], n, d[b], tie);
+            }
+            for (std::size_t i = 0; i < n; ++i) {
+              switch (rng() % 5) {
+                case 0: want[b + 1].data()[i] = kInf; break;
+                case 1: want[b + 1].data()[i] = 0.0; break;
+                case 2: want[b + 1].data()[i] = tie[i]; break;
+                default: want[b + 1].data()[i] = value(rng); break;
+              }
+            }
+          }
+          std::vector<AlignedBuffer<double>> start(queries);
+          for (std::size_t b = 0; b < queries; ++b) {
+            start[b].resize(n + 4);
+            std::copy(want[b + 1].data(), want[b + 1].data() + n,
+                      start[b].data());
+          }
+          for (std::size_t b = 0; b < queries; ++b) {
+            for (std::size_t r = 0; r < rows; ++r) {
+              QuantUpdateLowerDense(ScalarSweepKernels(), table.view,
+                                    ranks[r], n, d[r * queries + b],
+                                    want[b + 1].data());
+            }
+          }
+          for (const SweepKernels* k : AvailableSweepKernels()) {
+            std::vector<AlignedBuffer<double>> got(queries);
+            double* lower[kMaxRowQueries];
+            for (std::size_t b = 0; b < queries; ++b) {
+              got[b].resize(n + 4);
+              std::copy(start[b].data(), start[b].data() + n, got[b].data());
+              lower[b] = got[b].data();
+            }
+            k->update_lower_rows(table.view, ranks.data(), rows, d.data(),
+                                 queries, lower, n);
+            for (std::size_t b = 0; b < queries; ++b) {
+              ASSERT_EQ(std::memcmp(want[b + 1].data(), got[b].data(),
+                                    n * sizeof(double)),
+                        0)
+                  << k->name << " " << TablePrecisionName(prec)
+                  << " n=" << n << " rows=" << rows
+                  << " queries=" << queries << " b=" << b;
+            }
+          }
         }
       }
     }
@@ -400,7 +507,7 @@ void ExpectPackedMatchesDense(TablePrecision prec, std::uint64_t seed) {
         const std::size_t n = (live > 0 ? idx[live - 1] - base : 0) + 1;
         std::vector<double> exact(n);
         for (double& v : exact) v = value(rng);
-        const QuantRow row = EncodeRow(prec, exact);
+        const QuantTable row = EncodeRow(prec, exact);
         AlignedBuffer<double> dense;
         dense.resize(n);
         for (std::size_t i = 0; i < n; ++i) dense.data()[i] = value(rng);
@@ -460,7 +567,7 @@ TEST(SweepKernelTest, QuantizedBoundsAreAdmissible) {
           for (double& v : exact) {
             v = trial % 5 == 0 ? lo : lo + unit(rng) * span;  // constant rows
           }
-          const QuantRow row = EncodeRow(prec, exact);
+          const QuantTable row = EncodeRow(prec, exact);
           AlignedBuffer<double> lower;
           lower.resize(n + 4);
           const double d = trial % 3 == 0 ? unit(rng) * 3.0 * span

@@ -1,12 +1,66 @@
-// Tests for Wilson editing (ENN).
+// Tests for Wilson editing (ENN) and its composition with Hart condensing.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "distances/registry.h"
 #include "search/condensing.h"
 
 namespace cned {
 namespace {
+
+/// Wilson editing (ENN, 1972): removes every sample whose label disagrees
+/// with the majority of its k nearest neighbours in the rest of the set —
+/// the standard noise filter applied *before* Hart condensing. Returns the
+/// retained indices in original order.
+std::vector<std::size_t> WilsonEdit(const std::vector<std::string>& samples,
+                                    const std::vector<int>& labels,
+                                    const StringDistance& distance,
+                                    std::size_t k = 3) {
+  if (samples.size() != labels.size()) {
+    throw std::invalid_argument("WilsonEdit: size mismatch");
+  }
+  if (k == 0) throw std::invalid_argument("WilsonEdit: k must be >= 1");
+  std::vector<std::size_t> kept;
+  if (samples.size() <= 1) {
+    for (std::size_t i = 0; i < samples.size(); ++i) kept.push_back(i);
+    return kept;
+  }
+
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    // k nearest neighbours of sample i among the others.
+    std::vector<std::pair<double, std::size_t>> dists;
+    dists.reserve(samples.size() - 1);
+    for (std::size_t j = 0; j < samples.size(); ++j) {
+      if (j == i) continue;
+      dists.emplace_back(distance.Distance(samples[i], samples[j]), j);
+    }
+    std::size_t kk = std::min(k, dists.size());
+    std::partial_sort(dists.begin(),
+                      dists.begin() + static_cast<std::ptrdiff_t>(kk),
+                      dists.end());
+    std::map<int, std::size_t> votes;
+    for (std::size_t t = 0; t < kk; ++t) ++votes[labels[dists[t].second]];
+    // Majority label; proximity breaks ties.
+    int best_label = labels[dists[0].second];
+    std::size_t best_votes = 0;
+    for (std::size_t t = 0; t < kk; ++t) {
+      int label = labels[dists[t].second];
+      if (votes[label] > best_votes) {
+        best_votes = votes[label];
+        best_label = label;
+      }
+    }
+    if (best_label == labels[i]) kept.push_back(i);
+  }
+  return kept;
+}
 
 TEST(WilsonEditTest, RemovesIsolatedMislabeledSample) {
   // A 'z...' string labelled as class 0 sits inside class-1 territory: its
