@@ -384,21 +384,23 @@ int Run() {
   log << "  u8 dense speedup vs f64 (best kernel): " << u8_speedup << "x\n";
 
   // --- 1c. Blocked row application for a group of queries ---------------
-  // Information only. Unscaled knobs: the dictionary sweep's table shape.
-  const auto g_rows = static_cast<std::size_t>(Config::Int("MSK_GROWS", 32));
-  const auto g_cand =
-      static_cast<std::size_t>(Config::Int("MSK_GCAND", 20000));
-  const auto g_reps = static_cast<std::size_t>(Config::Int("MSK_GREPS", 40));
-  std::vector<double> g_table(g_rows * g_cand);
+  // Information only, at the dictionary sweep's table shape: 32 pivot rows
+  // x 20,000 candidates, 40 repetitions.
+  constexpr std::size_t kGroupRows = 32;
+  constexpr std::size_t kGroupCandidates = 20000;
+  constexpr std::size_t kGroupReps = 40;
+  std::vector<double> g_table(kGroupRows * kGroupCandidates);
   {
     Rng grng(Config::Seed() + 11);
     for (double& v : g_table) v = grng.Uniform() * 4.0;
   }
   std::vector<RowGroupMicro> group_micro;
   for (const SweepKernels* k : AvailableSweepKernels()) {
-    group_micro.push_back(TimeRowGroups(*k, g_table, g_rows, g_cand, g_reps));
+    group_micro.push_back(
+        TimeRowGroups(*k, g_table, kGroupRows, kGroupCandidates, kGroupReps));
     const RowGroupMicro& gm = group_micro.back();
-    log << "  " << gm.kernel << " rows x " << g_rows << " over " << g_cand
+    log << "  " << gm.kernel << " rows x " << kGroupRows << " over "
+        << kGroupCandidates
         << " candidates (ns per candidate-row): per-row loop "
         << gm.per_row_ns << ", blocked 1 query " << gm.rows_b1_ns
         << ", blocked " << kMaxRowQueries << " queries " << gm.rows_b4_ns

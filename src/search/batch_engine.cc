@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string_view>
+#include <thread>
 #include <unordered_map>
 
 #include "common/parallel.h"
@@ -16,11 +17,22 @@ namespace {
 /// Queries per block of the stage-1 pivot pass: the cache-tile height.
 constexpr std::size_t kPivotBlock = 32;
 
-/// Queries per task of the stage-2 sweeps: a group shares one pass over
-/// the pivot table (`KNearestWithPivotRows`). Each worker holds one dense
-/// bound slab per query of its group, (kSweepGroup - 1) x 8N bytes more
-/// than a one-query sweep over N prototypes.
+/// Most queries per task of the stage-2 sweeps: a group shares one pass
+/// over the pivot table (`KNearestWithPivotRows`). Each worker holds one
+/// dense bound slab per query of its group, (kSweepGroup - 1) x 8N bytes
+/// more than a one-query sweep over N prototypes.
 constexpr std::size_t kSweepGroup = kMaxRowQueries;
+
+/// Queries per stage-2 task for a batch of n on `threads` workers (0:
+/// hardware concurrency): kSweepGroup, or floor(n / threads) when that is
+/// smaller, so a small batch still gives every worker a task (8 queries on
+/// 8 threads run as 8 groups of one).
+std::size_t SweepGroupSize(std::size_t n, std::size_t threads) {
+  if (threads == 0) {
+    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  }
+  return std::clamp<std::size_t>(n / threads, 1, kSweepGroup);
+}
 
 /// Runs `per_group(lo, hi, stats)` for the queries [lo, hi) of every run of
 /// `group` consecutive queries under ParallelFor, where stats[i] is query
@@ -101,7 +113,8 @@ std::vector<double> PivotStagePass(const PivotStageSearcher& ps,
 /// The one k-NN runner behind Nearest and KNearest. With the pivot pipeline
 /// enabled and a pivot-stage searcher, it runs stage 1 once and then
 /// `with_rows(ps, group, count, lo, out)` for every group of up to
-/// kSweepGroup consecutive queries from lo on, filling out[0, count);
+/// kSweepGroup consecutive queries from lo on (`SweepGroupSize`), filling
+/// out[0, count);
 /// otherwise `lazy(i, s)`, which returns query i's neighbours. Neighbours
 /// are closest first. The callables are template parameters, so a caller's
 /// variant (per-shard counters) costs the per-query loop no branch.
@@ -119,7 +132,8 @@ std::vector<std::vector<NeighborResult>> RunKnn(
     const std::vector<double> rows =
         PivotStagePass(*ps, q, options.threads, &row_of, stats);
     const std::size_t p_count = ps->pivot_count();
-    RunBatch(q.size(), kSweepGroup, options.threads, stats,
+    RunBatch(q.size(), SweepGroupSize(q.size(), options.threads),
+             options.threads, stats,
              [&](std::size_t lo, std::size_t hi, QueryStats* s) {
                PivotRowQuery group[kSweepGroup];
                for (std::size_t i = lo; i < hi; ++i) {

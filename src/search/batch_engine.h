@@ -35,10 +35,12 @@ namespace cned {
 ///      above in groups of four consecutive queries
 ///      (`KNearestWithPivotRows`): a group streams the pivot table once
 ///      instead of once per query, and each query's sweep is otherwise its
-///      own. The group size is fixed. Its memory cost is one dense bound
-///      slab per query of a group, so each worker holds (4 - 1) x 8N bytes
-///      more than a one-query sweep over N prototypes (480 KB at N =
-///      20,000).
+///      own. The group size is a constant, four, lowered to floor(n /
+///      threads) for a batch of n under four queries per worker so that
+///      every worker still gets a group. Its memory cost is one dense
+///      bound slab per query of a group, so each worker holds up to
+///      (4 - 1) x 8N bytes more than a one-query sweep over N prototypes
+///      (480 KB at N = 20,000).
 /// Results are bit-identical to the sequential per-query two-stage loop
 /// (`ComputePivotRow` + `KNearestWithPivotRow`), and the merged stats
 /// equal that loop's sums minus the deduplicated pivot rows. Searchers

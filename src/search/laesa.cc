@@ -126,12 +126,6 @@ void Laesa::ComputePivotRow(std::string_view query, double* row,
 
 std::vector<NeighborResult> Laesa::KNearestWithPivotRow(
     std::string_view query, std::size_t k, const double* row,
-    QueryStats* stats) const {
-  return KNearestWithPivotRow(query, k, row, stats, nullptr);
-}
-
-std::vector<NeighborResult> Laesa::KNearestWithPivotRow(
-    std::string_view query, std::size_t k, const double* row,
     QueryStats* stats, QueryStats* shard_stats) const {
   std::vector<NeighborResult> out;
   const PivotRowQuery one{query, row, stats};

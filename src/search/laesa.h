@@ -200,9 +200,7 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
   const StringDistance& pivot_distance() const override { return *distance_; }
   void ComputePivotRow(std::string_view query, double* row,
                        QueryStats* stats = nullptr) const override;
-  std::vector<NeighborResult> KNearestWithPivotRow(
-      std::string_view query, std::size_t k, const double* row,
-      QueryStats* stats = nullptr) const override;
+  using PivotStageSearcher::KNearestWithPivotRow;
   std::vector<NeighborResult> KNearestWithPivotRow(
       std::string_view query, std::size_t k, const double* row,
       QueryStats* stats, QueryStats* shard_stats) const;

@@ -30,7 +30,8 @@ struct PivotRowQuery {
 /// (each pivot string streamed once per query block, duplicate query
 /// strings evaluated once), and hands each query its precomputed row.
 ///
-/// Contract: `KNearestWithPivotRow(q, k, row, stats)` with `row` produced by
+/// Contract: `KNearestWithPivotRows` (or its one-query form
+/// `KNearestWithPivotRow(q, k, row, stats)`) with `row` produced by
 /// `ComputePivotRow(q, row, ...)` returns exactly the same neighbours as an
 /// engine-driven two-stage query, and `row[p]` must hold the exact distance
 /// from the query to pivot `p`. 1-NN is k = 1; there is no separate 1-NN
@@ -60,23 +61,30 @@ class PivotStageSearcher {
   virtual void ComputePivotRow(std::string_view query, double* row,
                                QueryStats* stats = nullptr) const = 0;
 
-  /// k nearest neighbours given the precomputed pivot row, closest first.
-  /// Counts only the sweep's own (non-pivot) evaluations into `stats` —
-  /// the row was counted by whoever computed it.
-  virtual std::vector<NeighborResult> KNearestWithPivotRow(
-      std::string_view query, std::size_t k, const double* row,
-      QueryStats* stats = nullptr) const = 0;
-
-  /// The group form: out[b] = KNearestWithPivotRow(group[b].query, k,
-  /// group[b].row, group[b].stats) for every b < count, each query's
-  /// neighbours, trajectory and `QueryStats` exactly its own. The queries
-  /// share only the work that does not depend on which query runs it: a
-  /// LAESA sweep streams its pivot table once per group of up to
-  /// `kMaxRowQueries` queries (sweep_kernel.h) instead of once per query,
-  /// at the cost of one dense bound slab per query of the group.
+  /// k nearest neighbours of each query of `group`, closest first, into
+  /// out[b] for every b < count, given its precomputed pivot row. Counts
+  /// only the sweep's own (non-pivot) evaluations into group[b].stats —
+  /// the row was counted by whoever computed it. Each query's neighbours,
+  /// trajectory and `QueryStats` are exactly its own, as in a group of
+  /// one. The queries share only the work that does not depend on which
+  /// query runs it: a LAESA sweep streams its pivot table once per group
+  /// of up to `kMaxRowQueries` queries (sweep_kernel.h) instead of once
+  /// per query, at the cost of one dense bound slab per query of the
+  /// group.
   virtual void KNearestWithPivotRows(const PivotRowQuery* group,
                                      std::size_t count, std::size_t k,
                                      std::vector<NeighborResult>* out) const = 0;
+
+  /// One query's k nearest neighbours given its pivot row: the group of
+  /// one.
+  std::vector<NeighborResult> KNearestWithPivotRow(
+      std::string_view query, std::size_t k, const double* row,
+      QueryStats* stats = nullptr) const {
+    std::vector<NeighborResult> out;
+    const PivotRowQuery one{query, row, stats};
+    KNearestWithPivotRows(&one, 1, k, &out);
+    return out;
+  }
 };
 
 }  // namespace cned

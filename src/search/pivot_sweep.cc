@@ -87,19 +87,6 @@ void ApplyPivotRows(const SweepSegment& seg, const std::size_t* ranks,
                                          lower, seg.store->size());
 }
 
-void ApplyPivotRows(const SweepSegment& seg, const std::vector<PivotRow>& rows,
-                    double* lower) {
-  SegmentScratch& scratch = TlsSegmentScratch();
-  scratch.ranks.clear();
-  scratch.d.clear();
-  for (const PivotRow& r : rows) {
-    scratch.ranks.push_back(r.rank);
-    scratch.d.push_back(r.d);
-  }
-  ApplyPivotRows(seg, scratch.ranks.data(), rows.size(), scratch.d.data(), 1,
-                 &lower);
-}
-
 std::size_t NextPivotColumn(const double* bounds, std::size_t np,
                             double kth) {
   // The compaction kernel's rule: a bound at or above `kth` is dead, and
@@ -176,7 +163,7 @@ void PivotSweep::Sweep(const PivotRowQuery* group, std::size_t count,
   const std::size_t np = pivots.size();
   const std::size_t segs = segments_.size();
   k = std::min(k, n);
-  if (k == 0) {
+  if (k == 0 || count == 0) {
     for (std::size_t b = 0; b < count; ++b) out[b].clear();
     return;
   }

@@ -180,15 +180,10 @@ struct PivotRow {
 /// `kMaxRowQueries`) dense bound slabs indexed by local slot, in one pass
 /// over the table (`update_lower_rows`): row ranks[r] with d[r * queries +
 /// b] to lower[b]. The in-process sweeps then count the slabs into their
-/// survivor streams.
+/// survivor streams; the serve worker compacts its one slab.
 void ApplyPivotRows(const SweepSegment& seg, const std::size_t* ranks,
                     std::size_t rows, const double* d, std::size_t queries,
                     double* const* lower);
-
-/// The same for one slab and the rows a sweep took: the serve worker
-/// compacts `lower` afterwards.
-void ApplyPivotRows(const SweepSegment& seg, const std::vector<PivotRow>& rows,
-                    double* lower);
 
 /// The pivot block: the table entries between pivots, T[p][sorted()[j]] at
 /// [p * np + j], rank-major with its np columns in id order. It is all of
@@ -298,8 +293,9 @@ class PivotSweep {
   /// over [0, N), may be null; lazy sweep only, as the row seeds every
   /// pivot) masks slots out before any visit; `segment_stats` (may be
   /// null) receives each evaluation on its home segment, query b's at
-  /// [b * S, (b + 1) * S) for S segments. Throws std::invalid_argument on
-  /// more than `kMaxRowQueries` queries or a lazy query in a larger group.
+  /// [b * S, (b + 1) * S) for S segments. An empty group does nothing.
+  /// Throws std::invalid_argument on more than `kMaxRowQueries` queries or
+  /// a lazy query in a larger group.
   void Sweep(const PivotRowQuery* group, std::size_t count, std::size_t k,
              std::vector<NeighborResult>* out,
              QueryStats* segment_stats = nullptr,

@@ -173,9 +173,9 @@ struct SweepKernels {
   /// ranks[r] of the n-wide `table` and d = d[r * queries + b]. Per lane
   /// the rows apply in order with the per-row entries' arithmetic, so the
   /// result is bit-identical to rows x queries per-row calls at every
-  /// precision. Every sweep applies the rows it took with it: the row
-  /// sweep for a group of queries, the lazy sweep and the serve worker
-  /// for one. The scalar entry is that loop over the scalar per-row
+  /// precision; zero queries touch nothing. Every sweep applies the rows
+  /// it took with it: the row sweep for a group of queries, the lazy
+  /// sweep and the serve worker for one. The scalar entry is that loop over the scalar per-row
   /// bodies, the reference. The AVX2 entry walks the candidates in blocks
   /// whose bounds stay in registers across all rows, and loads and
   /// decodes each table element once for all the queries. The NEON entry

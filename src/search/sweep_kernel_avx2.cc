@@ -376,7 +376,7 @@ void Avx2UpdateLowerRowsAs(const QuantTableView& table,
       case 1: Avx2RowChunk<Lanes, 1>(c, m, lower, n); break;
       case 2: Avx2RowChunk<Lanes, 2>(c, m, lower, n); break;
       case 3: Avx2RowChunk<Lanes, 3>(c, m, lower, n); break;
-      default: Avx2RowChunk<Lanes, 4>(c, m, lower, n); break;
+      case 4: Avx2RowChunk<Lanes, 4>(c, m, lower, n); break;
     }
   }
 }

@@ -164,7 +164,13 @@ SweepCompactResult ShardReplica::BeginRow(std::uint32_t qid,
   double* lower = slot.lower.data();
   distance_->LengthLowerBounds(slot.query.size(), store_.lengths_data(), n_s,
                                lower);
-  ApplyPivotRows(segment(), rows, lower);
+  std::vector<std::size_t> ranks(rows.size());
+  std::vector<double> d(rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    ranks[r] = rows[r].rank;
+    d[r] = rows[r].d;
+  }
+  ApplyPivotRows(segment(), ranks.data(), rows.size(), d.data(), 1, &lower);
   if (const std::uint64_t* mask = removed_.mask()) {
     ApplyTombstoneMask(mask, n_s, lower);
   }

@@ -171,7 +171,8 @@ TEST(SweepGroupTest, GroupEntryMatchesPerQueryRowSweep) {
 // The batch engine's pivot pipeline runs its sweeps in groups of
 // consecutive queries; `Nearest` with per-shard stats and `KNearest` must
 // still equal the per-query row sweeps, the merged stats their sums plus
-// the deduplicated pivot rows, at every thread count.
+// the deduplicated pivot rows, at every thread count and so every group
+// size.
 TEST(SweepGroupTest, BatchEngineGroupsMatchPerQueryRowSweep) {
   KernelGuard guard;
   const std::vector<std::string> words = Words(140, 20261020);
@@ -208,7 +209,9 @@ TEST(SweepGroupTest, BatchEngineGroupsMatchPerQueryRowSweep) {
           }
           want_stats.distance_computations += unique * np;
           want_stats.pivot_computations += unique * np;
-          for (std::size_t threads : {1u, 3u}) {
+          // 14 queries on 1 and 3 threads run in groups of 4 (a tail of
+          // 2), on 5 in groups of 2 and on 8 in groups of 1.
+          for (std::size_t threads : {1u, 3u, 5u, 8u}) {
             BatchQueryEngine::Options opt;
             opt.threads = threads;
             opt.pivot_stage = true;

@@ -395,10 +395,11 @@ TEST(SweepKernelTest, QuantizedUpdateLowerDenseMatchesScalarBitwise) {
   }
 }
 
-// The blocked row application (`update_lower_rows`) for every group size,
-// row count and precision: each available variant leaves exactly the bits
-// the scalar entry leaves, and the scalar entry the bits of the per-row
-// dense calls, query by query and row by row. Widths cover every block
+// The blocked row application (`update_lower_rows`) for every group size
+// (zero included: no slab is touched), row count and precision: each
+// available variant leaves exactly the bits the scalar entry leaves, and
+// the scalar entry the bits of the per-row dense calls, query by query and
+// row by row. Widths cover every block
 // remainder up to 67 lanes and three larger ones; 33 rows cross a row
 // chunk. The rows repeat ranks; the bounds mix +inf, zeros and exact ties
 // with the first row's bound, and each query's first d is a table value
@@ -416,7 +417,7 @@ TEST(SweepKernelTest, UpdateLowerRowsMatchesScalarAndPerRowBitwise) {
   for (TablePrecision prec : precisions) {
     for (std::size_t n : widths) {
       for (std::size_t rows : {0u, 1u, 2u, 7u, 32u, 33u}) {
-        for (std::size_t queries = 1; queries <= kMaxRowQueries; ++queries) {
+        for (std::size_t queries = 0; queries <= kMaxRowQueries; ++queries) {
           const std::size_t table_rows = rows + 3;
           std::vector<double> exact(table_rows * n);
           for (double& v : exact) v = rng() % 8 == 0 ? 2.5 : value(rng);
