@@ -310,6 +310,23 @@ int Run() {
   for (std::size_t i = 0; i + 1 < words.size(); i += 2) {
     word_pairs.emplace_back(words.strings[i], words.strings[i + 1]);
   }
+  // Unbounded dC under each sweep-kernel variant's layered DP
+  // (`SweepKernels::contextual_layers`), on the near-duplicate pairs and on
+  // the word pairs; for context, not a gate.
+  {
+    const std::string active = ActiveSweepKernels().name;
+    for (const SweepKernels* k : AvailableSweepKernels()) {
+      SetActiveSweepKernels(k->name);
+      const KernelRun near = RunPairs(pairs, 0.0, DetailedDC);
+      const KernelRun word = RunPairs(word_pairs, 0.0, DetailedDC);
+      log << "    dC unbounded, " << k->name << " layers: "
+          << per_call_ns(near.seconds, pairs.size())
+          << " ns/call on near-duplicates, "
+          << per_call_ns(word.seconds, word_pairs.size())
+          << " ns/call on word pairs\n";
+    }
+    SetActiveSweepKernels(active);
+  }
   const PrefilterRun prefilter = RunPrefilter(word_pairs, kWordBound);
   const double reject_frac =
       word_pairs.empty() ? 0.0

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/aligned_buffer.h"
+
 namespace cned {
 
 /// Reusable scratch buffers for the dynamic-programming distance kernels.
@@ -21,9 +23,19 @@ namespace cned {
 /// kernel safe to run concurrently from `ParallelFor` bodies without
 /// sharing or locking.
 struct DpWorkspace {
-  // Contextual layered DP: two (m+1) x (n+1) layer planes.
+  // Contextual layered DP (`SweepKernels::contextual_layers`): two
+  // (m+1) x (n+1) layer planes for the scalar form, which fills one layer
+  // at a time; for the SIMD form, which keeps every layer of a cell in one
+  // vector of int8 lanes, two rows of cells and of the same cells one
+  // layer up, and y's symbols broadcast to a vector each. The vectors need
+  // their alignment, hence an `AlignedBuffer` (a std::vector of a vector
+  // type drops it).
   std::vector<std::int32_t> layer_a;
   std::vector<std::int32_t> layer_b;
+  AlignedBuffer<std::int8_t> layer_lanes;
+  // Cells the contextual DP wrote on this thread
+  // (`ContextualCellsEvaluated`, core/contextual.h).
+  std::uint64_t contextual_cells = 0;
   // Marzal-Vidal length DP: two (m+1) x (n+1) weight planes.
   std::vector<double> plane_a;
   std::vector<double> plane_b;

@@ -6,6 +6,7 @@
 
 #include "common/dp_workspace.h"
 #include "distances/myers.h"
+#include "search/sweep_kernel.h"
 
 namespace cned {
 namespace {
@@ -13,8 +14,6 @@ namespace {
 // "Minus infinity" for the insertion-count DP. Far enough from INT32_MIN
 // that adding +1 per layer (at most |x|+|y| times) cannot wrap.
 constexpr std::int32_t kNegInf = std::numeric_limits<std::int32_t>::min() / 4;
-
-thread_local std::uint64_t tls_cells_evaluated = 0;
 
 void ValidateDecomposition(std::size_t m, std::size_t n, std::size_t k,
                            std::size_t ni) {
@@ -151,14 +150,63 @@ std::vector<std::int32_t> MaxInsertionProfile(std::string_view x,
   return result;
 }
 
+ContextualLayerScan::ContextualLayerScan(std::size_t m, std::size_t n,
+                                         double bound)
+    : m_(m), n_(n), bound_(bound), h_(ThreadLocalHarmonic()) {
+  best_.distance = std::numeric_limits<double>::infinity();
+}
+
+bool ContextualLayerScan::Open(std::size_t k) {
+  const double layer_floor = ContextualCostFloor(m_, n_, k, h_);
+  // No path of length >= k costs less than the floor; once it exceeds the
+  // incumbent — or reaches the caller's bound — no longer path can produce
+  // a result the caller would use.
+  return !(layer_floor > best_.distance || layer_floor >= bound_);
+}
+
+void ContextualLayerScan::Consider(std::size_t k, std::int32_t raw_ni) {
+  if (raw_ni < 0) return;
+  const auto ni = static_cast<std::size_t>(raw_ni);
+  const double cost = ContextualPathCost(m_, n_, k, ni, h_);
+  if (cost < best_.distance) {
+    best_.distance = cost;
+    best_.k = k;
+    best_.insertions = ni;
+    best_.deletions = m_ + ni - n_;
+    best_.substitutions = k - ni - best_.deletions;
+  }
+}
+
+std::size_t ContextualLastLayer(std::size_t m, std::size_t n, std::size_t p,
+                               std::size_t cap) {
+  HarmonicTable& h = ThreadLocalHarmonic();
+  const double upper = ContextualPathCost(m, n, p, n > m ? n - m : 0, h);
+  // Largest k in [p, cap] with floor(k) <= upper; floor(p) <= upper.
+  // Galloping up from p first: near-duplicates stop within a layer or two.
+  std::size_t lo = p;
+  std::size_t hi = cap;
+  for (std::size_t step = 1; lo < hi; step *= 2) {
+    const std::size_t probe = std::min(hi, lo + step);
+    if (!(ContextualCostFloor(m, n, probe, h) <= upper)) {
+      hi = probe - 1;
+      break;
+    }
+    lo = probe;
+  }
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo + 1) / 2;
+    if (ContextualCostFloor(m, n, mid, h) <= upper) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  return lo;
+}
+
 ContextualResult ContextualDistanceDetailed(std::string_view x,
                                             std::string_view y, double bound) {
-  const std::size_t m = x.size(), n = y.size();
-  HarmonicTable& h = ThreadLocalHarmonic();
-
-  ContextualResult best;
-  if (m == 0 && n == 0) return best;
-  best.distance = std::numeric_limits<double>::infinity();
+  if (x.empty() && y.empty()) return ContextualResult{};
 
   // d_E gate. Every canonical path has edit length >= d_E(x, y) and the
   // floor never decreases in k (contextual.h), so d_C >= floor(d_E): when
@@ -166,104 +214,23 @@ ContextualResult ContextualDistanceDetailed(std::string_view x,
   // costs >= bound and the call can return +infinity at once. The
   // gate (`ContextualEditLengthGate`, shared with dC,h) decides d_E > K
   // exactly, so a call it lets through runs the DP below unchanged. Both
-  // rejections happen before the DP planes are touched.
-  if (!ContextualEditLengthGate(x, y, bound, h)) return best;
-
-  // Same layered DP as MaxInsertionProfile, but band-limited — at layer k a
-  // cell (i, j) is reachable only when |i - j| <= k, because insertions
-  // minus deletions along the prefix equals j - i while their sum is at
-  // most k — and evaluating each layer's candidate as soon as its last
-  // cell is available so the loop can stop once the cost floor of paths
-  // of length >= k (`ContextualCostFloor`) rules out all longer paths (or
-  // reaches the caller's bound).
-  //
-  // Buffer invariant: cells outside a layer's band are kNegInf. It holds
-  // at the start (both planes are filled with kNegInf) and is preserved
-  // because layer k writes exactly the band |i - j| <= k into the plane
-  // that held layer k-2 (whose untouched cells satisfy |i - j| > k-2 and
-  // were kNegInf by induction). Reads reach at most one cell outside the
-  // previous layer's band in each direction, which the invariant covers.
-  const std::size_t width = n + 1;
-  const std::size_t kmax = m + n;
-  DpWorkspace& ws = TlsDpWorkspace();
-  ws.layer_a.assign((m + 1) * width, kNegInf);
-  ws.layer_b.assign((m + 1) * width, kNegInf);
-  std::vector<std::int32_t>* prev = &ws.layer_a;
-  std::vector<std::int32_t>* cur = &ws.layer_b;
-
-  auto consider = [&](std::size_t k, std::int32_t raw_ni) {
-    if (raw_ni < 0) return;
-    const auto ni = static_cast<std::size_t>(raw_ni);
-    double cost = ContextualPathCost(m, n, k, ni, h);
-    if (cost < best.distance) {
-      best.distance = cost;
-      best.k = k;
-      best.insertions = ni;
-      best.deletions = m + ni - n;
-      best.substitutions = k - ni - best.deletions;
-    }
-  };
-
-  (*prev)[0] = 0;
-  {
-    bool prefix_eq = true;
-    for (std::size_t t = 1; t <= std::min(m, n) && prefix_eq; ++t) {
-      prefix_eq = (x[t - 1] == y[t - 1]);
-      if (prefix_eq) (*prev)[t * width + t] = 0;
-    }
+  // rejections happen before the DP is touched.
+  const std::optional<std::size_t> gate =
+      ContextualEditLengthGate(x, y, bound, ThreadLocalHarmonic());
+  if (!gate) {
+    ContextualResult abandoned;
+    abandoned.distance = std::numeric_limits<double>::infinity();
+    return abandoned;
   }
-  tls_cells_evaluated += std::min(m, n) + 1;
-  consider(0, (*prev)[m * width + n]);
-
-  for (std::size_t k = 1; k <= kmax; ++k) {
-    const double layer_floor = ContextualCostFloor(m, n, k, h);
-    // No path of length >= k costs less than the floor; once it exceeds the
-    // incumbent — or reaches the caller's bound — no longer path can
-    // produce a result the caller would use.
-    if (layer_floor > best.distance || layer_floor >= bound) break;
-
-    // Row 0: insertion-only cells, band j <= k.
-    {
-      std::int32_t* cur_row = cur->data();
-      const std::int32_t* prev_row = prev->data();
-      cur_row[0] = kNegInf;
-      const std::size_t jhi = std::min(n, k);
-      for (std::size_t j = 1; j <= jhi; ++j) {
-        cur_row[j] = prev_row[j - 1] + 1;
-      }
-      tls_cells_evaluated += jhi + 1;
-    }
-    for (std::size_t i = 1; i <= m; ++i) {
-      const std::size_t jlo = i > k ? i - k : 0;
-      const std::size_t jhi = std::min(n, i + k);
-      if (jlo > jhi) continue;  // row entirely outside the band (i > n + k)
-      const char xi = x[i - 1];
-      const std::int32_t* prev_up = &(*prev)[(i - 1) * width];
-      const std::int32_t* prev_row = &(*prev)[i * width];
-      std::int32_t* cur_row = &(*cur)[i * width];
-      const std::int32_t* cur_up = &(*cur)[(i - 1) * width];
-      std::size_t j = jlo;
-      if (j == 0) {
-        cur_row[0] = prev_up[0];  // deletion only
-        j = 1;
-      }
-      for (; j <= jhi; ++j) {
-        std::int32_t v = (xi == y[j - 1]) ? cur_up[j - 1] : prev_up[j - 1];
-        v = std::max(v, prev_up[j]);
-        v = std::max(v, prev_row[j - 1] + 1);
-        cur_row[j] = v;
-      }
-      tls_cells_evaluated += jhi - jlo + 1;
-    }
-    consider(k, (*cur)[m * width + n]);
-    std::swap(prev, cur);
-  }
-  return best;
+  return ActiveSweepKernels().contextual_layers(x, y, bound, *gate,
+                                                TlsDpWorkspace());
 }
 
-std::uint64_t ContextualCellsEvaluated() { return tls_cells_evaluated; }
+std::uint64_t ContextualCellsEvaluated() {
+  return TlsDpWorkspace().contextual_cells;
+}
 
-void ResetContextualCellsEvaluated() { tls_cells_evaluated = 0; }
+void ResetContextualCellsEvaluated() { TlsDpWorkspace().contextual_cells = 0; }
 
 double ContextualDistance(std::string_view x, std::string_view y) {
   return ContextualDistanceDetailed(x, y).distance;

@@ -105,42 +105,102 @@ Rational ContextualPathCostExact(std::size_t m, std::size_t n, std::size_t k,
 std::vector<std::int32_t> MaxInsertionProfile(std::string_view x,
                                               std::string_view y);
 
-/// d_C(x, y) with the optimal decomposition. Exact Algorithm 1, with three
-/// compounding accelerations over the naive cubic DP:
+/// Algorithm 1's scan over the layers of the final cell (|x|, |y|), shared
+/// by every variant of the layered DP (`SweepKernels::contextual_layers`,
+/// search/sweep_kernel.h) so that all of them return the same
+/// `ContextualResult` bit for bit. Layer k's most insertions ni is a
+/// canonical path of cost `ContextualPathCost(m, n, k, ni)`; the scan keeps
+/// the first strictly cheapest layer. Layer 0 is always looked at; a layer
+/// k >= 1 only while it is `Open`.
+class ContextualLayerScan {
+ public:
+  /// Uses the calling thread's `ThreadLocalHarmonic()`.
+  ContextualLayerScan(std::size_t m, std::size_t n, double bound);
+
+  /// False once no path of edit length >= k can give a result the caller
+  /// uses: `ContextualCostFloor(m, n, k)` exceeds the best cost so far or
+  /// reaches the bound. The floor never decreases in k, so a scan stops at
+  /// the first closed layer.
+  bool Open(std::size_t k);
+
+  /// Takes layer k's most insertions (negative: no path of edit length k)
+  /// when its cost is strictly below the best so far.
+  void Consider(std::size_t k, std::int32_t ni);
+
+  /// The best path so far; distance +infinity before any.
+  const ContextualResult& result() const { return best_; }
+
+ private:
+  std::size_t m_, n_;
+  double bound_;
+  HarmonicTable& h_;
+  ContextualResult best_;
+};
+
+/// The last layer a `ContextualLayerScan` of (m, n) can open when some
+/// path of edit length `p` has the fewest insertions, max(0, n - m) — p =
+/// d_E(x, y) is one such length — and the scan closes at `cap` + 1 on its
+/// bound (pass m + n when it does not): a DP that fills layers 0 to this
+/// one holds every layer the scan reads. Layer p then holds at least
+/// max(0, n - m) insertions, and at a fixed length more insertions cost no
+/// more (contextual.h), so once the scan has passed layer p its best cost
+/// is at most C = `ContextualPathCost(m, n, p, max(0, n - m))`, and it
+/// closes at the first layer whose floor exceeds C. Returns the smaller of
+/// the two stops; requires d_E <= p <= cap. It holds in exact arithmetic;
+/// a DP that fills only these layers still checks that the scan closed
+/// before the next one.
+std::size_t ContextualLastLayer(std::size_t m, std::size_t n, std::size_t p,
+                               std::size_t cap);
+
+/// d_C(x, y) with the optimal decomposition. Exact Algorithm 1: a layered
+/// DP whose layer k holds, per cell, the most insertions over internal
+/// paths of edit length k, and a `ContextualLayerScan` over the final
+/// cell. The DP is the `contextual_layers` entry of the active sweep-kernel
+/// variant (search/sweep_kernel.h), and every variant returns the same
+/// `ContextualResult` bit for bit:
 ///
-///  1. Early layer termination: no path of edit length >= k costs less
-///     than `ContextualCostFloor(|x|, |y|, k)`, so the layer loop stops
-///     once that floor exceeds the best cost found.
-///  2. Band limiting: at layer k only cells with |i-j| <= k are reachable
-///     (#insertions - #deletions == j - i and both counts are <= k), so
-///     each layer fills O(min(|x|·|y|, k·(|x|+|y|))) cells instead of the
-///     full (|x|+1)·(|y|+1) table.
-///  3. Bounded evaluation: when `bound` is finite the call first takes the
-///     edit-length cap K (`ContextualEditLengthCap`). Every canonical path
-///     has edit length >= d_E(x,y) and the floor never decreases in k, so
-///     d_C >= floor(d_E): the call returns +infinity before touching the
-///     DP planes when the floor at |x|-|y| already reaches `bound`, or when
-///     the bit-parallel d_E gate (`ContextualEditLengthGate`) finds d_E > K.
-///     The heuristic d_C,h runs the same gate (contextual_heuristic.h).
-///     A call that passes runs the layered DP unchanged, whose layer loop
-///     also stops once the floor reaches `bound`. The result is exact
-///     whenever d_C(x,y) < bound and otherwise any value >= bound
-///     (possibly +infinity) — the `DistanceBounded` contract.
+///  - the scalar entry fills one layer at a time over the band of cells
+///    with |i - j| <= k (no other cell is reachable at layer k: insertions
+///    minus deletions along the prefix is j - i while their sum is at most
+///    k), so a layer costs O(min(|x|·|y|, k·(|x|+|y|))), and it stops
+///    filling once the scan closes: no path of edit length >= k costs less
+///    than `ContextualCostFloor(|x|, |y|, k)`;
+///  - the AVX2 entry turns the DP around: each cell is a vector of int8
+///    layers, up to `ContextualLastLayer` of them, and one O(|x|·|y|) pass
+///    over the cells fills every layer at once, which the scan then reads.
+///    It takes the pairs with |y| <= 127, so that a most-insertions count
+///    fits a lane, whose layers fit four vectors in fewer cells than the
+///    scalar entry's bands hold, and hands the others to the scalar entry.
 ///
-/// The DP planes come from the calling thread's `DpWorkspace`, so the
-/// steady-state path performs no heap allocations and the kernel is safe
-/// to call concurrently from ParallelFor bodies.
+/// Bounded evaluation: when `bound` is finite the call first takes the
+/// edit-length cap K (`ContextualEditLengthCap`). Every canonical path has
+/// edit length >= d_E(x,y) and the floor never decreases in k, so
+/// d_C >= floor(d_E): the call returns +infinity before touching the DP
+/// when the floor at |x|-|y| already reaches `bound`, or when the
+/// bit-parallel d_E gate (`ContextualEditLengthGate`) finds d_E > K. The
+/// heuristic d_C,h runs the same gate (contextual_heuristic.h). A call that
+/// passes runs the DP, whose scan also stops once the floor reaches
+/// `bound`. The result is exact whenever d_C(x,y) < bound and otherwise any
+/// value >= bound (possibly +infinity) — the `DistanceBounded` contract.
+///
+/// The DP's rows and planes come from the calling thread's `DpWorkspace`,
+/// so the steady-state path performs no heap allocations and the kernel is
+/// safe to call concurrently from ParallelFor bodies.
 ContextualResult ContextualDistanceDetailed(
     std::string_view x, std::string_view y,
     double bound = std::numeric_limits<double>::infinity());
 
-/// DP cells written by the banded contextual kernel on this thread since
-/// the last `ResetContextualCellsEvaluated()`. Instrumentation for the
-/// bounded-kernel bench; negligible overhead (one add per layer).
+/// DP cells written by the contextual DP on this thread since the last
+/// `ResetContextualCellsEvaluated()`: (i, j, k) cells for the scalar entry,
+/// which fills one layer at a time, and (i, j, register) cells for the
+/// AVX2 entry, whose registers hold 32 layers each. Either way it is
+/// positive exactly when a call ran the DP, and a call the gate rejects
+/// adds nothing. Instrumentation for the bounded-kernel bench; one add per
+/// layer or per call.
 std::uint64_t ContextualCellsEvaluated();
 void ResetContextualCellsEvaluated();
 
-/// d_C(x, y). Exact Algorithm 1 (cubic time, quadratic space).
+/// d_C(x, y): `ContextualDistanceDetailed` without a bound.
 double ContextualDistance(std::string_view x, std::string_view y);
 
 /// d_C(x, y) as an exact rational (small strings only; see

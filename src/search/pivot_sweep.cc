@@ -330,17 +330,24 @@ void PivotTables::Build(const std::vector<SweepSegment>& segs,
     n += sizes[g];
     out.f64[g].resize(p_count * sizes[g]);
   }
-  // One task per table entry: the atomic work queue in ParallelFor balances
-  // the load even when string lengths (and thus per-distance cost) vary
-  // wildly, and writes are disjoint. Every distance kernel is thread-safe
-  // (thread-local workspaces).
-  ParallelFor(p_count * n, [&](std::size_t t) {
-    const std::size_t p = t / n;
-    const std::size_t i = t % n;
-    const std::size_t g = sweep.SegmentOf(i);
-    const SweepSegment& seg = segs[g];
-    out.f64[g][p * sizes[g] + (i - seg.base)] = distance.Distance(
-        sweep.View(pivots_.ids()[p]), seg.store->view(i - seg.base));
+  // One task per chunk of kBuildChunk entries of one pivot row: the atomic
+  // work queue in ParallelFor still balances the load when string lengths
+  // (and thus per-distance cost) vary wildly, at one queue step and one
+  // pivot lookup per chunk rather than per entry, and writes are disjoint.
+  // Every distance kernel is thread-safe (thread-local workspaces).
+  constexpr std::size_t kBuildChunk = 64;
+  const std::size_t chunks = (n + kBuildChunk - 1) / kBuildChunk;
+  ParallelFor(p_count * chunks, [&](std::size_t t) {
+    const std::size_t p = t / chunks;
+    const std::size_t begin = t % chunks * kBuildChunk;
+    const std::size_t end = std::min(n, begin + kBuildChunk);
+    const std::string_view pivot = sweep.View(pivots_.ids()[p]);
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::size_t g = sweep.SegmentOf(i);
+      const SweepSegment& seg = segs[g];
+      out.f64[g][p * sizes[g] + (i - seg.base)] =
+          distance.Distance(pivot, seg.store->view(i - seg.base));
+    }
   });
   if (precision != TablePrecision::kF64) {
     // Quantize each GLOBAL pivot row with one shared meta: scan every

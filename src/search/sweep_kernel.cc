@@ -8,6 +8,7 @@
 
 #include "common/cpu_features.h"
 #include "common/dp_workspace.h"
+#include "core/contextual.h"
 #include "search/table_quant.h"  // HalfToDouble: the shared exact f16 decode
 
 namespace cned {
@@ -144,6 +145,86 @@ std::uint64_t ScalarContextualDiamond(std::string_view x, std::string_view y,
   return prev[n];
 }
 
+// "Minus infinity" for the insertion-count DP. Far enough from INT32_MIN
+// that adding +1 per layer (at most |x|+|y| times) cannot wrap.
+constexpr std::int32_t kLayerNegInf =
+    std::numeric_limits<std::int32_t>::min() / 4;
+
+// Algorithm 1 one layer at a time, band-limited — at layer k a cell (i, j)
+// is reachable only when |i - j| <= k, because insertions minus deletions
+// along the prefix equals j - i while their sum is at most k — and handing
+// each layer's final cell to the scan as soon as it is filled, so the loop
+// stops once the scan closes.
+//
+// Buffer invariant: cells outside a layer's band are kLayerNegInf. It holds
+// at the start (both planes are filled with kLayerNegInf) and is preserved
+// because layer k writes exactly the band |i - j| <= k into the plane that
+// held layer k-2 (whose untouched cells satisfy |i - j| > k-2 and were
+// kLayerNegInf by induction). Reads reach at most one cell outside the
+// previous layer's band in each direction, which the invariant covers.
+ContextualResult ScalarContextualLayers(std::string_view x, std::string_view y,
+                                        double bound, std::size_t /*e*/,
+                                        DpWorkspace& ws) {
+  const std::size_t m = x.size(), n = y.size();
+  const std::size_t width = n + 1;
+  const std::size_t kmax = m + n;
+  ContextualLayerScan scan(m, n, bound);
+  ws.layer_a.assign((m + 1) * width, kLayerNegInf);
+  ws.layer_b.assign((m + 1) * width, kLayerNegInf);
+  std::vector<std::int32_t>* prev = &ws.layer_a;
+  std::vector<std::int32_t>* cur = &ws.layer_b;
+
+  (*prev)[0] = 0;
+  {
+    bool prefix_eq = true;
+    for (std::size_t t = 1; t <= std::min(m, n) && prefix_eq; ++t) {
+      prefix_eq = (x[t - 1] == y[t - 1]);
+      if (prefix_eq) (*prev)[t * width + t] = 0;
+    }
+  }
+  ws.contextual_cells += std::min(m, n) + 1;
+  scan.Consider(0, (*prev)[m * width + n]);
+
+  for (std::size_t k = 1; k <= kmax && scan.Open(k); ++k) {
+    // Row 0: insertion-only cells, band j <= k.
+    {
+      std::int32_t* cur_row = cur->data();
+      const std::int32_t* prev_row = prev->data();
+      cur_row[0] = kLayerNegInf;
+      const std::size_t jhi = std::min(n, k);
+      for (std::size_t j = 1; j <= jhi; ++j) {
+        cur_row[j] = prev_row[j - 1] + 1;
+      }
+      ws.contextual_cells += jhi + 1;
+    }
+    for (std::size_t i = 1; i <= m; ++i) {
+      const std::size_t jlo = i > k ? i - k : 0;
+      const std::size_t jhi = std::min(n, i + k);
+      if (jlo > jhi) continue;  // row entirely outside the band (i > n + k)
+      const char xi = x[i - 1];
+      const std::int32_t* prev_up = &(*prev)[(i - 1) * width];
+      const std::int32_t* prev_row = &(*prev)[i * width];
+      std::int32_t* cur_row = &(*cur)[i * width];
+      const std::int32_t* cur_up = &(*cur)[(i - 1) * width];
+      std::size_t j = jlo;
+      if (j == 0) {
+        cur_row[0] = prev_up[0];  // deletion only
+        j = 1;
+      }
+      for (; j <= jhi; ++j) {
+        std::int32_t v = (xi == y[j - 1]) ? cur_up[j - 1] : prev_up[j - 1];
+        v = std::max(v, prev_up[j]);
+        v = std::max(v, prev_row[j - 1] + 1);
+        cur_row[j] = v;
+      }
+      ws.contextual_cells += jhi - jlo + 1;
+    }
+    scan.Consider(k, (*cur)[m * width + n]);
+    std::swap(prev, cur);
+  }
+  return scan.result();
+}
+
 }  // namespace
 
 const SweepKernels& ScalarSweepKernels() {
@@ -159,6 +240,7 @@ const SweepKernels& ScalarSweepKernels() {
     k.eliminate_and_compact = ScalarEliminateAndCompact;
     k.stream_keys = ScalarStreamKeys;
     k.contextual_diamond = ScalarContextualDiamond;
+    k.contextual_layers = ScalarContextualLayers;
     return k;
   }();
   return kScalar;

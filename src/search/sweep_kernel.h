@@ -12,8 +12,9 @@
 
 namespace cned {
 
-struct DpWorkspace;     // common/dp_workspace.h
-struct QuantTableView;  // search/table_quant.h
+struct ContextualResult;  // core/contextual.h
+struct DpWorkspace;       // common/dp_workspace.h
+struct QuantTableView;    // search/table_quant.h
 
 /// The shared vectorised elimination core of the LAESA family.
 ///
@@ -34,8 +35,10 @@ struct QuantTableView;  // search/table_quant.h
 ///   3. the length-bound "zeroth pivot" fill (`fill_absdiff_bounds`: the
 ///      |Δlen| core of the unit-cost edit-distance family's bound).
 ///
-/// One more entry is the distance the paper's Fig. 4 sweeps evaluate: the
-/// d_C,h DP over the diamond of cells a minimal edit script can pass
+/// Two more entries are the DPs of the distances the paper's sweeps
+/// evaluate: the exact d_C of Fig. 3, Algorithm 1's layered DP
+/// (`contextual_layers`, core/contextual.h), and the d_C,h of Fig. 4, a
+/// DP over the diamond of cells a minimal edit script can pass
 /// (`contextual_diamond`, core/contextual_heuristic.h).
 ///
 /// A kernel knows nothing of pivots. The lazy sweep's pivot phase
@@ -230,6 +233,31 @@ struct SweepKernels {
   /// arithmetic, so every variant returns the same bits.
   std::uint64_t (*contextual_diamond)(std::string_view x, std::string_view y,
                                       std::size_t e, DpWorkspace& ws);
+
+  /// The exact d_C DP, the paper's Algorithm 1, for a pair the d_E gate
+  /// let through (core/contextual.cc): layer k of cell (i, j) is the most
+  /// insertions over internal paths of edit length k from (0, 0) to (i, j)
+  /// (a match stays on its layer; a substitution, deletion or insertion
+  /// reads the layer below, the insertion adding one), and a
+  /// `ContextualLayerScan` reads the final cell's layers. `e` is the gate's
+  /// value (`ContextualEditLengthGate`). Adds the cells it writes to
+  /// `ws.contextual_cells`: (i, j, k) cells for the scalar entry, (i, j,
+  /// register) cells for the AVX2 entry. The scalar entry fills one layer
+  /// at a time over the band |i - j| <= k and stops once the scan closes.
+  /// The AVX2 entry holds a cell's layers in the int8 lanes of vectors of
+  /// 32, chained when it needs more than 32 (up to `ContextualLastLayer`),
+  /// so the whole DP is one pass over the cells, two rows at a time: on a
+  /// match V = max(D, S(max(U, L + 1))), otherwise V = S(max(D, U,
+  /// L + 1)), with D, U and L the diagonal, up and left cells and S one
+  /// layer up, -128 entering layer 0. A value is a path iff it is >= 0,
+  /// which holds while |y| <= 127. It hands to the scalar entry every
+  /// longer y, every layer range past four vectors, and every pair whose
+  /// bands hold fewer cells than its registers do (near-duplicates, whose
+  /// scan closes after a few layers). NEON points at the scalar entry.
+  /// Every variant returns the same result bit for bit.
+  ContextualResult (*contextual_layers)(std::string_view x, std::string_view y,
+                                        double bound, std::size_t e,
+                                        DpWorkspace& ws);
 };
 
 /// The portable reference implementation (always available). Every other

@@ -35,6 +35,9 @@
 //  * The d_C,h diamond is integer-only: packed cells stay below 2^63, so
 //    the signed _mm256_cmpgt_epi64 plus a blend is the exact unsigned min
 //    of the scalar row form.
+//  * The exact d_C DP is integer-only too: its int8 lanes hold the scalar
+//    form's insertion counts, or a negative value where it has no path,
+//    and the same scan turns them into the result.
 
 #if defined(__AVX2__)
 
@@ -47,6 +50,8 @@
 #include <string_view>
 
 #include "common/dp_workspace.h"
+#include "core/contextual.h"
+#include "distances/myers.h"
 #include "search/sweep_kernel.h"
 #include "search/table_quant.h"  // HalfToDouble for the f16 scalar tails
 
@@ -672,6 +677,229 @@ std::uint64_t Avx2ContextualDiamond(std::string_view x, std::string_view y,
   return d1[m + a - (m + n + 1) / 2 + 4];
 }
 
+// --- The exact d_C DP with its layers in lanes. ---------------------------
+//
+// Algorithm 1 turned around: a cell's layers are the int8 lanes of R
+// vectors (register r holds layers 32r to 32r + 31), so one pass over the
+// cells fills every layer. With S one layer up, -128 entering layer 0,
+// the scalar entry's recurrence per layer is
+//
+//   V = max(S(L) + 1, S(U), eq ? D : S(D)),
+//
+// D, U and L the diagonal, up and left cells. A row keeps each cell's V
+// and S(V): S(L) is the chain from one cell to the next, and the row below
+// reads both. A lane is a path iff it is >= 0.
+// Inductively an invalid lane in column j is at most -128 + j: -128 enters
+// at layer 0 (S(L) + 1 enters as -127, in column j >= 1), and each step
+// right adds one. So while |y| <= 127 no invalid lane reaches 0, and no
+// valid one, at most j - 1 before its + 1, reaches the top: the saturating
+// add never saturates, and a wrapping one would give the same bits.
+
+constexpr std::size_t kLayerLanes = 32;
+constexpr std::size_t kMaxLayerRegisters = 4;
+
+// One layer up: lane k takes lane k - 1, lane 0 takes lane 31 of `below`,
+// the register holding the layers under v's (all -128 under register 0).
+inline __m256i LayersUp(__m256i v, __m256i below) {
+  return _mm256_alignr_epi8(v, _mm256_permute2x128_si256(v, below, 0x03),
+                            15);
+}
+
+// Fills the DP over R registers and stores the final cell's 32R lanes.
+template <std::size_t R>
+void FillLayerLanes(std::string_view x, std::string_view y, DpWorkspace& ws,
+                    std::int8_t* out) {
+  const std::size_t m = x.size(), n = y.size();
+  const std::size_t row = (n + 1) * R;
+  ws.layer_lanes.resize((4 * row + n + 1) * sizeof(__m256i));
+  __m256i* pv = reinterpret_cast<__m256i*>(ws.layer_lanes.data());  // V, i-1
+  __m256i* ps = pv + row;  // S(V), row i - 1
+  __m256i* cv = ps + row;  // V, row i
+  __m256i* cs = cv + row;  // S(V), row i
+  __m256i* yb = cs + row;  // yb[j]: y_j in every lane
+  for (std::size_t j = 1; j <= n; ++j) yb[j] = _mm256_set1_epi8(y[j - 1]);
+
+  const __m256i fill = _mm256_set1_epi8(-128);
+  const __m256i one = _mm256_set1_epi8(1);
+  const auto up = [fill](const __m256i* v, __m256i* s) {
+    s[0] = LayersUp(v[0], fill);
+    for (std::size_t r = 1; r < R; ++r) s[r] = LayersUp(v[r], v[r - 1]);
+  };
+  __m256i left[R], s[R];
+
+  // Row 0: (0, 0) is layer 0 only; (0, j) inserts y_j.
+  left[0] = _mm256_and_si256(fill, _mm256_setr_epi64x(-256, -1, -1, -1));
+  for (std::size_t r = 1; r < R; ++r) left[r] = fill;
+  for (std::size_t r = 0; r < R; ++r) pv[r] = left[r];
+  for (std::size_t j = 1; j <= n; ++j) {
+    up(left, s);
+    for (std::size_t r = 0; r < R; ++r) {
+      ps[(j - 1) * R + r] = s[r];
+      pv[j * R + r] = left[r] = _mm256_adds_epi8(s[r], one);
+    }
+  }
+  up(left, s);
+  for (std::size_t r = 0; r < R; ++r) ps[n * R + r] = s[r];
+
+  // V from S(L), S(U), D and S(D), one register.
+  const auto cell = [one](__m256i sl, __m256i su, __m256i d, __m256i sd,
+                          __m256i eq) {
+    return _mm256_max_epi8(_mm256_adds_epi8(sl, one),
+                           _mm256_max_epi8(su, _mm256_blendv_epi8(sd, d, eq)));
+  };
+
+  // Rows two at a time, the lower one a column behind: cell (i + 1, j - 1)
+  // reads row i's cells j - 2 and j - 1 and their shifts, all still in
+  // registers, so the two left-to-right chains overlap and row i is never
+  // stored. Past two registers a pair's state no longer fits the sixteen
+  // vector registers, and one row at a time is as fast.
+  std::size_t i = 1;
+  for (; R <= 2 && n > 0 && i < m; i += 2) {
+    const __m256i x_top = _mm256_set1_epi8(x[i - 1]);
+    const __m256i x_bot = _mm256_set1_epi8(x[i]);
+    // top: V(i, j - 1), top_prev: V(i, j - 2), and their shifts st and
+    // st_prev; bot: V(i + 1, j - 2) and its shift sb.
+    __m256i top[R], top_prev[R], st[R], st_prev[R], bot[R], sb[R];
+    for (std::size_t r = 0; r < R; ++r) top_prev[r] = ps[r];  // deletions
+    up(top_prev, st_prev);
+    const __m256i eq1 = _mm256_cmpeq_epi8(yb[1], x_top);
+    for (std::size_t r = 0; r < R; ++r) {
+      top[r] = cell(st_prev[r], ps[R + r], pv[r], ps[r], eq1);
+      cv[r] = bot[r] = st_prev[r];  // deletions
+    }
+    for (std::size_t j = 2; j <= n; ++j) {
+      const __m256i eq_top = _mm256_cmpeq_epi8(yb[j], x_top);
+      const __m256i eq_bot = _mm256_cmpeq_epi8(yb[j - 1], x_bot);
+      up(top, st);
+      up(bot, sb);
+      const std::size_t d = (j - 1) * R;
+      for (std::size_t r = 0; r < R; ++r) {
+        cs[d - R + r] = sb[r];
+        const __m256i v_top =
+            cell(st[r], ps[d + R + r], pv[d + r], ps[d + r], eq_top);
+        cv[d + r] = bot[r] =
+            cell(sb[r], st[r], top_prev[r], st_prev[r], eq_bot);
+        top_prev[r] = top[r];
+        top[r] = v_top;
+        st_prev[r] = st[r];
+      }
+    }
+    const __m256i eq_last = _mm256_cmpeq_epi8(yb[n], x_bot);
+    up(top, st);
+    up(bot, sb);
+    for (std::size_t r = 0; r < R; ++r) {
+      cs[(n - 1) * R + r] = sb[r];
+      cv[n * R + r] = bot[r] =
+          cell(sb[r], st[r], top_prev[r], st_prev[r], eq_last);
+    }
+    up(bot, sb);
+    for (std::size_t r = 0; r < R; ++r) cs[n * R + r] = sb[r];
+    std::swap(pv, cv);
+    std::swap(ps, cs);
+  }
+  // The rows left: the last one when m is odd, every one when n = 0 or
+  // R > 2.
+  for (; i <= m; ++i) {
+    const __m256i xb = _mm256_set1_epi8(x[i - 1]);
+    // Column 0: deletions only.
+    for (std::size_t r = 0; r < R; ++r) cv[r] = left[r] = ps[r];
+    for (std::size_t j = 1; j <= n; ++j) {
+      const __m256i eq = _mm256_cmpeq_epi8(yb[j], xb);
+      up(left, s);
+      const std::size_t d = (j - 1) * R, u = j * R;
+      for (std::size_t r = 0; r < R; ++r) {
+        cs[d + r] = s[r];
+        cv[u + r] = left[r] = cell(s[r], ps[u + r], pv[d + r], ps[d + r], eq);
+      }
+    }
+    up(left, s);
+    for (std::size_t r = 0; r < R; ++r) cs[n * R + r] = s[r];
+    std::swap(pv, cv);
+    std::swap(ps, cs);
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + r * kLayerLanes),
+                        pv[n * R + r]);
+  }
+}
+
+// Cells of [0, m] x [0, n] with j - i > k.
+std::size_t CellsAboveBand(std::size_t m, std::size_t n, std::size_t k) {
+  if (n <= k) return 0;
+  const std::size_t t = n - k;  // row i holds t - i of them, for i < t
+  const std::size_t rows = std::min(m + 1, t);
+  return rows * t - rows * (rows - 1) / 2;
+}
+
+// The cells the scalar entry writes over layers 0 to `last`: the band
+// |i - j| <= k of each layer.
+std::size_t BandCells(std::size_t m, std::size_t n, std::size_t last) {
+  std::size_t cells = 0;
+  for (std::size_t k = 0; k <= last; ++k) {
+    cells += (m + 1) * (n + 1) - CellsAboveBand(m, n, k) -
+             CellsAboveBand(n, m, k);
+  }
+  return cells;
+}
+
+ContextualResult Avx2ContextualLayers(std::string_view x, std::string_view y,
+                                      double bound, std::size_t e,
+                                      DpWorkspace& ws) {
+  const std::size_t m = x.size(), n = y.size();
+  const auto scalar = [&] {
+    return ScalarSweepKernels().contextual_layers(x, y, bound, e, ws);
+  };
+  if (n > 127) return scalar();
+  // The layers the scan can read: all of them when they fit one register;
+  // otherwise up to `ContextualLastLayer`, which wants the length of a path
+  // with the fewest insertions. Below max(m, n) the gate's value is d_E; at
+  // or above it, it is the cap, and a path that keeps the aligned matches
+  // of x and y, substitutes the other aligned symbols and pads with
+  // insertions or deletions is a cheap first such path. A register-cell
+  // costs about what a scalar cell-layer does, and the scalar entry fills
+  // only each layer's band, so pairs whose scan closes after a few layers,
+  // near-duplicates, stay there. Only when that path's layers say the lanes
+  // pay does d_E, by `MyersLevenshtein`, set the final range.
+  std::size_t last = m + n;
+  std::size_t registers = 1;
+  if (last >= kLayerLanes) {
+    const auto lanes_pay = [&](std::size_t p, std::size_t cap) {
+      last = ContextualLastLayer(m, n, p, cap);
+      registers = last / kLayerLanes + 1;
+      return registers <= kMaxLayerRegisters &&
+             registers * (m + 1) * (n + 1) <= BandCells(m, n, last);
+    };
+    if (e < std::max(m, n)) {
+      if (!lanes_pay(e, m + n)) return scalar();
+    } else {
+      std::size_t aligned = m > n ? m - n : n - m;
+      for (std::size_t i = 0; i < std::min(m, n); ++i) {
+        aligned += x[i] != y[i];
+      }
+      if (!lanes_pay(aligned, e) ||
+          !lanes_pay(MyersLevenshtein(x, y), e)) {
+        return scalar();
+      }
+    }
+  }
+  alignas(32) std::int8_t lanes[kMaxLayerRegisters * kLayerLanes];
+  switch (registers) {
+    case 1: FillLayerLanes<1>(x, y, ws, lanes); break;
+    case 2: FillLayerLanes<2>(x, y, ws, lanes); break;
+    case 3: FillLayerLanes<3>(x, y, ws, lanes); break;
+    default: FillLayerLanes<4>(x, y, ws, lanes); break;
+  }
+  ws.contextual_cells += (m + 1) * (n + 1) * registers;
+
+  ContextualLayerScan scan(m, n, bound);
+  scan.Consider(0, lanes[0]);
+  for (std::size_t k = 1; k <= m + n && scan.Open(k); ++k) {
+    if (k > last) return scalar();  // past the layers filled: rounding only
+    scan.Consider(k, lanes[k]);
+  }
+  return scan.result();
+}
+
 }  // namespace
 
 const SweepKernels& Avx2SweepKernels() {
@@ -687,6 +915,7 @@ const SweepKernels& Avx2SweepKernels() {
     k.eliminate_and_compact = Avx2EliminateAndCompact;
     k.stream_keys = Avx2StreamKeys;
     k.contextual_diamond = Avx2ContextualDiamond;
+    k.contextual_layers = Avx2ContextualLayers;
     return k;
   }();
   return kAvx2;
