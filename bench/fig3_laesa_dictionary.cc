@@ -15,7 +15,7 @@
 // per distance reports the per-shard split of the distance evaluations
 // plus the totals of the batched two-stage pivot pipeline.
 //
-// Run with --kernel=scalar|avx2|neon|auto to force a sweep-kernel variant
+// Run with --kernel=scalar|avx2|auto to force a sweep-kernel variant
 // (the vectorisation ablation row): computation counts are bit-identical
 // across kernels, only the time columns move.
 //

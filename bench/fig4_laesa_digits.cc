@@ -6,7 +6,7 @@
 // "fewer computations" advantage of a discriminating metric translates into
 // real time savings.
 //
-// Run with --kernel=scalar|avx2|neon|auto to force a sweep-kernel variant
+// Run with --kernel=scalar|avx2|auto to force a sweep-kernel variant
 // (the vectorisation ablation row): computation counts are bit-identical
 // across kernels, only the time columns move.
 //

@@ -39,7 +39,7 @@
 
 namespace cned::bench {
 
-/// Applies a `--kernel=scalar|avx2|neon|auto` harness flag: forces the
+/// Applies a `--kernel=scalar|avx2|auto` harness flag: forces the
 /// sweep-kernel variant for the whole run, so the ablation chapters can
 /// report vectorisation as its own row (distance-computation counts are
 /// bit-identical across kernels by the sweep-kernel contract — only the

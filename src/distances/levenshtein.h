@@ -47,7 +47,7 @@ class EditDistance final : public StringDistance {
   }
   /// Batched |Δlen| fill over a store's packed length array. Runs on the
   /// dispatched sweep-kernel layer (search/sweep_kernel.h): the zeroth-pivot
-  /// fill of the LAESA sweeps is exactly this kernel, with scalar/AVX2/NEON
+  /// fill of the LAESA sweeps is exactly this kernel, with scalar/AVX2
   /// variants producing bit-identical doubles (every value involved is an
   /// exactly representable integer). Defined in levenshtein.cc so this
   /// header stays free of the search-layer include.

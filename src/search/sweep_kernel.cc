@@ -63,8 +63,12 @@ void ScalarUpdateLowerRows(const QuantTableView& table,
                            const std::size_t* ranks, std::size_t rows,
                            const double* d, std::size_t queries,
                            double* const* lower, std::size_t n) {
-  UpdateLowerRowsPerRow(ScalarSweepKernels(), table, ranks, rows, d, queries,
-                        lower, n);
+  for (std::size_t b = 0; b < queries; ++b) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      QuantUpdateLowerDense(ScalarSweepKernels(), table, ranks[r], n,
+                            d[r * queries + b], lower[b]);
+    }
+  }
 }
 
 void ScalarFillAbsDiffBounds(std::size_t x_len, const std::uint32_t* y_lens,
@@ -246,22 +250,16 @@ const SweepKernels& ScalarSweepKernels() {
   return kScalar;
 }
 
-// Defined in the per-ISA translation units, which CMake compiles (with
-// their target extension where needed) only for matching architectures.
+// Defined in the AVX2 translation unit, which CMake compiles with -mavx2
+// only for x86 targets.
 #if defined(CNED_SWEEP_AVX2)
 const SweepKernels& Avx2SweepKernels();
-#endif
-#if defined(CNED_SWEEP_NEON)
-const SweepKernels& NeonSweepKernels();
 #endif
 
 std::vector<const SweepKernels*> AvailableSweepKernels() {
   std::vector<const SweepKernels*> kernels{&ScalarSweepKernels()};
 #if defined(CNED_SWEEP_AVX2)
   if (CpuHasAvx2()) kernels.push_back(&Avx2SweepKernels());
-#endif
-#if defined(CNED_SWEEP_NEON)
-  if (CpuHasNeon()) kernels.push_back(&NeonSweepKernels());
 #endif
   return kernels;
 }

@@ -50,10 +50,10 @@ struct QuantTableView;    // search/table_quant.h
 /// order. The serve worker's row sweep compacts instead.
 ///
 /// This header defines those operations once as a dispatch table of
-/// function pointers with scalar, AVX2 and NEON implementations. The
-/// variant is chosen at startup by runtime CPU detection (the binary stays
-/// portable — only the per-ISA translation units are compiled with their
-/// target extension) and can be forced for ablations and CI via the
+/// function pointers with scalar and AVX2 implementations. The variant is
+/// chosen at startup by runtime CPU detection (the binary stays portable —
+/// only the AVX2 translation unit is compiled with its target extension)
+/// and can be forced for ablations and CI via the
 /// `CNED_SWEEP_KERNEL` environment variable or `SetActiveSweepKernels`.
 ///
 /// Bit-identity contract: every implementation computes exactly the scalar
@@ -130,7 +130,7 @@ struct StreamBucketMap {
 /// One kernel variant: a named table of the sweep's data-parallel cores.
 /// All entries are hot-loop functions — no allocation, no exceptions.
 struct SweepKernels {
-  /// "scalar", "avx2" or "neon" — the CNED_SWEEP_KERNEL names.
+  /// "scalar" or "avx2" — the CNED_SWEEP_KERNEL names.
   const char* name;
 
   /// Dense row application: lower[i] = max(lower[i], |d - row[i]|) for i in
@@ -181,8 +181,7 @@ struct SweepKernels {
   /// sweep and the serve worker for one. The scalar entry is that loop over the scalar per-row
   /// bodies, the reference. The AVX2 entry walks the candidates in blocks
   /// whose bounds stay in registers across all rows, and loads and
-  /// decodes each table element once for all the queries. The NEON entry
-  /// loops over its per-row bodies.
+  /// decodes each table element once for all the queries.
   void (*update_lower_rows)(const QuantTableView& table,
                             const std::size_t* ranks, std::size_t rows,
                             const double* d, std::size_t queries,
@@ -253,8 +252,8 @@ struct SweepKernels {
   /// which holds while |y| <= 127. It hands to the scalar entry every
   /// longer y, every layer range past four vectors, and every pair whose
   /// bands hold fewer cells than its registers do (near-duplicates, whose
-  /// scan closes after a few layers). NEON points at the scalar entry.
-  /// Every variant returns the same result bit for bit.
+  /// scan closes after a few layers). Every variant returns the same
+  /// result bit for bit.
   ContextualResult (*contextual_layers)(std::string_view x, std::string_view y,
                                         double bound, std::size_t e,
                                         DpWorkspace& ws);
@@ -269,10 +268,10 @@ const SweepKernels& ScalarSweepKernels();
 std::vector<const SweepKernels*> AvailableSweepKernels();
 
 /// The variant the sweeps use. Resolved once on first use: the
-/// CNED_SWEEP_KERNEL environment variable ("scalar", "avx2", "neon",
-/// "auto") when set and available — an unavailable forced name warns on
-/// stderr and falls back to scalar — otherwise the fastest available
-/// variant. Thread-safe.
+/// CNED_SWEEP_KERNEL environment variable ("scalar", "avx2", "auto") when
+/// set and available — an unavailable forced name warns on stderr and
+/// falls back to scalar — otherwise the fastest available variant.
+/// Thread-safe.
 const SweepKernels& ActiveSweepKernels();
 
 /// Forces a variant by name ("auto" re-selects the fastest available).

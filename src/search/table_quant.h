@@ -185,22 +185,6 @@ inline void QuantUpdateLowerDense(const SweepKernels& kern,
   }
 }
 
-/// `update_lower_rows` as per-row calls of `kern`'s dense entries, query by
-/// query and each query's rows in order: the scalar reference, and the
-/// NEON entry.
-inline void UpdateLowerRowsPerRow(const SweepKernels& kern,
-                                  const QuantTableView& table,
-                                  const std::size_t* ranks, std::size_t rows,
-                                  const double* d, std::size_t queries,
-                                  double* const* lower, std::size_t n) {
-  for (std::size_t b = 0; b < queries; ++b) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      QuantUpdateLowerDense(kern, table, ranks[r], n, d[r * queries + b],
-                            lower[b]);
-    }
-  }
-}
-
 }  // namespace cned
 
 #endif  // CNED_SEARCH_TABLE_QUANT_H_

@@ -17,6 +17,7 @@
 #include "distances/levenshtein.h"
 #include "search/sweep_kernel.h"
 #include "strings/string_gen.h"
+#include "tests/snapshot_test_util.h"
 
 namespace cned {
 namespace {
@@ -58,16 +59,6 @@ ContextualHeuristicResult ReferenceHeuristic(std::string_view x,
   r.distance = ContextualPathCost(m, n, r.k, r.insertions, GlobalHarmonic());
   return r;
 }
-
-// Restores the active sweep-kernel variant on scope exit.
-class KernelGuard {
- public:
-  KernelGuard() : saved_(ActiveSweepKernels().name) {}
-  ~KernelGuard() { SetActiveSweepKernels(saved_); }
-
- private:
-  std::string saved_;
-};
 
 // Checks every available variant against the reference. First its diamond
 // entry directly: at e = d_E, the narrowest diamond, and at wider ones, the

@@ -24,6 +24,7 @@
 #include "distances/levenshtein.h"
 #include "search/sweep_kernel.h"
 #include "strings/string_gen.h"
+#include "tests/snapshot_test_util.h"
 
 namespace cned {
 namespace {
@@ -68,16 +69,6 @@ void ExpectSame(const ContextualResult& got, const ContextualResult& want,
   EXPECT_EQ(got.substitutions, want.substitutions) << where;
   EXPECT_EQ(got.deletions, want.deletions) << where;
 }
-
-// Restores the active sweep-kernel variant on scope exit.
-class KernelGuard {
- public:
-  KernelGuard() : saved_(ActiveSweepKernels().name) {}
-  ~KernelGuard() { SetActiveSweepKernels(saved_); }
-
- private:
-  std::string saved_;
-};
 
 // One (x, y, bound) through every available variant, against the scalar
 // entry and against `full`, the reference.

@@ -29,6 +29,7 @@
 #include "search/nn_searcher.h"
 #include "search/sweep_kernel.h"
 #include "search/table_quant.h"
+#include "tests/path_matrix.h"
 #include "tests/snapshot_test_util.h"
 
 namespace cned {
@@ -37,31 +38,6 @@ namespace {
 constexpr TablePrecision kAllPrecisions[] = {
     TablePrecision::kF64, TablePrecision::kF32, TablePrecision::kF16,
     TablePrecision::kU8};
-
-/// Restores the startup-active kernel variant when a test is done forcing.
-class KernelGuard {
- public:
-  KernelGuard() : saved_(ActiveSweepKernels().name) {}
-  ~KernelGuard() { SetActiveSweepKernels(saved_); }
-
- private:
-  std::string saved_;
-};
-
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char tmpl[] = "/tmp/cned_mutable_XXXXXX";
-    char* p = mkdtemp(tmpl);
-    EXPECT_NE(p, nullptr);
-    path = p;
-  }
-  ~TempDir() {
-    if (!path.empty()) std::filesystem::remove_all(path);
-  }
-  TempDir(const TempDir&) = delete;
-  TempDir& operator=(const TempDir&) = delete;
-};
 
 /// The brute-force oracle: the live set as (stable id -> string), searched
 /// exhaustively with full distances and the global (distance, id) order.
@@ -182,15 +158,8 @@ TEST(MutableLaesaTest, InterleavedOpsMatchOracleAndReplayBitIdentical) {
       QueryStats sa, st;
       const auto ra = a.KNearest(q, 5, &sa);
       const auto rt = twin.KNearest(q, 5, &st);
-      ASSERT_EQ(ra.size(), rt.size());
-      for (std::size_t i = 0; i < ra.size(); ++i) {
-        EXPECT_EQ(ra[i].index, rt[i].index);
-        EXPECT_EQ(ra[i].distance, rt[i].distance);
-      }
-      EXPECT_TRUE(sa == st)
-          << "round " << round << ": twins diverged on stats ("
-          << sa.distance_computations << " vs " << st.distance_computations
-          << " computations)";
+      ExpectSameAnswer(AnswerOf(ra, sa), AnswerOf(rt, st),
+                       "round " + std::to_string(round) + " twins q=" + q);
     }
     EXPECT_EQ(a.size(), model.size());
     EXPECT_EQ(a.epoch(), twin.epoch());
@@ -299,7 +268,7 @@ TEST(MutableLaesaTest, MergeToSnapshotAndServeMapped) {
     model.Remove(it->first);
   }
 
-  TempDir dir;
+  TempDir dir("cned_mutable_");
   ASSERT_TRUE(index.MergeNow(dir.path));
   EXPECT_TRUE(index.merge_error().empty());
   EXPECT_EQ(index.delta_size(), 0u);

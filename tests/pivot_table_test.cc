@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdlib.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -78,17 +77,6 @@ struct Data {
     Rng rng(8801);
     queries = MakeQueries(words, 12, 2, Alphabet::Latin(), rng);
   }
-};
-
-struct TempDir {
-  std::string path;
-  TempDir() {
-    std::string tmpl = std::string(::testing::TempDir()) + "cned_pivots_XXXXXX";
-    const char* p = mkdtemp(tmpl.data());
-    EXPECT_NE(p, nullptr);
-    path = tmpl;
-  }
-  ~TempDir() { std::filesystem::remove_all(path); }
 };
 
 std::uint64_t ReadU64(const std::vector<char>& bytes, std::size_t offset) {
@@ -177,7 +165,7 @@ TEST(PivotTableTest, ShardReplicaRejectsOutOfRangeAndDuplicatePivots) {
                                     : kPivotsAfterOneSection;
     for (BadId bad : {BadId::kOutOfRange, BadId::kDuplicate}) {
       const std::string ctx = Context(prec, bad);
-      TempDir dir;
+      TempDir dir("cned_pivots_");
       SaveServingSnapshot(built, dir.path);
       const std::string store_path = ShardStorePath(dir.path, 1);
       const std::string index_path = ShardIndexPath(dir.path, 1);
@@ -200,7 +188,7 @@ TEST(PivotTableTest, ServeRouterRejectsOutOfRangeAndDuplicatePivots) {
     const Laesa built(d.sharded, d.dist, 4, prec);
     for (BadId bad : {BadId::kOutOfRange, BadId::kDuplicate}) {
       const std::string ctx = Context(prec, bad);
-      TempDir dir;
+      TempDir dir("cned_pivots_");
       SaveServingSnapshot(built, dir.path);
       // The manifest is rejected before any worker is spawned.
       PatchPivot(ManifestPath(dir.path), kPivotsAfterOneSection, 1,
@@ -216,7 +204,7 @@ TEST(PivotTableTest, ShardReplicaRejectsIdCountAboveSweepLimit) {
   // error.
   Data d;
   const Laesa built(d.sharded, d.dist, 4);
-  TempDir dir;
+  TempDir dir("cned_pivots_");
   SaveServingSnapshot(built, dir.path);
   const std::string store_path = ShardStorePath(dir.path, 1);
   const std::string index_path = ShardIndexPath(dir.path, 1);
@@ -286,7 +274,7 @@ TEST(PivotTableTest, ShardReplicaBeginRowRejectsOutOfRangeRows) {
   for (TablePrecision prec : kPrecisions) {
     const std::string ctx = TablePrecisionName(prec);
     const Laesa built(d.sharded, d.dist, 8, prec);
-    TempDir dir;
+    TempDir dir("cned_pivots_");
     SaveServingSnapshot(built, dir.path);
     ShardReplica replica(ShardStorePath(dir.path, 1),
                          ShardIndexPath(dir.path, 1), "dE");
@@ -325,7 +313,7 @@ TEST(PivotTableTest, ShardReplicaServesIdCountAtSweepLimit) {
   for (TablePrecision prec : kPrecisions) {
     const std::string ctx = TablePrecisionName(prec);
     const Laesa built(d.sharded, d.dist, 8, prec);
-    TempDir dir;
+    TempDir dir("cned_pivots_");
     SaveServingSnapshot(built, dir.path);
     const std::string store_path = ShardStorePath(dir.path, 1);
     const std::string index_path = ShardIndexPath(dir.path, 1);
@@ -373,7 +361,7 @@ TEST(PivotTableTest, ShardReplicaServesIdCountAtSweepLimit) {
 TEST(PivotTableTest, ServeRouterServesIdCountAtSweepLimit) {
   Data d;
   const Laesa built(d.sharded, d.dist, 4);
-  TempDir dir;
+  TempDir dir("cned_pivots_");
   SaveServingSnapshot(built, dir.path);
   const std::string manifest = ManifestPath(dir.path);
   const std::size_t last = kShards - 1;
@@ -470,7 +458,7 @@ void ExpectManifestRejected(const std::string& dir, const std::string& reason) {
 TEST(PivotTableTest, ServeRouterRejectsIdCountAboveSweepLimit) {
   // n = 2^62 with one shard of that size: every other count and section is
   // consistent, so only the id limit can reject it.
-  TempDir dir;
+  TempDir dir("cned_pivots_");
   WriteManifest(dir.path, kRouterManifestVersion,
                 {/*n=*/kHugeN, /*shards=*/1, /*np=*/1, /*arena_bytes=*/1,
                  /*precision=*/0},
@@ -480,7 +468,7 @@ TEST(PivotTableTest, ServeRouterRejectsIdCountAboveSweepLimit) {
 
 TEST(PivotTableTest, ServeRouterRejectsPivotLengthsThatWrap) {
   // Lengths {2^64 - 1, 1} sum to the arena's 0 bytes modulo 2^64.
-  TempDir dir;
+  TempDir dir("cned_pivots_");
   WriteManifest(dir.path, kRouterManifestVersion,
                 {/*n=*/10, /*shards=*/1, /*np=*/2, /*arena_bytes=*/0,
                  /*precision=*/0},
@@ -492,7 +480,7 @@ TEST(PivotTableTest, ServeRouterRejectsShardSizesThatWrap) {
   // Sizes {2^64 - 5, 15} sum to n = 10 modulo 2^64, but the bases
   // {0, 2^64 - 5, 10} do not ascend. Everything else in the manifest is
   // well formed, checksum included.
-  TempDir dir;
+  TempDir dir("cned_pivots_");
   WriteManifest(dir.path, kRouterManifestVersion,
                 {/*n=*/10, /*shards=*/2, /*np=*/1, /*arena_bytes=*/1,
                  /*precision=*/0},
@@ -502,7 +490,7 @@ TEST(PivotTableTest, ServeRouterRejectsShardSizesThatWrap) {
 
 TEST(PivotTableTest, ServeRouterRejectsVersionOneManifest) {
   // A well-formed v1 manifest: no precision, no pivot block.
-  TempDir dir;
+  TempDir dir("cned_pivots_");
   WriteManifest(dir.path, 1,
                 {/*n=*/10, /*shards=*/1, /*np=*/1, /*arena_bytes=*/1}, {10},
                 {0}, {1}, "a");
@@ -512,7 +500,7 @@ TEST(PivotTableTest, ServeRouterRejectsVersionOneManifest) {
 TEST(PivotTableTest, ServeRouterRejectsPivotBlockPastTheEnd) {
   // Three pivots need a 9-entry block (72 bytes); the file holds one entry
   // and its padding, and ends 8 bytes short of the block's extent.
-  TempDir dir;
+  TempDir dir("cned_pivots_");
   WriteManifest(dir.path, kRouterManifestVersion,
                 {/*n=*/10, /*shards=*/1, /*np=*/3, /*arena_bytes=*/3,
                  /*precision=*/0},
@@ -521,7 +509,7 @@ TEST(PivotTableTest, ServeRouterRejectsPivotBlockPastTheEnd) {
 }
 
 TEST(PivotTableTest, ServeRouterRejectsUnknownPrecision) {
-  TempDir dir;
+  TempDir dir("cned_pivots_");
   WriteManifest(dir.path, kRouterManifestVersion,
                 {/*n=*/10, /*shards=*/1, /*np=*/1, /*arena_bytes=*/1,
                  /*precision=*/7},

@@ -25,11 +25,9 @@
 // other.
 
 #include <gtest/gtest.h>
-#include <stdlib.h>
 
 #include <atomic>
 #include <cmath>
-#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -45,6 +43,7 @@
 #include "serve/engine.h"
 #include "serve/router.h"
 #include "serve/shard_snapshot.h"
+#include "tests/snapshot_test_util.h"
 
 namespace cned {
 namespace {
@@ -67,21 +66,6 @@ Workload MakeWorkload(std::size_t words, std::size_t queries,
   w.queries = MakeQueries(w.protos, queries, 2, Alphabet::Latin(), rng);
   return w;
 }
-
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char tmpl[] = "/tmp/cned_conc_XXXXXX";
-    char* p = mkdtemp(tmpl);
-    EXPECT_NE(p, nullptr);
-    path = p;
-  }
-  ~TempDir() {
-    if (!path.empty()) std::filesystem::remove_all(path);
-  }
-  TempDir(const TempDir&) = delete;
-  TempDir& operator=(const TempDir&) = delete;
-};
 
 /// Results may interleave with concurrent mutations, so only invariants
 /// hold: never flagged, never shed, at most `k` neighbours, sorted finite
@@ -115,7 +99,7 @@ TEST(ServeConcurrentTest, EightClientsStayExactWhileStandbysDieAndMangle) {
   const Workload w = MakeWorkload(300, 16, 9100);
   ShardedPrototypeStore store(w.protos, 4);
   Laesa index(store, MakeDistance("dE"), 8);
-  TempDir dir;
+  TempDir dir("cned_conc_");
   SaveServingSnapshot(index, dir.path);
 
   ServeOptions opt;
@@ -191,7 +175,7 @@ TEST(ServeConcurrentTest, CallersDrivingTheirOwnSweepsStayExact) {
   const Workload w = MakeWorkload(200, 8, 9300);
   ShardedPrototypeStore store(w.protos, 4);
   Laesa index(store, MakeDistance("dE"), 8);
-  TempDir dir;
+  TempDir dir("cned_conc_");
   SaveServingSnapshot(index, dir.path);
 
   ServeOptions opt;
@@ -255,7 +239,7 @@ TEST(ServeConcurrentTest, MixedQueryInsertRemoveStormNeverFlags) {
   const Workload w = MakeWorkload(300, 12, 9200);
   ShardedPrototypeStore store(w.protos, 4);
   Laesa index(store, MakeDistance("dE"), 8);
-  TempDir dir;
+  TempDir dir("cned_conc_");
   SaveServingSnapshot(index, dir.path);
 
   ServeOptions opt;

@@ -3,7 +3,8 @@
 //
 //   1. Healthy = bit-identical. A router over 1/2/4/8 workers returns the
 //      same neighbours, the same distances AND the same QueryStats as the
-//      in-process sharded Laesa, on both the lazy and the pivot-row path.
+//      in-process Laesa, on both the lazy and the pivot-row path (the
+//      path matrix, tests/path_matrix.h).
 //   2. Degraded = correctly flagged. Crashed (kill -9), unresponsive,
 //      and corrupt-stream workers cost exactly their shard: results come
 //      back partial with the missed shards named, surviving distances
@@ -30,7 +31,6 @@
 
 #include <gtest/gtest.h>
 #include <signal.h>
-#include <stdlib.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -52,6 +52,8 @@
 #include "search/table_quant.h"
 #include "serve/router.h"
 #include "serve/shard_snapshot.h"
+#include "tests/path_matrix.h"
+#include "tests/snapshot_test_util.h"
 
 namespace cned {
 namespace {
@@ -73,24 +75,9 @@ Workload MakeWorkload(std::size_t words, std::size_t queries,
   return w;
 }
 
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char tmpl[] = "/tmp/cned_serve_XXXXXX";
-    char* p = mkdtemp(tmpl);
-    EXPECT_NE(p, nullptr);
-    path = p;
-  }
-  ~TempDir() {
-    if (!path.empty()) std::filesystem::remove_all(path);
-  }
-  TempDir(const TempDir&) = delete;
-  TempDir& operator=(const TempDir&) = delete;
-};
-
 /// In-process reference index + its serving snapshot on disk.
 struct Deployment {
-  TempDir dir;
+  TempDir dir{"cned_serve_"};
   std::unique_ptr<ShardedPrototypeStore> store;
   std::unique_ptr<Laesa> index;
 
@@ -103,15 +90,6 @@ struct Deployment {
     SaveServingSnapshot(*index, dir.path);
   }
 };
-
-ServeOptions FastOptions() {
-  ServeOptions opt;
-  opt.distance = "dE";
-  opt.op_timeout_ms = 400;  // drop faults resolve in sub-second time
-  opt.op_retries = 2;
-  opt.backoff_base_ms = 2;
-  return opt;
-}
 
 /// The pivot-row path over a batch of queries: each row evaluated from the
 /// manifest's pivot strings, then one `KNearestWithRow` per query — the
@@ -140,68 +118,30 @@ bool AnyReplicaAlive(const ServeRouter& router, std::size_t s) {
   return false;
 }
 
-void ExpectHealthyIdentical(const ServeResult& got,
-                            const std::vector<NeighborResult>& want,
-                            const QueryStats& want_stats,
-                            const std::string& context) {
-  EXPECT_FALSE(got.partial) << context;
-  EXPECT_TRUE(got.missing_shards.empty()) << context;
-  ASSERT_EQ(got.neighbors.size(), want.size()) << context;
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got.neighbors[i].index, want[i].index) << context << " i=" << i;
-    EXPECT_EQ(got.neighbors[i].distance, want[i].distance)
-        << context << " i=" << i;
-  }
-  EXPECT_TRUE(got.stats == want_stats)
-      << context << ": distributed (" << got.stats.distance_computations
-      << ", " << got.stats.bounded_abandons << ", "
-      << got.stats.pivot_computations << ", " << got.stats.shards_degraded
-      << ") != in-process (" << want_stats.distance_computations << ", "
-      << want_stats.bounded_abandons << ", " << want_stats.pivot_computations
-      << ", " << want_stats.shards_degraded << ")";
-}
-
 // --- Contract 1: healthy bit-identity --------------------------------------
 
-TEST(ServeDistributedTest, HealthyLazyPathBitIdenticalAcrossWorkerCounts) {
-  Workload w = MakeWorkload(120, 8, 7100);
-  for (std::size_t shards : {1u, 2u, 4u, 8u}) {
-    Deployment dep(w.protos, shards, 8);
-    ServeRouter router(dep.dir.path, FastOptions());
-    ASSERT_EQ(router.shard_count(), shards);
-    ASSERT_EQ(router.size(), w.protos.size());
-    ASSERT_EQ(router.pivots(), dep.index->pivots());
-    for (const auto& q : w.queries) {
-      const std::string ctx = "S=" + std::to_string(shards) + " q=" + q;
-      QueryStats s1;
-      const NeighborResult a = dep.index->Nearest(q, &s1);
-      ExpectHealthyIdentical(router.Nearest(q), {a}, s1, ctx + " k=1");
+/// The healthy fleet at R = 2 over 1/2/4/8 workers, on the path matrix.
+PathMatrix FleetMatrix(const Workload& w) {
+  PathMatrix m;
+  m.protos = w.protos;
+  m.queries = w.queries;
+  m.pivots = 8;
+  m.shards = {1, 2, 4, 8};
+  m.replicas = {2};
+  return m;
+}
 
-      QueryStats sk;
-      const auto ka = dep.index->KNearest(q, 5, &sk);
-      ExpectHealthyIdentical(router.KNearest(q, 5), ka, sk, ctx + " k=5");
-    }
-  }
+TEST(ServeDistributedTest, HealthyLazyPathBitIdenticalAcrossWorkerCounts) {
+  PathMatrix m = FleetMatrix(MakeWorkload(120, 8, 7100));
+  m.ks = {1, 5};
+  RunPathMatrix(m);
 }
 
 TEST(ServeDistributedTest, HealthyBatchPathBitIdenticalAcrossWorkerCounts) {
-  Workload w = MakeWorkload(120, 8, 7200);
-  for (std::size_t shards : {1u, 2u, 4u, 8u}) {
-    Deployment dep(w.protos, shards, 8);
-    ServeRouter router(dep.dir.path, FastOptions());
-    const auto got = KNearestBatch(router, w.queries, 4);
-    ASSERT_EQ(got.size(), w.queries.size());
-    std::vector<double> row(dep.index->pivot_count());
-    for (std::size_t i = 0; i < w.queries.size(); ++i) {
-      QueryStats ref;
-      dep.index->ComputePivotRow(w.queries[i], row.data(), &ref);
-      const auto want =
-          dep.index->KNearestWithPivotRow(w.queries[i], 4, row.data(), &ref);
-      ExpectHealthyIdentical(got[i], want, ref,
-                             "S=" + std::to_string(shards) +
-                                 " q=" + w.queries[i]);
-    }
-  }
+  PathMatrix m = FleetMatrix(MakeWorkload(120, 8, 7200));
+  m.entries = {Entry::kRow};
+  m.ks = {4};
+  RunPathMatrix(m);
 }
 
 // --- Contract 2: flagged degradation ---------------------------------------
@@ -209,7 +149,7 @@ TEST(ServeDistributedTest, HealthyBatchPathBitIdenticalAcrossWorkerCounts) {
 TEST(ServeDistributedTest, CrashMidSweepDegradesExactlyThatShard) {
   Workload w = MakeWorkload(150, 3, 7300);
   Deployment dep(w.protos, 4, 8);
-  ServeOptions opt = FastOptions();
+  ServeOptions opt = TestServeOptions("dE");
   opt.fault_spec = "crash:shard=2,op=step,nth=2";
   opt.auto_respawn = false;
   ServeRouter router(dep.dir.path, opt);
@@ -233,14 +173,15 @@ TEST(ServeDistributedTest, CrashMidSweepDegradesExactlyThatShard) {
   EXPECT_TRUE(router.PingAll());
   QueryStats ref;
   const auto want = dep.index->KNearest(w.queries[1], 3, &ref);
-  ExpectHealthyIdentical(router.KNearest(w.queries[1], 3), want, ref,
-                         "post-respawn");
+  ExpectSameAnswer(AnswerOf(want, ref),
+                   ServeAnswer(router.KNearest(w.queries[1], 3)),
+                   "post-respawn");
 }
 
 TEST(ServeDistributedTest, UnresponsiveStepIsNeverRetriedAndDegrades) {
   Workload w = MakeWorkload(100, 2, 7400);
   Deployment dep(w.protos, 4, 8);
-  ServeOptions opt = FastOptions();
+  ServeOptions opt = TestServeOptions("dE");
   // The worker swallows one Step: the router must not resend a mutating
   // op — the shard is degraded on the first timeout.
   opt.fault_spec = "drop:shard=1,op=step,nth=1";
@@ -255,7 +196,7 @@ TEST(ServeDistributedTest, UnresponsiveStepIsNeverRetriedAndDegrades) {
 TEST(ServeDistributedTest, UnresponsiveIdempotentOpIsRetriedTransparently) {
   Workload w = MakeWorkload(100, 4, 7500);
   Deployment dep(w.protos, 4, 8);
-  ServeOptions opt = FastOptions();
+  ServeOptions opt = TestServeOptions("dE");
   // Dropped Eval and dropped BeginRow replies: both are idempotent, so
   // the retry path must absorb them with no effect on the answer.
   opt.fault_spec = "drop:shard=1,op=eval,nth=1|drop:shard=3,op=begin,nth=1";
@@ -263,8 +204,8 @@ TEST(ServeDistributedTest, UnresponsiveIdempotentOpIsRetriedTransparently) {
   for (const auto& q : w.queries) {
     QueryStats ref;
     const auto want = dep.index->KNearest(q, 3, &ref);
-    ExpectHealthyIdentical(router.KNearest(q, 3), want, ref,
-                           "retried q=" + q);
+    ExpectSameAnswer(AnswerOf(want, ref), ServeAnswer(router.KNearest(q, 3)),
+                     "retried q=" + q);
   }
   EXPECT_TRUE(router.PingAll());
 }
@@ -272,7 +213,7 @@ TEST(ServeDistributedTest, UnresponsiveIdempotentOpIsRetriedTransparently) {
 TEST(ServeDistributedTest, CorruptReplyIsTreatedAsDeadShard) {
   Workload w = MakeWorkload(100, 2, 7600);
   Deployment dep(w.protos, 4, 8);
-  ServeOptions opt = FastOptions();
+  ServeOptions opt = TestServeOptions("dE");
   opt.fault_spec = "corrupt:shard=0,op=step,nth=1";
   opt.auto_respawn = false;
   ServeRouter router(dep.dir.path, opt);
@@ -285,7 +226,7 @@ TEST(ServeDistributedTest, CorruptReplyIsTreatedAsDeadShard) {
 TEST(ServeDistributedTest, DeadlineExpiryReturnsFlaggedPartialIncumbents) {
   Workload w = MakeWorkload(200, 1, 7700);
   Deployment dep(w.protos, 4, 12);
-  ServeOptions opt = FastOptions();
+  ServeOptions opt = TestServeOptions("dE");
   // Every remote evaluation outsleeps the per-op window, so the retries
   // burn the whole budget: the sweep hits the deadline with candidates
   // still live and must hand back flagged incumbents, not block.
@@ -307,7 +248,7 @@ TEST(ServeDistributedTest, DeadlineExpiryReturnsFlaggedPartialIncumbents) {
 TEST(ServeDistributedTest, CrashMidBatchCostsOneQueryAndAutoRespawns) {
   Workload w = MakeWorkload(120, 6, 7800);
   Deployment dep(w.protos, 4, 8);
-  ServeOptions opt = FastOptions();
+  ServeOptions opt = TestServeOptions("dE");
   // The worker for shard 1 dies when query 3's BeginRow arrives; respawn
   // runs between queries, so exactly one answer in the batch is partial.
   opt.fault_spec = "crash:shard=1,op=begin,nth=3";
@@ -326,7 +267,8 @@ TEST(ServeDistributedTest, CrashMidBatchCostsOneQueryAndAutoRespawns) {
     dep.index->ComputePivotRow(w.queries[i], row.data(), &ref);
     const auto want =
         dep.index->KNearestWithPivotRow(w.queries[i], 3, row.data(), &ref);
-    ExpectHealthyIdentical(got[i], want, ref, "batch q=" + w.queries[i]);
+    ExpectSameAnswer(AnswerOf(want, ref), ServeAnswer(got[i]),
+                     "batch q=" + w.queries[i]);
   }
   EXPECT_EQ(partials, 1u);
   EXPECT_TRUE(AnyReplicaAlive(router, 1));
@@ -335,12 +277,12 @@ TEST(ServeDistributedTest, CrashMidBatchCostsOneQueryAndAutoRespawns) {
 TEST(ServeDistributedTest, KillNineOfWholeGroupIsSurvivedFlaggedAndRecovered) {
   Workload w = MakeWorkload(120, 5, 7900);
   Deployment dep(w.protos, 4, 8);
-  ServeRouter router(dep.dir.path, FastOptions());
+  ServeRouter router(dep.dir.path, TestServeOptions("dE"));
 
   QueryStats ref0;
   const auto want0 = dep.index->KNearest(w.queries[0], 3, &ref0);
-  ExpectHealthyIdentical(router.KNearest(w.queries[0], 3), want0, ref0,
-                         "pre-kill");
+  ExpectSameAnswer(AnswerOf(want0, ref0),
+                   ServeAnswer(router.KNearest(w.queries[0], 3)), "pre-kill");
 
   // A real kill -9 of shard 2's *entire replica group*, not an injected
   // fault: the workers vanish between queries and the router finds out
@@ -366,8 +308,9 @@ TEST(ServeDistributedTest, KillNineOfWholeGroupIsSurvivedFlaggedAndRecovered) {
   // again, under fresh pids.
   QueryStats ref2;
   const auto want2 = dep.index->KNearest(w.queries[2], 3, &ref2);
-  ExpectHealthyIdentical(router.KNearest(w.queries[2], 3), want2, ref2,
-                         "post-respawn");
+  ExpectSameAnswer(AnswerOf(want2, ref2),
+                   ServeAnswer(router.KNearest(w.queries[2], 3)),
+                   "post-respawn");
   EXPECT_TRUE(AnyReplicaAlive(router, 2));
   EXPECT_NE(router.replica_pid(2, router.primary_of(2)), victims[0]);
 }
@@ -377,7 +320,7 @@ TEST(ServeDistributedTest, KillNineOfWholeGroupIsSurvivedFlaggedAndRecovered) {
 TEST(ServeDistributedTest, EveryPrimaryCrashedMidSweepStaysExactUnflagged) {
   Workload w = MakeWorkload(150, 3, 8400);
   Deployment dep(w.protos, 4, 8);
-  ServeOptions opt = FastOptions();
+  ServeOptions opt = TestServeOptions("dE");
   // Each shard's *primary* (replica 0) crashes on its 2nd visit pass.
   // The standby holds bit-identical slab state, so every shard fails
   // over mid-sweep and the query must come back exact and unflagged.
@@ -388,7 +331,7 @@ TEST(ServeDistributedTest, EveryPrimaryCrashedMidSweepStaysExactUnflagged) {
   QueryStats ref;
   const auto want = dep.index->KNearest(w.queries[0], 3, &ref);
   const ServeResult r = router.KNearest(w.queries[0], 3);
-  ExpectHealthyIdentical(r, want, ref, "mid-sweep failover");
+  ExpectSameAnswer(AnswerOf(want, ref), ServeAnswer(r), "mid-sweep failover");
   EXPECT_EQ(r.failovers, 4u);
   for (std::size_t s = 0; s < 4; ++s) {
     EXPECT_EQ(router.primary_of(s), 1u) << "shard " << s;
@@ -401,14 +344,14 @@ TEST(ServeDistributedTest, EveryPrimaryCrashedMidSweepStaysExactUnflagged) {
   QueryStats ref1;
   const auto want1 = dep.index->KNearest(w.queries[1], 3, &ref1);
   const ServeResult r1 = router.KNearest(w.queries[1], 3);
-  ExpectHealthyIdentical(r1, want1, ref1, "post-failover");
+  ExpectSameAnswer(AnswerOf(want1, ref1), ServeAnswer(r1), "post-failover");
   EXPECT_EQ(r1.failovers, 0u);
 }
 
 TEST(ServeDistributedTest, EveryPrimaryCrashedMidBatchStaysExactUnflagged) {
   Workload w = MakeWorkload(150, 5, 8500);
   Deployment dep(w.protos, 4, 8);
-  ServeOptions opt = FastOptions();
+  ServeOptions opt = TestServeOptions("dE");
   opt.fault_spec = "crash:op=step,nth=2,replica=0";
   ServeRouter router(dep.dir.path, opt);
   const auto got = KNearestBatch(router, w.queries, 3);
@@ -420,8 +363,8 @@ TEST(ServeDistributedTest, EveryPrimaryCrashedMidBatchStaysExactUnflagged) {
     dep.index->ComputePivotRow(w.queries[i], row.data(), &ref);
     const auto want =
         dep.index->KNearestWithPivotRow(w.queries[i], 3, row.data(), &ref);
-    ExpectHealthyIdentical(got[i], want, ref,
-                           "batch failover q=" + w.queries[i]);
+    ExpectSameAnswer(AnswerOf(want, ref), ServeAnswer(got[i]),
+                     "batch failover q=" + w.queries[i]);
     failovers += got[i].failovers;
   }
   EXPECT_EQ(failovers, 4u);  // one promotion per shard, all in one query
@@ -430,12 +373,12 @@ TEST(ServeDistributedTest, EveryPrimaryCrashedMidBatchStaysExactUnflagged) {
 TEST(ServeDistributedTest, RealKillNineOfPrimaryFailsOverMidQuery) {
   Workload w = MakeWorkload(120, 5, 8600);
   Deployment dep(w.protos, 4, 8);
-  ServeRouter router(dep.dir.path, FastOptions());
+  ServeRouter router(dep.dir.path, TestServeOptions("dE"));
 
   QueryStats ref0;
   const auto want0 = dep.index->KNearest(w.queries[0], 3, &ref0);
-  ExpectHealthyIdentical(router.KNearest(w.queries[0], 3), want0, ref0,
-                         "pre-kill");
+  ExpectSameAnswer(AnswerOf(want0, ref0),
+                   ServeAnswer(router.KNearest(w.queries[0], 3)), "pre-kill");
 
   // A real kill -9 of shard 2's primary. The router has no idea until the
   // next query's scatter hits the dead socket — mid-query it promotes the
@@ -447,7 +390,8 @@ TEST(ServeDistributedTest, RealKillNineOfPrimaryFailsOverMidQuery) {
   QueryStats ref1;
   const auto want1 = dep.index->KNearest(w.queries[1], 3, &ref1);
   const ServeResult during = router.KNearest(w.queries[1], 3);
-  ExpectHealthyIdentical(during, want1, ref1, "kill -9 failover");
+  ExpectSameAnswer(AnswerOf(want1, ref1), ServeAnswer(during),
+                   "kill -9 failover");
   EXPECT_GE(during.failovers, 1u);
   EXPECT_TRUE(AnyReplicaAlive(router, 2));
   EXPECT_NE(router.replica_pid(2, router.primary_of(2)), victim);
@@ -456,8 +400,9 @@ TEST(ServeDistributedTest, RealKillNineOfPrimaryFailsOverMidQuery) {
   // rejoins at the next begin and the group is back to full strength.
   QueryStats ref2;
   const auto want2 = dep.index->KNearest(w.queries[2], 3, &ref2);
-  ExpectHealthyIdentical(router.KNearest(w.queries[2], 3), want2, ref2,
-                         "post-respawn");
+  ExpectSameAnswer(AnswerOf(want2, ref2),
+                   ServeAnswer(router.KNearest(w.queries[2], 3)),
+                   "post-respawn");
   EXPECT_TRUE(router.PingAll());
   for (std::size_t r = 0; r < router.replica_count(); ++r) {
     EXPECT_TRUE(router.replica_alive(2, r)) << "replica " << r;
@@ -467,7 +412,7 @@ TEST(ServeDistributedTest, RealKillNineOfPrimaryFailsOverMidQuery) {
 TEST(ServeDistributedTest, SlowPrimaryEvalsAreHedgedToTheStandby) {
   Workload w = MakeWorkload(120, 2, 8700);
   Deployment dep(w.protos, 4, 8);
-  ServeOptions opt = FastOptions();
+  ServeOptions opt = TestServeOptions("dE");
   // Shard 1's primary answers Evals 100ms late — well inside the op
   // timeout, so without hedging the query would simply crawl. With a
   // 10ms hedge delay the router races each such Eval to the standby and
@@ -482,7 +427,7 @@ TEST(ServeDistributedTest, SlowPrimaryEvalsAreHedgedToTheStandby) {
     QueryStats ref;
     const auto want = dep.index->KNearest(q, 3, &ref);
     const ServeResult r = router.KNearest(q, 3);
-    ExpectHealthyIdentical(r, want, ref, "hedged q=" + q);
+    ExpectSameAnswer(AnswerOf(want, ref), ServeAnswer(r), "hedged q=" + q);
     EXPECT_EQ(r.failovers, 0u);
     EXPECT_EQ(r.replicas_evicted, 0u);
     hedged += r.hedged_evals;
@@ -497,7 +442,7 @@ TEST(ServeDistributedTest, SlowPrimaryEvalsAreHedgedToTheStandby) {
 TEST(ServeDistributedTest, DisagreeingStandbyIsEvictedAndQueryStaysExact) {
   Workload w = MakeWorkload(120, 2, 8800);
   Deployment dep(w.protos, 4, 8);
-  ServeOptions opt = FastOptions();
+  ServeOptions opt = TestServeOptions("dE");
   // Shard 2's *standby* mangles its 3rd visit-pass reply: byte-wrong but
   // CRC-valid, so only the router's replica agreement check can catch
   // it. The primary's reply drives the merge — the answer stays exact —
@@ -509,7 +454,7 @@ TEST(ServeDistributedTest, DisagreeingStandbyIsEvictedAndQueryStaysExact) {
   QueryStats ref;
   const auto want = dep.index->KNearest(w.queries[0], 3, &ref);
   const ServeResult r = router.KNearest(w.queries[0], 3);
-  ExpectHealthyIdentical(r, want, ref, "mangled standby");
+  ExpectSameAnswer(AnswerOf(want, ref), ServeAnswer(r), "mangled standby");
   EXPECT_EQ(r.replicas_evicted, 1u);
   EXPECT_EQ(r.failovers, 0u);
   EXPECT_TRUE(router.replica_alive(2, 0));
@@ -520,7 +465,7 @@ TEST(ServeDistributedTest, DisagreeingStandbyIsEvictedAndQueryStaysExact) {
 TEST(ServeDistributedTest, AllShardsDeadReturnsAllMissingAscending) {
   Workload w = MakeWorkload(100, 2, 8900);
   Deployment dep(w.protos, 4, 8);
-  ServeOptions opt = FastOptions();
+  ServeOptions opt = TestServeOptions("dE");
   // Every replica of every shard crashes on its first begin: the whole
   // fleet is gone, and every shard is named, ascending. Both paths
   // evaluate their pivots router-side before the begin, so the answer
@@ -552,7 +497,7 @@ TEST(ServeDistributedTest, AllShardsDeadReturnsAllMissingAscending) {
 TEST(ServeDistributedTest, HealthLoopRevivesKilledReplicasInBackground) {
   Workload w = MakeWorkload(100, 2, 9000);
   Deployment dep(w.protos, 2, 6);
-  ServeOptions opt = FastOptions();
+  ServeOptions opt = TestServeOptions("dE");
   // Synchronous respawn off: only the background health loop can bring
   // the killed group back.
   opt.auto_respawn = false;
@@ -561,8 +506,8 @@ TEST(ServeDistributedTest, HealthLoopRevivesKilledReplicasInBackground) {
 
   QueryStats ref0;
   const auto want0 = dep.index->KNearest(w.queries[0], 3, &ref0);
-  ExpectHealthyIdentical(router.KNearest(w.queries[0], 3), want0, ref0,
-                         "pre-kill");
+  ExpectSameAnswer(AnswerOf(want0, ref0),
+                   ServeAnswer(router.KNearest(w.queries[0], 3)), "pre-kill");
 
   for (std::size_t r = 0; r < router.replica_count(); ++r) {
     const pid_t victim = router.replica_pid(1, r);
@@ -581,14 +526,15 @@ TEST(ServeDistributedTest, HealthLoopRevivesKilledReplicasInBackground) {
   EXPECT_TRUE(healthy);
   QueryStats ref1;
   const auto want1 = dep.index->KNearest(w.queries[1], 3, &ref1);
-  ExpectHealthyIdentical(router.KNearest(w.queries[1], 3), want1, ref1,
-                         "post-revival");
+  ExpectSameAnswer(AnswerOf(want1, ref1),
+                   ServeAnswer(router.KNearest(w.queries[1], 3)),
+                   "post-revival");
 }
 
 TEST(ServeDistributedTest, UnreplicatedTierStillServesExactlyAtROne) {
   Workload w = MakeWorkload(100, 3, 9100);
   Deployment dep(w.protos, 4, 8);
-  ServeOptions opt = FastOptions();
+  ServeOptions opt = TestServeOptions("dE");
   opt.replicas = 1;
   ServeRouter router(dep.dir.path, opt);
   ASSERT_EQ(router.replica_count(), 1u);
@@ -596,7 +542,7 @@ TEST(ServeDistributedTest, UnreplicatedTierStillServesExactlyAtROne) {
     QueryStats ref;
     const auto want = dep.index->KNearest(q, 3, &ref);
     const ServeResult r = router.KNearest(q, 3);
-    ExpectHealthyIdentical(r, want, ref, "R=1 q=" + q);
+    ExpectSameAnswer(AnswerOf(want, ref), ServeAnswer(r), "R=1 q=" + q);
     EXPECT_EQ(r.failovers, 0u);
     EXPECT_EQ(r.hedged_evals, 0u);
   }
@@ -605,7 +551,7 @@ TEST(ServeDistributedTest, UnreplicatedTierStillServesExactlyAtROne) {
 TEST(ServeDistributedTest, RefusedPrimaryBeginFailsOverWithoutEvictions) {
   Workload w = MakeWorkload(120, 1, 8850);
   Deployment dep(w.protos, 4, 8);
-  ServeOptions opt = FastOptions();
+  ServeOptions opt = TestServeOptions("dE");
   // Shard 2's *primary* mangles its first lazy-begin reply: CRC-valid, but
   // its survivor count is wrong, so the sweep machine refuses it. The
   // refusal must fall on the primary — the honest standby's reply drives
@@ -617,7 +563,8 @@ TEST(ServeDistributedTest, RefusedPrimaryBeginFailsOverWithoutEvictions) {
   QueryStats ref;
   const auto want = dep.index->KNearest(w.queries[0], 3, &ref);
   const ServeResult r = router.KNearest(w.queries[0], 3);
-  ExpectHealthyIdentical(r, want, ref, "refused primary begin");
+  ExpectSameAnswer(AnswerOf(want, ref), ServeAnswer(r),
+                   "refused primary begin");
   EXPECT_EQ(r.failovers, 1u);
   EXPECT_EQ(r.replicas_evicted, 0u);
   EXPECT_EQ(router.primary_of(2), 1u);
@@ -667,7 +614,7 @@ std::vector<double> PivotRow(const ServeRouter& router, const std::string& q) {
 TEST(ServeDistributedTest, DrivenSweepFailsOverMidSweepInsteadOfBailing) {
   Workload w = MakeWorkload(150, 1, 8500);
   Deployment dep(w.protos, 4, 8);
-  ServeOptions opt = FastOptions();
+  ServeOptions opt = TestServeOptions("dE");
   // Every primary crashes on its 2nd visit pass, inside this one sweep.
   opt.fault_spec = "crash:op=step,nth=2,replica=0";
   opt.auto_respawn = false;
@@ -682,7 +629,8 @@ TEST(ServeDistributedTest, DrivenSweepFailsOverMidSweepInsteadOfBailing) {
   std::vector<double> ref_row(dep.index->pivot_count());
   dep.index->ComputePivotRow(q, ref_row.data(), &ref);
   const auto want = dep.index->KNearestWithPivotRow(q, 3, ref_row.data(), &ref);
-  ExpectHealthyIdentical(feed.results[0], want, ref, "driven failover");
+  ExpectSameAnswer(AnswerOf(want, ref), ServeAnswer(feed.results[0]),
+                   "driven failover");
   EXPECT_EQ(feed.results[0].failovers, 4u);
   for (std::size_t s = 0; s < 4; ++s) {
     EXPECT_EQ(router.primary_of(s), 1u) << "shard " << s;
@@ -703,47 +651,35 @@ TEST(ServeDistributedTest, InvalidOptionsThrowNamingTheField) {
           << "message '" << e.what() << "' does not name " << field;
     }
   };
-  ServeOptions opt = FastOptions();
+  ServeOptions opt = TestServeOptions("dE");
   opt.replicas = 0;
   expect_invalid(opt, "replicas");
-  opt = FastOptions();
+  opt = TestServeOptions("dE");
   opt.op_timeout_ms = 0;
   expect_invalid(opt, "op_timeout_ms");
-  opt = FastOptions();
+  opt = TestServeOptions("dE");
   opt.query_deadline_ms = -5;
   expect_invalid(opt, "query_deadline_ms");
-  opt = FastOptions();
+  opt = TestServeOptions("dE");
   opt.op_retries = -1;
   expect_invalid(opt, "op_retries");
-  opt = FastOptions();
+  opt = TestServeOptions("dE");
   opt.backoff_base_ms = -1;
   expect_invalid(opt, "backoff_base_ms");
-  opt = FastOptions();
+  opt = TestServeOptions("dE");
   opt.health_interval_ms = -1;
   expect_invalid(opt, "health_interval_ms");
-  opt = FastOptions();
+  opt = TestServeOptions("dE");
   opt.distance = "";
   expect_invalid(opt, "distance");
 }
 
 // --- Satellite: degraded-mode determinism ----------------------------------
 
-void ExpectSameServeResult(const ServeResult& a, const ServeResult& b,
-                           const std::string& context) {
-  EXPECT_EQ(a.partial, b.partial) << context;
-  EXPECT_EQ(a.missing_shards, b.missing_shards) << context;
-  EXPECT_TRUE(a.stats == b.stats) << context;
-  ASSERT_EQ(a.neighbors.size(), b.neighbors.size()) << context;
-  for (std::size_t i = 0; i < a.neighbors.size(); ++i) {
-    EXPECT_EQ(a.neighbors[i].index, b.neighbors[i].index) << context;
-    EXPECT_EQ(a.neighbors[i].distance, b.neighbors[i].distance) << context;
-  }
-}
-
 TEST(ServeDistributedTest, DegradedLazyResultsAreDeterministicAcrossRuns) {
   Workload w = MakeWorkload(140, 5, 8000);
   Deployment dep(w.protos, 4, 8);
-  ServeOptions opt = FastOptions();
+  ServeOptions opt = TestServeOptions("dE");
   // A mixed schedule: one crash and one swallowed mutating op. Counted
   // per directive, the schedule is a pure function of the request
   // sequence — so two fresh routers over the same queries must degrade
@@ -761,7 +697,7 @@ TEST(ServeDistributedTest, DegradedLazyResultsAreDeterministicAcrossRuns) {
   ASSERT_EQ(first.size(), second.size());
   std::size_t partials = 0;
   for (std::size_t i = 0; i < first.size(); ++i) {
-    ExpectSameServeResult(first[i], second[i],
+    ExpectSameAnswer(ServeAnswer(first[i]), ServeAnswer(second[i]),
                           "lazy run q=" + w.queries[i]);
     partials += first[i].partial ? 1 : 0;
   }
@@ -771,7 +707,7 @@ TEST(ServeDistributedTest, DegradedLazyResultsAreDeterministicAcrossRuns) {
 TEST(ServeDistributedTest, DegradedBatchResultsAreDeterministicAcrossRuns) {
   Workload w = MakeWorkload(140, 6, 8100);
   Deployment dep(w.protos, 4, 8);
-  ServeOptions opt = FastOptions();
+  ServeOptions opt = TestServeOptions("dE");
   opt.fault_spec = "crash:shard=3,op=begin,nth=2";
   auto run = [&]() {
     ServeRouter router(dep.dir.path, opt);
@@ -782,7 +718,7 @@ TEST(ServeDistributedTest, DegradedBatchResultsAreDeterministicAcrossRuns) {
   ASSERT_EQ(first.size(), second.size());
   std::size_t partials = 0;
   for (std::size_t i = 0; i < first.size(); ++i) {
-    ExpectSameServeResult(first[i], second[i],
+    ExpectSameAnswer(ServeAnswer(first[i]), ServeAnswer(second[i]),
                           "batch run q=" + w.queries[i]);
     partials += first[i].partial ? 1 : 0;
   }
@@ -807,7 +743,7 @@ TEST(ServeDistributedTest, CorruptShardSnapshotNeverServes) {
     fputc(c ^ 0x40, f);
     fclose(f);
   }
-  ServeOptions opt = FastOptions();
+  ServeOptions opt = TestServeOptions("dE");
   opt.auto_respawn = false;
   ServeRouter router(dep.dir.path, opt);
   const ServeResult r = router.Nearest(w.queries[0]);
@@ -828,20 +764,20 @@ TEST(ServeDistributedTest, ExecFormWorkerBinaryServesIdentically) {
   }
   Workload w = MakeWorkload(100, 4, 8300);
   Deployment dep(w.protos, 3, 8);
-  ServeOptions opt = FastOptions();
+  ServeOptions opt = TestServeOptions("dE");
   opt.worker_binary = bin.string();
   ServeRouter router(dep.dir.path, opt);
   for (const auto& q : w.queries) {
     QueryStats ref;
     const auto want = dep.index->KNearest(q, 3, &ref);
-    ExpectHealthyIdentical(router.KNearest(q, 3), want, ref,
-                           "exec q=" + q);
+    ExpectSameAnswer(AnswerOf(want, ref), ServeAnswer(router.KNearest(q, 3)),
+                     "exec q=" + q);
   }
 }
 
 TEST(ServeDistributedTest, RouterRejectsMissingManifest) {
-  TempDir empty;
-  EXPECT_THROW(ServeRouter(empty.path, FastOptions()), std::exception);
+  TempDir empty("cned_serve_");
+  EXPECT_THROW(ServeRouter(empty.path, TestServeOptions("dE")), std::exception);
 }
 
 // --- Satellite: retry waits are gated by the query deadline -----------------
@@ -856,7 +792,7 @@ TEST(ServeDistributedTest, DeadlineGatesRetryWaitsToQueryBudget) {
   // partial) in deadline-order time, not op-timeout-order time.
   Workload w = MakeWorkload(80, 1, 9300);
   Deployment dep(w.protos, 2, 6);
-  ServeOptions opt = FastOptions();
+  ServeOptions opt = TestServeOptions("dE");
   opt.fault_spec = "drop:op=begin";
   opt.op_timeout_ms = 4000;
   opt.op_retries = 2;
@@ -913,7 +849,7 @@ void ExpectServesLiveOracle(const ServeResult& got,
 TEST(ServeDistributedTest, MutationsServeExactlyOnBothPathsReplicated) {
   Workload w = MakeWorkload(120, 5, 9400);
   Deployment dep(w.protos, 4, 8);
-  ServeRouter router(dep.dir.path, FastOptions());  // default R=2
+  ServeRouter router(dep.dir.path, TestServeOptions("dE"));  // default R=2
   auto dist = MakeDistance("dE");
 
   std::map<std::uint64_t, std::string> live;
@@ -967,7 +903,7 @@ TEST(ServeDistributedTest, MutationsServeExactlyOnBothPathsReplicated) {
 TEST(ServeDistributedTest, DrivenSweepsServeAMutatedWorldInsteadOfBailing) {
   Workload w = MakeWorkload(120, 4, 9450);
   Deployment dep(w.protos, 4, 8);
-  ServeRouter router(dep.dir.path, FastOptions());
+  ServeRouter router(dep.dir.path, TestServeOptions("dE"));
   auto dist = MakeDistance("dE");
 
   std::map<std::uint64_t, std::string> live;
@@ -1002,7 +938,7 @@ TEST(ServeDistributedTest, DrivenSweepsServeAMutatedWorldInsteadOfBailing) {
 TEST(ServeDistributedTest, MutationsServeExactlyAtROne) {
   Workload w = MakeWorkload(80, 4, 9500);
   Deployment dep(w.protos, 2, 6);
-  ServeOptions opt = FastOptions();
+  ServeOptions opt = TestServeOptions("dE");
   opt.replicas = 1;
   ServeRouter router(dep.dir.path, opt);
   auto dist = MakeDistance("dE");
@@ -1033,7 +969,7 @@ TEST(ServeDistributedTest, MutationsServeExactlyAtROne) {
 TEST(ServeDistributedTest, RespawnedReplicaReplaysJournalBeforeRejoining) {
   Workload w = MakeWorkload(100, 4, 9600);
   Deployment dep(w.protos, 2, 6);
-  ServeRouter router(dep.dir.path, FastOptions());
+  ServeRouter router(dep.dir.path, TestServeOptions("dE"));
   auto dist = MakeDistance("dE");
 
   std::map<std::uint64_t, std::string> live;
@@ -1090,7 +1026,7 @@ TEST(ServeDistributedTest, MutatedTierStaysExactAcrossPrecisionsAndKernels) {
     Deployment dep(w.protos, 2, 6, precision);
     for (const SweepKernels* kern : AvailableSweepKernels()) {
       ASSERT_TRUE(SetActiveSweepKernels(kern->name));
-      ServeRouter router(dep.dir.path, FastOptions());
+      ServeRouter router(dep.dir.path, TestServeOptions("dE"));
       const std::string ctx = std::string("precision ") +
                               std::to_string(static_cast<int>(precision)) +
                               " kernel " + kern->name;

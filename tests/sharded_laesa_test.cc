@@ -4,7 +4,8 @@
 // bit-identical for every registered distance (metric or not) and every
 // shard count — and the batch engine's two-stage pivot pipeline must be
 // bit-identical to its sequential per-query reference
-// (ComputePivotRow + *WithPivotRow).
+// (ComputePivotRow + *WithPivotRow). The cross-path cases run on the path
+// matrix (tests/path_matrix.h).
 
 #include "search/laesa.h"
 
@@ -22,6 +23,7 @@
 #include "distances/registry.h"
 #include "search/batch_engine.h"
 #include "search/exhaustive.h"
+#include "tests/path_matrix.h"
 
 namespace cned {
 namespace {
@@ -43,107 +45,42 @@ Workload MakeWorkload(std::size_t words, std::size_t queries,
   return w;
 }
 
-const std::size_t kShardCounts[] = {1, 2, 4, 8};
+/// The flat-vs-sharded matrix over `w` at every shard count.
+PathMatrix ShardMatrix(const Workload& w, std::size_t pivots) {
+  PathMatrix m;
+  m.protos = w.protos;
+  m.queries = w.queries;
+  m.pivots = pivots;
+  m.shards = {1, 2, 4, 8};
+  return m;
+}
 
 // Small sizes: the suite runs the cubic dC / dMV kernels too.
 TEST(ShardedLaesaTest, BitIdenticalToFlatForEveryDistance) {
-  Workload w = MakeWorkload(60, 15, 5100);
-  PrototypeStore flat_store(w.protos);
-  for (const auto& name : AllDistanceNames()) {
-    auto dist = MakeDistance(name);
-    Laesa flat(flat_store, dist, 8);
-    for (std::size_t shards : kShardCounts) {
-      ShardedPrototypeStore store(w.protos, shards);
-      Laesa sharded(store, dist, 8);
-      ASSERT_EQ(sharded.pivots(), flat.pivots()) << name << " S=" << shards;
-      for (const auto& q : w.queries) {
-        QueryStats fs, ss;
-        const NeighborResult a = flat.Nearest(q, &fs);
-        const NeighborResult b = sharded.Nearest(q, &ss);
-        EXPECT_EQ(a.index, b.index) << name << " S=" << shards << " q=" << q;
-        EXPECT_EQ(a.distance, b.distance) << name << " S=" << shards;
-        EXPECT_TRUE(fs == ss)
-            << name << " S=" << shards << " q=" << q << ": flat ("
-            << fs.distance_computations << ", " << fs.bounded_abandons << ", "
-            << fs.pivot_computations << ") != sharded ("
-            << ss.distance_computations << ", " << ss.bounded_abandons << ", "
-            << ss.pivot_computations << ")";
-
-        QueryStats fk, sk;
-        const auto ka = flat.KNearest(q, 5, &fk);
-        const auto kb = sharded.KNearest(q, 5, &sk);
-        ASSERT_EQ(ka.size(), kb.size()) << name << " S=" << shards;
-        for (std::size_t i = 0; i < ka.size(); ++i) {
-          EXPECT_EQ(ka[i].index, kb[i].index) << name << " S=" << shards;
-          EXPECT_EQ(ka[i].distance, kb[i].distance) << name << " S=" << shards;
-        }
-        EXPECT_TRUE(fk == sk) << name << " S=" << shards;
-      }
-    }
-  }
+  PathMatrix m = ShardMatrix(MakeWorkload(60, 15, 5100), 8);
+  m.distances = AllDistanceNames();
+  m.ks = {1, 5};
+  RunPathMatrix(m);
 }
 
 // The fig3 dictionary workload shape at a realistic size, on the cheap
 // kernels (the acceptance check for the sharded refactor).
 TEST(ShardedLaesaTest, Fig3DictionaryWorkloadIdentity) {
-  Workload w = MakeWorkload(500, 80, 5200);
-  PrototypeStore flat_store(w.protos);
-  for (const char* name : {"dE", "dYB", "dmax"}) {
-    auto dist = MakeDistance(name);
-    for (std::size_t pivots : {10u, 40u}) {
-      Laesa flat(flat_store, dist, pivots);
-      for (std::size_t shards : kShardCounts) {
-        ShardedPrototypeStore store(w.protos, shards);
-        Laesa sharded(store, dist, pivots);
-        QueryStats fs, ss;
-        for (const auto& q : w.queries) {
-          const NeighborResult a = flat.Nearest(q, &fs);
-          const NeighborResult b = sharded.Nearest(q, &ss);
-          ASSERT_EQ(a.index, b.index)
-              << name << " pivots=" << pivots << " S=" << shards;
-          ASSERT_EQ(a.distance, b.distance);
-        }
-        EXPECT_TRUE(fs == ss) << name << " pivots=" << pivots
-                              << " S=" << shards;
-      }
-    }
+  const Workload w = MakeWorkload(500, 80, 5200);
+  for (std::size_t pivots : {10u, 40u}) {
+    PathMatrix m = ShardMatrix(w, pivots);
+    m.distances = {"dE", "dYB", "dmax"};
+    RunPathMatrix(m);
   }
 }
 
 TEST(ShardedLaesaTest, WithPivotRowMatchesFlatWithPivotRow) {
-  Workload w = MakeWorkload(60, 12, 5300);
-  PrototypeStore flat_store(w.protos);
-  for (const auto& name : AllDistanceNames()) {
-    auto dist = MakeDistance(name);
-    Laesa flat(flat_store, dist, 6);
-    for (std::size_t shards : {2u, 4u}) {
-      ShardedPrototypeStore store(w.protos, shards);
-      Laesa sharded(store, dist, 6);
-      std::vector<double> row_a(flat.pivot_count());
-      std::vector<double> row_b(sharded.pivot_count());
-      for (const auto& q : w.queries) {
-        QueryStats fs, ss;
-        flat.ComputePivotRow(q, row_a.data(), &fs);
-        sharded.ComputePivotRow(q, row_b.data(), &ss);
-        ASSERT_EQ(row_a, row_b) << name;
-        const NeighborResult a =
-            flat.KNearestWithPivotRow(q, 1, row_a.data(), &fs).at(0);
-        const NeighborResult b =
-            sharded.KNearestWithPivotRow(q, 1, row_b.data(), &ss).at(0);
-        EXPECT_EQ(a.index, b.index) << name << " S=" << shards;
-        EXPECT_EQ(a.distance, b.distance) << name << " S=" << shards;
-        EXPECT_TRUE(fs == ss) << name << " S=" << shards;
-
-        const auto ka = flat.KNearestWithPivotRow(q, 4, row_a.data());
-        const auto kb = sharded.KNearestWithPivotRow(q, 4, row_b.data());
-        ASSERT_EQ(ka.size(), kb.size()) << name;
-        for (std::size_t i = 0; i < ka.size(); ++i) {
-          EXPECT_EQ(ka[i].index, kb[i].index) << name;
-          EXPECT_EQ(ka[i].distance, kb[i].distance) << name;
-        }
-      }
-    }
-  }
+  PathMatrix m = ShardMatrix(MakeWorkload(60, 12, 5300), 6);
+  m.distances = AllDistanceNames();
+  m.shards = {2, 4};
+  m.entries = {Entry::kRow};
+  m.ks = {1, 4};
+  RunPathMatrix(m);
 }
 
 // The per-shard passes fan out through ParallelFor only once their work
@@ -154,54 +91,23 @@ TEST(ShardedLaesaTest, WithPivotRowMatchesFlatWithPivotRow) {
 // threaded schedule is held to the flat index's results and QueryStats.
 TEST(ShardedLaesaTest, ParallelShardPassesMatchFlat) {
   Rng rng(6100);
-  std::vector<std::string> protos((std::size_t{1} << 20) + 4096);
-  for (std::string& s : protos) {
+  PathMatrix m;
+  m.protos.resize((std::size_t{1} << 20) + 4096);
+  for (std::string& s : m.protos) {
     s.resize(static_cast<std::size_t>(rng.UniformInt(1, 8)));
     for (char& c : s) c = static_cast<char>('a' + rng.UniformInt(0, 3));
   }
   // Queries may carry a fifth letter, so exact hits are not guaranteed.
-  std::vector<std::string> queries(3);
-  for (std::string& q : queries) {
+  m.queries.resize(3);
+  for (std::string& q : m.queries) {
     q.resize(static_cast<std::size_t>(rng.UniformInt(4, 8)));
     for (char& c : q) c = static_cast<char>('a' + rng.UniformInt(0, 4));
   }
-  auto dist = MakeDistance("dE");
-  PrototypeStore flat_store(protos);
-  Laesa flat(flat_store, dist, 2);
-  std::vector<double> row(flat.pivot_count());
-  for (std::size_t shards : {2u, 4u}) {
-    ShardedPrototypeStore store(protos, shards);
-    Laesa sharded(store, dist, 2);
-    ASSERT_EQ(sharded.pivots(), flat.pivots()) << "S=" << shards;
-    for (const auto& q : queries) {
-      for (std::size_t k : {1u, 5u}) {
-        const std::string ctx =
-            "S=" + std::to_string(shards) + " k=" + std::to_string(k) +
-            " q=" + q;
-        QueryStats fs, ss;
-        const auto a = flat.KNearest(q, k, &fs);
-        const auto b = sharded.KNearest(q, k, &ss);
-        ASSERT_EQ(a.size(), b.size()) << ctx;
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          EXPECT_EQ(a[i].index, b[i].index) << ctx;
-          EXPECT_EQ(a[i].distance, b[i].distance) << ctx;
-        }
-        EXPECT_TRUE(fs == ss) << ctx << " (lazy)";
-
-        QueryStats fr, sr;
-        flat.ComputePivotRow(q, row.data(), &fr);
-        sr = fr;
-        const auto ra = flat.KNearestWithPivotRow(q, k, row.data(), &fr);
-        const auto rb = sharded.KNearestWithPivotRow(q, k, row.data(), &sr);
-        ASSERT_EQ(ra.size(), rb.size()) << ctx;
-        for (std::size_t i = 0; i < ra.size(); ++i) {
-          EXPECT_EQ(ra[i].index, rb[i].index) << ctx;
-          EXPECT_EQ(ra[i].distance, rb[i].distance) << ctx;
-        }
-        EXPECT_TRUE(fr == sr) << ctx << " (row)";
-      }
-    }
-  }
+  m.pivots = 2;
+  m.shards = {2, 4};
+  m.entries = {Entry::kLazy, Entry::kRow};
+  m.ks = {1, 5};
+  RunPathMatrix(m);
 }
 
 TEST(ShardedLaesaTest, KNearestDistancesMatchExhaustive) {
@@ -239,54 +145,19 @@ TEST(ShardedLaesaTest, PerShardStatsSumToMergedStats) {
 }
 
 TEST(ShardedLaesaTest, EnginePivotStageMatchesSequentialReference) {
-  Workload w = MakeWorkload(200, 0, 5600);
+  PathMatrix m = ShardMatrix(MakeWorkload(200, 0, 5600), 10);
   Rng rng(5601);
   // Distinct query strings: stage deduplication is a no-op, so the merged
   // engine stats must equal the sequential two-stage sums exactly.
-  auto queries_vec = MakeQueries(w.protos, 25, 3, Alphabet::Latin(), rng);
-  std::sort(queries_vec.begin(), queries_vec.end());
-  queries_vec.erase(std::unique(queries_vec.begin(), queries_vec.end()),
-                    queries_vec.end());
-  PrototypeStore queries(queries_vec);
-  for (const char* name : {"dE", "dYB"}) {
-    auto dist = MakeDistance(name);
-    ShardedPrototypeStore store(w.protos, 4);
-    Laesa sharded(store, dist, 10);
-
-    QueryStats seq_stats;
-    std::vector<double> row(sharded.pivot_count());
-    std::vector<NeighborResult> sequential(queries.size());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      sharded.ComputePivotRow(queries[i], row.data(), &seq_stats);
-      sequential[i] =
-          sharded.KNearestWithPivotRow(queries[i], 1, row.data(), &seq_stats)
-              .at(0);
-    }
-
-    for (std::size_t threads : {std::size_t{0}, std::size_t{1},
-                                std::size_t{3}}) {
-      BatchQueryEngine::Options opt;
-      opt.threads = threads;
-      opt.pivot_stage = true;
-      BatchQueryEngine engine(sharded, opt);
-      QueryStats batch_stats;
-      auto batched = engine.Nearest(queries, &batch_stats);
-      ASSERT_EQ(batched.size(), sequential.size()) << name;
-      for (std::size_t i = 0; i < batched.size(); ++i) {
-        EXPECT_EQ(batched[i].index, sequential[i].index)
-            << name << " threads=" << threads << " q=" << i;
-        EXPECT_EQ(batched[i].distance, sequential[i].distance) << name;
-      }
-      EXPECT_TRUE(batch_stats == seq_stats)
-          << name << " threads=" << threads << ": batched ("
-          << batch_stats.distance_computations << ", "
-          << batch_stats.bounded_abandons << ", "
-          << batch_stats.pivot_computations << ") != sequential ("
-          << seq_stats.distance_computations << ", "
-          << seq_stats.bounded_abandons << ", "
-          << seq_stats.pivot_computations << ")";
-    }
-  }
+  m.queries = MakeQueries(m.protos, 25, 3, Alphabet::Latin(), rng);
+  std::sort(m.queries.begin(), m.queries.end());
+  m.queries.erase(std::unique(m.queries.begin(), m.queries.end()),
+                  m.queries.end());
+  m.distances = {"dE", "dYB"};
+  m.shards = {4};
+  m.entries = {Entry::kRow, Entry::kBatch};
+  m.threads = {0, 1, 3};
+  RunPathMatrix(m);
 }
 
 TEST(ShardedLaesaTest, EnginePivotStageDeduplicatesRepeatedQueries) {
@@ -320,58 +191,28 @@ TEST(ShardedLaesaTest, EnginePivotStageDeduplicatesRepeatedQueries) {
   }
 }
 
+// The plain engine reports global ids, its merged stats and each shard's
+// (one entry for a flat index); a searcher without segments cannot.
 TEST(ShardedLaesaTest, EngineShardStatsMatchDirectCalls) {
-  Workload w = MakeWorkload(200, 20, 5800);
-  auto dist = MakeDistance("dE");
-  ShardedPrototypeStore store(w.protos, 4);
-  Laesa sharded(store, dist, 10);
-  PrototypeStore queries(w.queries);
+  PathMatrix m = ShardMatrix(MakeWorkload(200, 20, 5800), 10);
+  m.shards = {4};
+  m.entries = {Entry::kBatchLazy};
+  m.segments = true;
+  RunPathMatrix(m);
 
-  std::vector<QueryStats> expected(sharded.shard_count());
-  for (const auto& q : w.queries) {
-    (void)sharded.KNearest(q, 1, nullptr, expected.data());
-  }
-
-  BatchQueryEngine engine(sharded);
-  QueryStats merged;
-  std::vector<QueryStats> shard_stats;
-  (void)engine.Nearest(queries, &merged, &shard_stats);
-  ASSERT_EQ(shard_stats.size(), expected.size());
-  for (std::size_t s = 0; s < expected.size(); ++s) {
-    EXPECT_TRUE(shard_stats[s] == expected[s]) << "shard " << s;
-  }
-
-  // An S = 1 index reports its one segment.
-  PrototypeStore flat_store(w.protos);
-  Laesa flat(flat_store, dist, 10);
-  QueryStats one;
-  for (const auto& q : w.queries) (void)flat.KNearest(q, 1, nullptr, &one);
-  std::vector<QueryStats> flat_stats;
-  (void)BatchQueryEngine(flat).Nearest(queries, nullptr, &flat_stats);
-  ASSERT_EQ(flat_stats.size(), 1u);
-  EXPECT_TRUE(flat_stats[0] == one);
-
-  ExhaustiveSearch exhaustive(w.protos, dist);
+  ExhaustiveSearch exhaustive(m.protos, MakeDistance("dE"));
   BatchQueryEngine exhaustive_engine(exhaustive);
   std::vector<QueryStats> bad;
-  EXPECT_THROW(exhaustive_engine.Nearest(queries, nullptr, &bad),
+  EXPECT_THROW(exhaustive_engine.Nearest(m.queries, nullptr, &bad),
                std::invalid_argument);
 }
 
 TEST(ShardedLaesaTest, EngineNearestReportsGlobalIds) {
-  Workload w = MakeWorkload(120, 15, 5900);
-  auto dist = MakeDistance("dYB");
-  ShardedPrototypeStore store(w.protos, 3);
-  Laesa sharded(store, dist, 8);
-  PrototypeStore queries(w.queries);
-
-  const auto batched = BatchQueryEngine(sharded).Nearest(queries);
-  ASSERT_EQ(batched.size(), w.queries.size());
-  for (std::size_t i = 0; i < w.queries.size(); ++i) {
-    const NeighborResult want = sharded.Nearest(w.queries[i]);
-    EXPECT_EQ(batched[i].index, want.index) << i;
-    EXPECT_EQ(batched[i].distance, want.distance) << i;
-  }
+  PathMatrix m = ShardMatrix(MakeWorkload(120, 15, 5900), 8);
+  m.distances = {"dYB"};
+  m.shards = {3};
+  m.entries = {Entry::kBatchLazy};
+  RunPathMatrix(m);
 }
 
 TEST(ShardedLaesaTest, RejectsEmptyStoreAndZeroPivots) {

@@ -1,12 +1,13 @@
 #ifndef CNED_TESTS_SNAPSHOT_TEST_UTIL_H_
 #define CNED_TESTS_SNAPSHOT_TEST_UTIL_H_
 
-// Shared scratch-file and workload helpers for the snapshot-format tests
-// (serialization_test, mapped_index_test): one implementation, so fixes to
-// the temp-file naming or the dictionary workload reach every suite.
+// Shared test helpers: scratch files and directories, the dictionary
+// workload, snapshot byte edits and the sweep-kernel guard. One
+// implementation, so a fix to any of them reaches every suite.
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include "common/binary_io.h"
 #include "common/crc32.h"
 #include "datasets/dictionary_gen.h"
+#include "search/sweep_kernel.h"
 
 namespace cned {
 
@@ -43,6 +45,36 @@ class TempFile {
 
  private:
   std::string path_;
+};
+
+/// Fresh scratch directory `<prefix>XXXXXX` under the test temp dir,
+/// removed with its contents on destruction.
+class TempDir {
+ public:
+  explicit TempDir(const std::string& prefix) {
+    std::string tmpl = std::string(::testing::TempDir()) + prefix + "XXXXXX";
+    const char* p = mkdtemp(tmpl.data());
+    EXPECT_NE(p, nullptr) << tmpl;
+    if (p != nullptr) path = p;
+  }
+  ~TempDir() {
+    if (!path.empty()) std::filesystem::remove_all(path);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  std::string path;
+};
+
+/// Restores the startup-active sweep-kernel variant when a test is done
+/// forcing one.
+class KernelGuard {
+ public:
+  KernelGuard() : saved_(ActiveSweepKernels().name) {}
+  ~KernelGuard() { SetActiveSweepKernels(saved_); }
+
+ private:
+  std::string saved_;
 };
 
 inline std::vector<char> ReadAll(const std::string& path) {

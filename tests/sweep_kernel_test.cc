@@ -5,13 +5,13 @@
 // 0-9/odd/non-multiple-of-the-lane-width, +inf bounds left by eliminated
 // slots, present and absent skip candidates, the survivor stream's
 // bucket keys under degenerate maps, and the blocked row application for
-// every group size against the per-row calls — and
-// at the index level, where `Laesa` over one segment and over S shards
-// (including the batch engine's pivot-stage path) must answer with
-// identical neighbours, distances AND QueryStats under every kernel. The
-// quantized entries (search/table_quant.h) get the same bitwise
-// differential treatment plus an admissibility property test:
-// g_q <= |d - t| elementwise at every precision, for rows the
+// every group size against the per-row calls — and at the index level,
+// where `Laesa` over one segment and over S shards (including the batch
+// engine's pivot-stage path) must answer with identical neighbours,
+// distances AND QueryStats under every kernel (the path matrix,
+// tests/path_matrix.h). The quantized entries (search/table_quant.h) get
+// the same bitwise differential treatment plus an admissibility property
+// test: g_q <= |d - t| elementwise at every precision, for rows the
 // QuantRowEncoder actually produces.
 //
 // The suite runs the same assertions regardless of which variant is
@@ -32,30 +32,16 @@
 
 #include "common/rng.h"
 #include "datasets/perturb.h"
-#include "datasets/prototype_store.h"
-#include "datasets/sharded_prototype_store.h"
-#include "distances/registry.h"
-#include "search/batch_engine.h"
-#include "search/laesa.h"
 #include "search/sweep_kernel.h"
 #include "search/table_quant.h"
 #include "tests/packed_row_update.h"
+#include "tests/path_matrix.h"
 #include "tests/snapshot_test_util.h"
 
 namespace cned {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Restores the startup-active kernel variant when a test is done forcing.
-class KernelGuard {
- public:
-  KernelGuard() : saved_(ActiveSweepKernels().name) {}
-  ~KernelGuard() { SetActiveSweepKernels(saved_); }
-
- private:
-  std::string saved_;
-};
 
 /// Non-scalar variants to check against the scalar reference.
 std::vector<const SweepKernels*> VariantKernels() {
@@ -277,42 +263,6 @@ TEST(SweepKernelTest, DispatchRoundTripAndForcedScalar) {
     EXPECT_TRUE(SetActiveSweepKernels(k->name)) << k->name;
     EXPECT_EQ(std::string_view(ActiveSweepKernels().name),
               std::string_view(k->name));
-  }
-}
-
-/// Everything one query answers across the index entry points.
-struct Probe {
-  NeighborResult nearest;
-  std::vector<NeighborResult> knn;
-  std::vector<NeighborResult> staged_knn;
-  QueryStats stats;
-};
-
-Probe ProbeLaesa(const Laesa& index, std::string_view q) {
-  Probe p;
-  p.nearest = index.Nearest(q, &p.stats);
-  p.knn = index.KNearest(q, 3, &p.stats);
-  std::vector<double> row(index.pivot_count());
-  index.ComputePivotRow(q, row.data(), &p.stats);
-  p.staged_knn = index.KNearestWithPivotRow(q, 3, row.data(), &p.stats);
-  return p;
-}
-
-void ExpectIdentical(const Probe& a, const Probe& b, const std::string& ctx) {
-  EXPECT_EQ(a.nearest.index, b.nearest.index) << ctx;
-  EXPECT_EQ(a.nearest.distance, b.nearest.distance) << ctx;
-  EXPECT_TRUE(a.stats == b.stats)
-      << ctx << " computations " << a.stats.distance_computations << " vs "
-      << b.stats.distance_computations;
-  ASSERT_EQ(a.knn.size(), b.knn.size()) << ctx;
-  for (std::size_t i = 0; i < a.knn.size(); ++i) {
-    EXPECT_EQ(a.knn[i].index, b.knn[i].index) << ctx << " k-rank " << i;
-    EXPECT_EQ(a.knn[i].distance, b.knn[i].distance) << ctx << " k-rank " << i;
-  }
-  ASSERT_EQ(a.staged_knn.size(), b.staged_knn.size()) << ctx;
-  for (std::size_t i = 0; i < a.staged_knn.size(); ++i) {
-    EXPECT_EQ(a.staged_knn[i].index, b.staged_knn[i].index) << ctx;
-    EXPECT_EQ(a.staged_knn[i].distance, b.staged_knn[i].distance) << ctx;
   }
 }
 
@@ -590,74 +540,29 @@ TEST(SweepKernelTest, QuantizedBoundsAreAdmissible) {
 }
 
 TEST(SweepKernelIndexTest, FlatIndexBitIdenticalAcrossKernels) {
-  KernelGuard guard;
-  const auto words = Words(220, 20260731);
-  PrototypeStore store(words);
+  PathMatrix m;
+  m.protos = Words(220, 20260731);
   Rng rng(4242);
-  const auto queries = MakeQueries(words, 12, 2, Alphabet::Latin(), rng);
-
-  for (const char* dist_name : {"dE", "dYB", "dmax"}) {
-    auto dist = MakeDistance(dist_name);
-    Laesa index(store, dist, 7);
-
-    ASSERT_TRUE(SetActiveSweepKernels("scalar"));
-    std::vector<Probe> ref;
-    for (const auto& q : queries) ref.push_back(ProbeLaesa(index, q));
-    for (const SweepKernels* k : VariantKernels()) {
-      ASSERT_TRUE(SetActiveSweepKernels(k->name));
-      for (std::size_t i = 0; i < queries.size(); ++i) {
-        const std::string ctx = std::string(dist_name) + " kernel " +
-                                k->name + " q=" + queries[i];
-        ExpectIdentical(ref[i], ProbeLaesa(index, queries[i]), ctx);
-      }
-    }
-  }
+  m.queries = MakeQueries(m.protos, 12, 2, Alphabet::Latin(), rng);
+  m.distances = {"dE", "dYB", "dmax"};
+  m.pivots = 7;
+  m.kernels = true;
+  m.entries = {Entry::kLazy, Entry::kRow};
+  m.ks = {1, 3};
+  RunPathMatrix(m);
 }
 
 TEST(SweepKernelIndexTest, ShardedIndexAndEngineBitIdenticalAcrossKernels) {
-  KernelGuard guard;
-  const auto words = Words(180, 20260801);
+  PathMatrix m;
+  m.protos = Words(180, 20260801);
   Rng rng(777);
-  const auto query_vec = MakeQueries(words, 10, 2, Alphabet::Latin(), rng);
-  PrototypeStore queries(query_vec);
-
-  for (const char* dist_name : {"dE", "dYB"}) {
-    auto dist = MakeDistance(dist_name);
-    for (std::size_t shards : {1u, 3u, 4u}) {
-      ShardedPrototypeStore store(words, shards);
-      Laesa index(store, dist, 6);
-      BatchQueryEngine::Options opt;
-      opt.pivot_stage = true;
-      BatchQueryEngine engine(index, opt);
-
-      ASSERT_TRUE(SetActiveSweepKernels("scalar"));
-      std::vector<Probe> ref;
-      for (const auto& q : query_vec) ref.push_back(ProbeLaesa(index, q));
-      QueryStats ref_stats;
-      const auto ref_batch = engine.Nearest(queries, &ref_stats);
-
-      for (const SweepKernels* k : VariantKernels()) {
-        ASSERT_TRUE(SetActiveSweepKernels(k->name));
-        for (std::size_t i = 0; i < query_vec.size(); ++i) {
-          const std::string ctx = std::string(dist_name) + " S=" +
-                                  std::to_string(shards) + " kernel " +
-                                  k->name + " q=" + query_vec[i];
-          ExpectIdentical(ref[i], ProbeLaesa(index, query_vec[i]), ctx);
-        }
-        QueryStats got_stats;
-        const auto got_batch = engine.Nearest(queries, &got_stats);
-        EXPECT_TRUE(ref_stats == got_stats)
-            << dist_name << " S=" << shards << " kernel " << k->name;
-        ASSERT_EQ(ref_batch.size(), got_batch.size());
-        for (std::size_t i = 0; i < ref_batch.size(); ++i) {
-          EXPECT_EQ(ref_batch[i].index, got_batch[i].index)
-              << dist_name << " S=" << shards << " kernel " << k->name;
-          EXPECT_EQ(ref_batch[i].distance, got_batch[i].distance)
-              << dist_name << " S=" << shards << " kernel " << k->name;
-        }
-      }
-    }
-  }
+  m.queries = MakeQueries(m.protos, 10, 2, Alphabet::Latin(), rng);
+  m.distances = {"dE", "dYB"};
+  m.shards = {1, 3, 4};
+  m.kernels = true;
+  m.entries = {Entry::kLazy, Entry::kRow, Entry::kBatch};
+  m.ks = {1, 3};
+  RunPathMatrix(m);
 }
 
 }  // namespace

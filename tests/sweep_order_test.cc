@@ -41,6 +41,7 @@
 #include "search/sweep_kernel.h"
 #include "search/table_quant.h"
 #include "tests/packed_row_update.h"
+#include "tests/path_matrix.h"
 
 namespace cned {
 namespace {
@@ -296,16 +297,7 @@ std::vector<QueryStats> ShardSplit(const RefResult& r,
 
 void ExpectSame(const RefResult& ref, const std::vector<NeighborResult>& got,
                 const QueryStats& stats, const std::string& what) {
-  ASSERT_EQ(ref.best.size(), got.size()) << what;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(ref.best[i].index, got[i].index) << what << " rank " << i;
-    EXPECT_EQ(ref.best[i].distance, got[i].distance) << what << " rank " << i;
-  }
-  EXPECT_TRUE(ref.stats == stats)
-      << what << ": reference (" << ref.stats.distance_computations << ", "
-      << ref.stats.bounded_abandons << ", " << ref.stats.pivot_computations
-      << ") != index (" << stats.distance_computations << ", "
-      << stats.bounded_abandons << ", " << stats.pivot_computations << ")";
+  ExpectSameAnswer(AnswerOf(ref.best, ref.stats), AnswerOf(got, stats), what);
 }
 
 // Tie-heavy data: short strings over {a, b}, every one of the first third
