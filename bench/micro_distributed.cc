@@ -173,11 +173,11 @@ int Run() {
         << p99_ms.back() << " ms\n";
 
     if (shards == 4) {
-      // One slow shard: every 10th Step on shard 3 sleeps a millisecond —
+      // One slow shard: every 2nd eval on shard 3 sleeps a millisecond —
       // a straggler, not a dead worker. Results stay exact; only the tail
-      // pays (a sweep is hundreds of steps, so queries slow visibly).
+      // pays (a sweep is hundreds of visits, so queries slow visibly).
       ServeOptions slow_opt = opt;
-      slow_opt.fault_spec = "delay:shard=3,op=step,every=10,ms=1";
+      slow_opt.fault_spec = "delay:shard=3,op=eval,every=2,ms=1";
       ServeRouter slow(dir.path, slow_opt);
       std::vector<double> slow_samples;
       const std::size_t slow_queries = std::min<std::size_t>(8, queries.size());
@@ -195,7 +195,7 @@ int Run() {
 
       // One crashed shard: the answer must be flagged, not silently wrong.
       ServeOptions crash_opt = opt;
-      crash_opt.fault_spec = "crash:shard=1,op=step,nth=1";
+      crash_opt.fault_spec = "crash:shard=1,op=eval,nth=1";
       crash_opt.auto_respawn = false;
       ServeRouter crashed(dir.path, crash_opt);
       const ServeResult got = crashed.KNearest(queries[0], k);
@@ -208,8 +208,8 @@ int Run() {
 
       // --- Replica groups (R=2) ---------------------------------------
 
-      // Healthy replication overhead: every mutating op now fans out to
-      // two processes per shard and waits for both.
+      // Healthy replication overhead: every begin now fans out to two
+      // processes per shard and waits for both.
       ServeOptions rep_opt = opt;
       rep_opt.replicas = 2;
       {
@@ -230,13 +230,13 @@ int Run() {
             << replicated_p99 << " ms\n";
       }
 
-      // Failover latency: shard 2's primary is killed on its 5th visit
-      // pass; the standby is promoted mid-sweep and the answer must stay
+      // Failover latency: shard 2's primary is killed on its 5th eval;
+      // the standby is promoted mid-sweep and the answer must stay
       // bit-identical and unflagged. The reported time is that one
       // query, end to end — promotion cost included.
       {
         ServeOptions fo_opt = rep_opt;
-        fo_opt.fault_spec = "crash:shard=2,op=step,nth=5,replica=0";
+        fo_opt.fault_spec = "crash:shard=2,op=eval,nth=5,replica=0";
         fo_opt.auto_respawn = false;
         ServeRouter fo(dir.path, fo_opt);
         Stopwatch w;
@@ -255,8 +255,8 @@ int Run() {
       // lost reply costs a full op timeout plus the retry; hedged, the
       // router races the standby after 5ms and takes its identical
       // answer. (A *delay* fault would not show the win: the worker is
-      // single-threaded, so a sleeping primary stalls the next Step
-      // broadcast by the same amount whether or not the Eval was hedged.
+      // single-threaded, so a sleeping primary stalls the next request it
+      // is sent by the same amount whether or not the Eval was hedged.
       // Hedging pays for lost or stalled replies, not for a uniformly
       // slow replica.)
       {

@@ -114,13 +114,12 @@ class SweepIncumbents {
   QueryStats stats_;
 };
 
-/// Folds one segment's compact result into `acc`, segments in base order:
-/// live counts add up, and the minima merge with strict '<', so the first
-/// occurrence — the lowest global id among equal keys — wins, as in one
-/// packed scan over [0, N). Start from a default `acc`.
+/// Folds one segment's stream head into `acc`, segments in base order:
+/// the minima merge with strict '<', so the first occurrence — the lowest
+/// global id among equal keys — wins, as in one packed scan over [0, N).
+/// Start from a default `acc`.
 inline void FoldSegmentMinima(const SweepCompactResult& seg,
                               SweepCompactResult* acc) {
-  acc->live += seg.live;
   if (seg.next != kSweepNone && seg.next_key < acc->next_key) {
     acc->next = seg.next;
     acc->next_key = seg.next_key;
@@ -179,8 +178,9 @@ struct PivotRow {
 /// Applies `rows` rows of segment `seg`'s table to `queries` (at most
 /// `kMaxRowQueries`) dense bound slabs indexed by local slot, in one pass
 /// over the table (`update_lower_rows`): row ranks[r] with d[r * queries +
-/// b] to lower[b]. The in-process sweeps then count the slabs into their
-/// survivor streams; the serve worker compacts its one slab.
+/// b] to lower[b]. Every sweep then counts its slabs into its survivor
+/// stream: the in-process sweeps over their segments, the serve worker
+/// over its one.
 void ApplyPivotRows(const SweepSegment& seg, const std::size_t* ranks,
                     std::size_t rows, const double* d, std::size_t queries,
                     double* const* lower);

@@ -387,6 +387,36 @@ void SurvivorStream::Scatter(std::size_t g, const double* lower,
   }
 }
 
+std::size_t SurvivorStream::After(std::uint32_t* idx, const double* lower,
+                                  std::size_t id, std::uint32_t* sorted) {
+  const std::uint32_t* ends = Row(segments_ - 1);
+  const auto start = [ends](std::uint32_t b) {
+    return b == 0 ? 0 : ends[b - 1];
+  };
+  const auto before = [lower](std::uint32_t a, std::uint32_t b) {
+    return lower[a] < lower[b] || (lower[a] == lower[b] && a < b);
+  };
+  // Sorts every bucket that starts at or before position r.
+  const auto sort_to = [&](std::uint32_t r) {
+    for (; *sorted < map_.buckets && start(*sorted) <= r; ++*sorted) {
+      std::sort(idx + start(*sorted), idx + ends[*sorted], before);
+    }
+  };
+  std::uint32_t r = 0;
+  if (id != kSweepNone) {
+    const std::uint32_t b = map_.Key(lower[id]);
+    // Keys are monotone in the bound: every survivor of an earlier bucket
+    // lies before `id`, every one of a later bucket after it.
+    if (b == map_.buckets) return ends[b - 1];
+    sort_to(start(b));
+    const auto id32 = static_cast<std::uint32_t>(id);
+    r = static_cast<std::uint32_t>(
+        std::upper_bound(idx + start(b), idx + ends[b], id32, before) - idx);
+  }
+  sort_to(r);
+  return r;
+}
+
 void ApplyTombstoneMask(const std::uint64_t* bits, std::size_t n,
                         double* lower) {
   constexpr double kInf = std::numeric_limits<double>::infinity();

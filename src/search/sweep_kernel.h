@@ -21,19 +21,21 @@ struct QuantTableView;    // search/table_quant.h
 /// Every LAESA-shaped sweep in the library — the sweep core
 /// (pivot_sweep.h) that `Laesa` runs over its S segments (and through it
 /// the batch engine's pivot-stage pipeline) and its per-segment passes in
-/// the serve worker's `ShardReplica` — is the same three data-parallel
+/// the serve worker's `ShardReplica` — is the same data-parallel
 /// operations over candidate slabs:
 ///
 ///   1. tighten a dense bound slab with a visited pivot's table row
 ///      (`update_lower_dense*`: fused abs-diff + running max), or the
 ///      slabs of up to `kMaxRowQueries` queries with every row a sweep
 ///      took, in one pass over the table (`update_lower_rows`),
-///   2. eliminate against the incumbent and compact the survivors of a
-///      packed slab (`eliminate_and_compact`: threshold filter + in-place
-///      index/bound compaction that also tracks the minimal-bound
-///      survivor), and
+///   2. key the survivors of a dense bound slab into the survivor
+///      stream's buckets (`stream_keys`), and
 ///   3. the length-bound "zeroth pivot" fill (`fill_absdiff_bounds`: the
 ///      |Δlen| core of the unit-cost edit-distance family's bound).
+///
+/// `eliminate_and_compact`, the old per-visit compaction of a packed slab,
+/// has no production caller: it stays, scalar only, as the oracle of the
+/// visit-order tests and perfbench's `sweep_kernel.compact_ns` probe.
 ///
 /// Two more entries are the DPs of the distances the paper's sweeps
 /// evaluate: the exact d_C of Fig. 3, Algorithm 1's layered DP
@@ -47,7 +49,8 @@ struct QuantTableView;    // search/table_quant.h
 /// the sweep core applies the rows it took to the dense slab and switches
 /// to the survivor stream (`SurvivorStream`, below), ids counting-sorted
 /// into bound buckets over the dense bound slab, visited in (bound, id)
-/// order. The serve worker's row sweep compacts instead.
+/// order. The serve worker builds the same stream over its shard and
+/// answers each eval with the visited survivor's successor in it.
 ///
 /// This header defines those operations once as a dispatch table of
 /// function pointers with scalar and AVX2 implementations. The variant is
@@ -64,11 +67,7 @@ struct QuantTableView;    // search/table_quant.h
 /// which the differential tests and `micro_sweep_kernel` enforce.
 ///
 /// Layout contract: candidate ids are 32-bit and < 2^31 (so a pivot's
-/// ordinal fits a signed 32-bit int, and 0xFFFFFFFF is never an id); the
-/// packed `idx` slice handed to a compaction kernel is strictly ascending
-/// (true by construction: slices start in id order and compaction is
-/// stable), which is what lets the vector implementations resolve
-/// min-bound ties by smallest id instead of smallest scan position. Slabs
+/// ordinal fits a signed 32-bit int, and 0xFFFFFFFF is never an id). Slabs
 /// should come from `SweepScratch` (64-byte aligned); the kernels use
 /// unaligned loads so mid-slab shard segments are also fine.
 
@@ -96,11 +95,11 @@ constexpr std::size_t kMaxRowQueries = 4;
 constexpr std::size_t kSweepNone = static_cast<std::size_t>(-1);
 
 /// Outcome of one eliminate-and-compact pass over a packed candidate slice,
-/// and of the serve worker's begin and step passes over its shard
-/// (serve/replica.h), which the router merges with `FoldSegmentMinima`
-/// (pivot_sweep.h).
+/// and the head of a serve worker's survivor stream (serve/replica.h),
+/// which the router merges with `FoldSegmentMinima` (pivot_sweep.h).
 struct SweepCompactResult {
-  /// Survivors now packed in [0, live) of the idx/lower slice.
+  /// Survivors now packed in [0, live) of the idx/lower slice; a stream
+  /// head leaves it 0.
   std::size_t live = 0;
   /// Surviving candidate with the minimal finite lower bound (first in
   /// packed order among ties, i.e. the smallest id), or kSweepNone.
@@ -199,10 +198,9 @@ struct SweepKernels {
   ///   idx[r] != skip  &&  !(lower[r] >= bound)
   /// compacting idx/lower in place (stable) and tracking the minimal-bound
   /// survivor. `skip` is the just-visited candidate (pass a value absent
-  /// from the slice, e.g. 0xFFFFFFFF, for "none"). Its one caller is the
-  /// serve worker's row sweep, which seeds and steps with it; the
-  /// in-process sweeps visit their non-pivots through the survivor stream
-  /// instead.
+  /// from the slice, e.g. 0xFFFFFFFF, for "none"). No production path
+  /// calls it: every sweep, in process and in the serve worker, visits
+  /// through the survivor stream. Every variant holds the scalar body.
   SweepCompactResult (*eliminate_and_compact)(std::uint32_t* idx,
                                               double* lower, std::size_t live,
                                               std::uint32_t skip,
@@ -363,6 +361,17 @@ class SurvivorStream {
   void VisitInBoundOrder(std::uint32_t* idx, const double* lower,
                          Bound&& bound, Visit&& visit);
 
+  /// Step 4 for a reader that resumes anywhere, as the serve worker's
+  /// evals do: the position in `idx` of the first survivor after
+  /// (lower[id], id) in ascending (lower, id) order — of the first
+  /// survivor when `id` is kSweepNone — or the survivor count when none
+  /// follows. `idx` and `lower` are as for `VisitInBoundOrder`. Buckets
+  /// are sorted as the positions reach them: `*sorted` counts the leading
+  /// buckets already sorted (0 after `Scatter`), so each is sorted once,
+  /// and the answer depends only on the slabs and `id`.
+  std::size_t After(std::uint32_t* idx, const double* lower, std::size_t id,
+                    std::uint32_t* sorted);
+
  private:
   std::uint32_t* Row(std::size_t g) {
     return hist_ + g * (map_.buckets + 1);
@@ -397,11 +406,10 @@ void SurvivorStream::VisitInBoundOrder(std::uint32_t* idx, const double* lower,
 ///
 /// Deletes are represented as a packed bitmap over candidate slots (bit i =
 /// word i/64, bit i%64). Masking is a bound: `ApplyTombstoneMask` writes
-/// +inf into the dense lower-bound slab for every set bit. A compaction
-/// pass and the pivot phase drop such a slot — their predicate `lower >=
-/// bound` is inclusive, so +inf falls to every bound including +inf itself
-/// — and the survivor stream counts only bounds below its seed bound;
-/// every row update is a
+/// +inf into the dense lower-bound slab for every set bit. The pivot phase
+/// drops such a slot — its predicate `lower >= bound` is inclusive, so
+/// +inf falls to every bound including +inf itself — and the survivor
+/// stream counts only bounds below its seed bound; every row update is a
 /// running max, so +inf can never be lowered back at any table_precision.
 /// A deleted prototype is therefore dropped before it can be visited,
 /// evaluated, or counted.

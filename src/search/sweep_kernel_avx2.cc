@@ -14,24 +14,6 @@
 //  * The running-max update `lb = g > lb ? g : lb` is _mm256_max_pd(g, lb)
 //    verbatim: maxpd returns the SECOND operand on ties and NaNs, which is
 //    precisely the scalar ternary's behaviour.
-//  * Elimination keeps a lane iff NOT(lb >= bound), encoded as the
-//    unordered-quiet predicate _CMP_NGE_UQ so an (impossible in practice,
-//    but contract-tested) NaN bound/lb survives exactly like the scalar
-//    `!(lb >= bound)`.
-//  * Survivor compaction is the classic movemask + shuffle-table left
-//    pack: a 4-bit keep mask selects a pshufb control for the 4 u32 ids
-//    and a vpermd control for the 4 doubles. Stores write a full vector at
-//    the write cursor; write <= read holds throughout, so at most the
-//    block just loaded is overwritten, never unread data.
-//  * The minimal-bound survivor is tracked as per-lane (key, id) running
-//    minima with a strict '<', then folded by (key, id). The packed id
-//    slice is strictly ascending (see sweep_kernel.h), so "smallest id
-//    among ties" is exactly the scalar "first occurrence in scan order".
-//    Ids ride along as exact doubles (u32 -> double via the 2^31 bias
-//    trick, exact for the full 32-bit range).
-//  * A lane whose bound is +inf never becomes `next` (inf < anything is
-//    false), matching the scalar strict '<' from an infinite initial key —
-//    eliminated-slot infinities propagate identically.
 //  * The d_C,h diamond is integer-only: packed cells stay below 2^63, so
 //    the signed _mm256_cmpgt_epi64 plus a blend is the exact unsigned min
 //    of the scalar row form.
@@ -57,39 +39,6 @@
 
 namespace cned {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Left-pack shuffle controls, indexed by the 4-bit keep mask.
-struct PackTables {
-  alignas(16) std::uint8_t u32_bytes[16][16];  // pshufb control, 4 x u32
-  alignas(32) std::uint32_t f64_lanes[16][8];  // vpermd control, 4 x f64
-  PackTables() {
-    for (int m = 0; m < 16; ++m) {
-      int w = 0;
-      for (int lane = 0; lane < 4; ++lane) {
-        if ((m >> lane) & 1) {
-          for (int b = 0; b < 4; ++b) {
-            u32_bytes[m][w * 4 + b] = static_cast<std::uint8_t>(lane * 4 + b);
-          }
-          f64_lanes[m][w * 2] = static_cast<std::uint32_t>(lane * 2);
-          f64_lanes[m][w * 2 + 1] = static_cast<std::uint32_t>(lane * 2 + 1);
-          ++w;
-        }
-      }
-      // Tail lanes beyond the survivors are garbage by contract; zero-fill
-      // the controls (0x80 zeroes pshufb lanes) so the stores are at least
-      // deterministic.
-      for (int b = w * 4; b < 16; ++b) u32_bytes[m][b] = 0x80;
-      for (int l = w * 2; l < 8; ++l) f64_lanes[m][l] = 0;
-    }
-  }
-};
-
-const PackTables& Tables() {
-  static const PackTables tables;
-  return tables;
-}
 
 inline __m256d AbsDiff(__m256d d, __m256d row) {
   return _mm256_andnot_pd(_mm256_set1_pd(-0.0), _mm256_sub_pd(d, row));
@@ -423,92 +372,6 @@ void Avx2FillAbsDiffBounds(std::size_t x_len, const std::uint32_t* y_lens,
     out[i] = x_len > y ? static_cast<double>(x_len - y)
                        : static_cast<double>(y - x_len);
   }
-}
-
-/// Folds one (key, id) candidate into the running (next_key, next) pair
-/// with the tie rule "smaller id wins" — equivalent to the scalar
-/// first-occurrence strict '<' because packed ids are strictly ascending.
-/// The id arrives as a double (the lane representation) and is converted
-/// only behind the key guard: an unrecorded lane carries +inf in BOTH
-/// registers, and float-to-integer conversion of inf would be UB.
-inline void FoldMin(double key, double id_lane, double* next_key,
-                    std::size_t* next) {
-  if (!(key < kInf)) return;  // never recorded by the scalar strict '<'
-  const std::size_t id = static_cast<std::size_t>(id_lane);
-  if (key < *next_key || (key == *next_key && id < *next)) {
-    *next_key = key;
-    *next = id;
-  }
-}
-
-SweepCompactResult Avx2EliminateAndCompact(std::uint32_t* idx, double* lower,
-                                           std::size_t live,
-                                           std::uint32_t skip, double bound) {
-  // Below a couple of vector blocks the per-pass fixed cost (broadcasts,
-  // final lane reduce) outweighs the lane win — and late-sweep passes over
-  // a collapsed candidate set are the common case in the serve worker's
-  // steps. The scalar tail loop below IS the scalar kernel, so skipping
-  // the vector phase changes nothing but speed.
-  constexpr std::size_t kScalarCutoff = 32;
-  SweepCompactResult out;
-  const PackTables& t = Tables();
-  const __m256d vbound = _mm256_set1_pd(bound);
-  const __m256d vinf = _mm256_set1_pd(kInf);
-  const __m128i vskip = _mm_set1_epi32(static_cast<int>(skip));
-  __m256d vmin = vinf, vmin_id = vinf;
-  std::size_t write = 0;
-  std::size_t r = 0;
-  for (; live >= kScalarCutoff && r + 4 <= live; r += 4) {
-    const __m128i vi =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + r));
-    const __m256d lb = _mm256_loadu_pd(lower + r);
-    // keep iff id != skip && !(lb >= bound)
-    const __m256d value_ok = _mm256_cmp_pd(lb, vbound, _CMP_NGE_UQ);
-    const __m128i skip_eq = _mm_cmpeq_epi32(vi, vskip);
-    const int skip_bits = _mm_movemask_ps(_mm_castsi128_ps(skip_eq));
-    const int keep = _mm256_movemask_pd(value_ok) & ~skip_bits & 0xF;
-    // Left-pack survivors in place (write <= r: never clobbers unread data).
-    _mm_storeu_si128(
-        reinterpret_cast<__m128i*>(idx + write),
-        _mm_shuffle_epi8(vi, _mm_load_si128(reinterpret_cast<const __m128i*>(
-                                 t.u32_bytes[keep]))));
-    _mm256_storeu_pd(
-        lower + write,
-        _mm256_castsi256_pd(_mm256_permutevar8x32_epi32(
-            _mm256_castpd_si256(lb),
-            _mm256_load_si256(
-                reinterpret_cast<const __m256i*>(t.f64_lanes[keep])))));
-    write += static_cast<std::size_t>(
-        __builtin_popcount(static_cast<unsigned>(keep)));
-    // Running minimum over kept lanes (masked-out lanes become +inf, which
-    // the strict '<' never records).
-    const __m256d keep_mask = _mm256_andnot_pd(
-        _mm256_castsi256_pd(_mm256_cvtepi32_epi64(skip_eq)), value_ok);
-    const __m256d masked = _mm256_blendv_pd(vinf, lb, keep_mask);
-    const __m256d lt = _mm256_cmp_pd(masked, vmin, _CMP_LT_OQ);
-    vmin = _mm256_blendv_pd(vmin, masked, lt);
-    vmin_id = _mm256_blendv_pd(vmin_id, U32ToDouble(vi), lt);
-  }
-  // Fold the vector lanes, then the scalar tail (tail ids are larger than
-  // every vector-phase id, so the shared (key, id) rule stays exact).
-  alignas(32) double keys[4], ids[4];
-  _mm256_store_pd(keys, vmin);
-  _mm256_store_pd(ids, vmin_id);
-  for (int l = 0; l < 4; ++l) {
-    FoldMin(keys[l], ids[l], &out.next_key, &out.next);
-  }
-  for (; r < live; ++r) {
-    const std::uint32_t u = idx[r];
-    if (u == skip) continue;
-    const double lb = lower[r];
-    if (lb >= bound) continue;
-    idx[write] = u;
-    lower[write] = lb;
-    ++write;
-    FoldMin(lb, static_cast<double>(u), &out.next_key, &out.next);
-  }
-  out.live = write;
-  return out;
 }
 
 // The survivor stream's keys, lane for lane the scalar map: mulpd is the
@@ -912,7 +775,8 @@ const SweepKernels& Avx2SweepKernels() {
     k.update_lower_dense_u8 = Avx2UpdateLowerDenseU8;
     k.update_lower_rows = Avx2UpdateLowerRows;
     k.fill_absdiff_bounds = Avx2FillAbsDiffBounds;
-    k.eliminate_and_compact = Avx2EliminateAndCompact;
+    // No production path compacts: the scalar body serves as the oracle.
+    k.eliminate_and_compact = ScalarSweepKernels().eliminate_and_compact;
     k.stream_keys = Avx2StreamKeys;
     k.contextual_diamond = Avx2ContextualDiamond;
     k.contextual_layers = Avx2ContextualLayers;

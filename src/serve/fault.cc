@@ -1,6 +1,8 @@
 #include "serve/fault.h"
 
+#include <algorithm>
 #include <cstddef>
+#include <iterator>
 #include <stdexcept>
 
 namespace cned {
@@ -37,6 +39,13 @@ std::uint64_t ParseU64(const std::string& text, const std::string& what) {
 }
 
 }  // namespace
+
+const char* FaultOpName(FrameType type) {
+  for (const FaultOp& op : kFaultOps) {
+    if (op.type == type) return op.name;
+  }
+  return "other";
+}
 
 FaultSpec FaultSpec::Parse(const std::string& text) {
   FaultSpec spec;
@@ -75,10 +84,15 @@ FaultSpec FaultSpec::Parse(const std::string& text) {
         } else if (key == "replica") {
           d.replica = static_cast<std::int64_t>(ParseU64(val, key));
         } else if (key == "op") {
-          if (val != "ping" && val != "begin" && val != "eval" &&
-              val != "step") {
+          const auto named = [&](const FaultOp& op) { return val == op.name; };
+          if (std::none_of(std::begin(kFaultOps), std::end(kFaultOps),
+                           named)) {
+            std::string want;
+            for (const FaultOp& op : kFaultOps) {
+              want += (want.empty() ? "" : "|") + std::string(op.name);
+            }
             throw std::invalid_argument("CNED_FAULT: unknown op '" + val +
-                                        "' (want ping|begin|eval|step)");
+                                        "' (want " + want + ")");
           }
           d.op = val;
         } else if (key == "nth") {

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "serve/frame.h"
+
 namespace cned {
 
 /// Deterministic fault injection for the shard workers, driven by the
@@ -12,7 +14,7 @@ namespace cned {
 ///
 /// Grammar — directives joined by '|', each `kind:key=val,key=val,...`:
 ///
-///   CNED_FAULT='crash:shard=1,op=step,nth=3|delay:op=eval,every=2,ms=50'
+///   CNED_FAULT='crash:shard=1,op=eval,nth=3|delay:op=eval,every=2,ms=50'
 ///
 /// kinds:
 ///   delay    sleep `ms` milliseconds before handling the request
@@ -26,21 +28,52 @@ namespace cned {
 ///   shard=S    only fire in shard S (default: any shard)
 ///   replica=R  only fire in replica ordinal R of its group (default: any
 ///              replica — note a directive without this key fires on
-///              *every* member of a replica group, since state-machine
-///              replication feeds all members the same request sequence)
-///   op=NAME    only fire on requests of this class: ping, begin
-///              (kBeginRow, the one begin of every read), eval, step
-///              (kStep; a lazy read's pivot visits run router-side and
-///              send none) (default: any request)
+///              *every* member of a replica group that counts a match:
+///              begins and mutations reach every live member, an eval or
+///              a delta scan the primary, and a standby only when it is
+///              hedged to or fails over)
+///   op=NAME    only fire on requests of this class (default: any
+///              request), one name per request type (`kFaultOps`):
+///              ping, begin (kBeginRow, the one begin of every read),
+///              eval (kEval, one per non-pivot visit; a lazy read's pivot
+///              visits run router-side and send none), insert, remove
+///              (the mutations' replication and journal replay) and scan
+///              (kDeltaScan, a read's delta phase)
 ///   nth=K      fire exactly once, on the K-th matching request (1-based)
 ///   every=K    fire on every K-th matching request
 ///   ms=T       delay duration (delay only; default 0)
 ///
-/// Matching requests are counted per directive, so a schedule is a pure
-/// function of the request sequence — two runs over the same queries see
+/// Matching requests are counted per directive in each member, so a
+/// schedule is a pure function of the request sequence that member sees.
+/// Begins and mutations reach every live member, so their schedules
+/// reproduce run to run. An eval or a delta scan reaches a standby only on
+/// a hedge, which fires on a timer, or on a failover, so a read schedule
+/// reproduces when hedging is off (`hedge_delay_ms < 0`) or when its
+/// `replica=` names the member the reads go to. A read the worker skips as
+/// superseded (serve/worker.cc) is not counted; only a stalled worker
+/// skips one. Under those conditions two runs over the same queries see
 /// identical faults, which is what makes the degraded-mode determinism
 /// tests possible. A directive with neither nth nor every fires on every
 /// match.
+/// One request class a directive's `op=` may name: the request type and
+/// its name.
+struct FaultOp {
+  FrameType type;
+  const char* name;
+};
+
+/// Every class, the one table behind `FaultOpName` and the parser.
+inline constexpr FaultOp kFaultOps[] = {
+    {FrameType::kPing, "ping"},     {FrameType::kBeginRow, "begin"},
+    {FrameType::kEval, "eval"},     {FrameType::kInsert, "insert"},
+    {FrameType::kRemove, "remove"}, {FrameType::kDeltaScan, "scan"},
+};
+
+/// The class name a request of `type` is counted under, or "other" for a
+/// type outside `kFaultOps` (shutdown, reserved and unknown types), which
+/// only an op-less directive matches.
+const char* FaultOpName(FrameType type);
+
 struct FaultDirective {
   enum class Kind { kDelay, kDrop, kCrash, kCorrupt, kMangle };
   Kind kind = Kind::kDelay;
@@ -58,8 +91,8 @@ struct FaultSpec {
   bool empty() const { return directives.empty(); }
 
   /// Parses the CNED_FAULT grammar above; the empty string yields an empty
-  /// spec. Throws std::invalid_argument on unknown kinds, keys, or
-  /// non-numeric values.
+  /// spec. Throws std::invalid_argument on unknown kinds, keys, op names,
+  /// or non-numeric values.
   static FaultSpec Parse(const std::string& text);
 };
 
@@ -82,8 +115,7 @@ class FaultInjector {
         counts_(spec_.directives.size(), 0) {}
 
   /// Advances every matching directive's counter and merges the actions
-  /// that fire. `op` is the request class name ("ping", "begin", "eval",
-  /// "step").
+  /// that fire. `op` is the request's class name (`FaultOpName`).
   Action OnRequest(const std::string& op);
 
  private:

@@ -60,22 +60,22 @@ inline constexpr std::uint32_t kMaxFramePayload = 1u << 30;
 /// round trip with nothing to gate on.
 enum class FrameType : std::uint32_t {
   kPing = 1,       ///< health check; reply: u64 shard id, u64 replica id
-  // 2 and 6 are reserved (the lazy sweep's begin and the row sweep's own
-  // step): the frame layer still accepts them, and a worker answers them
-  // with kError as unknown types.
+  // 2, 5 and 6 are reserved (the lazy sweep's begin, the lockstep step and
+  // the row sweep's own step): the frame layer still accepts them, and a
+  // worker answers them with kError as unknown types.
   kBeginRow = 3,   ///< start a sweep: str query, f64 seed_bound, u64
                    ///< count, count x (u32 rank, f64 d) -> u64 base
-                   ///< tombstones, compact
-  kEval = 4,       ///< evaluate: u64 global id, f64 cap -> f64 distance
-  kStep = 5,       ///< compaction: u32 skip, f64 bound -> compact
+                   ///< tombstones, stream head (serve/wire.h)
+  kEval = 4,       ///< visit: u64 global id, f64 cap -> f64 distance, the
+                   ///< id's successor in the shard's stream (serve/wire.h)
   kShutdown = 7,   ///< clean worker exit; empty reply, then close
   kReply = 8,      ///< successful response (payload per request type)
   kError = 9,      ///< worker-side exception; payload: str message
   // --- Live-mutability ops (the mutable tier, search/mutable_laesa.h). ---
-  // Replicated to every member of the owning shard's group like begins and
-  // steps; replies are dedup-stable (re-delivery after a lost reply gives
-  // the same bytes), so the ops are retryable and byte-agreement across
-  // the group keeps working.
+  // Replicated to every member of the owning shard's group like begins;
+  // replies are dedup-stable (re-delivery after a lost reply gives the
+  // same bytes), so the ops are retryable and byte-agreement across the
+  // group keeps working.
   kInsert = 10,     ///< append to the shard delta: u64 id, str s -> u64 count
   kRemove = 11,     ///< tombstone an id: u64 id -> u64 total dead
   kDeltaScan = 12,  ///< bounded live-delta scan: str query, f64 cap, u64 k
@@ -84,7 +84,7 @@ enum class FrameType : std::uint32_t {
   kEndSweep = 13,   ///< retire the sweep slot for this frame's query id;
                     ///< empty payload, NO reply (fire-and-forget), and
                     ///< exempt from fault injection (it is router-side
-                    ///< cleanup, not a replicated state-machine op)
+                    ///< cleanup, not a request)
 };
 inline constexpr std::uint32_t kMaxFrameType =
     static_cast<std::uint32_t>(FrameType::kEndSweep);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
 #include "common/binary_io.h"
@@ -86,25 +85,12 @@ ShardReplica::SweepSlot& ShardReplica::NewSlot(std::uint32_t qid) {
     it = sweeps_.emplace(qid, std::make_unique<SweepSlot>()).first;
   }
   SweepSlot& slot = *it->second;
-  const std::size_t n_s = store_.size();
-  slot.idx.resize(n_s);
-  slot.lower.resize(n_s);
-  slot.live = n_s;
-  std::iota(slot.idx.data(), slot.idx.data() + n_s,
-            static_cast<std::uint32_t>(base_));
+  slot.lower.resize(store_.size());
+  slot.idx.resize(store_.size());
   return slot;
 }
 
 ShardReplica::SweepSlot& ShardReplica::SlotOf(std::uint32_t qid) {
-  const auto it = sweeps_.find(qid);
-  if (it == sweeps_.end()) {
-    throw std::out_of_range("ShardReplica: unknown query id " +
-                            std::to_string(qid));
-  }
-  return *it->second;
-}
-
-const ShardReplica::SweepSlot& ShardReplica::SlotOf(std::uint32_t qid) const {
   const auto it = sweeps_.find(qid);
   if (it == sweeps_.end()) {
     throw std::out_of_range("ShardReplica: unknown query id " +
@@ -157,7 +143,7 @@ SweepCompactResult ShardReplica::BeginRow(std::uint32_t qid,
   }
   SweepSlot& slot = NewSlot(qid);
   slot.query.assign(query);
-  // Tombstoned base slots go to +inf before the seed compaction — no
+  // Tombstoned base slots go to +inf before the stream counts — no
   // protocol change needed: the mask rides the shard's own state. So do
   // the pivots: the router holds them as incumbents, or they are dead.
   const std::size_t n_s = store_.size();
@@ -179,26 +165,39 @@ SweepCompactResult ShardReplica::BeginRow(std::uint32_t qid,
        it != ids + np && *it - base_ < n_s; ++it) {
     lower[*it - base_] = std::numeric_limits<double>::infinity();
   }
-  return Step(qid, /*skip=*/0xFFFFFFFFu, seed_bound);
+  // The in-process sweep's stream over one segment, its ids local slots.
+  SurvivorStream& stream =
+      slot.stream.emplace(seed_bound, n_s, /*segments=*/1, slot.hist);
+  stream.Count(0, lower, n_s);
+  slot.survivors = stream.Place();
+  stream.Scatter(0, lower, n_s, /*base=*/0, slot.idx.data());
+  slot.sorted = 0;
+  return HeadAt(slot, stream.After(slot.idx.data(), lower, kSweepNone,
+                                   &slot.sorted));
 }
 
 double ShardReplica::Eval(std::uint32_t qid, std::size_t global_id,
-                          double cap) const {
+                          double cap, SweepCompactResult* next) {
   if (global_id < base_ || global_id - base_ >= store_.size()) {
     throw std::out_of_range("ShardReplica::Eval: id outside this shard");
   }
-  const SweepSlot& slot = SlotOf(qid);
-  return distance_->DistanceBounded(slot.query, store_.view(global_id - base_),
-                                    cap);
+  SweepSlot& slot = SlotOf(qid);
+  const std::size_t local = global_id - base_;
+  *next = HeadAt(slot, slot.stream.value().After(slot.idx.data(),
+                                                 slot.lower.data(), local,
+                                                 &slot.sorted));
+  return distance_->DistanceBounded(slot.query, store_.view(local), cap);
 }
 
-SweepCompactResult ShardReplica::Step(std::uint32_t qid, std::uint32_t skip,
-                                      double bound) {
-  SweepSlot& slot = SlotOf(qid);
-  const SweepCompactResult out = ActiveSweepKernels().eliminate_and_compact(
-      slot.idx.data(), slot.lower.data(), slot.live, skip, bound);
-  slot.live = out.live;
-  return out;
+SweepCompactResult ShardReplica::HeadAt(const SweepSlot& slot,
+                                        std::size_t r) const {
+  SweepCompactResult head;
+  if (r < slot.survivors) {
+    const std::uint32_t local = slot.idx.data()[r];
+    head.next = base_ + local;
+    head.next_key = slot.lower.data()[local];
+  }
+  return head;
 }
 
 }  // namespace cned

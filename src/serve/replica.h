@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -21,7 +22,7 @@ namespace cned {
 
 /// The worker-process half of the distributed LAESA sweep: one shard's
 /// prototypes, its slice of the pivot table, and that shard's segment of
-/// the candidate slabs.
+/// the candidate slabs with its survivor stream.
 ///
 /// The table slice is a one-segment `PivotTables` (pivot_sweep.h), mapped
 /// by the same section walk `Laesa::Map` runs after the slice's own header
@@ -32,26 +33,32 @@ namespace cned {
 /// A replica is one segment of the shared sweep core (pivot_sweep.h) given
 /// its own state: `BeginRow` runs the core's dense application of the
 /// rows the router took — every pivot row for a row read, the visited
-/// ones for a lazy read, whose pivot phase the router runs — and compacts
-/// the segment's non-pivots against the seed bound; `Step` compacts them
-/// again against the falling incumbent. The router merges the returned
-/// `SweepCompactResult`s the way the core merges its segments. `Laesa`
-/// applies the same rows once, densely, and visits the same non-pivots in
-/// (bound, id) order: a compaction after every visit keeps the same
-/// candidates with the same bounds. That is what makes a healthy
-/// distributed query bit-identical (neighbours, distances AND QueryStats)
-/// to the in-process `Laesa`.
+/// ones for a lazy read, whose pivot phase the router runs — and orders
+/// the segment's non-pivots below the seed bound in the core's survivor
+/// stream (`SurvivorStream`, search/sweep_kernel.h). After the begin the
+/// bounds never change, so the stream fixes the shard's visit order:
+/// `BeginRow` returns its head, and `Eval` of a candidate returns the
+/// candidate's successor. The router merges the shards' heads the way the
+/// core merges its segments and stops at the first head at or above the
+/// k-th incumbent, as the core's stream does. `Laesa` applies the same
+/// rows once, densely, and visits the same non-pivots in the same (bound,
+/// id) order. That is what makes a healthy distributed query bit-identical
+/// (neighbours, distances AND QueryStats) to the in-process `Laesa`.
 ///
 /// Multiplexing: sweep state lives in per-query slots keyed by the frame
 /// layer's query id, so one replica serves any number of interleaved
 /// sweeps over a single connection. Each slot is an independent copy of
-/// the segment slabs — a sweep's trajectory is a pure function of its own
-/// (BeginRow, Step*...) sequence, untouched by whatever other queries do in
-/// between — which is exactly what keeps interleaved queries bit-identical
-/// to running them back to back. Mutable-tier state is shared across
-/// slots: the base segment's `Tombstones` (ids stay implicit, base_ +
-/// slot) and the delta, a `MutableSegment` (search/mutable_segment.h)
-/// appended and killed in place. The router's writer lock guarantees
+/// the segment slabs, written by its begin alone (an eval only sorts the
+/// stream buckets it reaches, which changes no answer): every later reply
+/// is a pure function of the begin and the request, untouched by whatever
+/// other queries do in between and by which earlier evals this replica
+/// answered — which is what keeps interleaved queries bit-identical to
+/// running them back to back, and lets any group member that took the
+/// begin answer a retried, hedged or failed-over eval with the same bytes.
+/// Mutable-tier state is shared across slots: the base segment's
+/// `Tombstones` (ids stay implicit, base_ + slot) and the delta, a
+/// `MutableSegment` (search/mutable_segment.h) appended and killed in
+/// place. The router's writer lock guarantees
 /// mutations never interleave with a sweep that has already begun.
 ///
 /// Construction maps each snapshot file once, through a `MappedReader` that
@@ -119,8 +126,9 @@ class ShardReplica {
   /// Starts a row sweep in `qid`'s slot (created, or reset if the id is
   /// being reused): length bounds, `rows` applied dense, the shard's base
   /// tombstones (if any) and its pivots (already the router's incumbents
-  /// or dead) lifted to +inf, then one compaction against `seed_bound`.
-  /// Returns the segment's compact result. A rank selects a row of the
+  /// or dead) lifted to +inf, then the survivor stream of the bounds
+  /// below `seed_bound`. Returns the stream's head: its first survivor
+  /// and that survivor's bound (`live` is left 0). A rank selects a row of the
   /// mapped slice, so more than num_pivots() rows, or a rank outside
   /// [0, num_pivots()), throws std::out_of_range and leaves no slot under
   /// `qid`.
@@ -128,17 +136,14 @@ class ShardReplica {
                               const std::vector<PivotRow>& rows,
                               double seed_bound);
 
-  /// d(slot query, prototype at global id) bounded by `cap` — the
-  /// scattered form of the sweep's visit evaluation. Pure (idempotent):
-  /// safe for the router to retry. Throws std::out_of_range for an id
-  /// outside the segment or an unknown qid.
-  double Eval(std::uint32_t qid, std::size_t global_id, double cap) const;
-
-  /// One step on `qid`'s slot: eliminate-and-compact against `bound`,
-  /// dropping `skip` (the visited candidate). Mutates slot state — not
-  /// idempotent. Throws std::out_of_range for an unknown qid.
-  SweepCompactResult Step(std::uint32_t qid, std::uint32_t skip,
-                          double bound);
+  /// One visit of the scattered sweep: d(slot query, prototype at global
+  /// id) bounded by `cap`, and in `next` the stream's first survivor after
+  /// the id in (bound, id) order, with its bound. Both are
+  /// pure functions of the begin and the request: safe for the router to
+  /// retry, hedge or send to another member. Throws std::out_of_range for
+  /// an id outside the segment or an unknown qid.
+  double Eval(std::uint32_t qid, std::size_t global_id, double cap,
+              SweepCompactResult* next);
 
  private:
   std::size_t shard_id_ = 0;
@@ -160,19 +165,22 @@ class ShardReplica {
   /// in place.
   PivotTables pivot_table_;
 
-  /// One in-flight sweep: this query's private copy of the segment slabs,
-  /// its live non-pivots packed in [0, live).
+  /// One in-flight sweep: this query's bounds by local slot and the
+  /// survivor stream over them, its ids local slots.
   struct SweepSlot {
     std::string query;
-    AlignedBuffer<std::uint32_t> idx;
     AlignedBuffer<double> lower;
-    std::size_t live = 0;
+    AlignedBuffer<std::uint32_t> idx;
+    std::vector<std::uint32_t> hist;
+    std::optional<SurvivorStream> stream;
+    std::size_t survivors = 0;
+    std::uint32_t sorted = 0;  // leading buckets sorted (SurvivorStream::After)
   };
-  /// Resets `qid`'s slot (creating it) to the segment's ids in order, all
-  /// live.
+  /// `qid`'s slot, created or reused, sized for the segment.
   SweepSlot& NewSlot(std::uint32_t qid);
   SweepSlot& SlotOf(std::uint32_t qid);
-  const SweepSlot& SlotOf(std::uint32_t qid) const;
+  /// The stream head at position `r` of `slot`'s stream.
+  SweepCompactResult HeadAt(const SweepSlot& slot, std::size_t r) const;
 
   std::unordered_map<std::uint32_t, std::unique_ptr<SweepSlot>> sweeps_;
 

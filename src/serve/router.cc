@@ -540,10 +540,6 @@ void ServeRouter::MaybeRespawn() {
   RespawnDeadLocked(/*limit=*/0);
 }
 
-ServeResult ServeRouter::Nearest(std::string_view query) {
-  return KNearest(query, 1);
-}
-
 namespace {
 
 /// Feeds one job to DriveSweeps on its caller's thread and keeps the
@@ -639,7 +635,7 @@ class ServeRouter::Driver {
   void Run();
 
  private:
-  enum class Phase { kBegin, kEval, kStep, kDelta, kDone };
+  enum class Phase { kBegin, kEval, kDelta, kDone };
 
   /// One request of a sweep's current phase to one pinned member.
   struct Leg {
@@ -650,7 +646,7 @@ class ServeRouter::Driver {
     int attempt = 0;      // retries spent
     std::int64_t sent_ms = 0, expires_ms = 0;
     std::int64_t resend_ms = -1;  // >= 0: backing off until then
-    std::optional<std::vector<char>> reply;  // begin/step: the answer
+    std::optional<std::vector<char>> reply;  // begin: the answer
   };
 
   struct Sweep {
@@ -668,9 +664,7 @@ class ServeRouter::Driver {
     ServeResult res;
   };
 
-  static bool Replicated(const Sweep& sw) {
-    return sw.phase == Phase::kBegin || sw.phase == Phase::kStep;
-  }
+  static bool Replicated(const Sweep& sw) { return sw.phase == Phase::kBegin; }
   Conn* ConnOf(const Sweep& sw, const Leg& leg) const {
     return sw.ctx.groups[leg.s].members[leg.r].conn.get();
   }
@@ -680,7 +674,7 @@ class ServeRouter::Driver {
               std::uint32_t qid, const std::vector<char>& payload);
   void Send(Sweep& sw, Leg& leg);
   void Start(Sweep& sw);
-  void Scatter(Sweep& sw, Phase phase);
+  void Begin(Sweep& sw);
   void Read(Sweep& sw, Phase phase, FrameType type, std::vector<char> request,
             const std::vector<std::size_t>& shards);
   void ReadLeg(Sweep& sw, std::size_t s, int attempt);
@@ -757,18 +751,17 @@ void ServeRouter::Driver::Start(Sweep& sw) {
   for (std::size_t s = 0; s < r_.shard_count(); ++s) {
     if (!sw.ctx.groups[s].AnyAlive()) sw.m.Drop(s);
   }
-  Scatter(sw, Phase::kBegin);
+  Begin(sw);
   Pump(sw);
 }
 
-// Begin or step: the machine's payload to every live member of every
-// active group, the state-machine replication step. A begin is idempotent
-// (retried); a step mutates the members' slab state (never retried).
-void ServeRouter::Driver::Scatter(Sweep& sw, Phase phase) {
-  const bool begin = phase == Phase::kBegin;
-  sw.phase = phase;
-  sw.type = begin ? FrameType::kBeginRow : FrameType::kStep;
-  sw.request = begin ? sw.m.BeginPayload() : sw.m.StepPayload();
+// The begin: the machine's payload to every live member of every active
+// group, the one replicated op of a read. It is idempotent (retried), and
+// it is the only request that writes a member's sweep state.
+void ServeRouter::Driver::Begin(Sweep& sw) {
+  sw.phase = Phase::kBegin;
+  sw.type = FrameType::kBeginRow;
+  sw.request = sw.m.BeginPayload();
   sw.legs.clear();
   for (std::size_t s = 0; s < r_.shard_count(); ++s) {
     if (!sw.m.active(s)) continue;
@@ -784,7 +777,7 @@ void ServeRouter::Driver::Scatter(Sweep& sw, Phase phase) {
 }
 
 // Eval or delta scan: one idempotent read per shard, a pure function of the
-// shard's state, so any live member's answer is exact.
+// begin and the request, so any live member's answer is exact.
 void ServeRouter::Driver::Read(Sweep& sw, Phase phase, FrameType type,
                                std::vector<char> request,
                                const std::vector<std::size_t>& shards) {
@@ -819,18 +812,13 @@ void ServeRouter::Driver::ReadLeg(Sweep& sw, std::size_t s, int attempt) {
 void ServeRouter::Driver::Advance(Sweep& sw) {
   switch (sw.phase) {
     case Phase::kBegin:
-    case Phase::kStep:
       Settle(sw);
       Visit(sw);
       break;
     case Phase::kEval:
-      // A lost candidate's group drops its shard; no visit happened, so no
-      // counters move and the next candidate comes from the survivors.
-      if (sw.m.active(sw.m.cand_shard())) {
-        Scatter(sw, Phase::kStep);
-      } else {
-        Visit(sw);
-      }
+      // The eval moved its shard's head on, or the shard's lost group
+      // dropped it uncounted; the next candidate comes from the heads.
+      Visit(sw);
       break;
     case Phase::kDelta:
       Finish(sw);
@@ -861,10 +849,9 @@ void ServeRouter::Driver::Visit(Sweep& sw) {
        {sw.m.cand_shard()});
 }
 
-// Reconciles each active group's begin or step replies into the machine;
-// a group with no accepted reply is lost and its shard dropped.
+// Reconciles each active group's begin replies into the machine; a group
+// with no accepted reply is lost and its shard dropped.
 void ServeRouter::Driver::Settle(Sweep& sw) {
-  const bool begin = sw.phase == Phase::kBegin;
   std::vector<std::optional<std::vector<char>>> replies;
   for (std::size_t s = 0; s < r_.shard_count(); ++s) {
     if (!sw.m.active(s)) continue;
@@ -873,7 +860,7 @@ void ServeRouter::Driver::Settle(Sweep& sw) {
       if (leg.s == s) replies[leg.r] = std::move(leg.reply);
     }
     const auto accept = [&](const std::vector<char>& reply) {
-      return begin ? sw.m.AbsorbBegin(s, reply) : sw.m.AbsorbStep(s, reply);
+      return sw.m.AbsorbBegin(s, reply);
     };
     if (r_.Reconcile(sw.ctx, s, replies, accept, &sw.res) ==
         replies.size()) {
@@ -986,11 +973,11 @@ void ServeRouter::Driver::Timers(Sweep& sw, std::int64_t now) {
       if (read) {
         leg.pending = false;
         expired.push_back(i);
-      } else if (sw.phase == Phase::kBegin && leg.attempt < o_.op_retries) {
+      } else if (leg.attempt < o_.op_retries) {
         ++leg.attempt;
         leg.resend_ms = now + BackoffMs(o_.backoff_base_ms, leg.attempt);
       } else {
-        Lost(sw, i);  // a step is never retried on the same member
+        Lost(sw, i);  // out of retries: the member is dead
       }
       continue;
     }
@@ -1237,8 +1224,10 @@ std::size_t ServeRouter::RespawnDeadLocked(std::size_t limit) {
       // cannot loop one tick forever; the remainder waits its turn.
       if (limit > 0 && attempts >= limit) continue;
       ++attempts;
+      // A respawned replica runs fault-free, so an nth-based crash
+      // directive does not re-fire on every respawn.
       ReapReplica(s, r);
-      SpawnReplica(s, r, options_.respawn_fault_spec);
+      SpawnReplica(s, r, /*fault_spec=*/"");
       {
         std::lock_guard<std::mutex> lock(g.mu);
         if (!g.members[r].alive) continue;

@@ -33,18 +33,17 @@ struct ServeOptions {
   std::string distance;
 
   /// Replica-group size: every shard is served by `replicas` worker
-  /// processes over the same snapshot files. State-machine replication —
-  /// the router scatters the begin and every sweep-mutating step to all
-  /// live members, so standbys hold bit-identical slab state and a dead
-  /// primary is replaced mid-query with no loss. 1 = the unreplicated
-  /// scatter/gather tier; must be >= 1.
+  /// processes over the same snapshot files. The router scatters each
+  /// read's begin to all live members, so every member holds the same
+  /// survivor stream and a dead primary is replaced mid-query with no
+  /// loss. 1 = the unreplicated scatter/gather tier; must be >= 1.
   int replicas = 2;
 
-  /// Per-operation reply timeout. A replica that misses it on an
-  /// idempotent op (ping / begin / eval) is retried; on a sweep-mutating
-  /// op (step) it is marked dead immediately — its slab state can no
-  /// longer be trusted to match the router's accounting. The *shard*
-  /// degrades only when its whole replica group is lost.
+  /// Per-operation reply timeout. No op after the begin writes worker
+  /// state, so every sweep op (begin / eval / delta scan) and every ping
+  /// is retried on a timeout, up to `op_retries` times, before its member
+  /// is marked dead. The *shard* degrades only when its whole replica
+  /// group is lost.
   int op_timeout_ms = 2000;
   /// Whole-query deadline. When it expires mid-sweep the router returns
   /// the incumbents it has, flagged partial, with every shard that still
@@ -60,7 +59,11 @@ struct ServeOptions {
   /// has not replied after this long (and a live standby exists), the
   /// router races the same request to a standby and takes whichever reply
   /// lands first — either answer is exact, so this only cuts the
-  /// slow-shard tail. Negative disables hedging.
+  /// slow-shard tail. The losing member skips the read if it is still
+  /// queued behind a later request of the query (serve/worker.cc).
+  /// Negative disables hedging; a fault schedule on evals or delta scans
+  /// reproduces run to run only then, or with a `replica=` selector
+  /// (serve/fault.h).
   int hedge_delay_ms = 25;
   /// Respawn dead workers (kill, waitpid, fork, re-Map, ping) before each
   /// query, so one crash degrades one query, not the rest of the session.
@@ -83,12 +86,10 @@ struct ServeOptions {
   int health_interval_ms = 0;
 
   /// CNED_FAULT-grammar fault schedule for the initial workers
-  /// (serve/fault.h); empty = fault-free.
-  std::string fault_spec;
-  /// Fault schedule handed to *respawned* workers. Kept separate (and
-  /// default clean) so an nth-based crash directive does not re-fire on
+  /// (serve/fault.h); empty = fault-free. Respawned workers always run
+  /// fault-free, so an nth-based crash directive does not re-fire on
   /// every respawn.
-  std::string respawn_fault_spec;
+  std::string fault_spec;
   /// Path to the `cned_shard_worker` binary. Empty (the default) forks
   /// workers in-process — no exec, the test/bench path; non-empty
   /// fork+execs the binary per shard replica.
@@ -107,11 +108,12 @@ struct ServeOptions {
 ///
 /// A query runs the exact `Laesa` sweep with the per-shard passes
 /// scattered: the router makes every global decision (incumbents,
-/// elimination bound, next candidate — merged over the per-shard compact
-/// results in shard order with strict '<', the lowest-global-index tie
-/// rule), workers run the kernel passes over their segments, and the
-/// elimination radius tightens incrementally between rounds exactly as it
-/// does in process. Those decisions live in one I/O-free `SweepMachine`
+/// elimination bound, next candidate — merged over the shards' survivor
+/// stream heads in shard order with strict '<', the lowest-global-index
+/// tie rule), workers apply the rows and order their segments' survivors
+/// once, at the begin, and each eval reply carries the evaluated
+/// candidate's successor, so one exchange makes one visit. Those
+/// decisions live in one I/O-free `SweepMachine`
 /// (serve/sweep_machine.h) per query, driven by one executor: the
 /// multiplexed leg machine of `DriveSweeps`, which `KNearest` and
 /// `KNearestWithRow` also run, over a one-job feed on the caller's thread.
@@ -136,8 +138,8 @@ struct ServeOptions {
 ///   * a query context captured at begin: the set of (connection, alive)
 ///     participants this query may ever talk to. Failover and hedging act
 ///     only inside the context; a replica respawned mid-flight (new
-///     connection) never joins an in-flight sweep — its slab state would
-///     be stale.
+///     connection) never joins an in-flight sweep — it never took the
+///     begin.
 /// Lock hierarchy (outer to inner): `world_mu_` (shared for queries,
 /// exclusive for mutations — sweeps never interleave with Insert/Remove,
 /// which keeps bit-identity and the per-shard journal order), then
@@ -145,17 +147,17 @@ struct ServeOptions {
 /// it pings and revives without blocking queries), then each group's
 /// `mu` (membership snapshots, short).
 ///
-/// Replication model (state-machine): a shard's slab state is a pure
-/// deterministic function of its op sequence (BeginRow, then the Steps),
-/// so the router scatters the begin and every mutating step to ALL live
-/// members of each group, and `Reconcile` settles the replies: the first
-/// reply the sweep machine accepts (primary first) drives the merge, and
-/// every other member must agree with it byte for byte or be evicted as
-/// corrupt. When the primary crashes, times out, or returns a malformed
-/// or refused reply mid-sweep, the router promotes a standby whose state
-/// is bit-identical by construction — the query completes exact and
-/// unflagged. Idempotent Evals and delta scans go to the primary only and
-/// are hedged to a standby after `hedge_delay_ms`.
+/// Replication model: a read writes a member's sweep state once, with its
+/// begin, and every later reply (eval, delta scan) is a pure function of
+/// the begin and the request. So the router scatters the begin to ALL
+/// live members of each group, and `Reconcile` settles the replies: the
+/// first reply the sweep machine accepts (primary first) drives the merge,
+/// and every other member must agree with it byte for byte or be evicted
+/// as corrupt. Evals and delta scans go to the primary only and are hedged
+/// to a standby after `hedge_delay_ms`. When the primary crashes, times
+/// out, or returns a malformed or refused reply mid-sweep, the router
+/// resends the read to a standby that took the same begin and promotes it
+/// — the query completes exact and unflagged.
 ///
 /// The control plane (pings, respawn replay, Insert/Remove replication)
 /// is a query context too, with query id 0: the members of one group as
@@ -165,12 +167,11 @@ struct ServeOptions {
 /// scatter, gather, then the sweeps' own `Reconcile`).
 ///
 /// Failure semantics (the robustness contract the tests pin down):
-///   * per-leg timeouts, capped by the query deadline; idempotent legs
-///     retry after an exponential backoff timer, sweep-mutating legs never
-///     retry on the same replica;
-///   * a crashed / timed-out / malformed-reply replica is marked dead; if
-///     it was the primary a standby is promoted and the query continues
-///     exact;
+///   * per-leg timeouts, capped by the query deadline; every leg retries
+///     after an exponential backoff timer;
+///   * a crashed, malformed-reply or out-of-retries replica is marked
+///     dead; if it was the primary a standby is promoted and the query
+///     continues exact;
 ///   * `partial` / `missing_shards` fire only when a whole replica group
 ///     is lost; the per-query deadline degrades to partial results
 ///     instead of blocking (`SweepMachine::Expire`);
@@ -252,14 +253,13 @@ class ServeRouter {
   /// begins the shards with the rows it visited; from there the read is
   /// a row read. Thread-safe: concurrent calls multiplex over the shared
   /// connections.
-  ServeResult Nearest(std::string_view query);
   ServeResult KNearest(std::string_view query, std::size_t k);
 
   /// --- Live mutability (the distributed mutable tier). -------------------
   ///
   /// The router is the source of truth: every op is journaled per owner
   /// shard before it is replicated to all live members of that shard's
-  /// group (like begins and steps), and a respawned replica is replayed
+  /// group (like begins), and a respawned replica is replayed
   /// from the journal before it rejoins — so a crash never loses a
   /// mutation the router acknowledged. Ops are idempotent worker-side
   /// (dedup by stable id) with dedup-stable replies, which keeps both the
@@ -272,8 +272,8 @@ class ServeRouter {
   std::uint64_t Insert(std::string_view s);
 
   /// Tombstones a stable id (base or delta). Returns false when the id is
-  /// unknown or already removed. A removed prototype is masked inside the
-  /// workers' sweep compactions — it can never surface as a neighbour.
+  /// unknown or already removed. A removed prototype is masked out of the
+  /// workers' survivor streams — it can never surface as a neighbour.
   bool Remove(std::uint64_t id);
 
   /// Live prototypes: base + inserts - removals. (size() stays the frozen
@@ -314,14 +314,13 @@ class ServeRouter {
   /// dedicated thread; KNearest and KNearestWithRow run it per call.
   ///
   /// Each sweep is a `SweepMachine` plus the legs of its current phase —
-  /// begin, eval, step, delta scan — one leg per request to one pinned
-  /// member, in the order and with the payloads the machine builds:
+  /// begin, eval, delta scan — one leg per request to one pinned member,
+  /// in the order and with the payloads the machine builds:
   ///   * every leg times out after `op_timeout_ms`, capped by the query
-  ///     deadline; a begin, eval or delta-scan leg (idempotent) is retried
-  ///     after `backoff_base_ms << attempt` on a not-before timer, up to
-  ///     `op_retries` times; a step leg that times out kills its member;
-  ///   * begin and step go to every live member of each active group and
-  ///     settle through `Reconcile` (promotion, eviction, lost groups
+  ///     deadline, and is retried after `backoff_base_ms << attempt` on a
+  ///     not-before timer, up to `op_retries` times;
+  ///   * the begin goes to every live member of each active group and
+  ///     settles through `Reconcile` (promotion, eviction, lost groups
   ///     dropped);
   ///   * an eval or delta scan goes to the group's primary (promoting a
   ///     live member when it is dead) and, still pending after
@@ -365,8 +364,9 @@ class ServeRouter {
   /// just moves it. Membership is fixed at construction — respawn revives
   /// dead members in place (with a *fresh* connection, so queries that
   /// pinned the old one keep failing cleanly instead of talking to a
-  /// process with no slab state). `mu` guards members and primary; it is
-  /// the innermost lock and is never held across an exchange.
+  /// process that never took their begin). `mu` guards members and
+  /// primary; it is the innermost lock and is never held across an
+  /// exchange.
   struct Group {
     mutable std::mutex mu;
     std::vector<Replica> members;

@@ -88,36 +88,41 @@ std::vector<char> SweepMachine::BeginPayload() const {
 
 bool SweepMachine::AbsorbBegin(std::size_t s, const std::vector<char>& reply) {
   PayloadReader r(reply);
-  return r.U64() == world_.shard_dead[s] && AbsorbPass(s, r);
-}
-
-bool SweepMachine::AbsorbStep(std::size_t s, const std::vector<char>& reply) {
-  PayloadReader r(reply);
-  return AbsorbPass(s, r);
+  SweepCompactResult head;
+  if (r.U64() != world_.shard_dead[s] || !DecodeHead(s, r, &head)) {
+    return false;
+  }
+  views_[s].head = head;
+  return true;
 }
 
 // A CRC-valid reply is still outside input: its candidate id indexes the
 // router's shape and picks the shard an eval goes to, so it must lie in
-// the replying shard's segment, and its survivor count within the shard.
-bool SweepMachine::AbsorbPass(std::size_t s, PayloadReader& r) {
-  const SweepCompactResult pass = DecodeCompact(r);
-  const bool in_shard =
-      pass.next == kSweepNone ||
-      (pass.next >= shape_.bases[s] && pass.next < shape_.bases[s + 1]);
-  if (!r.Done() || pass.live > shape_.shard_size(s) || !in_shard) {
-    return false;
-  }
-  views_[s].last = pass;
-  return true;
+// the replying shard's segment, and a NaN bound would never be visited
+// nor end the sweep.
+bool SweepMachine::DecodeHead(std::size_t s, PayloadReader& r,
+                              SweepCompactResult* head) const {
+  *head = DecodeStreamHead(r);
+  const bool valid =
+      head->next == kSweepNone ||
+      (head->next >= shape_.bases[s] && head->next < shape_.bases[s + 1] &&
+       head->next_key >= 0.0);
+  return r.Done() && valid;
 }
 
+// The heads' bounds only rise and the k-th incumbent only falls, so the
+// first least head at or above the incumbent ends the sweep, as the
+// in-process stream's does.
 std::size_t SweepMachine::Next() {
   SweepCompactResult merged;
   for (const ShardView& v : views_) {
-    if (v.active) FoldSegmentMinima(v.last, &merged);
+    if (v.active) FoldSegmentMinima(v.head, &merged);
   }
-  cand_ = merged.live == 0 ? kSweepNone : merged.next;
+  const bool visit =
+      merged.next != kSweepNone && merged.next_key < inc_.Kth();
+  cand_ = visit ? merged.next : kSweepNone;
   if (cand_ == kSweepNone) return cand_;
+  cand_key_ = merged.next_key;
   cand_shard_ = shape_.ShardOf(cand_);
   cap_ = inc_.Cap(/*is_pivot=*/false);
   return cand_;
@@ -130,26 +135,20 @@ std::vector<char> SweepMachine::EvalPayload() const {
   return std::move(w.buf);
 }
 
-void SweepMachine::AbsorbEval(double d) {
-  inc_.Absorb(cand_, d, cap_, /*is_pivot=*/false);
-}
-
 // A CRC-valid reply is still outside input: a distance is >= 0 or +inf,
-// and a NaN would reach every later step bound through Kth().
+// as a NaN would reach every later cap through Kth(), and a successor at
+// or before the candidate would visit it again or loop.
 bool SweepMachine::AbsorbEvalReply(const std::vector<char>& reply) {
   PayloadReader r(reply);
   const double d = r.F64();
-  if (!r.Done() || !(d >= 0.0)) return false;
-  AbsorbEval(d);
+  SweepCompactResult next;
+  if (!DecodeHead(cand_shard_, r, &next) || !(d >= 0.0)) return false;
+  const bool after = next.next == kSweepNone || next.next_key > cand_key_ ||
+                     (next.next_key == cand_key_ && next.next > cand_);
+  if (!after) return false;
+  inc_.Absorb(cand_, d, cap_, /*is_pivot=*/false);
+  views_[cand_shard_].head = next;
   return true;
-}
-
-std::vector<char> SweepMachine::StepPayload() const {
-  // The elimination radius tightens with the new incumbent.
-  PayloadWriter w;
-  w.U32(static_cast<std::uint32_t>(cand_));
-  w.F64(inc_.Kth());
-  return std::move(w.buf);
 }
 
 void SweepMachine::Drop(std::size_t s) {
@@ -160,7 +159,11 @@ void SweepMachine::Drop(std::size_t s) {
 
 void SweepMachine::Expire() {
   for (std::size_t s = 0; s < views_.size(); ++s) {
-    if (views_[s].active && views_[s].last.live > 0) missing_.push_back(s);
+    const SweepCompactResult& head = views_[s].head;
+    if (views_[s].active && head.next != kSweepNone &&
+        head.next_key < inc_.Kth()) {
+      missing_.push_back(s);
+    }
   }
 }
 

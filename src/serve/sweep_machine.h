@@ -31,11 +31,11 @@ struct ServeResult {
   bool shed = false;
   /// The shards this query is missing, ascending. A shard appears here
   /// only when its *entire replica group* was lost: dead at query start,
-  /// failed mid-sweep, or still live at the deadline.
+  /// failed mid-sweep, or still holding candidates at the deadline.
   std::vector<std::size_t> missing_shards;
-  /// Primary promotions performed during this query (a standby with
-  /// bit-identical slab state took over mid-sweep; the result stayed
-  /// exact and unflagged).
+  /// Primary promotions performed during this query (a standby that took
+  /// the same begin took over mid-sweep; the result stayed exact and
+  /// unflagged).
   std::size_t failovers = 0;
   /// Eval requests that were raced to a standby after the hedge delay.
   std::size_t hedged_evals = 0;
@@ -89,9 +89,13 @@ struct SweepWorld {
 /// per-shard passes left to the workers. The visit rule (incumbents,
 /// caps, row seeding) is the in-process sweep's own `SweepIncumbents`,
 /// the lazy pivot phase its `VisitPivots`, and the shard merge its
-/// `FoldSegmentMinima` (search/pivot_sweep.h). It does no I/O and takes no
-/// locks: an executor sends the payloads it builds, feeds back the
-/// replies, and reports lost shards. One executor drives it — the router's
+/// `FoldSegmentMinima` (search/pivot_sweep.h). Each shard orders its
+/// survivors once, at the begin, in the in-process survivor stream; the
+/// machine keeps one head per shard — the begin's, then the successor
+/// each eval reply names — and visits the least head while it is below
+/// the k-th incumbent, which is the in-process stream's (bound, id) order
+/// and stop. It does no I/O and takes no locks: an executor sends the
+/// payloads it builds, feeds back the replies, and reports lost shards. One executor drives it — the router's
 /// multiplexed `DriveSweeps` legs, behind every read entry point — so a
 /// healthy distributed query makes the in-process sweep's decisions on
 /// identical values in identical order, and is bit-identical (neighbours,
@@ -108,10 +112,10 @@ struct SweepWorld {
 ///     seeded from the row, and the begin carries every row.
 ///
 /// Protocol: AbsorbBegin for every active shard, then repeat { Next();
-/// evaluate the candidate on its shard (AbsorbEval / AbsorbEvalReply);
-/// AbsorbStep for every active shard } until Next() returns kSweepNone;
-/// then the delta scans (AbsorbDelta); then Finish. A reply that fails an Absorb* is malformed: the executor
-/// must Drop the shard.
+/// evaluate the candidate on its shard (AbsorbEvalReply) } until Next()
+/// returns kSweepNone; then the delta scans (AbsorbDelta); then Finish.
+/// A reply that fails an Absorb* is malformed: the executor must refuse
+/// its sender and Drop the shard when no member's reply is accepted.
 class SweepMachine {
  public:
   /// `shape`, `world`, `distance`, `query` and `row` (d(query, pivot p)
@@ -127,38 +131,34 @@ class SweepMachine {
 
   /// The kBeginRow payload: the query, the seed bound and the rows taken.
   std::vector<char> BeginPayload() const;
-  /// Absorbs shard `s`'s begin reply. False when it is malformed, or when
-  /// the shard's base tombstone count is not the router's: the worker
-  /// masked other slots than the router removed.
+  /// Absorbs shard `s`'s begin reply, its stream head. False when it is
+  /// malformed, or when the shard's base tombstone count is not the
+  /// router's: the worker masked other slots than the router removed.
   bool AbsorbBegin(std::size_t s, const std::vector<char>& reply);
-  /// Absorbs shard `s`'s step reply. False when it is malformed.
-  bool AbsorbStep(std::size_t s, const std::vector<char>& reply);
 
-  /// Selects the next candidate: the per-shard minima merged in shard
-  /// order with strict '<' (the lowest global index wins ties).
-  /// kSweepNone ends the sweep.
+  /// Selects the next candidate: the shards' heads merged in shard order
+  /// with strict '<' (the lowest global index wins ties), while its bound
+  /// is below the k-th incumbent. kSweepNone ends the sweep.
   std::size_t Next();
   /// The candidate's home shard, which answers its eval.
   std::size_t cand_shard() const { return cand_shard_; }
   /// The bound the candidate's evaluation may abandon at.
   double cap() const { return cap_; }
   std::vector<char> EvalPayload() const;
-  /// Counts the candidate's evaluation and admits it when it improves on
-  /// the k-th incumbent.
-  void AbsorbEval(double d);
-  /// Decodes a worker's eval reply into AbsorbEval. False when malformed:
-  /// a distance is >= 0 or +inf, never NaN.
+  /// Absorbs a worker's eval reply: counts the candidate's evaluation,
+  /// admits it when it improves on the k-th incumbent, and moves the
+  /// shard's head to the candidate's successor. False when malformed
+  /// (nothing is absorbed): the distance must be >= 0 or +inf, never NaN,
+  /// and the successor none, or an id of the shard after the candidate in
+  /// (bound, id) order.
   bool AbsorbEvalReply(const std::vector<char>& reply);
-  /// The compaction for every active shard, a kStep frame; sent after
-  /// AbsorbEval.
-  std::vector<char> StepPayload() const;
 
   bool active(std::size_t s) const { return views_[s].active; }
   /// Drops shard `s` from the sweep (its whole group is lost, or its
   /// reply was malformed) and lists it missing. Idempotent.
   void Drop(std::size_t s);
-  /// Deadline: the incumbents stand; every active shard still holding
-  /// live candidates is listed missing.
+  /// Deadline: the incumbents stand; every active shard whose head is
+  /// still below the k-th incumbent is listed missing.
   void Expire();
 
   /// True when shard `s` is active and holds live delta entries.
@@ -175,16 +175,18 @@ class SweepMachine {
   void Finish(ServeResult* res);
 
  private:
-  /// Per-query view of one shard's sweep state, mirrored from its
-  /// primary's replies.
+  /// Per-query view of one shard: whether it is still swept, and its
+  /// stream's next unvisited survivor.
   struct ShardView {
     bool active = true;
-    SweepCompactResult last;
+    SweepCompactResult head;
   };
 
-  /// Decodes the rest of `r`, a compact pass result of shard `s`, into its
-  /// view. False when it is malformed.
-  bool AbsorbPass(std::size_t s, PayloadReader& r);
+  /// Decodes the rest of `r`, a stream head of shard `s`. False when it
+  /// is malformed: its id is neither none nor one of `s`'s, its bound is
+  /// NaN or negative, or its survivor count exceeds the shard.
+  bool DecodeHead(std::size_t s, PayloadReader& r,
+                  SweepCompactResult* head) const;
 
   const SweepShape& shape_;
   const SweepWorld& world_;
@@ -198,6 +200,7 @@ class SweepMachine {
   std::vector<std::size_t> missing_;
 
   std::size_t cand_ = kSweepNone;
+  double cand_key_ = 0.0;
   std::size_t cand_shard_ = 0;
   double cap_ = 0.0;
 };

@@ -6,18 +6,18 @@
 
 namespace cned {
 
-/// Payload encoding of one shard's sweep pass result — the reply body of
-/// kStep, and of kBeginRow behind the shard's base tombstone count: the
-/// shard's live count and its minimal-bound survivor.
-inline void EncodeCompact(PayloadWriter& w, const SweepCompactResult& pass) {
-  w.U64(pass.live);
-  w.U64(pass.next);
-  w.F64(pass.next_key);
+/// Payload encoding of a shard's survivor-stream head (serve/replica.h):
+/// the head's id (kSweepNone past the last survivor) and its bound. It ends
+/// the kBeginRow reply, behind the shard's base tombstone count, and the
+/// kEval reply, behind the distance, where it names the evaluated
+/// candidate's successor. A head's `live` is not sent.
+inline void EncodeStreamHead(PayloadWriter& w, const SweepCompactResult& head) {
+  w.U64(head.next);
+  w.F64(head.next_key);
 }
 
-inline SweepCompactResult DecodeCompact(PayloadReader& r) {
+inline SweepCompactResult DecodeStreamHead(PayloadReader& r) {
   SweepCompactResult out;
-  out.live = r.U64();
   out.next = r.U64();
   out.next_key = r.F64();
   return out;

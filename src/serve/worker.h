@@ -22,10 +22,10 @@ struct WorkerConfig {
 /// Runs the shard-worker protocol loop on `fd` (one end of the router's
 /// socketpair) until the router sends kShutdown, the socket closes, or an
 /// injected crash fires. Maps the shard snapshot (checksum-verified), then
-/// serves Ping/BeginRow/Eval/Step requests and the mutable tier's ops,
+/// serves Ping/BeginRow/Eval requests and the mutable tier's ops,
 /// applying the fault spec's deterministic schedule to each. A request
-/// type it does not serve, the reserved 2 and 6 included, is answered with
-/// kError. Returns the process exit code (0 on clean shutdown). Never
+/// type it does not serve, the reserved 2, 5 and 6 included, is answered
+/// with kError. Returns the process exit code (0 on clean shutdown). Never
 /// throws: a snapshot or protocol
 /// failure is reported as a kError frame where possible and a nonzero
 /// return otherwise.

@@ -88,11 +88,13 @@ inline void ExpectSameAnswer(const Answer& want, const Answer& got,
   }
 }
 
-/// Router options for healthy test fleets: short op timeouts and backoff.
+/// Router options for test fleets: an op timeout no healthy reply misses
+/// on a loaded host, and short backoff. A case that waits out an injected
+/// drop or delay shortens the timeout itself.
 inline ServeOptions TestServeOptions(const std::string& distance) {
   ServeOptions opt;
   opt.distance = distance;
-  opt.op_timeout_ms = 400;
+  opt.op_timeout_ms = 2000;
   opt.op_retries = 2;
   opt.backoff_base_ms = 2;
   return opt;

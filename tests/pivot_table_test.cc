@@ -287,21 +287,23 @@ TEST(PivotTableTest, ShardReplicaBeginRowRejectsOutOfRangeRows) {
     std::vector<PivotRow> bad_rank = {rows[0], {np, rows[1].d}};
     std::vector<PivotRow> too_many = rows;
     too_many.push_back(rows[0]);
+    SweepCompactResult next;
     for (const std::vector<PivotRow>& bad : {bad_rank, too_many}) {
       replica.BeginRow(1, q, rows, seed);
       EXPECT_THROW(replica.BeginRow(1, q, bad, seed), std::out_of_range)
           << ctx;
-      EXPECT_THROW(replica.Step(1, 0xFFFFFFFFu, seed), std::out_of_range)
-          << ctx;
-      EXPECT_THROW(replica.Eval(1, replica.base(), kInf), std::out_of_range)
+      EXPECT_THROW(replica.Eval(1, replica.base(), kInf, &next),
+                   std::out_of_range)
           << ctx;
     }
 
     const SweepCompactResult want = replica.BeginRow(2, q, rows, seed);
     ExpectSamePass(replica.BeginRow(1, q, rows, seed), want, ctx + " begin");
-    const auto skip = static_cast<std::uint32_t>(want.next);
-    ExpectSamePass(replica.Step(1, skip, seed - 0.5),
-                   replica.Step(2, skip, seed - 0.5), ctx + " step");
+    SweepCompactResult want_next;
+    EXPECT_EQ(replica.Eval(1, want.next, kInf, &next),
+              replica.Eval(2, want.next, kInf, &want_next))
+        << ctx;
+    ExpectSamePass(next, want_next, ctx + " successor");
   }
 }
 
@@ -332,7 +334,6 @@ TEST(PivotTableTest, ShardReplicaServesIdCountAtSweepLimit) {
         1.0;
     // A lazy read's begin: the rows its pivot phase visited.
     const std::vector<PivotRow> visited(rows.begin(), rows.begin() + 3);
-    const auto skip = static_cast<std::uint32_t>(built.pivots()[0]);
     const std::size_t id = ref.base() + 2;
 
     AddressSpaceCap cap(kCapHeadroom);
@@ -341,16 +342,26 @@ TEST(PivotTableTest, ShardReplicaServesIdCountAtSweepLimit) {
                                                          crafted_path, "dE"))
         << ctx;
     EXPECT_EQ(got->total_size(), kMaxN) << ctx;
-    ExpectSamePass(got->BeginRow(1, q, rows, seed),
-                   ref.BeginRow(1, q, rows, seed), ctx + " begin row");
-    ExpectSamePass(got->Step(1, 0xFFFFFFFFu, seed - 0.5),
-                   ref.Step(1, 0xFFFFFFFFu, seed - 0.5), ctx + " row step");
-    EXPECT_EQ(got->Eval(1, id, kInf), ref.Eval(1, id, kInf)) << ctx;
+    // Each eval's distance and successor, from the crafted and the true
+    // slice.
+    const auto expect_same_eval = [&](std::uint32_t qid, std::size_t c,
+                                      const std::string& what) {
+      SweepCompactResult got_next, ref_next;
+      EXPECT_EQ(got->Eval(qid, c, kInf, &got_next),
+                ref.Eval(qid, c, kInf, &ref_next))
+          << what;
+      ExpectSamePass(got_next, ref_next, what);
+    };
+    const SweepCompactResult head = ref.BeginRow(1, q, rows, seed);
+    ExpectSamePass(got->BeginRow(1, q, rows, seed), head,
+                   ctx + " begin row");
+    expect_same_eval(1, head.next, ctx + " row eval");
+    expect_same_eval(1, id, ctx + " row eval of any id");
+    const SweepCompactResult visited_head =
+        ref.BeginRow(2, q, visited, rows[0].d + 1.0);
     ExpectSamePass(got->BeginRow(2, q, visited, rows[0].d + 1.0),
-                   ref.BeginRow(2, q, visited, rows[0].d + 1.0),
-                   ctx + " begin visited rows");
-    ExpectSamePass(got->Step(2, skip, rows[0].d), ref.Step(2, skip, rows[0].d),
-                   ctx + " visited rows step");
+                   visited_head, ctx + " begin visited rows");
+    expect_same_eval(2, visited_head.next, ctx + " visited rows eval");
   }
 }
 

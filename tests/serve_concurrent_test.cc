@@ -109,14 +109,14 @@ TEST(ServeConcurrentTest, EightClientsStayExactWhileStandbysDieAndMangle) {
   opt.op_retries = 2;
   opt.backoff_base_ms = 2;
   opt.auto_respawn = true;
-  // Standbys only (replica=1): a crash mid-step, then a mangled step
-  // reply (state-machine disagreement, standby evicted). Every group
-  // keeps its primary, so nothing may ever flag — and nothing may
-  // perturb a single reported bit.
+  // Standbys only (replica=1): a crash on a begin, then a mangled begin
+  // reply (byte disagreement, standby evicted). Every group keeps its
+  // primary, so nothing may ever flag — and nothing may perturb a single
+  // reported bit.
   opt.fault_spec =
-      "crash:shard=1,op=step,nth=25,replica=1|"
-      "mangle:shard=2,op=step,nth=40,replica=1|"
-      "crash:shard=0,op=step,nth=90,replica=1";
+      "crash:shard=1,op=begin,nth=25,replica=1|"
+      "mangle:shard=2,op=begin,nth=40,replica=1|"
+      "crash:shard=0,op=begin,nth=90,replica=1";
   ServeRouter router(dir.path, opt);
 
   ServeEngineOptions eopt;
@@ -183,9 +183,9 @@ TEST(ServeConcurrentTest, CallersDrivingTheirOwnSweepsStayExact) {
   opt.replicas = 2;
   opt.op_timeout_ms = 2000;  // TSan headroom
   opt.backoff_base_ms = 2;
-  // A standby crash mid-step: the group keeps its primary, so nothing may
-  // flag or perturb a bit.
-  opt.fault_spec = "crash:shard=2,op=step,nth=40,replica=1";
+  // A standby crash on a begin: the group keeps its primary, so nothing
+  // may flag or perturb a bit.
+  opt.fault_spec = "crash:shard=2,op=begin,nth=40,replica=1";
   ServeRouter router(dir.path, opt);
 
   const std::size_t k = 3;
@@ -253,8 +253,8 @@ TEST(ServeConcurrentTest, MixedQueryInsertRemoveStormNeverFlags) {
   // recurring slow primary eval (every 97th) to keep the hedging path
   // hot. Groups always keep a live member, so nothing may flag.
   opt.fault_spec =
-      "crash:shard=3,op=step,nth=30,replica=1|"
-      "mangle:shard=1,op=step,nth=55,replica=1|"
+      "crash:shard=3,op=begin,nth=30,replica=1|"
+      "mangle:shard=1,op=begin,nth=55,replica=1|"
       "delay:shard=2,op=eval,replica=0,ms=30,every=97";
   ServeRouter router(dir.path, opt);
 

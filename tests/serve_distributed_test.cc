@@ -13,17 +13,18 @@
 //      results run to run.
 //   3. Replicated = exact through failure. With a replica group of R=2
 //      per shard (the default), losing any shard's *primary* mid-sweep —
-//      injected crash or a real kill -9 — promotes the standby, whose
-//      slab state is bit-identical by state-machine replication, and the
-//      query completes exact and UNFLAGGED. Only losing a whole group
+//      injected crash or a real kill -9 — promotes the standby, which took
+//      the same begin and so answers every eval with the same bytes, and
+//      the query completes exact and UNFLAGGED. Only losing a whole group
 //      degrades. Slow primaries are hedged on Evals; disagreeing
 //      standbys are evicted; the health loop revives dead replicas in
 //      the background.
 //
 // Fault directives without a `replica=` selector fire on every group
-// member (identical op sequences), so the contract-2 tests above keep
-// their exact semantics at R=2: the injected fault takes out the whole
-// group.
+// member that counts a match — every member takes each begin, and an eval
+// that killed the primary goes to the standby next — so the contract-2
+// tests above keep their exact semantics at R=2: the injected fault takes
+// out the whole group.
 //
 // `DriveSweeps` is the router's one executor: `KNearest` and
 // `KNearestWithRow` run it over a one-job feed, and the driven cases below
@@ -57,6 +58,11 @@
 
 namespace cned {
 namespace {
+
+/// The op timeout of a case that waits out an injected drop or delay: short,
+/// so the case stays fast. Every other case keeps `TestServeOptions`' wide
+/// window, which no healthy reply misses on a loaded host.
+constexpr int kFaultWindowMs = 400;
 
 struct Workload {
   std::vector<std::string> protos;
@@ -150,7 +156,9 @@ TEST(ServeDistributedTest, CrashMidSweepDegradesExactlyThatShard) {
   Workload w = MakeWorkload(150, 3, 7300);
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = TestServeOptions("dE");
-  opt.fault_spec = "crash:shard=2,op=step,nth=2";
+  // Each member of shard 2's group crashes on the 2nd eval it answers: the
+  // primary mid-sweep, then the standby it failed over to.
+  opt.fault_spec = "crash:shard=2,op=eval,nth=2";
   opt.auto_respawn = false;
   ServeRouter router(dep.dir.path, opt);
 
@@ -178,21 +186,6 @@ TEST(ServeDistributedTest, CrashMidSweepDegradesExactlyThatShard) {
                    "post-respawn");
 }
 
-TEST(ServeDistributedTest, UnresponsiveStepIsNeverRetriedAndDegrades) {
-  Workload w = MakeWorkload(100, 2, 7400);
-  Deployment dep(w.protos, 4, 8);
-  ServeOptions opt = TestServeOptions("dE");
-  // The worker swallows one Step: the router must not resend a mutating
-  // op — the shard is degraded on the first timeout.
-  opt.fault_spec = "drop:shard=1,op=step,nth=1";
-  opt.auto_respawn = false;
-  ServeRouter router(dep.dir.path, opt);
-  const ServeResult r = router.Nearest(w.queries[0]);
-  EXPECT_TRUE(r.partial);
-  EXPECT_EQ(r.missing_shards, std::vector<std::size_t>{1});
-  EXPECT_FALSE(AnyReplicaAlive(router, 1));
-}
-
 TEST(ServeDistributedTest, UnresponsiveIdempotentOpIsRetriedTransparently) {
   Workload w = MakeWorkload(100, 4, 7500);
   Deployment dep(w.protos, 4, 8);
@@ -200,6 +193,7 @@ TEST(ServeDistributedTest, UnresponsiveIdempotentOpIsRetriedTransparently) {
   // Dropped Eval and dropped BeginRow replies: both are idempotent, so
   // the retry path must absorb them with no effect on the answer.
   opt.fault_spec = "drop:shard=1,op=eval,nth=1|drop:shard=3,op=begin,nth=1";
+  opt.op_timeout_ms = kFaultWindowMs;
   ServeRouter router(dep.dir.path, opt);
   for (const auto& q : w.queries) {
     QueryStats ref;
@@ -214,10 +208,11 @@ TEST(ServeDistributedTest, CorruptReplyIsTreatedAsDeadShard) {
   Workload w = MakeWorkload(100, 2, 7600);
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = TestServeOptions("dE");
-  opt.fault_spec = "corrupt:shard=0,op=step,nth=1";
+  // Both members of shard 0's group answer its begin with a bad CRC.
+  opt.fault_spec = "corrupt:shard=0,op=begin,nth=1";
   opt.auto_respawn = false;
   ServeRouter router(dep.dir.path, opt);
-  const ServeResult r = router.Nearest(w.queries[0]);
+  const ServeResult r = router.KNearest(w.queries[0], 1);
   EXPECT_TRUE(r.partial);
   EXPECT_EQ(r.missing_shards, std::vector<std::size_t>{0});
   EXPECT_FALSE(AnyReplicaAlive(router, 0));
@@ -231,6 +226,7 @@ TEST(ServeDistributedTest, DeadlineExpiryReturnsFlaggedPartialIncumbents) {
   // burn the whole budget: the sweep hits the deadline with candidates
   // still live and must hand back flagged incumbents, not block.
   opt.fault_spec = "delay:op=eval,ms=300";
+  opt.op_timeout_ms = kFaultWindowMs;
   opt.query_deadline_ms = 250;
   opt.auto_respawn = false;
   ServeRouter router(dep.dir.path, opt);
@@ -321,10 +317,10 @@ TEST(ServeDistributedTest, EveryPrimaryCrashedMidSweepStaysExactUnflagged) {
   Workload w = MakeWorkload(150, 3, 8400);
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = TestServeOptions("dE");
-  // Each shard's *primary* (replica 0) crashes on its 2nd visit pass.
-  // The standby holds bit-identical slab state, so every shard fails
-  // over mid-sweep and the query must come back exact and unflagged.
-  opt.fault_spec = "crash:op=step,nth=2,replica=0";
+  // Each shard's *primary* (replica 0) crashes on its 2nd eval. The
+  // standby took the same begin, so every shard fails over mid-sweep and
+  // the query must come back exact and unflagged.
+  opt.fault_spec = "crash:op=eval,nth=2,replica=0";
   opt.auto_respawn = false;
   ServeRouter router(dep.dir.path, opt);
 
@@ -352,7 +348,7 @@ TEST(ServeDistributedTest, EveryPrimaryCrashedMidBatchStaysExactUnflagged) {
   Workload w = MakeWorkload(150, 5, 8500);
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = TestServeOptions("dE");
-  opt.fault_spec = "crash:op=step,nth=2,replica=0";
+  opt.fault_spec = "crash:op=eval,nth=2,replica=0";
   ServeRouter router(dep.dir.path, opt);
   const auto got = KNearestBatch(router, w.queries, 3);
   ASSERT_EQ(got.size(), w.queries.size());
@@ -367,7 +363,7 @@ TEST(ServeDistributedTest, EveryPrimaryCrashedMidBatchStaysExactUnflagged) {
                      "batch failover q=" + w.queries[i]);
     failovers += got[i].failovers;
   }
-  EXPECT_EQ(failovers, 4u);  // one promotion per shard, all in one query
+  EXPECT_EQ(failovers, 4u);  // one promotion per shard
 }
 
 TEST(ServeDistributedTest, RealKillNineOfPrimaryFailsOverMidQuery) {
@@ -416,7 +412,9 @@ TEST(ServeDistributedTest, SlowPrimaryEvalsAreHedgedToTheStandby) {
   // Shard 1's primary answers Evals 100ms late — well inside the op
   // timeout, so without hedging the query would simply crawl. With a
   // 10ms hedge delay the router races each such Eval to the standby and
-  // takes its (identical) answer; nobody dies, nothing degrades.
+  // takes its (identical) answer; nobody dies, nothing degrades. The
+  // Evals the primary lost while it slept are skipped unanswered, so its
+  // backlog never reaches the next begin.
   opt.fault_spec = "delay:shard=1,op=eval,replica=0,ms=100";
   opt.hedge_delay_ms = 10;
   opt.auto_respawn = false;
@@ -443,11 +441,11 @@ TEST(ServeDistributedTest, DisagreeingStandbyIsEvictedAndQueryStaysExact) {
   Workload w = MakeWorkload(120, 2, 8800);
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = TestServeOptions("dE");
-  // Shard 2's *standby* mangles its 3rd visit-pass reply: byte-wrong but
-  // CRC-valid, so only the router's replica agreement check can catch
-  // it. The primary's reply drives the merge — the answer stays exact —
-  // and the corrupt standby is evicted.
-  opt.fault_spec = "mangle:shard=2,op=step,nth=3,replica=1";
+  // Shard 2's *standby* mangles its begin reply: byte-wrong but CRC-valid,
+  // so only the router's replica agreement check can catch it. The
+  // primary's reply drives the merge — the answer stays exact — and the
+  // corrupt standby is evicted.
+  opt.fault_spec = "mangle:shard=2,op=begin,nth=1,replica=1";
   opt.auto_respawn = false;
   ServeRouter router(dep.dir.path, opt);
 
@@ -615,8 +613,8 @@ TEST(ServeDistributedTest, DrivenSweepFailsOverMidSweepInsteadOfBailing) {
   Workload w = MakeWorkload(150, 1, 8500);
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = TestServeOptions("dE");
-  // Every primary crashes on its 2nd visit pass, inside this one sweep.
-  opt.fault_spec = "crash:op=step,nth=2,replica=0";
+  // Every primary crashes on its 2nd eval, inside this one sweep.
+  opt.fault_spec = "crash:op=eval,nth=2,replica=0";
   opt.auto_respawn = false;
   ServeRouter router(dep.dir.path, opt);
 
@@ -680,12 +678,14 @@ TEST(ServeDistributedTest, DegradedLazyResultsAreDeterministicAcrossRuns) {
   Workload w = MakeWorkload(140, 5, 8000);
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = TestServeOptions("dE");
-  // A mixed schedule: one crash and one swallowed mutating op. Counted
-  // per directive, the schedule is a pure function of the request
-  // sequence — so two fresh routers over the same queries must degrade
-  // identically, down to the stats.
-  opt.fault_spec = "crash:shard=2,op=step,nth=4|drop:shard=0,op=step,nth=6";
-  opt.respawn_fault_spec = "";
+  // A mixed schedule: one crash and one swallowed eval. Counted per
+  // directive, the schedule is a pure function of the request sequence —
+  // so two fresh routers over the same queries must degrade identically,
+  // down to the stats. Hedges are off: a hedge fires on a timer, which
+  // would make the standbys' eval sequence depend on timing.
+  opt.fault_spec = "crash:shard=2,op=eval,nth=4|drop:shard=0,op=eval,nth=6";
+  opt.op_timeout_ms = kFaultWindowMs;
+  opt.hedge_delay_ms = -1;
   auto run = [&]() {
     ServeRouter router(dep.dir.path, opt);
     std::vector<ServeResult> out;
@@ -746,7 +746,7 @@ TEST(ServeDistributedTest, CorruptShardSnapshotNeverServes) {
   ServeOptions opt = TestServeOptions("dE");
   opt.auto_respawn = false;
   ServeRouter router(dep.dir.path, opt);
-  const ServeResult r = router.Nearest(w.queries[0]);
+  const ServeResult r = router.KNearest(w.queries[0], 1);
   EXPECT_TRUE(r.partial);
   EXPECT_EQ(r.missing_shards, std::vector<std::size_t>{1});
 }
@@ -886,7 +886,7 @@ TEST(ServeDistributedTest, MutationsServeExactlyOnBothPathsReplicated) {
     ExpectServesLiveOracle(router.KNearest(q, 5), live, *dist, q, 5,
                            "masked lazy q=" + q);
     // ...and the top-1 special case.
-    ExpectServesLiveOracle(router.Nearest(q), live, *dist, q, 1,
+    ExpectServesLiveOracle(router.KNearest(q, 1), live, *dist, q, 1,
                            "masked nearest q=" + q);
   }
   // The pivot-row path masks too — including the removed pivot id 0, which
@@ -1010,6 +1010,48 @@ TEST(ServeDistributedTest, RespawnedReplicaReplaysJournalBeforeRejoining) {
                            "replayed standby q=" + q);
   }
   EXPECT_EQ(router.live_size(), live.size());
+}
+
+// An Insert is acknowledged once the router has journaled it and a member
+// of the owner's group applied it. Here the primary crashes while applying
+// it: the standby's reply acknowledges it, a respawn replays the journal
+// into a fresh primary, and the insert outlives the standby that applied
+// it too.
+TEST(ServeDistributedTest, InsertSurvivesTheMemberThatCrashedApplyingIt) {
+  Workload w = MakeWorkload(100, 4, 9650);
+  Deployment dep(w.protos, 2, 6);
+  ServeOptions opt = TestServeOptions("dE");
+  opt.fault_spec = "crash:op=insert,replica=0,nth=1";
+  opt.auto_respawn = false;
+  ServeRouter router(dep.dir.path, opt);
+  auto dist = MakeDistance("dE");
+
+  std::map<std::uint64_t, std::string> live;
+  for (std::size_t i = 0; i < w.protos.size(); ++i) live[i] = w.protos[i];
+  const std::string inserted = w.protos[4] + "!crash";
+  const std::uint64_t id = router.Insert(inserted);
+  live[id] = inserted;
+  const auto owner =
+      static_cast<std::size_t>((id - w.protos.size()) % router.shard_count());
+  EXPECT_FALSE(router.replica_alive(owner, 0));
+  ASSERT_TRUE(router.replica_alive(owner, 1));
+  ExpectServesLiveOracle(router.KNearest(inserted, 1), live, *dist, inserted,
+                         1, "served by the standby");
+
+  // The respawned primary holds the insert only through the journal
+  // replay; with the standby killed it serves the owner shard alone.
+  EXPECT_EQ(router.RespawnDead(), 1u);
+  const pid_t standby = router.replica_pid(owner, 1);
+  ASSERT_GT(standby, 0);
+  ASSERT_EQ(kill(standby, SIGKILL), 0);
+  ExpectServesLiveOracle(router.KNearest(inserted, 1), live, *dist, inserted,
+                         1, "served by the replayed member");
+  for (const auto& q : w.queries) {
+    ExpectServesLiveOracle(router.KNearest(q, 4), live, *dist, q, 4,
+                           "replayed member q=" + q);
+  }
+  EXPECT_TRUE(router.replica_alive(owner, 0));
+  EXPECT_FALSE(router.replica_alive(owner, 1));
 }
 
 TEST(ServeDistributedTest, MutatedTierStaysExactAcrossPrecisionsAndKernels) {

@@ -18,9 +18,11 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "datasets/prototype_store.h"
@@ -52,11 +54,11 @@ TEST(ServeFrameTest, RoundTripsPayloadTypeSequenceAndQueryId) {
   w.U64(123456789012345ull);
   w.F64(2.5);
   w.Str("hello frame");
-  ASSERT_TRUE(SendFrame(sp.fds[0], FrameType::kStep, 99, 1234, w.buf.data(),
+  ASSERT_TRUE(SendFrame(sp.fds[0], FrameType::kEval, 99, 1234, w.buf.data(),
                         w.buf.size()));
   Frame f;
   ASSERT_EQ(RecvFrame(sp.fds[1], &f, 1000), RecvStatus::kOk);
-  EXPECT_EQ(f.type, static_cast<std::uint32_t>(FrameType::kStep));
+  EXPECT_EQ(f.type, static_cast<std::uint32_t>(FrameType::kEval));
   EXPECT_EQ(f.seq, 99u);
   EXPECT_EQ(f.qid, 1234u);
   PayloadReader r(f.payload);
@@ -193,7 +195,7 @@ TEST(ServeFrameBufferTest, PartialFrameWaitsAcrossAppends) {
   PayloadWriter w;
   w.Str("split across reads");
   ASSERT_TRUE(
-      EncodeFrame(&bytes, FrameType::kStep, 9, 42, w.buf.data(), w.buf.size()));
+      EncodeFrame(&bytes, FrameType::kEval, 9, 42, w.buf.data(), w.buf.size()));
 
   FrameBuffer fb;
   Frame f;
@@ -275,12 +277,12 @@ TEST(ServeFrameTest, PayloadReaderRejectsShortAndTrailingBytes) {
 
 TEST(ServeFaultTest, ParsesFullGrammar) {
   const FaultSpec spec = FaultSpec::Parse(
-      "crash:shard=1,op=step,nth=3|delay:op=eval,every=2,ms=50|drop:|"
+      "crash:shard=1,op=begin,nth=3|delay:op=eval,every=2,ms=50|drop:|"
       "corrupt:shard=0");
   ASSERT_EQ(spec.directives.size(), 4u);
   EXPECT_EQ(spec.directives[0].kind, FaultDirective::Kind::kCrash);
   EXPECT_EQ(spec.directives[0].shard, 1);
-  EXPECT_EQ(spec.directives[0].op, "step");
+  EXPECT_EQ(spec.directives[0].op, "begin");
   EXPECT_EQ(spec.directives[0].nth, 3u);
   EXPECT_EQ(spec.directives[1].kind, FaultDirective::Kind::kDelay);
   EXPECT_EQ(spec.directives[1].every, 2u);
@@ -292,21 +294,47 @@ TEST(ServeFaultTest, ParsesFullGrammar) {
   EXPECT_TRUE(FaultSpec::Parse("").empty());
 }
 
+// Every request class the worker counts is a name a directive can target,
+// and each names exactly the frame type the worker counts under it.
+TEST(ServeFaultTest, ParsesEveryOpTheWorkerCounts) {
+  const std::pair<const char*, FrameType> ops[] = {
+      {"ping", FrameType::kPing},     {"begin", FrameType::kBeginRow},
+      {"eval", FrameType::kEval},     {"insert", FrameType::kInsert},
+      {"remove", FrameType::kRemove}, {"scan", FrameType::kDeltaScan},
+  };
+  for (const auto& [name, type] : ops) {
+    const FaultSpec spec =
+        FaultSpec::Parse(std::string("crash:nth=1,op=") + name);
+    ASSERT_EQ(spec.directives.size(), 1u) << name;
+    EXPECT_EQ(spec.directives[0].op, name);
+    EXPECT_STREQ(FaultOpName(type), name);
+    FaultInjector inj(spec, /*shard=*/0);
+    EXPECT_TRUE(inj.OnRequest(FaultOpName(type)).crash) << name;
+  }
+  // Types outside the table count as "other", which no op= names.
+  EXPECT_STREQ(FaultOpName(FrameType::kShutdown), "other");
+  EXPECT_STREQ(FaultOpName(static_cast<FrameType>(5)), "other");
+  EXPECT_THROW(FaultSpec::Parse("crash:op=other"), std::invalid_argument);
+}
+
 TEST(ServeFaultTest, RejectsUnknownKindsKeysOpsAndValues) {
   EXPECT_THROW(FaultSpec::Parse("explode:shard=1"), std::invalid_argument);
   EXPECT_THROW(FaultSpec::Parse("crash:when=now"), std::invalid_argument);
   EXPECT_THROW(FaultSpec::Parse("crash:op=query"), std::invalid_argument);
+  // No request is a step any more: a stale directive must fail loudly
+  // rather than never fire.
+  EXPECT_THROW(FaultSpec::Parse("crash:op=step"), std::invalid_argument);
   EXPECT_THROW(FaultSpec::Parse("delay:ms=abc"), std::invalid_argument);
   EXPECT_THROW(FaultSpec::Parse("crash:shard="), std::invalid_argument);
 }
 
 TEST(ServeFaultTest, NthFiresExactlyOnceAndCountsPerDirective) {
-  FaultInjector inj(FaultSpec::Parse("crash:op=step,nth=3"), /*shard=*/0);
-  EXPECT_FALSE(inj.OnRequest("step").crash);
-  EXPECT_FALSE(inj.OnRequest("eval").crash);  // non-matching: no count
-  EXPECT_FALSE(inj.OnRequest("step").crash);
-  EXPECT_TRUE(inj.OnRequest("step").crash);  // 3rd matching request
-  EXPECT_FALSE(inj.OnRequest("step").crash);
+  FaultInjector inj(FaultSpec::Parse("crash:op=eval,nth=3"), /*shard=*/0);
+  EXPECT_FALSE(inj.OnRequest("eval").crash);
+  EXPECT_FALSE(inj.OnRequest("begin").crash);  // non-matching: no count
+  EXPECT_FALSE(inj.OnRequest("eval").crash);
+  EXPECT_TRUE(inj.OnRequest("eval").crash);  // 3rd matching request
+  EXPECT_FALSE(inj.OnRequest("eval").crash);
 }
 
 TEST(ServeFaultTest, EveryFiresPeriodicallyAndShardFilters) {
@@ -325,37 +353,37 @@ TEST(ServeFaultTest, EveryFiresPeriodicallyAndShardFilters) {
   FaultInjector always(FaultSpec::Parse("corrupt:op=eval"), /*shard=*/0);
   EXPECT_TRUE(always.OnRequest("eval").corrupt);
   EXPECT_TRUE(always.OnRequest("eval").corrupt);
-  EXPECT_FALSE(always.OnRequest("step").corrupt);
+  EXPECT_FALSE(always.OnRequest("begin").corrupt);
 }
 
 TEST(ServeFaultTest, ReplicaSelectorTargetsOneGroupMember) {
-  const FaultSpec spec = FaultSpec::Parse("crash:op=step,nth=1,replica=0");
+  const FaultSpec spec = FaultSpec::Parse("crash:op=begin,nth=1,replica=0");
   ASSERT_EQ(spec.directives.size(), 1u);
   EXPECT_EQ(spec.directives[0].replica, 0);
 
   // Same spec, same shard, different group ordinal: only replica 0 fires.
   FaultInjector primary(spec, /*shard=*/1, /*replica=*/0);
   FaultInjector standby(spec, /*shard=*/1, /*replica=*/1);
-  EXPECT_TRUE(primary.OnRequest("step").crash);
-  EXPECT_FALSE(standby.OnRequest("step").crash);
+  EXPECT_TRUE(primary.OnRequest("begin").crash);
+  EXPECT_FALSE(standby.OnRequest("begin").crash);
 
   // No replica key: -1, fires on every member (whole-group faults).
-  const FaultSpec all = FaultSpec::Parse("crash:op=step,nth=1");
+  const FaultSpec all = FaultSpec::Parse("crash:op=begin,nth=1");
   EXPECT_EQ(all.directives[0].replica, -1);
   FaultInjector m0(all, /*shard=*/0, /*replica=*/0);
   FaultInjector m1(all, /*shard=*/0, /*replica=*/1);
-  EXPECT_TRUE(m0.OnRequest("step").crash);
-  EXPECT_TRUE(m1.OnRequest("step").crash);
+  EXPECT_TRUE(m0.OnRequest("begin").crash);
+  EXPECT_TRUE(m1.OnRequest("begin").crash);
 
   EXPECT_THROW(FaultSpec::Parse("crash:replica="), std::invalid_argument);
 }
 
 TEST(ServeFaultTest, MangleKindFlagsPayloadCorruption) {
-  FaultInjector inj(FaultSpec::Parse("mangle:op=step,nth=2,replica=1"),
+  FaultInjector inj(FaultSpec::Parse("mangle:op=begin,nth=2,replica=1"),
                     /*shard=*/3, /*replica=*/1);
-  const auto first = inj.OnRequest("step");
+  const auto first = inj.OnRequest("begin");
   EXPECT_FALSE(first.mangle);
-  const auto second = inj.OnRequest("step");
+  const auto second = inj.OnRequest("begin");
   EXPECT_TRUE(second.mangle);
   // Mangle is byte-corruption with a *valid* CRC: distinct from corrupt.
   EXPECT_FALSE(second.corrupt);
@@ -416,29 +444,54 @@ TEST(ServeReactorTest, ADeadStreamWakesEveryRegisteredPipe) {
   EXPECT_EQ(conn.TryWait(1, nullptr), RecvStatus::kClosed);
 }
 
-// Frame type 6 is reserved: the frame layer still accepts it, and a worker
-// answers it with kError as a type it does not serve (a row sweep steps
-// with kStep at rank -1), then keeps serving.
-TEST(ServeWorkerTest, AnswersReservedFrameTypeWithError) {
-  std::string dir = std::string(::testing::TempDir()) + "cned_worker_XXXXXX";
-  ASSERT_NE(mkdtemp(dir.data()), nullptr);
-  const PrototypeStore store(std::vector<std::string>{"casa", "cosa", "masa",
-                                                      "mesa", "rosa", "risa"});
-  SaveServingSnapshot(Laesa(store, MakeDistance("dE"), 2), dir);
-  WorkerConfig config;
-  config.store_path = ShardStorePath(dir, 0);
-  config.index_path = ShardIndexPath(dir, 0);
-  config.distance = "dE";
-  SocketPair sp;
-  int exit_code = -1;
-  std::thread worker([&] { exit_code = RunShardWorker(sp.fds[1], config); });
+/// A one-shard serving snapshot of `store` and a worker over it on a
+/// socketpair, run on a thread; `fd()` is the router's end. Closing it is
+/// the worker's EOF, and the worker must then return 0.
+class WorkerUnderTest {
+ public:
+  explicit WorkerUnderTest(const std::string& fault_spec = "") {
+    EXPECT_NE(mkdtemp(dir_.data()), nullptr);
+    SaveServingSnapshot(Laesa(store, MakeDistance("dE"), 2), dir_);
+    WorkerConfig config;
+    config.store_path = ShardStorePath(dir_, 0);
+    config.index_path = ShardIndexPath(dir_, 0);
+    config.distance = "dE";
+    config.fault_spec = fault_spec;
+    worker_ = std::thread(
+        [this, config] { exit_code_ = RunShardWorker(sp_.fds[1], config); });
+  }
+  ~WorkerUnderTest() {
+    close(sp_.fds[0]);
+    sp_.fds[0] = -1;
+    worker_.join();
+    EXPECT_EQ(exit_code_, 0);
+    std::filesystem::remove_all(dir_);
+  }
 
-  // 2 was the lazy sweep's begin (a query string), 6 the row sweep's own
-  // step (a skip and a bound); each is answered with kError, and the worker
-  // keeps serving.
+  const PrototypeStore store{
+      std::vector<std::string>{"casa", "cosa", "masa", "mesa", "rosa", "risa"}};
+  int fd() const { return sp_.fds[0]; }
+
+ private:
+  std::string dir_ =
+      std::string(::testing::TempDir()) + "cned_worker_XXXXXX";
+  SocketPair sp_;
+  int exit_code_ = -1;
+  std::thread worker_;
+};
+
+// Frame types 2, 5 and 6 are reserved: the frame layer still accepts them,
+// and a worker answers them with kError as types it does not serve, then
+// keeps serving.
+TEST(ServeWorkerTest, AnswersReservedFrameTypeWithError) {
+  WorkerUnderTest worker;
+
+  // 2 was the lazy sweep's begin (a query string), 5 the lockstep step and
+  // 6 the row sweep's own step (a skip and a bound each); each is answered
+  // with kError, and the worker keeps serving.
   Frame f;
   std::uint32_t seq = 1;
-  for (const std::uint32_t type : {2u, 6u}) {
+  for (const std::uint32_t type : {2u, 5u, 6u}) {
     PayloadWriter w;
     if (type == 2) {
       w.Str("casa");
@@ -446,9 +499,9 @@ TEST(ServeWorkerTest, AnswersReservedFrameTypeWithError) {
       w.U32(0);
       w.F64(1.0);
     }
-    ASSERT_TRUE(SendFrame(sp.fds[0], static_cast<FrameType>(type), seq, 7,
+    ASSERT_TRUE(SendFrame(worker.fd(), static_cast<FrameType>(type), seq, 7,
                           w.buf.data(), w.buf.size()));
-    ASSERT_EQ(RecvFrame(sp.fds[0], &f, 5000), RecvStatus::kOk);
+    ASSERT_EQ(RecvFrame(worker.fd(), &f, 5000), RecvStatus::kOk);
     EXPECT_EQ(f.type, static_cast<std::uint32_t>(FrameType::kError));
     EXPECT_EQ(f.seq, seq);
     PayloadReader r(f.payload);
@@ -457,16 +510,56 @@ TEST(ServeWorkerTest, AnswersReservedFrameTypeWithError) {
     ++seq;
   }
 
-  ASSERT_TRUE(SendFrame(sp.fds[0], FrameType::kPing, seq, 0, nullptr, 0));
-  ASSERT_EQ(RecvFrame(sp.fds[0], &f, 5000), RecvStatus::kOk);
+  ASSERT_TRUE(SendFrame(worker.fd(), FrameType::kPing, seq, 0, nullptr, 0));
+  ASSERT_EQ(RecvFrame(worker.fd(), &f, 5000), RecvStatus::kOk);
   EXPECT_EQ(f.type, static_cast<std::uint32_t>(FrameType::kReply));
   EXPECT_EQ(f.seq, seq);
+}
 
-  close(sp.fds[0]);  // EOF: the worker returns cleanly
-  sp.fds[0] = -1;
-  worker.join();
-  EXPECT_EQ(exit_code, 0);
-  std::filesystem::remove_all(dir);
+// The router keeps one request of a query in flight to a member, so a read
+// with a later frame of its query behind it in the worker's batch was
+// hedged away or resent: the worker skips it unanswered, and the fault
+// schedule does not count it.
+TEST(ServeWorkerTest, SkipsAReadItsQueryHasSuperseded) {
+  // Counted, the skipped eval would get the answered one dropped.
+  WorkerUnderTest worker("drop:op=eval,nth=2");
+
+  // Query 7's begin, no pivot rows: every non-pivot survives.
+  PayloadWriter begin;
+  begin.Str("casa");
+  begin.F64(std::numeric_limits<double>::infinity());
+  begin.U64(0);
+  Frame f;
+  ASSERT_TRUE(SendFrame(worker.fd(), FrameType::kBeginRow, 1, 7,
+                        begin.buf.data(), begin.buf.size()));
+  ASSERT_EQ(RecvFrame(worker.fd(), &f, 5000), RecvStatus::kOk);
+  ASSERT_EQ(f.type, static_cast<std::uint32_t>(FrameType::kReply));
+  PayloadReader head(f.payload);
+  head.U64();  // base tombstones
+  const std::uint64_t first = head.U64();
+  ASSERT_TRUE(head.ok());
+  ASSERT_LT(first, worker.store.size());
+
+  // One write: query 7's eval twice (the first superseded), an eval of
+  // query 8 (not superseded: the 2nd counted eval, so dropped), a ping.
+  PayloadWriter eval;
+  eval.U64(first);
+  eval.F64(std::numeric_limits<double>::infinity());
+  std::vector<char> batch;
+  EncodeFrame(&batch, FrameType::kEval, 2, 7, eval.buf.data(),
+              eval.buf.size());
+  EncodeFrame(&batch, FrameType::kEval, 3, 7, eval.buf.data(),
+              eval.buf.size());
+  EncodeFrame(&batch, FrameType::kEval, 4, 8, eval.buf.data(),
+              eval.buf.size());
+  EncodeFrame(&batch, FrameType::kPing, 5, 0, nullptr, 0);
+  ASSERT_TRUE(SendBytes(worker.fd(), batch.data(), batch.size()));
+  ASSERT_EQ(RecvFrame(worker.fd(), &f, 5000), RecvStatus::kOk);
+  EXPECT_EQ(f.seq, 3u);
+  EXPECT_EQ(f.type, static_cast<std::uint32_t>(FrameType::kReply));
+  ASSERT_EQ(RecvFrame(worker.fd(), &f, 5000), RecvStatus::kOk);
+  EXPECT_EQ(f.seq, 5u);
+  EXPECT_EQ(f.type, static_cast<std::uint32_t>(FrameType::kReply));
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Decision-level contracts of the distributed sweep's state machine, driven
 // directly with hand-built worker replies (no processes): the strict '<'
-// shard-order merge, the router-side lazy pivot phase and the rows its
-// begin carries, shard loss and deadline bookkeeping, result finalisation,
-// row seeding, and the rejection of malformed replies: candidate ids
-// outside the shape, impossible distances, and delta hits outside the
-// replying shard or the scan's cap.
+// shard-order merge of the shards' stream heads, the stop at the k-th
+// incumbent, the router-side lazy pivot phase and the rows its begin
+// carries, shard loss and deadline bookkeeping, result finalisation, row
+// seeding, and the rejection of malformed replies: candidate ids outside
+// the shape, successors that do not follow the candidate, impossible
+// distances, and delta hits outside the replying shard or the scan's cap.
 
 #include "serve/sweep_machine.h"
 
@@ -70,29 +71,26 @@ SweepWorld WorldWithTombstone(std::size_t id) {
   return world;
 }
 
-std::vector<char> Compact(std::size_t live, std::size_t next,
-                          double next_key) {
-  SweepCompactResult pass;
-  pass.live = live;
-  pass.next = next;
-  pass.next_key = next_key;
+std::vector<char> Head(std::size_t next, double next_key) {
+  SweepCompactResult head;
+  head.next = next;
+  head.next_key = next_key;
   PayloadWriter w;
-  EncodeCompact(w, pass);
+  EncodeStreamHead(w, head);
   return w.buf;
 }
 
-/// A begin reply: the shard's base tombstone count, then `compact`.
-std::vector<char> WithDead(std::uint64_t dead, const std::vector<char>& compact) {
+/// A begin reply: the shard's base tombstone count, then `head`.
+std::vector<char> WithDead(std::uint64_t dead, const std::vector<char>& head) {
   PayloadWriter w;
   w.U64(dead);
-  w.Raw(compact.data(), compact.size());
+  w.Raw(head.data(), head.size());
   return w.buf;
 }
 
 /// A begin reply of a shard with no base tombstone.
-std::vector<char> BeginReply(std::size_t live, std::size_t next,
-                             double next_key) {
-  return WithDead(0, Compact(live, next, next_key));
+std::vector<char> BeginReply(std::size_t next, double next_key) {
+  return WithDead(0, Head(next, next_key));
 }
 
 /// The seed bound and the (rank, d) rows of a begin payload for "q".
@@ -115,9 +113,14 @@ Begin DecodeBegin(const std::vector<char>& payload, const std::string& q) {
   return out;
 }
 
-std::vector<char> EvalReply(double d) {
+/// An eval reply: the distance, then the candidate's successor in its
+/// shard's stream (none by default).
+std::vector<char> EvalReply(double d, std::size_t next = kSweepNone,
+                            double next_key = kInf) {
   PayloadWriter w;
   w.F64(d);
+  const std::vector<char> head = Head(next, next_key);
+  w.Raw(head.data(), head.size());
   return w.buf;
 }
 
@@ -138,25 +141,26 @@ TEST(SweepMachineTest, EqualKeysMergeInShardOrder) {
   const SweepShape shape = ThreeShards();
   const SweepWorld world = CleanWorld();
   SweepMachine m(shape, world, Dist(), "q", 1, kRow);
-  ASSERT_TRUE(m.AbsorbBegin(0, BeginReply(2, 2, 1.0)));
-  ASSERT_TRUE(m.AbsorbBegin(1, BeginReply(2, 6, 1.5)));
-  ASSERT_TRUE(m.AbsorbBegin(2, BeginReply(2, 10, 1.0)));
+  ASSERT_TRUE(m.AbsorbBegin(0, BeginReply(2, 1.0)));
+  ASSERT_TRUE(m.AbsorbBegin(1, BeginReply(6, 1.5)));
+  ASSERT_TRUE(m.AbsorbBegin(2, BeginReply(10, 1.0)));
   EXPECT_EQ(m.Next(), 2u);
   EXPECT_EQ(m.cand_shard(), 0u);
   EXPECT_EQ(m.cap(), 5.0);
 
-  m.AbsorbEval(7.0);  // >= cap: abandoned, no incumbent change
-  ASSERT_TRUE(m.AbsorbStep(0, Compact(0, kSweepNone, kInf)));
-  ASSERT_TRUE(m.AbsorbStep(1, Compact(1, 6, 1.0)));
-  ASSERT_TRUE(m.AbsorbStep(2, Compact(1, 10, 1.0)));
+  // >= cap: abandoned, no incumbent change; shard 0's stream is done.
+  ASSERT_TRUE(m.AbsorbEvalReply(EvalReply(7.0)));
+  EXPECT_EQ(m.Next(), 10u);  // bound 1.0 before shard 1's 1.5
+  EXPECT_EQ(m.cand_shard(), 2u);
+  ASSERT_TRUE(m.AbsorbEvalReply(EvalReply(7.0)));
   EXPECT_EQ(m.Next(), 6u);
   EXPECT_EQ(m.cand_shard(), 1u);
 
   ServeResult res;
   m.Finish(&res);
-  EXPECT_EQ(res.stats.distance_computations, 4u);  // 3 row evals + 1 visit
+  EXPECT_EQ(res.stats.distance_computations, 5u);  // 3 row evals + 2 visits
   EXPECT_EQ(res.stats.pivot_computations, 3u);
-  EXPECT_EQ(res.stats.bounded_abandons, 1u);
+  EXPECT_EQ(res.stats.bounded_abandons, 2u);
 }
 
 // The pivot phase runs router-side, in the constructor, as in process:
@@ -216,43 +220,76 @@ TEST(SweepMachineTest, LazyBeginStartsAtTheMinimalBoundLivePivot) {
   EXPECT_EQ(begin5.rows[0].second, 2.0);
 }
 
-// A lazy read is one begin, then (eval, step) per non-pivot visit: the
-// pivot visits of its begin are paid router-side and send no step.
-TEST(SweepMachineTest, LazyReadSendsNoStepForAPivotVisit) {
+// A lazy read is one begin, then one eval per non-pivot visit: the pivot
+// visits of its begin are paid router-side, and the heads' bounds stop the
+// sweep once they reach the incumbent.
+TEST(SweepMachineTest, LazyReadSendsNoEvalForAPivotVisit) {
   const SweepShape shape = ThreeShards();
   const SweepWorld world = CleanWorld();
   SweepMachine m(shape, world, Dist(), "abcf", 1, /*row=*/nullptr);
   ASSERT_EQ(DecodeBegin(m.BeginPayload(), "abcf").rows.size(), 2u);
-  ASSERT_TRUE(m.AbsorbBegin(0, BeginReply(2, 2, 0.0)));
-  ASSERT_TRUE(m.AbsorbBegin(1, BeginReply(1, 6, 0.5)));
-  ASSERT_TRUE(m.AbsorbBegin(2, BeginReply(0, kSweepNone, kInf)));
+  ASSERT_TRUE(m.AbsorbBegin(0, BeginReply(2, 0.0)));
+  ASSERT_TRUE(m.AbsorbBegin(1, BeginReply(6, 0.5)));
+  ASSERT_TRUE(m.AbsorbBegin(2, BeginReply(kSweepNone, kInf)));
   std::size_t evals = 0;
-  std::size_t steps = 0;
   for (std::size_t c = m.Next(); c != kSweepNone; c = m.Next()) {
     ASSERT_EQ(c, 2u);
     EXPECT_EQ(m.cap(), 1.0);  // the pivot phase's incumbent, id 5 at 1
-    ASSERT_TRUE(m.AbsorbEvalReply(EvalReply(0.0)));
+    // Id 2 at distance 0 becomes the incumbent: shard 0's next survivor
+    // (bound 0.75) and shard 1's head (0.5) are at or above it.
+    ASSERT_TRUE(m.AbsorbEvalReply(EvalReply(0.0, 3, 0.75)));
     ++evals;
-    const std::vector<char> step = m.StepPayload();
-    PayloadReader r(step);
-    EXPECT_EQ(r.U32(), c);
-    EXPECT_EQ(r.F64(), 0.0);  // id 2 at distance 0 is the incumbent now
-    EXPECT_TRUE(r.Done());
-    ++steps;
-    // Bound 0.5 is at or above the new incumbent: every shard empties.
-    for (std::size_t s = 0; s < 3; ++s) {
-      ASSERT_TRUE(m.AbsorbStep(s, Compact(0, kSweepNone, kInf)));
-    }
   }
   EXPECT_EQ(evals, 1u);
-  EXPECT_EQ(steps, 1u);
   ServeResult res;
   m.Finish(&res);
   ASSERT_EQ(res.neighbors.size(), 1u);
   EXPECT_EQ(res.neighbors[0].index, 2u);
-  // Two pivot visits in the begin, one non-pivot visit with its step.
+  // Two pivot visits in the begin, one non-pivot visit.
   EXPECT_EQ(res.stats.pivot_computations, 2u);
   EXPECT_EQ(res.stats.distance_computations, 2u + evals);
+}
+
+// A row read from begin to Finish with evals only: each eval reply moves
+// its shard's head to the successor it names, the least head (lowest id on
+// equal bounds) is visited next while it is below the k-th incumbent, and
+// the first head at or above it ends the sweep.
+TEST(SweepMachineTest, ReadRunsFromBeginToFinishWithEvalsOnly) {
+  const SweepShape shape = ThreeShards();
+  const SweepWorld world = CleanWorld();
+  SweepMachine m(shape, world, Dist(), "q", 1, kRow);  // id 1 at 5 seeds
+  ASSERT_TRUE(m.AbsorbBegin(0, BeginReply(0, 1.0)));
+  ASSERT_TRUE(m.AbsorbBegin(1, BeginReply(4, 2.0)));
+  ASSERT_TRUE(m.AbsorbBegin(2, BeginReply(8, 3.0)));
+
+  ASSERT_EQ(m.Next(), 0u);
+  EXPECT_EQ(m.cap(), 5.0);
+  ASSERT_TRUE(m.AbsorbEvalReply(EvalReply(4.0, 3, 2.0)));  // admitted
+  ASSERT_EQ(m.Next(), 3u);  // bound 2.0 ties shard 1's head: lower id
+  EXPECT_EQ(m.cap(), 4.0);
+  ASSERT_TRUE(m.AbsorbEvalReply(EvalReply(2.5)));  // admitted; shard 0 done
+  ASSERT_EQ(m.Next(), 4u);
+  EXPECT_EQ(m.cap(), 2.5);
+  {
+    const std::vector<char> eval = m.EvalPayload();
+    PayloadReader r(eval);
+    EXPECT_EQ(r.U64(), 4u);
+    EXPECT_EQ(r.F64(), 2.5);
+    EXPECT_TRUE(r.Done());
+  }
+  ASSERT_TRUE(m.AbsorbEvalReply(EvalReply(kInf, 7, 2.75)));  // abandoned
+  // Shard 1's head (2.75) and shard 2's (3.0) are at or above 2.5.
+  EXPECT_EQ(m.Next(), kSweepNone);
+
+  ServeResult res;
+  m.Finish(&res);
+  ASSERT_EQ(res.neighbors.size(), 1u);
+  EXPECT_EQ(res.neighbors[0].index, 3u);
+  EXPECT_EQ(res.neighbors[0].distance, 2.5);
+  EXPECT_EQ(res.stats.distance_computations, 3u + 3u);
+  EXPECT_EQ(res.stats.pivot_computations, 3u);
+  EXPECT_EQ(res.stats.bounded_abandons, 1u);
+  EXPECT_FALSE(res.partial);
 }
 
 TEST(SweepMachineTest, DropRemovesTheShardAndListsItOnce) {
@@ -261,7 +298,7 @@ TEST(SweepMachineTest, DropRemovesTheShardAndListsItOnce) {
   SweepMachine m(shape, world, Dist(), "q", 1, /*row=*/nullptr);
   // Shard 1's candidate, id 4 at bound 0.25, would lead the merge.
   for (std::size_t s = 0; s < 3; ++s) {
-    ASSERT_TRUE(m.AbsorbBegin(s, BeginReply(4, 4 * s, s == 1 ? 0.25 : 0.5)));
+    ASSERT_TRUE(m.AbsorbBegin(s, BeginReply(4 * s, s == 1 ? 0.25 : 0.5)));
   }
   m.Drop(1);
   m.Drop(1);
@@ -270,12 +307,8 @@ TEST(SweepMachineTest, DropRemovesTheShardAndListsItOnce) {
   // once shard 0 has emptied, then nothing.
   EXPECT_EQ(m.Next(), 0u);
   ASSERT_TRUE(m.AbsorbEvalReply(EvalReply(3.0)));
-  ASSERT_TRUE(m.AbsorbStep(0, Compact(0, kSweepNone, kInf)));
-  ASSERT_TRUE(m.AbsorbStep(2, Compact(4, 8, 0.5)));
   EXPECT_EQ(m.Next(), 8u);
   ASSERT_TRUE(m.AbsorbEvalReply(EvalReply(3.0)));
-  ASSERT_TRUE(m.AbsorbStep(0, Compact(0, kSweepNone, kInf)));
-  ASSERT_TRUE(m.AbsorbStep(2, Compact(0, kSweepNone, kInf)));
   EXPECT_EQ(m.Next(), kSweepNone);
 
   ServeResult res;
@@ -291,15 +324,26 @@ TEST(SweepMachineTest, ExpireListsOnlyActiveShardsWithLiveCandidates) {
   const SweepShape shape = ThreeShards();
   const SweepWorld world = CleanWorld();
   SweepMachine m(shape, world, Dist(), "q", 1, kRow);
-  ASSERT_TRUE(m.AbsorbBegin(0, BeginReply(0, kSweepNone, kInf)));
-  ASSERT_TRUE(m.AbsorbBegin(1, BeginReply(3, 6, 1.0)));
-  ASSERT_TRUE(m.AbsorbBegin(2, BeginReply(2, 10, 1.0)));
+  ASSERT_TRUE(m.AbsorbBegin(0, BeginReply(kSweepNone, kInf)));
+  ASSERT_TRUE(m.AbsorbBegin(1, BeginReply(6, 1.0)));
+  ASSERT_TRUE(m.AbsorbBegin(2, BeginReply(10, 1.0)));
   m.Drop(2);
   m.Expire();
   ServeResult res;
   m.Finish(&res);
   // Shard 0 has nothing left; shard 2 was already missing.
   EXPECT_EQ(res.missing_shards, std::vector<std::size_t>({1, 2}));
+
+  // A head at or above the k-th incumbent holds nothing to visit.
+  SweepMachine late(shape, world, Dist(), "q", 1, kRow);
+  ASSERT_TRUE(late.AbsorbBegin(0, BeginReply(2, 1.0)));
+  ASSERT_TRUE(late.AbsorbBegin(1, BeginReply(6, 3.0)));
+  ASSERT_EQ(late.Next(), 2u);
+  ASSERT_TRUE(late.AbsorbEvalReply(EvalReply(2.0, 3, 1.5)));
+  late.Expire();
+  ServeResult late_res;
+  late.Finish(&late_res);
+  EXPECT_EQ(late_res.missing_shards, std::vector<std::size_t>({0}));
 }
 
 TEST(SweepMachineTest, FinishSortsAndDedupesMissingShards) {
@@ -307,9 +351,9 @@ TEST(SweepMachineTest, FinishSortsAndDedupesMissingShards) {
   const SweepWorld world = CleanWorld();
   {
     SweepMachine m(shape, world, Dist(), "q", 1, kRow);
-    ASSERT_TRUE(m.AbsorbBegin(0, BeginReply(1, 2, 1.0)));
-    ASSERT_TRUE(m.AbsorbBegin(1, BeginReply(1, 6, 1.0)));
-    ASSERT_TRUE(m.AbsorbBegin(2, BeginReply(1, 10, 1.0)));
+    ASSERT_TRUE(m.AbsorbBegin(0, BeginReply(2, 1.0)));
+    ASSERT_TRUE(m.AbsorbBegin(1, BeginReply(6, 1.0)));
+    ASSERT_TRUE(m.AbsorbBegin(2, BeginReply(10, 1.0)));
     m.Drop(2);
     m.Expire();
     m.Expire();
@@ -362,24 +406,24 @@ TEST(SweepMachineTest, ClampsKToTheLiveSet) {
   EXPECT_EQ(SweepMachine(shape, world, Dist(), "q", 4, nullptr).k(), 4u);
 }
 
-TEST(SweepMachineTest, RejectsRepliesNamingIdsOutsideTheShard) {
+TEST(SweepMachineTest, RejectsBeginsNamingIdsOutsideTheShard) {
   const SweepShape shape = ThreeShards();
   const SweepWorld world = CleanWorld();
   SweepMachine m(shape, world, Dist(), "q", 1, kRow);
   SweepMachine expired(shape, world, Dist(), "q", 1, kRow);
-  const std::vector<std::vector<char>> bad = {
-      Compact(2, 100, 1.0),  // id >= n
-      Compact(2, 6, 1.0),    // an id of shard 1
-      Compact(5, 2, 1.0),    // live > shard size
-  };
-  std::vector<char> trailing = Compact(2, 2, 1.0);
+  std::vector<char> trailing = Head(2, 1.0);
   trailing.push_back(0);
+  const std::vector<std::vector<char>> bad = {
+      Head(100, 1.0),         // id >= n
+      Head(6, 1.0),           // an id of shard 1
+      Head(2, std::nan("")),  // a NaN bound
+      Head(2, -1.0),          // a negative bound
+      trailing,
+  };
   for (SweepMachine* machine : {&m, &expired}) {
     for (const std::vector<char>& reply : bad) {
       EXPECT_FALSE(machine->AbsorbBegin(0, WithDead(0, reply)));
-      EXPECT_FALSE(machine->AbsorbStep(0, reply));
     }
-    EXPECT_FALSE(machine->AbsorbStep(0, trailing));
   }
   // Nothing of a rejected reply was absorbed: no candidate is next, and at
   // the deadline no shard holds live candidates to list missing.
@@ -389,7 +433,42 @@ TEST(SweepMachineTest, RejectsRepliesNamingIdsOutsideTheShard) {
   expired.Finish(&res);
   EXPECT_TRUE(res.missing_shards.empty());
   // An id of its own shard is accepted.
-  EXPECT_TRUE(m.AbsorbStep(0, Compact(2, 2, 1.0)));
+  EXPECT_TRUE(m.AbsorbBegin(0, BeginReply(2, 1.0)));
+}
+
+// An eval reply names the candidate's successor in its shard's stream, so
+// the successor must be an id of that shard that follows the candidate in
+// (bound, id) order: anything else would visit outside the shard, revisit
+// a candidate, or never end the sweep.
+TEST(SweepMachineTest, RejectsEvalRepliesWhoseSuccessorDoesNotFollow) {
+  const SweepShape shape = ThreeShards();
+  const SweepWorld world = CleanWorld();
+  SweepMachine m(shape, world, Dist(), "q", 1, kRow);
+  ASSERT_TRUE(m.AbsorbBegin(0, BeginReply(2, 1.0)));
+  ASSERT_EQ(m.Next(), 2u);
+  const std::vector<std::vector<char>> bad = {
+      EvalReply(0.5, 6, 1.5),           // an id of shard 1
+      EvalReply(0.5, 100, 1.5),         // id >= n
+      EvalReply(0.5, 3, 0.5),           // a bound below the candidate's
+      EvalReply(0.5, 0, 1.0),           // an equal bound, a lower id
+      EvalReply(0.5, 2, 1.0),           // the candidate itself
+      EvalReply(0.5, 3, std::nan("")),  // a NaN bound
+  };
+  for (const std::vector<char>& reply : bad) {
+    EXPECT_FALSE(m.AbsorbEvalReply(reply));
+  }
+  // A bare distance is not an eval reply either.
+  PayloadWriter bare;
+  bare.F64(0.5);
+  EXPECT_FALSE(m.AbsorbEvalReply(bare.buf));
+  // Nothing was absorbed: the candidate is still the one to evaluate, and
+  // an equal bound at a higher id follows it.
+  ASSERT_TRUE(m.AbsorbEvalReply(EvalReply(0.5, 3, 1.0)));
+  ServeResult res;
+  m.Finish(&res);
+  ASSERT_EQ(res.neighbors.size(), 1u);
+  EXPECT_EQ(res.neighbors[0].index, 2u);
+  EXPECT_EQ(res.stats.distance_computations, 3u + 1u);
 }
 
 // The begin reply leads with the shard's base tombstone count, which must
@@ -399,14 +478,14 @@ TEST(SweepMachineTest, RejectsBeginsWithTheWrongTombstoneCount) {
   const SweepShape shape = ThreeShards();
   const SweepWorld clean = CleanWorld();
   SweepMachine unmasked(shape, clean, Dist(), "q", 1, kRow);
-  EXPECT_FALSE(unmasked.AbsorbBegin(0, WithDead(1, Compact(3, 2, 1.0))));
-  EXPECT_TRUE(unmasked.AbsorbBegin(0, WithDead(0, Compact(3, 2, 1.0))));
+  EXPECT_FALSE(unmasked.AbsorbBegin(0, WithDead(1, Head(2, 1.0))));
+  EXPECT_TRUE(unmasked.AbsorbBegin(0, WithDead(0, Head(2, 1.0))));
 
   const SweepWorld world = WorldWithTombstone(0);
   SweepMachine masked(shape, world, Dist(), "q", 1, kRow);
-  EXPECT_FALSE(masked.AbsorbBegin(0, WithDead(0, Compact(3, 2, 1.0))));
-  EXPECT_TRUE(masked.AbsorbBegin(0, WithDead(1, Compact(3, 2, 1.0))));
-  EXPECT_FALSE(masked.AbsorbBegin(1, WithDead(1, Compact(3, 6, 1.0))));
+  EXPECT_FALSE(masked.AbsorbBegin(0, WithDead(0, Head(2, 1.0))));
+  EXPECT_TRUE(masked.AbsorbBegin(0, WithDead(1, Head(2, 1.0))));
+  EXPECT_FALSE(masked.AbsorbBegin(1, WithDead(1, Head(6, 1.0))));
 }
 
 TEST(SweepMachineTest, RejectsMalformedEvalAndDeltaReplies) {
@@ -414,12 +493,10 @@ TEST(SweepMachineTest, RejectsMalformedEvalAndDeltaReplies) {
   SweepWorld world = CleanWorld();
   world.delta_live[0] = 1;
   SweepMachine m(shape, world, Dist(), "q", 1, kRow);
-  ASSERT_TRUE(m.AbsorbBegin(0, BeginReply(1, 2, 1.0)));
+  ASSERT_TRUE(m.AbsorbBegin(0, BeginReply(2, 1.0)));
   ASSERT_EQ(m.Next(), 2u);
   EXPECT_FALSE(m.AbsorbEvalReply({}));
-  PayloadWriter eval;
-  eval.F64(1.0);
-  EXPECT_TRUE(m.AbsorbEvalReply(eval.buf));
+  EXPECT_TRUE(m.AbsorbEvalReply(EvalReply(1.0)));
 
   EXPECT_TRUE(m.HasDelta(0));
   EXPECT_FALSE(m.HasDelta(1));
@@ -451,22 +528,14 @@ TEST(SweepMachineTest, RejectsImpossibleEvalReplies) {
   const SweepShape shape = ThreeShards();
   const SweepWorld world = CleanWorld();
   SweepMachine m(shape, world, Dist(), "q", 1, kRow);
-  ASSERT_TRUE(m.AbsorbBegin(0, BeginReply(1, 2, 1.0)));
+  ASSERT_TRUE(m.AbsorbBegin(0, BeginReply(2, 1.0)));
   ASSERT_EQ(m.Next(), 2u);
   ASSERT_EQ(m.cap(), 5.0);
   // A distance is >= 0 or +inf; a NaN would reach every later bound.
   EXPECT_FALSE(m.AbsorbEvalReply(EvalReply(std::nan(""))));
   EXPECT_FALSE(m.AbsorbEvalReply(EvalReply(-1.0)));
   EXPECT_FALSE(m.AbsorbEvalReply(EvalReply(-kInf)));
-  // Nothing of a rejected reply was absorbed: the step still carries the
-  // row's k-th incumbent as its bound.
-  {
-    const std::vector<char> step = m.StepPayload();
-    PayloadReader r(step);
-    EXPECT_EQ(r.U32(), 2u);
-    EXPECT_EQ(r.F64(), 5.0);
-    EXPECT_TRUE(r.Done());
-  }
+  // Nothing of a rejected reply was absorbed: the row's incumbent stands.
   EXPECT_TRUE(m.AbsorbEvalReply(EvalReply(kInf)));  // abandoned, counted
 
   ServeResult res;
