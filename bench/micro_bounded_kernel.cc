@@ -14,8 +14,9 @@
 //
 // Human-readable progress goes to stderr; a single JSON object for the perf
 // trajectory goes to stdout. The exit code is non-zero unless both LAESA
-// comparisons report identical results, the pivot sequences match and the
-// dC,h gate's rejections match an independent d_E.
+// comparisons report identical results, the pivot sequences match, the
+// dC,h gate's rejections match an independent d_E, and the prepared d_E
+// gate (`ContextualGate`) decides every call as the unprepared gate does.
 
 #include <algorithm>
 #include <cmath>
@@ -24,6 +25,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -174,6 +176,44 @@ GateRun RunHeuristicGate(
     if (rejects != static_cast<bool>(expect_reject[p])) run.agrees = false;
   }
   run.gate_s = w_gate.Seconds();
+  return run;
+}
+
+// The d_E gate two ways, every query against every candidate at one bound,
+// as a sweep's visits run it: unprepared (`ContextualEditLengthGate`, a cap
+// search and a match table per call) and prepared (`ContextualGate`, the
+// query's match table and caps kept). Every prepared decision must equal
+// the unprepared one.
+struct GateForms {
+  std::uint64_t calls = 0;
+  double unprepared_s = 0.0, prepared_s = 0.0;
+  bool agrees = true;
+};
+
+GateForms RunGateForms(const std::vector<std::string>& queries,
+                       const std::vector<std::string>& candidates,
+                       double bound) {
+  GateForms run;
+  HarmonicTable& h = ThreadLocalHarmonic();
+  std::vector<std::optional<std::size_t>> want;
+  want.reserve(queries.size() * candidates.size());
+  Stopwatch w_unprepared;
+  for (const std::string& q : queries) {
+    for (const std::string& c : candidates) {
+      want.push_back(ContextualEditLengthGate(q, c, bound, h));
+    }
+  }
+  run.unprepared_s = w_unprepared.Seconds();
+  run.calls = want.size();
+  std::size_t i = 0;
+  Stopwatch w_prepared;
+  for (const std::string& q : queries) {
+    ContextualGate gate(q);
+    for (const std::string& c : candidates) {
+      run.agrees &= gate(c, bound) == want[i++];
+    }
+  }
+  run.prepared_s = w_prepared.Seconds();
   return run;
 }
 
@@ -373,6 +413,43 @@ int Run() {
       << " ns/call, unbounded "
       << per_call_ns(gate.unbounded_s, digit_pairs.size()) << " ns/call\n";
 
+  // The gate unprepared and prepared: word queries at the word
+  // pairs' bound, digit queries at the digit pairs' bound, one query per
+  // eight kernel pairs (50 at the default scale).
+  const std::size_t gate_queries = std::max<std::size_t>(1, pair_count / 8);
+  std::vector<std::string> word_queries, digit_gate_queries;
+  for (std::size_t i = 0; i < gate_queries && i < word_pairs.size(); ++i) {
+    word_queries.push_back(word_pairs[i].first);
+  }
+  for (std::size_t i = 0; i < gate_queries && i < digit_pairs.size(); ++i) {
+    digit_gate_queries.push_back(digit_pairs[i].first);
+  }
+  const GateForms word_forms =
+      RunGateForms(word_queries, words.strings, kWordBound);
+  const GateForms digit_forms =
+      RunGateForms(digit_gate_queries, digits.strings, gate_bound);
+  const bool prepared_agrees = word_forms.agrees && digit_forms.agrees;
+  for (const auto& [what, forms] :
+       {std::pair<const char*, const GateForms&>{"word", word_forms},
+        {"digit", digit_forms}}) {
+    log << "  d_E gate on " << what << " queries: " << forms.calls
+        << " calls; unprepared "
+        << per_call_ns(forms.unprepared_s, forms.calls) << " ns/call, prepared "
+        << per_call_ns(forms.prepared_s, forms.calls) << " ns/call\n";
+  }
+  log << "    prepared decisions agree: "
+      << (prepared_agrees ? "yes" : "NO") << "\n";
+  const auto forms_json = [&](const GateForms& forms, double bound) {
+    std::ostringstream o;
+    o.precision(6);
+    o << "{\"calls\": " << forms.calls << ", \"bound\": " << bound
+      << ", \"unprepared_ns_per_call\": "
+      << per_call_ns(forms.unprepared_s, forms.calls)
+      << ", \"prepared_ns_per_call\": "
+      << per_call_ns(forms.prepared_s, forms.calls) << "}";
+    return o.str();
+  };
+
   // -------------------------------------------------------------------
   // Part 2: end-to-end LAESA — exact dC on the dictionary workload, dC,h
   // on digit contours.
@@ -529,6 +606,13 @@ int Run() {
             << (heuristic_identical ? "true" : "false") << "\n"
             << "    }\n"
             << "  },\n"
+            << "  \"gate_forms\": {\n"
+            << "    \"words\": " << forms_json(word_forms, kWordBound) << ",\n"
+            << "    \"digits\": " << forms_json(digit_forms, gate_bound)
+            << ",\n"
+            << "    \"prepared_gate_agrees\": "
+            << (prepared_agrees ? "true" : "false") << "\n"
+            << "  },\n"
             << "  \"pivot_selection\": {\n"
             << "    \"pivots\": " << pivots << ",\n"
             << "    \"dC\": {\"prototypes\": " << dict.size()
@@ -542,7 +626,7 @@ int Run() {
             << "  }\n"
             << "}\n";
   return exact.identical_results && heuristic_identical && pivots_identical &&
-                 gate.agrees
+                 gate.agrees && prepared_agrees
              ? 0
              : 1;
 }

@@ -80,6 +80,47 @@ std::optional<std::size_t> ContextualEditLengthGate(std::string_view x,
   return d;
 }
 
+std::optional<std::size_t> ContextualGate::operator()(std::string_view y,
+                                                      double bound) {
+  const std::size_t m = x_.size(), n = y.size();
+  // The unprepared gate's steps: an unbounded or NaN bound gives the cap
+  // m + n >= max(m, n) and no check.
+  if (!(bound < std::numeric_limits<double>::infinity())) return m + n;
+  const std::size_t cap = Cap(n, bound);
+  if (cap == kNoCap) return std::nullopt;
+  if (cap >= std::max(m, n)) return cap;
+  const std::size_t d = Pattern().Bounded(y, cap);
+  if (d > cap) return std::nullopt;
+  return d;
+}
+
+std::size_t ContextualGate::EditDistance(std::string_view y) {
+  return Pattern().Bounded(y, std::max(x_.size(), y.size()));
+}
+
+std::size_t ContextualGate::Cap(std::size_t n, double bound) {
+  if (!(bound == cap_bound_)) {
+    cap_bound_ = bound;
+    ++stamp_;
+  }
+  if (n >= caps_.size()) {
+    caps_.resize(n + 1);
+    stamps_.resize(n + 1, 0);
+  }
+  if (stamps_[n] != stamp_) {
+    const std::optional<std::size_t> cap =
+        ContextualEditLengthCap(x_.size(), n, bound, ThreadLocalHarmonic());
+    caps_[n] = cap ? *cap : kNoCap;
+    stamps_[n] = stamp_;
+  }
+  return caps_[n];
+}
+
+MyersPattern& ContextualGate::Pattern() {
+  if (!pattern_) pattern_.emplace(x_);
+  return *pattern_;
+}
+
 Rational ContextualPathCostExact(std::size_t m, std::size_t n, std::size_t k,
                                  std::size_t ni) {
   ValidateDecomposition(m, n, k, ni);
@@ -202,6 +243,35 @@ std::size_t ContextualLastLayer(std::size_t m, std::size_t n, std::size_t p,
     }
   }
   return lo;
+}
+
+namespace {
+
+// The evaluator of `ContextualEditDistance::Prepare`: the steps of
+// `ContextualDistanceDetailed` with the prepared gate.
+class PreparedContextual final : public PreparedDistance {
+ public:
+  explicit PreparedContextual(std::string_view x) : x_(x), gate_(x) {}
+
+  double Bounded(std::string_view y, double bound) override {
+    if (x_.empty() && y.empty()) return 0.0;
+    const std::optional<std::size_t> gate = gate_(y, bound);
+    if (!gate) return std::numeric_limits<double>::infinity();
+    return ActiveSweepKernels()
+        .contextual_layers(x_, y, bound, *gate, TlsDpWorkspace())
+        .distance;
+  }
+
+ private:
+  std::string_view x_;
+  ContextualGate gate_;
+};
+
+}  // namespace
+
+std::unique_ptr<PreparedDistance> ContextualEditDistance::Prepare(
+    std::string_view x) const {
+  return std::make_unique<PreparedContextual>(x);
 }
 
 ContextualResult ContextualDistanceDetailed(std::string_view x,

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -12,6 +13,7 @@
 #include "common/harmonic.h"
 #include "common/rational.h"
 #include "distances/distance.h"
+#include "distances/myers.h"
 
 namespace cned {
 
@@ -83,11 +85,56 @@ std::optional<std::size_t> ContextualEditLengthCap(std::size_t m,
 /// result below `bound` can exist: there is no cap, or d_E > K. Otherwise
 /// returns a B with d_E <= B <= K: d_E itself when the check ran, K when
 /// it did not, so a B below max(|x|, |y|) is exactly d_E. Unbounded and
-/// NaN bounds give K = m + n and skip the check.
+/// NaN bounds give K = m + n and skip the check. `ContextualGate` is the
+/// same gate with x prepared, for the many calls of one query.
 std::optional<std::size_t> ContextualEditLengthGate(std::string_view x,
                                                     std::string_view y,
                                                     double bound,
                                                     HarmonicTable& harmonic);
+
+/// `ContextualEditLengthGate` with its query x prepared: the gate of both
+/// contextual evaluators (`StringDistance::Prepare`). It keeps two things
+/// across calls:
+///
+///  - x's Myers match table (`MyersPattern`), built on the first check,
+///    with x always as the pattern. When x is the longer string the end
+///    diagonal starts at row |x| - |y|. The gate's value is exact d_E when
+///    d_E <= K and K + 1 otherwise, so it does not depend on which string
+///    is the pattern;
+///  - the cap K per candidate length for the current bound. Each entry is
+///    filled on first use by `ContextualEditLengthCap` itself, and the
+///    entries are dropped when the bound changes, so every cap is the one
+///    the unprepared gate computes.
+///
+/// Every call therefore returns what `ContextualEditLengthGate` returns.
+/// One thread at a time; `x` must outlive it.
+class ContextualGate {
+ public:
+  explicit ContextualGate(std::string_view x) : x_(x) {}
+
+  /// ContextualEditLengthGate(x, y, bound, ThreadLocalHarmonic()).
+  std::optional<std::size_t> operator()(std::string_view y, double bound);
+
+  /// d_E(x, y), exact.
+  std::size_t EditDistance(std::string_view y);
+
+ private:
+  static constexpr std::size_t kNoCap = ~std::size_t{0};
+
+  /// ContextualEditLengthCap(|x|, n, bound), kNoCap for std::nullopt, from
+  /// the table of the current bound (a finite one).
+  std::size_t Cap(std::size_t n, double bound);
+  MyersPattern& Pattern();
+
+  std::string_view x_;
+  std::optional<MyersPattern> pattern_;
+  // caps_[n] holds the cap of length n when stamps_[n] == stamp_, the
+  // generation of `cap_bound_`.
+  double cap_bound_ = std::numeric_limits<double>::quiet_NaN();
+  std::uint64_t stamp_ = 0;
+  std::vector<std::size_t> caps_;
+  std::vector<std::uint64_t> stamps_;
+};
 
 /// Exact-rational version of `ContextualPathCost` (for property tests that
 /// must be free of floating-point noise). Only valid while the reduced
@@ -182,6 +229,8 @@ std::size_t ContextualLastLayer(std::size_t m, std::size_t n, std::size_t p,
 /// passes runs the DP, whose scan also stops once the floor reaches
 /// `bound`. The result is exact whenever d_C(x,y) < bound and otherwise any
 /// value >= bound (possibly +infinity) — the `DistanceBounded` contract.
+/// `ContextualEditDistance::Prepare` runs the same steps with the prepared
+/// gate (`ContextualGate`), so its calls return the same bits.
 ///
 /// The DP's rows and planes come from the calling thread's `DpWorkspace`,
 /// so the steady-state path performs no heap allocations and the kernel is
@@ -218,6 +267,9 @@ class ContextualEditDistance final : public StringDistance {
                          double bound) const override {
     return ContextualDistanceDetailed(x, y, bound).distance;
   }
+  /// The evaluator runs the prepared gate (`ContextualGate`) and then the
+  /// same DP as `DistanceBounded`.
+  std::unique_ptr<PreparedDistance> Prepare(std::string_view x) const override;
   /// No length-only bound is known (the base default of 0.0); overridden
   /// as one flat fill so the zeroth-pivot pass of a LAESA sweep makes no
   /// per-entry virtual calls.

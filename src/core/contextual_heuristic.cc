@@ -55,31 +55,67 @@ namespace cned {
 // (K < max(m, n)) it yields d_E itself; otherwise, and for every unbounded
 // call, the call runs `MyersLevenshtein` once. Either way the diamond is
 // sized by the exact d_E.
-ContextualHeuristicResult ContextualHeuristicDetailed(std::string_view x,
-                                                      std::string_view y,
-                                                      double bound) {
-  const std::size_t m = x.size(), n = y.size();
-  HarmonicTable& h = ThreadLocalHarmonic();
-  ContextualHeuristicResult abandoned;
-  abandoned.distance = std::numeric_limits<double>::infinity();
+namespace {
 
-  // The shared d_E gate (`ContextualEditLengthGate`): rejects d_E > K and
-  // otherwise yields d_E when its check ran (a value below max(m, n)), or
-  // the cap K >= max(m, n) >= d_E when it did not.
-  const std::optional<std::size_t> gate =
-      ContextualEditLengthGate(x, y, bound, h);
-  if (!gate) return abandoned;
-  const std::size_t d_e =
-      *gate < std::max(m, n) ? *gate : MyersLevenshtein(x, y);
-
+// The diamond DP and the cost, given d_E(x, y) exactly.
+ContextualHeuristicResult Diamond(std::string_view x, std::string_view y,
+                                  std::size_t d_e, HarmonicTable& h) {
   const std::uint64_t cell =
       ActiveSweepKernels().contextual_diamond(x, y, d_e, TlsDpWorkspace());
   ContextualHeuristicResult r;
   r.k = static_cast<std::size_t>(cell >> 32);
   const auto subs = static_cast<std::size_t>(cell & 0xffffffffu);
-  r.insertions = (r.k - subs + n - m) / 2;
-  r.distance = ContextualPathCost(m, n, r.k, r.insertions, h);
+  r.insertions = (r.k - subs + y.size() - x.size()) / 2;
+  r.distance = ContextualPathCost(x.size(), y.size(), r.k, r.insertions, h);
   return r;
+}
+
+// The evaluator of `ContextualHeuristicEditDistance::Prepare`: the steps of
+// `ContextualHeuristicDetailed` with the prepared gate, whose match table
+// also gives d_E when the gate skipped its check.
+class PreparedHeuristic final : public PreparedDistance {
+ public:
+  explicit PreparedHeuristic(std::string_view x) : x_(x), gate_(x) {}
+
+  double Bounded(std::string_view y, double bound) override {
+    const std::optional<std::size_t> gate = gate_(y, bound);
+    if (!gate) return std::numeric_limits<double>::infinity();
+    const std::size_t d_e = *gate < std::max(x_.size(), y.size())
+                                ? *gate
+                                : gate_.EditDistance(y);
+    return Diamond(x_, y, d_e, ThreadLocalHarmonic()).distance;
+  }
+
+ private:
+  std::string_view x_;
+  ContextualGate gate_;
+};
+
+}  // namespace
+
+ContextualHeuristicResult ContextualHeuristicDetailed(std::string_view x,
+                                                      std::string_view y,
+                                                      double bound) {
+  HarmonicTable& h = ThreadLocalHarmonic();
+  // The shared d_E gate (`ContextualEditLengthGate`): rejects d_E > K and
+  // otherwise yields d_E when its check ran (a value below max(m, n)), or
+  // the cap K >= max(m, n) >= d_E when it did not.
+  const std::optional<std::size_t> gate =
+      ContextualEditLengthGate(x, y, bound, h);
+  if (!gate) {
+    ContextualHeuristicResult abandoned;
+    abandoned.distance = std::numeric_limits<double>::infinity();
+    return abandoned;
+  }
+  const std::size_t d_e = *gate < std::max(x.size(), y.size())
+                              ? *gate
+                              : MyersLevenshtein(x, y);
+  return Diamond(x, y, d_e, h);
+}
+
+std::unique_ptr<PreparedDistance> ContextualHeuristicEditDistance::Prepare(
+    std::string_view x) const {
+  return std::make_unique<PreparedHeuristic>(x);
 }
 
 double ContextualHeuristicDistance(std::string_view x, std::string_view y) {

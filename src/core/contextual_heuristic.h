@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -52,7 +53,8 @@ struct ContextualHeuristicResult {
 /// one whenever d_C,h(x, y) < bound — the `StringDistance::DistanceBounded`
 /// contract; otherwise `distance` is >= bound and only `distance` is
 /// meaningful (`k` and `insertions` of an abandoned result are
-/// unspecified).
+/// unspecified). `ContextualHeuristicEditDistance::Prepare` runs the same
+/// steps with the prepared gate (`ContextualGate`).
 ContextualHeuristicResult ContextualHeuristicDetailed(
     std::string_view x, std::string_view y,
     double bound = std::numeric_limits<double>::infinity());
@@ -75,6 +77,10 @@ class ContextualHeuristicEditDistance final : public StringDistance {
                          double bound) const override {
     return ContextualHeuristicDetailed(x, y, bound).distance;
   }
+  /// The evaluator runs the prepared gate (`ContextualGate`, which also
+  /// gives d_E when the gate skips its check) and then the same diamond
+  /// DP as `DistanceBounded`.
+  std::unique_ptr<PreparedDistance> Prepare(std::string_view x) const override;
   /// No length-only bound is known (the base default of 0.0); overridden
   /// as one flat fill so the zeroth-pivot pass of a LAESA sweep makes no
   /// per-entry virtual calls.

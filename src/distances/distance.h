@@ -9,6 +9,20 @@
 
 namespace cned {
 
+/// A distance with its first argument bound: `StringDistance::Prepare(x)`.
+///
+/// A search that evaluates one query against many candidates prepares the
+/// query once and calls `Bounded` per candidate, so per-query work (a
+/// match table, a cap per candidate length) is not redone on every call.
+class PreparedDistance {
+ public:
+  virtual ~PreparedDistance() = default;
+
+  /// `DistanceBounded(x, y, bound)` of the distance that prepared x, bit
+  /// for bit, x always the first argument.
+  virtual double Bounded(std::string_view y, double bound) = 0;
+};
+
 /// Abstract string distance (or dissimilarity) function.
 ///
 /// Every distance in the paper — the Levenshtein distance, the naive
@@ -45,6 +59,19 @@ class StringDistance {
     return Distance(x, y);
   }
 
+  /// Binds `x` as the first argument of every later evaluation: the
+  /// returned evaluator's `Bounded(y, bound)` is `DistanceBounded(x, y,
+  /// bound)` bit for bit. The order is kept: a prepared x is never
+  /// evaluated as the second argument, because a distance need not be
+  /// symmetric in its last bit (dC and dC,h add their harmonic ranges in
+  /// argument order). `x` must outlive the evaluator, and this distance
+  /// too. The evaluator may hold scratch sized on its first calls, so its
+  /// steady-state calls allocate nothing, and it is not for concurrent
+  /// use: one thread at a time, as a search's per-query state is. The
+  /// default forwards every call to `DistanceBounded`; the contextual
+  /// distances override it.
+  virtual std::unique_ptr<PreparedDistance> Prepare(std::string_view x) const;
+
   /// A lower bound on `Distance(x, y)` computable from the string lengths
   /// alone; 0.0 when no such bound is known (the safe default). For the
   /// Levenshtein family |len(x) - len(y)| <= d_E gives closed forms that
@@ -77,6 +104,27 @@ class StringDistance {
 };
 
 using StringDistancePtr = std::shared_ptr<const StringDistance>;
+
+/// The default evaluator: every call is `distance.DistanceBounded(x, y,
+/// bound)`.
+class ForwardingPreparedDistance final : public PreparedDistance {
+ public:
+  ForwardingPreparedDistance(const StringDistance& distance,
+                             std::string_view x)
+      : distance_(distance), x_(x) {}
+  double Bounded(std::string_view y, double bound) override {
+    return distance_.DistanceBounded(x_, y, bound);
+  }
+
+ private:
+  const StringDistance& distance_;
+  std::string_view x_;
+};
+
+inline std::unique_ptr<PreparedDistance> StringDistance::Prepare(
+    std::string_view x) const {
+  return std::make_unique<ForwardingPreparedDistance>(*this, x);
+}
 
 /// Shared body for `LengthLowerBounds` overrides: applies the scalar bound
 /// `f(x_len, y_len)` across a packed length array. Statically dispatched,

@@ -2,7 +2,9 @@
 #define CNED_DISTANCES_MYERS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
+#include <vector>
 
 namespace cned {
 
@@ -26,6 +28,28 @@ std::size_t MyersLevenshtein(std::string_view x, std::string_view y);
 /// (distances/levenshtein.h); the contextual gate passes its integer cap.
 std::size_t MyersLevenshteinBounded(std::string_view x, std::string_view y,
                                     std::size_t bound);
+
+/// One pattern's match table, built once, for many bounded d_E calls: the
+/// prepared contextual gate (`ContextualGate`, core/contextual.h) holds
+/// its query's. The pattern is always the one down the columns, also when
+/// it is the longer string: the end diagonal then starts at row m - n of
+/// the first column instead of column n - m of the top row. d_E is the
+/// same either way, so every call returns what `MyersLevenshteinBounded`
+/// returns. Not for concurrent use: a blocked pattern keeps its block
+/// vectors here.
+class MyersPattern {
+ public:
+  explicit MyersPattern(std::string_view pattern);
+
+  /// MyersLevenshteinBounded(pattern, text, bound).
+  std::size_t Bounded(std::string_view text, std::size_t bound);
+
+ private:
+  std::size_t m_;
+  std::size_t blocks_;
+  std::vector<std::uint64_t> peq_;  // 256 words per 64-symbol block
+  std::vector<std::uint64_t> pv_, mv_;
+};
 
 }  // namespace cned
 

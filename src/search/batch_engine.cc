@@ -1,6 +1,8 @@
 #include "search/batch_engine.h"
 
 #include <algorithm>
+#include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
@@ -92,10 +94,15 @@ std::vector<double> PivotStagePass(const PivotStageSearcher& ps,
       [&](std::size_t b) {
         const std::size_t lo = b * kPivotBlock;
         const std::size_t hi = std::min(lo + kPivotBlock, u_count);
+        std::unique_ptr<PreparedDistance> prepared[kPivotBlock];
+        for (std::size_t u = lo; u < hi; ++u) {
+          prepared[u - lo] = distance.Prepare(queries[unique[u]]);
+        }
         for (std::size_t p = 0; p < p_count; ++p) {
           const std::string_view pivot = ps.PivotString(p);
           for (std::size_t u = lo; u < hi; ++u) {
-            rows[u * p_count + p] = distance.Distance(queries[unique[u]], pivot);
+            rows[u * p_count + p] = prepared[u - lo]->Bounded(
+                pivot, std::numeric_limits<double>::infinity());
           }
         }
       },

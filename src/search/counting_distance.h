@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "distances/distance.h"
 
@@ -34,6 +35,13 @@ class CountingDistance final : public StringDistance {
     ++count_;
     return inner_->DistanceBounded(x, y, bound);
   }
+  /// The wrapped distance's evaluator, each `Bounded` call counted once,
+  /// so an index that evaluates through it keeps its tally equal to
+  /// `QueryStats::distance_computations`.
+  std::unique_ptr<PreparedDistance> Prepare(
+      std::string_view x) const override {
+    return std::make_unique<Prepared>(inner_->Prepare(x), count_);
+  }
   double LengthLowerBound(std::size_t x_len,
                           std::size_t y_len) const override {
     return inner_->LengthLowerBound(x_len, y_len);
@@ -50,6 +58,21 @@ class CountingDistance final : public StringDistance {
   void Reset() { count_.store(0, std::memory_order_relaxed); }
 
  private:
+  class Prepared final : public PreparedDistance {
+   public:
+    Prepared(std::unique_ptr<PreparedDistance> inner,
+             std::atomic<std::uint64_t>& count)
+        : inner_(std::move(inner)), count_(count) {}
+    double Bounded(std::string_view y, double bound) override {
+      ++count_;
+      return inner_->Bounded(y, bound);
+    }
+
+   private:
+    std::unique_ptr<PreparedDistance> inner_;
+    std::atomic<std::uint64_t>& count_;
+  };
+
   StringDistancePtr inner_;
   // Atomic because index builds evaluate distances from ParallelFor workers.
   mutable std::atomic<std::uint64_t> count_{0};

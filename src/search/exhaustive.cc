@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 
 #include "search/sweep_kernel.h"
@@ -22,6 +23,7 @@ void BoundedScan(const StringDistance& distance, std::string_view query,
                  std::vector<NeighborResult>* best, QueryStats* stats) {
   if (k == 0) return;
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::unique_ptr<PreparedDistance> prepared = distance.Prepare(query);
   std::uint64_t computations = 0, abandons = 0;
   for (std::size_t j = 0; j < store.size(); ++j) {
     if (tombstones != nullptr && TestTombstone(tombstones, j)) continue;
@@ -31,7 +33,7 @@ void BoundedScan(const StringDistance& distance, std::string_view query,
     // evicts an earlier one).
     const double kth = best->size() < k ? kInf : best->back().distance;
     const double cap = cap0 < kth ? cap0 : kth;
-    const double d = distance.DistanceBounded(query, store.view(j), cap);
+    const double d = prepared->Bounded(store.view(j), cap);
     ++computations;
     if (d >= cap) {
       ++abandons;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -52,12 +53,12 @@ void ForEachSegment(std::size_t segments, std::size_t work, Body&& body) {
   }
 }
 
-// One in-process visit: the local evaluation against the shared visit rule,
-// charged to the candidate's home segment as well when `segment_stats` is
-// non-null.
+// One in-process visit: the prepared query's evaluation against the shared
+// visit rule, charged to the candidate's home segment as well when
+// `segment_stats` is non-null.
 struct LocalVisit {
   const PivotSweep& core;
-  std::string_view query;
+  PreparedDistance& query;
   SweepIncumbents& inc;
   QueryStats* segment_stats;
 
@@ -65,8 +66,7 @@ struct LocalVisit {
     const std::size_t g = core.SegmentOf(id);
     const SweepSegment& seg = core.segments()[g];
     const double cap = inc.Cap(is_pivot);
-    const double d = core.distance().DistanceBounded(
-        query, seg.store->view(id - seg.base), cap);
+    const double d = query.Bounded(seg.store->view(id - seg.base), cap);
     const bool abandoned = inc.Absorb(id, d, cap, is_pivot);
     if (segment_stats != nullptr) {
       QueryStats& hs = segment_stats[g];
@@ -179,6 +179,9 @@ void PivotSweep::Sweep(const PivotRowQuery* group, std::size_t count,
   streams.reserve(count);
   std::vector<PivotRow>& rows = scratch.rows;
   rows.clear();
+  // Each query's evaluator: the lazy query's from its pivot phase on, a
+  // row query's for its visits.
+  std::unique_ptr<PreparedDistance> prepared[kMaxRowQueries];
   const std::uint32_t* sorted = pivots.sorted();
   for (std::size_t b = 0; b < count; ++b) {
     const PivotRowQuery& q = group[b];
@@ -209,7 +212,8 @@ void PivotSweep::Sweep(const PivotRowQuery* group, std::size_t count,
         bounds[j] = slot;
         slot = kInf;
       }
-      const LocalVisit visit{*this, q.query, inc, segment_stats};
+      prepared[b] = distance_.Prepare(q.query);
+      const LocalVisit visit{*this, *prepared[b], inc, segment_stats};
       VisitPivots(
           pivots, table_.block().view(), tombstones != nullptr, inc,
           bounds.data(),
@@ -255,8 +259,9 @@ void PivotSweep::Sweep(const PivotRowQuery* group, std::size_t count,
       stream.Scatter(g, lower[b] + seg.base, seg.store->size(), seg.base,
                      idx);
     });
+    if (prepared[b] == nullptr) prepared[b] = distance_.Prepare(group[b].query);
     const LocalVisit visit{
-        *this, group[b].query, inc,
+        *this, *prepared[b], inc,
         segment_stats == nullptr ? nullptr : segment_stats + b * segs};
     stream.VisitInBoundOrder(
         idx, lower[b], [&]() { return inc.Kth(); },
@@ -269,8 +274,9 @@ void PivotSweep::Sweep(const PivotRowQuery* group, std::size_t count,
 void PivotSweep::ComputePivotRow(std::string_view query, double* row,
                                  QueryStats* stats) const {
   const PivotIds& pivots = table_.pivots();
+  const std::unique_ptr<PreparedDistance> prepared = distance_.Prepare(query);
   for (std::size_t p = 0; p < pivots.size(); ++p) {
-    row[p] = distance_.Distance(query, View(pivots.ids()[p]));
+    row[p] = prepared->Bounded(View(pivots.ids()[p]), kInf);
   }
   if (stats != nullptr) {
     stats->distance_computations += pivots.size();
@@ -341,12 +347,13 @@ void PivotTables::Build(const std::vector<SweepSegment>& segs,
     const std::size_t p = t / chunks;
     const std::size_t begin = t % chunks * kBuildChunk;
     const std::size_t end = std::min(n, begin + kBuildChunk);
-    const std::string_view pivot = sweep.View(pivots_.ids()[p]);
+    const std::unique_ptr<PreparedDistance> pivot =
+        distance.Prepare(sweep.View(pivots_.ids()[p]));
     for (std::size_t i = begin; i < end; ++i) {
       const std::size_t g = sweep.SegmentOf(i);
       const SweepSegment& seg = segs[g];
       out.f64[g][p * sizes[g] + (i - seg.base)] =
-          distance.Distance(pivot, seg.store->view(i - seg.base));
+          pivot->Bounded(seg.store->view(i - seg.base), kInf);
     }
   });
   if (precision != TablePrecision::kF64) {

@@ -4,6 +4,8 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <limits>
+#include <memory>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -140,10 +142,15 @@ void ServeEngine::ComputeRows(const std::vector<Pending*>& batch) {
   // The blocked pass, pivot-major: each pivot string streams once across
   // the whole claim while it is hot in cache — the serving-side mirror of
   // BatchQueryEngine's stage 1. Entries are independent per (query, pivot)
-  // pair, so the traversal order cannot perturb a single bit.
+  // pair, so the traversal order cannot perturb a single bit. Each query is
+  // prepared once for its whole row.
+  std::vector<std::unique_ptr<PreparedDistance>> prepared;
+  prepared.reserve(uniques.size());
+  for (Pending* u : uniques) prepared.push_back(metric.Prepare(u->query));
   for (std::size_t p = 0; p < np; ++p) {
-    for (Pending* u : uniques) {
-      u->row[p] = metric.Distance(u->query, pivots[p]);
+    for (std::size_t q = 0; q < uniques.size(); ++q) {
+      uniques[q]->row[p] = prepared[q]->Bounded(
+          pivots[p], std::numeric_limits<double>::infinity());
     }
   }
   for (std::size_t i = 0; i < batch.size(); ++i) {

@@ -143,6 +143,7 @@ SweepCompactResult ShardReplica::BeginRow(std::uint32_t qid,
   }
   SweepSlot& slot = NewSlot(qid);
   slot.query.assign(query);
+  slot.prepared = distance_->Prepare(slot.query);
   // Tombstoned base slots go to +inf before the stream counts — no
   // protocol change needed: the mask rides the shard's own state. So do
   // the pivots: the router holds them as incumbents, or they are dead.
@@ -186,7 +187,7 @@ double ShardReplica::Eval(std::uint32_t qid, std::size_t global_id,
   *next = HeadAt(slot, slot.stream.value().After(slot.idx.data(),
                                                  slot.lower.data(), local,
                                                  &slot.sorted));
-  return distance_->DistanceBounded(slot.query, store_.view(local), cap);
+  return slot.prepared->Bounded(store_.view(local), cap);
 }
 
 SweepCompactResult ShardReplica::HeadAt(const SweepSlot& slot,

@@ -169,6 +169,7 @@ class ShardReplica {
   /// survivor stream over them, its ids local slots.
   struct SweepSlot {
     std::string query;
+    std::unique_ptr<PreparedDistance> prepared;  // of `query`, from the begin
     AlignedBuffer<double> lower;
     AlignedBuffer<std::uint32_t> idx;
     std::vector<std::uint32_t> hist;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 
 #include "serve/wire.h"
 
@@ -48,13 +49,15 @@ SweepMachine::SweepMachine(const SweepShape& shape, const SweepWorld& world,
         bounds[j] = std::numeric_limits<double>::infinity();
       }
     }
+    const std::unique_ptr<PreparedDistance> prepared =
+        distance.Prepare(query_);
     cned::VisitPivots(
         pivots, shape_.block.view(), world_.base.dead() > 0, inc_,
         bounds.data(),
         [&](std::size_t id, std::size_t rank) {
           const double cap = inc_.Cap(/*is_pivot=*/true);
-          const double d = distance.DistanceBounded(
-              query_, shape_.pivot_strings[rank], cap);
+          const double d =
+              prepared->Bounded(shape_.pivot_strings[rank], cap);
           inc_.Absorb(id, d, cap, /*is_pivot=*/true);
           return d;
         },

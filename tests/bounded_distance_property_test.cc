@@ -3,16 +3,23 @@
 // `Distance(x, y)` whenever the true distance is < b (bounded max-min pivot
 // selection relies on bit equality), and must return some value >= b
 // otherwise — over randomized string pairs and a spread of bounds (derived
-// from the true distance, fixed constants, zero, infinity and NaN).
+// from the true distance, fixed constants, zero, infinity and NaN). Every
+// distance's prepared evaluator (`StringDistance::Prepare`) returns
+// `DistanceBounded` bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "datasets/dictionary_gen.h"
 #include "distances/registry.h"
 #include "strings/string_gen.h"
 
@@ -101,6 +108,70 @@ TEST_P(BoundedDistanceTest, NaNBoundIsPlainDistance) {
     std::string y = StringGen::UniformLength(rng, ab, 0, 20);
     EXPECT_EQ(dist_->DistanceBounded(x, y, nan), dist_->Distance(x, y))
         << dist_->name() << " x=" << x << " y=" << y;
+  }
+}
+
+std::uint64_t Bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+// Dictionary words, and the pairs of them whose distance changes in the last
+// bit under a swap of the arguments (dC and dC,h add their harmonic ranges
+// in argument order; the other distances have none).
+std::vector<std::pair<std::string, std::string>> PreparedPairs(
+    const StringDistance& dist, std::size_t* asymmetric) {
+  DictionaryOptions opt;
+  opt.word_count = 120;
+  opt.seed = 7005;
+  const std::vector<std::string> words = GenerateDictionary(opt).strings;
+  std::vector<std::pair<std::string, std::string>> pairs;
+  *asymmetric = 0;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    for (std::size_t j = 0; j < words.size(); ++j) {
+      const bool swapped = Bits(dist.Distance(words[i], words[j])) !=
+                           Bits(dist.Distance(words[j], words[i]));
+      // Every asymmetric pair, and a sample of the others.
+      if (swapped || (i * words.size() + j) % 97 == 0) {
+        pairs.emplace_back(words[i], words[j]);
+        *asymmetric += swapped;
+      }
+    }
+  }
+  Rng rng(7006);
+  Alphabet ab("ab");
+  for (int t = 0; t < 40; ++t) {
+    pairs.emplace_back(StringGen::UniformLength(rng, ab, 0, 70),
+                       StringGen::UniformLength(rng, ab, 0, 70));
+  }
+  pairs.emplace_back("", "");
+  pairs.emplace_back("", "abc");
+  pairs.emplace_back("abc", "");
+  return pairs;
+}
+
+// `Prepare(x)->Bounded(y, b)` is `DistanceBounded(x, y, b)` bit for bit, at
+// every bound a search passes: +inf (the pivot rows), NaN, 0 and the exact
+// value with its neighbours, with x the first argument also where a swap
+// would change the last bit. One evaluator serves every call of its x, so
+// its per-bound caches are exercised as a search exercises them.
+TEST_P(BoundedDistanceTest, PreparedIsDistanceBoundedBitForBit) {
+  std::size_t asymmetric = 0;
+  const auto pairs = PreparedPairs(*dist_, &asymmetric);
+  if (GetParam() == "dC" || GetParam() == "dC,h") {
+    EXPECT_GT(asymmetric, 0u) << "no pair differs under a swap";
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [x, y] : pairs) {
+    const std::unique_ptr<PreparedDistance> prepared = dist_->Prepare(x);
+    const double exact = dist_->Distance(x, y);
+    for (double b : {kInf, nan, 0.0, std::nextafter(exact, -kInf), exact,
+                     std::nextafter(exact, kInf), exact * 0.5, kInf}) {
+      EXPECT_EQ(Bits(prepared->Bounded(y, b)),
+                Bits(dist_->DistanceBounded(x, y, b)))
+          << dist_->name() << " x=" << x << " y=" << y << " bound=" << b;
+    }
   }
 }
 

@@ -4,15 +4,21 @@
 // the true value, and that it actually prunes. Also checks that the floor
 // is the exact minimum cost over all longer paths, and that the d_E
 // gate of bounded calls, in dC and in dC,h, rejects exactly the pairs whose
-// edit distance exceeds the edit-length cap.
+// edit distance exceeds the edit-length cap. The prepared gate
+// (`ContextualGate`) decides as the unprepared one does, and leaves a LAESA
+// sweep's answers and counters those of the one-at-a-time sweep.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -21,6 +27,8 @@
 #include "core/contextual_heuristic.h"
 #include "datasets/perturb.h"
 #include "distances/levenshtein.h"
+#include "distances/registry.h"
+#include "search/laesa.h"
 #include "strings/string_gen.h"
 
 namespace cned {
@@ -422,6 +430,142 @@ TEST(ContextualPruningTest, PruningSpeedsUpSimilarLongStrings) {
   // The pruned run must be dramatically faster; allow generous slack for
   // timer noise but this is typically >100x.
   EXPECT_LT(fast_s, full_s / 5.0);
+}
+
+// The prepared gate against the unprepared one, call by call, one gate per
+// query across many candidates: bounds that fall, rise back and repeat
+// (each change drops the cached caps), candidate lengths that repeat
+// (served from the cache), and unbounded and NaN bounds.
+TEST(ContextualGateTest, PreparedGateMatchesUnpreparedAsBoundsMove) {
+  Rng rng(1903);
+  Alphabet ab("abc");
+  HarmonicTable& h = ThreadLocalHarmonic();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::size_t checked = 0;
+  for (int t = 0; t < 100; ++t) {
+    const std::string x = StringGen::UniformLength(rng, ab, 0, 90);
+    ContextualGate gate(x);
+    double bound = 0.05 + rng.Uniform() * 0.6;
+    for (int c = 0; c < 30; ++c) {
+      std::string y = x;
+      for (std::size_t e = rng.Index(12); e > 0 && !y.empty(); --e) {
+        y[rng.Index(y.size())] = ab.symbol(rng.Index(ab.size()));
+      }
+      if (rng.Index(3) == 0) y += StringGen::UniformLength(rng, ab, 0, 8);
+      if (rng.Index(4) == 0) y.resize(y.size() / 2);
+      switch (rng.Index(6)) {
+        case 0: bound *= rng.Uniform(); break;
+        case 1: bound = 0.05 + rng.Uniform() * 0.6; break;
+        case 2: bound = kInf; break;
+        case 3: bound = nan; break;
+        default: break;  // the same bound again
+      }
+      EXPECT_EQ(gate(y, bound), ContextualEditLengthGate(x, y, bound, h))
+          << "x=" << x << " y=" << y << " bound=" << bound;
+      ++checked;
+      if (!(bound < kInf)) bound = 0.3;
+    }
+  }
+  EXPECT_EQ(checked, 3000u);
+}
+
+// --- The prepared gate inside LAESA sweeps. --------------------------------
+
+// The one-at-a-time sweep: the wrapped distance without its evaluator, so
+// every visit is one unprepared `DistanceBounded` call.
+class OneAtATime final : public StringDistance {
+ public:
+  explicit OneAtATime(StringDistancePtr inner) : inner_(std::move(inner)) {}
+  double Distance(std::string_view x, std::string_view y) const override {
+    return inner_->Distance(x, y);
+  }
+  double DistanceBounded(std::string_view x, std::string_view y,
+                         double bound) const override {
+    return inner_->DistanceBounded(x, y, bound);
+  }
+  void LengthLowerBounds(std::size_t x_len, const std::uint32_t* y_lens,
+                         std::size_t n, double* out) const override {
+    inner_->LengthLowerBounds(x_len, y_lens, n, out);
+  }
+  std::string name() const override { return inner_->name(); }
+  bool is_metric() const override { return inner_->is_metric(); }
+
+ private:
+  StringDistancePtr inner_;
+};
+
+// Near-duplicate strings over {a, b, c} around a few seeds, lengths 20-70,
+// every fifth one repeated: incumbents fall often and bounds tie.
+std::vector<std::string> NearDuplicates(std::size_t count,
+                                        std::uint64_t seed) {
+  Rng rng(seed);
+  Alphabet ab("abc");
+  std::vector<std::string> seeds;
+  for (int s = 0; s < 6; ++s) {
+    seeds.push_back(StringGen::UniformLength(rng, ab, 20, 70));
+  }
+  std::vector<std::string> out;
+  while (out.size() < count) {
+    if (out.size() % 5 == 4) {
+      out.push_back(out[rng.Index(out.size())]);
+      continue;
+    }
+    std::string w = seeds[rng.Index(seeds.size())];
+    const std::size_t edits = 1 + rng.Index(8);
+    for (std::size_t e = 0; e < edits && !w.empty(); ++e) {
+      const std::size_t at = rng.Index(w.size());
+      switch (rng.Index(3)) {
+        case 0: w[at] = ab.symbol(rng.Index(ab.size())); break;
+        case 1: w.erase(at, 1); break;
+        default: w.insert(at, 1, ab.symbol(rng.Index(ab.size())));
+      }
+    }
+    out.push_back(w);
+  }
+  return out;
+}
+
+// The prepared sweep against the one-at-a-time sweep: the same neighbours,
+// distances and every `QueryStats` field, lazy and with a pivot row, for
+// k = 1 and for k > 1 over repeated strings (ties on the bound), under both
+// contextual distances. Incumbents fall often, so one evaluator sees many
+// bounds.
+TEST(PreparedSweepTest, PreparedSweepMatchesOneAtATimeSweep) {
+  const std::vector<std::string> protos = NearDuplicates(500, 1901);
+  const std::vector<std::string> queries = NearDuplicates(40, 1902);
+  for (const char* name : {"dC,h", "dC"}) {
+    const StringDistancePtr dist = MakeDistance(name);
+    const Laesa prepared(protos, dist, 24);
+    const Laesa oracle(protos, std::make_shared<OneAtATime>(dist), 24);
+    ASSERT_EQ(prepared.pivots(), oracle.pivots()) << name;
+    for (const std::string& q : queries) {
+      std::vector<double> row(prepared.pivot_count());
+      prepared.ComputePivotRow(q, row.data());
+      for (std::size_t k : {1, 3, 7}) {
+        QueryStats sp, so, rp, ro;
+        const auto lazy_p = prepared.KNearest(q, k, &sp);
+        const auto lazy_o = oracle.KNearest(q, k, &so);
+        const auto row_p =
+            prepared.KNearestWithPivotRow(q, k, row.data(), &rp);
+        const auto row_o = oracle.KNearestWithPivotRow(q, k, row.data(), &ro);
+        const std::string what = std::string(name) + " k=" +
+                                 std::to_string(k) + " q=" + q;
+        ASSERT_EQ(lazy_p.size(), lazy_o.size()) << what;
+        for (std::size_t i = 0; i < lazy_p.size(); ++i) {
+          EXPECT_EQ(lazy_p[i].index, lazy_o[i].index) << what;
+          EXPECT_EQ(lazy_p[i].distance, lazy_o[i].distance) << what;
+        }
+        ASSERT_EQ(row_p.size(), row_o.size()) << what;
+        for (std::size_t i = 0; i < row_p.size(); ++i) {
+          EXPECT_EQ(row_p[i].index, row_o[i].index) << what;
+          EXPECT_EQ(row_p[i].distance, row_o[i].distance) << what;
+        }
+        EXPECT_TRUE(sp == so) << what << " lazy stats";
+        EXPECT_TRUE(rp == ro) << what << " row stats";
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string_view>
+
 #include "common/rng.h"
 #include "datasets/dictionary_gen.h"
 #include "datasets/perturb.h"
@@ -34,15 +37,28 @@ TEST(CountingDistanceTest, DelegatesValueAndMetadata) {
   EXPECT_TRUE(c.is_metric());
 }
 
+TEST(CountingDistanceTest, CountsEachPreparedCallOnce) {
+  auto counter = std::make_shared<CountingDistance>(MakeDistance("dC"));
+  const std::unique_ptr<PreparedDistance> prepared = counter->Prepare("abc");
+  EXPECT_EQ(counter->count(), 0u);
+  const std::string_view ys[2] = {"abd", "xyz"};
+  EXPECT_EQ(prepared->Bounded(ys[0], 0.5),
+            counter->DistanceBounded("abc", ys[0], 0.5));
+  EXPECT_EQ(prepared->Bounded(ys[1], 0.5),
+            counter->DistanceBounded("abc", ys[1], 0.5));
+  EXPECT_EQ(counter->count(), 4u);
+}
+
 TEST(CountingDistanceTest, NonMetricFlagPropagates) {
   CountingDistance c(MakeDistance("dmax"));
   EXPECT_FALSE(c.is_metric());
 }
 
 // The wrapper must be invisible to an index: the length bounds reach the
-// LAESA sweep's free zeroth pivot through it, so the wrapped and the bare
-// index pick the same pivots, return the same neighbours and report the same
-// stats, and the wrapper's tally equals the index's own count.
+// LAESA sweep's free zeroth pivot through it, and so does the wrapped
+// distance's prepared evaluator, so the wrapped and the bare index pick the
+// same pivots, return the same neighbours and report the same stats, and the
+// wrapper's tally equals the index's own count.
 TEST(CountingDistanceTest, WrappedLaesaMatchesPlainLaesa) {
   DictionaryOptions opt;
   opt.word_count = 300;
@@ -51,7 +67,7 @@ TEST(CountingDistanceTest, WrappedLaesaMatchesPlainLaesa) {
   Rng rng(402);
   const auto queries =
       MakeQueries(dict.strings, 50, 2, Alphabet::Latin(), rng);
-  for (const char* name : {"dE", "dYB", "dmax"}) {
+  for (const char* name : {"dE", "dYB", "dmax", "dC", "dC,h"}) {
     auto counter = std::make_shared<CountingDistance>(MakeDistance(name));
     const Laesa wrapped(dict.strings, counter, 20);
     const Laesa plain(dict.strings, MakeDistance(name), 20);

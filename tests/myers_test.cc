@@ -78,19 +78,20 @@ TEST(MyersTest, HighSimilarityAndDisjointExtremes) {
 }
 
 // The bounded kernel against the DP at every bound K in [0, max(m, n)]:
-// exactly d_E when d_E <= K, some value > K otherwise.
+// exactly d_E when d_E <= K, K + 1 otherwise. The prepared pattern
+// (`MyersPattern`) runs x down the columns whichever string is longer, and
+// must return the same.
 void ExpectBoundedAgreesAtEveryBound(const std::string& x,
                                      const std::string& y) {
   const std::size_t d = LevenshteinDistance(x, y);
+  MyersPattern pattern(x);
   for (std::size_t k = 0; k <= std::max(x.size(), y.size()); ++k) {
-    const std::size_t got = MyersLevenshteinBounded(x, y, k);
-    if (d <= k) {
-      EXPECT_EQ(got, d) << "|x|=" << x.size() << " |y|=" << y.size()
-                        << " K=" << k;
-    } else {
-      EXPECT_GT(got, k) << "|x|=" << x.size() << " |y|=" << y.size()
-                        << " K=" << k << " d=" << d;
-    }
+    const std::size_t want = d <= k ? d : k + 1;
+    const std::string what = "|x|=" + std::to_string(x.size()) + " |y|=" +
+                             std::to_string(y.size()) + " K=" +
+                             std::to_string(k) + " d=" + std::to_string(d);
+    EXPECT_EQ(MyersLevenshteinBounded(x, y, k), want) << what;
+    EXPECT_EQ(pattern.Bounded(y, k), want) << what << " prepared";
   }
 }
 
@@ -103,7 +104,8 @@ std::string RandomBytes(Rng& rng, const std::string& symbols, std::size_t n) {
 
 TEST(MyersTest, BoundedAgreesWithDpAtEveryBound) {
   // Lengths on both sides of the one-word / blocked switch and of the
-  // second block boundary, empty sides included; symbols include bytes
+  // second block boundary, empty sides included, with x as the prepared
+  // pattern also when it is the longer string; symbols include bytes
   // >= 0x80, which must index the match table as unsigned.
   const std::size_t lengths[] = {0, 1, 63, 64, 65, 127, 128, 129};
   const std::string symbols[] = {"ab", std::string("a\x7f\x80\xff", 4)};
